@@ -85,17 +85,19 @@ func (b *BitSet) Digest() trace.Digest { return b.dig }
 // inline word — the overwhelmingly common case (symbol spaces of single
 // traces are small), costing no allocation and copying by value exactly
 // like the former uint64 representation. Symbols ≥ 64 spill to a
-// copy-on-write word array, so high symbols sleep too (the former
-// representation silently never slept them; ROADMAP decision-12
-// follow-on). The zero value is the empty sleep set.
+// copy-on-write sorted list, so high symbols sleep too, at a cost in the
+// number of symbols asleep — never in how high the interner has counted,
+// which on a streaming session is the length of the history (DESIGN.md,
+// decision 19). The zero value is the empty sleep set.
 //
-// Value semantics: Add returns a new set and never mutates shared spill
-// words, so sibling branches of a search may hold diverging sets cheaply.
+// Value semantics: Add returns a new set and never mutates a shared
+// spill list, so sibling branches of a search may hold diverging sets
+// cheaply.
 type SleepSet struct {
 	lo uint64
-	// hi holds symbols ≥ 64: hi[w] bit b is symbol 64 + 64*w + b. The
-	// slice is immutable once attached to a set (copy-on-write in Add).
-	hi []uint64
+	// hi holds the sleeping symbols ≥ 64 in ascending order. The slice is
+	// immutable once attached to a set (copy-on-write in Add).
+	hi []trace.Sym
 }
 
 // Empty reports whether no symbol is asleep.
@@ -106,11 +108,15 @@ func (s SleepSet) Has(sym trace.Sym) bool {
 	if sym < bitsPerWord {
 		return s.lo&(1<<sym) != 0
 	}
-	w := int(sym-bitsPerWord) / bitsPerWord
-	return w < len(s.hi) && s.hi[w]&(1<<(uint(sym-bitsPerWord)%bitsPerWord)) != 0
+	for _, h := range s.hi {
+		if h >= sym {
+			return h == sym
+		}
+	}
+	return false
 }
 
-// Add returns the set with sym asleep. High symbols copy the spill words
+// Add returns the set with sym asleep. High symbols copy the spill list
 // (sets are shared across sibling branches); the common ≤63 case stays
 // allocation-free.
 func (s SleepSet) Add(sym trace.Sym) SleepSet {
@@ -118,14 +124,18 @@ func (s SleepSet) Add(sym trace.Sym) SleepSet {
 		s.lo |= 1 << sym
 		return s
 	}
-	w, m := int(sym-bitsPerWord)/bitsPerWord, uint64(1)<<(uint(sym-bitsPerWord)%bitsPerWord)
-	n := len(s.hi)
-	if w >= n {
-		n = w + 1
+	at := len(s.hi)
+	for i, h := range s.hi {
+		if h == sym {
+			return s
+		}
+		if h > sym {
+			at = i
+			break
+		}
 	}
-	hi := make([]uint64, n)
-	copy(hi, s.hi)
-	hi[w] |= m
+	hi := make([]trace.Sym, 0, len(s.hi)+1)
+	hi = append(append(append(hi, s.hi[:at]...), sym), s.hi[at:]...)
 	s.hi = hi
 	return s
 }
@@ -138,20 +148,16 @@ func (s SleepSet) Add(sym trace.Sym) SleepSet {
 // owes — so intersection is the sound merge.
 func (s SleepSet) Intersect(o SleepSet) SleepSet {
 	out := SleepSet{lo: s.lo & o.lo}
-	n := len(s.hi)
-	if len(o.hi) < n {
-		n = len(o.hi)
-	}
-	// Trim trailing zero words so equal sets stay canonically equal.
-	for n > 0 && s.hi[n-1]&o.hi[n-1] == 0 {
-		n--
-	}
-	if n > 0 {
-		hi := make([]uint64, n)
-		for w := range hi {
-			hi[w] = s.hi[w] & o.hi[w]
+	for i, j := 0, 0; i < len(s.hi) && j < len(o.hi); {
+		switch a, b := s.hi[i], o.hi[j]; {
+		case a < b:
+			i++
+		case a > b:
+			j++
+		default:
+			out.hi = append(out.hi, a)
+			i, j = i+1, j+1
 		}
-		out.hi = hi
 	}
 	return out
 }
@@ -161,9 +167,7 @@ func (s SleepSet) forEach(fn func(trace.Sym)) {
 	for rest := s.lo; rest != 0; rest &= rest - 1 {
 		fn(trace.Sym(bits.TrailingZeros64(rest)))
 	}
-	for w, word := range s.hi {
-		for rest := word; rest != 0; rest &= rest - 1 {
-			fn(trace.Sym(bitsPerWord + w*bitsPerWord + bits.TrailingZeros64(rest)))
-		}
+	for _, sym := range s.hi {
+		fn(sym)
 	}
 }

@@ -1,0 +1,207 @@
+package diffcheck
+
+import (
+	"context"
+	"math/rand"
+	"runtime"
+	"strconv"
+	"testing"
+
+	"repro/internal/adt"
+	"repro/internal/check"
+	"repro/internal/lin"
+	"repro/internal/trace"
+)
+
+// The long-pending-operation shapes (ROADMAP item 1's gate): in one round
+// k holder clients each invoke a tagged has(v) and stay open while one
+// driver client runs n sequential add/rm/has operations over a 4-element
+// set; the holders then respond with the membership they saw at their
+// invocation. The round is linearizable (every holder linearizes where
+// it was invoked) while the exact engine has to carry k open operations
+// across n others — checker cost is a function of concurrently open
+// operations (Hamza), and the shapes vary exactly that.
+type overlapShape struct{ k, n int }
+
+var overlapShapes = []overlapShape{{1, 4}, {1, 16}, {2, 4}, {1, 32}, {2, 8}, {3, 4}}
+
+// overlapNodes is the exact number of search nodes a round of each shape
+// costs the frontier engine in a stream cycling through overlapShapes:
+// in the first cycle, and in every later one (a round inherits the
+// frontier its predecessor left, so the first cycle, which starts from
+// the single empty configuration, is cheaper). The driver never adds or
+// removes an element a holder has open, so every holder stays
+// linearizable at every point of its window: the frontier is as wide as
+// the shape admits, and the counts depend neither on the seed's luck nor
+// on how much history came before.
+var overlapNodes = map[overlapShape][2]int{
+	{1, 4}: {56, 509}, {1, 16}: {1192, 2651}, {2, 4}: {712, 1053},
+	{1, 32}: {10026, 10026}, {2, 8}: {4017, 4017}, {3, 4}: {4844, 4844},
+}
+
+const overlapElems = 4
+
+// overlapGen generates rounds of one stream deterministically from its
+// seed; set membership and operation tags carry across rounds.
+type overlapGen struct {
+	r      *rand.Rand
+	member [overlapElems]bool
+	ops    int
+}
+
+func (g *overlapGen) tag(in trace.Value) trace.Value {
+	g.ops++
+	return adt.Tag(in, strconv.Itoa(g.ops))
+}
+
+// round returns the actions of one round of shape sh and the index of
+// its first holder response (flipping that output leaves the round
+// without a linearization, since no driver operation changed the held
+// element's membership).
+func (g *overlapGen) round(sh overlapShape) (tr trace.Trace, firstHolderRes int) {
+	elem := func(e int) trace.Value { return "e" + strconv.Itoa(e) }
+	var held [overlapElems]bool
+	holders := make(trace.Trace, sh.k)
+	for j := range holders {
+		e := g.r.Intn(overlapElems)
+		held[e] = true
+		c := trace.ClientID("h" + strconv.Itoa(j))
+		in := g.tag(adt.HasInput(elem(e)))
+		tr = append(tr, trace.Invoke(c, 1, in))
+		holders[j] = trace.Response(c, 1, in, adt.BoolOutput(g.member[e]))
+	}
+	for j := 0; j < sh.n; j++ {
+		e, kind := g.r.Intn(overlapElems), g.r.Intn(4)
+		for kind < 2 && held[e] {
+			e = g.r.Intn(overlapElems)
+		}
+		var in, out trace.Value
+		switch kind {
+		case 0:
+			in, out = adt.AddInput(elem(e)), adt.BoolOutput(!g.member[e])
+			g.member[e] = true
+		case 1:
+			in, out = adt.RemoveInput(elem(e)), adt.BoolOutput(g.member[e])
+			g.member[e] = false
+		default:
+			in, out = adt.HasInput(elem(e)), adt.BoolOutput(g.member[e])
+		}
+		in = g.tag(in)
+		tr = append(tr, trace.Invoke("d", 1, in), trace.Response("d", 1, in, out))
+	}
+	return append(tr, holders...), len(tr)
+}
+
+func newOverlapSession() *lin.Session {
+	return lin.NewSession(context.Background(), adt.Set{}, check.WithFeedBudget(true), check.WithWitness(false))
+}
+
+// TestOverlapNodeCounts asserts the exact per-round node counts of every
+// shape over 30 cycles and three seeds. The totals are the ones
+// bench/golden.json pins for the stream-overlap workload (the same
+// shapes from an independently written generator).
+func TestOverlapNodeCounts(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		g := &overlapGen{r: rand.New(rand.NewSource(seed))}
+		s := newOverlapSession()
+		for cycle := 0; cycle < 30; cycle++ {
+			for _, sh := range overlapShapes {
+				tr, _ := g.round(sh)
+				before := s.Nodes()
+				if err := s.FeedAll(tr); err != nil {
+					t.Fatalf("seed %d cycle %d shape %v: %v", seed, cycle, sh, err)
+				}
+				if got, want := s.Nodes()-before, overlapNodes[sh][min(cycle, 1)]; got != want {
+					t.Fatalf("seed %d cycle %d shape %v: %d nodes, want %d", seed, cycle, sh, got, want)
+				}
+			}
+		}
+		if v := s.Verdict(); v != check.Linearizable {
+			t.Fatalf("seed %d: verdict %v", seed, v)
+		}
+		if s.Nodes() != 690747 || s.Pruned() != 90104 {
+			t.Fatalf("seed %d: %d nodes, %d pruned over 30 cycles; want 690747, 90104", seed, s.Nodes(), s.Pruned())
+		}
+	}
+}
+
+// TestOverlapAgreesWithCheck: on every shape, and on a whole cycle, the
+// session's verdict equals one-shot Check's — Linearizable as generated,
+// NotLinearizable once a round's first holder output is flipped.
+func TestOverlapAgreesWithCheck(t *testing.T) {
+	ctx := context.Background()
+	flip := map[trace.Value]trace.Value{adt.BoolOutput(false): adt.BoolOutput(true), adt.BoolOutput(true): adt.BoolOutput(false)}
+	verdicts := func(name string, tr trace.Trace, want bool) {
+		t.Helper()
+		one, err := lin.Check(ctx, adt.Set{}, tr, check.WithWitness(false))
+		if err != nil {
+			t.Fatalf("%s one-shot: %v", name, err)
+		}
+		s := newOverlapSession()
+		if err := s.FeedAll(tr); err != nil {
+			t.Fatalf("%s session: %v", name, err)
+		}
+		if got := s.Verdict() == check.Linearizable; got != one.OK || got != want {
+			t.Fatalf("%s: session %v, one-shot %v, want %v", name, got, one.OK, want)
+		}
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		name := "seed " + strconv.FormatInt(seed, 10)
+		// One round of each shape on its own (from the empty set), clean and
+		// with its first holder response flipped; then a whole cycle as one
+		// trace.
+		g := &overlapGen{r: rand.New(rand.NewSource(seed))}
+		var cycle trace.Trace
+		for _, sh := range overlapShapes {
+			tr, hr := (&overlapGen{r: rand.New(rand.NewSource(seed))}).round(sh)
+			shape := name + " k" + strconv.Itoa(sh.k) + "n" + strconv.Itoa(sh.n)
+			verdicts(shape, tr, true)
+			tr[hr].Output = flip[tr[hr].Output]
+			verdicts(shape+" corrupted", tr, false)
+
+			tr, _ = g.round(sh)
+			cycle = append(cycle, tr...)
+		}
+		verdicts(name+" cycle", cycle, true)
+	}
+}
+
+// TestOverlapFeedAllocsHistoryIndependent is the history-independence
+// gate, by allocation rather than wall clock: over 36 cycles of the six
+// shapes, Feed allocates no more in the last six cycles than in the
+// first six (1.25x covers pool warm-up and interner growth). A
+// configuration that carries anything sized by the history — the dense
+// per-symbol count vectors this engine used to clone per emitted
+// configuration — makes the bytes grow with the cycle index.
+func TestOverlapFeedAllocsHistoryIndependent(t *testing.T) {
+	g := &overlapGen{r: rand.New(rand.NewSource(1))}
+	s := newOverlapSession()
+	feedBytes := func(cycles int) uint64 {
+		var trs []trace.Trace
+		for i := 0; i < cycles; i++ {
+			for _, sh := range overlapShapes {
+				tr, _ := g.round(sh)
+				trs = append(trs, tr)
+			}
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for _, tr := range trs {
+			if err := s.FeedAll(tr); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	first := feedBytes(6)
+	feedBytes(24)
+	last := feedBytes(6)
+	if v := s.Verdict(); v != check.Linearizable {
+		t.Fatalf("verdict %v", v)
+	}
+	t.Logf("Feed allocated %d bytes in cycles 1-6, %d in cycles 31-36 (ratio %.2f)", first, last, float64(last)/float64(first))
+	if float64(last) > 1.25*float64(first) {
+		t.Fatalf("Feed allocations grow with history: %d bytes in cycles 1-6, %d in cycles 31-36", first, last)
+	}
+}

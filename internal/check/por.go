@@ -69,24 +69,15 @@ func (s SleepSet) FilterIndependent(f adt.Folder, it *trace.Interner, st adt.Sta
 			out.lo |= 1 << sym
 		}
 	}
-	// Spill words are fresh here (never shared), so building in place is
-	// safe; attach them only if a high symbol actually survived.
-	var hi []uint64
-	any := false
-	for w, word := range s.hi {
-		for rest := word; rest != 0; rest &= rest - 1 {
-			b := bits.TrailingZeros64(rest)
-			if keep(trace.Sym(bitsPerWord + w*bitsPerWord + b)) {
-				if hi == nil {
-					hi = make([]uint64, len(s.hi))
-				}
-				hi[w] |= 1 << b
-				any = true
+	// The surviving spill list is fresh (never shared), so it is built in
+	// place and stays nil when no high symbol survived.
+	for i, sym := range s.hi {
+		if keep(sym) {
+			if out.hi == nil {
+				out.hi = make([]trace.Sym, 0, len(s.hi)-i)
 			}
+			out.hi = append(out.hi, sym)
 		}
-	}
-	if any {
-		out.hi = hi
 	}
 	return out
 }

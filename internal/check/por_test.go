@@ -31,14 +31,26 @@ func TestSleepSetOps(t *testing.T) {
 		t.Fatal("populated set reports Empty")
 	}
 	// Value semantics survive the spill: adding a high symbol to a copy
-	// must not leak into the original (copy-on-write words).
+	// must not leak into the original (copy-on-write list).
 	base := s
 	grown := base.Add(300)
 	if base.Has(300) {
-		t.Fatal("Add mutated a shared spill word")
+		t.Fatal("Add mutated a shared spill list")
 	}
 	if !grown.Has(300) || !grown.Has(200) || !grown.Has(5) {
 		t.Fatal("grown copy lost members")
+	}
+	// Intersect keeps exactly the common members, low and high, and is
+	// canonical: no common high symbol leaves no spill list behind.
+	other := SleepSet{}.Add(5).Add(64).Add(300).Add(7).Add(250)
+	both := grown.Intersect(other)
+	for _, sym := range []trace.Sym{0, 5, 7, 63, 64, 200, 250, 300} {
+		if want := grown.Has(sym) && other.Has(sym); both.Has(sym) != want {
+			t.Fatalf("Intersect: symbol %d asleep = %v, want %v", sym, both.Has(sym), want)
+		}
+	}
+	if low := grown.Intersect(SleepSet{}.Add(5).Add(250)); low.hi != nil || !low.Has(5) {
+		t.Fatalf("Intersect without common high symbols = %+v", low)
 	}
 	// forEach enumerates exactly the members, in increasing order.
 	var got []trace.Sym

@@ -136,7 +136,7 @@ func fastCheckSettings(ctx context.Context, f adt.Folder, t trace.Trace, set che
 	if err := ctx.Err(); err != nil {
 		return Result{}, true, err
 	}
-	pending := map[trace.ClientID]fastPending{}
+	pending := map[trace.ClientID]pendingInv{}
 	for idx, a := range t {
 		if idx&ctxPollMask == ctxPollMask {
 			if err := ctx.Err(); err != nil {
@@ -146,20 +146,20 @@ func fastCheckSettings(ctx context.Context, f adt.Folder, t trace.Trace, set che
 		var res FastStatus
 		switch a.Kind {
 		case trace.Inv:
-			if pending[a.Client].pending {
+			if _, open := pending[a.Client]; open {
 				// Ill-formedness is final and folder-independent; no fallback.
 				return Result{OK: false, Reason: "trace is not well-formed", Nodes: idx + 1}, true, nil
 			}
 			if res = core.Inv(a.Input, idx); res == FastOK {
-				pending[a.Client] = fastPending{pending: true, input: a.Input, idx: idx}
+				pending[a.Client] = pendingInv{input: a.Input, idx: idx}
 			}
 		case trace.Res:
-			st := pending[a.Client]
-			if !st.pending || st.input != a.Input {
+			st, open := pending[a.Client]
+			if !open || st.input != a.Input {
 				return Result{OK: false, Reason: "trace is not well-formed", Nodes: idx + 1}, true, nil
 			}
 			if res = core.Res(a.Input, a.Output, st.idx, idx); res == FastOK {
-				pending[a.Client] = fastPending{}
+				delete(pending, a.Client)
 			}
 		default:
 			return Result{OK: false, Reason: "trace is not well-formed", Nodes: idx + 1}, true, nil
@@ -176,16 +176,6 @@ func fastCheckSettings(ctx context.Context, f adt.Folder, t trace.Trace, set che
 		r.Witness = core.Witness()
 	}
 	return r, true, nil
-}
-
-// fastPending tracks one client's pending invocation for the fast
-// path's well-formedness bookkeeping (the streaming twin of Check's
-// WellFormed precheck, annotated with invocation indices for the
-// cores).
-type fastPending struct {
-	pending bool
-	input   trace.Value
-	idx     int
 }
 
 // maxTree is an append-only segment tree over int values supporting

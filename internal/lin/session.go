@@ -23,12 +23,13 @@ import (
 // ahead in the trace, the frontier after k actions is independent of the
 // future, so Feed advances it in place:
 //
-//   - an invocation only extends the invoked-inputs multiset (every
-//     configuration's availability is derived from it);
+//   - an invocation only adds its input to the pending-inputs multiset
+//     (every configuration's availability is derived from it);
 //   - a response replaces the frontier by its successor set: each
 //     configuration either has the response claim an unused chain prefix
 //     or extends the chain through available inputs, exactly Check's
-//     branch set, deduplicated across configurations.
+//     branch set, deduplicated across configurations — after which its
+//     input leaves the pending multiset.
 //
 // The fed trace is linearizable iff the frontier is non-empty, and a
 // NotLinearizable verdict is final: no continuation can revive an empty
@@ -42,8 +43,9 @@ import (
 // set marks and extension only appends — is dropped from storage and
 // replaced by a trace.ChainPrefix summary carrying its length and (with
 // witnesses) its values. Configuration identity is keyed on
-// future-relevant content only: the chain's end state, the full-chain
-// element multiset (availability is invoked minus it), and the retained
+// future-relevant content only (decision 19): the chain's end state, the
+// multiset of pending operations the chain has already linearized
+// (availability is the pending inputs minus it), and the retained
 // suffix entries — symbol, claim mark and output, at suffix-relative
 // positions. A dropped prefix's order therefore leaves the identity:
 // configurations that committed the same operations in different orders
@@ -54,10 +56,12 @@ import (
 // configuration's future transitions — claims check suffix entries,
 // extensions fold from the end state over the availability — are fully
 // determined by the keyed content, and the verdict is existential.
-// Session memory is then bounded by the trace's symbol alphabet and
-// operation overlap instead of its length; configuration structs and
-// mark slices are pooled across feeds to keep steady-state allocation
-// flat. With check.WithWitness the dropped input values are retained
+// A configuration's size, and the cost of expanding it, are then a
+// function of the operations open at once, not of the trace's length or
+// symbol alphabet (only the session's one interner grows with the
+// latter); configuration structs, open-operation sets and mark slices
+// are pooled across feeds to keep steady-state allocation flat. With
+// check.WithWitness the dropped input values are retained
 // (shared, once per summary) so witness assembly still reconstructs
 // full commit histories; bounded-memory streaming runs switch witnesses
 // off.
@@ -93,8 +97,11 @@ type Session struct {
 	// (and POR) only.
 	dagSleep bool
 
-	in      *trace.Interner
-	invoked trace.SymMultiset
+	in *trace.Interner
+	// invoked is the multiset of currently pending inputs: incremented at
+	// an invocation, decremented once its response's expansion is done.
+	invoked trace.SparseMultiset
+	// pending holds the open invocation of each client that has one.
 	pending map[trace.ClientID]pendingInv
 
 	frontier []*cfg
@@ -114,12 +121,13 @@ type Session struct {
 	notWF string // non-empty once the fed trace went ill-formed, sticky
 
 	// Recycled search state (pooled sessions only): configuration
-	// structs and used-mark slices retired when a frontier is replaced,
-	// per-response visited sets, and the availability scratch multiset.
+	// structs (with their open-operation set storage) and used-mark
+	// slices retired when a frontier is replaced, per-response visited
+	// sets, and the availability scratch slice.
 	cfgPool  []*cfg
 	usedPool [][]bool
 	visPool  trace.SetPool[trace.Digest]
-	availBuf trace.SymMultiset
+	availBuf []trace.SymCount
 
 	// fast, when non-nil, is the ADT-specialized streaming core the
 	// session delegates to instead of the frontier engine (DESIGN.md,
@@ -135,36 +143,45 @@ type Session struct {
 	rec       trace.Trace
 }
 
+// pendingInv is one client's open invocation, for the well-formedness
+// bookkeeping (the streaming twin of Check's WellFormed precheck).
 type pendingInv struct {
-	pending bool
-	input   trace.Value
+	input trace.Value
 	// idx is the invocation's trace index; maintained (and used) only by
-	// the fast-path delegate.
+	// the fast paths.
 	idx int
 }
 
 // cfg is one frontier configuration: a commit-history chain with its
 // claimed-prefix marks. Configurations are immutable once installed in
 // a frontier — successors copy what they change and share the rest —
-// and are identified by their behavioral digest: end state, full-chain
-// element multiset, and the retained suffix's (relative position,
-// symbol, claim mark, output) entries. Everything a future transition
-// can observe is in the digest and nothing else is, so deduplication
-// merges exactly the configurations with identical futures — in
-// particular, compacted configurations whose dropped prefixes committed
-// the same operations in different orders.
+// and are identified by their behavioral digest: end state, the pending
+// operations already linearized, and the retained suffix's (relative
+// position, symbol, claim mark, output) entries. Everything a future
+// transition can observe is in the digest and nothing else is, so
+// deduplication merges exactly the configurations with identical futures
+// — in particular, compacted configurations whose dropped prefixes
+// committed the same operations in different orders.
 //
 // pre, when non-nil, summarizes a compacted fully-claimed chain prefix
 // (trace.ChainPrefix): suffix index k is absolute chain position
-// pre.N + k (witness assembly needs the absolute claimed lengths);
-// elems always counts the full chain, prefix included.
+// pre.N + k (witness assembly needs the absolute claimed lengths).
+//
+// elems is the multiset of pending operations this configuration has
+// already linearized — the symbols at its unclaimed chain positions, at
+// most one entry per open client. The session's pending inputs minus it
+// are the inputs an extension may still append. It equals the full-chain
+// element multiset minus the inputs responded to so far, and the latter
+// is the same for every configuration of a frontier, so keying identity
+// on it partitions configurations exactly as the full-chain multiset
+// would (decision 19). Each configuration owns its elems storage.
 type cfg struct {
 	pre   *trace.ChainPrefix
 	syms  []trace.Sym
 	outs  []trace.Value
 	used  []bool
 	end   adt.State
-	elems trace.SymMultiset
+	elems trace.SparseMultiset
 	dig   trace.Digest
 	// sleep is the carried sleep set of the DAG-level reduction: the
 	// sleep set in force when this configuration was emitted, seeding
@@ -295,24 +312,23 @@ func (s *Session) Feed(a trace.Action) error {
 	}
 	switch a.Kind {
 	case trace.Inv:
-		st := s.pending[a.Client]
-		if st.pending {
+		if _, open := s.pending[a.Client]; open {
 			s.notWF = "trace is not well-formed"
 			return nil
 		}
-		s.pending[a.Client] = pendingInv{pending: true, input: a.Input}
+		s.pending[a.Client] = pendingInv{input: a.Input}
 		s.invoked.Add(s.in.Sym(a.Input), 1)
 		if err := s.spend(len(s.frontier)); err != nil {
 			s.err = err
 			return err
 		}
 	case trace.Res:
-		st := s.pending[a.Client]
-		if !st.pending || st.input != a.Input {
+		st, open := s.pending[a.Client]
+		if !open || st.input != a.Input {
 			s.notWF = "trace is not well-formed"
 			return nil
 		}
-		s.pending[a.Client] = pendingInv{}
+		delete(s.pending, a.Client)
 		if err := s.expand(a, idx); err != nil {
 			s.err = err
 			return err
@@ -339,8 +355,7 @@ func (s *Session) feedFast(a trace.Action) error {
 	}
 	switch a.Kind {
 	case trace.Inv:
-		st := s.pending[a.Client]
-		if st.pending {
+		if _, open := s.pending[a.Client]; open {
 			s.notWF = "trace is not well-formed"
 			return nil
 		}
@@ -353,10 +368,10 @@ func (s *Session) feedFast(a trace.Action) error {
 			}
 		}
 		s.fastNodes++
-		s.pending[a.Client] = pendingInv{pending: true, input: a.Input, idx: idx}
+		s.pending[a.Client] = pendingInv{input: a.Input, idx: idx}
 	case trace.Res:
-		st := s.pending[a.Client]
-		if !st.pending || st.input != a.Input {
+		st, open := s.pending[a.Client]
+		if !open || st.input != a.Input {
 			s.notWF = "trace is not well-formed"
 			return nil
 		}
@@ -369,7 +384,7 @@ func (s *Session) feedFast(a trace.Action) error {
 			}
 		}
 		s.fastNodes++
-		s.pending[a.Client] = pendingInv{}
+		delete(s.pending, a.Client)
 	default:
 		// Switch actions do not belong to sig_T; Check classifies such
 		// traces as ill-formed.
@@ -531,6 +546,9 @@ func (s *Session) expand(a trace.Action, resIdx int) error {
 		s.putCfg(c)
 	}
 	s.frontier = next
+	// Every successor claimed a chain entry for this response, so the
+	// operation is no longer open in any of them.
+	s.invoked.Add(asym, -1)
 	return nil
 }
 
@@ -548,19 +566,24 @@ func (s *Session) expandCfg(c *cfg, a trace.Action, asym trace.Sym, resIdx int, 
 		}
 	}
 	// Option 2: extend the chain with fresh inputs from the derived
-	// availability multiset (invoked inputs minus the full-chain element
-	// multiset), the last being the response's own input.
-	var avail *trace.SymMultiset
+	// availability (pending inputs minus those c already linearized, in
+	// ascending symbol order), the last being the response's own input.
+	var avail []trace.SymCount
 	if s.pooled {
-		s.availBuf.CopyFrom(&s.invoked)
-		avail = &s.availBuf
+		avail = s.invoked.AppendDiff(s.availBuf[:0], &c.elems)
+		s.availBuf = avail
 	} else {
-		cl := s.invoked.Clone()
-		avail = &cl
+		avail = s.invoked.AppendDiff(nil, &c.elems)
 	}
-	avail.SubtractAll(&c.elems)
-	if avail.Size() == 0 {
+	if len(avail) == 0 {
 		return nil
+	}
+	closeAt := -1
+	for i, e := range avail {
+		if e.Sym == asym {
+			closeAt = i
+			break
+		}
 	}
 	var visited map[trace.Digest]struct{}
 	if s.pooled {
@@ -573,28 +596,33 @@ func (s *Session) expandCfg(c *cfg, a trace.Action, asym trace.Sym, resIdx int, 
 	if s.dagSleep {
 		seed = c.sleep
 	}
-	return s.extend(c, a, asym, resIdx, avail, visited, nil, nil, c.end, c.dig, seed, emit)
+	return s.extend(c, a, asym, resIdx, avail, closeAt, visited, nil, nil, c.end, c.dig, seed, emit)
 }
 
 // claim returns c with suffix position k (absolute position pre.N + k,
 // which the witness trail records; the digest re-keys at the relative
 // position) marked claimed by resIdx. A claim only flips a mark on an
 // existing chain entry — it commutes with every extension append — so
-// the carried sleep set passes through unfiltered.
+// the carried sleep set passes through unfiltered. The claimed operation
+// stops being open, so it leaves the linearized-open set.
 func (s *Session) claim(c *cfg, k, resIdx int) *cfg {
 	pos := c.pre.Len() + k
 	used := s.getUsed(len(c.used))
 	copy(used, c.used)
 	used[k] = true
 	n := s.newCfg()
+	elems := n.elems // recycled storage
+	elems.Set(&c.elems)
+	elems.Add(c.syms[k], -1)
 	*n = cfg{
 		pre:   c.pre,
 		syms:  c.syms,
 		outs:  c.outs,
 		used:  used,
 		end:   c.end,
-		elems: c.elems,
-		dig:   c.dig.Sub(trace.HashElem(k, c.syms[k], false)).Add(trace.HashElem(k, c.syms[k], true)),
+		elems: elems,
+		dig: c.dig.Sub(trace.HashElem(k, c.syms[k], false)).Add(trace.HashElem(k, c.syms[k], true)).
+			Sub(c.elems.Digest()).Add(elems.Digest()),
 	}
 	if s.dagSleep {
 		n.sleep = c.sleep
@@ -605,8 +633,10 @@ func (s *Session) claim(c *cfg, k, resIdx int) *cfg {
 	return n
 }
 
-// extend explores chain extensions of c drawn from avail, emitting a
-// successor whenever the extension can close with the response's input.
+// extend explores chain extensions of c drawn from avail (whose counts it
+// decrements and restores in place; closeAt indexes the entry of the
+// response's own input, -1 when none is available), emitting a successor
+// whenever the extension can close with the response's input.
 // ext/extOuts are the appended symbols and their outputs along the
 // current search path (shared backing across siblings is safe: emit
 // snapshots copy them); st tracks the extended chain's end state, and
@@ -624,7 +654,7 @@ func (s *Session) claim(c *cfg, k, resIdx int) *cfg {
 // closing append, filtered by independence with that append — extending
 // the same argument across response boundaries (decision 17).
 func (s *Session) extend(c *cfg, a trace.Action, asym trace.Sym, resIdx int,
-	avail *trace.SymMultiset, visited map[trace.Digest]struct{},
+	avail []trace.SymCount, closeAt int, visited map[trace.Digest]struct{},
 	ext []trace.Sym, extOuts []trace.Value, st adt.State, dig trace.Digest,
 	sleep check.SleepSet, emit func(*cfg)) error {
 
@@ -637,7 +667,7 @@ func (s *Session) extend(c *cfg, a trace.Action, asym trace.Sym, resIdx int,
 	visited[dig] = struct{}{}
 
 	// Close: append the response's own input as a claimed element.
-	if avail.Count(asym) > 0 && s.f.Out(st, a.Input) == a.Output {
+	if closeAt >= 0 && avail[closeAt].N > 0 && s.f.Out(st, a.Input) == a.Output {
 		stIn := s.f.Step(st, a.Input)
 		var carry check.SleepSet
 		if s.dagSleep {
@@ -646,8 +676,9 @@ func (s *Session) extend(c *cfg, a trace.Action, asym trace.Sym, resIdx int,
 		emit(s.closeExt(c, ext, extOuts, stIn, dig, asym, a, resIdx, carry))
 	}
 	// Continue: append any available input as an intermediate element.
-	for sym := trace.Sym(0); int(sym) < avail.NumSyms(); sym++ {
-		if avail.Count(sym) <= 0 {
+	for i := range avail {
+		sym := avail[i].Sym
+		if avail[i].N <= 0 {
 			continue
 		}
 		if s.set.POR && sleep.Has(sym) {
@@ -660,12 +691,12 @@ func (s *Session) extend(c *cfg, a trace.Action, asym trace.Sym, resIdx int,
 		if s.set.POR {
 			childSleep = sleep.FilterIndependent(s.f, s.in, st, in, stIn, outIn)
 		}
-		avail.Add(sym, -1)
+		avail[i].N--
 		pos := len(c.syms) + len(ext)
-		err := s.extend(c, a, asym, resIdx, avail, visited,
+		err := s.extend(c, a, asym, resIdx, avail, closeAt, visited,
 			append(ext, sym), append(extOuts, outIn),
 			stIn, dig.Add(trace.HashElem(pos, sym, false)), childSleep, emit)
-		avail.Add(sym, 1)
+		avail[i].N++
 		if err != nil {
 			return err
 		}
@@ -697,13 +728,15 @@ func (s *Session) closeExt(c *cfg, ext []trace.Sym, extOuts []trace.Value,
 		used[i] = false
 	}
 	used[n-1] = true
-	elems := c.elems.Clone()
+	abs := c.pre.Len() + n
+	cf := s.newCfg()
+	// The intermediate appends linearize operations that stay open; the
+	// closing one is claimed at once and never enters the open set.
+	elems := cf.elems // recycled storage
+	elems.Set(&c.elems)
 	for _, sym := range ext {
 		elems.Add(sym, 1)
 	}
-	elems.Add(asym, 1)
-	abs := c.pre.Len() + n
-	cf := s.newCfg()
 	*cf = cfg{
 		pre:   c.pre,
 		syms:  syms,
@@ -713,7 +746,7 @@ func (s *Session) closeExt(c *cfg, ext []trace.Sym, extOuts []trace.Value,
 		elems: elems,
 		sleep: carry,
 	}
-	cf.dig = s.behavDig(cf)
+	cf.dig = cf.behavDig()
 	if s.set.Witness {
 		cf.asn = &asnNode{prev: c.asn, res: resIdx, k: abs}
 	}
@@ -721,15 +754,15 @@ func (s *Session) closeExt(c *cfg, ext []trace.Sym, extOuts []trace.Value,
 }
 
 // behavDig computes c's behavioral identity digest from scratch: the
-// chain's end state, the full-chain element multiset, and each retained
+// chain's end state, the linearized-open multiset, and each retained
 // suffix entry's (relative position, symbol, claim mark, output)
 // components. Incremental maintainers (claim's mark flip) and the
 // compaction re-key agree with it by construction.
-func (s *Session) behavDig(c *cfg) trace.Digest {
+func (c *cfg) behavDig() trace.Digest {
 	d := trace.HashString(string(c.end)).Add(c.elems.Digest())
 	for k, sym := range c.syms {
 		d = d.Add(trace.HashElem(k, sym, c.used[k]))
-		d = d.Add(trace.HashOutput(k, s.in.Sym(c.outs[k])))
+		d = d.Add(trace.HashOutput(k, c.outs[k]))
 	}
 	return d
 }
@@ -774,7 +807,7 @@ func (s *Session) compactCfg(c *cfg, run int, cache map[trace.Digest]*trace.Chai
 	}
 	for i := 0; i < run; i++ {
 		pd = pd.Add(trace.HashElem(preN+i, c.syms[i], true))
-		pd = pd.Add(trace.HashOutput(preN+i, s.in.Sym(c.outs[i])))
+		pd = pd.Add(trace.HashOutput(preN+i, c.outs[i]))
 	}
 	pre, ok := cache[pd]
 	if !ok {
@@ -791,8 +824,8 @@ func (s *Session) compactCfg(c *cfg, run int, cache map[trace.Digest]*trace.Chai
 		pre = &trace.ChainPrefix{N: preN + run, Dig: pd, Vals: vals}
 		cache[pd] = pre
 	}
-	// elems counts the full chain and stays exact across compaction; only
-	// the stored suffix (and with it the identity digest) changes.
+	// Only claimed entries are dropped, so elems (the unclaimed ones) is
+	// untouched; the stored suffix, and with it the identity digest, changes.
 	c.pre = pre
 	c.syms = append([]trace.Sym(nil), c.syms[run:]...)
 	c.outs = append([]trace.Value(nil), c.outs[run:]...)
@@ -802,7 +835,7 @@ func (s *Session) compactCfg(c *cfg, run int, cache map[trace.Digest]*trace.Chai
 		s.usedPool = append(s.usedPool, c.used)
 	}
 	c.used = nu
-	c.dig = s.behavDig(c)
+	c.dig = c.behavDig()
 }
 
 // dedupFrontier merges frontier entries whose digests coincided after
@@ -826,7 +859,9 @@ func (s *Session) dedupFrontier(next []*cfg) []*cfg {
 	return out
 }
 
-// newCfg returns a zeroed configuration struct, recycled when pooled.
+// newCfg returns a configuration struct, recycled when pooled: zeroed
+// except for elems, whose contents are unspecified and whose storage the
+// caller reuses.
 func (s *Session) newCfg() *cfg {
 	if n := len(s.cfgPool); n > 0 {
 		c := s.cfgPool[n-1]
@@ -855,10 +890,11 @@ func (s *Session) getUsed(n int) []bool {
 	return make([]bool, n)
 }
 
-// putCfg retires a configuration: its struct and mark slice return to
-// the session pools (never its chain arrays or element counts, which
-// successors may share). No-op for parallel sessions — the pools are
-// single-threaded caches.
+// putCfg retires a configuration: its struct (keeping the storage of its
+// open-operation set, which no successor shares) and mark slice return
+// to the session pools — never its chain arrays, which successors may
+// share. No-op for parallel sessions — the pools are single-threaded
+// caches.
 func (s *Session) putCfg(c *cfg) {
 	if !s.pooled {
 		return
@@ -867,7 +903,7 @@ func (s *Session) putCfg(c *cfg) {
 		s.usedPool = append(s.usedPool, c.used)
 	}
 	if len(s.cfgPool) < maxPool {
-		*c = cfg{}
+		*c = cfg{elems: c.elems}
 		s.cfgPool = append(s.cfgPool, c)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"testing"
 
 	"repro/internal/adt"
@@ -396,4 +397,40 @@ func FuzzSessionAgreesWithCheck(f *testing.F) {
 			t.Fatalf("session %v, one-shot %v on %v", got.OK, want.OK, tr)
 		}
 	})
+}
+
+// TestSessionPendingMapBounded pins the well-formedness bookkeeping to
+// the clients that currently have an operation open: smr's component
+// histories give every operation its own process and feed it as an
+// instantaneous pair, so a response that left its key behind would grow
+// the map by one entry per operation fed for the session's lifetime.
+func TestSessionPendingMapBounded(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		s    *Session
+	}{
+		{"exact", NewSession(ctx, adt.Register{}, check.WithWitness(false))},
+		{"fast", NewSessionFast(ctx, adt.Register{}, check.WithWitness(false))},
+	} {
+		for i := 0; i < 10_000; i++ {
+			c := trace.ClientID("k#" + strconv.Itoa(i))
+			in := adt.WriteInput("v" + strconv.Itoa(i))
+			if err := tc.s.FeedAll(trace.Trace{trace.Invoke(c, 1, in), trace.Response(c, 1, in, adt.WriteOutput())}); err != nil {
+				t.Fatalf("%s op %d: %v", tc.name, i, err)
+			}
+		}
+		if tc.name == "fast" && tc.s.fast == nil {
+			t.Fatal("fast session fell back to the exact engine")
+		}
+		if v := tc.s.Verdict(); v != check.Linearizable {
+			t.Fatalf("%s: verdict %v", tc.name, v)
+		}
+		if n := len(tc.s.pending); n != 0 {
+			t.Fatalf("%s: pending map holds %d entries after 10000 completed operations", tc.name, n)
+		}
+		if n := tc.s.invoked.Size(); n != 0 {
+			t.Fatalf("%s: %d inputs still counted as pending", tc.name, n)
+		}
+	}
 }

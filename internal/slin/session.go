@@ -125,6 +125,12 @@ type Session struct {
 	fastRej   bool // core rejected: NotLinearizable, final
 	fastNodes int
 	fastPend  map[trace.ClientID]int // client -> pending invocation's trace index
+
+	// Per-expansion scratch of sequential sessions (Workers <= 1; parallel
+	// expansion allocates instead, these are single-threaded caches): the
+	// availability multiset and the extension searches' visited sets.
+	availBuf trace.SymMultiset
+	visPool  trace.SetPool[trace.Digest]
 }
 
 // phaseTrack is the incremental per-client state machine of Definition 34
@@ -641,6 +647,7 @@ func (s *Session) step(cb *combo, a trace.Action, idx int) error {
 func (s *Session) stepRes(cb *combo, a trace.Action, resIdx int) error {
 	asym := cb.in.Sym(a.Input)
 	dagSleep := s.dagSleep()
+	pooled := s.set.Workers <= 1
 	expandOne := func(c *scfg, emit func(*scfg)) error {
 		// Option 1: claim an existing unused prefix length beyond base
 		// (compacted positions are claimed or below base, so scanning the
@@ -659,7 +666,14 @@ func (s *Session) stepRes(cb *combo, a trace.Action, resIdx int) error {
 		if !c.elems.SubsetOf(cb.vi) {
 			return nil
 		}
-		avail := cb.vi.Clone()
+		var avail *trace.SymMultiset
+		if pooled {
+			s.availBuf.CopyFrom(cb.vi)
+			avail = &s.availBuf
+		} else {
+			cl := cb.vi.Clone()
+			avail = &cl
+		}
 		avail.SubtractAll(&c.elems)
 		if avail.Size() == 0 {
 			return nil
@@ -668,8 +682,14 @@ func (s *Session) stepRes(cb *combo, a trace.Action, resIdx int) error {
 		if dagSleep {
 			seed = c.sleep
 		}
-		visited := make(map[trace.Digest]struct{}, 8)
-		return s.extendS(cb, c, a, asym, resIdx, &avail, visited, nil, nil, c.end, c.dig, seed, emit)
+		var visited map[trace.Digest]struct{}
+		if pooled {
+			visited = s.visPool.Get()
+			defer s.visPool.Put(visited)
+		} else {
+			visited = make(map[trace.Digest]struct{}, 8)
+		}
+		return s.extendS(cb, c, a, asym, resIdx, avail, visited, nil, nil, c.end, c.dig, seed, emit)
 	}
 	var merge func(kept, dup *scfg) *scfg
 	if dagSleep {

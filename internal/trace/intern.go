@@ -99,16 +99,17 @@ func HashCount(s Sym, count int) Digest {
 	return hash2(uint64(s)<<32 | uint64(uint32(count)) | 1<<63)
 }
 
-// HashOutput hashes the (position, output-symbol) component of a chain
-// entry. The streaming frontier engine keys configuration identity on
+// HashOutput hashes the (position, output) component of a chain entry.
+// The streaming frontier engine keys configuration identity on
 // future-relevant content only (DESIGN.md decision 17), which must
 // include each retained entry's output — it is no longer derivable by
-// folding once the prefix that produced it is dropped. The tag bit
-// separates the key space from HashElem (no tag), HashBit (1<<62) and
-// HashCount (1<<63); positions must stay below 2^27, comfortably above
-// any retained suffix.
-func HashOutput(pos int, s Sym) Digest {
-	return hash2(uint64(pos)<<34 | uint64(s)<<1 | 1<<61)
+// folding once the prefix that produced it is dropped. The output is
+// hashed by content, not interned: successors are built by concurrent
+// expansion workers, which may only read the session's interner.
+// Positions must stay below 2^30, far above any retained suffix.
+func HashOutput(pos int, out Value) Digest {
+	x, d := uint64(pos)<<34, HashString(out)
+	return Digest{mix64(d[0] ^ x), mix64(d[1] ^ x)}
 }
 
 // HashBit hashes set-membership of index i, the component hash of the
