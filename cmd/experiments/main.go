@@ -1,5 +1,6 @@
 // Command experiments regenerates the experiment tables of
-// EXPERIMENTS.md (the E1–E19 index of DESIGN.md).
+// EXPERIMENTS.md (the E1–E19 index of DESIGN.md) at full scale. It exits
+// non-zero when an experiment errs or fails its own shape assertions.
 //
 // Usage:
 //
@@ -43,13 +44,16 @@ func main() {
 		if len(want) > 0 && !want[strings.ToUpper(e.ID)] {
 			continue
 		}
+		// A run that produced its rows but failed its own shape
+		// assertions still prints them: the numbers say what went wrong.
 		tab, err := e.Run(ctx)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
 			failed = true
-			continue
 		}
-		experiments.Render(os.Stdout, tab)
+		if len(tab.Rows) > 0 {
+			experiments.Render(os.Stdout, tab)
+		}
 	}
 	if failed {
 		os.Exit(1)

@@ -2,23 +2,23 @@
 // (uniform or zipf-skewed keys) hash-partitioned across N independent
 // speculative replicated logs sharing one simulated network, with
 // per-shard log agreement and per-key linearizability checked after the
-// run (experiment E12 / BENCH_2.json).
+// run (experiment E12).
 //
 // Usage:
 //
 //	smr-bench                          # one run with the defaults
 //	smr-bench -shards 8 -commands 500000
-//	smr-bench -sweep 1,2,4,8,16 -per-shard 62500 -json BENCH.json
+//	smr-bench -sweep 1,2,4,8,16 -per-shard 62500 -json sweep.json
 //	smr-bench -zipf 1.2 -read-frac 0.5 -pace 0   # skewed, closed-loop
 //	smr-bench -online                  # check per-key histories during the run
 //	smr-bench -online -exact           # ... with the exact frontier engine
 //	                                   # (default: register fast path, E16)
 //	smr-bench -faults -online          # E15 chaos plan: rolling restarts,
-//	                                   # partition, duplicating links (BENCH_5.json)
+//	                                   # partition, duplicating links
 //	smr-bench -txn-frac 0.2 -online    # mixed workload with multi-key
 //	                                   # transactions, component checking (E19)
 //	smr-bench -txn-frac 0.2 -txn-faults -zipf 1.2   # ... under rolling
-//	                                   # coordinator crash–restarts (BENCH_9.json)
+//	                                   # coordinator crash–restarts
 package main
 
 import (

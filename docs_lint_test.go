@@ -1,10 +1,10 @@
 // The docs gate (ISSUE 10): the top-level markdown files cross-link
-// each other, name committed BENCH_*.json artifacts, and cite DESIGN.md
-// decisions and EXPERIMENTS.md experiment IDs by number. All of those
-// references rot silently — a renamed file, a renumbered decision, an
-// artifact that was never committed — so this test resolves every one
-// of them against the working tree. It runs in the ordinary test suite
-// and as its own step in the PR CI gate.
+// each other and cite DESIGN.md decisions and EXPERIMENTS.md experiment
+// IDs by number. All of those references rot silently — a renamed file,
+// a renumbered decision, a BENCH_*.json artifact that is not committed
+// — so this test resolves every one of them against the working tree.
+// It runs in the ordinary test suite and as its own step in the PR CI
+// gate.
 package speclin_test
 
 import (
@@ -33,7 +33,7 @@ var (
 	// [text](target) — inline markdown links. Images and bare URLs are
 	// rare enough here that one pattern covers the corpus.
 	mdLink = regexp.MustCompile(`\]\(([^)\s]+)\)`)
-	// BENCH_3.json — artifact references by exact file name.
+	// Artifact references by exact file name.
 	benchRef = regexp.MustCompile(`BENCH_[0-9]+\.json`)
 	// "DESIGN.md decision 17", "decisions 1–18" — decision citations.
 	decisionRef = regexp.MustCompile(`[Dd]ecisions? ([0-9]+)(?:[–-]([0-9]+))?`)
@@ -90,13 +90,17 @@ func TestDocLinksResolve(t *testing.T) {
 	}
 }
 
-// TestDocBenchArtifactsExist checks every BENCH_*.json named anywhere
-// in the doc files is actually committed at the repo root, and
-// conversely that every committed artifact is documented in
-// EXPERIMENTS.md.
+// TestDocBenchArtifactsExist checks every BENCH_*.json named in the
+// doc files is actually committed at the repo root, and conversely that
+// every committed artifact is documented in EXPERIMENTS.md. None is
+// committed since the per-PR harnesses were retired, so any mention
+// fails; ROADMAP.md and CHANGES.md are history and may name them.
 func TestDocBenchArtifactsExist(t *testing.T) {
 	named := map[string][]string{}
 	for _, name := range docFiles {
+		if name == "ROADMAP.md" || name == "CHANGES.md" {
+			continue
+		}
 		for _, ref := range benchRef.FindAllString(readDoc(t, name), -1) {
 			named[ref] = append(named[ref], name)
 		}

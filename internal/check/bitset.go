@@ -10,7 +10,7 @@ import (
 // (DESIGN.md, decision 13). Two former 64-member caps fall to it:
 //
 //   - the classical checker's placed-operation set was a single uint64,
-//     hard-failing past 63 operations (lin.ErrTooManyOps) — BitSet is its
+//     hard-failing past 63 operations — BitSet is its
 //     uncapped spill representation, with an incrementally-maintained
 //     128-bit digest (trace.HashBit) folded into the memo key exactly as
 //     the chain/multiset digests of decision 7;

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"time"
@@ -10,13 +11,12 @@ import (
 	"repro/internal/capture"
 )
 
-// This file implements the E17 capture-hunt experiment behind
-// BENCH_7.json: the runtime capture harness (ISSUE 8) stressing real
-// concurrent Go structures — sync.Map as a keyed register map,
-// sync.Mutex, a lazy-list set, a Michael–Scott queue — checking the
-// captured histories live, flagging every seeded-bug mutant
-// non-linearizable, and measuring the recording overhead against the
-// identical uninstrumented loops.
+// This file implements the E17 capture-hunt experiment: the runtime
+// capture harness (ISSUE 8) stressing real concurrent Go structures —
+// sync.Map as a keyed register map, sync.Mutex, a lazy-list set, a
+// Michael–Scott queue — checking the captured histories live, flagging
+// every seeded-bug mutant non-linearizable, and measuring the recording
+// overhead against the identical uninstrumented loops.
 
 // E17 canonical scales. Goroutine counts resolve at run time so the
 // acceptance floor (4×GOMAXPROCS recording workers on clean runs) holds
@@ -32,13 +32,11 @@ var (
 // floor from ISSUE 8.
 func E17Goroutines() int { return 4 * runtime.GOMAXPROCS(0) }
 
-// CaptureHuntRow is one hunt run (a structure, clean or mutated),
-// JSON-ready for BENCH_7.json. Wall times are captured-interleaving
-// dependent, so the row's stable facts are the verdicts: clean
-// structures linearizable, mutants caught.
+// CaptureHuntRow is one hunt run (a structure, clean or mutated). Wall
+// times are captured-interleaving dependent, so the row's stable facts
+// are the verdicts: clean structures linearizable, mutants caught.
 type CaptureHuntRow struct {
-	// Name identifies the row stably for the bench guard:
-	// "hunt-<structure>-clean" or "hunt-<structure>-<mutant>".
+	// Name is "hunt-<structure>-clean" or "hunt-<structure>-<mutant>".
 	Name       string `json:"name"`
 	Structure  string `json:"structure"`
 	Mutant     string `json:"mutant,omitempty"`
@@ -61,7 +59,7 @@ type CaptureHuntRow struct {
 
 // CaptureOverheadRow measures recording cost on one structure: the
 // identical worker loop uninstrumented vs captured (recording plus live
-// merge, no checking), JSON-ready for BENCH_7.json.
+// merge, no checking).
 type CaptureOverheadRow struct {
 	// Name is "overhead-<structure>".
 	Name            string  `json:"name"`
@@ -166,9 +164,46 @@ func E17OverheadRows(goroutines, ops, keys int) ([]CaptureOverheadRow, error) {
 	return out, nil
 }
 
+// checkHuntRows is the E17 shape at any scale: clean structures check
+// linearizable live, the classical cross-check agrees, the queue records
+// no empty dequeue, and every seeded mutant is caught.
+func checkHuntRows(rows []CaptureHuntRow) error {
+	if want := 2 * len(capture.Structures); len(rows) != want {
+		return fmt.Errorf("E17: got %d hunt rows, want %d (every structure clean + mutant)", len(rows), want)
+	}
+	var errs []error
+	for _, r := range rows {
+		switch {
+		case r.Mutant != "":
+			if !r.Caught {
+				errs = append(errs, fmt.Errorf("%s: mutant not caught", r.Name))
+			}
+		case !r.Linearizable:
+			errs = append(errs, fmt.Errorf("%s: clean run not linearizable", r.Name))
+		case !r.ClassicalAgrees:
+			errs = append(errs, fmt.Errorf("%s: classical pass disagrees with live verdict", r.Name))
+		case r.EmptyDeqs != 0:
+			errs = append(errs, fmt.Errorf("%s: %d empty dequeues on a clean run", r.Name, r.EmptyDeqs))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// checkOverheadRows rejects an overhead measurement that timed nothing.
+func checkOverheadRows(rows []CaptureOverheadRow) error {
+	var errs []error
+	for _, o := range rows {
+		if o.RawNsPerOp <= 0 || o.CapturedNsPerOp <= 0 || o.CaptureThroughputRatio <= 0 {
+			errs = append(errs, fmt.Errorf("%s: implausible overhead row %+v", o.Name, o))
+		}
+	}
+	return errors.Join(errs...)
+}
+
 // E17CaptureHunt: the new-subsystem claim — real concurrent Go
 // structures checked linearizable from live captured histories, every
-// seeded-bug mutant flagged, recording overhead measured.
+// seeded-bug mutant flagged, recording overhead measured. The run fails
+// if checkHuntRows or checkOverheadRows does.
 func E17CaptureHunt(ctx context.Context) (Table, error) {
 	t := Table{
 		ID: "E17",
@@ -179,8 +214,7 @@ func E17CaptureHunt(ctx context.Context) (Table, error) {
 			"Clean rows stress the unmutated structure and must check linearizable live; " +
 				"mutant rows rerun with derived seeds until the seeded bug is flagged " +
 				"non-linearizable (detection is interleaving-dependent). The overhead rows " +
-				"run the identical worker loops uninstrumented vs captured. " +
-				"Machine-readable results: BENCH_7.json (TestWriteBench7JSON).",
+				"run the identical worker loops uninstrumented vs captured.",
 		},
 	}
 	hunts, err := E17HuntRows(ctx, E17Goroutines(), E17Ops, E17Keys, E17Rounds, true)
@@ -223,5 +257,5 @@ func E17CaptureHunt(ctx context.Context) (Table, error) {
 			fmt.Sprintf("ratio %.3f", o.CaptureThroughputRatio),
 		})
 	}
-	return t, nil
+	return t, errors.Join(checkHuntRows(hunts), checkOverheadRows(overheads))
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -13,11 +14,11 @@ import (
 	"repro/internal/workload"
 )
 
-// This file implements the E15 chaos experiment behind BENCH_5.json: the
-// sharded SMR cluster under a compound fault plan — rolling server
-// restarts with durable-snapshot recovery, a partition isolating one
-// server for ~30% of the feed (briefly compounding with a crash into a
-// total majority blackout), and message-duplicating links — with online
+// This file implements the E15 chaos experiment: the sharded SMR
+// cluster under a compound fault plan — rolling server restarts with
+// durable-snapshot recovery, a partition isolating one server for ~30%
+// of the feed (briefly compounding with a crash into a total majority
+// blackout), and message-duplicating links — with online
 // linearizability checking on throughout. The windowed fast-path rate
 // shows graceful degradation while the faults are active and recovery
 // after they heal; client retries carry submissions across the blackout
@@ -74,10 +75,10 @@ func (c ChaosConfig) feedSpan() msgnet.Time {
 	return msgnet.Time(c.Commands/(c.Clients*c.Shards)) * c.Pace
 }
 
-// ChaosResult reports one chaos run, JSON-ready for BENCH_5.json. It
-// embeds the standard sharded-run metrics and adds the fault story:
-// per-phase fast-path rates and the time the cluster took to regain the
-// fast path after the faults healed.
+// ChaosResult reports one chaos run. It embeds the standard
+// sharded-run metrics and adds the fault story: per-phase fast-path
+// rates and the time the cluster took to regain the fast path after the
+// faults healed.
 type ChaosResult struct {
 	ShardRunResult
 	FaultsInjected bool  `json:"faults_injected"`
@@ -312,9 +313,8 @@ var E15Base = ChaosConfig{
 }
 
 // E15Rows builds the E15 result pair — the fault-free baseline on the
-// armed harness, then the chaos run — at the given scale. The E15 table
-// and TestWriteBench5JSON (BENCH_5.json) share this builder so the
-// recorded artifact can never drift from the experiment.
+// armed harness, then the chaos run — at the given scale: the E15 table
+// runs it at full scale, TestE15Shape scaled down.
 func E15Rows(ctx context.Context, shards, commands int) ([]ChaosResult, error) {
 	cfg := E15Base
 	cfg.Shards = shards
@@ -331,14 +331,56 @@ func E15Rows(ctx context.Context, shards, commands int) ([]ChaosResult, error) {
 	return []ChaosResult{baseline, chaos}, nil
 }
 
+// checkChaosRows is the E15 shape at any scale: both runs check every
+// landed command linearizable and consistent, the fault-free baseline
+// never retries, and the chaos run exercises retries and duplicates,
+// loses fast-path share while the faults are active and regains it
+// after the heal.
+func checkChaosRows(rows []ChaosResult) error {
+	if len(rows) != 2 || rows[0].FaultsInjected || !rows[1].FaultsInjected {
+		return fmt.Errorf("E15 returned %d rows, want baseline + chaos", len(rows))
+	}
+	var errs []error
+	for _, r := range rows {
+		mode := "baseline"
+		if r.FaultsInjected {
+			mode = "chaos"
+		}
+		if !r.Linearizable || !r.Consistent {
+			errs = append(errs, fmt.Errorf("%s: linearizable=%v consistent=%v", mode, r.Linearizable, r.Consistent))
+		}
+		if int64(r.Commands) != r.CheckedOps {
+			errs = append(errs, fmt.Errorf("%s: checked %d ops of %d landed commands", mode, r.CheckedOps, r.Commands))
+		}
+	}
+	baseline, chaos := rows[0], rows[1]
+	if baseline.Retries != 0 {
+		errs = append(errs, fmt.Errorf("fault-free baseline retried %d times", baseline.Retries))
+	}
+	if chaos.Retries == 0 {
+		errs = append(errs, errors.New("chaos: the majority blackout forced no retries"))
+	}
+	if chaos.DuplicatedMsgs == 0 {
+		errs = append(errs, errors.New("chaos: duplicating links produced no duplicates"))
+	}
+	if chaos.FastPathDuring >= chaos.FastPathBefore {
+		errs = append(errs, fmt.Errorf("chaos: fast path did not degrade (before %.3f, during %.3f)",
+			chaos.FastPathBefore, chaos.FastPathDuring))
+	}
+	if chaos.TimeToRecover < 0 {
+		errs = append(errs, fmt.Errorf("chaos: fast path never recovered after the heal (before %.3f, after %.3f)",
+			chaos.FastPathBefore, chaos.FastPathAfter))
+	}
+	return errors.Join(errs...)
+}
+
 // E15ChaosRecovery: the robustness claim — under rolling crash–recovery
 // restarts, a 30%-of-the-run partition (briefly compounding into a total
 // majority blackout) and duplicating links, the sharded cluster stays
 // linearizable and consistent, degrades gracefully to the robust path,
 // carries every submission exactly once through the retry machinery, and
-// regains the fast path after the faults heal. Reduced here in table
-// form; TestWriteBench5JSON runs the identical pair and records
-// BENCH_5.json.
+// regains the fast path after the faults heal. The run fails if that
+// shape (checkChaosRows) does not hold at full scale.
 func E15ChaosRecovery(ctx context.Context) (Table, error) {
 	t := Table{
 		ID: "E15",
@@ -355,7 +397,7 @@ func E15ChaosRecovery(ctx context.Context) (Table, error) {
 				"once (verified online); 'recover' is the delay from the heal to the first " +
 				"window back at ≥90% of the pre-fault fast-path rate. The baseline row runs " +
 				"the same armed harness fault-free and reproduces the plain sharded " +
-				"schedule digest. Machine-readable results: BENCH_5.json (TestWriteBench5JSON).",
+				"schedule digest.",
 		},
 	}
 	rows, err := E15Rows(ctx, E15Base.Shards, E15Base.Commands)
@@ -393,5 +435,5 @@ func E15ChaosRecovery(ctx context.Context) (Table, error) {
 			cons,
 		})
 	}
-	return t, nil
+	return t, checkChaosRows(rows)
 }

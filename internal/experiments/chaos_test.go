@@ -20,7 +20,7 @@ func chaosSmall() ChaosConfig {
 
 // A plan-free chaos run — recovery modeled, retry timers armed on every
 // attempt, windows on — must reproduce the plain sharded baseline's
-// schedule event for event. This pins the chaos harness to the BENCH_2
+// schedule event for event. This pins the chaos harness to the E12
 // baseline: arming the fault machinery is free.
 func TestChaosPlanFreeMatchesShardedBaseline(t *testing.T) {
 	ctx := context.Background()

@@ -1,7 +1,7 @@
 // Package experiments regenerates every experiment table of
 // EXPERIMENTS.md (the E1–E19 index of DESIGN.md). Each experiment is a
-// function returning a Table; cmd/experiments prints them and the root
-// benchmarks wrap the same primitives in testing.B loops.
+// function returning a Table, with an error when the experiment's own
+// shape assertions fail; cmd/experiments prints them.
 //
 // All simulations are deterministic: tables list the seeds they use.
 package experiments

@@ -12,8 +12,8 @@ import (
 	"repro/internal/trace"
 )
 
-// This file implements the E16 fast-path experiment behind BENCH_6.json:
-// the ADT-specialized register checker (reduction to state reachability,
+// This file implements the E16 fast-path experiment: the
+// ADT-specialized register checker (reduction to state reachability,
 // DESIGN.md decision 15) against the exact frontier engine, over the
 // per-key histories of a sharded SMR run. Both engines are measured two
 // ways — one-shot over the recorded histories, and streamed through the
@@ -44,13 +44,12 @@ var (
 // engine starves its budget outright.
 const E16KeysDivisor = 384
 
-// FastpathRow is one engine × mode measurement, JSON-ready for
-// BENCH_6.json.
+// FastpathRow is one engine × mode measurement.
 type FastpathRow struct {
-	// Name identifies the row stably for the bench guard:
-	// "oneshot-exact", "oneshot-fast", "session-exact", "session-fast",
-	// or "run-nocheck" (the checking-free simulation baseline the online
-	// overhead is measured against).
+	// Name identifies the row: "oneshot-exact", "oneshot-fast",
+	// "session-exact", "session-fast", or "run-nocheck" (the
+	// checking-free simulation baseline the online overhead is measured
+	// against).
 	Name         string `json:"name"`
 	Mode         string `json:"mode"`   // oneshot | session | baseline
 	Engine       string `json:"engine"` // exact | fast | none
@@ -107,8 +106,8 @@ type FastpathDist struct {
 	// the numerator is only the checking wall they burned before giving
 	// up — every node the dead keys still owed is unpriced. Budget
 	// exhaustion is deterministic for a given seed (the gate is a node
-	// count over a digest-pinned schedule), so the artifact records
-	// which configurations starve, not a race.
+	// count over a digest-pinned schedule), so which configurations
+	// starve is a property of the workload, not a race.
 	OnlineSpeedupLB bool          `json:"online_speedup_is_lower_bound,omitempty"`
 	Rows            []FastpathRow `json:"rows"`
 }
@@ -232,9 +231,7 @@ func FastpathRows(ctx context.Context, base ShardRunConfig) (FastpathDist, error
 }
 
 // E16Rows builds the E16 result set — uniform at the 1M-command scale
-// and zipf(1.2) at 4 shards — from shared knobs (E12Base). The E16 table
-// and TestWriteBench6JSON (BENCH_6.json) share this builder so the
-// recorded artifact can never drift from the experiment.
+// and zipf(1.2) at 4 shards — from shared knobs (E12Base).
 func E16Rows(ctx context.Context, uniformShards, uniformCommands, zipfCommands int) ([]FastpathDist, error) {
 	uni := E12Base
 	uni.Shards = uniformShards
@@ -255,11 +252,40 @@ func E16Rows(ctx context.Context, uniformShards, uniformCommands, zipfCommands i
 	return []FastpathDist{ud, zd}, nil
 }
 
+// checkFastpathDist is the E16 shape at any scale: every engine reaches
+// a verdict (or, for an exact session, exhausts its budget), and the
+// fast path spends exactly one node per fed action. FastpathRows itself
+// already rejects schedule-digest divergence.
+func checkFastpathDist(d FastpathDist) error {
+	if len(d.Rows) != 5 {
+		return fmt.Errorf("E16 %s: got %d rows, want 5", d.Distribution, len(d.Rows))
+	}
+	var errs []error
+	for _, r := range d.Rows {
+		if r.Mode == "baseline" {
+			continue
+		}
+		if !r.Linearizable && !r.BudgetExhausted {
+			errs = append(errs, fmt.Errorf("E16 %s %s: histories not linearizable", d.Distribution, r.Name))
+		}
+		if r.Engine == "fast" && r.CheckNodes != 2*r.CheckedOps {
+			errs = append(errs, fmt.Errorf("E16 %s %s: fast path spent %d nodes for %d ops (want one per fed action)",
+				d.Distribution, r.Name, r.CheckNodes, r.CheckedOps))
+		}
+	}
+	return errors.Join(errs...)
+}
+
 // E16FastpathCheckers: the perf-opt claim — reducing register
 // linearizability to state reachability over per-value write blocks
 // decides the sharded per-key histories in near-linear time, an order of
 // magnitude under the exact frontier engine at the 1M-command scale,
 // one-shot and streamed alike, with identical verdicts and schedules.
+// The run fails if the shape (checkFastpathDist) does not hold, the
+// uniform workload lands fewer than a million commands or starves its
+// exact sessions, or the zipf exact sessions finish: a hot key blowing
+// the per-feed budget that the fast sessions never touch is the result
+// E16 reports, so a run without it measured something else.
 func E16FastpathCheckers(ctx context.Context) (Table, error) {
 	t := Table{
 		ID:    "E16",
@@ -272,8 +298,7 @@ func E16FastpathCheckers(ctx context.Context) (Table, error) {
 				"through online per-key checker sessions during the simulation — their " +
 				"check wall is the per-feed-timed overhead embedded in the run wall. " +
 				"run-nocheck is the checking-free simulation baseline; all three runs of a " +
-				"distribution must reproduce one schedule digest. " +
-				"Machine-readable results: BENCH_6.json (TestWriteBench6JSON).",
+				"distribution must reproduce one schedule digest.",
 		},
 	}
 	dists, err := E16Rows(ctx, E16UniformShards, E16UniformCommands, E16ZipfCommands)
@@ -312,7 +337,26 @@ func E16FastpathCheckers(ctx context.Context) (Table, error) {
 		t.Notes = append(t.Notes, fmt.Sprintf("%s: one-shot check speedup %.1fx; %s.",
 			d.Distribution, d.OneshotSpeedup, online))
 	}
-	return t, nil
+
+	uni, zipf := dists[0], dists[1]
+	errs := []error{checkFastpathDist(uni), checkFastpathDist(zipf)}
+	if uni.Commands < 1_000_000 {
+		errs = append(errs, fmt.Errorf("E16: uniform configuration landed %d commands (want ≥ 1,000,000)", uni.Commands))
+	}
+	for _, r := range uni.Rows {
+		if r.Name == "session-exact" && r.BudgetExhausted {
+			errs = append(errs, errors.New("E16: uniform session-exact starved its per-feed budget; decision 17 expects completion"))
+		}
+	}
+	for _, r := range zipf.Rows {
+		if r.Name == "session-exact" && !r.BudgetExhausted {
+			errs = append(errs, errors.New("E16: zipf session-exact completed within budget; E16 expects hot-key exhaustion"))
+		}
+		if r.Name == "session-fast" && !r.Linearizable {
+			errs = append(errs, errors.New("E16: zipf session-fast: histories not linearizable"))
+		}
+	}
+	return t, errors.Join(errs...)
 }
 
 func wallMs(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

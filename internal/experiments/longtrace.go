@@ -29,8 +29,6 @@ func timedCheck(fn func() (lin.Result, error)) (lin.Result, float64, error) {
 // verdict triple is asserted identical — the long-trace extension of the
 // E8 equivalence sweep, now also covering the regime where the PR 1
 // memoization and the decision-12 reduction matter most.
-// TestWriteBench4JSON records the same measurement machine-readably
-// (BENCH_4.json).
 func E14LongTraceSweep(ctx context.Context) (Table, error) {
 	t := Table{
 		ID:    "E14",

@@ -20,8 +20,7 @@ import (
 // split-decision family is the reducer's best case — after the first
 // chain element every remaining proposal commutes — and shows the
 // factorial-to-multiset collapse; the uniform sweeps show the expected
-// mixed-workload factor. TestWriteBench3JSON records the same
-// measurement machine-readably (BENCH_3.json).
+// mixed-workload factor.
 func E13PORReduction(ctx context.Context) (Table, error) {
 	t := Table{
 		ID:     "E13",
@@ -36,38 +35,41 @@ func E13PORReduction(ctx context.Context) (Table, error) {
 				"(internal/check/diffcheck) property-tests and fuzzes the same claim.",
 		},
 	}
-	families := []struct {
-		name string
-		gen  func() []trace.Trace
-		f    adt.Folder
-	}{
-		{"consensus E8 sweep", func() []trace.Trace {
-			return e13Sweep(adt.Consensus{}, []trace.Value{adt.ProposeInput("a"), adt.ProposeInput("b"), adt.ProposeInput("c")})
-		}, adt.Consensus{}},
-		{"consensus E8 sweep, contended (5 clients × 8 ops)", func() []trace.Trace {
-			return e13WideSweep(adt.Consensus{}, []trace.Value{adt.ProposeInput("a"), adt.ProposeInput("b"), adt.ProposeInput("c")})
-		}, adt.Consensus{}},
-		{"register E8 sweep", func() []trace.Trace {
-			return e13Sweep(adt.Register{}, []trace.Value{adt.WriteInput("x"), adt.ReadInput()})
-		}, adt.Register{}},
-		{"counter E8 sweep", func() []trace.Trace { return e13Sweep(adt.Counter{}, []trace.Value{adt.IncInput(), adt.GetInput()}) }, adt.Counter{}},
-		{"split-decision (5..7 wide)", func() []trace.Trace {
-			var out []trace.Trace
-			for w := 5; w <= 7; w++ {
-				out = append(out, workload.SplitDecision(w, "h"))
-			}
-			return out
-		}, adt.Consensus{}},
-	}
-	for _, fam := range families {
-		traces := fam.gen()
-		row, err := e13Row(ctx, fam.name, fam.f, traces)
+	for _, fam := range e13Families() {
+		row, err := e13Row(ctx, fam.name, fam.f, fam.traces)
 		if err != nil {
 			return t, err
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
+}
+
+// e13Contended names the family whose ≥2x node-count reduction is the
+// experiment's acceptance bar (TestE13Shape).
+const e13Contended = "consensus E8 sweep, contended (5 clients × 8 ops)"
+
+type e13Family struct {
+	name   string
+	f      adt.Folder
+	traces []trace.Trace
+}
+
+// e13Families generates the experiment's deterministic workload
+// families.
+func e13Families() []e13Family {
+	proposals := []trace.Value{adt.ProposeInput("a"), adt.ProposeInput("b"), adt.ProposeInput("c")}
+	var split []trace.Trace
+	for w := 5; w <= 7; w++ {
+		split = append(split, workload.SplitDecision(w, "h"))
+	}
+	return []e13Family{
+		{"consensus E8 sweep", adt.Consensus{}, e13Sweep(adt.Consensus{}, proposals)},
+		{e13Contended, adt.Consensus{}, e13WideSweep(adt.Consensus{}, proposals)},
+		{"register E8 sweep", adt.Register{}, e13Sweep(adt.Register{}, []trace.Value{adt.WriteInput("x"), adt.ReadInput()})},
+		{"counter E8 sweep", adt.Counter{}, e13Sweep(adt.Counter{}, []trace.Value{adt.IncInput(), adt.GetInput()})},
+		{"split-decision (5..7 wide)", adt.Consensus{}, split},
+	}
 }
 
 // e13Sweep mirrors the E8 generator: 400 traces, clean/corrupted mix,
@@ -110,8 +112,7 @@ func e13WideSweep(f adt.Folder, inputs []trace.Value) []trace.Trace {
 	return traces
 }
 
-// E13Stats is the measured aggregate of one E13 workload family,
-// shared by the table renderer and TestWriteBench3JSON.
+// E13Stats is the measured aggregate of one E13 workload family.
 type E13Stats struct {
 	Traces    int
 	Agree     int
@@ -170,24 +171,4 @@ func e13Row(ctx context.Context, name string, f adt.Folder, traces []trace.Trace
 		fmt.Sprintf("%.2fx", st.Reduction()),
 		fmt.Sprintf("%d", st.Pruned),
 	}, nil
-}
-
-// E13Families exposes the experiment's workload families for
-// TestWriteBench3JSON.
-func E13Families() []struct {
-	Name   string
-	F      adt.Folder
-	Traces []trace.Trace
-} {
-	return []struct {
-		Name   string
-		F      adt.Folder
-		Traces []trace.Trace
-	}{
-		{"consensus-e8-sweep", adt.Consensus{}, e13Sweep(adt.Consensus{}, []trace.Value{adt.ProposeInput("a"), adt.ProposeInput("b"), adt.ProposeInput("c")})},
-		{"consensus-e8-sweep-contended", adt.Consensus{}, e13WideSweep(adt.Consensus{}, []trace.Value{adt.ProposeInput("a"), adt.ProposeInput("b"), adt.ProposeInput("c")})},
-		{"register-e8-sweep", adt.Register{}, e13Sweep(adt.Register{}, []trace.Value{adt.WriteInput("x"), adt.ReadInput()})},
-		{"counter-e8-sweep", adt.Counter{}, e13Sweep(adt.Counter{}, []trace.Value{adt.IncInput(), adt.GetInput()})},
-		{"split-decision-7", adt.Consensus{}, []trace.Trace{workload.SplitDecision(7, "h")}},
-	}
 }

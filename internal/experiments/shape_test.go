@@ -1,0 +1,189 @@
+package experiments
+
+import (
+	"context"
+	"runtime"
+	"testing"
+)
+
+// The E12–E19 shape tests run each experiment's row builder at a scale
+// that finishes in about a second and apply the same check function the
+// full-scale E-function applies to itself (cmd/experiments exits
+// non-zero on it). Every assertion is on a deterministic quantity —
+// verdicts, node counts, message delays, retries, live heap — never on
+// wall time, which only bench/ measures.
+
+func TestE12Shape(t *testing.T) {
+	rows, err := E12Rows(context.Background(), []int{1, 4}, 2_000, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkShardRows(rows); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestOnlineCheckingThroughputParity is the checker-API-v2 acceptance
+// gate for E12: the sharded run with online (streaming) per-key checking
+// enabled must complete with the same simulated schedule — hence no worse
+// simulated throughput — as the post-hoc baseline, and reach the same
+// verdicts. (Checking happens outside the simulated network either way;
+// online mode merely overlaps it with the run and drops the post-hoc
+// history buffering.)
+func TestOnlineCheckingThroughputParity(t *testing.T) {
+	cfg := E12Base
+	cfg.Shards = 4
+	cfg.Commands = 4_000
+
+	post, err := RunSharded(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	online := cfg
+	online.Online = true
+	onl, err := RunSharded(context.Background(), online)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if !post.Linearizable || !onl.Linearizable {
+		t.Fatalf("linearizability: post-hoc %v, online %v", post.Linearizable, onl.Linearizable)
+	}
+	if onl.SimTime != post.SimTime {
+		t.Errorf("online checking changed the simulated schedule: %d vs %d delays", onl.SimTime, post.SimTime)
+	}
+	if onl.CmdsPerDelay < post.CmdsPerDelay {
+		t.Errorf("online throughput %.3f cmds/delay below post-hoc baseline %.3f", onl.CmdsPerDelay, post.CmdsPerDelay)
+	}
+	if onl.KeyHistories != post.KeyHistories || onl.CheckedOps != post.CheckedOps {
+		t.Errorf("online checked %d histories/%d ops, post-hoc %d/%d",
+			onl.KeyHistories, onl.CheckedOps, post.KeyHistories, post.CheckedOps)
+	}
+}
+
+// E13Measure itself errors on any reduced/unreduced verdict
+// disagreement; the bar on top is the ≥2x node-count reduction on the
+// contended sweep.
+func TestE13Shape(t *testing.T) {
+	for _, fam := range e13Families() {
+		st, err := E13Measure(context.Background(), fam.f, fam.traces)
+		if err != nil {
+			t.Fatalf("%s: %v", fam.name, err)
+		}
+		if st.Agree != st.Traces {
+			t.Errorf("%s: verdicts agree on %d of %d traces", fam.name, st.Agree, st.Traces)
+		}
+		if fam.name == e13Contended && st.Reduction() < 2 {
+			t.Errorf("%s: %d → %d nodes, %.2fx: below the 2x node-count reduction bar",
+				fam.name, st.NodesFull, st.NodesPOR, st.Reduction())
+		}
+	}
+}
+
+// E14Measure itself errors on any classical/new-definition verdict
+// disagreement (Theorem 1 on unique-input traces).
+func TestE14Shape(t *testing.T) {
+	longest := 0
+	for _, fam := range E14Families() {
+		st, err := E14Measure(context.Background(), fam.F, fam.Traces)
+		if err != nil {
+			t.Fatalf("%s/%d: %v", fam.Name, fam.Ops, err)
+		}
+		if st.Agree != st.Traces {
+			t.Errorf("%s/%d: verdicts agree on %d of %d traces", fam.Name, fam.Ops, st.Agree, st.Traces)
+		}
+		longest = max(longest, fam.Ops)
+	}
+	if longest < 512 {
+		t.Errorf("the sweep stops at %d-operation traces, want 512", longest)
+	}
+}
+
+// The degradation-and-recovery half of the shape on the chaos run alone
+// is TestChaosRunRecovers; this adds the baseline row and the pair-level
+// assertions at the same scale (at 8,000 commands the blackout forces
+// no retry — see chaosSmall).
+func TestE15Shape(t *testing.T) {
+	cfg := chaosSmall()
+	rows, err := E15Rows(context.Background(), cfg.Shards, cfg.Commands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkChaosRows(rows); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestE16Shape(t *testing.T) {
+	cfg := E12Base
+	cfg.Shards = 4
+	cfg.Commands = 12_000
+	// ~128-op histories, not E16KeysDivisor: at this scale the
+	// full-length histories would be dense enough to starve the exact
+	// sessions' budget, and the job here is engine agreement, not
+	// asymptotics.
+	cfg.Keys = cfg.Commands / 128
+	d, err := FastpathRows(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkFastpathDist(d); err != nil {
+		t.Error(err)
+	}
+}
+
+// E17 is the one experiment that runs real goroutines, so its captured
+// overlap — and with it the cost of the exact and classical engines —
+// depends on how the OS schedules them. 8 goroutines × 50 operations
+// keeps every history short enough to check in milliseconds even on a
+// busy 2-core box while all four mutants are still caught within the
+// retry rounds; at 300 operations the queue's classical pass exhausted
+// its budget in about half the runs there (ROADMAP item 1).
+func TestE17Shape(t *testing.T) {
+	hunts, err := E17HuntRows(context.Background(), 8, 50, 8, E17Rounds, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkHuntRows(hunts); err != nil {
+		t.Error(err)
+	}
+	overheads, err := E17OverheadRows(8, 50, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkOverheadRows(overheads); err != nil {
+		t.Error(err)
+	}
+	if g, floor := E17Goroutines(), 4*runtime.GOMAXPROCS(0); g < floor {
+		t.Errorf("full-scale hunt uses %d goroutines (acceptance floor 4×GOMAXPROCS = %d)", g, floor)
+	}
+}
+
+// The uncompacted comparison arm is quadratic in its op count, so both
+// arms run scaled down from the table's.
+func TestE18Shape(t *testing.T) {
+	rows, err := E18StreamMem(context.Background(), E18FullOps/100, E18Checkpoints)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkStreamRows(rows, E18Checkpoints); err != nil {
+		t.Error(err)
+	}
+	cmp, err := E18CompactVsUncompacted(context.Background(), E18CompareOps/4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkCompareRows(cmp); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestE19Shape(t *testing.T) {
+	rows, err := E19Rows(context.Background(), E19SmokeCommands, 2*E19SmokeCommands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checkTxnRows(rows); err != nil {
+		t.Error(err)
+	}
+}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -12,11 +13,11 @@ import (
 	"repro/internal/workload"
 )
 
-// This file implements the E12 shard sweep: the sharded-SMR scaling
-// experiment behind BENCH_2.json. One run drives a keyed KV workload
-// through a ShardedCluster at a paced (open-loop) offered load, then
-// verifies per-shard log consistency and per-key linearizability of
-// every recorded history.
+// This file implements the E12 shard sweep, the sharded-SMR scaling
+// experiment. One run drives a keyed KV workload through a
+// ShardedCluster at a paced (open-loop) offered load, then verifies
+// per-shard log consistency and per-key linearizability of every
+// recorded history.
 
 // ShardRunConfig parameterizes one sharded run.
 type ShardRunConfig struct {
@@ -76,7 +77,7 @@ func (c ShardRunConfig) withDefaults() ShardRunConfig {
 	return c
 }
 
-// ShardRunResult reports one sharded run, JSON-ready for BENCH_2.json.
+// ShardRunResult reports one sharded run.
 type ShardRunResult struct {
 	Shards       int    `json:"shards"`
 	Commands     int    `json:"commands"`
@@ -250,9 +251,8 @@ var (
 )
 
 // E12Rows builds the E12 result set — the uniform weak-scaling sweep
-// followed by one zipf(1.2) row at 4 shards — at the given scale. The
-// E12 table and TestWriteBench2JSON (BENCH_2.json) share this builder
-// so the recorded artifact can never drift from the experiment.
+// followed by one zipf(1.2) row at 4 shards — at the given scale: the
+// E12 table runs it at full scale, TestE12Shape scaled down.
 func E12Rows(ctx context.Context, shards []int, perShard, zipfPerShard int) ([]ShardRunResult, error) {
 	rows, err := ShardSweep(ctx, shards, perShard, E12Base)
 	if err != nil {
@@ -267,6 +267,31 @@ func E12Rows(ctx context.Context, shards []int, perShard, zipfPerShard int) ([]S
 		return rows, fmt.Errorf("E12 zipf: %w", err)
 	}
 	return append(rows, zrow), nil
+}
+
+// checkShardRows is the E12 shape at any scale: every landed command was
+// checked and its history is linearizable, logs agree, and throughput in
+// commands per message delay scales near-linearly from the first to the
+// last uniform row (constant per-shard offered load).
+func checkShardRows(rows []ShardRunResult) error {
+	var errs []error
+	for _, r := range rows {
+		if !r.Linearizable || !r.Consistent {
+			errs = append(errs, fmt.Errorf("shards=%d %s: linearizable=%v consistent=%v",
+				r.Shards, r.Distribution, r.Linearizable, r.Consistent))
+		}
+		if int64(r.Commands) != r.CheckedOps {
+			errs = append(errs, fmt.Errorf("shards=%d %s: checked %d ops of %d landed commands",
+				r.Shards, r.Distribution, r.CheckedOps, r.Commands))
+		}
+	}
+	first, last := rows[0], rows[len(rows)-2] // the zipf row follows the uniform sweep
+	want := 0.7 * float64(last.Shards) / float64(first.Shards)
+	if got := last.CmdsPerDelay / first.CmdsPerDelay; got < want {
+		errs = append(errs, fmt.Errorf("throughput scaled %.2fx from %d to %d shards (want ≥ %.2fx)",
+			got, first.Shards, last.Shards, want))
+	}
+	return errors.Join(errs...)
 }
 
 // E12Base is the canonical E12 configuration (shards/commands filled by
@@ -284,9 +309,9 @@ var E12Base = ShardRunConfig{
 // E12ShardSweep: the sharded-SMR scaling claim — hash-partitioning a
 // keyed workload across independent speculative logs scales sustained
 // throughput linearly while per-key linearizability and per-shard log
-// agreement continue to hold, checked exactly. Reduced here only in
-// table form; TestWriteBench2JSON runs the identical sweep and records
-// BENCH_2.json.
+// agreement continue to hold, checked exactly. The run fails if the
+// shape (checkShardRows) does not hold at full scale or the largest
+// configuration lands fewer than a million commands.
 func E12ShardSweep(ctx context.Context) (Table, error) {
 	t := Table{
 		ID:    "E12",
@@ -297,8 +322,7 @@ func E12ShardSweep(ctx context.Context) (Table, error) {
 			"Weak scaling: 62,500 commands per shard (1,000,000 at 16 shards). Every " +
 				"shard's history is decomposed per key and checked with the exact " +
 				"checker (lin.CheckAll across GOMAXPROCS workers); log agreement is " +
-				"verified per shard. The zipf row skews keys (hot shards pace the run). " +
-				"Machine-readable results: BENCH_2.json (TestWriteBench2JSON).",
+				"verified per shard. The zipf row skews keys (hot shards pace the run).",
 		},
 	}
 	rows, err := E12Rows(ctx, E12Shards, E12PerShard, E12ZipfPerShard)
@@ -329,5 +353,9 @@ func E12ShardSweep(ctx context.Context) (Table, error) {
 			cons,
 		})
 	}
-	return t, nil
+	err = checkShardRows(rows)
+	if top := rows[len(rows)-2]; top.Commands < 1_000_000 {
+		err = errors.Join(err, fmt.Errorf("E12: largest configuration landed %d commands (want ≥ 1,000,000)", top.Commands))
+	}
+	return t, err
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"time"
@@ -12,24 +13,20 @@ import (
 	"repro/internal/trace"
 )
 
-// This file implements the E18 streaming-memory experiment behind
-// BENCH_8.json: a single long-lived exact Session fed a deterministic
-// capture-shaped register stream (ISSUE 9). The compacted frontier
-// (DESIGN.md, decision 17) plus the per-feed budget
-// (check.WithFeedBudget) are what make the run possible at all — the
-// live heap must stay flat while the history grows by orders of
-// magnitude, and the comparison arm shows the uncompacted reference
-// session's heap growing linearly (and its wall time quadratically) on
-// the identical stream prefix.
+// This file implements the E18 streaming-memory experiment: a single
+// long-lived exact Session fed a deterministic capture-shaped register
+// stream (ISSUE 9). The compacted frontier (DESIGN.md, decision 17)
+// plus the per-feed budget (check.WithFeedBudget) are what make the run
+// possible at all — the live heap must stay flat while the history
+// grows by orders of magnitude, and the comparison arm shows the
+// uncompacted reference session's heap growing linearly (and its wall
+// time quadratically) on the identical stream prefix.
 
 // E18 canonical scales.
 const (
-	// E18FullOps is the streamed operation count of the full run
-	// (bench8 -bench8-full, nightly).
+	// E18FullOps is the streamed operation count of the E18 table;
+	// TestE18Shape streams a hundredth of it.
 	E18FullOps = 10_000_000
-	// E18SmokeOps is the scaled-down stream for CI smoke and the
-	// EXPERIMENTS.md table.
-	E18SmokeOps = 500_000
 	// E18CompareOps caps the compacted-vs-uncompacted arm: the
 	// uncompacted reference copies O(history) chain state per response,
 	// so its wall time is quadratic and larger streams are infeasible —
@@ -112,8 +109,8 @@ func (g *e18Gen) emit(feed func(trace.Action) error) (int, error) {
 
 // liveHeap forces a collection and returns the post-GC live heap. Peak
 // RSS proper is monotone per process and platform-dependent; the post-GC
-// HeapAlloc is the machine-independent proxy the bench guard can
-// compare across runs.
+// HeapAlloc is the machine-independent proxy that can be compared across
+// runs.
 func liveHeap() uint64 {
 	runtime.GC()
 	var m runtime.MemStats
@@ -121,10 +118,10 @@ func liveHeap() uint64 {
 	return m.HeapAlloc
 }
 
-// E18MemRow is one heap checkpoint of the streaming run, JSON-ready for
-// BENCH_8.json. Nodes is deterministic (seedless deterministic
-// generator, sequential engine); heap bytes are post-GC live heap and
-// stable to well within the guard's order-of-magnitude tripwire.
+// E18MemRow is one heap checkpoint of the streaming run. Nodes is
+// deterministic (seedless deterministic generator, sequential engine);
+// heap bytes are post-GC live heap, stable to well within
+// checkStreamRows' factor of two.
 type E18MemRow struct {
 	Name          string  `json:"name"`
 	Ops           int     `json:"ops"`
@@ -181,10 +178,10 @@ func E18StreamMem(ctx context.Context, n, checkpoints int) ([]E18MemRow, error) 
 }
 
 // E18CompareRow contrasts the compacted session against the uncompacted
-// reference on the identical stream prefix, JSON-ready for
-// BENCH_8.json. PeakRSSBytes is the post-GC live heap with the session
-// still reachable — for the uncompacted arm this is dominated by the
-// O(history) chain state every frontier configuration retains.
+// reference on the identical stream prefix. PeakRSSBytes is the post-GC
+// live heap with the session still reachable — for the uncompacted arm
+// this is dominated by the O(history) chain state every frontier
+// configuration retains.
 type E18CompareRow struct {
 	Name         string  `json:"name"`
 	Ops          int     `json:"ops"`
@@ -235,11 +232,44 @@ func E18CompactVsUncompacted(ctx context.Context, n int) ([]E18CompareRow, error
 	return rows, nil
 }
 
-// E18StreamMemTable renders the experiment at smoke scale for
-// EXPERIMENTS.md; the full-scale run is bench8 -bench8-full
-// (BENCH_8.json).
+// checkStreamRows is the E18 flatness shape at any scale: the live heap
+// at every checkpoint stays within twice the first plus 1 MiB of GC
+// bookkeeping jitter — no session state proportional to history length.
+func checkStreamRows(rows []E18MemRow, checkpoints int) error {
+	if len(rows) != checkpoints {
+		return fmt.Errorf("E18: got %d checkpoints, want %d", len(rows), checkpoints)
+	}
+	const slack = 1 << 20
+	var errs []error
+	first := rows[0].LiveHeapBytes
+	for _, r := range rows {
+		if r.LiveHeapBytes > 2*first+slack {
+			errs = append(errs, fmt.Errorf("E18 %s: live heap %d bytes exceeds 2×first-checkpoint (%d) + 1MiB — "+
+				"session state growing with history length", r.Name, r.LiveHeapBytes, first))
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// checkCompareRows is the comparison arm's shape: the uncompacted
+// reference retains at least an order of magnitude more live heap than
+// the compacted session on the identical prefix.
+func checkCompareRows(rows []E18CompareRow) error {
+	if len(rows) != 2 {
+		return fmt.Errorf("E18: got %d comparison rows, want 2", len(rows))
+	}
+	comp, ref := rows[0], rows[1]
+	if ref.PeakRSSBytes < 10*comp.PeakRSSBytes {
+		return fmt.Errorf("E18: uncompacted reference holds %d bytes vs compacted %d: expected ≥10× — "+
+			"is the reference arm actually uncompacted?", ref.PeakRSSBytes, comp.PeakRSSBytes)
+	}
+	return nil
+}
+
+// E18StreamMemTable renders the experiment for EXPERIMENTS.md and fails
+// if checkStreamRows or checkCompareRows does.
 func E18StreamMemTable(ctx context.Context) (Table, error) {
-	mem, err := E18StreamMem(ctx, E18SmokeOps, E18Checkpoints)
+	mem, err := E18StreamMem(ctx, E18FullOps, E18Checkpoints)
 	if err != nil {
 		return Table{}, err
 	}
@@ -249,7 +279,7 @@ func E18StreamMemTable(ctx context.Context) (Table, error) {
 	}
 	t := Table{
 		ID:     "E18",
-		Title:  fmt.Sprintf("Streaming memory: %d capture-shaped ops through one compacted session", E18SmokeOps),
+		Title:  fmt.Sprintf("Streaming memory: %d capture-shaped ops through one compacted session", E18FullOps),
 		Header: []string{"arm", "ops", "live heap MiB", "nodes", "wall ms"},
 	}
 	for _, r := range mem {
@@ -267,7 +297,6 @@ func E18StreamMemTable(ctx context.Context) (Table, error) {
 		fmt.Sprintf("Flatness: checkpoint heap %s → %s MiB over a %d× history growth; "+
 			"the uncompacted reference at %d ops already holds %s MiB.",
 			f2(float64(first)/(1<<20)), f2(float64(last)/(1<<20)), E18Checkpoints,
-			E18CompareOps, f2(float64(cmp[1].PeakRSSBytes)/(1<<20))),
-		"Full scale (10M ops) is BENCH_8.json via `go test -run TestWriteBench8JSON . -args -bench8-full`.")
-	return t, nil
+			E18CompareOps, f2(float64(cmp[1].PeakRSSBytes)/(1<<20))))
+	return t, errors.Join(checkStreamRows(mem, E18Checkpoints), checkCompareRows(cmp))
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -14,15 +15,14 @@ import (
 	"repro/internal/workload"
 )
 
-// This file implements the E19 transaction sweep: the cross-shard
-// atomic-transaction experiment behind BENCH_9.json. One run drives a
-// zipf-contended mixed workload — single-key operations plus multi-key
-// MultiPut/MultiGet/CAS transactions — through a TxnCluster (2PC layered
-// on the per-shard speculative logs, DESIGN.md decision 18), optionally
-// under rolling coordinator crash–restarts, then verifies per-shard log
-// agreement, every fast-path key's register history, and every
-// txn-connected component's merged history against the adt.TxnKV product
-// folder.
+// This file implements the E19 transaction sweep, the cross-shard
+// atomic-transaction experiment. One run drives a zipf-contended mixed
+// workload — single-key operations plus multi-key MultiPut/MultiGet/CAS
+// transactions — through a TxnCluster (2PC layered on the per-shard
+// speculative logs, DESIGN.md decision 18), optionally under rolling
+// coordinator crash–restarts, then verifies per-shard log agreement,
+// every fast-path key's register history, and every txn-connected
+// component's merged history against the adt.TxnKV product folder.
 
 // TxnRunConfig parameterizes one mixed transactional run. The embedded
 // ShardRunConfig fields keep their E12 meanings (Commands counts
@@ -75,11 +75,10 @@ func (c TxnRunConfig) withDefaults() TxnRunConfig {
 	return c
 }
 
-// TxnRunResult reports one mixed transactional run, JSON-ready for
-// BENCH_9.json. The embedded ShardRunResult carries the throughput,
-// latency, and schedule-digest fields exactly as E12 records them
-// (CheckedOps counts workload items: each single-key operation and each
-// composite transaction once).
+// TxnRunResult reports one mixed transactional run. The embedded
+// ShardRunResult carries the throughput, latency, and schedule-digest
+// fields exactly as E12 records them (CheckedOps counts workload items:
+// each single-key operation and each composite transaction once).
 type TxnRunResult struct {
 	ShardRunResult
 	TxnFrac            float64 `json:"txn_frac"`
@@ -310,9 +309,7 @@ var E19TxnFracs = []float64{0.05, 0.2}
 // E19Rows builds the E19 result set: the txn-frac × contention sweep
 // (uniform and zipf(1.2) keys) at sweepCommands items each, then the
 // full-scale faulted row — fullCommands items, 20% transactions, rolling
-// coordinator crash–restarts with the recovery watchdog armed. The E19
-// table and TestWriteBench9JSON (BENCH_9.json) share this builder so the
-// recorded artifact can never drift from the experiment.
+// coordinator crash–restarts with the recovery watchdog armed.
 func E19Rows(ctx context.Context, sweepCommands, fullCommands int) ([]TxnRunResult, error) {
 	var out []TxnRunResult
 	for _, zipf := range []float64{0, 1.2} {
@@ -346,14 +343,46 @@ func E19Rows(ctx context.Context, sweepCommands, fullCommands int) ([]TxnRunResu
 	return append(out, r), nil
 }
 
+// checkTxnRows is the E19 shape at any scale: every workload item was
+// checked and its history is linearizable, logs agree, every row both
+// commits transactions and keeps keys on the fast path, and the last
+// (faulted) row actually orphaned transactions into recovery aborts.
+func checkTxnRows(rows []TxnRunResult) error {
+	var errs []error
+	for _, r := range rows {
+		id := fmt.Sprintf("frac=%.2f %s faults=%v", r.TxnFrac, r.Distribution, r.CoordinatorCrashes)
+		if !r.Linearizable || !r.Consistent {
+			errs = append(errs, fmt.Errorf("%s: linearizable=%v consistent=%v", id, r.Linearizable, r.Consistent))
+		}
+		if int64(r.Commands) != r.CheckedOps {
+			errs = append(errs, fmt.Errorf("%s: checked %d ops of %d workload items", id, r.CheckedOps, r.Commands))
+		}
+		if r.TxnsStarted == 0 || r.TxnsCommitted == 0 {
+			errs = append(errs, fmt.Errorf("%s: %d transactions started, %d committed — row exercises nothing",
+				id, r.TxnsStarted, r.TxnsCommitted))
+		}
+		if r.Components == 0 || r.FastPathKeys == 0 {
+			errs = append(errs, fmt.Errorf("%s: components=%d fast-path keys=%d — want both merged components and fast-path keys",
+				id, r.Components, r.FastPathKeys))
+		}
+	}
+	faulted := rows[len(rows)-1]
+	if !faulted.CoordinatorCrashes {
+		errs = append(errs, errors.New("last row is not the faulted row"))
+	} else if faulted.AbortedRecovery == 0 {
+		errs = append(errs, errors.New("faulted row: no recovery aborts — coordinator crashes never orphaned a transaction"))
+	}
+	return errors.Join(errs...)
+}
+
 // E19TxnSweep: the cross-shard transaction claim — 2PC layered on the
 // per-shard speculative logs keeps every submission landing and every
 // transaction resolving (commit, conflict/condition abort, or recovery
 // abort) under contention and coordinator crash–restarts, while every
 // txn-connected component's merged history checks linearizable against
 // the adt.TxnKV product folder and untouched keys stay on the register
-// fast path. Reduced here only in table form; TestWriteBench9JSON runs
-// the identical sweep and records BENCH_9.json.
+// fast path. The run fails if the shape (checkTxnRows) does not hold at
+// full scale or the faulted row lands fewer than 100,000 items.
 func E19TxnSweep(ctx context.Context) (Table, error) {
 	t := Table{
 		ID: "E19",
@@ -367,8 +396,7 @@ func E19TxnSweep(ctx context.Context) (Table, error) {
 				"see single-key traffic. Each txn-connected component is checked as one merged " +
 				"history over adt.TxnKV (streamed online through incremental sessions); the " +
 				"faulted row crashes and restarts every coordinator on a rolling schedule with " +
-				"the recovery watchdog armed. Machine-readable results: BENCH_9.json " +
-				"(TestWriteBench9JSON).",
+				"the recovery watchdog armed.",
 		},
 	}
 	rows, err := E19Rows(ctx, E19SweepCommands, E19FullCommands)
@@ -402,5 +430,9 @@ func E19TxnSweep(ctx context.Context) (Table, error) {
 			cons,
 		})
 	}
-	return t, nil
+	err = checkTxnRows(rows)
+	if faulted := rows[len(rows)-1]; faulted.Commands < 100_000 {
+		err = errors.Join(err, fmt.Errorf("E19: full-scale row landed %d workload items (want ≥ 100,000)", faulted.Commands))
+	}
+	return t, err
 }

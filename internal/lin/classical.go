@@ -3,6 +3,7 @@ package lin
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"repro/internal/adt"
 	"repro/internal/check"
@@ -61,7 +62,6 @@ type Linearization []int
 // placed-operation sets use a single-word bitmask for traces of at most
 // 63 operations and spill to a sparse word-array set (check.BitSet) with
 // an incrementally-maintained 128-bit digest in the memo key beyond that.
-// The historical ErrTooManyOps representation cap no longer fires;
 // classicalRef retains the capped bitmask engine as the reference the
 // property tests diff against.
 //
@@ -325,7 +325,11 @@ func (s *classicalSearcher) run(st adt.State) (bool, error) {
 // search that produced them.
 func VerifyWitness(f adt.Folder, t trace.Trace, w Witness) error {
 	var commits []int
+	invoked := trace.Multiset{} // elems(inputs(t, i)) as i advances
 	for i, a := range t {
+		if a.Kind == trace.Inv {
+			invoked.Add(a.Input, 1)
+		}
 		if a.Kind != trace.Res {
 			continue
 		}
@@ -346,17 +350,18 @@ func VerifyWitness(f adt.Folder, t trace.Trace, w Witness) error {
 		if len(g) == 0 || g.Last() != a.Input {
 			return fmtErr("index %d: history %v does not end with input %q", i, g, a.Input)
 		}
-		if !g.Elems().SubsetOf(t.InputsBeforeMultiset(i)) {
+		if !g.Elems().SubsetOf(invoked) {
 			return fmtErr("index %d: history %v uses inputs not invoked before it", i, g)
 		}
 	}
-	// Commit-Order (Definition 12).
-	for x := 0; x < len(commits); x++ {
-		for y := x + 1; y < len(commits); y++ {
-			gi, gj := w[commits[x]], w[commits[y]]
-			if !gi.IsStrictPrefixOf(gj) && !gj.IsStrictPrefixOf(gi) {
-				return fmtErr("commit histories %v and %v are not strict-prefix ordered", gi, gj)
-			}
+	// Commit-Order (Definition 12). Strict-prefix order is transitive, so
+	// the histories are totally ordered by it exactly when, sorted by
+	// length, each is a strict prefix of the next.
+	sort.Slice(commits, func(x, y int) bool { return len(w[commits[x]]) < len(w[commits[y]]) })
+	for x := 1; x < len(commits); x++ {
+		gi, gj := w[commits[x-1]], w[commits[x]]
+		if !gi.IsStrictPrefixOf(gj) {
+			return fmtErr("commit histories %v and %v are not strict-prefix ordered", gi, gj)
 		}
 	}
 	return nil

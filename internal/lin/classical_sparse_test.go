@@ -5,9 +5,8 @@ package lin
 // (classicalRef) on the ≤63-op range — verdict, witness validity AND
 // exact node counts, since the sparse engine enumerates the same
 // candidates in the same order — plus boundary coverage at 63/64/65/128
-// operations, where the former ErrTooManyOps sentinel must never fire
-// and verdicts must agree with the new-definition checker (Theorem 1 on
-// unique-input traces).
+// operations, where verdicts must agree with the new-definition checker
+// (Theorem 1 on unique-input traces).
 
 import (
 	"context"
@@ -126,11 +125,11 @@ func seqTrace(n, window int, corruptAt int) trace.Trace {
 	return tr
 }
 
-// TestClassicalBoundaries replaces the former ErrTooManyOps sentinel
-// expectations: at 63 (fast-path edge), 64, 65 (first spill words) and
-// 128 operations the checker returns verdicts, never the deprecated
-// sentinel, the witnesses verify, and the verdict agrees with the
-// new-definition checker on these unique-input traces (Theorem 1).
+// TestClassicalBoundaries: at 63 (fast-path edge), 64, 65 (first spill
+// words) and 128 operations the checker returns verdicts, never a
+// representation-cap error, the witnesses verify, and the verdict agrees
+// with the new-definition checker on these unique-input traces
+// (Theorem 1).
 func TestClassicalBoundaries(t *testing.T) {
 	for _, n := range []int{63, 64, 65, 128} {
 		// The corrupted variant breaks an early operation: both searches
@@ -139,9 +138,6 @@ func TestClassicalBoundaries(t *testing.T) {
 		for _, corrupt := range []int{-1, 9} {
 			tr := seqTrace(n, 4, corrupt)
 			res, err := CheckClassical(context.Background(), adt.Consensus{}, tr)
-			if errors.Is(err, ErrTooManyOps) {
-				t.Fatalf("n=%d corrupt=%d: the deprecated ErrTooManyOps sentinel fired", n, corrupt)
-			}
 			if err != nil {
 				t.Fatalf("n=%d corrupt=%d: %v", n, corrupt, err)
 			}

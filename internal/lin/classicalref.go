@@ -19,19 +19,9 @@ import (
 // the sparse engine enumerates the same candidates in the same order).
 
 // errClassicalRefCap is the reference engine's representation cap. It is
-// internal by design: the production checker no longer caps (the
-// deprecated ErrTooManyOps sentinel never fires), and reference callers
-// stay within 63 operations.
+// internal by design: the production checker no longer caps, and
+// reference callers stay within 63 operations.
 var errClassicalRefCap = errors.New("lin: classicalRef capped at 63 operations (bitmask representation)")
-
-// CheckClassicalReference exposes the retained bitmask engine to the
-// root benchmarks (BENCH_1's classical fast-path parity row), mirroring
-// CheckReference's role as an executable specification kept for
-// comparison. Traces beyond 63 operations error; production callers use
-// the uncapped CheckClassical.
-func CheckClassicalReference(ctx context.Context, f adt.Folder, t trace.Trace, opts ...check.Option) (Result, error) {
-	return classicalRef(ctx, f, t, opts...)
-}
 
 // classicalRef decides linearizability* exactly as CheckClassical does,
 // on the retained bitmask representation. Traces beyond 63 operations

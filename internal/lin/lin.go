@@ -53,18 +53,6 @@ var ErrBudget = errors.New("lin: search budget exhausted")
 // entries instead, trading time for bounded memory).
 var ErrMemo = errors.New("lin: memo limit exceeded")
 
-// ErrTooManyOps was returned by CheckClassical for traces with more than
-// 63 operations, when the classical search represented the placed-
-// operation set as a uint64 bitmask.
-//
-// Deprecated: the classical checker is uncapped since the sparse
-// placed-set representation (DESIGN.md, decision 13) — placed sets spill
-// to a word-array bitset with a digest-keyed memo beyond 63 operations —
-// so this sentinel no longer fires from any checker entry point; the
-// deprecation audit pins that. It survives only so existing errors.Is
-// guards keep compiling (they now never match).
-var ErrTooManyOps = errors.New("lin: classical checker capped at 63 operations (bitmask representation)")
-
 // DefaultBudget bounds the number of search nodes explored per check.
 const DefaultBudget = 2_000_000
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/adt"
@@ -274,18 +275,109 @@ func TestWitnessVerifierCatchesBadWitnesses(t *testing.T) {
 }
 
 func TestWitnessCommitOrderViolation(t *testing.T) {
-	tr := trace.Trace{
-		trace.Invoke("c1", 1, p("a")),
-		trace.Invoke("c2", 1, p("b")),
-		trace.Response("c1", 1, p("a"), d("a")),
-		trace.Response("c2", 1, p("b"), d("b")),
+	cases := []struct {
+		name string
+		tr   trace.Trace
+		w    Witness
+	}{
+		{"incomparable, same length",
+			trace.Trace{
+				trace.Invoke("c1", 1, p("a")),
+				trace.Invoke("c2", 1, p("b")),
+				trace.Response("c1", 1, p("a"), d("a")),
+				trace.Response("c2", 1, p("b"), d("b")),
+			},
+			Witness{2: {p("a")}, 3: {p("b")}}},
+		{"two responses given the same history",
+			trace.Trace{
+				trace.Invoke("c1", 1, p("a")),
+				trace.Invoke("c2", 1, p("a")),
+				trace.Response("c1", 1, p("a"), d("a")),
+				trace.Response("c2", 1, p("a"), d("a")),
+			},
+			Witness{2: {p("a")}, 3: {p("a")}}},
+		{"different lengths diverging at position 0",
+			trace.Trace{
+				trace.Invoke("c1", 1, p("a")),
+				trace.Invoke("c2", 1, p("b")),
+				trace.Invoke("c3", 1, p("c")),
+				trace.Response("c1", 1, p("a"), d("a")),
+				trace.Response("c2", 1, p("b"), d("c")),
+			},
+			Witness{3: {p("a")}, 4: {p("c"), p("b")}}},
 	}
-	w := Witness{
-		2: trace.History{p("a")},
-		3: trace.History{p("b")},
+	for _, tt := range cases {
+		t.Run(tt.name, func(t *testing.T) {
+			if err := VerifyWitness(adt.Consensus{}, tt.tr, tt.w); err == nil {
+				t.Fatal("commit histories not totally ordered by strict prefix must be rejected")
+			}
+		})
 	}
-	if err := VerifyWitness(adt.Consensus{}, tr, w); err == nil {
-		t.Fatal("incomparable commit histories must be rejected")
+}
+
+// commitOrderCase builds n overlapping register writes (values from a
+// three-letter alphabet, so inputs repeat) and a witness whose commit
+// histories all pass Explains and Validity: each is a sub-multiset of
+// the invoked writes ending in its own. Only Commit-Order varies — a
+// third of the histories drop or swap elements of the intended chain.
+func commitOrderCase(r *rand.Rand) (trace.Trace, Witness) {
+	n := 2 + r.Intn(5)
+	ins := make([]trace.Value, n)
+	var tr trace.Trace
+	for i := range ins {
+		ins[i] = adt.WriteInput(string(rune('x' + r.Intn(3))))
+		tr = append(tr, trace.Invoke(trace.ClientID(fmt.Sprint("c", i)), 1, ins[i]))
+	}
+	chain := r.Perm(n)
+	w := Witness{}
+	for k, i := range chain {
+		g := make(trace.History, 0, k+1)
+		for _, j := range chain[:k] {
+			g = append(g, ins[j])
+		}
+		switch r.Intn(6) {
+		case 0:
+			if len(g) > 0 {
+				g = g[1:]
+			}
+		case 1:
+			if len(g) > 1 {
+				g[0], g[len(g)-1] = g[len(g)-1], g[0]
+			}
+		}
+		w[len(tr)] = append(g, ins[i])
+		tr = append(tr, trace.Response(trace.ClientID(fmt.Sprint("c", i)), 1, ins[i], adt.WriteOutput()))
+	}
+	return tr, w
+}
+
+// The sort-plus-adjacent Commit-Order check accepts and rejects exactly
+// what Definition 12's pairwise statement does.
+func TestWitnessCommitOrderAgreesWithPairwise(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	accepted, rejected := 0, 0
+	for iter := 0; iter < 2000; iter++ {
+		tr, w := commitOrderCase(r)
+		want := true
+		for i, gi := range w {
+			for j, gj := range w {
+				if i < j && !gi.IsStrictPrefixOf(gj) && !gj.IsStrictPrefixOf(gi) {
+					want = false
+				}
+			}
+		}
+		err := VerifyWitness(adt.Register{}, tr, w)
+		if (err == nil) != want {
+			t.Fatalf("pairwise Commit-Order says %v, VerifyWitness says %v\ntrace: %v\nwitness: %v", want, err, tr, w)
+		}
+		if want {
+			accepted++
+		} else {
+			rejected++
+		}
+	}
+	if accepted == 0 || rejected == 0 {
+		t.Fatalf("generator is one-sided: %d accepted, %d rejected", accepted, rejected)
 	}
 }
 

@@ -2,6 +2,7 @@ package slin
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/adt"
 	"repro/internal/trace"
@@ -96,13 +97,15 @@ func VerifyWitness(f adt.Folder, rinit RInit, m, n int, t trace.Trace, w Witness
 		}
 	}
 
-	// Commit-Order (Definition 30).
-	for x := 0; x < len(commits); x++ {
-		for y := x + 1; y < len(commits); y++ {
-			gi, gj := w.Commits[commits[x]], w.Commits[commits[y]]
-			if !gi.IsStrictPrefixOf(gj) && !gj.IsStrictPrefixOf(gi) {
-				return fmt.Errorf("slin: commit histories %v and %v not strict-prefix ordered", gi, gj)
-			}
+	// Commit-Order (Definition 30). Strict-prefix order is transitive, so
+	// the histories are totally ordered by it exactly when, sorted by
+	// length, each is a strict prefix of the next.
+	byLen := append([]int(nil), commits...)
+	sort.Slice(byLen, func(x, y int) bool { return len(w.Commits[byLen[x]]) < len(w.Commits[byLen[y]]) })
+	for x := 1; x < len(byLen); x++ {
+		gi, gj := w.Commits[byLen[x-1]], w.Commits[byLen[x]]
+		if !gi.IsStrictPrefixOf(gj) {
+			return fmt.Errorf("slin: commit histories %v and %v not strict-prefix ordered", gi, gj)
 		}
 	}
 

@@ -762,6 +762,7 @@ func (tc *TxnCluster) CheckTxnLinearizable(ctx context.Context, opts ...check.Op
 		roots = append(roots, root)
 	}
 	sort.Strings(roots)
+	opts = append(opts[:len(opts):len(opts)], check.WithWitness(false))
 	for _, root := range roots {
 		comp := tc.comps[root]
 		var r lin.Result

@@ -41,13 +41,11 @@
 // bounds checker memory; WithPOR (on by default) toggles the sleep-set
 // partial-order reduction over the search's extension branches, with
 // Report.Pruned accounting for the skipped work (DESIGN.md, decision
-// 12). The v1 entry points (CheckLinearizable,
-// CheckClassicallyLinearizable, CheckSpeculativelyLinearizable) remain as
-// deprecated shims over this surface.
+// 12).
 //
 // See the examples/ directory for runnable end-to-end programs and
 // DESIGN.md for the map from the paper's sections to packages (decision
-// 11 records the API-v2 rationale and deprecation policy).
+// 11 records the API-v2 rationale).
 package speclin
 
 import (
@@ -302,7 +300,7 @@ type Report struct {
 	Wall time.Duration
 }
 
-// Witness and result types of the underlying checkers.
+// Witness types of the underlying checkers.
 type (
 	// LinWitness is a linearization function restricted to commit
 	// indices.
@@ -312,10 +310,6 @@ type (
 	// SLinWitness is one SLin witness (init interpretation, commit
 	// histories, abort histories).
 	SLinWitness = slin.Witness
-	// LinResult is the lin checkers' native result form.
-	LinResult = lin.Result
-	// SLinResult is the SLin checker's native result form.
-	SLinResult = slin.Result
 )
 
 // Checker error sentinels (match with errors.Is).
@@ -326,13 +320,6 @@ var (
 	// ErrMemo reports that a breadth-engine frontier exceeded
 	// WithMemoLimit.
 	ErrMemo = lin.ErrMemo
-	// ErrTooManyOps reported a ClassicalLin trace beyond the former
-	// 63-operation representation cap.
-	//
-	// Deprecated: ClassicalLin checks are uncapped since the sparse
-	// placed-set engine (DESIGN.md, decision 13); the sentinel never
-	// fires and survives only so external errors.Is guards compile.
-	ErrTooManyOps = lin.ErrTooManyOps
 	// ErrSLinBudget is ErrBudget's counterpart for the SLin checker.
 	ErrSLinBudget = slin.ErrBudget
 	// ErrSLinMemo is ErrMemo's counterpart for the SLin checker.
@@ -450,56 +437,6 @@ func (s *Session) Report() (Report, error) {
 	}
 	rep.Wall = time.Since(s.start)
 	return rep, err
-}
-
-// Deprecated v1 surface. The three disjoint entry points below and their
-// Options structs are retained as thin shims over Check; new code should
-// use Check/NewSession with a CheckSpec and functional options. The shims
-// run with the same defaults as v1 (sequential engine, witnesses on).
-
-// LinOptions configures the v1 linearizability shims.
-//
-// Deprecated: use Check with WithBudget/WithWorkers.
-type LinOptions struct {
-	// Budget bounds the search; 0 means the checker default.
-	Budget int
-	// Workers sizes the batch worker pool of the v1 batch entry points;
-	// the single-trace shims ignore it.
-	Workers int
-}
-
-// SLinOptions configures the v1 SLin shim.
-//
-// Deprecated: use Check with WithBudget/WithWorkers and
-// WithTemporalAbortOrder.
-type SLinOptions struct {
-	Budget             int
-	Workers            int
-	TemporalAbortOrder bool
-}
-
-// CheckLinearizable decides the paper's new definition of
-// linearizability (Definitions 5–15).
-//
-// Deprecated: use Check(ctx, CheckSpec{Folder: f, Mode: Lin}, t, ...).
-func CheckLinearizable(f Folder, t Trace, opts LinOptions) (LinResult, error) {
-	return lin.Check(context.Background(), f, t, WithBudget(opts.Budget))
-}
-
-// CheckClassicallyLinearizable decides the classical definition
-// (Appendix A); by Theorem 1 the two agree on unique-input traces.
-//
-// Deprecated: use Check(ctx, CheckSpec{Folder: f, Mode: ClassicalLin}, t, ...).
-func CheckClassicallyLinearizable(f Folder, t Trace, opts LinOptions) (LinResult, error) {
-	return lin.CheckClassical(context.Background(), f, t, WithBudget(opts.Budget))
-}
-
-// CheckSpeculativelyLinearizable decides SLin(m,n) (Definition 36).
-//
-// Deprecated: use Check(ctx, CheckSpec{Folder: f, Mode: SLin, RInit: r, M: m, N: n}, t, ...).
-func CheckSpeculativelyLinearizable(f Folder, r RInit, m, n int, t Trace, opts SLinOptions) (SLinResult, error) {
-	return slin.Check(context.Background(), f, r, m, n, t,
-		WithBudget(opts.Budget), WithTemporalAbortOrder(opts.TemporalAbortOrder))
 }
 
 // Phase composition runtime (§2.3, §5.1).
