@@ -118,12 +118,20 @@ func main() {
 				fail(2, "lin-hunt: %v", err)
 			}
 			fmt.Println(rep.String())
+			// Report.String gives the reason of a refutation; an Unknown's
+			// says where the checker gave up.
 			if rep.Live.Verdict != speclin.Linearizable {
 				ok = false
+				if rep.Live.Verdict == speclin.Unknown {
+					fmt.Printf("      reason: %s\n", rep.Live.Reason)
+				}
 				fmt.Printf("      FAIL: clean %s expected linearizable\n", j.structure)
 			}
 			if cfg.Classical && rep.Classical != nil && rep.Classical.Verdict != speclin.Linearizable {
 				ok = false
+				if rep.Classical.Verdict == speclin.Unknown {
+					fmt.Printf("      reason: %s\n", rep.Classical.Reason)
+				}
 				fmt.Printf("      FAIL: clean %s classical check expected linearizable\n", j.structure)
 			}
 			continue

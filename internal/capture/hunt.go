@@ -138,13 +138,12 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 		rt = newRouter(ctx, speclin.CheckSpec{Folder: speclin.MutexADT}, nil, true, opts...)
 	case StructSet:
 		// The set folder has no fast path, so its per-key sessions run the
-		// exact frontier engine. That engine used to degenerate on
-		// capture-shaped histories (the breadth frontier kept every
-		// commit-order permutation of overlapping ops alive, where the
-		// one-shot DFS prunes them cheaply); with frontier compaction
-		// dropping fully-claimed chain prefixes and the DAG-level sleep
-		// sets pruning equivalent commit orders, the set now checks live
-		// like the map and mutex do.
+		// exact frontier engine. Its configurations are keyed on the set's
+		// state and the open operations already linearized (DESIGN.md,
+		// decision 20), so a key's frontier is as wide as the goroutines
+		// overlapping on it admit, however long the scheduler keeps one of
+		// them off the CPU mid-operation: the set checks live like the map
+		// and mutex do.
 		rt = newRouter(ctx, speclin.CheckSpec{Folder: speclin.SetADT}, setKeyOf, true, opts...)
 	case StructQueue:
 		// The queue fast path is one-shot: retain the trace, check after.

@@ -1,8 +1,10 @@
 package capture
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
 
 	speclin "repro"
 )
@@ -15,12 +17,22 @@ func huntOps(t *testing.T, full int) int {
 	return full
 }
 
+// huntCtx bounds one hunt test at a minute. A hunt takes well under a
+// second; past the deadline the sessions stick to the context's error
+// and the report's reason says so, where an unbounded search would run
+// into go test's own timeout and say nothing.
+func huntCtx(t *testing.T) context.Context {
+	ctx, cancel := context.WithTimeout(t.Context(), time.Minute)
+	t.Cleanup(cancel)
+	return ctx
+}
+
 // TestHuntCleanStructures: every unmutated reference structure checks
 // Linearizable live, with the queue recording zero empty dequeues.
 func TestHuntCleanStructures(t *testing.T) {
 	for _, structure := range Structures {
 		t.Run(structure, func(t *testing.T) {
-			rep, err := Run(t.Context(), Config{
+			rep, err := Run(huntCtx(t), Config{
 				Structure:  structure,
 				Goroutines: 8,
 				Ops:        huntOps(t, 400),
@@ -51,8 +63,9 @@ func TestHuntMutantsCaught(t *testing.T) {
 	for _, structure := range Structures {
 		mutant := Mutants[structure]
 		t.Run(structure+"/"+mutant, func(t *testing.T) {
+			ctx := huntCtx(t)
 			for seed := int64(1); seed <= rounds; seed++ {
-				rep, err := Run(t.Context(), Config{
+				rep, err := Run(ctx, Config{
 					Structure:  structure,
 					Mutant:     mutant,
 					Goroutines: 8,
@@ -66,6 +79,9 @@ func TestHuntMutantsCaught(t *testing.T) {
 				if rep.Live.Verdict == speclin.NotLinearizable {
 					t.Logf("%s/%s caught in round %d: %s", structure, mutant, seed, rep.Live.Reason)
 					return
+				}
+				if rep.Live.Verdict == speclin.Unknown {
+					t.Fatalf("%s/%s round %d: verdict unknown, reason %q", structure, mutant, seed, rep.Live.Reason)
 				}
 			}
 			t.Fatalf("%s/%s: not caught in %d rounds", structure, mutant, rounds)

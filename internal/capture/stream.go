@@ -6,8 +6,8 @@
 // linearizable iff every per-component projection is). The map's
 // per-key registers and the mutex stream live through fast-path
 // sessions; the set (no fast path) streams through exact sessions,
-// viable since frontier compaction and DAG-level sleep sets bound the
-// breadth engine on capture-shaped histories (decision 17); only the
+// viable since the breadth engine's frontier is bounded by the
+// operations overlapping on a key (decision 20); only the
 // queue retains its trace and checks one-shot after the run, because
 // its fast path is one-shot by construction.
 package capture

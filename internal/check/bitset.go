@@ -141,7 +141,7 @@ func (s SleepSet) Add(sym trace.Sym) SleepSet {
 }
 
 // Intersect returns the set of symbols asleep in both s and o. The
-// frontier engines use it when two expansion paths reach the same
+// slin frontier engine uses it when two expansion paths reach the same
 // configuration digest while carrying different sleep sets (DESIGN.md,
 // decision 17): only a symbol slept on every path into the merged node
 // may stay asleep — the union would prune orders that some path still

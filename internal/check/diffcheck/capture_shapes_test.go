@@ -136,12 +136,11 @@ func TestCompactedFrontierCaptureShapes(t *testing.T) {
 			for iter := 0; iter < iters; iter++ {
 				tr := workload.Random(fd.f, r, workload.TraceOpts{
 					// Few clients, moderately long streams: the
-					// sequential-heavy regime where claimed prefixes grow
-					// long enough to compact (compactMin), capped where the
-					// UNCOMPACTED reference — whose frontier keeps every
-					// commit-order permutation alive — still fits the
-					// budget. (That asymmetry is the point of decision 17;
-					// E18 measures it.)
+					// sequential-heavy regime where most of a chain is
+					// claimed, which is what the compacted session never
+					// stores and the uncompacted reference retains (E18
+					// measures the difference), capped where a drain's
+					// one-shot check still fits the budget.
 					Clients:     2 + r.Intn(3),
 					Ops:         14 + r.Intn(11),
 					Inputs:      fd.inputs,
@@ -159,9 +158,8 @@ func TestCompactedFrontierCaptureShapes(t *testing.T) {
 				if errors.As(err, &d) {
 					t.Fatalf("iter %d: %v", iter, err)
 				}
-				// The uncompacted reference (or a drain's one-shot) ran out
-				// of budget: the permutation blowup compaction exists to
-				// remove. Skip the iteration but insist the tail stays a
+				// A drain's one-shot check (or a session) ran out of budget.
+				// Skip the iteration but insist the tail stays a
 				// tail — an engine regression that exhausts everywhere must
 				// not silently void the property.
 				exhausted++

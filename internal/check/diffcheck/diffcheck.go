@@ -57,11 +57,11 @@ type variant struct {
 
 // linMatrix is the engine × reduction × compaction matrix every Lin
 // trace runs through: the sequential depth-first search and the breadth
-// (frontier) engine (WithWorkers(2)), each with the reducer on and off,
-// and the frontier variants additionally with compaction disabled (the
-// frontier engines compact by default, DESIGN.md decision 17 — the
-// uncompacted runs are the executable specification of the compacted
-// ones).
+// (frontier) engine (WithWorkers(2)), each with the reducer on and off
+// (a no-op for the frontier engine since DESIGN.md decision 20, which
+// must therefore report nothing pruned either way), and the frontier
+// variants additionally with compaction disabled, which retains the
+// commit chain beside the same configurations.
 func linMatrix(extra ...check.Option) []variant {
 	mk := func(name string, opts ...check.Option) variant {
 		return variant{name: name, opts: append(append([]check.Option{}, extra...), opts...)}
@@ -161,9 +161,9 @@ func LinPrefixes(ctx context.Context, f adt.Folder, t trace.Trace, extra ...chec
 // their running verdicts must agree after every action. At each drain
 // index in drains (plus the end of the trace) both assemble full
 // Results: the verdicts must match each other and the one-shot check of
-// that prefix, and the compacted witness — which reconstructs the
-// dropped chain prefix from the retained digest-linked segments — must
-// satisfy lin.VerifyWitness. Draining mid-stream and continuing to feed
+// that prefix, and the compacted witness — read off the one chain of
+// values the configurations share — must satisfy lin.VerifyWitness.
+// Draining mid-stream and continuing to feed
 // is deliberate: witness assembly must not corrupt the live frontier.
 // extra options (budgets, deadlines) apply to every variant.
 func Compaction(ctx context.Context, f adt.Folder, t trace.Trace, drains []int, extra ...check.Option) error {

@@ -26,17 +26,17 @@ type overlapShape struct{ k, n int }
 var overlapShapes = []overlapShape{{1, 4}, {1, 16}, {2, 4}, {1, 32}, {2, 8}, {3, 4}}
 
 // overlapNodes is the exact number of search nodes a round of each shape
-// costs the frontier engine in a stream cycling through overlapShapes:
-// in the first cycle, and in every later one (a round inherits the
-// frontier its predecessor left, so the first cycle, which starts from
-// the single empty configuration, is cheaper). The driver never adds or
+// costs the frontier engine, in any cycle of a stream cycling through
+// overlapShapes: every holder has responded when a round ends, so the
+// next one starts from a single configuration. The driver never adds or
 // removes an element a holder has open, so every holder stays
 // linearizable at every point of its window: the frontier is as wide as
-// the shape admits, and the counts depend neither on the seed's luck nor
-// on how much history came before.
-var overlapNodes = map[overlapShape][2]int{
-	{1, 4}: {56, 509}, {1, 16}: {1192, 2651}, {2, 4}: {712, 1053},
-	{1, 32}: {10026, 10026}, {2, 8}: {4017, 4017}, {3, 4}: {4844, 4844},
+// the shape admits — 2^k configurations, each holder linearized already
+// or not (lin's TestSessionWidthBoundedByOverlap reads the width itself)
+// — and the counts depend neither on the seed's luck nor on how much
+// history came before.
+var overlapNodes = map[overlapShape]int{
+	{1, 4}: 21, {1, 16}: 81, {2, 4}: 51, {1, 32}: 161, {2, 8}: 99, {3, 4}: 120,
 }
 
 const overlapElems = 4
@@ -92,35 +92,48 @@ func (g *overlapGen) round(sh overlapShape) (tr trace.Trace, firstHolderRes int)
 	return append(tr, holders...), len(tr)
 }
 
-func newOverlapSession() *lin.Session {
-	return lin.NewSession(context.Background(), adt.Set{}, check.WithFeedBudget(true), check.WithWitness(false))
+func newOverlapSession(opts ...check.Option) *lin.Session {
+	return lin.NewSession(context.Background(), adt.Set{},
+		append([]check.Option{check.WithFeedBudget(true), check.WithWitness(false)}, opts...)...)
 }
 
 // TestOverlapNodeCounts asserts the exact per-round node counts of every
-// shape over 30 cycles and three seeds. The totals are the ones
-// bench/golden.json pins for the stream-overlap workload (the same
-// shapes from an independently written generator).
+// shape over 30 cycles and three seeds (the totals are what the
+// stream-overlap workload of bench/ reports for the same shapes from an
+// independently written generator), with compaction on and off — it is
+// storage only — and the bound the counts are an instance of: at a fixed
+// number k of open operations a round's cost per operation does not
+// grow with the round's length n.
 func TestOverlapNodeCounts(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		g := &overlapGen{r: rand.New(rand.NewSource(seed))}
-		s := newOverlapSession()
-		for cycle := 0; cycle < 30; cycle++ {
-			for _, sh := range overlapShapes {
-				tr, _ := g.round(sh)
-				before := s.Nodes()
-				if err := s.FeedAll(tr); err != nil {
-					t.Fatalf("seed %d cycle %d shape %v: %v", seed, cycle, sh, err)
-				}
-				if got, want := s.Nodes()-before, overlapNodes[sh][min(cycle, 1)]; got != want {
-					t.Fatalf("seed %d cycle %d shape %v: %d nodes, want %d", seed, cycle, sh, got, want)
+	for _, compact := range []bool{true, false} {
+		for seed := int64(1); seed <= 3; seed++ {
+			g := &overlapGen{r: rand.New(rand.NewSource(seed))}
+			s := newOverlapSession(check.WithCompaction(compact))
+			for cycle := 0; cycle < 30; cycle++ {
+				for _, sh := range overlapShapes {
+					tr, _ := g.round(sh)
+					before := s.Nodes()
+					if err := s.FeedAll(tr); err != nil {
+						t.Fatalf("compact %v seed %d cycle %d shape %v: %v", compact, seed, cycle, sh, err)
+					}
+					if got, want := s.Nodes()-before, overlapNodes[sh]; got != want {
+						t.Fatalf("compact %v seed %d cycle %d shape %v: %d nodes, want %d", compact, seed, cycle, sh, got, want)
+					}
 				}
 			}
+			if v := s.Verdict(); v != check.Linearizable {
+				t.Fatalf("compact %v seed %d: verdict %v", compact, seed, v)
+			}
+			if s.Nodes() != 15990 {
+				t.Fatalf("compact %v seed %d: %d nodes over 30 cycles; want 15990", compact, seed, s.Nodes())
+			}
 		}
-		if v := s.Verdict(); v != check.Linearizable {
-			t.Fatalf("seed %d: verdict %v", seed, v)
-		}
-		if s.Nodes() != 690747 || s.Pruned() != 90104 {
-			t.Fatalf("seed %d: %d nodes, %d pruned over 30 cycles; want 690747, 90104", seed, s.Nodes(), s.Pruned())
+	}
+	perOp := func(sh overlapShape) float64 { return float64(overlapNodes[sh]) / float64(sh.k+sh.n) }
+	for _, pair := range [][2]overlapShape{{{1, 4}, {1, 16}}, {{1, 4}, {1, 32}}, {{2, 4}, {2, 8}}} {
+		if short, long := perOp(pair[0]), perOp(pair[1]); long > 1.5*short {
+			t.Errorf("shape %v costs %.1f nodes per operation, %v only %.1f: cost grows with how long an operation stays open",
+				pair[1], long, pair[0], short)
 		}
 	}
 }

@@ -19,7 +19,7 @@ var ErrFrontierLimit = errors.New("check: frontier exceeded memo limit")
 // otherwise. spend charges search nodes (called once per source
 // configuration); expandOne emits every successor of one configuration.
 // merge, when non-nil, combines a duplicate emission into the kept
-// configuration of the same digest (the DAG-level sleep-set
+// configuration of the same digest (slin's DAG-level sleep-set
 // intersection of decision 17) and may recycle the duplicate; it runs
 // on the sequential path only — the parallel path's sharded claim set
 // keeps first-insert-wins semantics, and its callers emit

@@ -75,7 +75,9 @@ type Settings struct {
 	// unreduced reference searches. The reduction is verdict- and
 	// witness-preserving; it changes only Nodes (fewer) and Pruned
 	// (skipped branches). The classical checker has no extension branch
-	// structure and ignores it.
+	// structure and ignores it, and so does the lin frontier engine
+	// (lin.Session, lin.Check with Workers > 1), whose configuration
+	// identity already merges commuting orders (decision 20).
 	POR bool
 	// Exact forces the exact search engines on entry points that would
 	// otherwise dispatch to an ADT-specialized fast-path checker
@@ -84,15 +86,17 @@ type Settings struct {
 	// always exact and ignore it. Off by default.
 	Exact bool
 	// Compact enables frontier compaction in the breadth (frontier)
-	// engines (DESIGN.md, decision 17): configurations drop
-	// fully-claimed chain prefixes from storage, keeping a rolling
-	// digest and element summary so memo identity and availability stay
-	// exact, which bounds a streaming Session's memory by the
-	// overlap/alphabet of the trace instead of its length. NewSettings
-	// defaults it to true; WithCompaction(false) retains the uncompacted
-	// reference representation, which the differential tests cross-check
-	// against the compacted one. Verdict-preserving by construction; the
-	// one-shot depth engines have no frontier and ignore it.
+	// engines (DESIGN.md, decisions 17 and 20): configurations keep no
+	// chain entry a future transition cannot touch — slin.Session folds
+	// fully-claimed chain prefixes into a rolling summary, lin.Session
+	// stores unclaimed entries only — which bounds a streaming
+	// Session's memory by the overlap/alphabet of the trace instead of
+	// its length. NewSettings defaults it to true; WithCompaction(false)
+	// retains the whole chain (for lin.Session beside the same
+	// configurations: storage only, node-identical), the reference the
+	// differential tests cross-check the compacted sessions against.
+	// Verdict-preserving by construction; the one-shot depth engines
+	// have no frontier and ignore it.
 	Compact bool
 	// FeedBudget switches a Session's node budget from per-session
 	// lifetime to per-Feed: the spend counter is rebased at each Feed, so
@@ -162,9 +166,9 @@ func WithPOR(on bool) Option { return func(s *Settings) { s.POR = on } }
 func WithExact(on bool) Option { return func(s *Settings) { s.Exact = on } }
 
 // WithCompaction toggles frontier compaction in the breadth engines (see
-// Settings.Compact; default on). WithCompaction(false) runs the
-// uncompacted reference representation — the differential tests
-// cross-check the two on every trace shape.
+// Settings.Compact; default on). WithCompaction(false) retains the
+// whole commit chain — the differential tests cross-check the two on
+// every trace shape.
 func WithCompaction(on bool) Option { return func(s *Settings) { s.Compact = on } }
 
 // WithFeedBudget switches a Session's budget to per-Feed instead of

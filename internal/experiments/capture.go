@@ -91,6 +91,15 @@ func E17HuntRows(ctx context.Context, goroutines, ops, keys, rounds int, classic
 		if err != nil {
 			return nil, err
 		}
+		// A clean hunt that ends Unknown has no row worth printing: say
+		// why the checker gave up (budget with width and overlap, or the
+		// caller's deadline).
+		if rep.Live.Verdict == speclin.Unknown {
+			return nil, fmt.Errorf("E17 hunt-%s-clean: verdict unknown: %s", structure, rep.Live.Reason)
+		}
+		if rep.Classical != nil && rep.Classical.Verdict == speclin.Unknown {
+			return nil, fmt.Errorf("E17 hunt-%s-clean: classical pass unknown: %s", structure, rep.Classical.Reason)
+		}
 		row := CaptureHuntRow{
 			Name:         "hunt-" + structure + "-clean",
 			Structure:    structure,

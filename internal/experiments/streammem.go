@@ -15,23 +15,23 @@ import (
 
 // This file implements the E18 streaming-memory experiment: a single
 // long-lived exact Session fed a deterministic capture-shaped register
-// stream (ISSUE 9). The compacted frontier (DESIGN.md, decision 17)
-// plus the per-feed budget (check.WithFeedBudget) are what make the run
-// possible at all — the live heap must stay flat while the history
-// grows by orders of magnitude, and the comparison arm shows the
-// uncompacted reference session's heap growing linearly (and its wall
-// time quadratically) on the identical stream prefix.
+// stream (ISSUE 9). Configurations that store nothing of the history
+// (DESIGN.md, decisions 17 and 20) plus the per-feed budget
+// (check.WithFeedBudget) are what make the run possible at all — the
+// live heap must stay flat while the history grows by orders of
+// magnitude, and the comparison arm shows the heap of the uncompacted
+// reference session, which retains the commit chain, growing linearly
+// on the identical stream prefix.
 
 // E18 canonical scales.
 const (
 	// E18FullOps is the streamed operation count of the E18 table;
 	// TestE18Shape streams a hundredth of it.
 	E18FullOps = 10_000_000
-	// E18CompareOps caps the compacted-vs-uncompacted arm: the
-	// uncompacted reference copies O(history) chain state per response,
-	// so its wall time is quadratic and larger streams are infeasible —
-	// which is the result.
-	E18CompareOps = 20_000
+	// E18CompareOps is the length of the compacted-vs-uncompacted arm:
+	// long enough that the uncompacted reference's retained chain (one
+	// small node per operation) dwarfs the rest of the process's heap.
+	E18CompareOps = 200_000
 	// E18Checkpoints is the number of evenly spaced heap samples taken
 	// over the stream.
 	E18Checkpoints = 8
@@ -180,8 +180,8 @@ func E18StreamMem(ctx context.Context, n, checkpoints int) ([]E18MemRow, error) 
 // E18CompareRow contrasts the compacted session against the uncompacted
 // reference on the identical stream prefix. PeakRSSBytes is the post-GC
 // live heap with the session still reachable — for the uncompacted arm
-// this is dominated by the O(history) chain state every frontier
-// configuration retains.
+// this is dominated by the O(history) commit chain the frontier's
+// configurations point into.
 type E18CompareRow struct {
 	Name         string  `json:"name"`
 	Ops          int     `json:"ops"`
@@ -190,10 +190,9 @@ type E18CompareRow struct {
 	WallMs       float64 `json:"wall_ms"`
 }
 
-// E18CompactVsUncompacted runs both engines over the first n operations
-// of the E18 stream. n is capped (E18CompareOps) because the
-// uncompacted arm's per-response chain copying makes its wall time
-// quadratic in n; the compacted arm at full E18 scale is E18StreamMem.
+// E18CompactVsUncompacted runs both storage modes over the first n
+// operations of the E18 stream; they spend identical nodes. The
+// compacted arm at full E18 scale is E18StreamMem.
 func E18CompactVsUncompacted(ctx context.Context, n int) ([]E18CompareRow, error) {
 	rows := make([]E18CompareRow, 0, 2)
 	for _, arm := range []struct {

@@ -78,7 +78,8 @@ type Result struct {
 	Nodes int
 	// Pruned is the number of extension branches the sleep-set
 	// partial-order reduction skipped (check.WithPOR, on by default;
-	// DESIGN.md decision 12). Always 0 with the reduction off, so
+	// DESIGN.md decision 12). Always 0 with the reduction off — and from
+	// the frontier engine (Sessions, Workers > 1), which has none — so
 	// Nodes+Pruned accounting makes the reduction benchmarkable: every
 	// pruned branch is a subtree the unreduced search would have entered.
 	Pruned int

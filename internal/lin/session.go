@@ -3,6 +3,8 @@ package lin
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/adt"
@@ -16,20 +18,18 @@ import (
 // from scratch.
 //
 // The engine maintains the breadth counterpart of Check's depth-first
-// search: the frontier of all reachable search configurations — commit
-// chains with their claimed-prefix marks, interned and deduplicated by
-// their incremental 128-bit digests — after the actions fed so far.
-// Because the per-action transition relation of the search never looks
-// ahead in the trace, the frontier after k actions is independent of the
-// future, so Feed advances it in place:
+// search: the frontier of all reachable search configurations after the
+// actions fed so far. Because the per-action transition relation of the
+// search never looks ahead in the trace, the frontier after k actions is
+// independent of the future, so Feed advances it in place:
 //
 //   - an invocation only adds its input to the pending-inputs multiset
 //     (every configuration's availability is derived from it);
 //   - a response replaces the frontier by its successor set: each
-//     configuration either has the response claim an unused chain prefix
-//     or extends the chain through available inputs, exactly Check's
-//     branch set, deduplicated across configurations — after which its
-//     input leaves the pending multiset.
+//     configuration either has the response claim an unclaimed chain
+//     entry or extends the chain through available inputs, exactly
+//     Check's branch set, deduplicated across configurations — after
+//     which its input leaves the pending multiset.
 //
 // The fed trace is linearizable iff the frontier is non-empty, and a
 // NotLinearizable verdict is final: no continuation can revive an empty
@@ -37,34 +37,36 @@ import (
 // every prefix (the session property tests assert this on randomized
 // traces).
 //
-// Streaming memory bound (DESIGN.md, decision 17). With compaction on
-// (check.WithCompaction, the default) a configuration's fully-claimed
-// chain prefix — inert under every future transition, since claims only
-// set marks and extension only appends — is dropped from storage and
-// replaced by a trace.ChainPrefix summary carrying its length and (with
-// witnesses) its values. Configuration identity is keyed on
-// future-relevant content only (decision 19): the chain's end state, the
-// multiset of pending operations the chain has already linearized
-// (availability is the pending inputs minus it), and the retained
-// suffix entries — symbol, claim mark and output, at suffix-relative
-// positions. A dropped prefix's order therefore leaves the identity:
-// configurations that committed the same operations in different orders
-// merge at deduplication once their prefixes compact. That merge is
-// what bounds the frontier on capture-shaped histories (long runs of
-// overlapping operations), where order-distinct identities would keep
-// every commit-order permutation alive; it is sound because a
-// configuration's future transitions — claims check suffix entries,
-// extensions fold from the end state over the availability — are fully
-// determined by the keyed content, and the verdict is existential.
-// A configuration's size, and the cost of expanding it, are then a
-// function of the operations open at once, not of the trace's length or
-// symbol alphabet (only the session's one interner grows with the
-// latter); configuration structs, open-operation sets and mark slices
-// are pooled across feeds to keep steady-state allocation flat. With
-// check.WithWitness the dropped input values are retained
-// (shared, once per summary) so witness assembly still reconstructs
-// full commit histories; bounded-memory streaming runs switch witnesses
-// off.
+// Configuration identity (DESIGN.md, decision 20). A configuration is
+// its commit chain's end state plus the chain's unclaimed entries: the
+// open operations it has already linearized, each with the output it
+// was linearized to — a multiset of (symbol, output) pairs holding at
+// most one entry per open client. Nothing else can influence a future
+// transition: a claim tests only an unclaimed entry's symbol and output;
+// an extension folds from the end state over the pending inputs minus
+// the unclaimed symbols; and real-time order holds by construction,
+// since an input becomes available only at its invocation. Claimed
+// entries are inert wherever they sit in the chain, so they are never
+// stored, and chain order is not part of the identity: configurations
+// that committed the same operations in different orders are one
+// configuration, within one response's extension search as much as
+// across responses. The frontier is therefore at most
+// |states| · (|outputs|+1)^k wide for k open operations — each is not
+// linearized yet, or linearized to one of the outputs it can have
+// returned since its invocation — whatever the history's length, and a
+// configuration's size and expansion cost are a function of k alone;
+// configuration structs are pooled across feeds to keep steady-state
+// allocation flat (only the session's one interner grows with the
+// symbol alphabet).
+//
+// The chain itself survives only where a consumer needs it: with
+// check.WithWitness every configuration points into one shared
+// parent-linked chain of values and records the absolute claimed
+// lengths, so any surviving representative reconstructs a full
+// linearization; check.WithCompaction(false) retains the same chain
+// without using it (the uncompacted storage reference of E18 and
+// diffcheck.Compaction). Bounded-memory streaming runs switch witnesses
+// off and leave compaction on.
 //
 // One budget (check.WithBudget) spans the whole session, spent with the
 // same per-step granularity as Check — or, with check.WithFeedBudget,
@@ -75,7 +77,9 @@ import (
 // frontier on n workers over a sharded deduplication set. Errors
 // (budget, memo limit, context cancellation, non-sig actions) are
 // terminal: the session sticks to the error and reports verdict
-// Unknown.
+// Unknown; budget and memo errors wrap their sentinel with the feed
+// index, frontier width, open-operation count and nodes spent in the
+// feed that gave up.
 //
 // A Session is not safe for concurrent use by multiple goroutines (its
 // workers parallelize internally).
@@ -84,18 +88,13 @@ type Session struct {
 	f      adt.Folder
 	set    check.Settings
 	budget int
-	// pooled gates the configuration/mark-slice pools and the
-	// per-expansion scratch: they are single-threaded caches, so
-	// parallel expansion (Workers > 1) allocates instead.
+	// pooled gates the configuration pool and the per-expansion scratch:
+	// they are single-threaded caches, so parallel expansion
+	// (Workers > 1) allocates instead.
 	pooled bool
-	// dagSleep gates the DAG-level sleep-set carry (decision 17): the
-	// sleep set a configuration was emitted with seeds the next
-	// response's extension search, so the decision-12 reduction also
-	// prunes orders split across responses. Duplicate emissions merge
-	// by sleep-set intersection, which the parallel path's sharded
-	// first-wins deduplication cannot do — so the carry is sequential
-	// (and POR) only.
-	dagSleep bool
+	// keepChain retains the commit chain behind the configurations
+	// (witnesses, or compaction switched off).
+	keepChain bool
 
 	in *trace.Interner
 	// invoked is the multiset of currently pending inputs: incremented at
@@ -111,21 +110,16 @@ type Session struct {
 	// with the default lifetime budget). Written only between
 	// expansions, so concurrent spend calls read it race-free.
 	feedBase int64
-	// pruned counts extension branches the sleep-set reduction skipped
-	// (check.WithPOR; atomic because expansion workers prune
-	// concurrently).
-	pruned atomic.Int64
-	fed    int
+	fed      int
 
 	err   error  // terminal error, sticky
 	notWF string // non-empty once the fed trace went ill-formed, sticky
 
 	// Recycled search state (pooled sessions only): configuration
-	// structs (with their open-operation set storage) and used-mark
-	// slices retired when a frontier is replaced, per-response visited
-	// sets, and the availability scratch slice.
+	// structs (with their entry storage) retired when a frontier is
+	// replaced, per-response visited sets, and the availability scratch
+	// slice.
 	cfgPool  []*cfg
-	usedPool [][]bool
 	visPool  trace.SetPool[trace.Digest]
 	availBuf []trace.SymCount
 
@@ -152,45 +146,41 @@ type pendingInv struct {
 	idx int
 }
 
-// cfg is one frontier configuration: a commit-history chain with its
-// claimed-prefix marks. Configurations are immutable once installed in
-// a frontier — successors copy what they change and share the rest —
-// and are identified by their behavioral digest: end state, the pending
-// operations already linearized, and the retained suffix's (relative
-// position, symbol, claim mark, output) entries. Everything a future
-// transition can observe is in the digest and nothing else is, so
-// deduplication merges exactly the configurations with identical futures
-// — in particular, compacted configurations whose dropped prefixes
-// committed the same operations in different orders.
+// cfg is one frontier configuration: the end state of a commit chain
+// and the chain's unclaimed entries — syms[i] was linearized to output
+// outs[i] and no response has claimed it yet — in ascending symbol
+// order (untagged duplicates sit side by side). Configurations are
+// immutable once installed in a frontier, own their entry storage, and
+// are identified by dig: the end state's hash plus the commutative sum
+// of trace.HashOutput over the entries, with no position in it.
+// Everything a future transition can observe is in the digest and
+// nothing else is, so deduplication merges exactly the configurations
+// with identical futures.
 //
-// pre, when non-nil, summarizes a compacted fully-claimed chain prefix
-// (trace.ChainPrefix): suffix index k is absolute chain position
-// pre.N + k (witness assembly needs the absolute claimed lengths).
-//
-// elems is the multiset of pending operations this configuration has
-// already linearized — the symbols at its unclaimed chain positions, at
-// most one entry per open client. The session's pending inputs minus it
-// are the inputs an extension may still append. It equals the full-chain
-// element multiset minus the inputs responded to so far, and the latter
-// is the same for every configuration of a frontier, so keying identity
-// on it partitions configurations exactly as the full-chain multiset
-// would (decision 19). Each configuration owns its elems storage.
+// The remaining fields are not part of the identity. n is the chain's
+// length; with keepChain, chain is its last node and pos[i] the length
+// of the prefix ending at entry i — what a claim of that entry records
+// in the witness trail.
 type cfg struct {
-	pre   *trace.ChainPrefix
-	syms  []trace.Sym
-	outs  []trace.Value
-	used  []bool
-	end   adt.State
-	elems trace.SparseMultiset
-	dig   trace.Digest
-	// sleep is the carried sleep set of the DAG-level reduction: the
-	// sleep set in force when this configuration was emitted, seeding
-	// the next response's extension search (zero unless dagSleep).
-	sleep check.SleepSet
+	end  adt.State
+	syms []trace.Sym
+	outs []trace.Value
+	dig  trace.Digest
+
+	n     int
+	pos   []int
+	chain *chainNode
 	// asn is the assignment trail (response index -> claimed prefix
 	// length) that produced this configuration, for witness assembly;
 	// nil when witnesses are off.
 	asn *asnNode
+}
+
+// chainNode is one commit of a retained chain, linked towards the
+// chain's start and shared by every configuration extending it.
+type chainNode struct {
+	prev *chainNode
+	val  trace.Value
 }
 
 type asnNode struct {
@@ -199,18 +189,8 @@ type asnNode struct {
 	k    int
 }
 
-// compactMin is the fully-claimed prefix length a configuration must
-// accumulate before compaction absorbs it. It is deliberately small:
-// permutation-equivalent configurations only merge once the entries
-// they ordered differently leave the retained suffix, so an eagerly
-// compacted window is what keeps the frontier overlap-bounded on
-// capture-shaped histories. The remaining chunking just amortizes
-// summary construction; the suffix copy itself is within a constant of
-// the claim path's mark copy.
-const compactMin = 4
-
-// maxPool bounds the retired-configuration pools, as a backstop against
-// a transiently huge frontier parking unbounded free lists.
+// maxPool bounds the retired-configuration pool, as a backstop against
+// a transiently huge frontier parking an unbounded free list.
 const maxPool = 4096
 
 // NewSession starts an incremental check of an initially empty trace
@@ -243,15 +223,15 @@ func newSessionSettings(ctx context.Context, f adt.Folder, set check.Settings) *
 		ctx = context.Background()
 	}
 	return &Session{
-		ctx:      ctx,
-		f:        f,
-		set:      set,
-		budget:   set.BudgetOr(DefaultBudget),
-		pooled:   set.Workers <= 1,
-		dagSleep: set.POR && set.Workers <= 1,
-		in:       trace.NewInterner(),
-		pending:  map[trace.ClientID]pendingInv{},
-		frontier: []*cfg{{end: f.Empty(), dig: trace.HashString(string(f.Empty()))}},
+		ctx:       ctx,
+		f:         f,
+		set:       set,
+		budget:    set.BudgetOr(DefaultBudget),
+		pooled:    set.Workers <= 1,
+		keepChain: set.Witness || !set.Compact,
+		in:        trace.NewInterner(),
+		pending:   map[trace.ClientID]pendingInv{},
+		frontier:  []*cfg{{end: f.Empty(), dig: trace.HashString(string(f.Empty()))}},
 	}
 }
 
@@ -282,10 +262,6 @@ func (s *Session) Len() int { return s.fed }
 // processed (fast-path nodes are not charged against the budget).
 func (s *Session) Nodes() int { return int(s.nodes.Load()) + s.fastNodes }
 
-// Pruned returns the cumulative number of extension branches the
-// partial-order reduction skipped (0 with check.WithPOR(false)).
-func (s *Session) Pruned() int { return int(s.pruned.Load()) }
-
 // Feed appends action a to the trace under check and advances the
 // frontier. The returned error is terminal (budget or memo exhaustion,
 // context cancellation, an action outside sig_T fed as a switch is
@@ -299,8 +275,9 @@ func (s *Session) Feed(a trace.Action) error {
 		s.err = err
 		return err
 	}
+	start := s.nodes.Load()
 	if s.set.FeedBudget {
-		s.feedBase = s.nodes.Load()
+		s.feedBase = start
 	}
 	if s.fast != nil {
 		return s.feedFast(a)
@@ -318,27 +295,38 @@ func (s *Session) Feed(a trace.Action) error {
 		}
 		s.pending[a.Client] = pendingInv{input: a.Input}
 		s.invoked.Add(s.in.Sym(a.Input), 1)
-		if err := s.spend(len(s.frontier)); err != nil {
-			s.err = err
-			return err
-		}
+		return s.stick(s.spend(len(s.frontier)), idx, len(s.pending), start)
 	case trace.Res:
 		st, open := s.pending[a.Client]
 		if !open || st.input != a.Input {
 			s.notWF = "trace is not well-formed"
 			return nil
 		}
+		k := len(s.pending)
 		delete(s.pending, a.Client)
-		if err := s.expand(a, idx); err != nil {
-			s.err = err
-			return err
-		}
+		return s.stick(s.expand(a, idx), idx, k, start)
 	default:
 		// Switch actions do not belong to sig_T; Check classifies such
 		// traces as ill-formed.
 		s.notWF = "trace is not well-formed"
 	}
 	return nil
+}
+
+// stick makes a non-nil err of feed idx the session's terminal error.
+// Budget and memo exhaustion say where the search gave up: the width of
+// the frontier being expanded, the operations open during the feed and
+// the nodes it spent since start.
+func (s *Session) stick(err error, idx, open int, start int64) error {
+	if err == nil {
+		return nil
+	}
+	if errors.Is(err, ErrBudget) || errors.Is(err, ErrMemo) {
+		err = fmt.Errorf("%w (feed %d: %d configurations, %d open operations, %d nodes)",
+			err, idx, len(s.frontier), open, s.nodes.Load()-start)
+	}
+	s.err = err
+	return err
 }
 
 // feedFast is Feed's fast-path delegate: the same well-formedness
@@ -409,12 +397,10 @@ func (s *Session) fastFallback() error {
 	s.frontier = ex.frontier
 	s.nodes.Store(ex.nodes.Load())
 	s.feedBase = ex.feedBase
-	s.pruned.Store(ex.pruned.Load())
 	s.fed = ex.fed
 	s.err = ex.err
 	s.notWF = ex.notWF
-	s.cfgPool, s.usedPool = ex.cfgPool, ex.usedPool
-	s.visPool, s.availBuf = ex.visPool, ex.availBuf
+	s.cfgPool, s.visPool, s.availBuf = ex.cfgPool, ex.visPool, ex.availBuf
 	return err
 }
 
@@ -455,10 +441,10 @@ func (s *Session) Verdict() check.Verdict {
 // or the session's terminal error.
 func (s *Session) Result() (Result, error) {
 	if s.err != nil {
-		return Result{Nodes: s.Nodes(), Pruned: s.Pruned()}, s.err
+		return Result{Nodes: s.Nodes()}, s.err
 	}
 	if s.notWF != "" {
-		return Result{OK: false, Reason: s.notWF, Nodes: s.Nodes(), Pruned: s.Pruned()}, nil
+		return Result{OK: false, Reason: s.notWF, Nodes: s.Nodes()}, nil
 	}
 	if s.fast != nil {
 		if s.fastRej {
@@ -471,9 +457,9 @@ func (s *Session) Result() (Result, error) {
 		return r, nil
 	}
 	if len(s.frontier) == 0 {
-		return Result{OK: false, Reason: "no linearization function exists", Nodes: s.Nodes(), Pruned: s.Pruned()}, nil
+		return Result{OK: false, Reason: "no linearization function exists", Nodes: s.Nodes()}, nil
 	}
-	r := Result{OK: true, Nodes: s.Nodes(), Pruned: s.Pruned()}
+	r := Result{OK: true, Nodes: s.Nodes()}
 	if s.set.Witness {
 		r.Witness = s.witness(s.frontier[0])
 	}
@@ -481,18 +467,13 @@ func (s *Session) Result() (Result, error) {
 }
 
 // witness reconstructs the linearization function of one surviving
-// configuration: its chain (compacted prefix values plus retained
-// suffix) is the maximal commit history, and the assignment trail maps
-// each response index to its claimed prefix length (absolute, so
-// compaction never shifts it).
+// configuration: its retained chain is the maximal commit history, and
+// the assignment trail maps each response index to its claimed prefix
+// length.
 func (s *Session) witness(c *cfg) Witness {
-	preN := c.pre.Len()
-	hist := make(trace.History, preN+len(c.syms))
-	if preN > 0 {
-		copy(hist, c.pre.Vals)
-	}
-	for i, sym := range c.syms {
-		hist[preN+i] = s.in.Value(sym)
+	hist := make(trace.History, c.n)
+	for i, nd := c.n-1, c.chain; nd != nil; i, nd = i-1, nd.prev {
+		hist[i] = nd.val
 	}
 	w := Witness{}
 	for n := c.asn; n != nil; n = n.prev {
@@ -502,29 +483,32 @@ func (s *Session) witness(c *cfg) Witness {
 }
 
 // expand replaces the frontier by its successor set under response a.
-// Retired source configurations (and merged duplicates) return to the
-// session pools; with compaction on, every successor's fully-claimed
-// prefix is absorbed into a shared summary before installation.
+// Successors own their storage, so the replaced frontier's
+// configurations — and every duplicate emission — return to the pool.
 func (s *Session) expand(a trace.Action, resIdx int) error {
 	asym := s.in.Sym(a.Input)
-	var merge func(kept, dup *cfg) *cfg
-	if s.dagSleep {
-		// Two expansion paths reached the same configuration digest with
-		// possibly different carried sleep sets: only symbols slept on
-		// both stay asleep (union would prune orders one path still
-		// owes). The duplicate's struct and marks recycle.
-		merge = func(kept, dup *cfg) *cfg {
-			kept.sleep = kept.sleep.Intersect(dup.sleep)
-			s.putCfg(dup)
-			return kept
+	old := s.frontier
+	// Sequential expansion shares one visited set between the extension
+	// searches of all configurations, seeded with the configurations
+	// themselves: a partial extension equal to one of them is cut at
+	// once, since that configuration's own expansion emits its
+	// successors (and its claims besides).
+	var visited map[trace.Digest]struct{}
+	if s.pooled {
+		visited = s.visPool.Get()
+		defer s.visPool.Put(visited)
+		for _, c := range old {
+			visited[c.dig] = struct{}{}
 		}
 	}
-	old := s.frontier
 	next, err := check.ExpandFrontier(s.ctx, old, s.set, s.spend,
 		func(c *cfg) trace.Digest { return c.dig },
-		merge,
+		func(kept, dup *cfg) *cfg {
+			s.putCfg(dup)
+			return kept
+		},
 		func(c *cfg, emit func(*cfg)) error {
-			return s.expandCfg(c, a, asym, resIdx, emit)
+			return s.expandCfg(c, a, asym, resIdx, visited, emit)
 		})
 	if err != nil {
 		if errors.Is(err, check.ErrFrontierLimit) {
@@ -532,16 +516,6 @@ func (s *Session) expand(a trace.Action, resIdx int) error {
 		}
 		return err
 	}
-	if s.set.Compact {
-		s.compactFrontier(next)
-		// Compaction re-keys identities, so configurations distinct at
-		// expansion time may coincide now — merge them immediately rather
-		// than letting duplicates double the next response's work.
-		next = s.dedupFrontier(next)
-	}
-	// Successors never alias a source's struct or marks (claims copy the
-	// marks, closures build fresh arrays), so the replaced frontier's
-	// configurations recycle wholesale.
 	for _, c := range old {
 		s.putCfg(c)
 	}
@@ -553,30 +527,33 @@ func (s *Session) expand(a trace.Action, resIdx int) error {
 }
 
 // expandCfg emits every successor of configuration c under response a:
-// claims of matching unused prefix lengths, plus every chain extension
+// the claim of a matching unclaimed entry, plus every chain extension
 // through available inputs that closes with the response's own input —
-// exactly the branch set of the depth-first commit handler, enumerated
-// exhaustively instead of short-circuiting on the first success.
-func (s *Session) expandCfg(c *cfg, a trace.Action, asym trace.Sym, resIdx int, emit func(*cfg)) error {
-	// Option 1: claim an existing unused prefix length (compacted
-	// positions are all claimed, so scanning the suffix is exhaustive).
-	for k, sym := range c.syms {
-		if !c.used[k] && sym == asym && c.outs[k] == a.Output {
-			emit(s.claim(c, k, resIdx))
+// the branch set of the depth-first commit handler up to configuration
+// identity, enumerated exhaustively instead of short-circuiting on the
+// first success.
+func (s *Session) expandCfg(c *cfg, a trace.Action, asym trace.Sym, resIdx int,
+	visited map[trace.Digest]struct{}, emit func(*cfg)) error {
+
+	// Option 1: claim an unclaimed entry carrying the response's input
+	// and output. Equal entries (untagged duplicates) have equal
+	// successors, so the first one stands for all.
+	for i, sym := range c.syms {
+		if sym == asym && c.outs[i] == a.Output {
+			emit(s.claim(c, i, resIdx))
+			break
 		}
 	}
 	// Option 2: extend the chain with fresh inputs from the derived
 	// availability (pending inputs minus those c already linearized, in
-	// ascending symbol order), the last being the response's own input.
+	// ascending symbol order), the last being the response's own input —
+	// which c may have linearized already, leaving nothing to close with.
 	var avail []trace.SymCount
 	if s.pooled {
-		avail = s.invoked.AppendDiff(s.availBuf[:0], &c.elems)
+		avail = s.invoked.AppendDiff(s.availBuf[:0], c.syms)
 		s.availBuf = avail
 	} else {
-		avail = s.invoked.AppendDiff(nil, &c.elems)
-	}
-	if len(avail) == 0 {
-		return nil
+		avail = s.invoked.AppendDiff(nil, c.syms)
 	}
 	closeAt := -1
 	for i, e := range avail {
@@ -585,283 +562,132 @@ func (s *Session) expandCfg(c *cfg, a trace.Action, asym trace.Sym, resIdx int, 
 			break
 		}
 	}
-	var visited map[trace.Digest]struct{}
-	if s.pooled {
-		visited = s.visPool.Get()
-		defer s.visPool.Put(visited)
-	} else {
-		visited = make(map[trace.Digest]struct{}, 8)
+	if closeAt < 0 {
+		return nil
 	}
-	var seed check.SleepSet
-	if s.dagSleep {
-		seed = c.sleep
+	if visited == nil { // parallel expansion: a set of this search's own
+		visited = map[trace.Digest]struct{}{c.dig: {}}
 	}
-	return s.extend(c, a, asym, resIdx, avail, closeAt, visited, nil, nil, c.end, c.dig, seed, emit)
+	x := extension{c: c, a: a, resIdx: resIdx, avail: avail, closeAt: closeAt, visited: visited, emit: emit}
+	return s.extend(&x, c.end, c.dig.Sub(trace.HashString(string(c.end))))
 }
 
-// claim returns c with suffix position k (absolute position pre.N + k,
-// which the witness trail records; the digest re-keys at the relative
-// position) marked claimed by resIdx. A claim only flips a mark on an
-// existing chain entry — it commutes with every extension append — so
-// the carried sleep set passes through unfiltered. The claimed operation
-// stops being open, so it leaves the linearized-open set.
-func (s *Session) claim(c *cfg, k, resIdx int) *cfg {
-	pos := c.pre.Len() + k
-	used := s.getUsed(len(c.used))
-	copy(used, c.used)
-	used[k] = true
+// claim returns c with entry i claimed by resIdx, that is, without it.
+func (s *Session) claim(c *cfg, i, resIdx int) *cfg {
 	n := s.newCfg()
-	elems := n.elems // recycled storage
-	elems.Set(&c.elems)
-	elems.Add(c.syms[k], -1)
-	*n = cfg{
-		pre:   c.pre,
-		syms:  c.syms,
-		outs:  c.outs,
-		used:  used,
-		end:   c.end,
-		elems: elems,
-		dig: c.dig.Sub(trace.HashElem(k, c.syms[k], false)).Add(trace.HashElem(k, c.syms[k], true)).
-			Sub(c.elems.Digest()).Add(elems.Digest()),
-	}
-	if s.dagSleep {
-		n.sleep = c.sleep
+	n.end, n.n, n.chain = c.end, c.n, c.chain
+	n.syms = append(append(n.syms, c.syms[:i]...), c.syms[i+1:]...)
+	n.outs = append(append(n.outs, c.outs[:i]...), c.outs[i+1:]...)
+	n.dig = c.dig.Sub(trace.HashOutput(c.syms[i], c.outs[i]))
+	if s.keepChain {
+		n.pos = append(append(n.pos, c.pos[:i]...), c.pos[i+1:]...)
 	}
 	if s.set.Witness {
-		n.asn = &asnNode{prev: c.asn, res: resIdx, k: pos + 1}
+		n.asn = &asnNode{prev: c.asn, res: resIdx, k: c.pos[i]}
 	}
 	return n
 }
 
-// extend explores chain extensions of c drawn from avail (whose counts it
-// decrements and restores in place; closeAt indexes the entry of the
-// response's own input, -1 when none is available), emitting a successor
-// whenever the extension can close with the response's input.
-// ext/extOuts are the appended symbols and their outputs along the
-// current search path (shared backing across siblings is safe: emit
-// snapshots copy them); st tracks the extended chain's end state, and
-// dig — the configuration digest extended per append at suffix-relative
-// positions — keys the visited set, pruning search paths that rebuilt
-// an identical extension (the emitted configuration's own identity is
-// recomputed over its final content in closeExt).
-//
-// sleep carries the sleep set of the partial-order reduction exactly as
-// in the depth-first engine (DESIGN.md, decision 12): a pruned successor
-// always has an emitted permutation-equivalent successor whose future
-// behaviour maps one-to-one, so frontier emptiness — the session's
-// verdict — is preserved. Under dagSleep the seed is the configuration's
-// carried set and each emitted successor records the set in force at its
-// closing append, filtered by independence with that append — extending
-// the same argument across response boundaries (decision 17).
-func (s *Session) extend(c *cfg, a trace.Action, asym trace.Sym, resIdx int,
-	avail []trace.SymCount, closeAt int, visited map[trace.Digest]struct{},
-	ext []trace.Sym, extOuts []trace.Value, st adt.State, dig trace.Digest,
-	sleep check.SleepSet, emit func(*cfg)) error {
+// extension is the invariant part of one configuration's extension
+// search under one response, plus the appended symbols and their outputs
+// along the current search path (siblings share the backing arrays:
+// emitted successors copy them).
+type extension struct {
+	c       *cfg
+	a       trace.Action
+	resIdx  int
+	avail   []trace.SymCount // counts are decremented and restored in place
+	closeAt int              // index in avail of the response's own input
+	visited map[trace.Digest]struct{}
+	emit    func(*cfg)
+	syms    []trace.Sym
+	outs    []trace.Value
+}
 
-	if err := s.spend(1); err != nil {
-		return err
-	}
-	if _, hit := visited[dig]; hit {
-		return nil
-	}
-	visited[dig] = struct{}{}
-
+// extend explores the chain extensions of x.c beyond x.syms, emitting a
+// successor wherever the extension can close with the response's input.
+// st is the extended chain's end state and open the digest of its
+// unclaimed entries, so open plus a state's hash is the identity a
+// partial extension would have as a configuration; it keys the visited
+// set, and a second search path into the same partial configuration —
+// the same operations appended in another order, or from another
+// configuration — is cut there, its successors being the ones already
+// emitted. Every arrival at a partial extension costs one node.
+func (s *Session) extend(x *extension, st adt.State, open trace.Digest) error {
 	// Close: append the response's own input as a claimed element.
-	if closeAt >= 0 && avail[closeAt].N > 0 && s.f.Out(st, a.Input) == a.Output {
-		stIn := s.f.Step(st, a.Input)
-		var carry check.SleepSet
-		if s.dagSleep {
-			carry = sleep.FilterIndependent(s.f, s.in, st, a.Input, stIn, a.Output)
-		}
-		emit(s.closeExt(c, ext, extOuts, stIn, dig, asym, a, resIdx, carry))
+	if s.f.Out(st, x.a.Input) == x.a.Output {
+		x.emit(s.closeExt(x, s.f.Step(st, x.a.Input), open))
 	}
-	// Continue: append any available input as an intermediate element.
-	for i := range avail {
-		sym := avail[i].Sym
-		if avail[i].N <= 0 {
+	// Continue: append any available input as an intermediate element —
+	// except the last copy of the response's own input, after which no
+	// extension could close.
+	for i := range x.avail {
+		sym := x.avail[i].Sym
+		if x.avail[i].N <= 0 || (i == x.closeAt && x.avail[i].N == 1) {
 			continue
 		}
-		if s.set.POR && sleep.Has(sym) {
-			s.pruned.Add(1)
-			continue
+		if err := s.spend(1); err != nil {
+			return err
 		}
 		in := s.in.Value(sym)
 		stIn, outIn := s.f.Step(st, in), s.f.Out(st, in)
-		var childSleep check.SleepSet
-		if s.set.POR {
-			childSleep = sleep.FilterIndependent(s.f, s.in, st, in, stIn, outIn)
+		openIn := open.Add(trace.HashOutput(sym, outIn))
+		dig := openIn.Add(trace.HashString(string(stIn)))
+		if _, hit := x.visited[dig]; hit {
+			continue
 		}
-		avail[i].N--
-		pos := len(c.syms) + len(ext)
-		err := s.extend(c, a, asym, resIdx, avail, closeAt, visited,
-			append(ext, sym), append(extOuts, outIn),
-			stIn, dig.Add(trace.HashElem(pos, sym, false)), childSleep, emit)
-		avail[i].N++
+		x.visited[dig] = struct{}{}
+		x.avail[i].N--
+		x.syms, x.outs = append(x.syms, sym), append(x.outs, outIn)
+		err := s.extend(x, stIn, openIn)
+		x.syms, x.outs = x.syms[:len(x.syms)-1], x.outs[:len(x.outs)-1]
+		x.avail[i].N++
 		if err != nil {
 			return err
-		}
-		if s.set.POR {
-			sleep = sleep.Add(sym)
 		}
 	}
 	return nil
 }
 
-// closeExt materializes the successor configuration that extends c by ext
-// and closes with the response's input, claimed by resIdx; stEnd is the
-// chain's end state after the closing append and carry the sleep set the
-// successor carries into the next response. The successor's digest is
-// computed over its final content (behavDig) — the search-path digest
-// only served the visited set.
-func (s *Session) closeExt(c *cfg, ext []trace.Sym, extOuts []trace.Value,
-	stEnd adt.State, dig trace.Digest, asym trace.Sym, a trace.Action, resIdx int,
-	carry check.SleepSet) *cfg {
-
-	n := len(c.syms) + len(ext) + 1
-	syms := make([]trace.Sym, 0, n)
-	syms = append(append(append(syms, c.syms...), ext...), asym)
-	outs := make([]trace.Value, 0, n)
-	outs = append(append(append(outs, c.outs...), extOuts...), a.Output)
-	used := s.getUsed(n)
-	copy(used, c.used)
-	for i := len(c.used); i < n; i++ {
-		used[i] = false
+// closeExt materializes the successor configuration that extends x.c by
+// the current search path and closes with the response's input, claimed
+// at once by x.resIdx (so it never becomes an entry); stEnd is the
+// chain's end state after the closing append and open the digest of the
+// successor's entries.
+func (s *Session) closeExt(x *extension, stEnd adt.State, open trace.Digest) *cfg {
+	c := x.c
+	n := s.newCfg()
+	n.end, n.n, n.chain = stEnd, c.n+len(x.syms)+1, c.chain
+	n.dig = open.Add(trace.HashString(string(stEnd)))
+	n.syms, n.outs = append(n.syms, c.syms...), append(n.outs, c.outs...)
+	if s.keepChain {
+		n.pos = append(n.pos, c.pos...)
 	}
-	used[n-1] = true
-	abs := c.pre.Len() + n
-	cf := s.newCfg()
-	// The intermediate appends linearize operations that stay open; the
-	// closing one is claimed at once and never enters the open set.
-	elems := cf.elems // recycled storage
-	elems.Set(&c.elems)
-	for _, sym := range ext {
-		elems.Add(sym, 1)
+	// The intermediate appends linearize operations that stay open: each
+	// becomes an entry, inserted behind the entries of no greater symbol.
+	for j, sym := range x.syms {
+		at := len(n.syms)
+		for at > 0 && n.syms[at-1] > sym {
+			at--
+		}
+		n.syms = slices.Insert(n.syms, at, sym)
+		n.outs = slices.Insert(n.outs, at, x.outs[j])
+		if s.keepChain {
+			n.pos = slices.Insert(n.pos, at, c.n+j+1)
+			n.chain = &chainNode{prev: n.chain, val: s.in.Value(sym)}
+		}
 	}
-	*cf = cfg{
-		pre:   c.pre,
-		syms:  syms,
-		outs:  outs,
-		used:  used,
-		end:   stEnd,
-		elems: elems,
-		sleep: carry,
+	if s.keepChain {
+		n.chain = &chainNode{prev: n.chain, val: x.a.Input}
 	}
-	cf.dig = cf.behavDig()
 	if s.set.Witness {
-		cf.asn = &asnNode{prev: c.asn, res: resIdx, k: abs}
+		n.asn = &asnNode{prev: c.asn, res: x.resIdx, k: n.n}
 	}
-	return cf
-}
-
-// behavDig computes c's behavioral identity digest from scratch: the
-// chain's end state, the linearized-open multiset, and each retained
-// suffix entry's (relative position, symbol, claim mark, output)
-// components. Incremental maintainers (claim's mark flip) and the
-// compaction re-key agree with it by construction.
-func (c *cfg) behavDig() trace.Digest {
-	d := trace.HashString(string(c.end)).Add(c.elems.Digest())
-	for k, sym := range c.syms {
-		d = d.Add(trace.HashElem(k, sym, c.used[k]))
-		d = d.Add(trace.HashOutput(k, c.outs[k]))
-	}
-	return d
-}
-
-// compactFrontier absorbs each new configuration's fully-claimed chain
-// prefix (when at least compactMin long) into a shared ChainPrefix
-// summary. Compaction changes representation AND identity: suffix
-// positions shift, so the digest is recomputed over the retained
-// content — after which configurations whose dropped prefixes ordered
-// the same operations differently carry equal digests and merge at the
-// next response's deduplication. The per-pass cache shares summaries
-// between configurations compacting through an identical prefix (keyed
-// by the prefix's order-sensitive content digest — summaries carry
-// ordered values, so only truly identical prefixes may share; the
-// same collision trust as the memo maps).
-func (s *Session) compactFrontier(next []*cfg) {
-	var cache map[trace.Digest]*trace.ChainPrefix
-	for _, c := range next {
-		run := 0
-		for run < len(c.syms) && c.used[run] {
-			run++
-		}
-		if run < compactMin {
-			continue
-		}
-		if cache == nil {
-			cache = map[trace.Digest]*trace.ChainPrefix{}
-		}
-		s.compactCfg(c, run, cache)
-	}
-}
-
-// compactCfg drops c's first run (all claimed) suffix entries into a
-// summary cumulative with any prior one. The retained suffix is copied
-// into right-sized arrays so the dropped storage is actually released —
-// re-slicing would pin the old backing arrays and void the memory bound.
-func (s *Session) compactCfg(c *cfg, run int, cache map[trace.Digest]*trace.ChainPrefix) {
-	preN := c.pre.Len()
-	var pd trace.Digest
-	if c.pre != nil {
-		pd = c.pre.Dig
-	}
-	for i := 0; i < run; i++ {
-		pd = pd.Add(trace.HashElem(preN+i, c.syms[i], true))
-		pd = pd.Add(trace.HashOutput(preN+i, c.outs[i]))
-	}
-	pre, ok := cache[pd]
-	if !ok {
-		var vals []trace.Value
-		if s.set.Witness {
-			vals = make([]trace.Value, 0, preN+run)
-			if c.pre != nil {
-				vals = append(vals, c.pre.Vals...)
-			}
-			for i := 0; i < run; i++ {
-				vals = append(vals, s.in.Value(c.syms[i]))
-			}
-		}
-		pre = &trace.ChainPrefix{N: preN + run, Dig: pd, Vals: vals}
-		cache[pd] = pre
-	}
-	// Only claimed entries are dropped, so elems (the unclaimed ones) is
-	// untouched; the stored suffix, and with it the identity digest, changes.
-	c.pre = pre
-	c.syms = append([]trace.Sym(nil), c.syms[run:]...)
-	c.outs = append([]trace.Value(nil), c.outs[run:]...)
-	nu := s.getUsed(len(c.used) - run)
-	copy(nu, c.used[run:])
-	if s.pooled && len(s.usedPool) < maxPool {
-		s.usedPool = append(s.usedPool, c.used)
-	}
-	c.used = nu
-	c.dig = c.behavDig()
-}
-
-// dedupFrontier merges frontier entries whose digests coincided after
-// compaction re-keyed them, in place and order-preserving. Carried
-// sleep sets intersect exactly as ExpandFrontier's merge does; the
-// duplicates recycle.
-func (s *Session) dedupFrontier(next []*cfg) []*cfg {
-	seen := make(map[trace.Digest]int, len(next))
-	out := next[:0]
-	for _, c := range next {
-		if i, dup := seen[c.dig]; dup {
-			if s.dagSleep {
-				out[i].sleep = out[i].sleep.Intersect(c.sleep)
-			}
-			s.putCfg(c)
-			continue
-		}
-		seen[c.dig] = len(out)
-		out = append(out, c)
-	}
-	return out
+	return n
 }
 
 // newCfg returns a configuration struct, recycled when pooled: zeroed
-// except for elems, whose contents are unspecified and whose storage the
-// caller reuses.
+// except for its empty entry slices, whose storage the caller reuses.
 func (s *Session) newCfg() *cfg {
 	if n := len(s.cfgPool); n > 0 {
 		c := s.cfgPool[n-1]
@@ -871,39 +697,12 @@ func (s *Session) newCfg() *cfg {
 	return new(cfg)
 }
 
-// getUsed returns a mark slice of length n with unspecified contents
-// (callers fully initialize it), recycled from the pool when one with
-// sufficient capacity is near the top.
-func (s *Session) getUsed(n int) []bool {
-	if s.pooled {
-		stop := len(s.usedPool) - 4
-		for i := len(s.usedPool) - 1; i >= 0 && i >= stop; i-- {
-			if cap(s.usedPool[i]) >= n {
-				u := s.usedPool[i][:n]
-				last := len(s.usedPool) - 1
-				s.usedPool[i] = s.usedPool[last]
-				s.usedPool = s.usedPool[:last]
-				return u
-			}
-		}
-	}
-	return make([]bool, n)
-}
-
-// putCfg retires a configuration: its struct (keeping the storage of its
-// open-operation set, which no successor shares) and mark slice return
-// to the session pools — never its chain arrays, which successors may
-// share. No-op for parallel sessions — the pools are single-threaded
-// caches.
+// putCfg retires a configuration: the struct and its entry storage,
+// which no successor shares, return to the session pool. No-op for
+// parallel sessions — the pool is a single-threaded cache.
 func (s *Session) putCfg(c *cfg) {
-	if !s.pooled {
-		return
-	}
-	if c.used != nil && len(s.usedPool) < maxPool {
-		s.usedPool = append(s.usedPool, c.used)
-	}
-	if len(s.cfgPool) < maxPool {
-		*c = cfg{elems: c.elems}
+	if s.pooled && len(s.cfgPool) < maxPool {
+		*c = cfg{syms: c.syms[:0], outs: c.outs[:0], pos: c.pos[:0]}
 		s.cfgPool = append(s.cfgPool, c)
 	}
 }
@@ -913,7 +712,7 @@ func (s *Session) putCfg(c *cfg) {
 func checkStreaming(ctx context.Context, f adt.Folder, t trace.Trace, set check.Settings) (Result, error) {
 	s := newSessionSettings(ctx, f, set)
 	if err := s.FeedAll(t); err != nil {
-		return Result{Nodes: s.Nodes(), Pruned: s.Pruned()}, err
+		return Result{Nodes: s.Nodes()}, err
 	}
 	return s.Result()
 }

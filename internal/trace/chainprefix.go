@@ -1,8 +1,9 @@
 package trace
 
 // ChainPrefix is an immutable summary of a commit chain's compacted
-// prefix — the streaming frontier engines' bounded-memory representation
-// (DESIGN.md, decision 17). A frontier configuration whose leading chain
+// prefix — the slin streaming frontier engine's bounded-memory
+// representation (DESIGN.md, decision 17; lin.Session stores no claimed
+// entry at all, decision 20). A frontier configuration whose leading chain
 // entries can never be touched again (every one is claimed, and the lin
 // transition relation only flips unused marks or appends) drops their
 // per-entry storage and keeps this summary instead:
@@ -18,8 +19,8 @@ package trace
 //     changes the representation of a configuration, never its identity.
 //
 // Vals retains the dropped inputs themselves only when a consumer needs
-// to reconstruct full chain histories (witness assembly; the slin
-// engine's abort discharge); bounded-memory streaming runs leave it nil.
+// to reconstruct full chain histories (witness assembly; abort
+// discharge); bounded-memory streaming runs leave it nil.
 //
 // Summaries are shared: configurations with a common compacted prefix
 // point at one ChainPrefix, and further compaction builds a new summary

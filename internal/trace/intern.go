@@ -99,16 +99,15 @@ func HashCount(s Sym, count int) Digest {
 	return hash2(uint64(s)<<32 | uint64(uint32(count)) | 1<<63)
 }
 
-// HashOutput hashes the (position, output) component of a chain entry.
-// The streaming frontier engine keys configuration identity on
-// future-relevant content only (DESIGN.md decision 17), which must
-// include each retained entry's output — it is no longer derivable by
-// folding once the prefix that produced it is dropped. The output is
-// hashed by content, not interned: successors are built by concurrent
-// expansion workers, which may only read the session's interner.
-// Positions must stay below 2^30, far above any retained suffix.
-func HashOutput(pos int, out Value) Digest {
-	x, d := uint64(pos)<<34, HashString(out)
+// HashOutput hashes one unclaimed chain entry of a streaming frontier
+// configuration: the symbol of an open operation the configuration has
+// linearized and the output it was linearized to (DESIGN.md, decision
+// 20). Identity sums these components with no position in them, so the
+// order entries were appended in leaves the digest. The output is hashed
+// by content, not interned: successors are built by concurrent expansion
+// workers, which may only read the session's interner.
+func HashOutput(s Sym, out Value) Digest {
+	x, d := uint64(s)<<34, HashString(out)
 	return Digest{mix64(d[0] ^ x), mix64(d[1] ^ x)}
 }
 

@@ -2,29 +2,47 @@ package trace
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // TestSparseMultisetMatchesDense is the sparse multiset's property test:
 // under random add/remove sequences over a symbol space far larger than
-// the live contents, its digest, counts and size equal the dense
-// SymMultiset's at every step, Set replicates it into reused storage,
-// and AppendDiff agrees with the dense SubtractAll.
+// the live contents, its entries equal the dense SymMultiset's counts at
+// every step, and AppendDiff against a sorted occurrence list agrees
+// with the dense SubtractAll.
 func TestSparseMultisetMatchesDense(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		nsyms := 1 + r.Intn(200)
-		var sp, sub, cp SparseMultiset
+		var sp SparseMultiset
 		var de, deSub SymMultiset
 		var held []Sym // occurrences currently in sp, for removals
+		var sub []Sym  // occurrences to subtract, a sub-multiset of held
 		var diff []SymCount
+		// agree checks that got lists exactly want's non-zero counts, in
+		// ascending symbol order.
+		agree := func(step int, what string, got []SymCount, want *SymMultiset) {
+			t.Helper()
+			size := 0
+			for i, e := range got {
+				if e.N <= 0 || int(e.N) != want.Count(e.Sym) || (i > 0 && got[i-1].Sym >= e.Sym) {
+					t.Fatalf("seed %d step %d: %s entry %d = %+v (dense count %d) in %v",
+						seed, step, what, i, e, want.Count(e.Sym), got)
+				}
+				size += int(e.N)
+			}
+			if size != want.Size() {
+				t.Fatalf("seed %d step %d: %s holds %d occurrences, dense %d", seed, step, what, size, want.Size())
+			}
+		}
 		for step := 0; step < 400; step++ {
 			if len(held) > 0 && r.Intn(5) < 2 {
 				i := r.Intn(len(held))
 				s := held[i]
 				held = append(held[:i], held[i+1:]...)
-				if sub.Count(s) == sp.Count(s) { // keep sub ⊆ sp
-					sub.Add(s, -1)
+				if deSub.Count(s) == de.Count(s) { // keep sub ⊆ sp
+					sub = slices.Delete(sub, slices.Index(sub, s), slices.Index(sub, s)+1)
 					deSub.Add(s, -1)
 				}
 				sp.Add(s, -1)
@@ -37,43 +55,17 @@ func TestSparseMultisetMatchesDense(t *testing.T) {
 					held = append(held, s)
 				}
 				if r.Intn(2) == 0 {
-					sub.Add(s, 1)
+					sub = append(sub, s)
 					deSub.Add(s, 1)
 				}
 			}
-			if sp.Digest() != de.Digest() || sp.Size() != de.Size() {
-				t.Fatalf("seed %d step %d: sparse digest/size %v/%d, dense %v/%d",
-					seed, step, sp.Digest(), sp.Size(), de.Digest(), de.Size())
-			}
-			for s := Sym(0); int(s) <= nsyms; s++ {
-				if sp.Count(s) != de.Count(s) {
-					t.Fatalf("seed %d step %d: Count(%d) = %d, dense %d", seed, step, s, sp.Count(s), de.Count(s))
-				}
-			}
-
-			cp.Set(&sp)
-			if cp.Digest() != sp.Digest() || cp.Size() != sp.Size() || len(cp.ents) != len(sp.ents) {
-				t.Fatalf("seed %d step %d: Set did not replicate contents", seed, step)
-			}
-			cp.Add(Sym(nsyms), 1)
-			if sp.Count(Sym(nsyms)) != 0 {
-				t.Fatalf("seed %d step %d: Set aliased its source", seed, step)
-			}
+			agree(step, "contents", sp.AppendDiff(nil, nil), &de)
 
 			want := de.Clone()
 			want.SubtractAll(&deSub)
-			diff = sp.AppendDiff(diff[:0], &sub)
-			size := 0
-			for i, e := range diff {
-				if e.N <= 0 || int(e.N) != want.Count(e.Sym) || (i > 0 && diff[i-1].Sym >= e.Sym) {
-					t.Fatalf("seed %d step %d: AppendDiff entry %d = %+v (dense count %d) in %v",
-						seed, step, i, e, want.Count(e.Sym), diff)
-				}
-				size += int(e.N)
-			}
-			if size != want.Size() {
-				t.Fatalf("seed %d step %d: AppendDiff holds %d occurrences, dense difference %d", seed, step, size, want.Size())
-			}
+			slices.Sort(sub)
+			diff = sp.AppendDiff(diff[:0], sub)
+			agree(step, "AppendDiff", diff, &want)
 		}
 	}
 }
@@ -88,13 +80,11 @@ func TestSparseMultisetNegativePanics(t *testing.T) {
 		}()
 		f()
 	}
-	var m, o SparseMultiset
+	var m SparseMultiset
 	m.Add(2, 1)
 	mustPanic("Add below zero", func() { m.Add(2, -2) })
 	mustPanic("Add to absent symbol", func() { m.Add(1, -1) })
-	o.Add(2, 2)
-	mustPanic("AppendDiff count", func() { m.AppendDiff(nil, &o) })
-	o = SparseMultiset{}
-	o.Add(3, 1)
-	mustPanic("AppendDiff absent symbol", func() { m.AppendDiff(nil, &o) })
+	mustPanic("AppendDiff count", func() { m.AppendDiff(nil, []Sym{2, 2}) })
+	mustPanic("AppendDiff absent symbol", func() { m.AppendDiff(nil, []Sym{3}) })
+	mustPanic("AppendDiff absent low symbol", func() { m.AppendDiff(nil, []Sym{1}) })
 }

@@ -231,7 +231,8 @@ var (
 	// engines' extension branch sets (default on; DESIGN.md decision
 	// 12). The reduction is verdict- and witness-preserving; turning it
 	// off retains the unreduced reference searches, which the
-	// differential tests cross-check against the reduced ones.
+	// differential tests cross-check against the reduced ones. Lin
+	// sessions have no reducer to toggle (decision 20).
 	WithPOR = check.WithPOR
 	// WithExact forces the exact search engines on entry points that
 	// would otherwise dispatch to an ADT-specialized fast-path checker
@@ -240,13 +241,12 @@ var (
 	// accounting and witness generality.
 	WithExact = check.WithExact
 	// WithCompaction toggles frontier compaction in the streaming
-	// (Session) engines (default on; DESIGN.md decision 17):
-	// configurations drop fully-claimed chain prefixes from storage,
-	// keeping a rolling digest so memo identity is preserved, which
-	// bounds a session's memory by the trace's alphabet and operation
-	// overlap instead of its length. Verdict-preserving; turning it off
-	// retains the uncompacted reference representation, which the
-	// differential tests cross-check against the compacted one.
+	// (Session) engines (default on; DESIGN.md decisions 17 and 20):
+	// configurations store no chain entry a future transition cannot
+	// touch, which bounds a session's memory by the trace's alphabet
+	// and operation overlap instead of its length. Verdict-preserving;
+	// turning it off retains the whole commit chain, the reference the
+	// differential tests cross-check the compacted sessions against.
 	WithCompaction = check.WithCompaction
 	// WithFeedBudget rebases a Session's search budget at every Feed
 	// instead of spending one budget across the session's lifetime, so a
@@ -294,7 +294,8 @@ type Report struct {
 	Nodes int
 	// Pruned is the number of extension branches the partial-order
 	// reduction skipped (0 with WithPOR(false); always 0 for
-	// ClassicalLin, whose search has no extension branch structure).
+	// ClassicalLin, whose search has no extension branch structure, and
+	// for Lin sessions, whose configurations merge commuting orders).
 	Pruned int
 	// Wall is the wall-clock duration of the check.
 	Wall time.Duration
