@@ -7,12 +7,11 @@
 //	slin-check -adt consensus -mode classical trace.json # Lin (classical)
 //	slin-check -adt consensus -mode slin -m 1 -n 2 trace.json
 //	slin-check -adt consensus a.json b.json c.json       # batch, parallel
-//	slin-check -adt consensus -check-workers 8 big.json  # parallel inside one check
 //	slin-check -adt register -stream trace.json          # incremental Session
 //	slin-check -adt register -exact trace.json           # force the exact engine
 //	                                                     # (no ADT fast path)
 //	slin-check -timeout 30s trace.json                   # context deadline
-//	slin-check -por=false trace.json                     # unreduced reference engine
+//	slin-check -mode slin -por=false trace.json          # unreduced SLin reference engine
 //
 // With more than one trace file the independent checks are sharded across
 // a worker pool (-workers, default GOMAXPROCS) and one verdict line is
@@ -78,10 +77,9 @@ func main() {
 	m := flag.Int("m", 1, "slin: lower phase bound m")
 	n := flag.Int("n", 2, "slin: upper phase bound n")
 	temporal := flag.Bool("temporal", false, "slin: use the temporal Abort-Order variant")
-	por := flag.Bool("por", true, "sleep-set partial-order reduction over extension branches (false = unreduced reference engines)")
+	por := flag.Bool("por", true, "slin mode: sleep-set partial-order reduction over extension branches (false = unreduced reference engine)")
 	budget := flag.Int("budget", 0, "search budget (0 = default)")
 	workers := flag.Int("workers", 0, "worker pool size for multi-file batches (0 = GOMAXPROCS)")
-	inWorkers := flag.Int("check-workers", 0, "intra-trace workers: >1 runs the breadth engine inside each check")
 	timeout := flag.Duration("timeout", 0, "overall deadline; exceeded checks report unknown (exit 2)")
 	stream := flag.Bool("stream", false, "lin mode: feed each trace through an incremental Session instead of one-shot Check")
 	exact := flag.Bool("exact", false, "force the exact search engines (skip the ADT-specialized fast-path checkers)")
@@ -132,8 +130,7 @@ func main() {
 	// Shard the independent checks across the worker pool (checker API
 	// v2: context-aware, functional options); verdicts come back in file
 	// order.
-	opts := []check.Option{check.WithBudget(*budget), check.WithWorkers(*inWorkers),
-		check.WithPOR(*por), check.WithExact(*exact),
+	opts := []check.Option{check.WithBudget(*budget), check.WithPOR(*por), check.WithExact(*exact),
 		check.WithCompaction(*compact), check.WithFeedBudget(*feedBudget)}
 	verdicts, err := check.Parallel(ctx, traces, *workers, func(i int, t trace.Trace) (verdict, error) {
 		switch *mode {

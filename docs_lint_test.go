@@ -43,6 +43,13 @@ var (
 	expRef = regexp.MustCompile(`\bE([0-9]+)b?\b`)
 	// Index rows: "| E12 | title | ..." in EXPERIMENTS.md.
 	expDef = regexp.MustCompile(`(?m)^\| (E[0-9]+b?) \|`)
+	// check.WithBudget, speclin.WithPOR — checker options by qualified name.
+	optionRef = regexp.MustCompile(`\b(?:check|speclin)\.(With[A-Za-z]+)`)
+	optionDef = regexp.MustCompile(`(?m)^func (With[A-Za-z]+)\(`)
+	// "cmd/smr-bench -faults -online", "slin-check -mode slin x.json" — a
+	// CLI named with flags behind it.
+	cliRef  = regexp.MustCompile(`\b(slin-check|smr-bench|lin-hunt)((?:\s+[^\s` + "`" + `]+)*)`)
+	flagDef = regexp.MustCompile(`flag\.[A-Za-z0-9]+\("([a-z][a-z0-9-]*)"`)
 )
 
 func readDoc(t *testing.T, name string) string {
@@ -208,5 +215,66 @@ func TestDocExperimentRefsResolve(t *testing.T) {
 	want := fmt.Sprintf("E1–E%d", maxE)
 	if !strings.Contains(readme, want) {
 		t.Errorf("README.md does not mention the %s index (EXPERIMENTS.md tops out at E%d)", want, maxE)
+	}
+}
+
+// currentDocs returns the documentation that describes the repo as it
+// is: README, ARCHITECTURE, and DESIGN.md outside its decision log (a
+// decision is history and may name what a later one deleted).
+func currentDocs(t *testing.T) map[string]string {
+	design := readDoc(t, "DESIGN.md")
+	head, log, _ := strings.Cut(design, "## Decisions")
+	_, tail, _ := strings.Cut(log, "## Ablations")
+	return map[string]string{
+		"README.md":       readDoc(t, "README.md"),
+		"ARCHITECTURE.md": readDoc(t, "ARCHITECTURE.md"),
+		"DESIGN.md":       head + tail,
+	}
+}
+
+// TestDocOptionsAndFlagsExist checks that every check.With…/speclin.With…
+// option the current docs name is defined in internal/check/opts.go, and
+// that every -flag they put behind slin-check, smr-bench or lin-hunt is
+// one the command defines.
+func TestDocOptionsAndFlagsExist(t *testing.T) {
+	options := map[string]bool{}
+	for _, m := range optionDef.FindAllStringSubmatch(readDoc(t, "internal/check/opts.go"), -1) {
+		options[m[1]] = true
+	}
+	flags := map[string]map[string]bool{}
+	for _, cli := range []string{"slin-check", "smr-bench", "lin-hunt"} {
+		flags[cli] = map[string]bool{}
+		for _, m := range flagDef.FindAllStringSubmatch(readDoc(t, "cmd/"+cli+"/main.go"), -1) {
+			flags[cli][m[1]] = true
+		}
+		if len(flags[cli]) == 0 {
+			t.Fatalf("no flag definitions found in cmd/%s/main.go", cli)
+		}
+	}
+	for name, body := range currentDocs(t) {
+		for _, m := range optionRef.FindAllStringSubmatch(body, -1) {
+			if !options[m[1]] {
+				t.Errorf("%s names option %s; internal/check/opts.go defines no such option", name, m[0])
+			}
+		}
+		for _, m := range cliRef.FindAllStringSubmatch(body, -1) {
+			// Flags may take one value; a second bare word ends the command
+			// (a file argument, or prose).
+			afterFlag := false
+			for _, tok := range strings.Fields(m[2]) {
+				if !strings.HasPrefix(tok, "-") {
+					if !afterFlag {
+						break
+					}
+					afterFlag = false
+					continue
+				}
+				afterFlag = true
+				f, _, _ := strings.Cut(strings.TrimLeft(tok, "-"), "=")
+				if f = strings.TrimRight(f, ".,;:)"); f != "" && !flags[m[1]][f] {
+					t.Errorf("%s names flag -%s of %s; cmd/%s/main.go defines no such flag", name, f, m[1], m[1])
+				}
+			}
+		}
 	}
 }

@@ -9,7 +9,7 @@
 // one-shot check and incremental Session in lin and slin, the
 // sleep-set partial-order reduction over chain-extension inputs
 // (decision 12), and ExpandFrontier, the deduplicating expansion step
-// both packages' breadth (frontier) engines are built on (decision 17).
+// both packages' frontier engines are built on (decision 17).
 // Keeping these here, in one place below both checker packages, is what
 // guarantees the engines cannot drift apart in semantics.
 //

@@ -1,17 +1,20 @@
 // Package diffcheck is the differential testing harness of the checker
-// engines (DESIGN.md, decision 12): it runs the reduced and unreduced
-// (check.WithPOR) variants of the depth-first and breadth/frontier
-// engines on the SAME trace and fails loudly on any disagreement —
-// verdicts, witness validity, or prefix-verdict agreement of incremental
-// sessions.
+// engines (DESIGN.md, decisions 12 and 21): it runs every way the repo
+// has of deciding a property on the SAME trace and fails loudly on any
+// disagreement — verdicts, witness validity, or prefix-verdict agreement
+// of incremental sessions. For Lin that is the one frontier engine in
+// its three modes (one-shot with response lookahead, online session,
+// online uncompacted) against the skeletons that share nothing with it:
+// the string-keyed reference, the SLin search at m = 1 (Theorem 2) and
+// the classical search (Theorem 1); for SLin the reduced and unreduced
+// (check.WithPOR) variants of the depth-first and session engines.
 //
-// The harness exists because a soundness bug in a partial-order reducer
-// does not crash: it silently turns the checker into a liar, accepting
+// The harness exists because a soundness bug in a pruning rule does not
+// crash: it silently turns the checker into a liar, accepting
 // non-linearizable traces (missed dependent orders are invisible) or
 // rejecting linearizable ones (over-pruning kills the witnessing order).
-// Every property test and fuzz target of the reducer therefore routes
-// through this package, so the unreduced engines serve as executable
-// specifications of the reduced ones on every explored trace shape.
+// Every property test and fuzz target of the lookahead and of the SLin
+// reducer therefore routes through this package.
 //
 // All entry points return nil when every engine variant agrees, an
 // *Disagreement when two variants differ, and the underlying checker
@@ -22,6 +25,7 @@ package diffcheck
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/adt"
@@ -49,47 +53,84 @@ func disagree(t trace.Trace, format string, args ...any) error {
 	return &Disagreement{Trace: t, Detail: fmt.Sprintf(format, args...)}
 }
 
-// variant names one engine configuration of the lin matrix.
+// variant is one way of running an engine on a whole trace: one-shot, or
+// through a session fed every action — which cannot know that no more is
+// coming.
 type variant struct {
-	name string
-	opts []check.Option
+	name    string
+	session bool
+	opts    []check.Option
 }
 
-// linMatrix is the engine × reduction × compaction matrix every Lin
-// trace runs through: the sequential depth-first search and the breadth
-// (frontier) engine (WithWorkers(2)), each with the reducer on and off
-// (a no-op for the frontier engine since DESIGN.md decision 20, which
-// must therefore report nothing pruned either way), and the frontier
-// variants additionally with compaction disabled, which retains the
-// commit chain beside the same configurations.
-func linMatrix(extra ...check.Option) []variant {
-	mk := func(name string, opts ...check.Option) variant {
-		return variant{name: name, opts: append(append([]check.Option{}, extra...), opts...)}
-	}
-	return []variant{
-		mk("depth/por", check.WithPOR(true)),
-		mk("depth/nopor", check.WithPOR(false)),
-		mk("frontier/por", check.WithPOR(true), check.WithWorkers(2)),
-		mk("frontier/nopor", check.WithPOR(false), check.WithWorkers(2)),
-		mk("frontier/por/nocompact", check.WithPOR(true), check.WithWorkers(2), check.WithCompaction(false)),
-		mk("frontier/nopor/nocompact", check.WithPOR(false), check.WithWorkers(2), check.WithCompaction(false)),
-	}
+// linMatrix is the three ways the one Lin engine runs: one-shot (with
+// response lookahead, DESIGN.md decision 21), as an online session, and
+// as an online session retaining the commit chain beside the same
+// configurations.
+var linMatrix = []variant{
+	{"one-shot", false, nil},
+	{"session", true, nil},
+	{"session/nocompact", true, []check.Option{check.WithCompaction(false)}},
 }
 
-// Lin cross-checks the four lin engine variants (depth vs frontier ×
-// reduced vs unreduced) on t: all verdicts must agree, every positive
-// verdict's witness must satisfy lin.VerifyWitness, the unreduced
-// variants must report zero pruned branches, and the reduced depth
-// engine must not spend more nodes than the unreduced one. extra options
-// (budgets, deadlines) apply to every variant.
+// slinMatrix is depth-first slin.Check and slin.NewSession — the
+// sequential DAG-sleep path production runs — each with the reducer on
+// and off, the sessions also uncompacted.
+var slinMatrix = []variant{
+	{"depth/por", false, []check.Option{check.WithPOR(true)}},
+	{"depth/nopor", false, []check.Option{check.WithPOR(false)}},
+	{"session/por", true, []check.Option{check.WithPOR(true)}},
+	{"session/nopor", true, []check.Option{check.WithPOR(false)}},
+	{"session/por/nocompact", true, []check.Option{check.WithPOR(true), check.WithCompaction(false)}},
+	{"session/nopor/nocompact", true, []check.Option{check.WithPOR(false), check.WithCompaction(false)}},
+}
+
+func (v variant) lin(ctx context.Context, f adt.Folder, t trace.Trace, extra []check.Option) (lin.Result, error) {
+	opts := append(extra[:len(extra):len(extra)], v.opts...)
+	if !v.session {
+		return lin.Check(ctx, f, t, opts...)
+	}
+	s := lin.NewSession(ctx, f, opts...)
+	if err := s.FeedAll(t); err != nil {
+		return lin.Result{}, err
+	}
+	return s.Result()
+}
+
+func (v variant) slin(ctx context.Context, f adt.Folder, rinit slin.RInit, m, n int, t trace.Trace, extra []check.Option) (slin.Result, error) {
+	opts := append(extra[:len(extra):len(extra)], v.opts...)
+	if !v.session {
+		return slin.Check(ctx, f, rinit, m, n, t, opts...)
+	}
+	s, err := slin.NewSession(ctx, f, rinit, m, n, opts...)
+	if err != nil {
+		return slin.Result{}, err
+	}
+	if err := s.FeedAll(t); err != nil {
+		return slin.Result{}, err
+	}
+	return s.Result()
+}
+
+// refBudget bounds the string-keyed reference inside Lin: it copies
+// chains per node, so traces it cannot decide this cheaply are left to
+// the other oracles.
+const refBudget = 200_000
+
+// Lin cross-checks the three modes of the lin engine on t, and those
+// with the oracles that share no code with it: lin.CheckReference (under
+// its own small budget; skipped when it exhausts it), slin.CheckLin
+// (Theorem 2) and, when the trace's inputs are pairwise distinct,
+// lin.CheckClassical (Theorem 1). All verdicts must agree and every
+// positive verdict's witness must satisfy lin.VerifyWitness. extra
+// options (budgets, deadlines) apply to every variant but the reference.
 func Lin(ctx context.Context, f adt.Folder, t trace.Trace, extra ...check.Option) error {
 	type outcome struct {
 		name string
-		res  lin.Result
+		ok   bool
 	}
 	var got []outcome
-	for _, v := range linMatrix(extra...) {
-		res, err := lin.Check(ctx, f, t, v.opts...)
+	for _, v := range linMatrix {
+		res, err := v.lin(ctx, f, t, extra)
 		if err != nil {
 			return fmt.Errorf("diffcheck %s: %w", v.name, err)
 		}
@@ -98,57 +139,71 @@ func Lin(ctx context.Context, f adt.Folder, t trace.Trace, extra ...check.Option
 				return disagree(t, "%s produced an invalid witness: %v", v.name, werr)
 			}
 		}
-		got = append(got, outcome{v.name, res})
+		got = append(got, outcome{v.name, res.OK})
+	}
+	if ref, err := lin.CheckReference(f, t, check.WithBudget(refBudget)); err == nil {
+		got = append(got, outcome{"reference", ref.OK})
+	} else if !errors.Is(err, lin.ErrBudget) {
+		return fmt.Errorf("diffcheck reference: %w", err)
+	}
+	viaSLin, err := slin.CheckLin(ctx, f, t, extra...)
+	if err != nil {
+		return fmt.Errorf("diffcheck slin(1,2): %w", err)
+	}
+	got = append(got, outcome{"slin(1,2)", viaSLin.OK})
+	if uniqueInputs(t) {
+		cl, err := lin.CheckClassical(ctx, f, t, extra...)
+		if err != nil {
+			return fmt.Errorf("diffcheck classical: %w", err)
+		}
+		got = append(got, outcome{"classical", cl.OK})
 	}
 	base := got[0]
 	for _, o := range got[1:] {
-		if o.res.OK != base.res.OK {
-			return disagree(t, "verdict disagreement: %s=%v, %s=%v",
-				base.name, base.res.OK, o.name, o.res.OK)
+		if o.ok != base.ok {
+			return disagree(t, "verdict disagreement: %s=%v, %s=%v", base.name, base.ok, o.name, o.ok)
 		}
-	}
-	for _, o := range got {
-		switch o.name {
-		case "depth/nopor", "frontier/nopor", "frontier/nopor/nocompact":
-			if o.res.Pruned != 0 {
-				return disagree(t, "%s pruned %d branches with the reducer off", o.name, o.res.Pruned)
-			}
-		}
-	}
-	if dp, dn := got[0].res, got[1].res; dp.Nodes > dn.Nodes {
-		return disagree(t, "reduced depth engine spent MORE nodes than unreduced: %d > %d", dp.Nodes, dn.Nodes)
 	}
 	return nil
 }
 
+// uniqueInputs reports whether no two invocations of t carry the same
+// input — the regime in which the classical and the new definition
+// coincide (Theorem 1; TestRepeatedEventsDivergence has the
+// counterexample beyond it).
+func uniqueInputs(t trace.Trace) bool {
+	for _, n := range t.InputsBeforeMultiset(len(t)) {
+		if n > 1 {
+			return false
+		}
+	}
+	return true
+}
+
 // LinPrefixes cross-checks the incremental session against one-shot
-// Check on EVERY prefix of t, for the reducer on and off: the session's
-// running verdict after k actions must equal Check's verdict of t[:k]
-// (both reduced — sessions default to the reducer — and unreduced).
+// Check on EVERY prefix of t: the session's running verdict after k
+// actions must equal Check's verdict of t[:k]. Prefixes are where
+// operations never respond, the case the one-shot lookahead must exempt.
 func LinPrefixes(ctx context.Context, f adt.Folder, t trace.Trace, extra ...check.Option) error {
-	for _, por := range []bool{true, false} {
-		opts := append(append([]check.Option{}, extra...), check.WithPOR(por))
-		sess := lin.NewSession(ctx, f, opts...)
-		for k, a := range t {
-			if err := sess.Feed(a); err != nil {
-				return fmt.Errorf("diffcheck session(por=%v) feed %d: %w", por, k, err)
-			}
-			got, err := sess.Result()
-			if err != nil {
-				return fmt.Errorf("diffcheck session(por=%v) prefix %d: %w", por, k+1, err)
-			}
-			want, err := lin.Check(ctx, f, t[:k+1], opts...)
-			if err != nil {
-				return fmt.Errorf("diffcheck one-shot(por=%v) prefix %d: %w", por, k+1, err)
-			}
-			if got.OK != want.OK {
-				return disagree(t[:k+1], "session(por=%v) prefix %d: session=%v, one-shot=%v",
-					por, k+1, got.OK, want.OK)
-			}
-			if got.OK && len(got.Witness) > 0 {
-				if werr := lin.VerifyWitness(f, t[:k+1], got.Witness); werr != nil {
-					return disagree(t[:k+1], "session(por=%v) prefix %d witness invalid: %v", por, k+1, werr)
-				}
+	sess := lin.NewSession(ctx, f, extra...)
+	for k, a := range t {
+		if err := sess.Feed(a); err != nil {
+			return fmt.Errorf("diffcheck session feed %d: %w", k, err)
+		}
+		got, err := sess.Result()
+		if err != nil {
+			return fmt.Errorf("diffcheck session prefix %d: %w", k+1, err)
+		}
+		want, err := lin.Check(ctx, f, t[:k+1], extra...)
+		if err != nil {
+			return fmt.Errorf("diffcheck one-shot prefix %d: %w", k+1, err)
+		}
+		if got.OK != want.OK {
+			return disagree(t[:k+1], "prefix %d: session=%v, one-shot=%v", k+1, got.OK, want.OK)
+		}
+		if got.OK && len(got.Witness) > 0 {
+			if werr := lin.VerifyWitness(f, t[:k+1], got.Witness); werr != nil {
+				return disagree(t[:k+1], "session prefix %d witness invalid: %v", k+1, werr)
 			}
 		}
 	}
@@ -314,9 +369,9 @@ func FastpathSLin(ctx context.Context, f adt.Folder, rinit slin.RInit, n int, t 
 }
 
 // SLin cross-checks the SLin engine variants on t: the depth-first
-// search and the breadth (session-backed, WithWorkers(2)) engine, each
-// with the reducer on and off. All verdicts must agree, every witness of
-// the positive depth-first runs must satisfy slin.VerifyWitness, and on
+// search and the session engine, each with the reducer on and off, the
+// sessions also uncompacted. All verdicts must agree, every witness of
+// the positive runs must satisfy slin.VerifyWitness, and on
 // traces containing abort actions the DEPTH reducer must have pruned
 // nothing (it sees the whole trace and disables itself up front; the
 // session engine may prune before the first abort arrives and then
@@ -342,8 +397,9 @@ func SLin(ctx context.Context, f adt.Folder, rinit slin.RInit, m, n int, t trace
 		res  slin.Result
 	}
 	var got []outcome
-	for _, v := range linMatrix(append(extra, check.WithTemporalAbortOrder(temporal))...) {
-		res, err := slin.Check(ctx, f, rinit, m, n, t, v.opts...)
+	extra = append(extra[:len(extra):len(extra)], check.WithTemporalAbortOrder(temporal))
+	for _, v := range slinMatrix {
+		res, err := v.slin(ctx, f, rinit, m, n, t, extra)
 		if err != nil {
 			return fmt.Errorf("diffcheck %s: %w", v.name, err)
 		}

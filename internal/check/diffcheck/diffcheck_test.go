@@ -39,8 +39,8 @@ var adtCases = []struct {
 }
 
 // TestDifferentialLinPrefixes runs the session-vs-one-shot prefix
-// agreement (reduced and unreduced) on a uniform sample — every trace
-// costs one check per prefix per reducer setting.
+// agreement on a uniform sample — every trace costs one check per
+// prefix.
 func TestDifferentialLinPrefixes(t *testing.T) {
 	ctx := context.Background()
 	iters := 40

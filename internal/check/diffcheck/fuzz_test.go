@@ -82,8 +82,10 @@ func corpusSeeds(f *testing.F) {
 	f.Add(uint8(2), []byte{0x0c, 0x01, 0x0c, 0x03})
 }
 
-// FuzzCheckPORAgreement fuzzes the one-shot engine matrix: reduced vs
-// unreduced × depth vs frontier must agree on every decodable trace.
+// FuzzCheckPORAgreement fuzzes the Lin matrix (the name predates
+// decision 21): one-shot, online and uncompacted runs of the lin engine
+// and the reference, slin(1,2) and classical oracles must agree on every
+// decodable trace.
 func FuzzCheckPORAgreement(f *testing.F) {
 	corpusSeeds(f)
 	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
@@ -126,7 +128,7 @@ func FuzzCompactionVsExact(f *testing.F) {
 
 // FuzzSessionPrefixAgreement fuzzes the incremental engine: the session
 // verdict after every fed prefix must equal the one-shot verdict of that
-// prefix, reducer on and off.
+// prefix.
 func FuzzSessionPrefixAgreement(f *testing.F) {
 	corpusSeeds(f)
 	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {

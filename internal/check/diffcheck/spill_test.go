@@ -4,7 +4,9 @@ package diffcheck
 // assigns more than 64 symbols, where the formerly-capped sleep sets
 // (symbols ≥ 64 never slept) now actually prune — cross-checked through
 // the decision-12 differential harness, since more pruning is exactly
-// where a spill bug would turn the checker into a liar.
+// where a spill bug would turn the checker into a liar. The reducer's
+// remaining home is slin (DESIGN.md, decision 21), so the tests drive it
+// through slin.CheckLin, SLin(1,2) on a switch-free trace.
 
 import (
 	"context"
@@ -13,7 +15,7 @@ import (
 
 	"repro/internal/adt"
 	"repro/internal/check"
-	"repro/internal/lin"
+	"repro/internal/slin"
 	"repro/internal/trace"
 )
 
@@ -52,13 +54,13 @@ func spillTrace(w int) trace.Trace {
 // TestSleepSpillHighSymbolsPrune: on the spill trace the reduced search
 // must prune (under the former cap Pruned was structurally 0 here), spend
 // fewer nodes than the unreduced search, and agree with the whole engine
-// matrix plus the incremental session on every prefix.
+// matrices plus the incremental lin session on every prefix.
 func TestSleepSpillHighSymbolsPrune(t *testing.T) {
 	ctx := context.Background()
 	tr := spillTrace(5)
 	budget := check.WithBudget(50_000_000)
 
-	on, err := lin.Check(ctx, adt.Consensus{}, tr, budget)
+	on, err := slin.CheckLin(ctx, adt.Consensus{}, tr, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +70,7 @@ func TestSleepSpillHighSymbolsPrune(t *testing.T) {
 	if on.Pruned == 0 {
 		t.Fatal("no pruning on commuting symbols ≥ 64 — the sleep-set spill is not engaged")
 	}
-	off, err := lin.Check(ctx, adt.Consensus{}, tr, budget, check.WithPOR(false))
+	off, err := slin.CheckLin(ctx, adt.Consensus{}, tr, budget, check.WithPOR(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,6 +79,9 @@ func TestSleepSpillHighSymbolsPrune(t *testing.T) {
 	}
 	t.Logf("spill trace: %d → %d nodes, %d pruned", off.Nodes, on.Nodes, on.Pruned)
 
+	if err := SLin(ctx, adt.Consensus{}, slin.UniversalRInit{}, 1, 2, tr, false, budget); err != nil {
+		t.Fatal(err)
+	}
 	if err := Lin(ctx, adt.Consensus{}, tr, budget); err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +98,10 @@ func TestSleepSpillWiderSweep(t *testing.T) {
 	prev := 0
 	for _, w := range []int{2, 3, 4} {
 		tr := spillTrace(w)
-		if err := Lin(ctx, adt.Consensus{}, tr, budget); err != nil {
+		if err := SLin(ctx, adt.Consensus{}, slin.UniversalRInit{}, 1, 2, tr, false, budget); err != nil {
 			t.Fatalf("w=%d: %v", w, err)
 		}
-		on, err := lin.Check(ctx, adt.Consensus{}, tr, budget)
+		on, err := slin.CheckLin(ctx, adt.Consensus{}, tr, budget)
 		if err != nil {
 			t.Fatalf("w=%d: %v", w, err)
 		}

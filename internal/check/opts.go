@@ -40,44 +40,38 @@ type Settings struct {
 	// Budget bounds the total number of search nodes per one-shot check
 	// (shared across all init-interpretation combinations for SLin) or
 	// per Session lifetime (cumulative across Feed calls); 0 means the
-	// checker's DefaultBudget. A search node is one recursive step of
-	// the search, uniform across checkers and engines.
+	// checker's DefaultBudget.
 	Budget int
-	// Workers selects intra-check parallelism. 0 or 1 runs the default
-	// sequential depth-first search. n > 1 switches the check to the
-	// breadth (frontier) engine — the same engine Sessions use — and
-	// expands each frontier with n workers over a sharded memo set, so
-	// one pathological trace uses all cores. Batch checkers (CheckAll)
-	// interpret Workers differently: there it sizes the worker pool that
-	// shards independent traces, 0 meaning GOMAXPROCS, and each
-	// per-trace search stays sequential.
+	// Workers sizes the worker pool of the batch checkers (CheckAll,
+	// Parallel), which shard independent traces; 0 means GOMAXPROCS.
+	// Single-trace checks and sessions are sequential and ignore it.
 	Workers int
 	// Witness controls whether positive verdicts assemble linearization
 	// witnesses. NewSettings defaults it to true; WithWitness(false)
-	// skips witness assembly (the SLin breadth engine never assembles
-	// witnesses regardless).
+	// skips witness assembly.
 	Witness bool
 	// MemoLimit bounds the checker's memoization structures, in entries;
-	// 0 means unlimited. The depth-first engines stop inserting new memo
-	// entries beyond the limit (search stays exact, possibly slower);
-	// the breadth engines report ErrMemo when a frontier alone exceeds
-	// it, since frontier configurations are live state that cannot be
-	// dropped soundly.
+	// 0 means unlimited. The depth-first engines (slin.Check,
+	// lin.CheckClassical) stop inserting new memo entries beyond the
+	// limit (search stays exact, possibly slower); the frontier engines
+	// (lin.Check, the Sessions) report ErrMemo when a frontier alone
+	// exceeds it, since its configurations are live state that cannot
+	// be dropped soundly.
 	MemoLimit int
 	// TemporalAbortOrder selects the temporal variant of the SLin
 	// checker's Abort-Order (slin package documentation); ignored by the
 	// lin checkers.
 	TemporalAbortOrder bool
 	// POR enables the sleep-set partial-order reduction over the chain
-	// extension branch sets of the lin and SLin engines (DESIGN.md,
-	// decision 12): commuting extension inputs are explored in only one
-	// order. NewSettings defaults it to true; WithPOR(false) retains the
+	// extension branch sets of the SLin engines (DESIGN.md, decision
+	// 12): commuting extension inputs are explored in only one order.
+	// NewSettings defaults it to true; WithPOR(false) retains the
 	// unreduced reference searches. The reduction is verdict- and
 	// witness-preserving; it changes only Nodes (fewer) and Pruned
-	// (skipped branches). The classical checker has no extension branch
-	// structure and ignores it, and so does the lin frontier engine
-	// (lin.Session, lin.Check with Workers > 1), whose configuration
-	// identity already merges commuting orders (decision 20).
+	// (skipped branches). The lin checkers ignore it: the classical
+	// search has no extension branches, and the lin engine's
+	// configuration identity already merges commuting orders
+	// (decisions 20 and 21).
 	POR bool
 	// Exact forces the exact search engines on entry points that would
 	// otherwise dispatch to an ADT-specialized fast-path checker
@@ -95,8 +89,8 @@ type Settings struct {
 	// retains the whole chain (for lin.Session beside the same
 	// configurations: storage only, node-identical), the reference the
 	// differential tests cross-check the compacted sessions against.
-	// Verdict-preserving by construction; the one-shot depth engines
-	// have no frontier and ignore it.
+	// Verdict-preserving by construction; the depth-first engines
+	// (slin.Check, lin.CheckClassical) have no frontier and ignore it.
 	Compact bool
 	// FeedBudget switches a Session's node budget from per-session
 	// lifetime to per-Feed: the spend counter is rebased at each Feed, so
@@ -135,10 +129,8 @@ func (s Settings) BudgetOr(def int) int {
 // WithBudget bounds the search to n nodes (see Settings.Budget).
 func WithBudget(n int) Option { return func(s *Settings) { s.Budget = n } }
 
-// WithWorkers sets intra-check parallelism (see Settings.Workers): n > 1
-// runs the breadth engine with n workers inside a single check; 0 or 1
-// keeps the sequential depth-first engine. Batch checkers use it to size
-// the pool sharding independent traces (0 = GOMAXPROCS).
+// WithWorkers sizes the pool the batch checkers shard independent
+// traces across (see Settings.Workers; 0 = GOMAXPROCS).
 func WithWorkers(n int) Option { return func(s *Settings) { s.Workers = n } }
 
 // WithWitness toggles witness assembly on positive verdicts.

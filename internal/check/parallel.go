@@ -9,9 +9,7 @@ import (
 
 // Workers normalizes a batch worker-count option: n when positive,
 // otherwise GOMAXPROCS. Zero therefore means "one worker per core" for
-// the batch checkers; note that single-trace checks interpret a zero or
-// one Workers setting as the sequential engine instead (Settings.Workers
-// documents the two readings).
+// the batch checkers.
 func Workers(n int) int {
 	if n > 0 {
 		return n
@@ -28,8 +26,7 @@ func Workers(n int) int {
 // whose items never ran hold the zero value.
 //
 // It is the worker-pool path shared by the batch checkers (lin.CheckAll,
-// slin.CheckAll), the breadth engines' frontier expansion, the E8
-// equivalence sweeps and cmd/slin-check.
+// slin.CheckAll), the E8 equivalence sweeps and cmd/slin-check.
 func Parallel[T, R any](ctx context.Context, items []T, workers int, fn func(i int, item T) (R, error)) ([]R, error) {
 	if ctx == nil {
 		ctx = context.Background() // nil tolerated like every other v2 entry point
@@ -91,49 +88,3 @@ func Parallel[T, R any](ctx context.Context, items []T, workers int, fn func(i i
 	}
 	return out, first
 }
-
-// shardedSetStripes is the stripe count of ShardedSet: enough to keep
-// contention negligible at realistic worker counts, small enough that an
-// empty set stays cheap.
-const shardedSetStripes = 64
-
-// ShardedSet is a striped-lock concurrent set used as the shared memo /
-// deduplication table of the parallel breadth engines: frontier-expansion
-// workers claim successor digests with TryInsert so every distinct
-// configuration is materialized exactly once across workers.
-type ShardedSet[K comparable] struct {
-	hash   func(K) uint64
-	shards [shardedSetStripes]struct {
-		mu sync.Mutex
-		m  map[K]struct{}
-	}
-	size atomic.Int64
-}
-
-// NewShardedSet returns an empty set distributing keys by hash.
-func NewShardedSet[K comparable](hash func(K) uint64) *ShardedSet[K] {
-	s := &ShardedSet[K]{hash: hash}
-	for i := range s.shards {
-		s.shards[i].m = make(map[K]struct{})
-	}
-	return s
-}
-
-// TryInsert inserts k and reports whether it was absent (i.e. whether the
-// caller won the claim).
-func (s *ShardedSet[K]) TryInsert(k K) bool {
-	sh := &s.shards[s.hash(k)%shardedSetStripes]
-	sh.mu.Lock()
-	_, dup := sh.m[k]
-	if !dup {
-		sh.m[k] = struct{}{}
-	}
-	sh.mu.Unlock()
-	if !dup {
-		s.size.Add(1)
-	}
-	return !dup
-}
-
-// Len returns the number of keys inserted so far.
-func (s *ShardedSet[K]) Len() int { return int(s.size.Load()) }

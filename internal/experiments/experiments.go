@@ -64,7 +64,6 @@ func All() []Experiment {
 		{"E10", E10PhaseChain},
 		{"E11", E11UniversalConstruction},
 		{"E12", E12ShardSweep},
-		{"E13", E13PORReduction},
 		{"E14", E14LongTraceSweep},
 		{"E15", E15ChaosRecovery},
 		{"E16", E16FastpathCheckers},

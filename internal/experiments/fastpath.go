@@ -90,8 +90,8 @@ type FastpathDist struct {
 	Commands     int    `json:"commands"`
 	// OneshotSpeedup is exact one-shot check wall over fast one-shot
 	// check wall, measured interleaved in one process. Modest by design:
-	// the depth-first engine already decides easy register histories
-	// near-greedily.
+	// with its response lookahead the exact engine already decides easy
+	// register histories in a few nodes per operation.
 	OneshotSpeedup float64 `json:"oneshot_check_speedup"`
 	// OnlineSpeedup is the headline E16 claim (≥10x at the 1M-command
 	// scale): the exact frontier sessions' online check wall over the

@@ -24,27 +24,23 @@ func timedCheck(fn func() (lin.Result, error)) (lin.Result, float64, error) {
 // E14LongTraceSweep exercises the uncapped classical checker (DESIGN.md,
 // decision 13) at trace lengths the former 63-operation bitmask cap made
 // unreachable: 128/256/512-operation sweeps through CheckClassical and
-// the new-definition engine with the partial-order reduction on and off.
-// Traces use unique occurrence tags, so Theorem 1 applies and every
-// verdict triple is asserted identical — the long-trace extension of the
-// E8 equivalence sweep, now also covering the regime where the PR 1
-// memoization and the decision-12 reduction matter most.
+// the new-definition engine. Traces use unique occurrence tags, so
+// Theorem 1 applies and every verdict pair is asserted identical — the
+// long-trace extension of the E8 equivalence sweep.
 func E14LongTraceSweep(ctx context.Context) (Table, error) {
 	t := Table{
 		ID:    "E14",
-		Title: "uncapped classical checking: 128/256/512-operation traces, classical vs new definition (POR on/off)",
-		Header: []string{"workload", "ops", "traces", "verdicts agree",
-			"classical nodes", "new nodes (POR)", "new nodes (full)", "pruned", "classical ms", "new ms (POR)"},
+		Title: "uncapped classical checking: 128/256/512-operation traces, classical vs new definition",
+		Header: []string{"workload", "ops", "traces",
+			"classical nodes", "new nodes", "classical ms", "new ms"},
 		Notes: []string{
-			"The classical checker's placed sets spill from the single-word fast path " +
-				"to the sparse word-array representation beyond 63 operations (decision " +
-				"13), so every row here was a hard failure of the former 63-operation " +
-				"cap before this experiment existed. Unique occurrence tags make the classical and new " +
-				"definitions coincide (Theorem 1); verdict agreement across all three " +
-				"engines is asserted per trace. The split-suffix family plants a " +
-				"split-decision group behind a long decided prefix: its symbols intern " +
-				"beyond 64, so the new engine's pruning there exercises the sleep-set " +
-				"spill as well.",
+			"Beyond 63 operations the classical checker's placed sets spill to the " +
+				"sparse word-array representation (decision 13): every row was a hard " +
+				"failure of the former cap. Unique occurrence tags make the definitions " +
+				"coincide (Theorem 1); a disagreement fails the experiment. The new-definition " +
+				"column is the frontier engine run one-shot (decision 21): on the " +
+				"low-overlap register family it enumerates every configuration where a " +
+				"depth-first search would stop at its first witness.",
 		},
 	}
 	for _, fam := range E14Families() {
@@ -56,13 +52,10 @@ func E14LongTraceSweep(ctx context.Context) (Table, error) {
 			fam.Name,
 			fmt.Sprintf("%d", fam.Ops),
 			fmt.Sprintf("%d", st.Traces),
-			pct(st.Agree, st.Traces),
 			fmt.Sprintf("%d", st.NodesClassical),
-			fmt.Sprintf("%d", st.NodesPOR),
-			fmt.Sprintf("%d", st.NodesFull),
-			fmt.Sprintf("%d", st.Pruned),
+			fmt.Sprintf("%d", st.NodesNew),
 			f2(st.ClassicalMs),
-			f2(st.PORMs),
+			f2(st.NewMs),
 		})
 	}
 	return t, nil
@@ -71,20 +64,15 @@ func E14LongTraceSweep(ctx context.Context) (Table, error) {
 // E14Stats aggregates one E14 workload family.
 type E14Stats struct {
 	Traces         int
-	Agree          int
 	NodesClassical int
-	NodesPOR       int
-	NodesFull      int
-	Pruned         int
+	NodesNew       int
 	ClassicalMs    float64
-	PORMs          float64
-	FullMs         float64
+	NewMs          float64
 }
 
-// E14Measure runs the engine triple — classical, new-definition reduced,
-// new-definition unreduced — over every trace and aggregates; any
-// verdict disagreement (Theorem 1 on these unique-input traces) is an
-// error.
+// E14Measure runs the engine pair — classical and new-definition — over
+// every trace and aggregates; any verdict disagreement (Theorem 1 on
+// these unique-input traces) is an error.
 func E14Measure(ctx context.Context, f adt.Folder, traces []trace.Trace) (E14Stats, error) {
 	var st E14Stats
 	budget := check.WithBudget(50_000_000)
@@ -97,29 +85,18 @@ func E14Measure(ctx context.Context, f adt.Folder, traces []trace.Trace) (E14Sta
 		}
 		st.NodesClassical += classical.Nodes
 		st.ClassicalMs += ms
-		red, ms, err := timedCheck(func() (lin.Result, error) {
+		res, ms, err := timedCheck(func() (lin.Result, error) {
 			return lin.Check(ctx, f, tr, budget, check.WithWitness(false))
 		})
 		if err != nil {
 			return st, err
 		}
-		st.NodesPOR += red.Nodes
-		st.Pruned += red.Pruned
-		st.PORMs += ms
-		full, ms, err := timedCheck(func() (lin.Result, error) {
-			return lin.Check(ctx, f, tr, budget, check.WithWitness(false), check.WithPOR(false))
-		})
-		if err != nil {
-			return st, err
-		}
-		st.NodesFull += full.Nodes
-		st.FullMs += ms
+		st.NodesNew += res.Nodes
+		st.NewMs += ms
 		st.Traces++
-		if classical.OK == red.OK && red.OK == full.OK {
-			st.Agree++
-		} else {
-			return st, fmt.Errorf("verdict disagreement on a unique-input trace (Theorem 1): classical=%v por=%v full=%v",
-				classical.OK, red.OK, full.OK)
+		if classical.OK != res.OK {
+			return st, fmt.Errorf("verdict disagreement on a unique-input trace (Theorem 1): classical=%v new=%v",
+				classical.OK, res.OK)
 		}
 	}
 	return st, nil
@@ -137,8 +114,8 @@ type E14Family struct {
 // families: linearizable random register traces at each length, the same
 // with an early corrupted response (both engines refute within the first
 // real-time window, keeping long negative searches tractable), and the
-// split-suffix consensus family whose contentious group interns beyond
-// symbol 64 (sleep-set spill coverage).
+// split-suffix consensus family: a split-decision group behind a long
+// decided prefix.
 func E14Families() []E14Family {
 	var fams []E14Family
 	counts := map[int]int{128: 24, 256: 12, 512: 6}
@@ -201,8 +178,7 @@ func e14SeqTrace(n, window, corruptAt int) trace.Trace {
 
 // e14SplitSuffix is a sequential decided prefix of n-w proposals followed
 // by a w-wide split-decision group contradicting the decided value —
-// non-linearizable, with the contentious (mutually commuting) symbols
-// interned beyond the prefix's, i.e. ≥ 64 for the lengths E14 uses.
+// non-linearizable, refuted only by exhausting the group's orders.
 func e14SplitSuffix(n, w int) trace.Trace {
 	var tr trace.Trace
 	cons := adt.Consensus{}

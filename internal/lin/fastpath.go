@@ -119,7 +119,7 @@ func CheckFast(ctx context.Context, f adt.Folder, t trace.Trace, opts ...check.O
 			return r, err
 		}
 	}
-	return checkSettings(ctx, f, t, set)
+	return checkStreaming(ctx, f, t, set)
 }
 
 // fastCheckSettings runs the one-shot fast path. ok reports whether the

@@ -10,6 +10,7 @@ import (
 	"repro/internal/adt"
 	"repro/internal/check"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 func p(v string) trace.Value { return adt.ProposeInput(v) }
@@ -243,11 +244,89 @@ func TestBudgetExhaustion(t *testing.T) {
 		trace.Response("c1", 1, p("a"), d("a")),
 		trace.Response("c2", 1, p("b"), d("a")),
 	}
-	if _, err := Check(context.Background(), adt.Consensus{}, tr, check.WithBudget(1)); err != ErrBudget {
+	// One-shot Check says where its session gave up, wrapping the sentinel.
+	if _, err := Check(context.Background(), adt.Consensus{}, tr, check.WithBudget(1)); !errors.Is(err, ErrBudget) {
 		t.Fatalf("expected ErrBudget, got %v", err)
 	}
-	if _, err := CheckClassical(context.Background(), adt.Consensus{}, tr, check.WithBudget(1)); err != ErrBudget {
+	res, err := CheckClassical(context.Background(), adt.Consensus{}, tr, check.WithBudget(1))
+	if err != ErrBudget {
 		t.Fatalf("expected ErrBudget from classical, got %v", err)
+	}
+	if res.Nodes != 2 {
+		t.Fatalf("classical reported %d nodes on budget exhaustion, want the 2 it spent", res.Nodes)
+	}
+}
+
+// TestBudgetInterplayWithPOR: exhausting the budget yields ErrBudget with
+// Nodes ≤ budget and no verdict, and the lin engine ignores check.WithPOR
+// — it has no reducer (DESIGN.md, decisions 20 and 21) — so the budget a
+// check fits in does not depend on the option.
+func TestBudgetInterplayWithPOR(t *testing.T) {
+	ctx := context.Background()
+	tr := workload.SplitDecision(6, "p")
+	var nodes [2]int
+	for i, por := range []bool{true, false} {
+		res, err := Check(ctx, adt.Consensus{}, tr, check.WithBudget(20), check.WithPOR(por))
+		if !errors.Is(err, ErrBudget) || res.OK || res.Nodes > 20+1 {
+			t.Fatalf("por=%v: budget 20 gave %+v, %v; want ErrBudget, undecided, at most 21 nodes", por, res, err)
+		}
+		full, err := Check(ctx, adt.Consensus{}, tr, check.WithPOR(por))
+		if err != nil || full.OK {
+			t.Fatalf("por=%v: split decisions gave %+v, %v", por, full, err)
+		}
+		nodes[i] = full.Nodes
+		if _, err := Check(ctx, adt.Consensus{}, tr, check.WithBudget(full.Nodes), check.WithPOR(por)); err != nil {
+			t.Fatalf("por=%v: the search must fit in the %d nodes it spends: %v", por, full.Nodes, err)
+		}
+	}
+	if nodes[0] != nodes[1] {
+		t.Fatalf("node counts depend on the (ignored) reducer option: %v", nodes)
+	}
+}
+
+// TestCancellationUnderPOR: a cancelled context aborts the one-shot check
+// and the session with the context error.
+func TestCancellationUnderPOR(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	tr := workload.SplitDecision(6, "p")
+	if _, err := Check(ctx, adt.Consensus{}, tr); !errors.Is(err, context.Canceled) {
+		t.Fatalf("one-shot: expected context.Canceled, got %v", err)
+	}
+	s := NewSession(ctx, adt.Consensus{})
+	if err := s.FeedAll(tr); !errors.Is(err, context.Canceled) {
+		t.Fatalf("session: expected context.Canceled, got %v", err)
+	}
+	if v := s.Verdict(); v != check.Unknown {
+		t.Fatalf("session verdict after cancel = %v, want Unknown", v)
+	}
+}
+
+// TestClassicalUncappedUnderPOR: the classical checker is uncapped
+// (decision 13) and has no extension branch sets for check.WithPOR to
+// reduce; a 64-operation trace decides identically — same verdict, same
+// node count — with the option on and off, and agrees with the
+// new-definition checker (Theorem 1; unique inputs).
+func TestClassicalUncappedUnderPOR(t *testing.T) {
+	var tr trace.Trace
+	for i := 0; i < 64; i++ {
+		c := trace.ClientID(fmt.Sprintf("c%d", i))
+		in := adt.Tag(adt.IncInput(), fmt.Sprintf("%d", i))
+		tr = append(tr, trace.Invoke(c, 1, in), trace.Response(c, 1, in, adt.CountOutput(i+1)))
+	}
+	var nodes []int
+	for _, por := range []bool{true, false} {
+		res, err := CheckClassical(context.Background(), adt.Counter{}, tr, check.WithPOR(por))
+		if err != nil || !res.OK {
+			t.Fatalf("por=%v: classical check on 64 sequential ops: %+v, %v", por, res, err)
+		}
+		nodes = append(nodes, res.Nodes)
+		if ok, err := Check(context.Background(), adt.Counter{}, tr, check.WithPOR(por)); err != nil || !ok.OK {
+			t.Fatalf("por=%v: Check on 64 sequential ops: %+v, %v", por, ok, err)
+		}
+	}
+	if nodes[0] != nodes[1] {
+		t.Fatalf("classical node counts depend on the (ignored) reducer option: %v", nodes)
 	}
 }
 

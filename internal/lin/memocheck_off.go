@@ -2,22 +2,27 @@
 
 package lin
 
+import (
+	"repro/internal/adt"
+	"repro/internal/trace"
+)
+
 // memocheckEnabled gates the digest-collision audit (DESIGN.md decision
-// 7 risk): the default build compiles the audit calls away entirely, so
-// the hot path stays allocation-free. Build with -tags memocheck to
-// store the full string key alongside every 128-bit memo digest and
-// count collisions (expected zero); the tagged test asserts the count.
+// 7 risk): the default build compiles the audit away, so the hot path
+// stays allocation-free. Build with -tags memocheck to store the full
+// identity beside every 128-bit digest the engines deduplicate on and
+// count collisions; the tagged tests assert the count is zero.
 const memocheckEnabled = false
 
 // memoAudit is the no-op audit table of the default build.
 type memoAudit struct{}
 
-func (s *searcher) auditInsert(memoKey) {}
-func (s *searcher) auditHit(memoKey)    {}
+func (memoAudit) reset()                                                   {}
+func (memoAudit) note(trace.Digest, adt.State, []trace.Sym, []trace.Value) {}
 
-// MemoCollisions reports digest collisions observed in the memo tables;
-// always zero without the memocheck build tag (the audit is compiled
-// out).
+// MemoCollisions reports digest collisions observed by the frontier
+// engine; always zero without the memocheck build tag (the audit is
+// compiled out).
 func MemoCollisions() uint64 { return 0 }
 
 // classicalAudit is the no-op audit table of the default build for the

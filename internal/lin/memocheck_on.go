@@ -3,74 +3,55 @@
 package lin
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
 
+	"repro/internal/adt"
 	"repro/internal/trace"
 )
 
-// The memocheck build: every entry of the digest-keyed memo table also
-// stores the full string encoding of the state it stands for, and every
-// digest hit re-derives the encoding and compares. A mismatch means two
-// distinct search states collided in the 128-bit digest space — the
-// residual soundness risk of DESIGN.md decision 7 — and increments the
-// process-wide collision counter, which the tagged test asserts is zero.
+// The memocheck build: every digest the production engines deduplicate
+// on also stores the full identity it stands for, and every digest hit
+// re-derives the identity and compares. A mismatch means two distinct
+// search states collided in the 128-bit digest space — the residual
+// soundness risk of DESIGN.md decision 7 — and increments a process-wide
+// collision counter, which the tagged tests assert is zero.
 const memocheckEnabled = true
 
 var memoCollisions atomic.Uint64
 
-// MemoCollisions reports digest collisions observed in the memo tables
-// since process start.
+// MemoCollisions reports digest collisions observed by the frontier
+// engine (Check and Sessions) since process start.
 func MemoCollisions() uint64 { return memoCollisions.Load() }
 
-// memoAudit shadows one searcher's failed-set with full string keys.
+// memoAudit shadows the digests one response's expansion deduplicates
+// on — the visited set of the extension searches and ExpandFrontier's
+// successor set, one identity space (decision 20) — with the identities
+// they stand for.
 type memoAudit struct {
-	keys map[memoKey]string
+	ids map[trace.Digest]string
 }
 
-// memoString is the exact state the memo digest stands for: the action
-// index, the chain's (value, used) sequence and the availability
-// multiset.
-func (s *searcher) memoString(i int) string {
-	var b strings.Builder
-	b.WriteString(strconv.Itoa(i))
-	b.WriteByte('|')
-	for p, v := range s.chain.hist {
-		b.WriteString(string(v))
-		if s.chain.used[p] {
-			b.WriteByte('*')
-		}
-		b.WriteByte(0)
-	}
-	b.WriteByte('|')
-	for sym := 0; sym < s.avail.NumSyms(); sym++ {
-		if c := s.avail.Count(trace.Sym(sym)); c > 0 {
-			b.WriteString(strconv.Itoa(sym))
-			b.WriteByte(':')
-			b.WriteString(strconv.Itoa(c))
-			b.WriteByte(',')
-		}
-	}
-	return b.String()
-}
+func (a *memoAudit) reset() { a.ids = map[trace.Digest]string{} }
 
-func (s *searcher) auditInsert(k memoKey) {
-	if s.audit.keys == nil {
-		s.audit.keys = map[memoKey]string{}
+// note records that dig stands for the configuration (end state, entries
+// syms[i] linearized to outs[i]), counting a collision if it already
+// stands for another. The identity sorts the entries: equal symbols sit
+// in insertion order in a configuration.
+func (a *memoAudit) note(dig trace.Digest, end adt.State, syms []trace.Sym, outs []trace.Value) {
+	entries := make([]string, len(syms))
+	for i, sym := range syms {
+		entries[i] = strconv.Itoa(int(sym)) + ":" + string(outs[i])
 	}
-	full := s.memoString(int(k.i))
-	if prev, ok := s.audit.keys[k]; ok && prev != full {
+	slices.Sort(entries)
+	id := string(end) + "\x00" + strings.Join(entries, "\x00")
+	if prev, ok := a.ids[dig]; ok && prev != id {
 		memoCollisions.Add(1)
 		return
 	}
-	s.audit.keys[k] = full
-}
-
-func (s *searcher) auditHit(k memoKey) {
-	if prev, ok := s.audit.keys[k]; ok && prev != s.memoString(int(k.i)) {
-		memoCollisions.Add(1)
-	}
+	a.ids[dig] = id
 }
 
 var classicalCollisions atomic.Uint64

@@ -14,10 +14,12 @@ import (
 	"repro/internal/workload"
 )
 
-// TestMemoDigestCollisionsZero drives the checker across a broad random
-// sweep with the full-string audit enabled and asserts that no 128-bit
-// memo digest ever stood for two distinct search states (the DESIGN.md
-// decision 7 residual risk, measured instead of assumed).
+// TestMemoDigestCollisionsZero drives the production Lin engine — the
+// frontier session behind Check — across a broad random sweep with the
+// full-identity audit enabled and asserts that no 128-bit digest its
+// deduplication merged on (the extension searches' visited set, the
+// successor frontier) ever stood for two distinct configurations (the
+// DESIGN.md decision 7 residual risk, measured instead of assumed).
 //
 // Run with: go test -tags memocheck ./internal/lin
 func TestMemoDigestCollisionsZero(t *testing.T) {
@@ -48,7 +50,7 @@ func TestMemoDigestCollisionsZero(t *testing.T) {
 			checks++
 		}
 	}
-	// A wide exhaustive (never-linearizable) search: the memo table is
+	// A wide exhaustive (never-linearizable) search: deduplication is
 	// exercised hardest when every branch fails and re-converges.
 	var hard trace.Trace
 	for i := 0; i < 6; i++ {

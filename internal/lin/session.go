@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/adt"
 	"repro/internal/check"
@@ -17,81 +16,68 @@ import (
 // trace is re-checked in time proportional to the new actions instead of
 // from scratch.
 //
-// The engine maintains the breadth counterpart of Check's depth-first
-// search: the frontier of all reachable search configurations after the
-// actions fed so far. Because the per-action transition relation of the
-// search never looks ahead in the trace, the frontier after k actions is
-// independent of the future, so Feed advances it in place:
+// The engine maintains the frontier of all reachable search
+// configurations after the actions fed so far. The per-action transition
+// relation never looks ahead in the trace, so the frontier after k
+// actions is independent of the future and Feed advances it in place:
 //
 //   - an invocation only adds its input to the pending-inputs multiset
 //     (every configuration's availability is derived from it);
 //   - a response replaces the frontier by its successor set: each
 //     configuration either has the response claim an unclaimed chain
-//     entry or extends the chain through available inputs, exactly
-//     Check's branch set, deduplicated across configurations — after
-//     which its input leaves the pending multiset.
+//     entry or extends the chain through available inputs, deduplicated
+//     across configurations — after which its input leaves the pending
+//     multiset.
 //
 // The fed trace is linearizable iff the frontier is non-empty, and a
 // NotLinearizable verdict is final: no continuation can revive an empty
-// frontier. Verdicts therefore provably agree with one-shot Check on
-// every prefix (the session property tests assert this on randomized
-// traces).
+// frontier. One-shot Check is this engine fed a whole trace, with the
+// response lookahead only a complete trace allows (checkStreaming);
+// verdicts agree on every prefix (the session property tests and
+// diffcheck.LinPrefixes assert it).
 //
-// Configuration identity (DESIGN.md, decision 20). A configuration is
-// its commit chain's end state plus the chain's unclaimed entries: the
-// open operations it has already linearized, each with the output it
-// was linearized to — a multiset of (symbol, output) pairs holding at
-// most one entry per open client. Nothing else can influence a future
-// transition: a claim tests only an unclaimed entry's symbol and output;
-// an extension folds from the end state over the pending inputs minus
-// the unclaimed symbols; and real-time order holds by construction,
-// since an input becomes available only at its invocation. Claimed
-// entries are inert wherever they sit in the chain, so they are never
-// stored, and chain order is not part of the identity: configurations
+// Configuration identity (DESIGN.md, decision 20; the cfg type has the
+// details). A configuration is its commit chain's end state plus the
+// chain's unclaimed entries: the open operations it has already
+// linearized, each with the output it was linearized to. Nothing else
+// can influence a future transition, so claimed entries are never
+// stored and chain order is not part of the identity: configurations
 // that committed the same operations in different orders are one
 // configuration, within one response's extension search as much as
 // across responses. The frontier is therefore at most
-// |states| · (|outputs|+1)^k wide for k open operations — each is not
-// linearized yet, or linearized to one of the outputs it can have
-// returned since its invocation — whatever the history's length, and a
-// configuration's size and expansion cost are a function of k alone;
+// |states| · (|outputs|+1)^k wide for k open operations, whatever the
+// history's length — |states| · 2^k one-shot, where the lookahead keeps
+// each open operation unlinearized or at an output it will return — and
+// a configuration's size and expansion cost are a function of k alone;
 // configuration structs are pooled across feeds to keep steady-state
 // allocation flat (only the session's one interner grows with the
 // symbol alphabet).
 //
 // The chain itself survives only where a consumer needs it: with
 // check.WithWitness every configuration points into one shared
-// parent-linked chain of values and records the absolute claimed
-// lengths, so any surviving representative reconstructs a full
-// linearization; check.WithCompaction(false) retains the same chain
-// without using it (the uncompacted storage reference of E18 and
-// diffcheck.Compaction). Bounded-memory streaming runs switch witnesses
-// off and leave compaction on.
+// parent-linked chain of values, so any surviving representative
+// reconstructs a full linearization; check.WithCompaction(false)
+// retains the same chain without using it (the storage reference of E18
+// and diffcheck.Compaction). Bounded-memory streaming runs switch
+// witnesses off and leave compaction on.
 //
-// One budget (check.WithBudget) spans the whole session, spent with the
-// same per-step granularity as Check — or, with check.WithFeedBudget,
-// is rebased at every Feed so a heavy-tailed action cannot starve later
-// feeds; check.WithMemoLimit bounds the frontier size (exceeding it
-// returns ErrMemo — frontier configurations are live state and cannot
-// be dropped soundly). check.WithWorkers(n > 1) expands each response's
-// frontier on n workers over a sharded deduplication set. Errors
+// One budget (check.WithBudget) spans the whole session — or, with
+// check.WithFeedBudget, is rebased at every Feed so a heavy-tailed
+// action cannot starve later feeds; check.WithMemoLimit bounds the
+// frontier size (exceeding it returns ErrMemo — frontier configurations
+// are live state and cannot be dropped soundly). Errors
 // (budget, memo limit, context cancellation, non-sig actions) are
 // terminal: the session sticks to the error and reports verdict
 // Unknown; budget and memo errors wrap their sentinel with the feed
 // index, frontier width, open-operation count and nodes spent in the
 // feed that gave up.
 //
-// A Session is not safe for concurrent use by multiple goroutines (its
-// workers parallelize internally).
+// A Session is not safe for concurrent use by multiple goroutines.
 type Session struct {
 	ctx    context.Context
 	f      adt.Folder
 	set    check.Settings
 	budget int
-	// pooled gates the configuration pool and the per-expansion scratch:
-	// they are single-threaded caches, so parallel expansion
-	// (Workers > 1) allocates instead.
-	pooled bool
 	// keepChain retains the commit chain behind the configurations
 	// (witnesses, or compaction switched off).
 	keepChain bool
@@ -104,24 +90,28 @@ type Session struct {
 	pending map[trace.ClientID]pendingInv
 
 	frontier []*cfg
-	nodes    atomic.Int64
+	nodes    int
 	// feedBase is the nodes value at the current Feed's entry; spend
 	// charges against nodes−feedBase when FeedBudget is set (always 0
-	// with the default lifetime budget). Written only between
-	// expansions, so concurrent spend calls read it race-free.
-	feedBase int64
+	// with the default lifetime budget).
+	feedBase int
 	fed      int
+	// look is the response lookahead of a one-shot check (nil for every
+	// session a caller can feed further; see lookahead).
+	look *lookahead
 
 	err   error  // terminal error, sticky
 	notWF string // non-empty once the fed trace went ill-formed, sticky
 
-	// Recycled search state (pooled sessions only): configuration
-	// structs (with their entry storage) retired when a frontier is
-	// replaced, per-response visited sets, and the availability scratch
-	// slice.
+	// Recycled search state: configuration structs (with their entry
+	// storage) retired when a frontier is replaced, the visited set of
+	// the response being expanded, and the availability scratch slice.
 	cfgPool  []*cfg
-	visPool  trace.SetPool[trace.Digest]
+	visited  map[trace.Digest]struct{}
 	availBuf []trace.SymCount
+	// audit shadows the deduplication digests with full identities under
+	// the memocheck build tag; a zero-size type of no-op methods otherwise.
+	audit memoAudit
 
 	// fast, when non-nil, is the ADT-specialized streaming core the
 	// session delegates to instead of the frontier engine (DESIGN.md,
@@ -227,26 +217,26 @@ func newSessionSettings(ctx context.Context, f adt.Folder, set check.Settings) *
 		f:         f,
 		set:       set,
 		budget:    set.BudgetOr(DefaultBudget),
-		pooled:    set.Workers <= 1,
 		keepChain: set.Witness || !set.Compact,
 		in:        trace.NewInterner(),
 		pending:   map[trace.ClientID]pendingInv{},
 		frontier:  []*cfg{{end: f.Empty(), dig: trace.HashString(string(f.Empty()))}},
+		visited:   map[trace.Digest]struct{}{},
 	}
 }
 
 // spend charges n search nodes against the session budget (rebased per
 // Feed under FeedBudget) and polls the context at ctxPollMask
-// boundaries. Safe for concurrent use by expansion workers.
+// boundaries.
 func (s *Session) spend(n int) error {
 	if n <= 0 {
 		return nil
 	}
-	v := s.nodes.Add(int64(n))
-	if v-s.feedBase > int64(s.budget) {
+	s.nodes += n
+	if s.nodes-s.feedBase > s.budget {
 		return ErrBudget
 	}
-	if v&ctxPollMask < int64(n) {
+	if s.nodes&ctxPollMask < n {
 		if err := s.ctx.Err(); err != nil {
 			return err
 		}
@@ -260,7 +250,7 @@ func (s *Session) Len() int { return s.fed }
 // Nodes returns the cumulative number of search nodes spent, plus — for
 // fast-path sessions — one node per action the specialized core
 // processed (fast-path nodes are not charged against the budget).
-func (s *Session) Nodes() int { return int(s.nodes.Load()) + s.fastNodes }
+func (s *Session) Nodes() int { return s.nodes + s.fastNodes }
 
 // Feed appends action a to the trace under check and advances the
 // frontier. The returned error is terminal (budget or memo exhaustion,
@@ -275,7 +265,7 @@ func (s *Session) Feed(a trace.Action) error {
 		s.err = err
 		return err
 	}
-	start := s.nodes.Load()
+	start := s.nodes
 	if s.set.FeedBudget {
 		s.feedBase = start
 	}
@@ -317,13 +307,13 @@ func (s *Session) Feed(a trace.Action) error {
 // Budget and memo exhaustion say where the search gave up: the width of
 // the frontier being expanded, the operations open during the feed and
 // the nodes it spent since start.
-func (s *Session) stick(err error, idx, open int, start int64) error {
+func (s *Session) stick(err error, idx, open, start int) error {
 	if err == nil {
 		return nil
 	}
 	if errors.Is(err, ErrBudget) || errors.Is(err, ErrMemo) {
 		err = fmt.Errorf("%w (feed %d: %d configurations, %d open operations, %d nodes)",
-			err, idx, len(s.frontier), open, s.nodes.Load()-start)
+			err, idx, len(s.frontier), open, s.nodes-start)
 	}
 	s.err = err
 	return err
@@ -395,12 +385,12 @@ func (s *Session) fastFallback() error {
 	s.invoked = ex.invoked
 	s.pending = ex.pending
 	s.frontier = ex.frontier
-	s.nodes.Store(ex.nodes.Load())
+	s.nodes = ex.nodes
 	s.feedBase = ex.feedBase
 	s.fed = ex.fed
 	s.err = ex.err
 	s.notWF = ex.notWF
-	s.cfgPool, s.visPool, s.availBuf = ex.cfgPool, ex.visPool, ex.availBuf
+	s.cfgPool, s.visited, s.availBuf = ex.cfgPool, ex.visited, ex.availBuf
 	return err
 }
 
@@ -488,33 +478,38 @@ func (s *Session) witness(c *cfg) Witness {
 func (s *Session) expand(a trace.Action, resIdx int) error {
 	asym := s.in.Sym(a.Input)
 	old := s.frontier
-	// Sequential expansion shares one visited set between the extension
-	// searches of all configurations, seeded with the configurations
-	// themselves: a partial extension equal to one of them is cut at
-	// once, since that configuration's own expansion emits its
-	// successors (and its claims besides).
-	var visited map[trace.Digest]struct{}
-	if s.pooled {
-		visited = s.visPool.Get()
-		defer s.visPool.Put(visited)
-		for _, c := range old {
-			visited[c.dig] = struct{}{}
-		}
+	if s.look != nil {
+		// This response closes its own extension or claims an entry made
+		// earlier: what it linearizes on the way is left to later ones.
+		s.look.future[symOut{asym, a.Output}]--
 	}
-	next, err := check.ExpandFrontier(s.ctx, old, s.set, s.spend,
+	// One visited set is shared between the extension searches of all
+	// configurations, seeded with the configurations themselves: a
+	// partial extension equal to one of them is cut at once, since that
+	// configuration's own expansion emits its successors (and its claims
+	// besides).
+	clear(s.visited)
+	s.audit.reset()
+	for _, c := range old {
+		s.visited[c.dig] = struct{}{}
+		s.audit.note(c.dig, c.end, c.syms, c.outs)
+	}
+	next, err := check.ExpandFrontier(old, s.spend,
 		func(c *cfg) trace.Digest { return c.dig },
 		func(kept, dup *cfg) *cfg {
+			s.audit.note(kept.dig, kept.end, kept.syms, kept.outs)
+			s.audit.note(dup.dig, dup.end, dup.syms, dup.outs)
 			s.putCfg(dup)
 			return kept
 		},
 		func(c *cfg, emit func(*cfg)) error {
-			return s.expandCfg(c, a, asym, resIdx, visited, emit)
+			return s.expandCfg(c, a, asym, resIdx, emit)
 		})
 	if err != nil {
-		if errors.Is(err, check.ErrFrontierLimit) {
-			return ErrMemo
-		}
 		return err
+	}
+	if s.set.MemoLimit > 0 && len(next) > s.set.MemoLimit {
+		return ErrMemo
 	}
 	for _, c := range old {
 		s.putCfg(c)
@@ -529,12 +524,8 @@ func (s *Session) expand(a trace.Action, resIdx int) error {
 // expandCfg emits every successor of configuration c under response a:
 // the claim of a matching unclaimed entry, plus every chain extension
 // through available inputs that closes with the response's own input —
-// the branch set of the depth-first commit handler up to configuration
-// identity, enumerated exhaustively instead of short-circuiting on the
-// first success.
-func (s *Session) expandCfg(c *cfg, a trace.Action, asym trace.Sym, resIdx int,
-	visited map[trace.Digest]struct{}, emit func(*cfg)) error {
-
+// every branch a commit can take, up to configuration identity.
+func (s *Session) expandCfg(c *cfg, a trace.Action, asym trace.Sym, resIdx int, emit func(*cfg)) error {
 	// Option 1: claim an unclaimed entry carrying the response's input
 	// and output. Equal entries (untagged duplicates) have equal
 	// successors, so the first one stands for all.
@@ -548,13 +539,8 @@ func (s *Session) expandCfg(c *cfg, a trace.Action, asym trace.Sym, resIdx int,
 	// availability (pending inputs minus those c already linearized, in
 	// ascending symbol order), the last being the response's own input —
 	// which c may have linearized already, leaving nothing to close with.
-	var avail []trace.SymCount
-	if s.pooled {
-		avail = s.invoked.AppendDiff(s.availBuf[:0], c.syms)
-		s.availBuf = avail
-	} else {
-		avail = s.invoked.AppendDiff(nil, c.syms)
-	}
+	avail := s.invoked.AppendDiff(s.availBuf[:0], c.syms)
+	s.availBuf = avail
 	closeAt := -1
 	for i, e := range avail {
 		if e.Sym == asym {
@@ -565,10 +551,7 @@ func (s *Session) expandCfg(c *cfg, a trace.Action, asym trace.Sym, resIdx int,
 	if closeAt < 0 {
 		return nil
 	}
-	if visited == nil { // parallel expansion: a set of this search's own
-		visited = map[trace.Digest]struct{}{c.dig: {}}
-	}
-	x := extension{c: c, a: a, resIdx: resIdx, avail: avail, closeAt: closeAt, visited: visited, emit: emit}
+	x := extension{c: c, a: a, resIdx: resIdx, avail: avail, closeAt: closeAt, emit: emit}
 	return s.extend(&x, c.end, c.dig.Sub(trace.HashString(string(c.end))))
 }
 
@@ -598,7 +581,6 @@ type extension struct {
 	resIdx  int
 	avail   []trace.SymCount // counts are decremented and restored in place
 	closeAt int              // index in avail of the response's own input
-	visited map[trace.Digest]struct{}
 	emit    func(*cfg)
 	syms    []trace.Sym
 	outs    []trace.Value
@@ -631,12 +613,19 @@ func (s *Session) extend(x *extension, st adt.State, open trace.Digest) error {
 		}
 		in := s.in.Value(sym)
 		stIn, outIn := s.f.Step(st, in), s.f.Out(st, in)
-		openIn := open.Add(trace.HashOutput(sym, outIn))
-		dig := openIn.Add(trace.HashString(string(stIn)))
-		if _, hit := x.visited[dig]; hit {
+		if s.look != nil && s.look.unclaimable(x, sym, outIn) {
 			continue
 		}
-		x.visited[dig] = struct{}{}
+		openIn := open.Add(trace.HashOutput(sym, outIn))
+		dig := openIn.Add(trace.HashString(string(stIn)))
+		if memocheckEnabled {
+			s.audit.note(dig, stIn, slices.Concat(x.c.syms, x.syms, []trace.Sym{sym}),
+				slices.Concat(x.c.outs, x.outs, []trace.Value{outIn}))
+		}
+		if _, hit := s.visited[dig]; hit {
+			continue
+		}
+		s.visited[dig] = struct{}{}
 		x.avail[i].N--
 		x.syms, x.outs = append(x.syms, sym), append(x.outs, outIn)
 		err := s.extend(x, stIn, openIn)
@@ -686,8 +675,9 @@ func (s *Session) closeExt(x *extension, stEnd adt.State, open trace.Digest) *cf
 	return n
 }
 
-// newCfg returns a configuration struct, recycled when pooled: zeroed
-// except for its empty entry slices, whose storage the caller reuses.
+// newCfg returns a configuration struct, recycled when the pool has
+// one: zeroed except for its empty entry slices, whose storage the
+// caller reuses.
 func (s *Session) newCfg() *cfg {
 	if n := len(s.cfgPool); n > 0 {
 		c := s.cfgPool[n-1]
@@ -698,19 +688,93 @@ func (s *Session) newCfg() *cfg {
 }
 
 // putCfg retires a configuration: the struct and its entry storage,
-// which no successor shares, return to the session pool. No-op for
-// parallel sessions — the pool is a single-threaded cache.
+// which no successor shares, return to the session pool.
 func (s *Session) putCfg(c *cfg) {
-	if s.pooled && len(s.cfgPool) < maxPool {
+	if len(s.cfgPool) < maxPool {
 		*c = cfg{syms: c.syms[:0], outs: c.outs[:0], pos: c.pos[:0]}
 		s.cfgPool = append(s.cfgPool, c)
 	}
 }
 
-// checkStreaming is the breadth-engine one-shot path of Check
-// (WithWorkers(n > 1)): it feeds the whole trace through a Session.
+// lookahead is what a one-shot check knows that an online session
+// cannot (DESIGN.md, decision 21): the responses still to come. An entry
+// — an open operation linearized to an output — leaves a configuration
+// only when a later response with that input and output claims it, and
+// at the end of the trace a configuration holds no more entries of a
+// symbol than operations of that symbol never respond. So where every
+// operation of a symbol responds, a configuration holding more (symbol,
+// output) entries than responses with that pair remain cannot survive,
+// and the extension that would create it is not made.
+//
+// The rule counts per symbol, not per operation: Validity is blind to
+// which occurrence of an input a commit history ends with, so a
+// response may claim an entry made while only another client's equal
+// invocation was pending (TestRepeatedEventsDivergence).
+type lookahead struct {
+	// future counts the responses not yet expanded, by input and output.
+	future map[symOut]int
+	// never counts, per input, the invocations that never respond.
+	never map[trace.Sym]int
+}
+
+type symOut struct {
+	sym trace.Sym
+	out trace.Value
+}
+
+// newLookahead counts the responses and never-responding invocations
+// of the well-formed trace t, interning its inputs in feed order.
+func newLookahead(in *trace.Interner, t trace.Trace) *lookahead {
+	l := &lookahead{future: map[symOut]int{}, never: map[trace.Sym]int{}}
+	for _, a := range t {
+		switch sym := in.Sym(a.Input); a.Kind {
+		case trace.Inv:
+			l.never[sym]++
+		case trace.Res:
+			l.never[sym]--
+			l.future[symOut{sym, a.Output}]++
+		}
+	}
+	return l
+}
+
+// unclaimable reports whether appending sym with output out to
+// extension x leaves more unclaimed (sym, out) entries than later
+// responses can claim.
+func (l *lookahead) unclaimable(x *extension, sym trace.Sym, out trace.Value) bool {
+	if l.never[sym] > 0 {
+		return false
+	}
+	held := 1
+	for i, s := range x.c.syms {
+		if s == sym && x.c.outs[i] == out {
+			held++
+		}
+	}
+	for i, s := range x.syms {
+		if s == sym && x.outs[i] == out {
+			held++
+		}
+	}
+	return held > l.future[symOut{sym, out}]
+}
+
+// checkStreaming is one-shot Check: the whole trace, if well-formed, fed
+// through one session. Only here is the trace known to be complete, so
+// only here is the lookahead installed; FeedAll stays online, since its
+// session may be fed further and a later response may claim what the
+// lookahead would have pruned.
 func checkStreaming(ctx context.Context, f adt.Folder, t trace.Trace, set check.Settings) (Result, error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return Result{}, err
+		}
+	}
+	if !t.WellFormed() {
+		return Result{OK: false, Reason: "trace is not well-formed"}, nil
+	}
 	s := newSessionSettings(ctx, f, set)
+	s.look = newLookahead(s.in, t)
 	if err := s.FeedAll(t); err != nil {
 		return Result{Nodes: s.Nodes()}, err
 	}

@@ -67,15 +67,13 @@ var sequentialCounts = [20]sessionCounts{{true, 174}, {true, 87}, {false, 38}, {
 // multiplicityVariants are the engine configurations
 // TestSessionMultiplicityPinned runs, each with its exact counts on
 // seeds 1–20. Compaction is storage only and the session has no reducer
-// to switch off, so those variants must reproduce the default's; parallel
-// expansion visits more, its workers sharing no visited set.
+// to switch off, so those variants must reproduce the default's.
 var multiplicityVariants = []struct {
 	name string
 	opts []check.Option
 	want [20]sessionCounts
 }{
 	{"default", nil, sequentialCounts},
-	{"workers2", []check.Option{check.WithWorkers(2)}, [20]sessionCounts{{true, 175}, {true, 106}, {false, 38}, {true, 115}, {true, 88}, {true, 99}, {true, 90}, {true, 40}, {true, 24}, {true, 38}, {true, 66}, {false, 77}, {true, 119}, {true, 84}, {false, 135}, {true, 45}, {true, 174}, {true, 84}, {true, 50}, {true, 38}}},
 	{"nopor", []check.Option{check.WithPOR(false)}, sequentialCounts},
 	{"nocompact", []check.Option{check.WithCompaction(false)}, sequentialCounts},
 }

@@ -13,17 +13,14 @@ import (
 // when unset). Results are in trace order; each check gets its own budget
 // of check.WithBudget nodes shared across its interpretation
 // combinations. The first error (or a cancellation of ctx) stops the
-// batch and is returned with partial results. Inside a batch every
-// per-trace search runs the sequential depth-first engine; use a
-// single-trace Check with WithWorkers(n > 1) for intra-trace parallelism.
+// batch and is returned with partial results. The workers option shards
+// traces, not searches: every per-trace check is the sequential Check.
 //
 // Folder and RInit implementations must be safe for concurrent use; every
 // implementation in packages adt and slin is stateless and qualifies.
 func CheckAll(ctx context.Context, f adt.Folder, rinit RInit, m, n int, ts []trace.Trace, opts ...check.Option) ([]Result, error) {
 	set := check.NewSettings(opts...)
-	perTrace := set
-	perTrace.Workers = 1
 	return check.Parallel(ctx, ts, set.Workers, func(_ int, t trace.Trace) (Result, error) {
-		return checkSettings(ctx, f, rinit, m, n, t, perTrace)
+		return checkSettings(ctx, f, rinit, m, n, t, set)
 	})
 }

@@ -2,9 +2,7 @@ package slin
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/adt"
 	"repro/internal/check"
@@ -73,12 +71,11 @@ type Session struct {
 	m, n   int
 	set    check.Settings
 	budget int
-	nodes  atomic.Int64
+	nodes  int
 	// feedBase is the nodes value at the current Feed's entry; spend
 	// charges against nodes−feedBase when FeedBudget is set (always 0
-	// with the default lifetime budget). Written only between
-	// expansions, so concurrent spend calls read it race-free.
-	feedBase int64
+	// with the default lifetime budget).
+	feedBase int
 	// por is the live state of the partial-order reduction: it starts as
 	// set.POR and flips off permanently at the first abort action fed —
 	// abort histories extend chains as sequences, so pruned extension
@@ -87,10 +84,9 @@ type Session struct {
 	// (OrderInsensitive), which keeps the reduction on across aborts.
 	// If pruning already happened by then, the frontiers are rebuilt by
 	// an unreduced replay, so every verdict equals the one-shot Check of
-	// the fed prefix. pruned counts skipped branches (atomic: expansion
-	// workers prune concurrently).
+	// the fed prefix. pruned counts skipped branches.
 	por    bool
-	pruned atomic.Int64
+	pruned int
 
 	// t records the fed trace for replays (init rebuilds, fast-path
 	// fallback, POR-disable rebuilds); record is dropped — and t
@@ -126,9 +122,8 @@ type Session struct {
 	fastNodes int
 	fastPend  map[trace.ClientID]int // client -> pending invocation's trace index
 
-	// Per-expansion scratch of sequential sessions (Workers <= 1; parallel
-	// expansion allocates instead, these are single-threaded caches): the
-	// availability multiset and the extension searches' visited sets.
+	// Per-expansion scratch: the availability multiset and the extension
+	// searches' visited sets.
 	availBuf trace.SymMultiset
 	visPool  trace.SetPool[trace.Digest]
 }
@@ -189,7 +184,7 @@ type scfg struct {
 	// sleep is the carried sleep set of the DAG-level reduction
 	// (decision 17): the set in force when this configuration was
 	// emitted, seeding the next response's extension search. Zero
-	// unless the reduction is live and the expansion sequential.
+	// unless the reduction is live.
 	sleep check.SleepSet
 	// asn is the assignment trail (response trace index -> absolute
 	// claimed chain length) along this configuration's lineage, for
@@ -250,23 +245,17 @@ func (s *Session) spend(n int) error {
 	if n <= 0 {
 		return nil
 	}
-	v := s.nodes.Add(int64(n))
-	if v-s.feedBase > int64(s.budget) {
+	s.nodes += n
+	if s.nodes-s.feedBase > s.budget {
 		return ErrBudget
 	}
-	if v&ctxPollMask < int64(n) {
+	if s.nodes&ctxPollMask < n {
 		if err := s.ctx.Err(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
-
-// dagSleep reports whether the DAG-level sleep-set carry is active:
-// sequential expansion only (the parallel path's first-insert-wins
-// deduplication cannot merge carried sets) and only while the reduction
-// itself is live.
-func (s *Session) dagSleep() bool { return s.por && s.set.Workers <= 1 }
 
 // recording reports whether a future Feed could still need to replay the
 // fed trace: init rebuilds (m > 1), fast-path fallback, or a
@@ -291,12 +280,12 @@ func (s *Session) Len() int { return s.fed }
 // Nodes returns the cumulative number of search nodes spent, plus — for
 // fast-path sessions — one node per action the specialized core
 // processed (fast-path nodes are not charged against the budget).
-func (s *Session) Nodes() int { return int(s.nodes.Load()) + s.fastNodes }
+func (s *Session) Nodes() int { return s.nodes + s.fastNodes }
 
 // Pruned returns the cumulative number of extension branches the
 // partial-order reduction skipped, including branches of frontiers later
 // discarded by an unreduced replay (0 with check.WithPOR(false)).
-func (s *Session) Pruned() int { return int(s.pruned.Load()) }
+func (s *Session) Pruned() int { return s.pruned }
 
 // Feed appends action a to the trace under check. Errors (budget or memo
 // exhaustion, cancellation, actions outside sig(m,n), switch values
@@ -315,7 +304,7 @@ func (s *Session) Feed(a trace.Action) error {
 		return s.err
 	}
 	if s.set.FeedBudget {
-		s.feedBase = s.nodes.Load()
+		s.feedBase = s.nodes
 	}
 	if s.fast != nil {
 		return s.feedFast(a)
@@ -362,7 +351,7 @@ func (s *Session) feedExact(a trace.Action) error {
 		// under-approximate the unreduced ones, so replay the fed trace
 		// — including this abort — unreduced.
 		s.por = false
-		if s.pruned.Load() > 0 {
+		if s.pruned > 0 {
 			if err := s.rebuild(); err != nil {
 				s.err = err
 				return err
@@ -646,8 +635,6 @@ func (s *Session) step(cb *combo, a trace.Action, idx int) error {
 // shared summary.
 func (s *Session) stepRes(cb *combo, a trace.Action, resIdx int) error {
 	asym := cb.in.Sym(a.Input)
-	dagSleep := s.dagSleep()
-	pooled := s.set.Workers <= 1
 	expandOne := func(c *scfg, emit func(*scfg)) error {
 		// Option 1: claim an existing unused prefix length beyond base
 		// (compacted positions are claimed or below base, so scanning the
@@ -666,48 +653,32 @@ func (s *Session) stepRes(cb *combo, a trace.Action, resIdx int) error {
 		if !c.elems.SubsetOf(cb.vi) {
 			return nil
 		}
-		var avail *trace.SymMultiset
-		if pooled {
-			s.availBuf.CopyFrom(cb.vi)
-			avail = &s.availBuf
-		} else {
-			cl := cb.vi.Clone()
-			avail = &cl
-		}
+		s.availBuf.CopyFrom(cb.vi)
+		avail := &s.availBuf
 		avail.SubtractAll(&c.elems)
 		if avail.Size() == 0 {
 			return nil
 		}
-		var seed check.SleepSet
-		if dagSleep {
-			seed = c.sleep
-		}
-		var visited map[trace.Digest]struct{}
-		if pooled {
-			visited = s.visPool.Get()
-			defer s.visPool.Put(visited)
-		} else {
-			visited = make(map[trace.Digest]struct{}, 8)
-		}
-		return s.extendS(cb, c, a, asym, resIdx, avail, visited, nil, nil, c.end, c.dig, seed, emit)
+		visited := s.visPool.Get()
+		defer s.visPool.Put(visited)
+		// The carried set seeds the search; extendS consults it only while
+		// the reduction is live.
+		return s.extendS(cb, c, a, asym, resIdx, avail, visited, nil, nil, c.end, c.dig, c.sleep, emit)
 	}
-	var merge func(kept, dup *scfg) *scfg
-	if dagSleep {
-		// Two expansion paths reached the same configuration digest with
-		// possibly different carried sleep sets: only symbols slept on
-		// both stay asleep (union would prune orders one path still owes).
-		merge = func(kept, dup *scfg) *scfg {
-			kept.sleep = kept.sleep.Intersect(dup.sleep)
-			return kept
-		}
+	// Two expansion paths reached the same configuration digest with
+	// possibly different carried sleep sets: only symbols slept on both
+	// stay asleep (union would prune orders one path still owes).
+	merge := func(kept, dup *scfg) *scfg {
+		kept.sleep = kept.sleep.Intersect(dup.sleep)
+		return kept
 	}
-	next, err := check.ExpandFrontier(s.ctx, cb.frontier, s.set, s.spend,
+	next, err := check.ExpandFrontier(cb.frontier, s.spend,
 		func(c *scfg) trace.Digest { return c.dig }, merge, expandOne)
 	if err != nil {
-		if errors.Is(err, check.ErrFrontierLimit) {
-			return ErrMemo
-		}
 		return err
+	}
+	if s.set.MemoLimit > 0 && len(next) > s.set.MemoLimit {
+		return ErrMemo
 	}
 	if s.set.Compact {
 		s.compactS(cb, next)
@@ -777,7 +748,7 @@ func (s *Session) extendS(cb *combo, c *scfg, a trace.Action, asym trace.Sym, re
 		if s.commitCompatible(cb, &elems) {
 			stIn := s.f.Step(st, a.Input)
 			var carry check.SleepSet
-			if s.dagSleep() {
+			if s.por {
 				carry = sleep.FilterIndependent(s.f, cb.in, st, a.Input, stIn, a.Output)
 			}
 			syms := make([]trace.Sym, 0, n)
@@ -812,7 +783,7 @@ func (s *Session) extendS(cb *combo, c *scfg, a trace.Action, asym trace.Sym, re
 			continue
 		}
 		if s.por && sleep.Has(sym) {
-			s.pruned.Add(1)
+			s.pruned++
 			continue
 		}
 		in := cb.in.Value(sym)
@@ -1134,19 +1105,6 @@ func (s *Session) switness(cb *combo, c *scfg, aborts map[int]trace.History) Wit
 		}
 	}
 	return w
-}
-
-// checkStreaming is the breadth-engine one-shot path of Check
-// (WithWorkers(n > 1)): it feeds the whole trace through a Session.
-func checkStreaming(ctx context.Context, f adt.Folder, rinit RInit, m, n int, t trace.Trace, set check.Settings) (Result, error) {
-	s, err := newSessionSettings(ctx, f, rinit, m, n, set)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := s.FeedAll(t); err != nil {
-		return Result{Nodes: s.Nodes(), Pruned: s.Pruned()}, err
-	}
-	return s.Result()
 }
 
 func newSessionSettings(ctx context.Context, f adt.Folder, rinit RInit, m, n int, set check.Settings) (*Session, error) {

@@ -71,42 +71,6 @@ func TestSLinSessionAgreesWithCheck(t *testing.T) {
 	})
 }
 
-// TestSLinWorkersAgree asserts the breadth engine (WithWorkers > 1)
-// returns the depth-first verdicts on randomized phase traces.
-func TestSLinWorkersAgree(t *testing.T) {
-	ctx := context.Background()
-	r := rand.New(rand.NewSource(83))
-	for i := 0; i < 120; i++ {
-		var tr trace.Trace
-		m, n := 1, 2
-		if i%2 == 0 {
-			opts := workload.PhaseOpts{Clients: 2 + r.Intn(2)}
-			if i%3 == 0 {
-				opts.ViolateProb = 0.4
-			}
-			tr = workload.FirstPhase(r, opts)
-		} else {
-			m, n = 2, 3
-			tr = workload.SecondPhase(r, 2, workload.PhaseOpts{Clients: 2 + r.Intn(2)})
-		}
-		temporal := i%4 < 2
-		seq, err := Check(ctx, adt.Consensus{}, ConsensusRInit{}, m, n, tr,
-			check.WithWorkers(1), check.WithTemporalAbortOrder(temporal))
-		if err != nil {
-			t.Fatalf("case %d sequential: %v", i, err)
-		}
-		par, err := Check(ctx, adt.Consensus{}, ConsensusRInit{}, m, n, tr,
-			check.WithWorkers(4), check.WithTemporalAbortOrder(temporal))
-		if err != nil {
-			t.Fatalf("case %d parallel: %v", i, err)
-		}
-		if par.OK != seq.OK {
-			t.Fatalf("case %d (m=%d n=%d temporal=%v): workers=4 %v, workers=1 %v\ntrace: %v",
-				i, m, n, temporal, par.OK, seq.OK, tr)
-		}
-	}
-}
-
 // TestSLinSessionBudgetExhaustion asserts budget errors are terminal with
 // verdict Unknown.
 func TestSLinSessionBudgetExhaustion(t *testing.T) {

@@ -13,10 +13,9 @@ import (
 // ErrBudget is returned when a check exceeds its search budget.
 var ErrBudget = errors.New("slin: search budget exhausted")
 
-// ErrMemo is returned by the breadth (frontier) engine — Sessions and
-// checks with check.WithWorkers(n > 1) — when a frontier exceeds the
-// configured check.WithMemoLimit; the depth-first engine instead stops
-// inserting memo entries beyond the limit.
+// ErrMemo is returned by Sessions (the breadth engine) when a frontier
+// exceeds the configured check.WithMemoLimit; the depth-first engine of
+// Check instead stops inserting memo entries beyond the limit.
 var ErrMemo = errors.New("slin: memo limit exceeded")
 
 // DefaultBudget bounds the number of search nodes explored per check.
@@ -30,8 +29,7 @@ const ctxPollMask = 0x3ff
 // check (checker API v2, DESIGN.md decision 11): WithBudget bounds the
 // search (one budget per Check call, shared across all
 // init-interpretation combinations, spent one node per recursive step —
-// uniform with lin.Check and lin.CheckClassical), WithWorkers(n > 1)
-// runs the breadth engine inside a single check, WithMemoLimit bounds
+// uniform with lin.Check and lin.CheckClassical), WithMemoLimit bounds
 // the memo tables, and WithTemporalAbortOrder selects the temporal
 // Abort-Order reading documented below.
 //
@@ -93,11 +91,11 @@ type Result struct {
 	// disables itself on traces containing abort actions — abort
 	// histories extend the chain as a sequence, and r_init may be
 	// order-sensitive — so the depth-first engine reports 0 there. The
-	// breadth engine (Sessions, WithWorkers(n > 1)) cannot see aborts
-	// coming: it may prune on an abort-free prefix, then discard the
-	// pruned frontiers by an unreduced replay at the first abort while
-	// keeping the cumulative counter, so its Pruned can stay non-zero on
-	// abort-carrying traces (the verdict is still unreduced-exact).
+	// breadth engine (Sessions) cannot see aborts coming: it may prune on
+	// an abort-free prefix, then discard the pruned frontiers by an
+	// unreduced replay at the first abort while keeping the cumulative
+	// counter, so its Pruned can stay non-zero on abort-carrying traces
+	// (the verdict is still unreduced-exact).
 	Pruned int
 }
 
@@ -135,10 +133,7 @@ type existsFn func(f adt.Folder, rinit RInit, m, n int, t trace.Trace, finit map
 // composed traces and are ignored, mirroring Definition 33's projection.
 //
 // The check is context-aware: cancellation of ctx aborts the search with
-// ctx's error. With check.WithWorkers(n > 1) it runs on the breadth
-// (frontier) engine — the same engine Sessions use — which parallelizes
-// inside the single check; witnesses are assembled from the surviving
-// configurations' assignment trails, exactly as Sessions do.
+// ctx's error.
 func Check(ctx context.Context, f adt.Folder, rinit RInit, m, n int, t trace.Trace, opts ...check.Option) (Result, error) {
 	return checkSettings(ctx, f, rinit, m, n, t, check.NewSettings(opts...))
 }
@@ -148,9 +143,6 @@ func checkSettings(ctx context.Context, f adt.Folder, rinit RInit, m, n int, t t
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-	}
-	if set.Workers > 1 {
-		return checkStreaming(ctx, f, rinit, m, n, t, set)
 	}
 	return checkWith(ctx, f, rinit, m, n, t, set, existsWitness)
 }

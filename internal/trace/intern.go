@@ -104,8 +104,7 @@ func HashCount(s Sym, count int) Digest {
 // linearized and the output it was linearized to (DESIGN.md, decision
 // 20). Identity sums these components with no position in them, so the
 // order entries were appended in leaves the digest. The output is hashed
-// by content, not interned: successors are built by concurrent expansion
-// workers, which may only read the session's interner.
+// by content, not interned.
 func HashOutput(s Sym, out Value) Digest {
 	x, d := uint64(s)<<34, HashString(out)
 	return Digest{mix64(d[0] ^ x), mix64(d[1] ^ x)}

@@ -156,8 +156,8 @@ func corruptOutput(f adt.Folder, r *rand.Rand, opts TraceOpts, out trace.Value) 
 // The trace is never linearizable, so exact checkers exhaust their full
 // memoized DAGs on it (deterministic node counts), and after the first
 // chain element every remaining proposal commutes — making it both a
-// worst case for the unreduced engines and the best case of the E13
-// partial-order reduction. clientPrefix names the clients ("h" yields
+// worst case for the unreduced SLin engines and the best case of their
+// sleep-set reduction. clientPrefix names the clients ("h" yields
 // h0, h1, ...).
 func SplitDecision(w int, clientPrefix string) trace.Trace {
 	var t trace.Trace

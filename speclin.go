@@ -37,11 +37,13 @@
 //	for _, a := range actions { _ = sess.Feed(a) }
 //	rep, _ := sess.Report()
 //
-// WithWorkers(n) for n > 1 parallelizes inside one check; WithMemoLimit
-// bounds checker memory; WithPOR (on by default) toggles the sleep-set
-// partial-order reduction over the search's extension branches, with
-// Report.Pruned accounting for the skipped work (DESIGN.md, decision
-// 12).
+// WithBudget bounds a check's search and WithMemoLimit its memory; a Lin
+// check that exhausts either says where ("lin: search budget exhausted
+// (feed 17: 8 configurations, 5 open operations, 21 nodes)"), wrapping
+// ErrBudget/ErrMemo — match with errors.Is. One-shot and incremental Lin
+// checks are one engine (DESIGN.md, decision 21); WithPOR toggles the
+// SLin engines' partial-order reduction (decision 12); WithWorkers sizes
+// the batch checkers' pool, never a single check.
 //
 // See the examples/ directory for runnable end-to-end programs and
 // DESIGN.md for the map from the paper's sections to packages (decision
@@ -214,10 +216,9 @@ var (
 	// WithBudget bounds the search to n nodes; exhausting it yields
 	// verdict Unknown with ErrBudget/ErrSLinBudget.
 	WithBudget = check.WithBudget
-	// WithWorkers sets intra-check parallelism: n > 1 runs the breadth
-	// (frontier) engine — the engine Sessions use — with n workers
-	// inside one check, so a single pathological trace uses all cores.
-	// 0 or 1 keeps the sequential depth-first engine.
+	// WithWorkers sizes the worker pool of the batch checkers, which
+	// shard independent traces (0 means GOMAXPROCS); a single check or
+	// session is always sequential.
 	WithWorkers = check.WithWorkers
 	// WithWitness toggles witness assembly on positive verdicts
 	// (default on).
@@ -228,11 +229,11 @@ var (
 	// of the SLin checker (see the slin package documentation).
 	WithTemporalAbortOrder = check.WithTemporalAbortOrder
 	// WithPOR toggles the sleep-set partial-order reduction over the
-	// engines' extension branch sets (default on; DESIGN.md decision
-	// 12). The reduction is verdict- and witness-preserving; turning it
-	// off retains the unreduced reference searches, which the
-	// differential tests cross-check against the reduced ones. Lin
-	// sessions have no reducer to toggle (decision 20).
+	// SLin engines' extension branch sets (default on; DESIGN.md
+	// decision 12). The reduction is verdict- and witness-preserving;
+	// turning it off retains the unreduced reference searches, which the
+	// differential tests cross-check against the reduced ones. The Lin
+	// engine has no reducer to toggle (decisions 20 and 21).
 	WithPOR = check.WithPOR
 	// WithExact forces the exact search engines on entry points that
 	// would otherwise dispatch to an ADT-specialized fast-path checker
@@ -293,9 +294,9 @@ type Report struct {
 	// unreduced search would have spent nodes on.
 	Nodes int
 	// Pruned is the number of extension branches the partial-order
-	// reduction skipped (0 with WithPOR(false); always 0 for
-	// ClassicalLin, whose search has no extension branch structure, and
-	// for Lin sessions, whose configurations merge commuting orders).
+	// reduction skipped: SLin only (0 with WithPOR(false)). ClassicalLin
+	// has no extension branch structure, and the Lin engine's
+	// configurations merge commuting orders instead.
 	Pruned int
 	// Wall is the wall-clock duration of the check.
 	Wall time.Duration
@@ -318,7 +319,7 @@ var (
 	// ErrBudget reports that a lin check exceeded its search budget:
 	// the verdict is Unknown, and a larger WithBudget may decide it.
 	ErrBudget = lin.ErrBudget
-	// ErrMemo reports that a breadth-engine frontier exceeded
+	// ErrMemo reports that a lin check's frontier exceeded
 	// WithMemoLimit.
 	ErrMemo = lin.ErrMemo
 	// ErrSLinBudget is ErrBudget's counterpart for the SLin checker.
@@ -351,7 +352,7 @@ func Check(ctx context.Context, spec CheckSpec, t Trace, opts ...Option) (Report
 	case Lin:
 		var r lin.Result
 		r, err = lin.CheckFast(ctx, spec.Folder, t, opts...)
-		rep = Report{Verdict: linVerdict(r, err), Reason: r.Reason, Witness: r.Witness, Nodes: r.Nodes, Pruned: r.Pruned}
+		rep = Report{Verdict: linVerdict(r, err), Reason: r.Reason, Witness: r.Witness, Nodes: r.Nodes}
 	case ClassicalLin:
 		var r lin.Result
 		r, err = lin.CheckClassical(ctx, spec.Folder, t, opts...)
@@ -429,7 +430,7 @@ func (s *Session) Report() (Report, error) {
 	if s.mode == Lin {
 		var r lin.Result
 		r, err = s.lin.Result()
-		rep = Report{Verdict: linVerdict(r, err), Reason: r.Reason, Witness: r.Witness, Nodes: r.Nodes, Pruned: r.Pruned}
+		rep = Report{Verdict: linVerdict(r, err), Reason: r.Reason, Witness: r.Witness, Nodes: r.Nodes}
 	} else {
 		var r slin.Result
 		r, err = s.slin.Result()
