@@ -19,6 +19,8 @@
 //	                                   # transactions, component checking (E19)
 //	smr-bench -txn-frac 0.2 -txn-faults -zipf 1.2   # ... under rolling
 //	                                   # coordinator crash–restarts
+//	smr-bench -online -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
+//	                                   # profiles for `go tool pprof`
 package main
 
 import (
@@ -27,6 +29,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -65,8 +69,12 @@ func main() {
 		casFrac    = flag.Float64("cas-frac", 0, "fraction of transactions that are CAS read-modify-writes (0: default 0.3; negative: none)")
 		recoveryTO = flag.Int64("recovery-timeout", 0, "transaction recovery-watchdog timeout in delays (0: default 2000)")
 		txnFaults  = flag.Bool("txn-faults", false, "inject rolling coordinator crash–restarts into the transactional run")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memProfile = flag.String("memprofile", "", "write an allocation profile (sampled allocation sites since start, after a final GC) to this file")
 	)
 	flag.Parse()
+	defer startProfiles(*cpuProfile, *memProfile)()
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -236,6 +244,38 @@ func report(r experiments.ShardRunResult) {
 		"fast-path=%.1f%%  latency=%.1f  run wall=%.0fms (%.0f cmds/s)\n  consistency ok; %s\n",
 		r.Shards, r.Distribution, r.Commands, r.SimTime, r.CmdsPerDelay,
 		100*r.FastPathRate, r.MeanLatency, r.WallMs, r.CmdsPerSecWall, check)
+}
+
+// startProfiles begins the requested profiles and returns the function
+// that finishes them. Only a run that reaches the end of main writes
+// them: the error paths exit directly.
+func startProfiles(cpu, mem string) (stop func()) {
+	check := func(err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "smr-bench: %v\n", err)
+			os.Exit(2)
+		}
+	}
+	var cpuFile *os.File
+	if cpu != "" {
+		var err error
+		cpuFile, err = os.Create(cpu)
+		check(err)
+		check(pprof.StartCPUProfile(cpuFile))
+	}
+	return func() {
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			check(cpuFile.Close())
+		}
+		if mem != "" {
+			f, err := os.Create(mem)
+			check(err)
+			runtime.GC() // so the profile covers every allocation up to here
+			check(pprof.Lookup("allocs").WriteTo(f, 0))
+			check(f.Close())
+		}
+	}
 }
 
 func fail(rows []experiments.ShardRunResult, err error) {

@@ -296,8 +296,9 @@ func (e *clientEnv) Send(to msgnet.ProcID, p any) {
 	e.driver.node.Send(to, envelope{phase: e.phase, payload: p})
 }
 func (e *clientEnv) Broadcast(p any) {
+	var env any = envelope{phase: e.phase, payload: p}
 	for _, s := range e.driver.obj.servers {
-		e.Send(s, p)
+		e.driver.node.Send(s, env)
 	}
 }
 func (e *clientEnv) SetTimer(name string, d msgnet.Time) {

@@ -20,7 +20,6 @@
 package msgnet
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -34,6 +33,15 @@ type ProcID string
 // Handler implements a process's protocol logic. Handlers run in the
 // single-threaded event loop; they must not retain n across events (it is
 // stable, but must only be used from within callbacks).
+//
+// Payloads are immutable values owned by nobody: the simulator hands the
+// very value given to Send to every delivery of it — duplicates included
+// — and senders may give one value to many destinations, so neither side
+// may modify a payload (or anything it points to) after Send. A handler
+// may retain a payload for as long as it likes. Events are the
+// simulator's: the record that carried a message or timer is reused for a
+// later one as soon as the callback returns, which a handler cannot
+// observe — it is only ever handed the payload and the timer name.
 type Handler interface {
 	// Init runs when the simulation starts (before any event).
 	Init(n *Node)
@@ -109,11 +117,15 @@ const (
 	evCall
 )
 
+// event is one scheduled delivery, timer, crash or call. Its ordering key
+// (at, seq) lives beside the pointer in the queue, not here.
 type event struct {
-	at   Time
-	seq  int64 // FIFO tie-break: determinism under equal times
 	kind eventKind
 
+	// node is the destination, resolved when the event was scheduled; nil
+	// for calls and for a destination that did not exist yet, which is
+	// looked up by to again when the event pops.
+	node    *Node
 	to      ProcID
 	from    ProcID
 	payload any
@@ -125,25 +137,84 @@ type event struct {
 	call func()
 }
 
-type eventHeap []*event
+// queued is an event's slot in the queue. (at, seq) is a total order —
+// seq is unique — so the pop order is a function of what was pushed and
+// nothing else: no layout of the heap can reorder a schedule. The key is
+// kept beside the pointer so that sifting compares without dereferencing.
+type queued struct {
+	at  Time
+	seq int64 // FIFO tie-break: determinism under equal times
+	ev  *event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a queued) before(b queued) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// eventQueue is a 4-ary min-heap on (at, seq): half the depth of a binary
+// heap, and the four children of a slot share a cache line or two.
+type eventQueue []queued
+
+func (q *eventQueue) push(x queued) {
+	h := append(*q, x)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !x.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	h[i] = x
+	*q = h
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+// pop removes and returns the minimum; the queue must not be empty.
+func (q *eventQueue) pop() queued {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	x := h[n]
+	h[n] = queued{}
+	h = h[:n]
+	*q = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		min := first
+		last := first + 4
+		if last > n {
+			last = n
+		}
+		for c := first + 1; c < last; c++ {
+			if h[c].before(h[min]) {
+				min = c
+			}
+		}
+		if !h[min].before(x) {
+			break
+		}
+		h[i] = h[min]
+		i = min
+	}
+	h[i] = x
+	return top
 }
+
+// maxFreeEvents bounds the event free list. A steady-state run has a few
+// hundred events in flight, so a small list already serves every push;
+// an unbounded one would pin the queue's high-water mark — a scripted
+// workload's hundred thousand At calls, every client's timers around a
+// partition — for the rest of the run (DESIGN.md, decision 22, has the
+// measurements).
+const maxFreeEvents = 1024
 
 // Network is the simulator. Create with New, add processes with AddNode,
 // then Run.
@@ -153,7 +224,10 @@ type Network struct {
 	frng  *rand.Rand // fault stream: per-link rules only
 	now   Time
 	seq   int64
-	queue eventHeap
+	queue eventQueue
+	// free holds dispatched and dead events for reuse, at most
+	// maxFreeEvents of them.
+	free  []*event
 	nodes map[ProcID]*Node
 	order []*Node // insertion order, for deterministic Init
 	// blocked links (directed), counted so overlapping partitions nest:
@@ -230,7 +304,9 @@ func (w *Network) At(t Time, fn func()) {
 	if t < w.now {
 		t = w.now
 	}
-	w.push(&event{at: t, kind: evCall, call: fn})
+	e := w.newEvent(evCall)
+	e.call = fn
+	w.push(t, e)
 }
 
 // Crash schedules process id to crash at time t: from then on it receives
@@ -336,10 +412,33 @@ func fnvString(h uint64, s string) uint64 {
 // digests identically to one that doesn't.
 func (w *Network) ScheduleDigest() uint64 { return w.dig }
 
-func (w *Network) push(e *event) {
-	e.seq = w.seq
+// newEvent returns a zeroed event of the given kind, from the free list
+// when it has one.
+func (w *Network) newEvent(kind eventKind) *event {
+	if n := len(w.free); n > 0 {
+		e := w.free[n-1]
+		w.free[n-1] = nil
+		w.free = w.free[:n-1]
+		e.kind = kind
+		return e
+	}
+	return &event{kind: kind}
+}
+
+// recycle returns a popped event to the free list once nothing can refer
+// to it anymore: after its handler returned, or when it popped dead. It
+// is cleared first, so the list keeps no payload alive; with the list
+// full the event is left to the collector.
+func (w *Network) recycle(e *event) {
+	if len(w.free) < maxFreeEvents {
+		*e = event{}
+		w.free = append(w.free, e)
+	}
+}
+
+func (w *Network) push(at Time, e *event) {
+	w.queue.push(queued{at: at, seq: w.seq, ev: e})
 	w.seq++
-	heap.Push(&w.queue, e)
 }
 
 // Run processes events until the queue is empty or virtual time would
@@ -356,16 +455,16 @@ func (w *Network) Run(maxTime Time) Time {
 		}
 	}
 	for len(w.queue) > 0 {
-		e := w.queue[0]
-		if e.at > maxTime {
+		if w.queue[0].at > maxTime {
 			break
 		}
-		heap.Pop(&w.queue)
-		if w.dead(e) {
-			continue
+		q := w.queue.pop()
+		e := q.ev
+		if !w.dead(e) {
+			w.now = q.at
+			w.dispatch(e)
 		}
-		w.now = e.at
-		w.dispatch(e)
+		w.recycle(e)
 	}
 	return w.now
 }
@@ -376,41 +475,41 @@ func (w *Network) Run(maxTime Time) Time {
 // unknown node. Dead events do not advance virtual time and are excluded
 // from the schedule digest.
 func (w *Network) dead(e *event) bool {
-	switch e.kind {
-	case evDeliver:
-		n := w.nodes[e.to]
-		return n == nil || n.crashed
-	case evTimer:
-		n := w.nodes[e.to]
-		return n == nil || n.crashed ||
-			n.epoch != e.timerEpoch || n.timerGen[e.timerName] != e.timerGen
+	if e.kind == evCall {
+		return false
 	}
-	return false
+	n := e.node
+	if n == nil {
+		// Sent before the destination existed: it may have been added since.
+		if n = w.nodes[e.to]; n == nil {
+			return true
+		}
+		e.node = n
+	}
+	if n.crashed {
+		return true
+	}
+	return e.kind == evTimer &&
+		(n.epoch != e.timerEpoch || n.timerGen[e.timerName] != e.timerGen)
 }
 
+// dispatch runs a live event at w.now. The handler may send, arm timers
+// and schedule calls freely: those take other events, and this one is
+// recycled only after the handler has returned.
 func (w *Network) dispatch(e *event) {
-	switch e.kind {
-	case evCall:
-		w.digest(e)
-		e.call()
-	case evDeliver:
-		w.digest(e)
-		w.delivered++
-		n := w.nodes[e.to]
-		n.handler.OnMessage(n, e.from, e.payload)
-	case evTimer:
-		w.digest(e)
-		n := w.nodes[e.to]
-		n.handler.OnTimer(n, e.timerName)
-	}
-}
-
-func (w *Network) digest(e *event) {
-	h := fnvUint64(w.dig, uint64(e.at))
+	h := fnvUint64(w.dig, uint64(w.now))
 	h = fnvByte(h, byte(e.kind))
 	h = fnvString(h, string(e.to))
-	h = fnvString(h, string(e.from))
-	w.dig = h
+	w.dig = fnvString(h, string(e.from))
+	switch e.kind {
+	case evCall:
+		e.call()
+	case evDeliver:
+		w.delivered++
+		e.node.handler.OnMessage(e.node, e.from, e.payload)
+	case evTimer:
+		e.node.handler.OnTimer(e.node, e.timerName)
+	}
 }
 
 // ID returns the node's process ID.
@@ -424,18 +523,25 @@ func (n *Node) Crashed() bool { return n.crashed }
 
 // Send queues a message to the destination, subject to delay, loss and
 // duplication (global and per-link). Sends from crashed nodes are
-// ignored.
+// ignored. The payload is delivered as given — see Handler for the
+// immutability rule that makes that safe.
 func (n *Node) Send(to ProcID, payload any) {
 	w := n.net
 	if n.crashed {
 		return
 	}
 	w.sent++
-	if w.blocked[[2]ProcID{n.id, to}] > 0 {
+	// The two link tables are empty in a fault-free run; hashing a pair of
+	// IDs per message to find that out was a measurable share of Send.
+	if len(w.blocked) > 0 && w.blocked[[2]ProcID{n.id, to}] > 0 {
 		w.dropped++
 		return
 	}
-	rule, ruled := w.rules[[2]ProcID{n.id, to}]
+	var rule LinkRule
+	ruled := false
+	if len(w.rules) > 0 {
+		rule, ruled = w.rules[[2]ProcID{n.id, to}]
+	}
 	if ruled && rule.DropProb > 0 && w.frng.Float64() < rule.DropProb {
 		w.dropped++
 		return
@@ -444,47 +550,60 @@ func (n *Node) Send(to ProcID, payload any) {
 		w.dropped++
 		return
 	}
-	deliver := func() {
-		d := w.cfg.MinDelay
-		if w.cfg.MaxDelay > w.cfg.MinDelay {
-			d += Time(w.rng.Int63n(int64(w.cfg.MaxDelay - w.cfg.MinDelay + 1)))
-		}
-		if ruled {
-			d += rule.extraDelay(w.frng)
-		}
-		w.push(&event{at: w.now + d, kind: evDeliver, to: to, from: n.id, payload: payload})
-	}
-	deliver()
+	dst := w.nodes[to]
+	n.deliver(dst, to, payload, rule, ruled)
 	if ruled && rule.DupProb > 0 && w.frng.Float64() < rule.DupProb {
 		w.duplicated++
-		deliver()
+		n.deliver(dst, to, payload, rule, ruled)
 	}
 	if w.cfg.DupProb > 0 && w.rng.Float64() < w.cfg.DupProb {
 		w.duplicated++
-		deliver()
+		n.deliver(dst, to, payload, rule, ruled)
 	}
+}
+
+// deliver schedules one copy of a message: it draws the copy's delay
+// (base stream, then the link rule's extra from the fault stream) and
+// queues the delivery.
+func (n *Node) deliver(dst *Node, to ProcID, payload any, rule LinkRule, ruled bool) {
+	w := n.net
+	d := w.cfg.MinDelay
+	if w.cfg.MaxDelay > w.cfg.MinDelay {
+		d += Time(w.rng.Int63n(int64(w.cfg.MaxDelay - w.cfg.MinDelay + 1)))
+	}
+	if ruled {
+		d += rule.extraDelay(w.frng)
+	}
+	e := w.newEvent(evDeliver)
+	e.node, e.to, e.from, e.payload = dst, to, n.id, payload
+	w.push(w.now+d, e)
 }
 
 // SetTimer (re)arms the named timer to fire after d. Re-arming replaces
 // any outstanding instance of the same name.
 func (n *Node) SetTimer(name string, d Time) {
-	n.timerGen[name]++
-	n.net.push(&event{
-		at:         n.net.now + d,
-		kind:       evTimer,
-		to:         n.id,
-		timerName:  name,
-		timerGen:   n.timerGen[name],
-		timerEpoch: n.epoch,
-	})
+	gen := n.timerGen[name] + 1
+	n.timerGen[name] = gen
+	e := n.net.newEvent(evTimer)
+	e.node, e.to = n, n.id
+	e.timerName, e.timerGen, e.timerEpoch = name, gen, n.epoch
+	n.net.push(n.net.now+d, e)
 }
 
-// CancelTimer cancels the named timer if armed.
-func (n *Node) CancelTimer(name string) { n.timerGen[name]++ }
+// CancelTimer cancels the named timer if armed. Cancelling a name the
+// node holds no bookkeeping for — never armed, released, or armed before
+// the last crash — is a no-op and creates none: there is nothing in the
+// queue it could fire, and an entry made here would be one nothing ever
+// releases.
+func (n *Node) CancelTimer(name string) {
+	if gen, ok := n.timerGen[name]; ok {
+		n.timerGen[name] = gen + 1
+	}
+}
 
 // ReleaseTimer cancels the named timer and forgets its generation
-// bookkeeping. SetTimer/CancelTimer retain one map entry per distinct
-// timer name for the node's lifetime; handlers that scope timer names to
+// bookkeeping. SetTimer retains one map entry per distinct timer name
+// for the node's lifetime; handlers that scope timer names to
 // short-lived instances (e.g. one replicated-log slot) release the names
 // when the instance retires so memory stays proportional to live
 // instances. A released name must never be armed again within one
@@ -492,3 +611,9 @@ func (n *Node) CancelTimer(name string) { n.timerGen[name]++ }
 // against the fresh generation counter. (Crossing a crash is safe — the
 // epoch guard invalidates pre-crash timers wholesale.)
 func (n *Node) ReleaseTimer(name string) { delete(n.timerGen, name) }
+
+// TimerNames returns the number of timer names the node currently holds
+// generation bookkeeping for: every name armed since the last crash and
+// not released. A diagnostic for leak tests — a handler that scopes names
+// to short-lived instances should see this return to its idle level.
+func (n *Node) TimerNames() int { return len(n.timerGen) }

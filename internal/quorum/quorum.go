@@ -69,19 +69,29 @@ type client struct {
 	env      mpcons.ClientEnv
 	proposal trace.Value
 	active   bool
-	// accepts maps server -> accepted value received.
-	accepts map[msgnet.ProcID]trace.Value
+	// accepts[i] is the first accept received from env.Servers()[i];
+	// received counts the servers heard from. A slice, not a map: it is
+	// built once per proposal, and both readers below are independent of
+	// the order in which accepts arrived.
+	accepts  []accept
+	received int
 	// expired marks that the timer fired with no accept received; the
 	// client switches upon the next accept (the paper's "waits for at
 	// least one message accept(v')").
 	expired bool
 }
 
+type accept struct {
+	v   trace.Value
+	got bool
+}
+
 func (c *client) Propose(v trace.Value) {
 	c.proposal = v
 	c.active = true
 	c.expired = false
-	c.accepts = map[msgnet.ProcID]trace.Value{}
+	c.accepts = make([]accept, len(c.env.Servers()))
+	c.received = 0
 	c.env.Broadcast(proposeMsg{V: v})
 	c.env.SetTimer("timeout", c.proto.timeout())
 	if c.proto.Retransmit > 0 {
@@ -99,24 +109,33 @@ func (c *client) OnMessage(from msgnet.ProcID, payload any) {
 	if !ok || !c.active {
 		return
 	}
-	if _, seen := c.accepts[from]; !seen {
-		c.accepts[from] = acc.V
+	for i, s := range c.env.Servers() {
+		if s == from {
+			if !c.accepts[i].got {
+				c.accepts[i] = accept{v: acc.V, got: true}
+				c.received++
+			}
+			break
+		}
 	}
 	if c.expired {
 		// Timer already fired: switch with the value of this accept.
-		c.finish(func() { c.env.SwitchTo(acc.V) })
+		c.finish()
+		c.env.SwitchTo(acc.V)
 		return
 	}
 	// Two different accept values: contention — switch with own proposal.
-	for _, v := range c.accepts {
-		if v != acc.V {
-			c.finish(func() { c.env.SwitchTo(c.proposal) })
+	for _, a := range c.accepts {
+		if a.got && a.v != acc.V {
+			c.finish()
+			c.env.SwitchTo(c.proposal)
 			return
 		}
 	}
 	// Same accept from all servers: decide.
-	if len(c.accepts) == len(c.env.Servers()) {
-		c.finish(func() { c.env.Decide(acc.V) })
+	if c.received == len(c.accepts) {
+		c.finish()
+		c.env.Decide(acc.V)
 	}
 }
 
@@ -129,7 +148,7 @@ func (c *client) OnTimer(name string) {
 		c.env.Broadcast(proposeMsg{V: c.proposal})
 		c.env.SetTimer("retransmit", c.proto.Retransmit)
 	case "timeout":
-		if len(c.accepts) == 0 {
+		if c.received == 0 {
 			// Wait for at least one accept, then switch with its value.
 			c.expired = true
 			return
@@ -138,26 +157,34 @@ func (c *client) OnTimer(name string) {
 		// from the smallest server ID for determinism.
 		var best msgnet.ProcID
 		var bestV trace.Value
-		for s, v := range c.accepts {
-			if best == "" || s < best {
-				best, bestV = s, v
+		for i, s := range c.env.Servers() {
+			if c.accepts[i].got && (best == "" || s < best) {
+				best, bestV = s, c.accepts[i].v
 			}
 		}
-		c.finish(func() { c.env.SwitchTo(bestV) })
+		c.finish()
+		c.env.SwitchTo(bestV)
 	}
 }
 
-func (c *client) finish(resolve func()) {
+// finish ends the phase for this proposal; the caller resolves it (decide
+// or switch) right after.
+func (c *client) finish() {
 	c.active = false
 	c.env.CancelTimer("timeout")
 	c.env.CancelTimer("retransmit")
-	resolve()
 }
 
 type server struct {
 	env      mpcons.ServerEnv
 	accepted trace.Value
 	has      bool
+	// reply is accept(accepted) and snap the durable snapshot, each boxed
+	// once: the state changes exactly once (the first proposal), so the
+	// server re-sends the same immutable reply to every proposal it ever
+	// receives and a host persisting after every message stores the same
+	// snapshot again.
+	reply, snap any
 }
 
 var _ mpcons.Durable = (*server)(nil)
@@ -173,12 +200,18 @@ type serverState struct {
 }
 
 // Snapshot implements mpcons.Durable.
-func (s *server) Snapshot() any { return serverState{Accepted: s.accepted, Has: s.has} }
+func (s *server) Snapshot() any {
+	if s.snap == nil {
+		s.snap = serverState{Accepted: s.accepted, Has: s.has}
+	}
+	return s.snap
+}
 
 // Restore implements mpcons.Durable.
 func (s *server) Restore(snap any) {
 	st := snap.(serverState)
 	s.accepted, s.has = st.Accepted, st.Has
+	s.reply, s.snap = nil, nil
 }
 
 func (s *server) OnMessage(from msgnet.ProcID, payload any) {
@@ -189,8 +222,12 @@ func (s *server) OnMessage(from msgnet.ProcID, payload any) {
 	if !s.has {
 		s.has = true
 		s.accepted = prop.V
+		s.snap = nil
 	}
-	s.env.Send(from, acceptMsg{V: s.accepted})
+	if s.reply == nil {
+		s.reply = acceptMsg{V: s.accepted}
+	}
+	s.env.Send(from, s.reply)
 }
 
 func (s *server) OnTimer(string) {}

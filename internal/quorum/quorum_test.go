@@ -159,3 +159,49 @@ func TestServerAcceptsFirstProposalForever(t *testing.T) {
 		t.Fatalf("replies addressed wrongly: %v", env.replies)
 	}
 }
+
+// The server boxes its reply and its snapshot once each; both must still
+// follow the state: the snapshot taken before the first proposal differs
+// from the one after, a restored server answers with the restored value
+// (not with a reply cached before Restore), and a duplicate accept from
+// one server is counted once however often it arrives.
+func TestServerCachedReplyAndSnapshotFollowState(t *testing.T) {
+	env := &fakeServerEnv{}
+	s := Protocol{}.NewServer(env).(*server)
+	if got := s.Snapshot().(serverState); got.Has {
+		t.Fatalf("fresh snapshot %+v", got)
+	}
+	s.OnMessage("c1", proposeMsg{V: "first"})
+	if got := s.Snapshot().(serverState); !got.Has || got.Accepted != "first" {
+		t.Fatalf("snapshot after the first proposal %+v", got)
+	}
+	s.OnMessage("c2", proposeMsg{V: "second"})
+	if got := s.Snapshot().(serverState); got.Accepted != "first" {
+		t.Fatalf("snapshot moved with a later proposal: %+v", got)
+	}
+
+	s.Restore(serverState{Accepted: "restored", Has: true})
+	s.OnMessage("c3", proposeMsg{V: "third"})
+	if got := env.replies[len(env.replies)-1].m.(acceptMsg).V; got != "restored" {
+		t.Fatalf("reply after Restore = %q, want the restored value", got)
+	}
+	if got := s.Snapshot().(serverState); got.Accepted != "restored" {
+		t.Fatalf("snapshot after Restore %+v", got)
+	}
+
+	cenv := newFakeClientEnv(3)
+	c := Protocol{}.NewClient(cenv)
+	c.Propose("v")
+	for i := 0; i < 5; i++ {
+		c.OnMessage("A", acceptMsg{V: "v"})
+	}
+	c.OnMessage("nobody", acceptMsg{V: "v"}) // not a server: not a vote
+	c.OnMessage("B", acceptMsg{V: "v"})
+	if cenv.decided != nil {
+		t.Fatal("decided on two servers' accepts out of three")
+	}
+	c.OnMessage("C", acceptMsg{V: "v"})
+	if cenv.decided == nil || *cenv.decided != "v" {
+		t.Fatalf("unanimous accepts did not decide: %v", cenv.decided)
+	}
+}

@@ -1,0 +1,229 @@
+package smr
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/msgnet"
+	"repro/internal/workload"
+)
+
+// A retired attempt must leave nothing behind on the client's node. The
+// Quorum phase cancels "retransmit" whether or not it armed it; with
+// Retransmit off (the paper's default, and Config's zero value) that
+// cancel used to create one timer-bookkeeping entry per attempt which no
+// ReleaseTimer ever matched — 3 994 and 3 995 names on this run's two
+// client nodes by the end.
+func TestRetiredAttemptsKeepNoTimerNames(t *testing.T) {
+	for _, retransmit := range []msgnet.Time{0, 6} {
+		t.Run(fmt.Sprintf("retransmit=%d", retransmit), func(t *testing.T) {
+			const ops = 4000
+			w := msgnet.New(msgnet.Config{Seed: 3, MinDelay: 1, MaxDelay: 2})
+			wl := workload.KeyedOpts{Clients: 2, Ops: ops, Keys: 64, ReadFrac: 0.3}
+			clients := ids("c", wl.Clients)
+			sc, err := BuildSharded(w, clients, ids("s", 3), ShardedConfig{
+				Config: Config{FastPath: true, QuorumTimeout: 8, Retransmit: retransmit, CompactEvery: 16},
+				Shards: 2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			per := make([][]Command, wl.Clients)
+			for _, op := range workload.Keyed(rand.New(rand.NewSource(3)), wl) {
+				per[op.Client] = append(per[op.Client], cmdOf(op))
+			}
+			for i, c := range clients {
+				sc.SubmitPaced(c, per[i], msgnet.Time(i)*6, 12)
+			}
+			sc.Run(1 << 40)
+			assertSafe(t, "run", sc, ops)
+			for _, c := range clients {
+				if got := sc.nodes[c].TimerNames(); got != 0 {
+					t.Errorf("client %s retains %d timer names after %d commands", c, got, ops)
+				}
+			}
+		})
+	}
+}
+
+// retainer wraps a node handler and keeps every payload it is handed,
+// beside a rendering of it on arrival.
+type retainer struct {
+	inner    msgnet.RecoverableHandler
+	retained []any
+	seenAs   []string
+}
+
+func (r *retainer) Init(n *msgnet.Node) { r.inner.Init(n) }
+func (r *retainer) OnMessage(n *msgnet.Node, from msgnet.ProcID, payload any) {
+	r.retained = append(r.retained, payload)
+	r.seenAs = append(r.seenAs, fmt.Sprintf("%#v", payload))
+	r.inner.OnMessage(n, from, payload)
+}
+func (r *retainer) OnTimer(n *msgnet.Node, name string) { r.inner.OnTimer(n, name) }
+func (r *retainer) OnRestart(n *msgnet.Node)            { r.inner.OnRestart(n) }
+
+// One boxed envelope goes to every server of a broadcast and a server's
+// one boxed accept to every proposer, duplicates of either included. A
+// node that keeps everything it ever received must find each payload as
+// it arrived — nobody may write to a payload after Send (msgnet.Handler)
+// — under global and per-link duplication, a server crash–restart with
+// durable recovery (Restore resets the cached reply) and a client
+// crash–restart.
+func TestSharedEnvelopesSurviveDuplication(t *testing.T) {
+	w := msgnet.New(msgnet.Config{Seed: 11, MinDelay: 1, MaxDelay: 3, DupProb: 0.15})
+	clients, servers := ids("c", 3), ids("s", 3)
+	sh := newShard(w, 0, clients, servers, Config{
+		FastPath: true, QuorumTimeout: 8, Retransmit: 6, RetryTimeout: 60, Recovery: true, CompactEvery: 8,
+	})
+	var nodes []*retainer
+	for _, id := range clients {
+		nodes = append(nodes, &retainer{inner: sh.byID[id]})
+		w.AddNode(id, nodes[len(nodes)-1])
+	}
+	for _, id := range servers {
+		nodes = append(nodes, &retainer{inner: sh.reps[id]})
+		w.AddNode(id, nodes[len(nodes)-1])
+	}
+	w.SetLinkRule(servers[0], clients[0], msgnet.LinkRule{DupProb: 0.6, ExtraMaxDelay: 5})
+	w.SetLinkRule(clients[1], servers[2], msgnet.LinkRule{DupProb: 0.6})
+	w.Crash(servers[1], 100)
+	w.Restart(servers[1], 160)
+	w.Crash(clients[2], 220)
+	w.Restart(clients[2], 260)
+
+	const perClient = 60
+	for i, c := range clients {
+		for j := 0; j < perClient; j++ {
+			cmd := SetCmd(fmt.Sprintf("k%d", j%7), fmt.Sprintf("%s-v%d", c, j))
+			c := c
+			w.At(msgnet.Time(i+8*j), func() { sh.byID[c].enqueue(cmd) })
+		}
+	}
+	w.Run(1 << 40)
+
+	if got := len(sh.results); got != perClient*len(clients) {
+		t.Fatalf("landed %d of %d commands", got, perClient*len(clients))
+	}
+	if err := sh.checkConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	if w.Duplicated() == 0 {
+		t.Fatal("no duplicates scheduled")
+	}
+	total := 0
+	for _, r := range nodes {
+		total += len(r.retained)
+		for i, p := range r.retained {
+			if got := fmt.Sprintf("%#v", p); got != r.seenAs[i] {
+				t.Fatalf("payload arrived as %s and now reads %s", r.seenAs[i], got)
+			}
+		}
+	}
+	if _, delivered, _ := w.Stats(); int64(total) != delivered {
+		t.Fatalf("retained %d payloads, network delivered %d", total, delivered)
+	}
+}
+
+// Phase components beyond the one in use are built on first use. A
+// fault-free uncontended run never leaves the fast path, so it must never
+// construct a Paxos proposer or acceptor.
+func TestBackupPhaseBuiltOnFirstUse(t *testing.T) {
+	w, cl := build(t, msgnet.Config{Seed: 1}, Config{FastPath: true}, 1, 3)
+	for i := 0; i < 20; i++ {
+		cl.SubmitAt("c1", SetCmd("k", fmt.Sprintf("v%d", i)), msgnet.Time(10*i))
+	}
+	// Observe mid-run, while instances are live.
+	w.At(95, func() {
+		for _, inst := range cl.sh.byID["c1"].slots {
+			if inst.comps[0] == nil || inst.comps[1] != nil {
+				t.Errorf("live instance has phases built: %v", inst.comps)
+			}
+		}
+	})
+	cl.Run(1 << 30)
+	if got := len(cl.Results()); got != 20 {
+		t.Fatalf("landed %d of 20", got)
+	}
+	for _, rep := range cl.sh.reps {
+		for slot, sl := range rep.slots {
+			if sl.comps[0] == nil || sl.comps[1] != nil {
+				t.Fatalf("replica %s slot %d has phases built: %v", rep.id, slot, sl.comps)
+			}
+		}
+	}
+}
+
+// A decision can reach a client's backup phase before the client has
+// switched into it. With one server down c1 spends a whole (deliberately
+// long) Quorum timer on slot 0 before Paxos decides it; c2 proposes in
+// slot 0 just before that, so c1's decidedMsg finds c2 still on its own
+// Quorum timer. Built on first use, c2's proposer must come into being
+// for that message and still know the decision at SwitchIn.
+func TestLateDecisionReachesUnbuiltProposer(t *testing.T) {
+	w, cl := build(t, msgnet.Config{Seed: 1}, Config{FastPath: true, QuorumTimeout: 40}, 2, 3)
+	w.Crash("s1", 0)
+	cl.SubmitAt("c1", "first", 0)
+	cl.SubmitAt("c2", "second", 38)
+	early := false
+	c2 := cl.sh.byID["c2"]
+	for at := msgnet.Time(39); at < 78; at++ {
+		w.At(at, func() {
+			if inst := c2.slots[0]; inst != nil && inst.phase == 0 && inst.comps[1] != nil {
+				early = true
+			}
+		})
+	}
+	cl.Run(1 << 30)
+	if !early {
+		t.Fatal("c2's proposer was never built ahead of its switch: the case was not exercised")
+	}
+	if err := cl.CheckConsistency(); err != nil {
+		t.Fatal(err)
+	}
+	rs := cl.Results()
+	if len(rs) != 2 || rs[0].Cmd != "first" || rs[0].Slot != 0 || rs[1].Cmd != "second" || rs[1].Slot != 1 {
+		t.Fatalf("results %+v: want first in slot 0, second in slot 1", rs)
+	}
+	// c2 learned slot 0 at its own switch (t=78), from the proposer that
+	// had been told, without a Paxos round of its own: it lands in slot 1
+	// by the second timeout plus one round.
+	if rs[1].Attempts != 2 || rs[1].End > 78+40+10 {
+		t.Fatalf("second command: %+v", rs[1])
+	}
+}
+
+// cmdParts has the grammar strings.Split gave it: exactly three fields
+// for set/get, exactly two for del, nothing else.
+func TestCmdPartsGrammar(t *testing.T) {
+	const s = cmdSep
+	for _, tc := range []struct {
+		cmd            Command
+		kind, key, arg string
+		ok             bool
+	}{
+		{SetCmd("k", "v"), "set", "k", "v", true},
+		{GetCmd("k", "t"), "get", "k", "t", true},
+		{DelCmd("k"), "del", "k", "", true},
+		{Command("set" + s + s), "set", "", "", true}, // empty key and value are fields too
+		{Command("del" + s), "del", "", "", true},
+		{"", "", "", "", false},
+		{"set", "", "", "", false},
+		{"garbage", "", "", "", false},
+		{Command("set" + s + "k"), "", "", "", false},                     // set needs a value
+		{Command("get" + s + "k"), "", "", "", false},                     // get needs a tag
+		{Command("set" + s + "k" + s + "v" + s + "x"), "", "", "", false}, // four fields
+		{Command("del" + s + "k" + s + "v"), "", "", "", false},           // del takes no argument
+		{Command("put" + s + "k" + s + "v"), "", "", "", false},           // unknown kind
+		{Command("SET" + s + "k" + s + "v"), "", "", "", false},
+		{Command(s + "k" + s + "v"), "", "", "", false}, // empty kind
+		{Command("txp" + s + "id" + s + "0" + s + "ops"), "", "", "", false},
+	} {
+		kind, key, arg, ok := cmdParts(tc.cmd)
+		if kind != tc.kind || key != tc.key || arg != tc.arg || ok != tc.ok {
+			t.Errorf("cmdParts(%q) = (%q, %q, %q, %v), want (%q, %q, %q, %v)",
+				tc.cmd, kind, key, arg, ok, tc.kind, tc.key, tc.arg, tc.ok)
+		}
+	}
+}

@@ -56,12 +56,20 @@ func GetCmd(key, tag string) Command {
 // the written value for "set", the occurrence tag for "get", empty for
 // "del". ok is false outside the KV grammar.
 func cmdParts(cmd Command) (kind, key, arg string, ok bool) {
-	parts := strings.Split(string(cmd), cmdSep)
-	switch {
-	case len(parts) == 3 && (parts[0] == "set" || parts[0] == "get"):
-		return parts[0], parts[1], parts[2], true
-	case len(parts) == 2 && parts[0] == "del":
-		return parts[0], parts[1], "", true
+	kind, rest, found := strings.Cut(string(cmd), cmdSep)
+	if !found {
+		return "", "", "", false
+	}
+	key, arg, hasArg := strings.Cut(rest, cmdSep)
+	switch kind {
+	case "set", "get":
+		if hasArg && !strings.Contains(arg, cmdSep) {
+			return kind, key, arg, true
+		}
+	case "del":
+		if !hasArg {
+			return kind, key, "", true
+		}
 	}
 	return "", "", "", false
 }
@@ -128,12 +136,11 @@ func ApplyKV(log map[int]Command) map[string]string {
 	sort.Ints(slots)
 	kv := map[string]string{}
 	for _, s := range slots {
-		parts := strings.Split(string(log[s]), cmdSep)
-		switch {
-		case len(parts) == 3 && parts[0] == "set":
-			kv[parts[1]] = parts[2]
-		case len(parts) == 2 && parts[0] == "del":
-			delete(kv, parts[1])
+		switch kind, key, arg, _ := cmdParts(log[s]); kind {
+		case "set":
+			kv[key] = arg
+		case "del":
+			delete(kv, key)
 		}
 	}
 	return kv

@@ -1,0 +1,125 @@
+package smr
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/faults"
+	"repro/internal/msgnet"
+	"repro/internal/workload"
+)
+
+// benchProto is the protocol configuration bench/'s two smr workloads
+// share (its smrProto); the pins run the same shapes at ~1/50 scale.
+var benchProto = Config{FastPath: true, QuorumTimeout: 8, Retransmit: 6, CompactEvery: 64}
+
+// schedulePin is everything a run's schedule decides, as one comparable
+// line: the effective-schedule digest, the network's message counters,
+// the virtual end time and the landing aggregates.
+func schedulePin(w *msgnet.Network, st ShardedStats, end msgnet.Time) string {
+	sent, delivered, dropped := w.Stats()
+	return fmt.Sprintf("digest=%016x sent=%d delivered=%d dropped=%d duplicated=%d end=%d landed=%d latency=%d",
+		w.ScheduleDigest(), sent, delivered, dropped, w.Duplicated(), end, st.Landed, st.TotalLatency)
+}
+
+// The literals below were recorded at the commit before the simulator
+// and the protocol hosts stopped allocating per event (DESIGN.md,
+// decision 22) and must never move with a performance change: pooling,
+// interning and lazy construction may change how much work an event
+// costs, not which events run, when, or between whom.
+func TestSchedulePins(t *testing.T) {
+	const pace = 12
+	cases := []struct {
+		name string
+		run  func(t *testing.T) string
+		want string
+	}{
+		{
+			// bench's smr-kv: 4 clients, 3 servers, 8 shards, online
+			// fast-path sessions, fault-free.
+			name: "smr-kv",
+			run: func(t *testing.T) string {
+				w := msgnet.New(msgnet.Config{Seed: 1, MinDelay: 1, MaxDelay: 2})
+				clients := ids("c", 4)
+				sc, err := BuildSharded(w, clients, ids("s", 3),
+					ShardedConfig{Config: benchProto, Shards: 8, OnlineCheck: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ops := workload.Keyed(rand.New(rand.NewSource(1)),
+					workload.KeyedOpts{Clients: 4, Ops: 3000, ReadFrac: 0.3})
+				per := make([][]Command, 4)
+				for _, op := range ops {
+					per[op.Client] = append(per[op.Client], cmdOf(op))
+				}
+				for i, c := range clients {
+					sc.SubmitPaced(c, per[i], msgnet.Time(i)*pace/4, pace)
+				}
+				end := sc.Run(1 << 40)
+				assertSafe(t, "smr-kv", sc, 3000)
+				return schedulePin(w, sc.Stats(), end)
+			},
+			want: "digest=4f25345071030dc2 sent=72156 delivered=72156 dropped=0 duplicated=0 end=2024 landed=3000 latency=42467",
+		},
+		{
+			// bench's smr-txn-faults: zipf keys, 20% multi-key
+			// transactions, retries, durable recovery, rolling coordinator
+			// crash–restarts, recovery watchdog.
+			name: "smr-txn-faults",
+			run: func(t *testing.T) string {
+				w := msgnet.New(msgnet.Config{Seed: 1, MinDelay: 1, MaxDelay: 2})
+				clients := ids("c", 6)
+				proto := benchProto
+				proto.RetryTimeout = 60
+				proto.Recovery = true
+				tc, err := BuildTxn(w, clients, ids("s", 3),
+					ShardedConfig{Config: proto, Shards: 8, OnlineCheck: true},
+					TxnConfig{RecoveryTimeout: 1000})
+				if err != nil {
+					t.Fatal(err)
+				}
+				const items = 800
+				plan := faults.Plan{Crashes: faults.RollingRestart(clients, 500, 2*items/6, 300)}
+				if err := plan.Apply(w); err != nil {
+					t.Fatal(err)
+				}
+				per := mixedItems(workload.Mixed(rand.New(rand.NewSource(1)), workload.MixedOpts{
+					KeyedOpts: workload.KeyedOpts{Clients: 6, Ops: items, Keys: 256, ReadFrac: 0.4, ZipfS: 1.2},
+					TxnFrac:   0.2, TxnKeys: 64, Groups: 16,
+				}), 6)
+				for i, c := range clients {
+					tc.SubmitMixedPaced(c, per[i], msgnet.Time(i)*pace/6, pace)
+				}
+				end := tc.Run(1 << 40)
+				if st := tc.Stats(); st.Landed != st.Submitted {
+					t.Fatalf("landed %d of %d log entries", st.Landed, st.Submitted)
+				}
+				assertTxnSafe(t, "smr-txn-faults", tc)
+				return schedulePin(w, tc.Stats(), end) + fmt.Sprintf(" committed=%d", tc.TxnStats().Committed)
+			},
+			want: "digest=c03c46a3be15b6ce sent=37436 delivered=37099 dropped=0 duplicated=0 end=3006 landed=1466 latency=29068 committed=92",
+		},
+		{
+			// Durable-snapshot recovery under a rolling server restart:
+			// replicas rebuild their phase components from the store.
+			name: "recovery-rolling-restart",
+			run: func(t *testing.T) string {
+				run := runChaos(t, 1, chaosCfg(true), chaosWL, 8,
+					func(clients, servers []msgnet.ProcID) faults.Plan {
+						return faults.Plan{Crashes: faults.RollingRestart(servers, 60, 80, 30)}
+					})
+				assertSafe(t, "recovery", run.sc, int64(chaosWL.Ops))
+				return schedulePin(run.net, run.sc.Stats(), run.net.Now())
+			},
+			want: "digest=f94bc7a56c5dee00 sent=4145 delivered=4016 dropped=0 duplicated=0 end=574 landed=240 latency=2565",
+		},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := c.run(t); got != c.want {
+				t.Fatalf("schedule moved:\n got %s\nwant %s", got, c.want)
+			}
+		})
+	}
+}

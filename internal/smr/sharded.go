@@ -158,6 +158,7 @@ func BuildSharded(net *msgnet.Network, clients, servers []msgnet.ProcID, cfg Sha
 		sh.onStart = rec.start
 		sh.onLearn = rec.learn
 		sh.onLand = rec.land
+		sh.submitted = rec.submitted
 		sc.shards = append(sc.shards, sh)
 		sc.recs = append(sc.recs, rec)
 	}
@@ -620,6 +621,12 @@ func (rec *shardRecorder) submit(cmd Command) {
 		return
 	}
 	rec.subSlot[cmd] = -1
+}
+
+// submitted reports whether cmd was ever submitted to this shard.
+func (rec *shardRecorder) submitted(cmd Command) bool {
+	_, ok := rec.subSlot[cmd]
+	return ok
 }
 
 // start records the invocation of a keyed command's operation: appended

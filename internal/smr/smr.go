@@ -107,6 +107,11 @@ type Config struct {
 	CompactEvery int
 }
 
+// maxPhases is the most phases a slot composes (protos below): the
+// per-slot hosts keep their per-phase state in arrays of this size so one
+// allocation covers a slot instance.
+const maxPhases = 2
+
 func (c Config) protos() []mpcons.PhaseProtocol {
 	px := paxos.Protocol{RetryBase: c.PaxosRetry}
 	if !c.FastPath {
@@ -160,6 +165,10 @@ type Shard struct {
 	onStart func(c msgnet.ProcID, cmd Command, at msgnet.Time)
 	onLand  func(SubmitResult)
 	onLearn func(c msgnet.ProcID, slot int, cmd Command)
+	// submitted, when set, answers "was cmd submitted to this shard?" for
+	// checkConsistency from the owner's own record of submissions (the
+	// sharded recorder keeps one anyway); the clients then keep none.
+	submitted func(cmd Command) bool
 }
 
 // newShard builds a shard's client and replica engines without touching
@@ -177,10 +186,11 @@ func newShard(net *msgnet.Network, id int, clients, servers []msgnet.ProcID, cfg
 		keepResults: true,
 	}
 	for i, cid := range clients {
-		sh.byID[cid] = &client{sh: sh, id: cid, index: i, log: map[int]Command{}, slots: map[int]*slotInstance{}}
+		sh.byID[cid] = &client{sh: sh, id: cid, index: i, log: map[int]Command{}, slots: map[int]*slotInstance{},
+			retryTimer: retryTimerName(id)}
 	}
 	for _, sid := range servers {
-		sh.reps[sid] = &replica{sh: sh, id: sid, slots: map[int][]mpcons.ServerPhase{}, wm: map[msgnet.ProcID]int{}}
+		sh.reps[sid] = &replica{sh: sh, id: sid, slots: map[int]*serverSlot{}, wm: map[msgnet.ProcID]int{}}
 	}
 	return sh
 }
@@ -192,11 +202,15 @@ func newShard(net *msgnet.Network, id int, clients, servers []msgnet.ProcID, cfg
 // sharded recorder performs the same checks online over every learn.
 func (sh *Shard) checkConsistency() error {
 	slotVal := map[int]Command{}
-	submitted := map[Command]bool{}
-	for _, c := range sh.byID {
-		for _, cmd := range c.submittedCmds {
-			submitted[cmd] = true
+	submitted := sh.submitted
+	if submitted == nil {
+		set := map[Command]bool{}
+		for _, c := range sh.byID {
+			for _, cmd := range c.submittedCmds {
+				set[cmd] = true
+			}
 		}
+		submitted = func(cmd Command) bool { return set[cmd] }
 	}
 	var ids []msgnet.ProcID
 	for id := range sh.byID {
@@ -209,7 +223,7 @@ func (sh *Shard) checkConsistency() error {
 				return fmt.Errorf("smr: shard %d slot %d decided both %q and %q", sh.id, s, prev, v)
 			}
 			slotVal[s] = v
-			if !submitted[v] {
+			if !submitted(v) {
 				return fmt.Errorf("smr: shard %d slot %d decided unsubmitted command %q", sh.id, s, v)
 			}
 		}
@@ -273,9 +287,13 @@ type client struct {
 	reported int
 	trimmed  int
 
-	queue         []Command
+	queue []Command
+	// submittedCmds is every command ever enqueued, for checkConsistency;
+	// not kept when the shard's owner answers that itself (Shard.submitted).
 	submittedCmds []Command
 	current       *submission
+	// retryTimer is the node-level name of the submission-progress timer.
+	retryTimer string
 	// retries counts timeout/restart re-proposals across all submissions
 	// (for stats).
 	retries int64
@@ -294,18 +312,43 @@ type submission struct {
 	roundFloor int64
 }
 
+// slotInstance is one attempt's consensus instance: the client-side phase
+// components of one slot and the environments they act through. Only the
+// phase in use is built up front; a later phase's component — the Paxos
+// proposer that nine attempts in ten never reach — is built by comp on
+// first use.
 type slotInstance struct {
-	comps   []mpcons.ClientPhase
-	envs    []*slotClientEnv
+	comps   [maxPhases]mpcons.ClientPhase
+	envs    [maxPhases]slotClientEnv
 	phase   int
 	pending bool
+	// roundFloor is the submission's round floor when the attempt began,
+	// applied to ballot-tracking components as they are built.
+	roundFloor int64
+}
+
+// comp returns the instance's phase-k component, building it on first
+// use: by Propose or SwitchIn, or by the first message or timer routed to
+// the phase (a late decidedMsg must reach a proposer that has not been
+// switched into yet, so that a later SwitchIn finds the decision).
+func (c *client) comp(inst *slotInstance, k int) mpcons.ClientPhase {
+	if inst.comps[k] == nil {
+		comp := c.sh.protos[k].NewClient(&inst.envs[k])
+		if bt, ok := comp.(mpcons.BallotTracker); ok && inst.roundFloor > 0 {
+			bt.SetRoundFloor(inst.roundFloor)
+		}
+		inst.comps[k] = comp
+	}
+	return inst.comps[k]
 }
 
 func (c *client) Init(n *msgnet.Node) { c.node = n }
 
 func (c *client) enqueue(cmd Command) {
 	c.queue = append(c.queue, cmd)
-	c.submittedCmds = append(c.submittedCmds, cmd)
+	if c.sh.submitted == nil {
+		c.submittedCmds = append(c.submittedCmds, cmd)
+	}
 	if c.current == nil {
 		c.startNext()
 	}
@@ -315,7 +358,7 @@ func (c *client) startNext() {
 	if len(c.queue) == 0 {
 		c.current = nil
 		if c.sh.cfg.RetryTimeout > 0 {
-			c.node.CancelTimer(retryTimerName(c.sh.id))
+			c.node.CancelTimer(c.retryTimer)
 		}
 		// Going idle: flush at a quarter of the usual window so the floor
 		// stays within O(CompactEvery) of the log tip without broadcasting
@@ -343,19 +386,14 @@ func (c *client) startNext() {
 func (c *client) attempt(s int) {
 	c.current.attempts++
 	c.current.slot = s
-	inst := &slotInstance{pending: true}
-	inst.comps = make([]mpcons.ClientPhase, len(c.sh.protos))
-	inst.envs = make([]*slotClientEnv, len(c.sh.protos))
-	for k, p := range c.sh.protos {
-		env := &slotClientEnv{client: c, slot: s, phase: k}
-		inst.envs[k] = env
-		inst.comps[k] = p.NewClient(env)
-		if bt, ok := inst.comps[k].(mpcons.BallotTracker); ok && c.current.roundFloor > 0 {
-			bt.SetRoundFloor(c.current.roundFloor)
-		}
+	inst := &slotInstance{pending: true, roundFloor: c.current.roundFloor}
+	for k := range c.sh.protos {
+		env := &inst.envs[k]
+		env.client, env.slot, env.phase = c, s, k
+		env.timers = env.timerBuf[:0]
 	}
 	c.slots[s] = inst
-	inst.comps[0].Propose(c.current.cmd)
+	c.comp(inst, 0).Propose(c.current.cmd)
 	c.armRetry()
 }
 
@@ -386,7 +424,7 @@ func (c *client) armRetry() {
 		h ^= h >> 33
 		d += msgnet.Time(int64(h % uint64(span)))
 	}
-	c.node.SetTimer(retryTimerName(c.sh.id), d)
+	c.node.SetTimer(c.retryTimer, d)
 }
 
 // onRetryTimer abandons the in-flight attempt and re-proposes the
@@ -416,6 +454,8 @@ func (c *client) redoAttempt() {
 	c.retries++
 	c.current.retries++
 	if inst := c.slots[c.current.slot]; inst != nil {
+		// Phases never built used no round above the floor they would have
+		// started from.
 		for _, comp := range inst.comps {
 			if bt, ok := comp.(mpcons.BallotTracker); ok && bt.Round() > c.current.roundFloor {
 				c.current.roundFloor = bt.Round()
@@ -483,9 +523,9 @@ func (c *client) decide(s, phase int, v Command) {
 // again and late messages for it are dropped. This keeps client memory
 // proportional to in-flight slots rather than log length.
 func (c *client) retire(s int, inst *slotInstance) {
-	for _, env := range inst.envs {
-		for _, name := range env.timers {
-			c.node.ReleaseTimer(slotTimerName(c.sh.id, s, env.phase, name))
+	for k := range inst.envs {
+		for _, t := range inst.envs[k].timers {
+			c.node.ReleaseTimer(t.full)
 		}
 	}
 	delete(c.slots, s)
@@ -597,32 +637,32 @@ func (c *client) switchTo(s, phase int, sv trace.Value) {
 	if inst == nil || !inst.pending || inst.phase != phase {
 		return
 	}
-	if phase+1 >= len(inst.comps) {
+	if phase+1 >= len(c.sh.protos) {
 		panic("smr: last phase aborted")
 	}
 	if c.current != nil && c.current.slot == s {
 		c.current.switches++
 	}
 	inst.phase++
-	inst.comps[inst.phase].SwitchIn(c.current.cmd, sv)
+	c.comp(inst, inst.phase).SwitchIn(c.current.cmd, sv)
 }
 
 // handleEnvelope delivers a routed phase message.
 func (c *client) handleEnvelope(from msgnet.ProcID, env slotEnvelope) {
 	inst := c.slots[env.slot]
-	if inst == nil || env.phase < 0 || env.phase >= len(inst.comps) {
+	if inst == nil || env.phase < 0 || env.phase >= len(c.sh.protos) {
 		return
 	}
-	inst.comps[env.phase].OnMessage(from, env.payload)
+	c.comp(inst, env.phase).OnMessage(from, env.payload)
 }
 
 // handleTimer delivers a routed, already-parsed timer.
 func (c *client) handleTimer(slot, phase int, rest string) {
 	inst := c.slots[slot]
-	if inst == nil || phase < 0 || phase >= len(inst.comps) {
+	if inst == nil || phase < 0 || phase >= len(c.sh.protos) {
 		return
 	}
-	inst.comps[phase].OnTimer(rest)
+	c.comp(inst, phase).OnTimer(rest)
 }
 
 // OnMessage/OnTimer implement msgnet.Handler for the single-shard
@@ -658,14 +698,20 @@ func (c *client) OnTimer(n *msgnet.Node, name string) {
 // deployment.
 func (c *client) OnRestart(n *msgnet.Node) { c.onRestart() }
 
-// slotClientEnv adapts a client to one slot and phase. It records the
-// timer names the phase component uses so retire can release them.
+// slotClientEnv adapts a client to one slot and phase. It remembers each
+// timer the phase component armed — the phase-local name beside the
+// node-level name built for it — so a name is built once per attempt, not
+// once per call, and retire can release exactly the names in use.
 type slotClientEnv struct {
 	client *client
 	slot   int
 	phase  int
-	timers []string
+	timers []slotTimer
+	// timerBuf backs timers for the two names a phase uses in practice.
+	timerBuf [2]slotTimer
 }
+
+type slotTimer struct{ local, full string }
 
 func (e *slotClientEnv) Self() msgnet.ProcID      { return e.client.id }
 func (e *slotClientEnv) ClientIndex() int         { return e.client.index }
@@ -677,26 +723,40 @@ func (e *slotClientEnv) SwitchTo(sv trace.Value)  { e.client.switchTo(e.slot, e.
 func (e *slotClientEnv) Send(to msgnet.ProcID, p any) {
 	e.client.node.Send(to, slotEnvelope{shard: e.client.sh.id, slot: e.slot, phase: e.phase, payload: p})
 }
+
+// Broadcast boxes one envelope and sends that same immutable value to
+// every server (msgnet.Handler's payload rule).
 func (e *slotClientEnv) Broadcast(p any) {
+	var env any = slotEnvelope{shard: e.client.sh.id, slot: e.slot, phase: e.phase, payload: p}
 	for _, s := range e.client.sh.servers {
-		e.Send(s, p)
+		e.client.node.Send(s, env)
 	}
 }
 func (e *slotClientEnv) SetTimer(name string, d msgnet.Time) {
-	seen := false
-	for _, n := range e.timers {
-		if n == name {
-			seen = true
-			break
+	full, armed := e.armed(name)
+	if !armed {
+		full = slotTimerName(e.client.sh.id, e.slot, e.phase, name)
+		e.timers = append(e.timers, slotTimer{local: name, full: full})
+	}
+	e.client.node.SetTimer(full, d)
+}
+
+// CancelTimer forwards only names this attempt armed: a phase may cancel
+// a timer it never set (Quorum cancels "retransmit" whether or not
+// retransmission is on), and that must not cost a name.
+func (e *slotClientEnv) CancelTimer(name string) {
+	if full, armed := e.armed(name); armed {
+		e.client.node.CancelTimer(full)
+	}
+}
+
+func (e *slotClientEnv) armed(name string) (full string, ok bool) {
+	for _, t := range e.timers {
+		if t.local == name {
+			return t.full, true
 		}
 	}
-	if !seen {
-		e.timers = append(e.timers, name)
-	}
-	e.client.node.SetTimer(slotTimerName(e.client.sh.id, e.slot, e.phase, name), d)
-}
-func (e *slotClientEnv) CancelTimer(name string) {
-	e.client.node.CancelTimer(slotTimerName(e.client.sh.id, e.slot, e.phase, name))
+	return "", false
 }
 
 // replica is the per-shard SMR server engine: per-slot phase server
@@ -714,7 +774,7 @@ type replica struct {
 	sh    *Shard
 	id    msgnet.ProcID
 	node  *msgnet.Node
-	slots map[int][]mpcons.ServerPhase
+	slots map[int]*serverSlot
 	// durable holds per-slot phase snapshots (Recovery only), bounded by
 	// the compaction window like slots.
 	durable map[int][]any
@@ -726,53 +786,62 @@ type replica struct {
 
 func (r *replica) Init(n *msgnet.Node) { r.node = n }
 
-// components returns the slot's server phases, creating them on first
-// touch — restored from the durable snapshots when recovery is modeled
-// and the slot has history. It returns nil for slots retired by
-// compaction: no correct client proposes there anymore, so late
-// (duplicated/delayed) messages are dropped rather than resurrecting
-// state.
-func (r *replica) components(slot int) []mpcons.ServerPhase {
-	if slot < r.gcFloor {
+// serverSlot is one slot's server-side phase components and their
+// environments, each phase built on first use.
+type serverSlot struct {
+	comps [maxPhases]mpcons.ServerPhase
+	envs  [maxPhases]slotServerEnv
+}
+
+// component returns the slot's phase-k server component, creating the
+// slot on first touch and the phase on first use — restored from its
+// durable snapshot when recovery is modeled and the phase has history. It
+// returns nil for an unknown phase and for slots retired by compaction:
+// no correct client proposes there anymore, so late (duplicated/delayed)
+// messages are dropped rather than resurrecting state.
+func (r *replica) component(slot, k int) mpcons.ServerPhase {
+	if slot < r.gcFloor || k < 0 || k >= len(r.sh.protos) {
 		return nil
 	}
-	if comps, ok := r.slots[slot]; ok {
-		return comps
+	sl := r.slots[slot]
+	if sl == nil {
+		sl = &serverSlot{}
+		r.slots[slot] = sl
 	}
-	comps := make([]mpcons.ServerPhase, len(r.sh.protos))
-	snaps := r.durable[slot]
-	for k, p := range r.sh.protos {
-		comps[k] = p.NewServer(&slotServerEnv{replica: r, slot: slot, phase: k})
-		if snaps != nil && snaps[k] != nil {
-			comps[k].(mpcons.Durable).Restore(snaps[k])
+	if sl.comps[k] == nil {
+		sl.envs[k] = slotServerEnv{replica: r, slot: slot, phase: k}
+		comp := r.sh.protos[k].NewServer(&sl.envs[k])
+		if snaps := r.durable[slot]; snaps != nil && snaps[k] != nil {
+			comp.(mpcons.Durable).Restore(snaps[k])
 		}
+		sl.comps[k] = comp
 	}
-	r.slots[slot] = comps
-	return comps
+	return sl.comps[k]
 }
 
 // persist snapshots the slot's phase state into the durable store
 // (Recovery only). Called after every delivered message or timer for the
 // slot, before the event ends — write-ahead relative to any reply the
 // components sent within the event, since nothing leaves the simulator
-// mid-event.
+// mid-event. A phase not built yet has nothing to remember: its entry
+// stays as the store last had it.
 func (r *replica) persist(slot int) {
 	if !r.sh.cfg.Recovery {
 		return
 	}
-	comps := r.slots[slot]
-	if comps == nil {
+	sl := r.slots[slot]
+	if sl == nil {
 		return
 	}
 	snaps := r.durable[slot]
 	if snaps == nil {
-		snaps = make([]any, len(comps))
+		snaps = make([]any, len(r.sh.protos))
 		if r.durable == nil {
 			r.durable = map[int][]any{}
 		}
 		r.durable[slot] = snaps
 	}
-	for k, comp := range comps {
+	for k, comp := range sl.comps {
 		if d, ok := comp.(mpcons.Durable); ok {
 			snaps[k] = d.Snapshot()
 		}
@@ -786,15 +855,15 @@ func (r *replica) recover() {
 	if !r.sh.cfg.Recovery {
 		return
 	}
-	r.slots = map[int][]mpcons.ServerPhase{}
+	r.slots = map[int]*serverSlot{}
 }
 
 func (r *replica) handleEnvelope(from msgnet.ProcID, env slotEnvelope) {
-	comps := r.components(env.slot)
-	if env.phase < 0 || env.phase >= len(comps) {
+	comp := r.component(env.slot, env.phase)
+	if comp == nil {
 		return
 	}
-	comps[env.phase].OnMessage(from, env.payload)
+	comp.OnMessage(from, env.payload)
 	r.persist(env.slot)
 }
 
@@ -824,11 +893,11 @@ func (r *replica) handleLearned(from msgnet.ProcID, w int) {
 }
 
 func (r *replica) handleTimer(slot, phase int, rest string) {
-	comps := r.components(slot)
-	if phase < 0 || phase >= len(comps) {
+	comp := r.component(slot, phase)
+	if comp == nil {
 		return
 	}
-	comps[phase].OnTimer(rest)
+	comp.OnTimer(rest)
 	r.persist(slot)
 }
 
@@ -872,6 +941,9 @@ func (e *slotServerEnv) Now() msgnet.Time         { return e.replica.node.Now() 
 func (e *slotServerEnv) Send(to msgnet.ProcID, p any) {
 	e.replica.node.Send(to, slotEnvelope{shard: e.replica.sh.id, slot: e.slot, phase: e.phase, payload: p})
 }
+
+// SetTimer builds the node-level name on every call: no server phase arms
+// a timer today, so there is nothing to remember it for.
 func (e *slotServerEnv) SetTimer(name string, d msgnet.Time) {
 	e.replica.node.SetTimer(slotTimerName(e.replica.sh.id, e.slot, e.phase, name), d)
 }
@@ -887,8 +959,19 @@ func splitRetryTimer(full string) (shard int, ok bool) {
 	return shard, err == nil
 }
 
+// slotTimerName builds "h<shard>s<slot>p<phase>:<name>" with one
+// allocation.
 func slotTimerName(shard, slot, phase int, name string) string {
-	return "h" + strconv.Itoa(shard) + "s" + strconv.Itoa(slot) + "p" + strconv.Itoa(phase) + ":" + name
+	var buf [48]byte
+	b := append(buf[:0], 'h')
+	b = strconv.AppendInt(b, int64(shard), 10)
+	b = append(b, 's')
+	b = strconv.AppendInt(b, int64(slot), 10)
+	b = append(b, 'p')
+	b = strconv.AppendInt(b, int64(phase), 10)
+	b = append(b, ':')
+	b = append(b, name...)
+	return string(b)
 }
 
 func splitSlotTimer(full string) (shard, slot, phase int, name string, ok bool) {
