@@ -16,6 +16,8 @@
 //	lin-hunt -structure map -classical            # + uncapped ClassicalLin post-run
 //	lin-hunt -structure set -rounds 8 -seed 3     # detection retry rounds for mutants
 //	lin-hunt -overhead                            # capture overhead (ns/op, ratio)
+//	lin-hunt -structure mutex -ops 100000 -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
+//	                                              # profiles for `go tool pprof`
 //
 // Mutant detection is probabilistic per run (the seeded bug must fire
 // and land in the captured interleaving), so mutant hunts retry up to
@@ -35,6 +37,7 @@ import (
 
 	speclin "repro"
 	"repro/internal/capture"
+	"repro/internal/profile"
 )
 
 func fail(code int, format string, args ...any) {
@@ -59,6 +62,9 @@ func main() {
 		rounds    = flag.Int("rounds", 10, "detection retry rounds for mutant hunts")
 		overhead  = flag.Bool("overhead", false, "measure capture overhead instead of checking")
 		timeout   = flag.Duration("timeout", 0, "overall deadline (0 = none)")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+		memProfile = flag.String("memprofile", "", "write an allocation profile (sampled allocation sites since start, after a final GC) to this file")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -66,6 +72,18 @@ func main() {
 	}
 	if *all == (*structure != "") {
 		fail(2, "lin-hunt: exactly one of -all or -structure is required")
+	}
+
+	// Profiles are written by a run that reaches its verdicts, a violated
+	// expectation included; usage and configuration errors exit directly.
+	finish, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fail(2, "lin-hunt: %v", err)
+	}
+	stopProfiles := func() {
+		if err := finish(); err != nil {
+			fail(2, "lin-hunt: %v", err)
+		}
 	}
 
 	ctx := context.Background()
@@ -95,6 +113,7 @@ func main() {
 			fmt.Printf("%-5s g=%-3d raw %.0f ns/op, captured %.0f ns/op, throughput ratio %.3f\n",
 				o.Structure, o.Goroutines, o.RawNsPerOp(), o.CapturedNsPerOp(), o.ThroughputRatio())
 		}
+		stopProfiles()
 		return
 	}
 
@@ -158,6 +177,7 @@ func main() {
 			}
 		}
 	}
+	stopProfiles()
 	if !ok {
 		os.Exit(1)
 	}

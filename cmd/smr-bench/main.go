@@ -29,13 +29,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
 	"repro/internal/msgnet"
+	"repro/internal/profile"
 )
 
 func main() {
@@ -256,26 +255,9 @@ func startProfiles(cpu, mem string) (stop func()) {
 			os.Exit(2)
 		}
 	}
-	var cpuFile *os.File
-	if cpu != "" {
-		var err error
-		cpuFile, err = os.Create(cpu)
-		check(err)
-		check(pprof.StartCPUProfile(cpuFile))
-	}
-	return func() {
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			check(cpuFile.Close())
-		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			check(err)
-			runtime.GC() // so the profile covers every allocation up to here
-			check(pprof.Lookup("allocs").WriteTo(f, 0))
-			check(f.Close())
-		}
-	}
+	finish, err := profile.Start(cpu, mem)
+	check(err)
+	return func() { check(finish()) }
 }
 
 func fail(rows []experiments.ShardRunResult, err error) {

@@ -1,0 +1,143 @@
+package capture
+
+import (
+	"context"
+	"math"
+	"runtime"
+	"strconv"
+	"testing"
+
+	speclin "repro"
+	"repro/internal/adt"
+	"repro/internal/trace"
+)
+
+// The drain path's cost in bytes and retained traces, held without a
+// wall clock (DESIGN.md, decision 23): allocation counts and sizes do
+// not depend on the machine or its load.
+
+// drainByteBudget is what one merged action may allocate on its way
+// from the proc buffers through the router into a register fast-path
+// session: measured at ~180 B — the session's replay log (an 80-byte
+// action, plus the first chunk's growth) and the register core's
+// per-operation bookkeeping — against ~1 700 B on this same stream when
+// Drain built a tagged batch, the router kept every trace and the log
+// was one doubling slice. Moving it up needs a reason that is written
+// down.
+const drainByteBudget = 400
+
+// recordRegisterPairs records pairs operations per proc on a recorder of
+// two procs, alternating between them so the merge has work to do: each
+// proc writes and reads its own key, so the two per-key histories are
+// sequential and stay inside the register fragment.
+func recordRegisterPairs(pairs int) (*Recorder, int) {
+	rec := NewRecorder(2)
+	type op struct{ in, out trace.Value }
+	ops := make([][]op, 2)
+	for p := range ops {
+		key, cur := "k"+strconv.Itoa(p), adt.ReadOutput(adt.Bottom)
+		for i := 0; i < pairs; i++ {
+			u := key + "-" + strconv.Itoa(i)
+			if i%3 == 0 {
+				ops[p] = append(ops[p], op{mapWriteInput(key, u), adt.WriteOutput()})
+				cur = adt.ReadOutput(trace.Value(u))
+			} else {
+				ops[p] = append(ops[p], op{mapReadInput(key, u), cur})
+			}
+		}
+	}
+	for i := 0; i < pairs; i++ {
+		rec.Proc(0).Inv(ops[0][i].in)
+		rec.Proc(1).Inv(ops[1][i].in)
+		rec.Proc(0).Res(ops[0][i].in, ops[0][i].out)
+		rec.Proc(1).Res(ops[1][i].in, ops[1][i].out)
+	}
+	rec.Proc(0).Close()
+	rec.Proc(1).Close()
+	return rec, 4 * pairs
+}
+
+func TestDrainAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const pairs = 25_000 // per proc: 50 000 pairs, 100 000 actions
+	var before, after runtime.MemStats
+
+	// The merge alone allocates nothing per action.
+	rec, actions := recordRegisterPairs(pairs)
+	merged := 0
+	runtime.ReadMemStats(&before)
+	rec.each(math.MaxInt64, func(trace.Action) { merged++ })
+	runtime.ReadMemStats(&after)
+	if merged != actions {
+		t.Fatalf("merged %d of %d actions", merged, actions)
+	}
+	mallocs := float64(after.Mallocs-before.Mallocs) / float64(actions)
+	t.Logf("merge: %.4f allocations per action", mallocs)
+	if mallocs > 0.01 {
+		t.Fatalf("the merge makes %.4f allocations per action, want ≤ 0.01", mallocs)
+	}
+
+	// Merge, route and feed: bytes per action.
+	rec, actions = recordRegisterPairs(pairs)
+	rt := newRouter(context.Background(), speclin.CheckSpec{Folder: speclin.RegisterADT}, mapKeyOf, true, false,
+		speclin.WithWitness(false))
+	runtime.ReadMemStats(&before)
+	rec.each(math.MaxInt64, rt.feed)
+	runtime.ReadMemStats(&after)
+	rep := rt.reports()
+	if rep.Verdict != speclin.Linearizable || rep.Actions != int64(actions) || rep.Nodes != rep.Actions {
+		t.Fatalf("routed %d of %d actions in %d nodes, verdict %v (%s): the stream left the fast path",
+			rep.Actions, actions, rep.Nodes, rep.Verdict, rep.Reason)
+	}
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(actions)
+	t.Logf("merge + route + feed: %.0f B per action (budget %d)", bytes, drainByteBudget)
+	if bytes > drainByteBudget {
+		t.Fatalf("%.0f B allocated per action, budget is %d", bytes, drainByteBudget)
+	}
+}
+
+// TestHuntRetainsOnlyWhatItReads: the router counts every action but
+// keeps a key's trace only for a pass that reads it — the queue's
+// one-shot check, or the ClassicalLin pass.
+func TestHuntRetainsOnlyWhatItReads(t *testing.T) {
+	const g, ops = 4, 500
+	for _, tc := range []struct {
+		structure string
+		classical bool
+		actions   int64
+		retained  bool
+	}{
+		{StructMap, false, 2 * g * ops, false},
+		{StructMutex, false, 4 * g * ops, false},
+		{StructMap, true, 2 * g * ops, true},
+		{StructQueue, false, 2*g*ops + 4*g, true}, // prefill: 2 enqueues per goroutine
+	} {
+		rep, rt, err := hunt(t.Context(), Config{Structure: tc.structure, Goroutines: g, Ops: ops, Keys: 4, Classical: tc.classical})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Live.Verdict != speclin.Linearizable {
+			t.Fatalf("%s: verdict %v: %s", tc.structure, rep.Live.Verdict, rep.Live.Reason)
+		}
+		if rep.Actions != tc.actions {
+			t.Fatalf("%s: %d actions reported, want %d", tc.structure, rep.Actions, tc.actions)
+		}
+		var counted, kept int64
+		for _, ks := range rt.order {
+			counted += ks.n
+			kept += int64(len(ks.tr))
+			if !tc.retained && ks.tr != nil {
+				t.Fatalf("%s: key %q keeps a %d-action trace no pass reads", tc.structure, ks.key, len(ks.tr))
+			}
+		}
+		if counted != rep.Actions || tc.retained && kept != rep.Actions {
+			t.Fatalf("%s (classical %v): %d actions counted, %d kept, %d reported",
+				tc.structure, tc.classical, counted, kept, rep.Actions)
+		}
+		if tc.classical && (rep.Classical == nil || rep.Classical.Actions != rep.Actions) {
+			t.Fatalf("%s: classical pass %+v, want %d actions", tc.structure, rep.Classical, rep.Actions)
+		}
+	}
+}

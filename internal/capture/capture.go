@@ -31,14 +31,16 @@
 //     one granule force a cross-proc cycle between the orders, so the
 //     clock advancing under polling is a hard requirement, not a
 //     convenience — see WithClock.)
-//   - The drainer merges the per-proc buffers into a single totally
-//     ordered action sequence with the comparator (T, kind with Inv
-//     before Res, proc). Invocations sort before responses at equal
-//     timestamps because a tie leaves the true order unknown: placing
-//     the invocation first only widens operation intervals, which can
-//     hide a real-time precedence but can never manufacture one — the
-//     merged trace under-approximates the real-time order, so a
-//     NotLinearizable verdict on it is trustworthy.
+//   - The drainer merges the per-proc buffers — each already a sorted
+//     run, per-proc timestamps being strictly increasing — k ways into a
+//     single totally ordered action sequence with the comparator (T,
+//     kind with Inv before Res, proc), handing each action on as it is
+//     picked (DESIGN.md, decision 23). Invocations sort before responses
+//     at equal timestamps because a tie leaves the true order unknown:
+//     placing the invocation first only widens operation intervals,
+//     which can hide a real-time precedence but can never manufacture
+//     one — the merged trace under-approximates the real-time order, so
+//     a NotLinearizable verdict on it is trustworthy.
 //   - The gate protocol makes live draining safe without locks: a proc
 //     publishes an event and then advances its gate to the event's
 //     timestamp, promising every later event a strictly larger one. The
@@ -50,7 +52,7 @@ package capture
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -98,8 +100,8 @@ type Proc struct {
 	head    *chunk
 	headN   int
 	drained int64
-	next    Event // merge head, valid when primed
-	primed  bool
+	avail   int64  // published, as loaded when the current merge began
+	cur     *Event // merge head: the next event to emit, nil when none is below the limit
 }
 
 // Client returns the client ID the proc's actions carry ("g0", "g1", …).
@@ -168,6 +170,7 @@ func (p *Proc) Close() {
 type Recorder struct {
 	clock func() int64
 	procs []*Proc
+	heads []*Proc // each's merge heap, kept between calls
 }
 
 // Option configures a Recorder.
@@ -232,44 +235,106 @@ func (r *Recorder) Watermark() int64 {
 // 1. Pass r.Watermark() for a live drain or math.MaxInt64 after every
 // proc closed. Single-goroutine only.
 func (r *Recorder) Drain(limit int64, dst trace.Trace) trace.Trace {
-	type tagged struct {
-		ev   Event
-		proc int
-	}
-	var batch []tagged
+	// Room for everything published and not yet drained — the most this
+	// call can append — so dst grows once, not as the merge goes.
+	n := 0
 	for _, p := range r.procs {
-		avail := p.published.Load()
-		for p.drained < avail {
-			if p.headN == chunkSize {
-				p.head = p.head.next.Load()
-				p.headN = 0
-			}
-			ev := p.head.ev[p.headN]
-			if ev.T >= limit {
-				break
-			}
-			batch = append(batch, tagged{ev: ev, proc: p.id})
-			p.headN++
-			p.drained++
-		}
+		n += int(p.published.Load() - p.drained)
 	}
-	sort.Slice(batch, func(i, j int) bool {
-		a, b := batch[i], batch[j]
-		if a.ev.T != b.ev.T {
-			return a.ev.T < b.ev.T
-		}
-		if a.ev.Kind != b.ev.Kind {
-			return a.ev.Kind == trace.Inv
-		}
-		return a.proc < b.proc
-	})
-	for _, e := range batch {
-		c := r.procs[e.proc].client
-		if e.ev.Kind == trace.Inv {
-			dst = append(dst, trace.Invoke(c, 1, e.ev.In))
-		} else {
-			dst = append(dst, trace.Response(c, 1, e.ev.In, e.ev.Out))
-		}
-	}
+	dst = slices.Grow(dst, n)
+	r.each(limit, func(a trace.Action) { dst = append(dst, a) })
 	return dst
+}
+
+// each is the merge behind Drain: it hands emit every not-yet-drained
+// event with T < limit in (T, Inv before Res, proc) order. Per proc,
+// timestamps are strictly increasing, so each buffer is already a sorted
+// run and no two events compare equal: the k-way merge over the procs'
+// next events is the one total order that sorting the batch would give.
+// The work per event is a sift in a heap of at most Procs() entries and
+// nothing is allocated.
+func (r *Recorder) each(limit int64, emit func(trace.Action)) {
+	// What a proc has published is loaded once, before any event is
+	// emitted: with limit = Watermark() every event below it was already
+	// published (the gate protocol), so the set merged is fixed here and
+	// a concurrent producer cannot slip an event into an emitted range.
+	h := r.heads[:0]
+	for _, p := range r.procs {
+		p.avail = p.published.Load()
+		if p.peek(limit) {
+			h = append(h, p)
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for len(h) > 0 {
+		p := h[0]
+		if ev := p.cur; ev.Kind == trace.Inv {
+			emit(trace.Invoke(p.client, 1, ev.In))
+		} else {
+			emit(trace.Response(p.client, 1, ev.In, ev.Out))
+		}
+		p.headN++
+		p.drained++
+		if !p.peek(limit) {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+	r.heads = h[:0]
+}
+
+// peek points p.cur at the proc's next undrained event and reports
+// whether there is one below limit. The hop to the next chunk is taken
+// only once avail says an event lives there: the producer links a chunk
+// before it publishes the chunk's first event, so the link is non-nil
+// exactly then — a proc that has published a full chunk and nothing more
+// has no next chunk yet.
+func (p *Proc) peek(limit int64) bool {
+	p.cur = nil
+	if p.drained == p.avail {
+		return false
+	}
+	if p.headN == chunkSize {
+		p.head = p.head.next.Load()
+		p.headN = 0
+	}
+	if ev := &p.head.ev[p.headN]; ev.T < limit {
+		p.cur = ev
+		return true
+	}
+	return false
+}
+
+// before is the merge comparator on two procs' heads: timestamps first,
+// then Inv before Res, then proc id.
+func (p *Proc) before(q *Proc) bool {
+	a, b := p.cur, q.cur
+	if a.T != b.T {
+		return a.T < b.T
+	}
+	if a.Kind != b.Kind {
+		return a.Kind == trace.Inv
+	}
+	return p.id < q.id
+}
+
+// siftDown restores the min-heap order of h below position i.
+func siftDown(h []*Proc, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }

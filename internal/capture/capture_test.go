@@ -3,11 +3,84 @@ package capture
 import (
 	"math"
 	"math/rand"
+	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/adt"
 	"repro/internal/trace"
 )
+
+// drainBySort is the merge the recorder used before the k-way merge
+// replaced it, kept as the test-local oracle: collect every undrained
+// event below limit, sort the batch with the comparator (T, Inv before
+// Res, proc). It reads the buffers without consuming them — the procs'
+// drain cursors are put back — so the same recorder can then be drained
+// for real and compared.
+func drainBySort(r *Recorder, limit int64) trace.Trace {
+	type tagged struct {
+		ev   Event
+		proc int
+	}
+	var batch []tagged
+	for _, p := range r.procs {
+		head, headN, drained := p.head, p.headN, p.drained
+		avail := p.published.Load()
+		for p.drained < avail {
+			if p.headN == chunkSize {
+				p.head = p.head.next.Load()
+				p.headN = 0
+			}
+			ev := p.head.ev[p.headN]
+			if ev.T >= limit {
+				break
+			}
+			batch = append(batch, tagged{ev: ev, proc: p.id})
+			p.headN++
+			p.drained++
+		}
+		p.head, p.headN, p.drained = head, headN, drained
+	}
+	sort.Slice(batch, func(i, j int) bool {
+		a, b := batch[i], batch[j]
+		if a.ev.T != b.ev.T {
+			return a.ev.T < b.ev.T
+		}
+		if a.ev.Kind != b.ev.Kind {
+			return a.ev.Kind == trace.Inv
+		}
+		return a.proc < b.proc
+	})
+	var dst trace.Trace
+	for _, e := range batch {
+		c := r.procs[e.proc].client
+		if e.ev.Kind == trace.Inv {
+			dst = append(dst, trace.Invoke(c, 1, e.ev.In))
+		} else {
+			dst = append(dst, trace.Response(c, 1, e.ev.In, e.ev.Out))
+		}
+	}
+	return dst
+}
+
+// drainChecked is rec.Drain(limit, dst) held action for action to the
+// sort oracle.
+func drainChecked(t *testing.T, rec *Recorder, limit int64, dst trace.Trace) trace.Trace {
+	t.Helper()
+	want := drainBySort(rec, limit)
+	start := len(dst)
+	dst = rec.Drain(limit, dst)
+	got := dst[start:]
+	if len(got) != len(want) {
+		t.Fatalf("drain below %d: merge yields %d actions, sort %d", limit, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("drain below %d, action %d: merge %+v, sort %+v", limit, i, got[i], want[i])
+		}
+	}
+	return dst
+}
 
 // fakeClock is a deterministic injectable clock for recorder tests. It
 // honors the WithClock contract — the clock advances under repeated
@@ -57,7 +130,7 @@ func TestMergeOrder(t *testing.T) {
 	p0.Close()
 	p1.Close()
 
-	got := rec.Drain(math.MaxInt64, nil)
+	got := drainChecked(t, rec, math.MaxInt64, nil)
 	// p1's second action ("w:b" inv at t=30) ties with p0's response at
 	// t=30; Inv sorts first. p1's pending "r:" never responds.
 	want := trace.Trace{
@@ -175,13 +248,13 @@ func TestIncrementalDrainsEqualFullDrain(t *testing.T) {
 					pending[p] = ""
 				}
 				if drainEvery > 0 && s%drainEvery == 0 {
-					out = rec.Drain(rec.Watermark(), out)
+					out = drainChecked(t, rec, rec.Watermark(), out)
 				}
 			}
 			for p := 0; p < procs; p++ {
 				rec.Proc(p).Close()
 			}
-			return rec.Drain(math.MaxInt64, out)
+			return drainChecked(t, rec, math.MaxInt64, out)
 		}
 
 		full := run(0)
@@ -195,6 +268,152 @@ func TestIncrementalDrainsEqualFullDrain(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMergeEqualsSort is the merge differential at scale: 1–8 procs
+// record 0–3 000 events each (several chunks) under a clock that ties
+// across procs most of the time, drained at random limits — watermarks
+// and arbitrary timestamps, so a drain stops mid-chunk, exactly on a
+// chunk boundary, or finds nothing — and every drain equals the sort.
+func TestMergeEqualsSort(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	for iter := 0; iter < 40; iter++ {
+		procs := 1 + r.Intn(8)
+		clk := &fakeClock{}
+		rec := NewRecorder(procs, WithClock(clk.fn()))
+		left := make([]int, procs) // events each proc still records
+		total := 0
+		for p := range left {
+			left[p] = r.Intn(3001)
+			if r.Intn(4) == 0 {
+				left[p] = chunkSize * r.Intn(3) // empty, or whole chunks exactly
+			}
+			total += left[p]
+		}
+		pending := make([]trace.Value, procs)
+		var out trace.Trace
+		for seq := 0; total > 0; seq++ {
+			clk.now += int64(r.Intn(2))
+			p := r.Intn(procs)
+			for left[p] == 0 {
+				p = (p + 1) % procs
+			}
+			if pending[p] == "" {
+				pending[p] = adt.Tag(adt.ReadInput(), itoa(seq))
+				rec.Proc(p).Inv(pending[p])
+			} else {
+				rec.Proc(p).Res(pending[p], adt.ReadOutput(adt.Bottom))
+				pending[p] = ""
+			}
+			left[p]--
+			total--
+			if left[p] == 0 && r.Intn(2) == 0 {
+				rec.Proc(p).Close() // a closed proc among live ones
+			}
+			switch r.Intn(400) {
+			case 0:
+				out = drainChecked(t, rec, rec.Watermark(), out)
+			case 1:
+				out = drainChecked(t, rec, clk.now-int64(r.Intn(50)), out)
+			}
+		}
+		for p := 0; p < procs; p++ {
+			rec.Proc(p).Close()
+		}
+		out = drainChecked(t, rec, math.MaxInt64, out)
+		if n := len(drainChecked(t, rec, math.MaxInt64, nil)); n != 0 {
+			t.Fatalf("iter %d: %d actions drained twice", iter, n)
+		}
+		assertWellFormed(t, out)
+	}
+}
+
+// TestMergeAtChunkBoundary: a proc that has published exactly chunkSize
+// events has filled its chunk and linked no next one. The merge must
+// stop there — not hop to a chunk that does not exist — and pick up in
+// the new chunk once the proc records again.
+func TestMergeAtChunkBoundary(t *testing.T) {
+	clk := &fakeClock{}
+	rec := NewRecorder(3, WithClock(clk.fn())) // proc 2 stays empty
+	full, other := rec.Proc(0), rec.Proc(1)
+	for i := 0; i < chunkSize/2; i++ {
+		clk.now++
+		in := adt.Tag(adt.ReadInput(), itoa(i))
+		full.Inv(in)
+		clk.now++
+		full.Res(in, adt.ReadOutput(adt.Bottom))
+	}
+	clk.now++
+	other.Inv("w:a")
+	rec.Proc(2).Close()
+	// The watermark is proc 0's gate, its last event's timestamp: all
+	// but that event drain, and the cursor stops one short of the end.
+	out := drainChecked(t, rec, rec.Watermark(), nil)
+	if len(out) != chunkSize-1 {
+		t.Fatalf("drained %d actions below the watermark, want %d", len(out), chunkSize-1)
+	}
+	// A limit above every timestamp takes the last event and proc 1's
+	// invocation; the cursor now sits past the chunk with no next one.
+	if out = drainChecked(t, rec, clk.now+1, out); len(out) != chunkSize+1 {
+		t.Fatalf("drained %d actions, want %d", len(out), chunkSize+1)
+	}
+	if out = drainChecked(t, rec, math.MaxInt64-1, out); len(out) != chunkSize+1 {
+		t.Fatalf("a drain with nothing published drained %d actions", len(out)-chunkSize-1)
+	}
+	clk.now++
+	full.Inv("r:")
+	clk.now++
+	full.Res("r:", adt.ReadOutput(adt.Bottom))
+	full.Close()
+	other.Close()
+	if out = drainChecked(t, rec, math.MaxInt64, out); len(out) != chunkSize+3 {
+		t.Fatalf("drained %d actions in all, want %d", len(out), chunkSize+3)
+	}
+	assertWellFormed(t, out[:len(out)-2]) // proc 1's write never responds
+}
+
+// TestMergeEqualsSortLive is the differential under real concurrency:
+// goroutines record through the real clock while the drainer takes a
+// watermark, asks the oracle and then the merge for everything below it
+// and compares. The gate protocol fixes that set before either reads
+// it, so they must agree whatever the producers do meanwhile. Run under
+// -race this is what vets the merge reading published and the chunk
+// links next to the producers.
+func TestMergeEqualsSortLive(t *testing.T) {
+	const procs, ops = 4, 3000
+	rec := NewRecorder(procs)
+	var wg sync.WaitGroup
+	for i := 0; i < procs; i++ {
+		wg.Add(1)
+		go func(p *Proc) {
+			defer wg.Done()
+			defer p.Close()
+			for n := 0; n < ops; n++ {
+				in := adt.Tag(adt.ReadInput(), string(p.Client())+"-"+itoa(n))
+				p.Inv(in)
+				p.Res(in, adt.ReadOutput(adt.Bottom))
+			}
+		}(rec.Proc(i))
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	var out trace.Trace
+	for running := true; running; {
+		select {
+		case <-finished:
+			running = false
+		default:
+		}
+		limit := rec.Watermark()
+		if !running {
+			limit = math.MaxInt64
+		}
+		out = drainChecked(t, rec, limit, out)
+	}
+	if len(out) != 2*procs*ops {
+		t.Fatalf("drained %d actions, want %d", len(out), 2*procs*ops)
+	}
+	assertWellFormed(t, out)
 }
 
 // TestTieBurstNeverManufacturesPrecedence is the adversarial
@@ -241,7 +460,7 @@ func TestTieBurstNeverManufacturesPrecedence(t *testing.T) {
 		for p := 0; p < procs; p++ {
 			rec.Proc(p).Close()
 		}
-		tr := rec.Drain(math.MaxInt64, nil)
+		tr := drainChecked(t, rec, math.MaxInt64, nil)
 
 		// Merged positions, keyed by the per-op unique input.
 		mergedInv := map[trace.Value]int{}

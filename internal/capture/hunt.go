@@ -110,10 +110,17 @@ type huntState struct {
 // live. The returned Report carries the verdict; err is reserved for
 // configuration errors, not negative verdicts.
 func Run(ctx context.Context, cfg Config) (Report, error) {
+	rep, _, err := hunt(ctx, cfg)
+	return rep, err
+}
+
+// hunt is Run, also handing back the router so in-package tests can see
+// what the run retained.
+func hunt(ctx context.Context, cfg Config) (Report, *router, error) {
 	cfg = cfg.withDefaults()
 	sut, err := newStructure(cfg.Structure, cfg.Mutant, true)
 	if err != nil {
-		return Report{}, err
+		return Report{}, nil, err
 	}
 	h := &huntState{cfg: cfg, sut: sut}
 	var recOpts []Option
@@ -133,9 +140,9 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	var rt *router
 	switch cfg.Structure {
 	case StructMap:
-		rt = newRouter(ctx, speclin.CheckSpec{Folder: speclin.RegisterADT}, mapKeyOf, true, opts...)
+		rt = newRouter(ctx, speclin.CheckSpec{Folder: speclin.RegisterADT}, mapKeyOf, true, cfg.Classical, opts...)
 	case StructMutex:
-		rt = newRouter(ctx, speclin.CheckSpec{Folder: speclin.MutexADT}, nil, true, opts...)
+		rt = newRouter(ctx, speclin.CheckSpec{Folder: speclin.MutexADT}, nil, true, cfg.Classical, opts...)
 	case StructSet:
 		// The set folder has no fast path, so its per-key sessions run the
 		// exact frontier engine. Its configurations are keyed on the set's
@@ -144,10 +151,10 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 		// overlapping on it admit, however long the scheduler keeps one of
 		// them off the CPU mid-operation: the set checks live like the map
 		// and mutex do.
-		rt = newRouter(ctx, speclin.CheckSpec{Folder: speclin.SetADT}, setKeyOf, true, opts...)
+		rt = newRouter(ctx, speclin.CheckSpec{Folder: speclin.SetADT}, setKeyOf, true, cfg.Classical, opts...)
 	case StructQueue:
 		// The queue fast path is one-shot: retain the trace, check after.
-		rt = newRouter(ctx, speclin.CheckSpec{Folder: speclin.QueueADT}, nil, false, opts...)
+		rt = newRouter(ctx, speclin.CheckSpec{Folder: speclin.QueueADT}, nil, false, cfg.Classical, opts...)
 	}
 
 	start := time.Now()
@@ -170,26 +177,7 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	}
 	finished := make(chan struct{})
 	go func() { wg.Wait(); close(finished) }()
-
-	// The live drain loop: merge everything below the watermark and
-	// feed it onward until the workers finish, then a final full drain.
-	var pending trace.Trace
-	running := true
-	for running {
-		select {
-		case <-finished:
-			running = false
-		case <-time.After(time.Millisecond):
-		}
-		limit := rec.Watermark()
-		if !running {
-			limit = math.MaxInt64
-		}
-		pending = rec.Drain(limit, pending[:0])
-		for _, a := range pending {
-			rt.feed(a)
-		}
-	}
+	rec.drainLive(finished, rt.feed)
 
 	rep := Report{
 		Structure:  cfg.Structure,
@@ -208,7 +196,27 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 		cl := rt.oneShot(ctx, speclin.ClassicalLin, opts...)
 		rep.Classical = &cl
 	}
-	return rep, nil
+	return rep, rt, nil
+}
+
+// drainLive is the live drain loop: once a millisecond it merges
+// everything below the watermark into emit, and when finished closes
+// (every proc is closed by then) it merges the rest.
+func (r *Recorder) drainLive(finished <-chan struct{}, emit func(trace.Action)) {
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for running := true; running; {
+		select {
+		case <-finished:
+			running = false
+		case <-tick.C:
+		}
+		limit := r.Watermark()
+		if !running {
+			limit = math.MaxInt64
+		}
+		r.each(limit, emit)
+	}
 }
 
 // worker runs one recording goroutine's operation loop.
@@ -420,21 +428,8 @@ func Overhead(cfg Config) (OverheadReport, error) {
 		}
 		finished := make(chan struct{})
 		go func() { wg.Wait(); close(finished) }()
-		var sink trace.Trace
 		if captured {
-			running := true
-			for running {
-				select {
-				case <-finished:
-					running = false
-				case <-time.After(time.Millisecond):
-				}
-				limit := rec.Watermark()
-				if !running {
-					limit = math.MaxInt64
-				}
-				sink = rec.Drain(limit, sink[:0])
-			}
+			rec.drainLive(finished, func(trace.Action) {})
 		} else {
 			<-finished
 		}

@@ -24,61 +24,65 @@ import (
 )
 
 // router streams actions into per-key checker sessions (keyOf nil means
-// one session under the single key "") and retains the per-key traces
-// for the post-run one-shot checks (the queue fast path, ClassicalLin).
+// one session under the single key ""). It counts every key's actions
+// and keeps a key's trace only when a pass after the run will read it:
+// a structure with no streaming core (the queue's one-shot fast path)
+// or the ClassicalLin pass. A streamed key's only copy of its history
+// is then the session's own replay log.
 type router struct {
 	ctx      context.Context
 	spec     speclin.CheckSpec
 	opts     []speclin.Option
 	keyOf    func(trace.Value) string
 	sessions bool
+	retain   bool
 
-	sess  map[string]*speclin.Session
-	errs  map[string]error
-	trs   map[string]trace.Trace
-	order []string
+	keys  map[string]*keyState
+	order []*keyState // first-seen order
 }
 
-func newRouter(ctx context.Context, spec speclin.CheckSpec, keyOf func(trace.Value) string, sessions bool, opts ...speclin.Option) *router {
+// keyState is everything the router holds for one key.
+type keyState struct {
+	key  string
+	sess *speclin.Session
+	err  error // terminal for the key: the session could not start or gave up
+	n    int64 // actions routed to the key
+	tr   trace.Trace
+}
+
+// newRouter routes into live sessions when sessions is set; classical
+// says a ClassicalLin pass will follow the run.
+func newRouter(ctx context.Context, spec speclin.CheckSpec, keyOf func(trace.Value) string, sessions, classical bool, opts ...speclin.Option) *router {
 	return &router{
-		ctx: ctx, spec: spec, opts: opts, keyOf: keyOf, sessions: sessions,
-		sess: map[string]*speclin.Session{},
-		errs: map[string]error{},
-		trs:  map[string]trace.Trace{},
+		ctx: ctx, spec: spec, opts: opts, keyOf: keyOf,
+		sessions: sessions, retain: classical || !sessions,
+		keys: map[string]*keyState{},
 	}
-}
-
-func (rt *router) key(in trace.Value) string {
-	if rt.keyOf == nil {
-		return ""
-	}
-	return rt.keyOf(in)
 }
 
 // feed routes one merged action. Session errors (budget exhaustion,
 // cancellation) are terminal per key and recorded, not returned: the
 // hunt keeps draining the other keys and reports Unknown for this one.
 func (rt *router) feed(a trace.Action) {
-	k := rt.key(a.Input)
-	if _, seen := rt.trs[k]; !seen {
-		rt.order = append(rt.order, k)
+	k := ""
+	if rt.keyOf != nil {
+		k = rt.keyOf(a.Input)
 	}
-	rt.trs[k] = append(rt.trs[k], a)
-	if !rt.sessions || rt.errs[k] != nil {
-		return
-	}
-	s, ok := rt.sess[k]
-	if !ok {
-		var err error
-		s, err = speclin.NewSession(rt.ctx, rt.spec, rt.opts...)
-		if err != nil {
-			rt.errs[k] = err
-			return
+	ks := rt.keys[k]
+	if ks == nil {
+		ks = &keyState{key: k}
+		if rt.sessions {
+			ks.sess, ks.err = speclin.NewSession(rt.ctx, rt.spec, rt.opts...)
 		}
-		rt.sess[k] = s
+		rt.keys[k] = ks
+		rt.order = append(rt.order, ks)
 	}
-	if err := s.Feed(a); err != nil {
-		rt.errs[k] = err
+	ks.n++
+	if rt.retain {
+		ks.tr = append(ks.tr, a)
+	}
+	if ks.sess != nil && ks.err == nil {
+		ks.err = ks.sess.Feed(a)
 	}
 }
 
@@ -98,41 +102,52 @@ type RouteReport struct {
 	Nodes int64
 	// Actions is the total number of routed actions.
 	Actions int64
-	// Wall is the cumulative checking wall reported by the sessions.
+	// Wall is the sum over keys of what each check reported as its wall.
+	// For a one-shot pass that is checking time; for live sessions it is
+	// each session's lifetime (creation to report), so sixteen keys fed
+	// by one drainer sum to many times the hunt's own wall — it is not
+	// time spent checking.
 	Wall time.Duration
+}
+
+// newReport starts a pass's report with what the router counted.
+func (rt *router) newReport() RouteReport {
+	out := RouteReport{Verdict: speclin.Linearizable, Keys: len(rt.order)}
+	for _, ks := range rt.order {
+		out.Actions += ks.n
+	}
+	return out
+}
+
+// add folds one key's outcome into the report and says whether the
+// pass is over (the first NotLinearizable key ends it).
+func (out *RouteReport) add(key string, rep speclin.Report, err error) (done bool) {
+	out.Nodes += int64(rep.Nodes)
+	out.Wall += rep.Wall
+	switch {
+	case err != nil:
+		if out.Verdict == speclin.Linearizable {
+			out.Verdict = speclin.Unknown
+			out.Reason = fmt.Sprintf("key %q: %v", key, err)
+		}
+	case rep.Verdict == speclin.NotLinearizable:
+		out.Verdict = speclin.NotLinearizable
+		out.Reason = fmt.Sprintf("key %q: %s", key, rep.Reason)
+		return true
+	}
+	return false
 }
 
 // reports collects every live session's verdict.
 func (rt *router) reports() RouteReport {
-	out := RouteReport{Verdict: speclin.Linearizable, Keys: len(rt.order)}
-	for _, k := range rt.order {
-		out.Actions += int64(len(rt.trs[k]))
-	}
-	for _, k := range rt.order {
-		if err := rt.errs[k]; err != nil {
-			if out.Verdict == speclin.Linearizable {
-				out.Verdict = speclin.Unknown
-				out.Reason = fmt.Sprintf("key %q: %v", k, err)
-			}
-			continue
+	out := rt.newReport()
+	for _, ks := range rt.order {
+		rep, err := speclin.Report{}, ks.err
+		if err == nil {
+			rep, err = ks.sess.Report()
 		}
-		s := rt.sess[k]
-		if s == nil {
-			continue
-		}
-		rep, err := s.Report()
-		out.Nodes += int64(rep.Nodes)
-		out.Wall += rep.Wall
-		switch {
-		case err != nil:
-			if out.Verdict == speclin.Linearizable {
-				out.Verdict = speclin.Unknown
-				out.Reason = fmt.Sprintf("key %q: %v", k, err)
-			}
-		case rep.Verdict == speclin.NotLinearizable:
-			out.Verdict = speclin.NotLinearizable
-			out.Reason = fmt.Sprintf("key %q: %s", k, rep.Reason)
-			return out
+		if out.add(ks.key, rep, err) {
+			break
 		}
 	}
 	return out
@@ -143,27 +158,13 @@ func (rt *router) reports() RouteReport {
 // the captured histories — their inputs are unique by construction, so
 // Theorem 1 grounds the classical verdicts).
 func (rt *router) oneShot(ctx context.Context, mode speclin.Mode, opts ...speclin.Option) RouteReport {
-	out := RouteReport{Verdict: speclin.Linearizable, Keys: len(rt.order)}
-	for _, k := range rt.order {
-		out.Actions += int64(len(rt.trs[k]))
-	}
+	out := rt.newReport()
 	spec := rt.spec
 	spec.Mode = mode
-	for _, k := range rt.order {
-		tr := rt.trs[k]
-		rep, err := speclin.Check(ctx, spec, tr, opts...)
-		out.Nodes += int64(rep.Nodes)
-		out.Wall += rep.Wall
-		switch {
-		case err != nil:
-			if out.Verdict == speclin.Linearizable {
-				out.Verdict = speclin.Unknown
-				out.Reason = fmt.Sprintf("key %q: %v", k, err)
-			}
-		case rep.Verdict == speclin.NotLinearizable:
-			out.Verdict = speclin.NotLinearizable
-			out.Reason = fmt.Sprintf("key %q: %s", k, rep.Reason)
-			return out
+	for _, ks := range rt.order {
+		rep, err := speclin.Check(ctx, spec, ks.tr, opts...)
+		if out.add(ks.key, rep, err) {
+			break
 		}
 	}
 	return out

@@ -185,6 +185,27 @@ func TestFastpathQueueBoundary(t *testing.T) {
 		{"enqueue answered as dequeue rejects", trace.Trace{
 			inv("c1", adt.EnqInput("a")), res("c1", adt.EnqInput("a"), adt.ReadOutput("a")),
 		}},
+		// Condition (c) with responded, never-dequeued values on both
+		// sides of the dequeued one: a overlaps b's enqueue and z follows
+		// it, so neither blocks b.
+		{"undequeued values around a dequeued one accept", trace.Trace{
+			inv("c1", adt.EnqInput("a")),
+			inv("c2", adt.EnqInput("b")),
+			res("c1", adt.EnqInput("a"), adt.WriteOutput()),
+			res("c2", adt.EnqInput("b"), adt.WriteOutput()),
+			inv("c1", adt.EnqInput("z")), res("c1", adt.EnqInput("z"), adt.WriteOutput()),
+			inv("c3", dq("1")), res("c3", dq("1"), adt.ReadOutput("b")),
+		}},
+		// With a responded before b is invoked, a blocks b; z, overlapping
+		// b's enqueue, stays harmless.
+		{"undequeued value wholly before a dequeued one rejects", trace.Trace{
+			inv("c1", adt.EnqInput("a")), res("c1", adt.EnqInput("a"), adt.WriteOutput()),
+			inv("c2", adt.EnqInput("b")),
+			inv("c1", adt.EnqInput("z")),
+			res("c2", adt.EnqInput("b"), adt.WriteOutput()),
+			res("c1", adt.EnqInput("z"), adt.WriteOutput()),
+			inv("c3", dq("1")), res("c3", dq("1"), adt.ReadOutput("b")),
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -258,6 +279,7 @@ func TestFastpathMutexBoundary(t *testing.T) {
 			inv("c2", lk("2")),
 			inv("c1", ul("1")), res("c1", ul("1"), adt.WriteOutput()),
 		}},
+		{"helper taken after many completed operations accepted", helperAfterCompleted(70, lk, ul)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -266,6 +288,28 @@ func TestFastpathMutexBoundary(t *testing.T) {
 			}
 		})
 	}
+}
+
+// helperAfterCompleted is pairs sequential lock/unlock pairs (2·pairs
+// completed operations, which the core has forgotten by then) followed
+// by a release that finds the lock free and takes a pending acquire as
+// its helper: the helper search walks every completed acquire's id.
+func helperAfterCompleted(pairs int, lk, ul func(string) trace.Value) trace.Trace {
+	var tr trace.Trace
+	for i := 0; i < pairs; i++ {
+		id := "p" + strconv.Itoa(i)
+		tr = append(tr,
+			inv("c1", lk(id)), res("c1", lk(id), adt.WriteOutput()),
+			inv("c1", ul(id)), res("c1", ul(id), adt.WriteOutput()))
+	}
+	return append(tr,
+		inv("c2", lk("h")),
+		inv("c1", lk("x")), res("c1", lk("x"), adt.WriteOutput()),
+		inv("c1", ul("x")),
+		inv("c3", ul("y")),
+		res("c1", ul("x"), adt.WriteOutput()),
+		res("c3", ul("y"), adt.WriteOutput()),
+		res("c2", lk("h"), adt.WriteOutput()))
 }
 
 // TestFastpathStackBoundary drives the streaming stack core: LIFO
@@ -675,6 +719,16 @@ func FuzzFastpathVsExact(f *testing.F) {
 	f.Add(uint8(2), []byte{0x00, 0x00, 0x04, 0x00, 0x08, 0x03, 0x0c, 0x05, 0x01})
 	f.Add(uint8(3), []byte{0x00, 0x00, 0x04, 0x00, 0x09, 0x00, 0x0d, 0x00})
 	f.Add(uint8(4), []byte{0x00, 0x00, 0x04, 0x00, 0x8a, 0x03, 0x8e, 0x02, 0x01})
+	// Mutex: lock#1 completes, then a release finds the lock free and the
+	// helper search walks lock#1's forgotten id to reach the pending
+	// lock#2 (decodeTrace caps a trace at 14 actions, so the 140-operation
+	// version of this lives in TestFastpathMutexBoundary).
+	f.Add(uint8(3), []byte{0x00, 0x00, 0x04, 0x00, 0x08, 0x00, 0x11, 0x00, 0x04, 0x00, 0x18, 0x00, 0x04, 0x00, 0x05, 0x00})
+	// Queue, condition (c) from each side: x and y enqueued in sequence
+	// and both responded, the one dequeue returning x (y stays: accept)
+	// or y (x blocks it: reject).
+	f.Add(uint8(2), []byte{0x00, 0x00, 0x04, 0x00, 0x08, 0x00, 0x04, 0x00, 0x11, 0x00, 0x05, 0x04})
+	f.Add(uint8(2), []byte{0x00, 0x00, 0x04, 0x00, 0x08, 0x00, 0x04, 0x00, 0x11, 0x00, 0x05, 0x06})
 	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
 		folder, inputs, outputs := fastFuzzADT(sel)
 		tr := decodeTrace(folder, inputs, outputs, data)

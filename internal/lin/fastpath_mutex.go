@@ -38,7 +38,7 @@ import (
 // the greedy's completeness.
 type fastMutex struct {
 	seen   map[trace.Value]struct{}
-	ops    map[int]*mutexOp // by invocation trace index
+	ops    map[int]*mutexOp // open operations, by invocation trace index
 	pool   [2][]int         // unassigned pending invIdxs per kind, oldest first
 	poolLo [2]int           // consumed prefix of pool (lazy deletion)
 	locked bool
@@ -58,7 +58,6 @@ type mutexOp struct {
 	lock     bool
 	in       trace.Value
 	assigned bool // linearized as a helper; pos holds its chain prefix
-	done     bool // responded (hence linearized)
 	pos      int
 }
 
@@ -118,7 +117,9 @@ func (m *fastMutex) Res(in, out trace.Value, invIdx, idx int) FastStatus {
 	if m.ru > m.rl+m.pl || m.rl > m.ru+m.pu+1 {
 		return FastReject
 	}
-	o.done = true
+	// Responded, hence linearized by the end of this call: the operation
+	// leaves ops, which therefore holds the open operations only.
+	delete(m.ops, invIdx)
 	if o.assigned {
 		m.marks = append(m.marks, resMark{res: idx, k: o.pos})
 		return FastOK
@@ -137,13 +138,13 @@ func (m *fastMutex) Res(in, out trace.Value, invIdx, idx int) FastStatus {
 }
 
 // takeOldest pops the oldest unassigned still-pending operation of the
-// given kind, or nil.
+// given kind, or nil. Pool entries no longer in ops have responded.
 func (m *fastMutex) takeOldest(kind int) *mutexOp {
 	pool := m.pool[kind]
 	for m.poolLo[kind] < len(pool) {
 		o := m.ops[pool[m.poolLo[kind]]]
 		m.poolLo[kind]++
-		if !o.assigned && !o.done {
+		if o != nil && !o.assigned {
 			return o
 		}
 	}

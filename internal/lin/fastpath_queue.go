@@ -2,7 +2,7 @@ package lin
 
 import (
 	"context"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/adt"
@@ -46,10 +46,11 @@ func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings) (Res
 	reject := Result{OK: false, Reason: "no linearization function exists", Nodes: len(t)}
 
 	// Pass 1: well-formedness, fragment membership, operation intervals.
-	var ops []*queueOp
-	open := map[trace.ClientID]*queueOp{}
-	seen := map[trace.Value]struct{}{}
-	enqs := map[string]*queueOp{}
+	// ops is in invocation order; open and enqs hold positions in it.
+	ops := make([]queueOp, 0, (len(t)+1)/2) // a complete trace has two actions an operation
+	open := map[trace.ClientID]int{}        // client → its open operation, absent when none
+	seen := make(map[trace.Value]struct{}, cap(ops))
+	enqs := map[string]int{} // untagged value → its enqueue
 	for idx, a := range t {
 		if idx&ctxPollMask == ctxPollMask {
 			if err := ctx.Err(); err != nil {
@@ -58,7 +59,7 @@ func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings) (Res
 		}
 		switch a.Kind {
 		case trace.Inv:
-			if open[a.Client] != nil {
+			if _, busy := open[a.Client]; busy {
 				return notWF(idx)
 			}
 			if _, dup := seen[a.Input]; dup {
@@ -66,7 +67,7 @@ func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings) (Res
 			}
 			seen[a.Input] = struct{}{}
 			op, arg, ok := strings.Cut(string(adt.Untag(a.Input)), ":")
-			o := &queueOp{in: a.Input, inv: idx, res: -1}
+			o := queueOp{in: a.Input, inv: idx, res: -1, peer: -1}
 			switch {
 			case !ok:
 				return Result{}, false, nil
@@ -78,36 +79,34 @@ func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings) (Res
 					return Result{}, false, nil // duplicate enqueue value
 				}
 				o.enq, o.arg = true, arg
-				enqs[arg] = o
+				enqs[arg] = len(ops)
 			case op == "deq" && arg == "":
 			default:
 				return Result{}, false, nil
 			}
+			open[a.Client] = len(ops)
 			ops = append(ops, o)
-			open[a.Client] = o
 		case trace.Res:
-			o := open[a.Client]
-			if o == nil || t[o.inv].Input != a.Input {
+			i, busy := open[a.Client]
+			if !busy || ops[i].in != a.Input {
 				return notWF(idx)
 			}
-			o.res, o.out = idx, a.Output
-			open[a.Client] = nil
+			ops[i].res, ops[i].out = idx, a.Output
+			delete(open, a.Client)
 		default:
 			return notWF(idx)
 		}
 	}
 	if len(open) > 0 {
-		for _, o := range open {
-			if o != nil {
-				return Result{}, false, nil // pending operation: incomplete trace
-			}
-		}
+		return Result{}, false, nil // pending operation: incomplete trace
 	}
 
 	// Pass 2: per-operation semantics — conditions (a) and the output
-	// grammar. matched maps a dequeued value to its dequeue.
-	matched := map[string]*queueOp{}
-	for _, o := range ops {
+	// grammar. A dequeue and the enqueue of the value it returned become
+	// each other's peer.
+	matched := 0
+	for i := range ops {
+		o := &ops[i]
 		if o.enq {
 			if o.out != adt.WriteOutput() {
 				return reject, true, nil
@@ -121,52 +120,34 @@ func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings) (Res
 		if varg == string(adt.Bottom) {
 			return Result{}, false, nil // empty dequeue: outside the fragment
 		}
-		e := enqs[varg]
-		if e == nil {
+		ei, ok := enqs[varg]
+		if !ok {
 			return reject, true, nil // value never enqueued
 		}
-		if _, dup := matched[varg]; dup {
+		e := &ops[ei]
+		if e.peer >= 0 {
 			return reject, true, nil // distinct values dequeue at most once
 		}
 		if o.res < e.inv {
 			return reject, true, nil // dequeued before its enqueue existed
 		}
-		matched[varg] = o
-	}
-
-	// Pass 3: condition (b). For each dequeued value v, the largest
-	// dequeue invocation among values whose enqueue responded before
-	// enq(v) was invoked must not exceed deq(v)'s response.
-	type pair struct{ e, d *queueOp }
-	var pairs []pair
-	for varg, d := range matched {
-		pairs = append(pairs, pair{e: enqs[varg], d: d})
-	}
-	byEnqInv := append([]pair(nil), pairs...)
-	sort.Slice(byEnqInv, func(i, j int) bool { return byEnqInv[i].e.inv < byEnqInv[j].e.inv })
-	byEnqRes := append([]pair(nil), pairs...)
-	sort.Slice(byEnqRes, func(i, j int) bool { return byEnqRes[i].e.res < byEnqRes[j].e.res })
-	maxDeqInv, ptr := -1, 0
-	for _, p := range byEnqInv {
-		for ptr < len(byEnqRes) && byEnqRes[ptr].e.res < p.e.inv {
-			if byEnqRes[ptr].d.inv > maxDeqInv {
-				maxDeqInv = byEnqRes[ptr].d.inv
-			}
-			ptr++
-		}
-		if maxDeqInv >= 0 && p.d.res < maxDeqInv {
-			return reject, true, nil
-		}
+		e.peer, o.peer = i, ei
+		matched++
 	}
 
 	// Condition (c): an enqueued-but-never-dequeued value must not
-	// wholly precede any dequeued value's enqueue.
+	// wholly precede any dequeued value's enqueue. The same walk lists
+	// the dequeued values' enqueues for pass 3.
+	byEnqRes := make([]int, 0, matched)
 	minUnmatchedRes, maxMatchedInv := -1, -1
-	for varg, e := range enqs {
-		if _, ok := matched[varg]; ok {
-			if e.inv > maxMatchedInv {
-				maxMatchedInv = e.inv
-			}
+	for i := range ops {
+		e := &ops[i]
+		if !e.enq {
+			continue
+		}
+		if e.peer >= 0 {
+			byEnqRes = append(byEnqRes, i)
+			maxMatchedInv = e.inv // ops is in invocation order
 		} else if minUnmatchedRes < 0 || e.res < minUnmatchedRes {
 			minUnmatchedRes = e.res
 		}
@@ -175,9 +156,29 @@ func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings) (Res
 		return reject, true, nil
 	}
 
+	// Pass 3: condition (b). For each dequeued value v, the largest
+	// dequeue invocation among values whose enqueue responded before
+	// enq(v) was invoked must not exceed deq(v)'s response. byEnqInv is
+	// as built, in invocation order; byEnqRes is the same by response.
+	byEnqInv := slices.Clone(byEnqRes)
+	slices.SortFunc(byEnqRes, func(i, j int) int { return ops[i].res - ops[j].res })
+	maxDeqInv, ptr := -1, 0
+	for _, i := range byEnqInv {
+		e := &ops[i]
+		for ptr < len(byEnqRes) && ops[byEnqRes[ptr]].res < e.inv {
+			if d := ops[ops[byEnqRes[ptr]].peer].inv; d > maxDeqInv {
+				maxDeqInv = d
+			}
+			ptr++
+		}
+		if maxDeqInv >= 0 && ops[e.peer].res < maxDeqInv {
+			return reject, true, nil
+		}
+	}
+
 	r := Result{OK: true, Nodes: len(t)}
 	if set.Witness {
-		r.Witness = queueWitness(ops, enqs, matched)
+		r.Witness = queueWitness(ops)
 	}
 	return r, true, nil
 }
@@ -191,6 +192,10 @@ type queueOp struct {
 	in       trace.Value // full (tagged) input
 	inv, res int
 	out      trace.Value
+	// peer is the position in ops of the operation at the value's other
+	// end (pass 2): an enqueue's is the dequeue that returned its value,
+	// a dequeue's the enqueue of the value it returned; -1 when none.
+	peer int
 }
 
 // fastQueueWitnessCap bounds the queue core's witness assembly: the
@@ -214,29 +219,34 @@ const fastQueueWitnessCap = 4096
 // before, every linearization point provably inside its operation's
 // interval. Returns nil past fastQueueWitnessCap (or, defensively, if
 // no extension is found).
-func queueWitness(ops []*queueOp, enqs, matched map[string]*queueOp) Witness {
-	if len(enqs) > fastQueueWitnessCap {
+func queueWitness(ops []queueOp) Witness {
+	// rem holds the matched values still to place, as the positions of
+	// their enqueues, by enqueue invocation; unmatched the others.
+	var rem, unmatched []int
+	for i := range ops {
+		switch {
+		case !ops[i].enq:
+		case ops[i].peer >= 0:
+			rem = append(rem, i)
+		default:
+			unmatched = append(unmatched, i)
+		}
+	}
+	if len(rem)+len(unmatched) > fastQueueWitnessCap {
 		return nil
 	}
-	type val struct {
-		arg  string
-		e, d *queueOp
-	}
-	rem := make([]*val, 0, len(matched))
-	for arg, d := range matched {
-		rem = append(rem, &val{arg: arg, e: enqs[arg], d: d})
-	}
-	sort.Slice(rem, func(i, j int) bool { return rem[i].e.inv < rem[j].e.inv })
-	tau := make([]*val, 0, len(rem))
+	tau := make([]int, 0, len(rem))
 	for len(rem) > 0 {
 		pick := -1
-		for i, v := range rem {
+		for i, vi := range rem {
+			ve, vd := &ops[vi], &ops[ops[vi].peer]
 			free := true
-			for _, u := range rem {
-				if u == v {
+			for _, ui := range rem {
+				if ui == vi {
 					continue
 				}
-				if u.e.res < v.e.inv || u.d.res < v.d.inv || u.d.res < v.e.inv {
+				ue, ud := &ops[ui], &ops[ops[ui].peer]
+				if ue.res < ve.inv || ud.res < vd.inv || ud.res < ve.inv {
 					free = false
 					break
 				}
@@ -254,61 +264,53 @@ func queueWitness(ops []*queueOp, enqs, matched map[string]*queueOp) Witness {
 	}
 
 	// Enqueue linearization order: τ's matched values, then the
-	// unmatched ones by invocation.
-	enqOrder := make([]*queueOp, 0, len(enqs))
-	tauPos := make(map[string]int, len(tau))
-	deqVal := make(map[*queueOp]string, len(tau))
-	for i, v := range tau {
-		enqOrder = append(enqOrder, v.e)
-		tauPos[v.arg] = i
-		deqVal[v.d] = v.arg
-	}
-	var unmatched []*queueOp
-	for _, e := range enqs {
-		if _, ok := matched[e.arg]; !ok {
-			unmatched = append(unmatched, e)
-		}
-	}
-	sort.Slice(unmatched, func(i, j int) bool { return unmatched[i].inv < unmatched[j].inv })
-	enqOrder = append(enqOrder, unmatched...)
-	enqPos := make(map[string]int, len(enqOrder))
+	// unmatched ones by invocation. enqPos and tauPos are indexed by the
+	// enqueue's position in ops.
+	enqOrder := append(append(make([]int, 0, len(tau)+len(unmatched)), tau...), unmatched...)
+	enqPos := make([]int, len(ops))
 	for i, e := range enqOrder {
-		enqPos[e.arg] = i
+		enqPos[e] = i
+	}
+	tauPos := make([]int, len(ops))
+	for i, e := range tau {
+		tauPos[e] = i
 	}
 
 	// Sweep the responses in trace order; pos[op] is the claimed chain
 	// prefix once the op linearizes.
-	byRes := append([]*queueOp(nil), ops...)
-	sort.Slice(byRes, func(i, j int) bool { return byRes[i].res < byRes[j].res })
+	byRes := make([]int, len(ops))
+	for i := range byRes {
+		byRes[i] = i
+	}
+	slices.SortFunc(byRes, func(i, j int) int { return ops[i].res - ops[j].res })
 	var chain trace.History
-	pos := make(map[*queueOp]int, len(ops))
+	pos := make([]int, len(ops))
 	eptr, dptr := 0, 0
 	linEnqsThrough := func(target int) {
 		for eptr <= target {
 			e := enqOrder[eptr]
-			chain = append(chain, e.in)
+			chain = append(chain, ops[e].in)
 			pos[e] = len(chain)
 			eptr++
 		}
 	}
 	w := Witness{}
-	for _, o := range byRes {
+	for _, oi := range byRes {
+		o := &ops[oi]
 		if o.enq {
-			linEnqsThrough(enqPos[o.arg])
+			linEnqsThrough(enqPos[oi])
 		} else {
-			target, ok := tauPos[deqVal[o]]
-			if !ok {
+			if o.peer < 0 {
 				return nil // defensive: pass 2 matched every dequeue
 			}
-			for dptr <= target {
-				v := tau[dptr]
-				linEnqsThrough(enqPos[v.arg])
-				chain = append(chain, v.d.in)
-				pos[v.d] = len(chain)
-				dptr++
+			for target := tauPos[o.peer]; dptr <= target; dptr++ {
+				e := tau[dptr]
+				linEnqsThrough(enqPos[e])
+				chain = append(chain, ops[ops[e].peer].in)
+				pos[ops[e].peer] = len(chain)
 			}
 		}
-		w[o.res] = chain[:pos[o]].Clone()
+		w[o.res] = chain[:pos[oi]].Clone()
 	}
 	return w
 }

@@ -115,17 +115,24 @@ type Session struct {
 
 	// fast, when non-nil, is the ADT-specialized streaming core the
 	// session delegates to instead of the frontier engine (DESIGN.md,
-	// decision 15; NewSessionFast). The fed trace is recorded in rec so
-	// that a fragment exit can fall back by replaying it through a fresh
-	// exact session — after which the session is indistinguishable from
-	// an exact one fed the same actions (frontier, budget spend and
-	// verdicts included). Fast-path work never spends the budget; it is
-	// accounted separately in fastNodes (one per fed action).
+	// decision 15; NewSessionFast). The fed trace is recorded so that a
+	// fragment exit can fall back by replaying it through a fresh exact
+	// session — after which the session is indistinguishable from an
+	// exact one fed the same actions (frontier, budget spend and
+	// verdicts included). The log is chunked: rec is the chunk being
+	// appended to and recFull the recChunk-long ones before it, so a
+	// long-lived session never copies more than the first chunk's growth.
+	// Fast-path work never spends the budget; it is accounted separately
+	// in fastNodes (one per fed action).
 	fast      FastChecker
 	fastRej   bool // core rejected: NotLinearizable, final
 	fastNodes int
 	rec       trace.Trace
+	recFull   []trace.Trace
 }
+
+// recChunk is the length of one chunk of the fast path's replay log.
+const recChunk = 1024
 
 // pendingInv is one client's open invocation, for the well-formedness
 // bookkeeping (the streaming twin of Check's WellFormed precheck).
@@ -327,6 +334,10 @@ func (s *Session) stick(err error, idx, open, start int) error {
 func (s *Session) feedFast(a trace.Action) error {
 	idx := s.fed
 	s.fed++
+	if len(s.rec) == recChunk {
+		s.recFull = append(s.recFull, s.rec)
+		s.rec = make(trace.Trace, 0, recChunk)
+	}
 	s.rec = append(s.rec, a)
 	if s.notWF != "" {
 		return nil // verdict already final
@@ -371,16 +382,22 @@ func (s *Session) feedFast(a trace.Action) error {
 	return nil
 }
 
-// fastFallback replays the recorded trace through a fresh exact session
-// and adopts its entire state, so every later Feed (and the current
-// verdict) behaves as if the session had been exact from the start. The
-// replay spends budget from zero, exactly as an exact session fed the
-// same actions would have.
+// fastFallback replays the recorded trace, chunk by chunk, through a
+// fresh exact session and adopts its entire state, so every later Feed
+// (and the current verdict) behaves as if the session had been exact
+// from the start. The replay spends budget from zero, exactly as an
+// exact session fed the same actions would have, and stops at that
+// session's first terminal error.
 func (s *Session) fastFallback() error {
-	rec := s.rec
-	s.fast, s.rec = nil, nil
+	chunks := append(s.recFull, s.rec)
+	s.fast, s.rec, s.recFull = nil, nil, nil
 	ex := newSessionSettings(s.ctx, s.f, s.set)
-	err := ex.FeedAll(rec)
+	var err error
+	for _, c := range chunks {
+		if err = ex.FeedAll(c); err != nil {
+			break
+		}
+	}
 	s.in = ex.in
 	s.invoked = ex.invoked
 	s.pending = ex.pending
