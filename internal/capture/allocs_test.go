@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+	"time"
 
 	speclin "repro"
 	"repro/internal/adt"
@@ -18,13 +19,15 @@ import (
 
 // drainByteBudget is what one merged action may allocate on its way
 // from the proc buffers through the router into a register fast-path
-// session: measured at ~180 B — the session's replay log (an 80-byte
-// action, plus the first chunk's growth) and the register core's
-// per-operation bookkeeping — against ~1 700 B on this same stream when
-// Drain built a tagged batch, the router kept every trace and the log
-// was one doubling slice. Moving it up needs a reason that is written
-// down.
-const drainByteBudget = 400
+// session: measured at 142 B — the session's replay log (an 80-byte
+// action, never re-copied), two digest-table slots an input and a third
+// a written value with their doublings, and a block summary a write
+// (DESIGN.md, decision 24) — plus 25%. It was ~180 B while the cores
+// kept string-keyed maps and witness material nobody asked for, and
+// ~1 700 B when Drain built a tagged batch, the router kept every trace
+// and the log was one doubling slice. Moving it up needs a reason that
+// is written down.
+const drainByteBudget = 178
 
 // recordRegisterPairs records pairs operations per proc on a recorder of
 // two procs, alternating between them so the merge has work to do: each
@@ -100,29 +103,37 @@ func TestDrainAllocationBudget(t *testing.T) {
 
 // TestHuntRetainsOnlyWhatItReads: the router counts every action but
 // keeps a key's trace only for a pass that reads it — the queue's
-// one-shot check, or the ClassicalLin pass.
+// one-shot check, or the ClassicalLin pass — and an unkeyed, ops-bounded
+// hunt's trace is allocated once, at the length the run will have.
 func TestHuntRetainsOnlyWhatItReads(t *testing.T) {
 	const g, ops = 4, 500
 	for _, tc := range []struct {
 		structure string
 		classical bool
-		actions   int64
+		duration  time.Duration
+		actions   int64 // 0: bounded by wall clock, whatever the run records
 		retained  bool
 	}{
-		{StructMap, false, 2 * g * ops, false},
-		{StructMutex, false, 4 * g * ops, false},
-		{StructMap, true, 2 * g * ops, true},
-		{StructQueue, false, 2*g*ops + 4*g, true}, // prefill: 2 enqueues per goroutine
+		{StructMap, false, 0, 2 * g * ops, false},
+		{StructMutex, false, 0, 4 * g * ops, false},
+		{StructMap, true, 0, 2 * g * ops, true},
+		{StructQueue, false, 0, 2*g*ops + 4*g, true}, // prefill: 2 enqueues per goroutine
+		{StructMutex, true, 0, 4 * g * ops, true},
+		{StructQueue, false, 20 * time.Millisecond, 0, true},
 	} {
-		rep, rt, err := hunt(t.Context(), Config{Structure: tc.structure, Goroutines: g, Ops: ops, Keys: 4, Classical: tc.classical})
+		cfg := Config{Structure: tc.structure, Goroutines: g, Ops: ops, Keys: 4, Classical: tc.classical, Duration: tc.duration}
+		rep, rt, err := hunt(t.Context(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rep.Live.Verdict != speclin.Linearizable {
 			t.Fatalf("%s: verdict %v: %s", tc.structure, rep.Live.Verdict, rep.Live.Reason)
 		}
-		if rep.Actions != tc.actions {
+		if tc.actions != 0 && rep.Actions != tc.actions {
 			t.Fatalf("%s: %d actions reported, want %d", tc.structure, rep.Actions, tc.actions)
+		}
+		if want := int64(cfg.withDefaults().expectedActions()); want != tc.actions {
+			t.Fatalf("%s: %d actions expected before the run, %d recorded", tc.structure, want, tc.actions)
 		}
 		var counted, kept int64
 		for _, ks := range rt.order {
@@ -130,6 +141,11 @@ func TestHuntRetainsOnlyWhatItReads(t *testing.T) {
 			kept += int64(len(ks.tr))
 			if !tc.retained && ks.tr != nil {
 				t.Fatalf("%s: key %q keeps a %d-action trace no pass reads", tc.structure, ks.key, len(ks.tr))
+			}
+			// One key and a known length: the trace was sized once and never grew.
+			if tc.retained && rt.keyOf == nil && tc.actions != 0 && int64(cap(ks.tr)) != tc.actions {
+				t.Fatalf("%s: retained trace has capacity %d for %d actions, want it allocated once at that length",
+					tc.structure, cap(ks.tr), tc.actions)
 			}
 		}
 		if counted != rep.Actions || tc.retained && kept != rep.Actions {

@@ -77,6 +77,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// expectedActions is the number of actions an ops-bounded hunt records
+// — two per operation, a mutex worker's lock/unlock pair being two
+// operations and the queue's prefill two enqueues a goroutine — or 0
+// when the run is bounded by wall clock.
+func (c Config) expectedActions() int {
+	if c.Duration > 0 {
+		return 0
+	}
+	n := 2 * c.Goroutines * c.Ops
+	switch c.Structure {
+	case StructMutex:
+		n *= 2
+	case StructQueue:
+		n += 2 * queuePrefill * c.Goroutines
+	}
+	return n
+}
+
 // Report is one hunt run's outcome.
 type Report struct {
 	Structure  string
@@ -155,6 +173,9 @@ func hunt(ctx context.Context, cfg Config) (Report, *router, error) {
 	case StructQueue:
 		// The queue fast path is one-shot: retain the trace, check after.
 		rt = newRouter(ctx, speclin.CheckSpec{Folder: speclin.QueueADT}, nil, false, cfg.Classical, opts...)
+	}
+	if rt.keyOf == nil {
+		rt.expect = cfg.expectedActions() // one key takes every action
 	}
 
 	start := time.Now()
@@ -348,12 +369,16 @@ func (h *huntState) opFunc(p *Proc) func(r *rand.Rand, seq int) {
 	panic("capture: unknown structure " + h.cfg.Structure)
 }
 
-// prefill seeds the queue with 2×Goroutines elements through proc 0
-// before the workers start, so the trace stays inside the no-empty-
-// dequeue fast fragment from the first operation.
+// queuePrefill is how many elements per goroutine the queue holds
+// before the workers start.
+const queuePrefill = 2
+
+// prefill seeds the queue with queuePrefill×Goroutines elements through
+// proc 0 before the workers start, so the trace stays inside the
+// no-empty-dequeue fast fragment from the first operation.
 func (h *huntState) prefill(p *Proc) {
 	q := h.sut.(QueueSUT)
-	for i := 0; i < 2*h.cfg.Goroutines; i++ {
+	for i := 0; i < queuePrefill*h.cfg.Goroutines; i++ {
 		u := "pre-" + strconv.Itoa(i)
 		in := adt.EnqInput(trace.Value(u))
 		p.Inv(in)

@@ -28,7 +28,9 @@ import (
 // and keeps a key's trace only when a pass after the run will read it:
 // a structure with no streaming core (the queue's one-shot fast path)
 // or the ClassicalLin pass. A streamed key's only copy of its history
-// is then the session's own replay log.
+// is then the session's own replay log. A retained trace is allocated
+// once when the run's length is known beforehand (expect), and the
+// one-shot passes read it where it lies.
 type router struct {
 	ctx      context.Context
 	spec     speclin.CheckSpec
@@ -36,6 +38,9 @@ type router struct {
 	keyOf    func(trace.Value) string
 	sessions bool
 	retain   bool
+	// expect is the number of actions an unkeyed, ops-bounded run will
+	// route; hunt sets it (0: not known — keyed, or bounded by wall clock).
+	expect int
 
 	keys  map[string]*keyState
 	order []*keyState // first-seen order
@@ -73,6 +78,9 @@ func (rt *router) feed(a trace.Action) {
 		ks = &keyState{key: k}
 		if rt.sessions {
 			ks.sess, ks.err = speclin.NewSession(rt.ctx, rt.spec, rt.opts...)
+		}
+		if rt.retain && rt.expect > 0 {
+			ks.tr = make(trace.Trace, 0, rt.expect)
 		}
 		rt.keys[k] = ks
 		rt.order = append(rt.order, ks)

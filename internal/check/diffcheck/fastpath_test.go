@@ -3,6 +3,7 @@ package diffcheck
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strconv"
 	"testing"
@@ -28,16 +29,49 @@ func res(c string, in, out trace.Value) trace.Action {
 	return trace.Response(trace.ClientID(c), 1, in, out)
 }
 
+// boundaryCase is one hand-built trace at a fragment boundary.
+type boundaryCase struct {
+	name string
+	tr   trace.Trace
+}
+
+// boundaryTables lists every folder's boundary table, for the tests
+// that sweep all of them.
+var boundaryTables = []struct {
+	name  string
+	f     adt.Folder
+	cases func() []boundaryCase
+}{
+	{"register", adt.Register{}, registerBoundaryCases},
+	{"queue", adt.Queue{}, queueBoundaryCases},
+	{"mutex", adt.Mutex{}, mutexBoundaryCases},
+	{"stack", adt.Stack{}, stackBoundaryCases},
+	{"consensus", adt.Consensus{}, consensusBoundaryCases},
+}
+
+// runBoundary holds the fast paths of f to the exact engines on every
+// case, one subtest each.
+func runBoundary(t *testing.T, f adt.Folder, cases []boundaryCase) {
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := Fastpath(context.Background(), f, tc.tr, check.WithBudget(fastBudget)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestFastpathRegisterBoundary drives the register core across its
 // fragment boundary: in-fragment accepts and rejects, pending
 // operations, duplicate values and inputs (fallback), semantically
 // impossible outputs, and ill-formed shapes.
 func TestFastpathRegisterBoundary(t *testing.T) {
+	runBoundary(t, adt.Register{}, registerBoundaryCases())
+}
+
+func registerBoundaryCases() []boundaryCase {
 	rd := func(tag string) trace.Value { return adt.Tag(adt.ReadInput(), tag) }
-	cases := []struct {
-		name string
-		tr   trace.Trace
-	}{
+	return []boundaryCase{
 		{"sequential write read", trace.Trace{
 			inv("c1", adt.WriteInput("a")), res("c1", adt.WriteInput("a"), adt.WriteOutput()),
 			inv("c2", rd("1")), res("c2", rd("1"), adt.ReadOutput("a")),
@@ -113,24 +147,18 @@ func TestFastpathRegisterBoundary(t *testing.T) {
 			trace.Switch(trace.ClientID("c1"), 1, adt.WriteInput("a"), "a"),
 		}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := Fastpath(context.Background(), adt.Register{}, tc.tr, check.WithBudget(fastBudget)); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
 }
 
 // TestFastpathQueueBoundary drives the one-shot queue core across its
 // fragment boundary (the queue has no streaming core, so the session
 // side of the harness exercises the exact engine).
 func TestFastpathQueueBoundary(t *testing.T) {
+	runBoundary(t, adt.Queue{}, queueBoundaryCases())
+}
+
+func queueBoundaryCases() []boundaryCase {
 	dq := func(tag string) trace.Value { return adt.Tag(adt.DeqInput(), tag) }
-	cases := []struct {
-		name string
-		tr   trace.Trace
-	}{
+	return []boundaryCase{
 		{"fifo order accepted", trace.Trace{
 			inv("c1", adt.EnqInput("a")), res("c1", adt.EnqInput("a"), adt.WriteOutput()),
 			inv("c1", adt.EnqInput("b")), res("c1", adt.EnqInput("b"), adt.WriteOutput()),
@@ -207,25 +235,19 @@ func TestFastpathQueueBoundary(t *testing.T) {
 			inv("c3", dq("1")), res("c3", dq("1"), adt.ReadOutput("b")),
 		}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := Fastpath(context.Background(), adt.Queue{}, tc.tr, check.WithBudget(fastBudget)); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
 }
 
 // TestFastpathMutexBoundary drives the streaming mutex core: legal
 // alternations, the counting rejects, helper consumption, and the
 // fragment exits (error outputs, duplicate inputs, stuck greedy).
 func TestFastpathMutexBoundary(t *testing.T) {
+	runBoundary(t, adt.Mutex{}, mutexBoundaryCases())
+}
+
+func mutexBoundaryCases() []boundaryCase {
 	lk := func(tag string) trace.Value { return adt.Tag(adt.LockInput(), tag) }
 	ul := func(tag string) trace.Value { return adt.Tag(adt.UnlockInput(), tag) }
-	cases := []struct {
-		name string
-		tr   trace.Trace
-	}{
+	return []boundaryCase{
 		{"sequential lock unlock accepted", trace.Trace{
 			inv("c1", lk("1")), res("c1", lk("1"), adt.WriteOutput()),
 			inv("c1", ul("1")), res("c1", ul("1"), adt.WriteOutput()),
@@ -281,13 +303,6 @@ func TestFastpathMutexBoundary(t *testing.T) {
 		}},
 		{"helper taken after many completed operations accepted", helperAfterCompleted(70, lk, ul)},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := Fastpath(context.Background(), adt.Mutex{}, tc.tr, check.WithBudget(fastBudget)); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
 }
 
 // helperAfterCompleted is pairs sequential lock/unlock pairs (2·pairs
@@ -316,11 +331,12 @@ func helperAfterCompleted(pairs int, lk, ul func(string) trace.Value) trace.Trac
 // accepts, value-based rejects, helper pops, and the fragment exits
 // (empty pops, wrong helper guesses, stuck greedy).
 func TestFastpathStackBoundary(t *testing.T) {
+	runBoundary(t, adt.Stack{}, stackBoundaryCases())
+}
+
+func stackBoundaryCases() []boundaryCase {
 	pp := func(tag string) trace.Value { return adt.Tag(adt.PopInput(), tag) }
-	cases := []struct {
-		name string
-		tr   trace.Trace
-	}{
+	return []boundaryCase{
 		{"lifo order accepted", trace.Trace{
 			inv("c1", adt.PushInput("a")), res("c1", adt.PushInput("a"), adt.WriteOutput()),
 			inv("c1", adt.PushInput("b")), res("c1", adt.PushInput("b"), adt.WriteOutput()),
@@ -377,23 +393,17 @@ func TestFastpathStackBoundary(t *testing.T) {
 			inv("c1", "zap:q"), res("c1", "zap:q", adt.WriteOutput()),
 		}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := Fastpath(context.Background(), adt.Stack{}, tc.tr, check.WithBudget(fastBudget)); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
 }
 
 // TestFastpathConsensusBoundary drives the consensus core: agreement,
 // split decisions, unproposed decisions, and fallback on grammar exits.
 func TestFastpathConsensusBoundary(t *testing.T) {
+	runBoundary(t, adt.Consensus{}, consensusBoundaryCases())
+}
+
+func consensusBoundaryCases() []boundaryCase {
 	p := func(v trace.Value, tag string) trace.Value { return adt.Tag(adt.ProposeInput(v), tag) }
-	cases := []struct {
-		name string
-		tr   trace.Trace
-	}{
+	return []boundaryCase{
 		{"first proposal decided by all", trace.Trace{
 			inv("c1", p("a", "1")), res("c1", p("a", "1"), adt.DecideOutput("a")),
 			inv("c2", p("b", "2")), res("c2", p("b", "2"), adt.DecideOutput("a")),
@@ -427,144 +437,261 @@ func TestFastpathConsensusBoundary(t *testing.T) {
 			inv("c1", "q:a"), res("c1", "q:a", adt.DecideOutput("a")),
 		}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := Fastpath(context.Background(), adt.Consensus{}, tc.tr, check.WithBudget(fastBudget)); err != nil {
-				t.Fatal(err)
+}
+
+// randomFolder is one specialized folder's pools for the seeded random
+// traces.
+type randomFolder struct {
+	name    string
+	f       adt.Folder
+	inputs  func(r *rand.Rand, i int) trace.Value
+	outputs []trace.Value
+}
+
+var randomFolders = []randomFolder{
+	{
+		name: "register",
+		f:    adt.Register{},
+		inputs: func(r *rand.Rand, i int) trace.Value {
+			switch r.Intn(4) {
+			case 0:
+				return adt.WriteInput(trace.Value("v" + strconv.Itoa(r.Intn(6))))
+			case 1: // untagged read: duplicates force fallback
+				return adt.ReadInput()
+			default:
+				return adt.Tag(adt.ReadInput(), strconv.Itoa(i))
 			}
-		})
+		},
+		outputs: []trace.Value{adt.WriteOutput(), adt.ReadOutput(adt.Bottom),
+			adt.ReadOutput("v0"), adt.ReadOutput("v1"), adt.ReadOutput("v2")},
+	},
+	{
+		name: "queue",
+		f:    adt.Queue{},
+		inputs: func(r *rand.Rand, i int) trace.Value {
+			switch r.Intn(4) {
+			case 0, 1:
+				return adt.EnqInput(trace.Value("v" + strconv.Itoa(r.Intn(6))))
+			default:
+				return adt.Tag(adt.DeqInput(), strconv.Itoa(i))
+			}
+		},
+		outputs: []trace.Value{adt.WriteOutput(), adt.ReadOutput(adt.Bottom),
+			adt.ReadOutput("v0"), adt.ReadOutput("v1"), adt.ReadOutput("v2")},
+	},
+	{
+		name: "consensus",
+		f:    adt.Consensus{},
+		inputs: func(r *rand.Rand, i int) trace.Value {
+			return adt.Tag(adt.ProposeInput(trace.Value("v"+strconv.Itoa(r.Intn(3)))), strconv.Itoa(i))
+		},
+		outputs: []trace.Value{adt.DecideOutput("v0"), adt.DecideOutput("v1"), adt.DecideOutput("v2")},
+	},
+	{
+		name: "mutex",
+		f:    adt.Mutex{},
+		inputs: func(r *rand.Rand, i int) trace.Value {
+			switch r.Intn(6) {
+			case 0: // untagged: duplicates force fallback
+				return adt.LockInput()
+			case 1, 2:
+				return adt.Tag(adt.UnlockInput(), strconv.Itoa(i))
+			default:
+				return adt.Tag(adt.LockInput(), strconv.Itoa(i))
+			}
+		},
+		outputs: []trace.Value{adt.WriteOutput(), adt.WriteOutput(), adt.WriteOutput(),
+			adt.ErrOutput("held"), adt.ErrOutput("free")},
+	},
+	{
+		name: "stack",
+		f:    adt.Stack{},
+		inputs: func(r *rand.Rand, i int) trace.Value {
+			switch r.Intn(4) {
+			case 0, 1:
+				return adt.PushInput(trace.Value("v" + strconv.Itoa(r.Intn(6))))
+			default:
+				return adt.Tag(adt.PopInput(), strconv.Itoa(i))
+			}
+		},
+		outputs: []trace.Value{adt.WriteOutput(), adt.ReadOutput(adt.Bottom),
+			adt.ReadOutput("v0"), adt.ReadOutput("v1"), adt.ReadOutput("v2")},
+	},
+}
+
+// randomTraces generates the seeded random traces of folder fc — mixing
+// in-fragment, fallback and ill-formed shapes — and hands each to visit.
+func randomTraces(fc randomFolder, visit func(iter int, tr trace.Trace)) {
+	clients := []trace.ClientID{"c1", "c2", "c3"}
+	r := rand.New(rand.NewSource(0x5ca1ab1e))
+	for iter := 0; iter < 300; iter++ {
+		n := 2 + r.Intn(13)
+		pending := map[trace.ClientID]trace.Value{}
+		var tr trace.Trace
+		for i := 0; i < n; i++ {
+			c := clients[r.Intn(len(clients))]
+			if in, busy := pending[c]; busy && r.Intn(5) > 0 {
+				if r.Intn(12) == 0 {
+					in = fc.inputs(r, 1000+i) // mismatched response: ill-formed
+				}
+				tr = append(tr, trace.Response(c, 1, in, fc.outputs[r.Intn(len(fc.outputs))]))
+				delete(pending, c)
+			} else if !busy {
+				in := fc.inputs(r, i)
+				tr = append(tr, trace.Invoke(c, 1, in))
+				pending[c] = in
+			}
+		}
+		// Half the traces are completed so the queue core sees
+		// complete histories often.
+		if r.Intn(2) == 0 {
+			for c, in := range pending {
+				tr = append(tr, trace.Response(c, 1, in, fc.outputs[r.Intn(len(fc.outputs))]))
+			}
+		}
+		visit(iter, tr)
 	}
 }
 
-// TestFastpathRandomizedAgreement sweeps seeded random traces — mixing
-// in-fragment, fallback and ill-formed shapes — through the full
-// fast-vs-exact harness for every specialized folder.
-func TestFastpathRandomizedAgreement(t *testing.T) {
-	folders := []struct {
-		name    string
-		f       adt.Folder
-		inputs  func(r *rand.Rand, i int) trace.Value
-		outputs []trace.Value
-	}{
-		{
-			name: "register",
-			f:    adt.Register{},
-			inputs: func(r *rand.Rand, i int) trace.Value {
-				switch r.Intn(4) {
-				case 0:
-					return adt.WriteInput(trace.Value("v" + strconv.Itoa(r.Intn(6))))
-				case 1: // untagged read: duplicates force fallback
-					return adt.ReadInput()
-				default:
-					return adt.Tag(adt.ReadInput(), strconv.Itoa(i))
-				}
-			},
-			outputs: []trace.Value{adt.WriteOutput(), adt.ReadOutput(adt.Bottom),
-				adt.ReadOutput("v0"), adt.ReadOutput("v1"), adt.ReadOutput("v2")},
-		},
-		{
-			name: "queue",
-			f:    adt.Queue{},
-			inputs: func(r *rand.Rand, i int) trace.Value {
-				switch r.Intn(4) {
-				case 0, 1:
-					return adt.EnqInput(trace.Value("v" + strconv.Itoa(r.Intn(6))))
-				default:
-					return adt.Tag(adt.DeqInput(), strconv.Itoa(i))
-				}
-			},
-			outputs: []trace.Value{adt.WriteOutput(), adt.ReadOutput(adt.Bottom),
-				adt.ReadOutput("v0"), adt.ReadOutput("v1"), adt.ReadOutput("v2")},
-		},
-		{
-			name: "consensus",
-			f:    adt.Consensus{},
-			inputs: func(r *rand.Rand, i int) trace.Value {
-				return adt.Tag(adt.ProposeInput(trace.Value("v"+strconv.Itoa(r.Intn(3)))), strconv.Itoa(i))
-			},
-			outputs: []trace.Value{adt.DecideOutput("v0"), adt.DecideOutput("v1"), adt.DecideOutput("v2")},
-		},
-		{
-			name: "mutex",
-			f:    adt.Mutex{},
-			inputs: func(r *rand.Rand, i int) trace.Value {
-				switch r.Intn(6) {
-				case 0: // untagged: duplicates force fallback
-					return adt.LockInput()
-				case 1, 2:
-					return adt.Tag(adt.UnlockInput(), strconv.Itoa(i))
-				default:
-					return adt.Tag(adt.LockInput(), strconv.Itoa(i))
-				}
-			},
-			outputs: []trace.Value{adt.WriteOutput(), adt.WriteOutput(), adt.WriteOutput(),
-				adt.ErrOutput("held"), adt.ErrOutput("free")},
-		},
-		{
-			name: "stack",
-			f:    adt.Stack{},
-			inputs: func(r *rand.Rand, i int) trace.Value {
-				switch r.Intn(4) {
-				case 0, 1:
-					return adt.PushInput(trace.Value("v" + strconv.Itoa(r.Intn(6))))
-				default:
-					return adt.Tag(adt.PopInput(), strconv.Itoa(i))
-				}
-			},
-			outputs: []trace.Value{adt.WriteOutput(), adt.ReadOutput(adt.Bottom),
-				adt.ReadOutput("v0"), adt.ReadOutput("v1"), adt.ReadOutput("v2")},
-		},
+// agree fails the test on a disagreement and skips it when the exact
+// engine gave up.
+func agree(t *testing.T, iter int, what string, err error) {
+	t.Helper()
+	if err == nil {
+		return
 	}
-	clients := []trace.ClientID{"c1", "c2", "c3"}
-	for _, fc := range folders {
+	var d *Disagreement
+	if errors.As(err, &d) {
+		t.Fatalf("iter %d%s: %v", iter, what, err)
+	}
+	t.Skipf("iter %d%s: exact engine gave up: %v", iter, what, err)
+}
+
+// TestFastpathRandomizedAgreement sweeps the seeded random traces
+// through the full fast-vs-exact harness for every specialized folder.
+func TestFastpathRandomizedAgreement(t *testing.T) {
+	for _, fc := range randomFolders {
 		t.Run(fc.name, func(t *testing.T) {
-			r := rand.New(rand.NewSource(0x5ca1ab1e))
-			for iter := 0; iter < 300; iter++ {
-				n := 2 + r.Intn(13)
-				pending := map[trace.ClientID]trace.Value{}
-				var tr trace.Trace
-				for i := 0; i < n; i++ {
-					c := clients[r.Intn(len(clients))]
-					if in, busy := pending[c]; busy && r.Intn(5) > 0 {
-						if r.Intn(12) == 0 {
-							in = fc.inputs(r, 1000+i) // mismatched response: ill-formed
-						}
-						tr = append(tr, trace.Response(c, 1, in, fc.outputs[r.Intn(len(fc.outputs))]))
-						delete(pending, c)
-					} else if !busy {
-						in := fc.inputs(r, i)
-						tr = append(tr, trace.Invoke(c, 1, in))
-						pending[c] = in
-					}
-				}
-				// Half the traces are completed so the queue core sees
-				// complete histories often.
-				if r.Intn(2) == 0 {
-					for c, in := range pending {
-						tr = append(tr, trace.Response(c, 1, in, fc.outputs[r.Intn(len(fc.outputs))]))
-					}
-				}
-				if err := Fastpath(context.Background(), fc.f, tr, check.WithBudget(fastBudget)); err != nil {
-					var d *Disagreement
-					if errors.As(err, &d) {
-						t.Fatalf("iter %d: %v", iter, err)
-					}
-					t.Skipf("iter %d: exact engine gave up: %v", iter, err)
-				}
+			randomTraces(fc, func(iter int, tr trace.Trace) {
+				agree(t, iter, "", Fastpath(context.Background(), fc.f, tr, check.WithBudget(fastBudget)))
 				// Every few iterations, the same trace through the
 				// SLin(1,2) fast session against the exact slin engine
 				// (Theorem 2 grounds the comparison; the queue has no
 				// streaming core, so its sessions are exact anyway).
 				if iter%5 == 0 && fc.name != "queue" {
-					if err := FastpathSLin(context.Background(), fc.f, slin.UniversalRInit{}, 2, tr, check.WithBudget(fastBudget)); err != nil {
-						var d *Disagreement
-						if errors.As(err, &d) {
-							t.Fatalf("iter %d (slin): %v", iter, err)
-						}
-						t.Skipf("iter %d (slin): exact engine gave up: %v", iter, err)
-					}
+					agree(t, iter, " (slin)", FastpathSLin(context.Background(), fc.f, slin.UniversalRInit{}, 2, tr, check.WithBudget(fastBudget)))
+				}
+			})
+		})
+	}
+}
+
+// TestFastpathCollidingDigests runs every boundary row and every seeded
+// random trace with the cores' digest tables forced to collide on every
+// string (lin.CollidingDigests): each trace of two or more inputs is a
+// false alarm and leaves its fragment, and every verdict — one-shot, per
+// session prefix, SLin(1,2) — must still be the exact engines'. This is
+// the digest set's soundness line: a hit is only ever a FastExit, a
+// reject never rests on it, and the queue's index stays exact.
+func TestFastpathCollidingDigests(t *testing.T) {
+	ctx := context.Background()
+	for _, tb := range boundaryTables {
+		t.Run(tb.name, func(t *testing.T) {
+			f := lin.CollidingDigests{Folder: tb.f}
+			for _, tc := range tb.cases() {
+				if err := Fastpath(ctx, f, tc.tr, check.WithBudget(fastBudget)); err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
 				}
 			}
+		})
+	}
+	for _, fc := range randomFolders {
+		t.Run("random/"+fc.name, func(t *testing.T) {
+			f := lin.CollidingDigests{Folder: fc.f}
+			randomTraces(fc, func(iter int, tr trace.Trace) {
+				agree(t, iter, "", Fastpath(ctx, f, tr, check.WithBudget(fastBudget)))
+				if iter%5 == 0 && fc.name != "queue" {
+					agree(t, iter, " (slin)", FastpathSLin(ctx, f, slin.UniversalRInit{}, 2, tr, check.WithBudget(fastBudget)))
+				}
+			})
+		})
+	}
+}
+
+// TestFastpathWitnessParity: whether a session asked for witnesses
+// changes what a core keeps, never what it decides. On every boundary
+// row and seeded random trace, the one-shot check and every session
+// prefix give the same verdict, reason and node count with witnesses on
+// and off, and the witness-on results still verify.
+func TestFastpathWitnessParity(t *testing.T) {
+	ctx := context.Background()
+	on := []check.Option{check.WithBudget(fastBudget), check.WithWitness(true)}
+	off := []check.Option{check.WithBudget(fastBudget), check.WithWitness(false)}
+	parity := func(f adt.Folder, tr trace.Trace) error {
+		same := func(what string, a, b lin.Result, aerr, berr error) error {
+			if aerr != nil || berr != nil {
+				return fmt.Errorf("%s: witnesses on: %v, off: %v", what, aerr, berr)
+			}
+			if a.OK != b.OK || a.Reason != b.Reason || a.Nodes != b.Nodes {
+				return disagree(tr, "%s: witnesses on %v (%q, %d nodes), off %v (%q, %d nodes)",
+					what, a.OK, a.Reason, a.Nodes, b.OK, b.Reason, b.Nodes)
+			}
+			if len(b.Witness) != 0 {
+				return disagree(tr, "%s: a witness of %d entries with witnesses off", what, len(b.Witness))
+			}
+			return nil
+		}
+		// Witnesses verify on the prefix whose inputs all parse (Fastpath).
+		verifiable := func(k int) bool {
+			for _, a := range tr[:k] {
+				if a.Kind == trace.Inv && !f.ValidInput(a.Input) {
+					return false
+				}
+			}
+			return true
+		}
+		a, aerr := lin.CheckFast(ctx, f, tr, on...)
+		b, berr := lin.CheckFast(ctx, f, tr, off...)
+		if err := same("one-shot", a, b, aerr, berr); err != nil {
+			return err
+		}
+		if a.OK && len(a.Witness) > 0 && verifiable(len(tr)) {
+			if err := lin.VerifyWitness(f, tr, a.Witness); err != nil {
+				return disagree(tr, "one-shot witness invalid: %v", err)
+			}
+		}
+		son, soff := lin.NewSessionFast(ctx, f, on...), lin.NewSessionFast(ctx, f, off...)
+		for k, act := range tr {
+			if err := errors.Join(son.Feed(act), soff.Feed(act)); err != nil {
+				return fmt.Errorf("feed %d: %w", k, err)
+			}
+			a, aerr := son.Result()
+			b, berr := soff.Result()
+			if err := same(fmt.Sprintf("session prefix %d", k+1), a, b, aerr, berr); err != nil {
+				return err
+			}
+			if a.OK && verifiable(k+1) {
+				if err := lin.VerifyWitness(f, tr[:k+1], a.Witness); err != nil {
+					return disagree(tr[:k+1], "session prefix %d witness invalid: %v", k+1, err)
+				}
+			}
+		}
+		return nil
+	}
+	for _, tb := range boundaryTables {
+		t.Run(tb.name, func(t *testing.T) {
+			for _, tc := range tb.cases() {
+				if err := parity(tb.f, tc.tr); err != nil {
+					t.Fatalf("%s: %v", tc.name, err)
+				}
+			}
+		})
+	}
+	for _, fc := range randomFolders {
+		t.Run("random/"+fc.name, func(t *testing.T) {
+			randomTraces(fc, func(iter int, tr trace.Trace) {
+				agree(t, iter, "", parity(fc.f, tr))
+			})
 		})
 	}
 }
@@ -711,7 +838,9 @@ func TestFastpathLongRegisterSession(t *testing.T) {
 // (the selector extending the sibling targets' fuzzADT with the three
 // fast-path containers, plus a completion bit so the queue core's
 // complete-trace fragment is hit) must agree on verdict, and fast
-// witnesses must verify.
+// witnesses must verify. The selector's top bit runs the trace with the
+// cores' digest tables forced to collide (lin.CollidingDigests), where
+// the same agreement is the digest set's soundness line.
 func FuzzFastpathVsExact(f *testing.F) {
 	f.Add(uint8(1), []byte{0x00, 0x00, 0x04, 0x00, 0x89, 0x00, 0x8d, 0x02, 0x92, 0x00, 0x96, 0x04})
 	f.Add(uint8(0), []byte{0x00, 0x00, 0x01, 0x00, 0x04, 0x00, 0x05, 0x02, 0x02, 0x01})
@@ -729,8 +858,18 @@ func FuzzFastpathVsExact(f *testing.F) {
 	// or y (x blocks it: reject).
 	f.Add(uint8(2), []byte{0x00, 0x00, 0x04, 0x00, 0x08, 0x00, 0x04, 0x00, 0x11, 0x00, 0x05, 0x04})
 	f.Add(uint8(2), []byte{0x00, 0x00, 0x04, 0x00, 0x08, 0x00, 0x04, 0x00, 0x11, 0x00, 0x05, 0x06})
+	// Forced collisions: the register, queue (the reject of condition (c),
+	// which the colliding index must still find), mutex and stack seeds
+	// above, every second input a false alarm.
+	f.Add(uint8(0x80|1), []byte{0x00, 0x00, 0x04, 0x00, 0x89, 0x00, 0x8d, 0x02, 0x92, 0x00, 0x96, 0x04})
+	f.Add(uint8(0x80|2), []byte{0x00, 0x00, 0x04, 0x00, 0x08, 0x00, 0x04, 0x00, 0x11, 0x00, 0x05, 0x06})
+	f.Add(uint8(0x80|3), []byte{0x00, 0x00, 0x04, 0x00, 0x08, 0x00, 0x11, 0x00, 0x04, 0x00, 0x18, 0x00, 0x04, 0x00, 0x05, 0x00})
+	f.Add(uint8(0x80|4), []byte{0x00, 0x00, 0x04, 0x00, 0x8a, 0x03, 0x8e, 0x02, 0x01})
 	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
-		folder, inputs, outputs := fastFuzzADT(sel)
+		folder, inputs, outputs := fastFuzzADT(sel &^ 0x80)
+		if sel&0x80 != 0 {
+			folder = lin.CollidingDigests{Folder: folder}
+		}
 		tr := decodeTrace(folder, inputs, outputs, data)
 		if len(data) > 0 && data[len(data)-1]&1 == 1 {
 			tr = completeTrace(tr, outputs)

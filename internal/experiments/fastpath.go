@@ -134,7 +134,11 @@ func FastpathRows(ctx context.Context, base ShardRunConfig) (FastpathDist, error
 	for k := 0; k < sc.Shards(); k++ {
 		ts = append(ts, sc.KeyTraces(k)...)
 	}
-	opts := []check.Option{check.WithBudget(base.Budget)}
+	// No witnesses, as in the sessions of the online rows: the table keeps
+	// verdicts and node counts only, and the register core's witness is a
+	// history prefix cloned per response — quadratic in a key's history,
+	// seconds on the zipf hot key alone.
+	opts := []check.Option{check.WithBudget(base.Budget), check.WithWitness(false)}
 
 	oneshot := func(engine string, run func(trace.Trace) (lin.Result, error)) (FastpathRow, error) {
 		row := FastpathRow{

@@ -42,11 +42,15 @@ import (
 // NotLinearizable verdicts, never fallbacks. The mutex and stack cores
 // additionally exit the fragment — instead of rejecting — when their
 // greedy simulations get stuck without a certain violation, so their
-// rejects never rest on a completeness argument. All cores assemble
-// Lin witnesses that pass VerifyWitness; the one-shot queue core's
-// witness is capped at fastQueueWitnessCap dequeued values (beyond it
-// the positive Result carries an empty Witness, like the SLin breadth
-// engine).
+// rejects never rest on a completeness argument. Input distinctness is
+// tested through a set of 64-bit digests (digestTable), so two distinct
+// inputs may — with probability ~n²/2⁶⁵ — look alike: that, too, exits
+// the fragment, and no reject rests on it. Asked for witnesses
+// (check.WithWitness, the default), all cores assemble Lin witnesses
+// that pass VerifyWitness, and keep the material for them only then; the
+// one-shot queue core's witness is capped at fastQueueWitnessCap
+// dequeued values (beyond it the positive Result carries an empty
+// Witness, like the SLin breadth engine).
 
 // FastStatus is the per-action outcome of a streaming FastChecker.
 type FastStatus uint8
@@ -73,7 +77,7 @@ type FastChecker interface {
 	Inv(in trace.Value, idx int) FastStatus
 	Res(in, out trace.Value, invIdx, idx int) FastStatus
 	// Witness assembles the linearization function of the (linearizable)
-	// trace fed so far, or nil when the core does not produce witnesses.
+	// trace fed so far, or nil when the core was built without witnesses.
 	Witness() Witness
 }
 
@@ -81,6 +85,7 @@ type FastChecker interface {
 // folder f. The streaming Session fast path additionally excludes the
 // queue (its reduction needs the complete trace).
 func HasFastpath(f adt.Folder) bool {
+	f, _ = fastFolder(f)
 	switch f.(type) {
 	case adt.Register, adt.Queue, adt.Consensus, adt.Mutex, adt.Stack:
 		return true
@@ -90,18 +95,39 @@ func HasFastpath(f adt.Folder) bool {
 
 // NewFastChecker returns the streaming specialized core for folder f,
 // or nil when f has none (the queue fast path is one-shot only).
-func NewFastChecker(f adt.Folder) FastChecker {
+// witness is the session's check.Settings.Witness: without it the core
+// keeps only what the verdict needs and Witness returns nil.
+func NewFastChecker(f adt.Folder, witness bool) FastChecker {
+	f, collide := fastFolder(f)
 	switch f.(type) {
 	case adt.Register:
-		return newFastRegister()
+		return newFastRegister(witness, collide)
 	case adt.Consensus:
-		return newFastConsensus()
+		return newFastConsensus(witness, collide)
 	case adt.Mutex:
-		return newFastMutex()
+		return newFastMutex(witness, collide)
 	case adt.Stack:
-		return newFastStack()
+		return newFastStack(witness, collide)
 	}
 	return nil
+}
+
+// CollidingDigests is its folder with one difference, which only the
+// fast paths see: the cores built for it hash every string to the same
+// digest, so every table lookup collides. The differential tests wrap
+// folders in it to hold the digest tables' soundness lines (digestTable)
+// to the exact engines — with everything colliding, every verdict must
+// still be the exact one, reached through a FastExit. Nothing outside
+// tests builds one.
+type CollidingDigests struct{ adt.Folder }
+
+// fastFolder is the folder the fast-path dispatch switches on: f, or
+// what a CollidingDigests wraps (collide then says so).
+func fastFolder(f adt.Folder) (_ adt.Folder, collide bool) {
+	if c, ok := f.(CollidingDigests); ok {
+		return c.Folder, true
+	}
+	return f, false
 }
 
 // CheckFast is Check with fast-path dispatch: when folder f has a
@@ -126,10 +152,11 @@ func CheckFast(ctx context.Context, f adt.Folder, t trace.Trace, opts ...check.O
 // trace was decided (false means fall back to exact); a non-nil error
 // (context cancellation) is terminal either way.
 func fastCheckSettings(ctx context.Context, f adt.Folder, t trace.Trace, set check.Settings) (Result, bool, error) {
-	if _, isQueue := f.(adt.Queue); isQueue {
-		return fastQueueCheck(ctx, t, set)
+	bare, collide := fastFolder(f)
+	if _, isQueue := bare.(adt.Queue); isQueue {
+		return fastQueueCheck(ctx, t, set, collide)
 	}
-	core := NewFastChecker(f)
+	core := NewFastChecker(f, set.Witness)
 	if core == nil {
 		return Result{}, false, nil
 	}
@@ -171,11 +198,7 @@ func fastCheckSettings(ctx context.Context, f adt.Folder, t trace.Trace, set che
 			return Result{}, false, nil
 		}
 	}
-	r := Result{OK: true, Nodes: len(t)}
-	if set.Witness {
-		r.Witness = core.Witness()
-	}
-	return r, true, nil
+	return Result{OK: true, Nodes: len(t), Witness: core.Witness()}, true, nil
 }
 
 // maxTree is an append-only segment tree over int values supporting

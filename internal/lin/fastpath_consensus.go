@@ -16,12 +16,13 @@ import (
 // and Validity holds because the head is invoked before the first
 // response and each member before its own.
 type fastConsensus struct {
-	seen    map[trace.Value]struct{} // every invocation input (distinctness)
-	props   map[trace.Value]conProp  // untagged proposal value -> earliest propose
+	witness bool
+	seen    digestTable             // every invocation input (distinctness)
+	props   map[trace.Value]conProp // untagged proposal value -> earliest propose
 	decided bool
 	val     trace.Value // the decided value, once decided
 	headIn  trace.Value // input of the linearization head
-	resps   []conMember // responded operations, response order
+	resps   []conMember // witness: responded operations, response order
 }
 
 type conProp struct {
@@ -33,19 +34,15 @@ type conMember struct {
 	res int
 }
 
-func newFastConsensus() *fastConsensus {
-	return &fastConsensus{
-		seen:  map[trace.Value]struct{}{},
-		props: map[trace.Value]conProp{},
-	}
+func newFastConsensus(witness, collide bool) *fastConsensus {
+	return &fastConsensus{witness: witness, seen: digestTable{collide: collide}, props: map[trace.Value]conProp{}}
 }
 
 // Inv implements FastChecker.
 func (c *fastConsensus) Inv(in trace.Value, idx int) FastStatus {
-	if _, dup := c.seen[in]; dup {
+	if c.seen.add(in) {
 		return FastExit
 	}
-	c.seen[in] = struct{}{}
 	v, ok := adt.ProposalOf(adt.Untag(in))
 	if !ok {
 		return FastExit // grammar-invalid proposal; exact semantics differ
@@ -73,13 +70,18 @@ func (c *fastConsensus) Res(in, out trace.Value, invIdx, idx int) FastStatus {
 	} else if w != c.val {
 		return FastReject // two distinct decisions defeat any single head
 	}
-	c.resps = append(c.resps, conMember{in: in, res: idx})
+	if c.witness {
+		c.resps = append(c.resps, conMember{in: in, res: idx})
+	}
 	return FastOK
 }
 
 // Witness implements FastChecker (see the type comment for the
 // construction).
 func (c *fastConsensus) Witness() Witness {
+	if !c.witness {
+		return nil
+	}
 	w := Witness{}
 	if !c.decided {
 		return w

@@ -36,16 +36,27 @@ import (
 // helper choice taken earlier turns out locally wrong), the core exits
 // the fragment and the exact engines decide — rejects never depend on
 // the greedy's completeness.
+//
+// The core holds the open operations and nothing else per operation
+// (DESIGN.md, decision 24): an operation's record leaves ops and the
+// helper queue at its response and is reused for a later invocation, and
+// the chain and its response marks — witness material — are kept only
+// when the session asked for witnesses; the verdict needs the chain's
+// length alone.
 type fastMutex struct {
-	seen   map[trace.Value]struct{}
-	ops    map[int]*mutexOp // open operations, by invocation trace index
-	pool   [2][]int         // unassigned pending invIdxs per kind, oldest first
-	poolLo [2]int           // consumed prefix of pool (lazy deletion)
-	locked bool
-	chain  trace.History
-	marks  []resMark
-	rl, ru int // responded locks/unlocks
-	pl, pu int // invoked-but-pending locks/unlocks
+	witness bool
+	seen    digestTable
+	ops     map[int]*mutexOp // open operations, by invocation trace index
+	// waiting holds, per kind, the open operations not linearized yet,
+	// oldest invocation first: where a helper is taken from.
+	waiting [2]mutexQueue
+	free    *mutexOp // recycled records, linked through next
+	locked  bool
+	n       int           // chain length
+	chain   trace.History // witness: the linearized inputs
+	marks   []resMark     // witness: which prefix each response claims
+	rl, ru  int           // responded locks/unlocks
+	pl, pu  int           // invoked-but-pending locks/unlocks
 }
 
 // resMark records that response index res claims the chain prefix of
@@ -57,8 +68,40 @@ type resMark struct {
 type mutexOp struct {
 	lock     bool
 	in       trace.Value
-	assigned bool // linearized as a helper; pos holds its chain prefix
+	assigned bool // linearized (as a helper, if still open); pos holds its chain prefix
 	pos      int
+	// prev and next link the operation into its kind's waiting queue
+	// while it is unassigned (next also links the free list).
+	prev, next *mutexOp
+}
+
+// mutexQueue is a FIFO of open operations with removal from anywhere.
+type mutexQueue struct {
+	head, tail *mutexOp
+}
+
+func (q *mutexQueue) push(o *mutexOp) {
+	o.prev, o.next = q.tail, nil
+	if q.tail != nil {
+		q.tail.next = o
+	} else {
+		q.head = o
+	}
+	q.tail = o
+}
+
+func (q *mutexQueue) remove(o *mutexOp) {
+	if o.prev != nil {
+		o.prev.next = o.next
+	} else {
+		q.head = o.next
+	}
+	if o.next != nil {
+		o.next.prev = o.prev
+	} else {
+		q.tail = o.prev
+	}
+	o.prev, o.next = nil, nil
 }
 
 const (
@@ -66,19 +109,15 @@ const (
 	kindUnlock
 )
 
-func newFastMutex() *fastMutex {
-	return &fastMutex{
-		seen: map[trace.Value]struct{}{},
-		ops:  map[int]*mutexOp{},
-	}
+func newFastMutex(witness, collide bool) *fastMutex {
+	return &fastMutex{witness: witness, seen: digestTable{collide: collide}, ops: map[int]*mutexOp{}}
 }
 
 // Inv implements FastChecker.
 func (m *fastMutex) Inv(in trace.Value, idx int) FastStatus {
-	if _, dup := m.seen[in]; dup {
+	if m.seen.add(in) {
 		return FastExit
 	}
-	m.seen[in] = struct{}{}
 	var lock bool
 	switch adt.Untag(in) {
 	case adt.LockInput():
@@ -89,8 +128,15 @@ func (m *fastMutex) Inv(in trace.Value, idx int) FastStatus {
 	default:
 		return FastExit
 	}
-	m.ops[idx] = &mutexOp{lock: lock, in: in}
-	m.pool[kindOf(lock)] = append(m.pool[kindOf(lock)], idx)
+	o := m.free
+	if o != nil {
+		m.free, o.next = o.next, nil
+	} else {
+		o = new(mutexOp)
+	}
+	o.lock, o.in = lock, in
+	m.ops[idx] = o
+	m.waiting[kindOf(lock)].push(o)
 	return FastOK
 }
 
@@ -117,44 +163,37 @@ func (m *fastMutex) Res(in, out trace.Value, invIdx, idx int) FastStatus {
 	if m.ru > m.rl+m.pl || m.rl > m.ru+m.pu+1 {
 		return FastReject
 	}
-	// Responded, hence linearized by the end of this call: the operation
-	// leaves ops, which therefore holds the open operations only.
-	delete(m.ops, invIdx)
-	if o.assigned {
-		m.marks = append(m.marks, resMark{res: idx, k: o.pos})
-		return FastOK
-	}
-	if m.locked == o.lock {
-		// Wrong state: linearize the oldest pending opposite-kind helper.
-		h := m.takeOldest(kindOf(!o.lock))
-		if h == nil {
-			return FastExit // greedy stuck without a counter violation
+	if !o.assigned {
+		if m.locked == o.lock {
+			// Wrong state: linearize the oldest pending opposite-kind helper.
+			h := m.waiting[kindOf(!o.lock)].head
+			if h == nil {
+				return FastExit // greedy stuck without a counter violation
+			}
+			m.linearize(h)
 		}
-		m.append(h)
+		m.linearize(o)
 	}
-	m.append(o)
-	m.marks = append(m.marks, resMark{res: idx, k: o.pos})
+	if m.witness {
+		m.marks = append(m.marks, resMark{res: idx, k: o.pos})
+	}
+	// Responded, hence linearized: the operation leaves the core, which
+	// therefore holds the open operations only.
+	delete(m.ops, invIdx)
+	*o = mutexOp{next: m.free}
+	m.free = o
 	return FastOK
 }
 
-// takeOldest pops the oldest unassigned still-pending operation of the
-// given kind, or nil. Pool entries no longer in ops have responded.
-func (m *fastMutex) takeOldest(kind int) *mutexOp {
-	pool := m.pool[kind]
-	for m.poolLo[kind] < len(pool) {
-		o := m.ops[pool[m.poolLo[kind]]]
-		m.poolLo[kind]++
-		if o != nil && !o.assigned {
-			return o
-		}
+// linearize appends o to the chain: the state flips, and o stops
+// waiting for a helper choice.
+func (m *fastMutex) linearize(o *mutexOp) {
+	m.waiting[kindOf(o.lock)].remove(o)
+	if m.witness {
+		m.chain = append(m.chain, o.in)
 	}
-	return nil
-}
-
-// append linearizes o: its input joins the chain and the state flips.
-func (m *fastMutex) append(o *mutexOp) {
-	m.chain = append(m.chain, o.in)
-	o.pos = len(m.chain)
+	m.n++
+	o.pos = m.n
 	o.assigned = true
 	m.locked = o.lock
 }
@@ -162,6 +201,9 @@ func (m *fastMutex) append(o *mutexOp) {
 // Witness implements FastChecker: every response claims the chain
 // prefix ending at its operation's linearization point.
 func (m *fastMutex) Witness() Witness {
+	if !m.witness {
+		return nil
+	}
 	w := Witness{}
 	for _, mk := range m.marks {
 		w[mk.res] = m.chain[:mk.k].Clone()

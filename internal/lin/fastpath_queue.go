@@ -36,7 +36,7 @@ import (
 // dequeued values; beyond the cap the Result carries an empty Witness,
 // like the SLin breadth engine — FuzzFastpathVsExact keeps verdicts
 // and witnesses honest against the exact search.
-func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings) (Result, bool, error) {
+func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings, collide bool) (Result, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, true, err
 	}
@@ -49,9 +49,13 @@ func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings) (Res
 	// ops is in invocation order; open and enqs hold positions in it.
 	ops := make([]queueOp, 0, (len(t)+1)/2) // a complete trace has two actions an operation
 	open := map[trace.ClientID]int{}        // client → its open operation, absent when none
-	seen := make(map[trace.Value]struct{}, cap(ops))
-	enqs := map[string]int{} // untagged value → its enqueue
-	for idx, a := range t {
+	seen := digestTable{collide: collide}   // every input (distinctness)
+	enqs := digestTable{collide: collide}   // untagged value → its enqueue, exact
+	enqOf := func(arg string) (int, bool) {
+		return enqs.get(arg, func(i int) bool { return ops[i].arg == arg })
+	}
+	for idx := range t {
+		a := &t[idx] // an action is 80 bytes: read it where it lies
 		if idx&ctxPollMask == ctxPollMask {
 			if err := ctx.Err(); err != nil {
 				return Result{Nodes: idx}, true, err
@@ -62,10 +66,9 @@ func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings) (Res
 			if _, busy := open[a.Client]; busy {
 				return notWF(idx)
 			}
-			if _, dup := seen[a.Input]; dup {
+			if seen.add(a.Input) {
 				return Result{}, false, nil
 			}
-			seen[a.Input] = struct{}{}
 			op, arg, ok := strings.Cut(string(adt.Untag(a.Input)), ":")
 			o := queueOp{in: a.Input, inv: idx, res: -1, peer: -1}
 			switch {
@@ -75,11 +78,11 @@ func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings) (Res
 				if arg == "" || arg == string(adt.Bottom) || strings.ContainsRune(arg, '\x00') {
 					return Result{}, false, nil
 				}
-				if _, dup := enqs[arg]; dup {
+				if _, dup := enqOf(arg); dup {
 					return Result{}, false, nil // duplicate enqueue value
 				}
 				o.enq, o.arg = true, arg
-				enqs[arg] = len(ops)
+				enqs.put(arg, len(ops))
 			case op == "deq" && arg == "":
 			default:
 				return Result{}, false, nil
@@ -120,7 +123,7 @@ func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings) (Res
 		if varg == string(adt.Bottom) {
 			return Result{}, false, nil // empty dequeue: outside the fragment
 		}
-		ei, ok := enqs[varg]
+		ei, ok := enqOf(varg)
 		if !ok {
 			return reject, true, nil // value never enqueued
 		}

@@ -46,22 +46,36 @@ import (
 // hence key(A) > key(B) — contradiction; so every element of an
 // earlier block is invoked before every response of a later one, which
 // is exactly Validity.
+//
+// The core keeps, per write, its block summary and two table slots, and
+// per open write one entry of openW, so that an input is parsed once,
+// at its invocation; what the witness needs and the verdict does not —
+// every member's input and response index — is kept only when the
+// session asked for witnesses (DESIGN.md, decision 24).
 type fastRegister struct {
-	seen     map[trace.Value]struct{} // every invocation input (distinctness)
-	blocks   map[string]*regBlock     // by untagged written value
-	closed   []*regBlock              // close order = closedAt ascending
-	tree     maxTree                  // maxStart per closed position
-	botReads []regMember              // accepted ⊥-reads, response order
+	witness  bool
+	seen     digestTable       // every invocation input (distinctness)
+	byVal    digestTable       // untagged written value → its block's position, exact
+	blocks   []*regBlock       // one per write, in invocation order
+	openW    map[int]*regBlock // open writes, by invocation index
+	closedAt []int             // the closed array: closedAt per closed position, ascending
+	tree     maxTree           // maxStart per closed position
+	botReads []regMember       // witness: accepted ⊥-reads, response order
 }
 
 type regBlock struct {
-	val      string      // untagged written value
-	wIn      trace.Value // the write's full input
-	wRes     int         // write response index, -1 while pending
+	val      string // untagged written value
 	maxStart int
-	closedAt int // -1 while open
-	pos      int // position in closed array, -1 while open
-	reads    []regMember
+	closedAt int     // -1 while open
+	pos      int     // position in the closed array, -1 while open
+	wit      *regWit // nil unless the session asked for witnesses
+}
+
+// regWit is a block's witness material.
+type regWit struct {
+	wIn   trace.Value // the write's full input
+	wRes  int         // write response index, -1 while pending
+	reads []regMember
 }
 
 type regMember struct {
@@ -69,10 +83,12 @@ type regMember struct {
 	res int
 }
 
-func newFastRegister() *fastRegister {
+func newFastRegister(witness, collide bool) *fastRegister {
 	return &fastRegister{
-		seen:   map[trace.Value]struct{}{},
-		blocks: map[string]*regBlock{},
+		witness: witness,
+		seen:    digestTable{collide: collide},
+		byVal:   digestTable{collide: collide},
+		openW:   map[int]*regBlock{},
 	}
 }
 
@@ -82,12 +98,16 @@ func regParse(in trace.Value) (op, arg string, ok bool) {
 	return op, arg, ok
 }
 
+// blockOf returns the position in blocks of the write of val.
+func (r *fastRegister) blockOf(val string) (int, bool) {
+	return r.byVal.get(val, func(i int) bool { return r.blocks[i].val == val })
+}
+
 // Inv implements FastChecker.
 func (r *fastRegister) Inv(in trace.Value, idx int) FastStatus {
-	if _, dup := r.seen[in]; dup {
+	if r.seen.add(in) {
 		return FastExit
 	}
-	r.seen[in] = struct{}{}
 	op, arg, ok := regParse(in)
 	switch {
 	case !ok:
@@ -96,10 +116,16 @@ func (r *fastRegister) Inv(in trace.Value, idx int) FastStatus {
 		if arg == "" || arg == string(adt.Bottom) {
 			return FastExit // grammar-invalid write; exact semantics differ
 		}
-		if _, dup := r.blocks[arg]; dup {
+		if _, dup := r.blockOf(arg); dup {
 			return FastExit // duplicate written value
 		}
-		r.blocks[arg] = &regBlock{val: arg, wIn: in, wRes: -1, maxStart: idx, closedAt: -1, pos: -1}
+		b := &regBlock{val: arg, maxStart: idx, closedAt: -1, pos: -1}
+		if r.witness {
+			b.wit = &regWit{wIn: in, wRes: -1}
+		}
+		r.byVal.put(arg, len(r.blocks))
+		r.blocks = append(r.blocks, b)
+		r.openW[idx] = b
 		return FastOK
 	case op == "r" && arg == "":
 		return FastOK // reads act at their response
@@ -109,16 +135,17 @@ func (r *fastRegister) Inv(in trace.Value, idx int) FastStatus {
 
 // Res implements FastChecker.
 func (r *fastRegister) Res(in, out trace.Value, invIdx, idx int) FastStatus {
-	op, arg, _ := regParse(in) // Inv already validated the shape
-	if op == "w" {
+	if b, write := r.openW[invIdx]; write {
+		delete(r.openW, invIdx)
 		if out != adt.WriteOutput() {
 			return FastReject
 		}
-		b := r.blocks[arg]
 		if b.closedAt < 0 {
 			r.close(b, idx)
 		}
-		b.wRes = idx
+		if b.wit != nil {
+			b.wit.wRes = idx
+		}
 		return FastOK
 	}
 	vop, varg, ok := strings.Cut(string(out), ":")
@@ -128,52 +155,62 @@ func (r *fastRegister) Res(in, out trace.Value, invIdx, idx int) FastStatus {
 	if varg == string(adt.Bottom) {
 		// A ⊥-read must precede every write: it violates iff any block
 		// closed before it was invoked.
-		if len(r.closed) > 0 && r.closed[0].closedAt < invIdx {
+		if len(r.closedAt) > 0 && r.closedAt[0] < invIdx {
 			return FastReject
 		}
-		r.botReads = append(r.botReads, regMember{in: in, res: idx})
+		if r.witness {
+			r.botReads = append(r.botReads, regMember{in: in, res: idx})
+		}
 		return FastOK
 	}
-	b := r.blocks[varg]
-	if b == nil {
+	bi, written := r.blockOf(varg)
+	if !written {
 		return FastReject // value never written by any invocation so far
 	}
+	b := r.blocks[bi]
 	if b.closedAt < 0 {
 		if invIdx > b.maxStart {
 			b.maxStart = invIdx
 		}
 		r.close(b, idx)
-		b.reads = append(b.reads, regMember{in: in, res: idx})
-		return FastOK
+	} else {
+		// Joining a closed block: query the other blocks closed before this
+		// read was invoked for a start after b's close.
+		cnt := sort.SearchInts(r.closedAt, invIdx)
+		if r.tree.MaxExcluding(cnt, b.pos) > b.closedAt {
+			return FastReject
+		}
+		if invIdx > b.maxStart {
+			b.maxStart = invIdx
+			r.tree.Update(b.pos, invIdx)
+		}
 	}
-	// Joining a closed block: query the other blocks closed before this
-	// read was invoked for a start after b's close.
-	cnt := sort.Search(len(r.closed), func(i int) bool {
-		return r.closed[i].closedAt >= invIdx
-	})
-	if r.tree.MaxExcluding(cnt, b.pos) > b.closedAt {
-		return FastReject
+	if b.wit != nil {
+		b.wit.reads = append(b.wit.reads, regMember{in: in, res: idx})
 	}
-	if invIdx > b.maxStart {
-		b.maxStart = invIdx
-		r.tree.Update(b.pos, invIdx)
-	}
-	b.reads = append(b.reads, regMember{in: in, res: idx})
 	return FastOK
 }
 
 // close records block b's first response at index idx.
 func (r *fastRegister) close(b *regBlock, idx int) {
 	b.closedAt = idx
-	b.pos = len(r.closed)
-	r.closed = append(r.closed, b)
+	b.pos = len(r.closedAt)
+	r.closedAt = append(r.closedAt, idx)
 	r.tree.Append(b.maxStart)
 }
 
 // Witness implements FastChecker (see the type comment for the
 // construction and its correctness argument).
 func (r *fastRegister) Witness() Witness {
-	order := append([]*regBlock(nil), r.closed...)
+	if !r.witness {
+		return nil
+	}
+	var order []*regBlock // closed blocks, by key
+	for _, b := range r.blocks {
+		if b.closedAt >= 0 {
+			order = append(order, b)
+		}
+	}
 	sort.Slice(order, func(i, j int) bool {
 		return maxInt(order[i].closedAt, order[i].maxStart) <
 			maxInt(order[j].closedAt, order[j].maxStart)
@@ -185,11 +222,11 @@ func (r *fastRegister) Witness() Witness {
 		w[m.res] = hist.Clone()
 	}
 	for _, b := range order {
-		hist = append(hist, b.wIn)
-		if b.wRes >= 0 {
-			w[b.wRes] = hist.Clone()
+		hist = append(hist, b.wit.wIn)
+		if b.wit.wRes >= 0 {
+			w[b.wit.wRes] = hist.Clone()
 		}
-		for _, m := range b.reads {
+		for _, m := range b.wit.reads {
 			hist = append(hist, m.in)
 			w[m.res] = hist.Clone()
 		}

@@ -10,7 +10,8 @@ import (
 	"repro/internal/trace"
 )
 
-// The fast path's replay log is chunked (recChunk actions a chunk), so
+// The fast path's replay log is chunked (a chunk ends at every power of
+// two up to recChunk actions and at every multiple of it after), so
 // these tests put the fragment exit on each side of a chunk boundary and
 // hold the session, after its fallback, to an exact session fed the same
 // actions: verdict, search nodes, length, and the same again after
@@ -184,8 +185,10 @@ func TestFastFallbackAcrossChunks(t *testing.T) {
 }
 
 // TestFastMutexOpsBounded: the mutex core forgets an operation at its
-// response, so ops holds the open operations only — and takeOldest walks
-// past responded ids when a helper is finally needed.
+// response — ops, the waiting queues and the record free list hold the
+// open operations only, and with witnesses off the chain and its marks
+// hold nothing — and a helper is still found after tens of thousands of
+// forgotten operations.
 func TestFastMutexOpsBounded(t *testing.T) {
 	lk := func(tag string) trace.Value { return adt.Tag(adt.LockInput(), tag) }
 	ul := func(tag string) trace.Value { return adt.Tag(adt.UnlockInput(), tag) }
@@ -197,19 +200,36 @@ func TestFastMutexOpsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// held counts the records the core holds: those waiting for a helper
+	// choice, per kind, and those parked for reuse.
+	held := func(m *fastMutex) (waiting [2]int, free int) {
+		for k, q := range m.waiting {
+			for o := q.head; o != nil; o = o.next {
+				waiting[k]++
+			}
+		}
+		for o := m.free; o != nil; o = o.next {
+			free++
+		}
+		return waiting, free
+	}
 	const pairs = 20_000
 	for i := 0; i < pairs; i++ {
 		id := strconv.Itoa(i)
 		feed(trace.Invoke("c1", 1, lk(id)))
 		feed(trace.Response("c1", 1, lk(id), ok))
 		feed(trace.Invoke("c1", 1, ul(id)))
-		if n := len(s.fast.(*fastMutex).ops); n != 1 {
+		m := s.fast.(*fastMutex)
+		if n := len(m.ops); n != 1 {
 			t.Fatalf("pair %d: %d operations in ops with one open", i, n)
+		}
+		if waiting, free := held(m); waiting != [2]int{kindUnlock: 1} || free != 0 {
+			t.Fatalf("pair %d: %v records waiting and %d free with one release open and one record ever needed", i, waiting, free)
 		}
 		feed(trace.Response("c1", 1, ul(id), ok))
 	}
 	// A release that finds the lock free takes the pending acquire as its
-	// helper: every pool entry before it has responded and left ops.
+	// helper: every operation before it has responded and left the core.
 	feed(trace.Invoke("c2", 1, lk("h")))
 	feed(trace.Invoke("c1", 1, lk("x")))
 	feed(trace.Response("c1", 1, lk("x"), ok))
@@ -228,10 +248,96 @@ func TestFastMutexOpsBounded(t *testing.T) {
 	if len(m.ops) != 0 {
 		t.Fatalf("%d operations left in ops with none open", len(m.ops))
 	}
+	if waiting, free := held(m); waiting != [2]int{} || free != 3 {
+		t.Fatalf("%v records waiting and %d free, want none waiting and the three ever open at once", waiting, free)
+	}
+	if len(m.chain) != 0 || len(m.marks) != 0 || m.n != s.Len()/2 {
+		t.Fatalf("witnesses off: chain of %d inputs and %d marks kept, length %d counted for %d operations",
+			len(m.chain), len(m.marks), m.n, s.Len()/2)
+	}
 	if v := s.Verdict(); v != check.Linearizable {
 		t.Fatalf("verdict %v, want Linearizable", v)
 	}
 	if got := s.Nodes(); got != s.Len() {
 		t.Fatalf("%d nodes for %d actions: the session left the fast path", got, s.Len())
+	}
+}
+
+// TestFastCoresKeepNoWitnessMaterial: after 50 000 sequential operations
+// with witnesses off, no core holds a member list, a chain or a mark —
+// and with them on, each holds all of them.
+func TestFastCoresKeepNoWitnessMaterial(t *testing.T) {
+	const ops = 50_000
+	okOut := adt.WriteOutput()
+	streams := []struct {
+		f  adt.Folder
+		op func(i int) (in, out trace.Value)
+		// material counts what the core keeps for the witness.
+		material func(FastChecker) int
+	}{
+		{adt.Register{}, func(i int) (trace.Value, trace.Value) {
+			switch {
+			case i < 3: // before any write: ⊥-reads
+				return adt.Tag(adt.ReadInput(), strconv.Itoa(i)), adt.ReadOutput(adt.Bottom)
+			case i%3 == 0:
+				return adt.WriteInput(trace.Value("v" + strconv.Itoa(i))), okOut
+			}
+			return adt.Tag(adt.ReadInput(), strconv.Itoa(i)), adt.ReadOutput(trace.Value("v" + strconv.Itoa(i-i%3)))
+		}, func(c FastChecker) int {
+			r := c.(*fastRegister)
+			n := len(r.botReads)
+			for _, b := range r.blocks {
+				if b.wit != nil {
+					n += 1 + len(b.wit.reads)
+				}
+			}
+			return n
+		}},
+		{adt.Mutex{}, func(i int) (trace.Value, trace.Value) {
+			if i%2 == 0 {
+				return adt.Tag(adt.LockInput(), strconv.Itoa(i)), okOut
+			}
+			return adt.Tag(adt.UnlockInput(), strconv.Itoa(i)), okOut
+		}, func(c FastChecker) int {
+			m := c.(*fastMutex)
+			return len(m.chain) + len(m.marks)
+		}},
+		{adt.Stack{}, func(i int) (trace.Value, trace.Value) {
+			if i%2 == 0 {
+				return adt.PushInput(trace.Value("v" + strconv.Itoa(i))), okOut
+			}
+			return adt.Tag(adt.PopInput(), strconv.Itoa(i)), adt.ReadOutput(trace.Value("v" + strconv.Itoa(i-1)))
+		}, func(c FastChecker) int {
+			s := c.(*fastStack)
+			return len(s.chain) + len(s.marks)
+		}},
+		{adt.Consensus{}, func(i int) (trace.Value, trace.Value) {
+			return adt.Tag(adt.ProposeInput("a"), strconv.Itoa(i)), adt.DecideOutput("a")
+		}, func(c FastChecker) int {
+			return len(c.(*fastConsensus).resps)
+		}},
+	}
+	for _, st := range streams {
+		for _, witness := range []bool{false, true} {
+			s := NewSessionFast(context.Background(), st.f, check.WithWitness(witness))
+			for i := 0; i < ops; i++ {
+				in, out := st.op(i)
+				if err := s.FeedAll(trace.Trace{trace.Invoke("c1", 1, in), trace.Response("c1", 1, in, out)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if s.fast == nil || s.Verdict() != check.Linearizable {
+				t.Fatalf("%T: verdict %v, on the fast path %v", st.f, s.Verdict(), s.fast != nil)
+			}
+			switch n := st.material(s.fast); {
+			case !witness && n != 0:
+				t.Errorf("%T, witnesses off: %d pieces of witness material kept after %d operations", st.f, n, ops)
+			case witness && n < ops:
+				t.Errorf("%T, witnesses on: %d pieces of witness material for %d operations", st.f, n, ops)
+			}
+			if !witness && s.fast.Witness() != nil {
+				t.Errorf("%T, witnesses off: a witness was assembled", st.f)
+			}
+		}
 	}
 }

@@ -30,15 +30,23 @@ import (
 // exits the fragment, so rejects never depend on the greedy's
 // completeness; FuzzFastpathVsExact and the diffcheck boundary tests
 // keep the three outcomes honest against the exact search.
+//
+// As in the mutex core, an operation's record leaves ops at its
+// response, and the chain and its marks are witness material, kept only
+// when the session asked for witnesses (DESIGN.md, decision 24); what
+// stays per input is a digest in seen, eight bytes in pool for a pop and
+// a stackVal for a pushed value.
 type fastStack struct {
-	seen   map[trace.Value]struct{}
-	ops    map[int]*stackOp     // by invocation trace index
-	vals   map[string]*stackVal // by untagged push value
-	pool   []int                // unassigned pending pop invIdxs, oldest first
-	poolLo int
-	stack  []*stackVal // simulated stack, top last
-	chain  trace.History
-	marks  []resMark
+	witness bool
+	seen    digestTable
+	ops     map[int]*stackOp     // open operations, by invocation trace index
+	vals    map[string]*stackVal // by untagged push value
+	pool    []int                // pop invIdxs, oldest first; responded ones are skipped
+	poolLo  int
+	stack   []*stackVal   // simulated stack, top last
+	n       int           // chain length
+	chain   trace.History // witness: the linearized inputs
+	marks   []resMark     // witness: which prefix each response claims
 }
 
 type stackOp struct {
@@ -46,7 +54,6 @@ type stackOp struct {
 	in       trace.Value
 	val      *stackVal // the pushed value (pushes only)
 	assigned bool
-	done     bool
 	pos      int    // claimed chain prefix once linearized
 	expected string // assigned pops: the value the helper must return
 }
@@ -63,20 +70,20 @@ const (
 	valPopped
 )
 
-func newFastStack() *fastStack {
+func newFastStack(witness, collide bool) *fastStack {
 	return &fastStack{
-		seen: map[trace.Value]struct{}{},
-		ops:  map[int]*stackOp{},
-		vals: map[string]*stackVal{},
+		witness: witness,
+		seen:    digestTable{collide: collide},
+		ops:     map[int]*stackOp{},
+		vals:    map[string]*stackVal{},
 	}
 }
 
 // Inv implements FastChecker.
 func (s *fastStack) Inv(in trace.Value, idx int) FastStatus {
-	if _, dup := s.seen[in]; dup {
+	if s.seen.add(in) {
 		return FastExit
 	}
-	s.seen[in] = struct{}{}
 	op, arg, ok := strings.Cut(string(adt.Untag(in)), ":")
 	o := &stackOp{in: in}
 	switch {
@@ -104,7 +111,7 @@ func (s *fastStack) Inv(in trace.Value, idx int) FastStatus {
 // Res implements FastChecker.
 func (s *fastStack) Res(in, out trace.Value, invIdx, idx int) FastStatus {
 	o := s.ops[invIdx]
-	o.done = true
+	delete(s.ops, invIdx) // responded: linearized by the end of this call
 	if o.push {
 		if out != adt.WriteOutput() {
 			return FastReject // pushes can only ever output "ok:"
@@ -112,7 +119,7 @@ func (s *fastStack) Res(in, out trace.Value, invIdx, idx int) FastStatus {
 		if !o.assigned {
 			s.linPush(o)
 		}
-		s.marks = append(s.marks, resMark{res: idx, k: o.pos})
+		s.mark(idx, o)
 		return FastOK
 	}
 	vop, varg, ok := strings.Cut(string(out), ":")
@@ -126,7 +133,7 @@ func (s *fastStack) Res(in, out trace.Value, invIdx, idx int) FastStatus {
 		if varg != o.expected {
 			return FastExit // the helper guess was wrong; exact engines decide
 		}
-		s.marks = append(s.marks, resMark{res: idx, k: o.pos})
+		s.mark(idx, o)
 		return FastOK
 	}
 	v := s.vals[varg]
@@ -147,34 +154,48 @@ func (s *fastStack) Res(in, out trace.Value, invIdx, idx int) FastStatus {
 		}
 		top := s.stack[len(s.stack)-1]
 		h.assigned, h.expected = true, top.val
-		s.chain = append(s.chain, h.in)
-		h.pos = len(s.chain)
+		s.linearize(h)
 		top.state = valPopped
 		s.stack = s.stack[:len(s.stack)-1]
 	}
-	s.chain = append(s.chain, o.in)
-	o.pos = len(s.chain)
+	s.linearize(o)
 	v.state = valPopped
 	s.stack = s.stack[:len(s.stack)-1]
-	s.marks = append(s.marks, resMark{res: idx, k: o.pos})
+	s.mark(idx, o)
 	return FastOK
+}
+
+// linearize appends o to the chain.
+func (s *fastStack) linearize(o *stackOp) {
+	if s.witness {
+		s.chain = append(s.chain, o.in)
+	}
+	s.n++
+	o.pos = s.n
+}
+
+// mark records that response res claims the chain prefix ending at o.
+func (s *fastStack) mark(res int, o *stackOp) {
+	if s.witness {
+		s.marks = append(s.marks, resMark{res: res, k: o.pos})
+	}
 }
 
 // linPush linearizes push o: its value joins the simulated stack top.
 func (s *fastStack) linPush(o *stackOp) {
-	s.chain = append(s.chain, o.in)
-	o.pos = len(s.chain)
+	s.linearize(o)
 	o.assigned = true
 	o.val.state = valOnStack
 	s.stack = append(s.stack, o.val)
 }
 
 // takeOldestPop pops the oldest unassigned still-pending pop, or nil.
+// Pool entries no longer in ops have responded.
 func (s *fastStack) takeOldestPop() *stackOp {
 	for s.poolLo < len(s.pool) {
 		o := s.ops[s.pool[s.poolLo]]
 		s.poolLo++
-		if !o.assigned && !o.done {
+		if o != nil && !o.assigned {
 			return o
 		}
 	}
@@ -183,6 +204,9 @@ func (s *fastStack) takeOldestPop() *stackOp {
 
 // Witness implements FastChecker.
 func (s *fastStack) Witness() Witness {
+	if !s.witness {
+		return nil
+	}
 	w := Witness{}
 	for _, mk := range s.marks {
 		w[mk.res] = s.chain[:mk.k].Clone()

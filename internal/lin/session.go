@@ -120,8 +120,11 @@ type Session struct {
 	// session — after which the session is indistinguishable from an
 	// exact one fed the same actions (frontier, budget spend and
 	// verdicts included). The log is chunked: rec is the chunk being
-	// appended to and recFull the recChunk-long ones before it, so a
-	// long-lived session never copies more than the first chunk's growth.
+	// appended to and recFull the full ones before it. A new chunk is as
+	// long as the log so far (between recChunkMin and recChunk), so the
+	// log is never copied, a short per-key session holds at most twice
+	// its length, and chunks end at powers of two and then at multiples
+	// of recChunk.
 	// Fast-path work never spends the budget; it is accounted separately
 	// in fastNodes (one per fed action).
 	fast      FastChecker
@@ -131,8 +134,12 @@ type Session struct {
 	recFull   []trace.Trace
 }
 
-// recChunk is the length of one chunk of the fast path's replay log.
-const recChunk = 1024
+// recChunkMin and recChunk are the lengths of the first and of the
+// longest chunks of the fast path's replay log.
+const (
+	recChunkMin = 16
+	recChunk    = 1024
+)
 
 // pendingInv is one client's open invocation, for the well-formedness
 // bookkeeping (the streaming twin of Check's WellFormed precheck).
@@ -210,7 +217,7 @@ func NewSessionFast(ctx context.Context, f adt.Folder, opts ...check.Option) *Se
 	set := check.NewSettings(opts...)
 	s := newSessionSettings(ctx, f, set)
 	if !set.Exact {
-		s.fast = NewFastChecker(f)
+		s.fast = NewFastChecker(f, set.Witness)
 	}
 	return s
 }
@@ -334,9 +341,11 @@ func (s *Session) stick(err error, idx, open, start int) error {
 func (s *Session) feedFast(a trace.Action) error {
 	idx := s.fed
 	s.fed++
-	if len(s.rec) == recChunk {
-		s.recFull = append(s.recFull, s.rec)
-		s.rec = make(trace.Trace, 0, recChunk)
+	if len(s.rec) == cap(s.rec) {
+		if s.rec != nil {
+			s.recFull = append(s.recFull, s.rec)
+		}
+		s.rec = make(trace.Trace, 0, min(recChunk, max(recChunkMin, idx)))
 	}
 	s.rec = append(s.rec, a)
 	if s.notWF != "" {
@@ -457,11 +466,7 @@ func (s *Session) Result() (Result, error) {
 		if s.fastRej {
 			return Result{OK: false, Reason: "no linearization function exists", Nodes: s.Nodes()}, nil
 		}
-		r := Result{OK: true, Nodes: s.Nodes()}
-		if s.set.Witness {
-			r.Witness = s.fast.Witness()
-		}
-		return r, nil
+		return Result{OK: true, Nodes: s.Nodes(), Witness: s.fast.Witness()}, nil
 	}
 	if len(s.frontier) == 0 {
 		return Result{OK: false, Reason: "no linearization function exists", Nodes: s.Nodes()}, nil

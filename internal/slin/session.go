@@ -234,7 +234,7 @@ func NewSessionFast(ctx context.Context, f adt.Folder, rinit RInit, m, n int, op
 		return nil, err
 	}
 	if m == 1 && !set.Exact {
-		s.fast = lin.NewFastChecker(f)
+		s.fast = lin.NewFastChecker(f, set.Witness)
 		s.fastPend = map[trace.ClientID]int{}
 		s.record = true // fallback replays the fed trace
 	}
