@@ -11,7 +11,12 @@
 //	slin-check -adt register -exact trace.json           # force the exact engine
 //	                                                     # (no ADT fast path)
 //	slin-check -timeout 30s trace.json                   # context deadline
-//	slin-check -mode slin -por=false trace.json          # unreduced SLin reference engine
+//	slin-check -mode slin -por=false trace.json          # SLin without the sleep-set reduction
+//
+// Every mode runs one engine per property: lin and slin checks, one-shot
+// or streamed, are the frontier sessions of packages lin and slin
+// (DESIGN.md, decisions 21 and 25), and classical is the depth-first
+// search over placed operation sets.
 //
 // With more than one trace file the independent checks are sharded across
 // a worker pool (-workers, default GOMAXPROCS) and one verdict line is
@@ -77,13 +82,12 @@ func main() {
 	m := flag.Int("m", 1, "slin: lower phase bound m")
 	n := flag.Int("n", 2, "slin: upper phase bound n")
 	temporal := flag.Bool("temporal", false, "slin: use the temporal Abort-Order variant")
-	por := flag.Bool("por", true, "slin mode: sleep-set partial-order reduction over extension branches (false = unreduced reference engine)")
+	por := flag.Bool("por", true, "slin mode: sleep-set partial-order reduction over extension branches (false = unreduced search)")
 	budget := flag.Int("budget", 0, "search budget (0 = default)")
 	workers := flag.Int("workers", 0, "worker pool size for multi-file batches (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "overall deadline; exceeded checks report unknown (exit 2)")
 	stream := flag.Bool("stream", false, "lin mode: feed each trace through an incremental Session instead of one-shot Check")
 	exact := flag.Bool("exact", false, "force the exact search engines (skip the ADT-specialized fast-path checkers)")
-	compact := flag.Bool("compact", true, "frontier compaction in the streaming engines (false = uncompacted reference representation)")
 	feedBudget := flag.Bool("feed-budget", false, "stream mode: rebase the search budget at every fed action instead of one per-session budget")
 	flag.Parse()
 
@@ -131,7 +135,7 @@ func main() {
 	// v2: context-aware, functional options); verdicts come back in file
 	// order.
 	opts := []check.Option{check.WithBudget(*budget), check.WithPOR(*por), check.WithExact(*exact),
-		check.WithCompaction(*compact), check.WithFeedBudget(*feedBudget)}
+		check.WithFeedBudget(*feedBudget)}
 	verdicts, err := check.Parallel(ctx, traces, *workers, func(i int, t trace.Trace) (verdict, error) {
 		switch *mode {
 		case "lin", "classical":

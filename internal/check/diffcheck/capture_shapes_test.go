@@ -103,16 +103,17 @@ func TestSessionCaptureShapes(t *testing.T) {
 	})
 }
 
-// TestCompactedFrontierCaptureShapes drives the compaction axis
-// (DESIGN.md, decision 17) through capture-shaped inputs: long
-// sequential-heavy traces whose fully-claimed chain prefixes are what
-// compaction drops, widened into equal-timestamp tie bursts by the
-// capture merge's transform, with overlap from several concurrent
-// clients and mid-stream drains at a third and two thirds of the
-// stream. The compacted session must agree with the uncompacted
-// reference session on every prefix and with the one-shot engine at
-// every drain, and drained compacted witnesses must verify — on clean
-// and corrupted traces alike.
+// TestCompactedFrontierCaptureShapes drives the frontier's compacted
+// configurations (DESIGN.md, decisions 17 and 20: no claimed entry is
+// stored) through capture-shaped inputs: long sequential-heavy traces,
+// where most of a chain is claimed, widened into equal-timestamp tie
+// bursts by the capture merge's transform, with overlap from several
+// concurrent clients. The whole Lin matrix — one-shot, online with the
+// witness chain, online chain-free as the pipelines run it, and the
+// oracles — must agree, and the online session must agree with the
+// one-shot engine on every prefix, assembling and verifying a witness
+// after every action without disturbing the live frontier — on clean and
+// corrupted traces alike.
 func TestCompactedFrontierCaptureShapes(t *testing.T) {
 	ctx := context.Background()
 	folders := []struct {
@@ -137,10 +138,10 @@ func TestCompactedFrontierCaptureShapes(t *testing.T) {
 				tr := workload.Random(fd.f, r, workload.TraceOpts{
 					// Few clients, moderately long streams: the
 					// sequential-heavy regime where most of a chain is
-					// claimed, which is what the compacted session never
-					// stores and the uncompacted reference retains (E18
-					// measures the difference), capped where a drain's
-					// one-shot check still fits the budget.
+					// claimed, which the compacted configurations never
+					// store and a witness chain retains (E18 measures the
+					// difference), capped where every prefix's one-shot
+					// check still fits the budget.
 					Clients:     2 + r.Intn(3),
 					Ops:         14 + r.Intn(11),
 					Inputs:      fd.inputs,
@@ -149,8 +150,10 @@ func TestCompactedFrontierCaptureShapes(t *testing.T) {
 					UniqueTags:  iter%2 == 0,
 				})
 				tr = widen(r, tr)
-				drains := []int{len(tr) / 3, 2 * len(tr) / 3}
-				err := Compaction(ctx, fd.f, tr, drains, check.WithBudget(fastBudget))
+				err := Lin(ctx, fd.f, tr, check.WithBudget(fastBudget))
+				if err == nil {
+					err = LinPrefixes(ctx, fd.f, tr, check.WithBudget(fastBudget))
+				}
 				if err == nil {
 					continue
 				}
@@ -158,14 +161,14 @@ func TestCompactedFrontierCaptureShapes(t *testing.T) {
 				if errors.As(err, &d) {
 					t.Fatalf("iter %d: %v", iter, err)
 				}
-				// A drain's one-shot check (or a session) ran out of budget.
-				// Skip the iteration but insist the tail stays a
-				// tail — an engine regression that exhausts everywhere must
-				// not silently void the property.
+				// An engine (or oracle) ran out of budget. Skip the
+				// iteration but insist the tail stays a tail — an engine
+				// regression that exhausts everywhere must not silently
+				// void the property.
 				exhausted++
 			}
 			if exhausted > iters/3 {
-				t.Fatalf("%d/%d iterations exhausted the reference budget", exhausted, iters)
+				t.Fatalf("%d/%d iterations exhausted the budget", exhausted, iters)
 			}
 		})
 	}

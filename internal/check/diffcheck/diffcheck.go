@@ -1,13 +1,16 @@
 // Package diffcheck is the differential testing harness of the checker
-// engines (DESIGN.md, decisions 12 and 21): it runs every way the repo
-// has of deciding a property on the SAME trace and fails loudly on any
-// disagreement — verdicts, witness validity, or prefix-verdict agreement
-// of incremental sessions. For Lin that is the one frontier engine in
-// its three modes (one-shot with response lookahead, online session,
-// online uncompacted) against the skeletons that share nothing with it:
-// the string-keyed reference, the SLin search at m = 1 (Theorem 2) and
-// the classical search (Theorem 1); for SLin the reduced and unreduced
-// (check.WithPOR) variants of the depth-first and session engines.
+// engines (DESIGN.md, decisions 12, 21 and 25): it runs every way the
+// repo has of deciding a property on the SAME trace and fails loudly on
+// any disagreement — verdicts, witness validity, or prefix-verdict
+// agreement of incremental sessions. For Lin that is the one frontier
+// engine in its three modes (one-shot with response lookahead, online
+// session, online session without witnesses — the chain-free
+// configuration the pipelines run) against the skeletons that share
+// nothing with it: the string-keyed reference, the SLin engine at m = 1
+// (Theorem 2) and the classical search (Theorem 1); for SLin the one
+// session engine, one-shot and online, each with the reducer
+// (check.WithPOR) on and off, against the string-keyed depth-first
+// reference.
 //
 // The harness exists because a soundness bug in a pruning rule does not
 // crash: it silently turns the checker into a liar, accepting
@@ -63,25 +66,24 @@ type variant struct {
 }
 
 // linMatrix is the three ways the one Lin engine runs: one-shot (with
-// response lookahead, DESIGN.md decision 21), as an online session, and
-// as an online session retaining the commit chain beside the same
-// configurations.
+// response lookahead, DESIGN.md decision 21), as an online session
+// retaining the commit chain for witnesses, and as the chain-free online
+// session the smr and capture pipelines run.
 var linMatrix = []variant{
 	{"one-shot", false, nil},
 	{"session", true, nil},
-	{"session/nocompact", true, []check.Option{check.WithCompaction(false)}},
+	{"session/nowitness", true, []check.Option{check.WithWitness(false)}},
 }
 
-// slinMatrix is depth-first slin.Check and slin.NewSession — the
-// sequential DAG-sleep path production runs — each with the reducer on
-// and off, the sessions also uncompacted.
+// slinMatrix is the one SLin engine (DESIGN.md, decision 25) run
+// one-shot by slin.Check — reducer set from the whole trace — and online
+// by slin.NewSession — reducer disabled at the first order-sensitive
+// abort, with a replay — each with the reducer on and off.
 var slinMatrix = []variant{
-	{"depth/por", false, []check.Option{check.WithPOR(true)}},
-	{"depth/nopor", false, []check.Option{check.WithPOR(false)}},
+	{"one-shot/por", false, []check.Option{check.WithPOR(true)}},
+	{"one-shot/nopor", false, []check.Option{check.WithPOR(false)}},
 	{"session/por", true, []check.Option{check.WithPOR(true)}},
 	{"session/nopor", true, []check.Option{check.WithPOR(false)}},
-	{"session/por/nocompact", true, []check.Option{check.WithPOR(true), check.WithCompaction(false)}},
-	{"session/nopor/nocompact", true, []check.Option{check.WithPOR(false), check.WithCompaction(false)}},
 }
 
 func (v variant) lin(ctx context.Context, f adt.Folder, t trace.Trace, extra []check.Option) (lin.Result, error) {
@@ -111,9 +113,9 @@ func (v variant) slin(ctx context.Context, f adt.Folder, rinit slin.RInit, m, n 
 	return s.Result()
 }
 
-// refBudget bounds the string-keyed reference inside Lin: it copies
-// chains per node, so traces it cannot decide this cheaply are left to
-// the other oracles.
+// refBudget bounds the string-keyed references inside Lin and SLin: they
+// copy chains per node, so traces they cannot decide this cheaply are
+// left to the other oracles.
 const refBudget = 200_000
 
 // Lin cross-checks the three modes of the lin engine on t, and those
@@ -204,69 +206,6 @@ func LinPrefixes(ctx context.Context, f adt.Folder, t trace.Trace, extra ...chec
 		if got.OK && len(got.Witness) > 0 {
 			if werr := lin.VerifyWitness(f, t[:k+1], got.Witness); werr != nil {
 				return disagree(t[:k+1], "session prefix %d witness invalid: %v", k+1, werr)
-			}
-		}
-	}
-	return nil
-}
-
-// Compaction cross-checks the compacted streaming session — the default
-// (DESIGN.md, decision 17) — against the uncompacted reference session
-// and the one-shot engine on t. The two sessions feed in lockstep and
-// their running verdicts must agree after every action. At each drain
-// index in drains (plus the end of the trace) both assemble full
-// Results: the verdicts must match each other and the one-shot check of
-// that prefix, and the compacted witness — read off the one chain of
-// values the configurations share — must satisfy lin.VerifyWitness.
-// Draining mid-stream and continuing to feed
-// is deliberate: witness assembly must not corrupt the live frontier.
-// extra options (budgets, deadlines) apply to every variant.
-func Compaction(ctx context.Context, f adt.Folder, t trace.Trace, drains []int, extra ...check.Option) error {
-	mkOpts := func(compact bool) []check.Option {
-		return append(append([]check.Option{}, extra...), check.WithCompaction(compact))
-	}
-	comp := lin.NewSession(ctx, f, mkOpts(true)...)
-	ref := lin.NewSession(ctx, f, mkOpts(false)...)
-	drainAt := map[int]bool{len(t): true}
-	for _, d := range drains {
-		if d >= 1 && d <= len(t) {
-			drainAt[d] = true
-		}
-	}
-	for k, a := range t {
-		if err := comp.Feed(a); err != nil {
-			return fmt.Errorf("diffcheck compacted feed %d: %w", k, err)
-		}
-		if err := ref.Feed(a); err != nil {
-			return fmt.Errorf("diffcheck uncompacted feed %d: %w", k, err)
-		}
-		if cv, rv := comp.Verdict(), ref.Verdict(); cv != rv {
-			return disagree(t[:k+1], "prefix %d: compacted=%v, uncompacted=%v", k+1, cv, rv)
-		}
-		if !drainAt[k+1] {
-			continue
-		}
-		got, err := comp.Result()
-		if err != nil {
-			return fmt.Errorf("diffcheck compacted drain %d: %w", k+1, err)
-		}
-		want, err := ref.Result()
-		if err != nil {
-			return fmt.Errorf("diffcheck uncompacted drain %d: %w", k+1, err)
-		}
-		if got.OK != want.OK {
-			return disagree(t[:k+1], "drain %d: compacted=%v, uncompacted=%v", k+1, got.OK, want.OK)
-		}
-		one, err := lin.Check(ctx, f, t[:k+1], extra...)
-		if err != nil {
-			return fmt.Errorf("diffcheck one-shot drain %d: %w", k+1, err)
-		}
-		if got.OK != one.OK {
-			return disagree(t[:k+1], "drain %d: compacted session=%v, one-shot=%v", k+1, got.OK, one.OK)
-		}
-		if got.OK && len(got.Witness) > 0 {
-			if werr := lin.VerifyWitness(f, t[:k+1], got.Witness); werr != nil {
-				return disagree(t[:k+1], "drain %d compacted witness invalid: %v", k+1, werr)
 			}
 		}
 	}
@@ -368,58 +307,42 @@ func FastpathSLin(ctx context.Context, f adt.Folder, rinit slin.RInit, n int, t 
 	return nil
 }
 
-// SLin cross-checks the SLin engine variants on t: the depth-first
-// search and the session engine, each with the reducer on and off, the
-// sessions also uncompacted. All verdicts must agree, every witness of
-// the positive runs must satisfy slin.VerifyWitness, and on
-// traces containing abort actions the DEPTH reducer must have pruned
-// nothing (it sees the whole trace and disables itself up front; the
-// session engine may prune before the first abort arrives and then
-// discards the pruned frontiers by an unreduced replay, so its
-// cumulative counter stays non-zero by design — the verdict agreement
-// assertions cover that path). Relations declaring their Admits
-// predicate order-insensitive (slin.OrderInsensitive) keep the reducer
-// on across aborts, so for them the pruned-nothing assertion is waived
-// and the verdict agreement assertions carry the soundness burden.
+// SLin cross-checks the SLin engine variants on t — one-shot and online,
+// each with the reducer on and off — and those with slin.CheckReference,
+// the string-keyed depth-first search that shares no code with them
+// (under its own small budget; skipped when it exhausts it). All verdicts
+// must agree, and every witness of the positive runs must satisfy
+// slin.VerifyWitness. extra options (budgets, deadlines) apply to every
+// variant but the reference.
 func SLin(ctx context.Context, f adt.Folder, rinit slin.RInit, m, n int, t trace.Trace, temporal bool, extra ...check.Option) error {
-	hasAbort := false
-	for _, a := range t {
-		if a.IsAbort(n) {
-			hasAbort = true
-			break
-		}
-	}
-	if slin.IsOrderInsensitive(rinit) {
-		hasAbort = false // the reducer legitimately prunes across aborts
-	}
 	type outcome struct {
 		name string
 		res  slin.Result
 	}
 	var got []outcome
-	extra = append(extra[:len(extra):len(extra)], check.WithTemporalAbortOrder(temporal))
+	order := check.WithTemporalAbortOrder(temporal)
+	extra = append(extra[:len(extra):len(extra)], order)
 	for _, v := range slinMatrix {
 		res, err := v.slin(ctx, f, rinit, m, n, t, extra)
 		if err != nil {
 			return fmt.Errorf("diffcheck %s: %w", v.name, err)
 		}
-		if res.OK {
-			for _, w := range res.Witnesses {
-				if werr := slin.VerifyWitness(f, rinit, m, n, t, w, temporal); werr != nil {
-					return disagree(t, "%s produced an invalid witness: %v", v.name, werr)
-				}
-			}
-		}
-		if hasAbort && v.name == "depth/por" && res.Pruned != 0 {
-			return disagree(t, "%s pruned %d branches on an abort-carrying trace", v.name, res.Pruned)
-		}
 		got = append(got, outcome{v.name, res})
 	}
-	base := got[0]
-	for _, o := range got[1:] {
-		if o.res.OK != base.res.OK {
+	if ref, err := slin.CheckReference(f, rinit, m, n, t, order, check.WithBudget(refBudget)); err == nil {
+		got = append(got, outcome{"reference", ref})
+	} else if !errors.Is(err, slin.ErrBudget) {
+		return fmt.Errorf("diffcheck reference: %w", err)
+	}
+	for _, o := range got {
+		if o.res.OK != got[0].res.OK {
 			return disagree(t, "verdict disagreement (m=%d n=%d temporal=%v): %s=%v, %s=%v",
-				m, n, temporal, base.name, base.res.OK, o.name, o.res.OK)
+				m, n, temporal, got[0].name, got[0].res.OK, o.name, o.res.OK)
+		}
+		for _, w := range o.res.Witnesses {
+			if werr := slin.VerifyWitness(f, rinit, m, n, t, w, temporal); werr != nil {
+				return disagree(t, "%s produced an invalid witness: %v", o.name, werr)
+			}
 		}
 	}
 	return nil

@@ -870,7 +870,7 @@ func FuzzFastpathVsExact(f *testing.F) {
 		if sel&0x80 != 0 {
 			folder = lin.CollidingDigests{Folder: folder}
 		}
-		tr := decodeTrace(folder, inputs, outputs, data)
+		tr := decodeTrace(inputs, outputs, data, 0)
 		if len(data) > 0 && data[len(data)-1]&1 == 1 {
 			tr = completeTrace(tr, outputs)
 		}

@@ -100,32 +100,32 @@ func newOverlapSession(opts ...check.Option) *lin.Session {
 // TestOverlapNodeCounts asserts the exact per-round node counts of every
 // shape over 30 cycles and three seeds (the totals are what the
 // stream-overlap workload of bench/ reports for the same shapes from an
-// independently written generator), with compaction on and off — it is
-// storage only — and the bound the counts are an instance of: at a fixed
+// independently written generator), with the witness chain off and on —
+// it is storage only — and the bound the counts are an instance of: at a fixed
 // number k of open operations a round's cost per operation does not
 // grow with the round's length n.
 func TestOverlapNodeCounts(t *testing.T) {
-	for _, compact := range []bool{true, false} {
+	for _, witness := range []bool{false, true} {
 		for seed := int64(1); seed <= 3; seed++ {
 			g := &overlapGen{r: rand.New(rand.NewSource(seed))}
-			s := newOverlapSession(check.WithCompaction(compact))
+			s := newOverlapSession(check.WithWitness(witness))
 			for cycle := 0; cycle < 30; cycle++ {
 				for _, sh := range overlapShapes {
 					tr, _ := g.round(sh)
 					before := s.Nodes()
 					if err := s.FeedAll(tr); err != nil {
-						t.Fatalf("compact %v seed %d cycle %d shape %v: %v", compact, seed, cycle, sh, err)
+						t.Fatalf("witness %v seed %d cycle %d shape %v: %v", witness, seed, cycle, sh, err)
 					}
 					if got, want := s.Nodes()-before, overlapNodes[sh]; got != want {
-						t.Fatalf("compact %v seed %d cycle %d shape %v: %d nodes, want %d", compact, seed, cycle, sh, got, want)
+						t.Fatalf("witness %v seed %d cycle %d shape %v: %d nodes, want %d", witness, seed, cycle, sh, got, want)
 					}
 				}
 			}
 			if v := s.Verdict(); v != check.Linearizable {
-				t.Fatalf("compact %v seed %d: verdict %v", compact, seed, v)
+				t.Fatalf("witness %v seed %d: verdict %v", witness, seed, v)
 			}
 			if s.Nodes() != 15990 {
-				t.Fatalf("compact %v seed %d: %d nodes over 30 cycles; want 15990", compact, seed, s.Nodes())
+				t.Fatalf("witness %v seed %d: %d nodes over 30 cycles; want 15990", witness, seed, s.Nodes())
 			}
 		}
 	}

@@ -82,6 +82,14 @@ func TestSleepSpillHighSymbolsPrune(t *testing.T) {
 	if err := SLin(ctx, adt.Consensus{}, slin.UniversalRInit{}, 1, 2, tr, false, budget); err != nil {
 		t.Fatal(err)
 	}
+	// The 66 claimed proposals are past the length at which the session
+	// compacts its chains, so SLin above compared compacted configurations
+	// with the reference — provided the reference fits its own budget.
+	ref, err := slin.CheckReference(adt.Consensus{}, slin.UniversalRInit{}, 1, 2, tr, check.WithBudget(refBudget))
+	if err != nil || ref.OK {
+		t.Fatalf("reference on the spill trace: %v (%v); SLin ran without its oracle", ref.OK, err)
+	}
+	t.Logf("reference: %d nodes", ref.Nodes)
 	if err := Lin(ctx, adt.Consensus{}, tr, budget); err != nil {
 		t.Fatal(err)
 	}

@@ -51,19 +51,19 @@ type Settings struct {
 	// skips witness assembly.
 	Witness bool
 	// MemoLimit bounds the checker's memoization structures, in entries;
-	// 0 means unlimited. The depth-first engines (slin.Check,
-	// lin.CheckClassical) stop inserting new memo entries beyond the
-	// limit (search stays exact, possibly slower); the frontier engines
-	// (lin.Check, the Sessions) report ErrMemo when a frontier alone
-	// exceeds it, since its configurations are live state that cannot
-	// be dropped soundly.
+	// 0 means unlimited. The frontier engines (lin.Check, slin.Check and
+	// the Sessions) report ErrMemo when a frontier alone exceeds it,
+	// since its configurations are live state that cannot be dropped
+	// soundly; the depth-first lin.CheckClassical stops inserting new
+	// memo entries beyond the limit (search stays exact, possibly
+	// slower).
 	MemoLimit int
 	// TemporalAbortOrder selects the temporal variant of the SLin
 	// checker's Abort-Order (slin package documentation); ignored by the
 	// lin checkers.
 	TemporalAbortOrder bool
 	// POR enables the sleep-set partial-order reduction over the chain
-	// extension branch sets of the SLin engines (DESIGN.md, decision
+	// extension branch sets of the SLin engine (DESIGN.md, decision
 	// 12): commuting extension inputs are explored in only one order.
 	// NewSettings defaults it to true; WithPOR(false) retains the
 	// unreduced reference searches. The reduction is verdict- and
@@ -79,19 +79,6 @@ type Settings struct {
 	// speclin facade honour it; the plain lin/slin entry points are
 	// always exact and ignore it. Off by default.
 	Exact bool
-	// Compact enables frontier compaction in the breadth (frontier)
-	// engines (DESIGN.md, decisions 17 and 20): configurations keep no
-	// chain entry a future transition cannot touch — slin.Session folds
-	// fully-claimed chain prefixes into a rolling summary, lin.Session
-	// stores unclaimed entries only — which bounds a streaming
-	// Session's memory by the overlap/alphabet of the trace instead of
-	// its length. NewSettings defaults it to true; WithCompaction(false)
-	// retains the whole chain (for lin.Session beside the same
-	// configurations: storage only, node-identical), the reference the
-	// differential tests cross-check the compacted sessions against.
-	// Verdict-preserving by construction; the depth-first engines
-	// (slin.Check, lin.CheckClassical) have no frontier and ignore it.
-	Compact bool
 	// FeedBudget switches a Session's node budget from per-session
 	// lifetime to per-Feed: the spend counter is rebased at each Feed, so
 	// one heavy-tailed action cannot starve every later feed into
@@ -106,10 +93,10 @@ type Settings struct {
 // variadic ...Option.
 type Option func(*Settings)
 
-// NewSettings resolves opts over the defaults (Witness, POR and Compact
-// on, everything else zero).
+// NewSettings resolves opts over the defaults (Witness and POR on,
+// everything else zero).
 func NewSettings(opts ...Option) Settings {
-	s := Settings{Witness: true, POR: true, Compact: true}
+	s := Settings{Witness: true, POR: true}
 	for _, o := range opts {
 		if o != nil {
 			o(&s)
@@ -156,12 +143,6 @@ func WithPOR(on bool) Option { return func(s *Settings) { s.POR = on } }
 // otherwise dispatch to an ADT-specialized fast-path checker (see
 // Settings.Exact; DESIGN.md, decision 15).
 func WithExact(on bool) Option { return func(s *Settings) { s.Exact = on } }
-
-// WithCompaction toggles frontier compaction in the breadth engines (see
-// Settings.Compact; default on). WithCompaction(false) retains the
-// whole commit chain — the differential tests cross-check the two on
-// every trace shape.
-func WithCompaction(on bool) Option { return func(s *Settings) { s.Compact = on } }
 
 // WithFeedBudget switches a Session's budget to per-Feed instead of
 // per-session lifetime (see Settings.FeedBudget; default off).

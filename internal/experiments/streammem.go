@@ -19,18 +19,18 @@ import (
 // (DESIGN.md, decisions 17 and 20) plus the per-feed budget
 // (check.WithFeedBudget) are what make the run possible at all — the
 // live heap must stay flat while the history grows by orders of
-// magnitude, and the comparison arm shows the heap of the uncompacted
-// reference session, which retains the commit chain, growing linearly
-// on the identical stream prefix.
+// magnitude, and the comparison arm shows the heap of a witness-on
+// session, which retains the commit chain for witness assembly, growing
+// linearly on the identical stream prefix.
 
 // E18 canonical scales.
 const (
 	// E18FullOps is the streamed operation count of the E18 table;
 	// TestE18Shape streams a hundredth of it.
 	E18FullOps = 10_000_000
-	// E18CompareOps is the length of the compacted-vs-uncompacted arm:
-	// long enough that the uncompacted reference's retained chain (one
-	// small node per operation) dwarfs the rest of the process's heap.
+	// E18CompareOps is the length of the comparison arm: long enough that
+	// the witness-on session's retained chain (one small node per
+	// operation) dwarfs the rest of the process's heap.
 	E18CompareOps = 200_000
 	// E18Checkpoints is the number of evenly spaced heap samples taken
 	// over the stream.
@@ -177,10 +177,10 @@ func E18StreamMem(ctx context.Context, n, checkpoints int) ([]E18MemRow, error) 
 	return rows, nil
 }
 
-// E18CompareRow contrasts the compacted session against the uncompacted
-// reference on the identical stream prefix. PeakRSSBytes is the post-GC
-// live heap with the session still reachable — for the uncompacted arm
-// this is dominated by the O(history) commit chain the frontier's
+// E18CompareRow contrasts the chain-free session against a witness-on
+// session on the identical stream prefix. PeakRSSBytes is the post-GC
+// live heap with the session still reachable — for the witness arm this
+// is dominated by the O(history) commit chain the frontier's
 // configurations point into.
 type E18CompareRow struct {
 	Name         string  `json:"name"`
@@ -191,17 +191,17 @@ type E18CompareRow struct {
 }
 
 // E18CompactVsUncompacted runs both storage modes over the first n
-// operations of the E18 stream; they spend identical nodes. The
-// compacted arm at full E18 scale is E18StreamMem.
+// operations of the E18 stream — the compacted configurations alone, and
+// beside them the whole commit chain a witness needs; they spend
+// identical nodes. The compacted arm at full E18 scale is E18StreamMem.
 func E18CompactVsUncompacted(ctx context.Context, n int) ([]E18CompareRow, error) {
 	rows := make([]E18CompareRow, 0, 2)
 	for _, arm := range []struct {
 		name    string
-		compact bool
-	}{{"compare-compacted", true}, {"compare-uncompacted", false}} {
+		witness bool
+	}{{"compare-compacted", false}, {"compare-witness-chain", true}} {
 		s := lin.NewSession(ctx, adt.Register{},
-			check.WithWitness(false), check.WithFeedBudget(true),
-			check.WithCompaction(arm.compact))
+			check.WithWitness(arm.witness), check.WithFeedBudget(true))
 		g := newE18Gen()
 		start := time.Now()
 		for done := 0; done < n; {
@@ -212,12 +212,10 @@ func E18CompactVsUncompacted(ctx context.Context, n int) ([]E18CompareRow, error
 			done += d
 		}
 		wall := float64(time.Since(start).Microseconds()) / 1000
-		r, err := s.Result()
-		if err != nil {
-			return nil, fmt.Errorf("E18 %s result: %w", arm.name, err)
-		}
-		if !r.OK {
-			return nil, fmt.Errorf("E18 %s judged non-linearizable: %s", arm.name, r.Reason)
+		// The verdict, not Result: assembling the witness would copy one
+		// commit history per response, quadratic in the stream.
+		if v := s.Verdict(); v != check.Linearizable {
+			return nil, fmt.Errorf("E18 %s: verdict %v", arm.name, v)
 		}
 		rows = append(rows, E18CompareRow{
 			Name:         arm.name,
@@ -250,17 +248,17 @@ func checkStreamRows(rows []E18MemRow, checkpoints int) error {
 	return errors.Join(errs...)
 }
 
-// checkCompareRows is the comparison arm's shape: the uncompacted
-// reference retains at least an order of magnitude more live heap than
-// the compacted session on the identical prefix.
+// checkCompareRows is the comparison arm's shape: the witness-on session
+// retains at least an order of magnitude more live heap than the
+// compacted session on the identical prefix.
 func checkCompareRows(rows []E18CompareRow) error {
 	if len(rows) != 2 {
 		return fmt.Errorf("E18: got %d comparison rows, want 2", len(rows))
 	}
 	comp, ref := rows[0], rows[1]
 	if ref.PeakRSSBytes < 10*comp.PeakRSSBytes {
-		return fmt.Errorf("E18: uncompacted reference holds %d bytes vs compacted %d: expected ≥10× — "+
-			"is the reference arm actually uncompacted?", ref.PeakRSSBytes, comp.PeakRSSBytes)
+		return fmt.Errorf("E18: witness-on session holds %d bytes vs compacted %d: expected ≥10× — "+
+			"does the witness arm still retain the chain?", ref.PeakRSSBytes, comp.PeakRSSBytes)
 	}
 	return nil
 }
@@ -294,7 +292,7 @@ func E18StreamMemTable(ctx context.Context) (Table, error) {
 	first, last := mem[0].LiveHeapBytes, mem[len(mem)-1].LiveHeapBytes
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("Flatness: checkpoint heap %s → %s MiB over a %d× history growth; "+
-			"the uncompacted reference at %d ops already holds %s MiB.",
+			"the witness-on session at %d ops already holds %s MiB.",
 			f2(float64(first)/(1<<20)), f2(float64(last)/(1<<20)), E18Checkpoints,
 			E18CompareOps, f2(float64(cmp[1].PeakRSSBytes)/(1<<20))))
 	return t, errors.Join(checkStreamRows(mem, E18Checkpoints), checkCompareRows(cmp))

@@ -50,7 +50,7 @@ import (
 // that pass VerifyWitness, and keep the material for them only then; the
 // one-shot queue core's witness is capped at fastQueueWitnessCap
 // dequeued values (beyond it the positive Result carries an empty
-// Witness, like the SLin breadth engine).
+// Witness).
 
 // FastStatus is the per-action outcome of a streaming FastChecker.
 type FastStatus uint8

@@ -33,9 +33,9 @@ import (
 // enqueue invocation, a pointer over enqueue responses maintaining the
 // running maximum dequeue invocation. On a positive verdict the core
 // assembles a Lin witness (queueWitness) up to fastQueueWitnessCap
-// dequeued values; beyond the cap the Result carries an empty Witness,
-// like the SLin breadth engine — FuzzFastpathVsExact keeps verdicts
-// and witnesses honest against the exact search.
+// dequeued values; beyond the cap the Result carries an empty Witness —
+// FuzzFastpathVsExact keeps verdicts and witnesses honest against the
+// exact search.
 func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings, collide bool) (Result, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, true, err

@@ -56,10 +56,8 @@ import (
 // The chain itself survives only where a consumer needs it: with
 // check.WithWitness every configuration points into one shared
 // parent-linked chain of values, so any surviving representative
-// reconstructs a full linearization; check.WithCompaction(false)
-// retains the same chain without using it (the storage reference of E18
-// and diffcheck.Compaction). Bounded-memory streaming runs switch
-// witnesses off and leave compaction on.
+// reconstructs a full linearization (E18's comparison arm measures what
+// that retains). Bounded-memory streaming runs switch witnesses off.
 //
 // One budget (check.WithBudget) spans the whole session — or, with
 // check.WithFeedBudget, is rebased at every Feed so a heavy-tailed
@@ -78,9 +76,6 @@ type Session struct {
 	f      adt.Folder
 	set    check.Settings
 	budget int
-	// keepChain retains the commit chain behind the configurations
-	// (witnesses, or compaction switched off).
-	keepChain bool
 
 	in *trace.Interner
 	// invoked is the multiset of currently pending inputs: incremented at
@@ -162,7 +157,7 @@ type pendingInv struct {
 // with identical futures.
 //
 // The remaining fields are not part of the identity. n is the chain's
-// length; with keepChain, chain is its last node and pos[i] the length
+// length; with witnesses, chain is its last node and pos[i] the length
 // of the prefix ending at entry i — what a claim of that entry records
 // in the witness trail.
 type cfg struct {
@@ -227,15 +222,14 @@ func newSessionSettings(ctx context.Context, f adt.Folder, set check.Settings) *
 		ctx = context.Background()
 	}
 	return &Session{
-		ctx:       ctx,
-		f:         f,
-		set:       set,
-		budget:    set.BudgetOr(DefaultBudget),
-		keepChain: set.Witness || !set.Compact,
-		in:        trace.NewInterner(),
-		pending:   map[trace.ClientID]pendingInv{},
-		frontier:  []*cfg{{end: f.Empty(), dig: trace.HashString(string(f.Empty()))}},
-		visited:   map[trace.Digest]struct{}{},
+		ctx:      ctx,
+		f:        f,
+		set:      set,
+		budget:   set.BudgetOr(DefaultBudget),
+		in:       trace.NewInterner(),
+		pending:  map[trace.ClientID]pendingInv{},
+		frontier: []*cfg{{end: f.Empty(), dig: trace.HashString(string(f.Empty()))}},
+		visited:  map[trace.Digest]struct{}{},
 	}
 }
 
@@ -584,10 +578,8 @@ func (s *Session) claim(c *cfg, i, resIdx int) *cfg {
 	n.syms = append(append(n.syms, c.syms[:i]...), c.syms[i+1:]...)
 	n.outs = append(append(n.outs, c.outs[:i]...), c.outs[i+1:]...)
 	n.dig = c.dig.Sub(trace.HashOutput(c.syms[i], c.outs[i]))
-	if s.keepChain {
-		n.pos = append(append(n.pos, c.pos[:i]...), c.pos[i+1:]...)
-	}
 	if s.set.Witness {
+		n.pos = append(append(n.pos, c.pos[:i]...), c.pos[i+1:]...)
 		n.asn = &asnNode{prev: c.asn, res: resIdx, k: c.pos[i]}
 	}
 	return n
@@ -671,7 +663,7 @@ func (s *Session) closeExt(x *extension, stEnd adt.State, open trace.Digest) *cf
 	n.end, n.n, n.chain = stEnd, c.n+len(x.syms)+1, c.chain
 	n.dig = open.Add(trace.HashString(string(stEnd)))
 	n.syms, n.outs = append(n.syms, c.syms...), append(n.outs, c.outs...)
-	if s.keepChain {
+	if s.set.Witness {
 		n.pos = append(n.pos, c.pos...)
 	}
 	// The intermediate appends linearize operations that stay open: each
@@ -683,15 +675,13 @@ func (s *Session) closeExt(x *extension, stEnd adt.State, open trace.Digest) *cf
 		}
 		n.syms = slices.Insert(n.syms, at, sym)
 		n.outs = slices.Insert(n.outs, at, x.outs[j])
-		if s.keepChain {
+		if s.set.Witness {
 			n.pos = slices.Insert(n.pos, at, c.n+j+1)
 			n.chain = &chainNode{prev: n.chain, val: s.in.Value(sym)}
 		}
 	}
-	if s.keepChain {
-		n.chain = &chainNode{prev: n.chain, val: x.a.Input}
-	}
 	if s.set.Witness {
+		n.chain = &chainNode{prev: n.chain, val: x.a.Input}
 		n.asn = &asnNode{prev: c.asn, res: x.resIdx, k: n.n}
 	}
 	return n

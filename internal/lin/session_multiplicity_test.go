@@ -66,8 +66,8 @@ var sequentialCounts = [20]sessionCounts{{true, 174}, {true, 87}, {false, 38}, {
 
 // multiplicityVariants are the engine configurations
 // TestSessionMultiplicityPinned runs, each with its exact counts on
-// seeds 1–20. Compaction is storage only and the session has no reducer
-// to switch off, so those variants must reproduce the default's.
+// seeds 1–20. The witness chain is storage only and the session has no
+// reducer to switch off, so those variants must reproduce the default's.
 var multiplicityVariants = []struct {
 	name string
 	opts []check.Option
@@ -75,7 +75,7 @@ var multiplicityVariants = []struct {
 }{
 	{"default", nil, sequentialCounts},
 	{"nopor", []check.Option{check.WithPOR(false)}, sequentialCounts},
-	{"nocompact", []check.Option{check.WithCompaction(false)}, sequentialCounts},
+	{"nowitness", []check.Option{check.WithWitness(false)}, sequentialCounts},
 }
 
 // TestSessionMultiplicityPinned pins the frontier engine on untagged

@@ -2,10 +2,10 @@ package slin_test
 
 // Extends the property suite of this package (property_test.go) with the
 // engine-variant differential harness (internal/check/diffcheck): the
-// SLin depth and breadth engines, reduced and unreduced, must agree on
-// randomized phase traces — including abort-heavy first phases where the
-// reducer must disable itself — and on switch-free Theorem-2 traces
-// where it is fully active. External test package: diffcheck imports
+// SLin engine one-shot and online, reduced and unreduced, and the
+// string-keyed reference must agree on randomized phase traces —
+// abort-heavy first phases included — and on switch-free Theorem-2
+// traces where the reducer is fully active. External test package: diffcheck imports
 // slin.
 
 import (

@@ -12,14 +12,16 @@ import (
 	"repro/internal/workload"
 )
 
-// TestHashedMemoAgreesWithReference is the optimization's property test:
-// the digest-keyed, mutate-in-place Check must return the same verdict as
-// the retained string-keyed CheckReference on randomized phase traces, for
+// TestHashedMemoAgreesWithReference is the engine's property test: the
+// digest-keyed frontier behind Check must return the same verdict as the
+// retained string-keyed CheckReference on randomized phase traces, for
 // first phases (m = 1, no Init-Order), second phases (m = 2, init actions
 // with representative interpretations), both Abort-Order semantics, and
-// clean as well as violating schedules. On negative verdicts the two must
-// also spend the same number of search nodes (failed searches explore the
-// whole memoized DAG, whose size is branch-order independent).
+// clean as well as violating schedules, and its witnesses must verify.
+// The two engines explore different spaces — a frontier of chains per
+// interpretation combination against a memoized depth-first search that
+// stops at the first failing combination — so their node counts are not
+// compared.
 func TestHashedMemoAgreesWithReference(t *testing.T) {
 	t.Run("first-phase", func(t *testing.T) {
 		r := rand.New(rand.NewSource(99))
@@ -46,8 +48,8 @@ func TestHashedMemoAgreesWithReference(t *testing.T) {
 		}
 	})
 	t.Run("switch-free", func(t *testing.T) {
-		// Abort-free traces (plain operations checked as SLin(1,2) per
-		// Theorem 2) exercise the exact node-count parity on failures.
+		// Abort-free traces: plain operations checked as SLin(1,2) per
+		// Theorem 2, where the reducer is fully active.
 		r := rand.New(rand.NewSource(399))
 		inputs := []trace.Value{adt.ProposeInput("a"), adt.ProposeInput("b")}
 		for i := 0; i < 200; i++ {
@@ -63,42 +65,25 @@ func TestHashedMemoAgreesWithReference(t *testing.T) {
 
 func compareImpls(t *testing.T, f adt.Folder, rinit RInit, m, n int, tr trace.Trace, temporal bool) {
 	t.Helper()
-	// POR off: the string-key reference has no reducer, and this test
-	// pins EXACT node-count parity of the two unreduced searches (the
-	// reduced engine's agreement is covered by the diffcheck
-	// differential tests).
+	// POR off: the string-key reference has no reducer (the reduced
+	// engine's agreement is covered by the diffcheck differential tests).
 	got, err := Check(context.Background(), f, rinit, m, n, tr,
 		check.WithTemporalAbortOrder(temporal), check.WithPOR(false))
 	if err != nil {
-		t.Fatalf("optimized: %v", err)
+		t.Fatalf("engine: %v", err)
 	}
 	want, err := CheckReference(f, rinit, m, n, tr, check.WithTemporalAbortOrder(temporal))
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
 	if got.OK != want.OK {
-		t.Fatalf("verdict mismatch on %v (m=%d n=%d temporal=%v): optimized %v, reference %v",
+		t.Fatalf("verdict mismatch on %v (m=%d n=%d temporal=%v): engine %v, reference %v",
 			tr, m, n, temporal, got.OK, want.OK)
-	}
-	// Node counts are comparable only on negative verdicts of abort-free
-	// traces: a failed commit search explores the whole memoized DAG
-	// (branch-order independent), but a successful abort-history
-	// sub-search stops at the first admitted history, whose cost depends
-	// on the reference's map-iteration order.
-	hasAbort := false
-	for _, a := range tr {
-		if a.IsAbort(n) {
-			hasAbort = true
-			break
-		}
-	}
-	if !got.OK && !hasAbort && got.Nodes != want.Nodes {
-		t.Fatalf("node count mismatch on %v: optimized %d, reference %d", tr, got.Nodes, want.Nodes)
 	}
 	if got.OK {
 		for _, w := range got.Witnesses {
 			if err := VerifyWitness(f, rinit, m, n, tr, w, temporal); err != nil {
-				t.Fatalf("optimized witness invalid on %v: %v", tr, err)
+				t.Fatalf("engine witness invalid on %v: %v", tr, err)
 			}
 		}
 	}
@@ -141,9 +126,9 @@ func TestCheckAllocsRegression(t *testing.T) {
 // init-interpretation combinations, with Result.Nodes never exceeding it.
 func TestBudgetSharedAcrossInterpretations(t *testing.T) {
 	// A second-phase trace with an init action checked under Probe has two
-	// representative interpretations, so Check runs existsWitness at least
-	// twice; with a shared budget the total node count must still be
-	// bounded by one budget, not one per combination.
+	// representative interpretations, so Check runs at least two
+	// combinations; with a shared budget the total node count must still
+	// be bounded by one budget, not one per combination.
 	r := rand.New(rand.NewSource(5))
 	var tr trace.Trace
 	for i := 0; i < 50; i++ {

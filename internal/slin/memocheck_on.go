@@ -3,59 +3,64 @@
 package slin
 
 import (
-	"strconv"
 	"strings"
 	"sync/atomic"
+
+	"repro/internal/trace"
 )
 
-// The memocheck build: the slin memo table stores the full string
-// encoding of the chain alongside each (index, digest) key and counts
-// digest collisions (expected zero; DESIGN.md decision 7 risk).
+// The memocheck build: every digest ExpandFrontier's successor merge —
+// the session's one deduplication point — merges on also stores the full
+// (value, used) chain it stands for, and every digest hit compares the
+// two (DESIGN.md decision 7's residual risk, measured instead of
+// assumed).
 const memocheckEnabled = true
 
-var memoCollisions atomic.Uint64
+var memoCollisions, memoHits atomic.Uint64
 
-// MemoCollisions reports digest collisions observed in the memo tables
-// since process start.
+// MemoCollisions reports digest collisions observed by the session
+// engine (Check and Sessions) since process start.
 func MemoCollisions() uint64 { return memoCollisions.Load() }
 
-// memoAudit shadows one searcher's failed-set with full string keys.
+// memoAudit shadows the digests one response's expansion of one
+// combination merges on with the chains they stand for.
 type memoAudit struct {
-	keys map[slinKey]string
+	ids map[trace.Digest]string
 }
 
-// memoString is the exact state the slin memo digest stands for: the
-// action index plus the chain's (value, used) sequence (availability at
-// an index is derived from vi and the chain, so the chain determines
-// the rest).
-func (s *searcher) memoString(i int) string {
+func (a *memoAudit) reset() { a.ids = map[trace.Digest]string{} }
+
+// note records that dig stands for c's chain, counting a hit — and a
+// collision if the digest already stood for another chain.
+func (a *memoAudit) note(dig trace.Digest, cb *combo, c *scfg) {
+	id := chainString(cb, c)
+	if prev, ok := a.ids[dig]; ok {
+		memoHits.Add(1)
+		if prev != id {
+			memoCollisions.Add(1)
+		}
+		return
+	}
+	a.ids[dig] = id
+}
+
+// chainString is the full identity behind a chain digest: every
+// position's value, marked when claimed. A compacted prefix keeps its
+// values; its positions are claimed exactly from the L anchor on.
+func chainString(cb *combo, c *scfg) string {
 	var b strings.Builder
-	b.WriteString(strconv.Itoa(i))
-	b.WriteByte('|')
-	for p, v := range s.chain.hist {
+	mark := func(v trace.Value, used bool) {
 		b.WriteString(string(v))
-		if s.chain.used[p] {
+		if used {
 			b.WriteByte('*')
 		}
 		b.WriteByte(0)
 	}
+	for p := 0; p < c.pre.Len(); p++ {
+		mark(c.pre.Vals[p], p >= c.base)
+	}
+	for k, sym := range c.syms {
+		mark(cb.in.Value(sym), c.used[k])
+	}
 	return b.String()
-}
-
-func (s *searcher) auditInsert(k slinKey) {
-	if s.audit.keys == nil {
-		s.audit.keys = map[slinKey]string{}
-	}
-	full := s.memoString(int(k.i))
-	if prev, ok := s.audit.keys[k]; ok && prev != full {
-		memoCollisions.Add(1)
-		return
-	}
-	s.audit.keys[k] = full
-}
-
-func (s *searcher) auditHit(k slinKey) {
-	if prev, ok := s.audit.keys[k]; ok && prev != s.memoString(int(k.i)) {
-		memoCollisions.Add(1)
-	}
 }

@@ -15,9 +15,13 @@ import (
 )
 
 // TestMemoDigestCollisionsZero is the slin counterpart of the lin
-// collision audit: a broad sweep of first-phase traces (both Abort-Order
-// readings) plus a contended exhaustive search, asserting zero 128-bit
-// digest collisions in the memo table.
+// collision audit, pointed at the running engine: a broad sweep of
+// first-phase, untagged and second-phase traces (both Abort-Order
+// readings) plus a contended exhaustive search, through Check and online
+// Sessions, asserting that no 128-bit digest the session deduplicated on
+// — ExpandFrontier's successor merge, its one deduplication point —
+// ever stood for two distinct chains, and that the audit compared some
+// hits at all.
 //
 // Run with: go test -tags memocheck ./internal/slin
 func TestMemoDigestCollisionsZero(t *testing.T) {
@@ -36,6 +40,34 @@ func TestMemoDigestCollisionsZero(t *testing.T) {
 			}
 			checks++
 		}
+	}
+	// Untagged proposals: equal inputs pending on several clients, so
+	// distinct configurations converge on one successor and merge — the
+	// hits the audit compares.
+	inputs := []trace.Value{adt.ProposeInput("a"), adt.ProposeInput("b")}
+	for i := 0; i < 200; i++ {
+		tr := workload.Random(adt.Consensus{}, r, workload.TraceOpts{Clients: 3, Ops: 5, Inputs: inputs})
+		for _, por := range []bool{true, false} {
+			if _, err := Check(context.Background(), adt.Consensus{}, UniversalRInit{}, 1, 2, tr,
+				check.WithPOR(por)); err != nil {
+				t.Fatalf("untagged trace %d por=%v: %v", i, por, err)
+			}
+			checks++
+		}
+	}
+	for i := 0; i < 100; i++ {
+		tr := workload.SecondPhase(r, 2, workload.PhaseOpts{Clients: 3, ViolateProb: 0.2})
+		s, err := NewSession(context.Background(), adt.Consensus{}, ConsensusRInit{Probe: i%2 == 0}, 2, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.FeedAll(tr); err != nil {
+			t.Fatalf("second-phase trace %d: %v", i, err)
+		}
+		if _, err := s.Result(); err != nil {
+			t.Fatalf("second-phase trace %d: %v", i, err)
+		}
+		checks++
 	}
 	// Contended never-SLin trace: exhausts the extension space.
 	var hard trace.Trace
@@ -65,5 +97,8 @@ func TestMemoDigestCollisionsZero(t *testing.T) {
 	if c := MemoCollisions(); c != 0 {
 		t.Fatalf("%d memo digest collisions across %d checks (expected zero)", c, checks)
 	}
-	t.Logf("0 collisions across %d checks", checks)
+	if memoHits.Load() == 0 {
+		t.Fatal("the audit compared no digest hit: it is not watching the running engine")
+	}
+	t.Logf("0 collisions in %d audited hits across %d checks", memoHits.Load(), checks)
 }

@@ -1,10 +1,10 @@
 package slin
 
 // Tests for the SLin side of the partial-order reduction (DESIGN.md,
-// decision 12): the depth engine disables itself on abort-carrying
-// traces, the session engine disables-and-rebuilds at the first fed
-// abort, and budgets/cancellation keep their sentinels under the
-// reducer.
+// decision 12): one-shot Check, seeing the whole trace, leaves the
+// reducer off on abort-carrying traces, an online session
+// disables-and-rebuilds at the first fed abort, and budgets/cancellation
+// keep their sentinels under the reducer.
 
 import (
 	"context"
@@ -48,8 +48,8 @@ func commutingAbortTrace(w int) trace.Trace {
 }
 
 // splitAbortTrace is the split-decision workload plus one aborting
-// client: never SLin(1,2), so the depth-first search explores (and the
-// reducer prunes) the full commuting extension space before rejecting.
+// client: never SLin(1,2), so the search explores (and the reducer
+// prunes) the full commuting extension space before rejecting.
 func splitAbortTrace(w int) trace.Trace {
 	tr := workload.SplitDecision(w, "p")
 	in := adt.Tag(adt.ProposeInput("v0"), "pa")
@@ -85,8 +85,8 @@ func TestSLinPORAccounting(t *testing.T) {
 }
 
 // TestSLinPORDisabledOnAborts: with an order-sensitive relation, any
-// abort action disables the depth reducer outright — identical node
-// counts and zero pruning with the option on and off. (ConsensusRInit
+// abort action leaves one-shot Check's reducer off outright — identical
+// node counts and zero pruning with the option on and off. (ConsensusRInit
 // itself declares order insensitivity, so the fixture wraps it to strip
 // the declaration.)
 func TestSLinPORDisabledOnAborts(t *testing.T) {
@@ -120,7 +120,7 @@ func TestSLinPORDisabledOnAborts(t *testing.T) {
 }
 
 // TestSLinPORSurvivesAborts: a relation declaring its Admits predicate
-// order-insensitive (ConsensusRInit) keeps the depth reducer enabled on
+// order-insensitive (ConsensusRInit) keeps one-shot Check's reducer on
 // abort-carrying traces — pruning happens, verdicts agree with the
 // unreduced search, and the reduced run never spends more nodes.
 func TestSLinPORSurvivesAborts(t *testing.T) {

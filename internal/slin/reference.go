@@ -1,7 +1,7 @@
 package slin
 
 import (
-	"context"
+	"fmt"
 	"strconv"
 	"strings"
 
@@ -11,20 +11,121 @@ import (
 )
 
 // CheckReference decides SLin_T(m,n) using the original string-keyed,
-// chain-copying search. It is retained as a slow executable specification
-// for the optimized Check (incremental digests, in-place mutation with
-// undo); the equivalence property tests assert the two return identical
-// verdicts on randomized phase traces. Budget accounting matches Check:
-// one budget shared across all init-interpretation combinations,
-// decremented once per recursive search step. Being a specification it
-// takes no context and ignores the workers and memo-limit options.
+// chain-copying depth-first search. It is retained as a slow executable
+// specification for the frontier engine behind Check and Session, with
+// which it shares no code; the differential tests (diffcheck.SLin) run it
+// beside the engine under a budget of its own. One budget is shared
+// across all init-interpretation combinations, decremented once per
+// recursive search step. Being a specification it takes no context,
+// returns the bare ErrBudget, and ignores every option but the budget,
+// witnesses and the Abort-Order reading.
 func CheckReference(f adt.Folder, rinit RInit, m, n int, t trace.Trace, opts ...check.Option) (Result, error) {
-	return checkWith(context.Background(), f, rinit, m, n, t, check.NewSettings(opts...), refExistsWitness)
+	set := check.NewSettings(opts...)
+	if m >= n || m < 1 {
+		return Result{}, fmt.Errorf("slin: invalid phase range (%d,%d)", m, n)
+	}
+	for _, a := range t {
+		if !trace.InSig(a, m, n) {
+			return Result{}, fmt.Errorf("slin: action %v outside sig(%d,%d)", a, m, n)
+		}
+	}
+	if !t.PhaseWellFormed(m, n) {
+		return Result{OK: false, Reason: fmt.Sprintf("trace is not (%d,%d)-well-formed", m, n)}, nil
+	}
+
+	// Enumerate init interpretation combinations (the ∀ of Definition 19).
+	var initIdx []int
+	for i, a := range t {
+		if a.IsInit(m) && m != 1 {
+			initIdx = append(initIdx, i)
+		}
+	}
+	choices := make([][]trace.History, len(initIdx))
+	for k, i := range initIdx {
+		reps := rinit.Representatives(t[i].SwitchValue)
+		if len(reps) == 0 {
+			return Result{}, fmt.Errorf("slin: switch value %q has no interpretations", t[i].SwitchValue)
+		}
+		choices[k] = reps
+	}
+
+	combo := make([]int, len(initIdx))
+	var witnesses []Witness
+	sp := &spender{budget: set.BudgetOr(DefaultBudget)}
+	for {
+		finit := map[int]trace.History{}
+		for k, i := range initIdx {
+			finit[i] = choices[k][combo[k]]
+		}
+		ok, w, err := refExistsWitness(f, rinit, m, n, t, finit, set, sp)
+		if err != nil {
+			return Result{Nodes: sp.nodes}, err
+		}
+		if !ok {
+			return Result{
+				OK:         false,
+				Reason:     "no speculative linearization function for some init interpretation",
+				FailedInit: finit,
+				Nodes:      sp.nodes,
+			}, nil
+		}
+		if set.Witness {
+			witnesses = append(witnesses, w)
+		}
+		// Advance the mixed-radix counter over representative choices.
+		k := 0
+		for ; k < len(combo); k++ {
+			combo[k]++
+			if combo[k] < len(choices[k]) {
+				break
+			}
+			combo[k] = 0
+		}
+		if k == len(combo) {
+			break
+		}
+	}
+	return Result{OK: true, Witnesses: witnesses, Nodes: sp.nodes}, nil
 }
 
-// refExistsWitness is the reference implementation of the existential part
-// of Definition 19 for a fixed init interpretation; see existsWitness for
-// the shared search structure.
+// spender is the reference's per-call search budget, shared by every
+// interpretation combination and sub-search of one CheckReference call.
+type spender struct {
+	nodes  int
+	budget int
+}
+
+func (sp *spender) spend() error {
+	sp.nodes++
+	if sp.nodes > sp.budget {
+		return ErrBudget
+	}
+	return nil
+}
+
+// obligation is an abort action the reference must interpret: its trace
+// index, the pending input and the switch value.
+type obligation struct {
+	idx   int
+	input trace.Value
+	value trace.Value
+}
+
+// refExistsWitness decides the existential part of Definition 19 for a
+// fixed init interpretation: do an abort interpretation f_abort and a
+// speculative linearization function g exist such that g explains t and
+// Validity, Commit-Order, Init-Order and Abort-Order hold?
+//
+// The search models the commit histories as a single growing chain
+// anchored at L, the longest common prefix of the init histories
+// (Init-Order makes every commit history a strict extension of L, and
+// Commit-Order totally orders commit histories by strict prefix). Each
+// response either claims an unused prefix length of the chain or extends
+// the chain, consuming available inputs. Abort interpretations are chosen
+// at the end of the trace: an abort history must have every commit
+// history as a prefix — including commits later in the trace than the
+// abort — so the chain's final claimed maximum determines the candidates.
+// Under the temporal Abort-Order they are chosen at the abort instead.
 func refExistsWitness(f adt.Folder, rinit RInit, m, n int, t trace.Trace, finit map[int]trace.History, set check.Settings, sp *spender) (bool, Witness, error) {
 	s := &refSearcher{
 		f:         f,
@@ -123,8 +224,9 @@ func (s *refSearcher) vi(i int) trace.Multiset {
 	return s.ivi[i].Sum(s.invoked[i])
 }
 
-// refSChain is the copying commit-history chain anchored at L; see the
-// optimized schain in search.go for the shared invariants.
+// refSChain is the copying commit-history chain anchored at L: hist
+// always has L as a prefix, and prefix lengths ≤ base are never
+// claimable (commit histories must be strict extensions of L).
 type refSChain struct {
 	f      adt.Folder
 	base   int
@@ -303,7 +405,8 @@ func (s *refSearcher) extendAndCommit(i int, c refSChain, avail trace.Multiset, 
 }
 
 // commitCompatibleWithAborts prunes commits that no abort interpretation
-// could cover; see the optimized searcher for the rationale.
+// could cover: a commit history is a prefix of every abort history, whose
+// elements must be valid at the abort's index (Definition 28).
 func (s *refSearcher) commitCompatibleWithAborts(i int, c refSChain) bool {
 	if s.temporal {
 		return true
@@ -321,8 +424,9 @@ func (s *refSearcher) commitCompatibleWithAborts(i int, c refSChain) bool {
 }
 
 // dischargeObligations chooses an abort history for every abort action
-// (the existential f_abort of Definition 19); see the optimized searcher
-// for the conditions.
+// (the existential f_abort of Definition 19): a history r_init admits
+// for the switch value, extending every commit history (strictly beyond L
+// when none exists), with elements valid at the abort's index.
 func (s *refSearcher) dischargeObligations(c refSChain) (bool, error) {
 	for _, ob := range s.obligations {
 		ok, err := s.dischargeAt(ob, c)

@@ -2,6 +2,7 @@ package slin
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/adt"
@@ -10,21 +11,22 @@ import (
 	"repro/internal/trace"
 )
 
-// Session is an incremental SLin(m,n) checker (checker API v2, DESIGN.md
-// decision 11): actions are fed one at a time, and the growing trace's
+// Session is the SLin(m,n) engine (checker API v2, DESIGN.md decisions
+// 11 and 25): actions are fed one at a time, and the growing trace's
 // verdict is recomputed from the persistent search state instead of from
-// scratch.
+// scratch. One-shot Check is this session fed the whole trace.
 //
-// The engine is the breadth counterpart of Check's depth-first search,
-// run once per init-interpretation combination (the ∀ of Definition 19):
-// each combination carries the frontier of reachable commit-chain
-// configurations after the actions fed so far, anchored at that
-// combination's Init-Order baseline L, together with its running
+// The engine runs once per init-interpretation combination (the ∀ of
+// Definition 19): each combination carries the frontier of reachable
+// commit-chain configurations after the actions fed so far, anchored at
+// that combination's Init-Order baseline L, together with its running
 // valid-inputs multiset vi (snapshotted at every index an abort
-// obligation refers back to). Responses replace a frontier by its
-// successor set — claims of unused prefix lengths beyond L plus
-// Validity-respecting chain extensions, exactly Check's branch set —
-// deduplicated by the chains' incremental digests.
+// obligation refers back to). A chain models the commit histories
+// (Init-Order makes each a strict extension of L, Commit-Order orders
+// them by strict prefix). Responses replace a frontier by its successor
+// set — claims of unused prefix lengths beyond L plus Validity-respecting
+// chain extensions closing with the response's input — deduplicated by
+// the chains' incremental digests.
 //
 // Two SLin-specific wrinkles distinguish the session from lin.Session:
 //
@@ -34,36 +36,41 @@ import (
 //     retroactively. Feeding an init action therefore rebuilds the
 //     combinations and replays the fed trace through fresh frontiers
 //     (init actions are rare — one per client per phase — so the
-//     amortized cost stays incremental). For the same reason a
-//     NotLinearizable verdict is *not* final before the trace's init
-//     actions have all been fed: only lin.Session's verdicts are.
+//     amortized cost stays incremental); Check knows every init action up
+//     front and never replays. For the same reason a NotLinearizable
+//     verdict is *not* final before the trace's init actions have all
+//     been fed: only lin.Session's verdicts are.
 //   - Abort obligations are discharged at verdict time (Verdict/Result)
 //     against the surviving configurations under the literal Abort-Order
-//     semantics, mirroring Check's end-of-trace discharge; under
-//     WithTemporalAbortOrder they filter the frontier inline, mirroring
-//     Check's inline discharge.
+//     semantics — an abort history must extend every commit history,
+//     later ones included; under WithTemporalAbortOrder they filter the
+//     frontier inline at the abort.
 //
-// Streaming memory (DESIGN.md, decision 17). With compaction on
-// (check.WithCompaction, the default) a configuration's inert chain
-// prefix — the L anchor plus every leading claimed entry, untouchable
-// under all future transitions — is dropped from per-configuration
-// storage and replaced by a shared trace.ChainPrefix summary. The chain
-// digest is a commutative sum of per-position components, so compaction
-// preserves the configuration's memo identity. Unlike lin.Session, the
-// summary always retains the dropped input values (shared, once per
-// summary): abort discharge reconstructs full chain histories, so the
-// slin session's memory is bounded by one value sequence per distinct
-// compacted prefix plus the live suffixes, not fully flat. The fed
-// trace itself is recorded only while a replay can still need it (init
-// actions possible, fast path active, or the reduction still live on an
-// order-sensitive relation); pure streaming shapes drop it.
+// Streaming memory (DESIGN.md, decision 17). A configuration's inert
+// chain prefix — the L anchor plus every leading claimed entry,
+// untouchable under all future transitions — is dropped from
+// per-configuration storage and replaced by a shared trace.ChainPrefix
+// summary. The chain digest is a commutative sum of per-position
+// components, so compaction preserves the configuration's memo identity.
+// Unlike lin.Session, the summary always retains the dropped input
+// values (shared, once per summary): abort discharge reconstructs full
+// chain histories, so the session's memory is bounded by one value
+// sequence per distinct compacted prefix plus the live suffixes, not
+// fully flat. The fed trace itself is recorded only while a replay can
+// still need it (init actions possible, fast path active, or the
+// reduction still live on an order-sensitive relation); pure streaming
+// shapes drop it.
 //
 // One budget spans the session (replays and verdict-time discharges
 // included) — or, with check.WithFeedBudget, the spend counter is
 // rebased at every Feed so one heavy-tailed action cannot starve later
-// feeds. On positive verdicts Result assembles Witnesses (one per
-// init-interpretation combination) from the assignment trails of a
-// surviving configuration unless check.WithWitness(false).
+// feeds. Budget and memo errors wrap their sentinel with where the
+// search gave up: the feed index, the interpretation combinations, the
+// configurations across their frontiers, the open operations and the
+// nodes spent in that feed (or verdict). On positive verdicts Result
+// assembles Witnesses (one per init-interpretation combination) from the
+// assignment trails of a surviving configuration unless
+// check.WithWitness(false).
 type Session struct {
 	ctx    context.Context
 	f      adt.Folder
@@ -84,7 +91,8 @@ type Session struct {
 	// (OrderInsensitive), which keeps the reduction on across aborts.
 	// If pruning already happened by then, the frontiers are rebuilt by
 	// an unreduced replay, so every verdict equals the one-shot Check of
-	// the fed prefix. pruned counts skipped branches.
+	// the fed prefix (whose session sets por once, from the whole trace).
+	// pruned counts skipped branches.
 	por    bool
 	pruned int
 
@@ -96,8 +104,13 @@ type Session struct {
 	t      trace.Trace
 	record bool
 	fed    int
+	// whole marks the one-shot session of Check, seeded with every init
+	// interpretation of the trace it is about to be fed (seedWhole).
+	whole bool
 
-	phase    map[trace.ClientID]*phaseTrack
+	phase map[trace.ClientID]*phaseTrack
+	// open counts the operations pending in the fed trace.
+	open     int
 	notWF    string
 	err      error
 	initIdx  []int
@@ -122,10 +135,12 @@ type Session struct {
 	fastNodes int
 	fastPend  map[trace.ClientID]int // client -> pending invocation's trace index
 
-	// Per-expansion scratch: the availability multiset and the extension
-	// searches' visited sets.
+	// availBuf is the per-expansion availability scratch multiset.
 	availBuf trace.SymMultiset
-	visPool  trace.SetPool[trace.Digest]
+	// audit shadows the successor merge's digests with full chain
+	// identities under the memocheck build tag; a zero-size type of no-op
+	// methods otherwise.
+	audit memoAudit
 }
 
 // phaseTrack is the incremental per-client state machine of Definition 34
@@ -208,7 +223,7 @@ type sabt struct {
 }
 
 // scompactMin is the inert prefix length a configuration must accumulate
-// before compaction absorbs it (see lin's compactMin).
+// before compaction absorbs it.
 const scompactMin = 32
 
 // NewSession starts an incremental SLin(m,n) check of an initially empty
@@ -303,13 +318,64 @@ func (s *Session) Feed(a trace.Action) error {
 		s.err = fmt.Errorf("slin: action %v outside sig(%d,%d)", a, s.m, s.n)
 		return s.err
 	}
+	idx, open, start := s.fed, s.open, s.nodes
 	if s.set.FeedBudget {
-		s.feedBase = s.nodes
+		s.feedBase = start
 	}
+	var err error
 	if s.fast != nil {
-		return s.feedFast(a)
+		err = s.feedFast(a)
+	} else {
+		err = s.feedExact(a)
 	}
-	return s.feedExact(a)
+	return s.stick(err, "feed", idx, max(open, s.open), start)
+}
+
+// stick makes a non-nil err the session's terminal error. Budget and
+// memo exhaustion say where the search gave up — in the feed (or the
+// verdict after the feed) numbered idx — and how large it was there: the
+// interpretation combinations, the configurations across their
+// frontiers, the open operations and the nodes spent since start.
+func (s *Session) stick(err error, at string, idx, open, start int) error {
+	if err == nil {
+		return nil
+	}
+	if errors.Is(err, ErrBudget) || errors.Is(err, ErrMemo) {
+		combos, width := 1, 0
+		for _, reps := range s.initReps {
+			combos *= len(reps)
+		}
+		for _, cb := range s.combos {
+			width += len(cb.frontier)
+		}
+		err = fmt.Errorf("%w (%s %d: %d combinations, %d configurations, %d open operations, %d nodes)",
+			err, at, idx, combos, width, open, s.nodes-start)
+	}
+	s.err = err
+	return err
+}
+
+// seedWhole prepares a fresh session for being fed exactly t, one-shot:
+// the combinations are built once from every init action of t, so none
+// of them triggers a rebuild, and the reducer is set from the whole
+// trace — off when an abort is coming and r_init is order-sensitive — so
+// it never prunes and then replays. Nothing is recorded.
+func (s *Session) seedWhole(t trace.Trace) error {
+	s.whole, s.record = true, false
+	hasAbort := false
+	for i, a := range t {
+		hasAbort = hasAbort || a.IsAbort(s.n)
+		if a.IsInit(s.m) && s.m != 1 {
+			reps := s.rinit.Representatives(a.SwitchValue)
+			if len(reps) == 0 {
+				return fmt.Errorf("slin: switch value %q has no interpretations", a.SwitchValue)
+			}
+			s.initIdx = append(s.initIdx, i)
+			s.initReps = append(s.initReps, reps)
+		}
+	}
+	s.por = s.set.POR && (!hasAbort || IsOrderInsensitive(s.rinit))
+	return s.rebuild()
 }
 
 // feedExact is Feed's frontier-engine path (every session without an
@@ -328,19 +394,14 @@ func (s *Session) feedExact(a trace.Action) error {
 	if s.notWF != "" {
 		return nil
 	}
-	if a.IsInit(s.m) && s.m != 1 {
+	if a.IsInit(s.m) && s.m != 1 && !s.whole {
 		reps := s.rinit.Representatives(a.SwitchValue)
 		if len(reps) == 0 {
-			s.err = fmt.Errorf("slin: switch value %q has no interpretations", a.SwitchValue)
-			return s.err
+			return fmt.Errorf("slin: switch value %q has no interpretations", a.SwitchValue)
 		}
 		s.initIdx = append(s.initIdx, idx)
 		s.initReps = append(s.initReps, reps)
-		if err := s.rebuild(); err != nil {
-			s.err = err
-			return err
-		}
-		return nil
+		return s.rebuild()
 	}
 	if a.IsAbort(s.n) && s.por && !IsOrderInsensitive(s.rinit) {
 		// First abort fed: the reduction stops being sound from here on
@@ -352,18 +413,14 @@ func (s *Session) feedExact(a trace.Action) error {
 		// — including this abort — unreduced.
 		s.por = false
 		if s.pruned > 0 {
-			if err := s.rebuild(); err != nil {
-				s.err = err
-				return err
-			}
+			err := s.rebuild()
 			s.refreshRecording()
-			return nil
+			return err
 		}
 		s.refreshRecording()
 	}
 	for _, cb := range s.combos {
 		if err := s.step(cb, a, idx); err != nil {
-			s.err = err
 			return err
 		}
 	}
@@ -383,7 +440,6 @@ func (s *Session) feedFast(a trace.Action) error {
 		s.fast, s.fastPend = nil, nil
 		if s.notWF == "" {
 			if err := s.rebuild(); err != nil {
-				s.err = err
 				return err
 			}
 		}
@@ -434,12 +490,9 @@ func (s *Session) feedFast(a trace.Action) error {
 // which the session behaves as an exact one fed the same actions.
 func (s *Session) fastFallback() error {
 	s.fast, s.fastPend = nil, nil
-	if err := s.rebuild(); err != nil {
-		s.err = err
-		return err
-	}
+	err := s.rebuild()
 	s.refreshRecording()
-	return nil
+	return err
 }
 
 // FeedAll feeds every action of t in order, stopping at the first
@@ -480,24 +533,28 @@ func (s *Session) trackWF(a trace.Action) {
 			return
 		}
 		p.state, p.pending = 1, a.Input
+		s.open++
 	case a.IsInit(s.m):
 		if s.m == 1 || p.state != 0 {
 			bad()
 			return
 		}
 		p.state, p.pending = 1, a.Input
+		s.open++
 	case a.Kind == trace.Res:
 		if p.state != 1 || a.Input != p.pending {
 			bad()
 			return
 		}
 		p.state = 2
+		s.open--
 	case a.IsAbort(s.n):
 		if p.state != 1 || a.Input != p.pending {
 			bad()
 			return
 		}
 		p.state = 3
+		s.open--
 	}
 }
 
@@ -580,8 +637,9 @@ func (cb *combo) refreshVi() {
 	cb.vi = &sm
 }
 
-// step advances one combination by action a at trace index idx,
-// mirroring the depth-first run's per-action dispatch.
+// step advances one combination by action a at trace index idx.
+// Invocations and init actions only grow vi, so they carry no search
+// choice.
 func (s *Session) step(cb *combo, a trace.Action, idx int) error {
 	switch {
 	case a.Kind == trace.Inv:
@@ -630,11 +688,11 @@ func (s *Session) step(cb *combo, a trace.Action, idx int) error {
 // stepRes replaces the combination's frontier by its successor set under
 // response a: claims of unused prefix lengths beyond the L anchor plus
 // Validity-respecting chain extensions closing with the response's input,
-// pruned by compatibility with the abort obligations seen so far. With
-// compaction on, each successor's inert prefix is then absorbed into a
-// shared summary.
+// pruned by compatibility with the abort obligations seen so far. Each
+// successor's inert prefix is then absorbed into a shared summary.
 func (s *Session) stepRes(cb *combo, a trace.Action, resIdx int) error {
 	asym := cb.in.Sym(a.Input)
+	s.audit.reset()
 	expandOne := func(c *scfg, emit func(*scfg)) error {
 		// Option 1: claim an existing unused prefix length beyond base
 		// (compacted positions are claimed or below base, so scanning the
@@ -659,16 +717,18 @@ func (s *Session) stepRes(cb *combo, a trace.Action, resIdx int) error {
 		if avail.Size() == 0 {
 			return nil
 		}
-		visited := s.visPool.Get()
-		defer s.visPool.Put(visited)
 		// The carried set seeds the search; extendS consults it only while
 		// the reduction is live.
-		return s.extendS(cb, c, a, asym, resIdx, avail, visited, nil, nil, c.end, c.dig, c.sleep, emit)
+		return s.extendS(cb, c, a, asym, resIdx, avail, nil, nil, c.end, c.dig, c.sleep, emit)
 	}
 	// Two expansion paths reached the same configuration digest with
 	// possibly different carried sleep sets: only symbols slept on both
 	// stay asleep (union would prune orders one path still owes).
 	merge := func(kept, dup *scfg) *scfg {
+		if memocheckEnabled {
+			s.audit.note(kept.dig, cb, kept)
+			s.audit.note(dup.dig, cb, dup)
+		}
 		kept.sleep = kept.sleep.Intersect(dup.sleep)
 		return kept
 	}
@@ -680,9 +740,7 @@ func (s *Session) stepRes(cb *combo, a trace.Action, resIdx int) error {
 	if s.set.MemoLimit > 0 && len(next) > s.set.MemoLimit {
 		return ErrMemo
 	}
-	if s.set.Compact {
-		s.compactS(cb, next)
-	}
+	s.compactS(cb, next)
 	cb.frontier = next
 	return nil
 }
@@ -716,26 +774,21 @@ func (s *Session) claimS(c *scfg, k, resIdx int) *scfg {
 // extendS explores chain extensions of c drawn from avail, emitting a
 // successor whenever the extension closes with the response's input and
 // the extended chain remains compatible with every abort obligation seen
-// so far (the eager Abort-Order pruning of the depth-first engine).
+// so far (eager Abort-Order pruning: a commit no abort history can cover
+// never enters the frontier).
 //
 // sleep carries the sleep set of the partial-order reduction, seeded by
 // the configuration's carried set under the DAG-level carry (decision
-// 17); s.por guarantees no order-sensitive abort has been fed yet
-// whenever pruning fires (the reduction disables itself at the first
-// such abort, rebuilding if needed).
+// 17); s.por guarantees no order-sensitive abort has been fed — or, in
+// Check, is coming — whenever pruning fires (an online session disables
+// the reduction at the first such abort, rebuilding if needed).
 func (s *Session) extendS(cb *combo, c *scfg, a trace.Action, asym trace.Sym, resIdx int,
-	avail *trace.SymMultiset, visited map[trace.Digest]struct{},
-	ext []trace.Sym, extOuts []trace.Value, st adt.State, dig trace.Digest,
+	avail *trace.SymMultiset, ext []trace.Sym, extOuts []trace.Value, st adt.State, dig trace.Digest,
 	sleep check.SleepSet, emit func(*scfg)) error {
 
 	if err := s.spend(1); err != nil {
 		return err
 	}
-	if _, hit := visited[dig]; hit {
-		return nil
-	}
-	visited[dig] = struct{}{}
-
 	// Close the extension with the response's own input.
 	if avail.Count(asym) > 0 && s.f.Out(st, a.Input) == a.Output {
 		n := len(c.syms) + len(ext) + 1
@@ -794,8 +847,7 @@ func (s *Session) extendS(cb *combo, c *scfg, a trace.Action, asym trace.Sym, re
 		}
 		avail.Add(sym, -1)
 		pos := c.pre.Len() + len(c.syms) + len(ext)
-		err := s.extendS(cb, c, a, asym, resIdx, avail, visited,
-			append(ext, sym), append(extOuts, outIn),
+		err := s.extendS(cb, c, a, asym, resIdx, avail, append(ext, sym), append(extOuts, outIn),
 			stIn, dig.Add(trace.HashElem(pos, sym, false)), childSleep, emit)
 		avail.Add(sym, 1)
 		if err != nil {
@@ -887,9 +939,9 @@ func (s *Session) commitCompatible(cb *combo, elems *trace.SymMultiset) bool {
 // discharge decides whether configuration c admits an abort history for
 // obligation ob: a strict-when-required extension of c's chain by inputs
 // valid at the obligation's index that r_init admits for the switch
-// value. Mirrors the depth-first dischargeAt; on success it returns the
-// admitted history (the full chain — compacted prefix values included —
-// plus the found extension).
+// value; the abort's own input must be valid there too (Definition 28).
+// On success it returns the admitted history (the full chain — compacted
+// prefix values included — plus the found extension).
 func (s *Session) discharge(cb *combo, c *scfg, ob sobl) (trace.History, bool, error) {
 	vi := ob.vi
 	if vi.Count(ob.sym) < 1 {
@@ -908,21 +960,13 @@ func (s *Session) discharge(cb *combo, c *scfg, ob sobl) (trace.History, bool, e
 	for i, sym := range c.syms {
 		hist[preN+i] = cb.in.Value(sym)
 	}
-	var dig trace.Digest
-	for p, v := range hist {
-		dig = dig.Add(trace.HashElem(p, cb.in.Sym(v), false))
-	}
-	needStrict := s.m != 1 && c.nused == 0
-	visited := map[trace.Digest]struct{}{}
-	var rec func(h trace.History, dig trace.Digest, needStrict bool) (trace.History, bool, error)
-	rec = func(h trace.History, dig trace.Digest, needStrict bool) (trace.History, bool, error) {
+	// Each path appends a different sequence, so the search is a tree: no
+	// history is reached twice.
+	var rec func(h trace.History, needStrict bool) (trace.History, bool, error)
+	rec = func(h trace.History, needStrict bool) (trace.History, bool, error) {
 		if err := s.spend(1); err != nil {
 			return nil, false, err
 		}
-		if _, hit := visited[dig]; hit {
-			return nil, false, nil
-		}
-		visited[dig] = struct{}{}
 		if !needStrict && s.rinit.Admits(ob.value, h) {
 			return h, true, nil
 		}
@@ -931,7 +975,7 @@ func (s *Session) discharge(cb *combo, c *scfg, ob sobl) (trace.History, bool, e
 				continue
 			}
 			budget.Add(sym, -1)
-			fh, ok, err := rec(h.Append(cb.in.Value(sym)), dig.Add(trace.HashElem(len(h), sym, false)), false)
+			fh, ok, err := rec(h.Append(cb.in.Value(sym)), false)
 			budget.Add(sym, 1)
 			if err != nil || ok {
 				return fh, ok, err
@@ -939,7 +983,7 @@ func (s *Session) discharge(cb *combo, c *scfg, ob sobl) (trace.History, bool, e
 		}
 		return nil, false, nil
 	}
-	return rec(hist, dig, needStrict)
+	return rec(hist, s.m != 1 && c.nused == 0)
 }
 
 // Verdict reports the current three-valued verdict for the trace fed so
@@ -974,10 +1018,10 @@ func (s *Session) evaluate() (Result, error) {
 	if s.verAt == s.fed {
 		return s.verRes, nil
 	}
+	start := s.nodes
 	res, err := s.evaluateNow()
 	if err != nil {
-		s.err = err
-		return Result{Nodes: s.Nodes(), Pruned: s.Pruned()}, err
+		return Result{Nodes: s.Nodes(), Pruned: s.Pruned()}, s.stick(err, "verdict after feed", s.fed-1, s.open, start)
 	}
 	s.verAt = s.fed
 	s.verRes = res

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/adt"
@@ -198,5 +199,136 @@ func TestSLinSessionRejectsOutOfSig(t *testing.T) {
 func TestSLinSessionInvalidRange(t *testing.T) {
 	if _, err := NewSession(context.Background(), adt.Consensus{}, ConsensusRInit{}, 2, 2); err == nil {
 		t.Fatal("invalid phase range accepted")
+	}
+}
+
+// TestSLinSessionExhaustionSaysWhy: budget and memo errors wrap their
+// sentinel with where the search gave up — the feed (or the verdict after
+// it), the interpretation combinations, the configurations, the open
+// operations and the nodes spent there — and one-shot Check, being the
+// same session, carries the same text.
+func TestSLinSessionExhaustionSaysWhy(t *testing.T) {
+	ctx := context.Background()
+	// Four concurrent proposals of one value, answered: each response may
+	// linearize the others before itself, so frontiers grow wide.
+	var tr trace.Trace
+	for i := 0; i < 4; i++ {
+		c := trace.ClientID(fmt.Sprintf("p%d", i))
+		tr = append(tr, trace.Invoke(c, 1, adt.Tag(p("a"), string(c))))
+	}
+	for i := 0; i < 4; i++ {
+		c := trace.ClientID(fmt.Sprintf("p%d", i))
+		tr = append(tr, trace.Response(c, 1, adt.Tag(p("a"), string(c)), d("a")))
+	}
+	online := func(opts ...check.Option) error {
+		s, err := NewSession(ctx, adt.Consensus{}, UniversalRInit{}, 1, 2, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.FeedAll(tr); err != nil {
+			return err
+		}
+		_, err = s.Result()
+		return err
+	}
+	for _, c := range []struct {
+		opts     []check.Option
+		sentinel error
+	}{
+		{[]check.Option{check.WithBudget(10)}, ErrBudget},
+		{[]check.Option{check.WithMemoLimit(1), check.WithPOR(false)}, ErrMemo},
+	} {
+		_, oneErr := Check(ctx, adt.Consensus{}, UniversalRInit{}, 1, 2, tr, c.opts...)
+		onErr := online(c.opts...)
+		for _, err := range []error{oneErr, onErr} {
+			if !errors.Is(err, c.sentinel) {
+				t.Fatalf("got %v, want %v", err, c.sentinel)
+			}
+			for _, part := range []string{"(feed ", " 1 combinations, ", " configurations, ", " open operations, ", " nodes)"} {
+				if !strings.Contains(err.Error(), part) {
+					t.Fatalf("%q does not say %q", err, part)
+				}
+			}
+		}
+		if oneErr.Error() != onErr.Error() {
+			t.Fatalf("one-shot says %q, the session %q", oneErr, onErr)
+		}
+		t.Log(oneErr)
+	}
+
+	// A budget the feeds fit but the literal abort discharge does not.
+	abort := slinTestTrace()
+	s, err := NewSession(ctx, adt.Consensus{}, ConsensusRInit{}, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FeedAll(abort); err != nil {
+		t.Fatal(err)
+	}
+	fed := s.Nodes()
+	if _, err := s.Result(); err != nil || s.Nodes() == fed {
+		t.Fatalf("discharge spent %d nodes (%v): the fixture needs a discharge that spends", s.Nodes()-fed, err)
+	}
+	_, err = Check(ctx, adt.Consensus{}, ConsensusRInit{}, 1, 2, abort, check.WithBudget(fed))
+	if !errors.Is(err, ErrBudget) || !strings.Contains(err.Error(), fmt.Sprintf("(verdict after feed %d: ", len(abort)-1)) {
+		t.Fatalf("verdict-time exhaustion says %v", err)
+	}
+}
+
+// TestDischargeRequiresValidAbortInput pins the abort's own Validity
+// (Definition 28) in discharge: an abort history is only found for an
+// obligation whose pending input is valid at the abort's index. Every
+// well-formed trace satisfies it by construction — the aborting client
+// invoked or switched in with that input — so it is checked on the
+// engine directly.
+func TestDischargeRequiresValidAbortInput(t *testing.T) {
+	s, err := NewSession(context.Background(), adt.Consensus{}, ConsensusRInit{}, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Feed(trace.Invoke("c1", 1, p("a"))); err != nil {
+		t.Fatal(err)
+	}
+	cb := s.combos[0]
+	for _, c := range []struct {
+		in   trace.Value
+		want bool
+	}{{p("a"), true}, {p("b"), false}} {
+		ob := sobl{sym: cb.in.Sym(c.in), value: "a", vi: cb.vi, idx: 1}
+		_, ok, err := s.discharge(cb, cb.frontier[0], ob)
+		if err != nil || ok != c.want {
+			t.Fatalf("abort of %s with only p:a invoked: discharged %v (%v), want %v", c.in, ok, err, c.want)
+		}
+	}
+}
+
+// TestCompactionKeepsUnclaimedEntries: a proposal linearized first but
+// answered only after 40 sequential decisions of its value keeps its
+// chain entry unclaimed while everything behind it is claimed — far past
+// the length at which compaction absorbs an inert prefix, which must stop
+// at that entry. Check, an online session and the reference accept the
+// trace, and all refuse it once the late answer contradicts the decision.
+func TestCompactionKeepsUnclaimedEntries(t *testing.T) {
+	hold := adt.Tag(p("a"), "h")
+	tr := trace.Trace{trace.Invoke("h", 1, hold)}
+	for i := 0; i < 40; i++ {
+		c := trace.ClientID(fmt.Sprintf("s%d", i))
+		in := adt.Tag(p(fmt.Sprintf("x%d", i)), string(c))
+		tr = append(tr, trace.Invoke(c, 1, in), trace.Response(c, 1, in, d("a")))
+	}
+	late := trace.Response("h", 1, hold, d("a"))
+	for _, c := range []struct {
+		out  trace.Value
+		want bool
+	}{{d("a"), true}, {d("b"), false}} {
+		late.Output = c.out
+		full := append(tr.Clone(), late)
+		if r := mustCheck(t, ConsensusRInit{}, 1, 2, full); r.OK != c.want {
+			t.Fatalf("late answer %s: Check %v, want %v", c.out, r.OK, c.want)
+		}
+		ref, err := CheckReference(adt.Consensus{}, ConsensusRInit{}, 1, 2, full)
+		if err != nil || ref.OK != c.want {
+			t.Fatalf("late answer %s: reference %v (%v), want %v", c.out, ref.OK, err, c.want)
+		}
 	}
 }

@@ -13,9 +13,9 @@ import (
 // ErrBudget is returned when a check exceeds its search budget.
 var ErrBudget = errors.New("slin: search budget exhausted")
 
-// ErrMemo is returned by Sessions (the breadth engine) when a frontier
-// exceeds the configured check.WithMemoLimit; the depth-first engine of
-// Check instead stops inserting memo entries beyond the limit.
+// ErrMemo is returned when a frontier exceeds the configured
+// check.WithMemoLimit; the trace's status is then unknown (frontier
+// configurations are live state and cannot be dropped soundly).
 var ErrMemo = errors.New("slin: memo limit exceeded")
 
 // DefaultBudget bounds the number of search nodes explored per check.
@@ -28,10 +28,10 @@ const ctxPollMask = 0x3ff
 // Checks are configured with the shared functional options of package
 // check (checker API v2, DESIGN.md decision 11): WithBudget bounds the
 // search (one budget per Check call, shared across all
-// init-interpretation combinations, spent one node per recursive step —
-// uniform with lin.Check and lin.CheckClassical), WithMemoLimit bounds
-// the memo tables, and WithTemporalAbortOrder selects the temporal
-// Abort-Order reading documented below.
+// init-interpretation combinations — uniform with lin.Check and
+// lin.CheckClassical), WithMemoLimit bounds the frontiers, and
+// WithTemporalAbortOrder selects the temporal Abort-Order reading
+// documented below.
 //
 // TemporalAbortOrder weakens Abort-Order (Definition 32) to constrain
 // only commit histories of responses occurring before the abort action
@@ -87,44 +87,16 @@ type Result struct {
 	Nodes int
 	// Pruned is the number of extension branches the sleep-set
 	// partial-order reduction skipped (check.WithPOR, on by default;
-	// always 0 on WithPOR(false) runs). The SLin reducer conservatively
-	// disables itself on traces containing abort actions — abort
-	// histories extend the chain as a sequence, and r_init may be
-	// order-sensitive — so the depth-first engine reports 0 there. The
-	// breadth engine (Sessions) cannot see aborts coming: it may prune on
-	// an abort-free prefix, then discard the pruned frontiers by an
+	// always 0 on WithPOR(false) runs). Abort histories extend the chain
+	// as a sequence and r_init may be order-sensitive, so on a trace
+	// carrying an abort the reducer runs only for OrderInsensitive
+	// relations: one-shot Check sees the whole trace and never prunes
+	// otherwise, while a Session cannot see aborts coming — it may prune
+	// on an abort-free prefix, then discard the pruned frontiers by an
 	// unreduced replay at the first abort while keeping the cumulative
-	// counter, so its Pruned can stay non-zero on abort-carrying traces
-	// (the verdict is still unreduced-exact).
+	// counter (the verdict is still unreduced-exact).
 	Pruned int
 }
-
-// spender is the per-call search budget, shared by every interpretation
-// combination and sub-search of one Check call; it also accumulates the
-// pruned-branch count of the partial-order reduction across combinations.
-type spender struct {
-	ctx    context.Context
-	nodes  int
-	budget int
-	pruned int
-}
-
-func (sp *spender) spend() error {
-	sp.nodes++
-	if sp.nodes > sp.budget {
-		return ErrBudget
-	}
-	if sp.nodes&ctxPollMask == 0 && sp.ctx != nil {
-		if err := sp.ctx.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// existsFn is the signature shared by the optimized and reference
-// implementations of Definition 19's existential part.
-type existsFn func(f adt.Folder, rinit RInit, m, n int, t trace.Trace, finit map[int]trace.History, set check.Settings, sp *spender) (bool, Witness, error)
 
 // Check decides whether t satisfies SLin_T(m,n) (Definition 36) for the
 // ADT f and the phase-agreed relation rinit. Switch actions with phase
@@ -132,8 +104,15 @@ type existsFn func(f adt.Folder, rinit RInit, m, n int, t trace.Trace, finit map
 // switch actions with interior parameters (m < o < n) may occur in
 // composed traces and are ignored, mirroring Definition 33's projection.
 //
-// The check is context-aware: cancellation of ctx aborts the search with
-// ctx's error.
+// Check is the frontier engine of Session fed the whole trace
+// (DESIGN.md, decision 25), told up front what only the whole trace can
+// tell: every init interpretation, so no init action triggers a replay,
+// and whether an abort is coming, so the reducer is set once. Budget and
+// memo errors therefore carry the session's explanation — "slin: search
+// budget exhausted (feed 17: 2 combinations, 8 configurations, 5 open
+// operations, 21 nodes)" — wrapping ErrBudget / ErrMemo: match them with
+// errors.Is. The check is context-aware: cancellation of ctx aborts the
+// search with ctx's error.
 func Check(ctx context.Context, f adt.Folder, rinit RInit, m, n int, t trace.Trace, opts ...check.Option) (Result, error) {
 	return checkSettings(ctx, f, rinit, m, n, t, check.NewSettings(opts...))
 }
@@ -144,15 +123,10 @@ func checkSettings(ctx context.Context, f adt.Folder, rinit RInit, m, n int, t t
 			return Result{}, err
 		}
 	}
-	return checkWith(ctx, f, rinit, m, n, t, set, existsWitness)
-}
-
-// checkWith is the common driver for Check and CheckReference: it
-// enumerates init-interpretation combinations and delegates the
-// existential search, with one budget shared across the whole call.
-func checkWith(ctx context.Context, f adt.Folder, rinit RInit, m, n int, t trace.Trace, set check.Settings, exists existsFn) (Result, error) {
-	if m >= n || m < 1 {
-		return Result{}, fmt.Errorf("slin: invalid phase range (%d,%d)", m, n)
+	set.FeedBudget = false // one budget per check
+	s, err := newSessionSettings(ctx, f, rinit, m, n, set)
+	if err != nil {
+		return Result{}, err
 	}
 	for _, a := range t {
 		if !trace.InSig(a, m, n) {
@@ -162,61 +136,13 @@ func checkWith(ctx context.Context, f adt.Folder, rinit RInit, m, n int, t trace
 	if !t.PhaseWellFormed(m, n) {
 		return Result{OK: false, Reason: fmt.Sprintf("trace is not (%d,%d)-well-formed", m, n)}, nil
 	}
-
-	// Enumerate init interpretation combinations (the ∀ of Definition 19).
-	var initIdx []int
-	for i, a := range t {
-		if a.IsInit(m) && m != 1 {
-			initIdx = append(initIdx, i)
-		}
+	if err := s.seedWhole(t); err != nil {
+		return Result{}, err
 	}
-	choices := make([][]trace.History, len(initIdx))
-	for k, i := range initIdx {
-		reps := rinit.Representatives(t[i].SwitchValue)
-		if len(reps) == 0 {
-			return Result{}, fmt.Errorf("slin: switch value %q has no interpretations", t[i].SwitchValue)
-		}
-		choices[k] = reps
+	if err := s.FeedAll(t); err != nil {
+		return Result{Nodes: s.Nodes(), Pruned: s.Pruned()}, err
 	}
-
-	combo := make([]int, len(initIdx))
-	var witnesses []Witness
-	sp := &spender{ctx: ctx, budget: set.BudgetOr(DefaultBudget)}
-	for {
-		finit := map[int]trace.History{}
-		for k, i := range initIdx {
-			finit[i] = choices[k][combo[k]]
-		}
-		ok, w, err := exists(f, rinit, m, n, t, finit, set, sp)
-		if err != nil {
-			return Result{Nodes: sp.nodes, Pruned: sp.pruned}, err
-		}
-		if !ok {
-			return Result{
-				OK:         false,
-				Reason:     "no speculative linearization function for some init interpretation",
-				FailedInit: finit,
-				Nodes:      sp.nodes,
-				Pruned:     sp.pruned,
-			}, nil
-		}
-		if set.Witness {
-			witnesses = append(witnesses, w)
-		}
-		// Advance the mixed-radix counter over representative choices.
-		k := 0
-		for ; k < len(combo); k++ {
-			combo[k]++
-			if combo[k] < len(choices[k]) {
-				break
-			}
-			combo[k] = 0
-		}
-		if k == len(combo) {
-			break
-		}
-	}
-	return Result{OK: true, Witnesses: witnesses, Nodes: sp.nodes, Pruned: sp.pruned}, nil
+	return s.Result()
 }
 
 // CheckLin decides plain linearizability of a switch-free trace via the

@@ -2,6 +2,8 @@ package slin
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/adt"
@@ -12,18 +14,34 @@ import (
 func p(v string) trace.Value { return adt.ProposeInput(v) }
 func d(v string) trace.Value { return adt.DecideOutput(v) }
 
+// mustCheck checks tr one-shot and through an online session fed it
+// action by action — which must agree — and verifies every witness.
 func mustCheck(t *testing.T, rinit RInit, m, n int, tr trace.Trace, opts ...check.Option) Result {
 	t.Helper()
 	r, err := Check(context.Background(), adt.Consensus{}, rinit, m, n, tr, opts...)
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
+	s, err := NewSession(context.Background(), adt.Consensus{}, rinit, m, n, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.FeedAll(tr); err != nil {
+		t.Fatalf("session: %v", err)
+	}
+	online, err := s.Result()
+	if err != nil {
+		t.Fatalf("session: %v", err)
+	}
+	if online.OK != r.OK {
+		t.Fatalf("online session %v, Check %v on %v", online.OK, r.OK, tr)
+	}
 	temporal := check.NewSettings(opts...).TemporalAbortOrder
-	if r.OK {
-		if len(r.Witnesses) == 0 {
+	for _, res := range []Result{r, online} {
+		if res.OK && len(res.Witnesses) == 0 {
 			t.Fatal("positive verdict without witnesses")
 		}
-		for _, w := range r.Witnesses {
+		for _, w := range res.Witnesses {
 			if err := VerifyWitness(adt.Consensus{}, rinit, m, n, tr, w, temporal); err != nil {
 				t.Fatalf("checker produced an invalid witness: %v\ntrace: %v\nwitness: %+v", err, tr, w)
 			}
@@ -225,6 +243,48 @@ func TestAbortOrderDivergence(t *testing.T) {
 	}
 }
 
+// Under the literal Abort-Order a commit no abort history can cover — its
+// history holds an input invoked after the abort — never enters the
+// frontier: the verdict is known at that response, and the rest of the
+// trace costs no search node, one-shot or online.
+func TestLiteralAbortOrderPrunesEagerly(t *testing.T) {
+	short := trace.Trace{
+		trace.Invoke("c1", 1, p("a")),
+		trace.Switch("c1", 2, p("a"), "a"),
+		trace.Invoke("c2", 1, p("b")),
+		trace.Response("c2", 1, p("b"), d("a")),
+	}
+	long := short.Clone()
+	for i := 0; i < 10; i++ {
+		c := trace.ClientID(fmt.Sprintf("t%d", i))
+		in := adt.Tag(p(fmt.Sprintf("x%d", i)), string(c))
+		long = append(long, trace.Invoke(c, 1, in), trace.Response(c, 1, in, d("a")))
+	}
+	nodes := func(tr trace.Trace) (oneShot, online int) {
+		r := mustCheck(t, ConsensusRInit{}, 1, 2, tr)
+		if r.OK {
+			t.Fatalf("post-abort commit over a fresh input accepted: %v", tr)
+		}
+		s, err := NewSession(context.Background(), adt.Consensus{}, ConsensusRInit{}, 1, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.FeedAll(tr); err != nil {
+			t.Fatal(err)
+		}
+		if v := s.Verdict(); v != check.NotLinearizable {
+			t.Fatalf("online verdict %v", v)
+		}
+		return r.Nodes, s.Nodes()
+	}
+	shortOne, shortOnline := nodes(short)
+	longOne, longOnline := nodes(long)
+	if longOne != shortOne || longOnline != shortOnline {
+		t.Fatalf("the tail after a refuted commit cost nodes: one-shot %d → %d, online %d → %d",
+			shortOne, longOne, shortOnline, longOnline)
+	}
+}
+
 // Well-formedness gates the property.
 func TestIllFormedRejected(t *testing.T) {
 	tr := trace.Trace{
@@ -334,7 +394,7 @@ func TestBudgetError(t *testing.T) {
 		trace.Invoke("c1", 1, p("a")),
 		trace.Response("c1", 1, p("a"), d("a")),
 	}
-	if _, err := Check(context.Background(), adt.Consensus{}, ConsensusRInit{}, 1, 2, tr, check.WithBudget(1)); err != ErrBudget {
+	if _, err := Check(context.Background(), adt.Consensus{}, ConsensusRInit{}, 1, 2, tr, check.WithBudget(1)); !errors.Is(err, ErrBudget) {
 		t.Fatalf("expected ErrBudget, got %v", err)
 	}
 }

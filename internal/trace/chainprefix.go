@@ -18,9 +18,8 @@ package trace
 //     — is recoverable as Dig plus the suffix components: compaction
 //     changes the representation of a configuration, never its identity.
 //
-// Vals retains the dropped inputs themselves only when a consumer needs
-// to reconstruct full chain histories (witness assembly; abort
-// discharge); bounded-memory streaming runs leave it nil.
+// Vals retains the dropped inputs themselves: abort discharge and witness
+// assembly reconstruct full chain histories.
 //
 // Summaries are shared: configurations with a common compacted prefix
 // point at one ChainPrefix, and further compaction builds a new summary
@@ -35,8 +34,7 @@ type ChainPrefix struct {
 	// their HashElem components at their absolute positions and final
 	// claimed flags).
 	Dig Digest
-	// Vals holds the dropped inputs in chain order when retention was
-	// requested (len(Vals) == N), nil otherwise.
+	// Vals holds the dropped inputs in chain order (len(Vals) == N).
 	Vals []Value
 }
 

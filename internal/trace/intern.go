@@ -245,26 +245,3 @@ func (m *SymMultiset) SubtractAll(o *SymMultiset) {
 		}
 	}
 }
-
-// SetPool recycles set-maps keyed by a comparable digest-like type,
-// clearing each map on reuse. Checker hot paths use it for the per-frame
-// visited sets so backtracking searches stay allocation-free after
-// warmup. The zero value is ready to use; not safe for concurrent use
-// (pools are per-searcher).
-type SetPool[K comparable] struct {
-	free []map[K]struct{}
-}
-
-// Get returns an empty set, reusing a returned one when available.
-func (p *SetPool[K]) Get() map[K]struct{} {
-	if n := len(p.free); n > 0 {
-		m := p.free[n-1]
-		p.free = p.free[:n-1]
-		clear(m)
-		return m
-	}
-	return make(map[K]struct{}, 8)
-}
-
-// Put returns a set to the pool for reuse.
-func (p *SetPool[K]) Put(m map[K]struct{}) { p.free = append(p.free, m) }

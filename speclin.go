@@ -38,12 +38,13 @@
 //	rep, _ := sess.Report()
 //
 // WithBudget bounds a check's search and WithMemoLimit its memory; a Lin
-// check that exhausts either says where ("lin: search budget exhausted
-// (feed 17: 8 configurations, 5 open operations, 21 nodes)"), wrapping
-// ErrBudget/ErrMemo — match with errors.Is. One-shot and incremental Lin
-// checks are one engine (DESIGN.md, decision 21); WithPOR toggles the
-// SLin engines' partial-order reduction (decision 12); WithWorkers sizes
-// the batch checkers' pool, never a single check.
+// or SLin check that exhausts either says where ("lin: search budget
+// exhausted (feed 17: 8 configurations, 5 open operations, 21 nodes)"),
+// wrapping ErrBudget/ErrMemo or ErrSLinBudget/ErrSLinMemo — match with
+// errors.Is. One-shot and incremental checks are one engine per property
+// (DESIGN.md, decisions 21 and 25); WithPOR toggles the SLin engine's
+// partial-order reduction (decision 12); WithWorkers sizes the batch
+// checkers' pool, never a single check.
 //
 // See the examples/ directory for runnable end-to-end programs and
 // DESIGN.md for the map from the paper's sections to packages (decision
@@ -229,11 +230,11 @@ var (
 	// of the SLin checker (see the slin package documentation).
 	WithTemporalAbortOrder = check.WithTemporalAbortOrder
 	// WithPOR toggles the sleep-set partial-order reduction over the
-	// SLin engines' extension branch sets (default on; DESIGN.md
+	// SLin engine's extension branch sets (default on; DESIGN.md
 	// decision 12). The reduction is verdict- and witness-preserving;
-	// turning it off retains the unreduced reference searches, which the
-	// differential tests cross-check against the reduced ones. The Lin
-	// engine has no reducer to toggle (decisions 20 and 21).
+	// turning it off runs the unreduced search, which the differential
+	// tests cross-check against the reduced one. The Lin engine has no
+	// reducer to toggle (decisions 20 and 21).
 	WithPOR = check.WithPOR
 	// WithExact forces the exact search engines on entry points that
 	// would otherwise dispatch to an ADT-specialized fast-path checker
@@ -241,14 +242,6 @@ var (
 	// it — it trades the fast paths' speed for the exact engines' node
 	// accounting and witness generality.
 	WithExact = check.WithExact
-	// WithCompaction toggles frontier compaction in the streaming
-	// (Session) engines (default on; DESIGN.md decisions 17 and 20):
-	// configurations store no chain entry a future transition cannot
-	// touch, which bounds a session's memory by the trace's alphabet
-	// and operation overlap instead of its length. Verdict-preserving;
-	// turning it off retains the whole commit chain, the reference the
-	// differential tests cross-check the compacted sessions against.
-	WithCompaction = check.WithCompaction
 	// WithFeedBudget rebases a Session's search budget at every Feed
 	// instead of spending one budget across the session's lifetime, so a
 	// heavy-tailed action cannot starve every later feed into spurious
@@ -283,7 +276,7 @@ type Report struct {
 	// verdicts.
 	Sequential Linearization
 	// SLinWitnesses holds one witness per init-interpretation
-	// combination on positive SLin verdicts (depth-first engine only).
+	// combination on positive one-shot SLin verdicts.
 	SLinWitnesses []SLinWitness
 	// FailedInit holds the failing init interpretation on negative SLin
 	// verdicts, when the failure is interpretation-specific.
