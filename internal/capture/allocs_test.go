@@ -19,15 +19,16 @@ import (
 
 // drainByteBudget is what one merged action may allocate on its way
 // from the proc buffers through the router into a register fast-path
-// session: measured at 142 B — the session's replay log (an 80-byte
-// action, never re-copied), two digest-table slots an input and a third
-// a written value with their doublings, and a block summary a write
-// (DESIGN.md, decision 24) — plus 25%. It was ~180 B while the cores
-// kept string-keyed maps and witness material nobody asked for, and
-// ~1 700 B when Drain built a tagged batch, the router kept every trace
-// and the log was one doubling slice. Moving it up needs a reason that
-// is written down.
-const drainByteBudget = 178
+// session: measured at 68 B — two digest-table slots an input and a
+// third a written value with their doublings, and a block summary a
+// write (DESIGN.md, decision 24); the session's replay log, which these
+// sequential histories cut at every filled chunk (decision 26), costs
+// next to nothing — plus 25%. It was 142 B while the log kept every
+// action (80 bytes each), ~180 B while the cores kept string-keyed maps
+// and witness material nobody asked for, and ~1 700 B when Drain built
+// a tagged batch, the router kept every trace and the log was one
+// doubling slice. Moving it up needs a reason that is written down.
+const drainByteBudget = 85
 
 // recordRegisterPairs records pairs operations per proc on a recorder of
 // two procs, alternating between them so the merge has work to do: each
@@ -98,6 +99,57 @@ func TestDrainAllocationBudget(t *testing.T) {
 	t.Logf("merge + route + feed: %.0f B per action (budget %d)", bytes, drainByteBudget)
 	if bytes > drainByteBudget {
 		t.Fatalf("%.0f B allocated per action, budget is %d", bytes, drainByteBudget)
+	}
+}
+
+// queueByteBudget is what the queue's one-shot check may allocate per
+// operation of a retained, complete history, witnesses off: measured at
+// 87 B — a 16-byte interval summary (DESIGN.md, decision 26: the input,
+// output and value are read from the trace where they lie), digest-table
+// slots for every input and every enqueued value with their doublings,
+// and the two orders of the dequeued values' enqueues — plus 25%. It was
+// 151 B while each operation's summary copied its input, output and
+// value (80 bytes).
+const queueByteBudget = 109
+
+// TestQueueOneShotByteBudget: the bytes the queue's one-shot check
+// allocates per operation on a 100 000-operation history shaped like a
+// hunt's — a prefill, then one enqueuer and one dequeuer overlapping.
+func TestQueueOneShotByteBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	const ops = 100_000
+	var tr trace.Trace
+	var fifo []trace.Value
+	enq := func(i int) trace.Value {
+		u := trace.Value("u" + strconv.Itoa(i))
+		fifo = append(fifo, u)
+		return adt.EnqInput(u)
+	}
+	for i := 0; i < 4; i++ {
+		in := enq(i)
+		tr = append(tr, trace.Invoke("c0", 1, in), trace.Response("c0", 1, in, adt.WriteOutput()))
+	}
+	for i := 4; len(tr) < 2*ops; i += 2 {
+		e, d := enq(i), adt.Tag(adt.DeqInput(), strconv.Itoa(i+1))
+		head := fifo[0]
+		fifo = fifo[1:]
+		tr = append(tr, trace.Invoke("c0", 1, e), trace.Invoke("c1", 1, d),
+			trace.Response("c0", 1, e, adt.WriteOutput()), trace.Response("c1", 1, d, adt.ReadOutput(head)))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := speclin.Check(context.Background(), speclin.CheckSpec{Folder: speclin.QueueADT, Mode: speclin.Lin}, tr,
+		speclin.WithWitness(false))
+	runtime.ReadMemStats(&after)
+	if err != nil || rep.Verdict != speclin.Linearizable || rep.Nodes != len(tr) {
+		t.Fatalf("verdict %v in %d nodes for %d actions (%v): the history left the fast path", rep.Verdict, rep.Nodes, len(tr), err)
+	}
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(tr)/2)
+	t.Logf("queue one-shot: %.0f B per operation (budget %d)", bytes, queueByteBudget)
+	if bytes > queueByteBudget {
+		t.Fatalf("%.0f B allocated per operation, budget is %d", bytes, queueByteBudget)
 	}
 }
 

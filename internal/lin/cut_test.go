@@ -1,0 +1,553 @@
+package lin
+
+import (
+	"context"
+	"errors"
+	"math/rand"
+	"strconv"
+	"strings"
+	"testing"
+
+	"repro/internal/adt"
+	"repro/internal/check"
+	"repro/internal/trace"
+)
+
+// Quiescent cuts (DESIGN.md, decision 26) are held here to the session
+// that never cuts and to the exact engine: the same verdict, reason and
+// length on every prefix of simulated histories that are often quiescent
+// and leave the fast fragment late, after cuts.
+
+// noCuts is the test-only switch that turns a session's cuts off.
+func noCuts(s *Session) *Session {
+	s.cuts = nil
+	return s
+}
+
+// cutSim is the sequential object a simulated history runs against:
+// clients invoke inputs, each open operation takes effect at a moment
+// the simulation picks (when ready allows), and responds later with the
+// output it took effect with. Histories so made are linearizable until
+// noise corrupts an output.
+type cutSim interface {
+	// input is client c's next input; n is fresh, late says a fragment
+	// exit may be injected.
+	input(r *rand.Rand, c, n int, late bool) trace.Value
+	// ready reports whether c's open operation may take effect now.
+	ready(c int, in trace.Value) bool
+	// apply makes c's operation take effect and returns its output.
+	apply(c int, in trace.Value) trace.Value
+	// owes reports whether the idle client c must act before every open
+	// operation can take effect (a lock holder must release).
+	owes(c int) bool
+	// noise is a plausible output that may not be the right one.
+	noise(r *rand.Rand) trace.Value
+}
+
+// simHistory runs sim for about n actions over up to three clients.
+// Every step starts draining with probability 1/12: no operation starts
+// (bar a release the open ones wait for) until none is open, so
+// quiescent points are frequent.
+func simHistory(r *rand.Rand, sim cutSim, n int) trace.Trace {
+	type op struct {
+		in, out   trace.Value
+		open, eff bool
+	}
+	clients := 1 + r.Intn(3)
+	ops := make([]op, clients)
+	var tr trace.Trace
+	draining, seq := false, 0
+	for len(tr) < n || draining {
+		if !draining && r.Intn(12) == 0 {
+			draining = true
+		}
+		c := r.Intn(clients)
+		if draining {
+			c = -1
+			for i := range ops {
+				if ops[i].open && (ops[i].eff || sim.ready(i, ops[i].in)) || !ops[i].open && sim.owes(i) {
+					c = i
+					break
+				}
+			}
+			if c < 0 {
+				draining = false
+				continue
+			}
+		}
+		o, id := &ops[c], trace.ClientID("c"+strconv.Itoa(c))
+		switch {
+		case !o.open:
+			seq++
+			o.in, o.open, o.eff = sim.input(r, c, seq, len(tr) > 24 && r.Intn(40) == 0), true, false
+			tr = append(tr, trace.Invoke(id, 1, o.in))
+		case !o.eff:
+			if sim.ready(c, o.in) {
+				o.out, o.eff = sim.apply(c, o.in), true
+			}
+		default:
+			out := o.out
+			if r.Intn(80) == 0 {
+				out = sim.noise(r)
+			}
+			tr = append(tr, trace.Response(id, 1, o.in, out))
+			o.open = false
+		}
+	}
+	return tr
+}
+
+// foldSim is a cutSim's sequential object: f's state, every operation
+// ready at once.
+type foldSim struct {
+	f  adt.Folder
+	st adt.State
+}
+
+func (s *foldSim) ready(int, trace.Value) bool { return true }
+
+func (s *foldSim) apply(_ int, in trace.Value) trace.Value {
+	out := s.f.Out(s.st, in)
+	s.st = s.f.Step(s.st, in)
+	return out
+}
+
+func (s *foldSim) owes(int) bool { return false }
+
+// regSim: fresh writes and tagged reads; a late exit rewrites a recent
+// value, repeats a read's input or is grammar-invalid.
+type regSim struct {
+	foldSim
+	written []trace.Value
+	reads   []trace.Value
+}
+
+func (s *regSim) input(r *rand.Rand, _, n int, late bool) trace.Value {
+	id := strconv.Itoa(n)
+	if late {
+		switch {
+		case r.Intn(3) == 0 && len(s.written) > 0:
+			return adt.Tag(adt.WriteInput(s.written[len(s.written)-1-r.Intn(min(3, len(s.written)))]), "dup"+id)
+		case r.Intn(2) == 0 && len(s.reads) > 0:
+			return s.reads[r.Intn(len(s.reads))]
+		}
+		return "q:" + id
+	}
+	if r.Intn(3) == 0 {
+		v := trace.Value("v" + id)
+		s.written = append(s.written, v)
+		return adt.WriteInput(v)
+	}
+	in := adt.Tag(adt.ReadInput(), id)
+	s.reads = append(s.reads, in)
+	return in
+}
+
+// noise reads one of the last few values written, or ⊥.
+func (s *regSim) noise(r *rand.Rand) trace.Value {
+	if len(s.written) == 0 || r.Intn(4) == 0 {
+		return adt.ReadOutput(adt.Bottom)
+	}
+	return adt.ReadOutput(s.written[len(s.written)-1-r.Intn(min(4, len(s.written)))])
+}
+
+// mutexSim: clients lock and unlock in turn, an acquire waiting for the
+// lock; a late exit releases a lock the client does not hold (an "err:"
+// output when it is free) or repeats an input.
+type mutexSim struct {
+	foldSim
+	holder int // the client holding the lock, -1 when free
+	used   []trace.Value
+}
+
+func (s *mutexSim) input(r *rand.Rand, c, n int, late bool) trace.Value {
+	id := strconv.Itoa(n)
+	var in trace.Value
+	switch {
+	case late && r.Intn(2) == 0 && len(s.used) > 0:
+		return s.used[r.Intn(len(s.used))]
+	case late || s.holder == c:
+		in = adt.Tag(adt.UnlockInput(), id)
+	default:
+		in = adt.Tag(adt.LockInput(), id)
+	}
+	s.used = append(s.used, in)
+	return in
+}
+
+// ready holds an acquire back while another client holds the lock (its
+// holder's own repeated acquire takes effect, and fails).
+func (s *mutexSim) ready(c int, in trace.Value) bool {
+	return adt.Untag(in) != adt.LockInput() || s.st == mutexFree || s.holder == c
+}
+
+func (s *mutexSim) apply(c int, in trace.Value) trace.Value {
+	out := s.foldSim.apply(c, in)
+	s.holder = -1
+	if s.st == mutexHeld {
+		s.holder = c
+	}
+	return out
+}
+
+func (s *mutexSim) owes(c int) bool { return s.holder == c }
+
+func (s *mutexSim) noise(r *rand.Rand) trace.Value {
+	return []trace.Value{adt.WriteOutput(), adt.ErrOutput("held"), adt.ErrOutput("free")}[r.Intn(3)]
+}
+
+// consSim: tagged proposals of three values; a late exit repeats an
+// input or proposes ⊥.
+type consSim struct {
+	foldSim
+	used []trace.Value
+}
+
+func (s *consSim) input(r *rand.Rand, _, n int, late bool) trace.Value {
+	if late {
+		if r.Intn(2) == 0 {
+			return s.used[r.Intn(len(s.used))]
+		}
+		return adt.ProposeInput(adt.Bottom)
+	}
+	in := adt.Tag(adt.ProposeInput(trace.Value("abc"[r.Intn(3):][:1])), strconv.Itoa(n))
+	s.used = append(s.used, in)
+	return in
+}
+
+func (s *consSim) noise(r *rand.Rand) trace.Value {
+	return adt.DecideOutput(trace.Value("abc"[r.Intn(3):][:1]))
+}
+
+// stackSim: fresh pushes and tagged pops that keep the stack about one
+// deep, so cuts are answered and the exact engine stays small (a pop of
+// the empty stack is an exit); a late exit pushes a value again.
+type stackSim struct {
+	foldSim
+	pushed []trace.Value
+}
+
+func (s *stackSim) input(r *rand.Rand, _, n int, late bool) trace.Value {
+	id := strconv.Itoa(n)
+	if late && len(s.pushed) > 0 {
+		return adt.Tag(adt.PushInput(s.pushed[r.Intn(len(s.pushed))]), "dup"+id)
+	}
+	// The state joins the elements with NUL bytes (adt.Stack): push onto
+	// an empty stack, pop one two deep.
+	if s.st == "" || !strings.ContainsRune(string(s.st), 0) && r.Intn(2) == 0 {
+		v := trace.Value("v" + id)
+		s.pushed = append(s.pushed, v)
+		return adt.PushInput(v)
+	}
+	return adt.Tag(adt.PopInput(), id)
+}
+
+func (s *stackSim) noise(r *rand.Rand) trace.Value {
+	if len(s.pushed) == 0 {
+		return adt.ReadOutput(adt.Bottom)
+	}
+	return adt.ReadOutput(s.pushed[len(s.pushed)-1-r.Intn(min(3, len(s.pushed)))])
+}
+
+func foldOf(f adt.Folder) foldSim { return foldSim{f: f, st: f.Empty()} }
+
+var cutSims = []struct {
+	name string
+	f    adt.Folder
+	sim  func() cutSim
+}{
+	{"register", adt.Register{}, func() cutSim { return &regSim{foldSim: foldOf(adt.Register{})} }},
+	{"mutex", adt.Mutex{}, func() cutSim { return &mutexSim{foldSim: foldOf(adt.Mutex{}), holder: -1} }},
+	{"consensus", adt.Consensus{}, func() cutSim { return &consSim{foldSim: foldOf(adt.Consensus{})} }},
+	{"stack", adt.Stack{}, func() cutSim { return &stackSim{foldSim: foldOf(adt.Stack{})} }},
+}
+
+// frontierStates is the set of end states of an exact session's
+// frontier at a quiescent point, failing if a configuration still holds
+// an unclaimed entry (decision 20 says none can).
+func frontierStates(t *testing.T, s *Session) map[adt.State]bool {
+	t.Helper()
+	set := map[adt.State]bool{}
+	for _, c := range s.frontier {
+		if len(c.syms) != 0 {
+			t.Fatalf("a configuration holds %d unclaimed entries with no operation open", len(c.syms))
+		}
+		set[c.end] = true
+	}
+	return set
+}
+
+// sameStates reports whether a cut's answer is exactly the state set want.
+func sameStates(got []adt.State, want map[adt.State]bool) bool {
+	seen := map[adt.State]bool{}
+	for _, st := range got {
+		if !want[st] || seen[st] {
+			return false
+		}
+		seen[st] = true
+	}
+	return len(seen) == len(want)
+}
+
+// TestQuiescentCutsMatchExact: on every prefix of 1 500 simulated
+// histories per folder, a witness-off fast session (which cuts), the
+// same session with cuts off and an exact session agree on verdict,
+// reason and length, and the cutting session never spends more nodes
+// than the one that does not — the same before their first fallback.
+// At every quiescent point on the fast path, a core's answer to a cut is
+// exactly the exact frontier's set of end states. Enough of the
+// histories must cut and then fall back for the differential to mean
+// something.
+func TestQuiescentCutsMatchExact(t *testing.T) {
+	ctx := context.Background()
+	opts := []check.Option{check.WithWitness(false), check.WithBudget(1_000_000)}
+	for _, sc := range cutSims {
+		t.Run(sc.name, func(t *testing.T) {
+			r := rand.New(rand.NewSource(26))
+			var cuts, cutThenExit, answered int
+			for iter := 0; iter < 1500; iter++ {
+				tr := simHistory(r, sc.sim(), 40+r.Intn(160))
+				cut := NewSessionFast(ctx, sc.f, opts...)
+				whole := noCuts(NewSessionFast(ctx, sc.f, opts...))
+				exact := NewSession(ctx, sc.f, opts...)
+				if cut.cuts == nil {
+					t.Fatal("a witness-off fast session does not cut")
+				}
+				lastCut := 0
+				for k, a := range tr {
+					wasFast := cut.fast != nil
+					for _, s := range []*Session{cut, whole, exact} {
+						if err := s.Feed(a); err != nil {
+							t.Fatalf("iter %d feed %d: %v\n%v", iter, k, err, tr[:k+1])
+						}
+					}
+					if cut.cutFed != lastCut {
+						lastCut = cut.cutFed
+						cuts++
+					}
+					if wasFast && cut.fast == nil && lastCut > 0 {
+						cutThenExit++
+					}
+					cr, _ := cut.Result()
+					wr, _ := whole.Result()
+					er, _ := exact.Result()
+					if cr.OK != er.OK || cr.Reason != er.Reason || wr.OK != er.OK || wr.Reason != er.Reason ||
+						cut.Verdict() != exact.Verdict() || whole.Verdict() != exact.Verdict() {
+						t.Fatalf("iter %d prefix %d (cut after %d): cut %v %q, no cut %v %q, exact %v %q\n%v",
+							iter, k+1, lastCut, cr.OK, cr.Reason, wr.OK, wr.Reason, er.OK, er.Reason, tr[:k+1])
+					}
+					if cut.Len() != k+1 || whole.Len() != k+1 || exact.Len() != k+1 {
+						t.Fatalf("iter %d prefix %d: lengths %d (cut), %d (no cut), %d (exact)",
+							iter, k+1, cut.Len(), whole.Len(), exact.Len())
+					}
+					if cn, wn := cut.Nodes(), whole.Nodes(); cn > wn || whole.fast != nil && cn != wn {
+						t.Fatalf("iter %d prefix %d: %d nodes with cuts, %d without", iter, k+1, cn, wn)
+					}
+					if whole.fast == nil || whole.fastRej || whole.notWF != "" || len(whole.pending) != 0 {
+						continue
+					}
+					if got, ok := whole.fast.(cutter).cutStates(); ok {
+						if want := frontierStates(t, exact); !sameStates(got, want) {
+							t.Fatalf("iter %d prefix %d: the core cuts at %q, the exact frontier ends in %v\n%v",
+								iter, k+1, got, want, tr[:k+1])
+						}
+						answered++
+					}
+				}
+			}
+			t.Logf("%d cuts; %d histories left the fast path after a cut; %d quiescent answers checked", cuts, cutThenExit, answered)
+			if cuts < 1000 || cutThenExit < 100 {
+				t.Fatalf("%d cuts and %d exits after a cut: the histories do not exercise cuts", cuts, cutThenExit)
+			}
+		})
+	}
+}
+
+// TestRegisterCutStates pins the register's "can be last" rule on hand
+// histories, each ending quiescent, against its expected states and the
+// exact frontier's.
+func TestRegisterCutStates(t *testing.T) {
+	w := func(v trace.Value) trace.Value { return adt.WriteInput(v) }
+	rd := func(tag string) trace.Value { return adt.Tag(adt.ReadInput(), tag) }
+	ok := adt.WriteOutput()
+	inv := func(c trace.ClientID, in trace.Value) trace.Action { return trace.Invoke(c, 1, in) }
+	res := func(c trace.ClientID, in, out trace.Value) trace.Action { return trace.Response(c, 1, in, out) }
+	for _, tc := range []struct {
+		name string
+		tr   trace.Trace
+		want []adt.State
+	}{
+		{"no write", trace.Trace{inv("c1", rd("1")), res("c1", rd("1"), adt.ReadOutput(adt.Bottom))},
+			[]adt.State{adt.State(adt.Bottom)}},
+		{"sequential writes", trace.Trace{
+			inv("c1", w("a")), res("c1", w("a"), ok), inv("c1", w("b")), res("c1", w("b"), ok),
+		}, []adt.State{"b"}},
+		{"overlapping writes", trace.Trace{
+			inv("c1", w("a")), inv("c2", w("b")), res("c1", w("a"), ok), res("c2", w("b"), ok),
+		}, []adt.State{"a", "b"}},
+		// The read of a starts last, but a closed before b's write started:
+		// b must follow a, so only b can be last.
+		{"the latest start cannot be last", trace.Trace{
+			inv("c1", w("a")), res("c1", w("a"), ok),
+			inv("c2", w("b")),
+			inv("c3", rd("1")), res("c3", rd("1"), adt.ReadOutput("a")),
+			res("c2", w("b"), ok),
+		}, []adt.State{"b"}},
+		// The read of a starts last, a closes after b's only start and b
+		// after the read's: either block can be last.
+		{"the latest start can be last", trace.Trace{
+			inv("c1", w("a")), inv("c2", w("b")),
+			inv("c3", rd("1")), res("c3", rd("1"), adt.ReadOutput("a")),
+			res("c2", w("b"), ok), res("c1", w("a"), ok),
+		}, []adt.State{"a", "b"}},
+		// A read joins a after a closed, starting last; a still closed after
+		// b's only start, so it can be last, and b closed after the read's.
+		{"a read joining a closed block keeps it last", trace.Trace{
+			inv("c2", w("b")),
+			inv("c1", w("a")), res("c1", w("a"), ok),
+			inv("c3", rd("1")), res("c3", rd("1"), adt.ReadOutput("a")),
+			res("c2", w("b"), ok),
+		}, []adt.State{"a", "b"}},
+		// b closed before the read of a started: a must follow b.
+		{"a read after a closed write orders it first", trace.Trace{
+			inv("c1", w("a")),
+			inv("c2", w("b")), res("c2", w("b"), ok),
+			inv("c3", rd("1")), res("c3", rd("1"), adt.ReadOutput("a")),
+			res("c1", w("a"), ok),
+		}, []adt.State{"a"}},
+		// b's read starts after a's read returned: a must precede b.
+		{"a later read orders the blocks", trace.Trace{
+			inv("c1", w("a")), inv("c2", w("b")),
+			inv("c3", rd("1")), res("c3", rd("1"), adt.ReadOutput("a")),
+			inv("c3", rd("2")), res("c3", rd("2"), adt.ReadOutput("b")),
+			res("c1", w("a"), ok), res("c2", w("b"), ok),
+		}, []adt.State{"b"}},
+	} {
+		s := NewSessionFast(context.Background(), adt.Register{}, check.WithWitness(false))
+		ex := NewSession(context.Background(), adt.Register{})
+		if err := errors.Join(s.FeedAll(tc.tr), ex.FeedAll(tc.tr)); err != nil {
+			t.Fatal(err)
+		}
+		if s.fast == nil || s.Verdict() != check.Linearizable || len(s.pending) != 0 {
+			t.Fatalf("%s: not a quiescent in-fragment history", tc.name)
+		}
+		got, _ := s.fast.(cutter).cutStates()
+		want := map[adt.State]bool{}
+		for _, st := range tc.want {
+			want[st] = true
+		}
+		if !sameStates(got, want) || !sameStates(got, frontierStates(t, ex)) {
+			t.Errorf("%s: the core cuts at %q, want %q; the exact frontier ends in %v", tc.name, got, tc.want, frontierStates(t, ex))
+		}
+	}
+}
+
+// quiescentEvery100 streams n actions of a history with one quiescent
+// point every 100 actions: client c0 holds one operation open across 96
+// actions of sequential operations by c1 and then responds. The register
+// holds a read open across fresh writes and reads; the mutex holds an
+// acquire open across lock/unlock pairs, then releases.
+func quiescentEvery100(f adt.Folder, n int, feed func(a trace.Action, quiescent bool)) {
+	ok := adt.WriteOutput()
+	pair := func(c trace.ClientID, in, out trace.Value) {
+		feed(trace.Invoke(c, 1, in), false)
+		feed(trace.Response(c, 1, in, out), false)
+	}
+	cur := adt.Bottom
+	for b := 0; b < n/100; b++ {
+		id := strconv.Itoa(b)
+		switch f.(type) {
+		case adt.Register:
+			held := adt.Tag(adt.ReadInput(), "h"+id)
+			feed(trace.Invoke("c0", 1, held), false)
+			for i := 0; i < 24; i++ {
+				u := id + "." + strconv.Itoa(i)
+				w := trace.Value("v" + u)
+				pair("c1", adt.WriteInput(w), ok)
+				cur = w
+				pair("c1", adt.Tag(adt.ReadInput(), u), adt.ReadOutput(cur))
+			}
+			feed(trace.Response("c0", 1, held, adt.ReadOutput(cur)), true)
+			pair("c0", adt.Tag(adt.ReadInput(), "t"+id), adt.ReadOutput(cur))
+		case adt.Mutex:
+			held := adt.Tag(adt.LockInput(), "h"+id)
+			feed(trace.Invoke("c0", 1, held), false)
+			for i := 0; i < 24; i++ {
+				u := id + "." + strconv.Itoa(i)
+				pair("c1", adt.Tag(adt.LockInput(), u), ok)
+				pair("c1", adt.Tag(adt.UnlockInput(), u), ok)
+			}
+			feed(trace.Response("c0", 1, held, ok), true)
+			pair("c0", adt.Tag(adt.UnlockInput(), "h"+id), ok)
+		}
+	}
+}
+
+// TestCutRetention: 1M-action register and mutex streams with a
+// quiescent point every 100 actions stay on the fast path and, at every
+// quiescent point, hold one log chunk of at most recChunk actions and no
+// full chunk before it; the same stream with cuts off (20 000 actions)
+// logs all of it.
+func TestCutRetention(t *testing.T) {
+	for _, f := range []adt.Folder{adt.Register{}, adt.Mutex{}} {
+		for _, cuts := range []bool{true, false} {
+			n := 1_000_000
+			s := NewSessionFast(context.Background(), f, check.WithWitness(false))
+			if !cuts {
+				n = 20_000
+				noCuts(s)
+			}
+			points := 0
+			quiescentEvery100(f, n, func(a trace.Action, quiescent bool) {
+				if err := s.Feed(a); err != nil {
+					t.Fatal(err)
+				}
+				if !quiescent {
+					return
+				}
+				points++
+				if cuts && (cap(s.rec) > recChunk || len(s.recFull) != 0) {
+					t.Fatalf("%T, quiescent point %d: log of %d full chunks and one of capacity %d",
+						f, points, len(s.recFull), cap(s.rec))
+				}
+			})
+			if s.Len() != n || s.Nodes() != n || s.Verdict() != check.Linearizable {
+				t.Fatalf("%T: %d nodes over %d actions, verdict %v: the stream left the fast path", f, s.Nodes(), s.Len(), s.Verdict())
+			}
+			held := len(s.rec)
+			for _, c := range s.recFull {
+				held += len(c)
+			}
+			switch {
+			case cuts && (s.cutFed < n-recChunk-100 || held > recChunk+100):
+				t.Fatalf("%T: last cut after %d actions, %d actions logged", f, s.cutFed, held)
+			case !cuts && held != n:
+				t.Fatalf("%T, cuts off: %d of %d actions logged", f, held, n)
+			}
+		}
+	}
+}
+
+// TestCutStatesAllocateNothing: a cut's answer reuses the core's storage.
+func TestCutStatesAllocateNothing(t *testing.T) {
+	for _, sc := range cutSims {
+		s := NewSessionFast(context.Background(), sc.f, check.WithWitness(false))
+		tr := simHistory(rand.New(rand.NewSource(1)), sc.sim(), 64)
+		for _, a := range tr {
+			if err := s.Feed(a); err != nil {
+				t.Fatal(err)
+			}
+			if s.fast == nil {
+				break
+			}
+		}
+		if s.fast == nil {
+			continue // the history left the fragment: nothing to ask
+		}
+		c := s.fast.(cutter)
+		c.cutStates()
+		if n := testing.AllocsPerRun(100, func() { c.cutStates() }); n != 0 {
+			t.Errorf("%s: cutStates allocates %.0f times", sc.name, n)
+		}
+	}
+}

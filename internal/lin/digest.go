@@ -5,7 +5,8 @@ import "math/bits"
 // digestTable is the fast paths' one hash table (DESIGN.md, decision
 // 24): open-addressed, linear-probing, eight bytes a slot, keyed by a
 // fixed-seed 64-bit digest of a string and holding no string itself —
-// the session's replay log is the only per-action copy of the history.
+// the session's replay log, back to its last quiescent cut, is the only
+// per-action copy of the history.
 // One table is used in one of two ways:
 //
 //   - as a digest set (add): a slot is a whole digest. Equal strings

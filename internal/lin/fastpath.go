@@ -63,8 +63,9 @@ const (
 	// final (the exact engines agree, so no fallback is needed).
 	FastReject
 	// FastExit means the action left the specialized fragment; the
-	// caller must fall back to an exact engine, replaying the whole
-	// trace fed so far.
+	// caller must fall back to an exact engine, replaying the trace fed
+	// so far (Session: since its last quiescent cut, seeded with the
+	// cut's states).
 	FastExit
 )
 
@@ -277,6 +278,22 @@ func (t *maxTree) Max(lo, hi int) int {
 		r /= 2
 	}
 	return res
+}
+
+// ArgMax returns the leftmost position holding the maximum value, or -1
+// when the tree is empty.
+func (t *maxTree) ArgMax() int {
+	if t.size == 0 {
+		return -1
+	}
+	i := 1
+	for i < t.cap_ {
+		i *= 2
+		if t.node[i] != t.node[i/2] {
+			i++
+		}
+	}
+	return i - t.cap_
 }
 
 // MaxExcluding returns the maximum over positions [0, hi) skipping pos.

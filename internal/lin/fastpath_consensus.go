@@ -14,7 +14,9 @@ import (
 // (the head), then every other responded operation in response order;
 // the head drives the state to w, every later operation outputs d(w),
 // and Validity holds because the head is invoked before the first
-// response and each member before its own.
+// response and each member before its own. At a quiescent cut
+// (DESIGN.md, decision 26) every linearization starts with a proposal of
+// w and so ends in state w — or, before any operation, in ⊥.
 type fastConsensus struct {
 	witness bool
 	seen    digestTable             // every invocation input (distinctness)
@@ -23,6 +25,7 @@ type fastConsensus struct {
 	val     trace.Value // the decided value, once decided
 	headIn  trace.Value // input of the linearization head
 	resps   []conMember // witness: responded operations, response order
+	cut     [1]adt.State
 }
 
 type conProp struct {
@@ -74,6 +77,16 @@ func (c *fastConsensus) Res(in, out trace.Value, invIdx, idx int) FastStatus {
 		c.resps = append(c.resps, conMember{in: in, res: idx})
 	}
 	return FastOK
+}
+
+// cutStates implements cutter: the decided value, as adt.Consensus
+// folds it.
+func (c *fastConsensus) cutStates() ([]adt.State, bool) {
+	c.cut[0] = adt.Consensus{}.Empty()
+	if c.decided {
+		c.cut[0] = adt.State(c.val)
+	}
+	return c.cut[:], true
 }
 
 // Witness implements FastChecker (see the type comment for the

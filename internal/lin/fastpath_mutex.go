@@ -43,6 +43,11 @@ import (
 // the chain and its response marks — witness material — are kept only
 // when the session asked for witnesses; the verdict needs the chain's
 // length alone.
+//
+// Quiescent cut (DESIGN.md, decision 26): with no operation open every
+// operation returned "ok:", so every linearization is a strict
+// alternation of all of them and ends in the one state the simulation
+// holds.
 type fastMutex struct {
 	witness bool
 	seen    digestTable
@@ -57,7 +62,14 @@ type fastMutex struct {
 	marks   []resMark     // witness: which prefix each response claims
 	rl, ru  int           // responded locks/unlocks
 	pl, pu  int           // invoked-but-pending locks/unlocks
+	cut     [1]adt.State  // cutStates' answer
 }
+
+// The mutex states, as adt.Mutex names them.
+var (
+	mutexFree = adt.Mutex{}.Empty()
+	mutexHeld = adt.Mutex{}.Step(mutexFree, adt.LockInput())
+)
 
 // resMark records that response index res claims the chain prefix of
 // length k; Witness materializes the map lazily.
@@ -196,6 +208,15 @@ func (m *fastMutex) linearize(o *mutexOp) {
 	o.pos = m.n
 	o.assigned = true
 	m.locked = o.lock
+}
+
+// cutStates implements cutter: the simulated lock state.
+func (m *fastMutex) cutStates() ([]adt.State, bool) {
+	m.cut[0] = mutexFree
+	if m.locked {
+		m.cut[0] = mutexHeld
+	}
+	return m.cut[:], true
 }
 
 // Witness implements FastChecker: every response claims the chain

@@ -2,6 +2,7 @@ package lin
 
 import (
 	"context"
+	"math"
 	"slices"
 	"strings"
 
@@ -44,6 +45,9 @@ func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings, coll
 		return Result{OK: false, Reason: "trace is not well-formed", Nodes: idx + 1}, true, nil
 	}
 	reject := Result{OK: false, Reason: "no linearization function exists", Nodes: len(t)}
+	if len(t) > math.MaxInt32 {
+		return Result{}, false, nil // beyond queueOp's indices
+	}
 
 	// Pass 1: well-formedness, fragment membership, operation intervals.
 	// ops is in invocation order; open and enqs hold positions in it.
@@ -52,7 +56,7 @@ func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings, coll
 	seen := digestTable{collide: collide}   // every input (distinctness)
 	enqs := digestTable{collide: collide}   // untagged value → its enqueue, exact
 	enqOf := func(arg string) (int, bool) {
-		return enqs.get(arg, func(i int) bool { return ops[i].arg == arg })
+		return enqs.get(arg, func(i int) bool { return enqArg(t[ops[i].inv].Input) == arg })
 	}
 	for idx := range t {
 		a := &t[idx] // an action is 80 bytes: read it where it lies
@@ -70,7 +74,7 @@ func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings, coll
 				return Result{}, false, nil
 			}
 			op, arg, ok := strings.Cut(string(adt.Untag(a.Input)), ":")
-			o := queueOp{in: a.Input, inv: idx, res: -1, peer: -1}
+			o := queueOp{inv: int32(idx), res: -1, peer: -1}
 			switch {
 			case !ok:
 				return Result{}, false, nil
@@ -81,7 +85,7 @@ func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings, coll
 				if _, dup := enqOf(arg); dup {
 					return Result{}, false, nil // duplicate enqueue value
 				}
-				o.enq, o.arg = true, arg
+				o.enq = true
 				enqs.put(arg, len(ops))
 			case op == "deq" && arg == "":
 			default:
@@ -91,10 +95,10 @@ func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings, coll
 			ops = append(ops, o)
 		case trace.Res:
 			i, busy := open[a.Client]
-			if !busy || ops[i].in != a.Input {
+			if !busy || t[ops[i].inv].Input != a.Input {
 				return notWF(idx)
 			}
-			ops[i].res, ops[i].out = idx, a.Output
+			ops[i].res = int32(idx)
 			delete(open, a.Client)
 		default:
 			return notWF(idx)
@@ -110,13 +114,14 @@ func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings, coll
 	matched := 0
 	for i := range ops {
 		o := &ops[i]
+		out := t[o.res].Output
 		if o.enq {
-			if o.out != adt.WriteOutput() {
+			if out != adt.WriteOutput() {
 				return reject, true, nil
 			}
 			continue
 		}
-		vop, varg, ok := strings.Cut(string(o.out), ":")
+		vop, varg, ok := strings.Cut(string(out), ":")
 		if !ok || vop != "v" {
 			return reject, true, nil // dequeues can only ever output "v:x"
 		}
@@ -134,7 +139,7 @@ func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings, coll
 		if o.res < e.inv {
 			return reject, true, nil // dequeued before its enqueue existed
 		}
-		e.peer, o.peer = i, ei
+		e.peer, o.peer = int32(i), int32(ei)
 		matched++
 	}
 
@@ -142,7 +147,7 @@ func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings, coll
 	// wholly precede any dequeued value's enqueue. The same walk lists
 	// the dequeued values' enqueues for pass 3.
 	byEnqRes := make([]int, 0, matched)
-	minUnmatchedRes, maxMatchedInv := -1, -1
+	minUnmatchedRes, maxMatchedInv := int32(-1), int32(-1)
 	for i := range ops {
 		e := &ops[i]
 		if !e.enq {
@@ -164,8 +169,8 @@ func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings, coll
 	// enq(v) was invoked must not exceed deq(v)'s response. byEnqInv is
 	// as built, in invocation order; byEnqRes is the same by response.
 	byEnqInv := slices.Clone(byEnqRes)
-	slices.SortFunc(byEnqRes, func(i, j int) int { return ops[i].res - ops[j].res })
-	maxDeqInv, ptr := -1, 0
+	slices.SortFunc(byEnqRes, func(i, j int) int { return int(ops[i].res - ops[j].res) })
+	maxDeqInv, ptr := int32(-1), 0
 	for _, i := range byEnqInv {
 		e := &ops[i]
 		for ptr < len(byEnqRes) && ops[byEnqRes[ptr]].res < e.inv {
@@ -181,24 +186,28 @@ func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings, coll
 
 	r := Result{OK: true, Nodes: len(t)}
 	if set.Witness {
-		r.Witness = queueWitness(ops)
+		r.Witness = queueWitness(t, ops)
 	}
 	return r, true, nil
 }
 
 // queueOp is one queue operation's interval summary (fastQueueCheck
-// pass 1): trace indices of its invocation and response, and — for
-// enqueues — its untagged value.
+// pass 1): the trace indices of its invocation and response, 16 bytes
+// in all. Its input, output and enqueue value are read from the trace
+// where they lie.
 type queueOp struct {
-	enq      bool
-	arg      string      // untagged enqueue value
-	in       trace.Value // full (tagged) input
-	inv, res int
-	out      trace.Value
+	inv, res int32 // res is -1 while the operation is open
 	// peer is the position in ops of the operation at the value's other
 	// end (pass 2): an enqueue's is the dequeue that returned its value,
 	// a dequeue's the enqueue of the value it returned; -1 when none.
-	peer int
+	peer int32
+	enq  bool
+}
+
+// enqArg is the untagged value of the enqueue input in.
+func enqArg(in trace.Value) string {
+	_, arg, _ := strings.Cut(string(adt.Untag(in)), ":")
+	return arg
 }
 
 // fastQueueWitnessCap bounds the queue core's witness assembly: the
@@ -222,7 +231,7 @@ const fastQueueWitnessCap = 4096
 // before, every linearization point provably inside its operation's
 // interval. Returns nil past fastQueueWitnessCap (or, defensively, if
 // no extension is found).
-func queueWitness(ops []queueOp) Witness {
+func queueWitness(t trace.Trace, ops []queueOp) Witness {
 	// rem holds the matched values still to place, as the positions of
 	// their enqueues, by enqueue invocation; unmatched the others.
 	var rem, unmatched []int
@@ -285,14 +294,14 @@ func queueWitness(ops []queueOp) Witness {
 	for i := range byRes {
 		byRes[i] = i
 	}
-	slices.SortFunc(byRes, func(i, j int) int { return ops[i].res - ops[j].res })
+	slices.SortFunc(byRes, func(i, j int) int { return int(ops[i].res - ops[j].res) })
 	var chain trace.History
 	pos := make([]int, len(ops))
 	eptr, dptr := 0, 0
 	linEnqsThrough := func(target int) {
 		for eptr <= target {
 			e := enqOrder[eptr]
-			chain = append(chain, ops[e].in)
+			chain = append(chain, t[ops[e].inv].Input)
 			pos[e] = len(chain)
 			eptr++
 		}
@@ -309,11 +318,11 @@ func queueWitness(ops []queueOp) Witness {
 			for target := tauPos[o.peer]; dptr <= target; dptr++ {
 				e := tau[dptr]
 				linEnqsThrough(enqPos[e])
-				chain = append(chain, ops[ops[e].peer].in)
+				chain = append(chain, t[ops[ops[e].peer].inv].Input)
 				pos[ops[e].peer] = len(chain)
 			}
 		}
-		w[o.res] = chain[:pos[oi]].Clone()
+		w[int(o.res)] = chain[:pos[oi]].Clone()
 	}
 	return w
 }

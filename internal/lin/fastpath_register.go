@@ -47,6 +47,14 @@ import (
 // earlier block is invoked before every response of a later one, which
 // is exactly Validity.
 //
+// Quiescent cut (DESIGN.md, decision 26): with no operation open every
+// block is closed, and a linearization can end in block B iff B can be
+// placed after every other block A, i.e. closedAt(B) > maxStart(A) —
+// the remaining blocks in key order, then B, is a linearization. So the
+// linearizations end in exactly the values of those blocks, or in ⊥
+// before the first write. They are the blocks closed after the latest
+// start of all, plus possibly the block holding that start.
+//
 // The core keeps, per write, its block summary and two table slots, and
 // per open write one entry of openW, so that an input is parsed once,
 // at its invocation; what the witness needs and the verdict does not —
@@ -59,8 +67,11 @@ type fastRegister struct {
 	blocks   []*regBlock       // one per write, in invocation order
 	openW    map[int]*regBlock // open writes, by invocation index
 	closedAt []int             // the closed array: closedAt per closed position, ascending
+	closed   []*regBlock       // the block at each closed position
 	tree     maxTree           // maxStart per closed position
 	botReads []regMember       // witness: accepted ⊥-reads, response order
+	cut      []adt.State       // cutStates' answer, reused; first in cutBuf
+	cutBuf   [1]adt.State
 }
 
 type regBlock struct {
@@ -84,12 +95,14 @@ type regMember struct {
 }
 
 func newFastRegister(witness, collide bool) *fastRegister {
-	return &fastRegister{
+	r := &fastRegister{
 		witness: witness,
 		seen:    digestTable{collide: collide},
 		byVal:   digestTable{collide: collide},
 		openW:   map[int]*regBlock{},
 	}
+	r.cut = r.cutBuf[:0]
+	return r
 }
 
 // regParse splits an untagged register input into op and argument.
@@ -196,7 +209,29 @@ func (r *fastRegister) close(b *regBlock, idx int) {
 	b.closedAt = idx
 	b.pos = len(r.closedAt)
 	r.closedAt = append(r.closedAt, idx)
+	r.closed = append(r.closed, b)
 	r.tree.Append(b.maxStart)
+}
+
+// cutStates implements cutter (see the type comment for the rule).
+func (r *fastRegister) cutStates() ([]adt.State, bool) {
+	r.cut = r.cut[:0]
+	n := len(r.closedAt)
+	if n == 0 {
+		return append(r.cut, adt.Register{}.Empty()), true
+	}
+	last := r.tree.Max(0, n)
+	p := n - 1
+	for ; p >= 0 && r.closedAt[p] > last; p-- {
+		r.cut = append(r.cut, adt.State(r.closed[p].val))
+	}
+	// Every block closed before the latest start precedes the block
+	// holding it, which itself can be last iff it closed after every
+	// other block's latest start.
+	if top := r.tree.ArgMax(); top <= p && r.closedAt[top] > r.tree.MaxExcluding(n, top) {
+		r.cut = append(r.cut, adt.State(r.closed[top].val))
+	}
+	return r.cut, true
 }
 
 // Witness implements FastChecker (see the type comment for the

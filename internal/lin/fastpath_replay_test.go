@@ -10,12 +10,14 @@ import (
 	"repro/internal/trace"
 )
 
-// The fast path's replay log is chunked (a chunk ends at every power of
-// two up to recChunk actions and at every multiple of it after), so
-// these tests put the fragment exit on each side of a chunk boundary and
-// hold the session, after its fallback, to an exact session fed the same
-// actions: verdict, search nodes, length, and the same again after
-// further feeds.
+// The fast path's replay log is chunked (without cuts a chunk ends at
+// every power of two up to recChunk actions and at every multiple of it
+// after), so these tests put the fragment exit on each side of a chunk
+// boundary and hold the session, after its fallback, to an exact session
+// fed the same actions — or, when the session cut (witnesses off, a
+// quiescent stream), to an exact session seeded with the last cut's
+// states and fed what followed it: verdict, search nodes, length, and
+// the same again after further feeds.
 
 // seqRegister appends n sequential register operations by client c to
 // tr: every third writes a fresh value, the others read the current one
@@ -70,14 +72,17 @@ func registerExitAt(exit int, dupValue bool, tail int) trace.Trace {
 
 // mutexSticksAt builds a mutex stream whose greedy simulation sticks at
 // action exit with neither counting condition violated. An acquire h is
-// invoked first and never responds until the end; after a long
-// sequential lock/unlock prefix, an unlock that finds the lock free takes
-// h as its helper, and then two acquires respond with no release between
-// them and none pending. The counters still allow it (h's acquire is
-// unresponded), so the core exits and only the exact engine can say that
-// no linearization exists. Up to three more acquires that never respond
-// pad the exit onto the requested index. tail further actions follow.
-func mutexSticksAt(exit, tail int) trace.Trace {
+// invoked and never responds; after a long sequential lock/unlock
+// prefix, an unlock that finds the lock free takes h as its helper, and
+// then two acquires respond with no release between them and none
+// pending. The counters still allow it (h's acquire is unresponded), so
+// the core exits and only the exact engine can say that no
+// linearization exists. h is invoked first, and up to three more
+// acquires that never respond pad the exit onto the requested index —
+// or, with late, h is invoked right after the prefix, which is then
+// quiescent after every operation (exit must be 2 mod 4). tail further
+// actions follow.
+func mutexSticksAt(exit, tail int, late bool) trace.Trace {
 	lk := func(tag string) trace.Value { return adt.Tag(adt.LockInput(), tag) }
 	ul := func(tag string) trace.Value { return adt.Tag(adt.UnlockInput(), tag) }
 	ok := adt.WriteOutput()
@@ -86,13 +91,21 @@ func mutexSticksAt(exit, tail int) trace.Trace {
 		tr = append(tr, trace.Invoke(c, 1, in), trace.Response(c, 1, in, ok))
 	}
 	const gadget = 9 // actions between the prefix and the sticking response
-	tr = append(tr, trace.Invoke("c2", 1, lk("h")))
-	for pad := 0; (exit-gadget-len(tr))%4 != 0; pad++ {
-		tr = append(tr, trace.Invoke(trace.ClientID("pad"+strconv.Itoa(pad)), 1, lk("pad"+strconv.Itoa(pad))))
+	prefix := exit - gadget
+	if late {
+		prefix--
+	} else {
+		tr = append(tr, trace.Invoke("c2", 1, lk("h")))
+		for pad := 0; (prefix-len(tr))%4 != 0; pad++ {
+			tr = append(tr, trace.Invoke(trace.ClientID("pad"+strconv.Itoa(pad)), 1, lk("pad"+strconv.Itoa(pad))))
+		}
 	}
-	for i := 0; len(tr) < exit-gadget; i++ {
+	for i := 0; len(tr) < prefix; i++ {
 		pair("c1", lk("p"+strconv.Itoa(i)))
 		pair("c1", ul("p"+strconv.Itoa(i)))
+	}
+	if late {
+		tr = append(tr, trace.Invoke("c2", 1, lk("h")))
 	}
 	pair("c3", lk("a"))
 	tr = append(tr,
@@ -113,21 +126,35 @@ func mutexSticksAt(exit, tail int) trace.Trace {
 	return tr
 }
 
-func TestFastFallbackAcrossChunks(t *testing.T) {
+func TestFastFallbackAcrossChunks(t *testing.T) { fallbackAcrossChunks(t, true) }
+
+// TestFastFallbackAcrossChunksNoWitness is the witness-off twin: the
+// sequential register streams (even exits) and the mutex streams whose
+// stuck acquire comes late cut at quiescent points, so their reference
+// is seeded from the last cut; the others are never quiescent and replay
+// from action 0.
+func TestFastFallbackAcrossChunksNoWitness(t *testing.T) { fallbackAcrossChunks(t, false) }
+
+func fallbackAcrossChunks(t *testing.T, witness bool) {
 	type stream struct {
-		name string
-		f    adt.Folder
-		tr   trace.Trace
-		exit int
+		name      string
+		f         adt.Folder
+		tr        trace.Trace
+		exit      int
+		quiescent bool // quiescent points before the exit: a witness-off session cuts
 	}
 	const tail = 100
 	var streams []stream
 	for _, exit := range []int{recChunk - 1, recChunk, recChunk + 1, 2*recChunk + 1} {
 		at := "@" + strconv.Itoa(exit)
+		// An odd exit puts a write that never responds first.
 		streams = append(streams,
-			stream{"register/dup-input" + at, adt.Register{}, registerExitAt(exit, false, tail), exit},
-			stream{"register/dup-value" + at, adt.Register{}, registerExitAt(exit, true, tail), exit},
-			stream{"mutex/stuck" + at, adt.Mutex{}, mutexSticksAt(exit, tail), exit})
+			stream{"register/dup-input" + at, adt.Register{}, registerExitAt(exit, false, tail), exit, exit%2 == 0},
+			stream{"register/dup-value" + at, adt.Register{}, registerExitAt(exit, true, tail), exit, exit%2 == 0},
+			stream{"mutex/stuck" + at, adt.Mutex{}, mutexSticksAt(exit, tail, false), exit, false})
+	}
+	for _, exit := range []int{recChunk - 2, recChunk + 2, 2*recChunk + 2} {
+		streams = append(streams, stream{"mutex/stuck-late@" + strconv.Itoa(exit), adt.Mutex{}, mutexSticksAt(exit, tail, true), exit, true})
 	}
 	budgets := map[string][]check.Option{
 		"lifetime": {check.WithBudget(1_000_000)},
@@ -137,8 +164,9 @@ func TestFastFallbackAcrossChunks(t *testing.T) {
 		for bname, opts := range budgets {
 			t.Run(st.name+"/"+bname, func(t *testing.T) {
 				ctx := context.Background()
+				opts := append(opts[:len(opts):len(opts)], check.WithWitness(witness))
 				fs := NewSessionFast(ctx, st.f, opts...)
-				ex := NewSession(ctx, st.f, opts...)
+				var ex *Session // the reference, built at the exit
 				same := func(when string) {
 					t.Helper()
 					fr, ferr := fs.Result()
@@ -162,11 +190,26 @@ func TestFastFallbackAcrossChunks(t *testing.T) {
 					if fs.fast == nil != (i > st.exit) {
 						t.Fatalf("action %d: on the fast path %v, want the exit at action %d", i, fs.fast != nil, st.exit)
 					}
+					if i == st.exit {
+						if cut, wantCut := fs.cutFed > 0, !witness && st.quiescent; cut != wantCut {
+							t.Fatalf("cut after %d actions before the exit, want a cut %v", fs.cutFed, wantCut)
+						}
+						states := fs.cutSt
+						if fs.cutFed == 0 {
+							states = []adt.State{st.f.Empty()}
+						}
+						ex = newSessionAt(ctx, st.f, check.NewSettings(opts...), fs.cutFed, states)
+						if err := ex.FeedAll(st.tr[fs.cutFed:i]); err != nil {
+							t.Fatalf("exact session: %v", err)
+						}
+					}
 					if err := fs.Feed(a); err != nil {
 						t.Fatalf("fast session feed %d: %v", i, err)
 					}
-					if err := ex.Feed(a); err != nil {
-						t.Fatalf("exact session feed %d: %v", i, err)
+					if ex != nil {
+						if err := ex.Feed(a); err != nil {
+							t.Fatalf("exact session feed %d: %v", i, err)
+						}
 					}
 					if i == st.exit {
 						if fs.rec != nil || fs.recFull != nil {

@@ -22,12 +22,13 @@ import (
 // push of x is linearized first if needed. Accepts are certain (the
 // simulation is a legal stack execution with every point inside its
 // operation's interval; Witness replays it) and so are the value-based
-// rejects: a pop output no invoked push has supplied, a second pop of
-// a distinct value, or a push answered by anything but "ok:" defeats
-// every linearization. Everything else the greedy cannot place — no
-// pending pop available to clear the stack above x, or an assigned
-// helper whose real response later disagrees with its expected value —
-// exits the fragment, so rejects never depend on the greedy's
+// rejects: a pop output no invoked push has supplied, a second pop
+// response returning a distinct value, or a push answered by anything
+// but "ok:" defeats every linearization. Everything else the greedy
+// cannot place — no pending pop available to clear the stack above x,
+// an assigned helper whose real response later disagrees with its
+// expected value, or a pop returning a value a still-open helper was
+// guessed to have popped — exits the fragment, so rejects never depend on the greedy's
 // completeness; FuzzFastpathVsExact and the diffcheck boundary tests
 // keep the three outcomes honest against the exact search.
 //
@@ -36,6 +37,11 @@ import (
 // when the session asked for witnesses (DESIGN.md, decision 24); what
 // stays per input is a digest in seen, eight bytes in pool for a pop and
 // a stackVal for a pushed value.
+//
+// Quiescent cut (DESIGN.md, decision 26): with no operation open the
+// unpopped values are fixed, but their order on the stack need not be,
+// so the core answers only when at most one is left — the one state
+// every linearization ends in.
 type fastStack struct {
 	witness bool
 	seen    digestTable
@@ -47,6 +53,7 @@ type fastStack struct {
 	n       int           // chain length
 	chain   trace.History // witness: the linearized inputs
 	marks   []resMark     // witness: which prefix each response claims
+	cut     [1]adt.State
 }
 
 type stackOp struct {
@@ -61,13 +68,14 @@ type stackOp struct {
 type stackVal struct {
 	val    string
 	pushOp *stackOp
-	state  uint8 // 0 pending push, 1 on the simulated stack, 2 popped
+	state  uint8
 }
 
 const (
-	valPending = iota
-	valOnStack
-	valPopped
+	valPending = iota // its push is still in flight
+	valOnStack        // on the simulated stack
+	valGuessed        // popped by a helper that has not responded yet
+	valPopped         // returned by a pop's response
 )
 
 func newFastStack(witness, collide bool) *fastStack {
@@ -133,15 +141,18 @@ func (s *fastStack) Res(in, out trace.Value, invIdx, idx int) FastStatus {
 		if varg != o.expected {
 			return FastExit // the helper guess was wrong; exact engines decide
 		}
+		s.vals[varg].state = valPopped
 		s.mark(idx, o)
 		return FastOK
 	}
 	v := s.vals[varg]
-	if v == nil {
+	switch {
+	case v == nil:
 		return FastReject // value never pushed by any invocation so far
-	}
-	if v.state == valPopped {
+	case v.state == valPopped:
 		return FastReject // distinct values pop at most once
+	case v.state == valGuessed:
+		return FastExit // a helper guessed it popped v: the guess was wrong
 	}
 	if v.state == valPending {
 		s.linPush(v.pushOp) // the push is in flight: linearize it now
@@ -155,7 +166,7 @@ func (s *fastStack) Res(in, out trace.Value, invIdx, idx int) FastStatus {
 		top := s.stack[len(s.stack)-1]
 		h.assigned, h.expected = true, top.val
 		s.linearize(h)
-		top.state = valPopped
+		top.state = valGuessed
 		s.stack = s.stack[:len(s.stack)-1]
 	}
 	s.linearize(o)
@@ -200,6 +211,21 @@ func (s *fastStack) takeOldestPop() *stackOp {
 		}
 	}
 	return nil
+}
+
+// cutStates implements cutter: the empty stack, or the one value left on
+// it (a one-element stack's state is the element, adt.Stack); with more,
+// it declines.
+func (s *fastStack) cutStates() ([]adt.State, bool) {
+	switch len(s.stack) {
+	case 0:
+		s.cut[0] = adt.Stack{}.Empty()
+	case 1:
+		s.cut[0] = adt.State(s.stack[0].val)
+	default:
+		return nil, false
+	}
+	return s.cut[:], true
 }
 
 // Witness implements FastChecker.

@@ -111,15 +111,11 @@ type Session struct {
 	// fast, when non-nil, is the ADT-specialized streaming core the
 	// session delegates to instead of the frontier engine (DESIGN.md,
 	// decision 15; NewSessionFast). The fed trace is recorded so that a
-	// fragment exit can fall back by replaying it through a fresh exact
-	// session — after which the session is indistinguishable from an
-	// exact one fed the same actions (frontier, budget spend and
-	// verdicts included). The log is chunked: rec is the chunk being
-	// appended to and recFull the full ones before it. A new chunk is as
-	// long as the log so far (between recChunkMin and recChunk), so the
-	// log is never copied, a short per-key session holds at most twice
-	// its length, and chunks end at powers of two and then at multiples
-	// of recChunk.
+	// fragment exit can fall back by replaying it through an exact
+	// session. The log is chunked: rec is the chunk being appended to and
+	// recFull the full ones before it. A new chunk is as long as the log
+	// so far (between recChunkMin and recChunk), so the log is never
+	// copied and a short per-key session holds at most twice its length.
 	// Fast-path work never spends the budget; it is accounted separately
 	// in fastNodes (one per fed action).
 	fast      FastChecker
@@ -127,6 +123,31 @@ type Session struct {
 	fastNodes int
 	rec       trace.Trace
 	recFull   []trace.Trace
+	// Quiescent cuts (DESIGN.md, decision 26). cuts is the core's cutter
+	// in a witness-off session, nil otherwise (and in tests that turn cuts
+	// off). Once a log chunk fills, the next quiescent point asks the core
+	// for the states its linearizations end in; if it answers, the log is
+	// dropped up to there and the current chunk reused, so the log holds
+	// one chunk plus the longest cut-free stretch. cutFed actions lie
+	// behind the last cut and cutSt is its answer: a fallback seeds the
+	// exact session with those states and replays only the log. Without a
+	// cut, cutFed is 0 and the seed is the empty state.
+	cuts   cutter
+	cutDue bool // a chunk filled since the last ask
+	cutFed int
+	cutSt  []adt.State
+}
+
+// cutter is a streaming core that can summarize a quiescent past. At a
+// point where no operation is open, every configuration of the exact
+// engine is an end state with no unclaimed entries (decision 20), so
+// the past is the set of states the fed trace's linearizations end in.
+// cutStates returns exactly that set — or false when the core cannot
+// tell it, leaving its last answer as it was — and is only asked while
+// no operation is open. The answer lives in the core's storage and
+// stays valid until the next call.
+type cutter interface {
+	cutStates() ([]adt.State, bool)
 }
 
 // recChunkMin and recChunk are the lengths of the first and of the
@@ -200,26 +221,46 @@ func NewSession(ctx context.Context, f adt.Folder, opts ...check.Option) *Sessio
 
 // NewSessionFast is NewSession with fast-path dispatch (DESIGN.md,
 // decision 15): when folder f has a streaming specialized core
-// (register, consensus) and check.WithExact was not requested, Feed
-// costs O(1) amortized per action instead of a frontier expansion, and
-// no budget is spent while the trace stays inside the core's fragment
-// (Nodes then counts fed actions). The first action outside the
-// fragment falls back transparently: the recorded trace is replayed
-// through the exact frontier engine — spending budget as an exact
-// session would — and the session continues exactly. Verdicts agree
+// (register, consensus, mutex, stack) and check.WithExact was not
+// requested, Feed costs O(1) amortized per action instead of a frontier
+// expansion, and no budget is spent while the trace stays inside the
+// core's fragment (Nodes then counts fed actions). The first action
+// outside the fragment falls back transparently: the recorded trace is
+// replayed through the exact frontier engine — spending budget as an
+// exact session would — and the session continues exactly. With
+// check.WithWitness(false) the record starts at the last quiescent cut
+// (DESIGN.md, decision 26): the exact engine is seeded with the states
+// the core reported there and replays only what followed. Verdicts agree
 // with NewSession on every prefix either way.
 func NewSessionFast(ctx context.Context, f adt.Folder, opts ...check.Option) *Session {
 	set := check.NewSettings(opts...)
 	s := newSessionSettings(ctx, f, set)
 	if !set.Exact {
 		s.fast = NewFastChecker(f, set.Witness)
+		if c, ok := s.fast.(cutter); ok && !set.Witness {
+			s.cuts = c
+		}
 	}
 	return s
 }
 
 func newSessionSettings(ctx context.Context, f adt.Folder, set check.Settings) *Session {
+	return newSessionAt(ctx, f, set, 0, []adt.State{f.Empty()})
+}
+
+// newSessionAt starts an exact session fed actions already, all of them
+// complete, whose linearizations end in the given distinct states: the
+// frontier holds one configuration per state with no unclaimed entries
+// (decision 20), which is the exact engine's own frontier at such a
+// point. Len counts the fed actions too, and feed indices continue from
+// them.
+func newSessionAt(ctx context.Context, f adt.Folder, set check.Settings, fed int, states []adt.State) *Session {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	frontier := make([]*cfg, len(states))
+	for i, st := range states {
+		frontier[i] = &cfg{end: st, dig: trace.HashString(string(st))}
 	}
 	return &Session{
 		ctx:      ctx,
@@ -228,7 +269,8 @@ func newSessionSettings(ctx context.Context, f adt.Folder, set check.Settings) *
 		budget:   set.BudgetOr(DefaultBudget),
 		in:       trace.NewInterner(),
 		pending:  map[trace.ClientID]pendingInv{},
-		frontier: []*cfg{{end: f.Empty(), dig: trace.HashString(string(f.Empty()))}},
+		frontier: frontier,
+		fed:      fed,
 		visited:  map[trace.Digest]struct{}{},
 	}
 }
@@ -339,9 +381,12 @@ func (s *Session) feedFast(a trace.Action) error {
 		if s.rec != nil {
 			s.recFull = append(s.recFull, s.rec)
 		}
-		s.rec = make(trace.Trace, 0, min(recChunk, max(recChunkMin, idx)))
+		s.rec = make(trace.Trace, 0, min(recChunk, max(recChunkMin, idx-s.cutFed)))
 	}
 	s.rec = append(s.rec, a)
+	if len(s.rec) == cap(s.rec) && s.cuts != nil {
+		s.cutDue = true
+	}
 	if s.notWF != "" {
 		return nil // verdict already final
 	}
@@ -377,6 +422,9 @@ func (s *Session) feedFast(a trace.Action) error {
 		}
 		s.fastNodes++
 		delete(s.pending, a.Client)
+		if s.cutDue && len(s.pending) == 0 && !s.fastRej {
+			s.cut()
+		}
 	default:
 		// Switch actions do not belong to sig_T; Check classifies such
 		// traces as ill-formed.
@@ -385,16 +433,37 @@ func (s *Session) feedFast(a trace.Action) error {
 	return nil
 }
 
-// fastFallback replays the recorded trace, chunk by chunk, through a
-// fresh exact session and adopts its entire state, so every later Feed
-// (and the current verdict) behaves as if the session had been exact
-// from the start. The replay spends budget from zero, exactly as an
-// exact session fed the same actions would have, and stops at that
-// session's first terminal error.
+// cut asks the core, at a quiescent point, for the states the fed
+// trace's linearizations end in; if it answers, the replay log is
+// dropped up to here and its current chunk kept for what follows.
+func (s *Session) cut() {
+	s.cutDue = false
+	st, ok := s.cuts.cutStates()
+	if !ok {
+		return
+	}
+	s.cutSt, s.cutFed = st, s.fed
+	clear(s.recFull)
+	s.rec, s.recFull = s.rec[:0], s.recFull[:0]
+}
+
+// fastFallback replays the recorded trace, chunk by chunk, through an
+// exact session and adopts its entire state. Without a cut that session
+// starts fresh, so every later Feed (and the current verdict) behaves as
+// if the session had been exact from the start: the replay spends budget
+// from zero, exactly as an exact session fed the same actions would
+// have. After a cut it starts from the cut's states with the cut's
+// actions behind it (newSessionAt) and replays only the log: the same
+// verdicts, with the nodes and budget spend of the suffix alone. Either
+// way the replay stops at the exact session's first terminal error.
 func (s *Session) fastFallback() error {
 	chunks := append(s.recFull, s.rec)
-	s.fast, s.rec, s.recFull = nil, nil, nil
-	ex := newSessionSettings(s.ctx, s.f, s.set)
+	states := s.cutSt
+	if s.cutFed == 0 {
+		states = []adt.State{s.f.Empty()}
+	}
+	ex := newSessionAt(s.ctx, s.f, s.set, s.cutFed, states)
+	s.fast, s.cuts, s.rec, s.recFull, s.cutSt = nil, nil, nil, nil, nil
 	var err error
 	for _, c := range chunks {
 		if err = ex.FeedAll(c); err != nil {
