@@ -591,29 +591,17 @@ func (n *Node) SetTimer(name string, d Time) {
 }
 
 // CancelTimer cancels the named timer if armed. Cancelling a name the
-// node holds no bookkeeping for — never armed, released, or armed before
-// the last crash — is a no-op and creates none: there is nothing in the
-// queue it could fire, and an entry made here would be one nothing ever
-// releases.
+// node holds no bookkeeping for — never armed, or armed before the last
+// crash — is a no-op and creates none: there is nothing in the queue it
+// could fire, and an entry made here would be one nothing ever uses.
 func (n *Node) CancelTimer(name string) {
 	if gen, ok := n.timerGen[name]; ok {
 		n.timerGen[name] = gen + 1
 	}
 }
 
-// ReleaseTimer cancels the named timer and forgets its generation
-// bookkeeping. SetTimer retains one map entry per distinct timer name
-// for the node's lifetime; handlers that scope timer names to
-// short-lived instances (e.g. one replicated-log slot) release the names
-// when the instance retires so memory stays proportional to live
-// instances. A released name must never be armed again within one
-// incarnation: a stale in-flight event of the old name could then fire
-// against the fresh generation counter. (Crossing a crash is safe — the
-// epoch guard invalidates pre-crash timers wholesale.)
-func (n *Node) ReleaseTimer(name string) { delete(n.timerGen, name) }
-
 // TimerNames returns the number of timer names the node currently holds
-// generation bookkeeping for: every name armed since the last crash and
-// not released. A diagnostic for leak tests — a handler that scopes names
-// to short-lived instances should see this return to its idle level.
+// generation bookkeeping for: every name armed since the last crash. The
+// bookkeeping lives as long as the incarnation, so a handler must draw its
+// names from a bounded set; this is the diagnostic leak tests read.
 func (n *Node) TimerNames() int { return len(n.timerGen) }

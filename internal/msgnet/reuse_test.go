@@ -8,7 +8,7 @@ import (
 )
 
 // A cancel of a name the node holds no bookkeeping for must create none:
-// an entry made by CancelTimer is one that nothing ever releases (Quorum
+// an entry made by CancelTimer is one that nothing ever uses (Quorum
 // cancels "retransmit" on every proposal whether or not it armed it).
 func TestCancelOfUnarmedTimerKeepsNoBookkeeping(t *testing.T) {
 	w := New(Config{Seed: 1})
@@ -18,12 +18,6 @@ func TestCancelOfUnarmedTimerKeepsNoBookkeeping(t *testing.T) {
 		n.CancelTimer("never-armed")
 		if got := n.TimerNames(); got != 0 {
 			t.Errorf("cancel of a never-armed name left %d names", got)
-		}
-		n.SetTimer("released", 5)
-		n.ReleaseTimer("released")
-		n.CancelTimer("released")
-		if got := n.TimerNames(); got != 0 {
-			t.Errorf("cancel of a released name left %d names", got)
 		}
 		// An armed name is still cancelled — and a cancelled one re-arms.
 		n.SetTimer("armed", 5)

@@ -68,11 +68,15 @@ type client struct {
 	proto    Protocol
 	env      mpcons.ClientEnv
 	proposal trace.Value
-	active   bool
+	// msg is proposeMsg{proposal}, boxed once for the first broadcast and
+	// every retransmission — and kept by a reused client whose next
+	// proposal is the same value (a host's retry of one command).
+	msg    any
+	active bool
 	// accepts[i] is the first accept received from env.Servers()[i];
 	// received counts the servers heard from. A slice, not a map: it is
-	// built once per proposal, and both readers below are independent of
-	// the order in which accepts arrived.
+	// cleared (reallocated only if too short) per proposal, and both
+	// readers below are independent of the order in which accepts arrived.
 	accepts  []accept
 	received int
 	// expired marks that the timer fired with no accept received; the
@@ -87,12 +91,20 @@ type accept struct {
 }
 
 func (c *client) Propose(v trace.Value) {
-	c.proposal = v
+	if c.msg == nil || v != c.proposal {
+		c.proposal = v
+		c.msg = proposeMsg{V: v}
+	}
 	c.active = true
 	c.expired = false
-	c.accepts = make([]accept, len(c.env.Servers()))
+	if n := len(c.env.Servers()); cap(c.accepts) >= n {
+		c.accepts = c.accepts[:n]
+		clear(c.accepts)
+	} else {
+		c.accepts = make([]accept, n)
+	}
 	c.received = 0
-	c.env.Broadcast(proposeMsg{V: v})
+	c.env.Broadcast(c.msg)
 	c.env.SetTimer("timeout", c.proto.timeout())
 	if c.proto.Retransmit > 0 {
 		c.env.SetTimer("retransmit", c.proto.Retransmit)
@@ -145,7 +157,7 @@ func (c *client) OnTimer(name string) {
 	}
 	switch name {
 	case "retransmit":
-		c.env.Broadcast(proposeMsg{V: c.proposal})
+		c.env.Broadcast(c.msg)
 		c.env.SetTimer("retransmit", c.proto.Retransmit)
 	case "timeout":
 		if c.received == 0 {

@@ -3,19 +3,23 @@ package smr
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"repro/internal/mpcons"
 	"repro/internal/msgnet"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// A retired attempt must leave nothing behind on the client's node. The
-// Quorum phase cancels "retransmit" whether or not it armed it; with
-// Retransmit off (the paper's default, and Config's zero value) that
-// cancel used to create one timer-bookkeeping entry per attempt which no
-// ReleaseTimer ever matched — 3 994 and 3 995 names on this run's two
-// client nodes by the end.
-func TestRetiredAttemptsKeepNoTimerNames(t *testing.T) {
+// A client names its phase timers by (shard, phase, name) — never by
+// slot — so the names it holds are bounded by its shards and phases, not
+// by how many slots it has attempted: the count after 400 commands is the
+// count after 4 000. The Quorum phase cancels "retransmit" whether or not
+// it armed it; with Retransmit off (the paper's default, and Config's
+// zero value) that cancel must not cost a name either.
+func TestTimerNamesBoundedPerClient(t *testing.T) {
+	const shards = 2
 	for _, retransmit := range []msgnet.Time{0, 6} {
 		t.Run(fmt.Sprintf("retransmit=%d", retransmit), func(t *testing.T) {
 			const ops = 4000
@@ -24,7 +28,7 @@ func TestRetiredAttemptsKeepNoTimerNames(t *testing.T) {
 			clients := ids("c", wl.Clients)
 			sc, err := BuildSharded(w, clients, ids("s", 3), ShardedConfig{
 				Config: Config{FastPath: true, QuorumTimeout: 8, Retransmit: retransmit, CompactEvery: 16},
-				Shards: 2,
+				Shards: shards,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -36,14 +40,114 @@ func TestRetiredAttemptsKeepNoTimerNames(t *testing.T) {
 			for i, c := range clients {
 				sc.SubmitPaced(c, per[i], msgnet.Time(i)*6, 12)
 			}
-			sc.Run(1 << 40)
+			names := func() []int {
+				var out []int
+				for _, c := range clients {
+					out = append(out, sc.nodes[c].TimerNames())
+				}
+				return out
+			}
+			for at := msgnet.Time(0); sc.Stats().Landed < 400 && at < pinHorizon; at++ {
+				sc.Run(at)
+			}
+			early := names()
+			sc.Run(pinHorizon)
 			assertSafe(t, "run", sc, ops)
-			for _, c := range clients {
-				if got := sc.nodes[c].TimerNames(); got != 0 {
-					t.Errorf("client %s retains %d timer names after %d commands", c, got, ops)
+			late := names()
+			for i, c := range clients {
+				if late[i] > shards*maxPhases*2 {
+					t.Errorf("client %s holds %d timer names, bound is %d", c, late[i], shards*maxPhases*2)
+				}
+				if early[i] != late[i] {
+					t.Errorf("client %s holds %d timer names after 400 commands, %d after %d", c, early[i], late[i], ops)
 				}
 			}
 		})
+	}
+}
+
+// timerProbe wraps a client phase protocol and records every timer that
+// reaches one of its components unless that component armed it — since
+// its last Propose or SwitchIn, for exactly this moment — and has not
+// cancelled it since.
+type timerProbe struct {
+	mpcons.PhaseProtocol
+	fired, stale *int
+}
+
+func (p timerProbe) NewClient(env mpcons.ClientEnv) mpcons.ClientPhase {
+	c := &probedClient{probe: p}
+	c.env = probedEnv{ClientEnv: env, c: c}
+	c.ClientPhase = p.PhaseProtocol.NewClient(&c.env)
+	return c
+}
+
+type probedClient struct {
+	mpcons.ClientPhase
+	probe timerProbe
+	env   probedEnv
+	due   map[string]msgnet.Time
+}
+
+type probedEnv struct {
+	mpcons.ClientEnv
+	c *probedClient
+}
+
+func (e *probedEnv) SetTimer(name string, d msgnet.Time) {
+	e.c.due[name] = e.Now() + d
+	e.ClientEnv.SetTimer(name, d)
+}
+
+func (e *probedEnv) CancelTimer(name string) {
+	delete(e.c.due, name)
+	e.ClientEnv.CancelTimer(name)
+}
+
+func (c *probedClient) Propose(v trace.Value) {
+	c.due = map[string]msgnet.Time{}
+	c.ClientPhase.Propose(v)
+}
+
+func (c *probedClient) SwitchIn(pending, sv trace.Value) {
+	c.due = map[string]msgnet.Time{}
+	c.ClientPhase.SwitchIn(pending, sv)
+}
+
+func (c *probedClient) OnTimer(name string) {
+	if at, ok := c.due[name]; ok && at == c.env.Now() {
+		*c.probe.fired++
+		delete(c.due, name)
+	} else {
+		*c.probe.stale++
+	}
+	c.ClientPhase.OnTimer(name)
+}
+
+// A retry re-proposes at the client's frontier, which is the retired
+// attempt's own slot when that attempt learned nothing. The replacement
+// arms the same timer names; a timer the retired attempt armed must never
+// reach it. Here every server is down, so each attempt's long Quorum
+// timeout is still pending when the retry timer retires the attempt.
+func TestRedoAtSameSlotGetsNoStaleTimer(t *testing.T) {
+	w, cl := build(t, msgnet.Config{Seed: 1}, Config{FastPath: true, QuorumTimeout: 100, RetryTimeout: 30}, 1, 3)
+	var fired, stale int
+	cl.sh.protos[0] = timerProbe{PhaseProtocol: cl.sh.protos[0], fired: &fired, stale: &stale}
+	for _, s := range ids("s", 3) {
+		w.Crash(s, 0)
+		w.Restart(s, 250)
+	}
+	cl.SubmitAt("c1", "only", 0)
+	cl.Run(1 << 30)
+	rs := cl.Results()
+	if len(rs) != 1 || rs[0].Slot != 0 || rs[0].Retries < 3 {
+		t.Fatalf("results %+v: want one command landing in slot 0 after at least 3 retries", rs)
+	}
+	if fired == 0 {
+		t.Fatal("no timer reached a phase component: the probe saw nothing")
+	}
+	if stale > 0 {
+		t.Fatalf("%d timers armed by retired attempts reached their replacement (%d reached their own)", stale, fired)
 	}
 }
 
@@ -70,7 +174,7 @@ func (r *retainer) OnRestart(n *msgnet.Node)            { r.inner.OnRestart(n) }
 // it arrived — nobody may write to a payload after Send (msgnet.Handler)
 // — under global and per-link duplication, a server crash–restart with
 // durable recovery (Restore resets the cached reply) and a client
-// crash–restart.
+// crash–restart. Every phase message must also be comparable.
 func TestSharedEnvelopesSurviveDuplication(t *testing.T) {
 	w := msgnet.New(msgnet.Config{Seed: 11, MinDelay: 1, MaxDelay: 3, DupProb: 0.15})
 	clients, servers := ids("c", 3), ids("s", 3)
@@ -101,7 +205,7 @@ func TestSharedEnvelopesSurviveDuplication(t *testing.T) {
 			w.At(msgnet.Time(i+8*j), func() { sh.byID[c].enqueue(cmd) })
 		}
 	}
-	w.Run(1 << 40)
+	w.Run(pinHorizon) // ends by t≈600; a stalled slot must fail, not hang
 
 	if got := len(sh.results); got != perClient*len(clients) {
 		t.Fatalf("landed %d of %d commands", got, perClient*len(clients))
@@ -118,6 +222,11 @@ func TestSharedEnvelopesSurviveDuplication(t *testing.T) {
 		for i, p := range r.retained {
 			if got := fmt.Sprintf("%#v", p); got != r.seenAs[i] {
 				t.Fatalf("payload arrived as %s and now reads %s", r.seenAs[i], got)
+			}
+			// The slot envs compare a phase message with the last one
+			// sent, which would panic on a non-comparable type.
+			if env, ok := p.(slotEnvelope); ok && !reflect.TypeOf(env.payload).Comparable() {
+				t.Fatalf("phase message %T is not comparable", env.payload)
 			}
 		}
 	}

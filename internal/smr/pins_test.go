@@ -23,75 +23,100 @@ func schedulePin(w *msgnet.Network, st ShardedStats, end msgnet.Time) string {
 		w.ScheduleDigest(), sent, delivered, dropped, w.Duplicated(), end, st.Landed, st.TotalLatency)
 }
 
+// The pins' shapes run paced: client i starts at i·pace/clients. They
+// end by t≈3 000; the horizon turns a change that stalls a slot forever
+// into a failed pin instead of a run that never ends.
+const (
+	pinPace    = 12
+	pinHorizon = 1 << 16
+)
+
+// kvShape is bench's smr-kv at 1/50 scale: 4 clients, 3 servers, 8
+// shards, online fast-path sessions, fault-free. per is kvFeeds' output.
+func kvShape(t *testing.T, per [][]Command) (*msgnet.Network, *ShardedCluster, msgnet.Time) {
+	w := msgnet.New(msgnet.Config{Seed: 1, MinDelay: 1, MaxDelay: 2})
+	clients := ids("c", len(per))
+	sc, err := BuildSharded(w, clients, ids("s", 3),
+		ShardedConfig{Config: benchProto, Shards: 8, OnlineCheck: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range clients {
+		sc.SubmitPaced(c, per[i], msgnet.Time(i)*pinPace/4, pinPace)
+	}
+	return w, sc, sc.Run(pinHorizon)
+}
+
+func kvFeeds(ops int) [][]Command {
+	per := make([][]Command, 4)
+	for _, op := range workload.Keyed(rand.New(rand.NewSource(1)),
+		workload.KeyedOpts{Clients: 4, Ops: ops, ReadFrac: 0.3}) {
+		per[op.Client] = append(per[op.Client], cmdOf(op))
+	}
+	return per
+}
+
+// txnFaultsItems is the number of mixed items txnFaultsFeeds generates.
+const txnFaultsItems = 800
+
+// txnFaultsShape is bench's smr-txn-faults at 1/50 scale: zipf keys, 20%
+// multi-key transactions, retries, durable recovery, rolling coordinator
+// crash–restarts, recovery watchdog. per is txnFaultsFeeds' output.
+func txnFaultsShape(t *testing.T, per [][]MixedItem) (*msgnet.Network, *TxnCluster, msgnet.Time) {
+	w := msgnet.New(msgnet.Config{Seed: 1, MinDelay: 1, MaxDelay: 2})
+	clients := ids("c", len(per))
+	proto := benchProto
+	proto.RetryTimeout = 60
+	proto.Recovery = true
+	tc, err := BuildTxn(w, clients, ids("s", 3),
+		ShardedConfig{Config: proto, Shards: 8, OnlineCheck: true},
+		TxnConfig{RecoveryTimeout: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := faults.Plan{Crashes: faults.RollingRestart(clients, 500, 2*txnFaultsItems/6, 300)}
+	if err := plan.Apply(w); err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range clients {
+		tc.SubmitMixedPaced(c, per[i], msgnet.Time(i)*pinPace/6, pinPace)
+	}
+	return w, tc, tc.Run(pinHorizon)
+}
+
+func txnFaultsFeeds() [][]MixedItem {
+	return mixedItems(workload.Mixed(rand.New(rand.NewSource(1)), workload.MixedOpts{
+		KeyedOpts: workload.KeyedOpts{Clients: 6, Ops: txnFaultsItems, Keys: 256, ReadFrac: 0.4, ZipfS: 1.2},
+		TxnFrac:   0.2, TxnKeys: 64, Groups: 16,
+	}), 6)
+}
+
 // The literals below were recorded at the commit before the simulator
 // and the protocol hosts stopped allocating per event (DESIGN.md,
 // decision 22) and must never move with a performance change: pooling,
 // interning and lazy construction may change how much work an event
 // costs, not which events run, when, or between whom.
 func TestSchedulePins(t *testing.T) {
-	const pace = 12
 	cases := []struct {
 		name string
 		run  func(t *testing.T) string
 		want string
 	}{
 		{
-			// bench's smr-kv: 4 clients, 3 servers, 8 shards, online
-			// fast-path sessions, fault-free.
+			// bench's smr-kv (kvShape).
 			name: "smr-kv",
 			run: func(t *testing.T) string {
-				w := msgnet.New(msgnet.Config{Seed: 1, MinDelay: 1, MaxDelay: 2})
-				clients := ids("c", 4)
-				sc, err := BuildSharded(w, clients, ids("s", 3),
-					ShardedConfig{Config: benchProto, Shards: 8, OnlineCheck: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ops := workload.Keyed(rand.New(rand.NewSource(1)),
-					workload.KeyedOpts{Clients: 4, Ops: 3000, ReadFrac: 0.3})
-				per := make([][]Command, 4)
-				for _, op := range ops {
-					per[op.Client] = append(per[op.Client], cmdOf(op))
-				}
-				for i, c := range clients {
-					sc.SubmitPaced(c, per[i], msgnet.Time(i)*pace/4, pace)
-				}
-				end := sc.Run(1 << 40)
+				w, sc, end := kvShape(t, kvFeeds(3000))
 				assertSafe(t, "smr-kv", sc, 3000)
 				return schedulePin(w, sc.Stats(), end)
 			},
 			want: "digest=4f25345071030dc2 sent=72156 delivered=72156 dropped=0 duplicated=0 end=2024 landed=3000 latency=42467",
 		},
 		{
-			// bench's smr-txn-faults: zipf keys, 20% multi-key
-			// transactions, retries, durable recovery, rolling coordinator
-			// crash–restarts, recovery watchdog.
+			// bench's smr-txn-faults (txnFaultsShape).
 			name: "smr-txn-faults",
 			run: func(t *testing.T) string {
-				w := msgnet.New(msgnet.Config{Seed: 1, MinDelay: 1, MaxDelay: 2})
-				clients := ids("c", 6)
-				proto := benchProto
-				proto.RetryTimeout = 60
-				proto.Recovery = true
-				tc, err := BuildTxn(w, clients, ids("s", 3),
-					ShardedConfig{Config: proto, Shards: 8, OnlineCheck: true},
-					TxnConfig{RecoveryTimeout: 1000})
-				if err != nil {
-					t.Fatal(err)
-				}
-				const items = 800
-				plan := faults.Plan{Crashes: faults.RollingRestart(clients, 500, 2*items/6, 300)}
-				if err := plan.Apply(w); err != nil {
-					t.Fatal(err)
-				}
-				per := mixedItems(workload.Mixed(rand.New(rand.NewSource(1)), workload.MixedOpts{
-					KeyedOpts: workload.KeyedOpts{Clients: 6, Ops: items, Keys: 256, ReadFrac: 0.4, ZipfS: 1.2},
-					TxnFrac:   0.2, TxnKeys: 64, Groups: 16,
-				}), 6)
-				for i, c := range clients {
-					tc.SubmitMixedPaced(c, per[i], msgnet.Time(i)*pace/6, pace)
-				}
-				end := tc.Run(1 << 40)
+				w, tc, end := txnFaultsShape(t, txnFaultsFeeds())
 				if st := tc.Stats(); st.Landed != st.Submitted {
 					t.Fatalf("landed %d of %d log entries", st.Landed, st.Submitted)
 				}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/faults"
+	"repro/internal/mpcons"
 	"repro/internal/msgnet"
 	"repro/internal/workload"
 )
@@ -290,5 +291,91 @@ func TestFaultMachineryOffPreservesBaseline(t *testing.T) {
 	s0, s1 := plain.sc.Stats(), chaos.sc.Stats()
 	if !reflect.DeepEqual(s0, s1) {
 		t.Fatalf("armed fault machinery changed stats:\nplain %+v\narmed %+v", s0, s1)
+	}
+}
+
+// Server slots freed below the compaction floor are reused for new slots
+// (replica.release), with their phase components reset by Restore. A
+// reused slot must start as empty as a new one: were a phase of its
+// previous slot left in comps, persist would file that phase's state
+// under the new slot, and a restart would restore it there — another
+// slot's Paxos acceptor. Compaction every 4 slots recycles slots
+// thousands of times while rolling restarts keep the servers recovering
+// from their durable stores. At every time unit each live phase must be
+// bound to its own slot and phase, and its durable snapshot must be its
+// own state; slots waiting on the free list hold no live phase.
+func TestRecycledServerSlotsKeepNoState(t *testing.T) {
+	scfg := chaosCfg(true)
+	scfg.CompactEvery = 4
+	wl := workload.KeyedOpts{Clients: 3, Ops: 2400, Keys: 16, ReadFrac: 0.4}
+	w := msgnet.New(msgnet.Config{Seed: 1, MinDelay: 1, MaxDelay: 2})
+	clients, servers := ids("c", wl.Clients), ids("s", 3)
+	sc, err := BuildSharded(w, clients, servers, scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plan faults.Plan
+	for start := msgnet.Time(60); start < 6000; start += 300 {
+		plan.Crashes = append(plan.Crashes, faults.RollingRestart(servers, start, 80, 30)...)
+	}
+	if err := plan.Apply(w); err != nil {
+		t.Fatal(err)
+	}
+	per := make([][]Command, wl.Clients)
+	for _, op := range workload.Keyed(rand.New(rand.NewSource(1)), wl) {
+		per[op.Client] = append(per[op.Client], cmdOf(op))
+	}
+	for i, c := range clients {
+		sc.SubmitPaced(c, per[i], 0, 8)
+	}
+
+	owner := map[*serverSlot]int{}
+	recycled, checks := 0, 0
+	var check func()
+	check = func() {
+		checks++
+		for _, sh := range sc.shards {
+			for _, r := range sh.reps {
+				for s, sl := range r.slots {
+					if prev, seen := owner[sl]; seen && prev != s {
+						recycled++
+					}
+					owner[sl] = s
+					for k, comp := range sl.comps {
+						if comp == nil {
+							continue
+						}
+						if env := sl.envs[k]; env.slot != s || env.phase != k || sl.spare[k] != nil {
+							t.Fatalf("t=%d %s shard %d: phase %d of slot %d is bound to slot %d phase %d (spare %v)",
+								w.Now(), r.id, sh.id, k, s, env.slot, env.phase, sl.spare[k] != nil)
+						}
+						if own, stored := comp.(mpcons.Durable).Snapshot(), r.durable[s][k]; own != stored {
+							t.Fatalf("t=%d %s shard %d: slot %d phase %d stores %#v, holds %#v",
+								w.Now(), r.id, sh.id, s, k, stored, own)
+						}
+					}
+				}
+				for _, sl := range r.free {
+					if sl.comps != [maxPhases]mpcons.ServerPhase{} {
+						t.Fatalf("t=%d %s shard %d: a free slot holds live phases", w.Now(), r.id, sh.id)
+					}
+				}
+			}
+		}
+		if sc.stats.Landed < int64(wl.Ops) {
+			w.At(w.Now()+1, check)
+		}
+	}
+	w.At(0, check)
+	// The feed ends at t≈6 400; a reuse that leaves stale protocol state
+	// behind can stall slots forever, which must fail, not hang.
+	sc.Run(20_000)
+	assertSafe(t, "recycling", sc, int64(wl.Ops))
+	if st := sc.Stats(); st.Switches == 0 {
+		t.Fatal("no slot left the fast path: the backup phase was never recycled")
+	}
+	t.Logf("%d server slots reused across %d checks", recycled, checks)
+	if recycled < 1000 {
+		t.Fatalf("only %d server slots were reused", recycled)
 	}
 }

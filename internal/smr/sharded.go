@@ -442,11 +442,11 @@ func (r *router) OnTimer(n *msgnet.Node, name string) {
 		}
 		return
 	}
-	shard, slot, phase, rest, ok := splitSlotTimer(name)
+	shard, phase, rest, ok := splitPhaseTimer(name)
 	if !ok || shard < 0 || shard >= len(r.perShard) {
 		return
 	}
-	r.perShard[shard].handleTimer(slot, phase, rest)
+	r.perShard[shard].handleTimer(phase, rest)
 }
 
 // OnRestart implements msgnet.RecoverableHandler: each shard-local

@@ -276,7 +276,11 @@ type client struct {
 	index int
 	node  *msgnet.Node
 
+	// slots holds the live attempt's instance, keyed by its slot: at most
+	// one, because attempt always follows retire. spare is the last
+	// retired instance, which the next attempt reuses.
 	slots map[int]*slotInstance
+	spare *slotInstance
 	log   map[int]Command
 	// frontier caches the first slot not in log (the dense-prefix
 	// length); log only grows at or above it, so it advances monotonically
@@ -291,15 +295,21 @@ type client struct {
 	// submittedCmds is every command ever enqueued, for checkConsistency;
 	// not kept when the shard's owner answers that itself (Shard.submitted).
 	submittedCmds []Command
-	current       *submission
+	current       submission
 	// retryTimer is the node-level name of the submission-progress timer.
 	retryTimer string
+	// timers[k] holds the node-level names of phase k's timers, built on
+	// first use and shared by every attempt (see slotClientEnv.SetTimer).
+	timers [maxPhases][]slotTimer
 	// retries counts timeout/restart re-proposals across all submissions
 	// (for stats).
 	retries int64
 }
 
+// submission is the client's in-flight command; live is false while the
+// client is idle.
 type submission struct {
+	live     bool
 	cmd      Command
 	start    msgnet.Time
 	attempts int
@@ -349,14 +359,14 @@ func (c *client) enqueue(cmd Command) {
 	if c.sh.submitted == nil {
 		c.submittedCmds = append(c.submittedCmds, cmd)
 	}
-	if c.current == nil {
+	if !c.current.live {
 		c.startNext()
 	}
 }
 
 func (c *client) startNext() {
 	if len(c.queue) == 0 {
-		c.current = nil
+		c.current = submission{}
 		if c.sh.cfg.RetryTimeout > 0 {
 			c.node.CancelTimer(c.retryTimer)
 		}
@@ -371,7 +381,7 @@ func (c *client) startNext() {
 	}
 	cmd := c.queue[0]
 	c.queue = c.queue[1:]
-	c.current = &submission{cmd: cmd, start: c.node.Now()}
+	c.current = submission{live: true, cmd: cmd, start: c.node.Now()}
 	if c.sh.onStart != nil {
 		c.sh.onStart(c.id, cmd, c.node.Now())
 	}
@@ -383,14 +393,29 @@ func (c *client) startNext() {
 // derived from quorum accepts may enter the robust phase (see
 // Config.RetryTimeout), so the fresh attempt relies on the quorum
 // phase's own conflict/timeout rules to degrade safely.
+//
+// The attempt reuses the last retired instance. With the fast path it
+// keeps that instance's Quorum client too, which is bound to &envs[0] and
+// whose Propose resets every field it has; a Paxos proposer carries its
+// round and any learned decision across Propose, so it never survives.
 func (c *client) attempt(s int) {
 	c.current.attempts++
 	c.current.slot = s
-	inst := &slotInstance{pending: true, roundFloor: c.current.roundFloor}
+	inst := c.spare
+	c.spare = nil
+	if inst == nil {
+		inst = &slotInstance{}
+	} else {
+		q := inst.comps[0]
+		if !c.sh.cfg.FastPath {
+			q = nil
+		}
+		*inst = slotInstance{}
+		inst.comps[0] = q
+	}
+	inst.pending, inst.roundFloor = true, c.current.roundFloor
 	for k := range c.sh.protos {
-		env := &inst.envs[k]
-		env.client, env.slot, env.phase = c, s, k
-		env.timers = env.timerBuf[:0]
+		inst.envs[k] = slotClientEnv{client: c, slot: s, phase: k}
 	}
 	c.slots[s] = inst
 	c.comp(inst, 0).Propose(c.current.cmd)
@@ -434,7 +459,7 @@ func (c *client) armRetry() {
 // twice because the client only passes a slot after learning its
 // decision.
 func (c *client) onRetryTimer() {
-	if c.current == nil || c.sh.cfg.RetryTimeout <= 0 {
+	if !c.current.live || c.sh.cfg.RetryTimeout <= 0 {
 		return
 	}
 	c.redoAttempt()
@@ -442,14 +467,14 @@ func (c *client) onRetryTimer() {
 
 // redoAttempt is the shared retry/restart path: retire the in-flight
 // slot instance (carrying its Paxos round floor) and re-propose at the
-// frontier. The replacement reuses the retired instance's timer names,
-// so a stale in-flight timer event can fire into it despite the
-// generation bookkeeping; that is benign — both phase protocols are
-// timing-insensitive for safety, so a spurious timeout or retry tick
-// only accelerates a switch or a new ballot. Late accept replies to the
-// retired attempt reach the replacement's quorum component instead,
-// which is sound: an accept carries the server's immutable
-// first-received value, independent of which proposal solicited it.
+// frontier. The replacement arms the same timer names as the retired
+// attempt — often at the same slot — but retire cancelled them, so no
+// timer the retired attempt armed can fire into it
+// (TestRedoAtSameSlotGetsNoStaleTimer). Late accept replies to the
+// retired attempt do reach the replacement's quorum component when the
+// slot is the same, which is sound: an accept carries the server's
+// immutable first-received value, independent of which proposal
+// solicited it.
 func (c *client) redoAttempt() {
 	c.retries++
 	c.current.retries++
@@ -472,7 +497,7 @@ func (c *client) redoAttempt() {
 // durable state (log, queue, current submission) survives by the
 // recovery model (Config.Recovery).
 func (c *client) onRestart() {
-	if c.current != nil {
+	if c.current.live {
 		c.redoAttempt()
 	}
 }
@@ -490,7 +515,7 @@ func (c *client) decide(s, phase int, v Command) {
 	if c.sh.onLearn != nil {
 		c.sh.onLearn(c.id, s, v)
 	}
-	if c.current == nil || c.current.slot != s {
+	if !c.current.live || c.current.slot != s {
 		return
 	}
 	if v == c.current.cmd {
@@ -518,17 +543,18 @@ func (c *client) decide(s, phase int, v Command) {
 	c.attempt(c.frontier)
 }
 
-// retire drops the slot's phase components and timer bookkeeping: the
-// slot is decided for this client, so its components can never resolve
-// again and late messages for it are dropped. This keeps client memory
-// proportional to in-flight slots rather than log length.
+// retire ends the slot's attempt: late messages for the slot are dropped
+// from now on, and every phase timer name is cancelled — a generation
+// bump, so no timer the attempt armed can fire into the next attempt,
+// which arms the same names. The instance is kept as the spare.
 func (c *client) retire(s int, inst *slotInstance) {
-	for k := range inst.envs {
-		for _, t := range inst.envs[k].timers {
-			c.node.ReleaseTimer(t.full)
+	for k := range c.timers {
+		for _, t := range c.timers[k] {
+			c.node.CancelTimer(t.full)
 		}
 	}
 	delete(c.slots, s)
+	c.spare = inst
 }
 
 // advanceFrontier moves the cached first-unknown-slot cursor and, with
@@ -571,8 +597,9 @@ func (c *client) reportWatermark(idle bool) {
 		return
 	}
 	c.reported = c.frontier
+	var report any = learnedEnvelope{shard: c.sh.id, watermark: c.frontier}
 	for _, srv := range c.sh.servers {
-		c.node.Send(srv, learnedEnvelope{shard: c.sh.id, watermark: c.frontier})
+		c.node.Send(srv, report)
 	}
 	if c.frontier > c.trimmed {
 		cmds := make([]Command, 0, c.frontier-c.trimmed)
@@ -627,7 +654,7 @@ func (c *client) handleGossip(env gossipEnvelope) {
 		return
 	}
 	c.advanceFrontier()
-	if c.current == nil {
+	if !c.current.live {
 		c.reportWatermark(true)
 	}
 }
@@ -640,7 +667,7 @@ func (c *client) switchTo(s, phase int, sv trace.Value) {
 	if phase+1 >= len(c.sh.protos) {
 		panic("smr: last phase aborted")
 	}
-	if c.current != nil && c.current.slot == s {
+	if c.current.live && c.current.slot == s {
 		c.current.switches++
 	}
 	inst.phase++
@@ -656,13 +683,16 @@ func (c *client) handleEnvelope(from msgnet.ProcID, env slotEnvelope) {
 	c.comp(inst, env.phase).OnMessage(from, env.payload)
 }
 
-// handleTimer delivers a routed, already-parsed timer.
-func (c *client) handleTimer(slot, phase int, rest string) {
-	inst := c.slots[slot]
-	if inst == nil || phase < 0 || phase >= len(c.sh.protos) {
+// handleTimer delivers a routed, already-parsed phase timer. The name
+// carries no slot: it can only have been armed by the live attempt, since
+// retire cancels every name.
+func (c *client) handleTimer(phase int, rest string) {
+	if !c.current.live || phase < 0 || phase >= len(c.sh.protos) {
 		return
 	}
-	c.comp(inst, phase).OnTimer(rest)
+	if inst := c.slots[c.current.slot]; inst != nil {
+		c.comp(inst, phase).OnTimer(rest)
+	}
 }
 
 // OnMessage/OnTimer implement msgnet.Handler for the single-shard
@@ -687,30 +717,30 @@ func (c *client) OnTimer(n *msgnet.Node, name string) {
 		}
 		return
 	}
-	shard, slot, phase, rest, ok := splitSlotTimer(name)
+	shard, phase, rest, ok := splitPhaseTimer(name)
 	if !ok || shard != c.sh.id {
 		return
 	}
-	c.handleTimer(slot, phase, rest)
+	c.handleTimer(phase, rest)
 }
 
 // OnRestart implements msgnet.RecoverableHandler for the single-shard
 // deployment.
 func (c *client) OnRestart(n *msgnet.Node) { c.onRestart() }
 
-// slotClientEnv adapts a client to one slot and phase. It remembers each
-// timer the phase component armed — the phase-local name beside the
-// node-level name built for it — so a name is built once per attempt, not
-// once per call, and retire can release exactly the names in use.
+// slotClientEnv adapts a client to one slot and phase. Like
+// slotServerEnv it keeps its last broadcast payload beside the envelope
+// boxed for it, so a retransmission of one boxed proposal boxes nothing.
 type slotClientEnv struct {
-	client *client
-	slot   int
-	phase  int
-	timers []slotTimer
-	// timerBuf backs timers for the two names a phase uses in practice.
-	timerBuf [2]slotTimer
+	client  *client
+	slot    int
+	phase   int
+	lastP   any
+	lastBox any
 }
 
+// slotTimer is a phase-local timer name beside the node-level name built
+// for it.
 type slotTimer struct{ local, full string }
 
 func (e *slotClientEnv) Self() msgnet.ProcID      { return e.client.id }
@@ -724,34 +754,44 @@ func (e *slotClientEnv) Send(to msgnet.ProcID, p any) {
 	e.client.node.Send(to, slotEnvelope{shard: e.client.sh.id, slot: e.slot, phase: e.phase, payload: p})
 }
 
-// Broadcast boxes one envelope and sends that same immutable value to
+// Broadcast sends one boxed envelope — the same immutable value — to
 // every server (msgnet.Handler's payload rule).
 func (e *slotClientEnv) Broadcast(p any) {
-	var env any = slotEnvelope{shard: e.client.sh.id, slot: e.slot, phase: e.phase, payload: p}
+	if e.lastBox == nil || p != e.lastP {
+		e.lastP = p
+		e.lastBox = slotEnvelope{shard: e.client.sh.id, slot: e.slot, phase: e.phase, payload: p}
+	}
 	for _, s := range e.client.sh.servers {
-		e.client.node.Send(s, env)
+		e.client.node.Send(s, e.lastBox)
 	}
-}
-func (e *slotClientEnv) SetTimer(name string, d msgnet.Time) {
-	full, armed := e.armed(name)
-	if !armed {
-		full = slotTimerName(e.client.sh.id, e.slot, e.phase, name)
-		e.timers = append(e.timers, slotTimer{local: name, full: full})
-	}
-	e.client.node.SetTimer(full, d)
 }
 
-// CancelTimer forwards only names this attempt armed: a phase may cancel
-// a timer it never set (Quorum cancels "retransmit" whether or not
+// SetTimer arms the client's node-level name for (shard, phase, name),
+// building it the first time any attempt arms it. The slot is not part of
+// the name: a (client, shard) has one live attempt, so a client holds at
+// most shards × phases × (names a phase uses) names however long it runs
+// (TestTimerNamesBoundedPerClient).
+func (e *slotClientEnv) SetTimer(name string, d msgnet.Time) {
+	c := e.client
+	full, ok := c.timerName(e.phase, name)
+	if !ok {
+		full = phaseTimerName(c.sh.id, e.phase, name)
+		c.timers[e.phase] = append(c.timers[e.phase], slotTimer{local: name, full: full})
+	}
+	c.node.SetTimer(full, d)
+}
+
+// CancelTimer forwards only names the client has armed: a phase may
+// cancel a timer it never set (Quorum cancels "retransmit" whether or not
 // retransmission is on), and that must not cost a name.
 func (e *slotClientEnv) CancelTimer(name string) {
-	if full, armed := e.armed(name); armed {
+	if full, ok := e.client.timerName(e.phase, name); ok {
 		e.client.node.CancelTimer(full)
 	}
 }
 
-func (e *slotClientEnv) armed(name string) (full string, ok bool) {
-	for _, t := range e.timers {
+func (c *client) timerName(phase int, name string) (full string, ok bool) {
+	for _, t := range c.timers[phase] {
 		if t.local == name {
 			return t.full, true
 		}
@@ -776,21 +816,30 @@ type replica struct {
 	node  *msgnet.Node
 	slots map[int]*serverSlot
 	// durable holds per-slot phase snapshots (Recovery only), bounded by
-	// the compaction window like slots.
-	durable map[int][]any
+	// the compaction window like slots; nil for a phase never persisted.
+	durable map[int][maxPhases]any
 	// wm holds per-client learned watermarks; slots below their minimum
 	// are freed and refused (gcFloor). Compaction only.
 	wm      map[msgnet.ProcID]int
 	gcFloor int
+	// free holds the server slots handleLearned freed, for component to
+	// reuse; fresh[k] is the snapshot of a just-built phase-k component,
+	// which resets a reused one (taken on first need).
+	free  []*serverSlot
+	fresh [maxPhases]any
 }
 
 func (r *replica) Init(n *msgnet.Node) { r.node = n }
 
 // serverSlot is one slot's server-side phase components and their
-// environments, each phase built on first use.
+// environments, each phase built on first use. spare[k] is a phase-k
+// component left by the slot's previous use, bound to &envs[k] and
+// waiting to be reset and reused. It is kept out of comps so that persist
+// can never snapshot it under the new slot.
 type serverSlot struct {
 	comps [maxPhases]mpcons.ServerPhase
 	envs  [maxPhases]slotServerEnv
+	spare [maxPhases]mpcons.ServerPhase
 }
 
 // component returns the slot's phase-k server component, creating the
@@ -799,24 +848,64 @@ type serverSlot struct {
 // returns nil for an unknown phase and for slots retired by compaction:
 // no correct client proposes there anymore, so late (duplicated/delayed)
 // messages are dropped rather than resurrecting state.
+//
+// A slot comes off the free list when it has one, and a phase reuses the
+// slot's spare component, reset by Restore to the durable snapshot or
+// else to a fresh component's: Restore sets every field a component has.
 func (r *replica) component(slot, k int) mpcons.ServerPhase {
 	if slot < r.gcFloor || k < 0 || k >= len(r.sh.protos) {
 		return nil
 	}
 	sl := r.slots[slot]
 	if sl == nil {
-		sl = &serverSlot{}
+		if n := len(r.free); n > 0 {
+			sl = r.free[n-1]
+			r.free[n-1] = nil
+			r.free = r.free[:n-1]
+		} else {
+			sl = &serverSlot{}
+		}
 		r.slots[slot] = sl
 	}
 	if sl.comps[k] == nil {
 		sl.envs[k] = slotServerEnv{replica: r, slot: slot, phase: k}
-		comp := r.sh.protos[k].NewServer(&sl.envs[k])
-		if snaps := r.durable[slot]; snaps != nil && snaps[k] != nil {
-			comp.(mpcons.Durable).Restore(snaps[k])
+		snap := r.durable[slot][k]
+		comp := sl.spare[k]
+		sl.spare[k] = nil
+		if comp == nil {
+			comp = r.sh.protos[k].NewServer(&sl.envs[k])
+		} else if snap == nil {
+			snap = r.freshSnapshot(k)
+		}
+		if snap != nil {
+			comp.(mpcons.Durable).Restore(snap)
 		}
 		sl.comps[k] = comp
 	}
 	return sl.comps[k]
+}
+
+// freshSnapshot returns the snapshot of a just-built phase-k component.
+func (r *replica) freshSnapshot(k int) any {
+	if r.fresh[k] == nil {
+		r.fresh[k] = r.sh.protos[k].NewServer(&slotServerEnv{replica: r}).(mpcons.Durable).Snapshot()
+	}
+	return r.fresh[k]
+}
+
+// release empties a slot freed below the compaction floor and puts it on
+// the free list. Every phase leaves comps — a durable component becomes
+// the spare, anything else is dropped — so the slot's next use starts
+// with no phase built, exactly like a new slot
+// (TestRecycledServerSlotsKeepNoState).
+func (r *replica) release(sl *serverSlot) {
+	for k, comp := range sl.comps {
+		if _, ok := comp.(mpcons.Durable); ok {
+			sl.spare[k] = comp
+		}
+		sl.comps[k] = nil
+	}
+	r.free = append(r.free, sl)
 }
 
 // persist snapshots the slot's phase state into the durable store
@@ -833,19 +922,16 @@ func (r *replica) persist(slot int) {
 	if sl == nil {
 		return
 	}
-	snaps := r.durable[slot]
-	if snaps == nil {
-		snaps = make([]any, len(r.sh.protos))
-		if r.durable == nil {
-			r.durable = map[int][]any{}
-		}
-		r.durable[slot] = snaps
+	if r.durable == nil {
+		r.durable = map[int][maxPhases]any{}
 	}
+	snaps := r.durable[slot]
 	for k, comp := range sl.comps {
 		if d, ok := comp.(mpcons.Durable); ok {
 			snaps[k] = d.Snapshot()
 		}
 	}
+	r.durable[slot] = snaps
 }
 
 // recover discards the volatile phase components after a restart; they
@@ -884,7 +970,10 @@ func (r *replica) handleLearned(from msgnet.ProcID, w int) {
 		}
 	}
 	for s := r.gcFloor; s < min; s++ {
-		delete(r.slots, s)
+		if sl := r.slots[s]; sl != nil {
+			r.release(sl)
+			delete(r.slots, s)
+		}
 		delete(r.durable, s)
 	}
 	if min > r.gcFloor {
@@ -928,10 +1017,17 @@ func (r *replica) OnTimer(n *msgnet.Node, name string) {
 // deployment.
 func (r *replica) OnRestart(n *msgnet.Node) { r.recover() }
 
+// slotServerEnv adapts a replica to one slot and phase. It keeps the
+// last payload it sent beside the envelope boxed for it and sends that
+// same box again while the payload is equal: Quorum's accept reply is
+// one boxed value sent to every proposal. Every phase message is a
+// comparable struct, so the comparison cannot panic.
 type slotServerEnv struct {
 	replica *replica
 	slot    int
 	phase   int
+	lastP   any
+	lastBox any
 }
 
 func (e *slotServerEnv) Self() msgnet.ProcID      { return e.replica.id }
@@ -939,7 +1035,11 @@ func (e *slotServerEnv) Clients() []msgnet.ProcID { return e.replica.sh.clients 
 func (e *slotServerEnv) Servers() []msgnet.ProcID { return e.replica.sh.servers }
 func (e *slotServerEnv) Now() msgnet.Time         { return e.replica.node.Now() }
 func (e *slotServerEnv) Send(to msgnet.ProcID, p any) {
-	e.replica.node.Send(to, slotEnvelope{shard: e.replica.sh.id, slot: e.slot, phase: e.phase, payload: p})
+	if e.lastBox == nil || p != e.lastP {
+		e.lastP = p
+		e.lastBox = slotEnvelope{shard: e.replica.sh.id, slot: e.slot, phase: e.phase, payload: p}
+	}
+	e.replica.node.Send(to, e.lastBox)
 }
 
 // SetTimer builds the node-level name on every call: no server phase arms
@@ -959,8 +1059,28 @@ func splitRetryTimer(full string) (shard int, ok bool) {
 	return shard, err == nil
 }
 
-// slotTimerName builds "h<shard>s<slot>p<phase>:<name>" with one
-// allocation.
+// phaseTimerName builds a client's "h<shard>p<phase>:<name>".
+func phaseTimerName(shard, phase int, name string) string {
+	return "h" + strconv.Itoa(shard) + "p" + strconv.Itoa(phase) + ":" + name
+}
+
+func splitPhaseTimer(full string) (shard, phase int, name string, ok bool) {
+	rest, found := strings.CutPrefix(full, "h")
+	p := strings.IndexByte(rest, 'p')
+	colon := strings.IndexByte(rest, ':')
+	if !found || p < 0 || colon < p {
+		return 0, 0, "", false
+	}
+	shard, err0 := strconv.Atoi(rest[:p])
+	phase, err1 := strconv.Atoi(rest[p+1 : colon])
+	if err0 != nil || err1 != nil {
+		return 0, 0, "", false
+	}
+	return shard, phase, rest[colon+1:], true
+}
+
+// slotTimerName builds a replica's "h<shard>s<slot>p<phase>:<name>" with
+// one allocation.
 func slotTimerName(shard, slot, phase int, name string) string {
 	var buf [48]byte
 	b := append(buf[:0], 'h')

@@ -191,4 +191,18 @@ func TestSlotTimerRoundTrip(t *testing.T) {
 	if _, _, _, _, ok := splitSlotTimer("h1p2s3:x"); ok {
 		t.Fatal("misordered timer accepted")
 	}
+	// A client's phase timers carry no slot; each parser rejects the
+	// other's names.
+	pname := phaseTimerName(3, 1, "retry")
+	if shard, phase, rest, ok := splitPhaseTimer(pname); !ok || shard != 3 || phase != 1 || rest != "retry" {
+		t.Fatalf("phase round trip: %d %d %q %v", shard, phase, rest, ok)
+	}
+	if _, _, _, _, ok := splitSlotTimer(pname); ok {
+		t.Fatalf("slot parser accepted %q", pname)
+	}
+	for _, bad := range []string{name, "bogus", "h1:p2", "hxp1:a", "h1p:a", "r3"} {
+		if _, _, _, ok := splitPhaseTimer(bad); ok {
+			t.Fatalf("phase parser accepted %q", bad)
+		}
+	}
 }
