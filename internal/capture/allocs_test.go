@@ -10,6 +10,9 @@ import (
 
 	speclin "repro"
 	"repro/internal/adt"
+	"repro/internal/check"
+	"repro/internal/keyed"
+	"repro/internal/lin"
 	"repro/internal/trace"
 )
 
@@ -18,7 +21,7 @@ import (
 // not depend on the machine or its load.
 
 // drainByteBudget is what one merged action may allocate on its way
-// from the proc buffers through the router into a register fast-path
+// from the proc buffers through the keyed histories into a register fast-path
 // session: measured at 68 B — two digest-table slots an input and a
 // third a written value with their doublings, and a block summary a
 // write (DESIGN.md, decision 24); the session's replay log, which these
@@ -85,12 +88,13 @@ func TestDrainAllocationBudget(t *testing.T) {
 
 	// Merge, route and feed: bytes per action.
 	rec, actions = recordRegisterPairs(pairs)
-	rt := newRouter(context.Background(), speclin.CheckSpec{Folder: speclin.RegisterADT}, mapKeyOf, true, false,
-		speclin.WithWitness(false))
+	set := keyed.New(keyed.Policy{Sessions: true}, func(bool) *lin.Session {
+		return lin.NewSessionFast(context.Background(), adt.Register{}, check.WithWitness(false))
+	})
 	runtime.ReadMemStats(&before)
-	rec.each(math.MaxInt64, rt.feed)
+	rec.each(math.MaxInt64, route(set, mapKeyOf))
 	runtime.ReadMemStats(&after)
-	rep := rt.reports()
+	rep := routeReport(set.Report())
 	if rep.Verdict != speclin.Linearizable || rep.Actions != int64(actions) || rep.Nodes != rep.Actions {
 		t.Fatalf("routed %d of %d actions in %d nodes, verdict %v (%s): the stream left the fast path",
 			rep.Actions, actions, rep.Nodes, rep.Verdict, rep.Reason)
@@ -153,8 +157,8 @@ func TestQueueOneShotByteBudget(t *testing.T) {
 	}
 }
 
-// TestHuntRetainsOnlyWhatItReads: the router counts every action but
-// keeps a key's trace only for a pass that reads it — the queue's
+// TestHuntRetainsOnlyWhatItReads: the keyed histories count every action
+// but keep a key's trace only for a pass that reads it — the queue's
 // one-shot check, or the ClassicalLin pass — and an unkeyed, ops-bounded
 // hunt's trace is allocated once, at the length the run will have.
 func TestHuntRetainsOnlyWhatItReads(t *testing.T) {
@@ -174,7 +178,7 @@ func TestHuntRetainsOnlyWhatItReads(t *testing.T) {
 		{StructQueue, false, 20 * time.Millisecond, 0, true},
 	} {
 		cfg := Config{Structure: tc.structure, Goroutines: g, Ops: ops, Keys: 4, Classical: tc.classical, Duration: tc.duration}
-		rep, rt, err := hunt(t.Context(), cfg)
+		rep, set, err := hunt(t.Context(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,20 +191,19 @@ func TestHuntRetainsOnlyWhatItReads(t *testing.T) {
 		if want := int64(cfg.withDefaults().expectedActions()); want != tc.actions {
 			t.Fatalf("%s: %d actions expected before the run, %d recorded", tc.structure, want, tc.actions)
 		}
-		var counted, kept int64
-		for _, ks := range rt.order {
-			counted += ks.n
-			kept += int64(len(ks.tr))
-			if !tc.retained && ks.tr != nil {
-				t.Fatalf("%s: key %q keeps a %d-action trace no pass reads", tc.structure, ks.key, len(ks.tr))
+		var kept int64
+		set.Traces(func(key string, _ bool, tr trace.Trace) {
+			kept += int64(len(tr))
+			if !tc.retained {
+				t.Fatalf("%s: key %q keeps a %d-action trace no pass reads", tc.structure, key, len(tr))
 			}
 			// One key and a known length: the trace was sized once and never grew.
-			if tc.retained && rt.keyOf == nil && tc.actions != 0 && int64(cap(ks.tr)) != tc.actions {
+			if key == "" && tc.actions != 0 && int64(cap(tr)) != tc.actions {
 				t.Fatalf("%s: retained trace has capacity %d for %d actions, want it allocated once at that length",
-					tc.structure, cap(ks.tr), tc.actions)
+					tc.structure, cap(tr), tc.actions)
 			}
-		}
-		if counted != rep.Actions || tc.retained && kept != rep.Actions {
+		})
+		if counted := set.Report().Actions; counted != rep.Actions || tc.retained && kept != rep.Actions {
 			t.Fatalf("%s (classical %v): %d actions counted, %d kept, %d reported",
 				tc.structure, tc.classical, counted, kept, rep.Actions)
 		}

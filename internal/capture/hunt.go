@@ -17,8 +17,10 @@ import (
 
 	"math/rand"
 
-	speclin "repro"
 	"repro/internal/adt"
+	"repro/internal/check"
+	"repro/internal/keyed"
+	"repro/internal/lin"
 	"repro/internal/trace"
 )
 
@@ -109,8 +111,8 @@ type Report struct {
 	Live RouteReport
 	// ClassicalReport is the optional post-run ClassicalLin pass.
 	Classical *RouteReport
-	// Wall is the stress run's wall clock (drain and live checking
-	// included, post-run one-shots excluded).
+	// Wall is the stress run's wall clock (drain, live checking and the
+	// queue's one-shot included, the classical pass excluded).
 	Wall time.Duration
 }
 
@@ -132,9 +134,9 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	return rep, err
 }
 
-// hunt is Run, also handing back the router so in-package tests can see
-// what the run retained.
-func hunt(ctx context.Context, cfg Config) (Report, *router, error) {
+// hunt is Run, also handing back the keyed histories so in-package tests
+// can see what the run retained.
+func hunt(ctx context.Context, cfg Config) (Report, *keyed.Set, error) {
 	cfg = cfg.withDefaults()
 	sut, err := newStructure(cfg.Structure, cfg.Mutant, true)
 	if err != nil {
@@ -150,17 +152,15 @@ func hunt(ctx context.Context, cfg Config) (Report, *router, error) {
 	// Per-feed budgets: a hunt session lives for the whole stress run, so
 	// one lifetime budget would starve late actions on long runs; each
 	// fed action instead gets the full budget for its frontier step.
-	opts := []speclin.Option{speclin.WithBudget(cfg.Budget), speclin.WithWitness(false),
-		speclin.WithFeedBudget(true)}
-	if cfg.Exact {
-		opts = append(opts, speclin.WithExact(true))
-	}
-	var rt *router
+	opts := []check.Option{check.WithBudget(cfg.Budget), check.WithWitness(false),
+		check.WithFeedBudget(true), check.WithExact(cfg.Exact)}
+	var f adt.Folder
+	var keyOf func(trace.Value) string
 	switch cfg.Structure {
 	case StructMap:
-		rt = newRouter(ctx, speclin.CheckSpec{Folder: speclin.RegisterADT}, mapKeyOf, true, cfg.Classical, opts...)
+		f, keyOf = adt.Register{}, mapKeyOf
 	case StructMutex:
-		rt = newRouter(ctx, speclin.CheckSpec{Folder: speclin.MutexADT}, nil, true, cfg.Classical, opts...)
+		f = adt.Mutex{}
 	case StructSet:
 		// The set folder has no fast path, so its per-key sessions run the
 		// exact frontier engine. Its configurations are keyed on the set's
@@ -169,13 +169,26 @@ func hunt(ctx context.Context, cfg Config) (Report, *router, error) {
 		// overlapping on it admit, however long the scheduler keeps one of
 		// them off the CPU mid-operation: the set checks live like the map
 		// and mutex do.
-		rt = newRouter(ctx, speclin.CheckSpec{Folder: speclin.SetADT}, setKeyOf, true, cfg.Classical, opts...)
+		f, keyOf = adt.Set{}, setKeyOf
 	case StructQueue:
-		// The queue fast path is one-shot: retain the trace, check after.
-		rt = newRouter(ctx, speclin.CheckSpec{Folder: speclin.QueueADT}, nil, false, cfg.Classical, opts...)
+		f = adt.Queue{}
 	}
-	if rt.keyOf == nil {
-		rt.expect = cfg.expectedActions() // one key takes every action
+	// The queue fast path is one-shot: retain the trace, check after.
+	live := cfg.Structure != StructQueue
+	pol := keyed.Policy{Sessions: live, Retain: cfg.Classical || !live}
+	if keyOf == nil {
+		pol.Hint = cfg.expectedActions() // one key takes every action
+	}
+	set := keyed.New(pol, func(bool) *lin.Session { return lin.NewSessionFast(ctx, f, opts...) })
+	// A one-shot pass, its time added to the wall (captured inputs are
+	// unique by construction, so Theorem 1 grounds the classical verdicts).
+	pass := func(one func(context.Context, adt.Folder, trace.Trace, ...check.Option) (lin.Result, error)) RouteReport {
+		began := time.Now()
+		rep := set.Check(ctx, 1, func(t trace.Trace, _ bool) (lin.Result, error) {
+			return one(ctx, f, t, opts...)
+		})
+		rep.Wall += time.Since(began)
+		return routeReport(rep)
 	}
 
 	start := time.Now()
@@ -188,17 +201,7 @@ func hunt(ctx context.Context, cfg Config) (Report, *router, error) {
 		timer := time.AfterFunc(cfg.Duration, func() { close(done) })
 		defer timer.Stop()
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < cfg.Goroutines; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			h.worker(rec.Proc(i), i, done)
-		}(i)
-	}
-	finished := make(chan struct{})
-	go func() { wg.Wait(); close(finished) }()
-	rec.drainLive(finished, rt.feed)
+	set.Charge(rec.drainLive(h.start(rec, done), route(set, keyOf)))
 
 	rep := Report{
 		Structure:  cfg.Structure,
@@ -206,24 +209,25 @@ func hunt(ctx context.Context, cfg Config) (Report, *router, error) {
 		Goroutines: cfg.Goroutines,
 		EmptyDeqs:  h.emptyDeqs.Load(),
 	}
-	if rt.sessions {
-		rep.Live = rt.reports()
+	if live {
+		rep.Live = routeReport(set.Report())
 	} else {
-		rep.Live = rt.oneShot(ctx, speclin.Lin, opts...)
+		rep.Live = pass(lin.CheckFast)
 	}
 	rep.Actions = rep.Live.Actions
 	rep.Wall = time.Since(start)
 	if cfg.Classical {
-		cl := rt.oneShot(ctx, speclin.ClassicalLin, opts...)
+		cl := pass(lin.CheckClassical)
 		rep.Classical = &cl
 	}
-	return rep, rt, nil
+	return rep, set, nil
 }
 
 // drainLive is the live drain loop: once a millisecond it merges
 // everything below the watermark into emit, and when finished closes
-// (every proc is closed by then) it merges the rest.
-func (r *Recorder) drainLive(finished <-chan struct{}, emit func(trace.Action)) {
+// (every proc is closed by then) it merges the rest. It returns the time
+// spent in those batches, one clock pair each.
+func (r *Recorder) drainLive(finished <-chan struct{}, emit func(trace.Action)) (busy time.Duration) {
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
 	for running := true; running; {
@@ -236,8 +240,27 @@ func (r *Recorder) drainLive(finished <-chan struct{}, emit func(trace.Action)) 
 		if !running {
 			limit = math.MaxInt64
 		}
+		t := time.Now()
 		r.each(limit, emit)
+		busy += time.Since(t)
 	}
+	return busy
+}
+
+// start runs every worker on its proc of rec and returns a channel closed
+// once all of them have returned.
+func (h *huntState) start(rec *Recorder, done <-chan struct{}) <-chan struct{} {
+	var wg sync.WaitGroup
+	for i := 0; i < h.cfg.Goroutines; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			h.worker(rec.Proc(i), i, done)
+		}(i)
+	}
+	finished := make(chan struct{})
+	go func() { wg.Wait(); close(finished) }()
+	return finished
 }
 
 // worker runs one recording goroutine's operation loop.
@@ -290,10 +313,10 @@ func (h *huntState) opFunc(p *Proc) func(r *rand.Rand, seq int) {
 		l := h.sut.(LockSUT)
 		return func(r *rand.Rand, seq int) {
 			u := uniq(seq)
-			lin := adt.Tag(adt.LockInput(), u)
-			p.Inv(lin)
+			lk := adt.Tag(adt.LockInput(), u)
+			p.Inv(lk)
 			l.Lock()
-			p.Res(lin, adt.WriteOutput())
+			p.Res(lk, adt.WriteOutput())
 			for k := 0; k < 8; k++ { // hold the lock across a little work
 				h.scratch.Add(1)
 			}
@@ -443,16 +466,7 @@ func Overhead(cfg Config) (OverheadReport, error) {
 			h.prefill(rec.Proc(0))
 		}
 		start := time.Now()
-		var wg sync.WaitGroup
-		for i := 0; i < cfg.Goroutines; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				h.worker(rec.Proc(i), i, nil)
-			}(i)
-		}
-		finished := make(chan struct{})
-		go func() { wg.Wait(); close(finished) }()
+		finished := h.start(rec, nil)
 		if captured {
 			rec.drainLive(finished, func(trace.Action) {})
 		} else {
@@ -478,7 +492,7 @@ func (r Report) String() string {
 	s := fmt.Sprintf("%-5s %-17s g=%-3d actions=%-7d keys=%-3d verdict=%v nodes=%d wall=%v",
 		r.Structure, mut, r.Goroutines, r.Actions, r.Live.Keys, r.Live.Verdict, r.Live.Nodes,
 		r.Wall.Round(time.Millisecond))
-	if r.Live.Verdict == speclin.NotLinearizable {
+	if r.Live.Verdict == check.NotLinearizable {
 		s += fmt.Sprintf("\n      reason: %s", r.Live.Reason)
 	}
 	if r.EmptyDeqs > 0 {
@@ -487,7 +501,7 @@ func (r Report) String() string {
 	if r.Classical != nil {
 		s += fmt.Sprintf("\n      classical: verdict=%v nodes=%d wall=%v",
 			r.Classical.Verdict, r.Classical.Nodes, r.Classical.Wall.Round(time.Millisecond))
-		if r.Classical.Verdict == speclin.NotLinearizable {
+		if r.Classical.Verdict == check.NotLinearizable {
 			s += fmt.Sprintf(" reason: %s", r.Classical.Reason)
 		}
 	}

@@ -114,6 +114,25 @@ func TestHuntClassical(t *testing.T) {
 	}
 }
 
+// TestHuntCheckWallWithinRunWall: the live report's wall is time spent
+// checking — the drain's batches plus the queue's one-shot — so it lies
+// inside the hunt's own wall, however many keys the drainer feeds (it
+// once summed every session's lifetime: sixteen keys, sixteen hunts).
+func TestHuntCheckWallWithinRunWall(t *testing.T) {
+	for _, structure := range Structures {
+		rep, err := Run(huntCtx(t), Config{Structure: structure, Goroutines: 4, Ops: huntOps(t, 2000), Keys: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Live.Verdict != speclin.Linearizable {
+			t.Fatalf("%s: verdict %v: %s", structure, rep.Live.Verdict, rep.Live.Reason)
+		}
+		if rep.Live.Wall <= 0 || rep.Live.Wall > rep.Wall {
+			t.Fatalf("%s: checking took %v of a %v hunt over %d keys", structure, rep.Live.Wall, rep.Wall, rep.Live.Keys)
+		}
+	}
+}
+
 // TestHuntDuration: a wall-clock-bounded run terminates and checks clean.
 func TestHuntDuration(t *testing.T) {
 	rep, err := Run(t.Context(), Config{

@@ -321,7 +321,7 @@ func E12ShardSweep(ctx context.Context) (Table, error) {
 		Notes: []string{
 			"Weak scaling: 62,500 commands per shard (1,000,000 at 16 shards). Every " +
 				"shard's history is decomposed per key and checked with the exact " +
-				"checker (lin.CheckAll across GOMAXPROCS workers); log agreement is " +
+				"checker (lin.Check on the batch pool of GOMAXPROCS workers); log agreement is " +
 				"verified per shard. The zipf row skews keys (hot shards pace the run).",
 		},
 	}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/adt"
 	"repro/internal/check"
+	"repro/internal/keyed"
 	"repro/internal/lin"
 	"repro/internal/msgnet"
 	"repro/internal/trace"
@@ -30,7 +31,8 @@ type ShardedConfig struct {
 	// CheckLinearizable reads the sessions' verdicts. Combined with log
 	// compaction this keeps run memory bounded by the compaction window
 	// plus the sessions' live frontiers rather than the full history
-	// length (checker API v2, DESIGN.md decision 11).
+	// length (checker API v2, DESIGN.md decision 11). Either way the
+	// histories are one keyed.Set's (decision 28).
 	OnlineCheck bool
 	// CheckBudget bounds each per-key session's cumulative search nodes
 	// when OnlineCheck is set (0: lin.DefaultBudget).
@@ -128,10 +130,8 @@ type ShardedCluster struct {
 	nodes   map[msgnet.ProcID]*msgnet.Node
 	recs    []*shardRecorder
 	stats   ShardedStats
-	// txn is the transaction layer when the cluster was built through
-	// BuildTxn (txn.go): single-key commands on txn-entangled keys route
-	// into merged component histories instead of per-key sessions.
-	txn *TxnCluster
+	hist    *keyed.Set  // per-key histories, and txn components' (txn.go)
+	txn     *TxnCluster // the transaction layer, when built by BuildTxn
 }
 
 // BuildSharded wires a sharded SMR cluster into net.
@@ -150,6 +150,7 @@ func BuildSharded(net *msgnet.Network, clients, servers []msgnet.ProcID, cfg Sha
 		routers: map[msgnet.ProcID]*router{},
 		nodes:   map[msgnet.ProcID]*msgnet.Node{},
 	}
+	sc.hist = keyed.New(keyed.Policy{Sessions: cfg.OnlineCheck, Retain: !cfg.OnlineCheck}, sc.openSession)
 	sc.stats.PerShardLanded = make([]int64, cfg.Shards)
 	for k := 0; k < cfg.Shards; k++ {
 		sh := newShard(net, k, clients, servers, cfg.Config)
@@ -322,92 +323,111 @@ func (sc *ShardedCluster) CheckConsistency() error {
 }
 
 // KeyTraces returns shard k's recorded per-key histories: one trace per
-// key, each a well-formed register history (writes for sets, tagged
-// reads for gets) in real-time order. The returned traces alias the
-// recorder's buffers and must not be mutated. With OnlineCheck the raw
-// histories are not retained (they stream through checker sessions
-// instead) and KeyTraces returns an empty slice.
+// key no transaction joined, each a well-formed register history (writes
+// for sets, tagged reads for gets) in real-time order, aliasing the
+// recorder's buffers (do not mutate). With OnlineCheck it returns none.
 func (sc *ShardedCluster) KeyTraces(k int) []trace.Trace {
-	rec := sc.recs[k]
-	out := make([]trace.Trace, len(rec.traces))
-	copy(out, rec.traces)
+	var out []trace.Trace
+	sc.hist.Traces(func(key string, joined bool, t trace.Trace) {
+		if !joined && ShardOf(key, len(sc.shards)) == k {
+			out = append(out, t)
+		}
+	})
 	return out
 }
 
 // HistoryCheck summarizes a CheckLinearizable pass.
 type HistoryCheck struct {
 	Shards int
-	Traces int   // per-key histories checked
+	Traces int   // per-key (and per-component) histories checked
 	Ops    int64 // total operations across all histories
 	Nodes  int64 // total search nodes spent
 	// Online is true when the verdicts came from the streaming per-key
 	// sessions rather than a post-hoc batch pass.
 	Online bool
-	// FeedWall is the cumulative wall-clock time the run spent inside
-	// the sessions' Feed calls (Online only; zero post hoc): the true
-	// checking overhead embedded in the simulation wall, measured per
-	// feed. The ~100ns of clock reads per op is negligible against a
-	// simulated event but a few percent of a fast-path feed, so any
-	// engine speedup computed from this figure is biased conservatively
-	// low. Populated even when a session erred (budget exhaustion):
-	// the time was spent regardless of the verdict.
+	// FeedWall is the wall-clock time the run spent feeding its online
+	// sessions, one clock pair around every Feed (Online only; zero post
+	// hoc; CheckLinearizable itself excluded): the checking overhead
+	// embedded in the simulation wall. The ~100ns of clock reads per op
+	// biases any engine speedup computed from it conservatively low. It
+	// counts even when a session erred: the time was spent regardless.
 	FeedWall time.Duration
 }
 
-// CheckLinearizable verifies every per-key history (checker API v2:
-// context-aware, functional options). Post hoc — the default — it feeds
-// every shard's recorded histories through lin.CheckAll (per-key register
-// ADT), sharding each batch across check.WithWorkers workers (GOMAXPROCS
-// by default). With ShardedConfig.OnlineCheck the histories were already
-// checked incrementally while the simulation ran, and this collects the
-// sessions' verdicts (the options apply to the sessions at Build time,
-// not here). It returns an error for the first non-linearizable history
-// or checker failure.
+// CheckLinearizable verifies every per-key history, and on a TxnCluster
+// every component's (checker API v2: context-aware, functional options).
+// Post hoc — the default — it checks every recorded history one-shot
+// (register ADT, adt.TxnKV for a component) on the batch checkers' pool
+// of check.WithWorkers workers (GOMAXPROCS by default). With
+// ShardedConfig.OnlineCheck it collects the sessions' verdicts (the
+// options applied to the sessions at Build time). It returns an error for
+// the first non-linearizable history, else the first checker failure.
 func (sc *ShardedCluster) CheckLinearizable(ctx context.Context, opts ...check.Option) (HistoryCheck, error) {
-	sum := HistoryCheck{Shards: len(sc.shards), Online: sc.cfg.OnlineCheck}
+	_, sum, err := sc.checkHistories(ctx, opts)
+	return sum, err
+}
+
+// checkHistories reads the verdict of every keyed history: the live
+// sessions' under OnlineCheck, else one one-shot pass.
+func (sc *ShardedCluster) checkHistories(ctx context.Context, opts []check.Option) (keyed.Report, HistoryCheck, error) {
+	var rep keyed.Report
 	if sc.cfg.OnlineCheck {
-		for _, rec := range sc.recs {
-			sum.FeedWall += rec.feedWall
-		}
-		for k, rec := range sc.recs {
-			for i, sess := range rec.sessions {
-				r, err := sess.Result()
-				sum.Nodes += int64(r.Nodes)
-				if err != nil {
-					return sum, fmt.Errorf("smr: shard %d key %q online check: %w", k, rec.keys[i], err)
-				}
-				if !r.OK {
-					return sum, fmt.Errorf("smr: shard %d key %q history not linearizable: %s",
-						k, rec.keys[i], r.Reason)
-				}
-				sum.Traces++
-				sum.Ops += int64(sess.Len()) / 2
-			}
-		}
-		return sum, nil
+		rep = sc.hist.Report()
+	} else {
+		// Witnesses off: a verdict and its nodes are all that is read.
+		opts = append(opts[:len(opts):len(opts)], check.WithWitness(false))
+		rep = sc.hist.Check(ctx, check.NewSettings(opts...).Workers, func(t trace.Trace, joined bool) (lin.Result, error) {
+			return lin.Check(ctx, histFolder(joined), t, opts...)
+		})
 	}
-	// Only OK and Nodes are read below; a witness would clone one
-	// history prefix per response.
-	opts = append(opts[:len(opts):len(opts)], check.WithWitness(false))
-	for k := range sc.shards {
-		ts := sc.KeyTraces(k)
-		rs, err := lin.CheckAll(ctx, adt.Register{}, ts, opts...)
-		if err != nil {
-			return sum, fmt.Errorf("smr: shard %d history check: %w", k, err)
-		}
-		for i, r := range rs {
-			sum.Nodes += int64(r.Nodes)
-			if !r.OK {
-				return sum, fmt.Errorf("smr: shard %d key %q history not linearizable: %s",
-					k, sc.recs[k].keys[i], r.Reason)
-			}
-		}
-		sum.Traces += len(ts)
-		for _, t := range ts {
-			sum.Ops += int64(len(t)) / 2
-		}
+	sum := HistoryCheck{Shards: len(sc.shards), Traces: rep.Histories, Ops: rep.Ops, Nodes: rep.Nodes,
+		Online: sc.cfg.OnlineCheck, FeedWall: rep.Wall}
+	if rep.Verdict == check.Linearizable {
+		return rep, sum, nil
 	}
-	return sum, nil
+	what := fmt.Sprintf("shard %d key %q", ShardOf(rep.Key, len(sc.shards)), rep.Key)
+	if sc.hist.Joined(rep.Key) {
+		what = fmt.Sprintf("component %q", rep.Key)
+	}
+	if rep.Err != nil {
+		return rep, sum, fmt.Errorf("smr: %s check: %w", what, rep.Err)
+	}
+	return rep, sum, fmt.Errorf("smr: %s history not linearizable: %s", what, rep.Reason)
+}
+
+// histFolder is the ADT a keyed history is checked against: the register
+// for a plain key, adt.TxnKV for a component that transactions joined.
+func histFolder(joined bool) adt.Folder {
+	if joined {
+		return adt.TxnKV{}
+	}
+	return adt.Register{}
+}
+
+// openSession opens an online session: the register fast path for a key
+// (decision 15), the exact engine for a component. Its budget is per
+// feed, as the session lives as long as the run (DESIGN.md decision 17).
+func (sc *ShardedCluster) openSession(joined bool) *lin.Session {
+	return lin.NewSessionFast(sc.cfg.CheckContext, histFolder(joined), check.WithBudget(sc.cfg.CheckBudget),
+		check.WithWitness(false), check.WithExact(sc.cfg.ExactCheck), check.WithFeedBudget(true))
+}
+
+// feed routes one action into the keyed histories, charging the time an
+// online session takes to their wall (HistoryCheck.FeedWall).
+func (sc *ShardedCluster) feed(key string, a trace.Action) {
+	if !sc.cfg.OnlineCheck {
+		sc.hist.Feed(key, a)
+		return
+	}
+	t := time.Now()
+	sc.hist.Feed(key, a)
+	sc.hist.Charge(time.Since(t))
+}
+
+// feedPair feeds a component operation as one instantaneous pair (compProc).
+func (sc *ShardedCluster) feedPair(key string, proc trace.ClientID, in, out trace.Value) {
+	sc.feed(key, trace.Invoke(proc, 1, in))
+	sc.feed(key, trace.Response(proc, 1, in, out))
 }
 
 // router is the client-side node handler of a sharded deployment: one
@@ -499,9 +519,9 @@ func (m *serverMux) OnRestart(n *msgnet.Node) {
 	}
 }
 
-// shardRecorder observes one shard through its hooks: it records per-key
-// register histories for the linearizability check, replays the log in
-// slot order to produce read outputs, verifies log agreement online
+// shardRecorder observes one shard through its hooks: it feeds per-key
+// register histories to the cluster's keyed histories, replays the log
+// in slot order to produce read outputs, verifies log agreement online
 // (which is what permits clients to trim their logs under compaction),
 // and aggregates submission statistics.
 type shardRecorder struct {
@@ -523,12 +543,12 @@ type shardRecorder struct {
 
 	// Slot-order replay: pending holds decided-but-unreplayed commands
 	// (parsed once at first learn), applied is the next slot to replay,
-	// keyState the per-key register states, slotOut the replayed
-	// operations awaiting their response.
-	pending  map[int]slotEntry
-	applied  int
-	keyState map[string]adt.State
-	slotOut  map[int]slotReplay
+	// state the per-key register states, slotOut the replayed operations
+	// awaiting their response.
+	pending map[int]slotEntry
+	applied int
+	state   map[string]adt.State
+	slotOut map[int]slotReplay
 
 	// Transaction-layer replay state (txn.go). locks maps a key to the
 	// transaction holding it between its prepare's replay (yes vote) and
@@ -541,19 +561,6 @@ type shardRecorder struct {
 	waiting  map[string][]deferredSlot
 	deferred map[int]bool
 	landWait map[int]msgnet.ProcID
-
-	// Per-key histories in real-time order (post-hoc mode), or the
-	// per-key incremental checker sessions fed in real-time order
-	// (OnlineCheck mode — the traces slices stay empty then).
-	traces   []trace.Trace
-	sessions []*lin.Session
-	keys     []string
-	keyIdx   map[string]int
-	// feedWall accumulates the wall-clock time spent inside session
-	// Feed calls (OnlineCheck only) — the checking overhead embedded in
-	// the run, timed per feed because it is far too small a fraction of
-	// the simulation wall to recover from run-to-run deltas.
-	feedWall time.Duration
 }
 
 // slotEntry is a decided command with its KV projection, parsed once at
@@ -598,9 +605,8 @@ func newShardRecorder(sc *ShardedCluster, sh *Shard) *shardRecorder {
 		slotVal:  map[int]Command{},
 		learns:   map[int]int{},
 		pending:  map[int]slotEntry{},
-		keyState: map[string]adt.State{},
+		state:    map[string]adt.State{},
 		slotOut:  map[int]slotReplay{},
-		keyIdx:   map[string]int{},
 		locks:    map[string]string{},
 		waiting:  map[string][]deferredSlot{},
 		deferred: map[int]bool{},
@@ -629,52 +635,19 @@ func (rec *shardRecorder) submitted(cmd Command) bool {
 	return ok
 }
 
-// start records the invocation of a keyed command's operation: appended
-// to the per-key history buffer, or — under OnlineCheck — fed straight
-// into the key's incremental checker session. Keys entangled by
-// transactions route into their component's merged TxnKV history
-// instead, at their replay points (txn.go, compProc — the
-// shrunken-interval soundness argument is made there), so nothing is
-// recorded for them at submission.
+// start records the invocation of a keyed command's operation in the
+// key's history. Keys entangled by transactions route into their
+// component's merged TxnKV history instead, at their replay points
+// (txn.go, compProc — the shrunken-interval soundness argument is made
+// there), so nothing is recorded for them at submission.
 func (rec *shardRecorder) start(c msgnet.ProcID, cmd Command, at msgnet.Time) {
 	kind, key, arg, ok := cmdParts(cmd)
-	if !ok {
+	if !ok || rec.sc.hist.Joined(key) {
 		return
 	}
-	if tc := rec.sc.txn; tc != nil && tc.find(key) != "" {
-		return
+	if in, ok := registerInput(kind, arg); ok {
+		rec.sc.feed(key, trace.Invoke(trace.ClientID(c), 1, in))
 	}
-	in, ok := registerInput(kind, arg)
-	if !ok {
-		return
-	}
-	i, seen := rec.keyIdx[key]
-	if !seen {
-		i = len(rec.keys)
-		rec.keyIdx[key] = i
-		rec.keys = append(rec.keys, key)
-		if rec.sc.cfg.OnlineCheck {
-			// Per-feed budget: online sessions live as long as the run, so
-			// a cumulative budget would turn history length into a spurious
-			// failure mode; per-feed it bounds each increment's work, which
-			// is what the budget is for (DESIGN.md decision 17).
-			rec.sessions = append(rec.sessions, lin.NewSessionFast(rec.sc.cfg.CheckContext, rec.reg,
-				check.WithBudget(rec.sc.cfg.CheckBudget), check.WithWitness(false),
-				check.WithExact(rec.sc.cfg.ExactCheck), check.WithFeedBudget(true)))
-		} else {
-			rec.traces = append(rec.traces, nil)
-		}
-	}
-	a := trace.Invoke(trace.ClientID(c), 1, in)
-	if rec.sc.cfg.OnlineCheck {
-		// Terminal session errors (budget exhaustion) surface through
-		// CheckLinearizable; feeding a dead session is a no-op.
-		t := time.Now()
-		_ = rec.sessions[i].Feed(a)
-		rec.feedWall += time.Since(t)
-		return
-	}
-	rec.traces[i] = append(rec.traces[i], a)
 }
 
 // learn runs the online consistency checks for one (client, slot,
@@ -709,7 +682,7 @@ func (rec *shardRecorder) learn(c msgnet.ProcID, slot int, cmd Command) {
 				rec.fail("key %q (shard %d) leaked into shard %d", key, want, rec.sh.id)
 			}
 			entry.key, entry.kind, entry.arg = key, kind, arg
-			if tc := rec.sc.txn; tc != nil && tc.find(key) != "" {
+			if rec.sc.hist.Joined(key) {
 				entry.comp, entry.cmd = true, cmd
 				entry.in, entry.reg = txnSingleInput(kind, key, arg)
 			} else {
@@ -796,10 +769,7 @@ func (rec *shardRecorder) land(r SubmitResult) {
 				// (see compProc): its output is computed from exactly
 				// this state, so it linearizes here by construction, and
 				// delayed land events (retries) cannot hold it open.
-				tc := rec.sc.txn
-				root := tc.find(e.key)
-				tc.feedComponent(root, trace.Invoke(compProc(e.cmd), 1, e.in))
-				tc.feedComponent(root, trace.Response(compProc(e.cmd), 1, e.in, rp.out))
+				rec.sc.feedPair(e.key, compProc(e.cmd), e.in, rp.out)
 			}
 			rec.slotOut[rec.applied] = rp
 		}
@@ -840,25 +810,25 @@ func (rec *shardRecorder) replaySingle(e slotEntry) slotReplay {
 	}
 	if e.comp {
 		if e.kind == "set" {
-			rec.keyState[e.key] = adt.State(e.arg)
+			rec.state[e.key] = adt.State(e.arg)
 			rp.out = adt.WriteOutput()
 		} else {
 			rp.out = adt.ReadOutput(rec.keyVal(e.key))
 		}
 		return rp
 	}
-	s, seen := rec.keyState[e.key]
+	s, seen := rec.state[e.key]
 	if !seen {
 		s = rec.reg.Empty()
 	}
 	rp.out = rec.reg.Out(s, e.in)
-	rec.keyState[e.key] = rec.reg.Step(s, e.in)
+	rec.state[e.key] = rec.reg.Step(s, e.in)
 	return rp
 }
 
 // keyVal reads a key's current replayed value (adt.Bottom when unset).
 func (rec *shardRecorder) keyVal(key string) trace.Value {
-	if s, ok := rec.keyState[key]; ok {
+	if s, ok := rec.state[key]; ok {
 		return trace.Value(s)
 	}
 	return trace.Value(adt.Bottom)
@@ -881,10 +851,7 @@ func (rec *shardRecorder) unlock(key, id string) {
 		// instantaneous pair here, at the resolving transaction's
 		// unlock — the point where its effect and output actually
 		// materialize (see compProc).
-		tc := rec.sc.txn
-		root := tc.find(d.e.key)
-		tc.feedComponent(root, trace.Invoke(compProc(d.e.cmd), 1, d.e.in))
-		tc.feedComponent(root, trace.Response(compProc(d.e.cmd), 1, d.e.in, rp.out))
+		rec.sc.feedPair(d.e.key, compProc(d.e.cmd), d.e.in, rp.out)
 		delete(rec.deferred, d.slot)
 		if c, landed := rec.landWait[d.slot]; landed {
 			delete(rec.landWait, d.slot)
@@ -895,20 +862,11 @@ func (rec *shardRecorder) unlock(key, id string) {
 	}
 }
 
-// emitResponse records a replayed operation's response into the key's
-// per-key history. Component operations' histories were fully recorded
-// at replay/unlock (see compProc), so they are no-ops here.
+// emitResponse records a replayed operation's response in the key's
+// history. Component operations' histories were fully recorded at
+// replay/unlock (see compProc), so they are no-ops here.
 func (rec *shardRecorder) emitResponse(c msgnet.ProcID, rp slotReplay) {
-	if rp.comp {
-		return
+	if !rp.comp {
+		rec.sc.feed(rp.key, trace.Response(trace.ClientID(c), 1, rp.in, rp.out))
 	}
-	i := rec.keyIdx[rp.key]
-	a := trace.Response(trace.ClientID(c), 1, rp.in, rp.out)
-	if rec.sc.cfg.OnlineCheck {
-		t := time.Now()
-		_ = rec.sessions[i].Feed(a)
-		rec.feedWall += time.Since(t)
-		return
-	}
-	rec.traces[i] = append(rec.traces[i], a)
 }

@@ -96,13 +96,13 @@ func TestShardedKeysNeverLeak(t *testing.T) {
 	if seen == 0 {
 		t.Fatal("no decided commands inspected")
 	}
-	// And the per-key traces of each shard only cover that shard's keys.
+	// And the shards' per-key traces partition the recorded histories.
+	n := 0
 	for k := 0; k < sc.Shards(); k++ {
-		for _, key := range sc.recs[k].keys {
-			if ShardOf(key, sc.Shards()) != k {
-				t.Fatalf("history for key %q recorded in shard %d", key, k)
-			}
-		}
+		n += len(sc.KeyTraces(k))
+	}
+	if sum, err := sc.CheckLinearizable(context.Background()); err != nil || n != sum.Traces {
+		t.Fatalf("shards hold %d key traces, the check saw %d histories (%v)", n, sum.Traces, err)
 	}
 }
 
@@ -454,14 +454,16 @@ func TestOnlineCheckAgreesWithPostHoc(t *testing.T) {
 		if !osum.Online || psum.Online {
 			t.Fatalf("seed %d: Online flags wrong: post %v, online %v", seed, psum.Online, osum.Online)
 		}
-		if osum.Traces != psum.Traces || osum.Ops != psum.Ops {
-			t.Fatalf("seed %d: online checked %d histories/%d ops, post-hoc %d/%d",
-				seed, osum.Traces, osum.Ops, psum.Traces, psum.Ops)
-		}
+		sameShape(t, fmt.Sprintf("seed %d", seed), TxnCheck{HistoryCheck: psum}, TxnCheck{HistoryCheck: osum})
+		kept := 0
 		for k := 0; k < online.Shards(); k++ {
 			if got := online.KeyTraces(k); len(got) != 0 {
 				t.Fatalf("seed %d: online cluster retained %d raw histories in shard %d", seed, len(got), k)
 			}
+			kept += len(post.KeyTraces(k))
+		}
+		if kept != psum.Traces {
+			t.Fatalf("seed %d: post-hoc cluster retained %d histories and checked %d", seed, kept, psum.Traces)
 		}
 	}
 }

@@ -2,15 +2,12 @@ package smr
 
 import (
 	"context"
-	"fmt"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/adt"
 	"repro/internal/check"
-	"repro/internal/lin"
 	"repro/internal/msgnet"
 	"repro/internal/trace"
 )
@@ -29,12 +26,11 @@ import (
 // leaves no per-key effect.
 //
 // Checking: a transaction entangles its keys, so Herlihy–Wing locality no
-// longer decomposes correctness per key. TxnCluster partitions keys into
-// txn-connected components (union-find over every submitted transaction's
-// key set), merges each component's history — single-key operations and
-// composite transaction operations — into one trace over the adt.TxnKV
-// product folder, and checks it with the exact frontier engine. Keys no
-// transaction ever touches stay on the decision-15 register fast path.
+// longer decomposes correctness per key. TxnCluster joins each submitted
+// transaction's keys in the cluster's keyed.Set: a txn-connected
+// component's history — single-key and composite transaction operations
+// — is one trace over the adt.TxnKV product folder, checked by the exact
+// frontier engine. Untouched keys stay on the register fast path.
 
 // txnCmdSep separates the fields of one encoded transactional operation
 // inside a command, and txnOpSep separates operations; both are distinct
@@ -141,34 +137,16 @@ type txnState struct {
 	redrives   int
 }
 
-// component accumulates one txn-connected component's merged history:
-// an online checker session over adt.TxnKV, or the raw trace post hoc.
-type component struct {
-	root   string
-	sess   *lin.Session
-	trace  trace.Trace
-	ops    int64 // operations fed (invocation/response pairs)
-	shards map[int]bool
-}
-
 // TxnCluster extends a ShardedCluster with cross-shard atomic
 // transactions and txn-connected-component checking. Single-key traffic
 // submits through the embedded ShardedCluster exactly as before; keys
 // untouched by any transaction keep their per-key register fast-path
-// sessions.
+// sessions. Keys are joined at submission, before Run.
 type TxnCluster struct {
 	*ShardedCluster
 	tcfg   TxnConfig
 	txns   map[string]*txnState
 	tstats TxnStats
-
-	// Union-find over keys: two keys are connected when one transaction
-	// touches both. Built entirely at submission time (all submissions
-	// are scheduled before Run), so membership is stable during the run.
-	parent map[string]string
-
-	comps    map[string]*component
-	feedWall time.Duration
 }
 
 // BuildTxn wires a sharded SMR cluster with a transaction layer into net.
@@ -181,42 +159,9 @@ func BuildTxn(net *msgnet.Network, clients, servers []msgnet.ProcID, cfg Sharded
 		ShardedCluster: sc,
 		tcfg:           tcfg,
 		txns:           map[string]*txnState{},
-		parent:         map[string]string{},
-		comps:          map[string]*component{},
 	}
 	sc.txn = tc
 	return tc, nil
-}
-
-// find returns the component root of key, or "" when no transaction
-// touches it (path-compressing).
-func (tc *TxnCluster) find(key string) string {
-	p, ok := tc.parent[key]
-	if !ok {
-		return ""
-	}
-	if p == key {
-		return key
-	}
-	root := tc.find(p)
-	tc.parent[key] = root
-	return root
-}
-
-// union connects two keys' components.
-func (tc *TxnCluster) union(a, b string) {
-	ra, rb := tc.findOrAdd(a), tc.findOrAdd(b)
-	if ra != rb {
-		tc.parent[rb] = ra
-	}
-}
-
-func (tc *TxnCluster) findOrAdd(key string) string {
-	if _, ok := tc.parent[key]; !ok {
-		tc.parent[key] = key
-		return key
-	}
-	return tc.find(key)
 }
 
 // checkTxnField panics on a field that would corrupt the command or
@@ -239,8 +184,8 @@ func (tc *TxnCluster) SubmitTxnAt(c msgnet.ProcID, txn Txn, t msgnet.Time) {
 }
 
 // registerTxn validates and records a transaction at schedule time —
-// unioning its keys into the component structure and arming the recovery
-// watchdog — without submitting its prepares yet.
+// joining its keys into one component and arming the recovery watchdog —
+// without submitting its prepares yet.
 func (tc *TxnCluster) registerTxn(c msgnet.ProcID, txn Txn, t msgnet.Time) *txnState {
 	if len(txn.Ops) == 0 {
 		panic("smr: transaction with no operations")
@@ -274,7 +219,7 @@ func (tc *TxnCluster) registerTxn(c msgnet.ProcID, txn Txn, t msgnet.Time) *txnS
 	for i, op := range txn.Ops {
 		k := ShardOf(op.Key, len(tc.shards))
 		st.shardOps[k] = append(st.shardOps[k], i)
-		tc.union(txn.Ops[0].Key, op.Key)
+		tc.hist.Join(txn.Ops[0].Key, op.Key)
 	}
 	for k := range st.shardOps {
 		st.shards = append(st.shards, k)
@@ -563,10 +508,7 @@ func (tc *TxnCluster) decide(st *txnState, commit bool, reason int) {
 	// still held now, and its writes are invisible until the outcome
 	// markers replay later — so a correct run always linearizes here,
 	// while a leaked effect still contradicts some neighbor's output.
-	proc := trace.ClientID(string(st.coord) + "#t")
-	root := tc.find(st.spec.Ops[0].Key)
-	tc.feedComponent(root, trace.Invoke(proc, 1, in))
-	tc.feedComponent(root, trace.Response(proc, 1, in, out))
+	tc.feedPair(st.spec.Ops[0].Key, trace.ClientID(string(st.coord)+"#t"), in, out)
 
 	sender := st.coord
 	if n := tc.nodes[sender]; reason == abortRecovery || (n != nil && n.Crashed()) {
@@ -661,7 +603,7 @@ func (tc *TxnCluster) outcomeReplayed(rec *shardRecorder, ts *txnSlot) {
 		for _, i := range st.shardOps[rec.sh.id] {
 			op := st.spec.Ops[i]
 			if op.Kind == TxnWrite || op.Kind == TxnCAS {
-				rec.keyState[op.Key] = adt.State(op.Value)
+				rec.state[op.Key] = adt.State(op.Value)
 			}
 		}
 	}
@@ -687,39 +629,6 @@ func txnKVOps(ops []TxnOp) []string {
 	return enc
 }
 
-// componentOf returns the txn-connected component root of key, or ""
-// for fast-path keys.
-func (tc *TxnCluster) componentOf(key string) string { return tc.find(key) }
-
-// feedComponent routes one action into a component's merged history:
-// straight into its incremental TxnKV session under OnlineCheck (the
-// exact frontier engine — there is no multi-key fast path), buffered for
-// a post-hoc pass otherwise. Feeds happen inside simulator events, so
-// each component's merged trace is in virtual-real-time order by
-// construction.
-func (tc *TxnCluster) feedComponent(root string, a trace.Action) {
-	comp, ok := tc.comps[root]
-	if !ok {
-		comp = &component{root: root, shards: map[int]bool{}}
-		if tc.cfg.OnlineCheck {
-			comp.sess = lin.NewSession(tc.cfg.CheckContext, adt.TxnKV{},
-				check.WithBudget(tc.cfg.CheckBudget), check.WithWitness(false),
-				check.WithFeedBudget(true))
-		}
-		tc.comps[root] = comp
-	}
-	if a.IsRes() {
-		comp.ops++
-	}
-	if comp.sess != nil {
-		t := time.Now()
-		_ = comp.sess.Feed(a)
-		tc.feedWall += time.Since(t)
-		return
-	}
-	comp.trace = append(comp.trace, a)
-}
-
 // TxnStats returns the transaction outcome counters.
 func (tc *TxnCluster) TxnStats() TxnStats { return tc.tstats }
 
@@ -741,56 +650,15 @@ type TxnCheck struct {
 	FastPathKeys  int
 }
 
-// CheckTxnLinearizable verifies the full run: every fast-path key's
-// register history (exactly as ShardedCluster.CheckLinearizable) and
+// CheckTxnLinearizable verifies the full run, exactly as
+// CheckLinearizable does — every fast-path key's register history and
 // every txn-connected component's merged history against the adt.TxnKV
-// product folder. It returns an error for the first non-linearizable
-// history or checker failure.
+// product folder — and adds the component counts.
 func (tc *TxnCluster) CheckTxnLinearizable(ctx context.Context, opts ...check.Option) (TxnCheck, error) {
-	sum := TxnCheck{}
-	hc, err := tc.CheckLinearizable(ctx, opts...)
-	sum.HistoryCheck = hc
-	if err != nil {
-		return sum, err
-	}
-	sum.FastPathKeys = sum.Traces
-	sum.ComponentKeys = len(tc.parent)
-	sum.FeedWall += tc.feedWall
-	// Deterministic iteration order for reproducible node counts.
-	roots := make([]string, 0, len(tc.comps))
-	for root := range tc.comps {
-		roots = append(roots, root)
-	}
-	sort.Strings(roots)
-	opts = append(opts[:len(opts):len(opts)], check.WithWitness(false))
-	for _, root := range roots {
-		comp := tc.comps[root]
-		var r lin.Result
-		if comp.sess != nil {
-			r, err = comp.sess.Result()
-		} else {
-			var rs []lin.Result
-			rs, err = lin.CheckAll(ctx, adt.TxnKV{}, []trace.Trace{comp.trace}, opts...)
-			if len(rs) == 1 {
-				r = rs[0]
-			}
-		}
-		sum.Nodes += int64(r.Nodes)
-		if err != nil {
-			return sum, fmt.Errorf("smr: component %q check: %w", root, err)
-		}
-		if !r.OK {
-			return sum, fmt.Errorf("smr: component %q merged history not linearizable: %s", root, r.Reason)
-		}
-		sum.Components++
-		sum.ComponentOps += comp.ops
-		if comp.ops > sum.LargestComponent {
-			sum.LargestComponent = comp.ops
-		}
-		sum.Traces++
-		sum.Ops += comp.ops
-	}
-	return sum, nil
+	rep, hc, err := tc.checkHistories(ctx, opts)
+	return TxnCheck{HistoryCheck: hc, Components: rep.Components, ComponentOps: rep.ComponentOps,
+		LargestComponent: rep.LargestComponent, ComponentKeys: rep.JoinedKeys,
+		FastPathKeys: rep.Histories - rep.Components}, err
 }
 
 // TxnOutcome reports a transaction's decision: ok is false while it is

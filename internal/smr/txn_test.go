@@ -409,6 +409,23 @@ func runMixed(t *testing.T, seed int64, scfg ShardedConfig, tcfg TxnConfig, wl w
 	return tc
 }
 
+// sameShape asserts that the post-hoc and the online check of one run saw
+// the same histories: the two modes of the cluster's keyed histories
+// differ only in when they check, never in what.
+func sameShape(t *testing.T, name string, post, online TxnCheck) {
+	t.Helper()
+	type shape struct {
+		traces, components, componentKeys, fastPathKeys int
+		ops, largest                                    int64
+	}
+	of := func(s TxnCheck) shape {
+		return shape{s.Traces, s.Components, s.ComponentKeys, s.FastPathKeys, s.Ops, s.LargestComponent}
+	}
+	if p, o := of(post), of(online); p != o {
+		t.Fatalf("%s: post hoc checked %+v, online %+v", name, p, o)
+	}
+}
+
 // Property: a contended zipf mixed workload — 25% multi-key transactions
 // across 4 shards — lands every submission, resolves every transaction,
 // and every component's merged history and every fast-path key's
@@ -419,8 +436,9 @@ func TestTxnMixedPropertyLinearizable(t *testing.T) {
 		KeyedOpts: workload.KeyedOpts{Clients: 4, Ops: 1200, Keys: 32, ReadFrac: 0.4, ZipfS: 1.3},
 		TxnFrac:   0.25, TxnKeys: 24, Groups: 8,
 	}
-	for _, online := range []bool{false, true} {
-		for seed := int64(1); seed <= 2; seed++ {
+	for seed := int64(1); seed <= 2; seed++ {
+		var sums [2]TxnCheck
+		for i, online := range []bool{false, true} {
 			scfg := txnCfg(4)
 			scfg.OnlineCheck = online
 			tc := runMixed(t, seed, scfg, TxnConfig{RecoveryTimeout: 3000}, wl, 3, nil)
@@ -436,21 +454,22 @@ func TestTxnMixedPropertyLinearizable(t *testing.T) {
 			if ss.Landed != ss.Submitted {
 				t.Fatalf("%s: landed %d of %d submitted", name, ss.Landed, ss.Submitted)
 			}
-			sum := assertTxnSafe(t, name, tc)
-			if sum.Ops != int64(wl.Ops) {
-				t.Fatalf("%s: checked %d ops, want %d", name, sum.Ops, wl.Ops)
+			sums[i] = assertTxnSafe(t, name, tc)
+			if sums[i].Ops != int64(wl.Ops) {
+				t.Fatalf("%s: checked %d ops, want %d", name, sums[i].Ops, wl.Ops)
 			}
-			if sum.Components == 0 || sum.FastPathKeys == 0 {
-				t.Fatalf("%s: summary %+v: want both merged components and fast-path keys", name, sum)
+			if sums[i].Components == 0 || sums[i].FastPathKeys == 0 {
+				t.Fatalf("%s: summary %+v: want both merged components and fast-path keys", name, sums[i])
 			}
 		}
+		sameShape(t, fmt.Sprintf("seed=%d", seed), sums[0], sums[1])
 	}
 }
 
 // Property: the same mixed workload under rolling coordinator
 // crash-restarts stays safe — restarts re-drive queued submissions, the
 // watchdog resolves transactions orphaned by a mid-prepare crash, and
-// everything stays linearizable.
+// everything stays linearizable, post hoc and online alike.
 func TestTxnMixedCoordinatorCrashes(t *testing.T) {
 	wl := workload.MixedOpts{
 		KeyedOpts: workload.KeyedOpts{Clients: 4, Ops: 800, Keys: 24, ReadFrac: 0.4, ZipfS: 1.3},
@@ -460,19 +479,25 @@ func TestTxnMixedCoordinatorCrashes(t *testing.T) {
 		return faults.Plan{Crashes: faults.RollingRestart(clients, 60, 90, 40)}
 	}
 	for seed := int64(1); seed <= 2; seed++ {
-		tc := runMixed(t, seed, txnCfg(4), TxnConfig{RecoveryTimeout: 200}, wl, 3, plan)
-		name := fmt.Sprintf("seed=%d", seed)
-		st := tc.TxnStats()
-		if st.Started == 0 || st.Resolved() != st.Started {
-			t.Fatalf("%s: stats %+v: want all started transactions resolved", name, st)
+		var sums [2]TxnCheck
+		for i, online := range []bool{false, true} {
+			scfg := txnCfg(4)
+			scfg.OnlineCheck = online
+			tc := runMixed(t, seed, scfg, TxnConfig{RecoveryTimeout: 200}, wl, 3, plan)
+			name := fmt.Sprintf("online=%v seed=%d", online, seed)
+			st := tc.TxnStats()
+			if st.Started == 0 || st.Resolved() != st.Started {
+				t.Fatalf("%s: stats %+v: want all started transactions resolved", name, st)
+			}
+			ss := tc.Stats()
+			if ss.Landed != ss.Submitted {
+				t.Fatalf("%s: landed %d of %d submitted", name, ss.Landed, ss.Submitted)
+			}
+			sums[i] = assertTxnSafe(t, name, tc)
+			if sums[i].Ops != int64(wl.Ops) {
+				t.Fatalf("%s: checked %d ops, want %d", name, sums[i].Ops, wl.Ops)
+			}
 		}
-		ss := tc.Stats()
-		if ss.Landed != ss.Submitted {
-			t.Fatalf("%s: landed %d of %d submitted", name, ss.Landed, ss.Submitted)
-		}
-		sum := assertTxnSafe(t, name, tc)
-		if sum.Ops != int64(wl.Ops) {
-			t.Fatalf("%s: checked %d ops, want %d", name, sum.Ops, wl.Ops)
-		}
+		sameShape(t, fmt.Sprintf("seed=%d", seed), sums[0], sums[1])
 	}
 }
