@@ -11,7 +11,6 @@
 //	slin-check -adt register -exact trace.json           # force the exact engine
 //	                                                     # (no ADT fast path)
 //	slin-check -timeout 30s trace.json                   # context deadline
-//	slin-check -mode slin -por=false trace.json          # SLin without the sleep-set reduction
 //
 // Every mode runs one engine per property: lin and slin checks, one-shot
 // or streamed, are the frontier sessions of packages lin and slin
@@ -82,13 +81,12 @@ func main() {
 	m := flag.Int("m", 1, "slin: lower phase bound m")
 	n := flag.Int("n", 2, "slin: upper phase bound n")
 	temporal := flag.Bool("temporal", false, "slin: use the temporal Abort-Order variant")
-	por := flag.Bool("por", true, "slin mode: sleep-set partial-order reduction over extension branches (false = unreduced search)")
 	budget := flag.Int("budget", 0, "search budget (0 = default)")
 	workers := flag.Int("workers", 0, "worker pool size for multi-file batches (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "overall deadline; exceeded checks report unknown (exit 2)")
 	stream := flag.Bool("stream", false, "lin mode: feed each trace through an incremental Session instead of one-shot Check")
 	exact := flag.Bool("exact", false, "force the exact search engines (skip the ADT-specialized fast-path checkers)")
-	feedBudget := flag.Bool("feed-budget", false, "stream mode: rebase the search budget at every fed action instead of one per-session budget")
+	feedBudget := flag.Bool("feed-budget", false, "lin and slin modes: rebase the search budget at every fed action, one-shot or streamed (classical spends one budget)")
 	flag.Parse()
 
 	ctx := context.Background()
@@ -134,7 +132,7 @@ func main() {
 	// Shard the independent checks across the worker pool (checker API
 	// v2: context-aware, functional options); verdicts come back in file
 	// order.
-	opts := []check.Option{check.WithBudget(*budget), check.WithPOR(*por), check.WithExact(*exact),
+	opts := []check.Option{check.WithBudget(*budget), check.WithExact(*exact),
 		check.WithFeedBudget(*feedBudget)}
 	verdicts, err := check.Parallel(ctx, traces, *workers, func(i int, t trace.Trace) (verdict, error) {
 		switch *mode {

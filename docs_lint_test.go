@@ -43,7 +43,7 @@ var (
 	expRef = regexp.MustCompile(`\bE([0-9]+)b?\b`)
 	// Index rows: "| E12 | title | ..." in EXPERIMENTS.md.
 	expDef = regexp.MustCompile(`(?m)^\| (E[0-9]+b?) \|`)
-	// check.WithBudget, speclin.WithPOR — checker options by qualified name.
+	// check.WithBudget, speclin.WithExact — checker options by qualified name.
 	optionRef = regexp.MustCompile(`\b(?:check|speclin)\.(With[A-Za-z]+)`)
 	optionDef = regexp.MustCompile(`(?m)^func (With[A-Za-z]+)\(`)
 	// "cmd/smr-bench -faults -online", "slin-check -mode slin x.json" — a

@@ -1,26 +1,14 @@
 package check
 
-import (
-	"math/bits"
+import "repro/internal/trace"
 
-	"repro/internal/trace"
-)
-
-// This file is the shared dense-bitset vocabulary of the checkers
-// (DESIGN.md, decision 13). Two former 64-member caps fall to it:
-//
-//   - the classical checker's placed-operation set was a single uint64,
-//     hard-failing past 63 operations — BitSet is its
-//     uncapped spill representation, with an incrementally-maintained
-//     128-bit digest (trace.HashBit) folded into the memo key exactly as
-//     the chain/multiset digests of decision 7;
-//   - the sleep sets of the partial-order reduction (decision 12) silently
-//     never slept symbols ≥ 64 — SleepSet now spills the same word-array
-//     representation, so high symbols prune too.
-//
-// Both keep their single-word fast paths: BitSet callers with ≤ 63
-// members can (and the classical engine does) stay on a raw uint64 word,
-// and a SleepSet with no high symbols never allocates.
+// This file is the dense-bitset vocabulary of the classical checker
+// (DESIGN.md, decision 13): its placed-operation set was a single uint64,
+// hard-failing past 63 operations — BitSet is its uncapped spill
+// representation, with an incrementally-maintained 128-bit digest
+// (trace.HashBit) folded into the memo key exactly as the chain/multiset
+// digests of decision 7. Callers with ≤ 63 members can (and the
+// classical engine does) stay on a raw uint64 word.
 
 // bitsPerWord is the word granularity of the spill representations.
 const bitsPerWord = 64
@@ -80,94 +68,3 @@ func (b *BitSet) Len() int { return b.n }
 
 // Digest returns the canonical 128-bit digest of the membership set.
 func (b *BitSet) Digest() trace.Digest { return b.dig }
-
-// SleepSet is a sleep set over interned symbols. Symbols 0..63 live in an
-// inline word — the overwhelmingly common case (symbol spaces of single
-// traces are small), costing no allocation and copying by value exactly
-// like the former uint64 representation. Symbols ≥ 64 spill to a
-// copy-on-write sorted list, so high symbols sleep too, at a cost in the
-// number of symbols asleep — never in how high the interner has counted,
-// which on a streaming session is the length of the history (DESIGN.md,
-// decision 19). The zero value is the empty sleep set.
-//
-// Value semantics: Add returns a new set and never mutates a shared
-// spill list, so sibling branches of a search may hold diverging sets
-// cheaply.
-type SleepSet struct {
-	lo uint64
-	// hi holds the sleeping symbols ≥ 64 in ascending order. The slice is
-	// immutable once attached to a set (copy-on-write in Add).
-	hi []trace.Sym
-}
-
-// Empty reports whether no symbol is asleep.
-func (s SleepSet) Empty() bool { return s.lo == 0 && len(s.hi) == 0 }
-
-// Has reports whether sym is asleep.
-func (s SleepSet) Has(sym trace.Sym) bool {
-	if sym < bitsPerWord {
-		return s.lo&(1<<sym) != 0
-	}
-	for _, h := range s.hi {
-		if h >= sym {
-			return h == sym
-		}
-	}
-	return false
-}
-
-// Add returns the set with sym asleep. High symbols copy the spill list
-// (sets are shared across sibling branches); the common ≤63 case stays
-// allocation-free.
-func (s SleepSet) Add(sym trace.Sym) SleepSet {
-	if sym < bitsPerWord {
-		s.lo |= 1 << sym
-		return s
-	}
-	at := len(s.hi)
-	for i, h := range s.hi {
-		if h == sym {
-			return s
-		}
-		if h > sym {
-			at = i
-			break
-		}
-	}
-	hi := make([]trace.Sym, 0, len(s.hi)+1)
-	hi = append(append(append(hi, s.hi[:at]...), sym), s.hi[at:]...)
-	s.hi = hi
-	return s
-}
-
-// Intersect returns the set of symbols asleep in both s and o. The
-// slin frontier engine uses it when two expansion paths reach the same
-// configuration digest while carrying different sleep sets (DESIGN.md,
-// decision 17): only a symbol slept on every path into the merged node
-// may stay asleep — the union would prune orders that some path still
-// owes — so intersection is the sound merge.
-func (s SleepSet) Intersect(o SleepSet) SleepSet {
-	out := SleepSet{lo: s.lo & o.lo}
-	for i, j := 0, 0; i < len(s.hi) && j < len(o.hi); {
-		switch a, b := s.hi[i], o.hi[j]; {
-		case a < b:
-			i++
-		case a > b:
-			j++
-		default:
-			out.hi = append(out.hi, a)
-			i, j = i+1, j+1
-		}
-	}
-	return out
-}
-
-// forEach calls fn with every sleeping symbol in increasing order.
-func (s SleepSet) forEach(fn func(trace.Sym)) {
-	for rest := s.lo; rest != 0; rest &= rest - 1 {
-		fn(trace.Sym(bits.TrailingZeros64(rest)))
-	}
-	for _, sym := range s.hi {
-		fn(sym)
-	}
-}

@@ -1,5 +1,5 @@
 // Package diffcheck is the differential testing harness of the checker
-// engines (DESIGN.md, decisions 12, 21 and 25): it runs every way the
+// engines (DESIGN.md, decisions 21, 25 and 29): it runs every way the
 // repo has of deciding a property on the SAME trace and fails loudly on
 // any disagreement — verdicts, witness validity, or prefix-verdict
 // agreement of incremental sessions. For Lin that is the one frontier
@@ -8,16 +8,15 @@
 // configuration the pipelines run) against the skeletons that share
 // nothing with it: the string-keyed reference, the SLin engine at m = 1
 // (Theorem 2) and the classical search (Theorem 1); for SLin the one
-// session engine, one-shot and online, each with the reducer
-// (check.WithPOR) on and off, against the string-keyed depth-first
-// reference.
+// session engine, one-shot and online, against the string-keyed
+// depth-first reference.
 //
 // The harness exists because a soundness bug in a pruning rule does not
 // crash: it silently turns the checker into a liar, accepting
 // non-linearizable traces (missed dependent orders are invisible) or
 // rejecting linearizable ones (over-pruning kills the witnessing order).
-// Every property test and fuzz target of the lookahead and of the SLin
-// reducer therefore routes through this package.
+// Every property test and fuzz target of the lookahead and of the
+// configuration identities therefore routes through this package.
 //
 // All entry points return nil when every engine variant agrees, an
 // *Disagreement when two variants differ, and the underlying checker
@@ -76,14 +75,12 @@ var linMatrix = []variant{
 }
 
 // slinMatrix is the one SLin engine (DESIGN.md, decision 25) run
-// one-shot by slin.Check — reducer set from the whole trace — and online
-// by slin.NewSession — reducer disabled at the first order-sensitive
-// abort, with a replay — each with the reducer on and off.
+// one-shot by slin.Check — configuration identity set from the whole
+// trace — and online by slin.NewSession — position-free until the first
+// order-sensitive abort, then positional after a replay (decision 29).
 var slinMatrix = []variant{
-	{"one-shot/por", false, []check.Option{check.WithPOR(true)}},
-	{"one-shot/nopor", false, []check.Option{check.WithPOR(false)}},
-	{"session/por", true, []check.Option{check.WithPOR(true)}},
-	{"session/nopor", true, []check.Option{check.WithPOR(false)}},
+	{"one-shot", false, nil},
+	{"session", true, nil},
 }
 
 func (v variant) lin(ctx context.Context, f adt.Folder, t trace.Trace, extra []check.Option) (lin.Result, error) {
@@ -307,13 +304,12 @@ func FastpathSLin(ctx context.Context, f adt.Folder, rinit slin.RInit, n int, t 
 	return nil
 }
 
-// SLin cross-checks the SLin engine variants on t — one-shot and online,
-// each with the reducer on and off — and those with slin.CheckReference,
-// the string-keyed depth-first search that shares no code with them
-// (under its own small budget; skipped when it exhausts it). All verdicts
-// must agree, and every witness of the positive runs must satisfy
-// slin.VerifyWitness. extra options (budgets, deadlines) apply to every
-// variant but the reference.
+// SLin cross-checks the SLin engine variants on t — one-shot and online
+// — and those with slin.CheckReference, the string-keyed depth-first
+// search that shares no code with them (under its own small budget;
+// skipped when it exhausts it). All verdicts must agree, and every
+// witness of the positive runs must satisfy slin.VerifyWitness. extra
+// options (budgets, deadlines) apply to every variant but the reference.
 func SLin(ctx context.Context, f adt.Folder, rinit slin.RInit, m, n int, t trace.Trace, temporal bool, extra ...check.Option) error {
 	type outcome struct {
 		name string

@@ -154,7 +154,8 @@ var (
 
 // orderSensitive strips ConsensusRInit's OrderInsensitive declaration
 // (embedding an interface promotes only RInit's methods), so the target
-// also runs the path where the reducer must stand down around aborts.
+// also runs the path where an abort switches the session to the
+// positional identity.
 type orderSensitive struct{ slin.RInit }
 
 // slinFuzzSpec decodes the SLin target's selector: bit 0 picks the
@@ -224,13 +225,14 @@ func encodeTrace(f *testing.F, tr trace.Trace, m int) []byte {
 	return data
 }
 
-// FuzzSLinAgreement fuzzes the SLin engine matrix (one-shot and online,
-// reducer on and off) against the string-keyed reference under both
-// Abort-Order readings. The corpus holds E6b's two schedule families
-// (seed 9, as the experiment draws them), second phases, and the
-// reducer's abort fixtures: commuting same-value proposals with one
-// abort, and a split decision beside an aborting client — each under the
-// order-insensitive and the order-sensitive relation.
+// FuzzSLinAgreement fuzzes the SLin engine matrix (one-shot and online)
+// against the string-keyed reference under both Abort-Order readings;
+// under -tags memocheck it also fails on any digest collision. The
+// corpus holds E6b's two schedule families (seed 9, as the experiment
+// draws them), second phases, and the identity's abort fixtures:
+// commuting same-value proposals with one abort, and a split decision
+// beside an aborting client — each under the order-insensitive and the
+// order-sensitive relation.
 func FuzzSLinAgreement(f *testing.F) {
 	for _, noLateOps := range []bool{true, false} {
 		r := rand.New(rand.NewSource(9))
@@ -264,6 +266,9 @@ func FuzzSLinAgreement(f *testing.F) {
 		for _, temporal := range []bool{false, true} {
 			err := SLin(context.Background(), adt.Consensus{}, rinit, m, m+1, tr, temporal,
 				check.WithBudget(fuzzBudget))
+			if n := slin.MemoCollisions(); n != 0 {
+				t.Fatalf("%d digest collisions", n)
+			}
 			if err == nil {
 				continue
 			}

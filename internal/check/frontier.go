@@ -7,8 +7,7 @@ import "repro/internal/trace"
 // set, deduplicated by configuration digest. spend charges search nodes
 // (called once per source configuration); expandOne emits every
 // successor of one configuration. merge combines a duplicate emission
-// into the kept configuration of the same digest (slin's DAG-level
-// sleep-set intersection of decision 17) and may recycle the
+// into the kept configuration of the same digest and may recycle the
 // duplicate. Keeping the deduplication here guarantees the two engines
 // cannot drift.
 func ExpandFrontier[C any](frontier []C, spend func(int) error,

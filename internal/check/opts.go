@@ -62,30 +62,19 @@ type Settings struct {
 	// checker's Abort-Order (slin package documentation); ignored by the
 	// lin checkers.
 	TemporalAbortOrder bool
-	// POR enables the sleep-set partial-order reduction over the chain
-	// extension branch sets of the SLin engine (DESIGN.md, decision
-	// 12): commuting extension inputs are explored in only one order.
-	// NewSettings defaults it to true; WithPOR(false) retains the
-	// unreduced reference searches. The reduction is verdict- and
-	// witness-preserving; it changes only Nodes (fewer) and Pruned
-	// (skipped branches). The lin checkers ignore it: the classical
-	// search has no extension branches, and the lin engine's
-	// configuration identity already merges commuting orders
-	// (decisions 20 and 21).
-	POR bool
 	// Exact forces the exact search engines on entry points that would
 	// otherwise dispatch to an ADT-specialized fast-path checker
 	// (DESIGN.md, decision 15): lin.CheckFast, the fast Sessions and the
 	// speclin facade honour it; the plain lin/slin entry points are
 	// always exact and ignore it. Off by default.
 	Exact bool
-	// FeedBudget switches a Session's node budget from per-session
-	// lifetime to per-Feed: the spend counter is rebased at each Feed, so
-	// one heavy-tailed action cannot starve every later feed into
-	// spurious ErrBudget (the E16 `online_speedup_is_lower_bound`
-	// caveat). A single Feed exceeding the budget still returns the
-	// terminal ErrBudget. Off by default (lifetime budget); one-shot
-	// checks ignore it.
+	// FeedBudget rebases the frontier engines' spend counter at every fed
+	// action, so one heavy-tailed action cannot starve every later feed
+	// into spurious ErrBudget (the E16 `online_speedup_is_lower_bound`
+	// caveat); a single Feed exceeding the budget is still terminal.
+	// One-shot lin.Check and slin.Check are sessions fed the whole trace
+	// and rebase alike; lin.CheckClassical spends one budget. Off by
+	// default.
 	FeedBudget bool
 }
 
@@ -93,10 +82,10 @@ type Settings struct {
 // variadic ...Option.
 type Option func(*Settings)
 
-// NewSettings resolves opts over the defaults (Witness and POR on,
-// everything else zero).
+// NewSettings resolves opts over the defaults (Witness on, everything
+// else zero).
 func NewSettings(opts ...Option) Settings {
-	s := Settings{Witness: true, POR: true}
+	s := Settings{Witness: true}
 	for _, o := range opts {
 		if o != nil {
 			o(&s)
@@ -133,17 +122,11 @@ func WithTemporalAbortOrder(on bool) Option {
 	return func(s *Settings) { s.TemporalAbortOrder = on }
 }
 
-// WithPOR toggles the sleep-set partial-order reduction (see
-// Settings.POR; default on). WithPOR(false) runs the unreduced reference
-// search — the differential tests cross-check the two on every trace
-// shape.
-func WithPOR(on bool) Option { return func(s *Settings) { s.POR = on } }
-
 // WithExact forces the exact search engines on entry points that would
 // otherwise dispatch to an ADT-specialized fast-path checker (see
 // Settings.Exact; DESIGN.md, decision 15).
 func WithExact(on bool) Option { return func(s *Settings) { s.Exact = on } }
 
-// WithFeedBudget switches a Session's budget to per-Feed instead of
-// per-session lifetime (see Settings.FeedBudget; default off).
+// WithFeedBudget rebases the budget at every fed action, one-shot checks
+// included (see Settings.FeedBudget; default off).
 func WithFeedBudget(on bool) Option { return func(s *Settings) { s.FeedBudget = on } }

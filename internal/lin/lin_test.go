@@ -257,30 +257,22 @@ func TestBudgetExhaustion(t *testing.T) {
 	}
 }
 
-// TestBudgetInterplayWithPOR: exhausting the budget yields ErrBudget with
-// Nodes ≤ budget and no verdict, and the lin engine ignores check.WithPOR
-// — it has no reducer (DESIGN.md, decisions 20 and 21) — so the budget a
-// check fits in does not depend on the option.
-func TestBudgetInterplayWithPOR(t *testing.T) {
+// TestBudgetInterplay: exhausting the budget yields ErrBudget with
+// Nodes ≤ budget and no verdict, and a check fits in the budget of the
+// nodes it spends.
+func TestBudgetInterplay(t *testing.T) {
 	ctx := context.Background()
 	tr := workload.SplitDecision(6, "p")
-	var nodes [2]int
-	for i, por := range []bool{true, false} {
-		res, err := Check(ctx, adt.Consensus{}, tr, check.WithBudget(20), check.WithPOR(por))
-		if !errors.Is(err, ErrBudget) || res.OK || res.Nodes > 20+1 {
-			t.Fatalf("por=%v: budget 20 gave %+v, %v; want ErrBudget, undecided, at most 21 nodes", por, res, err)
-		}
-		full, err := Check(ctx, adt.Consensus{}, tr, check.WithPOR(por))
-		if err != nil || full.OK {
-			t.Fatalf("por=%v: split decisions gave %+v, %v", por, full, err)
-		}
-		nodes[i] = full.Nodes
-		if _, err := Check(ctx, adt.Consensus{}, tr, check.WithBudget(full.Nodes), check.WithPOR(por)); err != nil {
-			t.Fatalf("por=%v: the search must fit in the %d nodes it spends: %v", por, full.Nodes, err)
-		}
+	res, err := Check(ctx, adt.Consensus{}, tr, check.WithBudget(20))
+	if !errors.Is(err, ErrBudget) || res.OK || res.Nodes > 20+1 {
+		t.Fatalf("budget 20 gave %+v, %v; want ErrBudget, undecided, at most 21 nodes", res, err)
 	}
-	if nodes[0] != nodes[1] {
-		t.Fatalf("node counts depend on the (ignored) reducer option: %v", nodes)
+	full, err := Check(ctx, adt.Consensus{}, tr)
+	if err != nil || full.OK {
+		t.Fatalf("split decisions gave %+v, %v", full, err)
+	}
+	if _, err := Check(ctx, adt.Consensus{}, tr, check.WithBudget(full.Nodes)); err != nil {
+		t.Fatalf("the search must fit in the %d nodes it spends: %v", full.Nodes, err)
 	}
 }
 
@@ -303,10 +295,9 @@ func TestCancellationUnderPOR(t *testing.T) {
 }
 
 // TestClassicalUncappedUnderPOR: the classical checker is uncapped
-// (decision 13) and has no extension branch sets for check.WithPOR to
-// reduce; a 64-operation trace decides identically — same verdict, same
-// node count — with the option on and off, and agrees with the
-// new-definition checker (Theorem 1; unique inputs).
+// (decision 13): a 64-operation trace decides, and agrees with the
+// new-definition checker (Theorem 1; unique inputs). The name is from
+// when the test also toggled the retired reducer option.
 func TestClassicalUncappedUnderPOR(t *testing.T) {
 	var tr trace.Trace
 	for i := 0; i < 64; i++ {
@@ -314,19 +305,11 @@ func TestClassicalUncappedUnderPOR(t *testing.T) {
 		in := adt.Tag(adt.IncInput(), fmt.Sprintf("%d", i))
 		tr = append(tr, trace.Invoke(c, 1, in), trace.Response(c, 1, in, adt.CountOutput(i+1)))
 	}
-	var nodes []int
-	for _, por := range []bool{true, false} {
-		res, err := CheckClassical(context.Background(), adt.Counter{}, tr, check.WithPOR(por))
-		if err != nil || !res.OK {
-			t.Fatalf("por=%v: classical check on 64 sequential ops: %+v, %v", por, res, err)
-		}
-		nodes = append(nodes, res.Nodes)
-		if ok, err := Check(context.Background(), adt.Counter{}, tr, check.WithPOR(por)); err != nil || !ok.OK {
-			t.Fatalf("por=%v: Check on 64 sequential ops: %+v, %v", por, ok, err)
-		}
+	if res, err := CheckClassical(context.Background(), adt.Counter{}, tr); err != nil || !res.OK {
+		t.Fatalf("classical check on 64 sequential ops: %+v, %v", res, err)
 	}
-	if nodes[0] != nodes[1] {
-		t.Fatalf("classical node counts depend on the (ignored) reducer option: %v", nodes)
+	if ok, err := Check(context.Background(), adt.Counter{}, tr); err != nil || !ok.OK {
+		t.Fatalf("Check on 64 sequential ops: %+v, %v", ok, err)
 	}
 }
 

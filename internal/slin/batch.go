@@ -19,8 +19,7 @@ import (
 // Folder and RInit implementations must be safe for concurrent use; every
 // implementation in packages adt and slin is stateless and qualifies.
 func CheckAll(ctx context.Context, f adt.Folder, rinit RInit, m, n int, ts []trace.Trace, opts ...check.Option) ([]Result, error) {
-	set := check.NewSettings(opts...)
-	return check.Parallel(ctx, ts, set.Workers, func(_ int, t trace.Trace) (Result, error) {
-		return checkSettings(ctx, f, rinit, m, n, t, set)
+	return check.Parallel(ctx, ts, check.NewSettings(opts...).Workers, func(_ int, t trace.Trace) (Result, error) {
+		return Check(ctx, f, rinit, m, n, t, opts...)
 	})
 }

@@ -2,11 +2,10 @@ package slin_test
 
 // Extends the property suite of this package (property_test.go) with the
 // engine-variant differential harness (internal/check/diffcheck): the
-// SLin engine one-shot and online, reduced and unreduced, and the
-// string-keyed reference must agree on randomized phase traces —
-// abort-heavy first phases included — and on switch-free Theorem-2
-// traces where the reducer is fully active. External test package: diffcheck imports
-// slin.
+// SLin engine one-shot and online and the string-keyed reference must
+// agree on randomized phase traces — abort-heavy first phases included —
+// and on switch-free Theorem-2 traces, where the position-free identity
+// merges the most. External test package: diffcheck imports slin.
 
 import (
 	"context"
@@ -51,9 +50,9 @@ func TestFirstPhaseEngineMatrix(t *testing.T) {
 	}
 }
 
-// TestTheorem2EngineMatrix: switch-free traces where the SLin reducer is
-// fully active; SLin(1,2) and the lin matrix must both be self-consistent
-// and (per Theorem 2) agree with each other.
+// TestTheorem2EngineMatrix: switch-free traces, where no abort makes the
+// SLin engine positional; SLin(1,2) and the lin matrix must both be
+// self-consistent and (per Theorem 2) agree with each other.
 func TestTheorem2EngineMatrix(t *testing.T) {
 	ctx := context.Background()
 	r := rand.New(rand.NewSource(17))

@@ -49,7 +49,7 @@ func TestHashedMemoAgreesWithReference(t *testing.T) {
 	})
 	t.Run("switch-free", func(t *testing.T) {
 		// Abort-free traces: plain operations checked as SLin(1,2) per
-		// Theorem 2, where the reducer is fully active.
+		// Theorem 2, where the position-free identity merges the most.
 		r := rand.New(rand.NewSource(399))
 		inputs := []trace.Value{adt.ProposeInput("a"), adt.ProposeInput("b")}
 		for i := 0; i < 200; i++ {
@@ -65,10 +65,7 @@ func TestHashedMemoAgreesWithReference(t *testing.T) {
 
 func compareImpls(t *testing.T, f adt.Folder, rinit RInit, m, n int, tr trace.Trace, temporal bool) {
 	t.Helper()
-	// POR off: the string-key reference has no reducer (the reduced
-	// engine's agreement is covered by the diffcheck differential tests).
-	got, err := Check(context.Background(), f, rinit, m, n, tr,
-		check.WithTemporalAbortOrder(temporal), check.WithPOR(false))
+	got, err := Check(context.Background(), f, rinit, m, n, tr, check.WithTemporalAbortOrder(temporal))
 	if err != nil {
 		t.Fatalf("engine: %v", err)
 	}

@@ -18,10 +18,11 @@ import (
 // collision audit, pointed at the running engine: a broad sweep of
 // first-phase, untagged and second-phase traces (both Abort-Order
 // readings) plus a contended exhaustive search, through Check and online
-// Sessions, asserting that no 128-bit digest the session deduplicated on
-// — ExpandFrontier's successor merge, its one deduplication point —
-// ever stood for two distinct chains, and that the audit compared some
-// hits at all.
+// Sessions, under both configuration identities, asserting that no
+// 128-bit digest the session deduplicated on — at ExpandFrontier's
+// successor merge or at the extension searches' visited set — ever stood
+// for two distinct identities, and that the audit compared hits at each
+// of the two points.
 //
 // Run with: go test -tags memocheck ./internal/slin
 func TestMemoDigestCollisionsZero(t *testing.T) {
@@ -47,27 +48,35 @@ func TestMemoDigestCollisionsZero(t *testing.T) {
 	inputs := []trace.Value{adt.ProposeInput("a"), adt.ProposeInput("b")}
 	for i := 0; i < 200; i++ {
 		tr := workload.Random(adt.Consensus{}, r, workload.TraceOpts{Clients: 3, Ops: 5, Inputs: inputs})
-		for _, por := range []bool{true, false} {
-			if _, err := Check(context.Background(), adt.Consensus{}, UniversalRInit{}, 1, 2, tr,
-				check.WithPOR(por)); err != nil {
-				t.Fatalf("untagged trace %d por=%v: %v", i, por, err)
-			}
-			checks++
+		if _, err := Check(context.Background(), adt.Consensus{}, UniversalRInit{}, 1, 2, tr); err != nil {
+			t.Fatalf("untagged trace %d: %v", i, err)
 		}
+		checks++
 	}
 	for i := 0; i < 100; i++ {
 		tr := workload.SecondPhase(r, 2, workload.PhaseOpts{Clients: 3, ViolateProb: 0.2})
-		s, err := NewSession(context.Background(), adt.Consensus{}, ConsensusRInit{Probe: i%2 == 0}, 2, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.FeedAll(tr); err != nil {
-			t.Fatalf("second-phase trace %d: %v", i, err)
-		}
-		if _, err := s.Result(); err != nil {
+		if _, err := feedAs(i%3 == 0, adt.Consensus{}, ConsensusRInit{Probe: i%2 == 0}, 2, 3, tr); err != nil {
 			t.Fatalf("second-phase trace %d: %v", i, err)
 		}
 		checks++
+	}
+	// The commuting fixtures under both identities and both relations:
+	// the order-sensitive one switches an online session to the
+	// positional identity at its abort.
+	for w := 3; w <= 6; w++ {
+		for _, rinit := range []RInit{ConsensusRInit{}, orderSensitive{ConsensusRInit{}}} {
+			for _, tr := range []trace.Trace{commutingAbortTrace(w), splitAbortTrace(w)} {
+				for _, pos := range []bool{false, true} {
+					if _, err := checkAs(pos, adt.Consensus{}, rinit, 1, 2, tr, check.WithBudget(50_000_000)); err != nil {
+						t.Fatalf("w=%d positional=%v: %v", w, pos, err)
+					}
+				}
+				if _, err := feedAs(false, adt.Consensus{}, rinit, 1, 2, tr, check.WithBudget(50_000_000)); err != nil {
+					t.Fatalf("w=%d online: %v", w, err)
+				}
+				checks += 3
+			}
+		}
 	}
 	// Contended never-SLin trace: exhausts the extension space.
 	var hard trace.Trace
@@ -97,8 +106,11 @@ func TestMemoDigestCollisionsZero(t *testing.T) {
 	if c := MemoCollisions(); c != 0 {
 		t.Fatalf("%d memo digest collisions across %d checks (expected zero)", c, checks)
 	}
-	if memoHits.Load() == 0 {
-		t.Fatal("the audit compared no digest hit: it is not watching the running engine")
+	merge, visited := memoHits[0].Load(), memoHits[1].Load()
+	if merge == 0 || visited == 0 {
+		t.Fatalf("the audit compared %d hits at the successor merge and %d at the visited set: it is not watching the running engine",
+			merge, visited)
 	}
-	t.Logf("0 collisions in %d audited hits across %d checks", memoHits.Load(), checks)
+	t.Logf("0 collisions in %d audited hits (%d at the merge, %d at the visited set) across %d checks",
+		merge+visited, merge, visited, checks)
 }

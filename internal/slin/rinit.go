@@ -37,26 +37,22 @@ type RInit interface {
 }
 
 // OrderInsensitive is an optional declaration an RInit can make about
-// its Admits predicate: membership is invariant under the reorderings
-// the sleep-set partial-order reduction prunes — swapping adjacent
-// history elements that are independent under the checked folder
-// (identical composite state and outputs either way) never changes
-// Admits. The checkers consult it through IsOrderInsensitive to keep
-// the reduction enabled on abort-carrying traces, whose histories the
-// relation would otherwise be free to distinguish by order; declaring
-// it wrongly makes the reduced search unsound, so the differential
-// harness cross-checks reduced against unreduced verdicts on every
-// abort-carrying trace shape.
+// its Admits predicate: Admits(v, h) depends on h only through its folded
+// state under the checked folder and its element multiset. Abort
+// discharge is then blind to chain order, so the session keeps its
+// position-free identity (DESIGN.md, decision 29) on abort-carrying
+// traces, under either Abort-Order reading; otherwise it keys
+// configurations by chain position from the first abort on. A wrong
+// declaration makes the search unsound; the tests cross-check both
+// identities on abort-carrying traces.
 type OrderInsensitive interface {
-	// AdmitsOrderInsensitive reports that Admits never distinguishes
-	// independence-equivalent histories.
+	// AdmitsOrderInsensitive reports that Admits depends on a history
+	// only through its folded state and its element multiset.
 	AdmitsOrderInsensitive() bool
 }
 
 // IsOrderInsensitive reports whether r declares its Admits predicate
-// order-insensitive (see OrderInsensitive); absent a declaration the
-// checkers assume order sensitivity and disable the reduction around
-// aborts.
+// order-insensitive (see OrderInsensitive).
 func IsOrderInsensitive(r RInit) bool {
 	oi, ok := r.(OrderInsensitive)
 	return ok && oi.AdmitsOrderInsensitive()
@@ -98,12 +94,9 @@ func (r ConsensusRInit) Representatives(v trace.Value) []trace.History {
 }
 
 // AdmitsOrderInsensitive implements OrderInsensitive: Admits examines
-// only the untagged first element and the all-proposals property. The
-// latter is permutation-invariant outright; the former survives every
-// reduction-pruned swap because two proposals are independent at the
-// undecided consensus state only when their untagged values coincide
-// (distinct values decide distinct outputs), so a pruned swap at the
-// head never changes the untagged head.
+// only the all-proposals property, a function of the element multiset,
+// and the untagged first element, which on an all-proposals history is
+// the value its consensus state has decided.
 func (ConsensusRInit) AdmitsOrderInsensitive() bool { return true }
 
 // Admits implements RInit: h starts with a proposal of v (any occurrence

@@ -26,7 +26,16 @@ import (
 // them by strict prefix). Responses replace a frontier by its successor
 // set — claims of unused prefix lengths beyond L plus Validity-respecting
 // chain extensions closing with the response's input — deduplicated by
-// the chains' incremental digests.
+// configuration identity.
+//
+// Configuration identity (DESIGN.md, decision 29). As in lin.Session, a
+// configuration is its chain's end state plus its claimable unclaimed
+// (symbol, output) entries: L is fixed per combination and the claimed
+// elements are the inputs of the responses fed, so the element multiset
+// Validity compares follows. Commuting commit orders are one
+// configuration. Only an abort obligation of an order-sensitive relation
+// (OrderInsensitive) reads chain order; from the first such abort on,
+// configurations are keyed by the positional chain digest instead.
 //
 // Two SLin-specific wrinkles distinguish the session from lin.Session:
 //
@@ -50,16 +59,17 @@ import (
 // chain prefix — the L anchor plus every leading claimed entry,
 // untouchable under all future transitions — is dropped from
 // per-configuration storage and replaced by a shared trace.ChainPrefix
-// summary. The chain digest is a commutative sum of per-position
-// components, so compaction preserves the configuration's memo identity.
-// Unlike lin.Session, the summary always retains the dropped input
+// summary. Only claimed and anchor positions are dropped, whose
+// components the digest already holds at their final flags, so
+// compaction preserves the configuration's memo identity. Unlike
+// lin.Session, the summary always retains the dropped input
 // values (shared, once per summary): abort discharge reconstructs full
 // chain histories, so the session's memory is bounded by one value
 // sequence per distinct compacted prefix plus the live suffixes, not
 // fully flat. The fed trace itself is recorded only while a replay can
 // still need it (init actions possible, fast path active, or the
-// reduction still live on an order-sensitive relation); pure streaming
-// shapes drop it.
+// position-free identity still in force on an order-sensitive relation);
+// pure streaming shapes drop it.
 //
 // One budget spans the session (replays and verdict-time discharges
 // included) — or, with check.WithFeedBudget, the spend counter is
@@ -83,29 +93,22 @@ type Session struct {
 	// charges against nodes−feedBase when FeedBudget is set (always 0
 	// with the default lifetime budget).
 	feedBase int
-	// por is the live state of the partial-order reduction: it starts as
-	// set.POR and flips off permanently at the first abort action fed —
-	// abort histories extend chains as sequences, so pruned extension
-	// orders become observable (Result.Pruned documents the rationale) —
-	// unless the RInit declares its Admits predicate order-insensitive
-	// (OrderInsensitive), which keeps the reduction on across aborts.
-	// If pruning already happened by then, the frontiers are rebuilt by
-	// an unreduced replay, so every verdict equals the one-shot Check of
-	// the fed prefix (whose session sets por once, from the whole trace).
-	// pruned counts skipped branches.
-	por    bool
-	pruned int
+	// positional selects the positional chain digest as identity. It turns
+	// on for good at the first abort fed of an order-sensitive relation,
+	// with a replay of the fed trace, so every verdict equals the one-shot
+	// Check of the fed prefix (whose session sets it from the whole trace).
+	positional bool
 
 	// t records the fed trace for replays (init rebuilds, fast-path
-	// fallback, POR-disable rebuilds); record is dropped — and t
-	// released — once no replay can ever be needed (m == 1, no fast
-	// delegate, reduction off or order-insensitive), bounding streaming
+	// fallback, the switch to the positional identity); record is dropped
+	// — and t released — once no replay can ever be needed (m == 1, no
+	// fast delegate, positional or order-insensitive), bounding streaming
 	// memory. fed counts fed actions independently of t.
 	t      trace.Trace
 	record bool
 	fed    int
 	// whole marks the one-shot session of Check, seeded with every init
-	// interpretation of the trace it is about to be fed (seedWhole).
+	// interpretation of the trace it is about to be fed (checkWhole).
 	whole bool
 
 	phase map[trace.ClientID]*phaseTrack
@@ -135,11 +138,13 @@ type Session struct {
 	fastNodes int
 	fastPend  map[trace.ClientID]int // client -> pending invocation's trace index
 
-	// availBuf is the per-expansion availability scratch multiset.
+	// availBuf is the per-expansion availability scratch multiset;
+	// visited holds the identities one response's extensions reached.
 	availBuf trace.SymMultiset
-	// audit shadows the successor merge's digests with full chain
-	// identities under the memocheck build tag; a zero-size type of no-op
-	// methods otherwise.
+	visited  map[trace.Digest]struct{}
+	// audit shadows the visited set's and the successor merge's digests
+	// with full identities under the memocheck build tag; a no-op
+	// otherwise.
 	audit memoAudit
 }
 
@@ -176,8 +181,9 @@ type sobl struct {
 }
 
 // scfg is one frontier configuration: a commit-history chain anchored at
-// the combination's L (prefix lengths ≤ base are never claimable).
-// Configurations are immutable once constructed.
+// the combination's L (prefix lengths ≤ base are never claimable), stored
+// in full for discharge and witnesses; dig is its identity. Configurations
+// are immutable once constructed.
 //
 // pre, when non-nil, summarizes a compacted inert chain prefix
 // (trace.ChainPrefix): suffix index k is absolute chain position
@@ -196,11 +202,6 @@ type scfg struct {
 	end   adt.State
 	elems trace.SymMultiset
 	dig   trace.Digest
-	// sleep is the carried sleep set of the DAG-level reduction
-	// (decision 17): the set in force when this configuration was
-	// emitted, seeding the next response's extension search. Zero
-	// unless the reduction is live.
-	sleep check.SleepSet
 	// asn is the assignment trail (response trace index -> absolute
 	// claimed chain length) along this configuration's lineage, for
 	// witness assembly; nil when witnesses are off.
@@ -273,14 +274,14 @@ func (s *Session) spend(n int) error {
 }
 
 // recording reports whether a future Feed could still need to replay the
-// fed trace: init rebuilds (m > 1), fast-path fallback, or a
-// POR-disabling abort on an order-sensitive relation.
+// fed trace: init rebuilds (m > 1), fast-path fallback, or the switch to
+// the positional identity at an abort of an order-sensitive relation.
 func (s *Session) recording() bool {
-	return s.fast != nil || s.m != 1 || (s.por && !IsOrderInsensitive(s.rinit))
+	return s.fast != nil || s.m != 1 || (!s.positional && !IsOrderInsensitive(s.rinit))
 }
 
 // refreshRecording drops the recorded trace once recording() turned
-// false; recording is monotone (por never re-enables, fast never
+// false; recording is monotone (positional never turns off, fast never
 // reattaches), so the release is permanent.
 func (s *Session) refreshRecording() {
 	if s.record && !s.recording() {
@@ -296,11 +297,6 @@ func (s *Session) Len() int { return s.fed }
 // fast-path sessions — one node per action the specialized core
 // processed (fast-path nodes are not charged against the budget).
 func (s *Session) Nodes() int { return s.nodes + s.fastNodes }
-
-// Pruned returns the cumulative number of extension branches the
-// partial-order reduction skipped, including branches of frontiers later
-// discarded by an unreduced replay (0 with check.WithPOR(false)).
-func (s *Session) Pruned() int { return s.pruned }
 
 // Feed appends action a to the trace under check. Errors (budget or memo
 // exhaustion, cancellation, actions outside sig(m,n), switch values
@@ -355,12 +351,15 @@ func (s *Session) stick(err error, at string, idx, open, start int) error {
 	return err
 }
 
-// seedWhole prepares a fresh session for being fed exactly t, one-shot:
-// the combinations are built once from every init action of t, so none
-// of them triggers a rebuild, and the reducer is set from the whole
-// trace — off when an abort is coming and r_init is order-sensitive — so
-// it never prunes and then replays. Nothing is recorded.
-func (s *Session) seedWhole(t trace.Trace) error {
+// checkWhole is one-shot Check on a fresh session fed exactly t. The
+// combinations are built once from every init action of t, so none of
+// them triggers a rebuild, and the identity is set from the whole trace
+// — positional when an abort is coming and r_init is order-sensitive —
+// so it never switches and replays. Nothing is recorded.
+func (s *Session) checkWhole(t trace.Trace) (Result, error) {
+	if !t.PhaseWellFormed(s.m, s.n) {
+		return Result{OK: false, Reason: fmt.Sprintf("trace is not (%d,%d)-well-formed", s.m, s.n)}, nil
+	}
 	s.whole, s.record = true, false
 	hasAbort := false
 	for i, a := range t {
@@ -368,14 +367,20 @@ func (s *Session) seedWhole(t trace.Trace) error {
 		if a.IsInit(s.m) && s.m != 1 {
 			reps := s.rinit.Representatives(a.SwitchValue)
 			if len(reps) == 0 {
-				return fmt.Errorf("slin: switch value %q has no interpretations", a.SwitchValue)
+				return Result{}, fmt.Errorf("slin: switch value %q has no interpretations", a.SwitchValue)
 			}
 			s.initIdx = append(s.initIdx, i)
 			s.initReps = append(s.initReps, reps)
 		}
 	}
-	s.por = s.set.POR && (!hasAbort || IsOrderInsensitive(s.rinit))
-	return s.rebuild()
+	s.positional = s.positional || (hasAbort && !IsOrderInsensitive(s.rinit))
+	if err := s.rebuild(); err != nil {
+		return Result{}, err
+	}
+	if err := s.FeedAll(t); err != nil {
+		return Result{Nodes: s.Nodes()}, err
+	}
+	return s.Result()
 }
 
 // feedExact is Feed's frontier-engine path (every session without an
@@ -403,21 +408,13 @@ func (s *Session) feedExact(a trace.Action) error {
 		s.initReps = append(s.initReps, reps)
 		return s.rebuild()
 	}
-	if a.IsAbort(s.n) && s.por && !IsOrderInsensitive(s.rinit) {
-		// First abort fed: the reduction stops being sound from here on
-		// (see the por field) — unless the relation declares its Admits
-		// predicate order-insensitive, in which case the pruned orders
-		// stay unobservable and the reduction survives the abort. If it
-		// already pruned configurations, the surviving frontiers
-		// under-approximate the unreduced ones, so replay the fed trace
-		// — including this abort — unreduced.
-		s.por = false
-		if s.pruned > 0 {
-			err := s.rebuild()
-			s.refreshRecording()
-			return err
-		}
+	if a.IsAbort(s.n) && !s.positional && !IsOrderInsensitive(s.rinit) {
+		// The first order-sensitive abort reads chain order: replay the
+		// fed trace, this abort included, under the positional identity.
+		s.positional = true
+		err := s.rebuild()
 		s.refreshRecording()
+		return err
 	}
 	for _, cb := range s.combos {
 		if err := s.step(cb, a, idx); err != nil {
@@ -616,15 +613,41 @@ func (s *Session) newCombo(finit map[int]trace.History) *combo {
 	root := &scfg{base: len(cb.L), end: s.f.Empty(), elems: trace.NewSymMultiset(cb.in.Len())}
 	for _, in := range cb.L {
 		sym := cb.in.Sym(in)
-		root.dig = root.dig.Add(trace.HashElem(len(root.syms), sym, false))
+		if s.positional { // anchor entries are never claimable
+			root.dig = root.dig.Add(trace.HashElem(len(root.syms), sym, false))
+		}
 		root.syms = append(root.syms, sym)
 		root.outs = append(root.outs, s.f.Out(root.end, in))
 		root.used = append(root.used, false)
 		root.elems.Add(sym, 1)
 		root.end = s.f.Step(root.end, in)
 	}
+	root.dig = root.dig.Add(s.stateDig(root.end))
 	cb.frontier = []*scfg{root}
 	return cb
+}
+
+// entryDig is the identity component of chain position pos holding sym,
+// linearized to out: (symbol, output) of unclaimed entries only, or
+// every position with its claim flag under the positional identity.
+func (s *Session) entryDig(pos int, sym trace.Sym, out trace.Value, claimed bool) trace.Digest {
+	switch {
+	case s.positional:
+		return trace.HashElem(pos, sym, claimed)
+	case claimed:
+		return trace.Digest{}
+	default:
+		return trace.HashOutput(sym, out)
+	}
+}
+
+// stateDig is the identity component of a chain's end state: none under
+// the positional identity, whose chain determines it.
+func (s *Session) stateDig(st adt.State) trace.Digest {
+	if s.positional {
+		return trace.Digest{}
+	}
+	return trace.HashString(string(st))
 }
 
 // refreshVi snapshots the combination's symbolized valid-inputs multiset.
@@ -692,7 +715,16 @@ func (s *Session) step(cb *combo, a trace.Action, idx int) error {
 // successor's inert prefix is then absorbed into a shared summary.
 func (s *Session) stepRes(cb *combo, a trace.Action, resIdx int) error {
 	asym := cb.in.Sym(a.Input)
+	// The extension searches share a visited set seeded with the frontier:
+	// a configuration's own expansion emits its successors.
+	clear(s.visited)
 	s.audit.reset()
+	for _, c := range cb.frontier {
+		s.visited[c.dig] = struct{}{}
+		if memocheckEnabled {
+			s.audit.note(true, c.dig, s.identity(cb, c, nil, nil, c.end))
+		}
+	}
 	expandOne := func(c *scfg, emit func(*scfg)) error {
 		// Option 1: claim an existing unused prefix length beyond base
 		// (compacted positions are claimed or below base, so scanning the
@@ -717,19 +749,13 @@ func (s *Session) stepRes(cb *combo, a trace.Action, resIdx int) error {
 		if avail.Size() == 0 {
 			return nil
 		}
-		// The carried set seeds the search; extendS consults it only while
-		// the reduction is live.
-		return s.extendS(cb, c, a, asym, resIdx, avail, nil, nil, c.end, c.dig, c.sleep, emit)
+		return s.extendS(cb, c, a, asym, resIdx, avail, nil, nil, c.end, c.dig.Sub(s.stateDig(c.end)), emit)
 	}
-	// Two expansion paths reached the same configuration digest with
-	// possibly different carried sleep sets: only symbols slept on both
-	// stay asleep (union would prune orders one path still owes).
 	merge := func(kept, dup *scfg) *scfg {
 		if memocheckEnabled {
-			s.audit.note(kept.dig, cb, kept)
-			s.audit.note(dup.dig, cb, dup)
+			s.audit.note(false, kept.dig, s.identity(cb, kept, nil, nil, kept.end))
+			s.audit.note(false, dup.dig, s.identity(cb, dup, nil, nil, dup.end))
 		}
-		kept.sleep = kept.sleep.Intersect(dup.sleep)
 		return kept
 	}
 	next, err := check.ExpandFrontier(cb.frontier, s.spend,
@@ -746,8 +772,7 @@ func (s *Session) stepRes(cb *combo, a trace.Action, resIdx int) error {
 }
 
 // claimS returns c with suffix position k (absolute position pre.N + k)
-// marked claimed by resIdx. A claim only flips a mark — it commutes with
-// every extension append — so the carried sleep set passes through.
+// marked claimed by resIdx.
 func (s *Session) claimS(c *scfg, k, resIdx int) *scfg {
 	pos := c.pre.Len() + k
 	used := append([]bool(nil), c.used...)
@@ -761,8 +786,7 @@ func (s *Session) claimS(c *scfg, k, resIdx int) *scfg {
 		base:  c.base,
 		end:   c.end,
 		elems: c.elems,
-		dig:   c.dig.Sub(trace.HashElem(pos, c.syms[k], false)).Add(trace.HashElem(pos, c.syms[k], true)),
-		sleep: c.sleep,
+		dig:   c.dig.Sub(s.entryDig(pos, c.syms[k], c.outs[k], false)).Add(s.entryDig(pos, c.syms[k], c.outs[k], true)),
 		abt:   c.abt,
 	}
 	if s.set.Witness {
@@ -777,14 +801,13 @@ func (s *Session) claimS(c *scfg, k, resIdx int) *scfg {
 // so far (eager Abort-Order pruning: a commit no abort history can cover
 // never enters the frontier).
 //
-// sleep carries the sleep set of the partial-order reduction, seeded by
-// the configuration's carried set under the DAG-level carry (decision
-// 17); s.por guarantees no order-sensitive abort has been fed — or, in
-// Check, is coming — whenever pruning fires (an online session disables
-// the reduction at the first such abort, rebuilding if needed).
+// st is the extended chain's end state and open its identity without
+// stateDig(st). Their sum, the partial extension's identity, keys the
+// visited set: a second path into it — another order, or another
+// configuration — is cut, its successors already emitted.
 func (s *Session) extendS(cb *combo, c *scfg, a trace.Action, asym trace.Sym, resIdx int,
-	avail *trace.SymMultiset, ext []trace.Sym, extOuts []trace.Value, st adt.State, dig trace.Digest,
-	sleep check.SleepSet, emit func(*scfg)) error {
+	avail *trace.SymMultiset, ext []trace.Sym, extOuts []trace.Value, st adt.State, open trace.Digest,
+	emit func(*scfg)) error {
 
 	if err := s.spend(1); err != nil {
 		return err
@@ -800,10 +823,6 @@ func (s *Session) extendS(cb *combo, c *scfg, a trace.Action, asym trace.Sym, re
 		elems.Add(asym, 1)
 		if s.commitCompatible(cb, &elems) {
 			stIn := s.f.Step(st, a.Input)
-			var carry check.SleepSet
-			if s.por {
-				carry = sleep.FilterIndependent(s.f, cb.in, st, a.Input, stIn, a.Output)
-			}
 			syms := make([]trace.Sym, 0, n)
 			syms = append(append(append(syms, c.syms...), ext...), asym)
 			outs := make([]trace.Value, 0, n)
@@ -820,8 +839,7 @@ func (s *Session) extendS(cb *combo, c *scfg, a trace.Action, asym trace.Sym, re
 				base:  c.base,
 				end:   stIn,
 				elems: elems,
-				dig:   dig.Add(trace.HashElem(abs-1, asym, true)),
-				sleep: carry,
+				dig:   open.Add(s.entryDig(abs-1, asym, a.Output, true)).Add(s.stateDig(stIn)),
 				abt:   c.abt,
 			}
 			if s.set.Witness {
@@ -835,26 +853,24 @@ func (s *Session) extendS(cb *combo, c *scfg, a trace.Action, asym trace.Sym, re
 		if avail.Count(sym) <= 0 {
 			continue
 		}
-		if s.por && sleep.Has(sym) {
-			s.pruned++
-			continue
-		}
 		in := cb.in.Value(sym)
 		stIn, outIn := s.f.Step(st, in), s.f.Out(st, in)
-		var childSleep check.SleepSet
-		if s.por {
-			childSleep = sleep.FilterIndependent(s.f, cb.in, st, in, stIn, outIn)
-		}
-		avail.Add(sym, -1)
 		pos := c.pre.Len() + len(c.syms) + len(ext)
+		openIn := open.Add(s.entryDig(pos, sym, outIn, false))
+		dig := openIn.Add(s.stateDig(stIn))
+		if memocheckEnabled {
+			s.audit.note(true, dig, s.identity(cb, c, append(ext, sym), append(extOuts, outIn), stIn))
+		}
+		if _, hit := s.visited[dig]; hit {
+			continue
+		}
+		s.visited[dig] = struct{}{}
+		avail.Add(sym, -1)
 		err := s.extendS(cb, c, a, asym, resIdx, avail, append(ext, sym), append(extOuts, outIn),
-			stIn, dig.Add(trace.HashElem(pos, sym, false)), childSleep, emit)
+			stIn, openIn, emit)
 		avail.Add(sym, 1)
 		if err != nil {
 			return err
-		}
-		if s.por {
-			sleep = sleep.Add(sym)
 		}
 	}
 	return nil
@@ -865,7 +881,7 @@ func (s *Session) extendS(cb *combo, c *scfg, a trace.Action, asym trace.Sym, re
 // claimed, untouchable under every future transition — into a shared
 // ChainPrefix summary once the run reaches scompactMin. Compaction
 // changes only the representation: the digest (the memo identity)
-// already sums the dropped components at their final flags, elems stays
+// already holds the dropped positions at their final flags, elems stays
 // the full-chain multiset, and the summary's retained values let abort
 // discharge and witness assembly rebuild full histories. The per-pass
 // cache shares summaries between configurations compacting through an
@@ -1013,7 +1029,7 @@ func (s *Session) Result() (Result, error) {
 
 func (s *Session) evaluate() (Result, error) {
 	if s.err != nil {
-		return Result{Nodes: s.Nodes(), Pruned: s.Pruned()}, s.err
+		return Result{Nodes: s.Nodes()}, s.err
 	}
 	if s.verAt == s.fed {
 		return s.verRes, nil
@@ -1021,7 +1037,7 @@ func (s *Session) evaluate() (Result, error) {
 	start := s.nodes
 	res, err := s.evaluateNow()
 	if err != nil {
-		return Result{Nodes: s.Nodes(), Pruned: s.Pruned()}, s.stick(err, "verdict after feed", s.fed-1, s.open, start)
+		return Result{Nodes: s.Nodes()}, s.stick(err, "verdict after feed", s.fed-1, s.open, start)
 	}
 	s.verAt = s.fed
 	s.verRes = res
@@ -1030,7 +1046,7 @@ func (s *Session) evaluate() (Result, error) {
 
 func (s *Session) evaluateNow() (Result, error) {
 	if s.notWF != "" {
-		return Result{OK: false, Reason: s.notWF, Nodes: s.Nodes(), Pruned: s.Pruned()}, nil
+		return Result{OK: false, Reason: s.notWF, Nodes: s.Nodes()}, nil
 	}
 	if s.fast != nil {
 		// Fast-path delegate active: no switch action has been fed, so
@@ -1042,10 +1058,9 @@ func (s *Session) evaluateNow() (Result, error) {
 				Reason:     "no speculative linearization function for some init interpretation",
 				FailedInit: map[int]trace.History{},
 				Nodes:      s.Nodes(),
-				Pruned:     s.Pruned(),
 			}, nil
 		}
-		res := Result{OK: true, Nodes: s.Nodes(), Pruned: s.Pruned()}
+		res := Result{OK: true, Nodes: s.Nodes()}
 		if s.set.Witness {
 			w := Witness{
 				Init:    map[int]trace.History{},
@@ -1075,14 +1090,13 @@ func (s *Session) evaluateNow() (Result, error) {
 				Reason:     "no speculative linearization function for some init interpretation",
 				FailedInit: finit,
 				Nodes:      s.Nodes(),
-				Pruned:     s.Pruned(),
 			}, nil
 		}
 		if s.set.Witness {
 			witnesses = append(witnesses, s.switness(cb, c, aborts))
 		}
 	}
-	return Result{OK: true, Witnesses: witnesses, Nodes: s.Nodes(), Pruned: s.Pruned()}, nil
+	return Result{OK: true, Witnesses: witnesses, Nodes: s.Nodes()}, nil
 }
 
 // comboOK returns the first surviving configuration of the combination
@@ -1159,16 +1173,16 @@ func newSessionSettings(ctx context.Context, f adt.Folder, rinit RInit, m, n int
 		ctx = context.Background()
 	}
 	s := &Session{
-		ctx:    ctx,
-		f:      f,
-		rinit:  rinit,
-		m:      m,
-		n:      n,
-		set:    set,
-		budget: set.BudgetOr(DefaultBudget),
-		por:    set.POR,
-		phase:  map[trace.ClientID]*phaseTrack{},
-		verAt:  -1,
+		ctx:     ctx,
+		f:       f,
+		rinit:   rinit,
+		m:       m,
+		n:       n,
+		set:     set,
+		budget:  set.BudgetOr(DefaultBudget),
+		phase:   map[trace.ClientID]*phaseTrack{},
+		verAt:   -1,
+		visited: map[trace.Digest]struct{}{},
 	}
 	s.record = s.recording()
 	if err := s.rebuild(); err != nil {

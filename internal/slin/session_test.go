@@ -236,7 +236,7 @@ func TestSLinSessionExhaustionSaysWhy(t *testing.T) {
 		sentinel error
 	}{
 		{[]check.Option{check.WithBudget(10)}, ErrBudget},
-		{[]check.Option{check.WithMemoLimit(1), check.WithPOR(false)}, ErrMemo},
+		{[]check.Option{check.WithMemoLimit(1)}, ErrMemo},
 	} {
 		_, oneErr := Check(ctx, adt.Consensus{}, UniversalRInit{}, 1, 2, tr, c.opts...)
 		onErr := online(c.opts...)

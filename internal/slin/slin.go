@@ -85,17 +85,6 @@ type Result struct {
 	// interpretation combinations (always at most the budget; comparable
 	// with lin.Result.Nodes).
 	Nodes int
-	// Pruned is the number of extension branches the sleep-set
-	// partial-order reduction skipped (check.WithPOR, on by default;
-	// always 0 on WithPOR(false) runs). Abort histories extend the chain
-	// as a sequence and r_init may be order-sensitive, so on a trace
-	// carrying an abort the reducer runs only for OrderInsensitive
-	// relations: one-shot Check sees the whole trace and never prunes
-	// otherwise, while a Session cannot see aborts coming — it may prune
-	// on an abort-free prefix, then discard the pruned frontiers by an
-	// unreduced replay at the first abort while keeping the cumulative
-	// counter (the verdict is still unreduced-exact).
-	Pruned int
 }
 
 // Check decides whether t satisfies SLin_T(m,n) (Definition 36) for the
@@ -107,24 +96,19 @@ type Result struct {
 // Check is the frontier engine of Session fed the whole trace
 // (DESIGN.md, decision 25), told up front what only the whole trace can
 // tell: every init interpretation, so no init action triggers a replay,
-// and whether an abort is coming, so the reducer is set once. Budget and
-// memo errors therefore carry the session's explanation — "slin: search
-// budget exhausted (feed 17: 2 combinations, 8 configurations, 5 open
-// operations, 21 nodes)" — wrapping ErrBudget / ErrMemo: match them with
-// errors.Is. The check is context-aware: cancellation of ctx aborts the
-// search with ctx's error.
+// and whether an abort is coming, so the configuration identity is set
+// once. Budget and memo errors therefore carry the session's explanation
+// — "slin: search budget exhausted (feed 17: 2 combinations, 8
+// configurations, 5 open operations, 21 nodes)" — wrapping ErrBudget /
+// ErrMemo: match them with errors.Is; check.WithFeedBudget rebases the
+// budget per fed action. Cancellation of ctx aborts with ctx's error.
 func Check(ctx context.Context, f adt.Folder, rinit RInit, m, n int, t trace.Trace, opts ...check.Option) (Result, error) {
-	return checkSettings(ctx, f, rinit, m, n, t, check.NewSettings(opts...))
-}
-
-func checkSettings(ctx context.Context, f adt.Folder, rinit RInit, m, n int, t trace.Trace, set check.Settings) (Result, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
 	}
-	set.FeedBudget = false // one budget per check
-	s, err := newSessionSettings(ctx, f, rinit, m, n, set)
+	s, err := NewSession(ctx, f, rinit, m, n, opts...)
 	if err != nil {
 		return Result{}, err
 	}
@@ -133,16 +117,7 @@ func checkSettings(ctx context.Context, f adt.Folder, rinit RInit, m, n int, t t
 			return Result{}, fmt.Errorf("slin: action %v outside sig(%d,%d)", a, m, n)
 		}
 	}
-	if !t.PhaseWellFormed(m, n) {
-		return Result{OK: false, Reason: fmt.Sprintf("trace is not (%d,%d)-well-formed", m, n)}, nil
-	}
-	if err := s.seedWhole(t); err != nil {
-		return Result{}, err
-	}
-	if err := s.FeedAll(t); err != nil {
-		return Result{Nodes: s.Nodes(), Pruned: s.Pruned()}, err
-	}
-	return s.Result()
+	return s.checkWhole(t)
 }
 
 // CheckLin decides plain linearizability of a switch-free trace via the

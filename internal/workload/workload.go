@@ -155,10 +155,10 @@ func corruptOutput(f adt.Folder, r *rand.Rand, opts TraceOpts, out trace.Value) 
 // concurrent tagged proposals answered by alternating split decisions.
 // The trace is never linearizable, so exact checkers exhaust their full
 // memoized DAGs on it (deterministic node counts), and after the first
-// chain element every remaining proposal commutes — making it both a
-// worst case for the unreduced SLin engines and the best case of their
-// sleep-set reduction. clientPrefix names the clients ("h" yields
-// h0, h1, ...).
+// chain element every remaining proposal commutes — a worst case for a
+// search that tells commit orders apart, and a best case for one that
+// keys configurations position-free. clientPrefix names the clients ("h"
+// yields h0, h1, ...).
 func SplitDecision(w int, clientPrefix string) trace.Trace {
 	var t trace.Trace
 	for i := 0; i < w; i++ {

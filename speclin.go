@@ -42,9 +42,10 @@
 // exhausted (feed 17: 8 configurations, 5 open operations, 21 nodes)"),
 // wrapping ErrBudget/ErrMemo or ErrSLinBudget/ErrSLinMemo — match with
 // errors.Is. One-shot and incremental checks are one engine per property
-// (DESIGN.md, decisions 21 and 25); WithPOR toggles the SLin engine's
-// partial-order reduction (decision 12); WithWorkers sizes the batch
-// checkers' pool, never a single check.
+// (DESIGN.md, decisions 21 and 25), and both engines tell configurations
+// apart by end state and unclaimed entries, so commuting commit orders
+// are one configuration (decisions 20 and 29); WithWorkers sizes the
+// batch checkers' pool, never a single check.
 //
 // See the examples/ directory for runnable end-to-end programs and
 // DESIGN.md for the map from the paper's sections to packages (decision
@@ -229,23 +230,17 @@ var (
 	// WithTemporalAbortOrder selects the temporal Abort-Order reading
 	// of the SLin checker (see the slin package documentation).
 	WithTemporalAbortOrder = check.WithTemporalAbortOrder
-	// WithPOR toggles the sleep-set partial-order reduction over the
-	// SLin engine's extension branch sets (default on; DESIGN.md
-	// decision 12). The reduction is verdict- and witness-preserving;
-	// turning it off runs the unreduced search, which the differential
-	// tests cross-check against the reduced one. The Lin engine has no
-	// reducer to toggle (decisions 20 and 21).
-	WithPOR = check.WithPOR
 	// WithExact forces the exact search engines on entry points that
 	// would otherwise dispatch to an ADT-specialized fast-path checker
 	// (see CheckSpec; DESIGN.md decision 15). Verdicts never depend on
 	// it — it trades the fast paths' speed for the exact engines' node
 	// accounting and witness generality.
 	WithExact = check.WithExact
-	// WithFeedBudget rebases a Session's search budget at every Feed
+	// WithFeedBudget rebases the search budget at every fed action
 	// instead of spending one budget across the session's lifetime, so a
 	// heavy-tailed action cannot starve every later feed into spurious
-	// budget errors. One-shot checks ignore it.
+	// budget errors. One-shot Lin and SLin checks are sessions fed the
+	// whole trace and rebase alike; ClassicalLin spends one budget.
 	WithFeedBudget = check.WithFeedBudget
 )
 
@@ -282,14 +277,10 @@ type Report struct {
 	// verdicts, when the failure is interpretation-specific.
 	FailedInit map[int]History
 	// Nodes is the number of search nodes spent (comparable across
-	// modes and engines). Together with Pruned it accounts for the
-	// partial-order reduction: every pruned branch is a subtree the
-	// unreduced search would have spent nodes on.
+	// modes and engines).
 	Nodes int
-	// Pruned is the number of extension branches the partial-order
-	// reduction skipped: SLin only (0 with WithPOR(false)). ClassicalLin
-	// has no extension branch structure, and the Lin engine's
-	// configurations merge commuting orders instead.
+	// Pruned is always 0 since DESIGN.md decision 29 deleted the last
+	// reducer; it stays because bench/ still reports it.
 	Pruned int
 	// Wall is the wall-clock duration of the check.
 	Wall time.Duration
@@ -354,7 +345,7 @@ func Check(ctx context.Context, spec CheckSpec, t Trace, opts ...Option) (Report
 		var r slin.Result
 		r, err = slin.Check(ctx, spec.Folder, spec.RInit, spec.M, spec.N, t, opts...)
 		rep = Report{Verdict: linVerdict(lin.Result{OK: r.OK}, err), Reason: r.Reason,
-			SLinWitnesses: r.Witnesses, FailedInit: r.FailedInit, Nodes: r.Nodes, Pruned: r.Pruned}
+			SLinWitnesses: r.Witnesses, FailedInit: r.FailedInit, Nodes: r.Nodes}
 	default:
 		return Report{}, fmt.Errorf("speclin: unknown check mode %v", spec.Mode)
 	}
@@ -428,7 +419,7 @@ func (s *Session) Report() (Report, error) {
 		var r slin.Result
 		r, err = s.slin.Result()
 		rep = Report{Verdict: linVerdict(lin.Result{OK: r.OK}, err), Reason: r.Reason,
-			FailedInit: r.FailedInit, Nodes: r.Nodes, Pruned: r.Pruned}
+			FailedInit: r.FailedInit, Nodes: r.Nodes}
 	}
 	rep.Wall = time.Since(s.start)
 	return rep, err
