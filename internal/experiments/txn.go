@@ -332,10 +332,14 @@ func E19Rows(ctx context.Context, sweepCommands, fullCommands int) ([]TxnRunResu
 	full.RecoveryTimeout = 500
 	// Stagger the rolling restarts across the whole run (simulated time
 	// is about 2× the item count at pace 12), not just its opening
-	// seconds, so mid-run transactions get orphaned too.
+	// seconds, so mid-run transactions get orphaned too. A coordinator
+	// stays down longer than the watchdog: one that restarts sooner
+	// re-drives its prepares in time, as its slots wait for it
+	// (DESIGN.md decision 30), so only a longer outage orphans a
+	// transaction.
 	full.CrashStart = 500
 	full.CrashEvery = msgnet.Time(2 * fullCommands / full.Clients)
-	full.CrashDown = 300
+	full.CrashDown = 600
 	r, err := RunTxn(ctx, full)
 	if err != nil {
 		return out, fmt.Errorf("E19 faulted: %w", err)

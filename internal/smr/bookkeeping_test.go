@@ -14,10 +14,13 @@ import (
 
 // A client names its phase timers by (shard, phase, name) — never by
 // slot — so the names it holds are bounded by its shards and phases, not
-// by how many slots it has attempted: the count after 400 commands is the
-// count after 4 000. The Quorum phase cancels "retransmit" whether or not
-// it armed it; with Retransmit off (the paper's default, and Config's
-// zero value) that cancel must not cost a name either.
+// by how many slots it has proposed in: the count after 400 commands is
+// the count after 4 000. The Quorum phase cancels "retransmit" whether or
+// not it armed it; with Retransmit off (the paper's default, and Config's
+// zero value) that cancel must not cost a name either. The retry timeout
+// is armed on every proposal and never fires, so each shard's progress
+// timer — which a blocked landing's fill deadline reuses, rather than
+// adding a name — is held from the first command on.
 func TestTimerNamesBoundedPerClient(t *testing.T) {
 	const shards = 2
 	for _, retransmit := range []msgnet.Time{0, 6} {
@@ -27,7 +30,8 @@ func TestTimerNamesBoundedPerClient(t *testing.T) {
 			wl := workload.KeyedOpts{Clients: 2, Ops: ops, Keys: 64, ReadFrac: 0.3}
 			clients := ids("c", wl.Clients)
 			sc, err := BuildSharded(w, clients, ids("s", 3), ShardedConfig{
-				Config: Config{FastPath: true, QuorumTimeout: 8, Retransmit: retransmit, CompactEvery: 16},
+				Config: Config{FastPath: true, QuorumTimeout: 8, Retransmit: retransmit, CompactEvery: 16,
+					RetryTimeout: 1_000_000},
 				Shards: shards,
 			})
 			if err != nil {
@@ -124,8 +128,8 @@ func (c *probedClient) OnTimer(name string) {
 	c.ClientPhase.OnTimer(name)
 }
 
-// A retry re-proposes at the client's frontier, which is the retired
-// attempt's own slot when that attempt learned nothing. The replacement
+// A retry re-proposes in the retired attempt's own slot: a command stays
+// in its slot until that slot's decision is known. The replacement
 // arms the same timer names; a timer the retired attempt armed must never
 // reach it. Here every server is down, so each attempt's long Quorum
 // timeout is still pending when the retry timer retires the attempt.
@@ -245,7 +249,7 @@ func TestBackupPhaseBuiltOnFirstUse(t *testing.T) {
 	}
 	// Observe mid-run, while instances are live.
 	w.At(95, func() {
-		for _, inst := range cl.sh.byID["c1"].slots {
+		if inst := cl.sh.byID["c1"].inst; inst != nil {
 			if inst.comps[0] == nil || inst.comps[1] != nil {
 				t.Errorf("live instance has phases built: %v", inst.comps)
 			}
@@ -265,41 +269,47 @@ func TestBackupPhaseBuiltOnFirstUse(t *testing.T) {
 }
 
 // A decision can reach a client's backup phase before the client has
-// switched into it. With one server down c1 spends a whole (deliberately
-// long) Quorum timer on slot 0 before Paxos decides it; c2 proposes in
-// slot 0 just before that, so c1's decidedMsg finds c2 still on its own
-// Quorum timer. Built on first use, c2's proposer must come into being
-// for that message and still know the decision at SwitchIn.
+// switched into it. With one server down every slot spends a whole
+// (deliberately long) Quorum timer before Paxos decides it. c1 proposes
+// "first" in its slot 0 and crashes; c2 wins slot 1, is blocked on slot
+// 0, and fills it: its Paxos round decides "first" (the servers accepted
+// it) and tells every client. c1 has meanwhile restarted and re-proposed
+// in slot 0, so the decidedMsg finds it still on its own Quorum timer.
+// Built on first use, c1's proposer must come into being for that message
+// and still know the decision at SwitchIn.
 func TestLateDecisionReachesUnbuiltProposer(t *testing.T) {
-	w, cl := build(t, msgnet.Config{Seed: 1}, Config{FastPath: true, QuorumTimeout: 40}, 2, 3)
+	const qt, restart = 40, 140
+	w, cl := build(t, msgnet.Config{Seed: 1}, Config{FastPath: true, QuorumTimeout: qt}, 2, 3)
 	w.Crash("s1", 0)
+	w.Crash("c1", 1)
+	w.Restart("c1", restart)
 	cl.SubmitAt("c1", "first", 0)
-	cl.SubmitAt("c2", "second", 38)
+	cl.SubmitAt("c2", "second", 0)
 	early := false
-	c2 := cl.sh.byID["c2"]
-	for at := msgnet.Time(39); at < 78; at++ {
+	c1 := cl.sh.byID["c1"]
+	for at := msgnet.Time(restart); at < restart+qt; at++ {
 		w.At(at, func() {
-			if inst := c2.slots[0]; inst != nil && inst.phase == 0 && inst.comps[1] != nil {
+			if inst := c1.inst; inst != nil && c1.instSlot == 0 && inst.phase == 0 && inst.comps[1] != nil {
 				early = true
 			}
 		})
 	}
 	cl.Run(1 << 30)
 	if !early {
-		t.Fatal("c2's proposer was never built ahead of its switch: the case was not exercised")
+		t.Fatal("c1's proposer was never built ahead of its switch: the case was not exercised")
 	}
 	if err := cl.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
 	rs := cl.Results()
-	if len(rs) != 2 || rs[0].Cmd != "first" || rs[0].Slot != 0 || rs[1].Cmd != "second" || rs[1].Slot != 1 {
-		t.Fatalf("results %+v: want first in slot 0, second in slot 1", rs)
+	if len(rs) != 2 || rs[0].Cmd != "second" || rs[0].Slot != 1 || rs[1].Cmd != "first" || rs[1].Slot != 0 {
+		t.Fatalf("results %+v: want second in slot 1, then first in slot 0", rs)
 	}
-	// c2 learned slot 0 at its own switch (t=78), from the proposer that
-	// had been told, without a Paxos round of its own: it lands in slot 1
-	// by the second timeout plus one round.
-	if rs[1].Attempts != 2 || rs[1].End > 78+40+10 {
-		t.Fatalf("second command: %+v", rs[1])
+	// c1 learned slot 0 at its own switch, from the proposer that had been
+	// told, without a Paxos round of its own: it lands exactly one Quorum
+	// timeout after its restart.
+	if rs[1].End != restart+qt {
+		t.Fatalf("first command: %+v", rs[1])
 	}
 }
 

@@ -49,9 +49,10 @@ func (cl *Cluster) Run(maxTime msgnet.Time) msgnet.Time { return cl.sh.net.Run(m
 // Results returns landed submissions in completion order.
 func (cl *Cluster) Results() []SubmitResult { return append([]SubmitResult{}, cl.sh.results...) }
 
-// Log returns client c's view of the replicated log as a dense prefix
-// plus any holes it never participated in (holes are simply absent).
-// With compaction enabled the trimmed prefix is absent too.
+// Log returns client c's view of the replicated log: the slots it knows,
+// unknown ones simply absent. Slots that hold no command carry a value no
+// client submitted (the log's no-op). With compaction enabled the trimmed
+// prefix is absent too.
 func (cl *Cluster) Log(c msgnet.ProcID) map[int]Command {
 	out := map[int]Command{}
 	for s, v := range cl.sh.byID[c].log {

@@ -443,22 +443,15 @@ func (r *router) Init(n *msgnet.Node) {
 }
 
 func (r *router) OnMessage(n *msgnet.Node, from msgnet.ProcID, payload any) {
-	switch env := payload.(type) {
-	case slotEnvelope:
-		if env.shard >= 0 && env.shard < len(r.perShard) {
-			r.perShard[env.shard].handleEnvelope(from, env)
-		}
-	case gossipEnvelope:
-		if env.shard >= 0 && env.shard < len(r.perShard) {
-			r.perShard[env.shard].handleGossip(env)
-		}
+	if shard, ok := clientShard(payload); ok && shard >= 0 && shard < len(r.perShard) {
+		r.perShard[shard].handle(from, payload)
 	}
 }
 
 func (r *router) OnTimer(n *msgnet.Node, name string) {
-	if shard, ok := splitRetryTimer(name); ok {
+	if shard, ok := splitProgressTimer(name); ok {
 		if shard >= 0 && shard < len(r.perShard) {
-			r.perShard[shard].onRetryTimer()
+			r.perShard[shard].onProgressTimer()
 		}
 		return
 	}
@@ -470,7 +463,7 @@ func (r *router) OnTimer(n *msgnet.Node, name string) {
 }
 
 // OnRestart implements msgnet.RecoverableHandler: each shard-local
-// client engine re-drives its in-flight submission.
+// client engine re-drives its live proposal or blocked landing.
 func (r *router) OnRestart(n *msgnet.Node) {
 	for _, c := range r.perShard {
 		c.onRestart()
@@ -579,6 +572,8 @@ type slotEntry struct {
 	cmd  Command
 	// txn is set for transaction-protocol commands (prepare/outcome).
 	txn *txnSlot
+	// noop marks a slot that holds no command.
+	noop bool
 }
 
 // deferredSlot is a replayed-but-locked single-key operation awaiting
@@ -652,20 +647,24 @@ func (rec *shardRecorder) start(c msgnet.ProcID, cmd Command, at msgnet.Time) {
 
 // learn runs the online consistency checks for one (client, slot,
 // decision) observation and queues the decision for slot-order replay.
-// The command is parsed exactly once, at first learn.
+// The command is parsed exactly once, at first learn; the no-op is
+// checked for agreement like any decision and replays as nothing.
 //
 // slotVal/learns entries are freed once every client has learned the
 // slot and it has been replayed. Under compaction the passive decision
-// gossip keeps idle clients learning (smr.go, gossipEnvelope) — their
-// gossip learns arrive through this same hook, so the entries drain
-// even when half the feeds end early; without compaction an idle
-// client stops learning and entries for later slots persist to the end
-// of the run.
+// gossip keeps idle clients learning other clients' no-ops (smr.go,
+// gossipEnvelope) — their gossip learns arrive through this same hook,
+// so the entries drain even when half the feeds end early; without
+// compaction an idle client stops learning them and entries for later
+// slots persist to the end of the run.
 func (rec *shardRecorder) learn(c msgnet.ProcID, slot int, cmd Command) {
 	if prev, ok := rec.slotVal[slot]; ok {
 		if prev != cmd {
 			rec.fail("slot %d decided both %q and %q", slot, prev, cmd)
 		}
+	} else if cmd == noop {
+		rec.slotVal[slot] = cmd
+		rec.pending[slot] = slotEntry{noop: true}
 	} else {
 		rec.slotVal[slot] = cmd
 		switch s, submitted := rec.subSlot[cmd]; {
@@ -734,12 +733,14 @@ func (rec *shardRecorder) land(r SubmitResult) {
 	for rec.applied <= r.Slot {
 		e, ok := rec.pending[rec.applied]
 		if !ok {
-			// Unreachable by the dense-walk discipline: the landing client
-			// learned every slot below its landing slot first.
+			// Unreachable: a client lands only once it knows every slot
+			// below its landing slot (decision 30), and learned them first.
 			rec.fail("hole at slot %d below landed slot %d", rec.applied, r.Slot)
 			return
 		}
 		switch {
+		case e.noop:
+			// Nothing to apply, and nothing lands here.
 		case e.txn != nil:
 			if tc := rec.sc.txn; tc != nil {
 				if e.txn.prep {

@@ -71,17 +71,22 @@ func TestShardedPropertyLinearizablePerKey(t *testing.T) {
 }
 
 // Keys never leak across shards: every decided command in every shard's
-// log hashes to that shard.
+// log hashes to that shard. The only unkeyed entry is the no-op of a
+// slot its owner passed over.
 func TestShardedKeysNeverLeak(t *testing.T) {
 	sc := runSharded(t, 11, 4, Config{FastPath: true, QuorumTimeout: 8},
 		workload.KeyedOpts{Clients: 3, Ops: 240, Keys: 32, ReadFrac: 0.3})
 	if err := sc.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	seen := 0
+	seen, noops := 0, 0
 	for k := 0; k < sc.Shards(); k++ {
 		for _, c := range sc.clients {
 			for _, cmd := range sc.Log(k, c) {
+				if cmd == noop {
+					noops++
+					continue
+				}
 				key, ok := CmdKey(cmd)
 				if !ok {
 					t.Fatalf("shard %d decided unkeyed command %q", k, cmd)
@@ -93,8 +98,8 @@ func TestShardedKeysNeverLeak(t *testing.T) {
 			}
 		}
 	}
-	if seen == 0 {
-		t.Fatal("no decided commands inspected")
+	if seen == 0 || noops == 0 {
+		t.Fatalf("inspected %d decided commands and %d no-ops, want both", seen, noops)
 	}
 	// And the shards' per-key traces partition the recorded histories.
 	n := 0
@@ -198,11 +203,12 @@ func TestShardedCompaction(t *testing.T) {
 }
 
 // Idle clients must not pin the compaction floor. Half the clients
-// submit a short feed and go idle early; the passive decision gossip
-// (gossipEnvelope) keeps them learning from the active clients'
-// watermark reports, so every replica's gcFloor — the minimum watermark
-// over ALL clients — keeps tracking the log tip instead of freezing at
-// the idle clients' last active slot.
+// submit a short feed and go idle early. They hear of the active
+// clients' commands through their notices, but of each other's no-ops
+// only through the passive decision gossip (gossipEnvelope) riding the
+// active clients' watermark reports; that keeps their frontiers — and so
+// every replica's gcFloor, the minimum watermark over ALL clients —
+// tracking the log tip instead of freezing at their first unknown no-op.
 func TestShardedCompactionIdleClients(t *testing.T) {
 	const ce = 16
 	w := msgnet.New(msgnet.Config{Seed: 31, MinDelay: 1, MaxDelay: 2})
@@ -224,6 +230,19 @@ func TestShardedCompactionIdleClients(t *testing.T) {
 		total += counts[i]
 		sc.SubmitPaced(c, cmds, msgnet.Time(i), period)
 	}
+	sh := sc.shards[0]
+	idle := clients[2:]
+	// The short feeds have landed well before t=600, the long ones run
+	// to t≈2 900.
+	sc.Run(600)
+	var early []int
+	for _, id := range idle {
+		if c := sh.byID[id]; c.current.live {
+			t.Fatalf("client %s still busy at t=600", id)
+		} else {
+			early = append(early, c.frontier)
+		}
+	}
 	sc.Run(100_000_000)
 	if st := sc.Stats(); st.Landed != int64(total) {
 		t.Fatalf("landed %d/%d", st.Landed, total)
@@ -234,26 +253,36 @@ func TestShardedCompactionIdleClients(t *testing.T) {
 	if _, err := sc.CheckLinearizable(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	sh := sc.shards[0]
-	// Without gossip the idle clients' watermarks freeze around slot
-	// ~100 (their 24 commands land interleaved with the active feeds),
-	// pinning gcFloor there; with it the floor must reach within a few
-	// compaction windows of the 528-slot log tip.
-	for _, rep := range sh.reps {
-		if rep.gcFloor < total-4*ce {
-			t.Fatalf("replica %s compaction floor pinned at %d of %d slots: idle clients stopped reporting",
-				rep.id, rep.gcFloor, total)
+	// A report goes out every CompactEvery rounds of the slot residues
+	// (an idle one every quarter of that), so both the idle clients'
+	// frontiers and the floor must end within a few such windows of the
+	// log tip, which no-op slots put well above the 528 commands.
+	window := ce * len(clients)
+	tip := 0
+	for _, c := range sh.byID {
+		tip = max(tip, c.frontier)
+	}
+	if tip < total+total/2 {
+		t.Fatalf("log tip at slot %d for %d commands: expected the idle clients' slots to be no-ops", tip, total)
+	}
+	for i, id := range idle {
+		c := sh.byID[id]
+		t.Logf("idle client %s: frontier %d at t=600, %d at the end; log tip %d", id, early[i], c.frontier, tip)
+		if c.frontier < tip-2*window || c.frontier < early[i]+tip/2 {
+			t.Fatalf("idle client %s's frontier moved %d → %d, log tip %d: it stopped learning", id, early[i], c.frontier, tip)
 		}
-		if len(rep.slots) > 8*ce {
-			t.Fatalf("replica %s retains %d slot states after compaction", rep.id, len(rep.slots))
+		// Its own log stays trimmed too, at the idle quarter-window.
+		if len(c.log) > 2*window {
+			t.Fatalf("idle client %s retains %d log entries", id, len(c.log))
 		}
 	}
-	// The idle clients' own logs stay trimmed too (they learn via gossip
-	// and keep trimming at the idle quarter-window).
-	for _, id := range clients[2:] {
-		c := sh.byID[id]
-		if len(c.log) > 4*ce {
-			t.Fatalf("idle client %s retains %d log entries", id, len(c.log))
+	for _, rep := range sh.reps {
+		if rep.gcFloor < tip-4*window {
+			t.Fatalf("replica %s compaction floor pinned at %d, log tip %d: idle clients stopped reporting",
+				rep.id, rep.gcFloor, tip)
+		}
+		if len(rep.slots) > 2*window {
+			t.Fatalf("replica %s retains %d slot states after compaction", rep.id, len(rep.slots))
 		}
 	}
 }

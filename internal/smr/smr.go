@@ -19,17 +19,22 @@
 // component's history and checks it against the adt.TxnKV product
 // folder (decision 18).
 //
-// Clients submit commands; a submission repeatedly proposes the command
-// in the lowest slot the client does not know the decision of, advancing
-// past slots won by other clients, until the command lands. Phase
-// protocols are reused verbatim from packages quorum and paxos through
-// slot-scoped environment adapters. Logs compact behind a learned
+// Clients submit commands into slots they own: client i of n proposes
+// only in the slots ≡ i (mod n), so on a healthy network every slot has
+// one proposer and decides on the fast path (DESIGN.md decision 30). A
+// client pushes each slot it wins to its peers, declares the owned slots
+// it passed over no-ops without a consensus round, and answers a
+// submission once every lower slot is known; a lower slot left unknown
+// for too long is filled with the no-op through the normal composition.
+// Phase protocols are reused verbatim from packages quorum and paxos
+// through slot-scoped environment adapters. Logs compact behind a learned
 // watermark (decision 14) and crashed processes replay from their
-// durable model on restart (recovery.go).
+// durable model on restart.
 package smr
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -69,41 +74,43 @@ type Config struct {
 	// what they learn; a restarted client re-drives its in-flight
 	// submission through the retry path (RetryTimeout).
 	Recovery bool
-	// RetryTimeout, when positive, bounds each submission attempt: a
-	// client whose in-flight command has not resolved within the timeout
-	// abandons the attempt's slot instance and re-proposes the same
-	// command at its current frontier slot, from the first phase. It
-	// must restart at phase 0 — a retry that entered the robust phase
-	// directly would propose its own command into Paxos, and only values
+	// RetryTimeout, when positive, bounds each slot proposal — a
+	// command's attempt or a fill: a client whose live proposal has not
+	// resolved within the timeout abandons the slot instance and
+	// re-proposes the same value in the same slot, from the first phase.
+	// It must restart at phase 0 — a retry that entered the robust phase
+	// directly would propose its own value into Paxos, and only values
 	// derived from quorum accepts are safe there (a still-live fast path
-	// can reach unanimity on another client's value and split the slot);
-	// the quorum phase's own conflict/timeout switch rules degrade the
-	// fresh attempt to the robust phase with a safe value, and the
-	// re-broadcast doubles as a retransmission. The command itself is
-	// the stable retry identity — command encodings are unique, the
-	// dense-frontier discipline ensures a client passes a slot only
-	// after learning its decision, and the sharded recorder's
-	// duplicate-slot check verifies online that no retry ever lands
-	// twice. Successive retries of one submission back off exponentially
-	// (capped at RetryBackoffCap) with a small deterministic per-client
-	// jitter.
+	// can reach unanimity on another value and split the slot); the
+	// quorum phase's own conflict/timeout switch rules degrade the fresh
+	// attempt to the robust phase with a safe value, and the re-broadcast
+	// doubles as a retransmission. The command itself is the stable retry
+	// identity — command encodings are unique, a command is in flight in
+	// one slot at a time and moves on only once that slot's decision is
+	// known (decision 30), and the sharded recorder's duplicate-slot
+	// check verifies online that no retry ever lands twice. Successive
+	// retries of one submission back off exponentially (capped at
+	// RetryBackoffCap) with a small deterministic per-client jitter.
 	RetryTimeout msgnet.Time
 	// RetryBackoffCap caps the exponential retry backoff (default
 	// 8×RetryTimeout).
 	RetryBackoffCap msgnet.Time
-	// CompactEvery enables log compaction when positive: every time a
-	// client's learned watermark (its first unknown slot) advances by
-	// this many slots it broadcasts the watermark to the servers and
-	// trims its own log below it; servers free per-slot replica state
-	// below the minimum watermark reported by all clients (no client can
-	// ever propose there again). This bounds memory by the compaction
-	// window instead of the log length, at the cost of extra (tiny)
-	// watermark messages. Each report also gossips the trimmed decisions
-	// to the other clients (gossipEnvelope), so clients with drained
-	// queues keep learning — and keep reporting — instead of pinning the
-	// servers' floor at their last active slot. With compaction on, Log
-	// and the retained per-client logs only cover the untrimmed suffix;
-	// ShardedCluster checks log agreement online instead (sharded.go).
+	// CompactEvery enables log compaction when positive. It counts
+	// rounds of slot ownership: every time a client's learned watermark
+	// (its first unknown slot) advances by CompactEvery × clients slots
+	// it broadcasts the watermark to the servers and trims its own log
+	// below it — per round, because no-op slots inflate the slot count
+	// while each client still owns one slot a round. Servers free
+	// per-slot replica state below the minimum watermark reported by all
+	// clients (no client can ever propose there again). This bounds
+	// memory by the compaction window instead of the log length, at the
+	// cost of extra (tiny) watermark messages. Each report also gossips
+	// the trimmed decisions, no-ops included, to the other clients
+	// (gossipEnvelope), so clients with drained queues keep learning —
+	// and keep reporting — instead of pinning the servers' floor at their
+	// last active slot. With compaction on, Log and the retained
+	// per-client logs only cover the untrimmed suffix; ShardedCluster
+	// checks log agreement online instead (sharded.go).
 	CompactEvery int
 }
 
@@ -160,8 +167,8 @@ type Shard struct {
 	// Optional hooks, set before Run. onStart fires when a queued
 	// submission actually begins (its invocation point); onLand when it
 	// resolves; onLearn every time a client learns a slot's decision
-	// (including decisions won by other clients), before any onLand for
-	// that slot.
+	// (decisions won by other clients and no-ops included), once per
+	// client and slot, before any onLand for that slot.
 	onStart func(c msgnet.ProcID, cmd Command, at msgnet.Time)
 	onLand  func(SubmitResult)
 	onLearn func(c msgnet.ProcID, slot int, cmd Command)
@@ -186,8 +193,12 @@ func newShard(net *msgnet.Network, id int, clients, servers []msgnet.ProcID, cfg
 		keepResults: true,
 	}
 	for i, cid := range clients {
-		sh.byID[cid] = &client{sh: sh, id: cid, index: i, log: map[int]Command{}, slots: map[int]*slotInstance{},
-			retryTimer: retryTimerName(id)}
+		c := &client{sh: sh, id: cid, index: i, log: map[int]Command{}, skipped: i, told: make([]int, len(clients)),
+			progress: progressTimerName(id)}
+		for j := range c.told {
+			c.told[j] = i
+		}
+		sh.byID[cid] = c
 	}
 	for _, sid := range servers {
 		sh.reps[sid] = &replica{sh: sh, id: sid, slots: map[int]*serverSlot{}, wm: map[msgnet.ProcID]int{}}
@@ -196,10 +207,11 @@ func newShard(net *msgnet.Network, id int, clients, servers []msgnet.ProcID, cfg
 }
 
 // checkConsistency verifies SMR safety across the shard's clients: no two
-// clients disagree on a slot's decision, every decided command was
-// submitted by some client, and every command sits in at most one slot.
-// With compaction enabled it only covers the untrimmed log suffixes; the
-// sharded recorder performs the same checks online over every learn.
+// clients disagree on a slot's decision, every decided command other than
+// the no-op was submitted by some client, and every such command sits in
+// at most one slot. With compaction enabled it only covers the untrimmed
+// log suffixes; the sharded recorder performs the same checks online over
+// every learn.
 func (sh *Shard) checkConsistency() error {
 	slotVal := map[int]Command{}
 	submitted := sh.submitted
@@ -223,7 +235,7 @@ func (sh *Shard) checkConsistency() error {
 				return fmt.Errorf("smr: shard %d slot %d decided both %q and %q", sh.id, s, prev, v)
 			}
 			slotVal[s] = v
-			if !submitted(v) {
+			if v != noop && !submitted(v) {
 				return fmt.Errorf("smr: shard %d slot %d decided unsubmitted command %q", sh.id, s, v)
 			}
 		}
@@ -231,6 +243,9 @@ func (sh *Shard) checkConsistency() error {
 	// Every landed command sits in exactly one slot.
 	bySlot := map[Command]int{}
 	for s, v := range slotVal {
+		if v == noop {
+			continue
+		}
 		if other, dup := bySlot[v]; dup {
 			return fmt.Errorf("smr: shard %d command %q decided in slots %d and %d", sh.id, v, other, s)
 		}
@@ -256,36 +271,69 @@ type learnedEnvelope struct {
 }
 
 // gossipEnvelope carries decided commands from one client to another
-// (compaction only): cmds[i] is the decision of slot first+i. A client
-// piggybacks the decisions it is about to trim onto every watermark
-// report, so clients with no in-flight submission — who otherwise learn
-// nothing, since decisions arrive only through live slot instances —
-// keep advancing their own watermarks instead of pinning the servers'
-// compaction floor at their last active slot.
+// (compaction only): cmds[i] is the decision of slot first+i, no-ops
+// included. A client piggybacks the decisions it is about to trim onto
+// every watermark report. A skip is reported only to the client whose
+// notice asked for it, so clients with no in-flight submission — who send
+// no notices — learn other clients' no-ops only here, and without it
+// would pin the servers' compaction floor at their first such slot.
 type gossipEnvelope struct {
 	shard int
 	first int
 	cmds  []Command
 }
 
+// noticeEnvelope pushes a decision from the slot's owner to its peers: the
+// owner's command won slot.
+type noticeEnvelope struct {
+	shard int
+	slot  int
+	cmd   Command
+}
+
+// skipEnvelope answers a notice with the sender's no-op slots: bit k of
+// noops set means the sender's owned slot first + k·clients holds the
+// no-op. Clear bits are the sender's command slots, reported by their own
+// notices.
+type skipEnvelope struct {
+	shard int
+	first int
+	noops uint64
+}
+
+// noop is the value of a slot that carries no command: an owned slot its
+// owner passed over, or a slot a blocked client filled. It is never
+// submitted (enqueue refuses it), never projected onto a key and never
+// lands.
+const noop Command = "\x00noop"
+
 // client is the per-shard SMR client engine: it serializes submissions
-// and drives a consensus instance per attempted slot.
+// into the slots it owns — client index of n owns the slots ≡ index
+// (mod n) — and drives one consensus instance at a time, for the current
+// command's slot or for a fill of a lower slot it is blocked on.
 type client struct {
 	sh    *Shard
 	id    msgnet.ProcID
 	index int
 	node  *msgnet.Node
 
-	// slots holds the live attempt's instance, keyed by its slot: at most
-	// one, because attempt always follows retire. spare is the last
-	// retired instance, which the next attempt reuses.
-	slots map[int]*slotInstance
-	spare *slotInstance
-	log   map[int]Command
-	// frontier caches the first slot not in log (the dense-prefix
-	// length); log only grows at or above it, so it advances monotonically
-	// and firstUnknownSlot is O(1) amortized.
+	// inst is the live slot instance, at slot instSlot; nil when none is.
+	// spare is the last retired instance, which the next proposal reuses.
+	inst     *slotInstance
+	instSlot int
+	spare    *slotInstance
+	log      map[int]Command
+	// frontier is the first slot not known (the dense-prefix length) and
+	// top one past the highest slot known: a new command goes into the
+	// lowest owned slot at or above top.
 	frontier int
+	top      int
+	// skipped is the next owned slot skip has to look at: every owned
+	// slot below it is known or holds the command in flight.
+	skipped int
+	// told[j] is the owned slot from which this client has not yet
+	// reported its no-op slots to client j.
+	told []int
 	// reported and trimmed track the compaction watermark last broadcast
 	// and the prefix already trimmed from log.
 	reported int
@@ -296,10 +344,12 @@ type client struct {
 	// not kept when the shard's owner answers that itself (Shard.submitted).
 	submittedCmds []Command
 	current       submission
-	// retryTimer is the node-level name of the submission-progress timer.
-	retryTimer string
+	// progress is the node-level name of the one progress timer per
+	// (client, shard): the retry timer of the live proposal, or the fill
+	// deadline of a blocked landing.
+	progress string
 	// timers[k] holds the node-level names of phase k's timers, built on
-	// first use and shared by every attempt (see slotClientEnv.SetTimer).
+	// first use and shared by every proposal (see slotClientEnv.SetTimer).
 	timers [maxPhases][]slotTimer
 	// retries counts timeout/restart re-proposals across all submissions
 	// (for stats).
@@ -315,25 +365,29 @@ type submission struct {
 	attempts int
 	switches int
 	retries  int
-	slot     int // slot currently attempted
-	// roundFloor carries the highest Paxos round any abandoned attempt of
-	// this submission used, so retry attempts never reuse a ballot (see
-	// mpcons.BallotTracker).
-	roundFloor int64
+	slot     int // the command's slot
+	// won: slot decided cmd, and the landing waits for the lower slots.
+	// blocked: the fill deadline is armed; filling: it has passed, and
+	// the client fills the lowest unknown slot, one after another.
+	won, blocked, filling bool
 }
 
-// slotInstance is one attempt's consensus instance: the client-side phase
+// slotInstance is one proposal's consensus instance: the client-side phase
 // components of one slot and the environments they act through. Only the
 // phase in use is built up front; a later phase's component — the Paxos
-// proposer that nine attempts in ten never reach — is built by comp on
-// first use.
+// proposer most proposals never reach — is built by comp on first use.
 type slotInstance struct {
 	comps   [maxPhases]mpcons.ClientPhase
 	envs    [maxPhases]slotClientEnv
 	phase   int
 	pending bool
-	// roundFloor is the submission's round floor when the attempt began,
-	// applied to ballot-tracking components as they are built.
+	// value is what the instance proposes: the current command, or the
+	// no-op for a fill.
+	value Command
+	// roundFloor is the highest Paxos round an abandoned instance of the
+	// same proposal used, applied to ballot-tracking components as they
+	// are built so a re-proposal never reuses a ballot (see
+	// mpcons.BallotTracker).
 	roundFloor int64
 }
 
@@ -355,6 +409,9 @@ func (c *client) comp(inst *slotInstance, k int) mpcons.ClientPhase {
 func (c *client) Init(n *msgnet.Node) { c.node = n }
 
 func (c *client) enqueue(cmd Command) {
+	if cmd == noop {
+		panic("smr: the no-op command is reserved")
+	}
 	c.queue = append(c.queue, cmd)
 	if c.sh.submitted == nil {
 		c.submittedCmds = append(c.submittedCmds, cmd)
@@ -367,15 +424,13 @@ func (c *client) enqueue(cmd Command) {
 func (c *client) startNext() {
 	if len(c.queue) == 0 {
 		c.current = submission{}
-		if c.sh.cfg.RetryTimeout > 0 {
-			c.node.CancelTimer(c.retryTimer)
-		}
 		// Going idle: flush at a quarter of the usual window so the floor
 		// stays within O(CompactEvery) of the log tip without broadcasting
 		// per landed command when a paced feed briefly drains the queue
 		// between submissions. From here on the client learns passively —
-		// other clients' watermark reports gossip the decisions it is
-		// missing (handleGossip), which keeps it reporting too.
+		// from its peers' notices, and from their watermark reports, which
+		// gossip the no-ops it is missing (handleGossip) and keep it
+		// reporting too.
 		c.reportWatermark(true)
 		return
 	}
@@ -385,22 +440,33 @@ func (c *client) startNext() {
 	if c.sh.onStart != nil {
 		c.sh.onStart(c.id, cmd, c.node.Now())
 	}
-	c.attempt(c.frontier)
+	c.attempt(c.ownedFrom(c.top))
 }
 
-// attempt proposes the current command in slot s, starting at the fast
-// path (phase 0). Retries also restart at phase 0: only switch values
-// derived from quorum accepts may enter the robust phase (see
-// Config.RetryTimeout), so the fresh attempt relies on the quorum
-// phase's own conflict/timeout rules to degrade safely.
-//
-// The attempt reuses the last retired instance. With the fast path it
-// keeps that instance's Quorum client too, which is bound to &envs[0] and
-// whose Propose resets every field it has; a Paxos proposer carries its
-// round and any learned decision across Propose, so it never survives.
+// ownedFrom returns the client's lowest owned slot at or above s.
+func (c *client) ownedFrom(s int) int {
+	n := len(c.sh.clients)
+	return s + ((c.index-s)%n+n)%n
+}
+
+// attempt proposes the current command in its owned slot s.
 func (c *client) attempt(s int) {
 	c.current.attempts++
 	c.current.slot = s
+	c.propose(s, c.current.cmd, 0)
+}
+
+// propose starts an instance proposing v in slot s at the fast path
+// (phase 0). Re-proposals also restart at phase 0: only switch values
+// derived from quorum accepts may enter the robust phase (see
+// Config.RetryTimeout), so the fresh instance relies on the quorum
+// phase's own conflict/timeout rules to degrade safely.
+//
+// The instance reuses the last retired one. With the fast path it keeps
+// that instance's Quorum client too, which is bound to &envs[0] and whose
+// Propose resets every field it has; a Paxos proposer carries its round
+// and any learned decision across Propose, so it never survives.
+func (c *client) propose(s int, v Command, floor int64) {
 	inst := c.spare
 	c.spare = nil
 	if inst == nil {
@@ -413,18 +479,17 @@ func (c *client) attempt(s int) {
 		*inst = slotInstance{}
 		inst.comps[0] = q
 	}
-	inst.pending, inst.roundFloor = true, c.current.roundFloor
+	inst.pending, inst.value, inst.roundFloor = true, v, floor
 	for k := range c.sh.protos {
 		inst.envs[k] = slotClientEnv{client: c, slot: s, phase: k}
 	}
-	c.slots[s] = inst
-	c.comp(inst, 0).Propose(c.current.cmd)
+	c.inst, c.instSlot = inst, s
+	c.comp(inst, 0).Propose(v)
 	c.armRetry()
 }
 
-// armRetry (re)arms the submission-progress timer with exponential
-// backoff and deterministic jitter. One timer per (client, shard): it
-// always covers the newest attempt of the current submission.
+// armRetry (re)arms the progress timer as the retry timer of the live
+// proposal, with exponential backoff and deterministic jitter.
 func (c *client) armRetry() {
 	rt := c.sh.cfg.RetryTimeout
 	if rt <= 0 {
@@ -449,149 +514,313 @@ func (c *client) armRetry() {
 		h ^= h >> 33
 		d += msgnet.Time(int64(h % uint64(span)))
 	}
-	c.node.SetTimer(c.retryTimer, d)
+	c.node.SetTimer(c.progress, d)
 }
 
-// onRetryTimer abandons the in-flight attempt and re-proposes the
-// current command at the frontier. Safe by construction: the abandoned
-// instance is retired (its late messages are dropped), the replacement
-// never reuses a Paxos ballot (roundFloor), and the command cannot land
-// twice because the client only passes a slot after learning its
-// decision.
-func (c *client) onRetryTimer() {
-	if !c.current.live || c.sh.cfg.RetryTimeout <= 0 {
-		return
+// fillAfter is how long a landing may wait on an unknown lower slot
+// before the client fills it: twice the Quorum timeout (quorum's default
+// of 6 when unset).
+func (c *client) fillAfter() msgnet.Time {
+	qt := c.sh.cfg.QuorumTimeout
+	if qt <= 0 {
+		qt = 6
 	}
-	c.redoAttempt()
+	return 2 * qt
 }
 
-// redoAttempt is the shared retry/restart path: retire the in-flight
-// slot instance (carrying its Paxos round floor) and re-propose at the
-// frontier. The replacement arms the same timer names as the retired
-// attempt — often at the same slot — but retire cancelled them, so no
-// timer the retired attempt armed can fire into it
+// onProgressTimer retries the live proposal, or, when none is live and
+// the landing is blocked, starts filling the lower slots.
+func (c *client) onProgressTimer() {
+	switch {
+	case !c.current.live:
+	case c.inst != nil:
+		if c.sh.cfg.RetryTimeout > 0 {
+			c.redo()
+		}
+	case c.current.won:
+		c.current.filling = true
+		c.fill()
+	}
+}
+
+// fill proposes the no-op in the lowest unknown slot, which a blocked
+// landing needs and another client owns. Only an owner ever proposes a
+// command in its slots, so the fill decides the no-op or that command.
+func (c *client) fill() {
+	if c.inst == nil && c.frontier < c.current.slot {
+		c.propose(c.frontier, noop, 0)
+	}
+}
+
+// redo is the shared retry/restart path: retire the live instance
+// (carrying its Paxos round floor) and re-propose its value in the same
+// slot, which is the only slot a command is ever in flight in until that
+// slot's decision is known. The replacement arms the same timer names as
+// the retired instance, but retire cancelled them, so no timer the
+// retired instance armed can fire into it
 // (TestRedoAtSameSlotGetsNoStaleTimer). Late accept replies to the
-// retired attempt do reach the replacement's quorum component when the
-// slot is the same, which is sound: an accept carries the server's
-// immutable first-received value, independent of which proposal
-// solicited it.
-func (c *client) redoAttempt() {
+// retired instance do reach the replacement's quorum component, which is
+// sound: an accept carries the server's immutable first-received value,
+// independent of which proposal solicited it.
+func (c *client) redo() {
+	inst, s := c.inst, c.instSlot
+	v, floor := inst.value, inst.roundFloor
+	// Phases never built used no round above the floor they would have
+	// started from.
+	for _, comp := range inst.comps {
+		if bt, ok := comp.(mpcons.BallotTracker); ok && bt.Round() > floor {
+			floor = bt.Round()
+		}
+	}
+	c.retire()
 	c.retries++
 	c.current.retries++
-	if inst := c.slots[c.current.slot]; inst != nil {
-		// Phases never built used no round above the floor they would have
-		// started from.
-		for _, comp := range inst.comps {
-			if bt, ok := comp.(mpcons.BallotTracker); ok && bt.Round() > c.current.roundFloor {
-				c.current.roundFloor = bt.Round()
-			}
-		}
-		c.retire(c.current.slot, inst)
+	if s == c.current.slot {
+		c.current.attempts++
 	}
-	c.attempt(c.frontier)
+	c.propose(s, v, floor)
 }
 
-// onRestart re-drives the in-flight submission after a client process
-// restart: the crash cleared every timer and dropped in-flight replies,
-// so the attempt would stall forever without a re-proposal. Client
-// durable state (log, queue, current submission) survives by the
-// recovery model (Config.Recovery).
+// onRestart re-drives the client after a process restart: the crash
+// cleared every timer and dropped in-flight replies, so the live
+// proposal would stall forever without a re-proposal, and a blocked
+// landing without its fill deadline. Client durable state (log, queue,
+// current submission) survives by the recovery model (Config.Recovery).
 func (c *client) onRestart() {
-	if c.current.live {
-		c.redoAttempt()
+	switch {
+	case c.inst != nil:
+		c.redo()
+	case c.current.won:
+		c.node.SetTimer(c.progress, c.fillAfter())
 	}
 }
 
 // decide resolves slot s with value v (called from a phase component).
 func (c *client) decide(s, phase int, v Command) {
-	inst := c.slots[s]
-	if inst == nil || !inst.pending || inst.phase != phase {
+	inst := c.inst
+	if inst == nil || c.instSlot != s || !inst.pending || inst.phase != phase {
 		return
 	}
 	inst.pending = false
+	c.retire()
+	c.learn(s, v)
+	c.settle()
+}
+
+// learn records slot s's decision v unless the client knows it already,
+// so every client learns every slot at most once (the recorder's
+// agreement bookkeeping counts learns), and retires a live instance that
+// was still deciding the slot. Callers settle afterwards.
+func (c *client) learn(s int, v Command) bool {
+	if s < c.frontier {
+		return false
+	}
+	if _, known := c.log[s]; known {
+		return false
+	}
 	c.log[s] = v
-	c.retire(s, inst)
-	c.advanceFrontier()
+	if s >= c.top {
+		c.top = s + 1
+	}
+	if c.inst != nil && c.instSlot == s {
+		c.retire()
+	}
 	if c.sh.onLearn != nil {
 		c.sh.onLearn(c.id, s, v)
 	}
-	if !c.current.live || c.current.slot != s {
-		return
-	}
-	if v == c.current.cmd {
-		result := SubmitResult{
-			Client:   c.id,
-			Cmd:      v,
-			Shard:    c.sh.id,
-			Slot:     s,
-			Start:    c.current.start,
-			End:      c.node.Now(),
-			Attempts: c.current.attempts,
-			Switches: c.current.switches,
-			Retries:  c.current.retries,
-		}
-		if c.sh.keepResults {
-			c.sh.results = append(c.sh.results, result)
-		}
-		if c.sh.onLand != nil {
-			c.sh.onLand(result)
-		}
-		c.startNext()
-		return
-	}
-	// Lost the slot to another command; try the next one.
-	c.attempt(c.frontier)
+	return true
 }
 
-// retire ends the slot's attempt: late messages for the slot are dropped
-// from now on, and every phase timer name is cancelled — a generation
-// bump, so no timer the attempt armed can fire into the next attempt,
-// which arms the same names. The instance is kept as the spare.
-func (c *client) retire(s int, inst *slotInstance) {
-	for k := range c.timers {
-		for _, t := range c.timers[k] {
-			c.node.CancelTimer(t.full)
-		}
-	}
-	delete(c.slots, s)
-	c.spare = inst
-}
-
-// advanceFrontier moves the cached first-unknown-slot cursor and, with
-// compaction enabled, broadcasts the watermark and trims the local log.
-func (c *client) advanceFrontier() {
+// settle brings the client up to date with what it knows: it skips its
+// passed-over slots, advances the frontier, moves the current command
+// along, and then reports the watermark, which may trim the log.
+func (c *client) settle() {
+	c.skip()
 	for {
 		if _, ok := c.log[c.frontier]; !ok {
 			break
 		}
 		c.frontier++
 	}
-	c.reportWatermark(false)
+	c.advance()
+	c.reportWatermark(!c.current.live)
+}
+
+// advance moves the current command along: to its next owned slot if a
+// fill took its slot, to the landing once its slot and every lower slot
+// are known, or else towards filling the lower slots.
+func (c *client) advance() {
+	cur := &c.current
+	if !cur.live {
+		return
+	}
+	if !cur.won {
+		v, known := c.log[cur.slot]
+		if !known {
+			return
+		}
+		if v != cur.cmd {
+			// A fill decided the no-op here: the command is in flight
+			// nowhere now, so it moves to a slot above everything known.
+			c.attempt(c.ownedFrom(c.top))
+			return
+		}
+		cur.won = true
+		c.notify(cur.slot, v)
+	}
+	switch {
+	case c.frontier > cur.slot:
+		c.land()
+	case cur.filling:
+		c.fill()
+	case !cur.blocked:
+		cur.blocked = true
+		c.node.SetTimer(c.progress, c.fillAfter())
+	}
+}
+
+// skip declares every owned slot below top that the client never proposed
+// in a no-op, without a consensus round. That is safe because only an
+// owner puts a command into its slots — every other client proposes only
+// the no-op there, and the backup phase only carries values the quorum
+// phase saw — and a client places new commands at or above top, so such
+// a slot can decide nothing else.
+func (c *client) skip() {
+	for n := len(c.sh.clients); c.skipped < c.top; c.skipped += n {
+		s := c.skipped
+		if s < c.frontier || (c.current.live && !c.current.won && s == c.current.slot) {
+			continue
+		}
+		if _, known := c.log[s]; known {
+			continue
+		}
+		c.log[s] = noop
+		if c.sh.onLearn != nil {
+			c.sh.onLearn(c.id, s, noop)
+		}
+	}
+}
+
+// land answers the current submission: its slot decided its command and
+// every lower slot is known, so any command invoked after this response
+// can only win a higher slot.
+func (c *client) land() {
+	cur := c.current
+	c.node.CancelTimer(c.progress)
+	result := SubmitResult{
+		Client:   c.id,
+		Cmd:      cur.cmd,
+		Shard:    c.sh.id,
+		Slot:     cur.slot,
+		Start:    cur.start,
+		End:      c.node.Now(),
+		Attempts: cur.attempts,
+		Switches: cur.switches,
+		Retries:  cur.retries,
+	}
+	if c.sh.keepResults {
+		c.sh.results = append(c.sh.results, result)
+	}
+	if c.sh.onLand != nil {
+		c.sh.onLand(result)
+	}
+	c.startNext()
+}
+
+// notify pushes a slot the client's command won to every peer: one boxed
+// envelope shared by all sends.
+func (c *client) notify(s int, v Command) {
+	if len(c.sh.clients) == 1 {
+		return
+	}
+	var env any = noticeEnvelope{shard: c.sh.id, slot: s, cmd: v}
+	for _, p := range c.sh.clients {
+		if p != c.id {
+			c.node.Send(p, env)
+		}
+	}
+}
+
+// handleNotice learns a peer's won slot and answers with this client's
+// no-op slots below it that the peer has not been told of yet.
+func (c *client) handleNotice(from msgnet.ProcID, env noticeEnvelope) {
+	if c.learn(env.slot, env.cmd) {
+		c.settle()
+	}
+	c.reportSkips(from, env.slot)
+}
+
+// reportSkips sends peer `to` the client's no-op slots in [told, below),
+// 64 owned slots per envelope, and only envelopes that name one. Slots
+// already trimmed are not reported: the peer had them in the gossip.
+func (c *client) reportSkips(to msgnet.ProcID, below int) {
+	j, n := c.sh.byID[to].index, len(c.sh.clients)
+	s := max(c.told[j], c.ownedFrom(c.trimmed))
+	for s < below {
+		first, noops := s, uint64(0)
+		for k := 0; k < 64 && s < below; k, s = k+1, s+n {
+			if v, ok := c.log[s]; ok && v == noop {
+				noops |= 1 << k
+			}
+		}
+		if noops != 0 {
+			c.node.Send(to, skipEnvelope{shard: c.sh.id, first: first, noops: noops})
+		}
+	}
+	if s > c.told[j] {
+		c.told[j] = s
+	}
+}
+
+// handleSkips learns a peer's no-op slots.
+func (c *client) handleSkips(env skipEnvelope) {
+	learned := false
+	for m := env.noops; m != 0; m &= m - 1 {
+		if c.learn(env.first+bits.TrailingZeros64(m)*len(c.sh.clients), noop) {
+			learned = true
+		}
+	}
+	if learned {
+		c.settle()
+	}
+}
+
+// retire ends the live instance: late messages for its slot are dropped
+// from now on, and every phase timer name is cancelled — a generation
+// bump, so no timer the instance armed can fire into the next one, which
+// arms the same names. The instance is kept as the spare.
+func (c *client) retire() {
+	for k := range c.timers {
+		for _, t := range c.timers[k] {
+			c.node.CancelTimer(t.full)
+		}
+	}
+	c.spare, c.inst = c.inst, nil
 }
 
 // reportWatermark broadcasts the client's learned watermark to the
 // servers and trims the local log below it (compaction only). Periodic
-// reports fire every CompactEvery slots of frontier progress; idle
+// reports fire every CompactEvery rounds of frontier progress; idle
 // reports (on queue drain or a passively learned decision) fire at a
 // quarter of that window so an idle client neither pins the compaction
 // floor by a full window nor broadcasts per landed command.
 //
 // Each report also gossips the decisions it is about to trim to the
-// other clients (gossipEnvelope): an idle client learns no slots on its
-// own, so without the gossip its watermark — and therefore every
-// replica's compaction floor, which is the minimum over all clients —
-// would stay pinned at its last active slot for the rest of the run.
-// Gossip is rate-limited for free by riding the watermark reports, and
-// re-gossip cannot ping-pong: a receiver only reports (and re-gossips)
-// after its own frontier advances by at least a quarter window.
+// other clients (gossipEnvelope): an idle client hears of no other
+// client's no-op on its own, so without the gossip its watermark — and
+// therefore every replica's compaction floor, which is the minimum over
+// all clients — would stay pinned for the rest of the run. Gossip is
+// rate-limited for free by riding the watermark reports, and re-gossip
+// cannot ping-pong: a receiver only reports (and re-gossips) after its
+// own frontier advances by at least a quarter window.
 func (c *client) reportWatermark(idle bool) {
 	ce := c.sh.cfg.CompactEvery
 	if ce <= 0 || c.frontier == c.reported {
 		return
 	}
-	window := ce
+	window := ce * len(c.sh.clients)
 	if idle {
-		window = (ce + 3) / 4
+		window = (window + 3) / 4
 	}
 	if c.frontier-c.reported < window {
 		return
@@ -606,7 +835,7 @@ func (c *client) reportWatermark(idle bool) {
 		for s := c.trimmed; s < c.frontier; s++ {
 			cmds = append(cmds, c.log[s])
 		}
-		env := gossipEnvelope{shard: c.sh.id, first: c.trimmed, cmds: cmds}
+		var env any = gossipEnvelope{shard: c.sh.id, first: c.trimmed, cmds: cmds}
 		for _, peer := range c.sh.clients {
 			if peer != c.id {
 				c.node.Send(peer, env)
@@ -620,48 +849,28 @@ func (c *client) reportWatermark(idle bool) {
 }
 
 // handleGossip installs decisions learned passively from another
-// client's watermark report (compaction only). Slots the client already
-// knows (trimmed, or in its log) are skipped, as are slots it is
-// actively deciding — a live instance resolves through the normal
-// decide path, and double-learning a slot would double-count it in the
-// recorder's agreement bookkeeping. The rest enter the log exactly like
-// a learn: the frontier advances, the learn hook fires, and an idle
-// client re-reports at the quarter window so the servers' compaction
-// floor keeps tracking the log tip.
+// client's watermark report (compaction only), exactly like any other
+// learn: known slots are skipped, the frontier advances, the learn hook
+// fires, and an idle client re-reports at the quarter window so the
+// servers' compaction floor keeps tracking the log tip.
 func (c *client) handleGossip(env gossipEnvelope) {
 	if c.sh.cfg.CompactEvery <= 0 {
 		return
 	}
 	learned := false
 	for i, cmd := range env.cmds {
-		s := env.first + i
-		if s < c.frontier {
-			continue
-		}
-		if _, known := c.log[s]; known {
-			continue
-		}
-		if inst := c.slots[s]; inst != nil && inst.pending {
-			continue
-		}
-		c.log[s] = cmd
-		learned = true
-		if c.sh.onLearn != nil {
-			c.sh.onLearn(c.id, s, cmd)
+		if c.learn(env.first+i, cmd) {
+			learned = true
 		}
 	}
-	if !learned {
-		return
-	}
-	c.advanceFrontier()
-	if !c.current.live {
-		c.reportWatermark(true)
+	if learned {
+		c.settle()
 	}
 }
 
 func (c *client) switchTo(s, phase int, sv trace.Value) {
-	inst := c.slots[s]
-	if inst == nil || !inst.pending || inst.phase != phase {
+	inst := c.inst
+	if inst == nil || c.instSlot != s || !inst.pending || inst.phase != phase {
 		return
 	}
 	if phase+1 >= len(c.sh.protos) {
@@ -671,49 +880,69 @@ func (c *client) switchTo(s, phase int, sv trace.Value) {
 		c.current.switches++
 	}
 	inst.phase++
-	c.comp(inst, inst.phase).SwitchIn(c.current.cmd, sv)
+	c.comp(inst, inst.phase).SwitchIn(inst.value, sv)
 }
 
-// handleEnvelope delivers a routed phase message.
+// handleEnvelope delivers a routed phase message to the live instance;
+// messages for any other slot are late and dropped.
 func (c *client) handleEnvelope(from msgnet.ProcID, env slotEnvelope) {
-	inst := c.slots[env.slot]
-	if inst == nil || env.phase < 0 || env.phase >= len(c.sh.protos) {
+	if c.inst == nil || env.slot != c.instSlot || env.phase < 0 || env.phase >= len(c.sh.protos) {
 		return
 	}
-	c.comp(inst, env.phase).OnMessage(from, env.payload)
+	c.comp(c.inst, env.phase).OnMessage(from, env.payload)
 }
 
 // handleTimer delivers a routed, already-parsed phase timer. The name
-// carries no slot: it can only have been armed by the live attempt, since
-// retire cancels every name.
+// carries no slot: it can only have been armed by the live instance,
+// since retire cancels every name.
 func (c *client) handleTimer(phase int, rest string) {
-	if !c.current.live || phase < 0 || phase >= len(c.sh.protos) {
+	if c.inst == nil || phase < 0 || phase >= len(c.sh.protos) {
 		return
 	}
-	if inst := c.slots[c.current.slot]; inst != nil {
-		c.comp(inst, phase).OnTimer(rest)
+	c.comp(c.inst, phase).OnTimer(rest)
+}
+
+// clientShard returns the shard a client-bound payload is for.
+func clientShard(payload any) (int, bool) {
+	switch env := payload.(type) {
+	case slotEnvelope:
+		return env.shard, true
+	case noticeEnvelope:
+		return env.shard, true
+	case skipEnvelope:
+		return env.shard, true
+	case gossipEnvelope:
+		return env.shard, true
+	}
+	return 0, false
+}
+
+// handle routes a client-bound payload to this shard's client engine.
+func (c *client) handle(from msgnet.ProcID, payload any) {
+	switch env := payload.(type) {
+	case slotEnvelope:
+		c.handleEnvelope(from, env)
+	case noticeEnvelope:
+		c.handleNotice(from, env)
+	case skipEnvelope:
+		c.handleSkips(env)
+	case gossipEnvelope:
+		c.handleGossip(env)
 	}
 }
 
 // OnMessage/OnTimer implement msgnet.Handler for the single-shard
 // deployment, where the client engine is the node handler itself.
 func (c *client) OnMessage(n *msgnet.Node, from msgnet.ProcID, payload any) {
-	switch env := payload.(type) {
-	case slotEnvelope:
-		if env.shard == c.sh.id {
-			c.handleEnvelope(from, env)
-		}
-	case gossipEnvelope:
-		if env.shard == c.sh.id {
-			c.handleGossip(env)
-		}
+	if shard, ok := clientShard(payload); ok && shard == c.sh.id {
+		c.handle(from, payload)
 	}
 }
 
 func (c *client) OnTimer(n *msgnet.Node, name string) {
-	if shard, ok := splitRetryTimer(name); ok {
+	if shard, ok := splitProgressTimer(name); ok {
 		if shard == c.sh.id {
-			c.onRetryTimer()
+			c.onProgressTimer()
 		}
 		return
 	}
@@ -1048,10 +1277,11 @@ func (e *slotServerEnv) SetTimer(name string, d msgnet.Time) {
 	e.replica.node.SetTimer(slotTimerName(e.replica.sh.id, e.slot, e.phase, name), d)
 }
 
-// retryTimerName is the per-(client, shard) submission-progress timer.
-func retryTimerName(shard int) string { return "r" + strconv.Itoa(shard) }
+// progressTimerName is the per-(client, shard) progress timer: the live
+// proposal's retry, or a blocked landing's fill deadline.
+func progressTimerName(shard int) string { return "r" + strconv.Itoa(shard) }
 
-func splitRetryTimer(full string) (shard int, ok bool) {
+func splitProgressTimer(full string) (shard int, ok bool) {
 	if !strings.HasPrefix(full, "r") {
 		return 0, false
 	}

@@ -129,18 +129,27 @@ func TestLossTolerance(t *testing.T) {
 	}
 }
 
-// A client that lost a slot advances and lands in a later slot.
+// A client that lost its slot to a fill moves to its next owned slot and
+// lands there. c1's links to the servers are slow, so c2, which wins slot
+// 1 at once, is blocked on c1's slot 0 for longer than the fill deadline
+// and proposes the no-op there while c1's command is still arriving.
 func TestSlotConflictRetries(t *testing.T) {
 	sawRetry := false
 	for seed := int64(1); seed <= 20 && !sawRetry; seed++ {
-		_, cl := build(t, msgnet.Config{Seed: seed, MinDelay: 1, MaxDelay: 4},
+		w, cl := build(t, msgnet.Config{Seed: seed, MinDelay: 1, MaxDelay: 4},
 			Config{FastPath: true}, 2, 3)
+		for _, s := range ids("s", 3) {
+			w.SetLinkRule("c1", s, msgnet.LinkRule{ExtraMinDelay: 8, ExtraMaxDelay: 24})
+		}
 		cl.SubmitAt("c1", SetCmd("k", "a"), 0)
 		cl.SubmitAt("c2", SetCmd("k", "b"), 0)
 		cl.Run(100000)
 		for _, r := range cl.Results() {
 			if r.Attempts > 1 {
 				sawRetry = true
+				if r.Client != "c1" || r.Slot < 2 || r.Slot%2 != 0 {
+					t.Fatalf("seed %d: %+v: only c1 can lose its slot, and only to one of its own", seed, r)
+				}
 			}
 		}
 		if err := cl.CheckConsistency(); err != nil {

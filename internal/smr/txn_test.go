@@ -228,47 +228,68 @@ func TestTxnCoordinatorCrashRecoveryAbort(t *testing.T) {
 // prepare/decide window: whatever the cut point — before the prepares,
 // mid-prepare with locks already taken on one shard, or after the
 // decision — the transaction resolves, no shard wedges (every background
-// single on the transaction's keys still responds), and the merged
-// history is linearizable. The sweep must exercise both outcomes,
-// including at least one abort that had to release held locks.
+// single of the other clients still responds), and the merged history is
+// linearizable. The sweep must exercise both outcomes, including at least
+// one abort that had to release held locks.
+//
+// A prepare the coordinator sent before it crashed still decides — the
+// servers accepted it, and a blocked client's fill decides what they
+// accepted — so an idle coordinator's transaction commits once its
+// prepares are out. The busy arm queues a command of the coordinator's
+// own on the second shard first, which holds that prepare back: a crash
+// in between leaves the first shard locked until the watchdog aborts.
 func TestTxnCoordinatorCrashSweep(t *testing.T) {
 	var committed, recovered, lockedAbort int
-	for crashAt := msgnet.Time(1); crashAt <= 50; crashAt++ {
-		tc, w, clients := buildTxnCluster(t, 7, 3, txnCfg(2), TxnConfig{RecoveryTimeout: 60})
-		if err := (faults.Plan{Crashes: []faults.Crash{{Proc: clients[0], At: crashAt}}}).Apply(w); err != nil {
-			t.Fatal(err)
-		}
-		keys := distinctShardKeys(t, 2)
-		tc.SubmitTxnAt(clients[0], Txn{ID: "x1", Ops: []TxnOp{
-			{Kind: TxnWrite, Key: keys[0], Value: "a1"},
-			{Kind: TxnWrite, Key: keys[1], Value: "b1"},
-		}}, 10)
-		for j := msgnet.Time(0); j < 8; j++ {
-			tc.SubmitAt(clients[1], SetCmd(keys[0], fmt.Sprintf("u%d", j)), 5*j)
-			tc.SubmitAt(clients[2], GetCmd(keys[1], fmt.Sprintf("g%d", j)), 5*j+2)
-		}
-		tc.Run(100_000_000)
+	for _, busy := range []bool{false, true} {
+		for crashAt := msgnet.Time(1); crashAt <= 50; crashAt++ {
+			scfg := txnCfg(2)
+			scfg.RetainResults = true
+			tc, w, clients := buildTxnCluster(t, 7, 3, scfg, TxnConfig{RecoveryTimeout: 60})
+			if err := (faults.Plan{Crashes: []faults.Crash{{Proc: clients[0], At: crashAt}}}).Apply(w); err != nil {
+				t.Fatal(err)
+			}
+			keys := distinctShardKeys(t, 2)
+			if busy {
+				tc.SubmitAt(clients[0], SetCmd(keys[1], "c1"), 10)
+			}
+			tc.SubmitTxnAt(clients[0], Txn{ID: "x1", Ops: []TxnOp{
+				{Kind: TxnWrite, Key: keys[0], Value: "a1"},
+				{Kind: TxnWrite, Key: keys[1], Value: "b1"},
+			}}, 10)
+			for j := msgnet.Time(0); j < 8; j++ {
+				tc.SubmitAt(clients[1], SetCmd(keys[0], fmt.Sprintf("u%d", j)), 5*j)
+				tc.SubmitAt(clients[2], GetCmd(keys[1], fmt.Sprintf("g%d", j)), 5*j+2)
+			}
+			tc.Run(100_000_000)
 
-		name := fmt.Sprintf("crashAt=%d", crashAt)
-		st := tc.TxnStats()
-		if st.Resolved() != 1 {
-			t.Fatalf("%s: stats %+v: unresolved transaction", name, st)
-		}
-		sum := assertTxnSafe(t, name, tc)
-		if sum.Ops != 17 { // 16 singles + 1 composite: nothing wedged
-			t.Fatalf("%s: checked %d ops, want 17", name, sum.Ops)
-		}
-		xs := tc.txns["x1"]
-		switch {
-		case st.Committed == 1:
-			committed++
-		case st.AbortedRecovery == 1:
-			recovered++
-			if len(xs.locked) > 0 {
-				lockedAbort++
+			name := fmt.Sprintf("busy=%v crashAt=%d", busy, crashAt)
+			st := tc.TxnStats()
+			if st.Resolved() != 1 {
+				t.Fatalf("%s: stats %+v: unresolved transaction", name, st)
+			}
+			sum := assertTxnSafe(t, name, tc)
+			singles := 0
+			for _, r := range tc.Results() {
+				if _, keyed := CmdKey(r.Cmd); keyed && r.Client != clients[0] {
+					singles++
+				}
+			}
+			if singles != 16 || sum.Ops < 17 { // 16 singles + 1 composite: nothing wedged
+				t.Fatalf("%s: %d of 16 singles responded, checked %d ops", name, singles, sum.Ops)
+			}
+			xs := tc.txns["x1"]
+			switch {
+			case st.Committed == 1:
+				committed++
+			case st.AbortedRecovery == 1:
+				recovered++
+				if len(xs.locked) > 0 {
+					lockedAbort++
+				}
 			}
 		}
 	}
+	t.Logf("committed=%d recovered=%d lockedAbort=%d", committed, recovered, lockedAbort)
 	if committed == 0 || recovered == 0 || lockedAbort == 0 {
 		t.Fatalf("sweep coverage too thin: committed=%d recovered=%d lockedAbort=%d",
 			committed, recovered, lockedAbort)

@@ -51,7 +51,10 @@ type Object struct {
 	cluster *smr.Cluster
 	rec     *core.Recorder
 	seq     map[msgnet.ProcID]int
-	results []OpResult
+	// submitted holds every tagged input invoked, to tell operations from
+	// the log's no-op slots.
+	submitted map[trace.Value]bool
+	results   []OpResult
 }
 
 // Build wires a replicated object of ADT f into net using an SMR cluster
@@ -62,10 +65,11 @@ func Build(net *msgnet.Network, clients, servers []msgnet.ProcID, f adt.Folder, 
 		return nil, err
 	}
 	o := &Object{
-		f:       f,
-		cluster: cluster,
-		rec:     core.NewRecorder(),
-		seq:     map[msgnet.ProcID]int{},
+		f:         f,
+		cluster:   cluster,
+		rec:       core.NewRecorder(),
+		seq:       map[msgnet.ProcID]int{},
+		submitted: map[trace.Value]bool{},
 	}
 	cluster.SetHooks(
 		func(c msgnet.ProcID, cmd smr.Command, at msgnet.Time) {
@@ -90,9 +94,10 @@ func Build(net *msgnet.Network, clients, servers []msgnet.ProcID, f adt.Folder, 
 	return o, nil
 }
 
-// outputAt applies f to the client's log prefix [0..slot]. The SMR client
-// learns every slot up to the one it lands in (it sweeps slots from 0),
-// so the prefix is complete.
+// outputAt applies f to the operations in the client's log prefix
+// [0..slot]. The SMR client knows every slot up to the one it lands in,
+// so the prefix is complete; slots holding a value this object never
+// submitted are the log's no-ops, not operations.
 func (o *Object) outputAt(c msgnet.ProcID, slot int) (trace.Value, error) {
 	log := o.cluster.Log(c)
 	h := make(trace.History, 0, slot+1)
@@ -101,7 +106,9 @@ func (o *Object) outputAt(c msgnet.ProcID, slot int) (trace.Value, error) {
 		if !ok {
 			return "", fmt.Errorf("hole at slot %d below landing slot %d", s, slot)
 		}
-		h = append(h, cmd)
+		if o.submitted[cmd] {
+			h = append(h, cmd)
+		}
 	}
 	return o.f.Apply(h)
 }
@@ -115,6 +122,7 @@ func (o *Object) InvokeAt(c msgnet.ProcID, in trace.Value, t msgnet.Time) error 
 	}
 	o.seq[c]++
 	tagged := adt.Tag(in, string(c)+"#"+strconv.Itoa(o.seq[c]))
+	o.submitted[tagged] = true
 	o.cluster.SubmitAt(c, tagged, t)
 	return nil
 }
