@@ -8,6 +8,7 @@
 //	slin-check -adt consensus -mode slin -m 1 -n 2 trace.json
 //	slin-check -adt consensus a.json b.json c.json       # batch, parallel
 //	slin-check -adt register -stream trace.json          # incremental Session
+//	slin-check -mode slin -stream trace.json             # incremental SLin Session
 //	slin-check -adt register -exact trace.json           # force the exact engine
 //	                                                     # (no ADT fast path)
 //	slin-check -timeout 30s trace.json                   # context deadline
@@ -37,7 +38,9 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/adt"
@@ -84,7 +87,7 @@ func main() {
 	budget := flag.Int("budget", 0, "search budget (0 = default)")
 	workers := flag.Int("workers", 0, "worker pool size for multi-file batches (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "overall deadline; exceeded checks report unknown (exit 2)")
-	stream := flag.Bool("stream", false, "lin mode: feed each trace through an incremental Session instead of one-shot Check")
+	stream := flag.Bool("stream", false, "lin and slin modes: feed each trace through an incremental Session instead of one-shot Check")
 	exact := flag.Bool("exact", false, "force the exact search engines (skip the ADT-specialized fast-path checkers)")
 	feedBudget := flag.Bool("feed-budget", false, "lin and slin modes: rebase the search budget at every fed action, one-shot or streamed (classical spends one budget)")
 	flag.Parse()
@@ -107,6 +110,9 @@ func main() {
 	case "lin", "classical", "slin":
 	default:
 		fail(2, "unknown mode %q", *mode)
+	}
+	if *stream && *mode == "classical" {
+		fail(2, "-stream: classical mode has no incremental session")
 	}
 
 	// Parse every file up front so usage errors (exit 2) are reported
@@ -157,8 +163,21 @@ func main() {
 			}
 			return linVerdict(t, res), nil
 		default:
-			res, err := slin.Check(ctx, f, rinit, *m, *n, t,
-				append(opts, check.WithTemporalAbortOrder(*temporal))...)
+			sopts := append(opts[:len(opts):len(opts)], check.WithTemporalAbortOrder(*temporal))
+			var res slin.Result
+			var err error
+			if *stream {
+				// Incremental session, fast path while no switch action
+				// comes: same verdict as the one-shot check.
+				var sess *slin.Session
+				if sess, err = slin.NewSessionFast(ctx, f, rinit, *m, *n, sopts...); err == nil {
+					if err = sess.FeedAll(t); err == nil {
+						res, err = sess.Result()
+					}
+				}
+			} else {
+				res, err = slin.Check(ctx, f, rinit, *m, *n, t, sopts...)
+			}
 			if err != nil {
 				return verdict{}, fmt.Errorf("%s: %w", files[i], err)
 			}
@@ -213,8 +232,8 @@ func slinVerdict(m, n int, res slin.Result) verdict {
 	fmt.Fprintf(&b, "NOT SLin(%d,%d): %s\n", m, n, res.Reason)
 	if res.FailedInit != nil {
 		b.WriteString("failing init interpretation:\n")
-		for i, h := range res.FailedInit {
-			fmt.Fprintf(&b, "  action %d ↦ %v\n", i, h)
+		for _, i := range slices.Sorted(maps.Keys(res.FailedInit)) {
+			fmt.Fprintf(&b, "  action %d ↦ %v\n", i, res.FailedInit[i])
 		}
 	}
 	return verdict{ok: false, report: b.String()}

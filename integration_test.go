@@ -2,6 +2,7 @@ package speclin_test
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -42,6 +43,41 @@ func TestPublicAPISharedMemory(t *testing.T) {
 	srep, err := sess.Report()
 	if err != nil || srep.Verdict != speclin.Linearizable {
 		t.Fatalf("session: %+v %v", srep, err)
+	}
+}
+
+// A facade session fed a whole SLin trace, action by action, reports the
+// witnesses one-shot Check returns for it.
+func TestSessionReportCarriesSLinWitnesses(t *testing.T) {
+	inA := speclin.TagInput(speclin.ProposeInput("a"), "q1")
+	inB := speclin.TagInput(speclin.ProposeInput("b"), "q2")
+	tr := speclin.Trace{
+		speclin.Invoke("q1", 1, inA),
+		speclin.Invoke("q2", 1, inB),
+		speclin.Response("q1", 1, inA, speclin.DecideOutput("a")),
+		speclin.SwitchAction("q2", 2, inB, "a"),
+	}
+	spec := speclin.CheckSpec{Folder: speclin.ConsensusADT, Mode: speclin.SLin, RInit: speclin.ConsensusRInit, M: 1, N: 2}
+	ctx := context.Background()
+	want, err := speclin.Check(ctx, spec, tr)
+	if err != nil || want.Verdict != speclin.Linearizable || len(want.SLinWitnesses) == 0 {
+		t.Fatalf("one-shot: %+v %v", want, err)
+	}
+	sess, err := speclin.NewSession(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range tr {
+		if err := sess.Feed(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := sess.Report()
+	if err != nil || got.Verdict != want.Verdict {
+		t.Fatalf("session: %+v %v", got, err)
+	}
+	if !reflect.DeepEqual(got.SLinWitnesses, want.SLinWitnesses) {
+		t.Fatalf("session witnesses %v, one-shot %v", got.SLinWitnesses, want.SLinWitnesses)
 	}
 }
 

@@ -38,7 +38,7 @@ func (b *BitSet) Has(i int) bool {
 
 // Add inserts i. Inserting a present member panics: the search engines
 // toggle membership in matched add/remove pairs, so a double insert is a
-// bookkeeping bug (mirroring SymMultiset's negative-count panic).
+// bookkeeping bug (mirroring trace.Multiset's negative-count panic).
 func (b *BitSet) Add(i int) {
 	w, m := i/bitsPerWord, uint64(1)<<(uint(i)%bitsPerWord)
 	for w >= len(b.words) {

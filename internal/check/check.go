@@ -2,16 +2,13 @@
 // checkers — the checker API v2 (DESIGN.md, decision 11) — plus a small
 // model checker for step systems.
 //
-// The shared checker surface (opts.go, frontier.go, parallel.go,
-// bitset.go): the three-valued Verdict, the functional Option set
-// (WithBudget, WithWorkers, WithWitness, WithMemoLimit, WithFeedBudget,
-// ...) resolved into one Settings struct by every one-shot check and
-// incremental Session in lin and slin, ExpandFrontier, the
-// deduplicating expansion step both packages' frontier engines are
-// built on (decision 17), and the classical checker's BitSet (decision
-// 13).
-// Keeping these here, in one place below both checker packages, is what
-// guarantees the engines cannot drift apart in semantics.
+// The shared checker surface (opts.go, parallel.go, bitset.go): the
+// three-valued Verdict, the functional Option set (WithBudget,
+// WithWorkers, WithWitness, WithMemoLimit, WithFeedBudget, ...) resolved
+// into one Settings struct by every one-shot check and incremental
+// Session in lin and slin, and the classical checker's BitSet (decision
+// 13). The frontier engine both checkers run is lin.Frontier (decision
+// 31).
 //
 // The model checker (check.go): it explores instruction-level
 // interleavings of concurrent processes over shared state and hands

@@ -110,10 +110,12 @@ func TestSessionCaptureShapes(t *testing.T) {
 // bursts by the capture merge's transform, with overlap from several
 // concurrent clients. The whole Lin matrix — one-shot, online with the
 // witness chain, online chain-free as the pipelines run it, and the
-// oracles — must agree, and the online session must agree with the
-// one-shot engine on every prefix, assembling and verifying a witness
-// after every action without disturbing the live frontier — on clean and
-// corrupted traces alike.
+// oracles, the slin reference at m = 1 among them (skipped where it
+// exhausts its budget) — must agree, slin(1,2) must match lin node for
+// node, and the online session must agree with the one-shot engine on
+// every prefix, assembling and verifying a witness after every action
+// without disturbing the live frontier — on clean and corrupted traces
+// alike.
 func TestCompactedFrontierCaptureShapes(t *testing.T) {
 	ctx := context.Background()
 	folders := []struct {

@@ -1,15 +1,16 @@
 // Package diffcheck is the differential testing harness of the checker
-// engines (DESIGN.md, decisions 21, 25 and 29): it runs every way the
-// repo has of deciding a property on the SAME trace and fails loudly on
-// any disagreement — verdicts, witness validity, or prefix-verdict
+// engines (DESIGN.md, decisions 21, 25, 29 and 31): it runs every way
+// the repo has of deciding a property on the SAME trace and fails loudly
+// on any disagreement — verdicts, witness validity, or prefix-verdict
 // agreement of incremental sessions. For Lin that is the one frontier
 // engine in its three modes (one-shot with response lookahead, online
 // session, online session without witnesses — the chain-free
-// configuration the pipelines run) against the skeletons that share
-// nothing with it: the string-keyed reference, the SLin engine at m = 1
-// (Theorem 2) and the classical search (Theorem 1); for SLin the one
-// session engine, one-shot and online, against the string-keyed
-// depth-first reference.
+// configuration the pipelines run) against the oracles that share no
+// code with it: the string-keyed lin reference, the string-keyed slin
+// reference at m = 1 (Theorem 2) and the classical search (Theorem 1);
+// slin(1,2), which runs the same engine, must match it node for node.
+// For SLin it is the one session engine, one-shot and online, against
+// the string-keyed depth-first reference.
 //
 // The harness exists because a soundness bug in a pruning rule does not
 // crash: it silently turns the checker into a liar, accepting
@@ -77,7 +78,8 @@ var linMatrix = []variant{
 // slinMatrix is the one SLin engine (DESIGN.md, decision 25) run
 // one-shot by slin.Check — configuration identity set from the whole
 // trace — and online by slin.NewSession — position-free until the first
-// order-sensitive abort, then positional after a replay (decision 29).
+// order-sensitive abort, then ordered after a replay (decisions 29 and
+// 31).
 var slinMatrix = []variant{
 	{"one-shot", false, nil},
 	{"session", true, nil},
@@ -116,18 +118,22 @@ func (v variant) slin(ctx context.Context, f adt.Folder, rinit slin.RInit, m, n 
 const refBudget = 200_000
 
 // Lin cross-checks the three modes of the lin engine on t, and those
-// with the oracles that share no code with it: lin.CheckReference (under
-// its own small budget; skipped when it exhausts it), slin.CheckLin
-// (Theorem 2) and, when the trace's inputs are pairwise distinct,
-// lin.CheckClassical (Theorem 1). All verdicts must agree and every
-// positive verdict's witness must satisfy lin.VerifyWitness. extra
-// options (budgets, deadlines) apply to every variant but the reference.
+// with the oracles that share no code with it: lin.CheckReference and
+// slin.CheckReference at m = 1 (Theorem 2), each under its own small
+// budget and skipped when it exhausts it, and, when the trace's inputs
+// are pairwise distinct, lin.CheckClassical (Theorem 1). All verdicts
+// must agree and every positive verdict's witness must satisfy
+// lin.VerifyWitness. slin.CheckLin runs lin's engine, so Theorem 2 holds
+// there node for node: its verdict and Nodes must equal one-shot
+// lin.Check's. extra options (budgets, deadlines) apply to every variant
+// but the references.
 func Lin(ctx context.Context, f adt.Folder, t trace.Trace, extra ...check.Option) error {
 	type outcome struct {
 		name string
 		ok   bool
 	}
 	var got []outcome
+	var oneShot lin.Result
 	for _, v := range linMatrix {
 		res, err := v.lin(ctx, f, t, extra)
 		if err != nil {
@@ -138,18 +144,29 @@ func Lin(ctx context.Context, f adt.Folder, t trace.Trace, extra ...check.Option
 				return disagree(t, "%s produced an invalid witness: %v", v.name, werr)
 			}
 		}
+		if !v.session {
+			oneShot = res
+		}
 		got = append(got, outcome{v.name, res.OK})
+	}
+	viaSLin, err := slin.CheckLin(ctx, f, t, extra...)
+	if err != nil {
+		return fmt.Errorf("diffcheck slin(1,2): %w", err)
+	}
+	if viaSLin.OK != oneShot.OK || viaSLin.Nodes != oneShot.Nodes {
+		return disagree(t, "Theorem 2 node for node: lin.Check %v in %d nodes, slin.CheckLin %v in %d",
+			oneShot.OK, oneShot.Nodes, viaSLin.OK, viaSLin.Nodes)
 	}
 	if ref, err := lin.CheckReference(f, t, check.WithBudget(refBudget)); err == nil {
 		got = append(got, outcome{"reference", ref.OK})
 	} else if !errors.Is(err, lin.ErrBudget) {
 		return fmt.Errorf("diffcheck reference: %w", err)
 	}
-	viaSLin, err := slin.CheckLin(ctx, f, t, extra...)
-	if err != nil {
-		return fmt.Errorf("diffcheck slin(1,2): %w", err)
+	if ref, err := slin.CheckReference(f, slin.UniversalRInit{}, 1, 2, t, check.WithBudget(refBudget)); err == nil {
+		got = append(got, outcome{"slin reference(1,2)", ref.OK})
+	} else if !errors.Is(err, slin.ErrBudget) {
+		return fmt.Errorf("diffcheck slin reference(1,2): %w", err)
 	}
-	got = append(got, outcome{"slin(1,2)", viaSLin.OK})
 	if uniqueInputs(t) {
 		cl, err := lin.CheckClassical(ctx, f, t, extra...)
 		if err != nil {
@@ -183,11 +200,25 @@ func uniqueInputs(t trace.Trace) bool {
 // Check on EVERY prefix of t: the session's running verdict after k
 // actions must equal Check's verdict of t[:k]. Prefixes are where
 // operations never respond, the case the one-shot lookahead must exempt.
+// An online slin.NewSession at (1,2), which runs lin's engine, must match
+// the lin session's Verdict and Nodes after every action (Theorem 2,
+// node for node).
 func LinPrefixes(ctx context.Context, f adt.Folder, t trace.Trace, extra ...check.Option) error {
 	sess := lin.NewSession(ctx, f, extra...)
+	viaSLin, err := slin.NewSession(ctx, f, slin.UniversalRInit{}, 1, 2, extra...)
+	if err != nil {
+		return err
+	}
 	for k, a := range t {
 		if err := sess.Feed(a); err != nil {
 			return fmt.Errorf("diffcheck session feed %d: %w", k, err)
+		}
+		if err := viaSLin.Feed(a); err != nil {
+			return fmt.Errorf("diffcheck slin(1,2) session feed %d: %w", k, err)
+		}
+		if sess.Verdict() != viaSLin.Verdict() || sess.Nodes() != viaSLin.Nodes() {
+			return disagree(t[:k+1], "prefix %d, Theorem 2 node for node: lin session %v in %d nodes, slin(1,2) session %v in %d",
+				k+1, sess.Verdict(), sess.Nodes(), viaSLin.Verdict(), viaSLin.Nodes())
 		}
 		got, err := sess.Result()
 		if err != nil {

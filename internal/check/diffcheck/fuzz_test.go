@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/adt"
 	"repro/internal/check"
+	"repro/internal/lin"
 	"repro/internal/slin"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -105,8 +106,9 @@ func corpusSeeds(f *testing.F) {
 
 // FuzzCheckPORAgreement fuzzes the Lin matrix (the name predates
 // decision 21): one-shot, online and chain-free runs of the lin engine
-// and the reference, slin(1,2) and classical oracles must agree on every
-// decodable trace.
+// and the lin reference, slin reference(1,2) and classical oracles must
+// agree on every decodable trace, and slin(1,2) must match the one-shot
+// engine node for node.
 func FuzzCheckPORAgreement(f *testing.F) {
 	corpusSeeds(f)
 	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
@@ -155,7 +157,7 @@ var (
 // orderSensitive strips ConsensusRInit's OrderInsensitive declaration
 // (embedding an interface promotes only RInit's methods), so the target
 // also runs the path where an abort switches the session to the
-// positional identity.
+// ordered identity.
 type orderSensitive struct{ slin.RInit }
 
 // slinFuzzSpec decodes the SLin target's selector: bit 0 picks the
@@ -266,7 +268,7 @@ func FuzzSLinAgreement(f *testing.F) {
 		for _, temporal := range []bool{false, true} {
 			err := SLin(context.Background(), adt.Consensus{}, rinit, m, m+1, tr, temporal,
 				check.WithBudget(fuzzBudget))
-			if n := slin.MemoCollisions(); n != 0 {
+			if n := lin.MemoCollisions(); n != 0 {
 				t.Fatalf("%d digest collisions", n)
 			}
 			if err == nil {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/adt"
 	"repro/internal/check"
 	"repro/internal/lin"
+	"repro/internal/slin"
 	"repro/internal/trace"
 )
 
@@ -182,39 +183,93 @@ func TestOverlapAgreesWithCheck(t *testing.T) {
 // TestOverlapFeedAllocsHistoryIndependent is the history-independence
 // gate, by allocation rather than wall clock: over 36 cycles of the six
 // shapes, Feed allocates no more in the last six cycles than in the
-// first six (1.25x covers pool warm-up and interner growth). A
+// first six (1.25x covers pool warm-up and interner growth), for lin's
+// session and for slin's at (1,2), which runs the same engine. A
 // configuration that carries anything sized by the history — the dense
-// per-symbol count vectors this engine used to clone per emitted
-// configuration — makes the bytes grow with the cycle index.
+// per-symbol count vectors these engines used to clone per emitted
+// configuration, or a valid-inputs snapshot per invocation — makes the
+// bytes grow with the cycle index.
 func TestOverlapFeedAllocsHistoryIndependent(t *testing.T) {
+	sl, err := slin.NewSession(context.Background(), adt.Set{}, slin.ConsensusRInit{}, 1, 2,
+		check.WithFeedBudget(true), check.WithWitness(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []interface {
+		FeedAll(trace.Trace) error
+		Verdict() check.Verdict
+	}{newOverlapSession(), sl} {
+		g := &overlapGen{r: rand.New(rand.NewSource(1))}
+		feedBytes := func(cycles int) uint64 {
+			var trs []trace.Trace
+			for i := 0; i < cycles; i++ {
+				for _, sh := range overlapShapes {
+					tr, _ := g.round(sh)
+					trs = append(trs, tr)
+				}
+			}
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for _, tr := range trs {
+				if err := s.FeedAll(tr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&m1)
+			return m1.TotalAlloc - m0.TotalAlloc
+		}
+		first := feedBytes(6)
+		feedBytes(24)
+		last := feedBytes(6)
+		if v := s.Verdict(); v != check.Linearizable {
+			t.Fatalf("%T: verdict %v", s, v)
+		}
+		t.Logf("%T: Feed allocated %d bytes in cycles 1-6, %d in cycles 31-36 (ratio %.2f)", s, first, last, float64(last)/float64(first))
+		if float64(last) > 1.25*float64(first) {
+			t.Fatalf("%T: Feed allocations grow with history: %d bytes in cycles 1-6, %d in cycles 31-36", s, first, last)
+		}
+	}
+}
+
+// TestOverlapTheorem2NodeForNode: on three cycles of the six shapes,
+// slin at (1,2) runs lin's engine node for node — one-shot, and online
+// after every action. (slin's own engine spent 2 304 nodes one-shot
+// where lin spends 1 599.)
+func TestOverlapTheorem2NodeForNode(t *testing.T) {
+	ctx := context.Background()
 	g := &overlapGen{r: rand.New(rand.NewSource(1))}
-	s := newOverlapSession()
-	feedBytes := func(cycles int) uint64 {
-		var trs []trace.Trace
-		for i := 0; i < cycles; i++ {
-			for _, sh := range overlapShapes {
-				tr, _ := g.round(sh)
-				trs = append(trs, tr)
-			}
+	var tr trace.Trace
+	for cycle := 0; cycle < 3; cycle++ {
+		for _, sh := range overlapShapes {
+			round, _ := g.round(sh)
+			tr = append(tr, round...)
 		}
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		for _, tr := range trs {
-			if err := s.FeedAll(tr); err != nil {
-				t.Fatal(err)
-			}
+	}
+	one, err := lin.Check(ctx, adt.Set{}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaSLin, err := slin.CheckLin(ctx, adt.Set{}, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !one.OK || one.Nodes != 1599 || viaSLin.OK != one.OK || viaSLin.Nodes != one.Nodes {
+		t.Fatalf("one-shot: lin %v in %d nodes (want 1599), slin(1,2) %v in %d", one.OK, one.Nodes, viaSLin.OK, viaSLin.Nodes)
+	}
+	ls := lin.NewSession(ctx, adt.Set{})
+	ss, err := slin.NewSession(ctx, adt.Set{}, slin.UniversalRInit{}, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, a := range tr {
+		if err := ls.Feed(a); err != nil {
+			t.Fatal(err)
 		}
-		runtime.ReadMemStats(&m1)
-		return m1.TotalAlloc - m0.TotalAlloc
-	}
-	first := feedBytes(6)
-	feedBytes(24)
-	last := feedBytes(6)
-	if v := s.Verdict(); v != check.Linearizable {
-		t.Fatalf("verdict %v", v)
-	}
-	t.Logf("Feed allocated %d bytes in cycles 1-6, %d in cycles 31-36 (ratio %.2f)", first, last, float64(last)/float64(first))
-	if float64(last) > 1.25*float64(first) {
-		t.Fatalf("Feed allocations grow with history: %d bytes in cycles 1-6, %d in cycles 31-36", first, last)
+		if err := ss.Feed(a); err != nil {
+			t.Fatal(err)
+		}
+		if ls.Verdict() != ss.Verdict() || ls.Nodes() != ss.Nodes() {
+			t.Fatalf("online after action %d: lin %v in %d nodes, slin(1,2) %v in %d", k, ls.Verdict(), ls.Nodes(), ss.Verdict(), ss.Nodes())
+		}
 	}
 }

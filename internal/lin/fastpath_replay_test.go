@@ -181,9 +181,9 @@ func fallbackAcrossChunks(t *testing.T, witness bool) {
 					// The budget-charged search nodes are the exact session's;
 					// Nodes adds, as documented, one per action the core took
 					// before the exit.
-					if fs.nodes != ex.nodes || fs.fastNodes != st.exit || fr.Nodes != er.Nodes+st.exit || fs.Len() != ex.Len() {
+					if fs.meter.Nodes != ex.meter.Nodes || fs.fastNodes != st.exit || fr.Nodes != er.Nodes+st.exit || fs.Len() != ex.Len() {
 						t.Fatalf("%s: fast session %d search + %d fast-path nodes over %d actions, exact session %d over %d",
-							when, fs.nodes, fs.fastNodes, fs.Len(), er.Nodes, ex.Len())
+							when, fs.meter.Nodes, fs.fastNodes, fs.Len(), er.Nodes, ex.Len())
 					}
 				}
 				for i, a := range st.tr {

@@ -17,13 +17,17 @@ const memocheckEnabled = false
 // memoAudit is the no-op audit table of the default build.
 type memoAudit struct{}
 
-func (memoAudit) reset()                                                   {}
-func (memoAudit) note(trace.Digest, adt.State, []trace.Sym, []trace.Value) {}
+func (memoAudit) reset(bool)                                                              {}
+func (memoAudit) note(trace.Digest, adt.State, []trace.Sym, []trace.Value, []trace.Value) {}
 
 // MemoCollisions reports digest collisions observed by the frontier
 // engine; always zero without the memocheck build tag (the audit is
 // compiled out).
 func MemoCollisions() uint64 { return 0 }
+
+// MemoHits reports the audited digest hits under the position-free and
+// the ordered identity; always zero without the memocheck build tag.
+func MemoHits() (free, ordered uint64) { return 0, 0 }
 
 // classicalAudit is the no-op audit table of the default build for the
 // classical checker's spill-path memo (decision 13's lossy BitSet

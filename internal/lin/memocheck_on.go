@@ -20,35 +20,51 @@ import (
 // collision counter, which the tagged tests assert is zero.
 const memocheckEnabled = true
 
-var memoCollisions atomic.Uint64
+var (
+	memoCollisions atomic.Uint64
+	memoHits       [2]atomic.Uint64 // under the position-free (0) and the ordered (1) identity
+)
 
 // MemoCollisions reports digest collisions observed by the frontier
-// engine (Check and Sessions) since process start.
+// engine (lin's and slin's Check and Sessions) since process start.
 func MemoCollisions() uint64 { return memoCollisions.Load() }
 
+// MemoHits reports the audited digest hits — a digest met again, its
+// identity compared — under the position-free and the ordered identity
+// since process start.
+func MemoHits() (free, ordered uint64) { return memoHits[0].Load(), memoHits[1].Load() }
+
 // memoAudit shadows the digests one response's expansion deduplicates
-// on — the visited set of the extension searches and ExpandFrontier's
-// successor set, one identity space (decision 20) — with the identities
-// they stand for.
+// on — the visited set of the extension searches and the successor set,
+// one identity space (decision 20) — with the identities they stand for.
 type memoAudit struct {
-	ids map[trace.Digest]string
+	ids     map[trace.Digest]string
+	ordered bool
 }
 
-func (a *memoAudit) reset() { a.ids = map[trace.Digest]string{} }
+func (a *memoAudit) reset(ordered bool) { a.ids, a.ordered = map[trace.Digest]string{}, ordered }
 
 // note records that dig stands for the configuration (end state, entries
-// syms[i] linearized to outs[i]), counting a collision if it already
-// stands for another. The identity sorts the entries: equal symbols sit
-// in insertion order in a configuration.
-func (a *memoAudit) note(dig trace.Digest, end adt.State, syms []trace.Sym, outs []trace.Value) {
+// syms[i] linearized to outs[i], and under the ordered identity its
+// chain), counting a hit if dig was met before and a collision if it
+// stood for another configuration. The identity sorts the entries: equal
+// symbols sit in insertion order in a configuration.
+func (a *memoAudit) note(dig trace.Digest, end adt.State, syms []trace.Sym, outs []trace.Value, chain []trace.Value) {
 	entries := make([]string, len(syms))
 	for i, sym := range syms {
 		entries[i] = strconv.Itoa(int(sym)) + ":" + string(outs[i])
 	}
 	slices.Sort(entries)
-	id := string(end) + "\x00" + strings.Join(entries, "\x00")
-	if prev, ok := a.ids[dig]; ok && prev != id {
-		memoCollisions.Add(1)
+	id := string(end) + "\x00" + strings.Join(entries, "\x00") + "\x01" + strings.Join(chain, "\x00")
+	if prev, ok := a.ids[dig]; ok {
+		if a.ordered {
+			memoHits[1].Add(1)
+		} else {
+			memoHits[0].Add(1)
+		}
+		if prev != id {
+			memoCollisions.Add(1)
+		}
 		return
 	}
 	a.ids[dig] = id

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/adt"
 	"repro/internal/check"
@@ -16,18 +15,15 @@ import (
 // trace is re-checked in time proportional to the new actions instead of
 // from scratch.
 //
-// The engine maintains the frontier of all reachable search
+// The engine is the embedded Frontier: the set of all reachable search
 // configurations after the actions fed so far. The per-action transition
 // relation never looks ahead in the trace, so the frontier after k
 // actions is independent of the future and Feed advances it in place:
 //
-//   - an invocation only adds its input to the pending-inputs multiset
+//   - an invocation only adds its input to the pool of pending inputs
 //     (every configuration's availability is derived from it);
-//   - a response replaces the frontier by its successor set: each
-//     configuration either has the response claim an unclaimed chain
-//     entry or extends the chain through available inputs, deduplicated
-//     across configurations — after which its input leaves the pending
-//     multiset.
+//   - a response replaces the frontier by its successor set
+//     (Frontier.Expand) — after which its input leaves the pool.
 //
 // The fed trace is linearizable iff the frontier is non-empty, and a
 // NotLinearizable verdict is final: no continuation can revive an empty
@@ -36,28 +32,15 @@ import (
 // verdicts agree on every prefix (the session property tests and
 // diffcheck.LinPrefixes assert it).
 //
-// Configuration identity (DESIGN.md, decision 20; the cfg type has the
-// details). A configuration is its commit chain's end state plus the
-// chain's unclaimed entries: the open operations it has already
-// linearized, each with the output it was linearized to. Nothing else
-// can influence a future transition, so claimed entries are never
-// stored and chain order is not part of the identity: configurations
-// that committed the same operations in different orders are one
-// configuration, within one response's extension search as much as
-// across responses. The frontier is therefore at most
+// Configuration identity (DESIGN.md, decision 20; Frontier and cfg have
+// the details): a configuration is its chain's end state plus its
+// unclaimed entries, so the frontier is at most
 // |states| · (|outputs|+1)^k wide for k open operations, whatever the
-// history's length — |states| · 2^k one-shot, where the lookahead keeps
-// each open operation unlinearized or at an output it will return — and
-// a configuration's size and expansion cost are a function of k alone;
-// configuration structs are pooled across feeds to keep steady-state
-// allocation flat (only the session's one interner grows with the
-// symbol alphabet).
-//
-// The chain itself survives only where a consumer needs it: with
-// check.WithWitness every configuration points into one shared
-// parent-linked chain of values, so any surviving representative
-// reconstructs a full linearization (E18's comparison arm measures what
-// that retains). Bounded-memory streaming runs switch witnesses off.
+// history's length — |states| · 2^k one-shot — and a configuration's
+// size and expansion cost are a function of k alone. The chain itself
+// survives only with check.WithWitness, shared by every configuration
+// extending it (E18's comparison arm measures what that retains);
+// bounded-memory streaming runs switch witnesses off.
 //
 // One budget (check.WithBudget) spans the whole session — or, with
 // check.WithFeedBudget, is rebased at every Feed so a heavy-tailed
@@ -72,41 +55,15 @@ import (
 //
 // A Session is not safe for concurrent use by multiple goroutines.
 type Session struct {
-	ctx    context.Context
-	f      adt.Folder
-	set    check.Settings
-	budget int
+	Frontier
+	set check.Settings
 
-	in *trace.Interner
-	// invoked is the multiset of currently pending inputs: incremented at
-	// an invocation, decremented once its response's expansion is done.
-	invoked trace.SparseMultiset
 	// pending holds the open invocation of each client that has one.
 	pending map[trace.ClientID]pendingInv
-
-	frontier []*cfg
-	nodes    int
-	// feedBase is the nodes value at the current Feed's entry; spend
-	// charges against nodes−feedBase when FeedBudget is set (always 0
-	// with the default lifetime budget).
-	feedBase int
-	fed      int
-	// look is the response lookahead of a one-shot check (nil for every
-	// session a caller can feed further; see lookahead).
-	look *lookahead
+	fed     int
 
 	err   error  // terminal error, sticky
 	notWF string // non-empty once the fed trace went ill-formed, sticky
-
-	// Recycled search state: configuration structs (with their entry
-	// storage) retired when a frontier is replaced, the visited set of
-	// the response being expanded, and the availability scratch slice.
-	cfgPool  []*cfg
-	visited  map[trace.Digest]struct{}
-	availBuf []trace.SymCount
-	// audit shadows the deduplication digests with full identities under
-	// the memocheck build tag; a zero-size type of no-op methods otherwise.
-	audit memoAudit
 
 	// fast, when non-nil, is the ADT-specialized streaming core the
 	// session delegates to instead of the frontier engine (DESIGN.md,
@@ -166,53 +123,6 @@ type pendingInv struct {
 	idx int
 }
 
-// cfg is one frontier configuration: the end state of a commit chain
-// and the chain's unclaimed entries — syms[i] was linearized to output
-// outs[i] and no response has claimed it yet — in ascending symbol
-// order (untagged duplicates sit side by side). Configurations are
-// immutable once installed in a frontier, own their entry storage, and
-// are identified by dig: the end state's hash plus the commutative sum
-// of trace.HashOutput over the entries, with no position in it.
-// Everything a future transition can observe is in the digest and
-// nothing else is, so deduplication merges exactly the configurations
-// with identical futures.
-//
-// The remaining fields are not part of the identity. n is the chain's
-// length; with witnesses, chain is its last node and pos[i] the length
-// of the prefix ending at entry i — what a claim of that entry records
-// in the witness trail.
-type cfg struct {
-	end  adt.State
-	syms []trace.Sym
-	outs []trace.Value
-	dig  trace.Digest
-
-	n     int
-	pos   []int
-	chain *chainNode
-	// asn is the assignment trail (response index -> claimed prefix
-	// length) that produced this configuration, for witness assembly;
-	// nil when witnesses are off.
-	asn *asnNode
-}
-
-// chainNode is one commit of a retained chain, linked towards the
-// chain's start and shared by every configuration extending it.
-type chainNode struct {
-	prev *chainNode
-	val  trace.Value
-}
-
-type asnNode struct {
-	prev *asnNode
-	res  int
-	k    int
-}
-
-// maxPool bounds the retired-configuration pool, as a backstop against
-// a transiently huge frontier parking an unbounded free list.
-const maxPool = 4096
-
 // NewSession starts an incremental check of an initially empty trace
 // against ADT f. See Session for the engine and option semantics.
 func NewSession(ctx context.Context, f adt.Folder, opts ...check.Option) *Session {
@@ -258,40 +168,16 @@ func newSessionAt(ctx context.Context, f adt.Folder, set check.Settings, fed int
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	frontier := make([]*cfg, len(states))
+	s := &Session{set: set, pending: map[trace.ClientID]pendingInv{}, fed: fed}
+	s.init(f, trace.NewInterner(), &Meter{
+		Ctx: ctx, Budget: set.BudgetOr(DefaultBudget), MemoLimit: set.MemoLimit,
+		BudgetErr: ErrBudget, MemoErr: ErrMemo,
+	}, set.Witness, set.Witness)
+	s.frontier = make([]*cfg, len(states))
 	for i, st := range states {
-		frontier[i] = &cfg{end: st, dig: trace.HashString(string(st))}
+		s.frontier[i] = &cfg{end: st, dig: trace.HashString(string(st))}
 	}
-	return &Session{
-		ctx:      ctx,
-		f:        f,
-		set:      set,
-		budget:   set.BudgetOr(DefaultBudget),
-		in:       trace.NewInterner(),
-		pending:  map[trace.ClientID]pendingInv{},
-		frontier: frontier,
-		fed:      fed,
-		visited:  map[trace.Digest]struct{}{},
-	}
-}
-
-// spend charges n search nodes against the session budget (rebased per
-// Feed under FeedBudget) and polls the context at ctxPollMask
-// boundaries.
-func (s *Session) spend(n int) error {
-	if n <= 0 {
-		return nil
-	}
-	s.nodes += n
-	if s.nodes-s.feedBase > s.budget {
-		return ErrBudget
-	}
-	if s.nodes&ctxPollMask < n {
-		if err := s.ctx.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s
 }
 
 // Len returns the number of actions fed so far.
@@ -300,7 +186,7 @@ func (s *Session) Len() int { return s.fed }
 // Nodes returns the cumulative number of search nodes spent, plus — for
 // fast-path sessions — one node per action the specialized core
 // processed (fast-path nodes are not charged against the budget).
-func (s *Session) Nodes() int { return s.nodes + s.fastNodes }
+func (s *Session) Nodes() int { return s.meter.Nodes + s.fastNodes }
 
 // Feed appends action a to the trace under check and advances the
 // frontier. The returned error is terminal (budget or memo exhaustion,
@@ -311,13 +197,13 @@ func (s *Session) Feed(a trace.Action) error {
 	if s.err != nil {
 		return s.err
 	}
-	if err := s.ctx.Err(); err != nil {
+	if err := s.meter.Ctx.Err(); err != nil {
 		s.err = err
 		return err
 	}
-	start := s.nodes
+	start := s.meter.Nodes
 	if s.set.FeedBudget {
-		s.feedBase = start
+		s.meter.Base = start
 	}
 	if s.fast != nil {
 		return s.feedFast(a)
@@ -334,8 +220,8 @@ func (s *Session) Feed(a trace.Action) error {
 			return nil
 		}
 		s.pending[a.Client] = pendingInv{input: a.Input}
-		s.invoked.Add(s.in.Sym(a.Input), 1)
-		return s.stick(s.spend(len(s.frontier)), idx, len(s.pending), start)
+		s.Pool.Add(s.in.Sym(a.Input), 1)
+		return s.stick(s.meter.Spend(len(s.frontier)), idx, len(s.pending), start)
 	case trace.Res:
 		st, open := s.pending[a.Client]
 		if !open || st.input != a.Input {
@@ -344,7 +230,12 @@ func (s *Session) Feed(a trace.Action) error {
 		}
 		k := len(s.pending)
 		delete(s.pending, a.Client)
-		return s.stick(s.expand(a, idx), idx, k, start)
+		if err := s.Expand(a.Input, a.Output, idx); err != nil {
+			return s.stick(err, idx, k, start)
+		}
+		// Every successor claimed a chain entry for this response, so the
+		// operation is no longer open in any of them.
+		s.Pool.Add(s.in.Sym(a.Input), -1)
 	default:
 		// Switch actions do not belong to sig_T; Check classifies such
 		// traces as ill-formed.
@@ -363,7 +254,7 @@ func (s *Session) stick(err error, idx, open, start int) error {
 	}
 	if errors.Is(err, ErrBudget) || errors.Is(err, ErrMemo) {
 		err = fmt.Errorf("%w (feed %d: %d configurations, %d open operations, %d nodes)",
-			err, idx, len(s.frontier), open, s.nodes-start)
+			err, idx, len(s.frontier), open, s.meter.Nodes-start)
 	}
 	s.err = err
 	return err
@@ -462,7 +353,7 @@ func (s *Session) fastFallback() error {
 	if s.cutFed == 0 {
 		states = []adt.State{s.f.Empty()}
 	}
-	ex := newSessionAt(s.ctx, s.f, s.set, s.cutFed, states)
+	ex := newSessionAt(s.meter.Ctx, s.f, s.set, s.cutFed, states)
 	s.fast, s.cuts, s.rec, s.recFull, s.cutSt = nil, nil, nil, nil, nil
 	var err error
 	for _, c := range chunks {
@@ -470,16 +361,8 @@ func (s *Session) fastFallback() error {
 			break
 		}
 	}
-	s.in = ex.in
-	s.invoked = ex.invoked
-	s.pending = ex.pending
-	s.frontier = ex.frontier
-	s.nodes = ex.nodes
-	s.feedBase = ex.feedBase
-	s.fed = ex.fed
-	s.err = ex.err
-	s.notWF = ex.notWF
-	s.cfgPool, s.visited, s.availBuf = ex.cfgPool, ex.visited, ex.availBuf
+	s.Frontier = ex.Frontier
+	s.pending, s.fed, s.err, s.notWF = ex.pending, ex.fed, ex.err, ex.notWF
 	return err
 }
 
@@ -517,7 +400,10 @@ func (s *Session) Verdict() check.Verdict {
 
 // Result returns the verdict for the trace fed so far in Check's Result
 // form (with a witness on positive verdicts unless WithWitness(false)),
-// or the session's terminal error.
+// or the session's terminal error. The witness is the linearization
+// function of one surviving configuration: its retained chain is the
+// maximal commit history, and its trail maps each response index to its
+// claimed prefix.
 func (s *Session) Result() (Result, error) {
 	if s.err != nil {
 		return Result{Nodes: s.Nodes()}, s.err
@@ -536,308 +422,9 @@ func (s *Session) Result() (Result, error) {
 	}
 	r := Result{OK: true, Nodes: s.Nodes()}
 	if s.set.Witness {
-		r.Witness = s.witness(s.frontier[0])
+		r.Witness, _ = s.Trail(0)
 	}
 	return r, nil
-}
-
-// witness reconstructs the linearization function of one surviving
-// configuration: its retained chain is the maximal commit history, and
-// the assignment trail maps each response index to its claimed prefix
-// length.
-func (s *Session) witness(c *cfg) Witness {
-	hist := make(trace.History, c.n)
-	for i, nd := c.n-1, c.chain; nd != nil; i, nd = i-1, nd.prev {
-		hist[i] = nd.val
-	}
-	w := Witness{}
-	for n := c.asn; n != nil; n = n.prev {
-		w[n.res] = hist[:n.k].Clone()
-	}
-	return w
-}
-
-// expand replaces the frontier by its successor set under response a.
-// Successors own their storage, so the replaced frontier's
-// configurations — and every duplicate emission — return to the pool.
-func (s *Session) expand(a trace.Action, resIdx int) error {
-	asym := s.in.Sym(a.Input)
-	old := s.frontier
-	if s.look != nil {
-		// This response closes its own extension or claims an entry made
-		// earlier: what it linearizes on the way is left to later ones.
-		s.look.future[symOut{asym, a.Output}]--
-	}
-	// One visited set is shared between the extension searches of all
-	// configurations, seeded with the configurations themselves: a
-	// partial extension equal to one of them is cut at once, since that
-	// configuration's own expansion emits its successors (and its claims
-	// besides).
-	clear(s.visited)
-	s.audit.reset()
-	for _, c := range old {
-		s.visited[c.dig] = struct{}{}
-		s.audit.note(c.dig, c.end, c.syms, c.outs)
-	}
-	next, err := check.ExpandFrontier(old, s.spend,
-		func(c *cfg) trace.Digest { return c.dig },
-		func(kept, dup *cfg) *cfg {
-			s.audit.note(kept.dig, kept.end, kept.syms, kept.outs)
-			s.audit.note(dup.dig, dup.end, dup.syms, dup.outs)
-			s.putCfg(dup)
-			return kept
-		},
-		func(c *cfg, emit func(*cfg)) error {
-			return s.expandCfg(c, a, asym, resIdx, emit)
-		})
-	if err != nil {
-		return err
-	}
-	if s.set.MemoLimit > 0 && len(next) > s.set.MemoLimit {
-		return ErrMemo
-	}
-	for _, c := range old {
-		s.putCfg(c)
-	}
-	s.frontier = next
-	// Every successor claimed a chain entry for this response, so the
-	// operation is no longer open in any of them.
-	s.invoked.Add(asym, -1)
-	return nil
-}
-
-// expandCfg emits every successor of configuration c under response a:
-// the claim of a matching unclaimed entry, plus every chain extension
-// through available inputs that closes with the response's own input —
-// every branch a commit can take, up to configuration identity.
-func (s *Session) expandCfg(c *cfg, a trace.Action, asym trace.Sym, resIdx int, emit func(*cfg)) error {
-	// Option 1: claim an unclaimed entry carrying the response's input
-	// and output. Equal entries (untagged duplicates) have equal
-	// successors, so the first one stands for all.
-	for i, sym := range c.syms {
-		if sym == asym && c.outs[i] == a.Output {
-			emit(s.claim(c, i, resIdx))
-			break
-		}
-	}
-	// Option 2: extend the chain with fresh inputs from the derived
-	// availability (pending inputs minus those c already linearized, in
-	// ascending symbol order), the last being the response's own input —
-	// which c may have linearized already, leaving nothing to close with.
-	avail := s.invoked.AppendDiff(s.availBuf[:0], c.syms)
-	s.availBuf = avail
-	closeAt := -1
-	for i, e := range avail {
-		if e.Sym == asym {
-			closeAt = i
-			break
-		}
-	}
-	if closeAt < 0 {
-		return nil
-	}
-	x := extension{c: c, a: a, resIdx: resIdx, avail: avail, closeAt: closeAt, emit: emit}
-	return s.extend(&x, c.end, c.dig.Sub(trace.HashString(string(c.end))))
-}
-
-// claim returns c with entry i claimed by resIdx, that is, without it.
-func (s *Session) claim(c *cfg, i, resIdx int) *cfg {
-	n := s.newCfg()
-	n.end, n.n, n.chain = c.end, c.n, c.chain
-	n.syms = append(append(n.syms, c.syms[:i]...), c.syms[i+1:]...)
-	n.outs = append(append(n.outs, c.outs[:i]...), c.outs[i+1:]...)
-	n.dig = c.dig.Sub(trace.HashOutput(c.syms[i], c.outs[i]))
-	if s.set.Witness {
-		n.pos = append(append(n.pos, c.pos[:i]...), c.pos[i+1:]...)
-		n.asn = &asnNode{prev: c.asn, res: resIdx, k: c.pos[i]}
-	}
-	return n
-}
-
-// extension is the invariant part of one configuration's extension
-// search under one response, plus the appended symbols and their outputs
-// along the current search path (siblings share the backing arrays:
-// emitted successors copy them).
-type extension struct {
-	c       *cfg
-	a       trace.Action
-	resIdx  int
-	avail   []trace.SymCount // counts are decremented and restored in place
-	closeAt int              // index in avail of the response's own input
-	emit    func(*cfg)
-	syms    []trace.Sym
-	outs    []trace.Value
-}
-
-// extend explores the chain extensions of x.c beyond x.syms, emitting a
-// successor wherever the extension can close with the response's input.
-// st is the extended chain's end state and open the digest of its
-// unclaimed entries, so open plus a state's hash is the identity a
-// partial extension would have as a configuration; it keys the visited
-// set, and a second search path into the same partial configuration —
-// the same operations appended in another order, or from another
-// configuration — is cut there, its successors being the ones already
-// emitted. Every arrival at a partial extension costs one node.
-func (s *Session) extend(x *extension, st adt.State, open trace.Digest) error {
-	// Close: append the response's own input as a claimed element.
-	if s.f.Out(st, x.a.Input) == x.a.Output {
-		x.emit(s.closeExt(x, s.f.Step(st, x.a.Input), open))
-	}
-	// Continue: append any available input as an intermediate element —
-	// except the last copy of the response's own input, after which no
-	// extension could close.
-	for i := range x.avail {
-		sym := x.avail[i].Sym
-		if x.avail[i].N <= 0 || (i == x.closeAt && x.avail[i].N == 1) {
-			continue
-		}
-		if err := s.spend(1); err != nil {
-			return err
-		}
-		in := s.in.Value(sym)
-		stIn, outIn := s.f.Step(st, in), s.f.Out(st, in)
-		if s.look != nil && s.look.unclaimable(x, sym, outIn) {
-			continue
-		}
-		openIn := open.Add(trace.HashOutput(sym, outIn))
-		dig := openIn.Add(trace.HashString(string(stIn)))
-		if memocheckEnabled {
-			s.audit.note(dig, stIn, slices.Concat(x.c.syms, x.syms, []trace.Sym{sym}),
-				slices.Concat(x.c.outs, x.outs, []trace.Value{outIn}))
-		}
-		if _, hit := s.visited[dig]; hit {
-			continue
-		}
-		s.visited[dig] = struct{}{}
-		x.avail[i].N--
-		x.syms, x.outs = append(x.syms, sym), append(x.outs, outIn)
-		err := s.extend(x, stIn, openIn)
-		x.syms, x.outs = x.syms[:len(x.syms)-1], x.outs[:len(x.outs)-1]
-		x.avail[i].N++
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// closeExt materializes the successor configuration that extends x.c by
-// the current search path and closes with the response's input, claimed
-// at once by x.resIdx (so it never becomes an entry); stEnd is the
-// chain's end state after the closing append and open the digest of the
-// successor's entries.
-func (s *Session) closeExt(x *extension, stEnd adt.State, open trace.Digest) *cfg {
-	c := x.c
-	n := s.newCfg()
-	n.end, n.n, n.chain = stEnd, c.n+len(x.syms)+1, c.chain
-	n.dig = open.Add(trace.HashString(string(stEnd)))
-	n.syms, n.outs = append(n.syms, c.syms...), append(n.outs, c.outs...)
-	if s.set.Witness {
-		n.pos = append(n.pos, c.pos...)
-	}
-	// The intermediate appends linearize operations that stay open: each
-	// becomes an entry, inserted behind the entries of no greater symbol.
-	for j, sym := range x.syms {
-		at := len(n.syms)
-		for at > 0 && n.syms[at-1] > sym {
-			at--
-		}
-		n.syms = slices.Insert(n.syms, at, sym)
-		n.outs = slices.Insert(n.outs, at, x.outs[j])
-		if s.set.Witness {
-			n.pos = slices.Insert(n.pos, at, c.n+j+1)
-			n.chain = &chainNode{prev: n.chain, val: s.in.Value(sym)}
-		}
-	}
-	if s.set.Witness {
-		n.chain = &chainNode{prev: n.chain, val: x.a.Input}
-		n.asn = &asnNode{prev: c.asn, res: x.resIdx, k: n.n}
-	}
-	return n
-}
-
-// newCfg returns a configuration struct, recycled when the pool has
-// one: zeroed except for its empty entry slices, whose storage the
-// caller reuses.
-func (s *Session) newCfg() *cfg {
-	if n := len(s.cfgPool); n > 0 {
-		c := s.cfgPool[n-1]
-		s.cfgPool = s.cfgPool[:n-1]
-		return c
-	}
-	return new(cfg)
-}
-
-// putCfg retires a configuration: the struct and its entry storage,
-// which no successor shares, return to the session pool.
-func (s *Session) putCfg(c *cfg) {
-	if len(s.cfgPool) < maxPool {
-		*c = cfg{syms: c.syms[:0], outs: c.outs[:0], pos: c.pos[:0]}
-		s.cfgPool = append(s.cfgPool, c)
-	}
-}
-
-// lookahead is what a one-shot check knows that an online session
-// cannot (DESIGN.md, decision 21): the responses still to come. An entry
-// — an open operation linearized to an output — leaves a configuration
-// only when a later response with that input and output claims it, and
-// at the end of the trace a configuration holds no more entries of a
-// symbol than operations of that symbol never respond. So where every
-// operation of a symbol responds, a configuration holding more (symbol,
-// output) entries than responses with that pair remain cannot survive,
-// and the extension that would create it is not made.
-//
-// The rule counts per symbol, not per operation: Validity is blind to
-// which occurrence of an input a commit history ends with, so a
-// response may claim an entry made while only another client's equal
-// invocation was pending (TestRepeatedEventsDivergence).
-type lookahead struct {
-	// future counts the responses not yet expanded, by input and output.
-	future map[symOut]int
-	// never counts, per input, the invocations that never respond.
-	never map[trace.Sym]int
-}
-
-type symOut struct {
-	sym trace.Sym
-	out trace.Value
-}
-
-// newLookahead counts the responses and never-responding invocations
-// of the well-formed trace t, interning its inputs in feed order.
-func newLookahead(in *trace.Interner, t trace.Trace) *lookahead {
-	l := &lookahead{future: map[symOut]int{}, never: map[trace.Sym]int{}}
-	for _, a := range t {
-		switch sym := in.Sym(a.Input); a.Kind {
-		case trace.Inv:
-			l.never[sym]++
-		case trace.Res:
-			l.never[sym]--
-			l.future[symOut{sym, a.Output}]++
-		}
-	}
-	return l
-}
-
-// unclaimable reports whether appending sym with output out to
-// extension x leaves more unclaimed (sym, out) entries than later
-// responses can claim.
-func (l *lookahead) unclaimable(x *extension, sym trace.Sym, out trace.Value) bool {
-	if l.never[sym] > 0 {
-		return false
-	}
-	held := 1
-	for i, s := range x.c.syms {
-		if s == sym && x.c.outs[i] == out {
-			held++
-		}
-	}
-	for i, s := range x.syms {
-		if s == sym && x.outs[i] == out {
-			held++
-		}
-	}
-	return held > l.future[symOut{sym, out}]
 }
 
 // checkStreaming is one-shot Check: the whole trace, if well-formed, fed
@@ -855,7 +442,7 @@ func checkStreaming(ctx context.Context, f adt.Folder, t trace.Trace, set check.
 		return Result{OK: false, Reason: "trace is not well-formed"}, nil
 	}
 	s := newSessionSettings(ctx, f, set)
-	s.look = newLookahead(s.in, t)
+	s.Lookahead(t, nil)
 	if err := s.FeedAll(t); err != nil {
 		return Result{Nodes: s.Nodes()}, err
 	}

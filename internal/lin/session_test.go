@@ -391,7 +391,7 @@ func TestSessionPendingMapBounded(t *testing.T) {
 		if n := len(tc.s.pending); n != 0 {
 			t.Fatalf("%s: pending map holds %d entries after 10000 completed operations", tc.name, n)
 		}
-		if n := len(tc.s.invoked.AppendDiff(nil, nil)); n != 0 {
+		if n := len(tc.s.Pool.AppendDiff(nil, nil)); n != 0 {
 			t.Fatalf("%s: %d inputs still counted as pending", tc.name, n)
 		}
 	}

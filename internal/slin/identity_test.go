@@ -1,7 +1,7 @@
 package slin
 
 // Tests for the configuration identity (DESIGN.md, decision 29): the
-// position-free identity's node pins, when the positional digest stays —
+// position-free identity's node pins, when the ordered identity runs —
 // one-shot Check on a trace carrying an order-sensitive abort, an online
 // session from the first such abort on, after a replay — and a
 // differential of both identities on the generated phase traces.
@@ -19,10 +19,10 @@ import (
 	"repro/internal/workload"
 )
 
-// positional is the test-only switch that puts a fresh session on the
-// positional identity from its first action.
-func positional(s *Session) *Session {
-	s.positional = true
+// ordered is the test-only switch that puts a fresh session on the
+// ordered identity from its first action.
+func ordered(s *Session) *Session {
+	s.ordered = true
 	s.refreshRecording()
 	if err := s.rebuild(); err != nil {
 		panic(err) // nothing fed yet: a rebuild spends nothing
@@ -30,19 +30,19 @@ func positional(s *Session) *Session {
 	return s
 }
 
-// checkAs is one-shot Check, on the positional identity when pos is set.
+// checkAs is one-shot Check, on the ordered identity when pos is set.
 func checkAs(pos bool, f adt.Folder, rinit RInit, m, n int, tr trace.Trace, opts ...check.Option) (Result, error) {
 	s, err := NewSession(context.Background(), f, rinit, m, n, opts...)
 	if err != nil {
 		return Result{}, err
 	}
 	if pos {
-		positional(s)
+		ordered(s)
 	}
 	return s.checkWhole(tr)
 }
 
-// feedAs is an online session fed tr, on the positional identity when pos
+// feedAs is an online session fed tr, on the ordered identity when pos
 // is set.
 func feedAs(pos bool, f adt.Folder, rinit RInit, m, n int, tr trace.Trace, opts ...check.Option) (Result, error) {
 	s, err := NewSession(context.Background(), f, rinit, m, n, opts...)
@@ -50,7 +50,7 @@ func feedAs(pos bool, f adt.Folder, rinit RInit, m, n int, tr trace.Trace, opts 
 		return Result{}, err
 	}
 	if pos {
-		positional(s)
+		ordered(s)
 	}
 	if err := s.FeedAll(tr); err != nil {
 		return Result{}, err
@@ -60,7 +60,7 @@ func feedAs(pos bool, f adt.Folder, rinit RInit, m, n int, tr trace.Trace, opts 
 
 // orderSensitive strips any OrderInsensitive declaration off the wrapped
 // relation (interface embedding promotes only RInit's methods), so tests
-// can exercise the positional identity with relations whose production
+// can exercise the ordered identity with relations whose production
 // form declares order insensitivity.
 type orderSensitive struct{ RInit }
 
@@ -94,23 +94,26 @@ func splitAbortTrace(w int) trace.Trace {
 
 // TestSLinPORAccounting pins what the position-free identity spends where
 // the sleep-set reducer it replaced used to prune: the commuting-abort
-// fixture one-shot under ConsensusRInit — 3·2^w − 2 nodes, where the
-// reducer spent 1 068 / 3 749 / 13 296 / 47 539 and the positional search
-// far more — and the switch-free split decision, at most the reducer's
-// 47 / 104 / 233 / 522.
+// fixture one-shot under ConsensusRInit, and the switch-free split
+// decision, at most the reducer's 47 / 104 / 233 / 522. The pins follow
+// lin's node accounting — an extension branch costs a node when it is
+// tried, a visited one included — and its lookahead, which slin's own
+// engine did not have: 199 / 456 / 1 033 / 2 314 for w = 6…9 (that engine
+// spent 190 / 382 / 766 / 1 534, the reducer 1 068 / 3 749 / 13 296 /
+// 47 539, and the ordered search far more).
 func TestSLinPORAccounting(t *testing.T) {
-	for w, want := range map[int]int{6: 190, 7: 382, 8: 766, 9: 1534} {
+	for w, want := range map[int]int{6: 199, 7: 456, 8: 1033, 9: 2314} {
 		tr := commutingAbortTrace(w)
 		free, err := checkAs(false, adt.Consensus{}, ConsensusRInit{}, 1, 2, tr)
 		if err != nil || !free.OK || free.Nodes != want {
 			t.Errorf("commuting abort w=%d: %v, %d nodes (%v); want SLin in %d nodes", w, free.OK, free.Nodes, err, want)
 		}
 		if w > 7 {
-			continue // the positional search grows factorially
+			continue // the ordered search grows factorially
 		}
 		pos, err := checkAs(true, adt.Consensus{}, ConsensusRInit{}, 1, 2, tr, check.WithBudget(50_000_000))
 		if err != nil || !pos.OK || pos.Nodes <= free.Nodes {
-			t.Errorf("commuting abort w=%d: positional %v in %d nodes (%v), position-free %d", w, pos.OK, pos.Nodes, err, free.Nodes)
+			t.Errorf("commuting abort w=%d: ordered %v in %d nodes (%v), position-free %d", w, pos.OK, pos.Nodes, err, free.Nodes)
 		}
 	}
 	for w, ceiling := range map[int]int{4: 47, 5: 104, 6: 233, 7: 522} {
@@ -122,8 +125,8 @@ func TestSLinPORAccounting(t *testing.T) {
 }
 
 // TestSLinPORDisabledOnAborts: with an order-sensitive relation an abort
-// makes chain order observable, so one-shot Check runs the positional
-// identity on a trace carrying one — exactly the forced positional run —
+// makes chain order observable, so one-shot Check runs the ordered
+// identity on a trace carrying one — exactly the forced ordered run —
 // and the position-free one on the same trace without it. (ConsensusRInit
 // itself declares order insensitivity, so the fixture wraps it.)
 func TestSLinPORDisabledOnAborts(t *testing.T) {
@@ -142,7 +145,7 @@ func TestSLinPORDisabledOnAborts(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got.OK != pos.OK || (got.Nodes == pos.Nodes) != c.samePos {
-			t.Fatalf("abort %v: Check (%v, %d nodes), positional (%v, %d nodes)",
+			t.Fatalf("abort %v: Check (%v, %d nodes), ordered (%v, %d nodes)",
 				c.samePos, got.OK, got.Nodes, pos.OK, pos.Nodes)
 		}
 	}
@@ -150,12 +153,12 @@ func TestSLinPORDisabledOnAborts(t *testing.T) {
 
 // TestSLinPORSurvivesAborts: a relation declaring its Admits predicate
 // order-insensitive (ConsensusRInit) keeps the position-free identity on
-// abort-carrying traces — one-shot with the positional verdict in fewer
+// abort-carrying traces — one-shot with the ordered verdict in fewer
 // nodes, and online with no switch, agreeing with one-shot Check on
 // every prefix.
 func TestSLinPORSurvivesAborts(t *testing.T) {
 	ctx := context.Background()
-	tr := splitAbortTrace(4)
+	tr := splitAbortTrace(6)
 	free, err := checkAs(false, adt.Consensus{}, ConsensusRInit{}, 1, 2, tr)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +168,7 @@ func TestSLinPORSurvivesAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if free.OK || pos.OK || free.Nodes >= pos.Nodes {
-		t.Fatalf("split decision with an abort: position-free (%v, %d nodes), positional (%v, %d nodes)",
+		t.Fatalf("split decision with an abort: position-free (%v, %d nodes), ordered (%v, %d nodes)",
 			free.OK, free.Nodes, pos.OK, pos.Nodes)
 	}
 	s, err := NewSession(ctx, adt.Consensus{}, ConsensusRInit{}, 1, 2)
@@ -188,7 +191,7 @@ func TestSLinPORSurvivesAborts(t *testing.T) {
 			t.Fatalf("prefix %d: session %v, one-shot %v", k+1, got.OK, want.OK)
 		}
 	}
-	if s.positional || s.t != nil {
+	if s.ordered || s.t != nil {
 		t.Fatal("an order-insensitive session switched identity or kept its trace")
 	}
 }
@@ -197,7 +200,7 @@ func TestSLinPORSurvivesAborts(t *testing.T) {
 // commit chain in one order: two reads commute, and UniversalRInit admits
 // only the encoded history [r2, r1, r3] for the third read's abort. The
 // position-free identity merges the chains [r1, r2] and [r2, r1], keeping
-// the first; only the positional one keeps the order the abort needs.
+// the first; only the ordered one keeps the order the abort needs.
 func readsAbortTrace() trace.Trace {
 	r := func(i int) trace.Value { return adt.Tag(adt.ReadInput(), fmt.Sprint(i)) }
 	out := adt.ReadOutput(adt.Bottom)
@@ -211,7 +214,7 @@ func readsAbortTrace() trace.Trace {
 
 // TestSLinSessionAbortRebuild: under an order-sensitive relation an online
 // session stays position-free until the first abort, replays the fed
-// trace under the positional identity there, and agrees with one-shot
+// trace under the ordered identity there, and agrees with one-shot
 // Check on every prefix, witnesses included — on the register fixture
 // whose abort rejects the order the position-free identity kept.
 func TestSLinSessionAbortRebuild(t *testing.T) {
@@ -248,15 +251,15 @@ func TestSLinSessionAbortRebuild(t *testing.T) {
 					t.Fatalf("prefix %d: %v", k+1, err)
 				}
 			}
-			if s.positional != a.IsAbort(2) {
-				t.Fatalf("feed %d (%v): positional %v", k, a, s.positional)
+			if s.ordered != a.IsAbort(2) {
+				t.Fatalf("feed %d (%v): ordered %v", k, a, s.ordered)
 			}
 		}
 		if s.t != nil {
 			t.Fatal("the session kept its trace past the switch")
 		}
 	}
-	// Without the positional identity the fixture's abort fails.
+	// Without the ordered identity the fixture's abort fails.
 	if res, err := checkAs(false, adt.Register{}, orderInsensitive{UniversalRInit{}}, 1, 2, readsAbortTrace()); err != nil || res.OK {
 		t.Fatalf("position-free check of the reads fixture: %v (%v); the fixture no longer needs the replay", res.OK, err)
 	}
@@ -273,12 +276,12 @@ func (orderInsensitive) AdmitsOrderInsensitive() bool { return true }
 func TestSLinBudgetAndCancelUnderPOR(t *testing.T) {
 	tr := workload.SplitDecision(5, "p")
 	for _, pos := range []bool{false, true} {
-		res, err := checkAs(pos, adt.Consensus{}, UniversalRInit{}, 1, 2, tr, check.WithBudget(30))
+		res, err := checkAs(pos, adt.Consensus{}, UniversalRInit{}, 1, 2, tr, check.WithBudget(20))
 		if !errors.Is(err, ErrBudget) || res.OK {
-			t.Fatalf("positional=%v: %+v, %v; want an undecided ErrBudget", pos, res, err)
+			t.Fatalf("ordered=%v: %+v, %v; want an undecided ErrBudget", pos, res, err)
 		}
-		if _, err := feedAs(pos, adt.Consensus{}, UniversalRInit{}, 1, 2, tr, check.WithBudget(30)); !errors.Is(err, ErrBudget) {
-			t.Fatalf("positional=%v session: %v; want ErrBudget", pos, err)
+		if _, err := feedAs(pos, adt.Consensus{}, UniversalRInit{}, 1, 2, tr, check.WithBudget(20)); !errors.Is(err, ErrBudget) {
+			t.Fatalf("ordered=%v session: %v; want ErrBudget", pos, err)
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -300,7 +303,7 @@ func TestSLinBudgetAndCancelUnderPOR(t *testing.T) {
 // seeds, under the order-insensitive and an order-sensitive relation and
 // both Abort-Order readings: the verdicts must be equal, every witness
 // must verify, and the position-free identity must never spend more
-// nodes than the positional one — save an online session that replays
+// nodes than the ordered one — save an online session that replays
 // at an order-sensitive abort, which spends its position-free prefix on
 // top.
 func TestSLinIdentityDifferential(t *testing.T) {
@@ -350,11 +353,11 @@ func TestSLinIdentityDifferential(t *testing.T) {
 						for k, pos := range []bool{false, true} {
 							res, err := run(pos, adt.Consensus{}, rinit, fam.m, fam.m+1, tr, order)
 							if err != nil {
-								t.Fatalf("%s %d %s positional=%v: %v", fam.name, i, mode, pos, err)
+								t.Fatalf("%s %d %s ordered=%v: %v", fam.name, i, mode, pos, err)
 							}
 							for _, w := range res.Witnesses {
 								if err := VerifyWitness(adt.Consensus{}, rinit, fam.m, fam.m+1, tr, w, temporal); err != nil {
-									t.Fatalf("%s %d %s positional=%v: %v\ntrace: %v", fam.name, i, mode, pos, err, tr)
+									t.Fatalf("%s %d %s ordered=%v: %v\ntrace: %v", fam.name, i, mode, pos, err, tr)
 								}
 							}
 							verdicts = append(verdicts, res.OK)
@@ -363,7 +366,7 @@ func TestSLinIdentityDifferential(t *testing.T) {
 						}
 						replays := mode == "online" && aborts && !IsOrderInsensitive(rinit)
 						if nodes[0] > nodes[1] && !replays {
-							t.Errorf("%s %d %s %T temporal=%v: position-free %d nodes, positional %d\ntrace: %v",
+							t.Errorf("%s %d %s %T temporal=%v: position-free %d nodes, ordered %d\ntrace: %v",
 								fam.name, i, mode, rinit, temporal, nodes[0], nodes[1], tr)
 						}
 					}

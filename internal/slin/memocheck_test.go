@@ -10,22 +10,25 @@ import (
 
 	"repro/internal/adt"
 	"repro/internal/check"
+	"repro/internal/lin"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
-// TestMemoDigestCollisionsZero is the slin counterpart of the lin
-// collision audit, pointed at the running engine: a broad sweep of
-// first-phase, untagged and second-phase traces (both Abort-Order
-// readings) plus a contended exhaustive search, through Check and online
-// Sessions, under both configuration identities, asserting that no
-// 128-bit digest the session deduplicated on — at ExpandFrontier's
-// successor merge or at the extension searches' visited set — ever stood
-// for two distinct identities, and that the audit compared hits at each
-// of the two points.
+func init() { auditBuild = true }
+
+// TestMemoDigestCollisionsZero points lin's collision audit at the
+// frontier engine as slin drives it: a broad sweep of first-phase,
+// untagged and second-phase traces (both Abort-Order readings) plus a
+// contended exhaustive search, through Check and online Sessions, under
+// both configuration identities, asserting that no 128-bit digest the
+// engine deduplicated on — at the successor merge or at the extension
+// searches' visited set — ever stood for two distinct identities, and
+// that slin's checks made the audit compare hits under each identity.
 //
 // Run with: go test -tags memocheck ./internal/slin
 func TestMemoDigestCollisionsZero(t *testing.T) {
+	free0, ordered0 := lin.MemoHits()
 	r := rand.New(rand.NewSource(4321))
 	checks := 0
 	for i := 0; i < 400; i++ {
@@ -44,14 +47,16 @@ func TestMemoDigestCollisionsZero(t *testing.T) {
 	}
 	// Untagged proposals: equal inputs pending on several clients, so
 	// distinct configurations converge on one successor and merge — the
-	// hits the audit compares.
+	// hits the audit compares — under either identity.
 	inputs := []trace.Value{adt.ProposeInput("a"), adt.ProposeInput("b")}
 	for i := 0; i < 200; i++ {
 		tr := workload.Random(adt.Consensus{}, r, workload.TraceOpts{Clients: 3, Ops: 5, Inputs: inputs})
-		if _, err := Check(context.Background(), adt.Consensus{}, UniversalRInit{}, 1, 2, tr); err != nil {
-			t.Fatalf("untagged trace %d: %v", i, err)
+		for _, pos := range []bool{false, true} {
+			if _, err := checkAs(pos, adt.Consensus{}, UniversalRInit{}, 1, 2, tr); err != nil {
+				t.Fatalf("untagged trace %d ordered=%v: %v", i, pos, err)
+			}
+			checks++
 		}
-		checks++
 	}
 	for i := 0; i < 100; i++ {
 		tr := workload.SecondPhase(r, 2, workload.PhaseOpts{Clients: 3, ViolateProb: 0.2})
@@ -61,14 +66,14 @@ func TestMemoDigestCollisionsZero(t *testing.T) {
 		checks++
 	}
 	// The commuting fixtures under both identities and both relations:
-	// the order-sensitive one switches an online session to the
-	// positional identity at its abort.
+	// the order-sensitive one switches an online session to the ordered
+	// identity at its abort.
 	for w := 3; w <= 6; w++ {
 		for _, rinit := range []RInit{ConsensusRInit{}, orderSensitive{ConsensusRInit{}}} {
 			for _, tr := range []trace.Trace{commutingAbortTrace(w), splitAbortTrace(w)} {
 				for _, pos := range []bool{false, true} {
 					if _, err := checkAs(pos, adt.Consensus{}, rinit, 1, 2, tr, check.WithBudget(50_000_000)); err != nil {
-						t.Fatalf("w=%d positional=%v: %v", w, pos, err)
+						t.Fatalf("w=%d ordered=%v: %v", w, pos, err)
 					}
 				}
 				if _, err := feedAs(false, adt.Consensus{}, rinit, 1, 2, tr, check.WithBudget(50_000_000)); err != nil {
@@ -103,14 +108,15 @@ func TestMemoDigestCollisionsZero(t *testing.T) {
 	}
 	checks++
 
-	if c := MemoCollisions(); c != 0 {
+	if c := lin.MemoCollisions(); c != 0 {
 		t.Fatalf("%d memo digest collisions across %d checks (expected zero)", c, checks)
 	}
-	merge, visited := memoHits[0].Load(), memoHits[1].Load()
-	if merge == 0 || visited == 0 {
-		t.Fatalf("the audit compared %d hits at the successor merge and %d at the visited set: it is not watching the running engine",
-			merge, visited)
+	free, ordered := lin.MemoHits()
+	free, ordered = free-free0, ordered-ordered0
+	if free == 0 || ordered == 0 {
+		t.Fatalf("the audit compared %d hits under the position-free identity and %d under the ordered one: it is not watching the running engine",
+			free, ordered)
 	}
-	t.Logf("0 collisions in %d audited hits (%d at the merge, %d at the visited set) across %d checks",
-		merge+visited, merge, visited, checks)
+	t.Logf("0 collisions in %d audited hits (%d position-free, %d ordered) across %d checks",
+		free+ordered, free, ordered, checks)
 }

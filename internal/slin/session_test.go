@@ -294,20 +294,20 @@ func TestDischargeRequiresValidAbortInput(t *testing.T) {
 		in   trace.Value
 		want bool
 	}{{p("a"), true}, {p("b"), false}} {
-		ob := sobl{sym: cb.in.Sym(c.in), value: "a", vi: cb.vi, idx: 1}
-		_, ok, err := s.discharge(cb, cb.frontier[0], ob)
+		ob := abortOb{sym: cb.in.Sym(c.in), value: "a", rem: cb.eng.Pool.AppendDiff(nil, nil), idx: 1}
+		_, ok, err := s.discharge(cb, 0, &ob)
 		if err != nil || ok != c.want {
 			t.Fatalf("abort of %s with only p:a invoked: discharged %v (%v), want %v", c.in, ok, err, c.want)
 		}
 	}
 }
 
-// TestCompactionKeepsUnclaimedEntries: a proposal linearized first but
-// answered only after 40 sequential decisions of its value keeps its
-// chain entry unclaimed while everything behind it is claimed — far past
-// the length at which compaction absorbs an inert prefix, which must stop
-// at that entry. Check, an online session and the reference accept the
-// trace, and all refuse it once the late answer contradicts the decision.
+// TestCompactionKeepsUnclaimedEntries (named for the chain compaction
+// decision 31 deleted): a proposal linearized first but answered only
+// after 40 sequential decisions of its value keeps its entry unclaimed
+// while everything behind it is claimed, a long chain around one open
+// entry. Check, an online session and the reference accept the trace,
+// and all refuse it once the late answer contradicts the decision.
 func TestCompactionKeepsUnclaimedEntries(t *testing.T) {
 	hold := adt.Tag(p("a"), "h")
 	tr := trace.Trace{trace.Invoke("h", 1, hold)}

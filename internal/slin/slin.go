@@ -21,10 +21,6 @@ var ErrMemo = errors.New("slin: memo limit exceeded")
 // DefaultBudget bounds the number of search nodes explored per check.
 const DefaultBudget = 2_000_000
 
-// ctxPollMask throttles context polling in the search hot loops: the
-// context is consulted once every ctxPollMask+1 spent nodes.
-const ctxPollMask = 0x3ff
-
 // Checks are configured with the shared functional options of package
 // check (checker API v2, DESIGN.md decision 11): WithBudget bounds the
 // search (one budget per Check call, shared across all
@@ -96,8 +92,10 @@ type Result struct {
 // Check is the frontier engine of Session fed the whole trace
 // (DESIGN.md, decision 25), told up front what only the whole trace can
 // tell: every init interpretation, so no init action triggers a replay,
-// and whether an abort is coming, so the configuration identity is set
-// once. Budget and memo errors therefore carry the session's explanation
+// whether an abort is coming, so the configuration identity is set once,
+// and the responses still to come, so every combination runs lin's
+// response lookahead (decision 31). Budget and memo errors therefore
+// carry the session's explanation
 // — "slin: search budget exhausted (feed 17: 2 combinations, 8
 // configurations, 5 open operations, 21 nodes)" — wrapping ErrBudget /
 // ErrMemo: match them with errors.Is; check.WithFeedBudget rebases the
@@ -122,8 +120,8 @@ func Check(ctx context.Context, f adt.Folder, rinit RInit, m, n int, t trace.Tra
 
 // CheckLin decides plain linearizability of a switch-free trace via the
 // SLin machinery with m = 1: by Theorem 2, SLin_T(1, n) restricted to
-// sig_T coincides with Lin_T. Tests use it to validate Theorem 2 against
-// package lin.
+// sig_T coincides with Lin_T. It runs lin's frontier engine (DESIGN.md,
+// decision 31), so tests hold it to lin.Check node for node.
 func CheckLin(ctx context.Context, f adt.Folder, t trace.Trace, opts ...check.Option) (Result, error) {
 	return Check(ctx, f, UniversalRInit{}, 1, 2, t, opts...)
 }

@@ -36,13 +36,13 @@ const (
 // kvFeeds' output; tune, when given, changes the seed and configuration.
 func kvShape(t *testing.T, per [][]Command, tune ...func(*msgnet.Config, *ShardedConfig)) (*msgnet.Network, *ShardedCluster, msgnet.Time) {
 	ncfg := msgnet.Config{Seed: 1, MinDelay: 1, MaxDelay: 2}
-	scfg := ShardedConfig{Config: benchProto, Shards: 8, OnlineCheck: true}
+	shcfg := ShardedConfig{Config: benchProto, Shards: 8, OnlineCheck: true}
 	for _, f := range tune {
-		f(&ncfg, &scfg)
+		f(&ncfg, &shcfg)
 	}
 	w := msgnet.New(ncfg)
 	clients := ids("c", len(per))
-	sc, err := BuildSharded(w, clients, ids("s", 3), scfg)
+	sc, err := BuildSharded(w, clients, ids("s", 3), shcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +73,13 @@ func txnFaultsShape(t *testing.T, per [][]MixedItem, tune ...func(*msgnet.Config
 	proto := benchProto
 	proto.RetryTimeout = 60
 	proto.Recovery = true
-	scfg := ShardedConfig{Config: proto, Shards: 8, OnlineCheck: true}
+	shcfg := ShardedConfig{Config: proto, Shards: 8, OnlineCheck: true}
 	for _, f := range tune {
-		f(&ncfg, &scfg)
+		f(&ncfg, &shcfg)
 	}
 	w := msgnet.New(ncfg)
 	clients := ids("c", len(per))
-	tc, err := BuildTxn(w, clients, ids("s", 3), scfg, TxnConfig{RecoveryTimeout: 1000})
+	tc, err := BuildTxn(w, clients, ids("s", 3), shcfg, TxnConfig{RecoveryTimeout: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

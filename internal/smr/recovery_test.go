@@ -23,13 +23,13 @@ type chaosRun struct {
 // an optional fault plan compiled onto the event queue before Run. The
 // plan builder receives the client and server IDs so plans can name
 // processes without duplicating the id conventions.
-func runChaos(t *testing.T, seed int64, scfg ShardedConfig, wl workload.KeyedOpts, pace msgnet.Time,
+func runChaos(t *testing.T, seed int64, shcfg ShardedConfig, wl workload.KeyedOpts, pace msgnet.Time,
 	plan func(clients, servers []msgnet.ProcID) faults.Plan) chaosRun {
 	t.Helper()
 	w := msgnet.New(msgnet.Config{Seed: seed, MinDelay: 1, MaxDelay: 2})
 	clients := ids("c", wl.Clients)
 	servers := ids("s", 3)
-	sc, err := BuildSharded(w, clients, servers, scfg)
+	sc, err := BuildSharded(w, clients, servers, shcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,10 +208,10 @@ func TestClientRetryExactlyOnce(t *testing.T) {
 			faults.Split(side, servers[:2], 40, 160),
 		}}
 	}
-	scfg := chaosCfg(true)
-	scfg.RetryTimeout = 30
+	shcfg := chaosCfg(true)
+	shcfg.RetryTimeout = 30
 	for seed := int64(1); seed <= 3; seed++ {
-		run := runChaos(t, seed, scfg, chaosWL, 8, plan)
+		run := runChaos(t, seed, shcfg, chaosWL, 8, plan)
 		st := run.sc.Stats()
 		if st.Retries == 0 {
 			t.Fatalf("seed %d: partition forced no retries", seed)
@@ -305,12 +305,12 @@ func TestFaultMachineryOffPreservesBaseline(t *testing.T) {
 // bound to its own slot and phase, and its durable snapshot must be its
 // own state; slots waiting on the free list hold no live phase.
 func TestRecycledServerSlotsKeepNoState(t *testing.T) {
-	scfg := chaosCfg(true)
-	scfg.CompactEvery = 4
+	shcfg := chaosCfg(true)
+	shcfg.CompactEvery = 4
 	wl := workload.KeyedOpts{Clients: 3, Ops: 2400, Keys: 16, ReadFrac: 0.4}
 	w := msgnet.New(msgnet.Config{Seed: 1, MinDelay: 1, MaxDelay: 2})
 	clients, servers := ids("c", wl.Clients), ids("s", 3)
-	sc, err := BuildSharded(w, clients, servers, scfg)
+	sc, err := BuildSharded(w, clients, servers, shcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -434,11 +434,11 @@ func TestKeyedCommandCodecs(t *testing.T) {
 }
 
 // runShardedCfg is runSharded with full control over the ShardedConfig.
-func runShardedCfg(t *testing.T, seed int64, scfg ShardedConfig, wl workload.KeyedOpts) *ShardedCluster {
+func runShardedCfg(t *testing.T, seed int64, shcfg ShardedConfig, wl workload.KeyedOpts) *ShardedCluster {
 	t.Helper()
 	w := msgnet.New(msgnet.Config{Seed: seed, MinDelay: 1, MaxDelay: 2})
 	clients := ids("c", wl.Clients)
-	sc, err := BuildSharded(w, clients, ids("s", 3), scfg)
+	sc, err := BuildSharded(w, clients, ids("s", 3), shcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

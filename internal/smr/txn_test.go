@@ -30,11 +30,11 @@ func txnCfg(shards int) ShardedConfig {
 }
 
 // buildTxnCluster wires a transaction-layer cluster over a fresh network.
-func buildTxnCluster(t *testing.T, seed int64, nClients int, scfg ShardedConfig, tcfg TxnConfig) (*TxnCluster, *msgnet.Network, []msgnet.ProcID) {
+func buildTxnCluster(t *testing.T, seed int64, nClients int, shcfg ShardedConfig, tcfg TxnConfig) (*TxnCluster, *msgnet.Network, []msgnet.ProcID) {
 	t.Helper()
 	w := msgnet.New(msgnet.Config{Seed: seed, MinDelay: 1, MaxDelay: 2})
 	clients := ids("c", nClients)
-	tc, err := BuildTxn(w, clients, ids("s", 3), scfg, tcfg)
+	tc, err := BuildTxn(w, clients, ids("s", 3), shcfg, tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,9 +242,9 @@ func TestTxnCoordinatorCrashSweep(t *testing.T) {
 	var committed, recovered, lockedAbort int
 	for _, busy := range []bool{false, true} {
 		for crashAt := msgnet.Time(1); crashAt <= 50; crashAt++ {
-			scfg := txnCfg(2)
-			scfg.RetainResults = true
-			tc, w, clients := buildTxnCluster(t, 7, 3, scfg, TxnConfig{RecoveryTimeout: 60})
+			shcfg := txnCfg(2)
+			shcfg.RetainResults = true
+			tc, w, clients := buildTxnCluster(t, 7, 3, shcfg, TxnConfig{RecoveryTimeout: 60})
 			if err := (faults.Plan{Crashes: []faults.Crash{{Proc: clients[0], At: crashAt}}}).Apply(w); err != nil {
 				t.Fatal(err)
 			}
@@ -407,13 +407,13 @@ func mixedItems(ops []workload.MixedOp, clients int) [][]MixedItem {
 
 // runMixed drives a zipf-contended mixed workload through a transaction
 // cluster, with an optional fault plan.
-func runMixed(t *testing.T, seed int64, scfg ShardedConfig, tcfg TxnConfig, wl workload.MixedOpts,
+func runMixed(t *testing.T, seed int64, shcfg ShardedConfig, tcfg TxnConfig, wl workload.MixedOpts,
 	pace msgnet.Time, plan func(clients, servers []msgnet.ProcID) faults.Plan) *TxnCluster {
 	t.Helper()
 	w := msgnet.New(msgnet.Config{Seed: seed, MinDelay: 1, MaxDelay: 2})
 	clients := ids("c", wl.Clients)
 	servers := ids("s", 3)
-	tc, err := BuildTxn(w, clients, servers, scfg, tcfg)
+	tc, err := BuildTxn(w, clients, servers, shcfg, tcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,9 +460,9 @@ func TestTxnMixedPropertyLinearizable(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		var sums [2]TxnCheck
 		for i, online := range []bool{false, true} {
-			scfg := txnCfg(4)
-			scfg.OnlineCheck = online
-			tc := runMixed(t, seed, scfg, TxnConfig{RecoveryTimeout: 3000}, wl, 3, nil)
+			shcfg := txnCfg(4)
+			shcfg.OnlineCheck = online
+			tc := runMixed(t, seed, shcfg, TxnConfig{RecoveryTimeout: 3000}, wl, 3, nil)
 			name := fmt.Sprintf("online=%v seed=%d", online, seed)
 			st := tc.TxnStats()
 			if st.Started == 0 || st.Resolved() != st.Started {
@@ -502,9 +502,9 @@ func TestTxnMixedCoordinatorCrashes(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		var sums [2]TxnCheck
 		for i, online := range []bool{false, true} {
-			scfg := txnCfg(4)
-			scfg.OnlineCheck = online
-			tc := runMixed(t, seed, scfg, TxnConfig{RecoveryTimeout: 200}, wl, 3, plan)
+			shcfg := txnCfg(4)
+			shcfg.OnlineCheck = online
+			tc := runMixed(t, seed, shcfg, TxnConfig{RecoveryTimeout: 200}, wl, 3, plan)
 			name := fmt.Sprintf("online=%v seed=%d", online, seed)
 			st := tc.TxnStats()
 			if st.Started == 0 || st.Resolved() != st.Started {

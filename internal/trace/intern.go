@@ -46,8 +46,8 @@ func (in *Interner) Len() int { return len(in.vals) }
 // components. Components combine by lane-wise wrapping addition, which is
 // invertible: a component can be removed by subtracting its hash, so
 // search structures (chains, multisets) maintain their digest in O(1) per
-// mutation. Position/count parameters are mixed into each component's
-// hash, so reorderings hash differently wherever order matters.
+// mutation. Position parameters are mixed into each component's hash,
+// so reorderings hash differently wherever order matters.
 //
 // Digests are used as memoization map keys; with 128 bits and strong
 // per-component mixing, accidental collisions are negligible relative to
@@ -82,21 +82,11 @@ func hash2(x uint64) Digest {
 	return Digest{mix64(x ^ laneKey0), mix64(x ^ laneKey1)}
 }
 
-// HashElem hashes an (index, symbol, flag) chain element. The flag bit
-// carries per-position state (e.g. "this prefix length is claimed"), so
-// flipping it re-keys the element in O(1).
-func HashElem(pos int, s Sym, flag bool) Digest {
-	x := uint64(pos)<<34 | uint64(s)<<1
-	if flag {
-		x |= 1
-	}
-	return hash2(x)
-}
-
-// HashCount hashes a (symbol, multiplicity) multiset entry. Entries with
-// multiplicity zero must not be included, making the digest canonical.
-func HashCount(s Sym, count int) Digest {
-	return hash2(uint64(s)<<32 | uint64(uint32(count)) | 1<<63)
+// HashElem hashes a (position, symbol) chain element: the component the
+// frontier engine's ordered identity sums over a chain's appends
+// (DESIGN.md, decision 31), so reorderings hash differently.
+func HashElem(pos int, s Sym) Digest {
+	return hash2(uint64(pos)<<34 | uint64(s)<<1)
 }
 
 // HashOutput hashes one unclaimed chain entry of a streaming frontier
@@ -114,7 +104,7 @@ func HashOutput(s Sym, out Value) Digest {
 // word-array bitsets whose digests are maintained incrementally by
 // popcount-style add/remove (check.BitSet; the classical checker's
 // sparse placed sets fold it into their memo keys). The high tag bit
-// separates the component space from HashElem and HashCount.
+// separates the component space from HashElem.
 func HashBit(i int) Digest {
 	return hash2(uint64(uint32(i)) | 1<<62)
 }
@@ -141,107 +131,4 @@ func HashString(s string) Digest {
 	}
 	n := uint64(len(s))
 	return Digest{mix64(a ^ n), mix64(b + n)}
-}
-
-// SymMultiset is a multiset over interned symbols: a dense count vector
-// with an incrementally-maintained canonical Digest. The zero value is an
-// empty multiset.
-type SymMultiset struct {
-	counts []int32
-	size   int
-	dig    Digest
-}
-
-// NewSymMultiset returns an empty multiset sized for n symbols.
-func NewSymMultiset(n int) SymMultiset {
-	return SymMultiset{counts: make([]int32, n)}
-}
-
-// grow ensures the count vector covers symbol s.
-func (m *SymMultiset) grow(s Sym) {
-	for int(s) >= len(m.counts) {
-		m.counts = append(m.counts, 0)
-	}
-}
-
-// Count returns the multiplicity of s.
-func (m *SymMultiset) Count(s Sym) int {
-	if int(s) >= len(m.counts) {
-		return 0
-	}
-	return int(m.counts[s])
-}
-
-// Add adjusts the multiplicity of s by n (n may be negative; it panics if
-// the multiplicity would become negative, which indicates a bookkeeping
-// bug in the caller).
-func (m *SymMultiset) Add(s Sym, n int) {
-	if n == 0 {
-		return
-	}
-	m.grow(s)
-	old := int(m.counts[s])
-	c := old + n
-	if c < 0 {
-		panic("trace: symbol multiset multiplicity became negative")
-	}
-	if old > 0 {
-		m.dig = m.dig.Sub(HashCount(s, old))
-	}
-	if c > 0 {
-		m.dig = m.dig.Add(HashCount(s, c))
-	}
-	m.counts[s] = int32(c)
-	m.size += n
-}
-
-// Size returns the total number of occurrences.
-func (m *SymMultiset) Size() int { return m.size }
-
-// Digest returns the canonical digest of the multiset's contents.
-func (m *SymMultiset) Digest() Digest { return m.dig }
-
-// NumSyms returns the length of the count vector (an upper bound on
-// symbols with non-zero multiplicity; iterate 0..NumSyms and test Count).
-func (m *SymMultiset) NumSyms() int { return len(m.counts) }
-
-// Clone returns an independent copy of m.
-func (m *SymMultiset) Clone() SymMultiset {
-	c := *m
-	c.counts = make([]int32, len(m.counts))
-	copy(c.counts, m.counts)
-	return c
-}
-
-// CopyFrom overwrites m with the contents of o, reusing m's count vector
-// when it is large enough (the allocation-free reset used by checker hot
-// paths).
-func (m *SymMultiset) CopyFrom(o *SymMultiset) {
-	if cap(m.counts) < len(o.counts) {
-		m.counts = make([]int32, len(o.counts))
-	}
-	m.counts = m.counts[:len(o.counts)]
-	copy(m.counts, o.counts)
-	m.size = o.size
-	m.dig = o.dig
-}
-
-// SubsetOf reports whether every multiplicity in m is at most that in o.
-func (m *SymMultiset) SubsetOf(o *SymMultiset) bool {
-	for s, c := range m.counts {
-		if c > 0 && int(c) > o.Count(Sym(s)) {
-			return false
-		}
-	}
-	return true
-}
-
-// SubtractAll removes every occurrence counted by o from m; the caller
-// guarantees o ⊆ m (Add panics otherwise).
-func (m *SymMultiset) SubtractAll(o *SymMultiset) {
-	for s, c := range o.counts {
-		if c > 0 {
-			m.Add(Sym(s), -int(c))
-		}
-	}
 }

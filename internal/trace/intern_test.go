@@ -30,7 +30,7 @@ func TestInternerRoundTrip(t *testing.T) {
 
 func TestDigestAddSubInverse(t *testing.T) {
 	var d Digest
-	comps := []Digest{HashElem(0, 1, false), HashElem(1, 2, true), HashCount(3, 4)}
+	comps := []Digest{HashElem(0, 1), HashElem(1, 2), HashBit(3)}
 	for _, c := range comps {
 		d = d.Add(c)
 	}
@@ -42,73 +42,18 @@ func TestDigestAddSubInverse(t *testing.T) {
 }
 
 func TestHashElemSensitivity(t *testing.T) {
-	base := HashElem(3, 7, false)
-	for _, other := range []Digest{HashElem(4, 7, false), HashElem(3, 8, false), HashElem(3, 7, true)} {
+	base := HashElem(3, 7)
+	for _, other := range []Digest{HashElem(4, 7), HashElem(3, 8)} {
 		if other == base {
 			t.Fatal("HashElem must differ when any component differs")
 		}
 	}
 	// Order sensitivity: [a b] and [b a] sum to different digests.
-	ab := HashElem(0, 1, false).Add(HashElem(1, 2, false))
-	ba := HashElem(0, 2, false).Add(HashElem(1, 1, false))
+	ab := HashElem(0, 1).Add(HashElem(1, 2))
+	ba := HashElem(0, 2).Add(HashElem(1, 1))
 	if ab == ba {
 		t.Fatal("positional hashing must distinguish permutations")
 	}
-}
-
-func TestSymMultisetCanonicalDigest(t *testing.T) {
-	a := NewSymMultiset(4)
-	a.Add(0, 2)
-	a.Add(3, 1)
-	b := NewSymMultiset(4)
-	b.Add(3, 1)
-	b.Add(0, 1)
-	b.Add(0, 1)
-	if a.Digest() != b.Digest() {
-		t.Fatal("equal multisets built in different orders must share a digest")
-	}
-	// Returning to a previous content restores its digest exactly.
-	d := a.Digest()
-	a.Add(1, 3)
-	if a.Digest() == d {
-		t.Fatal("digest must change when contents change")
-	}
-	a.Add(1, -3)
-	if a.Digest() != d {
-		t.Fatal("digest must be restored when contents are restored")
-	}
-	if a.Size() != 3 || a.Count(0) != 2 || a.Count(3) != 1 || a.Count(9) != 0 {
-		t.Fatal("counts/size wrong after add/remove cycle")
-	}
-}
-
-func TestSymMultisetCloneCopySubset(t *testing.T) {
-	a := NewSymMultiset(2)
-	a.Add(0, 2)
-	a.Add(5, 1) // beyond initial capacity: must grow
-	c := a.Clone()
-	c.Add(0, -1)
-	if a.Count(0) != 2 || c.Count(0) != 1 {
-		t.Fatal("Clone must be independent")
-	}
-	if !c.SubsetOf(&a) || a.SubsetOf(&c) {
-		t.Fatal("SubsetOf wrong after removal")
-	}
-	var d SymMultiset
-	d.CopyFrom(&a)
-	if d.Digest() != a.Digest() || d.Size() != a.Size() {
-		t.Fatal("CopyFrom must replicate contents and digest")
-	}
-}
-
-func TestSymMultisetNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on negative multiplicity")
-		}
-	}()
-	m := NewSymMultiset(1)
-	m.Add(0, -1)
 }
 
 func TestHashStringDistinctAndStable(t *testing.T) {

@@ -3,37 +3,39 @@ package trace
 import (
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 )
 
-// TestSparseMultisetMatchesDense is the sparse multiset's property test:
-// under random add/remove sequences over a symbol space far larger than
-// the live contents, its entries equal the dense SymMultiset's counts at
-// every step, and AppendDiff against a sorted occurrence list agrees
-// with the dense SubtractAll.
-func TestSparseMultisetMatchesDense(t *testing.T) {
+// TestSparseMultisetMatchesOracle is the sparse multiset's property
+// test: under random add/remove sequences over a symbol space far larger
+// than the live contents, its entries equal a value-keyed Multiset's
+// counts at every step, and AppendDiff against a sorted occurrence list
+// agrees with the oracle's difference.
+func TestSparseMultisetMatchesOracle(t *testing.T) {
+	key := func(s Sym) Value { return strconv.Itoa(int(s)) }
 	for seed := int64(1); seed <= 50; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		nsyms := 1 + r.Intn(200)
 		var sp SparseMultiset
-		var de, deSub SymMultiset
+		de, deSub := Multiset{}, Multiset{}
 		var held []Sym // occurrences currently in sp, for removals
 		var sub []Sym  // occurrences to subtract, a sub-multiset of held
 		var diff []SymCount
 		// agree checks that got lists exactly want's non-zero counts, in
 		// ascending symbol order.
-		agree := func(step int, what string, got []SymCount, want *SymMultiset) {
+		agree := func(step int, what string, got []SymCount, want Multiset) {
 			t.Helper()
 			size := 0
 			for i, e := range got {
-				if e.N <= 0 || int(e.N) != want.Count(e.Sym) || (i > 0 && got[i-1].Sym >= e.Sym) {
-					t.Fatalf("seed %d step %d: %s entry %d = %+v (dense count %d) in %v",
-						seed, step, what, i, e, want.Count(e.Sym), got)
+				if e.N <= 0 || int(e.N) != want.Count(key(e.Sym)) || (i > 0 && got[i-1].Sym >= e.Sym) {
+					t.Fatalf("seed %d step %d: %s entry %d = %+v (oracle count %d) in %v",
+						seed, step, what, i, e, want.Count(key(e.Sym)), got)
 				}
 				size += int(e.N)
 			}
 			if size != want.Size() {
-				t.Fatalf("seed %d step %d: %s holds %d occurrences, dense %d", seed, step, what, size, want.Size())
+				t.Fatalf("seed %d step %d: %s holds %d occurrences, oracle %d", seed, step, what, size, want.Size())
 			}
 		}
 		for step := 0; step < 400; step++ {
@@ -41,31 +43,33 @@ func TestSparseMultisetMatchesDense(t *testing.T) {
 				i := r.Intn(len(held))
 				s := held[i]
 				held = append(held[:i], held[i+1:]...)
-				if deSub.Count(s) == de.Count(s) { // keep sub ⊆ sp
+				if deSub.Count(key(s)) == de.Count(key(s)) { // keep sub ⊆ sp
 					sub = slices.Delete(sub, slices.Index(sub, s), slices.Index(sub, s)+1)
-					deSub.Add(s, -1)
+					deSub.Add(key(s), -1)
 				}
 				sp.Add(s, -1)
-				de.Add(s, -1)
+				de.Add(key(s), -1)
 			} else {
 				s, n := Sym(r.Intn(nsyms)), 1+r.Intn(3)
 				sp.Add(s, n)
-				de.Add(s, n)
+				de.Add(key(s), n)
 				for ; n > 0; n-- {
 					held = append(held, s)
 				}
 				if r.Intn(2) == 0 {
 					sub = append(sub, s)
-					deSub.Add(s, 1)
+					deSub.Add(key(s), 1)
 				}
 			}
-			agree(step, "contents", sp.AppendDiff(nil, nil), &de)
+			agree(step, "contents", sp.AppendDiff(nil, nil), de)
 
 			want := de.Clone()
-			want.SubtractAll(&deSub)
+			for v, n := range deSub {
+				want.Add(v, -n)
+			}
 			slices.Sort(sub)
 			diff = sp.AppendDiff(diff[:0], sub)
-			agree(step, "AppendDiff", diff, &want)
+			agree(step, "AppendDiff", diff, want)
 		}
 	}
 }

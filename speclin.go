@@ -271,7 +271,7 @@ type Report struct {
 	// verdicts.
 	Sequential Linearization
 	// SLinWitnesses holds one witness per init-interpretation
-	// combination on positive one-shot SLin verdicts.
+	// combination on positive SLin verdicts, one-shot or from a Session.
 	SLinWitnesses []SLinWitness
 	// FailedInit holds the failing init interpretation on negative SLin
 	// verdicts, when the failure is interpretation-specific.
@@ -419,7 +419,7 @@ func (s *Session) Report() (Report, error) {
 		var r slin.Result
 		r, err = s.slin.Result()
 		rep = Report{Verdict: linVerdict(lin.Result{OK: r.OK}, err), Reason: r.Reason,
-			FailedInit: r.FailedInit, Nodes: r.Nodes}
+			SLinWitnesses: r.Witnesses, FailedInit: r.FailedInit, Nodes: r.Nodes}
 	}
 	rep.Wall = time.Since(s.start)
 	return rep, err
