@@ -12,6 +12,8 @@
 //	slin-check -adt register -exact trace.json           # force the exact engine
 //	                                                     # (no ADT fast path)
 //	slin-check -timeout 30s trace.json                   # context deadline
+//	slin-check -adt set -cpuprofile cpu.pb.gz -memprofile mem.pb.gz trace.json
+//	                                                     # profiles for `go tool pprof`
 //
 // Every mode runs one engine per property: lin and slin checks, one-shot
 // or streamed, are the frontier sessions of packages lin and slin
@@ -46,13 +48,27 @@ import (
 	"repro/internal/adt"
 	"repro/internal/check"
 	"repro/internal/lin"
+	"repro/internal/profile"
 	"repro/internal/slin"
 	"repro/internal/trace"
 )
 
+// stopProfiles finishes the profiles -cpuprofile and -memprofile asked
+// for; exit calls it first, so both files are complete whatever the exit
+// status.
+var stopProfiles = func() error { return nil }
+
+func exit(code int) {
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "slin-check: %v\n", err)
+		code = 2
+	}
+	os.Exit(code)
+}
+
 func fail(code int, format string, args ...any) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(code)
+	exit(code)
 }
 
 func pickADT(name string) (adt.Folder, bool) {
@@ -65,6 +81,12 @@ func pickADT(name string) (adt.Folder, bool) {
 		return adt.Counter{}, true
 	case "queue":
 		return adt.Queue{}, true
+	case "set":
+		return adt.Set{}, true
+	case "mutex":
+		return adt.Mutex{}, true
+	case "stack":
+		return adt.Stack{}, true
 	case "universal":
 		return adt.Universal{}, true
 	}
@@ -79,7 +101,7 @@ type verdict struct {
 }
 
 func main() {
-	adtName := flag.String("adt", "consensus", "abstract data type: consensus|register|counter|queue|universal")
+	adtName := flag.String("adt", "consensus", "abstract data type: consensus|register|counter|queue|set|mutex|stack|universal")
 	mode := flag.String("mode", "lin", "property: lin|classical|slin")
 	m := flag.Int("m", 1, "slin: lower phase bound m")
 	n := flag.Int("n", 2, "slin: upper phase bound n")
@@ -90,6 +112,8 @@ func main() {
 	stream := flag.Bool("stream", false, "lin and slin modes: feed each trace through an incremental Session instead of one-shot Check")
 	exact := flag.Bool("exact", false, "force the exact search engines (skip the ADT-specialized fast-path checkers)")
 	feedBudget := flag.Bool("feed-budget", false, "lin and slin modes: rebase the search budget at every fed action, one-shot or streamed (classical spends one budget)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile (sampled allocation sites since start, after a final GC) to this file")
 	flag.Parse()
 
 	ctx := context.Background()
@@ -114,6 +138,11 @@ func main() {
 	if *stream && *mode == "classical" {
 		fail(2, "-stream: classical mode has no incremental session")
 	}
+	stop, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fail(2, "slin-check: %v", err)
+	}
+	stopProfiles = stop
 
 	// Parse every file up front so usage errors (exit 2) are reported
 	// before any verdict is printed.
@@ -201,8 +230,9 @@ func main() {
 		allOK = allOK && v.ok
 	}
 	if !allOK {
-		os.Exit(1)
+		exit(1)
 	}
+	exit(0)
 }
 
 func linVerdict(t trace.Trace, res lin.Result) verdict {

@@ -46,6 +46,11 @@ type State string
 //
 // Checkers exploit this to memoize search on (state, pending-inputs)
 // instead of full histories.
+//
+// Step and Out must be pure: equal (s, in) always get equal answers, and
+// a call has no effect a later call could observe. The frontier engine
+// relies on it, asking the folder once per (state, input) pair and
+// reusing the answer (DESIGN.md, decision 32).
 type Folder interface {
 	ADT
 	// Empty returns the state of the empty history.

@@ -1,7 +1,6 @@
 package adt
 
 import (
-	"sort"
 	"strings"
 
 	"repro/internal/trace"
@@ -53,44 +52,65 @@ func (Set) ValidInput(in trace.Value) bool {
 }
 
 // The set state is the sorted distinct elements joined by NUL bytes; the
-// empty set is the empty state.
+// empty set is the empty state. Step and Out read it in place: Out
+// allocates nothing and Step one string, and only when the set changes.
 
 // Empty implements Folder.
 func (Set) Empty() State { return "" }
 
-func setHas(elems []string, arg string) (int, bool) {
-	i := sort.SearchStrings(elems, arg)
-	return i, i < len(elems) && elems[i] == arg
+// setFind returns the byte offset in s of element arg, or of the element
+// arg would be inserted before (len(s) if none), and whether s holds arg.
+func setFind(s State, arg string) (at int, ok bool) {
+	for at < len(s) {
+		end := strings.IndexByte(string(s[at:]), 0)
+		if end < 0 {
+			end = len(s) - at
+		}
+		switch elem := string(s[at : at+end]); {
+		case elem == arg:
+			return at, true
+		case elem > arg:
+			return at, false
+		}
+		at += end + 1
+	}
+	return len(s), false
 }
 
 // Step implements Folder.
 func (Set) Step(s State, in trace.Value) State {
 	op, arg, _ := split2(Untag(in))
-	elems := queueElems(s)
-	i, ok := setHas(elems, arg)
+	at, ok := setFind(s, arg)
 	switch {
 	case op == "add" && !ok:
-		elems = append(elems, "")
-		copy(elems[i+1:], elems[i:])
-		elems[i] = arg
+		switch {
+		case s == "":
+			return State(arg)
+		case at == len(s):
+			return s + "\x00" + State(arg)
+		}
+		return s[:at] + State(arg) + "\x00" + s[at:]
 	case op == "rm" && ok:
-		elems = append(elems[:i], elems[i+1:]...)
+		end := at + len(arg)
+		switch {
+		case end < len(s):
+			return s[:at] + s[end+1:]
+		case at > 0:
+			return s[:at-1]
+		}
+		return ""
 	}
-	return queueState(elems)
+	return s
 }
 
 // Out implements Folder.
 func (Set) Out(s State, in trace.Value) trace.Value {
 	op, arg, _ := split2(Untag(in))
-	_, ok := setHas(queueElems(s), arg)
-	switch op {
-	case "add":
+	_, ok := setFind(s, arg)
+	if op == "add" {
 		return BoolOutput(!ok)
-	case "rm":
-		return BoolOutput(ok)
-	default:
-		return BoolOutput(ok)
 	}
+	return BoolOutput(ok)
 }
 
 // Apply implements ADT.

@@ -229,7 +229,8 @@ func encodeTrace(f *testing.F, tr trace.Trace, m int) []byte {
 
 // FuzzSLinAgreement fuzzes the SLin engine matrix (one-shot and online)
 // against the string-keyed reference under both Abort-Order readings;
-// under -tags memocheck it also fails on any digest collision. The
+// under -tags memocheck it also fails on any digest collision or
+// transition-memo mismatch. The
 // corpus holds E6b's two schedule families (seed 9, as the experiment
 // draws them), second phases, and the identity's abort fixtures:
 // commuting same-value proposals with one abort, and a split decision
@@ -270,6 +271,9 @@ func FuzzSLinAgreement(f *testing.F) {
 				check.WithBudget(fuzzBudget))
 			if n := lin.MemoCollisions(); n != 0 {
 				t.Fatalf("%d digest collisions", n)
+			}
+			if _, n := lin.TransitionAudit(); n != 0 {
+				t.Fatalf("%d transition-memo mismatches", n)
 			}
 			if err == nil {
 				continue

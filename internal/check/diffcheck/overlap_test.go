@@ -12,6 +12,7 @@ import (
 	"repro/internal/lin"
 	"repro/internal/slin"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 // The long-pending-operation shapes (ROADMAP item 1's gate): in one round
@@ -40,57 +41,21 @@ var overlapNodes = map[overlapShape]int{
 	{1, 4}: 21, {1, 16}: 81, {2, 4}: 51, {1, 32}: 161, {2, 8}: 99, {3, 4}: 120,
 }
 
-const overlapElems = 4
-
 // overlapGen generates rounds of one stream deterministically from its
-// seed; set membership and operation tags carry across rounds.
+// seed (workload.Overlap, the generator the engine-layer tests and
+// benchmark in internal/lin share).
 type overlapGen struct {
-	r      *rand.Rand
-	member [overlapElems]bool
-	ops    int
-}
-
-func (g *overlapGen) tag(in trace.Value) trace.Value {
-	g.ops++
-	return adt.Tag(in, strconv.Itoa(g.ops))
+	r *rand.Rand
+	w *workload.Overlap
 }
 
 // round returns the actions of one round of shape sh and the index of
-// its first holder response (flipping that output leaves the round
-// without a linearization, since no driver operation changed the held
-// element's membership).
+// its first holder response.
 func (g *overlapGen) round(sh overlapShape) (tr trace.Trace, firstHolderRes int) {
-	elem := func(e int) trace.Value { return "e" + strconv.Itoa(e) }
-	var held [overlapElems]bool
-	holders := make(trace.Trace, sh.k)
-	for j := range holders {
-		e := g.r.Intn(overlapElems)
-		held[e] = true
-		c := trace.ClientID("h" + strconv.Itoa(j))
-		in := g.tag(adt.HasInput(elem(e)))
-		tr = append(tr, trace.Invoke(c, 1, in))
-		holders[j] = trace.Response(c, 1, in, adt.BoolOutput(g.member[e]))
+	if g.w == nil {
+		g.w = workload.NewOverlap(g.r)
 	}
-	for j := 0; j < sh.n; j++ {
-		e, kind := g.r.Intn(overlapElems), g.r.Intn(4)
-		for kind < 2 && held[e] {
-			e = g.r.Intn(overlapElems)
-		}
-		var in, out trace.Value
-		switch kind {
-		case 0:
-			in, out = adt.AddInput(elem(e)), adt.BoolOutput(!g.member[e])
-			g.member[e] = true
-		case 1:
-			in, out = adt.RemoveInput(elem(e)), adt.BoolOutput(g.member[e])
-			g.member[e] = false
-		default:
-			in, out = adt.HasInput(elem(e)), adt.BoolOutput(g.member[e])
-		}
-		in = g.tag(in)
-		tr = append(tr, trace.Invoke("d", 1, in), trace.Response("d", 1, in, out))
-	}
-	return append(tr, holders...), len(tr)
+	return g.w.Round(sh.k, sh.n)
 }
 
 func newOverlapSession(opts ...check.Option) *lin.Session {

@@ -106,6 +106,9 @@ type Frontier struct {
 	// audit shadows the deduplication digests with full identities under
 	// the memocheck build tag; a zero-size type of no-op methods otherwise.
 	audit memoAudit
+	// memo caches the folder's transitions (see transition); nil until the
+	// first Expand, so a session that never expands allocates none.
+	memo *[memoSlots]transition
 }
 
 // cfg is one frontier configuration: the end state of a commit chain
@@ -125,6 +128,7 @@ type Frontier struct {
 // records in the witness trail.
 type cfg struct {
 	end  adt.State
+	endH trace.Digest // trace.HashString(end)
 	syms []trace.Sym
 	outs []trace.Value
 	dig  trace.Digest
@@ -172,7 +176,8 @@ func NewFrontier(f adt.Folder, in *trace.Interner, m *Meter, anchor trace.Histor
 		c.chain = &chainNode{prev: c.chain, val: v}
 		c.end = f.Step(c.end, v)
 	}
-	c.dig = trace.HashString(string(c.end))
+	c.endH = trace.HashString(string(c.end))
+	c.dig = c.endH
 	e.frontier = []*cfg{c}
 	return e
 }
@@ -261,11 +266,15 @@ func (e *Frontier) Lookahead(t trace.Trace, never map[trace.Sym]int) {
 }
 
 // Expand replaces the frontier by its successor set under the response
-// with input in and output out at trace index idx. Successors own their
-// storage, so the replaced frontier's configurations — and every
-// duplicate emission — return to the pool. Pool is left to the driver.
-func (e *Frontier) Expand(in, out trace.Value, idx int) error {
-	asym := e.in.Sym(in)
+// whose input is interned as asym, with output out at trace index idx.
+// Successors own their storage, so the replaced frontier's
+// configurations — and every duplicate emission — return to the pool.
+// Pool is left to the driver.
+func (e *Frontier) Expand(asym trace.Sym, out trace.Value, idx int) error {
+	if e.memo == nil {
+		e.memo = new([memoSlots]transition)
+	}
+	in := e.in.Value(asym)
 	old := e.frontier
 	if e.look != nil {
 		// This response closes its own extension or claims an entry made
@@ -359,13 +368,13 @@ func (e *Frontier) expandCfg(c *cfg, in, out trace.Value, asym trace.Sym, resIdx
 		return nil
 	}
 	x := extension{c: c, in: in, out: out, asym: asym, resIdx: resIdx, avail: avail, closeAt: closeAt}
-	return e.extend(&x, c.end, c.dig.Sub(trace.HashString(string(c.end))))
+	return e.extend(&x, c.end, c.endH, c.dig.Sub(c.endH))
 }
 
 // claim returns c with entry i claimed by resIdx, that is, without it.
 func (e *Frontier) claim(c *cfg, i, resIdx int) *cfg {
 	n := e.newCfg()
-	n.end, n.n, n.chain, n.asn = c.end, c.n, c.chain, c.asn
+	n.end, n.endH, n.n, n.chain, n.asn = c.end, c.endH, c.n, c.chain, c.asn
 	n.syms = append(append(n.syms, c.syms[:i]...), c.syms[i+1:]...)
 	n.outs = append(append(n.outs, c.outs[:i]...), c.outs[i+1:]...)
 	n.dig = c.dig.Sub(trace.HashOutput(c.syms[i], c.outs[i]))
@@ -395,18 +404,19 @@ type extension struct {
 
 // extend explores the chain extensions of x.c beyond x.syms, emitting a
 // successor wherever the extension can close with the response's input.
-// st is the extended chain's end state and open the digest of its
-// unclaimed entries (and, under Ordered, of its appends), so open plus a
-// state's hash is the identity a partial extension would have as a
+// st is the extended chain's end state, stH its hash, and open the digest
+// of its unclaimed entries (and, under Ordered, of its appends), so open
+// plus a state's hash is the identity a partial extension would have as a
 // configuration; it keys the visited set, and a second search path into
 // the same partial configuration — the same operations appended in
 // another order, or from another configuration — is cut there, its
 // successors being the ones already emitted. Every arrival at a partial
 // extension costs one node.
-func (e *Frontier) extend(x *extension, st adt.State, open trace.Digest) error {
+func (e *Frontier) extend(x *extension, st adt.State, stH, open trace.Digest) error {
 	// Close: append the response's own input as a claimed element.
-	if e.f.Out(st, x.in) == x.out {
-		e.closeExt(x, e.f.Step(st, x.in), open)
+	if t := e.transition(st, stH, x.asym); t.out == x.out {
+		end, endH := e.step(t)
+		e.closeExt(x, end, endH, open)
 	}
 	// Continue: append any available input as an intermediate element —
 	// except the last copy of the response's own input, after which no
@@ -419,16 +429,17 @@ func (e *Frontier) extend(x *extension, st adt.State, open trace.Digest) error {
 		if err := e.meter.Spend(1); err != nil {
 			return err
 		}
-		in := e.in.Value(sym)
-		stIn, outIn := e.f.Step(st, in), e.f.Out(st, in)
+		t := e.transition(st, stH, sym)
+		outIn := t.out
 		if e.look != nil && e.look.unclaimable(x, sym, outIn) {
 			continue
 		}
+		stIn, stInH := e.step(t)
 		openIn := open.Add(trace.HashOutput(sym, outIn))
 		if e.Ordered {
 			openIn = openIn.Add(trace.HashElem(x.c.n+len(x.syms), sym))
 		}
-		dig := openIn.Add(trace.HashString(string(stIn)))
+		dig := openIn.Add(stInH)
 		if memocheckEnabled {
 			ext := append(slices.Clone(x.syms), sym)
 			e.audit.note(dig, stIn, slices.Concat(x.c.syms, ext),
@@ -440,7 +451,7 @@ func (e *Frontier) extend(x *extension, st adt.State, open trace.Digest) error {
 		e.visited[dig] = struct{}{}
 		x.avail[i].N--
 		x.syms, x.outs = append(x.syms, sym), append(x.outs, outIn)
-		err := e.extend(x, stIn, openIn)
+		err := e.extend(x, stIn, stInH, openIn)
 		x.syms, x.outs = x.syms[:len(x.syms)-1], x.outs[:len(x.outs)-1]
 		x.avail[i].N++
 		if err != nil {
@@ -454,12 +465,13 @@ func (e *Frontier) extend(x *extension, st adt.State, open trace.Digest) error {
 // the current search path and closes with the response's input, claimed
 // at once by x.resIdx (so it never becomes an entry), and emits it
 // unless Close drops it; stEnd is the chain's end state after the
-// closing append and open the digest of the successor's entries.
-func (e *Frontier) closeExt(x *extension, stEnd adt.State, open trace.Digest) {
+// closing append, endH its hash and open the digest of the successor's
+// entries.
+func (e *Frontier) closeExt(x *extension, stEnd adt.State, endH, open trace.Digest) {
 	c := x.c
 	n := e.newCfg()
-	n.end, n.n, n.chain, n.asn = stEnd, c.n+len(x.syms)+1, c.chain, c.asn
-	n.dig = open.Add(trace.HashString(string(stEnd)))
+	n.end, n.endH, n.n, n.chain, n.asn = stEnd, endH, c.n+len(x.syms)+1, c.chain, c.asn
+	n.dig = open.Add(endH)
 	if e.Ordered {
 		n.dig = n.dig.Add(trace.HashElem(n.n-1, x.asym))
 	}
@@ -528,6 +540,65 @@ func (e *Frontier) putCfg(c *cfg) {
 		*c = cfg{syms: c.syms[:0], outs: c.outs[:0], pos: c.pos[:0]}
 		e.cfgPool = append(e.cfgPool, c)
 	}
+}
+
+// memoBits sizes a frontier's transition memo: memoSlots slots of 72
+// bytes, allocated at the frontier's first Expand.
+const (
+	memoBits  = 9
+	memoSlots = 1 << memoBits
+)
+
+// transition is one slot of a frontier's transition memo (DESIGN.md,
+// decision 32): what input sym does to state st. An extension search
+// meets the same few (state, input) pairs at node after node, and a
+// folder parses its state on every call, so the engine asks the folder
+// once per pair and slot: out is Out(st, sym's input) when the slot is
+// filled, next and nextH — Step's result and its hash — once a caller
+// first needs them. The memo is direct-mapped: a pair's slot is picked
+// by the state's hash and the symbol, and a pair that lands on an
+// occupied slot evicts its occupant. A hit requires the stored state and
+// symbol to equal the probe's exactly, and Folder's Step and Out are
+// pure, so the memo answers what the folder would; it moves no node.
+type transition struct {
+	st      adt.State
+	out     trace.Value
+	next    adt.State
+	nextH   trace.Digest
+	sym     trace.Sym
+	full    bool // the slot holds (st, sym) and out
+	stepped bool // next and nextH are computed
+}
+
+// memoSlot returns the slot of the pair (state with hash h, sym).
+func memoSlot(h trace.Digest, sym trace.Sym) int {
+	return int((h[0] ^ uint64(sym)*0x9e3779b97f4a7c15) >> (64 - memoBits))
+}
+
+// transition returns the memo slot holding (st, sym), st's hash being
+// stH, with its output known; a miss asks the folder and evicts the
+// slot's occupant. The slot stays valid until the next call.
+func (e *Frontier) transition(st adt.State, stH trace.Digest, sym trace.Sym) *transition {
+	t := &e.memo[memoSlot(stH, sym)]
+	if t.full && t.sym == sym && t.st == st {
+		if memocheckEnabled {
+			auditTransition(e.f, st, e.in.Value(sym), t)
+		}
+		return t
+	}
+	*t = transition{st: st, sym: sym, full: true, out: e.f.Out(st, e.in.Value(sym))}
+	return t
+}
+
+// step returns the state slot t's input leads to from its state, and
+// that state's hash, asking the folder on the slot's first need.
+func (e *Frontier) step(t *transition) (adt.State, trace.Digest) {
+	if !t.stepped {
+		t.next = e.f.Step(t.st, e.in.Value(t.sym))
+		t.nextH = trace.HashString(string(t.next))
+		t.stepped = true
+	}
+	return t.next, t.nextH
 }
 
 // lookahead is what a one-shot check knows that an online session

@@ -29,6 +29,14 @@ func MemoCollisions() uint64 { return 0 }
 // the ordered identity; always zero without the memocheck build tag.
 func MemoHits() (free, ordered uint64) { return 0, 0 }
 
+// auditTransition is the no-op transition-memo audit of the default
+// build.
+func auditTransition(adt.Folder, adt.State, trace.Value, *transition) {}
+
+// TransitionAudit reports the audited transition-memo hits and their
+// mismatches; always zero without the memocheck build tag.
+func TransitionAudit() (hits, mismatches uint64) { return 0, 0 }
+
 // classicalAudit is the no-op audit table of the default build for the
 // classical checker's spill-path memo (decision 13's lossy BitSet
 // digest beyond 63 operations).

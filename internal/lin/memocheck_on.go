@@ -17,7 +17,9 @@ import (
 // re-derives the identity and compares. A mismatch means two distinct
 // search states collided in the 128-bit digest space — the residual
 // soundness risk of DESIGN.md decision 7 — and increments a process-wide
-// collision counter, which the tagged tests assert is zero.
+// collision counter, which the tagged tests assert is zero. Every
+// transition-memo hit is recomputed by the folder the same way
+// (decision 32).
 const memocheckEnabled = true
 
 var (
@@ -68,6 +70,29 @@ func (a *memoAudit) note(dig trace.Digest, end adt.State, syms []trace.Sym, outs
 		return
 	}
 	a.ids[dig] = id
+}
+
+var memoTransHits, memoTransMismatches atomic.Uint64
+
+// TransitionAudit reports the transition-memo hits since process start
+// and how many of them disagreed with the folder's own answer.
+func TransitionAudit() (hits, mismatches uint64) {
+	return memoTransHits.Load(), memoTransMismatches.Load()
+}
+
+// auditTransition recomputes a memo hit for the probe (st, in) — the
+// output, and the successor state and its hash once they are stored —
+// and counts a mismatch if the folder answers otherwise.
+func auditTransition(f adt.Folder, st adt.State, in trace.Value, t *transition) {
+	memoTransHits.Add(1)
+	ok := f.Out(st, in) == t.out
+	if t.stepped {
+		next := f.Step(st, in)
+		ok = ok && next == t.next && trace.HashString(string(next)) == t.nextH
+	}
+	if !ok {
+		memoTransMismatches.Add(1)
+	}
 }
 
 var classicalCollisions atomic.Uint64

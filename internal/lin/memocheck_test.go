@@ -130,3 +130,42 @@ func TestClassicalSpillMemoCollisionsZero(t *testing.T) {
 	}
 	t.Logf("0 classical spill collisions across %d checks", checks)
 }
+
+// TestTransitionMemoAuditZero: with every transition-memo hit recomputed
+// by the folder for the probe's own state and input (DESIGN.md decision
+// 32), the overlap stream and a random sweep over four ADTs — 12
+// operations a trace, half of them untagged, so one symbol meets many
+// states — make the memo hit, and no hit ever disagrees with the folder.
+// (A hit that skipped the state comparison fails here with hundreds of
+// mismatches.)
+//
+// Run with: go test -tags memocheck ./internal/lin
+func TestTransitionMemoAuditZero(t *testing.T) {
+	hits0, _ := TransitionAudit()
+	s := newOverlapSession(adt.Set{})
+	if err := s.FeedAll(overlapStream(1, 6)); err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(99))
+	for _, f := range []adt.Folder{adt.Register{}, adt.Queue{}, adt.Stack{}, adt.Set{}} {
+		inputs := map[string][]trace.Value{
+			"register": {adt.WriteInput("x"), adt.WriteInput("y"), adt.ReadInput()},
+			"queue":    {adt.EnqInput("x"), adt.EnqInput("y"), adt.DeqInput()},
+			"stack":    {adt.PushInput("x"), adt.PopInput()},
+			"set":      {adt.AddInput("x"), adt.RemoveInput("x"), adt.HasInput("x")},
+		}[f.Name()]
+		for i := 0; i < 200; i++ {
+			tr := workload.Random(f, r, workload.TraceOpts{
+				Clients: 4, Ops: 12, Inputs: inputs, PendingProb: 0.2, UniqueTags: i%2 == 0, CorruptProb: 0.3,
+			})
+			if _, err := Check(context.Background(), f, tr); err != nil {
+				t.Fatalf("%s trace %d: %v", f.Name(), i, err)
+			}
+		}
+	}
+	hits, mismatches := TransitionAudit()
+	if hits == hits0 || mismatches != 0 {
+		t.Fatalf("%d audited transition-memo hits, %d mismatches: want some hits and no mismatch", hits-hits0, mismatches)
+	}
+	t.Logf("0 mismatches in %d audited transition-memo hits", hits-hits0)
+}

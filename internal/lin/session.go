@@ -118,9 +118,11 @@ const (
 // bookkeeping (the streaming twin of Check's WellFormed precheck).
 type pendingInv struct {
 	input trace.Value
-	// idx is the invocation's trace index; maintained (and used) only by
-	// the fast paths.
+	// idx is the invocation's trace index, maintained (and used) only by
+	// the fast paths; sym is the input's symbol, interned only by the
+	// frontier path.
 	idx int
+	sym trace.Sym
 }
 
 // NewSession starts an incremental check of an initially empty trace
@@ -175,7 +177,8 @@ func newSessionAt(ctx context.Context, f adt.Folder, set check.Settings, fed int
 	}, set.Witness, set.Witness)
 	s.frontier = make([]*cfg, len(states))
 	for i, st := range states {
-		s.frontier[i] = &cfg{end: st, dig: trace.HashString(string(st))}
+		h := trace.HashString(string(st))
+		s.frontier[i] = &cfg{end: st, endH: h, dig: h}
 	}
 	return s
 }
@@ -219,8 +222,9 @@ func (s *Session) Feed(a trace.Action) error {
 			s.notWF = "trace is not well-formed"
 			return nil
 		}
-		s.pending[a.Client] = pendingInv{input: a.Input}
-		s.Pool.Add(s.in.Sym(a.Input), 1)
+		sym := s.in.Sym(a.Input)
+		s.pending[a.Client] = pendingInv{input: a.Input, sym: sym}
+		s.Pool.Add(sym, 1)
 		return s.stick(s.meter.Spend(len(s.frontier)), idx, len(s.pending), start)
 	case trace.Res:
 		st, open := s.pending[a.Client]
@@ -230,12 +234,12 @@ func (s *Session) Feed(a trace.Action) error {
 		}
 		k := len(s.pending)
 		delete(s.pending, a.Client)
-		if err := s.Expand(a.Input, a.Output, idx); err != nil {
+		if err := s.Expand(st.sym, a.Output, idx); err != nil {
 			return s.stick(err, idx, k, start)
 		}
 		// Every successor claimed a chain entry for this response, so the
 		// operation is no longer open in any of them.
-		s.Pool.Add(s.in.Sym(a.Input), -1)
+		s.Pool.Add(st.sym, -1)
 	default:
 		// Switch actions do not belong to sig_T; Check classifies such
 		// traces as ill-formed.

@@ -23,12 +23,14 @@ func init() { auditBuild = true }
 // contended exhaustive search, through Check and online Sessions, under
 // both configuration identities, asserting that no 128-bit digest the
 // engine deduplicated on — at the successor merge or at the extension
-// searches' visited set — ever stood for two distinct identities, and
-// that slin's checks made the audit compare hits under each identity.
+// searches' visited set — ever stood for two distinct identities, that
+// slin's checks made the audit compare hits under each identity, and
+// that no transition-memo hit disagreed with the folder.
 //
 // Run with: go test -tags memocheck ./internal/slin
 func TestMemoDigestCollisionsZero(t *testing.T) {
 	free0, ordered0 := lin.MemoHits()
+	trans0, _ := lin.TransitionAudit()
 	r := rand.New(rand.NewSource(4321))
 	checks := 0
 	for i := 0; i < 400; i++ {
@@ -117,6 +119,10 @@ func TestMemoDigestCollisionsZero(t *testing.T) {
 		t.Fatalf("the audit compared %d hits under the position-free identity and %d under the ordered one: it is not watching the running engine",
 			free, ordered)
 	}
-	t.Logf("0 collisions in %d audited hits (%d position-free, %d ordered) across %d checks",
-		free+ordered, free, ordered, checks)
+	trans, mismatches := lin.TransitionAudit()
+	if trans == trans0 || mismatches != 0 {
+		t.Fatalf("%d audited transition-memo hits, %d mismatches: want some hits and no mismatch", trans-trans0, mismatches)
+	}
+	t.Logf("0 collisions in %d audited hits (%d position-free, %d ordered) and 0 mismatches in %d transition-memo hits across %d checks",
+		free+ordered, free, ordered, trans-trans0, checks)
 }

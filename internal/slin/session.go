@@ -521,7 +521,7 @@ func (s *Session) step(cb *combo, a trace.Action, idx int) error {
 			ob := &cb.obligations[i]
 			ob.dead = ob.dead || !take(&ob.rem, asym)
 		}
-		if err := cb.eng.Expand(a.Input, a.Output, idx); err != nil {
+		if err := cb.eng.Expand(asym, a.Output, idx); err != nil {
 			return err
 		}
 		if cb.eng.Width() > 0 {
