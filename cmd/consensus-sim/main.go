@@ -10,6 +10,8 @@
 //	consensus-sim -crash 2 -drop 0.1 -jitter 4
 //	consensus-sim -stagger 10                     # contention-free
 //	consensus-sim -trace                          # dump the JSON trace
+//	consensus-sim -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
+//	                                              # profiles for `go tool pprof`
 package main
 
 import (
@@ -24,10 +26,24 @@ import (
 	"repro/internal/mpcons"
 	"repro/internal/msgnet"
 	"repro/internal/paxos"
+	"repro/internal/profile"
 	"repro/internal/quorum"
 	"repro/internal/slin"
 	"repro/internal/trace"
 )
+
+// stopProfiles finishes the profiles -cpuprofile and -memprofile asked
+// for; exit calls it first, so both files are complete whatever the exit
+// status.
+var stopProfiles = func() error { return nil }
+
+func exit(code int) {
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "consensus-sim: %v\n", err)
+		code = 2
+	}
+	os.Exit(code)
+}
 
 func main() {
 	clients := flag.Int("clients", 3, "number of clients")
@@ -39,7 +55,15 @@ func main() {
 	stagger := flag.Int64("stagger", 0, "delay between successive proposals (0 = all concurrent)")
 	timeout := flag.Int64("timeout", 10, "quorum timer")
 	dumpTrace := flag.Bool("trace", false, "print the recorded trace as JSON")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile (sampled allocation sites since start, after a final GC) to this file")
 	flag.Parse()
+	stop, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "consensus-sim: %v\n", err)
+		os.Exit(2)
+	}
+	stopProfiles = stop
 
 	w := msgnet.New(msgnet.Config{
 		Seed:     *seed,
@@ -59,7 +83,7 @@ func main() {
 		paxos.Protocol{})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		exit(2)
 	}
 	for i := 0; i < *crash && i < *servers; i++ {
 		w.Crash(sids[i], 0)
@@ -85,7 +109,7 @@ func main() {
 	res, err := lin.Check(context.Background(), adt.Consensus{}, plain)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lin check:", err)
-		os.Exit(2)
+		exit(2)
 	}
 	fmt.Printf("\nlinearizable: %v\n", res.OK)
 
@@ -108,6 +132,7 @@ func main() {
 		}
 	}
 	if !res.OK {
-		os.Exit(1)
+		exit(1)
 	}
+	exit(0)
 }

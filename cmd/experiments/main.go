@@ -8,6 +8,8 @@
 //	experiments -e E1,E9       # run a subset
 //	experiments -timeout 5m    # bound the whole run (checker API v2:
 //	                           # cancellation aborts in-flight searches)
+//	experiments -e E17 -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
+//	                           # profiles for `go tool pprof`
 package main
 
 import (
@@ -16,24 +18,45 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/profile"
 )
 
 func main() {
 	only := flag.String("e", "", "comma-separated experiment IDs to run (default: all)")
 	timeout := flag.Duration("timeout", 0, "overall deadline for the run (0 = none)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile (sampled allocation sites since start, after a final GC) to this file")
 	flag.Parse()
+	stop, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
+	}
+	// The profiles are complete only once stop returns: every exit goes
+	// through it.
+	code := run(*only, *timeout)
+	if err := stop(); err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		code = 2
+	}
+	os.Exit(code)
+}
+
+// run runs the selected experiments and returns the exit status.
+func run(only string, timeout time.Duration) int {
 
 	ctx := context.Background()
-	if *timeout > 0 {
+	if timeout > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
 
 	want := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
+	for _, id := range strings.Split(only, ",") {
 		if id = strings.TrimSpace(id); id != "" {
 			want[strings.ToUpper(id)] = true
 		}
@@ -56,6 +79,7 @@ func main() {
 		}
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

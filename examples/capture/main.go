@@ -110,9 +110,9 @@ func main() {
 	// --- Part two: the packaged hunt ----------------------------------
 	//
 	// capture.Run wires the same recorder around a reference structure,
-	// routes the merged history per key, and checks it (map and mutex
-	// stream through fast-path sessions; queue and set check one-shot
-	// post-run). The clean Michael–Scott queue must come back
+	// routes the merged history per key, and checks it live (map, mutex
+	// and queue stream through fast-path sessions, the set through exact
+	// ones). The clean Michael–Scott queue must come back
 	// Linearizable with zero empty dequeues.
 	clean, err := capture.Run(ctx, capture.Config{
 		Structure: capture.StructQueue, Goroutines: 8, Ops: 400, Seed: 1,

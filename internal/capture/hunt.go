@@ -79,24 +79,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// expectedActions is the number of actions an ops-bounded hunt records
-// — two per operation, a mutex worker's lock/unlock pair being two
-// operations and the queue's prefill two enqueues a goroutine — or 0
-// when the run is bounded by wall clock.
-func (c Config) expectedActions() int {
-	if c.Duration > 0 {
-		return 0
-	}
-	n := 2 * c.Goroutines * c.Ops
-	switch c.Structure {
-	case StructMutex:
-		n *= 2
-	case StructQueue:
-		n += 2 * queuePrefill * c.Goroutines
-	}
-	return n
-}
-
 // Report is one hunt run's outcome.
 type Report struct {
 	Structure  string
@@ -106,13 +88,14 @@ type Report struct {
 	Actions int64
 	// EmptyDeqs counts queue dequeues that exhausted their retry loop.
 	EmptyDeqs int64
-	// Live is the streaming verdict (per-key sessions; the queue's is
-	// its post-run one-shot fast-path check).
+	// Live is the streaming verdict: the per-key sessions the drainer
+	// fed, one per key (the mutex and queue have one key), and its Wall
+	// the drainer's time in them.
 	Live RouteReport
 	// ClassicalReport is the optional post-run ClassicalLin pass.
 	Classical *RouteReport
-	// Wall is the stress run's wall clock (drain, live checking and the
-	// queue's one-shot included, the classical pass excluded).
+	// Wall is the stress run's wall clock, drain and live checking
+	// included, the classical pass excluded.
 	Wall time.Duration
 }
 
@@ -173,23 +156,8 @@ func hunt(ctx context.Context, cfg Config) (Report, *keyed.Set, error) {
 	case StructQueue:
 		f = adt.Queue{}
 	}
-	// The queue fast path is one-shot: retain the trace, check after.
-	live := cfg.Structure != StructQueue
-	pol := keyed.Policy{Sessions: live, Retain: cfg.Classical || !live}
-	if keyOf == nil {
-		pol.Hint = cfg.expectedActions() // one key takes every action
-	}
-	set := keyed.New(pol, func(bool) *lin.Session { return lin.NewSessionFast(ctx, f, opts...) })
-	// A one-shot pass, its time added to the wall (captured inputs are
-	// unique by construction, so Theorem 1 grounds the classical verdicts).
-	pass := func(one func(context.Context, adt.Folder, trace.Trace, ...check.Option) (lin.Result, error)) RouteReport {
-		began := time.Now()
-		rep := set.Check(ctx, 1, func(t trace.Trace, _ bool) (lin.Result, error) {
-			return one(ctx, f, t, opts...)
-		})
-		rep.Wall += time.Since(began)
-		return routeReport(rep)
-	}
+	set := keyed.New(keyed.Policy{Sessions: true, Retain: cfg.Classical},
+		func(bool) *lin.Session { return lin.NewSessionFast(ctx, f, opts...) })
 
 	start := time.Now()
 	if cfg.Structure == StructQueue {
@@ -209,15 +177,17 @@ func hunt(ctx context.Context, cfg Config) (Report, *keyed.Set, error) {
 		Goroutines: cfg.Goroutines,
 		EmptyDeqs:  h.emptyDeqs.Load(),
 	}
-	if live {
-		rep.Live = routeReport(set.Report())
-	} else {
-		rep.Live = pass(lin.CheckFast)
-	}
+	rep.Live = routeReport(set.Report())
 	rep.Actions = rep.Live.Actions
 	rep.Wall = time.Since(start)
 	if cfg.Classical {
-		cl := pass(lin.CheckClassical)
+		// Captured inputs are unique by construction, so Theorem 1 grounds
+		// the classical verdicts.
+		began := time.Now()
+		cl := routeReport(set.Check(ctx, 1, func(t trace.Trace, _ bool) (lin.Result, error) {
+			return lin.CheckClassical(ctx, f, t, opts...)
+		}))
+		cl.Wall += time.Since(began)
 		rep.Classical = &cl
 	}
 	return rep, set, nil

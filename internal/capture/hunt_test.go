@@ -115,7 +115,7 @@ func TestHuntClassical(t *testing.T) {
 }
 
 // TestHuntCheckWallWithinRunWall: the live report's wall is time spent
-// checking — the drain's batches plus the queue's one-shot — so it lies
+// checking — the drain's batches — so it lies
 // inside the hunt's own wall, however many keys the drainer feeds (it
 // once summed every session's lifetime: sixteen keys, sixteen hunts).
 func TestHuntCheckWallWithinRunWall(t *testing.T) {

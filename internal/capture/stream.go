@@ -2,11 +2,10 @@
 // to the per-key histories of a keyed.Set, the layer that owns them for
 // both pipelines (DESIGN.md, decision 28). The keyed map is a product of
 // per-key registers and the set a product of per-member flags, so both
-// split into independent histories by Herlihy–Wing locality. The map and
-// the mutex stream through fast-path sessions, the set through exact ones
-// (a key's frontier is as wide as its live overlap, decision 20); only
-// the queue retains its trace and checks one-shot after the run, its fast
-// path being one-shot by construction.
+// split into independent histories by Herlihy–Wing locality. The map,
+// the mutex and the queue stream through fast-path sessions, the set
+// through exact ones (a key's frontier is as wide as its live overlap,
+// decision 20); a trace is retained only for the ClassicalLin pass.
 package capture
 
 import (
@@ -41,9 +40,10 @@ type RouteReport struct {
 	Reason         string
 	Keys           int
 	Nodes, Actions int64
-	// Wall is time spent checking: the live drain's batches (merging,
-	// routing and feeding the sessions, one clock pair a batch) plus the
-	// pass's own one-shot checks. It lies inside the hunt's Report.Wall.
+	// Wall is time spent checking: for the live report the drain's
+	// batches (merging, routing and feeding the sessions, one clock pair a
+	// batch), which lie inside the hunt's Report.Wall; for the classical
+	// report its one-shot pass.
 	Wall time.Duration
 }
 

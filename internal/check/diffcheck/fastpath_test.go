@@ -149,9 +149,8 @@ func registerBoundaryCases() []boundaryCase {
 	}
 }
 
-// TestFastpathQueueBoundary drives the one-shot queue core across its
-// fragment boundary (the queue has no streaming core, so the session
-// side of the harness exercises the exact engine).
+// TestFastpathQueueBoundary drives the streaming queue core across its
+// fragment boundary, one-shot and on every session prefix.
 func TestFastpathQueueBoundary(t *testing.T) {
 	runBoundary(t, adt.Queue{}, queueBoundaryCases())
 }
@@ -594,9 +593,8 @@ func TestFastpathRandomizedAgreement(t *testing.T) {
 				agree(t, iter, "", Fastpath(context.Background(), fc.f, tr, check.WithBudget(fastBudget)))
 				// Every few iterations, the same trace through the
 				// SLin(1,2) fast session against the exact slin engine
-				// (Theorem 2 grounds the comparison; the queue has no
-				// streaming core, so its sessions are exact anyway).
-				if iter%5 == 0 && fc.name != "queue" {
+				// (Theorem 2 grounds the comparison).
+				if iter%5 == 0 {
 					agree(t, iter, " (slin)", FastpathSLin(context.Background(), fc.f, slin.UniversalRInit{}, 2, tr, check.WithBudget(fastBudget)))
 				}
 			})
@@ -628,7 +626,7 @@ func TestFastpathCollidingDigests(t *testing.T) {
 			f := lin.CollidingDigests{Folder: fc.f}
 			randomTraces(fc, func(iter int, tr trace.Trace) {
 				agree(t, iter, "", Fastpath(ctx, f, tr, check.WithBudget(fastBudget)))
-				if iter%5 == 0 && fc.name != "queue" {
+				if iter%5 == 0 {
 					agree(t, iter, " (slin)", FastpathSLin(ctx, f, slin.UniversalRInit{}, 2, tr, check.WithBudget(fastBudget)))
 				}
 			})
@@ -902,6 +900,15 @@ func FuzzFastpathVsExact(f *testing.F) {
 	f.Add(uint8(0x40|3), []byte{0x00, 0x00, 0x04, 0x00, 0x08, 0x00, 0x11, 0x00, 0x04, 0x00, 0x18, 0x00, 0x04, 0x00, 0x05, 0x00})
 	f.Add(uint8(0x40|0), []byte{0x00, 0x00, 0x04, 0x00, 0x09, 0x00, 0x0d, 0x02})
 	f.Add(uint8(0x40|4), []byte{0x00, 0x00, 0x04, 0x00, 0x8a, 0x03, 0x8e, 0x02, 0x01})
+	// Queue, open dequeues: x and y enqueued in sequence, then a dequeue
+	// returning y makes x owed. c2's dequeue, open since before, absorbs
+	// it and returns x (accept); invoked only after, it cannot (reject).
+	f.Add(uint8(2), []byte{0x00, 0x00, 0x04, 0x00, 0x08, 0x00, 0x04, 0x00, 0x89, 0x00, 0x8a, 0x00, 0x06, 0x06, 0x05, 0x04})
+	f.Add(uint8(2), []byte{0x00, 0x00, 0x04, 0x00, 0x08, 0x00, 0x04, 0x00, 0x8a, 0x00, 0x06, 0x06, 0x89, 0x00, 0x05, 0x04})
+	// Queue, witness-off, after a cut: the prefix leaves x and q7 queued;
+	// a dequeue returns x, then enqueuing x again leaves the fragment, and
+	// the fallback's seed must still hold x.
+	f.Add(uint8(0x40|2), []byte{0x88, 0x00, 0x04, 0x04, 0x00, 0x00, 0x04, 0x00})
 	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
 		folder, inputs, outputs := fastFuzzADT(sel &^ 0xc0)
 		var prefix trace.Trace
@@ -932,8 +939,10 @@ func FuzzFastpathVsExact(f *testing.F) {
 // quiescentPrefix is eight sequential operations by client "q" that
 // leave folder f where its fuzz traces start (consensus decides "a"):
 // sixteen actions, one full first log chunk, quiescent at the end, so a
-// witness-off session cuts right before the fuzz trace. The queue has no
-// streaming core and gets none.
+// witness-off session cuts right before the fuzz trace. The queue's
+// leaves x and q7 queued (x's enqueue is tagged, so the fuzz pool's
+// untagged "enq:x" repeats the value, not the input), so the cut's seed
+// is not empty.
 func quiescentPrefix(f adt.Folder) trace.Trace {
 	var tr trace.Trace
 	for i := 0; i < 8; i++ {
@@ -953,6 +962,14 @@ func quiescentPrefix(f adt.Folder) trace.Trace {
 			in, out = adt.PushInput(trace.Value(tag)), adt.WriteOutput()
 			if i%2 == 1 {
 				in, out = adt.Tag(adt.PopInput(), tag), adt.ReadOutput(trace.Value("q"+strconv.Itoa(i-1)))
+			}
+		case adt.Queue:
+			in, out = adt.EnqInput(trace.Value(tag)), adt.WriteOutput()
+			switch {
+			case i == 6:
+				in = adt.Tag(adt.EnqInput("x"), tag)
+			case i%2 == 1 && i < 6:
+				in, out = adt.Tag(adt.DeqInput(), tag), adt.ReadOutput(trace.Value("q"+strconv.Itoa(i-1)))
 			}
 		default:
 			return nil

@@ -20,7 +20,6 @@ import (
 type Policy struct {
 	Sessions bool // stream every history through a session opened on its first feed
 	Retain   bool // keep every history's trace for a one-shot pass (Check)
-	Hint     int  // presize each retained trace to this many actions
 }
 
 // Set is the keyed histories of one run, for one goroutine. It reads no
@@ -64,9 +63,6 @@ func (s *Set) Feed(key string, a trace.Action) {
 		if i, ok = s.idx[root]; !ok {
 			i = len(s.hist)
 			s.hist = append(s.hist, history{key: root, joined: joined})
-			if s.pol.Retain && s.pol.Hint > 0 {
-				s.hist[i].tr = make(trace.Trace, 0, s.pol.Hint)
-			}
 			s.idx[root] = i
 		}
 		s.idx[key] = i

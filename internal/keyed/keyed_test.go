@@ -125,14 +125,11 @@ func TestJoinAfterFeedPanics(t *testing.T) {
 	}
 }
 
-// A trace is kept exactly when the policy retains, presized from the
-// hint, and a session is opened exactly when it streams. (Mutants: the
-// presize ignores Retain; a sessions-on set appends anyway; the hint
-// ignored.)
+// A trace is kept exactly when the policy retains, and a session is
+// opened exactly when it streams. (Mutant: a sessions-on set appends
+// anyway.)
 func TestRetainPolicy(t *testing.T) {
-	for _, pol := range []Policy{
-		{Sessions: true, Hint: 64}, {Sessions: true, Retain: true, Hint: 64}, {Retain: true, Hint: 64}, {Retain: true},
-	} {
+	for _, pol := range []Policy{{Sessions: true}, {Sessions: true, Retain: true}, {Retain: true}} {
 		var opened []bool
 		s := New(pol, registers(0, &opened))
 		feedWrites(s, "a", 0, 3)
@@ -140,9 +137,6 @@ func TestRetainPolicy(t *testing.T) {
 		for _, h := range s.hist {
 			if got := h.tr != nil; got != pol.Retain || pol.Retain && len(h.tr) != int(2*h.ops) {
 				t.Fatalf("%+v: history %q keeps %d of %d actions (cap %d)", pol, h.key, len(h.tr), 2*h.ops, cap(h.tr))
-			}
-			if pol.Retain && pol.Hint > 0 && cap(h.tr) != pol.Hint {
-				t.Fatalf("%+v: retained trace has capacity %d, want the hint", pol, cap(h.tr))
 			}
 			if (h.sess != nil) != pol.Sessions {
 				t.Fatalf("%+v: history %q has session %v", pol, h.key, h.sess)
@@ -239,12 +233,15 @@ func TestReportTotals(t *testing.T) {
 }
 
 // Feeding a key that already has a history allocates nothing (a
-// retained trace within its hint), and a set with no joins never touches
-// the union-find (it has none: a lookup would dereference nil).
+// retained trace within its capacity: 301 actions grow it to at least
+// 512), and a set with no joins never touches the union-find (it has
+// none: a lookup would dereference nil).
 func TestFeedAllocatesNothing(t *testing.T) {
-	s := New(Policy{Retain: true, Hint: 256}, nil)
+	s := New(Policy{Retain: true}, nil)
 	inv, res := write("k", 0)
-	s.Feed("k", inv)
+	for i := 0; i < 301; i++ {
+		s.Feed("k", inv)
+	}
 	if n := testing.AllocsPerRun(100, func() { s.Feed("k", res) }); n != 0 {
 		t.Fatalf("%.1f allocations per feed of a known key", n)
 	}

@@ -26,10 +26,9 @@ import (
 //     (writes encode the command value, reads carry unique tags).
 //   - consensus — grammar-valid proposals with pairwise-distinct input
 //     strings (equal untagged proposal values are fine).
-//   - queue — complete traces (no pending operations) with
-//     grammar-valid, pairwise-distinct inputs, pairwise-distinct
-//     untagged enqueue values and no empty-dequeue outputs; one-shot
-//     only (CheckFast), no streaming core.
+//   - queue — grammar-valid, pairwise-distinct inputs, pairwise-distinct
+//     untagged enqueue values and no empty-dequeue outputs (open
+//     operations are fine: the core decides every prefix).
 //   - mutex — grammar-valid inputs with pairwise-distinct input strings
 //     whose outputs are all "ok:" (an "err:*" output is explainable by
 //     the ADT, so it falls back rather than rejecting).
@@ -48,9 +47,8 @@ import (
 // the fragment, and no reject rests on it. Asked for witnesses
 // (check.WithWitness, the default), all cores assemble Lin witnesses
 // that pass VerifyWitness, and keep the material for them only then; the
-// one-shot queue core's witness is capped at fastQueueWitnessCap
-// dequeued values (beyond it the positive Result carries an empty
-// Witness).
+// queue core's witness is capped at fastQueueWitnessCap enqueued values
+// (beyond it the positive Result carries an empty Witness).
 
 // FastStatus is the per-action outcome of a streaming FastChecker.
 type FastStatus uint8
@@ -82,9 +80,8 @@ type FastChecker interface {
 	Witness() Witness
 }
 
-// HasFastpath reports whether CheckFast has a specialized checker for
-// folder f. The streaming Session fast path additionally excludes the
-// queue (its reduction needs the complete trace).
+// HasFastpath reports whether folder f has a specialized checker, which
+// CheckFast and NewSessionFast both run.
 func HasFastpath(f adt.Folder) bool {
 	f, _ = fastFolder(f)
 	switch f.(type) {
@@ -95,7 +92,7 @@ func HasFastpath(f adt.Folder) bool {
 }
 
 // NewFastChecker returns the streaming specialized core for folder f,
-// or nil when f has none (the queue fast path is one-shot only).
+// or nil when f has none.
 // witness is the session's check.Settings.Witness: without it the core
 // keeps only what the verdict needs and Witness returns nil.
 func NewFastChecker(f adt.Folder, witness bool) FastChecker {
@@ -105,6 +102,8 @@ func NewFastChecker(f adt.Folder, witness bool) FastChecker {
 		return newFastRegister(witness, collide)
 	case adt.Consensus:
 		return newFastConsensus(witness, collide)
+	case adt.Queue:
+		return newFastQueue(witness, collide)
 	case adt.Mutex:
 		return newFastMutex(witness, collide)
 	case adt.Stack:
@@ -138,7 +137,8 @@ func fastFolder(f adt.Folder) (_ adt.Folder, collide bool) {
 // the exact Check engines. Verdicts and reasons agree with Check
 // everywhere; Result.Nodes counts fed actions on the fast path (no
 // budget is spent, so the fast path never returns ErrBudget), and the
-// queue fast path reports positive verdicts without a witness.
+// queue fast path reports positive verdicts past fastQueueWitnessCap
+// without a witness.
 func CheckFast(ctx context.Context, f adt.Folder, t trace.Trace, opts ...check.Option) (Result, error) {
 	set := check.NewSettings(opts...)
 	if !set.Exact {
@@ -153,10 +153,6 @@ func CheckFast(ctx context.Context, f adt.Folder, t trace.Trace, opts ...check.O
 // trace was decided (false means fall back to exact); a non-nil error
 // (context cancellation) is terminal either way.
 func fastCheckSettings(ctx context.Context, f adt.Folder, t trace.Trace, set check.Settings) (Result, bool, error) {
-	bare, collide := fastFolder(f)
-	if _, isQueue := bare.(adt.Queue); isQueue {
-		return fastQueueCheck(ctx, t, set, collide)
-	}
 	core := NewFastChecker(f, set.Witness)
 	if core == nil {
 		return Result{}, false, nil

@@ -89,6 +89,9 @@ func (c *fastConsensus) cutStates() ([]adt.State, bool) {
 	return c.cut[:], true
 }
 
+// cutSeed implements cutter: this core always lists its states.
+func (c *fastConsensus) cutSeed() trace.Trace { return nil }
+
 // Witness implements FastChecker (see the type comment for the
 // construction).
 func (c *fastConsensus) Witness() Witness {

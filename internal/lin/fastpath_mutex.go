@@ -219,6 +219,9 @@ func (m *fastMutex) cutStates() ([]adt.State, bool) {
 	return m.cut[:], true
 }
 
+// cutSeed implements cutter: this core always lists its states.
+func (m *fastMutex) cutSeed() trace.Trace { return nil }
+
 // Witness implements FastChecker: every response claims the chain
 // prefix ending at its operation's linearization point.
 func (m *fastMutex) Witness() Witness {

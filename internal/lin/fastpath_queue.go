@@ -1,213 +1,418 @@
 package lin
 
 import (
-	"context"
-	"math"
 	"slices"
+	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/adt"
-	"repro/internal/check"
 	"repro/internal/trace"
 )
 
-// fastQueueCheck is the one-shot FIFO-queue fast path (DESIGN.md,
-// decision 15), following the matched enqueue/dequeue segment analysis
-// of Bouajjani–Emmi–Enea–Hamza. Its fragment is stricter than the
-// streaming cores': the trace must be complete (every operation
-// responded), inputs pairwise distinct, untagged enqueue values
-// pairwise distinct, and no dequeue may report empty — anything else
-// falls back to the exact engines. Inside the fragment, with distinct
-// values, a linearization exists iff
+// fastQueue is the streaming FIFO-queue fast path (DESIGN.md, decisions
+// 15 and 33): the matched enqueue/dequeue analysis of
+// Bouajjani–Emmi–Enea–Hamza, evaluated as the history arrives. Its
+// fragment: grammar-valid inputs, pairwise-distinct dequeue inputs,
+// pairwise-distinct untagged enqueue values (which makes enqueue inputs
+// distinct too) and no empty-dequeue outputs.
 //
-//	(a) every dequeued value was enqueued exactly once, dequeued at
-//	    most once, and its dequeue does not respond before its enqueue
-//	    is invoked;
-//	(b) no pair of dequeued values u, v has enq(u) responding before
-//	    enq(v) is invoked while deq(v) responds before deq(u) is
-//	    invoked — FIFO would need u out first, real time forbids it;
-//	(c) no value enqueued-and-responded but never dequeued precedes
-//	    (enqueue response before enqueue invocation) a dequeued value —
-//	    the undequeued value would block the dequeued one forever.
+// Let m be the largest enqueue invocation among the values dequeued so
+// far. A queued value — its enqueue responded, no dequeue returned it —
+// is owed once its enqueue responded before m: some dequeued value was
+// enqueued wholly after it, so FIFO needs it out first. Its deadline is
+// the dequeue response that raised m past it, and only a dequeue
+// invoked before that response can return it. Inside the fragment, a
+// prefix is linearizable iff
 //
-// Condition (b) is checked with an O(n log n) sweep: values sorted by
-// enqueue invocation, a pointer over enqueue responses maintaining the
-// running maximum dequeue invocation. On a positive verdict the core
-// assembles a Lin witness (queueWitness) up to fastQueueWitnessCap
-// dequeued values; beyond the cap the Result carries an empty Witness —
-// FuzzFastpathVsExact keeps verdicts and witnesses honest against the
-// exact search.
-func fastQueueCheck(ctx context.Context, t trace.Trace, set check.Settings, collide bool) (Result, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return Result{}, true, err
-	}
-	notWF := func(idx int) (Result, bool, error) {
-		return Result{OK: false, Reason: "trace is not well-formed", Nodes: idx + 1}, true, nil
-	}
-	reject := Result{OK: false, Reason: "no linearization function exists", Nodes: len(t)}
-	if len(t) > math.MaxInt32 {
-		return Result{}, false, nil // beyond queueOp's indices
-	}
-
-	// Pass 1: well-formedness, fragment membership, operation intervals.
-	// ops is in invocation order; open and enqs hold positions in it.
-	ops := make([]queueOp, 0, (len(t)+1)/2) // a complete trace has two actions an operation
-	open := map[trace.ClientID]int{}        // client → its open operation, absent when none
-	seen := digestTable{collide: collide}   // every input (distinctness)
-	enqs := digestTable{collide: collide}   // untagged value → its enqueue, exact
-	enqOf := func(arg string) (int, bool) {
-		return enqs.get(arg, func(i int) bool { return enqArg(t[ops[i].inv].Input) == arg })
-	}
-	for idx := range t {
-		a := &t[idx] // an action is 80 bytes: read it where it lies
-		if idx&ctxPollMask == ctxPollMask {
-			if err := ctx.Err(); err != nil {
-				return Result{Nodes: idx}, true, err
-			}
-		}
-		switch a.Kind {
-		case trace.Inv:
-			if _, busy := open[a.Client]; busy {
-				return notWF(idx)
-			}
-			if seen.add(a.Input) {
-				return Result{}, false, nil
-			}
-			op, arg, ok := strings.Cut(string(adt.Untag(a.Input)), ":")
-			o := queueOp{inv: int32(idx), res: -1, peer: -1}
-			switch {
-			case !ok:
-				return Result{}, false, nil
-			case op == "enq":
-				if arg == "" || arg == string(adt.Bottom) || strings.ContainsRune(arg, '\x00') {
-					return Result{}, false, nil
-				}
-				if _, dup := enqOf(arg); dup {
-					return Result{}, false, nil // duplicate enqueue value
-				}
-				o.enq = true
-				enqs.put(arg, len(ops))
-			case op == "deq" && arg == "":
-			default:
-				return Result{}, false, nil
-			}
-			open[a.Client] = len(ops)
-			ops = append(ops, o)
-		case trace.Res:
-			i, busy := open[a.Client]
-			if !busy || t[ops[i].inv].Input != a.Input {
-				return notWF(idx)
-			}
-			ops[i].res = int32(idx)
-			delete(open, a.Client)
-		default:
-			return notWF(idx)
-		}
-	}
-	if len(open) > 0 {
-		return Result{}, false, nil // pending operation: incomplete trace
-	}
-
-	// Pass 2: per-operation semantics — conditions (a) and the output
-	// grammar. A dequeue and the enqueue of the value it returned become
-	// each other's peer.
-	matched := 0
-	for i := range ops {
-		o := &ops[i]
-		out := t[o.res].Output
-		if o.enq {
-			if out != adt.WriteOutput() {
-				return reject, true, nil
-			}
-			continue
-		}
-		vop, varg, ok := strings.Cut(string(out), ":")
-		if !ok || vop != "v" {
-			return reject, true, nil // dequeues can only ever output "v:x"
-		}
-		if varg == string(adt.Bottom) {
-			return Result{}, false, nil // empty dequeue: outside the fragment
-		}
-		ei, ok := enqOf(varg)
-		if !ok {
-			return reject, true, nil // value never enqueued
-		}
-		e := &ops[ei]
-		if e.peer >= 0 {
-			return reject, true, nil // distinct values dequeue at most once
-		}
-		if o.res < e.inv {
-			return reject, true, nil // dequeued before its enqueue existed
-		}
-		e.peer, o.peer = int32(i), int32(ei)
-		matched++
-	}
-
-	// Condition (c): an enqueued-but-never-dequeued value must not
-	// wholly precede any dequeued value's enqueue. The same walk lists
-	// the dequeued values' enqueues for pass 3.
-	byEnqRes := make([]int, 0, matched)
-	minUnmatchedRes, maxMatchedInv := int32(-1), int32(-1)
-	for i := range ops {
-		e := &ops[i]
-		if !e.enq {
-			continue
-		}
-		if e.peer >= 0 {
-			byEnqRes = append(byEnqRes, i)
-			maxMatchedInv = e.inv // ops is in invocation order
-		} else if minUnmatchedRes < 0 || e.res < minUnmatchedRes {
-			minUnmatchedRes = e.res
-		}
-	}
-	if minUnmatchedRes >= 0 && minUnmatchedRes < maxMatchedInv {
-		return reject, true, nil
-	}
-
-	// Pass 3: condition (b). For each dequeued value v, the largest
-	// dequeue invocation among values whose enqueue responded before
-	// enq(v) was invoked must not exceed deq(v)'s response. byEnqInv is
-	// as built, in invocation order; byEnqRes is the same by response.
-	byEnqInv := slices.Clone(byEnqRes)
-	slices.SortFunc(byEnqRes, func(i, j int) int { return int(ops[i].res - ops[j].res) })
-	maxDeqInv, ptr := int32(-1), 0
-	for _, i := range byEnqInv {
-		e := &ops[i]
-		for ptr < len(byEnqRes) && ops[byEnqRes[ptr]].res < e.inv {
-			if d := ops[ops[byEnqRes[ptr]].peer].inv; d > maxDeqInv {
-				maxDeqInv = d
-			}
-			ptr++
-		}
-		if maxDeqInv >= 0 && ops[e.peer].res < maxDeqInv {
-			return reject, true, nil
-		}
-	}
-
-	r := Result{OK: true, Nodes: len(t)}
-	if set.Witness {
-		r.Witness = queueWitness(t, ops)
-	}
-	return r, true, nil
+//	(a) every dequeue returned a value whose enqueue was invoked before
+//	    the dequeue responded, and no value was returned twice;
+//	(b) no dequeue returned a value that was already owed when the
+//	    dequeue was invoked;
+//	(c) the open dequeues can absorb the owed values: with both sorted
+//	    by deadline, the k-th owed value has k open dequeues invoked
+//	    before its deadline.
+//
+// (a) and (b) are the one-shot conditions of the same names, each
+// checked at the response that completes its pattern. (c) is the
+// completion argument: the prefix is linearizable iff some completion
+// is, a completion must dequeue every owed value with an open dequeue
+// invoked before its deadline, and dequeuing only those values — open
+// enqueues respond last, the other open dequeues are left out — raises
+// m no further and meets the one-shot conditions (a)–(c). Nothing but a
+// dequeue response can falsify (a)–(c), so the other actions only
+// record.
+//
+// Deadlines are epochs: epoch counts the rises of m, an owed value keeps
+// the epoch that made it owed, and an open dequeue the epoch at its
+// invocation (the snapshot of m that (b) compares with). A dequeue
+// invoked before a value's deadline is one with a lower epoch. The
+// queued values are kept by enqueue response, so the owed ones are a
+// prefix of them whose end only moves forward; the owed values sit in a
+// list by epoch as long as the open dequeues, whose own list is by
+// invocation, so (c) is one merge of the two.
+//
+// Quiescent cut (DESIGN.md, decision 33): the frontier's states at a
+// quiescent point are every order of the queued values that their
+// enqueues' real-time order allows — the dequeued values' enqueues all
+// linearize first, no dequeue reaches the values behind them, and the
+// fragment has no empty dequeue to notice them — which is too many to
+// list. cutStates answers with no states, marking the cut, and a
+// fallback asks cutSeed for the enqueues of the values queued there:
+// replayed from the empty queue, they reach exactly those states. So the
+// core keeps the values queued at its last cut and dequeued since, and
+// no record of the others once both their ends are done.
+//
+// What the witness needs and the verdict does not — every operation's
+// input and interval — is kept only when the session asked for
+// witnesses (DESIGN.md, decision 24).
+type fastQueue struct {
+	witness bool
+	seen    digestTable // every dequeue input (distinctness)
+	enqd    digestTable // every untagged enqueue value (distinctness)
+	// index maps an untagged value to its record, exactly: an entry whose
+	// record was released or reused fails the comparison, so a value is
+	// found from its enqueue's invocation until it is dequeued with its
+	// enqueue responded, or — kept for the seed — until the next cut.
+	index digestTable
+	vals  []queueVal // records; free lists the unused ones
+	free  []int32
+	enqs  []openEnq // open enqueues, by invocation
+	// q holds the queued values by enqueue response: a record, or -1 once
+	// dequeued. Absolute position p is q[p-qOff]; q[:qh] is all -1.
+	q      []int32
+	qOff   int
+	qh     int
+	owedTo int       // absolute: the queued values before it are owed
+	m      int       // largest enqueue invocation among dequeued values, -1 before any
+	epoch  int       // the rises of m so far
+	owed   []int32   // owed records, by epoch
+	deqs   []openDeq // open dequeues, by invocation
+	last   int       // the index of the last action fed
+	cutAt  int       // the index after the last cut
+	since  []int32   // records queued at the last cut and dequeued since
+	ops    []queueOp // witness: every operation, by invocation
 }
 
-// queueOp is one queue operation's interval summary (fastQueueCheck
-// pass 1): the trace indices of its invocation and response, 16 bytes
-// in all. Its input, output and enqueue value are read from the trace
-// where they lie.
-type queueOp struct {
-	inv, res int32 // res is -1 while the operation is open
-	// peer is the position in ops of the operation at the value's other
-	// end (pass 2): an enqueue's is the dequeue that returned its value,
-	// a dequeue's the enqueue of the value it returned; -1 when none.
-	peer int32
-	enq  bool
+// queueVal is one enqueued value's record.
+type queueVal struct {
+	in       trace.Value // the enqueue's input
+	inv, res int         // its enqueue's indices; res is -1 while it is open
+	qpos     int         // its absolute position in q once queued
+	epoch    int         // the epoch that made it owed, 0 while not owed
+	deq      bool        // a dequeue returned it
+}
+
+// openDeq is an open dequeue: its invocation index and the epoch then.
+type openDeq struct{ inv, epoch int }
+
+// openEnq is an open enqueue: its invocation index and its record.
+type openEnq struct {
+	inv int
+	rec int32
+}
+
+// absorbs reports whether open dequeue d was invoked before owed value
+// v's deadline, so it may be the dequeue that returns v.
+func absorbs(d openDeq, v *queueVal) bool { return d.epoch < v.epoch }
+
+func newFastQueue(witness, collide bool) *fastQueue {
+	return &fastQueue{
+		witness: witness,
+		seen:    digestTable{collide: collide},
+		enqd:    digestTable{collide: collide},
+		index:   digestTable{collide: collide},
+		m:       -1,
+	}
 }
 
 // enqArg is the untagged value of the enqueue input in.
 func enqArg(in trace.Value) string {
 	_, arg, _ := strings.Cut(string(adt.Untag(in)), ":")
 	return arg
+}
+
+// Inv implements FastChecker.
+func (c *fastQueue) Inv(in trace.Value, idx int) FastStatus {
+	c.last = idx
+	op, arg, ok := strings.Cut(string(adt.Untag(in)), ":")
+	switch {
+	case !ok:
+		return FastExit
+	case op == "enq":
+		if arg == "" || arg == string(adt.Bottom) || strings.ContainsRune(arg, '\x00') {
+			return FastExit // grammar-invalid enqueue; exact semantics differ
+		}
+		if c.enqd.add(arg) {
+			return FastExit // a value enqueued before, or a digest alike
+		}
+		i := c.alloc()
+		c.vals[i] = queueVal{in: in, inv: idx, res: -1}
+		c.index.put(arg, int(i))
+		c.enqs = append(c.enqs, openEnq{inv: idx, rec: i})
+	case op == "deq" && arg == "":
+		if c.seen.add(in) {
+			return FastExit
+		}
+		c.deqs = append(c.deqs, openDeq{inv: idx, epoch: c.epoch})
+	default:
+		return FastExit
+	}
+	if c.witness {
+		c.ops = append(c.ops, queueOp{in: in, inv: idx, res: -1, peer: -1, enq: op == "enq"})
+	}
+	return FastOK
+}
+
+// Res implements FastChecker.
+func (c *fastQueue) Res(in, out trace.Value, invIdx, idx int) FastStatus {
+	c.last = idx
+	k := slices.IndexFunc(c.deqs, func(d openDeq) bool { return d.inv == invIdx })
+	if k < 0 {
+		return c.enqueued(out, invIdx, idx)
+	}
+	d := c.deqs[k]
+	c.deqs = slices.Delete(c.deqs, k, k+1)
+	vop, x, ok := strings.Cut(string(out), ":")
+	if !ok || vop != "v" {
+		return FastReject // dequeues can only ever output "v:x"
+	}
+	if x == string(adt.Bottom) {
+		return FastExit // empty dequeue: outside the fragment
+	}
+	i, ok := c.find(x)
+	if !ok || c.vals[i].deq {
+		return FastReject // (a): never enqueued before now, or returned twice
+	}
+	v := &c.vals[i]
+	if v.epoch > 0 && !absorbs(d, v) {
+		return FastReject // (b): owed before this dequeue was invoked
+	}
+	if c.witness {
+		e, o := c.opAt(v.inv), c.opAt(invIdx)
+		c.ops[o].res, c.ops[o].peer, c.ops[e].peer = idx, e, o
+	}
+	v.deq = true
+	if v.epoch > 0 {
+		k := slices.Index(c.owed, i)
+		c.owed = slices.Delete(c.owed, k, k+1)
+	}
+	inv := v.inv
+	if v.res >= 0 {
+		c.q[v.qpos-c.qOff] = -1
+		c.retire(i)
+		c.trim()
+	}
+	if inv > c.m {
+		c.m = inv
+		c.epoch++
+		c.advance()
+	}
+	// (c): the k-th owed value by deadline needs k open dequeues invoked
+	// before it; both lists are sorted by epoch.
+	if len(c.owed) > len(c.deqs) {
+		return FastReject
+	}
+	for k, i := range c.owed {
+		if !absorbs(c.deqs[k], &c.vals[i]) {
+			return FastReject
+		}
+	}
+	return FastOK
+}
+
+// enqueued is Res for the enqueue invoked at invIdx: its value joins the
+// queued ones, unless a dequeue returned it already.
+func (c *fastQueue) enqueued(out trace.Value, invIdx, idx int) FastStatus {
+	if out != adt.WriteOutput() {
+		return FastReject
+	}
+	k := slices.IndexFunc(c.enqs, func(e openEnq) bool { return e.inv == invIdx })
+	i := c.enqs[k].rec
+	c.enqs = slices.Delete(c.enqs, k, k+1)
+	v := &c.vals[i]
+	v.res = idx
+	if c.witness {
+		c.ops[c.opAt(invIdx)].res = idx
+	}
+	if v.deq {
+		c.retire(i)
+	} else {
+		v.qpos = c.qOff + len(c.q)
+		c.q = append(c.q, i)
+	}
+	return FastOK
+}
+
+// find returns the record of value x: the oldest queued value, as FIFO
+// mostly has it, or what the index says.
+func (c *fastQueue) find(x string) (int32, bool) {
+	if c.qh < len(c.q) && enqArg(c.vals[c.q[c.qh]].in) == x {
+		return c.q[c.qh], true
+	}
+	pos, ok := c.index.get(x, func(pos int) bool {
+		v := &c.vals[pos]
+		return v.in != "" && enqArg(v.in) == x
+	})
+	return int32(pos), ok
+}
+
+// advance makes the queued values whose enqueues responded before m
+// owed, with the current epoch as their deadline.
+func (c *fastQueue) advance() {
+	p := max(c.owedTo-c.qOff, c.qh)
+	for ; p < len(c.q); p++ {
+		if i := c.q[p]; i >= 0 {
+			if c.vals[i].res > c.m {
+				break // q is by response: so are the rest
+			}
+			c.vals[i].epoch = c.epoch
+			c.owed = append(c.owed, i)
+		}
+	}
+	c.owedTo = c.qOff + p
+}
+
+// trim moves qh past the dequeued values at q's front and, once they are
+// half of q, drops them, copying no more slots than it drops.
+func (c *fastQueue) trim() {
+	for c.qh < len(c.q) && c.q[c.qh] < 0 {
+		c.qh++
+	}
+	if 2*c.qh >= len(c.q) {
+		n := copy(c.q, c.q[c.qh:])
+		c.q = c.q[:n]
+		c.qOff += c.qh
+		c.qh = 0
+	}
+}
+
+func (c *fastQueue) alloc() int32 {
+	if n := len(c.free); n > 0 {
+		i := c.free[n-1]
+		c.free = c.free[:n-1]
+		return i
+	}
+	c.vals = append(c.vals, queueVal{})
+	return int32(len(c.vals) - 1)
+}
+
+// retire ends record i once its value was dequeued and its enqueue
+// responded: it is kept for the seed only if the value was queued at the
+// last cut.
+func (c *fastQueue) retire(i int32) {
+	if c.vals[i].inv < c.cutAt {
+		c.since = append(c.since, i)
+		return
+	}
+	c.release(i)
+}
+
+func (c *fastQueue) release(i int32) {
+	c.vals[i] = queueVal{}
+	c.free = append(c.free, i)
+}
+
+// cutStates implements cutter: the states are too many to list (see the
+// type comment), so the core marks the cut and answers with its seed.
+func (c *fastQueue) cutStates() ([]adt.State, bool) {
+	for _, i := range c.since {
+		c.release(i)
+	}
+	c.since = c.since[:0]
+	c.cutAt = c.last + 1
+	return nil, true
+}
+
+// cutSeed implements cutter: the enqueues of the values queued at the
+// last cut — those still queued and those dequeued since — as complete
+// operations in the order their actions were fed, each open seed
+// operation on a client of its own.
+func (c *fastQueue) cutSeed() trace.Trace {
+	type event struct {
+		idx int
+		rec int32
+	}
+	var evs []event
+	add := func(i int32) {
+		evs = append(evs, event{c.vals[i].inv, i}, event{c.vals[i].res, i})
+	}
+	for _, i := range c.q[c.qh:] {
+		if i >= 0 && c.vals[i].inv < c.cutAt {
+			add(i)
+		}
+	}
+	for _, i := range c.since {
+		add(i)
+	}
+	slices.SortFunc(evs, func(a, b event) int { return a.idx - b.idx })
+	seed := make(trace.Trace, 0, len(evs))
+	client := map[int32]trace.ClientID{}
+	var idle []trace.ClientID
+	for _, e := range evs {
+		v := &c.vals[e.rec]
+		if e.idx == v.inv {
+			var id trace.ClientID
+			if n := len(idle); n > 0 {
+				id, idle = idle[n-1], idle[:n-1]
+			} else {
+				id = trace.ClientID("seed" + strconv.Itoa(len(client)))
+			}
+			client[e.rec] = id
+			seed = append(seed, trace.Invoke(id, 1, v.in))
+			continue
+		}
+		seed = append(seed, trace.Response(client[e.rec], 1, v.in, adt.WriteOutput()))
+		idle = append(idle, client[e.rec])
+	}
+	return seed
+}
+
+// queueOp is one queue operation's witness material: its input and
+// interval, and the operation at its value's other end.
+type queueOp struct {
+	in       trace.Value
+	inv, res int // res is -1 while the operation is open
+	// peer is the position in ops of the operation at the value's other
+	// end: an enqueue's is the dequeue that returned its value, a
+	// dequeue's the enqueue of the value it returned; -1 when none.
+	peer int
+	enq  bool
+}
+
+// opAt is the position in ops of the operation invoked at index inv.
+func (c *fastQueue) opAt(inv int) int {
+	return sort.Search(len(c.ops), func(i int) bool { return c.ops[i].inv >= inv })
+}
+
+// Witness implements FastChecker: the fed prefix is completed as the
+// type comment's argument does — the k-th owed value by deadline is
+// returned by the k-th open dequeue, those dequeues and the open
+// enqueues respond after everything — and queueWitness linearizes the
+// completion; the completion's own responses are left out.
+func (c *fastQueue) Witness() Witness {
+	if !c.witness {
+		return nil
+	}
+	ops := slices.Clone(c.ops)
+	end := c.last + 1
+	next := end
+	for k, i := range c.owed {
+		d, e := c.opAt(c.deqs[k].inv), c.opAt(c.vals[i].inv)
+		ops[d].res, ops[d].peer, ops[e].peer = next, e, d
+		next++
+	}
+	for i := range ops {
+		if ops[i].enq && ops[i].res < 0 {
+			ops[i].res = next
+			next++
+		}
+	}
+	w := queueWitness(ops)
+	for r := end; r < next; r++ {
+		delete(w, r)
+	}
+	return w
 }
 
 // fastQueueWitnessCap bounds the queue core's witness assembly: the
@@ -217,21 +422,22 @@ func enqArg(in trace.Value) string {
 // anyway).
 const fastQueueWitnessCap = 4096
 
-// queueWitness assembles a Lin witness for a trace fastQueueCheck has
-// already proven linearizable. The matched values are ordered by a
-// common linear extension τ of the three forced precedences —
-// res(enq u) < inv(enq v), res(deq u) < inv(deq v), and
+// queueWitness assembles a Lin witness for a complete linearizable
+// queue history in the fragment, given as its operations by invocation
+// (an operation with res -1 is left out). The matched values are
+// ordered by a common linear extension τ of the three forced
+// precedences — res(enq u) < inv(enq v), res(deq u) < inv(deq v), and
 // res(deq u) < inv(enq v) each force u before v in FIFO order — via
 // Kahn's algorithm (a linearization exists, so the union digraph is
-// acyclic); unmatched values follow all matched ones, sorted by
-// enqueue invocation (condition (c) makes that placement real-time
-// consistent). A single sweep over the responses in trace order then
-// linearizes lazily: each operation at its own response, forced
-// helpers — τ-earlier enqueues and dequeues still in flight — just
-// before, every linearization point provably inside its operation's
-// interval. Returns nil past fastQueueWitnessCap (or, defensively, if
-// no extension is found).
-func queueWitness(t trace.Trace, ops []queueOp) Witness {
+// acyclic); unmatched values follow all matched ones, sorted by enqueue
+// invocation (no unmatched value precedes a matched one, so that
+// placement is real-time consistent). A single sweep over the responses
+// in trace order then linearizes lazily: each operation at its own
+// response, forced helpers — τ-earlier enqueues and dequeues still in
+// flight — just before, every linearization point provably inside its
+// operation's interval. Returns nil past fastQueueWitnessCap (or,
+// defensively, if no extension is found).
+func queueWitness(ops []queueOp) Witness {
 	// rem holds the matched values still to place, as the positions of
 	// their enqueues, by enqueue invocation; unmatched the others.
 	var rem, unmatched []int
@@ -290,18 +496,20 @@ func queueWitness(t trace.Trace, ops []queueOp) Witness {
 
 	// Sweep the responses in trace order; pos[op] is the claimed chain
 	// prefix once the op linearizes.
-	byRes := make([]int, len(ops))
-	for i := range byRes {
-		byRes[i] = i
+	var byRes []int
+	for i := range ops {
+		if ops[i].res >= 0 {
+			byRes = append(byRes, i)
+		}
 	}
-	slices.SortFunc(byRes, func(i, j int) int { return int(ops[i].res - ops[j].res) })
+	slices.SortFunc(byRes, func(i, j int) int { return ops[i].res - ops[j].res })
 	var chain trace.History
 	pos := make([]int, len(ops))
 	eptr, dptr := 0, 0
 	linEnqsThrough := func(target int) {
 		for eptr <= target {
 			e := enqOrder[eptr]
-			chain = append(chain, t[ops[e].inv].Input)
+			chain = append(chain, ops[e].in)
 			pos[e] = len(chain)
 			eptr++
 		}
@@ -313,16 +521,16 @@ func queueWitness(t trace.Trace, ops []queueOp) Witness {
 			linEnqsThrough(enqPos[oi])
 		} else {
 			if o.peer < 0 {
-				return nil // defensive: pass 2 matched every dequeue
+				return nil // defensive: every responded dequeue is matched
 			}
 			for target := tauPos[o.peer]; dptr <= target; dptr++ {
 				e := tau[dptr]
 				linEnqsThrough(enqPos[e])
-				chain = append(chain, t[ops[ops[e].peer].inv].Input)
+				chain = append(chain, ops[ops[e].peer].in)
 				pos[ops[e].peer] = len(chain)
 			}
 		}
-		w[int(o.res)] = chain[:pos[oi]].Clone()
+		w[o.res] = chain[:pos[oi]].Clone()
 	}
 	return w
 }

@@ -234,6 +234,9 @@ func (r *fastRegister) cutStates() ([]adt.State, bool) {
 	return r.cut, true
 }
 
+// cutSeed implements cutter: this core always lists its states.
+func (r *fastRegister) cutSeed() trace.Trace { return nil }
+
 // Witness implements FastChecker (see the type comment for the
 // construction and its correctness argument).
 func (r *fastRegister) Witness() Witness {

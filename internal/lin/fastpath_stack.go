@@ -228,6 +228,9 @@ func (s *fastStack) cutStates() ([]adt.State, bool) {
 	return s.cut[:], true
 }
 
+// cutSeed implements cutter: this core always lists its states.
+func (s *fastStack) cutSeed() trace.Trace { return nil }
+
 // Witness implements FastChecker.
 func (s *fastStack) Witness() Witness {
 	if !s.witness {

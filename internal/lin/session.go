@@ -85,10 +85,14 @@ type Session struct {
 	// off). Once a log chunk fills, the next quiescent point asks the core
 	// for the states its linearizations end in; if it answers, the log is
 	// dropped up to there and the current chunk reused, so the log holds
-	// one chunk plus the longest cut-free stretch. cutFed actions lie
-	// behind the last cut and cutSt is its answer: a fallback seeds the
-	// exact session with those states and replays only the log. Without a
-	// cut, cutFed is 0 and the seed is the empty state.
+	// one chunk plus the longest cut-free stretch. The full chunks a cut
+	// drops stay parked past recFull's length, emptied, and come back as
+	// the next stretch's chunks, so the log allocates only to grow past
+	// its longest stretch so far. cutFed actions lie
+	// behind the last cut and cutSt is its answer: a fallback starts the
+	// exact session in those states — or, when the answer has none, from
+	// the core's seed (cutter) — and replays only the log. Without a cut,
+	// cutFed is 0 and the exact session starts in the empty state.
 	cuts   cutter
 	cutDue bool // a chunk filled since the last ask
 	cutFed int
@@ -99,12 +103,18 @@ type Session struct {
 // point where no operation is open, every configuration of the exact
 // engine is an end state with no unclaimed entries (decision 20), so
 // the past is the set of states the fed trace's linearizations end in.
-// cutStates returns exactly that set — or false when the core cannot
-// tell it, leaving its last answer as it was — and is only asked while
-// no operation is open. The answer lives in the core's storage and
-// stays valid until the next call.
+// A cut has one of two answers (decision 33). cutStates returns exactly
+// that set, or no states when the set is too large to list: then the
+// core marks the cut and cutSeed, asked only at a fallback, returns its
+// seed — complete operations whose replay from the empty state reaches
+// exactly that set (nil from a core that always lists its states).
+// cutStates returns false when the core cannot tell, leaving its last
+// answer as it was, and is only asked while no operation is open. A
+// listed answer lives in the core's storage and stays valid until the
+// next call.
 type cutter interface {
 	cutStates() ([]adt.State, bool)
+	cutSeed() trace.Trace
 }
 
 // recChunkMin and recChunk are the lengths of the first and of the
@@ -133,7 +143,7 @@ func NewSession(ctx context.Context, f adt.Folder, opts ...check.Option) *Sessio
 
 // NewSessionFast is NewSession with fast-path dispatch (DESIGN.md,
 // decision 15): when folder f has a streaming specialized core
-// (register, consensus, mutex, stack) and check.WithExact was not
+// (register, consensus, queue, mutex, stack) and check.WithExact was not
 // requested, Feed costs O(1) amortized per action instead of a frontier
 // expansion, and no budget is spent while the trace stays inside the
 // core's fragment (Nodes then counts fed actions). The first action
@@ -141,9 +151,10 @@ func NewSession(ctx context.Context, f adt.Folder, opts ...check.Option) *Sessio
 // replayed through the exact frontier engine — spending budget as an
 // exact session would — and the session continues exactly. With
 // check.WithWitness(false) the record starts at the last quiescent cut
-// (DESIGN.md, decision 26): the exact engine is seeded with the states
-// the core reported there and replays only what followed. Verdicts agree
-// with NewSession on every prefix either way.
+// (DESIGN.md, decisions 26 and 33): the exact engine starts in the
+// states the core reported there, or replays the core's seed, and then
+// replays only what followed. Verdicts agree with NewSession on every
+// prefix either way.
 func NewSessionFast(ctx context.Context, f adt.Folder, opts ...check.Option) *Session {
 	set := check.NewSettings(opts...)
 	s := newSessionSettings(ctx, f, set)
@@ -273,10 +284,19 @@ func (s *Session) feedFast(a trace.Action) error {
 	idx := s.fed
 	s.fed++
 	if len(s.rec) == cap(s.rec) {
+		// A parked chunk comes back as the full one takes its slot.
+		var next trace.Trace
+		if n := len(s.recFull); n < cap(s.recFull) {
+			next = s.recFull[:n+1][n]
+		}
 		if s.rec != nil {
 			s.recFull = append(s.recFull, s.rec)
 		}
-		s.rec = make(trace.Trace, 0, min(recChunk, max(recChunkMin, idx-s.cutFed)))
+		if next != nil {
+			s.rec = next[:0]
+		} else {
+			s.rec = make(trace.Trace, 0, min(recChunk, max(recChunkMin, idx-s.cutFed)))
+		}
 	}
 	s.rec = append(s.rec, a)
 	if len(s.rec) == cap(s.rec) && s.cuts != nil {
@@ -330,7 +350,8 @@ func (s *Session) feedFast(a trace.Action) error {
 
 // cut asks the core, at a quiescent point, for the states the fed
 // trace's linearizations end in; if it answers, the replay log is
-// dropped up to here and its current chunk kept for what follows.
+// dropped up to here and its current chunk kept for what follows, the
+// full ones parked.
 func (s *Session) cut() {
 	s.cutDue = false
 	st, ok := s.cuts.cutStates()
@@ -338,7 +359,9 @@ func (s *Session) cut() {
 		return
 	}
 	s.cutSt, s.cutFed = st, s.fed
-	clear(s.recFull)
+	for _, c := range s.recFull {
+		clear(c) // let what they logged go
+	}
 	s.rec, s.recFull = s.rec[:0], s.recFull[:0]
 }
 
@@ -349,21 +372,30 @@ func (s *Session) cut() {
 // from zero, exactly as an exact session fed the same actions would
 // have. After a cut it starts from the cut's states with the cut's
 // actions behind it (newSessionAt) and replays only the log: the same
-// verdicts, with the nodes and budget spend of the suffix alone. Either
-// way the replay stops at the exact session's first terminal error.
+// verdicts, with the nodes and budget spend of the suffix alone. A cut
+// answered by a seed starts from the empty state, replays the seed and
+// then counts the cut's actions as fed, so Len continues; the seed's
+// nodes are spent too. Either way the replay stops at the exact
+// session's first terminal error.
 func (s *Session) fastFallback() error {
 	chunks := append(s.recFull, s.rec)
-	states := s.cutSt
-	if s.cutFed == 0 {
+	states, fed := s.cutSt, s.cutFed
+	var seed trace.Trace
+	if states == nil {
 		states = []adt.State{s.f.Empty()}
+		if fed > 0 {
+			seed, fed = s.cuts.cutSeed(), 0
+		}
 	}
-	ex := newSessionAt(s.meter.Ctx, s.f, s.set, s.cutFed, states)
+	ex := newSessionAt(s.meter.Ctx, s.f, s.set, fed, states)
+	err := ex.FeedAll(seed)
+	ex.fed = max(ex.fed, s.cutFed)
 	s.fast, s.cuts, s.rec, s.recFull, s.cutSt = nil, nil, nil, nil, nil
-	var err error
 	for _, c := range chunks {
-		if err = ex.FeedAll(c); err != nil {
+		if err != nil {
 			break
 		}
+		err = ex.FeedAll(c)
 	}
 	s.Frontier = ex.Frontier
 	s.pending, s.fed, s.err, s.notWF = ex.pending, ex.fed, ex.err, ex.notWF

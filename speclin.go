@@ -188,9 +188,10 @@ func (m Mode) String() string {
 //     distinct input strings).
 //   - ConsensusADT — one-shot Lin checks and Lin/SLin(1,n) sessions
 //     (single-decision analysis; distinct input strings).
-//   - QueueADT — one-shot Lin checks only (matched enqueue/dequeue
-//     segments; complete traces, distinct enqueue values, no empty
-//     dequeues); positive verdicts carry a witness up to a size cap.
+//   - QueueADT — one-shot Lin checks and Lin/SLin(1,n) sessions
+//     (matched enqueue/dequeue segments, decided on every prefix;
+//     distinct enqueue values and input strings, no empty dequeues);
+//     positive verdicts carry a witness up to a size cap.
 //   - MutexADT — one-shot Lin checks and Lin/SLin(1,n) sessions
 //     (greedy alternation simulation plus counting rejects; distinct
 //     input strings, all-"ok:" outputs).
