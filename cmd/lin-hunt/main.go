@@ -56,7 +56,7 @@ func main() {
 		duration  = flag.Duration("duration", 0, "bound the stress by wall clock instead of -ops")
 		seed      = flag.Int64("seed", 1, "base RNG seed")
 		keys      = flag.Int("keys", 16, "key space of the map and set workloads")
-		budget    = flag.Int("budget", 5_000_000, "checker search budget per session/key")
+		budget    = flag.Int("budget", 5_000_000, "checker search nodes per fed action (ClassicalLin: per history)")
 		exact     = flag.Bool("exact", false, "force the exact engines (no ADT fast paths)")
 		classical = flag.Bool("classical", false, "also run the uncapped ClassicalLin checker post-run")
 		rounds    = flag.Int("rounds", 10, "detection retry rounds for mutant hunts")

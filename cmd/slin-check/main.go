@@ -106,12 +106,11 @@ func main() {
 	m := flag.Int("m", 1, "slin: lower phase bound m")
 	n := flag.Int("n", 2, "slin: upper phase bound n")
 	temporal := flag.Bool("temporal", false, "slin: use the temporal Abort-Order variant")
-	budget := flag.Int("budget", 0, "search budget (0 = default)")
+	budget := flag.Int("budget", 0, "search nodes per fed action (classical: over the whole search; 0 = default)")
 	workers := flag.Int("workers", 0, "worker pool size for multi-file batches (0 = GOMAXPROCS)")
 	timeout := flag.Duration("timeout", 0, "overall deadline; exceeded checks report unknown (exit 2)")
 	stream := flag.Bool("stream", false, "lin and slin modes: feed each trace through an incremental Session instead of one-shot Check")
 	exact := flag.Bool("exact", false, "force the exact search engines (skip the ADT-specialized fast-path checkers)")
-	feedBudget := flag.Bool("feed-budget", false, "lin and slin modes: rebase the search budget at every fed action, one-shot or streamed (classical spends one budget)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile (sampled allocation sites since start, after a final GC) to this file")
 	flag.Parse()
@@ -167,8 +166,7 @@ func main() {
 	// Shard the independent checks across the worker pool (checker API
 	// v2: context-aware, functional options); verdicts come back in file
 	// order.
-	opts := []check.Option{check.WithBudget(*budget), check.WithExact(*exact),
-		check.WithFeedBudget(*feedBudget)}
+	opts := []check.Option{check.WithBudget(*budget), check.WithExact(*exact)}
 	verdicts, err := check.Parallel(ctx, traces, *workers, func(i int, t trace.Trace) (verdict, error) {
 		switch *mode {
 		case "lin", "classical":

@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"os/exec"
@@ -12,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/adt"
+	"repro/internal/lin"
 	"repro/internal/slin"
 	"repro/internal/trace"
 )
@@ -100,6 +103,34 @@ func TestADTsReplayable(t *testing.T) {
 	}
 	if _, code := runCLI(t, "-adt", "tree", writeTrace(t, dir, "any.json", nil)); code != 2 {
 		t.Errorf("unknown ADT: exit %d, want 2", code)
+	}
+}
+
+// TestBudgetPerFedAction: -budget bounds each fed action (DESIGN.md,
+// decision 34), so a long cheap stream that spends it many times over
+// in all is decided by the exact engines, one-shot and streamed, lin
+// and slin, with no further flag — while classical, one depth-first
+// search, spends it over the whole run and gives up (exit 2).
+func TestBudgetPerFedAction(t *testing.T) {
+	var tr trace.Trace
+	for i := 0; i < 200; i++ {
+		c := trace.ClientID(fmt.Sprintf("w%d", i))
+		in := adt.WriteInput(fmt.Sprint(i))
+		tr = append(tr, trace.Invoke(c, 1, in), trace.Response(c, 1, in, adt.WriteOutput()))
+	}
+	const budget = 100
+	if r, err := lin.Check(context.Background(), adt.Register{}, tr); err != nil || r.Nodes <= 2*budget {
+		t.Fatalf("the stream spends %d nodes in all (%v), want more than twice the budget of %d", r.Nodes, err, budget)
+	}
+	path := writeTrace(t, t.TempDir(), "writes.json", tr)
+	args := []string{"-adt", "register", "-exact", "-budget", fmt.Sprint(budget)}
+	for _, mode := range [][]string{{}, {"-stream"}, {"-mode", "slin"}, {"-mode", "slin", "-stream"}} {
+		if out, code := runCLI(t, append(append(args, mode...), path)...); code != 0 {
+			t.Errorf("%v: exit %d, %q; want the stream decided", mode, code, out)
+		}
+	}
+	if out, code := runCLI(t, append(args, "-mode", "classical", path)...); code != 2 {
+		t.Errorf("classical: exit %d, %q; want its one budget exhausted", code, out)
 	}
 }
 

@@ -51,7 +51,7 @@ func main() {
 		pace     = flag.Int64("pace", 12, "per-client feed period in message delays (0: closed-loop burst at t=0)")
 		seed     = flag.Int64("seed", 1, "workload and network seed")
 		compact  = flag.Int("compact-every", 64, "log compaction window (0: off)")
-		budget   = flag.Int("budget", 0, "per-history check budget (0: checker default)")
+		budget   = flag.Int("budget", 0, "check search nodes per fed action (0: checker default)")
 		noCheck  = flag.Bool("skip-check", false, "skip the per-key linearizability check")
 		online   = flag.Bool("online", false, "stream per-key histories through incremental checker sessions during the run")
 		exact    = flag.Bool("exact", false, "force the exact frontier engine on the online checker sessions (default: register fast path)")

@@ -42,7 +42,9 @@ type Config struct {
 	Seed int64
 	// Keys sizes the key space of the map and set workloads.
 	Keys int
-	// Budget bounds each checker session (and each one-shot check).
+	// Budget bounds the search nodes each fed action of a checker session
+	// or one-shot check may spend (DESIGN.md, decision 34); Classical's
+	// pass spends it over each whole history.
 	Budget int
 	// Exact forces the exact engines (check.WithExact) on the sessions.
 	Exact bool
@@ -132,11 +134,10 @@ func hunt(ctx context.Context, cfg Config) (Report, *keyed.Set, error) {
 	}
 	rec := NewRecorder(cfg.Goroutines, recOpts...)
 
-	// Per-feed budgets: a hunt session lives for the whole stress run, so
-	// one lifetime budget would starve late actions on long runs; each
-	// fed action instead gets the full budget for its frontier step.
+	// The budget is per fed action (DESIGN.md, decision 34), so a session
+	// living for the whole stress run never starves its late actions.
 	opts := []check.Option{check.WithBudget(cfg.Budget), check.WithWitness(false),
-		check.WithFeedBudget(true), check.WithExact(cfg.Exact)}
+		check.WithExact(cfg.Exact)}
 	var f adt.Folder
 	var keyOf func(trace.Value) string
 	switch cfg.Structure {

@@ -3,12 +3,12 @@
 // model checker for step systems.
 //
 // The shared checker surface (opts.go, parallel.go, bitset.go): the
-// three-valued Verdict, the functional Option set (WithBudget,
-// WithWorkers, WithWitness, WithMemoLimit, WithFeedBudget, ...) resolved
-// into one Settings struct by every one-shot check and incremental
-// Session in lin and slin, and the classical checker's BitSet (decision
-// 13). The frontier engine both checkers run is lin.Frontier (decision
-// 31).
+// three-valued Verdict, the functional Option set (WithBudget — search
+// nodes per fed action, decision 34 — WithWorkers, WithWitness, ...)
+// resolved into one Settings struct by every one-shot check and
+// incremental Session in lin and slin, and the classical checker's
+// BitSet (decision 13). The frontier engine both checkers run is
+// lin.Frontier (decision 31).
 //
 // The model checker (check.go): it explores instruction-level
 // interleavings of concurrent processes over shared state and hands

@@ -193,7 +193,7 @@ func descheduledPrefixes(ctx context.Context, f adt.Folder, tr trace.Trace, uniq
 		oneShotEvery = 96 // one-shot Check is asked at every response up to here, then at one in eight
 		refMax       = 16 // the string-keyed reference copies chains: short prefixes only
 	)
-	s := lin.NewSession(ctx, f, check.WithFeedBudget(true))
+	s := lin.NewSession(ctx, f)
 	st := descheduledStats{ok: true, prefixes: len(tr)}
 	for k, a := range tr {
 		pre := tr[:k+1]

@@ -60,7 +60,7 @@ func (g *overlapGen) round(sh overlapShape) (tr trace.Trace, firstHolderRes int)
 
 func newOverlapSession(opts ...check.Option) *lin.Session {
 	return lin.NewSession(context.Background(), adt.Set{},
-		append([]check.Option{check.WithFeedBudget(true), check.WithWitness(false)}, opts...)...)
+		append([]check.Option{check.WithWitness(false)}, opts...)...)
 }
 
 // TestOverlapNodeCounts asserts the exact per-round node counts of every
@@ -156,7 +156,7 @@ func TestOverlapAgreesWithCheck(t *testing.T) {
 // bytes grow with the cycle index.
 func TestOverlapFeedAllocsHistoryIndependent(t *testing.T) {
 	sl, err := slin.NewSession(context.Background(), adt.Set{}, slin.ConsensusRInit{}, 1, 2,
-		check.WithFeedBudget(true), check.WithWitness(false))
+		check.WithWitness(false))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,13 +6,13 @@ package check
 // of the near-duplicate per-package Options structs of the v1 surface.
 
 // Verdict is a three-valued checker outcome. The zero value is Unknown,
-// which a checker reports only alongside an error (budget or memo-limit
-// exhaustion, context cancellation) — never as a decided answer.
+// which a checker reports only alongside an error (budget exhaustion,
+// context cancellation) — never as a decided answer.
 type Verdict int
 
 const (
-	// Unknown means the check did not run to completion (budget, memo
-	// limit, cancellation); a larger budget may decide it.
+	// Unknown means the check did not run to completion (budget,
+	// cancellation); a larger budget may decide it.
 	Unknown Verdict = iota
 	// Linearizable means the property holds (Lin, Lin* or SLin(m,n),
 	// depending on the check's mode).
@@ -33,14 +33,23 @@ func (v Verdict) String() string {
 	}
 }
 
+// DefaultBudget is the number of search nodes a fed action may spend
+// (a depth-first search: its whole run) when no WithBudget option is
+// given.
+const DefaultBudget = 2_000_000
+
 // Settings is the resolved option set of one checker call or session.
 // Callers normally build it through NewSettings and the With* options;
 // the zero value of each field selects the documented default.
 type Settings struct {
-	// Budget bounds the total number of search nodes per one-shot check
-	// (shared across all init-interpretation combinations for SLin) or
-	// per Session lifetime (cumulative across Feed calls); 0 means the
-	// checker's DefaultBudget.
+	// Budget bounds the search nodes one fed action may spend (DESIGN.md,
+	// decision 34): the frontier engines charge each Feed of a session —
+	// and each action of a one-shot check, a session fed the whole trace
+	// — against it afresh, SLin's init-interpretation combinations and
+	// replays sharing the action's allowance. Only the depth-first
+	// searches — lin.CheckClassical and the reference oracles — spend one
+	// budget over their whole run. NewSettings resolves 0 to
+	// DefaultBudget.
 	Budget int
 	// Workers sizes the worker pool of the batch checkers (CheckAll,
 	// Parallel), which shard independent traces; 0 means GOMAXPROCS.
@@ -50,14 +59,6 @@ type Settings struct {
 	// witnesses. NewSettings defaults it to true; WithWitness(false)
 	// skips witness assembly.
 	Witness bool
-	// MemoLimit bounds the checker's memoization structures, in entries;
-	// 0 means unlimited. The frontier engines (lin.Check, slin.Check and
-	// the Sessions) report ErrMemo when a frontier alone exceeds it,
-	// since its configurations are live state that cannot be dropped
-	// soundly; the depth-first lin.CheckClassical stops inserting new
-	// memo entries beyond the limit (search stays exact, possibly
-	// slower).
-	MemoLimit int
 	// TemporalAbortOrder selects the temporal variant of the SLin
 	// checker's Abort-Order (slin package documentation); ignored by the
 	// lin checkers.
@@ -68,22 +69,14 @@ type Settings struct {
 	// speclin facade honour it; the plain lin/slin entry points are
 	// always exact and ignore it. Off by default.
 	Exact bool
-	// FeedBudget rebases the frontier engines' spend counter at every fed
-	// action, so one heavy-tailed action cannot starve every later feed
-	// into spurious ErrBudget (the E16 `online_speedup_is_lower_bound`
-	// caveat); a single Feed exceeding the budget is still terminal.
-	// One-shot lin.Check and slin.Check are sessions fed the whole trace
-	// and rebase alike; lin.CheckClassical spends one budget. Off by
-	// default.
-	FeedBudget bool
 }
 
 // Option mutates one Settings field; checker entry points accept a
 // variadic ...Option.
 type Option func(*Settings)
 
-// NewSettings resolves opts over the defaults (Witness on, everything
-// else zero).
+// NewSettings resolves opts over the defaults (DefaultBudget, Witness
+// on, everything else zero).
 func NewSettings(opts ...Option) Settings {
 	s := Settings{Witness: true}
 	for _, o := range opts {
@@ -91,18 +84,14 @@ func NewSettings(opts ...Option) Settings {
 			o(&s)
 		}
 	}
+	if s.Budget <= 0 {
+		s.Budget = DefaultBudget
+	}
 	return s
 }
 
-// BudgetOr returns the configured budget, or def when unset.
-func (s Settings) BudgetOr(def int) int {
-	if s.Budget <= 0 {
-		return def
-	}
-	return s.Budget
-}
-
-// WithBudget bounds the search to n nodes (see Settings.Budget).
+// WithBudget bounds the search to n nodes per fed action (see
+// Settings.Budget).
 func WithBudget(n int) Option { return func(s *Settings) { s.Budget = n } }
 
 // WithWorkers sizes the pool the batch checkers shard independent
@@ -111,10 +100,6 @@ func WithWorkers(n int) Option { return func(s *Settings) { s.Workers = n } }
 
 // WithWitness toggles witness assembly on positive verdicts.
 func WithWitness(on bool) Option { return func(s *Settings) { s.Witness = on } }
-
-// WithMemoLimit bounds the memoization structures to n entries (see
-// Settings.MemoLimit).
-func WithMemoLimit(n int) Option { return func(s *Settings) { s.MemoLimit = n } }
 
 // WithTemporalAbortOrder selects the temporal Abort-Order variant of the
 // SLin checker.
@@ -126,7 +111,3 @@ func WithTemporalAbortOrder(on bool) Option {
 // otherwise dispatch to an ADT-specialized fast-path checker (see
 // Settings.Exact; DESIGN.md, decision 15).
 func WithExact(on bool) Option { return func(s *Settings) { s.Exact = on } }
-
-// WithFeedBudget rebases the budget at every fed action, one-shot checks
-// included (see Settings.FeedBudget; default off).
-func WithFeedBudget(on bool) Option { return func(s *Settings) { s.FeedBudget = on } }

@@ -42,7 +42,8 @@ type ShardRunConfig struct {
 	Seed int64
 	// CompactEvery is the log-compaction window (0 disables).
 	CompactEvery int
-	// Budget is the per-history check budget (0: lin.DefaultBudget).
+	// Budget is the check budget, in search nodes per fed action (0:
+	// check.DefaultBudget).
 	Budget int
 	// SkipCheck skips history checking (pure throughput runs).
 	SkipCheck bool

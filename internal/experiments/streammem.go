@@ -16,8 +16,8 @@ import (
 // This file implements the E18 streaming-memory experiment: a single
 // long-lived exact Session fed a deterministic capture-shaped register
 // stream (ISSUE 9). Configurations that store nothing of the history
-// (DESIGN.md, decisions 17 and 20) plus the per-feed budget
-// (check.WithFeedBudget) are what make the run possible at all — the
+// (DESIGN.md, decisions 17 and 20) plus a budget charged per fed action
+// (decision 34) are what make the run possible at all — the
 // live heap must stay flat while the history grows by orders of
 // magnitude, and the comparison arm shows the heap of a witness-on
 // session, which retains the commit chain for witness assembly, growing
@@ -132,12 +132,11 @@ type E18MemRow struct {
 
 // E18StreamMem drives one compacted exact register session through n
 // capture-shaped operations and samples the live heap at `checkpoints`
-// evenly spaced points. The session runs with the per-feed budget: the
-// stream's cumulative node count exceeds any fixed budget by design,
-// while each individual Feed stays far under it.
+// evenly spaced points. The budget is per fed action: the stream's
+// cumulative node count exceeds any fixed budget by design, while each
+// individual Feed stays far under it.
 func E18StreamMem(ctx context.Context, n, checkpoints int) ([]E18MemRow, error) {
-	s := lin.NewSession(ctx, adt.Register{},
-		check.WithWitness(false), check.WithFeedBudget(true))
+	s := lin.NewSession(ctx, adt.Register{}, check.WithWitness(false))
 	g := newE18Gen()
 	rows := make([]E18MemRow, 0, checkpoints)
 	per := n / checkpoints
@@ -200,8 +199,7 @@ func E18CompactVsUncompacted(ctx context.Context, n int) ([]E18CompareRow, error
 		name    string
 		witness bool
 	}{{"compare-compacted", false}, {"compare-witness-chain", true}} {
-		s := lin.NewSession(ctx, adt.Register{},
-			check.WithWitness(arm.witness), check.WithFeedBudget(true))
+		s := lin.NewSession(ctx, adt.Register{}, check.WithWitness(arm.witness))
 		g := newE18Gen()
 		start := time.Now()
 		for done := 0; done < n; {

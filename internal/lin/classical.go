@@ -67,8 +67,10 @@ type Linearization []int
 //
 // The classical search is not structured per trace action, so there is
 // no classical Session — use Check, which agrees with CheckClassical on
-// unique-input traces by Theorem 1. On budget exhaustion Result.Nodes
-// still reports the nodes spent.
+// unique-input traces by Theorem 1. Being one depth-first search, it
+// spends the budget over its whole run rather than per fed action as
+// the frontier engines do (DESIGN.md, decision 34). On budget exhaustion
+// Result.Nodes still reports the nodes spent.
 func CheckClassical(ctx context.Context, f adt.Folder, t trace.Trace, opts ...check.Option) (Result, error) {
 	return checkClassicalSettings(ctx, f, t, check.NewSettings(opts...))
 }
@@ -84,15 +86,14 @@ func checkClassicalSettings(ctx context.Context, f adt.Folder, t trace.Trace, se
 	}
 	ops := collectOps(t)
 	s := &classicalSearcher{
-		ctx:       ctx,
-		f:         f,
-		ops:       ops,
-		budget:    set.BudgetOr(DefaultBudget),
-		memoLimit: set.MemoLimit,
-		failed:    map[classicalKey]struct{}{},
-		stateIDs:  map[adt.State]uint32{},
-		order:     make([]int, len(ops)),
-		spill:     len(ops) > smallPlacedOps,
+		ctx:      ctx,
+		f:        f,
+		ops:      ops,
+		budget:   set.Budget,
+		failed:   map[classicalKey]struct{}{},
+		stateIDs: map[adt.State]uint32{},
+		order:    make([]int, len(ops)),
+		spill:    len(ops) > smallPlacedOps,
 	}
 	if s.spill {
 		s.placedSpill = check.NewBitSet(len(ops))
@@ -127,14 +128,13 @@ type classicalKey struct {
 }
 
 type classicalSearcher struct {
-	ctx       context.Context
-	f         adt.Folder
-	ops       []operation
-	budget    int
-	memoLimit int
-	nodes     int
-	failed    map[classicalKey]struct{}
-	stateIDs  map[adt.State]uint32
+	ctx      context.Context
+	f        adt.Folder
+	ops      []operation
+	budget   int
+	nodes    int
+	failed   map[classicalKey]struct{}
+	stateIDs map[adt.State]uint32
 	// order[k] is the k-th linearized operation on the successful path.
 	order []int
 
@@ -310,10 +310,8 @@ func (s *classicalSearcher) run(st adt.State) (bool, error) {
 			return true, nil
 		}
 	}
-	if s.memoLimit <= 0 || len(s.failed) < s.memoLimit {
-		s.failed[key] = struct{}{}
-		s.auditInsert(key)
-	}
+	s.failed[key] = struct{}{}
+	s.auditInsert(key)
 	return false, nil
 }
 

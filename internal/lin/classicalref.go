@@ -41,14 +41,13 @@ func classicalRef(ctx context.Context, f adt.Folder, t trace.Trace, opts ...chec
 		return Result{}, errClassicalRefCap
 	}
 	s := &classicalRefSearcher{
-		ctx:       ctx,
-		f:         f,
-		ops:       ops,
-		budget:    set.BudgetOr(DefaultBudget),
-		memoLimit: set.MemoLimit,
-		failed:    map[classicalRefKey]struct{}{},
-		stateIDs:  map[adt.State]uint32{},
-		order:     make([]int, len(ops)),
+		ctx:      ctx,
+		f:        f,
+		ops:      ops,
+		budget:   set.Budget,
+		failed:   map[classicalRefKey]struct{}{},
+		stateIDs: map[adt.State]uint32{},
+		order:    make([]int, len(ops)),
 	}
 	ok, err := s.run(0, f.Empty())
 	if err != nil {
@@ -68,14 +67,13 @@ type classicalRefKey struct {
 }
 
 type classicalRefSearcher struct {
-	ctx       context.Context
-	f         adt.Folder
-	ops       []operation
-	budget    int
-	memoLimit int
-	nodes     int
-	failed    map[classicalRefKey]struct{}
-	stateIDs  map[adt.State]uint32
+	ctx      context.Context
+	f        adt.Folder
+	ops      []operation
+	budget   int
+	nodes    int
+	failed   map[classicalRefKey]struct{}
+	stateIDs map[adt.State]uint32
 	// order[k] is the k-th linearized operation on the successful path.
 	order []int
 }
@@ -146,8 +144,6 @@ func (s *classicalRefSearcher) run(placed uint64, st adt.State) (bool, error) {
 			return true, nil
 		}
 	}
-	if s.memoLimit <= 0 || len(s.failed) < s.memoLimit {
-		s.failed[key] = struct{}{}
-	}
+	s.failed[key] = struct{}{}
 	return false, nil
 }

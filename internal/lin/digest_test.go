@@ -90,7 +90,7 @@ func TestDigestTableIndex(t *testing.T) {
 // is the exact engine's (a repeated read is linearizable).
 func TestFastExitOnLateDuplicate(t *testing.T) {
 	const distinct = 100_000
-	s := NewSessionFast(context.Background(), adt.Register{}, check.WithWitness(false), check.WithFeedBudget(true))
+	s := NewSessionFast(context.Background(), adt.Register{}, check.WithWitness(false))
 	read := func(tag string) {
 		t.Helper()
 		in := adt.Tag(adt.ReadInput(), tag)

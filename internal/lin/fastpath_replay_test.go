@@ -156,9 +156,12 @@ func fallbackAcrossChunks(t *testing.T, witness bool) {
 	for _, exit := range []int{recChunk - 2, recChunk + 2, 2*recChunk + 2} {
 		streams = append(streams, stream{"mutex/stuck-late@" + strconv.Itoa(exit), adt.Mutex{}, mutexSticksAt(exit, tail, true), exit, true})
 	}
+	// Budgets are per fed action (DESIGN.md, decision 34): "lifetime" is
+	// large enough for the whole stream's spend, "per-feed" for each
+	// action's alone; the replay must decide under both.
 	budgets := map[string][]check.Option{
 		"lifetime": {check.WithBudget(1_000_000)},
-		"per-feed": {check.WithBudget(10_000), check.WithFeedBudget(true)},
+		"per-feed": {check.WithBudget(10_000)},
 	}
 	for _, st := range streams {
 		for bname, opts := range budgets {

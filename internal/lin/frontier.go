@@ -10,22 +10,30 @@ import (
 
 // Meter is the search budget a check spends against, shared by every
 // frontier of one check (one per lin.Session, one per init-interpretation
-// combination of a slin.Session). Exhaustion returns the driver's own
-// sentinels, so errors.Is against lin's or slin's ErrBudget and ErrMemo
-// holds for the engine that reports it.
+// combination of a slin.Session). Budget bounds the nodes spent since the
+// driver last called StartFeed — one fed action's allowance (DESIGN.md,
+// decision 34). Exhaustion returns the driver's own sentinel, so
+// errors.Is against lin's or slin's ErrBudget holds for the engine that
+// reports it.
 type Meter struct {
 	// Ctx is polled once every ctxPollMask+1 spent nodes.
 	Ctx context.Context
-	// Budget bounds Nodes−Base; MemoLimit, when positive, bounds the
-	// width of every successor frontier.
-	Budget, MemoLimit int
-	// BudgetErr and MemoErr are what exceeding Budget and MemoLimit
-	// returns.
-	BudgetErr, MemoErr error
-	// Nodes counts the search nodes spent. Base is its value at the
-	// current feed's entry under a per-feed budget (check.WithFeedBudget)
-	// and 0 under a lifetime one.
-	Nodes, Base int
+	// Budget bounds the nodes one feed spends; BudgetErr is what
+	// exceeding it returns.
+	Budget    int
+	BudgetErr error
+	// Nodes counts the search nodes spent over the check's lifetime.
+	Nodes int
+	// feed is Nodes at the current feed's StartFeed.
+	feed int
+}
+
+// StartFeed marks the start of a fed action: the budget covers what
+// is spent from here on. It returns Nodes, for the driver's report of
+// what the feed spent.
+func (m *Meter) StartFeed() int {
+	m.feed = m.Nodes
+	return m.Nodes
 }
 
 // Spend charges n search nodes against the budget and polls the context
@@ -35,7 +43,7 @@ func (m *Meter) Spend(n int) error {
 		return nil
 	}
 	m.Nodes += n
-	if m.Nodes-m.Base > m.Budget {
+	if m.Nodes-m.feed > m.Budget {
 		return m.BudgetErr
 	}
 	if m.Nodes&ctxPollMask < n {
@@ -270,6 +278,12 @@ func (e *Frontier) Lookahead(t trace.Trace, never map[trace.Sym]int) {
 // Successors own their storage, so the replaced frontier's
 // configurations — and every duplicate emission — return to the pool.
 // Pool is left to the driver.
+//
+// Expand charges a node per configuration, which emits at most a claim
+// and a close, and one per extension step, which closes at most once:
+// the successor frontier is at most twice as wide as the nodes charged,
+// and no wider when the response's input is distinct from every other
+// open one (decision 34). So the per-feed budget bounds the width too.
 func (e *Frontier) Expand(asym trace.Sym, out trace.Value, idx int) error {
 	if e.memo == nil {
 		e.memo = new([memoSlots]transition)
@@ -308,9 +322,6 @@ func (e *Frontier) Expand(asym trace.Sym, out trace.Value, idx int) error {
 		}
 	}
 	next := e.spare
-	if e.meter.MemoLimit > 0 && len(next) > e.meter.MemoLimit {
-		return e.meter.MemoErr
-	}
 	for _, c := range old {
 		e.putCfg(c)
 	}

@@ -45,16 +45,6 @@ import (
 // trace's status is then unknown rather than decided.
 var ErrBudget = errors.New("lin: search budget exhausted")
 
-// ErrMemo is returned by Check and by Sessions when a frontier exceeds
-// the configured WithMemoLimit; the trace's status is then unknown
-// (frontier configurations are live state and cannot be dropped soundly).
-// The classical search never returns it: beyond the limit it stops
-// inserting memo entries instead, trading time for bounded memory.
-var ErrMemo = errors.New("lin: memo limit exceeded")
-
-// DefaultBudget bounds the number of search nodes explored per check.
-const DefaultBudget = 2_000_000
-
 // Witness is a linearization function restricted to commit indices: for
 // each response index of the trace it gives the commit history g(i)
 // (Definition 8).
@@ -72,23 +62,24 @@ type Result struct {
 	// Sequential holds the sequential-reordering witness when OK
 	// (classical checker only).
 	Sequential Linearization
-	// Nodes is the number of search nodes the check spent (always at most
-	// the budget; comparable across Check, CheckClassical and slin.Check).
+	// Nodes is the number of search nodes the check spent (at most the
+	// budget per fed action — over the whole search for CheckClassical;
+	// comparable across Check, CheckClassical and slin.Check).
 	Nodes int
 }
 
 // Check decides linearizability of t with respect to f under the paper's
 // new definition. The check is context-aware: cancellation of ctx aborts
 // the search with ctx's error. The returned error is non-nil only for
-// budget/memo exhaustion, cancellation or malformed inputs, never for a
+// budget exhaustion, cancellation or malformed inputs, never for a
 // (correct) negative verdict.
 //
 // Check is the frontier engine of Session run one-shot, with the
 // response lookahead a complete trace allows (checkStreaming; DESIGN.md,
-// decision 21). Budget and memo errors therefore carry the session's
-// explanation — "lin: search budget exhausted (feed 17: 8
-// configurations, 5 open operations, 21 nodes)" — wrapping ErrBudget /
-// ErrMemo: match them with errors.Is.
+// decision 21), so the budget bounds each fed action's spend, and a
+// budget error carries the session's explanation — "lin: search budget
+// exhausted (feed 17: 8 configurations, 5 open operations, 21 nodes)" —
+// wrapping ErrBudget: match it with errors.Is.
 func Check(ctx context.Context, f adt.Folder, t trace.Trace, opts ...check.Option) (Result, error) {
 	return checkStreaming(ctx, f, t, check.NewSettings(opts...))
 }

@@ -257,22 +257,24 @@ func TestBudgetExhaustion(t *testing.T) {
 	}
 }
 
-// TestBudgetInterplay: exhausting the budget yields ErrBudget with
-// Nodes ≤ budget and no verdict, and a check fits in the budget of the
-// nodes it spends.
+// TestBudgetInterplay: exhausting the budget yields ErrBudget and no
+// verdict, and a check fits in the budget of the most nodes one of its
+// fed actions spends (DESIGN.md, decision 34), however many more it
+// spends in all.
 func TestBudgetInterplay(t *testing.T) {
 	ctx := context.Background()
 	tr := workload.SplitDecision(6, "p")
-	res, err := Check(ctx, adt.Consensus{}, tr, check.WithBudget(20))
-	if !errors.Is(err, ErrBudget) || res.OK || res.Nodes > 20+1 {
-		t.Fatalf("budget 20 gave %+v, %v; want ErrBudget, undecided, at most 21 nodes", res, err)
-	}
 	full, err := Check(ctx, adt.Consensus{}, tr)
 	if err != nil || full.OK {
 		t.Fatalf("split decisions gave %+v, %v", full, err)
 	}
-	if _, err := Check(ctx, adt.Consensus{}, tr, check.WithBudget(full.Nodes)); err != nil {
-		t.Fatalf("the search must fit in the %d nodes it spends: %v", full.Nodes, err)
+	peak, _ := feedPeak(t, adt.Consensus{}, tr)
+	res, err := Check(ctx, adt.Consensus{}, tr, check.WithBudget(peak-1))
+	if !errors.Is(err, ErrBudget) || res.OK {
+		t.Fatalf("budget %d gave %+v, %v; want ErrBudget, undecided", peak-1, res, err)
+	}
+	if res, err := Check(ctx, adt.Consensus{}, tr, check.WithBudget(peak)); err != nil || res.OK || res.Nodes != full.Nodes || peak >= full.Nodes {
+		t.Fatalf("budget %d gave %+v, %v; want the %d-node refutation", peak, res, err, full.Nodes)
 	}
 }
 

@@ -108,9 +108,26 @@ func TestCheckAllocsRegression(t *testing.T) {
 	}
 }
 
+// feedPeak runs one-shot Check's engine on tr action by action and
+// returns the most nodes one fed action spends and the total.
+func feedPeak(t *testing.T, f adt.Folder, tr trace.Trace) (peak, total int) {
+	t.Helper()
+	s := newSessionSettings(context.Background(), f, check.NewSettings(check.WithWitness(false)))
+	s.Lookahead(tr, nil)
+	for _, a := range tr {
+		fed := s.Nodes()
+		if err := s.Feed(a); err != nil {
+			t.Fatal(err)
+		}
+		peak = max(peak, s.Nodes()-fed)
+	}
+	return peak, s.Nodes()
+}
+
 // TestBudgetUniform verifies the uniform budget semantics: the budget
-// bounds total search nodes per call, Result.Nodes never exceeds it, and
-// exhausting it yields ErrBudget from both checkers.
+// bounds the search nodes of each fed action of Check (DESIGN.md,
+// decision 34) and of the whole search of CheckClassical, and exhausting
+// it yields ErrBudget from both checkers.
 func TestBudgetUniform(t *testing.T) {
 	tr := linearizableTrace()
 	f := adt.Consensus{}
@@ -119,15 +136,16 @@ func TestBudgetUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Nodes <= 0 {
-		t.Fatalf("expected positive node count, got %d", full.Nodes)
+	peak, total := feedPeak(t, f, tr)
+	if full.Nodes <= 0 || total != full.Nodes || peak >= total {
+		t.Fatalf("Check spent %d nodes; feeding its engine spent %d, at most %d in one action", full.Nodes, total, peak)
 	}
-	// A budget exactly equal to the spent nodes succeeds; one less fails.
-	if _, err := Check(context.Background(), f, tr, check.WithBudget(full.Nodes)); err != nil {
-		t.Fatalf("budget == nodes should succeed, got %v", err)
+	// A budget of the dearest feed succeeds; one less fails.
+	if _, err := Check(context.Background(), f, tr, check.WithBudget(peak)); err != nil {
+		t.Fatalf("budget == the dearest feed's %d nodes should succeed, got %v", peak, err)
 	}
-	if _, err := Check(context.Background(), f, tr, check.WithBudget(full.Nodes-1)); !errors.Is(err, ErrBudget) {
-		t.Fatalf("budget == nodes-1 should exhaust, got %v", err)
+	if _, err := Check(context.Background(), f, tr, check.WithBudget(peak-1)); !errors.Is(err, ErrBudget) {
+		t.Fatalf("budget == the dearest feed's nodes - 1 should exhaust, got %v", err)
 	}
 
 	fullC, err := CheckClassical(context.Background(), f, tr)

@@ -17,7 +17,8 @@ import (
 // equivalence property tests assert the two return identical verdicts on
 // randomized traces (extending experiment E8). New semantic changes land
 // here first, then in the optimized checker. Being a specification it
-// takes no context and honors only the budget option.
+// takes no context and honors only the budget option, which it spends
+// over its whole depth-first search.
 func CheckReference(f adt.Folder, t trace.Trace, opts ...check.Option) (Result, error) {
 	if !t.WellFormed() {
 		return Result{OK: false, Reason: "trace is not well-formed"}, nil
@@ -25,7 +26,7 @@ func CheckReference(f adt.Folder, t trace.Trace, opts ...check.Option) (Result, 
 	s := &refSearcher{
 		f:      f,
 		t:      t,
-		budget: check.NewSettings(opts...).BudgetOr(DefaultBudget),
+		budget: check.NewSettings(opts...).Budget,
 		failed: map[string]bool{},
 	}
 	ok, err := s.run(0, refChain{f: f}, trace.Multiset{})

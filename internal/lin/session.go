@@ -42,16 +42,14 @@ import (
 // extending it (E18's comparison arm measures what that retains);
 // bounded-memory streaming runs switch witnesses off.
 //
-// One budget (check.WithBudget) spans the whole session — or, with
-// check.WithFeedBudget, is rebased at every Feed so a heavy-tailed
-// action cannot starve later feeds; check.WithMemoLimit bounds the
-// frontier size (exceeding it returns ErrMemo — frontier configurations
-// are live state and cannot be dropped soundly). Errors
-// (budget, memo limit, context cancellation, non-sig actions) are
-// terminal: the session sticks to the error and reports verdict
-// Unknown; budget and memo errors wrap their sentinel with the feed
-// index, frontier width, open-operation count and nodes spent in the
-// feed that gave up.
+// The budget (check.WithBudget) bounds what each Feed spends (DESIGN.md,
+// decision 34), so a session checks an unbounded stream and a
+// heavy-tailed action cannot starve later feeds; since Expand's
+// successors cost a node each, it bounds the frontier's width as well.
+// Errors (budget, context cancellation, non-sig actions) are terminal:
+// the session sticks to the error and reports verdict Unknown; a budget
+// error wraps ErrBudget with the feed index, frontier width,
+// open-operation count and nodes spent in the feed that gave up.
 //
 // A Session is not safe for concurrent use by multiple goroutines.
 type Session struct {
@@ -182,10 +180,8 @@ func newSessionAt(ctx context.Context, f adt.Folder, set check.Settings, fed int
 		ctx = context.Background()
 	}
 	s := &Session{set: set, pending: map[trace.ClientID]pendingInv{}, fed: fed}
-	s.init(f, trace.NewInterner(), &Meter{
-		Ctx: ctx, Budget: set.BudgetOr(DefaultBudget), MemoLimit: set.MemoLimit,
-		BudgetErr: ErrBudget, MemoErr: ErrMemo,
-	}, set.Witness, set.Witness)
+	s.init(f, trace.NewInterner(), &Meter{Ctx: ctx, Budget: set.Budget, BudgetErr: ErrBudget},
+		set.Witness, set.Witness)
 	s.frontier = make([]*cfg, len(states))
 	for i, st := range states {
 		h := trace.HashString(string(st))
@@ -203,7 +199,7 @@ func (s *Session) Len() int { return s.fed }
 func (s *Session) Nodes() int { return s.meter.Nodes + s.fastNodes }
 
 // Feed appends action a to the trace under check and advances the
-// frontier. The returned error is terminal (budget or memo exhaustion,
+// frontier. The returned error is terminal (budget exhaustion,
 // context cancellation, an action outside sig_T fed as a switch is
 // instead treated as ill-formedness, matching Check); ill-formed traces
 // yield a NotLinearizable verdict, not an error.
@@ -215,10 +211,7 @@ func (s *Session) Feed(a trace.Action) error {
 		s.err = err
 		return err
 	}
-	start := s.meter.Nodes
-	if s.set.FeedBudget {
-		s.meter.Base = start
-	}
+	start := s.meter.StartFeed()
 	if s.fast != nil {
 		return s.feedFast(a)
 	}
@@ -260,14 +253,14 @@ func (s *Session) Feed(a trace.Action) error {
 }
 
 // stick makes a non-nil err of feed idx the session's terminal error.
-// Budget and memo exhaustion say where the search gave up: the width of
-// the frontier being expanded, the operations open during the feed and
-// the nodes it spent since start.
+// Budget exhaustion says where the search gave up: the width of the
+// frontier being expanded, the operations open during the feed and the
+// nodes it spent since start.
 func (s *Session) stick(err error, idx, open, start int) error {
 	if err == nil {
 		return nil
 	}
-	if errors.Is(err, ErrBudget) || errors.Is(err, ErrMemo) {
+	if errors.Is(err, ErrBudget) {
 		err = fmt.Errorf("%w (feed %d: %d configurations, %d open operations, %d nodes)",
 			err, idx, len(s.frontier), open, s.meter.Nodes-start)
 	}
@@ -368,14 +361,14 @@ func (s *Session) cut() {
 // fastFallback replays the recorded trace, chunk by chunk, through an
 // exact session and adopts its entire state. Without a cut that session
 // starts fresh, so every later Feed (and the current verdict) behaves as
-// if the session had been exact from the start: the replay spends budget
-// from zero, exactly as an exact session fed the same actions would
+// if the session had been exact from the start: the replay spends, feed
+// by feed, exactly what an exact session fed the same actions would
 // have. After a cut it starts from the cut's states with the cut's
 // actions behind it (newSessionAt) and replays only the log: the same
-// verdicts, with the nodes and budget spend of the suffix alone. A cut
-// answered by a seed starts from the empty state, replays the seed and
-// then counts the cut's actions as fed, so Len continues; the seed's
-// nodes are spent too. Either way the replay stops at the exact
+// verdicts, with the nodes of the suffix alone. A cut answered by a seed
+// starts from the empty state, replays the seed and then counts the
+// cut's actions as fed, so Len continues; the seed's nodes are spent
+// too. Either way the replay stops at the exact
 // session's first terminal error.
 func (s *Session) fastFallback() error {
 	chunks := append(s.recFull, s.rec)

@@ -89,17 +89,18 @@ func TestSessionAgreesWithCheck(t *testing.T) {
 }
 
 // TestSessionBudgetExhaustion drives a session into budget exhaustion and
-// asserts the error is terminal with verdict Unknown.
+// asserts the error is terminal with verdict Unknown: eight open
+// proposals of one value make the first response's expansion overrun one
+// node per fed action.
 func TestSessionBudgetExhaustion(t *testing.T) {
 	in := adt.ProposeInput("a")
 	s := NewSession(context.Background(), adt.Consensus{}, check.WithBudget(1))
 	var err error
 	for c := 0; c < 8 && err == nil; c++ {
-		cid := trace.ClientID(rune('a' + c))
-		if err = s.Feed(trace.Invoke(cid, 1, in)); err != nil {
-			break
-		}
-		err = s.Feed(trace.Response(cid, 1, in, adt.DecideOutput("a")))
+		err = s.Feed(trace.Invoke(trace.ClientID(rune('a'+c)), 1, in))
+	}
+	if err == nil {
+		err = s.Feed(trace.Response("a", 1, in, adt.DecideOutput("a")))
 	}
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("expected ErrBudget, got %v", err)
@@ -116,13 +117,14 @@ func TestSessionBudgetExhaustion(t *testing.T) {
 	}
 }
 
-// TestSessionFeedBudget pins the per-feed budget semantics
-// (check.WithFeedBudget): the spend counter rebases at every Feed, so a
-// long stream of cheap increments never exhausts a budget that the same
-// stream blows through cumulatively — that is what lets one session
-// check an unbounded stream online — while a single Feed that overruns
-// the allowance is still the terminal ErrBudget.
-func TestSessionFeedBudget(t *testing.T) {
+// TestSessionBudgetPerFeed pins the budget's unit (DESIGN.md, decision
+// 34): the budget bounds what one Feed spends, so a long stream of cheap
+// increments decides however many budgets' worth it spends in all —
+// that is what lets one session check an unbounded stream online —
+// while a single Feed that overruns the allowance is the terminal
+// ErrBudget. (Before decision 34 one budget spanned the whole session
+// by default, and this stream exhausted it.)
+func TestSessionBudgetPerFeed(t *testing.T) {
 	in := adt.ProposeInput("a")
 	feed := func(s *Session, pairs int) error {
 		for c := 0; c < pairs; c++ {
@@ -137,23 +139,20 @@ func TestSessionFeedBudget(t *testing.T) {
 		return nil
 	}
 	const budget = 20
-	cum := NewSession(context.Background(), adt.Consensus{}, check.WithBudget(budget))
-	if err := feed(cum, 64); !errors.Is(err, ErrBudget) {
-		t.Fatalf("cumulative budget %d survived the stream: %v", budget, err)
-	}
-	per := NewSession(context.Background(), adt.Consensus{},
-		check.WithBudget(budget), check.WithFeedBudget(true))
+	per := NewSession(context.Background(), adt.Consensus{}, check.WithBudget(budget))
 	if err := feed(per, 64); err != nil {
-		t.Fatalf("per-feed budget %d exhausted on cheap increments: %v", budget, err)
+		t.Fatalf("budget %d exhausted on cheap increments: %v", budget, err)
+	}
+	if per.Nodes() <= 4*budget {
+		t.Fatalf("the stream spent %d nodes in all, want several budgets of %d", per.Nodes(), budget)
 	}
 	if r, err := per.Result(); err != nil || !r.OK {
-		t.Fatalf("per-feed session result = %+v, %v", r, err)
+		t.Fatalf("session result = %+v, %v", r, err)
 	}
 	// One expensive Feed still exhausts: seven concurrent proposals make
 	// the deciding response's expansion overrun the per-feed allowance,
 	// and the error stays sticky.
-	wide := NewSession(context.Background(), adt.Consensus{},
-		check.WithBudget(4), check.WithFeedBudget(true))
+	wide := NewSession(context.Background(), adt.Consensus{}, check.WithBudget(4))
 	var err error
 	for c := 0; c < 7 && err == nil; c++ {
 		err = wide.Feed(trace.Invoke(trace.ClientID(rune('a'+c)), 1, adt.ProposeInput(string(rune('a'+c)))))
@@ -162,10 +161,10 @@ func TestSessionFeedBudget(t *testing.T) {
 		err = wide.Feed(trace.Response("a", 1, adt.ProposeInput("a"), adt.DecideOutput("a")))
 	}
 	if !errors.Is(err, ErrBudget) {
-		t.Fatalf("expensive feed under per-feed budget = %v, want ErrBudget", err)
+		t.Fatalf("expensive feed = %v, want ErrBudget", err)
 	}
 	if ferr := wide.Feed(trace.Invoke("z", 1, in)); !errors.Is(ferr, ErrBudget) {
-		t.Fatalf("per-feed budget error not sticky: %v", ferr)
+		t.Fatalf("budget error not sticky: %v", ferr)
 	}
 }
 
@@ -195,31 +194,6 @@ func TestCheckCancellation(t *testing.T) {
 		if _, err := Check(ctx, tc.f, tc.tr); !errors.Is(err, context.Canceled) {
 			t.Fatalf("check on a cancelled context: %v, want context.Canceled", err)
 		}
-	}
-}
-
-// TestSessionMemoLimit asserts the frontier bound surfaces as ErrMemo.
-func TestSessionMemoLimit(t *testing.T) {
-	// Five distinct concurrent proposals plus a deciding response: every
-	// chain starting with "a" is a live configuration, so the frontier
-	// far exceeds the limit of 2.
-	var tr trace.Trace
-	for c, v := range []string{"a", "b", "c", "d", "e"} {
-		tr = append(tr, trace.Invoke(trace.ClientID(rune('a'+c)), 1, adt.ProposeInput(v)))
-	}
-	tr = append(tr,
-		trace.Invoke("f", 1, adt.ProposeInput("a")),
-		trace.Response("f", 1, adt.ProposeInput("a"), adt.DecideOutput("a")),
-	)
-	s := NewSession(context.Background(), adt.Consensus{}, check.WithMemoLimit(2))
-	var err error
-	for _, a := range tr {
-		if err = s.Feed(a); err != nil {
-			break
-		}
-	}
-	if !errors.Is(err, ErrMemo) {
-		t.Fatalf("expected ErrMemo, got %v", err)
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 // once the driver has responded with all k still open.
 func TestSessionWidthBoundedByOverlap(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	s := NewSession(context.Background(), adt.Set{}, check.WithFeedBudget(true), check.WithWitness(false))
+	s := NewSession(context.Background(), adt.Set{}, check.WithWitness(false))
 	var member [4]bool
 	ops := 0
 	tag := func(in trace.Value) trace.Value {
@@ -88,12 +88,15 @@ func TestSessionExhaustionSaysWhy(t *testing.T) {
 	ctx := context.Background()
 	in := adt.ProposeInput("a")
 
+	// Two open proposals of one value: the response's expansion spends a
+	// node on the one configuration and one linearizing the other
+	// proposal first, against a budget of one node per fed action.
 	s := NewSession(ctx, adt.Consensus{}, check.WithBudget(1))
-	if err := s.Feed(trace.Invoke("a", 1, in)); err != nil {
+	if err := s.FeedAll(trace.Trace{trace.Invoke("a", 1, in), trace.Invoke("b", 1, in)}); err != nil {
 		t.Fatal(err)
 	}
 	err := s.Feed(trace.Response("a", 1, in, adt.DecideOutput("a")))
-	const budget = "lin: search budget exhausted (feed 1: 1 configurations, 1 open operations, 1 nodes)"
+	const budget = "lin: search budget exhausted (feed 2: 1 configurations, 2 open operations, 2 nodes)"
 	if !errors.Is(err, ErrBudget) || err.Error() != budget {
 		t.Fatalf("budget exhaustion: %v, want %q wrapping ErrBudget", err, budget)
 	}
@@ -101,32 +104,15 @@ func TestSessionExhaustionSaysWhy(t *testing.T) {
 		t.Fatalf("Result after exhaustion = %v, want the same error", rerr)
 	}
 
-	// Five distinct concurrent proposals plus a deciding response (the
-	// shape of TestSessionMemoLimit): the one configuration has more than
-	// two successors.
-	s = NewSession(ctx, adt.Consensus{}, check.WithMemoLimit(2))
-	for c, v := range []string{"a", "b", "c", "d", "e"} {
-		if err := s.Feed(trace.Invoke(trace.ClientID(rune('a'+c)), 1, adt.ProposeInput(v))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Feed(trace.Invoke("f", 1, in)); err != nil {
-		t.Fatal(err)
-	}
-	nodes := s.Nodes()
-	err = s.Feed(trace.Response("f", 1, in, adt.DecideOutput("a")))
-	memo := "lin: memo limit exceeded (feed 6: 1 configurations, 6 open operations, " + strconv.Itoa(s.Nodes()-nodes) + " nodes)"
-	if !errors.Is(err, ErrMemo) || errors.Is(err, ErrBudget) || err.Error() != memo {
-		t.Fatalf("memo exhaustion: %v, want %q wrapping ErrMemo", err, memo)
-	}
-
-	// A fast session that leaves its fragment (a duplicate written value)
-	// sticks to the error of the exact replay, explanation included.
+	// A fast session that leaves its fragment (a duplicate written value,
+	// at feed 3) sticks to the error of the exact replay, explanation
+	// included: replayed, feed 2 expands like the proposal above.
 	fs := NewSessionFast(ctx, adt.Register{}, check.WithBudget(1))
 	err = fs.FeedAll(trace.Trace{
-		trace.Invoke("a", 1, adt.WriteInput("x")), trace.Invoke("b", 1, adt.WriteInput("x")),
+		trace.Invoke("a", 1, adt.WriteInput("x")), trace.Invoke("b", 1, adt.WriteInput("y")),
+		trace.Response("a", 1, adt.WriteInput("x"), adt.WriteOutput()), trace.Invoke("c", 1, adt.WriteInput("x")),
 	})
-	const replay = "lin: search budget exhausted (feed 1: 1 configurations, 2 open operations, 1 nodes)"
+	const replay = "lin: search budget exhausted (feed 2: 1 configurations, 2 open operations, 2 nodes)"
 	if fs.fast != nil || !errors.Is(err, ErrBudget) || err.Error() != replay {
 		t.Fatalf("fallback exhaustion (fast core still on: %v): %v, want %q", fs.fast != nil, err, replay)
 	}

@@ -33,7 +33,7 @@ func overlapStream(seed int64, cycles int) trace.Trace {
 }
 
 func newOverlapSession(f adt.Folder) *Session {
-	return NewSession(context.Background(), f, check.WithFeedBudget(true), check.WithWitness(false))
+	return NewSession(context.Background(), f, check.WithWitness(false))
 }
 
 // TestTransitionMemoSharedSlot: keys that land on one memo slot — found

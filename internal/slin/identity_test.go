@@ -272,15 +272,17 @@ type orderInsensitive struct{ RInit }
 func (orderInsensitive) AdmitsOrderInsensitive() bool { return true }
 
 // TestSLinBudgetAndCancelUnderPOR: budget exhaustion and cancellation
-// return their error values under both identities.
+// return their error values under both identities. The budget is per fed
+// action (DESIGN.md, decision 34): 2 nodes, where the first response's
+// expansion through four other open proposals spends more.
 func TestSLinBudgetAndCancelUnderPOR(t *testing.T) {
 	tr := workload.SplitDecision(5, "p")
 	for _, pos := range []bool{false, true} {
-		res, err := checkAs(pos, adt.Consensus{}, UniversalRInit{}, 1, 2, tr, check.WithBudget(20))
+		res, err := checkAs(pos, adt.Consensus{}, UniversalRInit{}, 1, 2, tr, check.WithBudget(2))
 		if !errors.Is(err, ErrBudget) || res.OK {
 			t.Fatalf("ordered=%v: %+v, %v; want an undecided ErrBudget", pos, res, err)
 		}
-		if _, err := feedAs(pos, adt.Consensus{}, UniversalRInit{}, 1, 2, tr, check.WithBudget(20)); !errors.Is(err, ErrBudget) {
+		if _, err := feedAs(pos, adt.Consensus{}, UniversalRInit{}, 1, 2, tr, check.WithBudget(2)); !errors.Is(err, ErrBudget) {
 			t.Fatalf("ordered=%v session: %v; want ErrBudget", pos, err)
 		}
 	}

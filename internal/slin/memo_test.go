@@ -3,7 +3,10 @@ package slin
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/adt"
@@ -123,13 +126,14 @@ func TestCheckAllocsRegression(t *testing.T) {
 }
 
 // TestBudgetSharedAcrossInterpretations verifies the uniform budget
-// semantics: one budget per Check call, shared across all
-// init-interpretation combinations, with Result.Nodes never exceeding it.
+// semantics: one allowance per fed action of a Check call, shared across
+// all init-interpretation combinations (DESIGN.md, decision 34).
 func TestBudgetSharedAcrossInterpretations(t *testing.T) {
 	// A second-phase trace with an init action checked under Probe has two
 	// representative interpretations, so Check runs at least two
-	// combinations; with a shared budget the total node count must still
-	// be bounded by one budget, not one per combination.
+	// combinations; the least budget that decides is the most one feed
+	// spends across them, and the feed that exhausts one node less names
+	// them all.
 	r := rand.New(rand.NewSource(5))
 	var tr trace.Trace
 	for i := 0; i < 50; i++ {
@@ -143,12 +147,20 @@ func TestBudgetSharedAcrossInterpretations(t *testing.T) {
 		if full.Nodes <= 0 {
 			t.Fatalf("expected positive node count, got %d", full.Nodes)
 		}
-		if _, err := Check(context.Background(), adt.Consensus{}, ConsensusRInit{Probe: true}, 2, 3, tr, check.WithBudget(full.Nodes)); err != nil {
-			t.Fatalf("budget == nodes should succeed, got %v", err)
+		run := func(budget int) error {
+			_, err := Check(context.Background(), adt.Consensus{}, ConsensusRInit{Probe: true}, 2, 3, tr, check.WithBudget(budget))
+			return err
 		}
-		if _, err := Check(context.Background(), adt.Consensus{}, ConsensusRInit{Probe: true}, 2, 3, tr, check.WithBudget(full.Nodes-1)); !errors.Is(err, ErrBudget) {
-			t.Fatalf("budget == nodes-1 should exhaust, got %v", err)
+		least := sort.Search(full.Nodes, func(b int) bool { return run(b+1) == nil }) + 1
+		if least > full.Nodes || run(least) != nil {
+			t.Fatalf("no budget up to the %d nodes the check spends decides", full.Nodes)
 		}
+		err = run(least - 1)
+		if !errors.Is(err, ErrBudget) || !strings.Contains(err.Error(), fmt.Sprintf(" %d combinations, ", len(full.Witnesses))) {
+			t.Fatalf("budget %d, one below the least that decides: %v, want ErrBudget across %d combinations",
+				least-1, err, len(full.Witnesses))
+		}
+		t.Logf("%d nodes in all, at most %d in one feed: %v", full.Nodes, least, err)
 		return
 	}
 	t.Fatal("no generated trace exercised two interpretation combinations")

@@ -51,7 +51,7 @@ func CheckReference(f adt.Folder, rinit RInit, m, n int, t trace.Trace, opts ...
 
 	combo := make([]int, len(initIdx))
 	var witnesses []Witness
-	sp := &spender{budget: set.BudgetOr(DefaultBudget)}
+	sp := &spender{budget: set.Budget}
 	for {
 		finit := map[int]trace.History{}
 		for k, i := range initIdx {

@@ -42,14 +42,14 @@ import (
 // can cover — or inline at the abort under WithTemporalAbortOrder. The
 // fed trace is recorded only while a replay can still need it.
 //
-// One budget spans the session and all its combinations (replays and
-// verdict-time discharges included), rebased at every Feed under
-// check.WithFeedBudget. Budget and memo errors wrap their sentinel with
-// where the search gave up: the feed index, the interpretation
-// combinations, the configurations across their frontiers, the open
-// operations and the nodes spent in that feed (or verdict). On positive
-// verdicts Result assembles one Witness per combination from a surviving
-// configuration unless check.WithWitness(false).
+// The budget bounds what each Feed spends across all combinations,
+// replays included, and what each verdict's discharge spends (decision
+// 34). A budget error wraps ErrBudget with where the search gave up: the
+// feed index, the interpretation combinations, the configurations across
+// their frontiers, the open operations and the nodes spent in that feed
+// (or verdict). On positive verdicts Result assembles one Witness per
+// combination from a surviving configuration unless
+// check.WithWitness(false).
 type Session struct {
 	f     adt.Folder
 	rinit RInit
@@ -173,10 +173,7 @@ func newSessionSettings(ctx context.Context, f adt.Folder, rinit RInit, m, n int
 		m:     m,
 		n:     n,
 		set:   set,
-		meter: lin.Meter{
-			Ctx: ctx, Budget: set.BudgetOr(DefaultBudget), MemoLimit: set.MemoLimit,
-			BudgetErr: ErrBudget, MemoErr: ErrMemo,
-		},
+		meter: lin.Meter{Ctx: ctx, Budget: set.Budget, BudgetErr: ErrBudget},
 		phase: map[trace.ClientID]*phaseTrack{},
 		verAt: -1,
 	}
@@ -232,10 +229,7 @@ func (s *Session) Feed(a trace.Action) error {
 		s.err = fmt.Errorf("slin: action %v outside sig(%d,%d)", a, s.m, s.n)
 		return s.err
 	}
-	idx, open, start := s.fed, s.open, s.meter.Nodes
-	if s.set.FeedBudget {
-		s.meter.Base = start
-	}
+	idx, open, start := s.fed, s.open, s.meter.StartFeed()
 	var err error
 	if s.fast != nil && a.Kind == trace.Swi {
 		// A switch action leaves Theorem 2's sig: replay the fed trace
@@ -252,25 +246,31 @@ func (s *Session) Feed(a trace.Action) error {
 	return s.stick(err, "feed", idx, max(open, s.open), start)
 }
 
-// stick makes a non-nil err the session's terminal error. Budget and
-// memo exhaustion say where the search gave up — in the feed (or the
-// verdict after the feed) numbered idx — and how large it was there: the
+// Width returns the configurations across the combinations' frontiers.
+func (s *Session) Width() int {
+	width := 0
+	for _, cb := range s.combos {
+		width += cb.eng.Width()
+	}
+	return width
+}
+
+// stick makes a non-nil err the session's terminal error. Budget
+// exhaustion says where the search gave up — in the feed (or the verdict
+// after the feed) numbered idx — and how large it was there: the
 // interpretation combinations, the configurations across their
 // frontiers, the open operations and the nodes spent since start.
 func (s *Session) stick(err error, at string, idx, open, start int) error {
 	if err == nil {
 		return nil
 	}
-	if errors.Is(err, ErrBudget) || errors.Is(err, ErrMemo) {
-		combos, width := 1, 0
+	if errors.Is(err, ErrBudget) {
+		combos := 1
 		for _, reps := range s.initReps {
 			combos *= len(reps)
 		}
-		for _, cb := range s.combos {
-			width += cb.eng.Width()
-		}
 		err = fmt.Errorf("%w (%s %d: %d combinations, %d configurations, %d open operations, %d nodes)",
-			err, at, idx, combos, width, open, s.meter.Nodes-start)
+			err, at, idx, combos, s.Width(), open, s.meter.Nodes-start)
 	}
 	s.err = err
 	return err
@@ -327,14 +327,11 @@ func (s *Session) feedExact(a trace.Action) error {
 		return nil
 	}
 	if s.fast != nil {
-		switch err := s.fast.Feed(a); {
-		case errors.Is(err, lin.ErrBudget):
-			return fmt.Errorf("%w: %w", ErrBudget, err)
-		case errors.Is(err, lin.ErrMemo):
-			return fmt.Errorf("%w: %w", ErrMemo, err)
-		default:
-			return err
+		err := s.fast.Feed(a)
+		if errors.Is(err, lin.ErrBudget) {
+			err = fmt.Errorf("%w: %w", ErrBudget, err)
 		}
+		return err
 	}
 	if a.IsInit(s.m) && s.m != 1 && s.whole == nil {
 		reps := s.rinit.Representatives(a.SwitchValue)
@@ -696,7 +693,7 @@ func (s *Session) evaluate() (Result, error) {
 	if s.verAt == s.fed {
 		return s.verRes, nil
 	}
-	start := s.meter.Nodes
+	start := s.meter.StartFeed() // the discharge has an allowance of its own
 	res, err := s.evaluateNow()
 	if err != nil {
 		return Result{Nodes: s.Nodes()}, s.stick(err, "verdict after feed", s.fed-1, s.open, start)

@@ -97,11 +97,13 @@ func TestSLinSessionBudgetExhaustion(t *testing.T) {
 	}
 }
 
-// TestSLinSessionFeedBudget pins the per-feed budget semantics for the
-// SLin engine (check.WithFeedBudget): a long sequential phase-1 stream
-// of cheap increments survives a budget the same stream exhausts
-// cumulatively, and exhaustion within one Feed stays terminal.
-func TestSLinSessionFeedBudget(t *testing.T) {
+// TestSLinSessionBudgetPerFeed pins the budget's unit for the SLin
+// engine (DESIGN.md, decision 34): a long sequential phase-1 stream of
+// cheap increments decides under a budget it spends many times over in
+// all, and exhaustion within one Feed is terminal. (Before decision 34
+// one budget spanned the whole session by default, and this stream
+// exhausted it.)
+func TestSLinSessionBudgetPerFeed(t *testing.T) {
 	feed := func(s *Session, pairs int) error {
 		for c := 0; c < pairs; c++ {
 			cid := trace.ClientID(fmt.Sprintf("q%d", c))
@@ -116,28 +118,23 @@ func TestSLinSessionFeedBudget(t *testing.T) {
 		return nil
 	}
 	const budget = 30
-	cum, err := NewSession(context.Background(), adt.Consensus{}, ConsensusRInit{}, 1, 2,
+	per, err := NewSession(context.Background(), adt.Consensus{}, ConsensusRInit{}, 1, 2,
 		check.WithBudget(budget))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ferr := feed(cum, 64); !errors.Is(ferr, ErrBudget) {
-		t.Fatalf("cumulative budget %d survived the stream: %v", budget, ferr)
-	}
-	per, err := NewSession(context.Background(), adt.Consensus{}, ConsensusRInit{}, 1, 2,
-		check.WithBudget(budget), check.WithFeedBudget(true))
-	if err != nil {
-		t.Fatal(err)
-	}
 	if ferr := feed(per, 64); ferr != nil {
-		t.Fatalf("per-feed budget %d exhausted on cheap increments: %v", budget, ferr)
+		t.Fatalf("budget %d exhausted on cheap increments: %v", budget, ferr)
+	}
+	if per.Nodes() <= 4*budget {
+		t.Fatalf("the stream spent %d nodes in all, want several budgets of %d", per.Nodes(), budget)
 	}
 	if r, rerr := per.Result(); rerr != nil || !r.OK {
-		t.Fatalf("per-feed session result = %+v, %v", r, rerr)
+		t.Fatalf("session result = %+v, %v", r, rerr)
 	}
 	// Exhaustion within a single Feed is still terminal and sticky.
 	wide, err := NewSession(context.Background(), adt.Consensus{}, ConsensusRInit{}, 1, 2,
-		check.WithBudget(1), check.WithFeedBudget(true))
+		check.WithBudget(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,13 +147,13 @@ func TestSLinSessionFeedBudget(t *testing.T) {
 		ferr = wide.Feed(trace.Response("q0", 1, adt.Tag(adt.ProposeInput("a"), "q0"), adt.DecideOutput("a")))
 	}
 	if !errors.Is(ferr, ErrBudget) {
-		t.Fatalf("expensive feed under per-feed budget = %v, want ErrBudget", ferr)
+		t.Fatalf("expensive feed = %v, want ErrBudget", ferr)
 	}
 	if v := wide.Verdict(); v != check.Unknown {
 		t.Fatalf("verdict = %v, want Unknown", v)
 	}
 	if serr := wide.Feed(trace.Invoke("q9", 1, adt.Tag(adt.ProposeInput("a"), "q9"))); !errors.Is(serr, ErrBudget) {
-		t.Fatalf("per-feed budget error not sticky: %v", serr)
+		t.Fatalf("budget error not sticky: %v", serr)
 	}
 }
 
@@ -202,8 +199,8 @@ func TestSLinSessionInvalidRange(t *testing.T) {
 	}
 }
 
-// TestSLinSessionExhaustionSaysWhy: budget and memo errors wrap their
-// sentinel with where the search gave up — the feed (or the verdict after
+// TestSLinSessionExhaustionSaysWhy: budget errors wrap ErrBudget with
+// where the search gave up — the feed (or the verdict after
 // it), the interpretation combinations, the configurations, the open
 // operations and the nodes spent there — and one-shot Check, being the
 // same session, carries the same text.
@@ -220,56 +217,58 @@ func TestSLinSessionExhaustionSaysWhy(t *testing.T) {
 		c := trace.ClientID(fmt.Sprintf("p%d", i))
 		tr = append(tr, trace.Response(c, 1, adt.Tag(p("a"), string(c)), d("a")))
 	}
-	online := func(opts ...check.Option) error {
-		s, err := NewSession(ctx, adt.Consensus{}, UniversalRInit{}, 1, 2, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.FeedAll(tr); err != nil {
-			return err
-		}
-		_, err = s.Result()
-		return err
+	budget := check.WithBudget(10)
+	_, oneErr := Check(ctx, adt.Consensus{}, UniversalRInit{}, 1, 2, tr, budget)
+	on, err := NewSession(ctx, adt.Consensus{}, UniversalRInit{}, 1, 2, budget)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range []struct {
-		opts     []check.Option
-		sentinel error
-	}{
-		{[]check.Option{check.WithBudget(10)}, ErrBudget},
-		{[]check.Option{check.WithMemoLimit(1)}, ErrMemo},
-	} {
-		_, oneErr := Check(ctx, adt.Consensus{}, UniversalRInit{}, 1, 2, tr, c.opts...)
-		onErr := online(c.opts...)
-		for _, err := range []error{oneErr, onErr} {
-			if !errors.Is(err, c.sentinel) {
-				t.Fatalf("got %v, want %v", err, c.sentinel)
-			}
-			for _, part := range []string{"(feed ", " 1 combinations, ", " configurations, ", " open operations, ", " nodes)"} {
-				if !strings.Contains(err.Error(), part) {
-					t.Fatalf("%q does not say %q", err, part)
-				}
+	onErr := on.FeedAll(tr)
+	if onErr == nil {
+		_, onErr = on.Result()
+	}
+	for _, err := range []error{oneErr, onErr} {
+		if !errors.Is(err, ErrBudget) {
+			t.Fatalf("got %v, want %v", err, ErrBudget)
+		}
+		for _, part := range []string{"(feed ", " 1 combinations, ", " configurations, ", " open operations, ", " nodes)"} {
+			if !strings.Contains(err.Error(), part) {
+				t.Fatalf("%q does not say %q", err, part)
 			}
 		}
-		if oneErr.Error() != onErr.Error() {
-			t.Fatalf("one-shot says %q, the session %q", oneErr, onErr)
-		}
-		t.Log(oneErr)
 	}
+	if oneErr.Error() != onErr.Error() {
+		t.Fatalf("one-shot says %q, the session %q", oneErr, onErr)
+	}
+	t.Log(oneErr)
 
-	// A budget the feeds fit but the literal abort discharge does not.
-	abort := slinTestTrace()
+	// A budget every feed fits but the literal abort discharge, which has
+	// an allowance of its own, does not: five open proposals, the first
+	// client aborting with its own value.
+	var abort trace.Trace
+	for i := 0; i < 5; i++ {
+		c := trace.ClientID(fmt.Sprintf("q%d", i))
+		abort = append(abort, trace.Invoke(c, 1, adt.Tag(p(string(rune('a'+i))), string(c))))
+	}
+	abort = append(abort, trace.Switch("q0", 2, adt.Tag(p("a"), "q0"), "a"))
 	s, err := NewSession(ctx, adt.Consensus{}, ConsensusRInit{}, 1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.FeedAll(abort); err != nil {
-		t.Fatal(err)
+	peak := 0
+	for _, a := range abort {
+		fed := s.Nodes()
+		if err := s.Feed(a); err != nil {
+			t.Fatal(err)
+		}
+		peak = max(peak, s.Nodes()-fed)
 	}
 	fed := s.Nodes()
-	if _, err := s.Result(); err != nil || s.Nodes() == fed {
-		t.Fatalf("discharge spent %d nodes (%v): the fixture needs a discharge that spends", s.Nodes()-fed, err)
+	if r, err := s.Result(); err != nil || !r.OK || s.Nodes()-fed <= peak {
+		t.Fatalf("discharge spent %d nodes (%v, %v), feeds at most %d: the fixture needs a discharge dearer than every feed",
+			s.Nodes()-fed, r.OK, err, peak)
 	}
-	_, err = Check(ctx, adt.Consensus{}, ConsensusRInit{}, 1, 2, abort, check.WithBudget(fed))
+	_, err = Check(ctx, adt.Consensus{}, ConsensusRInit{}, 1, 2, abort, check.WithBudget(peak))
 	if !errors.Is(err, ErrBudget) || !strings.Contains(err.Error(), fmt.Sprintf("(verdict after feed %d: ", len(abort)-1)) {
 		t.Fatalf("verdict-time exhaustion says %v", err)
 	}

@@ -13,21 +13,12 @@ import (
 // ErrBudget is returned when a check exceeds its search budget.
 var ErrBudget = errors.New("slin: search budget exhausted")
 
-// ErrMemo is returned when a frontier exceeds the configured
-// check.WithMemoLimit; the trace's status is then unknown (frontier
-// configurations are live state and cannot be dropped soundly).
-var ErrMemo = errors.New("slin: memo limit exceeded")
-
-// DefaultBudget bounds the number of search nodes explored per check.
-const DefaultBudget = 2_000_000
-
 // Checks are configured with the shared functional options of package
 // check (checker API v2, DESIGN.md decision 11): WithBudget bounds the
-// search (one budget per Check call, shared across all
-// init-interpretation combinations — uniform with lin.Check and
-// lin.CheckClassical), WithMemoLimit bounds the frontiers, and
-// WithTemporalAbortOrder selects the temporal Abort-Order reading
-// documented below.
+// search nodes each fed action may spend, shared across all
+// init-interpretation combinations — uniform with lin.Check (decision
+// 34) — and WithTemporalAbortOrder selects the temporal Abort-Order
+// reading documented below.
 //
 // TemporalAbortOrder weakens Abort-Order (Definition 32) to constrain
 // only commit histories of responses occurring before the abort action
@@ -78,8 +69,8 @@ type Result struct {
 	// combination when OK.
 	Witnesses []Witness
 	// Nodes is the number of search nodes the check spent across all
-	// interpretation combinations (always at most the budget; comparable
-	// with lin.Result.Nodes).
+	// interpretation combinations (at most the budget per fed action;
+	// comparable with lin.Result.Nodes).
 	Nodes int
 }
 
@@ -94,12 +85,11 @@ type Result struct {
 // tell: every init interpretation, so no init action triggers a replay,
 // whether an abort is coming, so the configuration identity is set once,
 // and the responses still to come, so every combination runs lin's
-// response lookahead (decision 31). Budget and memo errors therefore
-// carry the session's explanation
+// response lookahead (decision 31). The budget therefore bounds each fed
+// action's spend, and a budget error carries the session's explanation
 // — "slin: search budget exhausted (feed 17: 2 combinations, 8
-// configurations, 5 open operations, 21 nodes)" — wrapping ErrBudget /
-// ErrMemo: match them with errors.Is; check.WithFeedBudget rebases the
-// budget per fed action. Cancellation of ctx aborts with ctx's error.
+// configurations, 5 open operations, 21 nodes)" — wrapping ErrBudget:
+// match it with errors.Is. Cancellation of ctx aborts with ctx's error.
 func Check(ctx context.Context, f adt.Folder, rinit RInit, m, n int, t trace.Trace, opts ...check.Option) (Result, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {

@@ -389,9 +389,13 @@ func TestEmptyTrace(t *testing.T) {
 	}
 }
 
+// TestBudgetError: the response's expansion, which may linearize the
+// other open proposal before its own, spends 2 nodes against a budget of
+// 1 per fed action.
 func TestBudgetError(t *testing.T) {
 	tr := trace.Trace{
 		trace.Invoke("c1", 1, p("a")),
+		trace.Invoke("c2", 1, p("a")),
 		trace.Response("c1", 1, p("a"), d("a")),
 	}
 	if _, err := Check(context.Background(), adt.Consensus{}, ConsensusRInit{}, 1, 2, tr, check.WithBudget(1)); !errors.Is(err, ErrBudget) {

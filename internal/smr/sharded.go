@@ -34,8 +34,8 @@ type ShardedConfig struct {
 	// length (checker API v2, DESIGN.md decision 11). Either way the
 	// histories are one keyed.Set's (decision 28).
 	OnlineCheck bool
-	// CheckBudget bounds each per-key session's cumulative search nodes
-	// when OnlineCheck is set (0: lin.DefaultBudget).
+	// CheckBudget bounds the search nodes each fed action may spend in a
+	// per-key session when OnlineCheck is set (0: check.DefaultBudget).
 	CheckBudget int
 	// CheckContext, when non-nil, is the context the streaming per-key
 	// sessions run under (OnlineCheck only): cancellation or deadline
@@ -405,11 +405,12 @@ func histFolder(joined bool) adt.Folder {
 }
 
 // openSession opens an online session: the register fast path for a key
-// (decision 15), the exact engine for a component. Its budget is per
-// feed, as the session lives as long as the run (DESIGN.md decision 17).
+// (decision 15), the exact engine for a component. Its budget is per fed
+// action, as every budget is (DESIGN.md decision 34), so a session that
+// lives as long as the run never starves.
 func (sc *ShardedCluster) openSession(joined bool) *lin.Session {
 	return lin.NewSessionFast(sc.cfg.CheckContext, histFolder(joined), check.WithBudget(sc.cfg.CheckBudget),
-		check.WithWitness(false), check.WithExact(sc.cfg.ExactCheck), check.WithFeedBudget(true))
+		check.WithWitness(false), check.WithExact(sc.cfg.ExactCheck))
 }
 
 // feed routes one action into the keyed histories, charging the time an

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/msgnet"
 	"repro/internal/workload"
 )
@@ -500,8 +501,12 @@ func TestOnlineCheckAgreesWithPostHoc(t *testing.T) {
 // TestOnlineCheckBudgetSurfaces: a starvation budget on the streaming
 // sessions must surface as an error from CheckLinearizable, not a wrong
 // verdict — under ExactCheck, because the default register fast path
-// spends no budget at all on in-fragment histories (the second half
+// spends no budget at all on in-fragment histories (the second part
 // pins exactly that: same starved budget, fast path, clean verdict).
+// The last part holds the two paths to one budget unit (DESIGN.md,
+// decision 34): at 20 nodes per fed action the exact online sessions and
+// the post-hoc one-shot pass over the same schedule decide alike — a
+// post-hoc budget spanning each history used to give up on it.
 func TestOnlineCheckBudgetSurfaces(t *testing.T) {
 	wl := workload.KeyedOpts{Clients: 3, Ops: 200, Keys: 4, ReadFrac: 0.4}
 	sc := runShardedCfg(t, 1, ShardedConfig{
@@ -526,5 +531,24 @@ func TestOnlineCheckBudgetSurfaces(t *testing.T) {
 	}
 	if !sum.Online || sum.Traces == 0 {
 		t.Fatalf("fast-path online check summarized nothing: %+v", sum)
+	}
+
+	const budget = 20
+	online := runShardedCfg(t, 1, ShardedConfig{
+		Config:      Config{FastPath: true, QuorumTimeout: 8, Retransmit: 6},
+		Shards:      2,
+		OnlineCheck: true,
+		CheckBudget: budget,
+		ExactCheck:  true,
+	}, wl)
+	posthoc := runShardedCfg(t, 1, ShardedConfig{
+		Config: Config{FastPath: true, QuorumTimeout: 8, Retransmit: 6},
+		Shards: 2,
+	}, wl)
+	on, onErr := online.CheckLinearizable(context.Background())
+	post, postErr := posthoc.CheckLinearizable(context.Background(), check.WithBudget(budget))
+	if onErr != nil || postErr != nil || on.Traces != post.Traces || on.Ops != post.Ops || on.Traces == 0 {
+		t.Fatalf("budget %d per fed action: online %+v (%v), post hoc %+v (%v); want the same linearizable histories",
+			budget, on, onErr, post, postErr)
 	}
 }

@@ -36,13 +36,18 @@ func (g *Overlap) tag(in trace.Value) trace.Value {
 // Round returns the actions of the next round, of shape (k, n), and the
 // index of its first holder response (flipping that output leaves the
 // round without a linearization, since no driver operation changed the
-// held element's membership).
+// held element's membership). When the holders hold every element, the
+// driver only runs has.
 func (g *Overlap) Round(k, n int) (tr trace.Trace, firstHolderRes int) {
 	elem := func(e int) trace.Value { return "e" + strconv.Itoa(e) }
 	var held [OverlapElems]bool
+	free := OverlapElems
 	holders := make(trace.Trace, k)
 	for j := range holders {
 		e := g.r.Intn(OverlapElems)
+		if !held[e] {
+			free--
+		}
 		held[e] = true
 		c := trace.ClientID("h" + strconv.Itoa(j))
 		in := g.tag(adt.HasInput(elem(e)))
@@ -51,6 +56,9 @@ func (g *Overlap) Round(k, n int) (tr trace.Trace, firstHolderRes int) {
 	}
 	for j := 0; j < n; j++ {
 		e, kind := g.r.Intn(OverlapElems), g.r.Intn(4)
+		if free == 0 {
+			kind = 2
+		}
 		for kind < 2 && held[e] {
 			e = g.r.Intn(OverlapElems)
 		}

@@ -37,11 +37,12 @@
 //	for _, a := range actions { _ = sess.Feed(a) }
 //	rep, _ := sess.Report()
 //
-// WithBudget bounds a check's search and WithMemoLimit its memory; a Lin
-// or SLin check that exhausts either says where ("lin: search budget
-// exhausted (feed 17: 8 configurations, 5 open operations, 21 nodes)"),
-// wrapping ErrBudget/ErrMemo or ErrSLinBudget/ErrSLinMemo — match with
-// errors.Is. One-shot and incremental checks are one engine per property
+// WithBudget bounds the search nodes each fed action may spend — the
+// check's memory too, since a frontier is no wider than twice what its
+// feed spent (DESIGN.md, decision 34); a Lin or SLin check that exhausts
+// it says where ("lin: search budget exhausted (feed 17: 8
+// configurations, 5 open operations, 21 nodes)"), wrapping ErrBudget or
+// ErrSLinBudget — match with errors.Is. One-shot and incremental checks are one engine per property
 // (DESIGN.md, decisions 21 and 25), and both engines tell configurations
 // apart by end state and unclaimed entries, so commuting commit orders
 // are one configuration (decisions 20 and 29); WithWorkers sizes the
@@ -216,8 +217,9 @@ type CheckSpec struct {
 type Option = check.Option
 
 var (
-	// WithBudget bounds the search to n nodes; exhausting it yields
-	// verdict Unknown with ErrBudget/ErrSLinBudget.
+	// WithBudget bounds the search to n nodes per fed action (over the
+	// whole search for ClassicalLin); exhausting it yields verdict
+	// Unknown with ErrBudget/ErrSLinBudget.
 	WithBudget = check.WithBudget
 	// WithWorkers sizes the worker pool of the batch checkers, which
 	// shard independent traces (0 means GOMAXPROCS); a single check or
@@ -226,8 +228,6 @@ var (
 	// WithWitness toggles witness assembly on positive verdicts
 	// (default on).
 	WithWitness = check.WithWitness
-	// WithMemoLimit bounds the checker's memo structures, in entries.
-	WithMemoLimit = check.WithMemoLimit
 	// WithTemporalAbortOrder selects the temporal Abort-Order reading
 	// of the SLin checker (see the slin package documentation).
 	WithTemporalAbortOrder = check.WithTemporalAbortOrder
@@ -237,13 +237,11 @@ var (
 	// it — it trades the fast paths' speed for the exact engines' node
 	// accounting and witness generality.
 	WithExact = check.WithExact
-	// WithFeedBudget rebases the search budget at every fed action
-	// instead of spending one budget across the session's lifetime, so a
-	// heavy-tailed action cannot starve every later feed into spurious
-	// budget errors. One-shot Lin and SLin checks are sessions fed the
-	// whole trace and rebase alike; ClassicalLin spends one budget.
-	WithFeedBudget = check.WithFeedBudget
 )
+
+// WithFeedBudget does nothing: every budget is per fed action (DESIGN.md,
+// decision 34). It stays because bench/ still passes it.
+func WithFeedBudget(bool) Option { return func(*check.Settings) {} }
 
 // Verdict is the three-valued outcome of a check.
 type Verdict = check.Verdict
@@ -254,8 +252,8 @@ const (
 	Linearizable = check.Linearizable
 	// NotLinearizable: the property was refuted.
 	NotLinearizable = check.NotLinearizable
-	// Unknown: the check did not complete (budget, memo limit,
-	// cancellation); reported only alongside an error.
+	// Unknown: the check did not complete (budget, cancellation);
+	// reported only alongside an error.
 	Unknown = check.Unknown
 )
 
@@ -304,13 +302,8 @@ var (
 	// ErrBudget reports that a lin check exceeded its search budget:
 	// the verdict is Unknown, and a larger WithBudget may decide it.
 	ErrBudget = lin.ErrBudget
-	// ErrMemo reports that a lin check's frontier exceeded
-	// WithMemoLimit.
-	ErrMemo = lin.ErrMemo
 	// ErrSLinBudget is ErrBudget's counterpart for the SLin checker.
 	ErrSLinBudget = slin.ErrBudget
-	// ErrSLinMemo is ErrMemo's counterpart for the SLin checker.
-	ErrSLinMemo = slin.ErrMemo
 )
 
 // Interpretation relations for the built-in case studies.
