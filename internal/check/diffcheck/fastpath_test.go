@@ -870,6 +870,9 @@ func TestFastpathLongRegisterSession(t *testing.T) {
 // the witness-off arm the pipelines run: the trace follows a quiescent
 // prefix that fills the first log chunk, so the session cuts there
 // (DESIGN.md, decision 26) and any later exit falls back from the cut.
+// The bit below it runs the same arm after a prefix made of the pool's
+// own inputs and values (repeatPrefix), so the trace repeats them across
+// the cut, where the restarted core has forgotten them (decision 35).
 func FuzzFastpathVsExact(f *testing.F) {
 	f.Add(uint8(1), []byte{0x00, 0x00, 0x04, 0x00, 0x89, 0x00, 0x8d, 0x02, 0x92, 0x00, 0x96, 0x04})
 	f.Add(uint8(0), []byte{0x00, 0x00, 0x01, 0x00, 0x04, 0x00, 0x05, 0x02, 0x02, 0x01})
@@ -909,11 +912,30 @@ func FuzzFastpathVsExact(f *testing.F) {
 	// a dequeue returns x, then enqueuing x again leaves the fragment, and
 	// the fallback's seed must still hold x.
 	f.Add(uint8(0x40|2), []byte{0x88, 0x00, 0x04, 0x04, 0x00, 0x00, 0x04, 0x00})
+	// Cross-cut repeats, witness-off (repeatPrefix): the register's
+	// initial values x and y both read (the second rejects), or x read,
+	// then y — no longer initial — rewritten and read, then x rewritten
+	// (exit), the untagged read repeating one before the cut; consensus repeating
+	// both proposals, agreeing and not; the mutex's four inputs again; the
+	// stack popping the y it kept, then x pushed again; the queue taking x
+	// again and owing r7 (reject), or taking y, still queued (exit).
+	f.Add(uint8(0x20|1), []byte{0x10, 0x00, 0x04, 0x04, 0x88, 0x00, 0x04, 0x06})
+	f.Add(uint8(0x20|1), []byte{0x10, 0x00, 0x04, 0x04, 0x08, 0x00, 0x04, 0x00, 0x88, 0x00, 0x04, 0x06, 0x00, 0x00, 0x04, 0x00})
+	f.Add(uint8(0x20|0), []byte{0x00, 0x00, 0x04, 0x00, 0x09, 0x00, 0x05, 0x00})
+	f.Add(uint8(0x20|0), []byte{0x00, 0x00, 0x04, 0x00, 0x09, 0x00, 0x05, 0x02})
+	f.Add(uint8(0x20|3), []byte{0x00, 0x00, 0x04, 0x00, 0x08, 0x00, 0x04, 0x00, 0x11, 0x00, 0x05, 0x00})
+	f.Add(uint8(0x20|4), []byte{0x10, 0x00, 0x04, 0x06, 0x00, 0x00, 0x04, 0x00, 0x19, 0x00, 0x05, 0x04, 0x08, 0x00})
+	f.Add(uint8(0x20|2), []byte{0x00, 0x00, 0x04, 0x00, 0x11, 0x00, 0x05, 0x06, 0x88, 0x00, 0x04, 0x04})
+	f.Add(uint8(0x20|2), []byte{0x08, 0x00, 0x04, 0x00})
 	f.Fuzz(func(t *testing.T, sel uint8, data []byte) {
-		folder, inputs, outputs := fastFuzzADT(sel &^ 0xc0)
+		folder, inputs, outputs := fastFuzzADT(sel &^ 0xe0)
 		var prefix trace.Trace
 		opts := []check.Option{check.WithBudget(fuzzBudget)}
-		if sel&0x40 != 0 {
+		switch {
+		case sel&0x20 != 0:
+			prefix = repeatPrefix(folder)
+			opts = append(opts, check.WithWitness(false))
+		case sel&0x40 != 0:
 			prefix = quiescentPrefix(folder)
 			opts = append(opts, check.WithWitness(false))
 		}
@@ -975,6 +997,71 @@ func quiescentPrefix(f adt.Folder) trace.Trace {
 			return nil
 		}
 		tr = append(tr, trace.Invoke("q", 1, in), trace.Response("q", 1, in, out))
+	}
+	return tr
+}
+
+// repeatPrefix is a quiescent prefix of folder f made of fastFuzzADT's
+// own inputs and values, long enough that a witness-off session cuts at
+// its end, so the fuzz trace repeats them across the cut: the register
+// wrote z and read it untagged, then x and y overlapped (initial values
+// {x, y}); consensus proposed a and b untagged and decided a; the mutex
+// ran its four pool inputs; the stack pushed and popped x and keeps y
+// (eighteen actions: the cut waits for the last response); the queue
+// enqueued and dequeued x untagged and keeps y and r7.
+func repeatPrefix(f adt.Folder) trace.Trace {
+	var tr trace.Trace
+	op := func(c trace.ClientID, in, out trace.Value) {
+		tr = append(tr, trace.Invoke(c, 1, in), trace.Response(c, 1, in, out))
+	}
+	ok := adt.WriteOutput()
+	tag := func(in trace.Value, i int) trace.Value { return adt.Tag(in, "r"+strconv.Itoa(i)) }
+	switch f.(type) {
+	case adt.Register:
+		op("q", adt.WriteInput("z"), ok)
+		op("q", adt.ReadInput(), adt.ReadOutput("z"))
+		for i := 0; i < 4; i++ {
+			op("q", tag(adt.ReadInput(), i), adt.ReadOutput("z"))
+		}
+		tr = append(tr, trace.Invoke("q", 1, adt.WriteInput("x")), trace.Invoke("p", 1, adt.WriteInput("y")),
+			trace.Response("q", 1, adt.WriteInput("x"), ok), trace.Response("p", 1, adt.WriteInput("y"), ok))
+	case adt.Consensus:
+		op("q", adt.ProposeInput("a"), adt.DecideOutput("a"))
+		op("q", adt.ProposeInput("b"), adt.DecideOutput("a"))
+		for i := 0; i < 6; i++ {
+			op("q", tag(adt.ProposeInput("b"), i), adt.DecideOutput("a"))
+		}
+	case adt.Mutex:
+		for i := 1; i <= 4; i++ {
+			id := strconv.Itoa(i)
+			if i > 2 {
+				id = "r" + id
+			}
+			op("q", adt.Tag(adt.LockInput(), id), ok)
+			op("q", adt.Tag(adt.UnlockInput(), id), ok)
+		}
+	case adt.Stack:
+		op("q", adt.PushInput("x"), ok)
+		op("q", adt.Tag(adt.PopInput(), "1"), adt.ReadOutput("x"))
+		for i := 2; i < 6; i += 2 {
+			op("q", adt.PushInput(trace.Value("r"+strconv.Itoa(i))), ok)
+			op("q", tag(adt.PopInput(), i+1), adt.ReadOutput(trace.Value("r"+strconv.Itoa(i))))
+		}
+		tr = append(tr, trace.Invoke("q", 1, adt.PushInput("y")))
+		op("p", adt.PushInput("r7"), ok)
+		op("p", adt.Tag(adt.PopInput(), "2"), adt.ReadOutput("r7"))
+		tr = append(tr, trace.Response("q", 1, adt.PushInput("y"), ok))
+	case adt.Queue:
+		op("q", adt.EnqInput("x"), ok)
+		op("q", adt.DeqInput(), adt.ReadOutput("x"))
+		for i := 2; i < 6; i += 2 {
+			op("q", adt.EnqInput(trace.Value("r"+strconv.Itoa(i))), ok)
+			op("q", tag(adt.DeqInput(), i+1), adt.ReadOutput(trace.Value("r"+strconv.Itoa(i))))
+		}
+		op("q", tag(adt.EnqInput("y"), 6), ok)
+		op("q", adt.EnqInput("r7"), ok)
+	default:
+		return nil
 	}
 	return tr
 }

@@ -115,9 +115,11 @@ func (s *foldSim) apply(_ int, in trace.Value) trace.Value {
 func (s *foldSim) owes(int) bool { return false }
 
 // regSim: fresh writes and tagged reads; a late exit rewrites a recent
-// value, repeats a read's input or is grammar-invalid.
+// value, repeats a read's input or is grammar-invalid. writes of every
+// three operations are writes (1 when 0).
 type regSim struct {
 	foldSim
+	writes  int
 	written []trace.Value
 	reads   []trace.Value
 }
@@ -133,7 +135,7 @@ func (s *regSim) input(r *rand.Rand, _, n int, late bool) trace.Value {
 		}
 		return "q:" + id
 	}
-	if r.Intn(3) == 0 {
+	if r.Intn(3) < max(1, s.writes) {
 		v := trace.Value("v" + id)
 		s.written = append(s.written, v)
 		return adt.WriteInput(v)
@@ -304,16 +306,22 @@ func (s *queueSim) noise(r *rand.Rand) trace.Value {
 
 func foldOf(f adt.Folder) foldSim { return foldSim{f: f, st: f.Empty()} }
 
+// cutSims are the simulated folders. wide is how many of a row's
+// quiescent answers must hold more than one state: the register's, whose
+// restart then starts from several initial values (decision 35), and
+// whose "overlap" row writes two operations in three so that they do.
 var cutSims = []struct {
 	name string
 	f    adt.Folder
 	sim  func() cutSim
+	wide int
 }{
-	{"register", adt.Register{}, func() cutSim { return &regSim{foldSim: foldOf(adt.Register{})} }},
-	{"mutex", adt.Mutex{}, func() cutSim { return &mutexSim{foldSim: foldOf(adt.Mutex{}), holder: -1} }},
-	{"consensus", adt.Consensus{}, func() cutSim { return &consSim{foldSim: foldOf(adt.Consensus{})} }},
-	{"stack", adt.Stack{}, func() cutSim { return &stackSim{foldSim: foldOf(adt.Stack{})} }},
-	{"queue", adt.Queue{}, func() cutSim { return &queueSim{foldSim: foldOf(adt.Queue{})} }},
+	{"register", adt.Register{}, func() cutSim { return &regSim{foldSim: foldOf(adt.Register{})} }, 1000},
+	{"register/overlap", adt.Register{}, func() cutSim { return &regSim{foldSim: foldOf(adt.Register{}), writes: 2} }, 4000},
+	{"mutex", adt.Mutex{}, func() cutSim { return &mutexSim{foldSim: foldOf(adt.Mutex{}), holder: -1} }, 0},
+	{"consensus", adt.Consensus{}, func() cutSim { return &consSim{foldSim: foldOf(adt.Consensus{})} }, 0},
+	{"stack", adt.Stack{}, func() cutSim { return &stackSim{foldSim: foldOf(adt.Stack{})} }, 0},
+	{"queue", adt.Queue{}, func() cutSim { return &queueSim{foldSim: foldOf(adt.Queue{})} }, 0},
 }
 
 // frontierStates is the set of end states of an exact session's
@@ -361,24 +369,33 @@ func sameStates(got []adt.State, want map[adt.State]bool) bool {
 // TestQuiescentCutsMatchExact: on every prefix of 1 500 simulated
 // histories per folder, a witness-off fast session (which cuts), the
 // same session with cuts off and an exact session agree on verdict,
-// reason and length, and the cutting session never spends more nodes
-// than the one that does not — the same before their first fallback.
-// At every quiescent point on the fast path, a core's answer to a cut is
-// exactly the exact frontier's set of end states — for the queue, whose
-// answer is a seed, the states a fresh exact session reaches on it.
-// Enough of the histories must cut and then fall back for the
-// differential to mean something.
+// reason and length, and the cutting session never spends more search
+// nodes than the one that does not — the same nodes while the latter is
+// on the fast path; the former, which forgets at its cuts, may stay on it
+// longer.
+// Every answer the cutting session keeps — it covers the whole chunk since
+// its previous cut, and its core restarts from it (decision 35) — must be
+// exactly the exact frontier's set of end states; for the queue, whose
+// answer is a seed, the states a fresh exact session reaches on it. A
+// fourth session, a probe with cuts off, has its core asked at every
+// quiescent point on the fast path, so that core restarts there too: its
+// answers, each over a single quiescent-to-quiescent interval, are held to
+// the same sets, and its verdict, reason and length to the exact
+// session's. Enough of the histories must cut and then fall back, and
+// enough register answers hold more than one value, for the differential
+// to mean something.
 func TestQuiescentCutsMatchExact(t *testing.T) {
 	ctx := context.Background()
 	opts := []check.Option{check.WithWitness(false), check.WithBudget(1_000_000)}
 	for _, sc := range cutSims {
 		t.Run(sc.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(26))
-			var cuts, cutThenExit, answered int
+			var cuts, cutThenExit, answered, wide int
 			for iter := 0; iter < 1500; iter++ {
 				tr := simHistory(r, sc.sim(), 40+r.Intn(160))
 				cut := NewSessionFast(ctx, sc.f, opts...)
 				whole := noCuts(NewSessionFast(ctx, sc.f, opts...))
+				probe := noCuts(NewSessionFast(ctx, sc.f, opts...))
 				exact := NewSession(ctx, sc.f, opts...)
 				if cut.cuts == nil {
 					t.Fatal("a witness-off fast session does not cut")
@@ -386,7 +403,7 @@ func TestQuiescentCutsMatchExact(t *testing.T) {
 				lastCut := 0
 				for k, a := range tr {
 					wasFast := cut.fast != nil
-					for _, s := range []*Session{cut, whole, exact} {
+					for _, s := range []*Session{cut, whole, probe, exact} {
 						if err := s.Feed(a); err != nil {
 							t.Fatalf("iter %d feed %d: %v\n%v", iter, k, err, tr[:k+1])
 						}
@@ -394,43 +411,54 @@ func TestQuiescentCutsMatchExact(t *testing.T) {
 					if cut.cutFed != lastCut {
 						lastCut = cut.cutFed
 						cuts++
+						got := cut.cutSt
+						if got == nil {
+							got = seedStates(t, sc.f, cut.cuts.cutSeed())
+						}
+						if want := frontierStates(t, exact); lastCut != k+1 || !sameStates(got, want) {
+							t.Fatalf("iter %d prefix %d: the session cuts after %d actions at %q, the exact frontier ends in %v\n%v",
+								iter, k+1, lastCut, got, want, tr[:k+1])
+						}
 					}
 					if wasFast && cut.fast == nil && lastCut > 0 {
 						cutThenExit++
 					}
-					cr, _ := cut.Result()
-					wr, _ := whole.Result()
 					er, _ := exact.Result()
-					if cr.OK != er.OK || cr.Reason != er.Reason || wr.OK != er.OK || wr.Reason != er.Reason ||
-						cut.Verdict() != exact.Verdict() || whole.Verdict() != exact.Verdict() {
-						t.Fatalf("iter %d prefix %d (cut after %d): cut %v %q, no cut %v %q, exact %v %q\n%v",
-							iter, k+1, lastCut, cr.OK, cr.Reason, wr.OK, wr.Reason, er.OK, er.Reason, tr[:k+1])
+					for _, s := range []struct {
+						name string
+						s    *Session
+					}{{"cut", cut}, {"no cut", whole}, {"probe", probe}} {
+						if r, _ := s.s.Result(); r.OK != er.OK || r.Reason != er.Reason || s.s.Verdict() != exact.Verdict() || s.s.Len() != k+1 {
+							t.Fatalf("iter %d prefix %d (cut after %d): %s session %v %q over %d actions, exact %v %q\n%v",
+								iter, k+1, lastCut, s.name, r.OK, r.Reason, s.s.Len(), er.OK, er.Reason, tr[:k+1])
+						}
 					}
-					if cut.Len() != k+1 || whole.Len() != k+1 || exact.Len() != k+1 {
-						t.Fatalf("iter %d prefix %d: lengths %d (cut), %d (no cut), %d (exact)",
-							iter, k+1, cut.Len(), whole.Len(), exact.Len())
+					if cn, wn := cut.meter.Nodes, whole.meter.Nodes; cn > wn || whole.fast != nil && cut.Nodes() != whole.Nodes() {
+						t.Fatalf("iter %d prefix %d: %d search nodes with cuts, %d without", iter, k+1, cn, wn)
 					}
-					if cn, wn := cut.Nodes(), whole.Nodes(); cn > wn || whole.fast != nil && cn != wn {
-						t.Fatalf("iter %d prefix %d: %d nodes with cuts, %d without", iter, k+1, cn, wn)
-					}
-					if whole.fast == nil || whole.fastRej || whole.notWF != "" || len(whole.pending) != 0 {
+					if probe.fast == nil || probe.fastRej || probe.notWF != "" || len(probe.pending) != 0 {
 						continue
 					}
-					if got, ok := whole.fast.(cutter).cutStates(); ok {
+					if got, ok := probe.fast.(cutter).cutStates(); ok {
 						if got == nil {
-							got = seedStates(t, sc.f, whole.fast.(cutter).cutSeed())
+							got = seedStates(t, sc.f, probe.fast.(cutter).cutSeed())
 						}
 						if want := frontierStates(t, exact); !sameStates(got, want) {
 							t.Fatalf("iter %d prefix %d: the core cuts at %q, the exact frontier ends in %v\n%v",
 								iter, k+1, got, want, tr[:k+1])
 						}
 						answered++
+						if len(got) > 1 {
+							wide++
+						}
 					}
 				}
 			}
-			t.Logf("%d cuts; %d histories left the fast path after a cut; %d quiescent answers checked", cuts, cutThenExit, answered)
-			if cuts < 1000 || cutThenExit < 100 {
-				t.Fatalf("%d cuts and %d exits after a cut: the histories do not exercise cuts", cuts, cutThenExit)
+			t.Logf("%d cuts; %d histories left the fast path after a cut; %d quiescent answers checked, %d of more than one state",
+				cuts, cutThenExit, answered, wide)
+			if cuts < 1000 || cutThenExit < 100 || wide < sc.wide {
+				t.Fatalf("%d cuts, %d exits after a cut and %d answers of more than one state: the histories do not exercise cuts",
+					cuts, cutThenExit, wide)
 			}
 		})
 	}
@@ -515,11 +543,91 @@ func TestRegisterCutStates(t *testing.T) {
 	}
 }
 
+// TestRegisterRestart pins the register's restart from a cut (DESIGN.md,
+// decision 35) on four hand histories. Each starts with the same sixteen
+// actions — a, read five times, then overlapping writes of x and y — so a
+// witness-off session cuts after them with initial values {x, y}; what
+// follows is held to the exact engine on every prefix (verdict, reason,
+// length) and to the path it must take.
+func TestRegisterRestart(t *testing.T) {
+	w := func(v trace.Value) trace.Value { return adt.WriteInput(v) }
+	rd := func(tag string) trace.Value { return adt.Tag(adt.ReadInput(), tag) }
+	ok := adt.WriteOutput()
+	op := func(c trace.ClientID, in, out trace.Value) trace.Trace {
+		return trace.Trace{trace.Invoke(c, 1, in), trace.Response(c, 1, in, out)}
+	}
+	var prefix trace.Trace
+	prefix = append(prefix, op("c1", w("a"), ok)...)
+	for i := 1; i <= 5; i++ {
+		prefix = append(prefix, op("c1", rd(strconv.Itoa(i)), adt.ReadOutput("a"))...)
+	}
+	prefix = append(prefix, trace.Invoke("c1", 1, w("x")), trace.Invoke("c2", 1, w("y")),
+		trace.Response("c1", 1, w("x"), ok), trace.Response("c2", 1, w("y"), ok))
+	join := func(ts ...trace.Trace) trace.Trace {
+		var all trace.Trace
+		for _, t := range ts {
+			all = append(all, t...)
+		}
+		return all
+	}
+	const (
+		exits = iota
+		rejects
+		accepts
+	)
+	for _, tc := range []struct {
+		name string
+		tail trace.Trace
+		want int
+	}{
+		{"a write of an initial value exits", op("c1", w("x"), ok), exits},
+		{"reads of two initial values reject",
+			join(op("c1", rd("6"), adt.ReadOutput("x")), op("c2", rd("7"), adt.ReadOutput("y"))), rejects},
+		{"an initial read after a closed write rejects",
+			join(op("c1", w("b"), ok), op("c2", rd("6"), adt.ReadOutput("x"))), rejects},
+		// Both the written value and the read's input repeat ones the cut
+		// forgot.
+		{"an earlier value rewritten and read is accepted",
+			join(op("c1", w("a"), ok), op("c2", rd("1"), adt.ReadOutput("a"))), accepts},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := context.Background()
+			s := NewSessionFast(ctx, adt.Register{}, check.WithWitness(false))
+			ex := NewSession(ctx, adt.Register{})
+			tr := join(prefix, tc.tail)
+			for k, a := range tr {
+				if err := errors.Join(s.Feed(a), ex.Feed(a)); err != nil {
+					t.Fatal(err)
+				}
+				sr, _ := s.Result()
+				er, _ := ex.Result()
+				if sr.OK != er.OK || sr.Reason != er.Reason || s.Verdict() != ex.Verdict() || s.Len() != ex.Len() {
+					t.Fatalf("prefix %d: session %v %q over %d actions, exact %v %q over %d", k+1,
+						sr.OK, sr.Reason, s.Len(), er.OK, er.Reason, ex.Len())
+				}
+				if k+1 == len(prefix) && (s.cutFed != len(prefix) || !sameStates(s.cutSt, map[adt.State]bool{"x": true, "y": true})) {
+					t.Fatalf("after the prefix: cut after %d actions at %q, want after %d at [x y]", s.cutFed, s.cutSt, len(prefix))
+				}
+			}
+			switch got := s.fast != nil; {
+			case tc.want == exits && got:
+				t.Fatal("stayed on the fast path")
+			case tc.want != exits && (!got || s.Nodes() != s.Len()):
+				t.Fatalf("left the fast path: %d nodes over %d actions", s.Nodes(), s.Len())
+			case s.fastRej != (tc.want == rejects):
+				t.Fatalf("the core rejected %v, want %v", s.fastRej, tc.want == rejects)
+			}
+		})
+	}
+}
+
 // quiescentEvery100 streams n actions of a history with one quiescent
 // point every 100 actions: client c0 holds one operation open across 96
 // actions of sequential operations by c1 and then responds. The register
 // holds a read open across fresh writes and reads; the mutex holds an
-// acquire open across lock/unlock pairs, then releases.
+// acquire open across lock/unlock pairs, then releases; the stack holds a
+// push open across push/pop pairs, then pops it; consensus holds a
+// proposal open across proposals of the decided value.
 func quiescentEvery100(f adt.Folder, n int, feed func(a trace.Action, quiescent bool)) {
 	ok := adt.WriteOutput()
 	pair := func(c trace.ClientID, in, out trace.Value) {
@@ -529,59 +637,118 @@ func quiescentEvery100(f adt.Folder, n int, feed func(a trace.Action, quiescent 
 	cur := adt.Bottom
 	for b := 0; b < n/100; b++ {
 		id := strconv.Itoa(b)
+		var held, heldOut trace.Value
+		var c1 func(u string)
+		var last func()
 		switch f.(type) {
 		case adt.Register:
-			held := adt.Tag(adt.ReadInput(), "h"+id)
-			feed(trace.Invoke("c0", 1, held), false)
-			for i := 0; i < 24; i++ {
-				u := id + "." + strconv.Itoa(i)
+			held = adt.Tag(adt.ReadInput(), "h"+id)
+			c1 = func(u string) {
 				w := trace.Value("v" + u)
 				pair("c1", adt.WriteInput(w), ok)
 				cur = w
 				pair("c1", adt.Tag(adt.ReadInput(), u), adt.ReadOutput(cur))
 			}
-			feed(trace.Response("c0", 1, held, adt.ReadOutput(cur)), true)
-			pair("c0", adt.Tag(adt.ReadInput(), "t"+id), adt.ReadOutput(cur))
+			last = func() { pair("c0", adt.Tag(adt.ReadInput(), "t"+id), adt.ReadOutput(cur)) }
 		case adt.Mutex:
-			held := adt.Tag(adt.LockInput(), "h"+id)
-			feed(trace.Invoke("c0", 1, held), false)
-			for i := 0; i < 24; i++ {
-				u := id + "." + strconv.Itoa(i)
+			held, heldOut = adt.Tag(adt.LockInput(), "h"+id), ok
+			c1 = func(u string) {
 				pair("c1", adt.Tag(adt.LockInput(), u), ok)
 				pair("c1", adt.Tag(adt.UnlockInput(), u), ok)
 			}
-			feed(trace.Response("c0", 1, held, ok), true)
-			pair("c0", adt.Tag(adt.UnlockInput(), "h"+id), ok)
+			last = func() { pair("c0", adt.Tag(adt.UnlockInput(), "h"+id), ok) }
+		case adt.Stack:
+			held, heldOut = adt.PushInput(trace.Value("h"+id)), ok
+			c1 = func(u string) {
+				pair("c1", adt.PushInput(trace.Value("v"+u)), ok)
+				pair("c1", adt.Tag(adt.PopInput(), u), adt.ReadOutput(trace.Value("v"+u)))
+			}
+			last = func() { pair("c0", adt.Tag(adt.PopInput(), "t"+id), adt.ReadOutput(trace.Value("h"+id))) }
+		case adt.Consensus:
+			held, heldOut = adt.Tag(adt.ProposeInput("a"), "h"+id), adt.DecideOutput("a")
+			c1 = func(u string) {
+				pair("c1", adt.Tag(adt.ProposeInput("a"), u), adt.DecideOutput("a"))
+				pair("c1", adt.Tag(adt.ProposeInput("b"), u), adt.DecideOutput("a"))
+			}
+			last = func() { pair("c0", adt.Tag(adt.ProposeInput("b"), "t"+id), adt.DecideOutput("a")) }
 		}
+		feed(trace.Invoke("c0", 1, held), false)
+		for i := 0; i < 24; i++ {
+			c1(id + "." + strconv.Itoa(i))
+		}
+		if heldOut == "" {
+			heldOut = adt.ReadOutput(cur)
+		}
+		feed(trace.Response("c0", 1, held, heldOut), true)
+		last()
 	}
 }
 
-// TestCutRetention: 1M-action register and mutex streams with a
-// quiescent point every 100 actions stay on the fast path and, at every
-// quiescent point, hold one log chunk of at most recChunk actions and no
-// full chunk before it; the same stream with cuts off (20 000 actions)
-// logs all of it.
+// coreHeld is what a witness-off core holds: its table entries, slice
+// lengths and map sizes (entries), and what its tables and slices have
+// room for (room).
+func coreHeld(c FastChecker) (entries, room int) {
+	switch c := c.(type) {
+	case *fastRegister:
+		entries = c.seen.n + c.byVal.n + len(c.blocks) + len(c.openW) + len(c.closedAt) + len(c.closed) + c.tree.size + len(c.init)
+		room = len(c.seen.slots) + len(c.byVal.slots) + cap(c.blocks) + cap(c.closedAt) + cap(c.closed) + len(c.tree.node)
+	case *fastMutex:
+		entries, room = c.seen.n+len(c.ops)+len(c.chain)+len(c.marks), len(c.seen.slots)
+	case *fastStack:
+		entries = c.seen.n + len(c.ops) + len(c.vals) + len(c.pool) + len(c.stack) + len(c.chain) + len(c.marks)
+		room = len(c.seen.slots) + cap(c.pool) + cap(c.stack)
+	case *fastConsensus:
+		entries, room = c.seen.n+len(c.props)+len(c.resps), len(c.seen.slots)
+	}
+	return entries, room
+}
+
+// TestCutRetention: a 10M-action register stream and 1M-action mutex,
+// stack and consensus streams with a quiescent point every 100 actions
+// stay on the fast path and, at every quiescent point, hold one log
+// chunk of at most recChunk actions and no full chunk before it, and a
+// core that restarted at the last cut (DESIGN.md, decision 35): no more
+// table entries, slice elements and map entries than actions since that
+// cut, plus two for the value a stack answer keeps (on the stack and
+// among its values) or a register's (its initial value), and room
+// for no more than sixteen times the longest stretch between cuts. The
+// same streams with cuts off (20 000 actions) log all of it.
 func TestCutRetention(t *testing.T) {
-	for _, f := range []adt.Folder{adt.Register{}, adt.Mutex{}} {
+	for _, f := range []adt.Folder{adt.Register{}, adt.Mutex{}, adt.Stack{}, adt.Consensus{}} {
 		for _, cuts := range []bool{true, false} {
 			n := 1_000_000
+			if _, reg := f.(adt.Register); reg {
+				n = 10_000_000
+			}
 			s := NewSessionFast(context.Background(), f, check.WithWitness(false))
 			if !cuts {
 				n = 20_000
 				noCuts(s)
 			}
-			points := 0
+			points, lastCut, longest := 0, 0, 0
 			quiescentEvery100(f, n, func(a trace.Action, quiescent bool) {
 				if err := s.Feed(a); err != nil {
 					t.Fatal(err)
+				}
+				if s.cutFed != lastCut {
+					longest = max(longest, s.cutFed-lastCut)
+					lastCut = s.cutFed
 				}
 				if !quiescent {
 					return
 				}
 				points++
-				if cuts && (cap(s.rec) > recChunk || len(s.recFull) != 0) {
+				if !cuts {
+					return
+				}
+				if cap(s.rec) > recChunk || len(s.recFull) != 0 {
 					t.Fatalf("%T, quiescent point %d: log of %d full chunks and one of capacity %d",
 						f, points, len(s.recFull), cap(s.rec))
+				}
+				since := s.Len() - s.cutFed
+				if entries, room := coreHeld(s.fast); entries > since+2 || room > 16*longest+64 {
+					t.Fatalf("%T, quiescent point %d: the core holds %d entries with room for %d, %d actions after the last cut (%d at most)",
+						f, points, entries, room, since, longest)
 				}
 			})
 			if s.Len() != n || s.Nodes() != n || s.Verdict() != check.Linearizable {
@@ -601,21 +768,27 @@ func TestCutRetention(t *testing.T) {
 	}
 }
 
-// TestCutStatesAllocateNothing: a cut's answer reuses the core's storage.
+// TestCutStatesAllocateNothing: a cut's answer reuses the core's storage,
+// and so does the restart that follows it — asked again at the same
+// quiescent point, and only at one, as the cutter contract says.
 func TestCutStatesAllocateNothing(t *testing.T) {
 	for _, sc := range cutSims {
 		s := NewSessionFast(context.Background(), sc.f, check.WithWitness(false))
 		tr := simHistory(rand.New(rand.NewSource(1)), sc.sim(), 64)
-		for _, a := range tr {
+		quiescent := false
+		for k, a := range tr {
 			if err := s.Feed(a); err != nil {
 				t.Fatal(err)
 			}
-			if s.fast == nil {
+			if s.fast == nil || s.fastRej {
+				break
+			}
+			if quiescent = len(s.pending) == 0; quiescent && k >= 32 {
 				break
 			}
 		}
-		if s.fast == nil {
-			continue // the history left the fragment: nothing to ask
+		if !quiescent || s.fast == nil || s.fastRej {
+			t.Fatalf("%s: the history reaches no quiescent point on the fast path", sc.name)
 		}
 		c := s.fast.(cutter)
 		c.cutStates()

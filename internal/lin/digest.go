@@ -4,9 +4,11 @@ import "math/bits"
 
 // digestTable is the fast paths' one hash table (DESIGN.md, decision
 // 24): open-addressed, linear-probing, eight bytes a slot, keyed by a
-// fixed-seed 64-bit digest of a string and holding no string itself —
-// the session's replay log, back to its last quiescent cut, is the only
-// per-action copy of the history.
+// fixed-seed 64-bit digest of a string and holding no string itself.
+// A core empties its tables when its session cuts (reset; DESIGN.md,
+// decision 35), so they hold the stretch since the last quiescent cut,
+// and the session's replay log of that stretch is the only per-action
+// copy of the history.
 // One table is used in one of two ways:
 //
 //   - as a digest set (add): a slot is a whole digest. Equal strings
@@ -122,6 +124,20 @@ func (t *digestTable) place(v uint64) {
 		i = (i + 1) & mask
 	}
 	t.slots[i] = v
+}
+
+// reset empties the table in time proportional to its entries,
+// amortized: a table at least an eighth full is cleared in place, and a
+// sparser one — it grew in a longer stretch than the one it just held —
+// is replaced by one sized for that many entries.
+func (t *digestTable) reset() {
+	if len(t.slots) <= max(digestMinSlots, 8*t.n) {
+		clear(t.slots)
+	} else {
+		t.slots = make([]uint64, max(digestMinSlots, 1<<bits.Len(uint(2*t.n))))
+		t.shift = uint(64 - bits.TrailingZeros(uint(len(t.slots))))
+	}
+	t.n = 0
 }
 
 // reserve keeps the table at most half full for one more entry, so an

@@ -85,34 +85,81 @@ func TestDigestTableIndex(t *testing.T) {
 	}
 }
 
-// TestFastExitOnLateDuplicate: a real duplicate arriving after 100 000
-// distinct inputs still leaves the fragment, and the fallback's verdict
-// is the exact engine's (a repeated read is linearizable).
-func TestFastExitOnLateDuplicate(t *testing.T) {
-	const distinct = 100_000
-	s := NewSessionFast(context.Background(), adt.Register{}, check.WithWitness(false))
-	read := func(tag string) {
-		t.Helper()
-		in := adt.Tag(adt.ReadInput(), tag)
-		if err := s.FeedAll(trace.Trace{
-			trace.Invoke("c1", 1, in),
-			trace.Response("c1", 1, in, adt.ReadOutput(adt.Bottom)),
-		}); err != nil {
-			t.Fatal(err)
+// TestDigestTableReset: a reset table holds nothing, clears a table at
+// least an eighth full in place and replaces a sparser one with one sized
+// for what it held, so a reset costs its entries, not its longest past.
+func TestDigestTableReset(t *testing.T) {
+	var set digestTable
+	fill := func(n int) {
+		for i := 0; i < n; i++ {
+			if set.add("v" + strconv.Itoa(i)) {
+				t.Fatalf("input %d of %d reported as seen after a reset", i, n)
+			}
 		}
 	}
-	for i := 0; i < distinct; i++ {
-		read(strconv.Itoa(i))
+	fill(10_000)
+	big := len(set.slots)
+	set.reset()
+	if set.n != 0 || len(set.slots) != big {
+		t.Fatalf("a full table reset to %d entries in %d slots, want 0 in %d", set.n, len(set.slots), big)
 	}
-	if s.fast == nil || s.Nodes() != s.Len() {
-		t.Fatalf("%d distinct inputs: %d nodes for %d actions, the session left the fast path", distinct, s.Nodes(), s.Len())
+	fill(100)
+	set.reset()
+	if set.n != 0 || len(set.slots) != 256 {
+		t.Fatalf("a sparse table reset to %d entries in %d slots, want 0 in 256", set.n, len(set.slots))
 	}
-	read("7")
-	if s.fast != nil {
-		t.Fatal("a repeated input stayed on the fast path")
-	}
-	if v := s.Verdict(); v != check.Linearizable {
-		t.Fatalf("verdict %v after the fallback, want Linearizable", v)
+	fill(100)
+}
+
+// TestFastExitOnLateDuplicate: with cuts off, a real duplicate arriving
+// after 100 000 distinct inputs still leaves the fragment, and the
+// fallback's verdict is the exact engine's (a repeated read is
+// linearizable). With cuts on, the stream is quiescent throughout, so the
+// same repeat comes long after the cut that made the core forget it
+// (DESIGN.md, decision 35): it stays on the fast path, with the exact
+// verdict.
+func TestFastExitOnLateDuplicate(t *testing.T) {
+	const distinct = 100_000
+	for _, cuts := range []bool{false, true} {
+		s := NewSessionFast(context.Background(), adt.Register{}, check.WithWitness(false))
+		ex := NewSession(context.Background(), adt.Register{})
+		if !cuts {
+			noCuts(s)
+		}
+		read := func(tag string) {
+			t.Helper()
+			in := adt.Tag(adt.ReadInput(), tag)
+			tr := trace.Trace{trace.Invoke("c1", 1, in), trace.Response("c1", 1, in, adt.ReadOutput(adt.Bottom))}
+			if err := s.FeedAll(tr); err != nil {
+				t.Fatal(err)
+			}
+			if cuts {
+				if err := ex.FeedAll(tr); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for i := 0; i < distinct; i++ {
+			read(strconv.Itoa(i))
+		}
+		if s.fast == nil || s.Nodes() != s.Len() {
+			t.Fatalf("cuts %v, %d distinct inputs: %d nodes for %d actions, the session left the fast path", cuts, distinct, s.Nodes(), s.Len())
+		}
+		if seen := s.fast.(*fastRegister).seen.n; cuts == (seen == distinct) {
+			t.Fatalf("cuts %v: %d inputs in the table after %d distinct ones", cuts, seen, distinct)
+		}
+		read("7")
+		switch {
+		case !cuts && s.fast != nil:
+			t.Fatal("a repeated input stayed on the fast path")
+		case cuts && (s.fast == nil || s.cutFed == 0):
+			t.Fatalf("a repeat after a cut (the last after %d actions) left the fast path", s.cutFed)
+		case cuts && s.Verdict() != ex.Verdict():
+			t.Fatalf("verdict %v after a repeat across a cut, the exact engine's %v", s.Verdict(), ex.Verdict())
+		}
+		if v := s.Verdict(); v != check.Linearizable {
+			t.Fatalf("cuts %v: verdict %v after the repeat, want Linearizable", cuts, v)
+		}
 	}
 }
 

@@ -36,6 +36,10 @@ import (
 //     strings, pairwise-distinct untagged push values and no
 //     empty-pop outputs.
 //
+// In a witness-off session, which cuts at quiescent points (DESIGN.md,
+// decisions 26 and 35), "pairwise distinct" means within the stretch
+// since the last cut and against the values the cut's answer keeps.
+//
 // Inside the fragment the cores decide the verdict exactly; semantic
 // violations (an output no linearization could explain) are final
 // NotLinearizable verdicts, never fallbacks. The mutex and stack cores
@@ -202,7 +206,8 @@ func fastCheckSettings(ctx context.Context, f adt.Folder, t trace.Trace, set che
 // point increase-updates and range-maximum queries, used by the
 // register core to query the maximum block start among closed blocks
 // while excluding one position. Capacity doubles by rebuilding (ops
-// stay O(log n) amortized); absent positions report -1.
+// stay O(log n) amortized); absent positions report -1. Reset empties
+// it for reuse.
 type maxTree struct {
 	size int   // leaves in use
 	cap_ int   // leaf capacity, power of two (0 until first append)
@@ -231,6 +236,17 @@ func (t *maxTree) Append(v int) {
 	}
 	t.Update(t.size, v)
 	t.size++
+}
+
+// Reset empties the tree, keeping its capacity, in time proportional to
+// the positions in use: only their leaves and ancestors hold values.
+func (t *maxTree) Reset() {
+	for lo, hi := t.cap_, t.cap_+t.size; lo >= 1 && lo < hi; lo, hi = lo/2, (hi+1)/2 {
+		for i := lo; i < hi; i++ {
+			t.node[i] = -1
+		}
+	}
+	t.size = 0
 }
 
 // Update raises position pos to value v (values only ever grow).

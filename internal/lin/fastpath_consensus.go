@@ -15,12 +15,15 @@ import (
 // the head drives the state to w, every later operation outputs d(w),
 // and Validity holds because the head is invoked before the first
 // response and each member before its own. At a quiescent cut
-// (DESIGN.md, decision 26) every linearization starts with a proposal of
-// w and so ends in state w — or, before any operation, in ⊥.
+// (DESIGN.md, decisions 26 and 35) every linearization starts with a
+// proposal of w and so ends in state w — or, before any operation, in
+// ⊥ — and the core restarts there, forgetting the stretch's inputs.
 type fastConsensus struct {
 	witness bool
-	seen    digestTable             // every invocation input (distinctness)
-	props   map[trace.Value]conProp // untagged proposal value -> earliest propose
+	seen    digestTable // the stretch's invocation inputs (distinctness)
+	// props maps an untagged proposal value to its earliest propose until
+	// the first deciding response; it is dead, and nil, after.
+	props   map[trace.Value]conProp
 	decided bool
 	val     trace.Value // the decided value, once decided
 	headIn  trace.Value // input of the linearization head
@@ -50,7 +53,7 @@ func (c *fastConsensus) Inv(in trace.Value, idx int) FastStatus {
 	if !ok {
 		return FastExit // grammar-invalid proposal; exact semantics differ
 	}
-	if _, have := c.props[v]; !have {
+	if _, have := c.props[v]; !c.decided && !have {
 		c.props[v] = conProp{in: in}
 	}
 	return FastOK
@@ -69,7 +72,7 @@ func (c *fastConsensus) Res(in, out trace.Value, invIdx, idx int) FastStatus {
 			// before the first deciding response; none exists.
 			return FastReject
 		}
-		c.decided, c.val, c.headIn = true, w, p.in
+		c.decided, c.val, c.headIn, c.props = true, w, p.in, nil
 	} else if w != c.val {
 		return FastReject // two distinct decisions defeat any single head
 	}
@@ -80,8 +83,9 @@ func (c *fastConsensus) Res(in, out trace.Value, invIdx, idx int) FastStatus {
 }
 
 // cutStates implements cutter: the decided value, as adt.Consensus
-// folds it.
+// folds it; the core restarts from it.
 func (c *fastConsensus) cutStates() ([]adt.State, bool) {
+	c.seen.reset()
 	c.cut[0] = adt.Consensus{}.Empty()
 	if c.decided {
 		c.cut[0] = adt.State(c.val)

@@ -44,13 +44,14 @@ import (
 // when the session asked for witnesses; the verdict needs the chain's
 // length alone.
 //
-// Quiescent cut (DESIGN.md, decision 26): with no operation open every
-// operation returned "ok:", so every linearization is a strict
+// Quiescent cut (DESIGN.md, decisions 26 and 35): with no operation open
+// every operation returned "ok:", so every linearization is a strict
 // alternation of all of them and ends in the one state the simulation
-// holds.
+// holds. The core restarts there: seen forgets the stretch's inputs, as
+// a later input can claim nothing before the cut.
 type fastMutex struct {
 	witness bool
-	seen    digestTable
+	seen    digestTable      // the stretch's inputs (distinctness)
 	ops     map[int]*mutexOp // open operations, by invocation trace index
 	// waiting holds, per kind, the open operations not linearized yet,
 	// oldest invocation first: where a helper is taken from.
@@ -210,8 +211,10 @@ func (m *fastMutex) linearize(o *mutexOp) {
 	m.locked = o.lock
 }
 
-// cutStates implements cutter: the simulated lock state.
+// cutStates implements cutter: the simulated lock state; the core
+// restarts from it.
 func (m *fastMutex) cutStates() ([]adt.State, bool) {
+	m.seen.reset()
 	m.cut[0] = mutexFree
 	if m.locked {
 		m.cut[0] = mutexHeld

@@ -61,15 +61,25 @@ import (
 // fallback asks cutSeed for the enqueues of the values queued there:
 // replayed from the empty queue, they reach exactly those states. So the
 // core keeps the values queued at its last cut and dequeued since, and
-// no record of the others once both their ends are done.
+// no record of the others once both their ends are done. A cut restarts
+// the core (decision 35): seen forgets the stretch's dequeue inputs, and
+// enqd and index, which gain an entry per enqueue, are rebuilt from the
+// values still queued once they hold twice as many entries, so that a
+// rebuild costs no more than the entries it drops. A value enqueued
+// after the cut must differ from those queued at it, which the seed
+// replays, and from the stretch's; one dequeued before the cut is gone
+// from every state the cut summarizes.
 //
 // What the witness needs and the verdict does not — every operation's
 // input and interval — is kept only when the session asked for
 // witnesses (DESIGN.md, decision 24).
 type fastQueue struct {
 	witness bool
-	seen    digestTable // every dequeue input (distinctness)
-	enqd    digestTable // every untagged enqueue value (distinctness)
+	seen    digestTable // the stretch's dequeue inputs (distinctness)
+	// enqd holds the untagged enqueue values of the stretch and those
+	// queued at its start, and perhaps some dequeued before, until a
+	// rebuild drops them (distinctness).
+	enqd digestTable
 	// index maps an untagged value to its record, exactly: an entry whose
 	// record was released or reused fails the comparison, so a value is
 	// found from its enqueue's invocation until it is dequeued with its
@@ -314,13 +324,27 @@ func (c *fastQueue) release(i int32) {
 }
 
 // cutStates implements cutter: the states are too many to list (see the
-// type comment), so the core marks the cut and answers with its seed.
+// type comment), so the core marks the cut, answers with its seed and
+// restarts.
 func (c *fastQueue) cutStates() ([]adt.State, bool) {
 	for _, i := range c.since {
 		c.release(i)
 	}
 	c.since = c.since[:0]
 	c.cutAt = c.last + 1
+	c.seen.reset()
+	// No operation is open, so the records held are the queued values.
+	if queued := len(c.vals) - len(c.free); c.enqd.n >= 2*queued {
+		c.enqd.reset()
+		c.index.reset()
+		for _, i := range c.q[c.qh:] {
+			if i >= 0 {
+				arg := enqArg(c.vals[i].in)
+				c.enqd.add(arg)
+				c.index.put(arg, int(i))
+			}
+		}
+	}
 	return nil, true
 }
 

@@ -234,6 +234,39 @@ func TestQueueCoreMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestQueueRestart pins the queue's restart at a cut (DESIGN.md, decision
+// 35) on hand histories held to the exact engine on every prefix: after
+// sixteen sequential actions that dequeue x and leave y and z queued, a
+// witness-off session has cut, rebuilt its value table (five values, two
+// of them queued) and so forgotten x and the dequeue inputs, but not y
+// and z, which its seed replays.
+func TestQueueRestart(t *testing.T) {
+	ok := adt.WriteOutput()
+	op := func(in, out trace.Value) trace.Trace {
+		return trace.Trace{trace.Invoke("p", 1, in), trace.Response("p", 1, in, out)}
+	}
+	var prefix trace.Trace
+	for i, v := range []string{"x", "a", "b"} {
+		prefix = append(prefix, op(qe(v), ok)...)
+		prefix = append(prefix, op(qd(strconv.Itoa(i)), adt.ReadOutput(trace.Value(v)))...)
+	}
+	prefix = append(prefix, append(op(qe("y"), ok), op(qe("z"), ok)...)...)
+	for _, tc := range []struct {
+		name string
+		tail trace.Trace
+		fast bool
+	}{
+		{"a value dequeued before the cut enqueued again", append(op(qe("x"), ok), op(qd("0"), adt.ReadOutput("y"))...), true},
+		{"a value queued at the cut enqueued again", append(op(qe("y"), ok), op(qd("9"), adt.ReadOutput("y"))...), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, fast := agreesOnEveryPrefix(t, append(prefix[:len(prefix):len(prefix)], tc.tail...), false); fast != tc.fast {
+				t.Fatalf("on the fast path %v, want %v", fast, tc.fast)
+			}
+		})
+	}
+}
+
 // heldRecords is the number of records core keeps: the values invoked and not
 // yet retired, plus those kept for the seed.
 func heldRecords(core *fastQueue) int { return len(core.vals) - len(core.free) }
@@ -241,8 +274,11 @@ func heldRecords(core *fastQueue) int { return len(core.vals) - len(core.free) }
 // TestQueueCutRetention: a 1M-action stream whose queue grows past 50k
 // values, with a quiescent point every 100 actions, stays on the fast
 // path, and at every quiescent point holds one log chunk of at most
-// recChunk actions and no full chunk before it, and no record beyond the
-// queued values and those dequeued since the last cut.
+// recChunk actions and no full chunk before it, no record beyond the
+// queued values and those dequeued since the last cut, no more dequeue
+// inputs than actions since that cut, and no more enqueued values or
+// index entries than twice the values queued at the cut plus actions
+// since (DESIGN.md, decision 35).
 func TestQueueCutRetention(t *testing.T) {
 	const n = 1_000_000
 	s := NewSessionFast(context.Background(), adt.Queue{}, check.WithWitness(false))
@@ -297,6 +333,14 @@ func TestQueueCutRetention(t *testing.T) {
 			t.Fatalf("quiescent point %d: %d records and %d queue slots for %d queued values, %d dequeued since the cut",
 				points, heldRecords(core), len(core.q)-core.qh, len(fifo), since)
 		}
+		// The values queued at the cut are those queued now, less the
+		// stretch's enqueues, plus its dequeues: fewer than len(fifo) plus
+		// the stretch's actions.
+		stretch := s.Len() - s.cutFed
+		if bound := 2*(len(fifo)+stretch) + stretch; core.seen.n > stretch || core.enqd.n > bound || core.index.n > bound {
+			t.Fatalf("quiescent point %d: %d dequeue inputs, %d enqueued values and %d index entries, %d queued values and %d actions since the cut",
+				points, core.seen.n, core.enqd.n, core.index.n, len(fifo), stretch)
+		}
 		pair("c0", qd("t"+id))
 	}
 	if s.Nodes() != s.Len() || s.Verdict() != check.Linearizable || peak < 50_000 {
@@ -307,10 +351,10 @@ func TestQueueCutRetention(t *testing.T) {
 	}
 }
 
-// TestQueueSteadyStateAllocatesNothing: with its digest tables sized
-// (5 000 values in, doubling at 8 192), a queue two deep — enqueue,
-// dequeue, cut — allocates nothing per action: records, the index and
-// the queue's slots are all reused.
+// TestQueueSteadyStateAllocatesNothing: after 5 000 values, a queue two
+// deep — enqueue, dequeue, cut — allocates nothing per action: records,
+// the queue's slots and the tables, which each cut rebuilds from the
+// values still queued (DESIGN.md, decision 35), are all reused.
 func TestQueueSteadyStateAllocatesNothing(t *testing.T) {
 	c := newFastQueue(false, false)
 	// Made up front: the inputs and outputs are the caller's.

@@ -1,6 +1,7 @@
 package lin
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -32,13 +33,23 @@ import (
 // invocation index s violates iff some other closed block A has
 // closedAt(A) < s and maxStart(A) > closedAt(B) — a range-maximum query
 // over the closed-block array (closedAt-ascending by construction)
-// through maxTree, excluding B itself; and a ⊥-read with invocation
-// index s violates iff any block closed before s (⊥-reads must precede
-// every write). Block closes never violate (the closing index exceeds
-// every recorded start), and writes create their block unconditionally.
+// through maxTree, excluding B itself; and an initial read with
+// invocation index s violates iff any block closed before s (initial
+// reads must precede every write). Block closes never violate (the
+// closing index exceeds every recorded start), and writes create their
+// block unconditionally.
 //
-// Witness: concatenate the accepted ⊥-reads (response order), then the
-// closed blocks sorted by key(B) = max(closedAt(B), maxStart(B))
+// The initial values I are the states the register may hold before its
+// first write: {⊥} from the start, and the cut's answer after a restart
+// (below). A read returning a value of I that no write of the fragment
+// wrote is an initial read: it reads the state before every write, so
+// all such reads must return the same value, and the first narrows I to
+// it — a read of another value of I then finds it neither in I nor
+// written, and rejects. A write of a value of I would make its reads
+// ambiguous, so it exits the fragment.
+//
+// Witness: concatenate the accepted initial reads (response order), then
+// the closed blocks sorted by key(B) = max(closedAt(B), maxStart(B))
 // ascending, each block as [write, reads in response order]; every
 // response claims the prefix of this history ending at its own input.
 // If key-earlier A had maxStart(A) > closedAt(B) for some later B, the
@@ -47,31 +58,41 @@ import (
 // earlier block is invoked before every response of a later one, which
 // is exactly Validity.
 //
-// Quiescent cut (DESIGN.md, decision 26): with no operation open every
-// block is closed, and a linearization can end in block B iff B can be
-// placed after every other block A, i.e. closedAt(B) > maxStart(A) —
-// the remaining blocks in key order, then B, is a linearization. So the
-// linearizations end in exactly the values of those blocks, or in ⊥
-// before the first write. They are the blocks closed after the latest
-// start of all, plus possibly the block holding that start.
+// Quiescent cut (DESIGN.md, decisions 26 and 35): with no operation open
+// every block is closed, and a linearization can end in block B iff B
+// can be placed after every other block A, i.e. closedAt(B) >
+// maxStart(A) — the remaining blocks in key order, then B, is a
+// linearization. So the linearizations end in exactly the values of
+// those blocks, or in I when no block closed. They are the blocks closed
+// after the latest start of all, plus possibly the block holding that
+// start. The core then restarts from that answer: every operation so
+// far precedes every later one, so the trace is linearizable iff what
+// follows is, from some state of the answer. I becomes the answer, and
+// the tables, blocks and closed arrays are emptied for the next stretch:
+// a later input or written value equal to an earlier one can claim
+// nothing before the cut, so distinctness holds within the stretch and
+// against I alone.
 //
-// The core keeps, per write, its block summary and two table slots, and
-// per open write one entry of openW, so that an input is parsed once,
-// at its invocation; what the witness needs and the verdict does not —
-// every member's input and response index — is kept only when the
-// session asked for witnesses (DESIGN.md, decision 24).
+// The core keeps, per write of the stretch, its block summary and two
+// table slots, and per open write one entry of openW, so that an input
+// is parsed once, at its invocation; what the witness needs and the
+// verdict does not — every member's input and response index — is kept
+// only when the session asked for witnesses (DESIGN.md, decision 24),
+// and then the session never cuts.
 type fastRegister struct {
-	witness  bool
-	seen     digestTable       // every invocation input (distinctness)
-	byVal    digestTable       // untagged written value → its block's position, exact
-	blocks   []*regBlock       // one per write, in invocation order
-	openW    map[int]*regBlock // open writes, by invocation index
-	closedAt []int             // the closed array: closedAt per closed position, ascending
-	closed   []*regBlock       // the block at each closed position
-	tree     maxTree           // maxStart per closed position
-	botReads []regMember       // witness: accepted ⊥-reads, response order
-	cut      []adt.State       // cutStates' answer, reused; first in cutBuf
-	cutBuf   [1]adt.State
+	witness   bool
+	seen      digestTable   // the stretch's invocation inputs (distinctness)
+	byVal     digestTable   // the stretch's untagged written values → block position, exact
+	blocks    []regBlock    // one per write of the stretch, in invocation order
+	openW     map[int]int32 // open writes: invocation index → block position
+	closedAt  []int         // the closed array: closedAt per closed position, ascending
+	closed    []int32       // the block position at each closed position
+	tree      maxTree       // maxStart per closed position
+	init      []adt.State   // I: the values the register holds before the stretch's first write
+	initReads []regMember   // witness: accepted initial reads, response order
+	cut       []adt.State   // cutStates' answer, reused
+	// Storage for a one-value I and answer, the common case.
+	initBuf, cutBuf [1]adt.State
 }
 
 type regBlock struct {
@@ -99,9 +120,9 @@ func newFastRegister(witness, collide bool) *fastRegister {
 		witness: witness,
 		seen:    digestTable{collide: collide},
 		byVal:   digestTable{collide: collide},
-		openW:   map[int]*regBlock{},
+		openW:   map[int]int32{},
 	}
-	r.cut = r.cutBuf[:0]
+	r.init, r.cut = append(r.initBuf[:0], adt.Register{}.Empty()), r.cutBuf[:0]
 	return r
 }
 
@@ -114,6 +135,11 @@ func regParse(in trace.Value) (op, arg string, ok bool) {
 // blockOf returns the position in blocks of the write of val.
 func (r *fastRegister) blockOf(val string) (int, bool) {
 	return r.byVal.get(val, func(i int) bool { return r.blocks[i].val == val })
+}
+
+// initial reports whether val is one of I's values.
+func (r *fastRegister) initial(val string) bool {
+	return slices.Contains(r.init, adt.State(val))
 }
 
 // Inv implements FastChecker.
@@ -129,16 +155,19 @@ func (r *fastRegister) Inv(in trace.Value, idx int) FastStatus {
 		if arg == "" || arg == string(adt.Bottom) {
 			return FastExit // grammar-invalid write; exact semantics differ
 		}
+		if r.initial(arg) {
+			return FastExit // its reads could read it or the initial state
+		}
 		if _, dup := r.blockOf(arg); dup {
 			return FastExit // duplicate written value
 		}
-		b := &regBlock{val: arg, maxStart: idx, closedAt: -1, pos: -1}
+		b := regBlock{val: arg, maxStart: idx, closedAt: -1, pos: -1}
 		if r.witness {
 			b.wit = &regWit{wIn: in, wRes: -1}
 		}
 		r.byVal.put(arg, len(r.blocks))
+		r.openW[idx] = int32(len(r.blocks))
 		r.blocks = append(r.blocks, b)
-		r.openW[idx] = b
 		return FastOK
 	case op == "r" && arg == "":
 		return FastOK // reads act at their response
@@ -148,13 +177,14 @@ func (r *fastRegister) Inv(in trace.Value, idx int) FastStatus {
 
 // Res implements FastChecker.
 func (r *fastRegister) Res(in, out trace.Value, invIdx, idx int) FastStatus {
-	if b, write := r.openW[invIdx]; write {
+	if bi, write := r.openW[invIdx]; write {
 		delete(r.openW, invIdx)
 		if out != adt.WriteOutput() {
 			return FastReject
 		}
+		b := &r.blocks[bi]
 		if b.closedAt < 0 {
-			r.close(b, idx)
+			r.close(bi, idx)
 		}
 		if b.wit != nil {
 			b.wit.wRes = idx
@@ -165,27 +195,30 @@ func (r *fastRegister) Res(in, out trace.Value, invIdx, idx int) FastStatus {
 	if !ok || vop != "v" {
 		return FastReject // reads can only ever output "v:x"
 	}
-	if varg == string(adt.Bottom) {
-		// A ⊥-read must precede every write: it violates iff any block
-		// closed before it was invoked.
+	if r.initial(varg) {
+		// An initial read must precede every write: it violates iff any
+		// block closed before it was invoked.
 		if len(r.closedAt) > 0 && r.closedAt[0] < invIdx {
 			return FastReject
 		}
+		if len(r.init) > 1 {
+			r.init = append(r.init[:0], adt.State(varg))
+		}
 		if r.witness {
-			r.botReads = append(r.botReads, regMember{in: in, res: idx})
+			r.initReads = append(r.initReads, regMember{in: in, res: idx})
 		}
 		return FastOK
 	}
 	bi, written := r.blockOf(varg)
 	if !written {
-		return FastReject // value never written by any invocation so far
+		return FastReject // neither written by any invocation so far nor initial
 	}
-	b := r.blocks[bi]
+	b := &r.blocks[bi]
 	if b.closedAt < 0 {
 		if invIdx > b.maxStart {
 			b.maxStart = invIdx
 		}
-		r.close(b, idx)
+		r.close(int32(bi), idx)
 	} else {
 		// Joining a closed block: query the other blocks closed before this
 		// read was invoked for a start after b's close.
@@ -204,33 +237,44 @@ func (r *fastRegister) Res(in, out trace.Value, invIdx, idx int) FastStatus {
 	return FastOK
 }
 
-// close records block b's first response at index idx.
-func (r *fastRegister) close(b *regBlock, idx int) {
+// close records the first response of the block at position bi, at
+// index idx.
+func (r *fastRegister) close(bi int32, idx int) {
+	b := &r.blocks[bi]
 	b.closedAt = idx
 	b.pos = len(r.closedAt)
 	r.closedAt = append(r.closedAt, idx)
-	r.closed = append(r.closed, b)
+	r.closed = append(r.closed, bi)
 	r.tree.Append(b.maxStart)
 }
 
-// cutStates implements cutter (see the type comment for the rule).
+// cutStates implements cutter (see the type comment for the rule), and
+// restarts the core from its answer.
 func (r *fastRegister) cutStates() ([]adt.State, bool) {
 	r.cut = r.cut[:0]
 	n := len(r.closedAt)
 	if n == 0 {
-		return append(r.cut, adt.Register{}.Empty()), true
+		r.cut = append(r.cut, r.init...)
+	} else {
+		last := r.tree.Max(0, n)
+		p := n - 1
+		for ; p >= 0 && r.closedAt[p] > last; p-- {
+			r.cut = append(r.cut, adt.State(r.blocks[r.closed[p]].val))
+		}
+		// Every block closed before the latest start precedes the block
+		// holding it, which itself can be last iff it closed after every
+		// other block's latest start.
+		if top := r.tree.ArgMax(); top <= p && r.closedAt[top] > r.tree.MaxExcluding(n, top) {
+			r.cut = append(r.cut, adt.State(r.blocks[r.closed[top]].val))
+		}
 	}
-	last := r.tree.Max(0, n)
-	p := n - 1
-	for ; p >= 0 && r.closedAt[p] > last; p-- {
-		r.cut = append(r.cut, adt.State(r.closed[p].val))
-	}
-	// Every block closed before the latest start precedes the block
-	// holding it, which itself can be last iff it closed after every
-	// other block's latest start.
-	if top := r.tree.ArgMax(); top <= p && r.closedAt[top] > r.tree.MaxExcluding(n, top) {
-		r.cut = append(r.cut, adt.State(r.closed[top].val))
-	}
+	r.init = append(r.init[:0], r.cut...)
+	r.seen.reset()
+	r.byVal.reset()
+	clear(r.blocks) // let the values they name go
+	r.blocks = r.blocks[:0]
+	r.closedAt, r.closed = r.closedAt[:0], r.closed[:0]
+	r.tree.Reset()
 	return r.cut, true
 }
 
@@ -244,8 +288,8 @@ func (r *fastRegister) Witness() Witness {
 		return nil
 	}
 	var order []*regBlock // closed blocks, by key
-	for _, b := range r.blocks {
-		if b.closedAt >= 0 {
+	for i := range r.blocks {
+		if b := &r.blocks[i]; b.closedAt >= 0 {
 			order = append(order, b)
 		}
 	}
@@ -255,7 +299,7 @@ func (r *fastRegister) Witness() Witness {
 	})
 	w := Witness{}
 	var hist trace.History
-	for _, m := range r.botReads {
+	for _, m := range r.initReads {
 		hist = append(hist, m.in)
 		w[m.res] = hist.Clone()
 	}

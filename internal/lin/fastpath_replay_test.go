@@ -40,30 +40,47 @@ func seqRegister(tr trace.Trace, c trace.ClientID, n int, seq *int, cur *trace.V
 
 // registerExitAt builds a register stream of at least 2 500 actions,
 // linearizable throughout, whose action exit is the first outside the
-// fast fragment: an invocation repeating an earlier tagged read (dupValue
-// false) or writing an already-written value under a new tag (dupValue
-// true). tail further actions follow the exit's response.
+// fast fragment: an invocation repeating c1's latest tagged read
+// (dupValue false) or writing c1's latest written value under a new tag
+// (dupValue true). Both lie in the stretch a witness-off session checks
+// since its last cut (DESIGN.md, decision 35): an odd exit puts a write
+// that never responds first, so the stream is never quiescent, and an
+// even one holds two reads open across the last sixteen actions before
+// it, so the last cut comes before them. tail further actions follow the
+// exit's response.
 func registerExitAt(exit int, dupValue bool, tail int) trace.Trace {
 	var tr trace.Trace
 	seq, cur := 0, trace.Value("")
+	rd := func(tag string) trace.Value { return adt.Tag(adt.ReadInput(), tag) }
 	if exit%2 == 1 {
-		// A write that never responds shifts c1's invocations to odd
-		// indices. Nothing reads its value, so it costs the exact engine
-		// one extra configuration.
+		// Nothing reads "held", so it costs the exact engine one extra
+		// configuration.
 		tr = append(tr, trace.Invoke("c2", 1, adt.WriteInput("held")))
+		tr = seqRegister(tr, "c1", (exit-len(tr))/2, &seq, &cur)
+	} else {
+		tr = seqRegister(tr, "c1", (exit-16)/2, &seq, &cur)
+		tr = append(tr, trace.Invoke("c2", 1, rd("h2")))
+		tr = seqRegister(tr, "c1", 7, &seq, &cur)
+		tr = append(tr, trace.Invoke("c3", 1, rd("h3")))
 	}
-	tr = seqRegister(tr, "c1", (exit-len(tr))/2, &seq, &cur)
 	if len(tr) != exit {
 		panic("registerExitAt: exit index unreachable")
 	}
 	var in, out trace.Value
-	if dupValue {
-		in, out = adt.Tag(adt.WriteInput("v1"), "again"), adt.WriteOutput()
-		cur = "v1"
-	} else {
-		in, out = adt.Tag(adt.ReadInput(), "2"), adt.ReadOutput(cur)
+	for i := len(tr) - 1; in == ""; i-- {
+		a := tr[i]
+		switch _, arg, _ := regParse(a.Input); {
+		case a.Kind != trace.Inv || a.Client != "c1":
+		case dupValue && arg != "":
+			in, out, cur = adt.Tag(a.Input, "again"), adt.WriteOutput(), trace.Value(arg)
+		case !dupValue && arg == "":
+			in, out = a.Input, adt.ReadOutput(cur)
+		}
 	}
 	tr = append(tr, trace.Invoke("c1", 1, in), trace.Response("c1", 1, in, out))
+	if exit%2 == 0 {
+		tr = append(tr, trace.Response("c3", 1, rd("h3"), adt.ReadOutput(cur)), trace.Response("c2", 1, rd("h2"), adt.ReadOutput(cur)))
+	}
 	for len(tr) < 2500+tail {
 		tr = seqRegister(tr, "c1", 1, &seq, &cur)
 	}
@@ -129,10 +146,11 @@ func mutexSticksAt(exit, tail int, late bool) trace.Trace {
 func TestFastFallbackAcrossChunks(t *testing.T) { fallbackAcrossChunks(t, true) }
 
 // TestFastFallbackAcrossChunksNoWitness is the witness-off twin: the
-// sequential register streams (even exits) and the mutex streams whose
-// stuck acquire comes late cut at quiescent points, so their reference
-// is seeded from the last cut; the others are never quiescent and replay
-// from action 0.
+// register streams with even exits and the mutex streams whose stuck
+// acquire comes late cut at quiescent points, so their reference is
+// seeded from the last cut, and the register's duplicate lies in the
+// stretch after it; the others are never quiescent and replay from
+// action 0.
 func TestFastFallbackAcrossChunksNoWitness(t *testing.T) { fallbackAcrossChunks(t, false) }
 
 func fallbackAcrossChunks(t *testing.T, witness bool) {
@@ -331,7 +349,7 @@ func TestFastCoresKeepNoWitnessMaterial(t *testing.T) {
 			return adt.Tag(adt.ReadInput(), strconv.Itoa(i)), adt.ReadOutput(trace.Value("v" + strconv.Itoa(i-i%3)))
 		}, func(c FastChecker) int {
 			r := c.(*fastRegister)
-			n := len(r.botReads)
+			n := len(r.initReads)
 			for _, b := range r.blocks {
 				if b.wit != nil {
 					n += 1 + len(b.wit.reads)

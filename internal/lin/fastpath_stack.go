@@ -35,18 +35,21 @@ import (
 // As in the mutex core, an operation's record leaves ops at its
 // response, and the chain and its marks are witness material, kept only
 // when the session asked for witnesses (DESIGN.md, decision 24); what
-// stays per input is a digest in seen, eight bytes in pool for a pop and
-// a stackVal for a pushed value.
+// stays per input of the stretch since the last cut is a digest in seen,
+// eight bytes in pool for a pop and a stackVal for a pushed value.
 //
-// Quiescent cut (DESIGN.md, decision 26): with no operation open the
-// unpopped values are fixed, but their order on the stack need not be,
-// so the core answers only when at most one is left — the one state
-// every linearization ends in.
+// Quiescent cut (DESIGN.md, decisions 26 and 35): with no operation open
+// the unpopped values are fixed, but their order on the stack need not
+// be, so the core answers only when at most one is left — the one state
+// every linearization ends in. When it answers it restarts there: seen
+// and vals forget the stretch, but for the value left on the stack,
+// which a later push must not repeat, and pool holds only responded
+// pops, so it empties.
 type fastStack struct {
 	witness bool
-	seen    digestTable
+	seen    digestTable          // the stretch's inputs (distinctness)
 	ops     map[int]*stackOp     // open operations, by invocation trace index
-	vals    map[string]*stackVal // by untagged push value
+	vals    map[string]*stackVal // by untagged push value: the stretch's and the one left at the cut
 	pool    []int                // pop invIdxs, oldest first; responded ones are skipped
 	poolLo  int
 	stack   []*stackVal   // simulated stack, top last
@@ -215,7 +218,7 @@ func (s *fastStack) takeOldestPop() *stackOp {
 
 // cutStates implements cutter: the empty stack, or the one value left on
 // it (a one-element stack's state is the element, adt.Stack); with more,
-// it declines.
+// it declines. When it answers, the core restarts from the answer.
 func (s *fastStack) cutStates() ([]adt.State, bool) {
 	switch len(s.stack) {
 	case 0:
@@ -225,8 +228,25 @@ func (s *fastStack) cutStates() ([]adt.State, bool) {
 	default:
 		return nil, false
 	}
+	s.seen.reset()
+	// A map keeps the buckets of its largest size, so a large one is
+	// replaced rather than cleared: a clear then costs what the stretch
+	// that grew the map put in it.
+	if len(s.vals) > stackValsKept {
+		s.vals = make(map[string]*stackVal)
+	} else {
+		clear(s.vals)
+	}
+	for _, v := range s.stack {
+		s.vals[v.val] = v
+	}
+	s.pool, s.poolLo = s.pool[:0], 0
 	return s.cut[:], true
 }
+
+// stackValsKept is the most values a restart clears vals of; a larger
+// map is replaced.
+const stackValsKept = 64
 
 // cutSeed implements cutter: this core always lists its states.
 func (s *fastStack) cutSeed() trace.Trace { return nil }

@@ -109,7 +109,10 @@ type Session struct {
 // cutStates returns false when the core cannot tell, leaving its last
 // answer as it was, and is only asked while no operation is open. A
 // listed answer lives in the core's storage and stays valid until the
-// next call.
+// next call. A core that answers restarts from its answer (decision 35):
+// every operation fed so far precedes every later one, so what follows
+// is checked from the answer's states, and the core forgets what only
+// the past needed — its tables hold the stretch since the cut.
 type cutter interface {
 	cutStates() ([]adt.State, bool)
 	cutSeed() trace.Trace
@@ -342,9 +345,9 @@ func (s *Session) feedFast(a trace.Action) error {
 }
 
 // cut asks the core, at a quiescent point, for the states the fed
-// trace's linearizations end in; if it answers, the replay log is
-// dropped up to here and its current chunk kept for what follows, the
-// full ones parked.
+// trace's linearizations end in; if it answers, the core has restarted
+// from them, and the replay log is dropped up to here and its current
+// chunk kept for what follows, the full ones parked.
 func (s *Session) cut() {
 	s.cutDue = false
 	st, ok := s.cuts.cutStates()
