@@ -176,12 +176,12 @@ func main() {
 			case *mode == "lin" && *stream:
 				// Incremental session: one action at a time, same verdict
 				// as the one-shot check on every prefix.
-				sess := lin.NewSessionFast(ctx, f, opts...)
+				sess := lin.NewSession(ctx, f, opts...)
 				if err = sess.FeedAll(t); err == nil {
 					res, err = sess.Result()
 				}
 			case *mode == "lin":
-				res, err = lin.CheckFast(ctx, f, t, opts...)
+				res, err = lin.Check(ctx, f, t, opts...)
 			default:
 				res, err = lin.CheckClassical(ctx, f, t, opts...)
 			}
@@ -197,7 +197,7 @@ func main() {
 				// Incremental session, fast path while no switch action
 				// comes: same verdict as the one-shot check.
 				var sess *slin.Session
-				if sess, err = slin.NewSessionFast(ctx, f, rinit, *m, *n, sopts...); err == nil {
+				if sess, err = slin.NewSession(ctx, f, rinit, *m, *n, sopts...); err == nil {
 					if err = sess.FeedAll(t); err == nil {
 						res, err = sess.Result()
 					}

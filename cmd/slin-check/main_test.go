@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/adt"
+	"repro/internal/check"
 	"repro/internal/lin"
 	"repro/internal/slin"
 	"repro/internal/trace"
@@ -119,7 +120,7 @@ func TestBudgetPerFedAction(t *testing.T) {
 		tr = append(tr, trace.Invoke(c, 1, in), trace.Response(c, 1, in, adt.WriteOutput()))
 	}
 	const budget = 100
-	if r, err := lin.Check(context.Background(), adt.Register{}, tr); err != nil || r.Nodes <= 2*budget {
+	if r, err := lin.Check(context.Background(), adt.Register{}, tr, check.WithExact(true)); err != nil || r.Nodes <= 2*budget {
 		t.Fatalf("the stream spends %d nodes in all (%v), want more than twice the budget of %d", r.Nodes, err, budget)
 	}
 	path := writeTrace(t, t.TempDir(), "writes.json", tr)

@@ -103,7 +103,7 @@ func TestDrainAllocationBudget(t *testing.T) {
 	for i, n := range []int{pairs, 4 * pairs} {
 		rec, actions = recordRegisterPairs(n)
 		set := keyed.New(keyed.Policy{Sessions: true}, func(bool) *lin.Session {
-			return lin.NewSessionFast(context.Background(), adt.Register{}, check.WithWitness(false))
+			return lin.NewSession(context.Background(), adt.Register{}, check.WithWitness(false))
 		})
 		runtime.ReadMemStats(&before)
 		rec.each(math.MaxInt64, route(set, mapKeyOf))

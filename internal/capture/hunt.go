@@ -158,7 +158,7 @@ func hunt(ctx context.Context, cfg Config) (Report, *keyed.Set, error) {
 		f = adt.Queue{}
 	}
 	set := keyed.New(keyed.Policy{Sessions: true, Retain: cfg.Classical},
-		func(bool) *lin.Session { return lin.NewSessionFast(ctx, f, opts...) })
+		func(bool) *lin.Session { return lin.NewSession(ctx, f, opts...) })
 
 	start := time.Now()
 	if cfg.Structure == StructQueue {

@@ -147,7 +147,7 @@ func TestSessionDescheduledShapes(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					if full, err := lin.Check(ctx, ob.f, tr, check.WithWitness(false)); err != nil || full.OK != st.ok || full.Nodes > 250_000 {
+					if full, err := lin.Check(ctx, ob.f, tr, check.WithWitness(false), check.WithExact(true)); err != nil || full.OK != st.ok || full.Nodes > 250_000 {
 						t.Fatalf("%s: one-shot Check of the full history: %+v, %v; want verdict %v within 250000 nodes", name, full, err, st.ok)
 					}
 					if i == 0 && !st.ok {
@@ -193,7 +193,7 @@ func descheduledPrefixes(ctx context.Context, f adt.Folder, tr trace.Trace, uniq
 		oneShotEvery = 96 // one-shot Check is asked at every response up to here, then at one in eight
 		refMax       = 16 // the string-keyed reference copies chains: short prefixes only
 	)
-	s := lin.NewSession(ctx, f)
+	s := lin.NewSession(ctx, f, check.WithExact(true))
 	st := descheduledStats{ok: true, prefixes: len(tr)}
 	for k, a := range tr {
 		pre := tr[:k+1]
@@ -221,7 +221,7 @@ func descheduledPrefixes(ctx context.Context, f adt.Folder, tr trace.Trace, uniq
 		}
 		if k < oneShotEvery || k%8 == 1 {
 			st.asked++
-			res, err := lin.Check(ctx, f, pre, check.WithWitness(false))
+			res, err := lin.Check(ctx, f, pre, check.WithWitness(false), check.WithExact(true))
 			if !errors.Is(err, lin.ErrBudget) {
 				if err := oracle("one-shot", res, err); err != nil {
 					return st, err

@@ -126,12 +126,13 @@ const refBudget = 200_000
 // lin.VerifyWitness. slin.CheckLin runs lin's engine, so Theorem 2 holds
 // there node for node: its verdict and Nodes must equal one-shot
 // lin.Check's. extra options (budgets, deadlines) apply to every variant
-// but the references.
+// but the references; every variant runs the exact engine.
 func Lin(ctx context.Context, f adt.Folder, t trace.Trace, extra ...check.Option) error {
 	type outcome struct {
 		name string
 		ok   bool
 	}
+	extra = exact(extra)
 	var got []outcome
 	var oneShot lin.Result
 	for _, v := range linMatrix {
@@ -183,6 +184,12 @@ func Lin(ctx context.Context, f adt.Folder, t trace.Trace, extra ...check.Option
 	return nil
 }
 
+// exact is opts with check.WithExact(true): the harness's variants of an
+// engine run the exact one, whatever fast-path core the folder has.
+func exact(opts []check.Option) []check.Option {
+	return append(opts[:len(opts):len(opts)], check.WithExact(true))
+}
+
 // uniqueInputs reports whether no two invocations of t carry the same
 // input — the regime in which the classical and the new definition
 // coincide (Theorem 1; TestRepeatedEventsDivergence has the
@@ -202,8 +209,9 @@ func uniqueInputs(t trace.Trace) bool {
 // operations never respond, the case the one-shot lookahead must exempt.
 // An online slin.NewSession at (1,2), which runs lin's engine, must match
 // the lin session's Verdict and Nodes after every action (Theorem 2,
-// node for node).
+// node for node). Every variant runs the exact engine.
 func LinPrefixes(ctx context.Context, f adt.Folder, t trace.Trace, extra ...check.Option) error {
+	extra = exact(extra)
 	sess := lin.NewSession(ctx, f, extra...)
 	viaSLin, err := slin.NewSession(ctx, f, slin.UniversalRInit{}, 1, 2, extra...)
 	if err != nil {
@@ -242,9 +250,10 @@ func LinPrefixes(ctx context.Context, f adt.Folder, t trace.Trace, extra ...chec
 
 // Fastpath cross-checks the ADT-specialized fast-path checkers
 // (DESIGN.md, decision 15) against the exact engines on t: one-shot
-// lin.CheckFast vs lin.Check (verdicts must agree; a positive fast
-// verdict's witness must satisfy lin.VerifyWitness), then the fast
-// session's running verdict against the exact one-shot on every prefix.
+// lin.Check vs lin.Check with check.WithExact (verdicts must agree; a
+// positive fast verdict's witness must satisfy lin.VerifyWitness), then
+// the fast session's running verdict against the exact one-shot on every
+// prefix.
 // Traces outside the specialized fragments exercise the transparent
 // fallback paths and must agree identically. extra options (budgets,
 // deadlines) apply to every variant; budgets must be ample — the fast
@@ -259,24 +268,24 @@ func Fastpath(ctx context.Context, f adt.Folder, t trace.Trace, extra ...check.O
 	for i, a := range t {
 		verifiable[i+1] = verifiable[i] && (a.Kind != trace.Inv || f.ValidInput(a.Input))
 	}
-	fast, err := lin.CheckFast(ctx, f, t, extra...)
+	fast, err := lin.Check(ctx, f, t, extra...)
 	if err != nil {
 		return fmt.Errorf("diffcheck fastpath one-shot: %w", err)
 	}
-	exact, err := lin.Check(ctx, f, t, extra...)
+	ex, err := lin.Check(ctx, f, t, exact(extra)...)
 	if err != nil {
 		return fmt.Errorf("diffcheck exact one-shot: %w", err)
 	}
-	if fast.OK != exact.OK {
+	if fast.OK != ex.OK {
 		return disagree(t, "fastpath verdict disagreement: fast=%v (%s), exact=%v (%s)",
-			fast.OK, fast.Reason, exact.OK, exact.Reason)
+			fast.OK, fast.Reason, ex.OK, ex.Reason)
 	}
 	if fast.OK && len(fast.Witness) > 0 && verifiable[len(t)] {
 		if werr := lin.VerifyWitness(f, t, fast.Witness); werr != nil {
 			return disagree(t, "fastpath produced an invalid witness: %v", werr)
 		}
 	}
-	sess := lin.NewSessionFast(ctx, f, extra...)
+	sess := lin.NewSession(ctx, f, extra...)
 	for k, a := range t {
 		if err := sess.Feed(a); err != nil {
 			return fmt.Errorf("diffcheck fast session feed %d: %w", k, err)
@@ -285,7 +294,7 @@ func Fastpath(ctx context.Context, f adt.Folder, t trace.Trace, extra ...check.O
 		if err != nil {
 			return fmt.Errorf("diffcheck fast session prefix %d: %w", k+1, err)
 		}
-		want, err := lin.Check(ctx, f, t[:k+1], extra...)
+		want, err := lin.Check(ctx, f, t[:k+1], exact(extra)...)
 		if err != nil {
 			return fmt.Errorf("diffcheck exact prefix %d: %w", k+1, err)
 		}
@@ -311,7 +320,7 @@ func Fastpath(ctx context.Context, f adt.Folder, t trace.Trace, extra ...check.O
 // budgets must be ample — the fast path spends none, so only the exact
 // side can exhaust one.
 func FastpathSLin(ctx context.Context, f adt.Folder, rinit slin.RInit, n int, t trace.Trace, extra ...check.Option) error {
-	sess, err := slin.NewSessionFast(ctx, f, rinit, 1, n, extra...)
+	sess, err := slin.NewSession(ctx, f, rinit, 1, n, extra...)
 	if err != nil {
 		return fmt.Errorf("diffcheck slin fast session: %w", err)
 	}
@@ -348,7 +357,7 @@ func SLin(ctx context.Context, f adt.Folder, rinit slin.RInit, m, n int, t trace
 	}
 	var got []outcome
 	order := check.WithTemporalAbortOrder(temporal)
-	extra = append(extra[:len(extra):len(extra)], order)
+	extra = append(exact(extra), order)
 	for _, v := range slinMatrix {
 		res, err := v.slin(ctx, f, rinit, m, n, t, extra)
 		if err != nil {

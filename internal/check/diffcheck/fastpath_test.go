@@ -204,12 +204,35 @@ func queueBoundaryCases() []boundaryCase {
 			inv("c2", adt.Tag(adt.EnqInput("a"), "2")), res("c2", adt.Tag(adt.EnqInput("a"), "2"), adt.WriteOutput()),
 			inv("c3", dq("1")), res("c3", dq("1"), adt.ReadOutput("a")),
 		}},
+		{"a value dequeued at both ends comes back under a new tag", trace.Trace{
+			inv("c1", adt.EnqInput("a")), res("c1", adt.EnqInput("a"), adt.WriteOutput()),
+			inv("c3", dq("1")), res("c3", dq("1"), adt.ReadOutput("a")),
+			inv("c2", adt.Tag(adt.EnqInput("a"), "2")), res("c2", adt.Tag(adt.EnqInput("a"), "2"), adt.WriteOutput()),
+			inv("c3", dq("2")), res("c3", dq("2"), adt.ReadOutput("a")),
+			inv("c3", dq("3")), res("c3", dq("3"), adt.ReadOutput("a")),
+		}},
 		{"duplicate enqueue value while the first is open falls back", trace.Trace{
 			inv("c1", adt.EnqInput("a")),
 			inv("c2", adt.Tag(adt.EnqInput("a"), "2")),
 			res("c1", adt.EnqInput("a"), adt.WriteOutput()),
 			res("c2", adt.Tag(adt.EnqInput("a"), "2"), adt.WriteOutput()),
 			inv("c3", dq("1")), res("c3", dq("1"), adt.ReadOutput("a")),
+		}},
+		// a#2, invoked while a is in flight, is queued behind h and ahead
+		// of b: the first dequeue must take a#2, not the earlier-invoked
+		// a, or b's dequeue finds a#2 owed and rejects a history that
+		// linearizes as a#2, h, b, a.
+		{"a value enqueued again while in flight falls back", trace.Trace{
+			inv("c1", adt.EnqInput("a")),
+			inv("c2", adt.EnqInput("h")),
+			inv("c3", adt.Tag(adt.EnqInput("a"), "2")),
+			res("c2", adt.EnqInput("h"), adt.WriteOutput()),
+			res("c3", adt.Tag(adt.EnqInput("a"), "2"), adt.WriteOutput()),
+			inv("c5", adt.EnqInput("b")), res("c5", adt.EnqInput("b"), adt.WriteOutput()),
+			inv("c4", dq("1")), res("c4", dq("1"), adt.ReadOutput("a")),
+			inv("c4", dq("2")), res("c4", dq("2"), adt.ReadOutput("h")),
+			inv("c4", dq("3")), res("c4", dq("3"), adt.ReadOutput("b")),
+			res("c1", adt.EnqInput("a"), adt.WriteOutput()),
 		}},
 		{"double dequeue of one value rejects", trace.Trace{
 			inv("c1", adt.EnqInput("a")), res("c1", adt.EnqInput("a"), adt.WriteOutput()),
@@ -671,8 +694,8 @@ func TestFastpathWitnessParity(t *testing.T) {
 			}
 			return true
 		}
-		a, aerr := lin.CheckFast(ctx, f, tr, on...)
-		b, berr := lin.CheckFast(ctx, f, tr, off...)
+		a, aerr := lin.Check(ctx, f, tr, on...)
+		b, berr := lin.Check(ctx, f, tr, off...)
 		if err := same("one-shot", true, a, b, aerr, berr); err != nil {
 			return err
 		}
@@ -681,7 +704,7 @@ func TestFastpathWitnessParity(t *testing.T) {
 				return disagree(tr, "one-shot witness invalid: %v", err)
 			}
 		}
-		son, soff := lin.NewSessionFast(ctx, f, on...), lin.NewSessionFast(ctx, f, off...)
+		son, soff := lin.NewSession(ctx, f, on...), lin.NewSession(ctx, f, off...)
 		// fast holds until the witness-on session first spends other than
 		// one node an action, i.e. up to its first fallback (both sessions'
 		// cores leave their fragment at the same action).
@@ -789,7 +812,7 @@ func TestFastpathSLinSessionBoundary(t *testing.T) {
 // stays in the register fragment.
 func TestFastpathSLinLongSession(t *testing.T) {
 	const ops = 2_000
-	sess, err := slin.NewSessionFast(context.Background(), adt.Register{}, slin.UniversalRInit{}, 1, 2, check.WithBudget(ops/10))
+	sess, err := slin.NewSession(context.Background(), adt.Register{}, slin.UniversalRInit{}, 1, 2, check.WithBudget(ops/10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -825,7 +848,7 @@ func TestFastpathSLinLongSession(t *testing.T) {
 
 func TestFastpathLongRegisterSession(t *testing.T) {
 	const ops = 5_000
-	sess := lin.NewSessionFast(context.Background(), adt.Register{}, check.WithBudget(ops/10))
+	sess := lin.NewSession(context.Background(), adt.Register{}, check.WithBudget(ops/10))
 	cur := trace.Value("")
 	var tr trace.Trace
 	r := rand.New(rand.NewSource(7))
@@ -908,10 +931,19 @@ func FuzzFastpathVsExact(f *testing.F) {
 	// it and returns x (accept); invoked only after, it cannot (reject).
 	f.Add(uint8(2), []byte{0x00, 0x00, 0x04, 0x00, 0x08, 0x00, 0x04, 0x00, 0x89, 0x00, 0x8a, 0x00, 0x06, 0x06, 0x05, 0x04})
 	f.Add(uint8(2), []byte{0x00, 0x00, 0x04, 0x00, 0x08, 0x00, 0x04, 0x00, 0x8a, 0x00, 0x06, 0x06, 0x89, 0x00, 0x05, 0x04})
+	// Queue, a value back under a new tag, on the fast path: x enqueued
+	// and dequeued, then enqueued again and dequeued (accept), or
+	// dequeued twice more (reject); witness-off after a cut, the prefix's
+	// x dequeued, enqueued again and dequeued ahead of q7 (reject).
+	f.Add(uint8(2), []byte{0x00, 0x00, 0x04, 0x00, 0x11, 0x00, 0x05, 0x04, 0x92, 0x00, 0x06, 0x00, 0x89, 0x00, 0x05, 0x04})
+	f.Add(uint8(2), []byte{0x00, 0x00, 0x04, 0x00, 0x11, 0x00, 0x05, 0x04, 0x92, 0x00, 0x06, 0x00, 0x89, 0x00, 0x05, 0x04, 0x88, 0x00, 0x04, 0x04})
+	f.Add(uint8(0x40|2), []byte{0x11, 0x00, 0x05, 0x04, 0x92, 0x00, 0x06, 0x00, 0x89, 0x00, 0x05, 0x04})
 	// Queue, witness-off, after a cut: the prefix leaves x and q7 queued;
-	// a dequeue returns x, then enqueuing x again leaves the fragment, and
-	// the fallback's seed must still hold x.
+	// a dequeue returns x, then x is enqueued again on the fast path, or
+	// y is enqueued twice, which leaves the fragment, and the fallback's
+	// seed must still hold x.
 	f.Add(uint8(0x40|2), []byte{0x88, 0x00, 0x04, 0x04, 0x00, 0x00, 0x04, 0x00})
+	f.Add(uint8(0x40|2), []byte{0x88, 0x00, 0x04, 0x04, 0x09, 0x00, 0x05, 0x00, 0x82, 0x00, 0x06, 0x00})
 	// Cross-cut repeats, witness-off (repeatPrefix): the register's
 	// initial values x and y both read (the second rejects), or x read,
 	// then y — no longer initial — rewritten and read, then x rewritten

@@ -26,12 +26,12 @@ type widthSession interface {
 // (1,2), which runs lin's engine, over f.
 func widthSessions(t *testing.T, f adt.Folder) map[string]widthSession {
 	t.Helper()
-	sl, err := slin.NewSession(context.Background(), f, slin.UniversalRInit{}, 1, 2, check.WithWitness(false))
+	sl, err := slin.NewSession(context.Background(), f, slin.UniversalRInit{}, 1, 2, check.WithWitness(false), check.WithExact(true))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return map[string]widthSession{
-		"lin":  lin.NewSession(context.Background(), f, check.WithWitness(false)),
+		"lin":  lin.NewSession(context.Background(), f, check.WithWitness(false), check.WithExact(true)),
 		"slin": sl,
 	}
 }

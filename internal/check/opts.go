@@ -63,11 +63,12 @@ type Settings struct {
 	// checker's Abort-Order (slin package documentation); ignored by the
 	// lin checkers.
 	TemporalAbortOrder bool
-	// Exact forces the exact search engines on entry points that would
-	// otherwise dispatch to an ADT-specialized fast-path checker
-	// (DESIGN.md, decision 15): lin.CheckFast, the fast Sessions and the
-	// speclin facade honour it; the plain lin/slin entry points are
-	// always exact and ignore it. Off by default.
+	// Exact forces the exact search engines wherever an ADT-specialized
+	// fast-path core applies (DESIGN.md, decisions 15 and 36): lin.Check,
+	// lin.NewSession and slin.NewSession at m = 1, on a folder with a
+	// core, and so the speclin facade. It is the only fast/exact switch,
+	// and is ignored where no core applies: slin.Check, m > 1, folders
+	// without a core. Off by default.
 	Exact bool
 }
 

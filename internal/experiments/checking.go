@@ -284,7 +284,7 @@ func E8DefinitionEquivalence(ctx context.Context) (Table, error) {
 			}
 			traces[i] = workload.Random(tc.f, r, opts)
 		}
-		newRes, err := lin.CheckAll(ctx, tc.f, traces)
+		newRes, err := lin.CheckAll(ctx, tc.f, traces, check.WithExact(true))
 		if err != nil {
 			return t, err
 		}

@@ -139,6 +139,7 @@ func FastpathRows(ctx context.Context, base ShardRunConfig) (FastpathDist, error
 	// history prefix cloned per response — quadratic in a key's history,
 	// seconds on the zipf hot key alone.
 	opts := []check.Option{check.WithBudget(base.Budget), check.WithWitness(false)}
+	exact := append(opts[:len(opts):len(opts)], check.WithExact(true))
 
 	oneshot := func(engine string, run func(trace.Trace) (lin.Result, error)) (FastpathRow, error) {
 		row := FastpathRow{
@@ -164,13 +165,13 @@ func FastpathRows(ctx context.Context, base ShardRunConfig) (FastpathDist, error
 		return row, nil
 	}
 	exactOne, err := oneshot("exact", func(t trace.Trace) (lin.Result, error) {
-		return lin.Check(ctx, adt.Register{}, t, opts...)
+		return lin.Check(ctx, adt.Register{}, t, exact...)
 	})
 	if err != nil {
 		return d, err
 	}
 	fastOne, err := oneshot("fast", func(t trace.Trace) (lin.Result, error) {
-		return lin.CheckFast(ctx, adt.Register{}, t, opts...)
+		return lin.Check(ctx, adt.Register{}, t, opts...)
 	})
 	if err != nil {
 		return d, err

@@ -86,7 +86,7 @@ func E14Measure(ctx context.Context, f adt.Folder, traces []trace.Trace) (E14Sta
 		st.NodesClassical += classical.Nodes
 		st.ClassicalMs += ms
 		res, ms, err := timedCheck(func() (lin.Result, error) {
-			return lin.Check(ctx, f, tr, budget, check.WithWitness(false))
+			return lin.Check(ctx, f, tr, budget, check.WithWitness(false), check.WithExact(true))
 		})
 		if err != nil {
 			return st, err

@@ -136,7 +136,7 @@ type E18MemRow struct {
 // cumulative node count exceeds any fixed budget by design, while each
 // individual Feed stays far under it.
 func E18StreamMem(ctx context.Context, n, checkpoints int) ([]E18MemRow, error) {
-	s := lin.NewSession(ctx, adt.Register{}, check.WithWitness(false))
+	s := lin.NewSession(ctx, adt.Register{}, check.WithWitness(false), check.WithExact(true))
 	g := newE18Gen()
 	rows := make([]E18MemRow, 0, checkpoints)
 	per := n / checkpoints
@@ -199,7 +199,7 @@ func E18CompactVsUncompacted(ctx context.Context, n int) ([]E18CompareRow, error
 		name    string
 		witness bool
 	}{{"compare-compacted", false}, {"compare-witness-chain", true}} {
-		s := lin.NewSession(ctx, adt.Register{}, check.WithWitness(arm.witness))
+		s := lin.NewSession(ctx, adt.Register{}, check.WithWitness(arm.witness), check.WithExact(true))
 		g := newE18Gen()
 		start := time.Now()
 		for done := 0; done < n; {

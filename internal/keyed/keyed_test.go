@@ -39,7 +39,7 @@ func registers(n int, opened *[]bool) func(bool) *lin.Session {
 		if len(*opened) <= n {
 			ctx = dead
 		}
-		return lin.NewSessionFast(ctx, adt.Register{}, check.WithWitness(false))
+		return lin.NewSession(ctx, adt.Register{}, check.WithWitness(false))
 	}
 }
 
@@ -219,7 +219,7 @@ func TestReportTotals(t *testing.T) {
 	s.Feed("c", inv) // left open
 	// d dies after two operations: its session's nodes still count.
 	ctx, cancel := context.WithCancel(context.Background())
-	s.open = func(bool) *lin.Session { return lin.NewSessionFast(ctx, adt.Register{}, check.WithWitness(false)) }
+	s.open = func(bool) *lin.Session { return lin.NewSession(ctx, adt.Register{}, check.WithWitness(false)) }
 	feedWrites(s, "d", 0, 2)
 	cancel()
 	feedWrites(s, "d", 2, 1)

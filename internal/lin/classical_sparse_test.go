@@ -152,7 +152,7 @@ func TestClassicalBoundaries(t *testing.T) {
 					t.Fatalf("n=%d: %v", n, err)
 				}
 			}
-			newDef, err := Check(context.Background(), adt.Consensus{}, tr)
+			newDef, err := Check(context.Background(), adt.Consensus{}, tr, check.WithExact(true))
 			if err != nil {
 				t.Fatalf("n=%d corrupt=%d: new-definition check: %v", n, corrupt, err)
 			}

@@ -343,7 +343,7 @@ func frontierStates(t *testing.T, s *Session) map[adt.State]bool {
 // empty state on a cut's seed; the seed's operations must all respond.
 func seedStates(t *testing.T, f adt.Folder, seed trace.Trace) []adt.State {
 	t.Helper()
-	s := NewSession(context.Background(), f, check.WithWitness(false))
+	s := NewSession(context.Background(), f, check.WithWitness(false), check.WithExact(true))
 	if err := s.FeedAll(seed); err != nil || s.Verdict() != check.Linearizable || len(s.pending) != 0 {
 		t.Fatalf("seed %v: verdict %v, %d open, %v", seed, s.Verdict(), len(s.pending), err)
 	}
@@ -393,10 +393,10 @@ func TestQuiescentCutsMatchExact(t *testing.T) {
 			var cuts, cutThenExit, answered, wide int
 			for iter := 0; iter < 1500; iter++ {
 				tr := simHistory(r, sc.sim(), 40+r.Intn(160))
-				cut := NewSessionFast(ctx, sc.f, opts...)
-				whole := noCuts(NewSessionFast(ctx, sc.f, opts...))
-				probe := noCuts(NewSessionFast(ctx, sc.f, opts...))
-				exact := NewSession(ctx, sc.f, opts...)
+				cut := NewSession(ctx, sc.f, opts...)
+				whole := noCuts(NewSession(ctx, sc.f, opts...))
+				probe := noCuts(NewSession(ctx, sc.f, opts...))
+				exact := NewSession(ctx, sc.f, append(opts, check.WithExact(true))...)
 				if cut.cuts == nil {
 					t.Fatal("a witness-off fast session does not cut")
 				}
@@ -524,8 +524,8 @@ func TestRegisterCutStates(t *testing.T) {
 			res("c1", w("a"), ok), res("c2", w("b"), ok),
 		}, []adt.State{"b"}},
 	} {
-		s := NewSessionFast(context.Background(), adt.Register{}, check.WithWitness(false))
-		ex := NewSession(context.Background(), adt.Register{})
+		s := NewSession(context.Background(), adt.Register{}, check.WithWitness(false))
+		ex := NewSession(context.Background(), adt.Register{}, check.WithExact(true))
 		if err := errors.Join(s.FeedAll(tc.tr), ex.FeedAll(tc.tr)); err != nil {
 			t.Fatal(err)
 		}
@@ -592,8 +592,8 @@ func TestRegisterRestart(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ctx := context.Background()
-			s := NewSessionFast(ctx, adt.Register{}, check.WithWitness(false))
-			ex := NewSession(ctx, adt.Register{})
+			s := NewSession(ctx, adt.Register{}, check.WithWitness(false))
+			ex := NewSession(ctx, adt.Register{}, check.WithExact(true))
 			tr := join(prefix, tc.tail)
 			for k, a := range tr {
 				if err := errors.Join(s.Feed(a), ex.Feed(a)); err != nil {
@@ -684,21 +684,28 @@ func quiescentEvery100(f adt.Folder, n int, feed func(a trace.Action, quiescent 
 	}
 }
 
-// coreHeld is what a witness-off core holds: its table entries, slice
-// lengths and map sizes (entries), and what its tables and slices have
-// room for (room).
-func coreHeld(c FastChecker) (entries, room int) {
-	switch c := c.(type) {
+// coreHeld is what a witness-off session's core holds, with the
+// session's table of the inputs seen: table entries, slice lengths and
+// map sizes (entries), and what its tables and slices have room for
+// (room).
+func coreHeld(s *Session) (entries, room int) {
+	entries, room = s.seen.n, len(s.seen.slots)
+	switch c := s.fast.(type) {
 	case *fastRegister:
-		entries = c.seen.n + c.byVal.n + len(c.blocks) + len(c.openW) + len(c.closedAt) + len(c.closed) + c.tree.size + len(c.init)
-		room = len(c.seen.slots) + len(c.byVal.slots) + cap(c.blocks) + cap(c.closedAt) + cap(c.closed) + len(c.tree.node)
+		entries += c.byVal.n + len(c.blocks) + len(c.closedAt) + len(c.closed) + c.tree.size + len(c.init)
+		room += len(c.byVal.slots) + cap(c.blocks) + cap(c.closedAt) + cap(c.closed) + len(c.tree.node)
 	case *fastMutex:
-		entries, room = c.seen.n+len(c.ops)+len(c.chain)+len(c.marks), len(c.seen.slots)
+		for _, o := range c.ops {
+			if o.in != "" { // open: a free record is emptied
+				entries++
+			}
+		}
+		entries += len(c.chain) + len(c.marks)
 	case *fastStack:
-		entries = c.seen.n + len(c.ops) + len(c.vals) + len(c.pool) + len(c.stack) + len(c.chain) + len(c.marks)
-		room = len(c.seen.slots) + cap(c.pool) + cap(c.stack)
+		entries += len(c.ops) - len(c.free) + len(c.vals) + len(c.pool) + len(c.stack) + len(c.chain) + len(c.marks)
+		room += cap(c.ops) + cap(c.pool) + cap(c.stack)
 	case *fastConsensus:
-		entries, room = c.seen.n+len(c.props)+len(c.resps), len(c.seen.slots)
+		entries += len(c.props) + len(c.resps)
 	}
 	return entries, room
 }
@@ -720,7 +727,7 @@ func TestCutRetention(t *testing.T) {
 			if _, reg := f.(adt.Register); reg {
 				n = 10_000_000
 			}
-			s := NewSessionFast(context.Background(), f, check.WithWitness(false))
+			s := NewSession(context.Background(), f, check.WithWitness(false))
 			if !cuts {
 				n = 20_000
 				noCuts(s)
@@ -746,7 +753,7 @@ func TestCutRetention(t *testing.T) {
 						f, points, len(s.recFull), cap(s.rec))
 				}
 				since := s.Len() - s.cutFed
-				if entries, room := coreHeld(s.fast); entries > since+2 || room > 16*longest+64 {
+				if entries, room := coreHeld(s); entries > since+2 || room > 16*longest+64 {
 					t.Fatalf("%T, quiescent point %d: the core holds %d entries with room for %d, %d actions after the last cut (%d at most)",
 						f, points, entries, room, since, longest)
 				}
@@ -773,7 +780,7 @@ func TestCutRetention(t *testing.T) {
 // quiescent point, and only at one, as the cutter contract says.
 func TestCutStatesAllocateNothing(t *testing.T) {
 	for _, sc := range cutSims {
-		s := NewSessionFast(context.Background(), sc.f, check.WithWitness(false))
+		s := NewSession(context.Background(), sc.f, check.WithWitness(false))
 		tr := simHistory(rand.New(rand.NewSource(1)), sc.sim(), 64)
 		quiescent := false
 		for k, a := range tr {

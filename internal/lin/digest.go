@@ -5,17 +5,18 @@ import "math/bits"
 // digestTable is the fast paths' one hash table (DESIGN.md, decision
 // 24): open-addressed, linear-probing, eight bytes a slot, keyed by a
 // fixed-seed 64-bit digest of a string and holding no string itself.
-// A core empties its tables when its session cuts (reset; DESIGN.md,
-// decision 35), so they hold the stretch since the last quiescent cut,
-// and the session's replay log of that stretch is the only per-action
-// copy of the history.
+// The session and its core empty their tables when the session cuts
+// (reset; DESIGN.md, decision 35), so they hold the stretch since the
+// last quiescent cut, and the session's replay log of that stretch is
+// the only per-action copy of the history.
 // One table is used in one of two ways:
 //
 //   - as a digest set (add): a slot is a whole digest. Equal strings
 //     always hit; unequal strings hit with probability ~n²/2⁶⁵ over n
-//     inputs. The cores use it only for input distinctness, where a hit
-//     is only ever a FastExit — a false alarm costs the fallback's exact
-//     replay, never a verdict, and a reject never rests on it.
+//     inputs. It serves only the session's input distinctness
+//     (Session.seen, decision 36), where a hit is only ever a FastExit:
+//     a false alarm costs the fallback's exact replay, never a verdict,
+//     and a reject never rests on it.
 //   - as an exact index (get/put): a slot is the digest's upper half
 //     beside a position in a slice the caller owns, and get confirms
 //     each candidate through the caller's comparison against the string
@@ -103,6 +104,24 @@ func (t *digestTable) get(s string, same func(pos int) bool) (pos int, ok bool) 
 			return int(uint32(v)) - 1, true
 		}
 	}
+	return 0, false
+}
+
+// claim is get and, when get would find nothing, put, in one probe: it
+// returns the position of the first candidate that same confirms, or
+// stores pos for s where the probe ended.
+func (t *digestTable) claim(s string, pos int, same func(pos int) bool) (found int, ok bool) {
+	d := t.digest(s)
+	t.reserve()
+	mask := uint64(len(t.slots) - 1)
+	i := d >> t.shift
+	for ; t.slots[i] != 0; i = (i + 1) & mask {
+		if v := t.slots[i]; v>>32 == d>>32 && same(int(uint32(v))-1) {
+			return int(uint32(v)) - 1, true
+		}
+	}
+	t.slots[i] = d&^0xffffffff | uint64(uint32(pos+1))
+	t.n++
 	return 0, false
 }
 

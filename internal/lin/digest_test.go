@@ -121,8 +121,8 @@ func TestDigestTableReset(t *testing.T) {
 func TestFastExitOnLateDuplicate(t *testing.T) {
 	const distinct = 100_000
 	for _, cuts := range []bool{false, true} {
-		s := NewSessionFast(context.Background(), adt.Register{}, check.WithWitness(false))
-		ex := NewSession(context.Background(), adt.Register{})
+		s := NewSession(context.Background(), adt.Register{}, check.WithWitness(false))
+		ex := NewSession(context.Background(), adt.Register{}, check.WithExact(true))
 		if !cuts {
 			noCuts(s)
 		}
@@ -145,7 +145,7 @@ func TestFastExitOnLateDuplicate(t *testing.T) {
 		if s.fast == nil || s.Nodes() != s.Len() {
 			t.Fatalf("cuts %v, %d distinct inputs: %d nodes for %d actions, the session left the fast path", cuts, distinct, s.Nodes(), s.Len())
 		}
-		if seen := s.fast.(*fastRegister).seen.n; cuts == (seen == distinct) {
+		if seen := s.seen.n; cuts == (seen == distinct) {
 			t.Fatalf("cuts %v: %d inputs in the table after %d distinct ones", cuts, seen, distinct)
 		}
 		read("7")
@@ -164,9 +164,10 @@ func TestFastExitOnLateDuplicate(t *testing.T) {
 }
 
 // TestCollidingCoresAlwaysExit: under CollidingDigests the second input
-// of any trace hits the first one's digest, so every core exits there —
-// the false alarm is a FastExit, never a verdict — and the one-shot
-// check hands the trace to the exact engines.
+// of any trace hits the first one's digest in the session's table, so
+// every core's session exits there — the false alarm is a FastExit,
+// never a verdict — and the one-shot check hands the trace to the exact
+// engine, reporting its verdict and nodes.
 func TestCollidingCoresAlwaysExit(t *testing.T) {
 	ok := adt.WriteOutput()
 	for _, tc := range []struct {
@@ -181,24 +182,22 @@ func TestCollidingCoresAlwaysExit(t *testing.T) {
 		{adt.Queue{}, [2]trace.Value{adt.EnqInput("a"), adt.EnqInput("b")}, ok},
 	} {
 		f := CollidingDigests{Folder: tc.f}
-		if !HasFastpath(f) {
+		if NewFastChecker(f, true) == nil {
 			t.Fatalf("%T: no fast path under CollidingDigests", tc.f)
 		}
 		one := trace.Trace{trace.Invoke("c1", 1, tc.in[0]), trace.Response("c1", 1, tc.in[0], tc.out)}
 		two := append(one[:2:2], trace.Invoke("c1", 1, tc.in[1]), trace.Response("c1", 1, tc.in[1], tc.out))
-		set := check.NewSettings()
-		if _, decided, err := fastCheckSettings(context.Background(), f, one, set); err != nil || !decided {
+		s := NewSession(context.Background(), f)
+		if err := s.FeedAll(one); err != nil || s.fast == nil {
 			t.Fatalf("%T: one operation not decided on the fast path (err %v)", tc.f, err)
 		}
-		if _, decided, err := fastCheckSettings(context.Background(), f, two, set); err != nil || decided {
-			t.Fatalf("%T: two colliding inputs decided on the fast path (err %v)", tc.f, err)
+		if err := s.Feed(two[2]); err != nil || s.fast != nil {
+			t.Fatalf("%T: a second, colliding invocation stayed on the fast path (err %v)", tc.f, err)
 		}
-		core := NewFastChecker(f, true)
-		if st := core.Inv(tc.in[0], 0); st != FastOK {
-			t.Fatalf("%T: first invocation: status %v", tc.f, st)
-		}
-		if st := core.Inv(tc.in[1], 1); st != FastExit {
-			t.Fatalf("%T: second, colliding invocation: status %v, want FastExit", tc.f, st)
+		got, err := Check(context.Background(), f, two)
+		want, werr := Check(context.Background(), f, two, check.WithExact(true))
+		if err != nil || werr != nil || got.OK != want.OK || got.Reason != want.Reason || got.Nodes != want.Nodes {
+			t.Fatalf("%T: one-shot %+v (err %v), the exact engine's %+v (err %v)", tc.f, got, err, want, werr)
 		}
 	}
 }

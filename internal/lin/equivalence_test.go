@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/adt"
+	"repro/internal/check"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -55,7 +56,7 @@ func TestE8DefinitionEquivalence(t *testing.T) {
 					opts.CorruptProb = 0.5
 				}
 				tr := workload.Random(tc.f, r, opts)
-				r1, err := Check(context.Background(), tc.f, tr)
+				r1, err := Check(context.Background(), tc.f, tr, check.WithExact(true))
 				if err != nil {
 					t.Fatalf("Check: %v on %v", err, tr)
 				}
@@ -120,7 +121,7 @@ func TestRepeatedEventsDivergence(t *testing.T) {
 		trace.Response("c2", 1, rd, adt.ReadOutput("x")),
 		trace.Response("c1", 1, w, adt.WriteOutput()),
 	}
-	rNew, err := Check(context.Background(), adt.Register{}, tr)
+	rNew, err := Check(context.Background(), adt.Register{}, tr, check.WithExact(true))
 	if err != nil {
 		t.Fatal(err)
 	}

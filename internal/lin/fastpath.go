@@ -1,40 +1,39 @@
 package lin
 
 import (
-	"context"
-
 	"repro/internal/adt"
-	"repro/internal/check"
 	"repro/internal/trace"
 )
 
-// This file is the dispatch layer of the ADT-specialized fast-path
-// checkers (DESIGN.md, decision 15): linear/near-linear linearizability
-// checkers for the register, queue and consensus folders, obtained by
-// reducing the Lin check inside a syntactic trace fragment to a
-// per-ADT reachability condition (Bouajjani–Emmi–Enea–Hamza; Gibbons–
-// Korach for the register). The exact search engines stay authoritative:
-// every fast-path entry point falls back to them transparently the
-// moment a trace leaves the specialized fragment, and the diffcheck
+// This file holds the ADT-specialized fast-path cores' interface
+// (DESIGN.md, decisions 15 and 36): linear/near-linear linearizability
+// checkers for the register, consensus, queue, mutex and stack folders,
+// obtained by reducing the Lin check inside a syntactic trace fragment
+// to a per-ADT reachability condition (Bouajjani–Emmi–Enea–Hamza;
+// Gibbons–Korach for the register). Check, NewSession and slin's
+// NewSession at m = 1 run a core whenever the folder has one, unless
+// check.WithExact; the session feeding it falls back to the exact
+// engine the moment the trace leaves the fragment, and the diffcheck
 // harness plus FuzzFastpathVsExact keep the two in verdict agreement.
 //
-// Fragment, per folder (anything else falls back to exact):
+// Fragment, per folder (anything else falls back to exact). Every
+// fragment asks for pairwise-distinct input strings, which the session
+// tests for all of them (Session.seen); the rest is the core's:
 //
-//   - register — grammar-valid inputs whose full input strings are
-//     pairwise distinct and whose untagged written values are pairwise
-//     distinct. SMR per-key histories satisfy this by construction
-//     (writes encode the command value, reads carry unique tags).
-//   - consensus — grammar-valid proposals with pairwise-distinct input
-//     strings (equal untagged proposal values are fine).
-//   - queue — grammar-valid, pairwise-distinct inputs, pairwise-distinct
-//     untagged enqueue values and no empty-dequeue outputs (open
+//   - register — grammar-valid inputs whose untagged written values are
+//     pairwise distinct. SMR per-key histories satisfy this by
+//     construction (writes encode the command value, reads carry unique
+//     tags).
+//   - consensus — grammar-valid proposals (equal untagged proposal
+//     values are fine).
+//   - queue — grammar-valid inputs, no enqueue of a value still live
+//     (queued or in flight) and no empty-dequeue outputs (open
 //     operations are fine: the core decides every prefix).
-//   - mutex — grammar-valid inputs with pairwise-distinct input strings
-//     whose outputs are all "ok:" (an "err:*" output is explainable by
-//     the ADT, so it falls back rather than rejecting).
-//   - stack — grammar-valid inputs with pairwise-distinct input
-//     strings, pairwise-distinct untagged push values and no
-//     empty-pop outputs.
+//   - mutex — grammar-valid inputs whose outputs are all "ok:" (an
+//     "err:*" output is explainable by the ADT, so it falls back rather
+//     than rejecting).
+//   - stack — grammar-valid inputs, pairwise-distinct untagged push
+//     values and no empty-pop outputs.
 //
 // In a witness-off session, which cuts at quiescent points (DESIGN.md,
 // decisions 26 and 35), "pairwise distinct" means within the stretch
@@ -72,27 +71,20 @@ const (
 )
 
 // FastChecker is a streaming ADT-specialized linearizability core. The
-// caller owns well-formedness: Inv and Res must describe a per-client
-// alternating Inv/Res stream, with idx the action's trace index and
-// invIdx the trace index of the response's matching invocation. After
+// session owns what every core would otherwise repeat: well-formedness
+// — Inv and Res describe a per-client alternating Inv/Res stream — and
+// input distinctness, so every input fed is distinct from the others fed
+// since the last cut. idx is the action's trace index. Inv returns the
+// operation's slot, the core's own handle on its record, which the
+// session keeps with the open invocation and hands back to the
+// operation's Res, with invIdx the invocation's trace index. After
 // FastReject or FastExit the core must not be fed further.
 type FastChecker interface {
-	Inv(in trace.Value, idx int) FastStatus
-	Res(in, out trace.Value, invIdx, idx int) FastStatus
+	Inv(in trace.Value, idx int) (slot int32, st FastStatus)
+	Res(in, out trace.Value, slot int32, invIdx, idx int) FastStatus
 	// Witness assembles the linearization function of the (linearizable)
 	// trace fed so far, or nil when the core was built without witnesses.
 	Witness() Witness
-}
-
-// HasFastpath reports whether folder f has a specialized checker, which
-// CheckFast and NewSessionFast both run.
-func HasFastpath(f adt.Folder) bool {
-	f, _ = fastFolder(f)
-	switch f.(type) {
-	case adt.Register, adt.Queue, adt.Consensus, adt.Mutex, adt.Stack:
-		return true
-	}
-	return false
 }
 
 // NewFastChecker returns the streaming specialized core for folder f,
@@ -105,24 +97,24 @@ func NewFastChecker(f adt.Folder, witness bool) FastChecker {
 	case adt.Register:
 		return newFastRegister(witness, collide)
 	case adt.Consensus:
-		return newFastConsensus(witness, collide)
+		return newFastConsensus(witness)
 	case adt.Queue:
 		return newFastQueue(witness, collide)
 	case adt.Mutex:
-		return newFastMutex(witness, collide)
+		return newFastMutex(witness)
 	case adt.Stack:
-		return newFastStack(witness, collide)
+		return newFastStack(witness)
 	}
 	return nil
 }
 
 // CollidingDigests is its folder with one difference, which only the
-// fast paths see: the cores built for it hash every string to the same
-// digest, so every table lookup collides. The differential tests wrap
-// folders in it to hold the digest tables' soundness lines (digestTable)
-// to the exact engines — with everything colliding, every verdict must
-// still be the exact one, reached through a FastExit. Nothing outside
-// tests builds one.
+// fast paths see: the digest tables built for it — the session's and
+// the cores' — hash every string to the same digest, so every table
+// lookup collides. The differential tests wrap folders in it to hold
+// the digest tables' soundness lines (digestTable) to the exact engines
+// — with everything colliding, every verdict must still be the exact
+// one, reached through a FastExit. Nothing outside tests builds one.
 type CollidingDigests struct{ adt.Folder }
 
 // fastFolder is the folder the fast-path dispatch switches on: f, or
@@ -132,74 +124,6 @@ func fastFolder(f adt.Folder) (_ adt.Folder, collide bool) {
 		return c.Folder, true
 	}
 	return f, false
-}
-
-// CheckFast is Check with fast-path dispatch: when folder f has a
-// specialized checker and the trace stays inside its fragment, the
-// verdict is decided in near-linear time; otherwise — unsupported
-// folder, fragment exit, or check.WithExact — the call falls through to
-// the exact Check engines. Verdicts and reasons agree with Check
-// everywhere; Result.Nodes counts fed actions on the fast path (no
-// budget is spent, so the fast path never returns ErrBudget), and the
-// queue fast path reports positive verdicts past fastQueueWitnessCap
-// without a witness.
-func CheckFast(ctx context.Context, f adt.Folder, t trace.Trace, opts ...check.Option) (Result, error) {
-	set := check.NewSettings(opts...)
-	if !set.Exact {
-		if r, ok, err := fastCheckSettings(ctx, f, t, set); ok || err != nil {
-			return r, err
-		}
-	}
-	return checkStreaming(ctx, f, t, set)
-}
-
-// fastCheckSettings runs the one-shot fast path. ok reports whether the
-// trace was decided (false means fall back to exact); a non-nil error
-// (context cancellation) is terminal either way.
-func fastCheckSettings(ctx context.Context, f adt.Folder, t trace.Trace, set check.Settings) (Result, bool, error) {
-	core := NewFastChecker(f, set.Witness)
-	if core == nil {
-		return Result{}, false, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return Result{}, true, err
-	}
-	pending := map[trace.ClientID]pendingInv{}
-	for idx, a := range t {
-		if idx&ctxPollMask == ctxPollMask {
-			if err := ctx.Err(); err != nil {
-				return Result{Nodes: idx}, true, err
-			}
-		}
-		var res FastStatus
-		switch a.Kind {
-		case trace.Inv:
-			if _, open := pending[a.Client]; open {
-				// Ill-formedness is final and folder-independent; no fallback.
-				return Result{OK: false, Reason: "trace is not well-formed", Nodes: idx + 1}, true, nil
-			}
-			if res = core.Inv(a.Input, idx); res == FastOK {
-				pending[a.Client] = pendingInv{input: a.Input, idx: idx}
-			}
-		case trace.Res:
-			st, open := pending[a.Client]
-			if !open || st.input != a.Input {
-				return Result{OK: false, Reason: "trace is not well-formed", Nodes: idx + 1}, true, nil
-			}
-			if res = core.Res(a.Input, a.Output, st.idx, idx); res == FastOK {
-				delete(pending, a.Client)
-			}
-		default:
-			return Result{OK: false, Reason: "trace is not well-formed", Nodes: idx + 1}, true, nil
-		}
-		switch res {
-		case FastReject:
-			return Result{OK: false, Reason: "no linearization function exists", Nodes: idx + 1}, true, nil
-		case FastExit:
-			return Result{}, false, nil
-		}
-	}
-	return Result{OK: true, Nodes: len(t), Witness: core.Witness()}, true, nil
 }
 
 // maxTree is an append-only segment tree over int values supporting

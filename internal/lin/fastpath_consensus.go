@@ -17,10 +17,9 @@ import (
 // response and each member before its own. At a quiescent cut
 // (DESIGN.md, decisions 26 and 35) every linearization starts with a
 // proposal of w and so ends in state w — or, before any operation, in
-// ⊥ — and the core restarts there, forgetting the stretch's inputs.
+// ⊥ — and the core restarts there, keeping only w.
 type fastConsensus struct {
 	witness bool
-	seen    digestTable // the stretch's invocation inputs (distinctness)
 	// props maps an untagged proposal value to its earliest propose until
 	// the first deciding response; it is dead, and nil, after.
 	props   map[trace.Value]conProp
@@ -40,27 +39,24 @@ type conMember struct {
 	res int
 }
 
-func newFastConsensus(witness, collide bool) *fastConsensus {
-	return &fastConsensus{witness: witness, seen: digestTable{collide: collide}, props: map[trace.Value]conProp{}}
+func newFastConsensus(witness bool) *fastConsensus {
+	return &fastConsensus{witness: witness, props: map[trace.Value]conProp{}}
 }
 
-// Inv implements FastChecker.
-func (c *fastConsensus) Inv(in trace.Value, idx int) FastStatus {
-	if c.seen.add(in) {
-		return FastExit
-	}
+// Inv implements FastChecker; every slot is 0.
+func (c *fastConsensus) Inv(in trace.Value, idx int) (int32, FastStatus) {
 	v, ok := adt.ProposalOf(adt.Untag(in))
 	if !ok {
-		return FastExit // grammar-invalid proposal; exact semantics differ
+		return 0, FastExit // grammar-invalid proposal; exact semantics differ
 	}
 	if _, have := c.props[v]; !c.decided && !have {
 		c.props[v] = conProp{in: in}
 	}
-	return FastOK
+	return 0, FastOK
 }
 
 // Res implements FastChecker.
-func (c *fastConsensus) Res(in, out trace.Value, invIdx, idx int) FastStatus {
+func (c *fastConsensus) Res(in, out trace.Value, _ int32, invIdx, idx int) FastStatus {
 	w, ok := adt.DecisionOf(out)
 	if !ok {
 		return FastReject // proposals can only ever output "d:x"
@@ -85,7 +81,6 @@ func (c *fastConsensus) Res(in, out trace.Value, invIdx, idx int) FastStatus {
 // cutStates implements cutter: the decided value, as adt.Consensus
 // folds it; the core restarts from it.
 func (c *fastConsensus) cutStates() ([]adt.State, bool) {
-	c.seen.reset()
 	c.cut[0] = adt.Consensus{}.Empty()
 	if c.decided {
 		c.cut[0] = adt.State(c.val)

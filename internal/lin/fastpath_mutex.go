@@ -38,21 +38,20 @@ import (
 // the greedy's completeness.
 //
 // The core holds the open operations and nothing else per operation
-// (DESIGN.md, decision 24): an operation's record leaves ops and the
-// helper queue at its response and is reused for a later invocation, and
-// the chain and its response marks — witness material — are kept only
-// when the session asked for witnesses; the verdict needs the chain's
-// length alone.
+// (DESIGN.md, decision 24): an operation's record, found by the slot its
+// invocation returned, leaves the helper queue at its response and is
+// reused, slot and all, for a later invocation, so ops holds as many
+// records as were ever open at once; the chain and its response marks —
+// witness material — are kept only when the session asked for
+// witnesses; the verdict needs the chain's length alone.
 //
 // Quiescent cut (DESIGN.md, decisions 26 and 35): with no operation open
 // every operation returned "ok:", so every linearization is a strict
 // alternation of all of them and ends in the one state the simulation
-// holds. The core restarts there: seen forgets the stretch's inputs, as
-// a later input can claim nothing before the cut.
+// holds. The core restarts there, holding nothing of the stretch.
 type fastMutex struct {
 	witness bool
-	seen    digestTable      // the stretch's inputs (distinctness)
-	ops     map[int]*mutexOp // open operations, by invocation trace index
+	ops     []*mutexOp // every record, by slot: the open operations' and the free ones
 	// waiting holds, per kind, the open operations not linearized yet,
 	// oldest invocation first: where a helper is taken from.
 	waiting [2]mutexQueue
@@ -79,6 +78,7 @@ type resMark struct {
 }
 
 type mutexOp struct {
+	slot     int32 // its position in ops, for good
 	lock     bool
 	in       trace.Value
 	assigned bool // linearized (as a helper, if still open); pos holds its chain prefix
@@ -122,15 +122,10 @@ const (
 	kindUnlock
 )
 
-func newFastMutex(witness, collide bool) *fastMutex {
-	return &fastMutex{witness: witness, seen: digestTable{collide: collide}, ops: map[int]*mutexOp{}}
-}
+func newFastMutex(witness bool) *fastMutex { return &fastMutex{witness: witness} }
 
-// Inv implements FastChecker.
-func (m *fastMutex) Inv(in trace.Value, idx int) FastStatus {
-	if m.seen.add(in) {
-		return FastExit
-	}
+// Inv implements FastChecker: the slot is the operation's record's.
+func (m *fastMutex) Inv(in trace.Value, idx int) (int32, FastStatus) {
 	var lock bool
 	switch adt.Untag(in) {
 	case adt.LockInput():
@@ -139,18 +134,18 @@ func (m *fastMutex) Inv(in trace.Value, idx int) FastStatus {
 	case adt.UnlockInput():
 		m.pu++
 	default:
-		return FastExit
+		return 0, FastExit
 	}
 	o := m.free
 	if o != nil {
 		m.free, o.next = o.next, nil
 	} else {
-		o = new(mutexOp)
+		o = &mutexOp{slot: int32(len(m.ops))}
+		m.ops = append(m.ops, o)
 	}
 	o.lock, o.in = lock, in
-	m.ops[idx] = o
 	m.waiting[kindOf(lock)].push(o)
-	return FastOK
+	return o.slot, FastOK
 }
 
 func kindOf(lock bool) int {
@@ -161,11 +156,11 @@ func kindOf(lock bool) int {
 }
 
 // Res implements FastChecker.
-func (m *fastMutex) Res(in, out trace.Value, invIdx, idx int) FastStatus {
+func (m *fastMutex) Res(in, out trace.Value, slot int32, invIdx, idx int) FastStatus {
 	if out != adt.WriteOutput() {
 		return FastExit // "err:*" (or garbage) outputs: exact semantics decide
 	}
-	o := m.ops[invIdx]
+	o := m.ops[slot]
 	if o.lock {
 		m.rl, m.pl = m.rl+1, m.pl-1
 	} else {
@@ -192,8 +187,7 @@ func (m *fastMutex) Res(in, out trace.Value, invIdx, idx int) FastStatus {
 	}
 	// Responded, hence linearized: the operation leaves the core, which
 	// therefore holds the open operations only.
-	delete(m.ops, invIdx)
-	*o = mutexOp{next: m.free}
+	*o = mutexOp{slot: slot, next: m.free}
 	m.free = o
 	return FastOK
 }
@@ -214,7 +208,6 @@ func (m *fastMutex) linearize(o *mutexOp) {
 // cutStates implements cutter: the simulated lock state; the core
 // restarts from it.
 func (m *fastMutex) cutStates() ([]adt.State, bool) {
-	m.seen.reset()
 	m.cut[0] = mutexFree
 	if m.locked {
 		m.cut[0] = mutexHeld

@@ -13,9 +13,12 @@ import (
 // fastQueue is the streaming FIFO-queue fast path (DESIGN.md, decisions
 // 15 and 33): the matched enqueue/dequeue analysis of
 // Bouajjani–Emmi–Enea–Hamza, evaluated as the history arrives. Its
-// fragment: grammar-valid inputs, pairwise-distinct dequeue inputs,
-// pairwise-distinct untagged enqueue values (which makes enqueue inputs
-// distinct too) and no empty-dequeue outputs.
+// fragment: grammar-valid, pairwise-distinct inputs (the session checks
+// them), no enqueue of a value still live — queued or in flight — and no
+// empty-dequeue outputs. A value whose enqueue and dequeue have both
+// responded may come back under another input: the earlier pair precedes
+// the later enqueue, which forces every matching, so the two act as
+// distinct values.
 //
 // Let m be the largest enqueue invocation among the values dequeued so
 // far. A queued value — its enqueue responded, no dequeue returned it —
@@ -62,32 +65,25 @@ import (
 // replayed from the empty queue, they reach exactly those states. So the
 // core keeps the values queued at its last cut and dequeued since, and
 // no record of the others once both their ends are done. A cut restarts
-// the core (decision 35): seen forgets the stretch's dequeue inputs, and
-// enqd and index, which gain an entry per enqueue, are rebuilt from the
-// values still queued once they hold twice as many entries, so that a
-// rebuild costs no more than the entries it drops. A value enqueued
-// after the cut must differ from those queued at it, which the seed
-// replays, and from the stretch's; one dequeued before the cut is gone
-// from every state the cut summarizes.
+// the core (decision 35): index, which gains an entry per enqueue, is
+// rebuilt from the values still queued once it holds twice as many
+// entries, so that a rebuild costs no more than the entries it drops. A
+// value enqueued after the cut must differ from those still queued,
+// which the seed replays and the index still finds; one dequeued at both
+// ends, before the cut or since, is gone from every state that follows.
 //
 // What the witness needs and the verdict does not — every operation's
 // input and interval — is kept only when the session asked for
 // witnesses (DESIGN.md, decision 24).
 type fastQueue struct {
 	witness bool
-	seen    digestTable // the stretch's dequeue inputs (distinctness)
-	// enqd holds the untagged enqueue values of the stretch and those
-	// queued at its start, and perhaps some dequeued before, until a
-	// rebuild drops them (distinctness).
-	enqd digestTable
 	// index maps an untagged value to its record, exactly: an entry whose
-	// record was released or reused fails the comparison, so a value is
-	// found from its enqueue's invocation until it is dequeued with its
-	// enqueue responded, or — kept for the seed — until the next cut.
+	// record was released, reused or kept only for the seed fails the
+	// comparison, so a value is found from its enqueue's invocation until
+	// it is dequeued with its enqueue responded.
 	index digestTable
 	vals  []queueVal // records; free lists the unused ones
 	free  []int32
-	enqs  []openEnq // open enqueues, by invocation
 	// q holds the queued values by enqueue response: a record, or -1 once
 	// dequeued. Absolute position p is q[p-qOff]; q[:qh] is all -1.
 	q      []int32
@@ -116,12 +112,6 @@ type queueVal struct {
 // openDeq is an open dequeue: its invocation index and the epoch then.
 type openDeq struct{ inv, epoch int }
 
-// openEnq is an open enqueue: its invocation index and its record.
-type openEnq struct {
-	inv int
-	rec int32
-}
-
 // absorbs reports whether open dequeue d was invoked before owed value
 // v's deadline, so it may be the dequeue that returns v.
 func absorbs(d openDeq, v *queueVal) bool { return d.epoch < v.epoch }
@@ -129,8 +119,6 @@ func absorbs(d openDeq, v *queueVal) bool { return d.epoch < v.epoch }
 func newFastQueue(witness, collide bool) *fastQueue {
 	return &fastQueue{
 		witness: witness,
-		seen:    digestTable{collide: collide},
-		enqd:    digestTable{collide: collide},
 		index:   digestTable{collide: collide},
 		m:       -1,
 	}
@@ -142,45 +130,43 @@ func enqArg(in trace.Value) string {
 	return arg
 }
 
-// Inv implements FastChecker.
-func (c *fastQueue) Inv(in trace.Value, idx int) FastStatus {
+// Inv implements FastChecker: an enqueue's slot is its value's record,
+// a dequeue's -1.
+func (c *fastQueue) Inv(in trace.Value, idx int) (slot int32, st FastStatus) {
 	c.last = idx
 	op, arg, ok := strings.Cut(string(adt.Untag(in)), ":")
 	switch {
 	case !ok:
-		return FastExit
+		return 0, FastExit
 	case op == "enq":
 		if arg == "" || arg == string(adt.Bottom) || strings.ContainsRune(arg, '\x00') {
-			return FastExit // grammar-invalid enqueue; exact semantics differ
-		}
-		if c.enqd.add(arg) {
-			return FastExit // a value enqueued before, or a digest alike
+			return 0, FastExit // grammar-invalid enqueue; exact semantics differ
 		}
 		i := c.alloc()
-		c.vals[i] = queueVal{in: in, inv: idx, res: -1}
-		c.index.put(arg, int(i))
-		c.enqs = append(c.enqs, openEnq{inv: idx, rec: i})
-	case op == "deq" && arg == "":
-		if c.seen.add(in) {
-			return FastExit
+		if _, live := c.index.claim(arg, int(i), func(pos int) bool { return c.live(pos, arg) }); live {
+			return 0, FastExit // two live values alike: which one a dequeue returns is open
 		}
+		c.vals[i] = queueVal{in: in, inv: idx, res: -1}
+		slot = i
+	case op == "deq" && arg == "":
+		slot = -1
 		c.deqs = append(c.deqs, openDeq{inv: idx, epoch: c.epoch})
 	default:
-		return FastExit
+		return 0, FastExit
 	}
 	if c.witness {
 		c.ops = append(c.ops, queueOp{in: in, inv: idx, res: -1, peer: -1, enq: op == "enq"})
 	}
-	return FastOK
+	return slot, FastOK
 }
 
 // Res implements FastChecker.
-func (c *fastQueue) Res(in, out trace.Value, invIdx, idx int) FastStatus {
+func (c *fastQueue) Res(in, out trace.Value, slot int32, invIdx, idx int) FastStatus {
 	c.last = idx
-	k := slices.IndexFunc(c.deqs, func(d openDeq) bool { return d.inv == invIdx })
-	if k < 0 {
-		return c.enqueued(out, invIdx, idx)
+	if slot >= 0 {
+		return c.enqueued(out, slot, invIdx, idx)
 	}
+	k, _ := slices.BinarySearchFunc(c.deqs, invIdx, func(d openDeq, inv int) int { return d.inv - inv })
 	d := c.deqs[k]
 	c.deqs = slices.Delete(c.deqs, k, k+1)
 	vop, x, ok := strings.Cut(string(out), ":")
@@ -231,15 +217,12 @@ func (c *fastQueue) Res(in, out trace.Value, invIdx, idx int) FastStatus {
 	return FastOK
 }
 
-// enqueued is Res for the enqueue invoked at invIdx: its value joins the
-// queued ones, unless a dequeue returned it already.
-func (c *fastQueue) enqueued(out trace.Value, invIdx, idx int) FastStatus {
+// enqueued is Res for the enqueue of record i, invoked at invIdx: its
+// value joins the queued ones, unless a dequeue returned it already.
+func (c *fastQueue) enqueued(out trace.Value, i int32, invIdx, idx int) FastStatus {
 	if out != adt.WriteOutput() {
 		return FastReject
 	}
-	k := slices.IndexFunc(c.enqs, func(e openEnq) bool { return e.inv == invIdx })
-	i := c.enqs[k].rec
-	c.enqs = slices.Delete(c.enqs, k, k+1)
 	v := &c.vals[i]
 	v.res = idx
 	if c.witness {
@@ -260,11 +243,15 @@ func (c *fastQueue) find(x string) (int32, bool) {
 	if c.qh < len(c.q) && enqArg(c.vals[c.q[c.qh]].in) == x {
 		return c.q[c.qh], true
 	}
-	pos, ok := c.index.get(x, func(pos int) bool {
-		v := &c.vals[pos]
-		return v.in != "" && enqArg(v.in) == x
-	})
+	pos, ok := c.index.get(x, func(pos int) bool { return c.live(pos, x) })
 	return int32(pos), ok
+}
+
+// live reports whether record pos holds value x and x is live: invoked,
+// and not dequeued with its enqueue responded.
+func (c *fastQueue) live(pos int, x string) bool {
+	v := &c.vals[pos]
+	return v.in != "" && !(v.deq && v.res >= 0) && enqArg(v.in) == x
 }
 
 // advance makes the queued values whose enqueues responded before m
@@ -332,16 +319,12 @@ func (c *fastQueue) cutStates() ([]adt.State, bool) {
 	}
 	c.since = c.since[:0]
 	c.cutAt = c.last + 1
-	c.seen.reset()
 	// No operation is open, so the records held are the queued values.
-	if queued := len(c.vals) - len(c.free); c.enqd.n >= 2*queued {
-		c.enqd.reset()
+	if queued := len(c.vals) - len(c.free); c.index.n >= 2*queued {
 		c.index.reset()
 		for _, i := range c.q[c.qh:] {
 			if i >= 0 {
-				arg := enqArg(c.vals[i].in)
-				c.enqd.add(arg)
-				c.index.put(arg, int(i))
+				c.index.put(enqArg(c.vals[i].in), int(i))
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package lin
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -28,7 +29,7 @@ func agreesOnEveryPrefix(t *testing.T, tr trace.Trace, witness bool) (check.Verd
 	t.Helper()
 	ctx := context.Background()
 	opts := []check.Option{check.WithWitness(witness), check.WithBudget(1_000_000)}
-	fast, exact := NewSessionFast(ctx, adt.Queue{}, opts...), NewSession(ctx, adt.Queue{}, opts...)
+	fast, exact := NewSession(ctx, adt.Queue{}, opts...), NewSession(ctx, adt.Queue{}, append(opts, check.WithExact(true))...)
 	for k, a := range tr {
 		if err := fast.Feed(a); err != nil {
 			t.Fatal(err)
@@ -136,15 +137,23 @@ func TestQueueOwedValues(t *testing.T) {
 // a simulated queue whose operations take effect at random points of
 // their intervals, with an occasional wrong output. Of the 2 000 traces
 // seed 33 makes, 1 685 are linearizable, and 198 of those have an open
-// dequeue absorbing an owed value on the way.
-func randomQueueTrace(r *rand.Rand, n int) trace.Trace {
+// dequeue absorbing an owed value on the way. With reuse, an enqueue
+// takes, half the time there is one, a value whose enqueue and dequeue
+// have both responded, under a new tag.
+func randomQueueTrace(r *rand.Rand, n int, reuse bool) trace.Trace {
 	type op struct {
-		in, out   trace.Value
-		open, eff bool
+		in, out, val trace.Value
+		open, eff    bool
 	}
 	clients := 2 + r.Intn(3)
 	ops := make([]op, clients)
-	var fifo, enqueued []trace.Value
+	var fifo, enqueued, retired []trace.Value
+	ends := map[trace.Value]int{} // responded ends of a value's latest pair
+	end := func(v trace.Value) {
+		if ends[v]++; ends[v] == 2 && reuse {
+			retired = append(retired, v)
+		}
+	}
 	var tr trace.Trace
 	claims := 0 // open dequeues not yet applied: each has an element
 	for seq := 0; len(tr) < n || func() bool {
@@ -163,6 +172,11 @@ func randomQueueTrace(r *rand.Rand, n int) trace.Trace {
 			if len(fifo) > claims && r.Intn(2) == 0 {
 				o.in = qd(strconv.Itoa(seq))
 				claims++
+			} else if len(retired) > 0 && r.Intn(2) == 0 {
+				k := r.Intn(len(retired))
+				o.in = adt.Tag(qe(string(retired[k])), strconv.Itoa(seq))
+				delete(ends, retired[k])
+				retired = slices.Delete(retired, k, k+1)
 			}
 			tr = append(tr, trace.Invoke(id, 1, o.in))
 		case !o.open:
@@ -172,7 +186,7 @@ func randomQueueTrace(r *rand.Rand, n int) trace.Trace {
 				enqueued = append(enqueued, trace.Value(enqArg(o.in)))
 				o.out, o.eff = adt.WriteOutput(), true
 			} else {
-				o.out, o.eff, fifo = adt.ReadOutput(fifo[0]), true, fifo[1:]
+				o.val, o.out, o.eff, fifo = fifo[0], adt.ReadOutput(fifo[0]), true, fifo[1:]
 				claims--
 			}
 		default:
@@ -182,55 +196,89 @@ func randomQueueTrace(r *rand.Rand, n int) trace.Trace {
 			}
 			tr = append(tr, trace.Response(id, 1, o.in, out))
 			o.open = false
+			if adt.Untag(o.in) != adt.DeqInput() {
+				end(trace.Value(enqArg(o.in)))
+			} else if out == o.out {
+				end(o.val)
+			}
 		}
 	}
 	return tr
 }
 
 // TestQueueCoreMatchesOracle: on random complete histories the streaming
-// core (one-shot CheckFast), the former one-shot analysis (oneShotQueue)
+// core (one-shot Check), the former one-shot analysis (oneShotQueue)
 // and the exact engine give the same verdict, and the core's witness
 // verifies; on every prefix, open operations and all, a fast session
 // agrees with an exact one without leaving the fast path (every tenth
-// history with witnesses, which verify too).
+// history with witnesses, which verify too). A second pass draws
+// histories that enqueue a value dequeued at both ends again under a new
+// tag, the fragment's one repeat (DESIGN.md, decision 36), and holds
+// every prefix of each to the exact engine with witnesses on and off.
 func TestQueueCoreMatchesOracle(t *testing.T) {
 	ctx := context.Background()
-	r := rand.New(rand.NewSource(33))
-	var decided, rejected int
-	for iter := 0; iter < 2000; iter++ {
-		tr := randomQueueTrace(r, 8+r.Intn(28))
-		fast, err := CheckFast(ctx, adt.Queue{}, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact, err := Check(ctx, adt.Queue{}, tr, check.WithWitness(false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fast.OK != exact.OK || fast.Reason != exact.Reason {
-			t.Fatalf("iter %d: core %v %q, exact %v %q\n%v", iter, fast.OK, fast.Reason, exact.OK, exact.Reason, tr)
-		}
-		if fast.OK {
-			if err := VerifyWitness(adt.Queue{}, tr, fast.Witness); err != nil {
-				t.Fatalf("iter %d: %v\n%v", iter, err, tr)
+	for _, reuse := range []bool{false, true} {
+		r := rand.New(rand.NewSource(33))
+		var decided, rejected, repeating int
+		for iter := 0; iter < 2000; iter++ {
+			tr := randomQueueTrace(r, 8+r.Intn(28), reuse)
+			fast, err := Check(ctx, adt.Queue{}, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact, err := Check(ctx, adt.Queue{}, tr, check.WithWitness(false), check.WithExact(true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fast.OK != exact.OK || fast.Reason != exact.Reason {
+				t.Fatalf("reuse %v, iter %d: core %v %q, exact %v %q\n%v", reuse, iter, fast.OK, fast.Reason, exact.OK, exact.Reason, tr)
+			}
+			if fast.OK {
+				if err := VerifyWitness(adt.Queue{}, tr, fast.Witness); err != nil {
+					t.Fatalf("reuse %v, iter %d: %v\n%v", reuse, iter, err, tr)
+				}
+			}
+			witnesses := []bool{iter%10 == 0}
+			if reuse {
+				witnesses = []bool{true, false}
+			}
+			for _, witness := range witnesses {
+				if _, stayed := agreesOnEveryPrefix(t, tr, witness); !stayed {
+					t.Fatalf("reuse %v, iter %d: the session left the fast path (witness %v)\n%v", reuse, iter, witness, tr)
+				}
+			}
+			if reuse {
+				if slices.ContainsFunc(tr, func(a trace.Action) bool {
+					return a.Kind == trace.Inv && adt.Untag(a.Input) != adt.DeqInput() && adt.Untag(a.Input) != a.Input
+				}) {
+					repeating++
+					if !exact.OK {
+						rejected++
+					}
+				}
+				continue
+			}
+			if ok, in := oneShotQueue(tr); in {
+				decided++
+				if ok != exact.OK {
+					t.Fatalf("iter %d: one-shot %v, exact %v\n%v", iter, ok, exact.OK, tr)
+				}
+				if !ok {
+					rejected++
+				}
 			}
 		}
-		if _, stayed := agreesOnEveryPrefix(t, tr, iter%10 == 0); !stayed {
-			t.Fatalf("iter %d: the session left the fast path\n%v", iter, tr)
-		}
-		if ok, in := oneShotQueue(tr); in {
-			decided++
-			if ok != exact.OK {
-				t.Fatalf("iter %d: one-shot %v, exact %v\n%v", iter, ok, exact.OK, tr)
+		if reuse {
+			t.Logf("%d of 2000 histories enqueue a value again, %d of them not linearizable", repeating, rejected)
+			if repeating < 1000 || rejected < 100 || repeating-rejected < 500 {
+				t.Fatalf("%d repeating, %d rejected: the histories do not exercise the repeat", repeating, rejected)
 			}
-			if !ok {
-				rejected++
-			}
+			continue
 		}
-	}
-	t.Logf("%d of 2000 histories inside the one-shot fragment, %d of them rejected", decided, rejected)
-	if decided < 1500 || rejected < 200 || decided-rejected < 500 {
-		t.Fatalf("%d decided, %d rejected: the histories do not exercise the fragment", decided, rejected)
+		t.Logf("%d of 2000 histories inside the one-shot fragment, %d of them rejected", decided, rejected)
+		if decided < 1500 || rejected < 200 || decided-rejected < 500 {
+			t.Fatalf("%d decided, %d rejected: the histories do not exercise the fragment", decided, rejected)
+		}
 	}
 }
 
@@ -275,13 +323,13 @@ func heldRecords(core *fastQueue) int { return len(core.vals) - len(core.free) }
 // values, with a quiescent point every 100 actions, stays on the fast
 // path, and at every quiescent point holds one log chunk of at most
 // recChunk actions and no full chunk before it, no record beyond the
-// queued values and those dequeued since the last cut, no more dequeue
-// inputs than actions since that cut, and no more enqueued values or
-// index entries than twice the values queued at the cut plus actions
-// since (DESIGN.md, decision 35).
+// queued values and those dequeued since the last cut, no more inputs
+// seen than actions since that cut, and no more index entries than
+// twice the values queued at the cut plus actions since (DESIGN.md,
+// decision 35).
 func TestQueueCutRetention(t *testing.T) {
 	const n = 1_000_000
-	s := NewSessionFast(context.Background(), adt.Queue{}, check.WithWitness(false))
+	s := NewSession(context.Background(), adt.Queue{}, check.WithWitness(false))
 	ok := adt.WriteOutput()
 	var fifo []trace.Value
 	var lastCut, since, points, peak int
@@ -337,9 +385,9 @@ func TestQueueCutRetention(t *testing.T) {
 		// stretch's enqueues, plus its dequeues: fewer than len(fifo) plus
 		// the stretch's actions.
 		stretch := s.Len() - s.cutFed
-		if bound := 2*(len(fifo)+stretch) + stretch; core.seen.n > stretch || core.enqd.n > bound || core.index.n > bound {
-			t.Fatalf("quiescent point %d: %d dequeue inputs, %d enqueued values and %d index entries, %d queued values and %d actions since the cut",
-				points, core.seen.n, core.enqd.n, core.index.n, len(fifo), stretch)
+		if bound := 2*(len(fifo)+stretch) + stretch; s.seen.n > stretch || core.index.n > bound {
+			t.Fatalf("quiescent point %d: %d inputs and %d index entries, %d queued values and %d actions since the cut",
+				points, s.seen.n, core.index.n, len(fifo), stretch)
 		}
 		pair("c0", qd("t"+id))
 	}
@@ -367,15 +415,15 @@ func TestQueueSteadyStateAllocatesNothing(t *testing.T) {
 	enq := func() {
 		in := enqs[next]
 		next++
-		c.Inv(in, idx)
-		c.Res(in, adt.WriteOutput(), idx, idx+1)
+		slot, _ := c.Inv(in, idx)
+		c.Res(in, adt.WriteOutput(), slot, idx, idx+1)
 		idx += 2
 	}
 	enq()
 	step := func() {
 		enq()
-		c.Inv(deqs[head], idx)
-		if st := c.Res(deqs[head], outs[head], idx, idx+1); st != FastOK {
+		slot, _ := c.Inv(deqs[head], idx)
+		if st := c.Res(deqs[head], outs[head], slot, idx, idx+1); st != FastOK {
 			t.Fatalf("dequeue %d: status %v", head, st)
 		}
 		head++

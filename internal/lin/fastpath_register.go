@@ -68,29 +68,27 @@ import (
 // start. The core then restarts from that answer: every operation so
 // far precedes every later one, so the trace is linearizable iff what
 // follows is, from some state of the answer. I becomes the answer, and
-// the tables, blocks and closed arrays are emptied for the next stretch:
-// a later input or written value equal to an earlier one can claim
-// nothing before the cut, so distinctness holds within the stretch and
-// against I alone.
+// the table, blocks and closed arrays are emptied for the next stretch:
+// a later written value equal to an earlier one can claim nothing before
+// the cut, so distinctness holds within the stretch and against I alone.
 //
-// The core keeps, per write of the stretch, its block summary and two
-// table slots, and per open write one entry of openW, so that an input
-// is parsed once, at its invocation; what the witness needs and the
+// The core keeps, per write of the stretch, its block summary and a
+// table slot, and hands the block's position to the session as the
+// write's slot, so that an input is parsed once, at its invocation (a
+// read's slot is -1); what the witness needs and the
 // verdict does not — every member's input and response index — is kept
 // only when the session asked for witnesses (DESIGN.md, decision 24),
 // and then the session never cuts.
 type fastRegister struct {
 	witness   bool
-	seen      digestTable   // the stretch's invocation inputs (distinctness)
-	byVal     digestTable   // the stretch's untagged written values → block position, exact
-	blocks    []regBlock    // one per write of the stretch, in invocation order
-	openW     map[int]int32 // open writes: invocation index → block position
-	closedAt  []int         // the closed array: closedAt per closed position, ascending
-	closed    []int32       // the block position at each closed position
-	tree      maxTree       // maxStart per closed position
-	init      []adt.State   // I: the values the register holds before the stretch's first write
-	initReads []regMember   // witness: accepted initial reads, response order
-	cut       []adt.State   // cutStates' answer, reused
+	byVal     digestTable // the stretch's untagged written values → block position, exact
+	blocks    []regBlock  // one per write of the stretch, in invocation order
+	closedAt  []int       // the closed array: closedAt per closed position, ascending
+	closed    []int32     // the block position at each closed position
+	tree      maxTree     // maxStart per closed position
+	init      []adt.State // I: the values the register holds before the stretch's first write
+	initReads []regMember // witness: accepted initial reads, response order
+	cut       []adt.State // cutStates' answer, reused
 	// Storage for a one-value I and answer, the common case.
 	initBuf, cutBuf [1]adt.State
 }
@@ -116,12 +114,7 @@ type regMember struct {
 }
 
 func newFastRegister(witness, collide bool) *fastRegister {
-	r := &fastRegister{
-		witness: witness,
-		seen:    digestTable{collide: collide},
-		byVal:   digestTable{collide: collide},
-		openW:   map[int]int32{},
-	}
+	r := &fastRegister{witness: witness, byVal: digestTable{collide: collide}}
 	r.init, r.cut = append(r.initBuf[:0], adt.Register{}.Empty()), r.cutBuf[:0]
 	return r
 }
@@ -142,49 +135,46 @@ func (r *fastRegister) initial(val string) bool {
 	return slices.Contains(r.init, adt.State(val))
 }
 
-// Inv implements FastChecker.
-func (r *fastRegister) Inv(in trace.Value, idx int) FastStatus {
-	if r.seen.add(in) {
-		return FastExit
-	}
+// Inv implements FastChecker: a write's slot is its block's position, a
+// read's -1.
+func (r *fastRegister) Inv(in trace.Value, idx int) (int32, FastStatus) {
 	op, arg, ok := regParse(in)
 	switch {
 	case !ok:
-		return FastExit
+		return 0, FastExit
 	case op == "w":
 		if arg == "" || arg == string(adt.Bottom) {
-			return FastExit // grammar-invalid write; exact semantics differ
+			return 0, FastExit // grammar-invalid write; exact semantics differ
 		}
 		if r.initial(arg) {
-			return FastExit // its reads could read it or the initial state
+			return 0, FastExit // its reads could read it or the initial state
 		}
 		if _, dup := r.blockOf(arg); dup {
-			return FastExit // duplicate written value
+			return 0, FastExit // duplicate written value
 		}
 		b := regBlock{val: arg, maxStart: idx, closedAt: -1, pos: -1}
 		if r.witness {
 			b.wit = &regWit{wIn: in, wRes: -1}
 		}
-		r.byVal.put(arg, len(r.blocks))
-		r.openW[idx] = int32(len(r.blocks))
+		bi := int32(len(r.blocks))
+		r.byVal.put(arg, int(bi))
 		r.blocks = append(r.blocks, b)
-		return FastOK
+		return bi, FastOK
 	case op == "r" && arg == "":
-		return FastOK // reads act at their response
+		return -1, FastOK // reads act at their response
 	}
-	return FastExit
+	return 0, FastExit
 }
 
 // Res implements FastChecker.
-func (r *fastRegister) Res(in, out trace.Value, invIdx, idx int) FastStatus {
-	if bi, write := r.openW[invIdx]; write {
-		delete(r.openW, invIdx)
+func (r *fastRegister) Res(in, out trace.Value, slot int32, invIdx, idx int) FastStatus {
+	if slot >= 0 {
 		if out != adt.WriteOutput() {
 			return FastReject
 		}
-		b := &r.blocks[bi]
+		b := &r.blocks[slot]
 		if b.closedAt < 0 {
-			r.close(bi, idx)
+			r.close(slot, idx)
 		}
 		if b.wit != nil {
 			b.wit.wRes = idx
@@ -269,7 +259,6 @@ func (r *fastRegister) cutStates() ([]adt.State, bool) {
 		}
 	}
 	r.init = append(r.init[:0], r.cut...)
-	r.seen.reset()
 	r.byVal.reset()
 	clear(r.blocks) // let the values they name go
 	r.blocks = r.blocks[:0]

@@ -32,25 +32,26 @@ import (
 // completeness; FuzzFastpathVsExact and the diffcheck boundary tests
 // keep the three outcomes honest against the exact search.
 //
-// As in the mutex core, an operation's record leaves ops at its
-// response, and the chain and its marks are witness material, kept only
-// when the session asked for witnesses (DESIGN.md, decision 24); what
-// stays per input of the stretch since the last cut is a digest in seen,
-// eight bytes in pool for a pop and a stackVal for a pushed value.
+// As in the mutex core, an operation's record leaves ops — where the
+// slot its invocation returned finds it — at its response, and the chain
+// and its marks are witness material, kept only when the session asked
+// for witnesses (DESIGN.md, decision 24); what stays per input of the
+// stretch since the last cut is a pop's record in pool and a stackVal
+// for a pushed value.
 //
 // Quiescent cut (DESIGN.md, decisions 26 and 35): with no operation open
 // the unpopped values are fixed, but their order on the stack need not
 // be, so the core answers only when at most one is left — the one state
-// every linearization ends in. When it answers it restarts there: seen
-// and vals forget the stretch, but for the value left on the stack,
-// which a later push must not repeat, and pool holds only responded
-// pops, so it empties.
+// every linearization ends in. When it answers it restarts there: vals
+// forgets the stretch, but for the value left on the stack, which a
+// later push must not repeat, and pool holds only responded pops, so it
+// empties.
 type fastStack struct {
 	witness bool
-	seen    digestTable          // the stretch's inputs (distinctness)
-	ops     map[int]*stackOp     // open operations, by invocation trace index
+	ops     []*stackOp           // open operations, by slot; nil at a free slot
+	free    []int32              // the free slots of ops
 	vals    map[string]*stackVal // by untagged push value: the stretch's and the one left at the cut
-	pool    []int                // pop invIdxs, oldest first; responded ones are skipped
+	pool    []*stackOp           // pops, oldest first; responded ones are skipped
 	poolLo  int
 	stack   []*stackVal   // simulated stack, top last
 	n       int           // chain length
@@ -66,6 +67,7 @@ type stackOp struct {
 	assigned bool
 	pos      int    // claimed chain prefix once linearized
 	expected string // assigned pops: the value the helper must return
+	done     bool   // responded
 }
 
 type stackVal struct {
@@ -81,48 +83,46 @@ const (
 	valPopped         // returned by a pop's response
 )
 
-func newFastStack(witness, collide bool) *fastStack {
-	return &fastStack{
-		witness: witness,
-		seen:    digestTable{collide: collide},
-		ops:     map[int]*stackOp{},
-		vals:    map[string]*stackVal{},
-	}
+func newFastStack(witness bool) *fastStack {
+	return &fastStack{witness: witness, vals: map[string]*stackVal{}}
 }
 
-// Inv implements FastChecker.
-func (s *fastStack) Inv(in trace.Value, idx int) FastStatus {
-	if s.seen.add(in) {
-		return FastExit
-	}
+// Inv implements FastChecker: the slot is where ops holds the record.
+func (s *fastStack) Inv(in trace.Value, idx int) (int32, FastStatus) {
 	op, arg, ok := strings.Cut(string(adt.Untag(in)), ":")
 	o := &stackOp{in: in}
 	switch {
 	case !ok:
-		return FastExit
+		return 0, FastExit
 	case op == "push":
 		if arg == "" || arg == string(adt.Bottom) || strings.ContainsRune(arg, '\x00') {
-			return FastExit
+			return 0, FastExit
 		}
 		if _, dup := s.vals[arg]; dup {
-			return FastExit // duplicate push value
+			return 0, FastExit // duplicate push value
 		}
 		o.push = true
 		o.val = &stackVal{val: arg, pushOp: o}
 		s.vals[arg] = o.val
 	case op == "pop" && arg == "":
-		s.pool = append(s.pool, idx)
+		s.pool = append(s.pool, o)
 	default:
-		return FastExit
+		return 0, FastExit
 	}
-	s.ops[idx] = o
-	return FastOK
+	if n := len(s.free); n > 0 {
+		slot := s.free[n-1]
+		s.free, s.ops[slot] = s.free[:n-1], o
+		return slot, FastOK
+	}
+	s.ops = append(s.ops, o)
+	return int32(len(s.ops) - 1), FastOK
 }
 
 // Res implements FastChecker.
-func (s *fastStack) Res(in, out trace.Value, invIdx, idx int) FastStatus {
-	o := s.ops[invIdx]
-	delete(s.ops, invIdx) // responded: linearized by the end of this call
+func (s *fastStack) Res(in, out trace.Value, slot int32, invIdx, idx int) FastStatus {
+	o := s.ops[slot]
+	// Responded: linearized by the end of this call.
+	o.done, s.ops[slot], s.free = true, nil, append(s.free, slot)
 	if o.push {
 		if out != adt.WriteOutput() {
 			return FastReject // pushes can only ever output "ok:"
@@ -204,12 +204,12 @@ func (s *fastStack) linPush(o *stackOp) {
 }
 
 // takeOldestPop pops the oldest unassigned still-pending pop, or nil.
-// Pool entries no longer in ops have responded.
 func (s *fastStack) takeOldestPop() *stackOp {
 	for s.poolLo < len(s.pool) {
-		o := s.ops[s.pool[s.poolLo]]
+		o := s.pool[s.poolLo]
+		s.pool[s.poolLo] = nil
 		s.poolLo++
-		if o != nil && !o.assigned {
+		if !o.done && !o.assigned {
 			return o
 		}
 	}
@@ -228,7 +228,6 @@ func (s *fastStack) cutStates() ([]adt.State, bool) {
 	default:
 		return nil, false
 	}
-	s.seen.reset()
 	// A map keeps the buckets of its largest size, so a large one is
 	// replaced rather than cleared: a clear then costs what the stretch
 	// that grew the map put in it.
@@ -240,6 +239,7 @@ func (s *fastStack) cutStates() ([]adt.State, bool) {
 	for _, v := range s.stack {
 		s.vals[v.val] = v
 	}
+	clear(s.pool[s.poolLo:]) // let the pops' records go
 	s.pool, s.poolLo = s.pool[:0], 0
 	return s.cut[:], true
 }

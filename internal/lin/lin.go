@@ -25,7 +25,11 @@
 //
 // Engines. Check and Session are one engine (session.go): the frontier of
 // reachable configurations, advanced one action at a time and
-// deduplicated by 128-bit digests (DESIGN.md, decisions 20 and 21).
+// deduplicated by 128-bit digests (DESIGN.md, decisions 20 and 21). For
+// the register, consensus, queue, mutex and stack folders both run an
+// ADT-specialized core instead (fastpath.go) while the trace stays in
+// its fragment, unless check.WithExact; the one option is the only
+// fast/exact switch (decision 36).
 // CheckClassical is a memoized depth-first search over placed operation
 // sets (decision 13). CheckReference and classicalRef retain the
 // original string-keyed and capped-bitmask searches as executable
@@ -74,12 +78,18 @@ type Result struct {
 // budget exhaustion, cancellation or malformed inputs, never for a
 // (correct) negative verdict.
 //
-// Check is the frontier engine of Session run one-shot, with the
-// response lookahead a complete trace allows (checkStreaming; DESIGN.md,
-// decision 21), so the budget bounds each fed action's spend, and a
-// budget error carries the session's explanation — "lin: search budget
-// exhausted (feed 17: 8 configurations, 5 open operations, 21 nodes)" —
-// wrapping ErrBudget: match it with errors.Is.
+// Check is Session run one-shot (checkStreaming). For a folder with a
+// fast-path core it runs the core as NewSession does, unless
+// check.WithExact: Result.Nodes then counts fed actions, no budget is
+// spent, and the queue core reports positive verdicts past
+// fastQueueWitnessCap without a witness; a fragment exit hands the
+// trace to the exact engine, whose verdict, reason and nodes are then
+// the result. The exact engine is the frontier engine with the response
+// lookahead a complete trace allows (DESIGN.md, decision 21), so the
+// budget bounds each fed action's spend, and a budget error carries the
+// session's explanation — "lin: search budget exhausted (feed 17: 8
+// configurations, 5 open operations, 21 nodes)" — wrapping ErrBudget:
+// match it with errors.Is.
 func Check(ctx context.Context, f adt.Folder, t trace.Trace, opts ...check.Option) (Result, error) {
 	return checkStreaming(ctx, f, t, check.NewSettings(opts...))
 }

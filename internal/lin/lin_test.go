@@ -18,7 +18,7 @@ func d(v string) trace.Value { return adt.DecideOutput(v) }
 
 func checkBoth(t *testing.T, f adt.Folder, tr trace.Trace) (newDef, classical bool) {
 	t.Helper()
-	r1, err := Check(context.Background(), f, tr)
+	r1, err := Check(context.Background(), f, tr, check.WithExact(true))
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
@@ -227,7 +227,7 @@ func TestClientReinvokesSameInput(t *testing.T) {
 
 func TestNotWellFormedRejected(t *testing.T) {
 	tr := trace.Trace{trace.Response("c1", 1, p("v"), d("v"))}
-	r, err := Check(context.Background(), adt.Consensus{}, tr)
+	r, err := Check(context.Background(), adt.Consensus{}, tr, check.WithExact(true))
 	if err != nil || r.OK {
 		t.Fatalf("ill-formed trace accepted: %+v, %v", r, err)
 	}
@@ -245,7 +245,7 @@ func TestBudgetExhaustion(t *testing.T) {
 		trace.Response("c2", 1, p("b"), d("a")),
 	}
 	// One-shot Check says where its session gave up, wrapping the sentinel.
-	if _, err := Check(context.Background(), adt.Consensus{}, tr, check.WithBudget(1)); !errors.Is(err, ErrBudget) {
+	if _, err := Check(context.Background(), adt.Consensus{}, tr, check.WithBudget(1), check.WithExact(true)); !errors.Is(err, ErrBudget) {
 		t.Fatalf("expected ErrBudget, got %v", err)
 	}
 	res, err := CheckClassical(context.Background(), adt.Consensus{}, tr, check.WithBudget(1))
@@ -264,16 +264,16 @@ func TestBudgetExhaustion(t *testing.T) {
 func TestBudgetInterplay(t *testing.T) {
 	ctx := context.Background()
 	tr := workload.SplitDecision(6, "p")
-	full, err := Check(ctx, adt.Consensus{}, tr)
+	full, err := Check(ctx, adt.Consensus{}, tr, check.WithExact(true))
 	if err != nil || full.OK {
 		t.Fatalf("split decisions gave %+v, %v", full, err)
 	}
 	peak, _ := feedPeak(t, adt.Consensus{}, tr)
-	res, err := Check(ctx, adt.Consensus{}, tr, check.WithBudget(peak-1))
+	res, err := Check(ctx, adt.Consensus{}, tr, check.WithBudget(peak-1), check.WithExact(true))
 	if !errors.Is(err, ErrBudget) || res.OK {
 		t.Fatalf("budget %d gave %+v, %v; want ErrBudget, undecided", peak-1, res, err)
 	}
-	if res, err := Check(ctx, adt.Consensus{}, tr, check.WithBudget(peak)); err != nil || res.OK || res.Nodes != full.Nodes || peak >= full.Nodes {
+	if res, err := Check(ctx, adt.Consensus{}, tr, check.WithBudget(peak), check.WithExact(true)); err != nil || res.OK || res.Nodes != full.Nodes || peak >= full.Nodes {
 		t.Fatalf("budget %d gave %+v, %v; want the %d-node refutation", peak, res, err, full.Nodes)
 	}
 }
@@ -284,10 +284,10 @@ func TestCancellationUnderPOR(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	tr := workload.SplitDecision(6, "p")
-	if _, err := Check(ctx, adt.Consensus{}, tr); !errors.Is(err, context.Canceled) {
+	if _, err := Check(ctx, adt.Consensus{}, tr, check.WithExact(true)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("one-shot: expected context.Canceled, got %v", err)
 	}
-	s := NewSession(ctx, adt.Consensus{})
+	s := NewSession(ctx, adt.Consensus{}, check.WithExact(true))
 	if err := s.FeedAll(tr); !errors.Is(err, context.Canceled) {
 		t.Fatalf("session: expected context.Canceled, got %v", err)
 	}
@@ -459,7 +459,7 @@ func TestLargeAgreeingTrace(t *testing.T) {
 		tr = append(tr, trace.Invoke(c, 1, in))
 		tr = append(tr, trace.Response(c, 1, in, d("w")))
 	}
-	r, err := Check(context.Background(), adt.Consensus{}, tr)
+	r, err := Check(context.Background(), adt.Consensus{}, tr, check.WithExact(true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,11 +19,11 @@ import (
 func bothModes(t *testing.T, f adt.Folder, tr trace.Trace) (oneShot, online Result) {
 	t.Helper()
 	ctx := context.Background()
-	oneShot, err := Check(ctx, f, tr)
+	oneShot, err := Check(ctx, f, tr, check.WithExact(true))
 	if err != nil {
 		t.Fatalf("one-shot: %v", err)
 	}
-	s := NewSession(ctx, f)
+	s := NewSession(ctx, f, check.WithExact(true))
 	if err := s.FeedAll(tr); err != nil {
 		t.Fatalf("online: %v", err)
 	}
@@ -108,7 +108,7 @@ func TestLookaheadUntaggedDuplicates(t *testing.T) {
 	saved := 0
 	for seed := int64(1); seed <= 20; seed++ {
 		f, tr := untaggedTrace(seed)
-		one, err := Check(context.Background(), f, tr, check.WithWitness(false))
+		one, err := Check(context.Background(), f, tr, check.WithWitness(false), check.WithExact(true))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -40,7 +40,7 @@ func TestHashedMemoAgreesWithReference(t *testing.T) {
 					opts.CorruptProb = 0.5
 				}
 				tr := workload.Random(tc.f, r, opts)
-				got, err := Check(context.Background(), tc.f, tr)
+				got, err := Check(context.Background(), tc.f, tr, check.WithExact(true))
 				if err != nil {
 					t.Fatalf("optimized: %v", err)
 				}
@@ -89,7 +89,7 @@ func TestCheckAllocsRegression(t *testing.T) {
 	tr := linearizableTrace()
 	f := adt.Consensus{}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := Check(context.Background(), f, tr); err != nil {
+		if _, err := Check(context.Background(), f, tr, check.WithExact(true)); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -112,7 +112,7 @@ func TestCheckAllocsRegression(t *testing.T) {
 // returns the most nodes one fed action spends and the total.
 func feedPeak(t *testing.T, f adt.Folder, tr trace.Trace) (peak, total int) {
 	t.Helper()
-	s := newSessionSettings(context.Background(), f, check.NewSettings(check.WithWitness(false)))
+	s := newSessionSettings(context.Background(), f, check.NewSettings(check.WithWitness(false), check.WithExact(true)))
 	s.Lookahead(tr, nil)
 	for _, a := range tr {
 		fed := s.Nodes()
@@ -132,7 +132,7 @@ func TestBudgetUniform(t *testing.T) {
 	tr := linearizableTrace()
 	f := adt.Consensus{}
 
-	full, err := Check(context.Background(), f, tr)
+	full, err := Check(context.Background(), f, tr, check.WithExact(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,10 +141,10 @@ func TestBudgetUniform(t *testing.T) {
 		t.Fatalf("Check spent %d nodes; feeding its engine spent %d, at most %d in one action", full.Nodes, total, peak)
 	}
 	// A budget of the dearest feed succeeds; one less fails.
-	if _, err := Check(context.Background(), f, tr, check.WithBudget(peak)); err != nil {
+	if _, err := Check(context.Background(), f, tr, check.WithBudget(peak), check.WithExact(true)); err != nil {
 		t.Fatalf("budget == the dearest feed's %d nodes should succeed, got %v", peak, err)
 	}
-	if _, err := Check(context.Background(), f, tr, check.WithBudget(peak-1)); !errors.Is(err, ErrBudget) {
+	if _, err := Check(context.Background(), f, tr, check.WithBudget(peak-1), check.WithExact(true)); !errors.Is(err, ErrBudget) {
 		t.Fatalf("budget == the dearest feed's nodes - 1 should exhaust, got %v", err)
 	}
 
@@ -169,7 +169,7 @@ func TestBudgetUniform(t *testing.T) {
 		trace.Response("c1", 1, adt.Tag(adt.ProposeInput("a"), "c1"), adt.DecideOutput("a")),
 		trace.Response("c2", 1, adt.Tag(adt.ProposeInput("b"), "c2"), adt.DecideOutput("b")),
 	}
-	opt, err := Check(context.Background(), f, bad)
+	opt, err := Check(context.Background(), f, bad, check.WithExact(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,14 +198,14 @@ func TestCheckAllMatchesSequential(t *testing.T) {
 	}
 	want := make([]bool, len(traces))
 	for i, tr := range traces {
-		res, err := Check(context.Background(), f, tr)
+		res, err := Check(context.Background(), f, tr, check.WithExact(true))
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = res.OK
 	}
 	for _, workers := range []int{0, 1, 3, 16} {
-		got, err := CheckAll(context.Background(), f, traces, check.WithWorkers(workers))
+		got, err := CheckAll(context.Background(), f, traces, check.WithWorkers(workers), check.WithExact(true))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -231,7 +231,7 @@ func TestCheckAllMatchesSequential(t *testing.T) {
 func TestCheckAllPropagatesError(t *testing.T) {
 	f := adt.Consensus{}
 	traces := []trace.Trace{linearizableTrace(), linearizableTrace()}
-	_, err := CheckAll(context.Background(), f, traces, check.WithBudget(1))
+	_, err := CheckAll(context.Background(), f, traces, check.WithBudget(1), check.WithExact(true))
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("expected ErrBudget, got %v", err)
 	}

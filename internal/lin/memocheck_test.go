@@ -44,7 +44,7 @@ func TestMemoDigestCollisionsZero(t *testing.T) {
 				opts.CorruptProb = 0.5
 			}
 			tr := workload.Random(tc.f, r, opts)
-			if _, err := Check(context.Background(), tc.f, tr); err != nil {
+			if _, err := Check(context.Background(), tc.f, tr, check.WithExact(true)); err != nil {
 				t.Fatalf("%s trace %d: %v", tc.f.Name(), i, err)
 			}
 			checks++
@@ -62,7 +62,7 @@ func TestMemoDigestCollisionsZero(t *testing.T) {
 		in := adt.Tag(adt.ProposeInput(fmt.Sprintf("v%d", i)), string(c))
 		hard = append(hard, trace.Response(c, 1, in, adt.DecideOutput(fmt.Sprintf("v%d", i%2))))
 	}
-	res, err := Check(context.Background(), adt.Consensus{}, hard, check.WithBudget(50_000_000))
+	res, err := Check(context.Background(), adt.Consensus{}, hard, check.WithBudget(50_000_000), check.WithExact(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestTransitionMemoAuditZero(t *testing.T) {
 			tr := workload.Random(f, r, workload.TraceOpts{
 				Clients: 4, Ops: 12, Inputs: inputs, PendingProb: 0.2, UniqueTags: i%2 == 0, CorruptProb: 0.3,
 			})
-			if _, err := Check(context.Background(), f, tr); err != nil {
+			if _, err := Check(context.Background(), f, tr, check.WithExact(true)); err != nil {
 				t.Fatalf("%s trace %d: %v", f.Name(), i, err)
 			}
 		}

@@ -65,19 +65,26 @@ type Session struct {
 
 	// fast, when non-nil, is the ADT-specialized streaming core the
 	// session delegates to instead of the frontier engine (DESIGN.md,
-	// decision 15; NewSessionFast). The fed trace is recorded so that a
-	// fragment exit can fall back by replaying it through an exact
-	// session. The log is chunked: rec is the chunk being appended to and
-	// recFull the full ones before it. A new chunk is as long as the log
-	// so far (between recChunkMin and recChunk), so the log is never
-	// copied and a short per-key session holds at most twice its length.
-	// Fast-path work never spends the budget; it is accounted separately
-	// in fastNodes (one per fed action).
+	// decisions 15 and 36; NewSession). The session does for it what
+	// every core would repeat: it keeps the open operations' slots in
+	// pending, and seen holds the digests of the inputs fed since the
+	// last cut, so an input equal to one of them (or a digest alike)
+	// leaves the fragment before the core sees it. The fed trace is
+	// recorded so that a fragment exit can fall back by replaying it
+	// through an exact session. The log is chunked: rec is the chunk being
+	// appended to and recFull the full ones before it. A new chunk is as
+	// long as the log so far (between recChunkMin and recChunk), so the
+	// log is never copied and a short per-key session holds at most twice
+	// its length. A one-shot check logs nothing: its whole trace, in
+	// whole, is the log. Fast-path work never spends the budget; it is
+	// accounted separately in fastNodes (one per fed action).
 	fast      FastChecker
 	fastRej   bool // core rejected: NotLinearizable, final
 	fastNodes int
+	seen      digestTable
 	rec       trace.Trace
 	recFull   []trace.Trace
+	whole     trace.Trace
 	// Quiescent cuts (DESIGN.md, decision 26). cuts is the core's cutter
 	// in a witness-off session, nil otherwise (and in tests that turn cuts
 	// off). Once a log chunk fills, the next quiescent point asks the core
@@ -129,47 +136,44 @@ const (
 // bookkeeping (the streaming twin of Check's WellFormed precheck).
 type pendingInv struct {
 	input trace.Value
-	// idx is the invocation's trace index, maintained (and used) only by
-	// the fast paths; sym is the input's symbol, interned only by the
-	// frontier path.
-	idx int
-	sym trace.Sym
+	// idx is the invocation's trace index and slot the core's handle on
+	// the operation, both kept (and used) only by the fast paths; sym is
+	// the input's symbol, interned only by the frontier path.
+	idx  int
+	slot int32
+	sym  trace.Sym
 }
 
 // NewSession starts an incremental check of an initially empty trace
 // against ADT f. See Session for the engine and option semantics.
+//
+// When f has a streaming specialized core (register, consensus, queue,
+// mutex, stack) and check.WithExact was not requested, the session runs
+// the core (DESIGN.md, decisions 15 and 36): Feed costs O(1) amortized
+// per action instead of a frontier expansion, and no budget is spent
+// while the trace stays inside the core's fragment (Nodes then counts
+// fed actions). The first action outside the fragment falls back
+// transparently: the recorded trace is replayed through the exact
+// frontier engine — spending budget as an exact session would — and the
+// session continues exactly. With check.WithWitness(false) the record
+// starts at the last quiescent cut (DESIGN.md, decisions 26 and 33): the
+// exact engine starts in the states the core reported there, or replays
+// the core's seed, and then replays only what followed. Verdicts agree
+// with the exact session on every prefix either way.
 func NewSession(ctx context.Context, f adt.Folder, opts ...check.Option) *Session {
 	return newSessionSettings(ctx, f, check.NewSettings(opts...))
 }
 
-// NewSessionFast is NewSession with fast-path dispatch (DESIGN.md,
-// decision 15): when folder f has a streaming specialized core
-// (register, consensus, queue, mutex, stack) and check.WithExact was not
-// requested, Feed costs O(1) amortized per action instead of a frontier
-// expansion, and no budget is spent while the trace stays inside the
-// core's fragment (Nodes then counts fed actions). The first action
-// outside the fragment falls back transparently: the recorded trace is
-// replayed through the exact frontier engine — spending budget as an
-// exact session would — and the session continues exactly. With
-// check.WithWitness(false) the record starts at the last quiescent cut
-// (DESIGN.md, decisions 26 and 33): the exact engine starts in the
-// states the core reported there, or replays the core's seed, and then
-// replays only what followed. Verdicts agree with NewSession on every
-// prefix either way.
-func NewSessionFast(ctx context.Context, f adt.Folder, opts ...check.Option) *Session {
-	set := check.NewSettings(opts...)
-	s := newSessionSettings(ctx, f, set)
+func newSessionSettings(ctx context.Context, f adt.Folder, set check.Settings) *Session {
+	s := newSessionAt(ctx, f, set, 0, []adt.State{f.Empty()})
 	if !set.Exact {
 		s.fast = NewFastChecker(f, set.Witness)
+		_, s.seen.collide = fastFolder(f)
 		if c, ok := s.fast.(cutter); ok && !set.Witness {
 			s.cuts = c
 		}
 	}
 	return s
-}
-
-func newSessionSettings(ctx context.Context, f adt.Folder, set check.Settings) *Session {
-	return newSessionAt(ctx, f, set, 0, []adt.State{f.Empty()})
 }
 
 // newSessionAt starts an exact session fed actions already, all of them
@@ -273,30 +277,16 @@ func (s *Session) stick(err error, idx, open, start int) error {
 
 // feedFast is Feed's fast-path delegate: the same well-formedness
 // bookkeeping as the frontier path, with the core deciding the verdict
-// and FastExit triggering the fallback replay. A rejected (or
-// ill-formed) verdict is final, but subsequent actions still maintain
-// the well-formedness state so reasons keep matching the exact session.
+// and FastExit — the core's, or an input seen since the last cut —
+// triggering the fallback replay. An invocation's slot rides in pending
+// to its response. A rejected (or ill-formed) verdict is final, but
+// subsequent actions still maintain the well-formedness state so
+// reasons keep matching the exact session.
 func (s *Session) feedFast(a trace.Action) error {
 	idx := s.fed
 	s.fed++
-	if len(s.rec) == cap(s.rec) {
-		// A parked chunk comes back as the full one takes its slot.
-		var next trace.Trace
-		if n := len(s.recFull); n < cap(s.recFull) {
-			next = s.recFull[:n+1][n]
-		}
-		if s.rec != nil {
-			s.recFull = append(s.recFull, s.rec)
-		}
-		if next != nil {
-			s.rec = next[:0]
-		} else {
-			s.rec = make(trace.Trace, 0, min(recChunk, max(recChunkMin, idx-s.cutFed)))
-		}
-	}
-	s.rec = append(s.rec, a)
-	if len(s.rec) == cap(s.rec) && s.cuts != nil {
-		s.cutDue = true
+	if s.whole == nil {
+		s.log(a)
 	}
 	if s.notWF != "" {
 		return nil // verdict already final
@@ -307,8 +297,13 @@ func (s *Session) feedFast(a trace.Action) error {
 			s.notWF = "trace is not well-formed"
 			return nil
 		}
+		var slot int32
 		if !s.fastRej {
-			switch s.fast.Inv(a.Input, idx) {
+			st := FastExit
+			if !s.seen.add(a.Input) {
+				slot, st = s.fast.Inv(a.Input, idx)
+			}
+			switch st {
 			case FastExit:
 				return s.fastFallback()
 			case FastReject:
@@ -316,7 +311,7 @@ func (s *Session) feedFast(a trace.Action) error {
 			}
 		}
 		s.fastNodes++
-		s.pending[a.Client] = pendingInv{input: a.Input, idx: idx}
+		s.pending[a.Client] = pendingInv{input: a.Input, idx: idx, slot: slot}
 	case trace.Res:
 		st, open := s.pending[a.Client]
 		if !open || st.input != a.Input {
@@ -324,7 +319,7 @@ func (s *Session) feedFast(a trace.Action) error {
 			return nil
 		}
 		if !s.fastRej {
-			switch s.fast.Res(a.Input, a.Output, st.idx, idx) {
+			switch s.fast.Res(a.Input, a.Output, st.slot, st.idx, idx) {
 			case FastExit:
 				return s.fastFallback()
 			case FastReject:
@@ -344,16 +339,43 @@ func (s *Session) feedFast(a trace.Action) error {
 	return nil
 }
 
+// log appends a to the replay log, and makes a cut due once a chunk
+// fills.
+func (s *Session) log(a trace.Action) {
+	if len(s.rec) == cap(s.rec) {
+		// A parked chunk comes back as the full one takes its slot.
+		var next trace.Trace
+		if n := len(s.recFull); n < cap(s.recFull) {
+			next = s.recFull[:n+1][n]
+		}
+		if s.rec != nil {
+			s.recFull = append(s.recFull, s.rec)
+		}
+		if next != nil {
+			s.rec = next[:0]
+		} else {
+			s.rec = make(trace.Trace, 0, min(recChunk, max(recChunkMin, s.fed-1-s.cutFed)))
+		}
+	}
+	s.rec = append(s.rec, a)
+	if len(s.rec) == cap(s.rec) && s.cuts != nil {
+		s.cutDue = true
+	}
+}
+
 // cut asks the core, at a quiescent point, for the states the fed
 // trace's linearizations end in; if it answers, the core has restarted
-// from them, and the replay log is dropped up to here and its current
-// chunk kept for what follows, the full ones parked.
+// from them, the inputs seen are forgotten — a later input equal to one
+// of them can claim nothing before the cut — and the replay log is
+// dropped up to here and its current chunk kept for what follows, the
+// full ones parked.
 func (s *Session) cut() {
 	s.cutDue = false
 	st, ok := s.cuts.cutStates()
 	if !ok {
 		return
 	}
+	s.seen.reset()
 	s.cutSt, s.cutFed = st, s.fed
 	for _, c := range s.recFull {
 		clear(c) // let what they logged go
@@ -371,8 +393,11 @@ func (s *Session) cut() {
 // verdicts, with the nodes of the suffix alone. A cut answered by a seed
 // starts from the empty state, replays the seed and then counts the
 // cut's actions as fed, so Len continues; the seed's nodes are spent
-// too. Either way the replay stops at the exact
-// session's first terminal error.
+// too. A one-shot check neither cuts nor logs: its fallback replays the
+// trace so far from the start, under the lookahead, and counts the
+// replay's nodes alone, so it spends and reports what the exact Check
+// would. Either way the replay stops at the exact session's first
+// terminal error.
 func (s *Session) fastFallback() error {
 	chunks := append(s.recFull, s.rec)
 	states, fed := s.cutSt, s.cutFed
@@ -384,9 +409,13 @@ func (s *Session) fastFallback() error {
 		}
 	}
 	ex := newSessionAt(s.meter.Ctx, s.f, s.set, fed, states)
+	if s.whole != nil {
+		ex.Lookahead(s.whole, nil)
+		chunks, s.fastNodes = []trace.Trace{s.whole[:s.fed]}, 0
+	}
 	err := ex.FeedAll(seed)
 	ex.fed = max(ex.fed, s.cutFed)
-	s.fast, s.cuts, s.rec, s.recFull, s.cutSt = nil, nil, nil, nil, nil
+	s.fast, s.cuts, s.rec, s.recFull, s.cutSt, s.seen = nil, nil, nil, nil, nil, digestTable{}
 	for _, c := range chunks {
 		if err != nil {
 			break
@@ -460,10 +489,13 @@ func (s *Session) Result() (Result, error) {
 }
 
 // checkStreaming is one-shot Check: the whole trace, if well-formed, fed
-// through one session. Only here is the trace known to be complete, so
-// only here is the lookahead installed; FeedAll stays online, since its
-// session may be fed further and a later response may claim what the
-// lookahead would have pruned.
+// through one session — a core's, when NewSession would run one. Only
+// here is the trace known to be complete, so only here is the lookahead
+// installed on the exact engine; FeedAll stays online, since its session
+// may be fed further and a later response may claim what the lookahead
+// would have pruned. A core's session keeps the trace instead of a log
+// and never cuts, so a fragment exit replays the trace so far through
+// the exact engine under the lookahead (fastFallback).
 func checkStreaming(ctx context.Context, f adt.Folder, t trace.Trace, set check.Settings) (Result, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -474,7 +506,10 @@ func checkStreaming(ctx context.Context, f adt.Folder, t trace.Trace, set check.
 		return Result{OK: false, Reason: "trace is not well-formed"}, nil
 	}
 	s := newSessionSettings(ctx, f, set)
-	s.Lookahead(t, nil)
+	s.whole, s.cuts = t, nil
+	if s.fast == nil {
+		s.Lookahead(t, nil)
+	}
 	if err := s.FeedAll(t); err != nil {
 		return Result{Nodes: s.Nodes()}, err
 	}

@@ -90,7 +90,7 @@ func TestSessionMultiplicityPinned(t *testing.T) {
 		for seed := int64(1); seed <= 20; seed++ {
 			f, tr := untaggedTrace(seed)
 			wide = max(wide, maxOpenSame(tr))
-			s := NewSession(ctx, f, v.opts...)
+			s := NewSession(ctx, f, append(v.opts, check.WithExact(true))...)
 			if err := s.FeedAll(tr); err != nil {
 				t.Fatalf("%s seed %d: %v", v.name, seed, err)
 			}
@@ -98,7 +98,7 @@ func TestSessionMultiplicityPinned(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", v.name, seed, err)
 			}
-			one, err := Check(ctx, f, tr)
+			one, err := Check(ctx, f, tr, check.WithExact(true))
 			if err != nil {
 				t.Fatalf("%s seed %d one-shot: %v", v.name, seed, err)
 			}

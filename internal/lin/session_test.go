@@ -56,14 +56,14 @@ func sessionTestTraces(seed int64, n int) []struct {
 func TestSessionAgreesWithCheck(t *testing.T) {
 	ctx := context.Background()
 	for i, tc := range sessionTestTraces(71, 200) {
-		s := NewSession(ctx, tc.f)
+		s := NewSession(ctx, tc.f, check.WithExact(true))
 		sawNotLin := false
 		for k, a := range tc.tr {
 			if err := s.Feed(a); err != nil {
 				t.Fatalf("case %d feed %d: %v", i, k, err)
 			}
 			prefix := tc.tr[:k+1]
-			want, err := Check(ctx, tc.f, prefix)
+			want, err := Check(ctx, tc.f, prefix, check.WithExact(true))
 			if err != nil {
 				t.Fatalf("case %d prefix %d: %v", i, k+1, err)
 			}
@@ -94,7 +94,7 @@ func TestSessionAgreesWithCheck(t *testing.T) {
 // node per fed action.
 func TestSessionBudgetExhaustion(t *testing.T) {
 	in := adt.ProposeInput("a")
-	s := NewSession(context.Background(), adt.Consensus{}, check.WithBudget(1))
+	s := NewSession(context.Background(), adt.Consensus{}, check.WithBudget(1), check.WithExact(true))
 	var err error
 	for c := 0; c < 8 && err == nil; c++ {
 		err = s.Feed(trace.Invoke(trace.ClientID(rune('a'+c)), 1, in))
@@ -139,7 +139,7 @@ func TestSessionBudgetPerFeed(t *testing.T) {
 		return nil
 	}
 	const budget = 20
-	per := NewSession(context.Background(), adt.Consensus{}, check.WithBudget(budget))
+	per := NewSession(context.Background(), adt.Consensus{}, check.WithBudget(budget), check.WithExact(true))
 	if err := feed(per, 64); err != nil {
 		t.Fatalf("budget %d exhausted on cheap increments: %v", budget, err)
 	}
@@ -152,7 +152,7 @@ func TestSessionBudgetPerFeed(t *testing.T) {
 	// One expensive Feed still exhausts: seven concurrent proposals make
 	// the deciding response's expansion overrun the per-feed allowance,
 	// and the error stays sticky.
-	wide := NewSession(context.Background(), adt.Consensus{}, check.WithBudget(4))
+	wide := NewSession(context.Background(), adt.Consensus{}, check.WithBudget(4), check.WithExact(true))
 	var err error
 	for c := 0; c < 7 && err == nil; c++ {
 		err = wide.Feed(trace.Invoke(trace.ClientID(rune('a'+c)), 1, adt.ProposeInput(string(rune('a'+c)))))
@@ -172,7 +172,7 @@ func TestSessionBudgetPerFeed(t *testing.T) {
 // asserts the session reports the context error and verdict Unknown.
 func TestSessionCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	s := NewSession(ctx, adt.Consensus{})
+	s := NewSession(ctx, adt.Consensus{}, check.WithExact(true))
 	in := adt.ProposeInput("a")
 	if err := s.Feed(trace.Invoke("c1", 1, in)); err != nil {
 		t.Fatal(err)
@@ -191,7 +191,7 @@ func TestCheckCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, tc := range sessionTestTraces(3, 8) {
-		if _, err := Check(ctx, tc.f, tc.tr); !errors.Is(err, context.Canceled) {
+		if _, err := Check(ctx, tc.f, tc.tr, check.WithExact(true)); !errors.Is(err, context.Canceled) {
 			t.Fatalf("check on a cancelled context: %v, want context.Canceled", err)
 		}
 	}
@@ -200,7 +200,7 @@ func TestCheckCancellation(t *testing.T) {
 // TestSessionIllFormed asserts ill-formed feeds yield the one-shot
 // verdict (NotLinearizable, not an error) and stay final.
 func TestSessionIllFormed(t *testing.T) {
-	s := NewSession(context.Background(), adt.Consensus{})
+	s := NewSession(context.Background(), adt.Consensus{}, check.WithExact(true))
 	in := adt.ProposeInput("a")
 	if err := s.Feed(trace.Response("c1", 1, in, adt.DecideOutput("a"))); err != nil {
 		t.Fatalf("ill-formed feed must not error: %v", err)
@@ -226,7 +226,7 @@ func TestSessionIllFormed(t *testing.T) {
 // that grows with history length shows up as a rising per-segment rate
 // long before it shows up as memory.
 func TestSessionStreamingAllocsFlat(t *testing.T) {
-	s := NewSession(context.Background(), adt.Register{}, check.WithWitness(false))
+	s := NewSession(context.Background(), adt.Register{}, check.WithWitness(false), check.WithExact(true))
 	wA, wB := adt.WriteInput("a"), adt.WriteInput("b")
 	rd := adt.ReadInput()
 	last := trace.Value("a")
@@ -317,11 +317,11 @@ func FuzzSessionAgreesWithCheck(f *testing.F) {
 			}
 		}
 		ctx := context.Background()
-		want, err := Check(ctx, adt.Consensus{}, tr)
+		want, err := Check(ctx, adt.Consensus{}, tr, check.WithExact(true))
 		if err != nil {
 			t.Skip() // budget-type errors: nothing to compare
 		}
-		s := NewSession(ctx, adt.Consensus{})
+		s := NewSession(ctx, adt.Consensus{}, check.WithExact(true))
 		if err := s.FeedAll(tr); err != nil {
 			t.Fatalf("session error where one-shot succeeded: %v", err)
 		}
@@ -346,8 +346,8 @@ func TestSessionPendingMapBounded(t *testing.T) {
 		name string
 		s    *Session
 	}{
-		{"exact", NewSession(ctx, adt.Register{}, check.WithWitness(false))},
-		{"fast", NewSessionFast(ctx, adt.Register{}, check.WithWitness(false))},
+		{"exact", NewSession(ctx, adt.Register{}, check.WithWitness(false), check.WithExact(true))},
+		{"fast", NewSession(ctx, adt.Register{}, check.WithWitness(false))},
 	} {
 		for i := 0; i < 10_000; i++ {
 			c := trace.ClientID("k#" + strconv.Itoa(i))

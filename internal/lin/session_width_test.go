@@ -91,7 +91,7 @@ func TestSessionExhaustionSaysWhy(t *testing.T) {
 	// Two open proposals of one value: the response's expansion spends a
 	// node on the one configuration and one linearizing the other
 	// proposal first, against a budget of one node per fed action.
-	s := NewSession(ctx, adt.Consensus{}, check.WithBudget(1))
+	s := NewSession(ctx, adt.Consensus{}, check.WithBudget(1), check.WithExact(true))
 	if err := s.FeedAll(trace.Trace{trace.Invoke("a", 1, in), trace.Invoke("b", 1, in)}); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSessionExhaustionSaysWhy(t *testing.T) {
 	// A fast session that leaves its fragment (a duplicate written value,
 	// at feed 3) sticks to the error of the exact replay, explanation
 	// included: replayed, feed 2 expands like the proposal above.
-	fs := NewSessionFast(ctx, adt.Register{}, check.WithBudget(1))
+	fs := NewSession(ctx, adt.Register{}, check.WithBudget(1))
 	err = fs.FeedAll(trace.Trace{
 		trace.Invoke("a", 1, adt.WriteInput("x")), trace.Invoke("b", 1, adt.WriteInput("y")),
 		trace.Response("a", 1, adt.WriteInput("x"), adt.WriteOutput()), trace.Invoke("c", 1, adt.WriteInput("x")),

@@ -33,7 +33,7 @@ func overlapStream(seed int64, cycles int) trace.Trace {
 }
 
 func newOverlapSession(f adt.Folder) *Session {
-	return NewSession(context.Background(), f, check.WithWitness(false))
+	return NewSession(context.Background(), f, check.WithWitness(false), check.WithExact(true))
 }
 
 // TestTransitionMemoSharedSlot: keys that land on one memo slot — found
@@ -191,7 +191,7 @@ func TestTransitionMemoAsksOncePerPair(t *testing.T) {
 // leaves its fragment expands no frontier, so it allocates no memo and
 // interns nothing.
 func TestFastSessionAllocatesNoMemo(t *testing.T) {
-	s := NewSessionFast(context.Background(), adt.Register{}, check.WithWitness(false))
+	s := NewSession(context.Background(), adt.Register{}, check.WithWitness(false))
 	for i := 0; i < 100; i++ {
 		v := "v" + strconv.Itoa(i)
 		w, r := adt.WriteInput(v), adt.Tag(adt.ReadInput(), strconv.Itoa(i))

@@ -61,7 +61,7 @@ func TestOneShotBudgetPerFeed(t *testing.T) {
 		tr = append(tr, trace.Invoke(c, 1, in), trace.Response(c, 1, in, adt.WriteOutput()))
 	}
 	ctx := context.Background()
-	linRes, linErr := lin.Check(ctx, adt.Register{}, tr, check.WithBudget(100))
+	linRes, linErr := lin.Check(ctx, adt.Register{}, tr, check.WithBudget(100), check.WithExact(true))
 	slinRes, slinErr := CheckLin(ctx, adt.Register{}, tr, check.WithBudget(100))
 	if linErr != nil || !linRes.OK || slinErr != nil || !slinRes.OK {
 		t.Fatalf("100 nodes per fed action: lin.Check %v, %v; slin.CheckLin %v, %v; want linearizable",

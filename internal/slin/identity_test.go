@@ -32,7 +32,7 @@ func ordered(s *Session) *Session {
 
 // checkAs is one-shot Check, on the ordered identity when pos is set.
 func checkAs(pos bool, f adt.Folder, rinit RInit, m, n int, tr trace.Trace, opts ...check.Option) (Result, error) {
-	s, err := NewSession(context.Background(), f, rinit, m, n, opts...)
+	s, err := NewSession(context.Background(), f, rinit, m, n, append(opts, check.WithExact(true))...)
 	if err != nil {
 		return Result{}, err
 	}
@@ -45,7 +45,7 @@ func checkAs(pos bool, f adt.Folder, rinit RInit, m, n int, tr trace.Trace, opts
 // feedAs is an online session fed tr, on the ordered identity when pos
 // is set.
 func feedAs(pos bool, f adt.Folder, rinit RInit, m, n int, tr trace.Trace, opts ...check.Option) (Result, error) {
-	s, err := NewSession(context.Background(), f, rinit, m, n, opts...)
+	s, err := NewSession(context.Background(), f, rinit, m, n, append(opts, check.WithExact(true))...)
 	if err != nil {
 		return Result{}, err
 	}
@@ -171,7 +171,7 @@ func TestSLinPORSurvivesAborts(t *testing.T) {
 		t.Fatalf("split decision with an abort: position-free (%v, %d nodes), ordered (%v, %d nodes)",
 			free.OK, free.Nodes, pos.OK, pos.Nodes)
 	}
-	s, err := NewSession(ctx, adt.Consensus{}, ConsensusRInit{}, 1, 2)
+	s, err := NewSession(ctx, adt.Consensus{}, ConsensusRInit{}, 1, 2, check.WithExact(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestSLinSessionAbortRebuild(t *testing.T) {
 		{adt.Register{}, UniversalRInit{}, readsAbortTrace()},
 		{adt.Consensus{}, orderSensitive{ConsensusRInit{}}, commutingAbortTrace(4)},
 	} {
-		s, err := NewSession(ctx, c.f, c.rinit, 1, 2)
+		s, err := NewSession(ctx, c.f, c.rinit, 1, 2, check.WithExact(true))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +291,7 @@ func TestSLinBudgetAndCancelUnderPOR(t *testing.T) {
 	if _, err := Check(ctx, adt.Consensus{}, UniversalRInit{}, 1, 2, tr); !errors.Is(err, context.Canceled) {
 		t.Fatalf("expected context.Canceled, got %v", err)
 	}
-	s, err := NewSession(ctx, adt.Consensus{}, UniversalRInit{}, 1, 2)
+	s, err := NewSession(ctx, adt.Consensus{}, UniversalRInit{}, 1, 2, check.WithExact(true))
 	if err != nil {
 		t.Fatal(err)
 	}

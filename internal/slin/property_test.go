@@ -120,7 +120,7 @@ func TestTheorem2AgainstLin(t *testing.T) {
 			opts.CorruptProb = 0.5
 		}
 		tr := workload.Random(adt.Consensus{}, r, opts)
-		linRes, err := lin.Check(context.Background(), adt.Consensus{}, tr)
+		linRes, err := lin.Check(context.Background(), adt.Consensus{}, tr, check.WithExact(true))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -90,8 +90,8 @@ type Session struct {
 	verAt  int
 	verRes Result
 
-	// fast, when non-nil, is the lin.NewSessionFast session the session
-	// delegates to until the first switch action (NewSessionFast): sound
+	// fast, when non-nil, is the lin.NewSession core session the session
+	// delegates to until the first switch action (NewSession): sound
 	// for m == 1, where SLin(1,n) restricted to sig coincides with Lin
 	// (Theorem 2). A switch action rebuilds the combinations from the
 	// recorded trace, exactly like an init rebuild.
@@ -134,27 +134,25 @@ type abortOb struct {
 
 // NewSession starts an incremental SLin(m,n) check of an initially empty
 // trace. It validates the phase range like Check.
-func NewSession(ctx context.Context, f adt.Folder, rinit RInit, m, n int, opts ...check.Option) (*Session, error) {
-	return newSessionSettings(ctx, f, rinit, m, n, check.NewSettings(opts...))
-}
-
-// NewSessionFast is NewSession with fast-path dispatch (DESIGN.md,
-// decision 15): for m == 1 — where SLin(1,n) restricted to sig coincides
-// with Lin (Theorem 2) — actions go to a lin.NewSessionFast session, so
-// Feed costs O(1) amortized per action and spends no budget while the
-// trace stays inside a streaming core's fragment. The first switch
+//
+// For m == 1 — where SLin(1,n) restricted to sig coincides with Lin
+// (Theorem 2) — and a folder with a streaming core, actions go to a
+// lin.NewSession session running the core (DESIGN.md, decisions 15 and
+// 36), so Feed costs O(1) amortized per action and spends no budget
+// while the trace stays inside the core's fragment. The first switch
 // action, which Theorem 2's sig restriction excludes, falls back by
 // replaying the fed trace through the exact frontiers. check.WithExact,
 // m > 1, or a folder without a streaming core all yield a plain exact
-// session. Verdicts agree with NewSession on every prefix either way.
-func NewSessionFast(ctx context.Context, f adt.Folder, rinit RInit, m, n int, opts ...check.Option) (*Session, error) {
+// session. Verdicts agree with the exact session on every prefix either
+// way.
+func NewSession(ctx context.Context, f adt.Folder, rinit RInit, m, n int, opts ...check.Option) (*Session, error) {
 	set := check.NewSettings(opts...)
 	s, err := newSessionSettings(ctx, f, rinit, m, n, set)
 	if err != nil {
 		return nil, err
 	}
 	if m == 1 && !set.Exact && lin.NewFastChecker(f, false) != nil {
-		s.fast = lin.NewSessionFast(s.meter.Ctx, f, opts...)
+		s.fast = lin.NewSession(s.meter.Ctx, f, opts...)
 		s.record = true // fallback replays the fed trace
 	}
 	return s, nil
@@ -213,7 +211,7 @@ func (s *Session) Nodes() int {
 	return s.meter.Nodes
 }
 
-// Feed appends action a to the trace under check. Errors (budget or memo
+// Feed appends action a to the trace under check. Errors (budget
 // exhaustion, cancellation, actions outside sig(m,n), switch values
 // without interpretations) are terminal; (m,n)-ill-formed traces yield a
 // NotLinearizable verdict instead, matching Check.

@@ -28,7 +28,7 @@ func TestSLinSessionAgreesWithCheck(t *testing.T) {
 			tr := gen(r, i)
 			temporal := i%4 < 2
 			opts := []check.Option{check.WithTemporalAbortOrder(temporal)}
-			s, err := NewSession(ctx, adt.Consensus{}, ConsensusRInit{Probe: i%5 == 0}, m, n, opts...)
+			s, err := NewSession(ctx, adt.Consensus{}, ConsensusRInit{Probe: i%5 == 0}, m, n, append(opts, check.WithExact(true))...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +76,7 @@ func TestSLinSessionAgreesWithCheck(t *testing.T) {
 // verdict Unknown.
 func TestSLinSessionBudgetExhaustion(t *testing.T) {
 	s, err := NewSession(context.Background(), adt.Consensus{}, ConsensusRInit{}, 1, 2,
-		check.WithBudget(1))
+		check.WithBudget(1), check.WithExact(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSLinSessionBudgetPerFeed(t *testing.T) {
 	}
 	const budget = 30
 	per, err := NewSession(context.Background(), adt.Consensus{}, ConsensusRInit{}, 1, 2,
-		check.WithBudget(budget))
+		check.WithBudget(budget), check.WithExact(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSLinSessionBudgetPerFeed(t *testing.T) {
 	}
 	// Exhaustion within a single Feed is still terminal and sticky.
 	wide, err := NewSession(context.Background(), adt.Consensus{}, ConsensusRInit{}, 1, 2,
-		check.WithBudget(1))
+		check.WithBudget(1), check.WithExact(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestSLinSessionBudgetPerFeed(t *testing.T) {
 // TestSLinSessionCancellation cancels mid-stream.
 func TestSLinSessionCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	s, err := NewSession(ctx, adt.Consensus{}, ConsensusRInit{}, 1, 2)
+	s, err := NewSession(ctx, adt.Consensus{}, ConsensusRInit{}, 1, 2, check.WithExact(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestSLinSessionExhaustionSaysWhy(t *testing.T) {
 	}
 	budget := check.WithBudget(10)
 	_, oneErr := Check(ctx, adt.Consensus{}, UniversalRInit{}, 1, 2, tr, budget)
-	on, err := NewSession(ctx, adt.Consensus{}, UniversalRInit{}, 1, 2, budget)
+	on, err := NewSession(ctx, adt.Consensus{}, UniversalRInit{}, 1, 2, budget, check.WithExact(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestSLinSessionExhaustionSaysWhy(t *testing.T) {
 		abort = append(abort, trace.Invoke(c, 1, adt.Tag(p(string(rune('a'+i))), string(c))))
 	}
 	abort = append(abort, trace.Switch("q0", 2, adt.Tag(p("a"), "q0"), "a"))
-	s, err := NewSession(ctx, adt.Consensus{}, ConsensusRInit{}, 1, 2)
+	s, err := NewSession(ctx, adt.Consensus{}, ConsensusRInit{}, 1, 2, check.WithExact(true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestSLinSessionExhaustionSaysWhy(t *testing.T) {
 // invoked or switched in with that input — so it is checked on the
 // engine directly.
 func TestDischargeRequiresValidAbortInput(t *testing.T) {
-	s, err := NewSession(context.Background(), adt.Consensus{}, ConsensusRInit{}, 1, 2)
+	s, err := NewSession(context.Background(), adt.Consensus{}, ConsensusRInit{}, 1, 2, check.WithExact(true))
 	if err != nil {
 		t.Fatal(err)
 	}

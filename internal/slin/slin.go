@@ -90,13 +90,14 @@ type Result struct {
 // — "slin: search budget exhausted (feed 17: 2 combinations, 8
 // configurations, 5 open operations, 21 nodes)" — wrapping ErrBudget:
 // match it with errors.Is. Cancellation of ctx aborts with ctx's error.
+// Check never runs a fast-path core, whatever check.WithExact says.
 func Check(ctx context.Context, f adt.Folder, rinit RInit, m, n int, t trace.Trace, opts ...check.Option) (Result, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
 	}
-	s, err := NewSession(ctx, f, rinit, m, n, opts...)
+	s, err := newSessionSettings(ctx, f, rinit, m, n, check.NewSettings(opts...))
 	if err != nil {
 		return Result{}, err
 	}

@@ -22,7 +22,7 @@ func mustCheck(t *testing.T, rinit RInit, m, n int, tr trace.Trace, opts ...chec
 	if err != nil {
 		t.Fatalf("Check: %v", err)
 	}
-	s, err := NewSession(context.Background(), adt.Consensus{}, rinit, m, n, opts...)
+	s, err := NewSession(context.Background(), adt.Consensus{}, rinit, m, n, append(opts, check.WithExact(true))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestLiteralAbortOrderPrunesEagerly(t *testing.T) {
 		if r.OK {
 			t.Fatalf("post-abort commit over a fresh input accepted: %v", tr)
 		}
-		s, err := NewSession(context.Background(), adt.Consensus{}, ConsensusRInit{}, 1, 2)
+		s, err := NewSession(context.Background(), adt.Consensus{}, ConsensusRInit{}, 1, 2, check.WithExact(true))
 		if err != nil {
 			t.Fatal(err)
 		}

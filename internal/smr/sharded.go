@@ -374,8 +374,9 @@ func (sc *ShardedCluster) checkHistories(ctx context.Context, opts []check.Optio
 	if sc.cfg.OnlineCheck {
 		rep = sc.hist.Report()
 	} else {
-		// Witnesses off: a verdict and its nodes are all that is read.
-		opts = append(opts[:len(opts):len(opts)], check.WithWitness(false))
+		// Witnesses off: a verdict and its nodes are all that is read. The
+		// pass runs the exact engine, whose nodes the experiments report.
+		opts = append(opts[:len(opts):len(opts)], check.WithWitness(false), check.WithExact(true))
 		rep = sc.hist.Check(ctx, check.NewSettings(opts...).Workers, func(t trace.Trace, joined bool) (lin.Result, error) {
 			return lin.Check(ctx, histFolder(joined), t, opts...)
 		})
@@ -409,7 +410,7 @@ func histFolder(joined bool) adt.Folder {
 // action, as every budget is (DESIGN.md decision 34), so a session that
 // lives as long as the run never starves.
 func (sc *ShardedCluster) openSession(joined bool) *lin.Session {
-	return lin.NewSessionFast(sc.cfg.CheckContext, histFolder(joined), check.WithBudget(sc.cfg.CheckBudget),
+	return lin.NewSession(sc.cfg.CheckContext, histFolder(joined), check.WithBudget(sc.cfg.CheckBudget),
 		check.WithWitness(false), check.WithExact(sc.cfg.ExactCheck))
 }
 

@@ -136,8 +136,9 @@ func (o *Object) Results() []OpResult { return append([]OpResult{}, o.results...
 // Trace returns the object-level trace (invocations and responses).
 func (o *Object) Trace() trace.Trace { return o.rec.Trace() }
 
-// CheckLinearizable verifies the recorded trace against the ADT with the
-// exact checker (checker API v2: context-aware, functional options).
+// CheckLinearizable verifies the recorded trace against the ADT with
+// lin.Check: the ADT's fast-path core where one applies, the exact
+// engine otherwise or under check.WithExact(true).
 func (o *Object) CheckLinearizable(ctx context.Context, opts ...check.Option) (lin.Result, error) {
 	return lin.Check(ctx, o.f, o.Trace(), opts...)
 }

@@ -178,27 +178,24 @@ func (m Mode) String() string {
 // CheckSpec names what a Check decides: the ADT, the property mode, and —
 // for SLin — the interpretation relation and phase range.
 //
-// ADT-specialized fast paths (DESIGN.md, decision 15). For some folders
-// Check and NewSession dispatch to near-linear specialized checkers
-// instead of the exact search engines, transparently falling back to
-// the exact engines the moment a trace leaves the specialized fragment
-// (verdicts agree either way; WithExact forces the exact engines):
+// ADT-specialized fast paths (DESIGN.md, decisions 15 and 36). For five
+// folders, Lin checks and Lin/SLin(1,n) sessions run a near-linear
+// specialized core instead of the exact search engines while the trace
+// stays inside the core's fragment — pairwise-distinct input strings
+// plus the conditions below — and fall back to the exact engines
+// transparently the moment it leaves (verdicts agree either way;
+// WithExact forces the exact engines):
 //
-//   - RegisterADT — one-shot Lin checks and Lin/SLin(1,n) sessions
-//     (Gibbons–Korach interval analysis; distinct write values and
-//     distinct input strings).
-//   - ConsensusADT — one-shot Lin checks and Lin/SLin(1,n) sessions
-//     (single-decision analysis; distinct input strings).
-//   - QueueADT — one-shot Lin checks and Lin/SLin(1,n) sessions
-//     (matched enqueue/dequeue segments, decided on every prefix;
-//     distinct enqueue values and input strings, no empty dequeues);
-//     positive verdicts carry a witness up to a size cap.
-//   - MutexADT — one-shot Lin checks and Lin/SLin(1,n) sessions
-//     (greedy alternation simulation plus counting rejects; distinct
-//     input strings, all-"ok:" outputs).
-//   - StackADT — one-shot Lin checks and Lin/SLin(1,n) sessions
-//     (greedy LIFO simulation; distinct push values and input strings,
-//     no empty pops).
+//   - RegisterADT — Gibbons–Korach interval analysis; distinct write
+//     values.
+//   - ConsensusADT — single-decision analysis.
+//   - QueueADT — matched enqueue/dequeue analysis, decided on every
+//     prefix; no value enqueued while still queued, no empty dequeues.
+//     Positive verdicts carry a witness up to a size cap.
+//   - MutexADT — greedy alternation simulation plus counting rejects;
+//     all-"ok:" outputs.
+//   - StackADT — greedy LIFO simulation; distinct push values, no empty
+//     pops.
 //
 // Everything else — other folders, SLin with M > 1, ClassicalLin, SLin
 // one-shot checks — always runs the exact engines.
@@ -320,8 +317,8 @@ var (
 // Check decides spec's property for trace t. It is context-aware —
 // cancellation or a context deadline aborts the search with the context's
 // error and verdict Unknown — and configured by functional options. On
-// budget or memo exhaustion the Report carries verdict Unknown alongside
-// the sentinel error.
+// budget exhaustion the Report carries verdict Unknown alongside the
+// sentinel error.
 func Check(ctx context.Context, spec CheckSpec, t Trace, opts ...Option) (Report, error) {
 	start := time.Now()
 	var rep Report
@@ -329,7 +326,7 @@ func Check(ctx context.Context, spec CheckSpec, t Trace, opts ...Option) (Report
 	switch spec.Mode {
 	case Lin:
 		var r lin.Result
-		r, err = lin.CheckFast(ctx, spec.Folder, t, opts...)
+		r, err = lin.Check(ctx, spec.Folder, t, opts...)
 		rep = Report{Verdict: linVerdict(r, err), Reason: r.Reason, Witness: r.Witness, Nodes: r.Nodes}
 	case ClassicalLin:
 		var r lin.Result
@@ -376,9 +373,9 @@ func NewSession(ctx context.Context, spec CheckSpec, opts ...Option) (*Session, 
 	s := &Session{mode: spec.Mode, start: time.Now()}
 	switch spec.Mode {
 	case Lin:
-		s.lin = lin.NewSessionFast(ctx, spec.Folder, opts...)
+		s.lin = lin.NewSession(ctx, spec.Folder, opts...)
 	case SLin:
-		sl, err := slin.NewSessionFast(ctx, spec.Folder, spec.RInit, spec.M, spec.N, opts...)
+		sl, err := slin.NewSession(ctx, spec.Folder, spec.RInit, spec.M, spec.N, opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -391,7 +388,7 @@ func NewSession(ctx context.Context, spec CheckSpec, opts ...Option) (*Session, 
 	return s, nil
 }
 
-// Feed appends one action to the trace under check. Errors (budget/memo
+// Feed appends one action to the trace under check. Errors (budget
 // exhaustion, cancellation, out-of-signature actions) are terminal;
 // ill-formed traces yield a NotLinearizable verdict instead.
 func (s *Session) Feed(a Action) error {
