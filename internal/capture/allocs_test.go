@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"runtime/debug"
+	"runtime/pprof"
 	"strconv"
 	"testing"
 	"time"
@@ -27,8 +29,10 @@ import (
 // sequential histories cut at every filled log chunk (decision 26) and
 // the core restarts at every cut (decision 35), so its tables, blocks
 // and closed arrays hold one stretch and are reused: the fixed part is
-// the sessions, tables and log chunks sized once, measured at 10.5 KB,
-// plus 25%, and the part per action is measured at 0 (±0.001 B): the
+// the sessions, tables and log chunks sized once, measured at 9.1 KB
+// since the router hands each response its operation's handle (decision
+// 37; 9.9 KB while the sessions paired them by client), with 10.5 KB
+// plus 25% as the budget, and the part per action is measured at 0 (±0.001 B): the
 // log's first chunk is 16 actions and each cut reuses it, so a single
 // 8-byte allocation per cut would read 0.5 B per action. The
 // cost per action was 68 B while the cores kept two digest-table slots
@@ -74,23 +78,50 @@ func recordRegisterPairs(pairs int) (*Recorder, int) {
 	return rec, 4 * pairs
 }
 
+// allocated returns what the window build returns allocates, in objects
+// and bytes, read with the collector idle — a cycle is finished before
+// the window opens and none starts inside it — and with no OS thread
+// started inside it: the runtime allocates a thread's m and g0 on the
+// heap, 5 248 B on the 2-core box, which a window read in about 1 of 30
+// isolated runs and in nearly every third one beside a second copy of
+// the test. A window that started a thread is built and run again, up to
+// five times.
+func allocated(build func() (window func())) (objects, bytes uint64) {
+	threads := pprof.Lookup("threadcreate")
+	for try := 1; ; try++ {
+		window := build()
+		runtime.GC()
+		gc := debug.SetGCPercent(-1)
+		started := threads.Count()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		window()
+		runtime.ReadMemStats(&after)
+		debug.SetGCPercent(gc)
+		if threads.Count() == started || try == 5 {
+			return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+		}
+	}
+}
+
 func TestDrainAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
 	const pairs = 25_000 // per proc: 50 000 pairs, 100 000 actions
-	var before, after runtime.MemStats
 
 	// The merge alone allocates nothing per action.
-	rec, actions := recordRegisterPairs(pairs)
-	merged := 0
-	runtime.ReadMemStats(&before)
-	rec.each(math.MaxInt64, func(trace.Action) { merged++ })
-	runtime.ReadMemStats(&after)
+	var merged, actions int
+	objects, _ := allocated(func() func() {
+		var rec *Recorder
+		rec, actions = recordRegisterPairs(pairs)
+		merged = 0
+		return func() { rec.each(math.MaxInt64, func(*Proc, *Event) { merged++ }) }
+	})
 	if merged != actions {
 		t.Fatalf("merged %d of %d actions", merged, actions)
 	}
-	mallocs := float64(after.Mallocs-before.Mallocs) / float64(actions)
+	mallocs := float64(objects) / float64(actions)
 	t.Logf("merge: %.4f allocations per action", mallocs)
 	if mallocs > 0.01 {
 		t.Fatalf("the merge makes %.4f allocations per action, want ≤ 0.01", mallocs)
@@ -101,19 +132,21 @@ func TestDrainAllocationBudget(t *testing.T) {
 	// cost, what is left of the shorter one the fixed cost.
 	var runs [2]struct{ actions, bytes float64 }
 	for i, n := range []int{pairs, 4 * pairs} {
-		rec, actions = recordRegisterPairs(n)
-		set := keyed.New(keyed.Policy{Sessions: true}, func(bool) *lin.Session {
-			return lin.NewSession(context.Background(), adt.Register{}, check.WithWitness(false))
+		var set *keyed.Set
+		_, bytes := allocated(func() func() {
+			var rec *Recorder
+			rec, actions = recordRegisterPairs(n)
+			set = keyed.New(keyed.Policy{Sessions: true}, func(bool) *lin.Session {
+				return lin.NewSession(context.Background(), adt.Register{}, check.WithWitness(false))
+			})
+			return func() { rec.each(math.MaxInt64, router{set, mapKeyOf}.emit) }
 		})
-		runtime.ReadMemStats(&before)
-		rec.each(math.MaxInt64, route(set, mapKeyOf))
-		runtime.ReadMemStats(&after)
 		rep := routeReport(set.Report())
 		if rep.Verdict != speclin.Linearizable || rep.Actions != int64(actions) || rep.Nodes != rep.Actions {
 			t.Fatalf("routed %d of %d actions in %d nodes, verdict %v (%s): the stream left the fast path",
 				rep.Actions, actions, rep.Nodes, rep.Verdict, rep.Reason)
 		}
-		runs[i].actions, runs[i].bytes = float64(actions), float64(after.TotalAlloc-before.TotalAlloc)
+		runs[i].actions, runs[i].bytes = float64(actions), float64(bytes)
 		t.Logf("merge + route + feed: %.0f B over %d actions", runs[i].bytes, actions)
 	}
 	perAction := (runs[1].bytes - runs[0].bytes) / (runs[1].actions - runs[0].actions)

@@ -56,6 +56,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/keyed"
 	"repro/internal/trace"
 )
 
@@ -102,6 +103,10 @@ type Proc struct {
 	drained int64
 	avail   int64  // published, as loaded when the current merge began
 	cur     *Event // merge head: the next event to emit, nil when none is below the limit
+	// op is the proc's open operation's handle while open is set: the
+	// router pairs a response with it (DESIGN.md, decision 37).
+	op   keyed.Op
+	open bool
 }
 
 // Client returns the client ID the proc's actions carry ("g0", "g1", …).
@@ -242,18 +247,26 @@ func (r *Recorder) Drain(limit int64, dst trace.Trace) trace.Trace {
 		n += int(p.published.Load() - p.drained)
 	}
 	dst = slices.Grow(dst, n)
-	r.each(limit, func(a trace.Action) { dst = append(dst, a) })
+	r.each(limit, func(p *Proc, ev *Event) { dst = append(dst, p.action(ev)) })
 	return dst
 }
 
+// action is ev as an action of p's client, of phase 1.
+func (p *Proc) action(ev *Event) trace.Action {
+	if ev.Kind == trace.Inv {
+		return trace.Invoke(p.client, 1, ev.In)
+	}
+	return trace.Response(p.client, 1, ev.In, ev.Out)
+}
+
 // each is the merge behind Drain: it hands emit every not-yet-drained
-// event with T < limit in (T, Inv before Res, proc) order. Per proc,
+// event with T < limit, with its proc, in (T, Inv before Res, proc) order. Per proc,
 // timestamps are strictly increasing, so each buffer is already a sorted
 // run and no two events compare equal: the k-way merge over the procs'
 // next events is the one total order that sorting the batch would give.
 // The work per event is a sift in a heap of at most Procs() entries and
 // nothing is allocated.
-func (r *Recorder) each(limit int64, emit func(trace.Action)) {
+func (r *Recorder) each(limit int64, emit func(*Proc, *Event)) {
 	// What a proc has published is loaded once, before any event is
 	// emitted: with limit = Watermark() every event below it was already
 	// published (the gate protocol), so the set merged is fixed here and
@@ -270,11 +283,7 @@ func (r *Recorder) each(limit int64, emit func(trace.Action)) {
 	}
 	for len(h) > 0 {
 		p := h[0]
-		if ev := p.cur; ev.Kind == trace.Inv {
-			emit(trace.Invoke(p.client, 1, ev.In))
-		} else {
-			emit(trace.Response(p.client, 1, ev.In, ev.Out))
-		}
+		emit(p, p.cur)
 		p.headN++
 		p.drained++
 		if !p.peek(limit) {

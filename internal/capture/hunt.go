@@ -94,7 +94,7 @@ type Report struct {
 	// fed, one per key (the mutex and queue have one key), and its Wall
 	// the drainer's time in them.
 	Live RouteReport
-	// ClassicalReport is the optional post-run ClassicalLin pass.
+	// Classical is the optional post-run ClassicalLin pass.
 	Classical *RouteReport
 	// Wall is the stress run's wall clock, drain and live checking
 	// included, the classical pass excluded.
@@ -138,25 +138,7 @@ func hunt(ctx context.Context, cfg Config) (Report, *keyed.Set, error) {
 	// living for the whole stress run never starves its late actions.
 	opts := []check.Option{check.WithBudget(cfg.Budget), check.WithWitness(false),
 		check.WithExact(cfg.Exact)}
-	var f adt.Folder
-	var keyOf func(trace.Value) string
-	switch cfg.Structure {
-	case StructMap:
-		f, keyOf = adt.Register{}, mapKeyOf
-	case StructMutex:
-		f = adt.Mutex{}
-	case StructSet:
-		// The set folder has no fast path, so its per-key sessions run the
-		// exact frontier engine. Its configurations are keyed on the set's
-		// state and the open operations already linearized (DESIGN.md,
-		// decision 20), so a key's frontier is as wide as the goroutines
-		// overlapping on it admit, however long the scheduler keeps one of
-		// them off the CPU mid-operation: the set checks live like the map
-		// and mutex do.
-		f, keyOf = adt.Set{}, setKeyOf
-	case StructQueue:
-		f = adt.Queue{}
-	}
+	f, keyOf := checkerOf(cfg.Structure)
 	set := keyed.New(keyed.Policy{Sessions: true, Retain: cfg.Classical},
 		func(bool) *lin.Session { return lin.NewSession(ctx, f, opts...) })
 
@@ -170,7 +152,7 @@ func hunt(ctx context.Context, cfg Config) (Report, *keyed.Set, error) {
 		timer := time.AfterFunc(cfg.Duration, func() { close(done) })
 		defer timer.Stop()
 	}
-	set.Charge(rec.drainLive(h.start(rec, done), route(set, keyOf)))
+	set.Charge(rec.drainLive(h.start(rec, done), router{set, keyOf}.emit))
 
 	rep := Report{
 		Structure:  cfg.Structure,
@@ -194,11 +176,34 @@ func hunt(ctx context.Context, cfg Config) (Report, *keyed.Set, error) {
 	return rep, set, nil
 }
 
+// checkerOf returns the folder structure's histories are checked against
+// and the key function that splits them (nil: one history).
+func checkerOf(structure string) (f adt.Folder, keyOf func(trace.Value) string) {
+	switch structure {
+	case StructMap:
+		return adt.Register{}, mapKeyOf
+	case StructMutex:
+		return adt.Mutex{}, nil
+	case StructSet:
+		// The set folder has no fast path, so its per-key sessions run the
+		// exact frontier engine. Its configurations are keyed on the set's
+		// state and the open operations already linearized (DESIGN.md,
+		// decision 20), so a key's frontier is as wide as the goroutines
+		// overlapping on it admit, however long the scheduler keeps one of
+		// them off the CPU mid-operation: the set checks live like the map
+		// and mutex do.
+		return adt.Set{}, setKeyOf
+	case StructQueue:
+		return adt.Queue{}, nil
+	}
+	return nil, nil
+}
+
 // drainLive is the live drain loop: once a millisecond it merges
 // everything below the watermark into emit, and when finished closes
 // (every proc is closed by then) it merges the rest. It returns the time
 // spent in those batches, one clock pair each.
-func (r *Recorder) drainLive(finished <-chan struct{}, emit func(trace.Action)) (busy time.Duration) {
+func (r *Recorder) drainLive(finished <-chan struct{}, emit func(*Proc, *Event)) (busy time.Duration) {
 	tick := time.NewTicker(time.Millisecond)
 	defer tick.Stop()
 	for running := true; running; {
@@ -439,7 +444,7 @@ func Overhead(cfg Config) (OverheadReport, error) {
 		start := time.Now()
 		finished := h.start(rec, nil)
 		if captured {
-			rec.drainLive(finished, func(trace.Action) {})
+			rec.drainLive(finished, func(*Proc, *Event) {})
 		} else {
 			<-finished
 		}

@@ -19,13 +19,36 @@ import (
 	"repro/internal/trace"
 )
 
-// route is the drainer's emit: every action to its key's history (keyOf
-// nil means one history under the key "").
-func route(set *keyed.Set, keyOf func(trace.Value) string) func(trace.Action) {
-	if keyOf == nil {
-		return func(a trace.Action) { set.Feed("", a) }
+// router is the drainer's emit (DESIGN.md, decision 37): it routes each
+// invocation to its key's history (keyOf nil means one history under the
+// key "") and keeps the handle keyed.Set.Invoke returns on the proc, which
+// has at most one operation open; the response goes back through that
+// handle, so it is never routed, nor its key parsed. An event that breaks
+// its proc's alternation — an invocation while one is open, a response
+// with none open or with another input — goes to its own key's history,
+// which it makes NotLinearizable (keyed.Set.Malformed).
+type router struct {
+	set   *keyed.Set
+	keyOf func(trace.Value) string
+}
+
+func (r router) emit(p *Proc, ev *Event) {
+	switch {
+	case ev.Kind == trace.Inv && !p.open:
+		p.op, p.open = r.set.Invoke(r.key(ev.In), p.client, ev.In), true
+	case ev.Kind == trace.Res && p.open && p.op.Input() == ev.In:
+		p.open = false
+		r.set.Respond(p.op, ev.Out)
+	default:
+		r.set.Malformed(r.key(ev.In), p.action(ev))
 	}
-	return func(a trace.Action) { set.Feed(keyOf(a.Input), a) }
+}
+
+func (r router) key(in trace.Value) string {
+	if r.keyOf == nil {
+		return ""
+	}
+	return r.keyOf(in)
 }
 
 // RouteReport aggregates the per-key verdicts of one check pass. Verdict

@@ -311,6 +311,45 @@ func Fastpath(ctx context.Context, f adt.Folder, t trace.Trace, extra ...check.O
 	return nil
 }
 
+// Ops cross-checks the operation path (DESIGN.md, decision 37): over the
+// longest well-formed prefix of t — Invoke and Respond trust their caller
+// to pair each response with its invocation — a session driven by
+// Invoke and Respond, the caller keeping each client's open Op, must
+// equal one Feed drives after every action in verdict, result (reason
+// and witness included), nodes and length, and fail alike. extra options
+// apply to both.
+func Ops(ctx context.Context, f adt.Folder, t trace.Trace, extra ...check.Option) error {
+	fed, ops := lin.NewSession(ctx, f, extra...), lin.NewSession(ctx, f, extra...)
+	open := map[trace.ClientID]lin.Op{}
+	for k, a := range t {
+		op, busy := open[a.Client]
+		var err error
+		switch {
+		case a.Kind == trace.Inv && !busy:
+			open[a.Client], err = ops.Invoke(a.Client, a.Input)
+		case a.Kind == trace.Res && busy && op.Input == a.Input:
+			delete(open, a.Client)
+			err = ops.Respond(op, a.Output)
+		default:
+			return nil // ill-formed from here: Feed's alone to judge
+		}
+		ferr := fed.Feed(a)
+		if (err == nil) != (ferr == nil) || err != nil && err.Error() != ferr.Error() {
+			return disagree(t[:k+1], "op session error %v, feed session error %v", err, ferr)
+		}
+		if err != nil {
+			return fmt.Errorf("diffcheck op session feed %d: %w", k, err)
+		}
+		got, _ := ops.Result()
+		want, _ := fed.Result()
+		if got.OK != want.OK || got.Reason != want.Reason || got.Nodes != want.Nodes ||
+			fmt.Sprint(got.Witness) != fmt.Sprint(want.Witness) || ops.Verdict() != fed.Verdict() || ops.Len() != fed.Len() {
+			return disagree(t[:k+1], "op session prefix %d: %+v, feed session %+v", k+1, got, want)
+		}
+	}
+	return nil
+}
+
 // FastpathSLin cross-checks the SLin(1,n) fast-path session — sound by
 // Theorem 2, which collapses SLin(1,n) restricted to sig onto Lin —
 // against the exact slin engines: the fast session's running verdict

@@ -608,12 +608,14 @@ func agree(t *testing.T, iter int, what string, err error) {
 }
 
 // TestFastpathRandomizedAgreement sweeps the seeded random traces
-// through the full fast-vs-exact harness for every specialized folder.
+// through the full fast-vs-exact harness for every specialized folder,
+// and through the operation path (Ops).
 func TestFastpathRandomizedAgreement(t *testing.T) {
 	for _, fc := range randomFolders {
 		t.Run(fc.name, func(t *testing.T) {
 			randomTraces(fc, func(iter int, tr trace.Trace) {
 				agree(t, iter, "", Fastpath(context.Background(), fc.f, tr, check.WithBudget(fastBudget)))
+				agree(t, iter, " (ops)", Ops(context.Background(), fc.f, tr, check.WithBudget(fastBudget)))
 				// Every few iterations, the same trace through the
 				// SLin(1,2) fast session against the exact slin engine
 				// (Theorem 2 grounds the comparison).
@@ -896,6 +898,9 @@ func TestFastpathLongRegisterSession(t *testing.T) {
 // The bit below it runs the same arm after a prefix made of the pool's
 // own inputs and values (repeatPrefix), so the trace repeats them across
 // the cut, where the restarted core has forgotten them (decision 35).
+// Every trace also runs through the operation path (Ops): a session
+// driven by Invoke and Respond must equal the Feed session on every
+// prefix (decision 37).
 func FuzzFastpathVsExact(f *testing.F) {
 	f.Add(uint8(1), []byte{0x00, 0x00, 0x04, 0x00, 0x89, 0x00, 0x8d, 0x02, 0x92, 0x00, 0x96, 0x04})
 	f.Add(uint8(0), []byte{0x00, 0x00, 0x01, 0x00, 0x04, 0x00, 0x05, 0x02, 0x02, 0x01})
@@ -978,7 +983,11 @@ func FuzzFastpathVsExact(f *testing.F) {
 		if len(data) > 0 && data[len(data)-1]&1 == 1 {
 			tr = completeTrace(tr, outputs)
 		}
-		err := Fastpath(context.Background(), folder, append(prefix, tr...), opts...)
+		whole := append(prefix, tr...)
+		err := Ops(context.Background(), folder, whole, opts...)
+		if err == nil {
+			err = Fastpath(context.Background(), folder, whole, opts...)
+		}
 		if err == nil {
 			return
 		}

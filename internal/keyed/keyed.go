@@ -2,8 +2,9 @@
 // (DESIGN.md, decision 28). Linearizability is local: a history of a
 // product object is linearizable iff every per-key projection is, and
 // keys that one multi-key operation touches form a component checked as
-// one history. A Set routes each action to its key's history, which per
-// its Policy streams through a live lin.Session, keeps its trace for a
+// one history. A Set routes each action (Feed), or each operation through
+// its handle (Invoke, Respond), to its key's history, which per its
+// Policy streams through a live lin.Session, keeps its trace for a
 // one-shot pass after the run, or both.
 package keyed
 
@@ -39,35 +40,86 @@ type history struct {
 	joined bool
 	sess   *lin.Session
 	err    error // the session's first error: terminal for this history alone
-	nodes  int   // a dead session's nodes (the session itself is dropped)
+	notWF  bool  // fed an action Malformed reported: NotLinearizable, final
+	nodes  int   // a dead or ill-formed history's nodes (its session is dropped)
 	acts   int64 // actions fed
 	ops    int64 // of them responses
 	tr     trace.Trace
 }
+
+// Op is an open operation's handle (DESIGN.md, decision 37): its
+// history and its session's lin.Op.
+type Op struct {
+	h  int
+	op lin.Op
+}
+
+// Input returns the operation's input.
+func (o Op) Input() trace.Value { return o.op.Input }
 
 // New returns an empty Set; open(joined) opens a key's or component's session.
 func New(pol Policy, open func(joined bool) *lin.Session) *Set {
 	return &Set{pol: pol, open: open, idx: map[string]int{}}
 }
 
-// Feed routes one action to key's history, created on its first feed.
+// Feed routes one action to key's history, created on its first feed;
+// the history's session pairs each response with its client's open
+// invocation.
 func (s *Set) Feed(key string, a trace.Action) {
-	i, ok := s.idx[key]
-	if !ok {
-		root, joined := key, false
-		if s.uf != nil {
-			if _, joined = s.uf.parent[key]; joined {
-				root = s.uf.root(key)
-			}
-		}
-		if i, ok = s.idx[root]; !ok {
-			i = len(s.hist)
-			s.hist = append(s.hist, history{key: root, joined: joined})
-			s.idx[root] = i
-		}
-		s.idx[key] = i
+	h := s.tally(key, a)
+	if s.live(h) {
+		h.fail(h.sess.Feed(a))
 	}
+}
+
+// Invoke routes client c's invocation of in to key's history, created on
+// its first feed, and returns the operation's handle: its Respond goes to
+// the same history without a second routing. The caller vouches that c
+// has no operation open in any history of the set.
+func (s *Set) Invoke(key string, c trace.ClientID, in trace.Value) Op {
+	i := s.route(key)
 	h := &s.hist[i]
+	h.acts++
+	if s.pol.Retain {
+		h.tr = append(h.tr, trace.Invoke(c, 1, in))
+	}
+	op := Op{h: i, op: lin.Op{Client: c, Input: in}}
+	if s.live(h) {
+		var err error
+		op.op, err = h.sess.Invoke(c, in)
+		h.fail(err)
+	}
+	return op
+}
+
+// Respond routes the response out to op, open since its Invoke on this set.
+func (s *Set) Respond(op Op, out trace.Value) {
+	h := &s.hist[op.h]
+	h.acts++
+	h.ops++
+	if s.pol.Retain {
+		h.tr = append(h.tr, trace.Response(op.op.Client, 1, op.op.Input, out))
+	}
+	if s.live(h) {
+		h.fail(h.sess.Respond(op.op, out))
+	}
+}
+
+// Malformed routes a to key's history as an action that breaks its
+// client's alternation of invocations and responses, which the caller saw
+// and no one session can: the history is NotLinearizable, final, and its
+// session is fed nothing more.
+func (s *Set) Malformed(key string, a trace.Action) {
+	h := s.tally(key, a)
+	if h.sess != nil {
+		h.nodes, h.sess = h.sess.Nodes(), nil
+	}
+	h.notWF = true
+}
+
+// tally counts a in key's history and, per the policy, retains it.
+func (s *Set) tally(key string, a trace.Action) *history {
+	h := &s.hist[s.route(key)]
 	h.acts++
 	if a.Kind == trace.Res {
 		h.ops++
@@ -75,14 +127,47 @@ func (s *Set) Feed(key string, a trace.Action) {
 	if s.pol.Retain {
 		h.tr = append(h.tr, a)
 	}
-	if !s.pol.Sessions || h.err != nil {
-		return
+	return h
+}
+
+// route returns key's history, created on its first feed.
+func (s *Set) route(key string) int {
+	if i, ok := s.idx[key]; ok {
+		return i
+	}
+	root, joined := key, false
+	if s.uf != nil {
+		if _, joined = s.uf.parent[key]; joined {
+			root = s.uf.root(key)
+		}
+	}
+	i, ok := s.idx[root]
+	if !ok {
+		i = len(s.hist)
+		s.hist = append(s.hist, history{key: root, joined: joined})
+		s.idx[root] = i
+	}
+	s.idx[key] = i
+	return i
+}
+
+// live reports whether h's session is fed, opening it on the first feed.
+func (s *Set) live(h *history) bool {
+	if !s.pol.Sessions || h.err != nil || h.notWF {
+		return false
 	}
 	if h.sess == nil {
 		h.sess = s.open(h.joined)
 	}
-	if h.err = h.sess.Feed(a); h.err != nil {
-		h.nodes, h.sess = h.sess.Nodes(), nil // a dead session only answers its error
+	return true
+}
+
+// fail makes a non-nil err the history's terminal error: a dead session
+// only answers its error, so it is dropped.
+func (h *history) fail(err error) {
+	if err != nil {
+		h.err = err
+		h.nodes, h.sess = h.sess.Nodes(), nil
 	}
 }
 
@@ -180,6 +265,9 @@ func (s *Set) report(result func(i int) (lin.Result, error)) Report {
 	}
 	for i, h := range s.hist {
 		r, err := result(i)
+		if h.notWF && err == nil {
+			r.OK, r.Reason = false, "trace is not well-formed"
+		}
 		rep.Actions += h.acts
 		rep.Ops += h.ops
 		rep.Nodes += int64(r.Nodes)

@@ -3,6 +3,7 @@ package keyed
 import (
 	"context"
 	"errors"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -250,5 +251,75 @@ func TestFeedAllocatesNothing(t *testing.T) {
 	}
 	if s.uf != nil || s.Joined("k") {
 		t.Fatal("a set with no joins built a union-find")
+	}
+}
+
+// The operation path (DESIGN.md, decision 37) equals Feed: interleaved
+// operations on three keys, invoked and answered through their handles,
+// leave the report and the retained traces a Set fed the same actions
+// keeps — the first key's history refused, since one of its reads
+// returns a value never written — and an action Malformed reports makes
+// its key's history, and only it, not well-formed. (Mutant: Respond
+// feeds the history next to the handle's.)
+func TestOpsEqualFeed(t *testing.T) {
+	var opened []bool
+	ops := New(Policy{Sessions: true, Retain: true}, registers(0, &opened))
+	fed := New(Policy{Sessions: true, Retain: true}, registers(0, &opened))
+	keys := []string{"a", "b", "c"}
+	last := []trace.Value{adt.Bottom, adt.Bottom, adt.Bottom}
+	for i := 0; i < 30; i++ {
+		var answers []func()
+		for j, key := range keys {
+			c := trace.ClientID(key)
+			in := adt.Tag(adt.ReadInput(), strconv.Itoa(i))
+			out := adt.ReadOutput(last[j])
+			if (i+j)%2 == 0 {
+				last[j] = trace.Value(key + strconv.Itoa(i))
+				in, out = adt.WriteInput(last[j]), adt.WriteOutput()
+			}
+			if key == "a" && i == 7 {
+				out = adt.ReadOutput("never")
+			}
+			op := ops.Invoke(key, c, in)
+			fed.Feed(key, trace.Invoke(c, 1, in))
+			answers = append(answers, func() {
+				ops.Respond(op, out)
+				fed.Feed(key, trace.Response(c, 1, in, out))
+			})
+		}
+		for j := len(answers) - 1; j >= 0; j-- { // every key's operation overlaps the others'
+			answers[j]()
+		}
+	}
+	rep := ops.Report()
+	if rep != fed.Report() {
+		t.Fatalf("ops %+v, Feed %+v", rep, fed.Report())
+	}
+	if rep.Verdict != check.NotLinearizable || rep.Key != "a" || rep.Histories != 3 || rep.Nodes != 180 {
+		t.Fatalf("report %+v, want key a refused, 180 nodes", rep)
+	}
+	for _, h := range ops.hist[1:] {
+		if r, err := h.sess.Result(); !r.OK || err != nil {
+			t.Fatalf("key %s: %+v, %v; want linearizable", h.key, r, err)
+		}
+	}
+	var kept []trace.Trace
+	ops.Traces(func(_ string, _ bool, tr trace.Trace) { kept = append(kept, tr) })
+	fed.Traces(func(_ string, _ bool, tr trace.Trace) {
+		if len(kept) == 0 || !slices.Equal(kept[0], tr) {
+			t.Fatalf("retained traces differ")
+		}
+		kept = kept[1:]
+	})
+
+	s := New(Policy{Sessions: true}, registers(0, &opened))
+	feedWrites(s, "b", 0, 2)
+	in := adt.WriteInput("x")
+	s.Malformed("c", trace.Response("c", 1, in, adt.WriteOutput()))
+	feedWrites(s, "c", 0, 2)
+	rep = s.Report()
+	if rep.Verdict != check.NotLinearizable || rep.Key != "c" || rep.Reason != "trace is not well-formed" ||
+		rep.Actions != 9 || rep.Ops != 5 || rep.Nodes != 4 {
+		t.Fatalf("report %+v, want c not well-formed after b's 4 nodes", rep)
 	}
 }

@@ -344,8 +344,8 @@ func frontierStates(t *testing.T, s *Session) map[adt.State]bool {
 func seedStates(t *testing.T, f adt.Folder, seed trace.Trace) []adt.State {
 	t.Helper()
 	s := NewSession(context.Background(), f, check.WithWitness(false), check.WithExact(true))
-	if err := s.FeedAll(seed); err != nil || s.Verdict() != check.Linearizable || len(s.pending) != 0 {
-		t.Fatalf("seed %v: verdict %v, %d open, %v", seed, s.Verdict(), len(s.pending), err)
+	if err := s.FeedAll(seed); err != nil || s.Verdict() != check.Linearizable || s.open != 0 {
+		t.Fatalf("seed %v: verdict %v, %d open, %v", seed, s.Verdict(), s.open, err)
 	}
 	var got []adt.State
 	for st := range frontierStates(t, s) {
@@ -436,7 +436,7 @@ func TestQuiescentCutsMatchExact(t *testing.T) {
 					if cn, wn := cut.meter.Nodes, whole.meter.Nodes; cn > wn || whole.fast != nil && cut.Nodes() != whole.Nodes() {
 						t.Fatalf("iter %d prefix %d: %d search nodes with cuts, %d without", iter, k+1, cn, wn)
 					}
-					if probe.fast == nil || probe.fastRej || probe.notWF != "" || len(probe.pending) != 0 {
+					if probe.fast == nil || probe.fastRej || probe.notWF != "" || probe.open != 0 {
 						continue
 					}
 					if got, ok := probe.fast.(cutter).cutStates(); ok {
@@ -529,7 +529,7 @@ func TestRegisterCutStates(t *testing.T) {
 		if err := errors.Join(s.FeedAll(tc.tr), ex.FeedAll(tc.tr)); err != nil {
 			t.Fatal(err)
 		}
-		if s.fast == nil || s.Verdict() != check.Linearizable || len(s.pending) != 0 {
+		if s.fast == nil || s.Verdict() != check.Linearizable || s.open != 0 {
 			t.Fatalf("%s: not a quiescent in-fragment history", tc.name)
 		}
 		got, _ := s.fast.(cutter).cutStates()
@@ -790,7 +790,7 @@ func TestCutStatesAllocateNothing(t *testing.T) {
 			if s.fast == nil || s.fastRej {
 				break
 			}
-			if quiescent = len(s.pending) == 0; quiescent && k >= 32 {
+			if quiescent = s.open == 0; quiescent && k >= 32 {
 				break
 			}
 		}

@@ -56,8 +56,12 @@ type Session struct {
 	Frontier
 	set check.Settings
 
-	// pending holds the open invocation of each client that has one.
-	pending map[trace.ClientID]pendingInv
+	// open counts the operations invoked and not yet responded to;
+	// pending holds each client's open Op for Feed, which pairs a
+	// response with its invocation by client (Invoke and Respond callers
+	// pair them themselves).
+	open    int
+	pending map[trace.ClientID]Op
 	fed     int
 
 	err   error  // terminal error, sticky
@@ -66,8 +70,8 @@ type Session struct {
 	// fast, when non-nil, is the ADT-specialized streaming core the
 	// session delegates to instead of the frontier engine (DESIGN.md,
 	// decisions 15 and 36; NewSession). The session does for it what
-	// every core would repeat: it keeps the open operations' slots in
-	// pending, and seen holds the digests of the inputs fed since the
+	// every core would repeat: an open operation's Op carries its slot to
+	// the response, and seen holds the digests of the inputs fed since the
 	// last cut, so an input equal to one of them (or a digest alike)
 	// leaves the fragment before the core sees it. The fed trace is
 	// recorded so that a fragment exit can fall back by replaying it
@@ -132,17 +136,26 @@ const (
 	recChunk    = 1024
 )
 
-// pendingInv is one client's open invocation, for the well-formedness
-// bookkeeping (the streaming twin of Check's WellFormed precheck).
-type pendingInv struct {
-	input trace.Value
-	// idx is the invocation's trace index and slot the core's handle on
-	// the operation, both kept (and used) only by the fast paths; sym is
-	// the input's symbol, interned only by the frontier path.
-	idx  int
-	slot int32
-	sym  trace.Sym
+// Op is the handle of one open operation (DESIGN.md, decision 37):
+// Invoke returns it and the operation's Respond takes it back, so a
+// caller that knows which invocation a response answers — the capture
+// drainer does — pairs the two itself, and Feed pairs them by client.
+// Client and Input name the invocation; the rest is what the session
+// keeps of it: its trace index and the core's slot on the fast path, its
+// input's symbol on the exact one. An Op stays valid across a fast→exact
+// fallback: the exact path interns the input of an Op the core opened.
+type Op struct {
+	Client trace.ClientID
+	Input  trace.Value
+	idx    int
+	slot   int32
+	sym    trace.Sym
+	exact  bool // sym is the exact engine's
 }
+
+// notWellFormed is the reason a trace that breaks a client's alternation
+// of invocations and responses is not linearizable.
+const notWellFormed = "trace is not well-formed"
 
 // NewSession starts an incremental check of an initially empty trace
 // against ADT f. See Session for the engine and option semantics.
@@ -186,7 +199,7 @@ func newSessionAt(ctx context.Context, f adt.Folder, set check.Settings, fed int
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s := &Session{set: set, pending: map[trace.ClientID]pendingInv{}, fed: fed}
+	s := &Session{set: set, pending: map[trace.ClientID]Op{}, fed: fed}
 	s.init(f, trace.NewInterner(), &Meter{Ctx: ctx, Budget: set.Budget, BudgetErr: ErrBudget},
 		set.Witness, set.Witness)
 	s.frontier = make([]*cfg, len(states))
@@ -207,55 +220,96 @@ func (s *Session) Nodes() int { return s.meter.Nodes + s.fastNodes }
 
 // Feed appends action a to the trace under check and advances the
 // frontier. The returned error is terminal (budget exhaustion,
-// context cancellation, an action outside sig_T fed as a switch is
-// instead treated as ill-formedness, matching Check); ill-formed traces
-// yield a NotLinearizable verdict, not an error.
+// context cancellation); ill-formed traces — an invocation while the
+// client has one open, a response that answers none of its client's, an
+// action outside sig_T such as a switch, matching Check — yield a
+// NotLinearizable verdict, not an error. Feed is Invoke and Respond with
+// the pairing checked: it keeps each client's open Op.
 func (s *Session) Feed(a trace.Action) error {
+	if s.notWF == "" {
+		switch a.Kind {
+		case trace.Inv:
+			if _, open := s.pending[a.Client]; !open {
+				op, err := s.Invoke(a.Client, a.Input)
+				if err == nil {
+					s.pending[a.Client] = op
+				}
+				return err
+			}
+		case trace.Res:
+			if op, open := s.pending[a.Client]; open && op.Input == a.Input {
+				delete(s.pending, a.Client)
+				return s.Respond(op, a.Output)
+			}
+		}
+	}
+	if _, err := s.admit(); err != nil {
+		return err
+	}
+	s.fed++
+	s.notWF = notWellFormed // final: later actions only count
+	return nil
+}
+
+// admit starts a feed: it returns the session's terminal error, or the
+// context's, which it makes terminal, or else the meter's node count at
+// the feed's start.
+func (s *Session) admit() (start int, err error) {
 	if s.err != nil {
-		return s.err
+		return 0, s.err
 	}
 	if err := s.meter.Ctx.Err(); err != nil {
 		s.err = err
-		return err
+		return 0, err
 	}
-	start := s.meter.StartFeed()
+	return s.meter.StartFeed(), nil
+}
+
+// Invoke appends client c's invocation of in to the trace under check
+// and returns the operation's handle for its Respond. The caller vouches
+// for the pairing Feed checks: c has no operation open. The returned
+// error is terminal, as Feed's.
+func (s *Session) Invoke(c trace.ClientID, in trace.Value) (Op, error) {
+	op := Op{Client: c, Input: in}
+	start, err := s.admit()
+	if err != nil {
+		return op, err
+	}
+	op.idx = s.fed
+	s.fed++
 	if s.fast != nil {
-		return s.feedFast(a)
+		return op, s.invokeFast(&op)
+	}
+	op.sym, op.exact = s.in.Sym(in), true
+	s.open++
+	s.Pool.Add(op.sym, 1)
+	return op, s.stick(s.meter.Spend(len(s.frontier)), op.idx, s.open, start)
+}
+
+// Respond appends the response out to the operation op, open since its
+// Invoke on this session, and advances the frontier. Each Op is answered
+// once. The returned error is terminal, as Feed's.
+func (s *Session) Respond(op Op, out trace.Value) error {
+	start, err := s.admit()
+	if err != nil {
+		return err
 	}
 	idx := s.fed
 	s.fed++
-	if s.notWF != "" {
-		return nil // verdict already final
+	if s.fast != nil {
+		return s.respondFast(op, out, idx)
 	}
-	switch a.Kind {
-	case trace.Inv:
-		if _, open := s.pending[a.Client]; open {
-			s.notWF = "trace is not well-formed"
-			return nil
-		}
-		sym := s.in.Sym(a.Input)
-		s.pending[a.Client] = pendingInv{input: a.Input, sym: sym}
-		s.Pool.Add(sym, 1)
-		return s.stick(s.meter.Spend(len(s.frontier)), idx, len(s.pending), start)
-	case trace.Res:
-		st, open := s.pending[a.Client]
-		if !open || st.input != a.Input {
-			s.notWF = "trace is not well-formed"
-			return nil
-		}
-		k := len(s.pending)
-		delete(s.pending, a.Client)
-		if err := s.Expand(st.sym, a.Output, idx); err != nil {
-			return s.stick(err, idx, k, start)
-		}
-		// Every successor claimed a chain entry for this response, so the
-		// operation is no longer open in any of them.
-		s.Pool.Add(st.sym, -1)
-	default:
-		// Switch actions do not belong to sig_T; Check classifies such
-		// traces as ill-formed.
-		s.notWF = "trace is not well-formed"
+	if !op.exact {
+		op.sym = s.in.Sym(op.Input) // opened by the core before a fallback
 	}
+	k := s.open
+	s.open--
+	if err := s.Expand(op.sym, out, idx); err != nil {
+		return s.stick(err, idx, k, start)
+	}
+	// Every successor claimed a chain entry for this response, so the
+	// operation is no longer open in any of them.
+	s.Pool.Add(op.sym, -1)
 	return nil
 }
 
@@ -275,66 +329,50 @@ func (s *Session) stick(err error, idx, open, start int) error {
 	return err
 }
 
-// feedFast is Feed's fast-path delegate: the same well-formedness
-// bookkeeping as the frontier path, with the core deciding the verdict
-// and FastExit — the core's, or an input seen since the last cut —
-// triggering the fallback replay. An invocation's slot rides in pending
-// to its response. A rejected (or ill-formed) verdict is final, but
-// subsequent actions still maintain the well-formedness state so
-// reasons keep matching the exact session.
-func (s *Session) feedFast(a trace.Action) error {
-	idx := s.fed
-	s.fed++
+// invokeFast and respondFast are Invoke's and Respond's fast-path
+// delegates: the core decides the verdict, and FastExit — the core's, or
+// an input seen since the last cut — triggers the fallback replay, whose
+// log ends with the action being fed. An invocation's slot rides in its
+// Op to the response. A rejected verdict is final, but later actions
+// still count the open operations, so a fallback's verdicts and reasons
+// keep matching the exact session's.
+func (s *Session) invokeFast(op *Op) error {
 	if s.whole == nil {
-		s.log(a)
+		s.log(trace.Invoke(op.Client, 1, op.Input))
 	}
-	if s.notWF != "" {
-		return nil // verdict already final
+	if !s.fastRej {
+		st := FastExit
+		if !s.seen.add(op.Input) {
+			op.slot, st = s.fast.Inv(op.Input, op.idx)
+		}
+		switch st {
+		case FastExit:
+			return s.fastFallback()
+		case FastReject:
+			s.fastRej = true
+		}
 	}
-	switch a.Kind {
-	case trace.Inv:
-		if _, open := s.pending[a.Client]; open {
-			s.notWF = "trace is not well-formed"
-			return nil
+	s.fastNodes++
+	s.open++
+	return nil
+}
+
+func (s *Session) respondFast(op Op, out trace.Value, idx int) error {
+	if s.whole == nil {
+		s.log(trace.Response(op.Client, 1, op.Input, out))
+	}
+	if !s.fastRej {
+		switch s.fast.Res(op.Input, out, op.slot, op.idx, idx) {
+		case FastExit:
+			return s.fastFallback()
+		case FastReject:
+			s.fastRej = true
 		}
-		var slot int32
-		if !s.fastRej {
-			st := FastExit
-			if !s.seen.add(a.Input) {
-				slot, st = s.fast.Inv(a.Input, idx)
-			}
-			switch st {
-			case FastExit:
-				return s.fastFallback()
-			case FastReject:
-				s.fastRej = true
-			}
-		}
-		s.fastNodes++
-		s.pending[a.Client] = pendingInv{input: a.Input, idx: idx, slot: slot}
-	case trace.Res:
-		st, open := s.pending[a.Client]
-		if !open || st.input != a.Input {
-			s.notWF = "trace is not well-formed"
-			return nil
-		}
-		if !s.fastRej {
-			switch s.fast.Res(a.Input, a.Output, st.slot, st.idx, idx) {
-			case FastExit:
-				return s.fastFallback()
-			case FastReject:
-				s.fastRej = true
-			}
-		}
-		s.fastNodes++
-		delete(s.pending, a.Client)
-		if s.cutDue && len(s.pending) == 0 && !s.fastRej {
-			s.cut()
-		}
-	default:
-		// Switch actions do not belong to sig_T; Check classifies such
-		// traces as ill-formed.
-		s.notWF = "trace is not well-formed"
+	}
+	s.fastNodes++
+	s.open--
+	if s.cutDue && s.open == 0 && !s.fastRej {
+		s.cut()
 	}
 	return nil
 }
@@ -422,8 +460,9 @@ func (s *Session) fastFallback() error {
 		}
 		err = ex.FeedAll(c)
 	}
+	// Feed's own pairs stay in s.pending: their Ops are valid on ex.
 	s.Frontier = ex.Frontier
-	s.pending, s.fed, s.err, s.notWF = ex.pending, ex.fed, ex.err, ex.notWF
+	s.open, s.fed, s.err, s.notWF = ex.open, ex.fed, ex.err, ex.notWF
 	return err
 }
 
@@ -503,7 +542,7 @@ func checkStreaming(ctx context.Context, f adt.Folder, t trace.Trace, set check.
 		}
 	}
 	if !t.WellFormed() {
-		return Result{OK: false, Reason: "trace is not well-formed"}, nil
+		return Result{OK: false, Reason: notWellFormed}, nil
 	}
 	s := newSessionSettings(ctx, f, set)
 	s.whole, s.cuts = t, nil
