@@ -9,8 +9,10 @@ package speclin_test
 
 import (
 	"fmt"
+	"io/fs"
 	"maps"
 	"os"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strconv"
@@ -349,6 +351,62 @@ func TestDocLengthsRatchet(t *testing.T) {
 			t.Logf("decision %d: %d lines (over %d, listed until ROADMAP item 8(b))", n, l, decisionMaxLines)
 		case l > decisionMaxLines:
 			t.Errorf("decision %d is %d lines, over the cap of %d", n, l, decisionMaxLines)
+		}
+	}
+}
+
+var (
+	// A -run, -fuzz or -bench flag and its regex, quoted or bare, in a
+	// workflow's go test command.
+	ciTestFlag  = regexp.MustCompile(`(?:^|\s)-(?:run|fuzz|bench)[ =](?:'([^']*)'|"([^"]*)"|([^\s'"]+))`)
+	testFuncDef = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example|Benchmark)\w*)\(`)
+)
+
+// TestDocCINamesExist checks that every alternative of every -run, -fuzz
+// and -bench regex in the CI workflows matches some Test, Fuzz, Example
+// or Benchmark function of the repo (a subtest path by its first
+// element), so a renamed or deleted test cannot leave a CI step that
+// silently selects nothing. '^$', which selects nothing on purpose, is
+// exempt.
+func TestDocCINamesExist(t *testing.T) {
+	var funcs []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != ".":
+			return filepath.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, "_test.go"):
+			for _, m := range testFuncDef.FindAllStringSubmatch(readDoc(t, path), -1) {
+				funcs = append(funcs, m[1])
+			}
+		}
+		return nil
+	})
+	if err != nil || len(funcs) == 0 {
+		t.Fatalf("collecting test functions: %d found, %v", len(funcs), err)
+	}
+	workflows, err := filepath.Glob(".github/workflows/*.yml")
+	if err != nil || len(workflows) == 0 {
+		t.Fatalf("no workflows found: %v", err)
+	}
+	for _, wf := range workflows {
+		for _, m := range ciTestFlag.FindAllStringSubmatch(readDoc(t, wf), -1) {
+			pattern := m[1] + m[2] + m[3]
+			if pattern == "^$" {
+				continue
+			}
+			for _, alt := range strings.Split(pattern, "|") {
+				top, _, _ := strings.Cut(alt, "/")
+				re, err := regexp.Compile(top)
+				if err != nil {
+					t.Errorf("%s: %q: %v", wf, alt, err)
+					continue
+				}
+				if !slices.ContainsFunc(funcs, re.MatchString) {
+					t.Errorf("%s: %q in %q matches no test, fuzz, example or benchmark function", wf, alt, pattern)
+				}
+			}
 		}
 	}
 }

@@ -15,9 +15,10 @@ import (
 )
 
 // The router hands each response to the handle of its proc's open
-// operation (DESIGN.md, decision 37). These tests hold it to a Feed replay
-// of the merged trace, where the sessions pair responses by client, and
-// to the well-formedness Feed checks.
+// operation (DESIGN.md, decision 37). These tests hold it to a replay of
+// the merged trace that routes every action by its key and pairs each
+// response with its client's open invocation in that key, as per-key
+// sessions fed actions did, and to the well-formedness checks they made.
 
 // openFor opens structure's sessions as the hunt does.
 func openFor(ctx context.Context, f adt.Folder) func(bool) *lin.Session {
@@ -28,8 +29,9 @@ func openFor(ctx context.Context, f adt.Folder) func(bool) *lin.Session {
 
 // liveAndReplayed runs one live hunt of cfg through the router, keeping
 // the merged trace as Drain would hand it out, then replays that trace
-// through Feed into a second keyed set. It returns both reports and how
-// often the router parsed a key.
+// into a second keyed set, routing every action by its parsed key and
+// pairing responses by client within the key. It returns both reports
+// and how often the router parsed a key.
 func liveAndReplayed(t *testing.T, cfg Config) (live, replay keyed.Report, parsed int) {
 	t.Helper()
 	cfg = cfg.withDefaults()
@@ -56,19 +58,32 @@ func liveAndReplayed(t *testing.T, cfg Config) (live, replay keyed.Report, parse
 		emit(p, ev)
 	})
 	again := keyed.New(keyed.Policy{Sessions: true}, openFor(ctx, f))
+	open := map[string]map[trace.ClientID]keyed.Op{} // per key, each client's open operation
 	for _, a := range merged {
 		key := ""
 		if keyOf != nil {
 			key = keyOf(a.Input)
 		}
-		again.Feed(key, a)
+		if open[key] == nil {
+			open[key] = map[trace.ClientID]keyed.Op{}
+		}
+		op, isOpen := open[key][a.Client]
+		switch {
+		case a.Kind == trace.Inv && !isOpen:
+			open[key][a.Client] = again.Invoke(key, a.Client, a.Input)
+		case a.Kind == trace.Res && isOpen && op.Input() == a.Input:
+			delete(open[key], a.Client)
+			again.Respond(op, a.Output)
+		default:
+			again.Malformed(key, a)
+		}
 	}
 	return set.Report(), again.Report(), parsed
 }
 
 // TestRouterEqualsFeedReplay: on the map, the mutex and the queue, clean
-// and with the seeded mutant, the live hunt's report equals a Feed replay
-// of its merged trace in verdict, key, reason, histories, actions and
+// and with the seeded mutant, the live hunt's report equals a keyed
+// replay of its merged trace in verdict, key, reason, histories, actions and
 // nodes; the clean runs stay on the fast path, each mutant is caught
 // within ten rounds, and the map's router parses one key an operation —
 // never a response's.
@@ -81,7 +96,7 @@ func TestRouterEqualsFeedReplay(t *testing.T) {
 						Goroutines: 4, Ops: huntOps(t, 300), Keys: 4, Seed: seed})
 					live.Wall, replay.Wall = 0, 0
 					if live != replay {
-						t.Fatalf("round %d: live %+v, Feed replay %+v", seed, live, replay)
+						t.Fatalf("round %d: live %+v, replay %+v", seed, live, replay)
 					}
 					if structure == StructMap && int64(parsed) != live.Ops {
 						t.Fatalf("round %d: %d keys parsed for %d operations", seed, parsed, live.Ops)

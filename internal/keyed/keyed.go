@@ -2,10 +2,12 @@
 // (DESIGN.md, decision 28). Linearizability is local: a history of a
 // product object is linearizable iff every per-key projection is, and
 // keys that one multi-key operation touches form a component checked as
-// one history. A Set routes each action (Feed), or each operation through
-// its handle (Invoke, Respond), to its key's history, which per its
-// Policy streams through a live lin.Session, keeps its trace for a
-// one-shot pass after the run, or both.
+// one history. A Set routes each operation to its key's history once, at
+// its invocation (Invoke), and answers it through the handle Invoke
+// returns (Respond); the history, per its Policy, streams through a live
+// lin.Session, keeps its trace for a one-shot pass after the run, or
+// both. The caller pairs each response with its invocation, and hands an
+// event that breaks a client's alternation to Malformed.
 package keyed
 
 import (
@@ -62,20 +64,10 @@ func New(pol Policy, open func(joined bool) *lin.Session) *Set {
 	return &Set{pol: pol, open: open, idx: map[string]int{}}
 }
 
-// Feed routes one action to key's history, created on its first feed;
-// the history's session pairs each response with its client's open
-// invocation.
-func (s *Set) Feed(key string, a trace.Action) {
-	h := s.tally(key, a)
-	if s.live(h) {
-		h.fail(h.sess.Feed(a))
-	}
-}
-
 // Invoke routes client c's invocation of in to key's history, created on
 // its first feed, and returns the operation's handle: its Respond goes to
 // the same history without a second routing. The caller vouches that c
-// has no operation open in any history of the set.
+// has no operation open in key's history.
 func (s *Set) Invoke(key string, c trace.ClientID, in trace.Value) Op {
 	i := s.route(key)
 	h := &s.hist[i]
@@ -110,15 +102,6 @@ func (s *Set) Respond(op Op, out trace.Value) {
 // and no one session can: the history is NotLinearizable, final, and its
 // session is fed nothing more.
 func (s *Set) Malformed(key string, a trace.Action) {
-	h := s.tally(key, a)
-	if h.sess != nil {
-		h.nodes, h.sess = h.sess.Nodes(), nil
-	}
-	h.notWF = true
-}
-
-// tally counts a in key's history and, per the policy, retains it.
-func (s *Set) tally(key string, a trace.Action) *history {
 	h := &s.hist[s.route(key)]
 	h.acts++
 	if a.Kind == trace.Res {
@@ -127,7 +110,10 @@ func (s *Set) tally(key string, a trace.Action) *history {
 	if s.pol.Retain {
 		h.tr = append(h.tr, a)
 	}
-	return h
+	if h.sess != nil {
+		h.nodes, h.sess = h.sess.Nodes(), nil
+	}
+	h.notWF = true
 }
 
 // route returns key's history, created on its first feed.

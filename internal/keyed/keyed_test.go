@@ -13,19 +13,17 @@ import (
 	"repro/internal/trace"
 )
 
-// write is one register write on key by a client named after the key.
-func write(key string, i int) (inv, res trace.Action) {
-	in := adt.WriteInput(trace.Value(key + strconv.Itoa(i)))
-	c := trace.ClientID(key)
-	return trace.Invoke(c, 1, in), trace.Response(c, 1, in, adt.WriteOutput())
+// write is the input of one register write on key, by a client named
+// after the key.
+func write(key string, i int) trace.Value {
+	return adt.WriteInput(trace.Value(key + strconv.Itoa(i)))
 }
 
-// feedWrites feeds n sequential writes to key, numbered from first.
+// feedWrites invokes and answers n sequential writes on key, numbered
+// from first.
 func feedWrites(s *Set, key string, first, n int) {
 	for i := first; i < first+n; i++ {
-		inv, res := write(key, i)
-		s.Feed(key, inv)
-		s.Feed(key, res)
+		s.Respond(s.Invoke(key, trace.ClientID(key), write(key, i)), adt.WriteOutput())
 	}
 }
 
@@ -46,7 +44,7 @@ func registers(n int, opened *[]bool) func(bool) *lin.Session {
 
 // A history's first error is terminal for it alone: its session is never
 // reopened, its error is what the report says, and the other keys keep
-// checking. (Mutant: the terminal guard in Feed dropped — the dead
+// checking. (Mutant: the terminal guard in live dropped — the dead
 // history reopens, and a response without its invocation reads as
 // NotLinearizable.)
 func TestFirstErrorIsTerminal(t *testing.T) {
@@ -216,8 +214,7 @@ func TestReportTotals(t *testing.T) {
 	feedWrites(s, "a", 0, 2)
 	feedWrites(s, "b", 0, 1)
 	feedWrites(s, "c", 0, 3)
-	inv, _ := write("c", 9)
-	s.Feed("c", inv) // left open
+	s.Invoke("c", "c", write("c", 9)) // left open
 	// d dies after two operations: its session's nodes still count.
 	ctx, cancel := context.WithCancel(context.Background())
 	s.open = func(bool) *lin.Session { return lin.NewSession(ctx, adt.Register{}, check.WithWitness(false)) }
@@ -233,18 +230,20 @@ func TestReportTotals(t *testing.T) {
 	}
 }
 
-// Feeding a key that already has a history allocates nothing (a
+// An operation on a key that already has a history allocates nothing (a
 // retained trace within its capacity: 301 actions grow it to at least
 // 512), and a set with no joins never touches the union-find (it has
 // none: a lookup would dereference nil).
 func TestFeedAllocatesNothing(t *testing.T) {
 	s := New(Policy{Retain: true}, nil)
-	inv, res := write("k", 0)
-	for i := 0; i < 301; i++ {
-		s.Feed("k", inv)
+	in, out := write("k", 0), adt.WriteOutput()
+	op := s.Invoke("k", "k", in)
+	for i := 0; i < 150; i++ {
+		s.Respond(op, out)
+		op = s.Invoke("k", "k", in)
 	}
-	if n := testing.AllocsPerRun(100, func() { s.Feed("k", res) }); n != 0 {
-		t.Fatalf("%.1f allocations per feed of a known key", n)
+	if n := testing.AllocsPerRun(100, func() { s.Respond(op, out); op = s.Invoke("k", "k", in) }); n != 0 {
+		t.Fatalf("%.1f allocations per operation on a known key", n)
 	}
 	for i := 0; i < 100; i++ {
 		feedWrites(s, "k"+strconv.Itoa(i), 0, 1)
@@ -254,19 +253,20 @@ func TestFeedAllocatesNothing(t *testing.T) {
 	}
 }
 
-// The operation path (DESIGN.md, decision 37) equals Feed: interleaved
-// operations on three keys, invoked and answered through their handles,
-// leave the report and the retained traces a Set fed the same actions
-// keeps — the first key's history refused, since one of its reads
-// returns a value never written — and an action Malformed reports makes
-// its key's history, and only it, not well-formed. (Mutant: Respond
-// feeds the history next to the handle's.)
+// The operation path (DESIGN.md, decision 37) records what it is
+// handed: interleaved operations on three keys, invoked and answered
+// through their handles, leave in each key's retained trace exactly its
+// operations' actions, and the live sessions' report equals the one-shot
+// pass over those traces — the first key's history refused, since one of
+// its reads returns a value never written. An action Malformed reports
+// makes its key's history, and only it, not well-formed. (Mutant:
+// Respond feeds the history next to the handle's.)
 func TestOpsEqualFeed(t *testing.T) {
 	var opened []bool
-	ops := New(Policy{Sessions: true, Retain: true}, registers(0, &opened))
-	fed := New(Policy{Sessions: true, Retain: true}, registers(0, &opened))
+	s := New(Policy{Sessions: true, Retain: true}, registers(0, &opened))
 	keys := []string{"a", "b", "c"}
 	last := []trace.Value{adt.Bottom, adt.Bottom, adt.Bottom}
+	want := make([]trace.Trace, len(keys))
 	for i := 0; i < 30; i++ {
 		var answers []func()
 		for j, key := range keys {
@@ -280,39 +280,39 @@ func TestOpsEqualFeed(t *testing.T) {
 			if key == "a" && i == 7 {
 				out = adt.ReadOutput("never")
 			}
-			op := ops.Invoke(key, c, in)
-			fed.Feed(key, trace.Invoke(c, 1, in))
+			op := s.Invoke(key, c, in)
+			want[j] = append(want[j], trace.Invoke(c, 1, in))
 			answers = append(answers, func() {
-				ops.Respond(op, out)
-				fed.Feed(key, trace.Response(c, 1, in, out))
+				s.Respond(op, out)
+				want[j] = append(want[j], trace.Response(c, 1, in, out))
 			})
 		}
 		for j := len(answers) - 1; j >= 0; j-- { // every key's operation overlaps the others'
 			answers[j]()
 		}
 	}
-	rep := ops.Report()
-	if rep != fed.Report() {
-		t.Fatalf("ops %+v, Feed %+v", rep, fed.Report())
-	}
+	rep := s.Report()
 	if rep.Verdict != check.NotLinearizable || rep.Key != "a" || rep.Histories != 3 || rep.Nodes != 180 {
 		t.Fatalf("report %+v, want key a refused, 180 nodes", rep)
 	}
-	for _, h := range ops.hist[1:] {
+	for _, h := range s.hist[1:] {
 		if r, err := h.sess.Result(); !r.OK || err != nil {
 			t.Fatalf("key %s: %+v, %v; want linearizable", h.key, r, err)
 		}
 	}
-	var kept []trace.Trace
-	ops.Traces(func(_ string, _ bool, tr trace.Trace) { kept = append(kept, tr) })
-	fed.Traces(func(_ string, _ bool, tr trace.Trace) {
-		if len(kept) == 0 || !slices.Equal(kept[0], tr) {
-			t.Fatalf("retained traces differ")
+	s.Traces(func(key string, _ bool, tr trace.Trace) {
+		if j := slices.Index(keys, key); !slices.Equal(want[j], tr) {
+			t.Fatalf("key %s retains %d actions, not the %d of its operations", key, len(tr), len(want[j]))
 		}
-		kept = kept[1:]
 	})
+	oneShot := s.Check(context.Background(), 1, func(tr trace.Trace, _ bool) (lin.Result, error) {
+		return lin.Check(context.Background(), adt.Register{}, tr, check.WithWitness(false))
+	})
+	if rep != oneShot {
+		t.Fatalf("live %+v, one-shot %+v", rep, oneShot)
+	}
 
-	s := New(Policy{Sessions: true}, registers(0, &opened))
+	s = New(Policy{Sessions: true}, registers(0, &opened))
 	feedWrites(s, "b", 0, 2)
 	in := adt.WriteInput("x")
 	s.Malformed("c", trace.Response("c", 1, in, adt.WriteOutput()))

@@ -2,11 +2,13 @@ package smr
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/msgnet"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -160,5 +162,47 @@ func TestSchedulePins(t *testing.T) {
 				t.Fatalf("schedule moved:\n got %s\nwant %s", got, c.want)
 			}
 		})
+	}
+}
+
+// historyDigest hashes every history a post-hoc cluster retained, in
+// first-seen order, components included: its key, whether it is one,
+// and every action's kind, client, input and output.
+func historyDigest(sc *ShardedCluster) string {
+	h := fnv.New64a()
+	n, comps := 0, 0
+	sc.hist.Traces(func(key string, joined bool, t trace.Trace) {
+		if joined {
+			comps++
+		}
+		fmt.Fprintf(h, "%q %v %d\n", key, joined, len(t))
+		for _, a := range t {
+			fmt.Fprintf(h, "%d %q %q %q\n", a.Kind, a.Client, a.Input, a.Output)
+		}
+		n++
+	})
+	return fmt.Sprintf("%d histories, %d components, %016x", n, comps, h.Sum64())
+}
+
+// The recorded histories are pinned action for action: the post-hoc
+// traces of TestOnlineCheckAgreesWithPostHoc's three seeds and of the
+// smr-txn-faults shape, whose components hold the transactions' and the
+// joined keys' instantaneous pairs. A change to how the recorder pairs a
+// response with its invocation must leave them as they are.
+func TestRecordedHistoriesPinned(t *testing.T) {
+	wl := workload.KeyedOpts{Clients: 3, Ops: 300, Keys: 24, ReadFrac: 0.4}
+	cfg := Config{FastPath: true, QuorumTimeout: 8, Retransmit: 6}
+	for seed, want := range map[int64]string{
+		1: "24 histories, 0 components, 19be51d76abefc8c",
+		2: "24 histories, 0 components, 12a3d2b9bd14bc17",
+		3: "24 histories, 0 components, b8bfd73139d8bff5",
+	} {
+		if got := historyDigest(runShardedCfg(t, seed, ShardedConfig{Config: cfg, Shards: 2}, wl)); got != want {
+			t.Errorf("seed %d: histories %s, want %s", seed, got, want)
+		}
+	}
+	_, tc, _ := txnFaultsShape(t, txnFaultsFeeds(), func(_ *msgnet.Config, c *ShardedConfig) { c.OnlineCheck = false })
+	if got, want := historyDigest(tc.ShardedCluster), "83 histories, 16 components, f7d6e04a885ce642"; got != want {
+		t.Errorf("smr-txn-faults: histories %s, want %s", got, want)
 	}
 }

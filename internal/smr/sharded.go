@@ -46,7 +46,7 @@ type ShardedConfig struct {
 	// (OnlineCheck only). By default the sessions dispatch to the
 	// register fast path (DESIGN.md, decision 15) — per-key histories are
 	// in its fragment by construction (writes carry unique command
-	// values, reads unique tags), making Feed O(1) amortized and the
+	// values, reads unique tags), making each action O(1) amortized and the
 	// check budget-free; the verdicts are identical either way.
 	ExactCheck bool
 	// WindowEvery, when positive, buckets landed submissions into
@@ -346,11 +346,11 @@ type HistoryCheck struct {
 	// sessions rather than a post-hoc batch pass.
 	Online bool
 	// FeedWall is the wall-clock time the run spent feeding its online
-	// sessions, one clock pair around every Feed (Online only; zero post
-	// hoc; CheckLinearizable itself excluded): the checking overhead
-	// embedded in the simulation wall. The ~100ns of clock reads per op
-	// biases any engine speedup computed from it conservatively low. It
-	// counts even when a session erred: the time was spent regardless.
+	// sessions, one clock pair around every Invoke and Respond (Online
+	// only; zero post hoc; CheckLinearizable excluded): the checking
+	// overhead embedded in the simulation wall. The ~100ns of clock reads
+	// per op biases any engine speedup computed from it conservatively
+	// low. It counts even when a session erred: the time was spent.
 	FeedWall time.Duration
 }
 
@@ -414,22 +414,28 @@ func (sc *ShardedCluster) openSession(joined bool) *lin.Session {
 		check.WithWitness(false), check.WithExact(sc.cfg.ExactCheck))
 }
 
-// feed routes one action into the keyed histories, charging the time an
-// online session takes to their wall (HistoryCheck.FeedWall).
-func (sc *ShardedCluster) feed(key string, a trace.Action) {
-	if !sc.cfg.OnlineCheck {
-		sc.hist.Feed(key, a)
-		return
+// invoke opens client c's invocation of in on key's history and respond
+// answers it through its handle, each charging the time an online
+// session takes to the histories' wall (HistoryCheck.FeedWall).
+func (sc *ShardedCluster) invoke(key string, c trace.ClientID, in trace.Value) keyed.Op {
+	if sc.cfg.OnlineCheck {
+		defer sc.chargeSince(time.Now())
 	}
-	t := time.Now()
-	sc.hist.Feed(key, a)
-	sc.hist.Charge(time.Since(t))
+	return sc.hist.Invoke(key, c, in)
 }
 
-// feedPair feeds a component operation as one instantaneous pair (compProc).
-func (sc *ShardedCluster) feedPair(key string, proc trace.ClientID, in, out trace.Value) {
-	sc.feed(key, trace.Invoke(proc, 1, in))
-	sc.feed(key, trace.Response(proc, 1, in, out))
+func (sc *ShardedCluster) respond(op keyed.Op, out trace.Value) {
+	if sc.cfg.OnlineCheck {
+		defer sc.chargeSince(time.Now())
+	}
+	sc.hist.Respond(op, out)
+}
+
+func (sc *ShardedCluster) chargeSince(t time.Time) { sc.hist.Charge(time.Since(t)) }
+
+// pair records a component operation as one instantaneous pair (compProc).
+func (sc *ShardedCluster) pair(key string, proc trace.ClientID, in, out trace.Value) {
+	sc.respond(sc.invoke(key, proc, in), out)
 }
 
 // router is the client-side node handler of a sharded deployment: one
@@ -514,8 +520,8 @@ func (m *serverMux) OnRestart(n *msgnet.Node) {
 	}
 }
 
-// shardRecorder observes one shard through its hooks: it feeds per-key
-// register histories to the cluster's keyed histories, replays the log
+// shardRecorder observes one shard through its hooks: it records per-key
+// register histories in the cluster's keyed histories, replays the log
 // in slot order to produce read outputs, verifies log agreement online
 // (which is what permits clients to trim their logs under compaction),
 // and aggregates submission statistics.
@@ -523,6 +529,10 @@ type shardRecorder struct {
 	sc  *ShardedCluster
 	sh  *Shard
 	reg adt.Register
+	// ops[i] is the handle of the shard's client i's (client.index) one
+	// submission in flight, answered at its land; the zero Op when none
+	// is open, whose empty input no register input equals.
+	ops []keyed.Op
 
 	// subSlot tracks every command submitted to this shard: -1 until its
 	// decision is first learned, then the slot it landed in. It backs the
@@ -549,13 +559,11 @@ type shardRecorder struct {
 	// transaction holding it between its prepare's replay (yes vote) and
 	// its outcome marker's replay. Single-key operations on a locked key
 	// defer — the replay cursor itself never blocks: their slots park in
-	// waiting (per key, slot order) and deferred, their effects and
-	// outputs materialize at unlock, and a land that arrives while its
-	// slot is still deferred parks in landWait until then.
+	// waiting (per key, slot order) and deferred, true once the slot has
+	// landed, and their effects and outputs materialize at unlock.
 	locks    map[string]string
 	waiting  map[string][]deferredSlot
 	deferred map[int]bool
-	landWait map[int]msgnet.ProcID
 }
 
 // slotEntry is a decided command with its KV projection, parsed once at
@@ -587,17 +595,17 @@ type deferredSlot struct {
 
 // slotReplay is a replayed slot awaiting its submitter's response.
 type slotReplay struct {
-	key  string
-	in   trace.Value
-	out  trace.Value
-	reg  bool
-	comp bool
+	key string
+	in  trace.Value
+	out trace.Value
+	reg bool // the response answers its submitter's open operation: a set/get on a plain key
 }
 
 func newShardRecorder(sc *ShardedCluster, sh *Shard) *shardRecorder {
 	return &shardRecorder{
 		sc:       sc,
 		sh:       sh,
+		ops:      make([]keyed.Op, len(sh.clients)),
 		subSlot:  map[Command]int{},
 		slotVal:  map[int]Command{},
 		learns:   map[int]int{},
@@ -607,7 +615,6 @@ func newShardRecorder(sc *ShardedCluster, sh *Shard) *shardRecorder {
 		locks:    map[string]string{},
 		waiting:  map[string][]deferredSlot{},
 		deferred: map[int]bool{},
-		landWait: map[int]msgnet.ProcID{},
 	}
 }
 
@@ -632,18 +639,25 @@ func (rec *shardRecorder) submitted(cmd Command) bool {
 	return ok
 }
 
-// start records the invocation of a keyed command's operation in the
-// key's history. Keys entangled by transactions route into their
-// component's merged TxnKV history instead, at their replay points
-// (txn.go, compProc — the shrunken-interval soundness argument is made
-// there), so nothing is recorded for them at submission.
+// start invokes a keyed command's operation on the key's history and
+// keeps its handle in the client's slot. Keys entangled by transactions
+// route into their component's merged TxnKV history instead, at their
+// replay points (txn.go, compProc — the shrunken-interval soundness
+// argument is made there), so nothing is recorded for them at
+// submission. A start while the client's slot is open is not well-formed.
 func (rec *shardRecorder) start(c msgnet.ProcID, cmd Command, at msgnet.Time) {
 	kind, key, arg, ok := cmdParts(cmd)
 	if !ok || rec.sc.hist.Joined(key) {
 		return
 	}
-	if in, ok := registerInput(kind, arg); ok {
-		rec.sc.feed(key, trace.Invoke(trace.ClientID(c), 1, in))
+	in, ok := registerInput(kind, arg)
+	if !ok {
+		return
+	}
+	if o := &rec.ops[rec.sh.byID[c].index]; o.Input() == "" {
+		*o = rec.sc.invoke(key, trace.ClientID(c), in)
+	} else {
+		rec.sc.hist.Malformed(key, trace.Invoke(trace.ClientID(c), 1, in))
 	}
 }
 
@@ -704,7 +718,10 @@ func (rec *shardRecorder) learn(c msgnet.ProcID, slot int, cmd Command) {
 	}
 }
 
-// land replays the log up to the landed slot and records the response.
+// land replays the log up to the landed slot and answers the client's
+// open operation with the replayed response. A response with no operation
+// open, or with another input than the open one's, is not well-formed;
+// either way the client's slot closes, as its submission has landed.
 func (rec *shardRecorder) land(r SubmitResult) {
 	st := &rec.sc.stats
 	st.Landed++
@@ -763,7 +780,7 @@ func (rec *shardRecorder) land(r SubmitResult) {
 			// whole recovery timeout, and every parked operation held open
 			// across that window multiplies the frontier).
 			rec.waiting[e.key] = append(rec.waiting[e.key], deferredSlot{slot: rec.applied, e: e})
-			rec.deferred[rec.applied] = true
+			rec.deferred[rec.applied] = false
 		default:
 			rp := rec.replaySingle(e)
 			if e.comp && e.reg {
@@ -772,7 +789,7 @@ func (rec *shardRecorder) land(r SubmitResult) {
 				// (see compProc): its output is computed from exactly
 				// this state, so it linearizes here by construction, and
 				// delayed land events (retries) cannot hold it open.
-				rec.sc.feedPair(e.key, compProc(e.cmd), e.in, rp.out)
+				rec.sc.pair(e.key, compProc(e.cmd), e.in, rp.out)
 			}
 			rec.slotOut[rec.applied] = rp
 		}
@@ -786,10 +803,11 @@ func (rec *shardRecorder) land(r SubmitResult) {
 
 	rp, ok := rec.slotOut[r.Slot]
 	if !ok {
-		if rec.deferred[r.Slot] {
-			// Landed while its slot is still parked behind a lock: the
-			// response is emitted when the transaction resolves.
-			rec.landWait[r.Slot] = r.Client
+		if _, parked := rec.deferred[r.Slot]; parked {
+			// Landed while its slot is still parked behind a lock: its
+			// pair enters the component's history when the transaction
+			// resolves.
+			rec.deferred[r.Slot] = true
 			return
 		}
 		rec.fail("no replayed output for slot %d", r.Slot)
@@ -797,9 +815,15 @@ func (rec *shardRecorder) land(r SubmitResult) {
 	}
 	delete(rec.slotOut, r.Slot)
 	if !rp.reg {
-		return // command has no checkable projection (del, txp/txo); no trace
+		return // del, txp/txo, or a component operation's pair (compProc)
 	}
-	rec.emitResponse(r.Client, rp)
+	o := &rec.ops[rec.sh.byID[r.Client].index]
+	if o.Input() == rp.in {
+		rec.sc.respond(*o, rp.out)
+	} else {
+		rec.sc.hist.Malformed(rp.key, trace.Response(trace.ClientID(r.Client), 1, rp.in, rp.out))
+	}
+	*o = keyed.Op{}
 }
 
 // replaySingle applies one single-key operation to the shard's key
@@ -807,7 +831,7 @@ func (rec *shardRecorder) land(r SubmitResult) {
 // fast-path keys, directly on the stored value for component keys (the
 // TxnKV projection of a single-key command).
 func (rec *shardRecorder) replaySingle(e slotEntry) slotReplay {
-	rp := slotReplay{key: e.key, in: e.in, reg: e.reg, comp: e.comp}
+	rp := slotReplay{key: e.key, in: e.in, reg: e.reg && !e.comp}
 	if !e.reg {
 		return rp
 	}
@@ -839,7 +863,7 @@ func (rec *shardRecorder) keyVal(key string) trace.Value {
 
 // unlock releases a transaction's lock on key and drains the operations
 // parked behind it, in slot order: each applies now, and the ones whose
-// land already arrived respond immediately.
+// land is still to come leave their replay for it.
 func (rec *shardRecorder) unlock(key, id string) {
 	if rec.locks[key] != id {
 		rec.fail("unlock of %q by transaction %q but lock held by %q", key, id, rec.locks[key])
@@ -854,22 +878,10 @@ func (rec *shardRecorder) unlock(key, id string) {
 		// instantaneous pair here, at the resolving transaction's
 		// unlock — the point where its effect and output actually
 		// materialize (see compProc).
-		rec.sc.feedPair(d.e.key, compProc(d.e.cmd), d.e.in, rp.out)
-		delete(rec.deferred, d.slot)
-		if c, landed := rec.landWait[d.slot]; landed {
-			delete(rec.landWait, d.slot)
-			rec.emitResponse(c, rp)
-		} else {
+		rec.sc.pair(d.e.key, compProc(d.e.cmd), d.e.in, rp.out)
+		if !rec.deferred[d.slot] {
 			rec.slotOut[d.slot] = rp
 		}
-	}
-}
-
-// emitResponse records a replayed operation's response in the key's
-// history. Component operations' histories were fully recorded at
-// replay/unlock (see compProc), so they are no-ops here.
-func (rec *shardRecorder) emitResponse(c msgnet.ProcID, rp slotReplay) {
-	if !rp.comp {
-		rec.sc.feed(rp.key, trace.Response(trace.ClientID(c), 1, rp.in, rp.out))
+		delete(rec.deferred, d.slot)
 	}
 }

@@ -508,7 +508,7 @@ func (tc *TxnCluster) decide(st *txnState, commit bool, reason int) {
 	// still held now, and its writes are invisible until the outcome
 	// markers replay later — so a correct run always linearizes here,
 	// while a leaked effect still contradicts some neighbor's output.
-	tc.feedPair(st.spec.Ops[0].Key, trace.ClientID(string(st.coord)+"#t"), in, out)
+	tc.pair(st.spec.Ops[0].Key, trace.ClientID(string(st.coord)+"#t"), in, out)
 
 	sender := st.coord
 	if n := tc.nodes[sender]; reason == abortRecovery || (n != nil && n.Crashed()) {
