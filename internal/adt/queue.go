@@ -39,49 +39,54 @@ func (Queue) ValidInput(in trace.Value) bool {
 	}
 }
 
-// The queue state is the remaining elements joined by NUL bytes; the empty
-// queue is the empty state.
+// The queue state is the remaining elements joined by NUL bytes, the
+// front first; the empty queue is the empty state. Step and Out read it
+// in place: an enqueue appends one element, a dequeue cuts at the first
+// NUL, and the front is the state up to it.
 
 // Empty implements Folder.
 func (Queue) Empty() State { return "" }
 
-func queueElems(s State) []string {
-	if s == "" {
-		return nil
-	}
-	return strings.Split(string(s), "\x00")
-}
+// emptyOutput is a dequeue's or pop's output on an empty container, a
+// constant so that reading it allocates nothing.
+const emptyOutput = "v:" + Bottom
 
-func queueState(elems []string) State {
-	return State(strings.Join(elems, "\x00"))
+// appendElem appends element v to a NUL-joined state.
+func appendElem(s State, v string) State {
+	if s == "" {
+		return State(v)
+	}
+	return s + "\x00" + State(v)
 }
 
 // Step implements Folder.
 func (Queue) Step(s State, in trace.Value) State {
 	op, arg, _ := split2(Untag(in))
-	elems := queueElems(s)
 	switch op {
 	case "enq":
-		elems = append(elems, arg)
+		return appendElem(s, arg)
 	case "deq":
-		if len(elems) > 0 {
-			elems = elems[1:]
+		if i := strings.IndexByte(string(s), 0); i >= 0 {
+			return s[i+1:]
 		}
+		return ""
 	}
-	return queueState(elems)
+	return s
 }
 
 // Out implements Folder.
 func (Queue) Out(s State, in trace.Value) trace.Value {
 	op, _, _ := split2(Untag(in))
-	if op == "enq" {
+	switch {
+	case op == "enq":
 		return WriteOutput()
+	case s == "":
+		return emptyOutput
 	}
-	elems := queueElems(s)
-	if len(elems) == 0 {
-		return ReadOutput(Bottom)
+	if i := strings.IndexByte(string(s), 0); i >= 0 {
+		s = s[:i]
 	}
-	return ReadOutput(trace.Value(elems[0]))
+	return ReadOutput(trace.Value(s))
 }
 
 // Apply implements ADT.

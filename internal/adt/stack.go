@@ -39,8 +39,8 @@ func (Stack) ValidInput(in trace.Value) bool {
 }
 
 // The stack state is the elements joined by NUL bytes, top last; the
-// empty stack is the empty state (the queue's encoding, read from the
-// other end).
+// empty stack is the empty state (the queue's encoding, read in place
+// from the other end).
 
 // Empty implements Folder.
 func (Stack) Empty() State { return "" }
@@ -48,29 +48,28 @@ func (Stack) Empty() State { return "" }
 // Step implements Folder.
 func (Stack) Step(s State, in trace.Value) State {
 	op, arg, _ := split2(Untag(in))
-	elems := queueElems(s)
 	switch op {
 	case "push":
-		elems = append(elems, arg)
+		return appendElem(s, arg)
 	case "pop":
-		if len(elems) > 0 {
-			elems = elems[:len(elems)-1]
+		if i := strings.LastIndexByte(string(s), 0); i >= 0 {
+			return s[:i]
 		}
+		return ""
 	}
-	return queueState(elems)
+	return s
 }
 
 // Out implements Folder.
 func (Stack) Out(s State, in trace.Value) trace.Value {
 	op, _, _ := split2(Untag(in))
-	if op == "push" {
+	switch {
+	case op == "push":
 		return WriteOutput()
+	case s == "":
+		return emptyOutput
 	}
-	elems := queueElems(s)
-	if len(elems) == 0 {
-		return ReadOutput(Bottom)
-	}
-	return ReadOutput(trace.Value(elems[len(elems)-1]))
+	return ReadOutput(trace.Value(s[strings.LastIndexByte(string(s), 0)+1:]))
 }
 
 // Apply implements ADT.

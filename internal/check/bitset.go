@@ -4,11 +4,10 @@ import "repro/internal/trace"
 
 // This file is the dense-bitset vocabulary of the classical checker
 // (DESIGN.md, decision 13): its placed-operation set was a single uint64,
-// hard-failing past 63 operations — BitSet is its uncapped spill
-// representation, with an incrementally-maintained 128-bit digest
-// (trace.HashBit) folded into the memo key exactly as the chain/multiset
-// digests of decision 7. Callers with ≤ 63 members can (and the
-// classical engine does) stay on a raw uint64 word.
+// hard-failing past 63 operations — BitSet is its uncapped
+// representation at every length, with an incrementally-maintained
+// 128-bit digest (trace.HashBit) folded into the memo key exactly as the
+// chain/multiset digests of decision 7.
 
 // bitsPerWord is the word granularity of the spill representations.
 const bitsPerWord = 64

@@ -4,14 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"time"
 
-	"repro/internal/check"
 	"repro/internal/faults"
 	"repro/internal/msgnet"
 	"repro/internal/smr"
-	"repro/internal/workload"
 )
 
 // This file implements the E15 chaos experiment: the sharded SMR
@@ -131,132 +127,41 @@ func ChaosPlan(clients, servers []msgnet.ProcID, span msgnet.Time, dupProb float
 	return p
 }
 
-// RunChaos executes one chaos run and verifies it. The construction
-// sequence mirrors RunSharded exactly — same workload generation, same
-// network seed, same staggered paced feed — so a run with Faults off
-// replays the fault-free baseline schedule event for event (compare
-// ScheduleDigest against RunSharded's).
+// RunChaos executes one chaos run and verifies it. It runs through
+// runCluster like RunSharded, adding only the protocol arming, the
+// windows and the fault plan, so a run with Faults off replays the
+// fault-free baseline schedule event for event (compare ScheduleDigest
+// against RunSharded's).
 func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosResult, error) {
 	cfg = cfg.withDefaults()
 	span := cfg.feedSpan()
 	faultStart, heal := span/5, span*3/4
-
-	wl := workload.KeyedOpts{
-		Clients:  cfg.Clients,
-		Ops:      cfg.Commands,
-		Keys:     cfg.Keys,
-		ReadFrac: cfg.ReadFrac,
-		ZipfS:    cfg.ZipfS,
-	}
-	ops := workload.Keyed(rand.New(rand.NewSource(cfg.Seed)), wl)
-	perClient := make([][]smr.Command, cfg.Clients)
-	for _, op := range ops {
-		var cmd smr.Command
-		if op.Read {
-			cmd = smr.GetCmd(op.Key, op.Value)
-		} else {
-			cmd = smr.SetCmd(op.Key, op.Value)
-		}
-		perClient[op.Client] = append(perClient[op.Client], cmd)
-	}
-	keys := map[string]bool{}
-	for _, op := range ops {
-		keys[op.Key] = true
-	}
-
 	res := ChaosResult{
-		ShardRunResult: ShardRunResult{
-			Shards:       cfg.Shards,
-			Commands:     cfg.Commands,
-			Keys:         len(keys),
-			Distribution: "uniform",
-			Online:       cfg.Online,
-		},
 		FaultsInjected: cfg.Faults,
 		FaultStart:     int64(faultStart),
 		HealAt:         int64(heal),
 	}
-	if cfg.ZipfS > 0 {
-		res.Distribution = fmt.Sprintf("zipf(%.2g)", cfg.ZipfS)
-	}
-
-	w := msgnet.New(msgnet.Config{Seed: cfg.Seed, MinDelay: 1, MaxDelay: 2})
-	clients := procIDs("c", cfg.Clients)
-	servers := procIDs("s", cfg.Servers)
-	sc, err := smr.BuildSharded(w, clients, servers, smr.ShardedConfig{
-		Config: smr.Config{
-			FastPath:      true,
-			QuorumTimeout: 8,
-			Retransmit:    6,
-			CompactEvery:  cfg.CompactEvery,
-			Recovery:      true,
-			RetryTimeout:  cfg.RetryTimeout,
+	run := clusterRun{
+		feed:   &keyedFeed{},
+		proto:  smr.Config{Recovery: true, RetryTimeout: cfg.RetryTimeout},
+		window: cfg.WindowEvery,
+		landed: func(w *msgnet.Network, st smr.ShardedStats) error {
+			res.DuplicatedMsgs = w.Duplicated()
+			res.Retries = st.Retries
+			res.FastPathBefore, res.FastPathDuring, res.FastPathAfter, res.TimeToRecover =
+				windowPhases(st.Windows, faultStart, heal)
+			if !cfg.Faults {
+				res.TimeToRecover = 0
+			}
+			return nil
 		},
-		Shards:       cfg.Shards,
-		OnlineCheck:  cfg.Online,
-		CheckBudget:  cfg.Budget,
-		CheckContext: ctx,
-		WindowEvery:  cfg.WindowEvery,
-	})
-	if err != nil {
-		return res, err
 	}
 	if cfg.Faults {
-		if err := ChaosPlan(clients, servers, span, cfg.DupProb).Apply(w); err != nil {
-			return res, err
-		}
+		run.plan = ChaosPlan(procIDs("c", cfg.Clients), procIDs("s", cfg.Servers), span, cfg.DupProb)
 	}
-	start := time.Now()
-	for i, c := range clients {
-		offset := msgnet.Time(0)
-		if cfg.Pace > 0 {
-			offset = msgnet.Time(i) * cfg.Pace / msgnet.Time(cfg.Clients)
-		}
-		sc.SubmitPaced(c, perClient[i], offset, cfg.Pace)
-	}
-	end := sc.Run(1 << 40)
-	wall := time.Since(start)
-	res.ScheduleDigest = fmt.Sprintf("%016x", w.ScheduleDigest())
-	res.DuplicatedMsgs = w.Duplicated()
-
-	st := sc.Stats()
-	if st.Landed != int64(cfg.Commands) {
-		return res, fmt.Errorf("landed %d/%d commands", st.Landed, cfg.Commands)
-	}
-	res.SimTime = int64(end)
-	if end > 0 {
-		res.CmdsPerDelay = float64(st.Landed) / float64(end)
-	}
-	res.MeanLatency = st.MeanLatency()
-	res.FastPathRate = st.FastPathRate()
-	res.SwitchesPerCmd = float64(st.Switches) / float64(st.Landed)
-	res.WallMs = float64(wall.Microseconds()) / 1000
-	res.CmdsPerSecWall = float64(st.Landed) / wall.Seconds()
-	res.Retries = st.Retries
-
-	res.FastPathBefore, res.FastPathDuring, res.FastPathAfter, res.TimeToRecover =
-		windowPhases(st.Windows, faultStart, heal)
-	if !cfg.Faults {
-		res.TimeToRecover = 0
-	}
-
-	res.Consistent = sc.CheckConsistency() == nil
-	if !res.Consistent {
-		return res, fmt.Errorf("consistency: %v", sc.CheckConsistency())
-	}
-	if !cfg.SkipCheck {
-		cstart := time.Now()
-		sum, err := sc.CheckLinearizable(ctx, check.WithBudget(cfg.Budget))
-		res.CheckWallMs = float64((time.Since(cstart) + sum.FeedWall).Microseconds()) / 1000
-		if err != nil {
-			return res, err
-		}
-		res.Linearizable = true
-		res.KeyHistories = sum.Traces
-		res.CheckedOps = sum.Ops
-		res.CheckNodes = sum.Nodes
-	}
-	return res, nil
+	var err error
+	_, res.ShardRunResult, err = runCluster(ctx, cfg.ShardRunConfig, run)
+	return res, err
 }
 
 // windowPhases splits the windowed landings on the fault plan's active
@@ -340,20 +245,8 @@ func checkChaosRows(rows []ChaosResult) error {
 	if len(rows) != 2 || rows[0].FaultsInjected || !rows[1].FaultsInjected {
 		return fmt.Errorf("E15 returned %d rows, want baseline + chaos", len(rows))
 	}
-	var errs []error
-	for _, r := range rows {
-		mode := "baseline"
-		if r.FaultsInjected {
-			mode = "chaos"
-		}
-		if !r.Linearizable || !r.Consistent {
-			errs = append(errs, fmt.Errorf("%s: linearizable=%v consistent=%v", mode, r.Linearizable, r.Consistent))
-		}
-		if int64(r.Commands) != r.CheckedOps {
-			errs = append(errs, fmt.Errorf("%s: checked %d ops of %d landed commands", mode, r.CheckedOps, r.Commands))
-		}
-	}
 	baseline, chaos := rows[0], rows[1]
+	errs := []error{verified("baseline", baseline.ShardRunResult), verified("chaos", chaos.ShardRunResult)}
 	if baseline.Retries != 0 {
 		errs = append(errs, fmt.Errorf("fault-free baseline retried %d times", baseline.Retries))
 	}
@@ -409,14 +302,6 @@ func E15ChaosRecovery(ctx context.Context) (Table, error) {
 		if r.FaultsInjected {
 			mode = "chaos"
 		}
-		lineariz := "yes"
-		if !r.Linearizable {
-			lineariz = "NO"
-		}
-		cons := "yes"
-		if !r.Consistent {
-			cons = "NO"
-		}
 		recover := fmt.Sprintf("%d", r.TimeToRecover)
 		if r.TimeToRecover < 0 {
 			recover = "never"
@@ -431,8 +316,8 @@ func E15ChaosRecovery(ctx context.Context) (Table, error) {
 			recover,
 			fmt.Sprintf("%d", r.Retries),
 			fmt.Sprintf("%d", r.DuplicatedMsgs),
-			lineariz,
-			cons,
+			yesNo(r.Linearizable),
+			yesNo(r.Consistent),
 		})
 	}
 	return t, checkChaosRows(rows)

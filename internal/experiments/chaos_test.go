@@ -117,3 +117,35 @@ func TestChaosRunRecovers(t *testing.T) {
 	t.Logf("fast-path before/during/after = %.3f/%.3f/%.3f, recover %d delays, %d retries, %d dups",
 		r.FastPathBefore, r.FastPathDuring, r.FastPathAfter, r.TimeToRecover, r.Retries, r.DuplicatedMsgs)
 }
+
+// Exact reaches the chaos run's online sessions as it reaches
+// RunSharded's: with it set they spend exact-engine nodes (the register
+// fast path spends one node a fed action, two an operation), the
+// schedule does not move, and the verdicts agree with the fast path's.
+func TestChaosHonoursExact(t *testing.T) {
+	ctx := context.Background()
+	cfg := chaosSmall()
+	cfg.Faults = true
+	fast, err := RunChaos(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Exact = true
+	exact, err := RunChaos(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fast.CheckNodes != 2*fast.CheckedOps {
+		t.Errorf("fast path: %d nodes for %d ops, want two an op", fast.CheckNodes, fast.CheckedOps)
+	}
+	if exact.CheckNodes == fast.CheckNodes {
+		t.Errorf("Exact set, yet %d nodes for %d ops: the sessions ran the fast path", exact.CheckNodes, exact.CheckedOps)
+	}
+	if exact.ScheduleDigest != fast.ScheduleDigest || exact.Linearizable != fast.Linearizable ||
+		exact.KeyHistories != fast.KeyHistories || exact.CheckedOps != fast.CheckedOps {
+		t.Errorf("exact and fast runs differ: %s/%v/%d/%d vs %s/%v/%d/%d (digest/lin/histories/ops)",
+			exact.ScheduleDigest, exact.Linearizable, exact.KeyHistories, exact.CheckedOps,
+			fast.ScheduleDigest, fast.Linearizable, fast.KeyHistories, fast.CheckedOps)
+	}
+	t.Logf("%d ops: %d exact nodes, %d fast", exact.CheckedOps, exact.CheckNodes, fast.CheckNodes)
+}

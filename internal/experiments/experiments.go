@@ -75,6 +75,14 @@ func All() []Experiment {
 
 func f2(x float64) string { return fmt.Sprintf("%.2f", x) }
 
+// yesNo is a verdict cell: "yes", or a "NO" that stands out.
+func yesNo(ok bool) string {
+	if ok {
+		return "yes"
+	}
+	return "NO"
+}
+
 func pct(num, den int) string {
 	if den == 0 {
 		return "n/a"

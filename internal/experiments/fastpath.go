@@ -119,7 +119,7 @@ func FastpathRows(ctx context.Context, base ShardRunConfig) (FastpathDist, error
 	collect := base
 	collect.SkipCheck = true
 	collect.Online = false
-	sc, res, err := runShardedCluster(ctx, collect)
+	sc, res, err := runCluster(ctx, collect, clusterRun{feed: &keyedFeed{}})
 	if err != nil {
 		return FastpathDist{}, fmt.Errorf("E16 %s collect: %w", res.Distribution, err)
 	}
@@ -310,14 +310,12 @@ func E16FastpathCheckers(ctx context.Context) (Table, error) {
 	}
 	for _, d := range dists {
 		for _, r := range d.Rows {
-			lineariz := "yes"
+			lineariz := yesNo(r.Linearizable)
 			switch {
 			case r.Mode == "baseline":
 				lineariz = "-"
 			case r.BudgetExhausted:
 				lineariz = "budget exhausted"
-			case !r.Linearizable:
-				lineariz = "NO"
 			}
 			t.Rows = append(t.Rows, []string{
 				d.Distribution,

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/check"
+	"repro/internal/faults"
 	"repro/internal/msgnet"
 	"repro/internal/smr"
 	"repro/internal/workload"
@@ -118,24 +119,51 @@ type ShardRunResult struct {
 
 // RunSharded executes one sharded run and verifies it.
 func RunSharded(ctx context.Context, cfg ShardRunConfig) (ShardRunResult, error) {
-	_, res, err := runShardedCluster(ctx, cfg)
+	_, res, err := runCluster(ctx, cfg, clusterRun{feed: &keyedFeed{}})
 	return res, err
 }
 
-// runShardedCluster is RunSharded exposing the finished cluster, so the
-// E16 fast-path experiment (fastpath.go) can lift the recorded per-key
-// traces for its one-shot engine comparison.
-func runShardedCluster(ctx context.Context, cfg ShardRunConfig) (*smr.ShardedCluster, ShardRunResult, error) {
-	cfg = cfg.withDefaults()
-	wl := workload.KeyedOpts{
-		Clients:  cfg.Clients,
-		Ops:      cfg.Commands,
-		Keys:     cfg.Keys,
-		ReadFrac: cfg.ReadFrac,
-		ZipfS:    cfg.ZipfS,
-	}
-	ops := workload.Keyed(rand.New(rand.NewSource(cfg.Seed)), wl)
-	perClient := make([][]smr.Command, cfg.Clients)
+// clusterRun is what a runner adds to runCluster: RunSharded only the
+// keyed feed, RunChaos its protocol arming, windows and fault plan,
+// RunTxn its transactional feed and checks.
+type clusterRun struct {
+	feed clusterFeed
+	// proto arms the protocol beyond what every run shares (recovery,
+	// retry timeout); window is smr.ShardedConfig.WindowEvery.
+	proto  smr.Config
+	window msgnet.Time
+	// plan is applied between the build and the feed; the zero plan
+	// injects nothing.
+	plan faults.Plan
+	// landed, when set, checks and reads the runner's own counters once
+	// every submission landed.
+	landed func(w *msgnet.Network, st smr.ShardedStats) error
+}
+
+// A clusterFeed is the workload side of runCluster: the items it
+// generates, the cluster it submits them to and the check it runs.
+// keyedFeed is E12's and E15's, txnFeed (txn.go) E19's.
+type clusterFeed interface {
+	// items generates every client's items and returns the number of
+	// distinct keys they touch.
+	items(cfg ShardRunConfig) int
+	build(w *msgnet.Network, clients, servers []msgnet.ProcID, cfg smr.ShardedConfig) (*smr.ShardedCluster, error)
+	// submit feeds client i's items from start, one step every pace.
+	submit(i int, c msgnet.ProcID, start, pace msgnet.Time)
+	verify(ctx context.Context, opts ...check.Option) (smr.HistoryCheck, error)
+}
+
+// keyedFeed is the keyed KV workload, paced per shard stream into a
+// plain ShardedCluster.
+type keyedFeed struct {
+	sc        *smr.ShardedCluster
+	perClient [][]smr.Command
+}
+
+func (f *keyedFeed) items(cfg ShardRunConfig) int {
+	ops := workload.Keyed(rand.New(rand.NewSource(cfg.Seed)), keyedOpts(cfg))
+	f.perClient = make([][]smr.Command, cfg.Clients)
+	keys := map[string]bool{}
 	for _, op := range ops {
 		var cmd smr.Command
 		if op.Read {
@@ -143,17 +171,50 @@ func runShardedCluster(ctx context.Context, cfg ShardRunConfig) (*smr.ShardedClu
 		} else {
 			cmd = smr.SetCmd(op.Key, op.Value)
 		}
-		perClient[op.Client] = append(perClient[op.Client], cmd)
-	}
-	keys := map[string]bool{}
-	for _, op := range ops {
+		f.perClient[op.Client] = append(f.perClient[op.Client], cmd)
 		keys[op.Key] = true
 	}
+	return len(keys)
+}
 
+// keyedOpts is the keyed workload a run's config asks for.
+func keyedOpts(cfg ShardRunConfig) workload.KeyedOpts {
+	return workload.KeyedOpts{
+		Clients:  cfg.Clients,
+		Ops:      cfg.Commands,
+		Keys:     cfg.Keys,
+		ReadFrac: cfg.ReadFrac,
+		ZipfS:    cfg.ZipfS,
+	}
+}
+
+func (f *keyedFeed) build(w *msgnet.Network, clients, servers []msgnet.ProcID, cfg smr.ShardedConfig) (*smr.ShardedCluster, error) {
+	var err error
+	f.sc, err = smr.BuildSharded(w, clients, servers, cfg)
+	return f.sc, err
+}
+
+func (f *keyedFeed) submit(i int, c msgnet.ProcID, start, pace msgnet.Time) {
+	f.sc.SubmitPaced(c, f.perClient[i], start, pace)
+}
+
+func (f *keyedFeed) verify(ctx context.Context, opts ...check.Option) (smr.HistoryCheck, error) {
+	return f.sc.CheckLinearizable(ctx, opts...)
+}
+
+// runCluster is the one sharded-run pipeline, in order: workload, result
+// header, network, protocol config, build, fault plan, staggered paced
+// feed, run, stats, landed check, consistency, history check. A runner
+// differs only in its clusterRun, so every ShardRunConfig field means
+// the same to RunSharded, RunChaos and RunTxn. It also returns the
+// finished cluster, from which E16 (fastpath.go) lifts the recorded
+// per-key traces.
+func runCluster(ctx context.Context, cfg ShardRunConfig, run clusterRun) (*smr.ShardedCluster, ShardRunResult, error) {
+	cfg = cfg.withDefaults()
 	res := ShardRunResult{
 		Shards:       cfg.Shards,
 		Commands:     cfg.Commands,
-		Keys:         len(keys),
+		Keys:         run.feed.items(cfg),
 		Distribution: "uniform",
 		Online:       cfg.Online,
 	}
@@ -163,21 +224,22 @@ func runShardedCluster(ctx context.Context, cfg ShardRunConfig) (*smr.ShardedClu
 
 	w := msgnet.New(msgnet.Config{Seed: cfg.Seed, MinDelay: 1, MaxDelay: 2})
 	clients := procIDs("c", cfg.Clients)
-	sc, err := smr.BuildSharded(w, clients, procIDs("s", cfg.Servers), smr.ShardedConfig{
-		Config: smr.Config{
-			FastPath:      true,
-			QuorumTimeout: 8,
-			Retransmit:    6,
-			CompactEvery:  cfg.CompactEvery,
-		},
+	proto := run.proto
+	proto.FastPath, proto.QuorumTimeout, proto.Retransmit, proto.CompactEvery = true, 8, 6, cfg.CompactEvery
+	sc, err := run.feed.build(w, clients, procIDs("s", cfg.Servers), smr.ShardedConfig{
+		Config:       proto,
 		Shards:       cfg.Shards,
 		OnlineCheck:  cfg.Online,
 		CheckBudget:  cfg.Budget,
 		CheckContext: ctx,
 		ExactCheck:   cfg.Exact,
+		WindowEvery:  run.window,
 	})
 	if err != nil {
 		return nil, res, err
+	}
+	if err := run.plan.Apply(w); err != nil {
+		return sc, res, err
 	}
 	start := time.Now()
 	for i, c := range clients {
@@ -185,42 +247,53 @@ func runShardedCluster(ctx context.Context, cfg ShardRunConfig) (*smr.ShardedClu
 		if cfg.Pace > 0 {
 			offset = msgnet.Time(i) * cfg.Pace / msgnet.Time(cfg.Clients)
 		}
-		sc.SubmitPaced(c, perClient[i], offset, cfg.Pace)
+		run.feed.submit(i, c, offset, cfg.Pace)
 	}
 	end := sc.Run(1 << 40)
 	wall := time.Since(start)
 	res.ScheduleDigest = fmt.Sprintf("%016x", w.ScheduleDigest())
 
 	st := sc.Stats()
-	if st.Landed != int64(cfg.Commands) {
-		return sc, res, fmt.Errorf("landed %d/%d commands", st.Landed, cfg.Commands)
+	if st.Landed != st.Submitted {
+		return sc, res, fmt.Errorf("landed %d of %d submitted commands", st.Landed, st.Submitted)
 	}
+	// Throughput counts workload items: a transaction is one item, however
+	// many log entries its prepares and outcomes land.
 	res.SimTime = int64(end)
 	if end > 0 {
-		res.CmdsPerDelay = float64(st.Landed) / float64(end)
+		res.CmdsPerDelay = float64(cfg.Commands) / float64(end)
 	}
 	res.MeanLatency = st.MeanLatency()
 	res.FastPathRate = st.FastPathRate()
 	res.SwitchesPerCmd = float64(st.Switches) / float64(st.Landed)
-	res.WallMs = float64(wall.Microseconds()) / 1000
-	res.CmdsPerSecWall = float64(st.Landed) / wall.Seconds()
-
-	res.Consistent = sc.CheckConsistency() == nil
-	if !res.Consistent {
-		return sc, res, fmt.Errorf("consistency: %v", sc.CheckConsistency())
-	}
-	if !cfg.SkipCheck {
-		cstart := time.Now()
-		sum, err := sc.CheckLinearizable(ctx, check.WithBudget(cfg.Budget))
-		res.CheckWallMs = float64((time.Since(cstart) + sum.FeedWall).Microseconds()) / 1000
-		if err != nil {
+	res.WallMs = wallMs(wall)
+	res.CmdsPerSecWall = float64(cfg.Commands) / wall.Seconds()
+	if run.landed != nil {
+		if err := run.landed(w, st); err != nil {
 			return sc, res, err
 		}
-		res.Linearizable = true
-		res.KeyHistories = sum.Traces
-		res.CheckedOps = sum.Ops
-		res.CheckNodes = sum.Nodes
 	}
+
+	if err := sc.CheckConsistency(); err != nil {
+		return sc, res, fmt.Errorf("consistency: %v", err)
+	}
+	res.Consistent = true
+	if cfg.SkipCheck {
+		return sc, res, nil
+	}
+	cstart := time.Now()
+	sum, err := run.feed.verify(ctx, check.WithBudget(cfg.Budget))
+	res.CheckWallMs = wallMs(time.Since(cstart) + sum.FeedWall)
+	if err != nil {
+		return sc, res, err
+	}
+	if sum.Ops != int64(cfg.Commands) {
+		return sc, res, fmt.Errorf("checked %d ops of %d workload items", sum.Ops, cfg.Commands)
+	}
+	res.Linearizable = true
+	res.KeyHistories = sum.Traces
+	res.CheckedOps = sum.Ops
+	res.CheckNodes = sum.Nodes
 	return sc, res, nil
 }
 
@@ -277,14 +350,7 @@ func E12Rows(ctx context.Context, shards []int, perShard, zipfPerShard int) ([]S
 func checkShardRows(rows []ShardRunResult) error {
 	var errs []error
 	for _, r := range rows {
-		if !r.Linearizable || !r.Consistent {
-			errs = append(errs, fmt.Errorf("shards=%d %s: linearizable=%v consistent=%v",
-				r.Shards, r.Distribution, r.Linearizable, r.Consistent))
-		}
-		if int64(r.Commands) != r.CheckedOps {
-			errs = append(errs, fmt.Errorf("shards=%d %s: checked %d ops of %d landed commands",
-				r.Shards, r.Distribution, r.CheckedOps, r.Commands))
-		}
+		errs = append(errs, verified(fmt.Sprintf("shards=%d %s", r.Shards, r.Distribution), r))
 	}
 	first, last := rows[0], rows[len(rows)-2] // the zipf row follows the uniform sweep
 	want := 0.7 * float64(last.Shards) / float64(first.Shards)
@@ -293,6 +359,18 @@ func checkShardRows(rows []ShardRunResult) error {
 			got, first.Shards, last.Shards, want))
 	}
 	return errors.Join(errs...)
+}
+
+// verified is the claim every row of E12, E15 and E19 makes: the run is
+// linearizable and consistent, and every workload item was checked.
+func verified(id string, r ShardRunResult) error {
+	if !r.Linearizable || !r.Consistent {
+		return fmt.Errorf("%s: linearizable=%v consistent=%v", id, r.Linearizable, r.Consistent)
+	}
+	if int64(r.Commands) != r.CheckedOps {
+		return fmt.Errorf("%s: checked %d ops of %d workload items", id, r.CheckedOps, r.Commands)
+	}
+	return nil
 }
 
 // E12Base is the canonical E12 configuration (shards/commands filled by
@@ -333,14 +411,6 @@ func E12ShardSweep(ctx context.Context) (Table, error) {
 
 	base := rows[0].CmdsPerDelay
 	for _, r := range rows {
-		lineariz := "yes"
-		if !r.Linearizable {
-			lineariz = "NO"
-		}
-		cons := "yes"
-		if !r.Consistent {
-			cons = "NO"
-		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", r.Shards),
 			fmt.Sprintf("%d", r.Commands),
@@ -350,8 +420,8 @@ func E12ShardSweep(ctx context.Context) (Table, error) {
 			pct(int(r.FastPathRate*1000), 1000),
 			f2(r.MeanLatency),
 			fmt.Sprintf("%d", r.KeyHistories),
-			lineariz,
-			cons,
+			yesNo(r.Linearizable),
+			yesNo(r.Consistent),
 		})
 	}
 	err = checkShardRows(rows)

@@ -71,25 +71,14 @@ func E9SMRThroughput(ctx context.Context) (Table, error) {
 					consistent = false
 				}
 			}
-			cons := "yes"
-			if !consistent {
-				cons = "NO"
-			}
 			t.Rows = append(t.Rows, []string{
 				sc.name, variant.name,
 				f2(float64(totalLat) / float64(max(landed, 1))),
 				f2(float64(switches) / float64(max(landed, 1))),
 				pct(landed, expected),
-				cons,
+				yesNo(consistent),
 			})
 		}
 	}
 	return t, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

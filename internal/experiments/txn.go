@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"repro/internal/adt"
 	"repro/internal/check"
@@ -122,29 +121,70 @@ func txnOf(s *workload.TxnSpec) *smr.Txn {
 	return &smr.Txn{ID: s.ID, Ops: ops}
 }
 
-// RunTxn executes one mixed transactional run and verifies it: every
-// submission lands, every transaction resolves, logs agree per shard,
-// and every history — fast-path register and merged component alike —
-// is linearizable.
+// RunTxn executes one mixed transactional run through runCluster and
+// verifies it: every submission lands, every transaction resolves, logs
+// agree per shard, and every history — fast-path register and merged
+// component alike — is linearizable.
 func RunTxn(ctx context.Context, cfg TxnRunConfig) (TxnRunResult, error) {
 	cfg = cfg.withDefaults()
-	wl := workload.MixedOpts{
-		KeyedOpts: workload.KeyedOpts{
-			Clients:  cfg.Clients,
-			Ops:      cfg.Commands,
-			Keys:     cfg.Keys,
-			ReadFrac: cfg.ReadFrac,
-			ZipfS:    cfg.ZipfS,
+	res := TxnRunResult{TxnFrac: cfg.TxnFrac, CoordinatorCrashes: cfg.CoordinatorCrashes}
+	f := &txnFeed{cfg: cfg}
+	run := clusterRun{
+		feed:  f,
+		proto: smr.Config{RetryTimeout: 60, Recovery: true},
+		landed: func(*msgnet.Network, smr.ShardedStats) error {
+			ts := f.tc.TxnStats()
+			if ts.Resolved() != ts.Started {
+				return fmt.Errorf("resolved %d of %d transactions (pending: %v)",
+					ts.Resolved(), ts.Started, f.tc.PendingTxns())
+			}
+			if n := f.tc.UnresolvedShards(); n != 0 {
+				return fmt.Errorf("%d unresolved (txn, shard) pairs", n)
+			}
+			res.TxnsStarted = ts.Started
+			res.TxnsCommitted = ts.Committed
+			res.AbortedConflict = ts.AbortedConflict
+			res.AbortedCondition = ts.AbortedCondition
+			res.AbortedRecovery = ts.AbortedRecovery
+			res.CommitRate = ts.CommitRate()
+			return nil
 		},
-		TxnFrac:     cfg.TxnFrac,
-		TxnKeysMax:  cfg.TxnKeysMax,
-		TxnKeys:     cfg.TxnKeys,
-		Groups:      cfg.Groups,
-		ReadTxnFrac: cfg.ReadTxnFrac,
-		CASFrac:     cfg.CASFrac,
 	}
-	ops := workload.Mixed(rand.New(rand.NewSource(cfg.Seed)), wl)
-	perClient := make([][]smr.MixedItem, cfg.Clients)
+	if cfg.CoordinatorCrashes {
+		run.plan.Crashes = faults.RollingRestart(procIDs("c", cfg.Clients), cfg.CrashStart, cfg.CrashEvery, cfg.CrashDown)
+	}
+	var err error
+	if _, res.ShardRunResult, err = runCluster(ctx, cfg.ShardRunConfig, run); err == nil && !cfg.SkipCheck {
+		res.Components = f.sum.Components
+		res.ComponentOps = f.sum.ComponentOps
+		res.LargestComponent = f.sum.LargestComponent
+		res.ComponentKeys = f.sum.ComponentKeys
+		res.FastPathKeys = f.sum.FastPathKeys
+	}
+	return res, err
+}
+
+// txnFeed is the mixed workload — single-key operations and multi-key
+// transactions — paced one item a step into a TxnCluster, whose check
+// adds the txn-connected components.
+type txnFeed struct {
+	cfg       TxnRunConfig
+	tc        *smr.TxnCluster
+	perClient [][]smr.MixedItem
+	sum       smr.TxnCheck
+}
+
+func (f *txnFeed) items(cfg ShardRunConfig) int {
+	ops := workload.Mixed(rand.New(rand.NewSource(cfg.Seed)), workload.MixedOpts{
+		KeyedOpts:   keyedOpts(cfg),
+		TxnFrac:     f.cfg.TxnFrac,
+		TxnKeysMax:  f.cfg.TxnKeysMax,
+		TxnKeys:     f.cfg.TxnKeys,
+		Groups:      f.cfg.Groups,
+		ReadTxnFrac: f.cfg.ReadTxnFrac,
+		CASFrac:     f.cfg.CASFrac,
+	})
+	f.perClient = make([][]smr.MixedItem, cfg.Clients)
 	keys := map[string]bool{}
 	for _, op := range ops {
 		it := smr.MixedItem{}
@@ -161,115 +201,28 @@ func RunTxn(ctx context.Context, cfg TxnRunConfig) (TxnRunResult, error) {
 			}
 			keys[op.Key] = true
 		}
-		perClient[op.Client] = append(perClient[op.Client], it)
+		f.perClient[op.Client] = append(f.perClient[op.Client], it)
 	}
+	return len(keys)
+}
 
-	res := TxnRunResult{
-		ShardRunResult: ShardRunResult{
-			Shards:       cfg.Shards,
-			Commands:     cfg.Commands,
-			Keys:         len(keys),
-			Distribution: "uniform",
-			Online:       cfg.Online,
-		},
-		TxnFrac:            cfg.TxnFrac,
-		CoordinatorCrashes: cfg.CoordinatorCrashes,
-	}
-	if cfg.ZipfS > 0 {
-		res.Distribution = fmt.Sprintf("zipf(%.2g)", cfg.ZipfS)
-	}
-
-	w := msgnet.New(msgnet.Config{Seed: cfg.Seed, MinDelay: 1, MaxDelay: 2})
-	clients := procIDs("c", cfg.Clients)
-	tc, err := smr.BuildTxn(w, clients, procIDs("s", cfg.Servers), smr.ShardedConfig{
-		Config: smr.Config{
-			FastPath:      true,
-			QuorumTimeout: 8,
-			Retransmit:    6,
-			RetryTimeout:  60,
-			Recovery:      true,
-			CompactEvery:  cfg.CompactEvery,
-		},
-		Shards:       cfg.Shards,
-		OnlineCheck:  cfg.Online,
-		CheckBudget:  cfg.Budget,
-		CheckContext: ctx,
-		ExactCheck:   cfg.Exact,
-	}, smr.TxnConfig{RecoveryTimeout: cfg.RecoveryTimeout})
+func (f *txnFeed) build(w *msgnet.Network, clients, servers []msgnet.ProcID, cfg smr.ShardedConfig) (*smr.ShardedCluster, error) {
+	tc, err := smr.BuildTxn(w, clients, servers, cfg, smr.TxnConfig{RecoveryTimeout: f.cfg.RecoveryTimeout})
 	if err != nil {
-		return res, err
+		return nil, err
 	}
-	if cfg.CoordinatorCrashes {
-		plan := faults.Plan{Crashes: faults.RollingRestart(clients, cfg.CrashStart, cfg.CrashEvery, cfg.CrashDown)}
-		if err := plan.Apply(w); err != nil {
-			return res, err
-		}
-	}
-	start := time.Now()
-	for i, c := range clients {
-		offset := msgnet.Time(0)
-		if cfg.Pace > 0 {
-			offset = msgnet.Time(i) * cfg.Pace / msgnet.Time(cfg.Clients)
-		}
-		tc.SubmitMixedPaced(c, perClient[i], offset, cfg.Pace)
-	}
-	end := tc.Run(1 << 40)
-	wall := time.Since(start)
-	res.ScheduleDigest = fmt.Sprintf("%016x", w.ScheduleDigest())
+	f.tc = tc
+	return tc.ShardedCluster, nil
+}
 
-	st := tc.Stats()
-	if st.Landed != st.Submitted {
-		return res, fmt.Errorf("landed %d of %d submitted commands", st.Landed, st.Submitted)
-	}
-	ts := tc.TxnStats()
-	if ts.Resolved() != ts.Started {
-		return res, fmt.Errorf("resolved %d of %d transactions (pending: %v)",
-			ts.Resolved(), ts.Started, tc.PendingTxns())
-	}
-	if n := tc.UnresolvedShards(); n != 0 {
-		return res, fmt.Errorf("%d unresolved (txn, shard) pairs", n)
-	}
-	res.SimTime = int64(end)
-	if end > 0 {
-		res.CmdsPerDelay = float64(int64(cfg.Commands)) / float64(end)
-	}
-	res.MeanLatency = st.MeanLatency()
-	res.FastPathRate = st.FastPathRate()
-	res.SwitchesPerCmd = float64(st.Switches) / float64(st.Landed)
-	res.WallMs = float64(wall.Microseconds()) / 1000
-	res.CmdsPerSecWall = float64(int64(cfg.Commands)) / wall.Seconds()
-	res.TxnsStarted = ts.Started
-	res.TxnsCommitted = ts.Committed
-	res.AbortedConflict = ts.AbortedConflict
-	res.AbortedCondition = ts.AbortedCondition
-	res.AbortedRecovery = ts.AbortedRecovery
-	res.CommitRate = ts.CommitRate()
+func (f *txnFeed) submit(i int, c msgnet.ProcID, start, pace msgnet.Time) {
+	f.tc.SubmitMixedPaced(c, f.perClient[i], start, pace)
+}
 
-	res.Consistent = tc.CheckConsistency() == nil
-	if !res.Consistent {
-		return res, fmt.Errorf("consistency: %v", tc.CheckConsistency())
-	}
-	if !cfg.SkipCheck {
-		cstart := time.Now()
-		sum, err := tc.CheckTxnLinearizable(ctx, check.WithBudget(cfg.Budget))
-		res.CheckWallMs = float64((time.Since(cstart) + sum.FeedWall).Microseconds()) / 1000
-		if err != nil {
-			return res, err
-		}
-		if sum.Ops != int64(cfg.Commands) {
-			return res, fmt.Errorf("checked %d ops of %d workload items", sum.Ops, cfg.Commands)
-		}
-		res.Linearizable = true
-		res.KeyHistories = sum.Traces
-		res.CheckedOps = sum.Ops
-		res.CheckNodes = sum.Nodes
-		res.Components = sum.Components
-		res.ComponentOps = sum.ComponentOps
-		res.LargestComponent = sum.LargestComponent
-		res.ComponentKeys = sum.ComponentKeys
-		res.FastPathKeys = sum.FastPathKeys
-	}
-	return res, nil
+func (f *txnFeed) verify(ctx context.Context, opts ...check.Option) (smr.HistoryCheck, error) {
+	var err error
+	f.sum, err = f.tc.CheckTxnLinearizable(ctx, opts...)
+	return f.sum.HistoryCheck, err
 }
 
 // E19Base is the canonical E19 configuration: 6 clients paced open-loop
@@ -355,12 +308,7 @@ func checkTxnRows(rows []TxnRunResult) error {
 	var errs []error
 	for _, r := range rows {
 		id := fmt.Sprintf("frac=%.2f %s faults=%v", r.TxnFrac, r.Distribution, r.CoordinatorCrashes)
-		if !r.Linearizable || !r.Consistent {
-			errs = append(errs, fmt.Errorf("%s: linearizable=%v consistent=%v", id, r.Linearizable, r.Consistent))
-		}
-		if int64(r.Commands) != r.CheckedOps {
-			errs = append(errs, fmt.Errorf("%s: checked %d ops of %d workload items", id, r.CheckedOps, r.Commands))
-		}
+		errs = append(errs, verified(id, r.ShardRunResult))
 		if r.TxnsStarted == 0 || r.TxnsCommitted == 0 {
 			errs = append(errs, fmt.Errorf("%s: %d transactions started, %d committed — row exercises nothing",
 				id, r.TxnsStarted, r.TxnsCommitted))
@@ -412,14 +360,6 @@ func E19TxnSweep(ctx context.Context) (Table, error) {
 		if r.CoordinatorCrashes {
 			faulted = "rolling coord crash"
 		}
-		lineariz := "yes"
-		if !r.Linearizable {
-			lineariz = "NO"
-		}
-		cons := "yes"
-		if !r.Consistent {
-			cons = "NO"
-		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", r.Commands),
 			r.Distribution,
@@ -430,8 +370,8 @@ func E19TxnSweep(ctx context.Context) (Table, error) {
 			fmt.Sprintf("%d", r.Components),
 			fmt.Sprintf("%d", r.LargestComponent),
 			fmt.Sprintf("%d", r.FastPathKeys),
-			lineariz,
-			cons,
+			yesNo(r.Linearizable),
+			yesNo(r.Consistent),
 		})
 	}
 	err = checkTxnRows(rows)

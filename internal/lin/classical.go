@@ -58,12 +58,13 @@ type Linearization []int
 // WitnessFromSequential converts it into a new-definition witness by
 // Lemma 2's construction.
 //
-// The search accepts traces of any length (DESIGN.md, decision 13):
-// placed-operation sets use a single-word bitmask for traces of at most
-// 63 operations and spill to a sparse word-array set (check.BitSet) with
-// an incrementally-maintained 128-bit digest in the memo key beyond that.
-// classicalRef retains the capped bitmask engine as the reference the
-// property tests diff against.
+// The search accepts traces of any length (DESIGN.md, decision 13): its
+// memo of failed search states is keyed by two 128-bit digests, the
+// placed-operation set's (a check.BitSet, maintained incrementally) and
+// the folded ADT state's (trace.HashString), so a memo entry costs the
+// same whatever the history's length or the state's size. classicalRef
+// retains the capped bitmask engine as the reference the property tests
+// diff against.
 //
 // The classical search is not structured per trace action, so there is
 // no classical Session — use Check, which agrees with CheckClassical on
@@ -86,17 +87,13 @@ func checkClassicalSettings(ctx context.Context, f adt.Folder, t trace.Trace, se
 	}
 	ops := collectOps(t)
 	s := &classicalSearcher{
-		ctx:      ctx,
-		f:        f,
-		ops:      ops,
-		budget:   set.Budget,
-		failed:   map[classicalKey]struct{}{},
-		stateIDs: map[adt.State]uint32{},
-		order:    make([]int, len(ops)),
-		spill:    len(ops) > smallPlacedOps,
-	}
-	if s.spill {
-		s.placedSpill = check.NewBitSet(len(ops))
+		ctx:    ctx,
+		f:      f,
+		ops:    ops,
+		budget: set.Budget,
+		failed: map[classicalKey]struct{}{},
+		order:  make([]int, len(ops)),
+		placed: check.NewBitSet(len(ops)),
 	}
 	s.initPrecedence()
 	ok, err := s.run(f.Empty())
@@ -109,32 +106,22 @@ func checkClassicalSettings(ctx context.Context, f adt.Folder, t trace.Trace, se
 	return Result{OK: true, Sequential: append(Linearization{}, s.order...), Nodes: s.nodes}, nil
 }
 
-// smallPlacedOps is the operation count up to which placed sets stay on
-// the single-word fast path: the memo key then carries the exact bitmask
-// (no digest involved), matching the pre-decision-13 engine bit for bit.
-const smallPlacedOps = 63
-
 // classicalKey is the fixed-size memoization key of the classical search:
-// the placed-operation set and the interned folded ADT state. On the
-// fast path w0 is the exact placed bitmask (w1 is 0); on the spill path
-// (w0, w1) is the placed BitSet's 128-bit digest, the decision-7
-// discipline extended to placed sets (a run uses one representation
-// throughout, so the two keyings never mix). States are interned to
-// dense ids so the key carries no string and lookups do not re-serialize
-// the state.
+// the 128-bit digests of the placed-operation set and of the folded ADT
+// state, the decision-7 discipline every engine keys on. The memo holds
+// no state string, so what it retains is 32 bytes a failed search state
+// however long a queue's contents grow.
 type classicalKey struct {
-	w0, w1  uint64
-	stateID uint32
+	placed, state trace.Digest
 }
 
 type classicalSearcher struct {
-	ctx      context.Context
-	f        adt.Folder
-	ops      []operation
-	budget   int
-	nodes    int
-	failed   map[classicalKey]struct{}
-	stateIDs map[adt.State]uint32
+	ctx    context.Context
+	f      adt.Folder
+	ops    []operation
+	budget int
+	nodes  int
+	failed map[classicalKey]struct{}
 	// order[k] is the k-th linearized operation on the successful path.
 	order []int
 
@@ -153,15 +140,14 @@ type classicalSearcher struct {
 	cnt    []int32 // indexed by first value, 0..n
 	curMin int
 
-	// The placed set: placedSmall on the ≤63-op fast path, placedSpill
-	// (with its incremental digest) beyond.
-	spill       bool
-	placedSmall uint64
-	placedSpill check.BitSet
-	nplaced     int
+	// The placed set, with its incremental digest; every operation below
+	// lo is placed, so the candidate loop starts there.
+	placed check.BitSet
+	lo     int
 
-	// audit shadows the spill-path memo with exact placed-set keys under
-	// -tags memocheck; a zero-size no-op otherwise (memocheck_off.go).
+	// audit shadows every memo key with the exact placed set and state it
+	// stands for under -tags memocheck; a zero-size no-op otherwise
+	// (memocheck_off.go).
 	audit classicalAudit
 }
 
@@ -195,36 +181,17 @@ func (s *classicalSearcher) initPrecedence() {
 	}
 }
 
-// stateID interns a folded ADT state to a dense id.
-func (s *classicalSearcher) stateID(st adt.State) uint32 {
-	if id, ok := s.stateIDs[st]; ok {
-		return id
-	}
-	id := uint32(len(s.stateIDs))
-	s.stateIDs[st] = id
-	return id
-}
-
-func (s *classicalSearcher) isPlaced(j int) bool {
-	if s.spill {
-		return s.placedSpill.Has(j)
-	}
-	return s.placedSmall&(1<<uint(j)) != 0
-}
-
 // place marks operation j linearized, updating the placed set (and its
-// digest on the spill path) and the eligibility window: removing a
+// digest), its low-water mark and the eligibility window: removing a
 // completed operation from the cnt multiset may advance curMin forward
-// past emptied slots. unplace undoes it on backtrack — re-adding first[j]
-// restores the exact minimum in O(1), so curMin is always the true
-// minimum of the multiset.
+// past emptied slots. unplace undoes it on backtrack — re-adding
+// first[j] restores the exact minimum in O(1), so curMin is always the
+// true minimum of the multiset, and lo drops back to j if it was above.
 func (s *classicalSearcher) place(j int) {
-	if s.spill {
-		s.placedSpill.Add(j)
-	} else {
-		s.placedSmall |= 1 << uint(j)
+	s.placed.Add(j)
+	for s.lo < len(s.ops) && s.placed.Has(s.lo) {
+		s.lo++
 	}
-	s.nplaced++
 	if s.ops[j].res >= 0 {
 		f := int(s.first[j])
 		s.cnt[f]--
@@ -237,12 +204,8 @@ func (s *classicalSearcher) place(j int) {
 }
 
 func (s *classicalSearcher) unplace(j int) {
-	if s.spill {
-		s.placedSpill.Remove(j)
-	} else {
-		s.placedSmall &^= 1 << uint(j)
-	}
-	s.nplaced--
+	s.placed.Remove(j)
+	s.lo = min(s.lo, j)
 	if s.ops[j].res >= 0 {
 		f := int(s.first[j])
 		s.cnt[f]++
@@ -250,15 +213,6 @@ func (s *classicalSearcher) unplace(j int) {
 			s.curMin = f
 		}
 	}
-}
-
-func (s *classicalSearcher) key(st adt.State) classicalKey {
-	id := s.stateID(st)
-	if s.spill {
-		d := s.placedSpill.Digest()
-		return classicalKey{w0: d[0], w1: d[1], stateID: id}
-	}
-	return classicalKey{w0: s.placedSmall, stateID: id}
 }
 
 // run linearizes operations one at a time against the searcher's placed
@@ -278,19 +232,19 @@ func (s *classicalSearcher) run(st adt.State) (bool, error) {
 			return false, err
 		}
 	}
-	if s.nplaced == len(s.ops) {
+	if s.placed.Len() == len(s.ops) {
 		return true, nil
 	}
-	key := s.key(st)
+	key := classicalKey{placed: s.placed.Digest(), state: trace.HashString(string(st))}
 	if _, hit := s.failed[key]; hit {
-		s.auditHit(key)
+		s.auditHit(key, st)
 		return false, nil
 	}
 	// Place/unplace pairs inside the loop restore cnt and curMin exactly,
 	// so the snapshot stays the eligibility bound for every iteration.
 	lim := s.curMin
-	for j := 0; j < lim; j++ {
-		if s.isPlaced(j) {
+	for j := s.lo; j < lim; j++ {
+		if s.placed.Has(j) {
 			continue
 		}
 		op := &s.ops[j]
@@ -306,12 +260,12 @@ func (s *classicalSearcher) run(st adt.State) (bool, error) {
 			return false, err
 		}
 		if ok {
-			s.order[s.nplaced] = j
+			s.order[s.placed.Len()] = j
 			return true, nil
 		}
 	}
 	s.failed[key] = struct{}{}
-	s.auditInsert(key)
+	s.auditInsert(key, st)
 	return false, nil
 }
 

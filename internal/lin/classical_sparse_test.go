@@ -1,12 +1,12 @@
 package lin
 
-// Tests for the sparse placed-set classical engine (DESIGN.md, decision
-// 13): property and fuzz diffs against the retained bitmask reference
+// Tests for the digest-keyed classical engine (DESIGN.md, decision 13):
+// property and fuzz diffs against the retained bitmask reference
 // (classicalRef) on the ≤63-op range — verdict, witness validity AND
-// exact node counts, since the sparse engine enumerates the same
-// candidates in the same order — plus boundary coverage at 63/64/65/128
-// operations, where verdicts must agree with the new-definition checker
-// (Theorem 1 on unique-input traces).
+// exact node counts, since the engine enumerates the same candidates in
+// the same order — plus boundary coverage at 63/64/65/128 operations,
+// where verdicts must agree with the new-definition checker (Theorem 1
+// on unique-input traces).
 
 import (
 	"context"
@@ -125,8 +125,8 @@ func seqTrace(n, window int, corruptAt int) trace.Trace {
 	return tr
 }
 
-// TestClassicalBoundaries: at 63 (fast-path edge), 64, 65 (first spill
-// words) and 128 operations the checker returns verdicts, never a
+// TestClassicalBoundaries: at 63 (the reference's cap), 64, 65 (a
+// second placed-set word) and 128 operations the checker returns verdicts, never a
 // representation-cap error, the witnesses verify, and the verdict agrees
 // with the new-definition checker on these unique-input traces
 // (Theorem 1).
@@ -164,10 +164,8 @@ func TestClassicalBoundaries(t *testing.T) {
 	}
 }
 
-// TestClassicalFastPathEdge pins the representation switch: 63 ops stay
-// on the single-word fast path, 64 spill — and both sides of the edge
-// agree with the reference (which still caps at 63) resp. the
-// new-definition checker.
+// TestClassicalFastPathEdge: at 63 operations the engine agrees with
+// the reference, which refuses 64 (its single-word cap).
 func TestClassicalFastPathEdge(t *testing.T) {
 	at63 := seqTrace(63, 4, -1)
 	diffClassicalAgainstRef(t, adt.Consensus{}, at63)
@@ -194,17 +192,17 @@ func TestClassicalBatchLongTraces(t *testing.T) {
 	}
 }
 
-// TestClassicalSparseBudgetAndCancel: the spill path honours the budget
-// sentinel and context cancellation exactly like the fast path.
+// TestClassicalSparseBudgetAndCancel: a long trace honours the budget
+// sentinel and context cancellation.
 func TestClassicalSparseBudgetAndCancel(t *testing.T) {
 	long := seqTrace(100, 4, -1)
 	if _, err := CheckClassical(context.Background(), adt.Consensus{}, long, check.WithBudget(5)); !errors.Is(err, ErrBudget) {
-		t.Fatalf("tiny budget on the spill path: %v, want ErrBudget", err)
+		t.Fatalf("tiny budget on a long trace: %v, want ErrBudget", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := CheckClassical(ctx, adt.Consensus{}, long); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled spill-path check: %v, want context.Canceled", err)
+		t.Fatalf("cancelled long-trace check: %v, want context.Canceled", err)
 	}
 }
 

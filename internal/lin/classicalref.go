@@ -37,7 +37,7 @@ func classicalRef(ctx context.Context, f adt.Folder, t trace.Trace, opts ...chec
 		return Result{OK: false, Reason: "trace is not well-formed"}, nil
 	}
 	ops := collectOps(t)
-	if len(ops) > smallPlacedOps {
+	if len(ops) > 63 {
 		return Result{}, errClassicalRefCap
 	}
 	s := &classicalRefSearcher{

@@ -12,9 +12,9 @@
 //     formalized in Appendix A (Definitions 37–46): a trace is
 //     linearizable* iff some completion can be reordered into a sequential
 //     trace that agrees with the ADT and preserves the order of
-//     non-overlapping operations. It accepts traces of any length: placed
-//     sets spill from a single-word bitmask to a sparse word-array
-//     representation past 63 operations (DESIGN.md, decision 13).
+//     non-overlapping operations. It accepts traces of any length: its
+//     memo keys on the digests of the placed-operation set and of the
+//     folded state (DESIGN.md, decision 13).
 //
 // Theorem 1/4 states the two definitions coincide; experiment E8 validates
 // that this package's two checkers agree on randomly generated traces.
@@ -30,8 +30,8 @@
 // ADT-specialized core instead (fastpath.go) while the trace stays in
 // its fragment, unless check.WithExact; the one option is the only
 // fast/exact switch (decision 36).
-// CheckClassical is a memoized depth-first search over placed operation
-// sets (decision 13). CheckReference and classicalRef retain the
+// CheckClassical is a depth-first search over placed operation sets,
+// memoized on 128-bit digests like every other engine (decision 13). CheckReference and classicalRef retain the
 // original string-keyed and capped-bitmask searches as executable
 // specifications; property tests assert the engines agree with them.
 package lin

@@ -38,14 +38,13 @@ func auditTransition(adt.Folder, adt.State, trace.Value, *transition) {}
 func TransitionAudit() (hits, mismatches uint64) { return 0, 0 }
 
 // classicalAudit is the no-op audit table of the default build for the
-// classical checker's spill-path memo (decision 13's lossy BitSet
-// digest beyond 63 operations).
+// classical checker's memo.
 type classicalAudit struct{}
 
-func (s *classicalSearcher) auditInsert(classicalKey) {}
-func (s *classicalSearcher) auditHit(classicalKey)    {}
+func (s *classicalSearcher) auditInsert(classicalKey, adt.State) {}
+func (s *classicalSearcher) auditHit(classicalKey, adt.State)    {}
 
 // ClassicalMemoCollisions reports digest collisions observed in the
-// classical checker's spill-path memo tables; always zero without the
-// memocheck build tag.
+// classical checker's memo tables; always zero without the memocheck
+// build tag.
 func ClassicalMemoCollisions() uint64 { return 0 }

@@ -95,42 +95,39 @@ func auditTransition(f adt.Folder, st adt.State, in trace.Value, t *transition) 
 	}
 }
 
-var classicalCollisions atomic.Uint64
+var classicalCollisions, classicalHits atomic.Uint64
 
 // ClassicalMemoCollisions reports digest collisions observed in the
-// classical checker's spill-path memo tables since process start.
+// classical checker's memo tables since process start.
 func ClassicalMemoCollisions() uint64 { return classicalCollisions.Load() }
 
 // classicalAudit shadows one classical searcher's failed-set with the
-// exact placed sets its spill digests stand for. Only the spill path is
-// audited: up to 63 operations the key carries the placed bitmask
-// verbatim, so it cannot collide; beyond that (w0, w1) is the lossy
-// 128-bit BitSet digest of decision 13.
+// exact placed set and folded state each key's two digests stand for
+// (decision 13).
 type classicalAudit struct {
 	keys map[classicalKey]string
 }
 
-// placedString is the exact placed set the spill digest stands for (the
-// stateID in the key is interned, not hashed, so it needs no shadow).
-func (s *classicalSearcher) placedString() string {
+// identity is the exact search state a memo key stands for: the placed
+// operations, then the folded state.
+func (s *classicalSearcher) identity(st adt.State) string {
 	var b strings.Builder
 	for j := 0; j < len(s.ops); j++ {
-		if s.placedSpill.Has(j) {
+		if s.placed.Has(j) {
 			b.WriteString(strconv.Itoa(j))
 			b.WriteByte(',')
 		}
 	}
+	b.WriteByte('\x00')
+	b.WriteString(string(st))
 	return b.String()
 }
 
-func (s *classicalSearcher) auditInsert(k classicalKey) {
-	if !s.spill {
-		return
-	}
+func (s *classicalSearcher) auditInsert(k classicalKey, st adt.State) {
 	if s.audit.keys == nil {
 		s.audit.keys = map[classicalKey]string{}
 	}
-	full := s.placedString()
+	full := s.identity(st)
 	if prev, ok := s.audit.keys[k]; ok && prev != full {
 		classicalCollisions.Add(1)
 		return
@@ -138,11 +135,9 @@ func (s *classicalSearcher) auditInsert(k classicalKey) {
 	s.audit.keys[k] = full
 }
 
-func (s *classicalSearcher) auditHit(k classicalKey) {
-	if !s.spill {
-		return
-	}
-	if prev, ok := s.audit.keys[k]; ok && prev != s.placedString() {
+func (s *classicalSearcher) auditHit(k classicalKey, st adt.State) {
+	classicalHits.Add(1)
+	if prev, ok := s.audit.keys[k]; ok && prev != s.identity(st) {
 		classicalCollisions.Add(1)
 	}
 }

@@ -78,18 +78,19 @@ func TestMemoDigestCollisionsZero(t *testing.T) {
 }
 
 // TestClassicalSpillMemoCollisionsZero audits the classical checker's
-// spill-path memo (DESIGN.md decision 13: beyond 63 operations the key
-// carries a lossy 128-bit BitSet digest of the placed set instead of the
-// exact bitmask). Every digest insert and hit is re-derived against the
-// full placed set; the count of mismatches must stay zero.
+// memo (DESIGN.md decision 13: every key is the 128-bit digests of the
+// placed set and of the folded state, at any trace length). Every insert
+// and hit is re-derived against the full placed set and state; the count
+// of mismatches must stay zero over a nonzero count of audited hits.
 //
 // Run with: go test -tags memocheck ./internal/lin
 func TestClassicalSpillMemoCollisionsZero(t *testing.T) {
 	checks := 0
-	// Overlap-windowed spill traces: window w gives 2^(n/w)-ish reordering
+	hits0 := classicalHits.Load()
+	// Overlap-windowed traces: window w gives 2^(n/w)-ish reordering
 	// choice, and the corrupted variants force failing branches that
 	// re-converge on shared placed sets — the memo's hottest shape.
-	for _, n := range []int{64, 80, 128, 200} {
+	for _, n := range []int{16, 40, 63, 64, 80, 128, 200} {
 		for _, window := range []int{2, 3, 4} {
 			for _, corrupt := range []int{-1, n / 2, n - 2} {
 				tr := seqTrace(n, window, corrupt)
@@ -105,12 +106,13 @@ func TestClassicalSpillMemoCollisionsZero(t *testing.T) {
 			}
 		}
 	}
-	// Random spill traces: pending tails and corrupted outputs over a
-	// denser overlap structure than the windowed builder produces.
+	// Random traces on both sides of 63 operations: pending tails and
+	// corrupted outputs over a denser overlap structure than the windowed
+	// builder produces.
 	r := rand.New(rand.NewSource(77))
 	for i := 0; i < 40; i++ {
 		opts := workload.TraceOpts{
-			Clients: 4, Ops: 64 + r.Intn(32),
+			Clients: 4, Ops: 32 + r.Intn(64),
 			Inputs:      []trace.Value{adt.IncInput(), adt.GetInput()},
 			PendingProb: 0.1, UniqueTags: true,
 		}
@@ -120,15 +122,30 @@ func TestClassicalSpillMemoCollisionsZero(t *testing.T) {
 		tr := workload.Random(adt.Counter{}, r, opts)
 		if _, err := CheckClassical(context.Background(), adt.Counter{}, tr,
 			check.WithBudget(50_000_000)); err != nil {
-			t.Fatalf("random spill trace %d: %v", i, err)
+			t.Fatalf("random trace %d: %v", i, err)
+		}
+		checks++
+	}
+	// Queue traces: states are whole queue contents, so the state half of
+	// a key stands for a long string.
+	for i := 0; i < 40; i++ {
+		tr := workload.Random(adt.Queue{}, r, workload.TraceOpts{
+			Clients: 4, Ops: 20 + r.Intn(60),
+			Inputs:      []trace.Value{adt.EnqInput("x"), adt.EnqInput("y"), adt.DeqInput()},
+			PendingProb: 0.1, UniqueTags: true, CorruptProb: 0.1 * float64(i%2),
+		})
+		if _, err := CheckClassical(context.Background(), adt.Queue{}, tr,
+			check.WithBudget(50_000_000)); err != nil {
+			t.Fatalf("random queue trace %d: %v", i, err)
 		}
 		checks++
 	}
 
-	if n := ClassicalMemoCollisions(); n != 0 {
-		t.Fatalf("%d classical spill-digest collisions across %d checks (expected zero)", n, checks)
+	hits := classicalHits.Load() - hits0
+	if n := ClassicalMemoCollisions(); n != 0 || hits == 0 {
+		t.Fatalf("%d classical memo collisions in %d audited hits across %d checks (want zero in some)", n, hits, checks)
 	}
-	t.Logf("0 classical spill collisions across %d checks", checks)
+	t.Logf("0 classical memo collisions in %d audited hits across %d checks", hits, checks)
 }
 
 // TestTransitionMemoAuditZero: with every transition-memo hit recomputed

@@ -103,7 +103,7 @@ func HashOutput(s Sym, out Value) Digest {
 // HashBit hashes set-membership of index i, the component hash of the
 // word-array bitsets whose digests are maintained incrementally by
 // popcount-style add/remove (check.BitSet; the classical checker's
-// sparse placed sets fold it into their memo keys). The high tag bit
+// placed sets fold it into their memo keys). The high tag bit
 // separates the component space from HashElem.
 func HashBit(i int) Digest {
 	return hash2(uint64(uint32(i)) | 1<<62)
