@@ -73,7 +73,12 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write an allocation profile (sampled allocation sites since start, after a final GC) to this file")
 	)
 	flag.Parse()
-	defer startProfiles(*cpuProfile, *memProfile)()
+	stop, err := profile.Start(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "smr-bench: %v\n", err)
+		os.Exit(2)
+	}
+	stopProfiles = stop
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -84,7 +89,7 @@ func main() {
 
 	if *zipf > 0 && *zipf <= 1 {
 		fmt.Fprintln(os.Stderr, "smr-bench: -zipf must exceed 1 (use 0 for uniform)")
-		os.Exit(2)
+		exit(2)
 	}
 
 	base := experiments.ShardRunConfig{
@@ -107,7 +112,7 @@ func main() {
 	if *txnFrac > 0 {
 		if *sweep != "" || *inject {
 			fmt.Fprintln(os.Stderr, "smr-bench: -txn-frac is mutually exclusive with -sweep and -faults")
-			os.Exit(2)
+			exit(2)
 		}
 		tcfg := experiments.TxnRunConfig{
 			ShardRunConfig:     base,
@@ -121,31 +126,21 @@ func main() {
 		}
 		r, err := experiments.RunTxn(ctx, tcfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "smr-bench: %v\n", err)
-			os.Exit(1)
+			fail(nil, err)
 		}
 		report(r.ShardRunResult)
 		fmt.Printf("  txns: %d started  commit rate %.2f  aborts conflict/condition/recovery %d/%d/%d\n",
 			r.TxnsStarted, r.CommitRate, r.AbortedConflict, r.AbortedCondition, r.AbortedRecovery)
 		fmt.Printf("  components: %d merged histories (%d ops, largest %d) over %d entangled keys; %d fast-path keys\n",
 			r.Components, r.ComponentOps, r.LargestComponent, r.ComponentKeys, r.FastPathKeys)
-		if *jsonOut != "" {
-			out, err := json.MarshalIndent(r, "", "  ")
-			if err != nil {
-				fail(nil, err)
-			}
-			if err := os.WriteFile(*jsonOut, append(out, '\n'), 0o644); err != nil {
-				fail(nil, err)
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		return
+		writeJSON(*jsonOut, r)
+		exit(0)
 	}
 
 	if *inject {
 		if *sweep != "" {
 			fmt.Fprintln(os.Stderr, "smr-bench: -faults and -sweep are mutually exclusive")
-			os.Exit(2)
+			exit(2)
 		}
 		ccfg := experiments.ChaosConfig{
 			ShardRunConfig: base,
@@ -155,8 +150,7 @@ func main() {
 		}
 		r, err := experiments.RunChaos(ctx, ccfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "smr-bench: %v\n", err)
-			os.Exit(1)
+			fail(nil, err)
 		}
 		report(r.ShardRunResult)
 		recover := fmt.Sprintf("%d delays", r.TimeToRecover)
@@ -167,17 +161,8 @@ func main() {
 			"retries=%d  dup msgs=%d\n",
 			100*r.FastPathBefore, 100*r.FastPathDuring, 100*r.FastPathAfter,
 			recover, r.Retries, r.DuplicatedMsgs)
-		if *jsonOut != "" {
-			out, err := json.MarshalIndent(r, "", "  ")
-			if err != nil {
-				fail(nil, err)
-			}
-			if err := os.WriteFile(*jsonOut, append(out, '\n'), 0o644); err != nil {
-				fail(nil, err)
-			}
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		return
+		writeJSON(*jsonOut, r)
+		exit(0)
 	}
 
 	var rows []experiments.ShardRunResult
@@ -187,11 +172,10 @@ func main() {
 			n, err := strconv.Atoi(strings.TrimSpace(s))
 			if err != nil || n <= 0 {
 				fmt.Fprintf(os.Stderr, "smr-bench: bad -sweep entry %q\n", s)
-				os.Exit(2)
+				exit(2)
 			}
 			counts = append(counts, n)
 		}
-		var err error
 		rows, err = experiments.ShardSweep(ctx, counts, *perShard, base)
 		if err != nil {
 			fail(rows, err)
@@ -212,16 +196,8 @@ func main() {
 			rows[0].Shards, rows[len(rows)-1].Shards,
 			rows[len(rows)-1].CmdsPerDelay/rows[0].CmdsPerDelay)
 	}
-	if *jsonOut != "" {
-		out, err := json.MarshalIndent(rows, "", "  ")
-		if err != nil {
-			fail(nil, err)
-		}
-		if err := os.WriteFile(*jsonOut, append(out, '\n'), 0o644); err != nil {
-			fail(nil, err)
-		}
-		fmt.Printf("wrote %s\n", *jsonOut)
-	}
+	writeJSON(*jsonOut, rows)
+	exit(0)
 }
 
 // report prints one run. Run wall and check wall are reported as
@@ -245,19 +221,33 @@ func report(r experiments.ShardRunResult) {
 		100*r.FastPathRate, r.MeanLatency, r.WallMs, r.CmdsPerSecWall, check)
 }
 
-// startProfiles begins the requested profiles and returns the function
-// that finishes them. Only a run that reaches the end of main writes
-// them: the error paths exit directly.
-func startProfiles(cpu, mem string) (stop func()) {
-	check := func(err error) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "smr-bench: %v\n", err)
-			os.Exit(2)
-		}
+// writeJSON writes v as indented JSON to path; an empty path writes
+// nothing.
+func writeJSON(path string, v any) {
+	if path == "" {
+		return
 	}
-	finish, err := profile.Start(cpu, mem)
-	check(err)
-	return func() { check(finish()) }
+	out, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		err = os.WriteFile(path, append(out, '\n'), 0o644)
+	}
+	if err != nil {
+		fail(nil, err)
+	}
+	fmt.Printf("wrote %s\n", path)
+}
+
+// stopProfiles finishes the profiles -cpuprofile and -memprofile asked
+// for; exit calls it first, so both files are complete whatever the exit
+// status.
+var stopProfiles = func() error { return nil }
+
+func exit(code int) {
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "smr-bench: %v\n", err)
+		code = 2
+	}
+	os.Exit(code)
 }
 
 func fail(rows []experiments.ShardRunResult, err error) {
@@ -265,5 +255,5 @@ func fail(rows []experiments.ShardRunResult, err error) {
 		report(r)
 	}
 	fmt.Fprintf(os.Stderr, "smr-bench: %v\n", err)
-	os.Exit(1)
+	exit(1)
 }

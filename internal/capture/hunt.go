@@ -51,10 +51,6 @@ type Config struct {
 	// Classical additionally runs the uncapped ClassicalLin checker
 	// one-shot over every captured per-key history after the run.
 	Classical bool
-	// RetryEmpty bounds a queue worker's dequeue retry loop; an
-	// exhausted loop records an empty dequeue (clean runs never do: a
-	// dequeue is only attempted against a completed enqueue's token).
-	RetryEmpty int
 
 	clock func() int64 // test hook
 }
@@ -74,9 +70,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Budget <= 0 {
 		c.Budget = 5_000_000
-	}
-	if c.RetryEmpty <= 0 {
-		c.RetryEmpty = 2_000
 	}
 	return c
 }
@@ -351,7 +344,7 @@ func (h *huntState) opFunc(p *Proc) func(r *rand.Rand, seq int) {
 			in := adt.Tag(adt.DeqInput(), u)
 			p.Inv(in)
 			out := adt.ReadOutput(adt.Bottom)
-			for tries := 0; tries < h.cfg.RetryEmpty; tries++ {
+			for tries := 0; tries < retryEmpty; tries++ {
 				if v, ok := q.Dequeue(); ok {
 					out = adt.ReadOutput(trace.Value(v))
 					break
@@ -371,6 +364,11 @@ func (h *huntState) opFunc(p *Proc) func(r *rand.Rand, seq int) {
 // queuePrefill is how many elements per goroutine the queue holds
 // before the workers start.
 const queuePrefill = 2
+
+// retryEmpty bounds a queue worker's dequeue retry loop; an exhausted
+// loop records an empty dequeue (clean runs never do: a dequeue is only
+// attempted against a completed enqueue's token).
+const retryEmpty = 2_000
 
 // prefill seeds the queue with queuePrefill×Goroutines elements through
 // proc 0 before the workers start, so the trace stays inside the

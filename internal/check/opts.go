@@ -51,10 +51,6 @@ type Settings struct {
 	// budget over their whole run. NewSettings resolves 0 to
 	// DefaultBudget.
 	Budget int
-	// Workers sizes the worker pool of the batch checkers (CheckAll,
-	// Parallel), which shard independent traces; 0 means GOMAXPROCS.
-	// Single-trace checks and sessions are sequential and ignore it.
-	Workers int
 	// Witness controls whether positive verdicts assemble linearization
 	// witnesses. NewSettings defaults it to true; WithWitness(false)
 	// skips witness assembly.
@@ -94,10 +90,6 @@ func NewSettings(opts ...Option) Settings {
 // WithBudget bounds the search to n nodes per fed action (see
 // Settings.Budget).
 func WithBudget(n int) Option { return func(s *Settings) { s.Budget = n } }
-
-// WithWorkers sizes the pool the batch checkers shard independent
-// traces across (see Settings.Workers; 0 = GOMAXPROCS).
-func WithWorkers(n int) Option { return func(s *Settings) { s.Workers = n } }
 
 // WithWitness toggles witness assembly on positive verdicts.
 func WithWitness(on bool) Option { return func(s *Settings) { s.Witness = on } }

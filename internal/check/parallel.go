@@ -7,9 +7,8 @@ import (
 	"sync/atomic"
 )
 
-// Workers normalizes a batch worker-count option: n when positive,
-// otherwise GOMAXPROCS. Zero therefore means "one worker per core" for
-// the batch checkers.
+// Workers normalizes Parallel's worker count: n when positive,
+// otherwise GOMAXPROCS. Zero therefore means "one worker per core".
 func Workers(n int) int {
 	if n > 0 {
 		return n
@@ -25,8 +24,9 @@ func Workers(n int) int {
 // ctx.Err()) is returned alongside the partial results. Result slots
 // whose items never ran hold the zero value.
 //
-// It is the worker-pool path shared by the batch checkers (lin.CheckAll,
-// slin.CheckAll), the E8 equivalence sweeps and cmd/slin-check.
+// It is the one batch path (DESIGN.md, decision 9): every checker
+// decides one trace sequentially, and a caller with many — the E8
+// equivalence sweeps, cmd/slin-check, keyed.Set.Check — shards them here.
 func Parallel[T, R any](ctx context.Context, items []T, workers int, fn func(i int, item T) (R, error)) ([]R, error) {
 	if ctx == nil {
 		ctx = context.Background() // nil tolerated like every other v2 entry point

@@ -136,9 +136,6 @@ func (o *Composer) Invoke(c trace.ClientID, in trace.Value) (trace.Value, error)
 // Trace returns a snapshot of the object-level trace recorded so far.
 func (o *Composer) Trace() trace.Trace { return o.rec.Trace() }
 
-// Phases returns the number of composed phases.
-func (o *Composer) Phases() int { return len(o.phases) }
-
 // Recorder collects trace actions from concurrent clients. The zero value
 // is not usable; call NewRecorder.
 type Recorder struct {

@@ -270,7 +270,8 @@ func E8DefinitionEquivalence(ctx context.Context) (Table, error) {
 	}
 	for _, tc := range cases {
 		// Trace generation is sequential (one deterministic seed stream);
-		// the two checker sweeps shard the batch across GOMAXPROCS cores.
+		// the two checker sweeps shard the batch across GOMAXPROCS cores
+		// on check.Parallel.
 		r := rand.New(rand.NewSource(42))
 		const n = 400
 		traces := make([]trace.Trace, n)
@@ -284,11 +285,15 @@ func E8DefinitionEquivalence(ctx context.Context) (Table, error) {
 			}
 			traces[i] = workload.Random(tc.f, r, opts)
 		}
-		newRes, err := lin.CheckAll(ctx, tc.f, traces, check.WithExact(true))
+		newRes, err := check.Parallel(ctx, traces, 0, func(_ int, tr trace.Trace) (lin.Result, error) {
+			return lin.Check(ctx, tc.f, tr, check.WithExact(true))
+		})
 		if err != nil {
 			return t, err
 		}
-		classicalRes, err := lin.CheckClassicalAll(ctx, tc.f, traces)
+		classicalRes, err := check.Parallel(ctx, traces, 0, func(_ int, tr trace.Trace) (lin.Result, error) {
+			return lin.CheckClassical(ctx, tc.f, tr)
+		})
 		if err != nil {
 			return t, err
 		}

@@ -246,27 +246,26 @@ func E10PhaseChain(ctx context.Context) (Table, error) {
 		{"1 crash + contention", 1, 4},
 	}
 	for _, sc := range scenarios {
-		var decided, byPhase [4]int
+		var byPhase [4]int
 		var ops int
-		_ = decided
 		for seed := int64(1); seed <= 30; seed++ {
-			w := msgnet.New(msgnet.Config{Seed: seed, MinDelay: 1, MaxDelay: sc.delay})
-			obj, err := mpcons.Build(w, procIDs("c", 3), procIDs("s", 3), protos...)
+			obj, err := runConsensus(msgnet.Config{Seed: seed, MinDelay: 1, MaxDelay: sc.delay}, 3, 3, protos,
+				func(w *msgnet.Network, obj *mpcons.Object) {
+					for i := 0; i < sc.crash; i++ {
+						w.Crash(msgnet.ProcID(fmt.Sprintf("s%d", i+1)), 0)
+					}
+					stagger := msgnet.Time(0)
+					if sc.name == "fault-free sequential" {
+						stagger = 10
+					}
+					for i := 0; i < 3; i++ {
+						obj.ProposeAt(msgnet.ProcID(fmt.Sprintf("c%d", i+1)),
+							trace.Value(fmt.Sprintf("v%d", i)), msgnet.Time(i)*stagger)
+					}
+				})
 			if err != nil {
 				return t, err
 			}
-			for i := 0; i < sc.crash; i++ {
-				w.Crash(msgnet.ProcID(fmt.Sprintf("s%d", i+1)), 0)
-			}
-			stagger := msgnet.Time(0)
-			if sc.name == "fault-free sequential" {
-				stagger = 10
-			}
-			for i := 0; i < 3; i++ {
-				obj.ProposeAt(msgnet.ProcID(fmt.Sprintf("c%d", i+1)),
-					trace.Value(fmt.Sprintf("v%d", i)), msgnet.Time(i)*stagger)
-			}
-			obj.Run(500_000)
 			ops += 3
 			for _, r := range obj.Results() {
 				byPhase[r.Phase]++

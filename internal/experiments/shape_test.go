@@ -153,7 +153,7 @@ func TestE18Shape(t *testing.T) {
 	if err := checkStreamRows(rows, E18Checkpoints); err != nil {
 		t.Error(err)
 	}
-	cmp, err := E18CompactVsUncompacted(context.Background(), E18CompareOps/4)
+	cmp, err := E18WitnessOffVsOn(context.Background(), E18CompareOps/4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,17 +54,16 @@ type Linearization []int
 // and are chosen by the search.
 //
 // On success, Result.Sequential holds the witnessing operation order;
-// VerifySequential validates it against the definitions, and
-// WitnessFromSequential converts it into a new-definition witness by
-// Lemma 2's construction.
+// the package's tests validate it against the definitions and convert it
+// into a new-definition witness by Lemma 2's construction.
 //
 // The search accepts traces of any length (DESIGN.md, decision 13): its
 // memo of failed search states is keyed by two 128-bit digests, the
 // placed-operation set's (a check.BitSet, maintained incrementally) and
 // the folded ADT state's (trace.HashString), so a memo entry costs the
-// same whatever the history's length or the state's size. classicalRef
-// retains the capped bitmask engine as the reference the property tests
-// diff against.
+// same whatever the history's length or the state's size. The property
+// tests diff it against the capped bitmask engine it replaced, retained
+// as a test-only reference.
 //
 // The classical search is not structured per trace action, so there is
 // no classical Session — use Check, which agrees with CheckClassical on

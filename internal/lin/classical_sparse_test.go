@@ -174,13 +174,15 @@ func TestClassicalFastPathEdge(t *testing.T) {
 	}
 }
 
-// TestClassicalBatchLongTraces: CheckClassicalAll shards uncapped
-// classical checks across workers, long and short traces mixed.
+// TestClassicalBatchLongTraces: uncapped classical checks shard across
+// check.Parallel's workers, long and short traces mixed.
 func TestClassicalBatchLongTraces(t *testing.T) {
 	traces := []trace.Trace{
 		seqTrace(10, 3, -1), seqTrace(100, 4, -1), seqTrace(70, 0, 9), seqTrace(128, 5, 64),
 	}
-	res, err := CheckClassicalAll(context.Background(), adt.Consensus{}, traces, check.WithWorkers(2))
+	res, err := check.Parallel(context.Background(), traces, 2, func(_ int, tr trace.Trace) (Result, error) {
+		return CheckClassical(context.Background(), adt.Consensus{}, tr)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,15 +12,14 @@ import (
 
 // This file retains the pre-decision-13 classical engine — the uint64
 // placed-bitmask search with the per-node O(n²) real-time eligibility
-// rescan — as a build-tag-free executable reference, exactly as
-// CheckReference retains the string-keyed new-definition search. The
-// property and fuzz tests diff CheckClassical against it on the ≤63-op
-// range (verdicts, witness validity and node counts, which match exactly:
-// the sparse engine enumerates the same candidates in the same order).
+// rescan — as a test-only executable reference. The property and fuzz
+// tests diff CheckClassical against it on the ≤63-op range (verdicts,
+// witness validity and node counts, which match exactly: the sparse
+// engine enumerates the same candidates in the same order).
 
-// errClassicalRefCap is the reference engine's representation cap. It is
-// internal by design: the production checker no longer caps, and
-// reference callers stay within 63 operations.
+// errClassicalRefCap is the reference engine's representation cap: the
+// production checker does not cap, and reference callers stay within 63
+// operations.
 var errClassicalRefCap = errors.New("lin: classicalRef capped at 63 operations (bitmask representation)")
 
 // classicalRef decides linearizability* exactly as CheckClassical does,

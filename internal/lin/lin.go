@@ -31,9 +31,10 @@
 // its fragment, unless check.WithExact; the one option is the only
 // fast/exact switch (decision 36).
 // CheckClassical is a depth-first search over placed operation sets,
-// memoized on 128-bit digests like every other engine (decision 13). CheckReference and classicalRef retain the
-// original string-keyed and capped-bitmask searches as executable
-// specifications; property tests assert the engines agree with them.
+// memoized on 128-bit digests like every other engine (decision 13).
+// CheckReference retains the original string-keyed search as an
+// executable specification, and the tests retain the capped-bitmask
+// classical search; property tests assert the engines agree with them.
 package lin
 
 import (

@@ -182,57 +182,29 @@ func TestBudgetUniform(t *testing.T) {
 	}
 }
 
-// TestCheckAllMatchesSequential verifies the batch checker returns the
-// same verdicts as sequential checks, in order, for several pool sizes.
-func TestCheckAllMatchesSequential(t *testing.T) {
+// TestClassicalAgreesWithCheck is Theorem 1 on 64 random unique-input
+// consensus traces: the classical checker's verdict equals the new
+// definition's on every one.
+func TestClassicalAgreesWithCheck(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	f := adt.Consensus{}
 	inputs := []trace.Value{adt.ProposeInput("a"), adt.ProposeInput("b")}
-	traces := make([]trace.Trace, 64)
-	for i := range traces {
+	for i := 0; i < 64; i++ {
 		opts := workload.TraceOpts{Clients: 3, Ops: 5, Inputs: inputs, UniqueTags: true}
 		if i%2 == 1 {
 			opts.CorruptProb = 0.5
 		}
-		traces[i] = workload.Random(f, r, opts)
-	}
-	want := make([]bool, len(traces))
-	for i, tr := range traces {
+		tr := workload.Random(f, r, opts)
 		res, err := Check(context.Background(), f, tr, check.WithExact(true))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = res.OK
-	}
-	for _, workers := range []int{0, 1, 3, 16} {
-		got, err := CheckAll(context.Background(), f, traces, check.WithWorkers(workers), check.WithExact(true))
+		resC, err := CheckClassical(context.Background(), f, tr)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("classical trace %d: %v", i, err)
 		}
-		for i := range traces {
-			if got[i].OK != want[i] {
-				t.Fatalf("workers=%d trace %d: batch %v, sequential %v", workers, i, got[i].OK, want[i])
-			}
+		if resC.OK != res.OK {
+			t.Fatalf("trace %d: classical %v, new-definition %v", i, resC.OK, res.OK)
 		}
-		gotC, err := CheckClassicalAll(context.Background(), f, traces, check.WithWorkers(workers))
-		if err != nil {
-			t.Fatalf("classical workers=%d: %v", workers, err)
-		}
-		for i := range traces {
-			if gotC[i].OK != want[i] {
-				t.Fatalf("classical workers=%d trace %d: batch %v, new-definition %v", workers, i, gotC[i].OK, want[i])
-			}
-		}
-	}
-}
-
-// TestCheckAllPropagatesError verifies a budget exhaustion inside the
-// batch surfaces as an error instead of a silent wrong verdict.
-func TestCheckAllPropagatesError(t *testing.T) {
-	f := adt.Consensus{}
-	traces := []trace.Trace{linearizableTrace(), linearizableTrace()}
-	_, err := CheckAll(context.Background(), f, traces, check.WithBudget(1), check.WithExact(true))
-	if !errors.Is(err, ErrBudget) {
-		t.Fatalf("expected ErrBudget, got %v", err)
 	}
 }

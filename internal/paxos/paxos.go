@@ -48,39 +48,31 @@ type acceptedMsg struct {
 type decidedMsg struct{ V trace.Value }
 
 // Protocol is the Paxos phase protocol.
-type Protocol struct {
-	// RetryBase is the base backoff before a stalled proposer starts a
-	// higher ballot; the effective backoff grows with the round and is
-	// skewed by the client index to break symmetry. Default 8.
-	RetryBase msgnet.Time
-}
+type Protocol struct{}
 
 var _ mpcons.PhaseProtocol = Protocol{}
+
+// retryBase is the base backoff before a stalled proposer starts a
+// higher ballot; the effective backoff grows with the round and is
+// skewed by the client index to break symmetry.
+const retryBase msgnet.Time = 8
 
 // Name implements PhaseProtocol.
 func (Protocol) Name() string { return "paxos" }
 
-func (p Protocol) retryBase() msgnet.Time {
-	if p.RetryBase <= 0 {
-		return 8
-	}
-	return p.RetryBase
-}
-
 // NewClient implements PhaseProtocol.
-func (p Protocol) NewClient(env mpcons.ClientEnv) mpcons.ClientPhase {
-	return &proposer{proto: p, env: env}
+func (Protocol) NewClient(env mpcons.ClientEnv) mpcons.ClientPhase {
+	return &proposer{env: env}
 }
 
 // NewServer implements PhaseProtocol.
-func (p Protocol) NewServer(env mpcons.ServerEnv) mpcons.ServerPhase {
+func (Protocol) NewServer(env mpcons.ServerEnv) mpcons.ServerPhase {
 	return &acceptor{env: env}
 }
 
 // proposer drives ballots for one client and learns decisions.
 type proposer struct {
-	proto Protocol
-	env   mpcons.ClientEnv
+	env mpcons.ClientEnv
 
 	active   bool
 	value    trace.Value // value to propose this ballot
@@ -126,7 +118,7 @@ func (pr *proposer) newBallot() {
 	pr.phase2 = false
 	pr.env.Broadcast(prepareMsg{B: pr.ballot})
 	// Deterministic, symmetry-breaking backoff.
-	backoff := pr.proto.retryBase() * msgnet.Time(1+pr.round)
+	backoff := retryBase * msgnet.Time(1+pr.round)
 	backoff += msgnet.Time(pr.env.ClientIndex() * 2)
 	pr.env.SetTimer("retry", backoff)
 }

@@ -175,36 +175,3 @@ func TestBudgetExhaustionSurfaces(t *testing.T) {
 		t.Fatalf("reference: expected ErrBudget, got %v", err)
 	}
 }
-
-// TestCheckAllMatchesSequential verifies the batch checker returns the
-// same verdicts as sequential checks, in order, for several pool sizes.
-func TestCheckAllMatchesSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	traces := make([]trace.Trace, 48)
-	for i := range traces {
-		opts := workload.PhaseOpts{Clients: 3, NoLateOps: true}
-		if i%3 == 0 {
-			opts.ViolateProb = 0.4
-		}
-		traces[i] = workload.FirstPhase(r, opts)
-	}
-	want := make([]bool, len(traces))
-	for i, tr := range traces {
-		res, err := Check(context.Background(), adt.Consensus{}, ConsensusRInit{}, 1, 2, tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res.OK
-	}
-	for _, workers := range []int{0, 1, 4} {
-		got, err := CheckAll(context.Background(), adt.Consensus{}, ConsensusRInit{}, 1, 2, traces, check.WithWorkers(workers))
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range traces {
-			if got[i].OK != want[i] {
-				t.Fatalf("workers=%d trace %d: batch %v, sequential %v", workers, i, got[i].OK, want[i])
-			}
-		}
-	}
-}

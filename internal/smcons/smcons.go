@@ -203,25 +203,11 @@ func (s *System) Key() string {
 	return b.String()
 }
 
-// Decisions returns the decided value per client for completed clients.
-func (s *System) Decisions() map[trace.ClientID]trace.Value {
-	d := map[trace.ClientID]trace.Value{}
-	for _, p := range s.Procs {
-		if p.stage == stageDone {
-			d[p.id] = p.decision
-		}
-	}
-	return d
-}
-
 // ID returns the client's identifier.
 func (p *ClientProc) ID() trace.ClientID { return p.id }
 
 // Value returns the client's proposal.
 func (p *ClientProc) Value() trace.Value { return p.value }
-
-// Completed reports whether the client's operation has responded.
-func (p *ClientProc) Completed() bool { return p.stage == stageDone }
 
 // SwitchedOut reports whether the client's switch action has been emitted.
 func (p *ClientProc) SwitchedOut() bool {

@@ -101,3 +101,35 @@ func TestRecorderIllFormed(t *testing.T) {
 		})
 	}
 }
+
+// TestRecorderFreesReplayedSlots: after a run of kvShape (compaction on,
+// so idle clients keep learning through gossip) the eight recorders keep
+// a slotVal/learns entry only for slots some client has yet to learn or
+// the recorder has yet to replay — a count that does not grow with the
+// run — and nothing in pending (freed at replay) or slotOut (freed at
+// landing). subSlot, one entry per submitted command, is not asserted:
+// it grows with the run (ROADMAP item 14).
+func TestRecorderFreesReplayedSlots(t *testing.T) {
+	const slotValBound = 256
+	for _, n := range []int{3_000, 12_000, 48_000} {
+		_, sc, _ := kvShape(t, kvFeeds(n))
+		if err := sc.CheckConsistency(); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		var slotVal, learns, pending, slotOut, subSlot int
+		for _, rec := range sc.recs {
+			subSlot += len(rec.subSlot)
+			slotVal += len(rec.slotVal)
+			learns += len(rec.learns)
+			pending += len(rec.pending)
+			slotOut += len(rec.slotOut)
+		}
+		t.Logf("n=%d: slotVal %d, learns %d, pending %d, slotOut %d (subSlot %d)", n, slotVal, learns, pending, slotOut, subSlot)
+		if slotVal > slotValBound || learns > slotValBound {
+			t.Errorf("n=%d: %d slotVal and %d learns entries retained, bound %d", n, slotVal, learns, slotValBound)
+		}
+		if pending != 0 || slotOut != 0 {
+			t.Errorf("n=%d: %d pending and %d slotOut entries retained, want 0", n, pending, slotOut)
+		}
+	}
+}

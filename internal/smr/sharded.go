@@ -357,8 +357,8 @@ type HistoryCheck struct {
 // CheckLinearizable verifies every per-key history, and on a TxnCluster
 // every component's (checker API v2: context-aware, functional options).
 // Post hoc — the default — it checks every recorded history one-shot
-// (register ADT, adt.TxnKV for a component) on the batch checkers' pool
-// of check.WithWorkers workers (GOMAXPROCS by default). With
+// (register ADT, adt.TxnKV for a component) on check.Parallel's pool of
+// GOMAXPROCS workers. With
 // ShardedConfig.OnlineCheck it collects the sessions' verdicts (the
 // options applied to the sessions at Build time). It returns an error for
 // the first non-linearizable history, else the first checker failure.
@@ -377,7 +377,7 @@ func (sc *ShardedCluster) checkHistories(ctx context.Context, opts []check.Optio
 		// Witnesses off: a verdict and its nodes are all that is read. The
 		// pass runs the exact engine, whose nodes the experiments report.
 		opts = append(opts[:len(opts):len(opts)], check.WithWitness(false), check.WithExact(true))
-		rep = sc.hist.Check(ctx, check.NewSettings(opts...).Workers, func(t trace.Trace, joined bool) (lin.Result, error) {
+		rep = sc.hist.Check(ctx, 0, func(t trace.Trace, joined bool) (lin.Result, error) {
 			return lin.Check(ctx, histFolder(joined), t, opts...)
 		})
 	}

@@ -54,11 +54,10 @@ type Config struct {
 	// FastPath enables the Quorum first phase; without it slots run
 	// Paxos only (the baseline).
 	FastPath bool
-	// QuorumTimeout, Retransmit and PaxosRetry tune the phase protocols
-	// (zero values use the protocol defaults).
+	// QuorumTimeout and Retransmit tune the Quorum phase (zero values
+	// use the protocol defaults).
 	QuorumTimeout msgnet.Time
 	Retransmit    msgnet.Time
-	PaxosRetry    msgnet.Time
 	// Recovery models crash–recovery servers. With it on, every replica
 	// persists its server phase components' protocol state to a durable
 	// per-slot store after each delivered message — within the same
@@ -90,11 +89,9 @@ type Config struct {
 	// known (decision 30), and the sharded recorder's duplicate-slot
 	// check verifies online that no retry ever lands twice. Successive
 	// retries of one submission back off exponentially (capped at
-	// RetryBackoffCap) with a small deterministic per-client jitter.
+	// retryBackoffCap × RetryTimeout) with a small deterministic
+	// per-client jitter.
 	RetryTimeout msgnet.Time
-	// RetryBackoffCap caps the exponential retry backoff (default
-	// 8×RetryTimeout).
-	RetryBackoffCap msgnet.Time
 	// CompactEvery enables log compaction when positive. It counts
 	// rounds of slot ownership: every time a client's learned watermark
 	// (its first unknown slot) advances by CompactEvery × clients slots
@@ -120,13 +117,12 @@ type Config struct {
 const maxPhases = 2
 
 func (c Config) protos() []mpcons.PhaseProtocol {
-	px := paxos.Protocol{RetryBase: c.PaxosRetry}
 	if !c.FastPath {
-		return []mpcons.PhaseProtocol{px}
+		return []mpcons.PhaseProtocol{paxos.Protocol{}}
 	}
 	return []mpcons.PhaseProtocol{
 		quorum.Protocol{Timeout: c.QuorumTimeout, Retransmit: c.Retransmit},
-		px,
+		paxos.Protocol{},
 	}
 }
 
@@ -488,6 +484,10 @@ func (c *client) propose(s int, v Command, floor int64) {
 	c.armRetry()
 }
 
+// retryBackoffCap caps a submission's exponential retry backoff, in
+// multiples of Config.RetryTimeout.
+const retryBackoffCap = 8
+
 // armRetry (re)arms the progress timer as the retry timer of the live
 // proposal, with exponential backoff and deterministic jitter.
 func (c *client) armRetry() {
@@ -495,10 +495,7 @@ func (c *client) armRetry() {
 	if rt <= 0 {
 		return
 	}
-	maxBackoff := c.sh.cfg.RetryBackoffCap
-	if maxBackoff <= 0 {
-		maxBackoff = 8 * rt
-	}
+	maxBackoff := retryBackoffCap * rt
 	d := rt
 	for i := 0; i < c.current.retries && d < maxBackoff; i++ {
 		d *= 2

@@ -142,10 +142,3 @@ func (o *Object) Trace() trace.Trace { return o.rec.Trace() }
 func (o *Object) CheckLinearizable(ctx context.Context, opts ...check.Option) (lin.Result, error) {
 	return lin.Check(ctx, o.f, o.Trace(), opts...)
 }
-
-// NewCheckSession opens an incremental checker session over the object's
-// ADT; callers can stream the recorded trace through it as operations
-// land instead of re-checking post hoc.
-func (o *Object) NewCheckSession(ctx context.Context, opts ...check.Option) *lin.Session {
-	return lin.NewSession(ctx, o.f, opts...)
-}

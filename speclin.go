@@ -45,8 +45,9 @@
 // ErrSLinBudget — match with errors.Is. One-shot and incremental checks are one engine per property
 // (DESIGN.md, decisions 21 and 25), and both engines tell configurations
 // apart by end state and unclaimed entries, so commuting commit orders
-// are one configuration (decisions 20 and 29); WithWorkers sizes the
-// batch checkers' pool, never a single check.
+// are one configuration (decisions 20 and 29). Every check and session
+// is sequential; independent traces may be checked concurrently, since
+// the package's ADT folders are stateless.
 //
 // See the examples/ directory for runnable end-to-end programs and
 // DESIGN.md for the map from the paper's sections to packages (decision
@@ -210,7 +211,7 @@ type CheckSpec struct {
 	M, N int
 }
 
-// Functional options shared by Check, NewSession and the batch checkers.
+// Functional options shared by Check and NewSession.
 type Option = check.Option
 
 var (
@@ -218,10 +219,6 @@ var (
 	// whole search for ClassicalLin); exhausting it yields verdict
 	// Unknown with ErrBudget/ErrSLinBudget.
 	WithBudget = check.WithBudget
-	// WithWorkers sizes the worker pool of the batch checkers, which
-	// shard independent traces (0 means GOMAXPROCS); a single check or
-	// session is always sequential.
-	WithWorkers = check.WithWorkers
 	// WithWitness toggles witness assembly on positive verdicts
 	// (default on).
 	WithWitness = check.WithWitness
