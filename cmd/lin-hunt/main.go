@@ -155,22 +155,16 @@ func main() {
 			}
 			continue
 		}
-		caught := false
-		var last capture.Report
-		for r := 0; r < *rounds && !caught; r++ {
-			cfg.Seed = *seed + int64(r)
-			rep, err := capture.Run(ctx, cfg)
-			if err != nil {
-				fail(2, "lin-hunt: %v", err)
-			}
-			last = rep
-			caught = rep.Live.Verdict == speclin.NotLinearizable
-			if caught && r > 0 {
-				fmt.Printf("      (caught in round %d)\n", r+1)
-			}
+		cfg.Seed = *seed
+		last, round, err := capture.RunUntilCaught(ctx, cfg, *rounds)
+		if err != nil {
+			fail(2, "lin-hunt: %v", err)
+		}
+		if round > 1 {
+			fmt.Printf("      (caught in round %d)\n", round)
 		}
 		fmt.Println(last.String())
-		if !caught {
+		if round == 0 {
 			fmt.Printf("      mutant %s/%s NOT caught in %d rounds\n", j.structure, j.mutant, *rounds)
 			if *assert {
 				ok = false

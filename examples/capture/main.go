@@ -126,21 +126,16 @@ func main() {
 	// race — two dequeuers can both claim one enqueue. Detection depends
 	// on the interleaving, so hunts retry with derived seeds; the harness
 	// perturbs schedules at the race-critical step to widen the window.
-	for round := 0; ; round++ {
-		mut, err := capture.Run(ctx, capture.Config{
-			Structure: capture.StructQueue, Mutant: capture.MutantDroppedRetry,
-			Goroutines: 8, Ops: 400, Seed: 1 + int64(round),
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		if mut.Live.Verdict == speclin.NotLinearizable {
-			fmt.Printf("mutant  %s\n", mut)
-			fmt.Printf("mutant caught in round %d\n", round+1)
-			break
-		}
-		if round == 19 {
-			log.Fatal("mutant survived 20 hunt rounds")
-		}
+	mut, round, err := capture.RunUntilCaught(ctx, capture.Config{
+		Structure: capture.StructQueue, Mutant: capture.MutantDroppedRetry,
+		Goroutines: 8, Ops: 400, Seed: 1,
+	}, 20)
+	if err != nil {
+		log.Fatal(err)
 	}
+	if round == 0 {
+		log.Fatal("mutant survived 20 hunt rounds")
+	}
+	fmt.Printf("mutant  %s\n", mut)
+	fmt.Printf("mutant caught in round %d\n", round)
 }

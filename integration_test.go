@@ -144,8 +144,13 @@ func TestE6bShape(t *testing.T) {
 	}
 }
 
-// E9's shape as a test: sequential fast-path SMR is strictly faster than
-// the baseline, and both stay consistent.
+// E9 and E11 run one-shard smr.ShardedClusters (E11 through uobj), and
+// their tables are pinned row for row: a change to the protocol, to the
+// simulator's schedule or to the deployment shows here. Sequentially the
+// speculative log lands in the fast path's 2 delays against Paxos's 4;
+// under contention and with a server down it still pays for its
+// switches (ROADMAP items 15 and 20). A change that moves a row on
+// purpose re-records it and states why, as TestSchedulePins requires.
 func TestE9Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow sweep")
@@ -154,23 +159,34 @@ func TestE9Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := map[string][]string{}
-	for _, row := range tab.Rows {
-		byKey[row[0]+"/"+row[1]] = row
-		if row[5] != "yes" {
-			t.Fatalf("inconsistent run: %v", row)
-		}
-		if row[4] != "100%" {
-			t.Fatalf("commands lost: %v", row)
-		}
+	want := [][]string{
+		{"sequential", "speculative", "2.00", "0.00", "100%", "yes"},
+		{"sequential", "paxos-only", "4.00", "0.00", "100%", "yes"},
+		{"contended", "speculative", "10.23", "0.30", "100%", "yes"},
+		{"contended", "paxos-only", "8.62", "0.00", "100%", "yes"},
+		{"1/3 crashed", "speculative", "10.00", "1.00", "100%", "yes"},
+		{"1/3 crashed", "paxos-only", "4.00", "0.00", "100%", "yes"},
 	}
-	seq := byKey["sequential/speculative"]
-	base := byKey["sequential/paxos-only"]
-	if seq == nil || base == nil {
-		t.Fatalf("missing rows: %v", tab.Rows)
+	if !reflect.DeepEqual(tab.Rows, want) {
+		t.Fatalf("E9 rows moved:\n got %v\nwant %v", tab.Rows, want)
 	}
-	if !(seq[2] < base[2]) { // "2.00" < "4.00" lexically holds for these magnitudes
-		t.Fatalf("fast path not faster sequentially: %v vs %v", seq, base)
+}
+
+func TestE11Shape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow sweep")
+	}
+	tab, err := experiments.E11UniversalConstruction(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"register", "2", "4×10 seeds", "5.88", "10/10"},
+		{"queue", "3", "5×10 seeds", "5.80", "10/10"},
+		{"counter", "2", "6×10 seeds", "5.52", "10/10"},
+	}
+	if !reflect.DeepEqual(tab.Rows, want) {
+		t.Fatalf("E11 rows moved:\n got %v\nwant %v", tab.Rows, want)
 	}
 }
 

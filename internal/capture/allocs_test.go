@@ -254,8 +254,19 @@ func TestHuntRetainsOnlyWhatItReads(t *testing.T) {
 			t.Fatalf("%s (classical %v): %d actions counted, %d kept, %d reported",
 				tc.structure, tc.classical, counted, kept, rep.Actions)
 		}
-		if tc.classical && (rep.Classical == nil || rep.Classical.Actions != rep.Actions) {
+		if !tc.classical {
+			continue
+		}
+		if rep.Classical == nil || rep.Classical.Actions != rep.Actions {
 			t.Fatalf("%s: classical pass %+v, want %d actions", tc.structure, rep.Classical, rep.Actions)
+		}
+		// Captured inputs are unique, so by Theorem 1 the classical pass
+		// may run out of budget but never refute a linearizable history.
+		switch rep.Classical.Verdict {
+		case speclin.NotLinearizable:
+			t.Fatalf("%s: classical pass refutes a history the live check accepted: %s", tc.structure, rep.Classical.Reason)
+		case speclin.Unknown:
+			t.Logf("%s: classical pass unknown after %d nodes: %s", tc.structure, rep.Classical.Nodes, rep.Classical.Reason)
 		}
 	}
 }

@@ -112,6 +112,26 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 	return rep, err
 }
 
+// RunUntilCaught hunts a mutant for up to rounds runs, run r with seed
+// cfg.Seed+r, until one comes back NotLinearizable: detection depends on
+// the interleaving. It returns the last run's report and the 1-based
+// round that caught the mutant, 0 when none did.
+func RunUntilCaught(ctx context.Context, cfg Config, rounds int) (Report, int, error) {
+	var rep Report
+	seed := cfg.Seed
+	for r := 0; r < rounds; r++ {
+		cfg.Seed = seed + int64(r)
+		var err error
+		if rep, err = Run(ctx, cfg); err != nil {
+			return rep, 0, err
+		}
+		if rep.Live.Verdict == check.NotLinearizable {
+			return rep, r + 1, nil
+		}
+	}
+	return rep, 0, nil
+}
+
 // hunt is Run, also handing back the keyed histories so in-package tests
 // can see what the run retained.
 func hunt(ctx context.Context, cfg Config) (Report, *keyed.Set, error) {

@@ -118,30 +118,23 @@ func E17HuntRows(ctx context.Context, goroutines, ops, keys, rounds int, classic
 		mcfg := cfg
 		mcfg.Mutant = mutant
 		mcfg.Classical = false
-		mrow := CaptureHuntRow{
-			Name:       "hunt-" + structure + "-" + mutant,
-			Structure:  structure,
-			Mutant:     mutant,
-			Goroutines: goroutines,
+		mcfg.Seed = 1
+		mrep, round, err := capture.RunUntilCaught(ctx, mcfg, rounds)
+		if err != nil {
+			return nil, err
 		}
-		for r := 0; r < rounds; r++ {
-			mcfg.Seed = 1 + int64(r)
-			rep, err := capture.Run(ctx, mcfg)
-			if err != nil {
-				return nil, err
-			}
-			mrow.Actions = rep.Actions
-			mrow.Goroutines = rep.Goroutines
-			mrow.Linearizable = rep.Live.Verdict == speclin.Linearizable
-			mrow.EmptyDeqs = rep.EmptyDeqs
-			mrow.WallMs = float64(rep.Wall) / float64(time.Millisecond)
-			if rep.Live.Verdict == speclin.NotLinearizable {
-				mrow.Caught = true
-				mrow.RoundsToCatch = r + 1
-				break
-			}
-		}
-		out = append(out, mrow)
+		out = append(out, CaptureHuntRow{
+			Name:          "hunt-" + structure + "-" + mutant,
+			Structure:     structure,
+			Mutant:        mutant,
+			Goroutines:    mrep.Goroutines,
+			Actions:       mrep.Actions,
+			Linearizable:  mrep.Live.Verdict == speclin.Linearizable,
+			EmptyDeqs:     mrep.EmptyDeqs,
+			WallMs:        float64(mrep.Wall) / float64(time.Millisecond),
+			Caught:        round > 0,
+			RoundsToCatch: round,
+		})
 	}
 	return out, nil
 }

@@ -46,8 +46,10 @@ func E9SMRThroughput(ctx context.Context) (Table, error) {
 			for seed := int64(1); seed <= 10; seed++ {
 				w := msgnet.New(msgnet.Config{Seed: seed, MinDelay: 1, MaxDelay: sc.jitter})
 				clients := procIDs("c", sc.clients)
-				cl, err := smr.Build(w, clients, procIDs("s", 3),
-					smr.Config{FastPath: variant.fast, QuorumTimeout: 6, Retransmit: 4})
+				cl, err := smr.BuildSharded(w, clients, procIDs("s", 3), smr.ShardedConfig{
+					Config:        smr.Config{FastPath: variant.fast, QuorumTimeout: 6, Retransmit: 4},
+					RetainResults: true,
+				})
 				if err != nil {
 					return t, err
 				}

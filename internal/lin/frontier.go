@@ -96,6 +96,9 @@ type Frontier struct {
 	// chain keeps every configuration's commit chain (chain, pos); trail
 	// keeps the assignment trail a witness reads (asn).
 	chain, trail bool
+	// aborts holds the histories NoteAbort recorded, which trail nodes
+	// name by index, so a response's node carries none.
+	aborts []trace.History
 
 	frontier []*cfg
 	// look is the response lookahead of a one-shot check (nil for every
@@ -158,13 +161,14 @@ type chainNode struct {
 }
 
 // asnNode is one step of a witness trail: response res claimed the
-// chain prefix of length k, or — abort non-nil — abort action res was
-// discharged inline with that history (slin's temporal Abort-Order).
+// chain prefix of length k, or — k negative — abort action res was
+// discharged inline (slin's temporal Abort-Order) with the history
+// Frontier.aborts[-k-1]. Every response of a witness-on session keeps
+// one, so it holds no slice header.
 type asnNode struct {
-	prev  *asnNode
-	res   int
-	k     int
-	abort trace.History
+	prev *asnNode
+	res  int
+	k    int
 }
 
 // maxPool bounds the retired-configuration pool, as a backstop against
@@ -221,14 +225,14 @@ func (e *Frontier) Trail(i int) (commits, aborts map[int]trace.History) {
 	hist := e.history(c)
 	commits = map[int]trace.History{}
 	for n := c.asn; n != nil; n = n.prev {
-		if n.abort == nil {
+		if n.k >= 0 {
 			commits[n.res] = hist[:n.k].Clone()
 			continue
 		}
 		if aborts == nil {
 			aborts = map[int]trace.History{}
 		}
-		aborts[n.res] = n.abort.Clone()
+		aborts[n.res] = e.aborts[-n.k-1].Clone()
 	}
 	return commits, aborts
 }
@@ -237,7 +241,8 @@ func (e *Frontier) Trail(i int) (commits, aborts map[int]trace.History) {
 // discharged with history h (a no-op without a trail).
 func (e *Frontier) NoteAbort(i, idx int, h trace.History) {
 	if c := e.frontier[i]; e.trail {
-		c.asn = &asnNode{prev: c.asn, res: idx, abort: h}
+		e.aborts = append(e.aborts, h)
+		c.asn = &asnNode{prev: c.asn, res: idx, k: -len(e.aborts)}
 	}
 }
 

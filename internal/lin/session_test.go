@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
+	"unsafe"
 
 	"repro/internal/adt"
 	"repro/internal/check"
@@ -294,6 +295,19 @@ func TestSessionStreamingAllocsFlat(t *testing.T) {
 			t.Fatalf("allocs/op grew across segments: %.3f, %.3f, %.3f",
 				rates[0], rates[1], rates[2])
 		}
+	}
+}
+
+// A witness-on session keeps one chain node and one trail node per
+// response, so their sizes are its memory per operation (E18's
+// compare-witness-on row, 48 B on 64-bit): an inline abort's history sits
+// in the frontier, named by index, not in every trail node.
+func TestWitnessNodeSizes(t *testing.T) {
+	if got := unsafe.Sizeof(asnNode{}); got != 24 {
+		t.Fatalf("asnNode is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(chainNode{}); got != 24 {
+		t.Fatalf("chainNode is %d bytes, want 24", got)
 	}
 }
 

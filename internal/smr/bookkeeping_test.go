@@ -136,7 +136,7 @@ func (c *probedClient) OnTimer(name string) {
 func TestRedoAtSameSlotGetsNoStaleTimer(t *testing.T) {
 	w, cl := build(t, msgnet.Config{Seed: 1}, Config{FastPath: true, QuorumTimeout: 100, RetryTimeout: 30}, 1, 3)
 	var fired, stale int
-	cl.sh.protos[0] = timerProbe{PhaseProtocol: cl.sh.protos[0], fired: &fired, stale: &stale}
+	cl.shards[0].protos[0] = timerProbe{PhaseProtocol: cl.shards[0].protos[0], fired: &fired, stale: &stale}
 	for _, s := range ids("s", 3) {
 		w.Crash(s, 0)
 		w.Restart(s, 250)
@@ -182,16 +182,22 @@ func (r *retainer) OnRestart(n *msgnet.Node)            { r.inner.OnRestart(n) }
 func TestSharedEnvelopesSurviveDuplication(t *testing.T) {
 	w := msgnet.New(msgnet.Config{Seed: 11, MinDelay: 1, MaxDelay: 3, DupProb: 0.15})
 	clients, servers := ids("c", 3), ids("s", 3)
-	sh := newShard(w, 0, clients, servers, Config{
+	// BuildSharded registers its router and demux handlers on a network
+	// that never runs; they are registered on w behind retainers.
+	sc, err := BuildSharded(msgnet.New(msgnet.Config{}), clients, servers, ShardedConfig{Config: Config{
 		FastPath: true, QuorumTimeout: 8, Retransmit: 6, RetryTimeout: 60, Recovery: true, CompactEvery: 8,
-	})
+	}, RetainResults: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.net = w
 	var nodes []*retainer
 	for _, id := range clients {
-		nodes = append(nodes, &retainer{inner: sh.byID[id]})
+		nodes = append(nodes, &retainer{inner: sc.routers[id]})
 		w.AddNode(id, nodes[len(nodes)-1])
 	}
 	for _, id := range servers {
-		nodes = append(nodes, &retainer{inner: sh.reps[id]})
+		nodes = append(nodes, &retainer{inner: &serverMux{perShard: []*replica{sc.shards[0].reps[id]}}})
 		w.AddNode(id, nodes[len(nodes)-1])
 	}
 	w.SetLinkRule(servers[0], clients[0], msgnet.LinkRule{DupProb: 0.6, ExtraMaxDelay: 5})
@@ -204,17 +210,15 @@ func TestSharedEnvelopesSurviveDuplication(t *testing.T) {
 	const perClient = 60
 	for i, c := range clients {
 		for j := 0; j < perClient; j++ {
-			cmd := SetCmd(fmt.Sprintf("k%d", j%7), fmt.Sprintf("%s-v%d", c, j))
-			c := c
-			w.At(msgnet.Time(i+8*j), func() { sh.byID[c].enqueue(cmd) })
+			sc.SubmitAt(c, SetCmd(fmt.Sprintf("k%d", j%7), fmt.Sprintf("%s-v%d", c, j)), msgnet.Time(i+8*j))
 		}
 	}
 	w.Run(pinHorizon) // ends by t≈600; a stalled slot must fail, not hang
 
-	if got := len(sh.results); got != perClient*len(clients) {
+	if got := len(sc.Results()); got != perClient*len(clients) {
 		t.Fatalf("landed %d of %d commands", got, perClient*len(clients))
 	}
-	if err := sh.checkConsistency(); err != nil {
+	if err := sc.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
 	if w.Duplicated() == 0 {
@@ -249,7 +253,7 @@ func TestBackupPhaseBuiltOnFirstUse(t *testing.T) {
 	}
 	// Observe mid-run, while instances are live.
 	w.At(95, func() {
-		if inst := cl.sh.byID["c1"].inst; inst != nil {
+		if inst := cl.shards[0].byID["c1"].inst; inst != nil {
 			if inst.comps[0] == nil || inst.comps[1] != nil {
 				t.Errorf("live instance has phases built: %v", inst.comps)
 			}
@@ -259,7 +263,7 @@ func TestBackupPhaseBuiltOnFirstUse(t *testing.T) {
 	if got := len(cl.Results()); got != 20 {
 		t.Fatalf("landed %d of 20", got)
 	}
-	for _, rep := range cl.sh.reps {
+	for _, rep := range cl.shards[0].reps {
 		for slot, sl := range rep.slots {
 			if sl.comps[0] == nil || sl.comps[1] != nil {
 				t.Fatalf("replica %s slot %d has phases built: %v", rep.id, slot, sl.comps)
@@ -286,7 +290,7 @@ func TestLateDecisionReachesUnbuiltProposer(t *testing.T) {
 	cl.SubmitAt("c1", "first", 0)
 	cl.SubmitAt("c2", "second", 0)
 	early := false
-	c1 := cl.sh.byID["c1"]
+	c1 := cl.shards[0].byID["c1"]
 	for at := msgnet.Time(restart); at < restart+qt; at++ {
 		w.At(at, func() {
 			if inst := c1.inst; inst != nil && c1.instSlot == 0 && inst.phase == 0 && inst.comps[1] != nil {

@@ -21,7 +21,7 @@ func newRecorderRig(t *testing.T) *recorderRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &recorderRig{sc: sc, rec: sc.recs[0]}
+	return &recorderRig{sc: sc, rec: sc.shards[0].rec}
 }
 
 // start submits cmd and starts it at client c.
@@ -117,7 +117,8 @@ func TestRecorderFreesReplayedSlots(t *testing.T) {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		var slotVal, learns, pending, slotOut, subSlot int
-		for _, rec := range sc.recs {
+		for _, sh := range sc.shards {
+			rec := sh.rec
 			subSlot += len(rec.subSlot)
 			slotVal += len(rec.slotVal)
 			learns += len(rec.learns)

@@ -112,7 +112,7 @@ func (s ShardedStats) FastPathRate() float64 {
 // across N independent Shards (one speculative replicated log each)
 // sharing one simulated network. Every client process runs a router that
 // multiplexes its in-flight submissions per shard: submissions to the
-// same shard queue sequentially (the single-log client discipline), while
+// same shard queue sequentially (one log's client discipline), while
 // submissions to different shards proceed concurrently. Every server
 // process hosts one replica engine per shard behind a demultiplexer.
 //
@@ -128,10 +128,12 @@ type ShardedCluster struct {
 	shards  []*Shard
 	routers map[msgnet.ProcID]*router
 	nodes   map[msgnet.ProcID]*msgnet.Node
-	recs    []*shardRecorder
 	stats   ShardedStats
 	hist    *keyed.Set  // per-key histories, and txn components' (txn.go)
 	txn     *TxnCluster // the transaction layer, when built by BuildTxn
+	// onStart and onLand are SetHooks' observers (nil when unset).
+	onStart func(c msgnet.ProcID, cmd Command, at msgnet.Time)
+	onLand  func(SubmitResult)
 }
 
 // BuildSharded wires a sharded SMR cluster into net.
@@ -153,15 +155,10 @@ func BuildSharded(net *msgnet.Network, clients, servers []msgnet.ProcID, cfg Sha
 	sc.hist = keyed.New(keyed.Policy{Sessions: cfg.OnlineCheck, Retain: !cfg.OnlineCheck}, sc.openSession)
 	sc.stats.PerShardLanded = make([]int64, cfg.Shards)
 	for k := 0; k < cfg.Shards; k++ {
-		sh := newShard(net, k, clients, servers, cfg.Config)
+		sh := newShard(k, clients, servers, cfg.Config)
 		sh.keepResults = cfg.RetainResults
-		rec := newShardRecorder(sc, sh)
-		sh.onStart = rec.start
-		sh.onLearn = rec.learn
-		sh.onLand = rec.land
-		sh.submitted = rec.submitted
+		sh.rec = newShardRecorder(sc, sh)
 		sc.shards = append(sc.shards, sh)
-		sc.recs = append(sc.recs, rec)
 	}
 	for _, id := range clients {
 		r := &router{perShard: make([]*client, cfg.Shards)}
@@ -179,6 +176,13 @@ func BuildSharded(net *msgnet.Network, clients, servers []msgnet.ProcID, cfg Sha
 		net.AddNode(id, m)
 	}
 	return sc, nil
+}
+
+// SetHooks registers observation callbacks: start fires when a submission
+// begins executing (its invocation point under the client-sequential
+// discipline), land when it resolves. Either may be nil.
+func (sc *ShardedCluster) SetHooks(start func(c msgnet.ProcID, cmd Command, at msgnet.Time), land func(SubmitResult)) {
+	sc.onStart, sc.onLand = start, land
 }
 
 // Shards returns the shard count.
@@ -205,7 +209,7 @@ func (sc *ShardedCluster) SubmitAt(c msgnet.ProcID, cmd Command, t msgnet.Time) 
 	k := sc.shardFor(cmd)
 	sc.stats.Submitted++
 	sc.net.At(t, func() {
-		sc.recs[k].submit(cmd)
+		sc.shards[k].rec.submit(cmd)
 		sc.shards[k].byID[c].enqueue(cmd)
 	})
 }
@@ -218,7 +222,7 @@ func (sc *ShardedCluster) SubmitManyAt(c msgnet.ProcID, cmds []Command, t msgnet
 	sc.net.At(t, func() {
 		for _, cmd := range cmds {
 			k := sc.shardFor(cmd)
-			sc.recs[k].submit(cmd)
+			sc.shards[k].rec.submit(cmd)
 			sc.shards[k].byID[c].enqueue(cmd)
 		}
 	})
@@ -254,7 +258,7 @@ func (sc *ShardedCluster) SubmitPaced(c msgnet.ProcID, cmds []Command, start, pe
 			if step >= len(s) {
 				continue
 			}
-			sc.recs[k].submit(s[step])
+			sc.shards[k].rec.submit(s[step])
 			sc.shards[k].byID[c].enqueue(s[step])
 			if step+1 < len(s) {
 				more = true
@@ -295,8 +299,10 @@ func (sc *ShardedCluster) Results() []SubmitResult {
 	return out
 }
 
-// Log returns client c's view of shard k's replicated log (see
-// Cluster.Log; trimmed prefixes are absent under compaction).
+// Log returns client c's view of shard k's replicated log: the slots it
+// knows, unknown ones simply absent. Slots that hold no command carry a
+// value no client submitted (the log's no-op). With compaction enabled
+// the trimmed prefix is absent too.
 func (sc *ShardedCluster) Log(k int, c msgnet.ProcID) map[int]Command {
 	out := map[int]Command{}
 	for s, v := range sc.shards[k].byID[c].log {
@@ -311,11 +317,11 @@ func (sc *ShardedCluster) Log(k int, c msgnet.ProcID) map[int]Command {
 // slot, keys routed to their hash shard) plus the cross-client pass over
 // the retained (untrimmed) log suffixes.
 func (sc *ShardedCluster) CheckConsistency() error {
-	for k, rec := range sc.recs {
-		if rec.err != nil {
-			return fmt.Errorf("smr: shard %d: %w", k, rec.err)
+	for k, sh := range sc.shards {
+		if err := sh.rec.err; err != nil {
+			return fmt.Errorf("smr: shard %d: %w", k, err)
 		}
-		if err := sc.shards[k].checkConsistency(); err != nil {
+		if err := sh.checkConsistency(); err != nil {
 			return err
 		}
 	}
@@ -520,7 +526,7 @@ func (m *serverMux) OnRestart(n *msgnet.Node) {
 	}
 }
 
-// shardRecorder observes one shard through its hooks: it records per-key
+// shardRecorder observes one shard (Shard.rec): it records per-key
 // register histories in the cluster's keyed histories, replays the log
 // in slot order to produce read outputs, verifies log agreement online
 // (which is what permits clients to trim their logs under compaction),
@@ -639,13 +645,17 @@ func (rec *shardRecorder) submitted(cmd Command) bool {
 	return ok
 }
 
-// start invokes a keyed command's operation on the key's history and
-// keeps its handle in the client's slot. Keys entangled by transactions
-// route into their component's merged TxnKV history instead, at their
-// replay points (txn.go, compProc — the shrunken-interval soundness
-// argument is made there), so nothing is recorded for them at
-// submission. A start while the client's slot is open is not well-formed.
+// start passes a submission's start to SetHooks' observer, then invokes
+// a keyed command's operation on the key's history and keeps its handle
+// in the client's slot. Keys entangled by transactions route into their
+// component's merged TxnKV history instead, at their replay points
+// (txn.go, compProc — the shrunken-interval soundness argument is made
+// there), so nothing is recorded for them at submission. A start while
+// the client's slot is open is not well-formed.
 func (rec *shardRecorder) start(c msgnet.ProcID, cmd Command, at msgnet.Time) {
+	if rec.sc.onStart != nil {
+		rec.sc.onStart(c, cmd, at)
+	}
 	kind, key, arg, ok := cmdParts(cmd)
 	if !ok || rec.sc.hist.Joined(key) {
 		return
@@ -718,11 +728,15 @@ func (rec *shardRecorder) learn(c msgnet.ProcID, slot int, cmd Command) {
 	}
 }
 
-// land replays the log up to the landed slot and answers the client's
-// open operation with the replayed response. A response with no operation
-// open, or with another input than the open one's, is not well-formed;
-// either way the client's slot closes, as its submission has landed.
+// land passes a landing to SetHooks' observer, aggregates it, replays
+// the log up to the landed slot and answers the client's open operation
+// with the replayed response. A response with no operation open, or with
+// another input than the open one's, is not well-formed; either way the
+// client's slot closes, as its submission has landed.
 func (rec *shardRecorder) land(r SubmitResult) {
+	if rec.sc.onLand != nil {
+		rec.sc.onLand(r)
+	}
 	st := &rec.sc.stats
 	st.Landed++
 	st.TotalLatency += int64(r.Latency())

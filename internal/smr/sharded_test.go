@@ -288,80 +288,6 @@ func TestShardedCompactionIdleClients(t *testing.T) {
 	}
 }
 
-// The N=1 sharded cluster reproduces the single-log Cluster exactly:
-// same seeds, same commands ⇒ same per-submission slots and latencies.
-// This mirrors E9's scenarios (sequential, contended, crashed server)
-// and demonstrates the refactor is behavior-preserving.
-func TestShardedSingleShardMatchesCluster(t *testing.T) {
-	type scen struct {
-		name    string
-		clients int
-		crash   int
-		jitter  msgnet.Time
-		stagger msgnet.Time
-	}
-	scenarios := []scen{
-		{"sequential", 1, 0, 1, 6},
-		{"contended", 3, 0, 3, 0},
-		{"1/3 crashed", 1, 1, 1, 6},
-	}
-	const perClient = 6
-	for _, sc := range scenarios {
-		for _, fast := range []bool{true, false} {
-			for seed := int64(1); seed <= 10; seed++ {
-				cfg := Config{FastPath: fast, QuorumTimeout: 6, Retransmit: 4}
-				submit := func(submitAt func(msgnet.ProcID, Command, msgnet.Time)) {
-					for ci := 0; ci < sc.clients; ci++ {
-						c := msgnet.ProcID(fmt.Sprintf("c%d", ci+1))
-						for j := 0; j < perClient; j++ {
-							cmd := SetCmd(fmt.Sprintf("k%d", ci), fmt.Sprintf("v%d-%d-%d", ci, j, seed))
-							submitAt(c, cmd, msgnet.Time(j)*sc.stagger)
-						}
-					}
-				}
-				crash := func(w *msgnet.Network) {
-					for i := 0; i < sc.crash; i++ {
-						w.Crash(msgnet.ProcID(fmt.Sprintf("s%d", i+1)), 0)
-					}
-				}
-
-				w1 := msgnet.New(msgnet.Config{Seed: seed, MinDelay: 1, MaxDelay: sc.jitter})
-				single, err := Build(w1, ids("c", sc.clients), ids("s", 3), cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				crash(w1)
-				submit(single.SubmitAt)
-				single.Run(1_000_000)
-
-				w2 := msgnet.New(msgnet.Config{Seed: seed, MinDelay: 1, MaxDelay: sc.jitter})
-				sharded, err := BuildSharded(w2, ids("c", sc.clients), ids("s", 3),
-					ShardedConfig{Config: cfg, Shards: 1, RetainResults: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				crash(w2)
-				submit(sharded.SubmitAt)
-				sharded.Run(1_000_000)
-
-				a, b := single.Results(), sharded.Results()
-				if len(a) != len(b) {
-					t.Fatalf("%s fast=%v seed=%d: %d vs %d results", sc.name, fast, seed, len(a), len(b))
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("%s fast=%v seed=%d: result %d diverged:\n single: %+v\nsharded: %+v",
-							sc.name, fast, seed, i, a[i], b[i])
-					}
-				}
-				if err := sharded.CheckConsistency(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-}
-
 // Sharded routing is deterministic and total: every command routes to
 // exactly one shard, keyed commands by their key.
 func TestShardOf(t *testing.T) {

@@ -134,7 +134,7 @@ func TestFillRaces(t *testing.T) {
 		// c1 owns the even slots and is idle when c2 wins slot 1; it skips
 		// slot 0, but its skip reply never reaches c2, which fills slot 0.
 		w, cl := build(t, msgnet.Config{Seed: 1}, Config{FastPath: true}, 2, 3)
-		fills := countFills(cl.sh)
+		fills := countFills(cl.shards[0])
 		w.Block("c1", "c2")
 		cl.SubmitAt("c2", "second", 0)
 		cl.SubmitAt("c1", "later", 5)
@@ -150,7 +150,7 @@ func TestFillRaces(t *testing.T) {
 			t.Fatal("c2 never filled slot 0: the race was not exercised")
 		}
 		for _, c := range []msgnet.ProcID{"c1", "c2"} {
-			if v := cl.Log(c)[0]; v != noop {
+			if v := cl.Log(0, c)[0]; v != noop {
 				t.Fatalf("%s holds %q in slot 0, want the no-op", c, v)
 			}
 		}
@@ -161,7 +161,7 @@ func TestFillRaces(t *testing.T) {
 		var fillWon, ownerWon int
 		for seed := int64(1); seed <= 40; seed++ {
 			w, cl := build(t, msgnet.Config{Seed: seed, MinDelay: 1, MaxDelay: 4}, Config{FastPath: true}, 2, 3)
-			fills := countFills(cl.sh)
+			fills := countFills(cl.shards[0])
 			for _, s := range ids("s", 3) {
 				w.SetLinkRule("c1", s, msgnet.LinkRule{ExtraMinDelay: 8, ExtraMaxDelay: 24})
 			}

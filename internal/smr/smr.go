@@ -8,11 +8,11 @@
 //
 // The engine is the Shard: ONE speculative replicated log with its own
 // per-slot compositions, client submission queues and replica state.
-// Cluster (cluster.go) deploys a single shard — the paper's §6 system
-// verbatim — while ShardedCluster (sharded.go) hash-partitions keyed
-// commands across N independent shards sharing one simulated network,
+// ShardedCluster (sharded.go) deploys N independent shards sharing one
+// simulated network and hash-partitions keyed commands across them,
 // which is sound for single-key traffic because linearizability is
-// compositional per key (DESIGN.md, decision 10). TxnCluster (txn.go)
+// compositional per key (DESIGN.md, decision 10); with one shard it is
+// the paper's §6 system verbatim. TxnCluster (txn.go)
 // layers cross-shard atomic transactions on top via two-phase commit
 // over the per-shard logs; keys entangled by a transaction lose
 // per-key locality, so the checker merges each txn-connected
@@ -144,11 +144,11 @@ func (r SubmitResult) Latency() msgnet.Time { return r.End - r.Start }
 
 // Shard is one speculative replicated log: per-slot consensus
 // compositions over a fixed set of clients and servers. Shards do not
-// register themselves on the network — their owner (Cluster or
-// ShardedCluster) routes messages and timers in, so several shards can
-// share the same client and server processes.
+// register themselves on the network — their ShardedCluster routes
+// messages and timers in, so several shards can share the same client
+// and server processes — and report every start, learn and landing to
+// their recorder.
 type Shard struct {
-	net     *msgnet.Network
 	id      int
 	cfg     Config
 	protos  []mpcons.PhaseProtocol
@@ -160,33 +160,24 @@ type Shard struct {
 	keepResults bool
 	results     []SubmitResult
 
-	// Optional hooks, set before Run. onStart fires when a queued
-	// submission actually begins (its invocation point); onLand when it
-	// resolves; onLearn every time a client learns a slot's decision
-	// (decisions won by other clients and no-ops included), once per
-	// client and slot, before any onLand for that slot.
-	onStart func(c msgnet.ProcID, cmd Command, at msgnet.Time)
-	onLand  func(SubmitResult)
-	onLearn func(c msgnet.ProcID, slot int, cmd Command)
-	// submitted, when set, answers "was cmd submitted to this shard?" for
-	// checkConsistency from the owner's own record of submissions (the
-	// sharded recorder keeps one anyway); the clients then keep none.
-	submitted func(cmd Command) bool
+	// rec observes the shard: a submission's start (its invocation
+	// point), every learn of a slot's decision (decisions won by other
+	// clients and no-ops included), once per client and slot, before any
+	// landing for that slot, and every landing.
+	rec *shardRecorder
 }
 
 // newShard builds a shard's client and replica engines without touching
 // the network's node table.
-func newShard(net *msgnet.Network, id int, clients, servers []msgnet.ProcID, cfg Config) *Shard {
+func newShard(id int, clients, servers []msgnet.ProcID, cfg Config) *Shard {
 	sh := &Shard{
-		net:         net,
-		id:          id,
-		cfg:         cfg,
-		protos:      cfg.protos(),
-		clients:     clients,
-		servers:     servers,
-		byID:        map[msgnet.ProcID]*client{},
-		reps:        map[msgnet.ProcID]*replica{},
-		keepResults: true,
+		id:      id,
+		cfg:     cfg,
+		protos:  cfg.protos(),
+		clients: clients,
+		servers: servers,
+		byID:    map[msgnet.ProcID]*client{},
+		reps:    map[msgnet.ProcID]*replica{},
 	}
 	for i, cid := range clients {
 		c := &client{sh: sh, id: cid, index: i, log: map[int]Command{}, skipped: i, told: make([]int, len(clients)),
@@ -204,22 +195,12 @@ func newShard(net *msgnet.Network, id int, clients, servers []msgnet.ProcID, cfg
 
 // checkConsistency verifies SMR safety across the shard's clients: no two
 // clients disagree on a slot's decision, every decided command other than
-// the no-op was submitted by some client, and every such command sits in
-// at most one slot. With compaction enabled it only covers the untrimmed
-// log suffixes; the sharded recorder performs the same checks online over
-// every learn.
+// the no-op was submitted to the shard, and every such command sits in at
+// most one slot. With compaction enabled it only covers the untrimmed log
+// suffixes; the recorder performs the same checks online over every
+// learn.
 func (sh *Shard) checkConsistency() error {
 	slotVal := map[int]Command{}
-	submitted := sh.submitted
-	if submitted == nil {
-		set := map[Command]bool{}
-		for _, c := range sh.byID {
-			for _, cmd := range c.submittedCmds {
-				set[cmd] = true
-			}
-		}
-		submitted = func(cmd Command) bool { return set[cmd] }
-	}
 	var ids []msgnet.ProcID
 	for id := range sh.byID {
 		ids = append(ids, id)
@@ -231,7 +212,7 @@ func (sh *Shard) checkConsistency() error {
 				return fmt.Errorf("smr: shard %d slot %d decided both %q and %q", sh.id, s, prev, v)
 			}
 			slotVal[s] = v
-			if v != noop && !submitted(v) {
+			if v != noop && !sh.rec.submitted(v) {
 				return fmt.Errorf("smr: shard %d slot %d decided unsubmitted command %q", sh.id, s, v)
 			}
 		}
@@ -335,11 +316,8 @@ type client struct {
 	reported int
 	trimmed  int
 
-	queue []Command
-	// submittedCmds is every command ever enqueued, for checkConsistency;
-	// not kept when the shard's owner answers that itself (Shard.submitted).
-	submittedCmds []Command
-	current       submission
+	queue   []Command
+	current submission
 	// progress is the node-level name of the one progress timer per
 	// (client, shard): the retry timer of the live proposal, or the fill
 	// deadline of a blocked landing.
@@ -409,9 +387,6 @@ func (c *client) enqueue(cmd Command) {
 		panic("smr: the no-op command is reserved")
 	}
 	c.queue = append(c.queue, cmd)
-	if c.sh.submitted == nil {
-		c.submittedCmds = append(c.submittedCmds, cmd)
-	}
 	if !c.current.live {
 		c.startNext()
 	}
@@ -433,9 +408,7 @@ func (c *client) startNext() {
 	cmd := c.queue[0]
 	c.queue = c.queue[1:]
 	c.current = submission{live: true, cmd: cmd, start: c.node.Now()}
-	if c.sh.onStart != nil {
-		c.sh.onStart(c.id, cmd, c.node.Now())
-	}
+	c.sh.rec.start(c.id, cmd, c.node.Now())
 	c.attempt(c.ownedFrom(c.top))
 }
 
@@ -622,9 +595,7 @@ func (c *client) learn(s int, v Command) bool {
 	if c.inst != nil && c.instSlot == s {
 		c.retire()
 	}
-	if c.sh.onLearn != nil {
-		c.sh.onLearn(c.id, s, v)
-	}
+	c.sh.rec.learn(c.id, s, v)
 	return true
 }
 
@@ -692,9 +663,7 @@ func (c *client) skip() {
 			continue
 		}
 		c.log[s] = noop
-		if c.sh.onLearn != nil {
-			c.sh.onLearn(c.id, s, noop)
-		}
+		c.sh.rec.learn(c.id, s, noop)
 	}
 }
 
@@ -718,9 +687,7 @@ func (c *client) land() {
 	if c.sh.keepResults {
 		c.sh.results = append(c.sh.results, result)
 	}
-	if c.sh.onLand != nil {
-		c.sh.onLand(result)
-	}
+	c.sh.rec.land(result)
 	c.startNext()
 }
 
@@ -927,32 +894,6 @@ func (c *client) handle(from msgnet.ProcID, payload any) {
 		c.handleGossip(env)
 	}
 }
-
-// OnMessage/OnTimer implement msgnet.Handler for the single-shard
-// deployment, where the client engine is the node handler itself.
-func (c *client) OnMessage(n *msgnet.Node, from msgnet.ProcID, payload any) {
-	if shard, ok := clientShard(payload); ok && shard == c.sh.id {
-		c.handle(from, payload)
-	}
-}
-
-func (c *client) OnTimer(n *msgnet.Node, name string) {
-	if shard, ok := splitProgressTimer(name); ok {
-		if shard == c.sh.id {
-			c.onProgressTimer()
-		}
-		return
-	}
-	shard, phase, rest, ok := splitPhaseTimer(name)
-	if !ok || shard != c.sh.id {
-		return
-	}
-	c.handleTimer(phase, rest)
-}
-
-// OnRestart implements msgnet.RecoverableHandler for the single-shard
-// deployment.
-func (c *client) OnRestart(n *msgnet.Node) { c.onRestart() }
 
 // slotClientEnv adapts a client to one slot and phase. Like
 // slotServerEnv it keeps its last broadcast payload beside the envelope
@@ -1215,33 +1156,6 @@ func (r *replica) handleTimer(slot, phase int, rest string) {
 	comp.OnTimer(rest)
 	r.persist(slot)
 }
-
-// OnMessage/OnTimer implement msgnet.Handler for the single-shard
-// deployment.
-func (r *replica) OnMessage(n *msgnet.Node, from msgnet.ProcID, payload any) {
-	switch env := payload.(type) {
-	case slotEnvelope:
-		if env.shard == r.sh.id {
-			r.handleEnvelope(from, env)
-		}
-	case learnedEnvelope:
-		if env.shard == r.sh.id {
-			r.handleLearned(from, env.watermark)
-		}
-	}
-}
-
-func (r *replica) OnTimer(n *msgnet.Node, name string) {
-	shard, slot, phase, rest, ok := splitSlotTimer(name)
-	if !ok || shard != r.sh.id {
-		return
-	}
-	r.handleTimer(slot, phase, rest)
-}
-
-// OnRestart implements msgnet.RecoverableHandler for the single-shard
-// deployment.
-func (r *replica) OnRestart(n *msgnet.Node) { r.recover() }
 
 // slotServerEnv adapts a replica to one slot and phase. It keeps the
 // last payload it sent beside the envelope boxed for it and sends that

@@ -15,10 +15,11 @@ func ids(prefix string, n int) []msgnet.ProcID {
 	return out
 }
 
-func build(t *testing.T, cfg msgnet.Config, smrCfg Config, nc, ns int) (*msgnet.Network, *Cluster) {
+// build wires a one-shard cluster that keeps its results.
+func build(t *testing.T, cfg msgnet.Config, smrCfg Config, nc, ns int) (*msgnet.Network, *ShardedCluster) {
 	t.Helper()
 	w := msgnet.New(cfg)
-	cl, err := Build(w, ids("c", nc), ids("s", ns), smrCfg)
+	cl, err := BuildSharded(w, ids("c", nc), ids("s", ns), ShardedConfig{Config: smrCfg, RetainResults: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestSequentialFastPath(t *testing.T) {
 	if err := cl.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
-	kv := ApplyKV(cl.Log("c1"))
+	kv := ApplyKV(cl.Log(0, "c1"))
 	if kv["k"] != "v4" {
 		t.Fatalf("kv = %v", kv)
 	}
@@ -183,7 +184,7 @@ func TestKVApply(t *testing.T) {
 
 func TestBuildValidation(t *testing.T) {
 	w := msgnet.New(msgnet.Config{Seed: 1})
-	if _, err := Build(w, nil, ids("s", 3), Config{}); err == nil {
+	if _, err := BuildSharded(w, nil, ids("s", 3), ShardedConfig{}); err == nil {
 		t.Fatal("empty clients must be rejected")
 	}
 }

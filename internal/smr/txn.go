@@ -243,7 +243,7 @@ func (tc *TxnCluster) registerTxn(c msgnet.ProcID, txn Txn, t msgnet.Time) *txnS
 func (tc *TxnCluster) submitTxnPreps(st *txnState) {
 	for _, k := range st.shards {
 		cmd := prepCmd(st.spec.ID, k, st.spec.Ops, st.shardOps[k])
-		tc.recs[k].submit(cmd)
+		tc.shards[k].rec.submit(cmd)
 		tc.shards[k].byID[st.coord].enqueue(cmd)
 	}
 }
@@ -285,7 +285,7 @@ func (tc *TxnCluster) SubmitMixedPaced(c msgnet.ProcID, items []MixedItem, start
 				tc.submitTxnPreps(st)
 			} else {
 				k := tc.shardFor(it.Cmd)
-				tc.recs[k].submit(it.Cmd)
+				tc.shards[k].rec.submit(it.Cmd)
 				tc.shards[k].byID[c].enqueue(it.Cmd)
 			}
 			step++
@@ -519,7 +519,7 @@ func (tc *TxnCluster) decide(st *txnState, commit bool, reason int) {
 	tc.stats.Submitted += int64(len(st.shards))
 	for _, k := range st.shards {
 		cmd := outcomeCmd(st.spec.ID, k, commit, sender, 0)
-		tc.recs[k].submit(cmd)
+		tc.shards[k].rec.submit(cmd)
 		tc.shards[k].byID[sender].enqueue(cmd)
 	}
 	if tc.tcfg.RecoveryTimeout > 0 {
@@ -548,7 +548,7 @@ func (tc *TxnCluster) redriveOutcomes(st *txnState) {
 	tc.stats.Submitted += int64(len(missing))
 	for _, k := range missing {
 		cmd := outcomeCmd(st.spec.ID, k, st.committed, sender, st.redrives)
-		tc.recs[k].submit(cmd)
+		tc.shards[k].rec.submit(cmd)
 		tc.shards[k].byID[sender].enqueue(cmd)
 	}
 	tc.net.At(tc.net.Now()+tc.tcfg.RecoveryTimeout, func() { tc.redriveOutcomes(st) })

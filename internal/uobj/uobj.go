@@ -7,9 +7,10 @@
 // linearizable implementation, it suffices to apply the output function
 // of another ADT A to the responses in order to obtain an implementation
 // of A". Here the linearizable universal object is the speculative SMR
-// log (per-slot Quorum fast path + Paxos backup, or Paxos alone): an
-// operation's input is appended to the replicated log, and its output is
-// the ADT's output function applied to the log prefix ending at its slot.
+// log, a one-shard smr.ShardedCluster (per-slot Quorum fast path + Paxos
+// backup, or Paxos alone): an operation's input is appended to the
+// replicated log, and its output is the ADT's output function applied to
+// the log prefix ending at its slot.
 //
 // Inputs are tagged per invocation (occurrence identity, required both by
 // the log's slot-uniqueness and by the repeated-events subtleties of the
@@ -48,7 +49,7 @@ func (r OpResult) Latency() msgnet.Time { return r.End - r.Start }
 // Object is a linearizable replicated object of an arbitrary ADT.
 type Object struct {
 	f       adt.Folder
-	cluster *smr.Cluster
+	cluster *smr.ShardedCluster
 	rec     *core.Recorder
 	seq     map[msgnet.ProcID]int
 	// submitted holds every tagged input invoked, to tell operations from
@@ -57,10 +58,10 @@ type Object struct {
 	results   []OpResult
 }
 
-// Build wires a replicated object of ADT f into net using an SMR cluster
-// with the given configuration.
+// Build wires a replicated object of ADT f into net using a one-shard
+// SMR cluster with the given configuration.
 func Build(net *msgnet.Network, clients, servers []msgnet.ProcID, f adt.Folder, cfg smr.Config) (*Object, error) {
-	cluster, err := smr.Build(net, clients, servers, cfg)
+	cluster, err := smr.BuildSharded(net, clients, servers, smr.ShardedConfig{Config: cfg})
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +100,7 @@ func Build(net *msgnet.Network, clients, servers []msgnet.ProcID, f adt.Folder, 
 // so the prefix is complete; slots holding a value this object never
 // submitted are the log's no-ops, not operations.
 func (o *Object) outputAt(c msgnet.ProcID, slot int) (trace.Value, error) {
-	log := o.cluster.Log(c)
+	log := o.cluster.Log(0, c)
 	h := make(trace.History, 0, slot+1)
 	for s := 0; s <= slot; s++ {
 		cmd, ok := log[s]

@@ -11,7 +11,9 @@
 //   - the phase-composition runtime (Phase, Composer) with the shared
 //     memory phases of Figures 2 and 3 ready to plug in;
 //   - the message-passing stack: simulated network, the Quorum fast path,
-//     the Paxos backup, composed consensus objects and SMR clusters.
+//     the Paxos backup, composed consensus objects and the sharded SMR
+//     cluster, whose one-shard deployment is the paper's §6 replicated
+//     log.
 //
 // # Checking a trace
 //
@@ -482,8 +484,6 @@ func NewQuorumBackupConsensus(net *Network, clients, servers []ProcID) (*Consens
 
 // State machine replication (E9, E12).
 type (
-	// SMRCluster is a single-log replicated-log deployment.
-	SMRCluster = smr.Cluster
 	// SMRConfig selects the fast path, protocol tuning and log
 	// compaction.
 	SMRConfig = smr.Config
@@ -500,11 +500,6 @@ type (
 	// SMRHistoryCheck summarizes a per-key linearizability pass.
 	SMRHistoryCheck = smr.HistoryCheck
 )
-
-// NewSMR wires an SMR cluster into a network.
-func NewSMR(net *Network, clients, servers []ProcID, cfg SMRConfig) (*SMRCluster, error) {
-	return smr.Build(net, clients, servers, cfg)
-}
 
 // NewShardedSMR wires a sharded SMR cluster into a network: commands are
 // routed to shards by key hash, each shard is an independent speculative
