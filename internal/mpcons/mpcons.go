@@ -4,8 +4,8 @@
 //
 // An object consists of client processes and server processes. Each
 // speculation phase contributes a client-side component to every client
-// and a server-side component to every server; messages are enveloped
-// with their phase index so phases never see each other's traffic, and
+// and a server-side component to every server; messages carry their phase
+// index in their header so phases never see each other's traffic, and
 // the only information that crosses a phase boundary is the switch value
 // a client carries when it aborts — the paper's black-box composition
 // rule, enforced by construction.
@@ -37,10 +37,11 @@ type ClientEnv interface {
 	Clients() []msgnet.ProcID
 	// Servers returns all server process IDs.
 	Servers() []msgnet.ProcID
-	// Send sends a payload to one process, enveloped for this phase.
-	Send(to msgnet.ProcID, payload any)
-	// Broadcast sends a payload to all servers.
-	Broadcast(payload any)
+	// Send sends a phase message to one process; the env fills in the
+	// routing header.
+	Send(to msgnet.ProcID, m msgnet.Msg)
+	// Broadcast sends a phase message to all servers.
+	Broadcast(m msgnet.Msg)
 	// SetTimer (re)arms a phase-local timer.
 	SetTimer(name string, d msgnet.Time)
 	// CancelTimer cancels a phase-local timer.
@@ -63,24 +64,31 @@ type ClientPhase interface {
 	// switch value from the previous phase.
 	SwitchIn(pending trace.Value, sv trace.Value)
 	// OnMessage delivers a phase message.
-	OnMessage(from msgnet.ProcID, payload any)
+	OnMessage(from msgnet.ProcID, m msgnet.Msg)
 	// OnTimer fires a phase-local timer.
 	OnTimer(name string)
 }
+
+// HostKinds splits msgnet.Msg.Kind between the phases and their host. A
+// phase protocol numbers its message kinds from 1 up to below HostKinds;
+// a host that routes phase messages beside messages of its own (smr's
+// notices, skips and watermarks) numbers its own from HostKinds up, so
+// the one field tells the two apart.
+const HostKinds uint8 = 128
 
 // ServerEnv is the interface a server-side phase component uses to act.
 type ServerEnv interface {
 	Self() msgnet.ProcID
 	Clients() []msgnet.ProcID
 	Servers() []msgnet.ProcID
-	Send(to msgnet.ProcID, payload any)
+	Send(to msgnet.ProcID, m msgnet.Msg)
 	SetTimer(name string, d msgnet.Time)
 	Now() msgnet.Time
 }
 
 // ServerPhase is the server-side component of one phase on one server.
 type ServerPhase interface {
-	OnMessage(from msgnet.ProcID, payload any)
+	OnMessage(from msgnet.ProcID, m msgnet.Msg)
 	OnTimer(name string)
 }
 
@@ -93,15 +101,23 @@ type PhaseProtocol interface {
 
 // Durable is optionally implemented by server phase components whose
 // protocol state must survive crash–recovery. Snapshot captures the
-// component's complete state as an opaque value; Restore rebuilds a
-// freshly constructed component from one. A host that models durable
+// component's complete state as a State value; Restore resets a component
+// — freshly built or used before — to one. A host that models durable
 // storage snapshots after every delivered message — within the same
 // atomic simulator event, i.e. write-ahead with respect to anything the
 // component sent — and restores on restart, so a recovered component is
 // indistinguishable from one that merely paused.
 type Durable interface {
-	Snapshot() any
-	Restore(snap any)
+	Snapshot() State
+	Restore(st State)
+}
+
+// State is a server phase component's durable state, in the shape of a
+// phase message's body: two integers and one value, whose meaning the
+// protocol defines. It is small enough to keep by value for every slot.
+type State struct {
+	A, B int64
+	V    trace.Value
 }
 
 // BallotTracker is optionally implemented by client phase components
@@ -116,12 +132,6 @@ type BallotTracker interface {
 	Round() int64
 	// SetRoundFloor makes the component start above r.
 	SetRoundFloor(r int64)
-}
-
-// envelope tags protocol messages with their phase index.
-type envelope struct {
-	phase   int
-	payload any
 }
 
 // OpResult describes one completed operation.
@@ -262,12 +272,10 @@ func (d *clientDriver) switchTo(phase int, sv trace.Value) {
 	d.comps[d.phase].SwitchIn(d.current.Value, sv)
 }
 
-func (d *clientDriver) OnMessage(n *msgnet.Node, from msgnet.ProcID, payload any) {
-	env, ok := payload.(envelope)
-	if !ok || env.phase < 0 || env.phase >= len(d.comps) {
-		return
+func (d *clientDriver) OnMsg(n *msgnet.Node, from msgnet.ProcID, m msgnet.Msg) {
+	if int(m.Phase) < len(d.comps) {
+		d.comps[m.Phase].OnMessage(from, m)
 	}
-	d.comps[env.phase].OnMessage(from, env.payload)
 }
 
 func (d *clientDriver) OnTimer(n *msgnet.Node, name string) {
@@ -292,13 +300,14 @@ func (e *clientEnv) Now() msgnet.Time         { return e.driver.node.Now() }
 func (e *clientEnv) Decide(v trace.Value)     { e.driver.decide(e.phase, v) }
 func (e *clientEnv) SwitchTo(sv trace.Value)  { e.driver.switchTo(e.phase, sv) }
 func (e *clientEnv) CancelTimer(name string)  { e.driver.node.CancelTimer(timerName(e.phase, name)) }
-func (e *clientEnv) Send(to msgnet.ProcID, p any) {
-	e.driver.node.Send(to, envelope{phase: e.phase, payload: p})
+func (e *clientEnv) Send(to msgnet.ProcID, m msgnet.Msg) {
+	m.Phase = uint8(e.phase)
+	e.driver.node.Post(to, m)
 }
-func (e *clientEnv) Broadcast(p any) {
-	var env any = envelope{phase: e.phase, payload: p}
+func (e *clientEnv) Broadcast(m msgnet.Msg) {
+	m.Phase = uint8(e.phase)
 	for _, s := range e.driver.obj.servers {
-		e.driver.node.Send(s, env)
+		e.driver.node.Post(s, m)
 	}
 }
 func (e *clientEnv) SetTimer(name string, d msgnet.Time) {
@@ -321,12 +330,10 @@ func (d *serverDriver) Init(n *msgnet.Node) {
 	}
 }
 
-func (d *serverDriver) OnMessage(n *msgnet.Node, from msgnet.ProcID, payload any) {
-	env, ok := payload.(envelope)
-	if !ok || env.phase < 0 || env.phase >= len(d.comps) {
-		return
+func (d *serverDriver) OnMsg(n *msgnet.Node, from msgnet.ProcID, m msgnet.Msg) {
+	if int(m.Phase) < len(d.comps) {
+		d.comps[m.Phase].OnMessage(from, m)
 	}
-	d.comps[env.phase].OnMessage(from, env.payload)
 }
 
 func (d *serverDriver) OnTimer(n *msgnet.Node, name string) {
@@ -346,8 +353,9 @@ func (e *serverEnv) Self() msgnet.ProcID      { return e.driver.id }
 func (e *serverEnv) Clients() []msgnet.ProcID { return e.driver.obj.clients }
 func (e *serverEnv) Servers() []msgnet.ProcID { return e.driver.obj.servers }
 func (e *serverEnv) Now() msgnet.Time         { return e.driver.node.Now() }
-func (e *serverEnv) Send(to msgnet.ProcID, p any) {
-	e.driver.node.Send(to, envelope{phase: e.phase, payload: p})
+func (e *serverEnv) Send(to msgnet.ProcID, m msgnet.Msg) {
+	m.Phase = uint8(e.phase)
+	e.driver.node.Post(to, m)
 }
 func (e *serverEnv) SetTimer(name string, d msgnet.Time) {
 	e.driver.node.SetTimer(timerName(e.phase, name), d)

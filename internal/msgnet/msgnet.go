@@ -30,25 +30,63 @@ type Time int64
 // ProcID identifies a simulated process.
 type ProcID string
 
+// Msg is one message. Protocol messages fit its fixed fields and travel
+// by value: the simulator copies a Msg into the pooled event that carries
+// it, so posting one allocates nothing. The fields mean what the
+// protocols that exchange them say; the simulator reads none of them.
+type Msg struct {
+	// Routing header: which shard, log slot and speculation phase the
+	// message belongs to.
+	Shard int32
+	Phase uint8
+	// Kind discriminates the body. Zero is a message that carries only
+	// Body (Send).
+	Kind uint8
+	Slot int
+	// Phase body: two integers and one value.
+	A, B int64
+	V    string
+	// Body carries what fits no fixed field, such as a batch of decided
+	// commands: shared by every copy of the message, and immutable (see
+	// Handler).
+	Body any
+}
+
 // Handler implements a process's protocol logic. Handlers run in the
 // single-threaded event loop; they must not retain n across events (it is
 // stable, but must only be used from within callbacks).
 //
-// Payloads are immutable values owned by nobody: the simulator hands the
-// very value given to Send to every delivery of it — duplicates included
-// — and senders may give one value to many destinations, so neither side
-// may modify a payload (or anything it points to) after Send. A handler
-// may retain a payload for as long as it likes. Events are the
-// simulator's: the record that carried a message or timer is reused for a
-// later one as soon as the callback returns, which a handler cannot
-// observe — it is only ever handed the payload and the timer name.
+// Messages travel by value. A handler receives them through one of two
+// entry points, chosen once by AddNode: OnMsg (Receiver) takes the whole
+// Msg, OnMessage (PayloadReceiver) only its Body — the edge for handlers
+// that send with Send. Every delivery, duplicates included, is a copy of
+// the Msg given to Post, which the handler owns: it may change it or keep
+// it. The Body is the exception, shared rather than copied — every copy
+// carries the very value given to Post, and a sender may give one value
+// to many messages — so a Body is an immutable value owned by nobody:
+// neither side may modify it (or anything it points to) after Post, and
+// a handler may retain it for as long as it likes. Events are the
+// simulator's: the record that carried a message or timer is reused for
+// a later one as soon as the callback returns, which a handler cannot
+// observe — it is only ever handed a copy of the message and the timer
+// name.
 type Handler interface {
 	// Init runs when the simulation starts (before any event).
 	Init(n *Node)
-	// OnMessage delivers a message sent by from.
-	OnMessage(n *Node, from ProcID, payload any)
 	// OnTimer fires a timer previously set with SetTimer.
 	OnTimer(n *Node, name string)
+}
+
+// Receiver is a handler that takes messages by value.
+type Receiver interface {
+	// OnMsg delivers a message sent by from.
+	OnMsg(n *Node, from ProcID, m Msg)
+}
+
+// PayloadReceiver is a handler that takes only a message's Body.
+type PayloadReceiver interface {
+	// OnMessage delivers the Body of a message sent by from.
+	OnMessage(n *Node, from ProcID, payload any)
 }
 
 // RecoverableHandler is implemented by handlers that support crash–
@@ -125,10 +163,10 @@ type event struct {
 	// node is the destination, resolved when the event was scheduled; nil
 	// for calls and for a destination that did not exist yet, which is
 	// looked up by to again when the event pops.
-	node    *Node
-	to      ProcID
-	from    ProcID
-	payload any
+	node *Node
+	to   ProcID
+	from ProcID
+	msg  Msg
 
 	timerName  string
 	timerGen   int64
@@ -266,6 +304,7 @@ type Node struct {
 	id          ProcID
 	net         *Network
 	handler     Handler
+	recv        func(n *Node, from ProcID, m Msg) // the entry point AddNode chose
 	crashed     bool
 	initialized bool
 	// timerGen invalidates outstanding timers per name when reset; epoch
@@ -274,13 +313,21 @@ type Node struct {
 	epoch    int64
 }
 
-// AddNode registers a process. It panics if the ID is duplicated (a
-// configuration bug).
+// AddNode registers a process. It panics if the ID is duplicated or the
+// handler receives no messages (configuration bugs).
 func (w *Network) AddNode(id ProcID, h Handler) *Node {
 	if _, dup := w.nodes[id]; dup {
 		panic(fmt.Sprintf("msgnet: duplicate node %q", id))
 	}
 	n := &Node{id: id, net: w, handler: h, timerGen: map[string]int64{}}
+	switch r := h.(type) {
+	case Receiver:
+		n.recv = r.OnMsg
+	case PayloadReceiver:
+		n.recv = func(n *Node, from ProcID, m Msg) { r.OnMessage(n, from, m.Body) }
+	default:
+		panic(fmt.Sprintf("msgnet: handler %T of node %q has neither OnMsg nor OnMessage", h, id))
+	}
 	w.nodes[id] = n
 	w.order = append(w.order, n)
 	return n
@@ -427,7 +474,7 @@ func (w *Network) newEvent(kind eventKind) *event {
 
 // recycle returns a popped event to the free list once nothing can refer
 // to it anymore: after its handler returned, or when it popped dead. It
-// is cleared first, so the list keeps no payload alive; with the list
+// is cleared first, so the list keeps no Body alive; with the list
 // full the event is left to the collector.
 func (w *Network) recycle(e *event) {
 	if len(w.free) < maxFreeEvents {
@@ -506,7 +553,7 @@ func (w *Network) dispatch(e *event) {
 		e.call()
 	case evDeliver:
 		w.delivered++
-		e.node.handler.OnMessage(e.node, e.from, e.payload)
+		e.node.recv(e.node, e.from, e.msg)
 	case evTimer:
 		e.node.handler.OnTimer(e.node, e.timerName)
 	}
@@ -521,18 +568,22 @@ func (n *Node) Now() Time { return n.net.now }
 // Crashed reports whether the node has crashed.
 func (n *Node) Crashed() bool { return n.crashed }
 
-// Send queues a message to the destination, subject to delay, loss and
-// duplication (global and per-link). Sends from crashed nodes are
-// ignored. The payload is delivered as given — see Handler for the
-// immutability rule that makes that safe.
-func (n *Node) Send(to ProcID, payload any) {
+// Send posts a message that carries only payload: Post(to, Msg{Body:
+// payload}), for handlers that receive with OnMessage.
+func (n *Node) Send(to ProcID, payload any) { n.Post(to, Msg{Body: payload}) }
+
+// Post queues a message to the destination, subject to delay, loss and
+// duplication (global and per-link). Posts from crashed nodes are
+// ignored. Every copy delivered is field-equal to m and shares its Body —
+// see Handler for the immutability rule that makes that safe.
+func (n *Node) Post(to ProcID, m Msg) {
 	w := n.net
 	if n.crashed {
 		return
 	}
 	w.sent++
 	// The two link tables are empty in a fault-free run; hashing a pair of
-	// IDs per message to find that out was a measurable share of Send.
+	// IDs per message to find that out was a measurable share of Post.
 	if len(w.blocked) > 0 && w.blocked[[2]ProcID{n.id, to}] > 0 {
 		w.dropped++
 		return
@@ -551,21 +602,21 @@ func (n *Node) Send(to ProcID, payload any) {
 		return
 	}
 	dst := w.nodes[to]
-	n.deliver(dst, to, payload, rule, ruled)
+	n.deliver(dst, to, &m, rule, ruled)
 	if ruled && rule.DupProb > 0 && w.frng.Float64() < rule.DupProb {
 		w.duplicated++
-		n.deliver(dst, to, payload, rule, ruled)
+		n.deliver(dst, to, &m, rule, ruled)
 	}
 	if w.cfg.DupProb > 0 && w.rng.Float64() < w.cfg.DupProb {
 		w.duplicated++
-		n.deliver(dst, to, payload, rule, ruled)
+		n.deliver(dst, to, &m, rule, ruled)
 	}
 }
 
 // deliver schedules one copy of a message: it draws the copy's delay
 // (base stream, then the link rule's extra from the fault stream) and
 // queues the delivery.
-func (n *Node) deliver(dst *Node, to ProcID, payload any, rule LinkRule, ruled bool) {
+func (n *Node) deliver(dst *Node, to ProcID, m *Msg, rule LinkRule, ruled bool) {
 	w := n.net
 	d := w.cfg.MinDelay
 	if w.cfg.MaxDelay > w.cfg.MinDelay {
@@ -575,7 +626,7 @@ func (n *Node) deliver(dst *Node, to ProcID, payload any, rule LinkRule, ruled b
 		d += rule.extraDelay(w.frng)
 	}
 	e := w.newEvent(evDeliver)
-	e.node, e.to, e.from, e.payload = dst, to, n.id, payload
+	e.node, e.to, e.from, e.msg = dst, to, n.id, *m
 	w.push(w.now+d, e)
 }
 

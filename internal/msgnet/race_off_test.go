@@ -1,0 +1,5 @@
+//go:build !race
+
+package msgnet
+
+const raceEnabled = false

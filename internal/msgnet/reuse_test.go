@@ -43,8 +43,8 @@ func TestCancelOfUnarmedTimerKeepsNoBookkeeping(t *testing.T) {
 	}
 }
 
-// packet is a payload with something behind a pointer, so that a retained
-// copy of the interface value would show any write to what it refers to.
+// packet is a Body with something behind a pointer, so that a retained
+// copy of a message would show any write to what it refers to.
 type packet struct {
 	from ProcID
 	seq  int
@@ -53,42 +53,48 @@ type packet struct {
 
 func (p *packet) String() string { return fmt.Sprintf("%s#%d:%x", p.from, p.seq, p.body) }
 
-// hoarder broadcasts ONE boxed packet to all its peers on every tick —
-// the sharing smr's Broadcast and quorum's cached reply rely on — and
-// retains every payload it is ever handed, beside what it looked like on
+// hoarder posts ONE message to all its peers on every tick, its Body a
+// packet shared by every copy — the sharing smr's gossip relies on — and
+// retains every message it is ever handed, beside what it looked like on
 // arrival.
 type hoarder struct {
 	peers    []ProcID
 	seq      int
-	retained []any
+	retained []Msg
 	seenAs   []string
 }
 
 func (h *hoarder) Init(n *Node) { n.SetTimer("tick", 1) }
 
-func (h *hoarder) OnMessage(n *Node, from ProcID, payload any) {
-	h.retained = append(h.retained, payload)
-	h.seenAs = append(h.seenAs, payload.(*packet).String())
+func (h *hoarder) OnMsg(n *Node, from ProcID, m Msg) {
+	h.retained = append(h.retained, m)
+	h.seenAs = append(h.seenAs, render(m))
+}
+
+func render(m Msg) string {
+	return fmt.Sprintf("%d/%d/%d/%d %d,%d,%q %s", m.Shard, m.Slot, m.Phase, m.Kind, m.A, m.B, m.V, m.Body.(*packet))
 }
 
 func (h *hoarder) OnTimer(n *Node, name string) {
 	if h.seq++; h.seq > 60 {
 		return
 	}
-	var p any = &packet{from: n.ID(), seq: h.seq, body: []byte{byte(h.seq), byte(len(h.peers))}}
+	m := Msg{Shard: 1, Slot: h.seq, Kind: 2, A: int64(len(h.peers)), V: string(n.ID()),
+		Body: &packet{from: n.ID(), seq: h.seq, body: []byte{byte(h.seq), byte(len(h.peers))}}}
 	for _, peer := range h.peers {
-		n.Send(peer, p)
+		n.Post(peer, m)
 	}
 	n.SetTimer("tick", 2)
 }
 
 func (h *hoarder) OnRestart(n *Node) { n.SetTimer("tick", 1) }
 
-// Payloads are shared between deliveries — one boxed value goes to every
-// destination and to every duplicate — and the events that carried them
-// are recycled. A handler that keeps every payload it was ever handed
-// must find each one exactly as it arrived, across global and per-link
-// duplication and a crash–restart.
+// A message's Body is shared between deliveries — one value goes to
+// every destination and to every duplicate — and the events that carried
+// them are recycled. A handler that keeps every message it was ever
+// handed must find each one exactly as it arrived, across global and
+// per-link duplication and a crash–restart, and keeps exactly as many as
+// the network delivered.
 func TestRetainedPayloadsNeverChange(t *testing.T) {
 	w := New(Config{Seed: 5, MinDelay: 1, MaxDelay: 6, DupProb: 0.3, DropProb: 0.05})
 	ids := []ProcID{"a", "b", "c", "d"}
@@ -110,14 +116,14 @@ func TestRetainedPayloadsNeverChange(t *testing.T) {
 	for _, id := range ids {
 		h := hs[id]
 		total += len(h.retained)
-		for i, p := range h.retained {
-			if got := p.(*packet).String(); got != h.seenAs[i] {
-				t.Fatalf("%s: payload %d arrived as %s and now reads %s", id, i, h.seenAs[i], got)
+		for i, m := range h.retained {
+			if got := render(m); got != h.seenAs[i] {
+				t.Fatalf("%s: message %d arrived as %s and now reads %s", id, i, h.seenAs[i], got)
 			}
 		}
 	}
 	if _, delivered, _ := w.Stats(); int64(total) != delivered {
-		t.Fatalf("handlers retained %d payloads, network delivered %d", total, delivered)
+		t.Fatalf("handlers retained %d messages, network delivered %d", total, delivered)
 	}
 }
 

@@ -25,27 +25,28 @@ import (
 	"repro/internal/trace"
 )
 
-type prepareMsg struct{ B int64 }
+// Message kinds (msgnet.Msg.Kind) and the body fields each uses.
+const (
+	// kindPrepare: A = ballot.
+	kindPrepare uint8 = 1 + iota
+	// kindPromise: A = ballot, B = accepted ballot (0 when nothing
+	// accepted), V = accepted value.
+	kindPromise
+	// kindNack: A = the acceptor's promised ballot.
+	kindNack
+	// kindAccept and kindAccepted: A = ballot, V = value.
+	kindAccept
+	kindAccepted
+	// kindDecided: V = the decision.
+	kindDecided
+)
 
-type promiseMsg struct {
-	B         int64
-	AcceptedB int64 // 0 when nothing accepted
-	AcceptedV trace.Value
+// promise is what a proposer keeps of a promise: the acceptor's accepted
+// pair.
+type promise struct {
+	acceptedB int64
+	acceptedV trace.Value
 }
-
-type nackMsg struct{ Promised int64 }
-
-type acceptMsg struct {
-	B int64
-	V trace.Value
-}
-
-type acceptedMsg struct {
-	B int64
-	V trace.Value
-}
-
-type decidedMsg struct{ V trace.Value }
 
 // Protocol is the Paxos phase protocol.
 type Protocol struct{}
@@ -78,7 +79,7 @@ type proposer struct {
 	value    trace.Value // value to propose this ballot
 	round    int64
 	ballot   int64
-	promises map[msgnet.ProcID]promiseMsg
+	promises map[msgnet.ProcID]promise
 	accepts  map[msgnet.ProcID]bool
 	phase2   bool
 
@@ -113,10 +114,10 @@ func (pr *proposer) start(v trace.Value) {
 func (pr *proposer) newBallot() {
 	pr.round++
 	pr.ballot = pr.ballotFor(pr.round)
-	pr.promises = map[msgnet.ProcID]promiseMsg{}
+	pr.promises = map[msgnet.ProcID]promise{}
 	pr.accepts = map[msgnet.ProcID]bool{}
 	pr.phase2 = false
-	pr.env.Broadcast(prepareMsg{B: pr.ballot})
+	pr.env.Broadcast(msgnet.Msg{Kind: kindPrepare, A: pr.ballot})
 	// Deterministic, symmetry-breaking backoff.
 	backoff := retryBase * msgnet.Time(1+pr.round)
 	backoff += msgnet.Time(pr.env.ClientIndex() * 2)
@@ -130,15 +131,15 @@ func (pr *proposer) OnTimer(name string) {
 	pr.newBallot()
 }
 
-func (pr *proposer) OnMessage(from msgnet.ProcID, payload any) {
-	switch m := payload.(type) {
-	case decidedMsg:
+func (pr *proposer) OnMessage(from msgnet.ProcID, m msgnet.Msg) {
+	switch m.Kind {
+	case kindDecided:
 		pr.learn(m.V)
-	case promiseMsg:
-		if !pr.active || pr.decided || m.B != pr.ballot || pr.phase2 {
+	case kindPromise:
+		if !pr.active || pr.decided || m.A != pr.ballot || pr.phase2 {
 			return
 		}
-		pr.promises[from] = m
+		pr.promises[from] = promise{acceptedB: m.B, acceptedV: m.V}
 		if len(pr.promises) < pr.majority() {
 			return
 		}
@@ -146,15 +147,15 @@ func (pr *proposer) OnMessage(from msgnet.ProcID, payload any) {
 		v := pr.value
 		var bestB int64
 		for _, p := range pr.promises {
-			if p.AcceptedB > bestB {
-				bestB = p.AcceptedB
-				v = p.AcceptedV
+			if p.acceptedB > bestB {
+				bestB = p.acceptedB
+				v = p.acceptedV
 			}
 		}
 		pr.phase2 = true
-		pr.env.Broadcast(acceptMsg{B: pr.ballot, V: v})
-	case acceptedMsg:
-		if !pr.active || pr.decided || m.B != pr.ballot {
+		pr.env.Broadcast(msgnet.Msg{Kind: kindAccept, A: pr.ballot, V: v})
+	case kindAccepted:
+		if !pr.active || pr.decided || m.A != pr.ballot {
 			return
 		}
 		pr.accepts[from] = true
@@ -164,11 +165,11 @@ func (pr *proposer) OnMessage(from msgnet.ProcID, payload any) {
 				if c == pr.env.Self() {
 					continue
 				}
-				pr.env.Send(c, decidedMsg{V: m.V})
+				pr.env.Send(c, msgnet.Msg{Kind: kindDecided, V: m.V})
 			}
 			pr.learn(m.V)
 		}
-	case nackMsg:
+	case kindNack:
 		// A higher ballot exists; the retry timer will start a new round.
 	}
 }
@@ -212,45 +213,37 @@ type acceptor struct {
 
 var _ mpcons.Durable = (*acceptor)(nil)
 
-// acceptorState is the durable snapshot of an acceptor: its promise and
-// accepted pair. Classic Paxos requires these to survive crashes — an
-// acceptor that forgets a promise can promise a lower ballot, and one
-// that forgets an accepted value can let a stale proposer overturn a
-// chosen value.
-type acceptorState struct {
-	Promised  int64
-	AcceptedB int64
-	AcceptedV trace.Value
-}
-
-// Snapshot implements mpcons.Durable.
-func (a *acceptor) Snapshot() any {
-	return acceptorState{Promised: a.promised, AcceptedB: a.acceptedB, AcceptedV: a.acceptedV}
+// Snapshot implements mpcons.Durable. An acceptor's durable state is its
+// promise (A) and accepted pair (B, V). Classic Paxos requires these to
+// survive crashes — an acceptor that forgets a promise can promise a
+// lower ballot, and one that forgets an accepted value can let a stale
+// proposer overturn a chosen value.
+func (a *acceptor) Snapshot() mpcons.State {
+	return mpcons.State{A: a.promised, B: a.acceptedB, V: a.acceptedV}
 }
 
 // Restore implements mpcons.Durable.
-func (a *acceptor) Restore(snap any) {
-	st := snap.(acceptorState)
-	a.promised, a.acceptedB, a.acceptedV = st.Promised, st.AcceptedB, st.AcceptedV
+func (a *acceptor) Restore(st mpcons.State) {
+	a.promised, a.acceptedB, a.acceptedV = st.A, st.B, st.V
 }
 
-func (a *acceptor) OnMessage(from msgnet.ProcID, payload any) {
-	switch m := payload.(type) {
-	case prepareMsg:
-		if m.B > a.promised {
-			a.promised = m.B
-			a.env.Send(from, promiseMsg{B: m.B, AcceptedB: a.acceptedB, AcceptedV: a.acceptedV})
+func (a *acceptor) OnMessage(from msgnet.ProcID, m msgnet.Msg) {
+	switch m.Kind {
+	case kindPrepare:
+		if b := m.A; b > a.promised {
+			a.promised = b
+			a.env.Send(from, msgnet.Msg{Kind: kindPromise, A: b, B: a.acceptedB, V: a.acceptedV})
 		} else {
-			a.env.Send(from, nackMsg{Promised: a.promised})
+			a.env.Send(from, msgnet.Msg{Kind: kindNack, A: a.promised})
 		}
-	case acceptMsg:
-		if m.B >= a.promised {
-			a.promised = m.B
-			a.acceptedB = m.B
+	case kindAccept:
+		if b := m.A; b >= a.promised {
+			a.promised = b
+			a.acceptedB = b
 			a.acceptedV = m.V
-			a.env.Send(from, acceptedMsg{B: m.B, V: m.V})
+			a.env.Send(from, msgnet.Msg{Kind: kindAccepted, A: b, V: m.V})
 		} else {
-			a.env.Send(from, nackMsg{Promised: a.promised})
+			a.env.Send(from, msgnet.Msg{Kind: kindNack, A: a.promised})
 		}
 	}
 }

@@ -26,11 +26,13 @@ import (
 	"repro/internal/trace"
 )
 
-// proposeMsg is a client proposal broadcast to servers.
-type proposeMsg struct{ V trace.Value }
-
-// acceptMsg is a server's accept reply.
-type acceptMsg struct{ V trace.Value }
+// Message kinds (msgnet.Msg.Kind); each carries its value in V.
+const (
+	// kindPropose is a client proposal broadcast to servers.
+	kindPropose uint8 = 1 + iota
+	// kindAccept is a server's accept reply.
+	kindAccept
+)
 
 // Protocol is the Quorum phase protocol.
 type Protocol struct {
@@ -68,11 +70,7 @@ type client struct {
 	proto    Protocol
 	env      mpcons.ClientEnv
 	proposal trace.Value
-	// msg is proposeMsg{proposal}, boxed once for the first broadcast and
-	// every retransmission — and kept by a reused client whose next
-	// proposal is the same value (a host's retry of one command).
-	msg    any
-	active bool
+	active   bool
 	// accepts[i] is the first accept received from env.Servers()[i];
 	// received counts the servers heard from. A slice, not a map: it is
 	// cleared (reallocated only if too short) per proposal, and both
@@ -91,10 +89,7 @@ type accept struct {
 }
 
 func (c *client) Propose(v trace.Value) {
-	if c.msg == nil || v != c.proposal {
-		c.proposal = v
-		c.msg = proposeMsg{V: v}
-	}
+	c.proposal = v
 	c.active = true
 	c.expired = false
 	if n := len(c.env.Servers()); cap(c.accepts) >= n {
@@ -104,7 +99,7 @@ func (c *client) Propose(v trace.Value) {
 		c.accepts = make([]accept, n)
 	}
 	c.received = 0
-	c.env.Broadcast(c.msg)
+	c.env.Broadcast(msgnet.Msg{Kind: kindPropose, V: v})
 	c.env.SetTimer("timeout", c.proto.timeout())
 	if c.proto.Retransmit > 0 {
 		c.env.SetTimer("retransmit", c.proto.Retransmit)
@@ -116,15 +111,15 @@ func (c *client) Propose(v trace.Value) {
 // paper's phases treat switch calls "as regular proposals").
 func (c *client) SwitchIn(pending, sv trace.Value) { c.Propose(sv) }
 
-func (c *client) OnMessage(from msgnet.ProcID, payload any) {
-	acc, ok := payload.(acceptMsg)
-	if !ok || !c.active {
+func (c *client) OnMessage(from msgnet.ProcID, m msgnet.Msg) {
+	if m.Kind != kindAccept || !c.active {
 		return
 	}
+	v := m.V
 	for i, s := range c.env.Servers() {
 		if s == from {
 			if !c.accepts[i].got {
-				c.accepts[i] = accept{v: acc.V, got: true}
+				c.accepts[i] = accept{v: v, got: true}
 				c.received++
 			}
 			break
@@ -133,12 +128,12 @@ func (c *client) OnMessage(from msgnet.ProcID, payload any) {
 	if c.expired {
 		// Timer already fired: switch with the value of this accept.
 		c.finish()
-		c.env.SwitchTo(acc.V)
+		c.env.SwitchTo(v)
 		return
 	}
 	// Two different accept values: contention — switch with own proposal.
 	for _, a := range c.accepts {
-		if a.got && a.v != acc.V {
+		if a.got && a.v != v {
 			c.finish()
 			c.env.SwitchTo(c.proposal)
 			return
@@ -147,7 +142,7 @@ func (c *client) OnMessage(from msgnet.ProcID, payload any) {
 	// Same accept from all servers: decide.
 	if c.received == len(c.accepts) {
 		c.finish()
-		c.env.Decide(acc.V)
+		c.env.Decide(v)
 	}
 }
 
@@ -157,7 +152,7 @@ func (c *client) OnTimer(name string) {
 	}
 	switch name {
 	case "retransmit":
-		c.env.Broadcast(c.msg)
+		c.env.Broadcast(msgnet.Msg{Kind: kindPropose, V: c.proposal})
 		c.env.SetTimer("retransmit", c.proto.Retransmit)
 	case "timeout":
 		if c.received == 0 {
@@ -191,55 +186,36 @@ type server struct {
 	env      mpcons.ServerEnv
 	accepted trace.Value
 	has      bool
-	// reply is accept(accepted) and snap the durable snapshot, each boxed
-	// once: the state changes exactly once (the first proposal), so the
-	// server re-sends the same immutable reply to every proposal it ever
-	// receives and a host persisting after every message stores the same
-	// snapshot again.
-	reply, snap any
 }
 
 var _ mpcons.Durable = (*server)(nil)
 
-// serverState is the durable snapshot of a Quorum server: the
-// first-received proposal it is committed to accepting forever. It must
-// survive crash–recovery — a recovered server re-accepting a different
-// first value could complete a second unanimous quorum and split the
-// fast path's decision.
-type serverState struct {
-	Accepted trace.Value
-	Has      bool
-}
-
-// Snapshot implements mpcons.Durable.
-func (s *server) Snapshot() any {
-	if s.snap == nil {
-		s.snap = serverState{Accepted: s.accepted, Has: s.has}
+// Snapshot implements mpcons.Durable. A Quorum server's durable state is
+// the first-received proposal it is committed to accepting forever: V,
+// with A = 1 once there is one. It must survive crash–recovery — a
+// recovered server re-accepting a different first value could complete a
+// second unanimous quorum and split the fast path's decision.
+func (s *server) Snapshot() mpcons.State {
+	if !s.has {
+		return mpcons.State{}
 	}
-	return s.snap
+	return mpcons.State{A: 1, V: s.accepted}
 }
 
 // Restore implements mpcons.Durable.
-func (s *server) Restore(snap any) {
-	st := snap.(serverState)
-	s.accepted, s.has = st.Accepted, st.Has
-	s.reply, s.snap = nil, nil
+func (s *server) Restore(st mpcons.State) {
+	s.accepted, s.has = st.V, st.A == 1
 }
 
-func (s *server) OnMessage(from msgnet.ProcID, payload any) {
-	prop, ok := payload.(proposeMsg)
-	if !ok {
+func (s *server) OnMessage(from msgnet.ProcID, m msgnet.Msg) {
+	if m.Kind != kindPropose {
 		return
 	}
 	if !s.has {
 		s.has = true
-		s.accepted = prop.V
-		s.snap = nil
+		s.accepted = m.V
 	}
-	if s.reply == nil {
-		s.reply = acceptMsg{V: s.accepted}
-	}
-	s.env.Send(from, s.reply)
+	s.env.Send(from, msgnet.Msg{Kind: kindAccept, V: s.accepted})
 }
 
 func (s *server) OnTimer(string) {}

@@ -8,12 +8,16 @@ import (
 	"repro/internal/trace"
 )
 
+// proposeMsg and acceptMsg build the wire messages; value reads one.
+func proposeMsg(v trace.Value) msgnet.Msg { return msgnet.Msg{Kind: kindPropose, V: v} }
+func acceptMsg(v trace.Value) msgnet.Msg  { return msgnet.Msg{Kind: kindAccept, V: v} }
+
 // fakeClientEnv records a client component's actions.
 type fakeClientEnv struct {
 	servers []msgnet.ProcID
 	sent    []struct {
 		to msgnet.ProcID
-		m  any
+		m  msgnet.Msg
 	}
 	timers   map[string]msgnet.Time
 	decided  *trace.Value
@@ -33,13 +37,13 @@ func (e *fakeClientEnv) ClientIndex() int         { return 0 }
 func (e *fakeClientEnv) Clients() []msgnet.ProcID { return []msgnet.ProcID{"client"} }
 func (e *fakeClientEnv) Servers() []msgnet.ProcID { return e.servers }
 func (e *fakeClientEnv) Now() msgnet.Time         { return 0 }
-func (e *fakeClientEnv) Send(to msgnet.ProcID, m any) {
+func (e *fakeClientEnv) Send(to msgnet.ProcID, m msgnet.Msg) {
 	e.sent = append(e.sent, struct {
 		to msgnet.ProcID
-		m  any
+		m  msgnet.Msg
 	}{to, m})
 }
-func (e *fakeClientEnv) Broadcast(m any) {
+func (e *fakeClientEnv) Broadcast(m msgnet.Msg) {
 	for _, s := range e.servers {
 		e.Send(s, m)
 	}
@@ -58,12 +62,12 @@ func TestClientDecidesOnUnanimousAccepts(t *testing.T) {
 	if len(env.sent) != 3 {
 		t.Fatalf("proposal not broadcast: %v", env.sent)
 	}
-	c.OnMessage("A", acceptMsg{V: "v"})
-	c.OnMessage("B", acceptMsg{V: "v"})
+	c.OnMessage("A", acceptMsg("v"))
+	c.OnMessage("B", acceptMsg("v"))
 	if env.decided != nil {
 		t.Fatal("decided before all servers answered")
 	}
-	c.OnMessage("C", acceptMsg{V: "v"})
+	c.OnMessage("C", acceptMsg("v"))
 	if env.decided == nil || *env.decided != "v" {
 		t.Fatalf("decided = %v", env.decided)
 	}
@@ -76,8 +80,8 @@ func TestClientSwitchesOnConflict(t *testing.T) {
 	env := newFakeClientEnv(3)
 	c := Protocol{}.NewClient(env)
 	c.Propose("mine")
-	c.OnMessage("A", acceptMsg{V: "x"})
-	c.OnMessage("B", acceptMsg{V: "y"})
+	c.OnMessage("A", acceptMsg("x"))
+	c.OnMessage("B", acceptMsg("y"))
 	if env.switched == nil || *env.switched != "mine" {
 		t.Fatalf("conflict must switch with own proposal; got %v", env.switched)
 	}
@@ -87,7 +91,7 @@ func TestClientTimeoutSwitchesWithWitnessedValue(t *testing.T) {
 	env := newFakeClientEnv(3)
 	c := Protocol{}.NewClient(env)
 	c.Propose("mine")
-	c.OnMessage("B", acceptMsg{V: "w"})
+	c.OnMessage("B", acceptMsg("w"))
 	c.OnTimer("timeout")
 	if env.switched == nil || *env.switched != "w" {
 		t.Fatalf("timeout must switch with a witnessed accept value; got %v", env.switched)
@@ -102,7 +106,7 @@ func TestClientTimeoutWaitsForFirstAccept(t *testing.T) {
 	if env.switched != nil {
 		t.Fatal("switched with no accept witnessed")
 	}
-	c.OnMessage("C", acceptMsg{V: "z"})
+	c.OnMessage("C", acceptMsg("z"))
 	if env.switched == nil || *env.switched != "z" {
 		t.Fatalf("late accept must trigger the deferred switch; got %v", env.switched)
 	}
@@ -111,7 +115,7 @@ func TestClientTimeoutWaitsForFirstAccept(t *testing.T) {
 func TestClientIgnoresStrayMessagesWhenInactive(t *testing.T) {
 	env := newFakeClientEnv(3)
 	c := Protocol{}.NewClient(env)
-	c.OnMessage("A", acceptMsg{V: "v"}) // before any proposal
+	c.OnMessage("A", acceptMsg("v")) // before any proposal
 	if env.decided != nil || env.switched != nil {
 		t.Fatal("inactive client acted on a stray message")
 	}
@@ -121,7 +125,7 @@ func TestClientIgnoresStrayMessagesWhenInactive(t *testing.T) {
 type fakeServerEnv struct {
 	replies []struct {
 		to msgnet.ProcID
-		m  any
+		m  msgnet.Msg
 	}
 }
 
@@ -129,10 +133,10 @@ func (e *fakeServerEnv) Self() msgnet.ProcID      { return "S" }
 func (e *fakeServerEnv) Clients() []msgnet.ProcID { return nil }
 func (e *fakeServerEnv) Servers() []msgnet.ProcID { return nil }
 func (e *fakeServerEnv) Now() msgnet.Time         { return 0 }
-func (e *fakeServerEnv) Send(to msgnet.ProcID, m any) {
+func (e *fakeServerEnv) Send(to msgnet.ProcID, m msgnet.Msg) {
 	e.replies = append(e.replies, struct {
 		to msgnet.ProcID
-		m  any
+		m  msgnet.Msg
 	}{to, m})
 }
 func (e *fakeServerEnv) SetTimer(string, msgnet.Time) {}
@@ -144,14 +148,14 @@ var _ mpcons.ServerEnv = (*fakeServerEnv)(nil)
 func TestServerAcceptsFirstProposalForever(t *testing.T) {
 	env := &fakeServerEnv{}
 	s := Protocol{}.NewServer(env)
-	s.OnMessage("c1", proposeMsg{V: "first"})
-	s.OnMessage("c2", proposeMsg{V: "second"})
-	s.OnMessage("c1", proposeMsg{V: "third"})
+	s.OnMessage("c1", proposeMsg("first"))
+	s.OnMessage("c2", proposeMsg("second"))
+	s.OnMessage("c1", proposeMsg("third"))
 	if len(env.replies) != 3 {
 		t.Fatalf("replies: %v", env.replies)
 	}
 	for i, r := range env.replies {
-		if r.m.(acceptMsg).V != "first" {
+		if r.m != acceptMsg("first") {
 			t.Fatalf("reply %d = %v, want accept(first)", i, r.m)
 		}
 	}
@@ -160,47 +164,52 @@ func TestServerAcceptsFirstProposalForever(t *testing.T) {
 	}
 }
 
-// The server boxes its reply and its snapshot once each; both must still
-// follow the state: the snapshot taken before the first proposal differs
-// from the one after, a restored server answers with the restored value
-// (not with a reply cached before Restore), and a duplicate accept from
-// one server is counted once however often it arrives.
-func TestServerCachedReplyAndSnapshotFollowState(t *testing.T) {
+// The server's reply and its snapshot follow its state: the snapshot
+// taken before the first proposal is the zero State and differs from the
+// one after, a restored server answers with the restored value, and a
+// duplicate accept from one server is counted once however often it
+// arrives.
+func TestServerReplyAndSnapshotFollowState(t *testing.T) {
 	env := &fakeServerEnv{}
 	s := Protocol{}.NewServer(env).(*server)
-	if got := s.Snapshot().(serverState); got.Has {
+	if got := s.Snapshot(); got != (mpcons.State{}) {
 		t.Fatalf("fresh snapshot %+v", got)
 	}
-	s.OnMessage("c1", proposeMsg{V: "first"})
-	if got := s.Snapshot().(serverState); !got.Has || got.Accepted != "first" {
+	s.OnMessage("c1", proposeMsg("first"))
+	if got := s.Snapshot(); got != (mpcons.State{A: 1, V: "first"}) {
 		t.Fatalf("snapshot after the first proposal %+v", got)
 	}
-	s.OnMessage("c2", proposeMsg{V: "second"})
-	if got := s.Snapshot().(serverState); got.Accepted != "first" {
+	s.OnMessage("c2", proposeMsg("second"))
+	if got := s.Snapshot(); got.V != "first" {
 		t.Fatalf("snapshot moved with a later proposal: %+v", got)
 	}
 
-	s.Restore(serverState{Accepted: "restored", Has: true})
-	s.OnMessage("c3", proposeMsg{V: "third"})
-	if got := env.replies[len(env.replies)-1].m.(acceptMsg).V; got != "restored" {
-		t.Fatalf("reply after Restore = %q, want the restored value", got)
+	s.Restore(mpcons.State{A: 1, V: "restored"})
+	s.OnMessage("c3", proposeMsg("third"))
+	if got := env.replies[len(env.replies)-1].m; got != acceptMsg("restored") {
+		t.Fatalf("reply after Restore = %+v, want the restored value", got)
 	}
-	if got := s.Snapshot().(serverState); got.Accepted != "restored" {
+	if got := s.Snapshot(); got.V != "restored" {
 		t.Fatalf("snapshot after Restore %+v", got)
+	}
+	s.Restore(mpcons.State{})
+	s.OnMessage("c4", proposeMsg("fourth"))
+	if got := env.replies[len(env.replies)-1].m; got != acceptMsg("fourth") {
+		t.Fatalf("a server restored to the zero State answered %+v, want accept(fourth)", got)
 	}
 
 	cenv := newFakeClientEnv(3)
 	c := Protocol{}.NewClient(cenv)
 	c.Propose("v")
 	for i := 0; i < 5; i++ {
-		c.OnMessage("A", acceptMsg{V: "v"})
+		c.OnMessage("A", acceptMsg("v"))
 	}
-	c.OnMessage("nobody", acceptMsg{V: "v"}) // not a server: not a vote
-	c.OnMessage("B", acceptMsg{V: "v"})
+	c.OnMessage("nobody", acceptMsg("v")) // not a server: not a vote
+	c.OnMessage("B", acceptMsg("v"))
 	if cenv.decided != nil {
 		t.Fatal("decided on two servers' accepts out of three")
 	}
-	c.OnMessage("C", acceptMsg{V: "v"})
+	c.OnMessage("C", acceptMsg("v"))
 	if cenv.decided == nil || *cenv.decided != "v" {
 		t.Fatalf("unanimous accepts did not decide: %v", cenv.decided)
 	}

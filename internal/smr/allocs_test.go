@@ -6,9 +6,9 @@ import "testing"
 // two pinned shapes (pins_test.go), build and checker sessions included.
 // Allocation counts do not depend on the machine or its load, so they
 // hold the line in tier-1 where a wall-clock bound could not. Each budget
-// is the count measured when clients began proposing only in the slots
-// they own (DESIGN.md, decision 30) plus 15%. Moving one up needs a
-// reason that is written down.
+// is the count measured when protocol messages began travelling by value
+// (DESIGN.md, decision 22) plus 15%. Moving one up needs a reason that is
+// written down.
 func TestAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
@@ -20,22 +20,25 @@ func TestAllocationBudget(t *testing.T) {
 		want   int64 // log entries landed
 		run    func(t *testing.T) int64
 	}{
-		// 17.0 measured; 22.8 before decision 30, 55.0 before decision 27,
-		// 165.0 before decision 22.
-		{"smr-kv", 19.6, 2000, func(t *testing.T) int64 {
+		// 5.5 measured; 17.0 while messages were boxed (budget 19.6), 22.8
+		// before decision 30, 55.0 before decision 27, 165.0 before
+		// decision 22.
+		{"smr-kv", 6.3, 2000, func(t *testing.T) int64 {
 			_, sc, _ := kvShape(t, kv)
 			return sc.Stats().Landed
 		}},
 		// Retries, durable recovery, rolling coordinator crashes and 2PC:
-		// 46.6 measured, 39.2 before decision 30 (76.4 before decision 27).
-		// The rise is this scale's: its rolling restarts keep one of the six
-		// clients down for most of the run, so nearly every log entry lands
-		// above a slot of the crashed client that a blocked client must fill
-		// through a consensus round (1 215 slots filled for 1 466 entries),
-		// and each filled slot builds server state on all three replicas.
-		// bench's full-scale shape, where crashes are rare, went from 70.3
-		// to 61.4 allocations per item.
-		{"smr-txn-faults", 53.6, 1466, func(t *testing.T) int64 {
+		// 20.7 measured; 46.6 while messages and durable snapshots were
+		// boxed (budget 53.6), 39.2 before decision 30 (76.4 before
+		// decision 27). The rise at decision 30 is this scale's: its
+		// rolling restarts keep one of the six clients down for most of the
+		// run, so nearly every log entry lands above a slot of the crashed
+		// client that a blocked client must fill through a consensus round
+		// (1 215 slots filled for 1 466 entries), and each filled slot
+		// builds server state on all three replicas. bench's full-scale
+		// shape, where crashes are rare, went from 70.3 to 61.4 allocations
+		// per item.
+		{"smr-txn-faults", 23.8, 1466, func(t *testing.T) int64 {
 			_, tc, _ := txnFaultsShape(t, txn)
 			return tc.Stats().Landed
 		}},

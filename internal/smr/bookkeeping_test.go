@@ -3,7 +3,6 @@ package smr
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/mpcons"
@@ -155,30 +154,33 @@ func TestRedoAtSameSlotGetsNoStaleTimer(t *testing.T) {
 	}
 }
 
-// retainer wraps a node handler and keeps every payload it is handed,
+// retainer wraps a node handler and keeps every message it is handed,
 // beside a rendering of it on arrival.
 type retainer struct {
-	inner    msgnet.RecoverableHandler
-	retained []any
+	inner interface {
+		msgnet.RecoverableHandler
+		msgnet.Receiver
+	}
+	retained []msgnet.Msg
 	seenAs   []string
 }
 
 func (r *retainer) Init(n *msgnet.Node) { r.inner.Init(n) }
-func (r *retainer) OnMessage(n *msgnet.Node, from msgnet.ProcID, payload any) {
-	r.retained = append(r.retained, payload)
-	r.seenAs = append(r.seenAs, fmt.Sprintf("%#v", payload))
-	r.inner.OnMessage(n, from, payload)
+func (r *retainer) OnMsg(n *msgnet.Node, from msgnet.ProcID, m msgnet.Msg) {
+	r.retained = append(r.retained, m)
+	r.seenAs = append(r.seenAs, fmt.Sprintf("%#v", m))
+	r.inner.OnMsg(n, from, m)
 }
 func (r *retainer) OnTimer(n *msgnet.Node, name string) { r.inner.OnTimer(n, name) }
 func (r *retainer) OnRestart(n *msgnet.Node)            { r.inner.OnRestart(n) }
 
-// One boxed envelope goes to every server of a broadcast and a server's
-// one boxed accept to every proposer, duplicates of either included. A
-// node that keeps everything it ever received must find each payload as
-// it arrived — nobody may write to a payload after Send (msgnet.Handler)
-// — under global and per-link duplication, a server crash–restart with
-// durable recovery (Restore resets the cached reply) and a client
-// crash–restart. Every phase message must also be comparable.
+// Phase messages travel by value; a watermark report's gossip shares one
+// Body — the trimmed decisions — among every peer's copy, duplicates
+// included. A node that keeps everything it ever received must find each
+// message as it arrived — nobody may write to a Body after Post
+// (msgnet.Msg) — under global and per-link duplication, a server
+// crash–restart with durable recovery and a client crash–restart; and it
+// retains exactly what the network delivered.
 func TestSharedEnvelopesSurviveDuplication(t *testing.T) {
 	w := msgnet.New(msgnet.Config{Seed: 11, MinDelay: 1, MaxDelay: 3, DupProb: 0.15})
 	clients, servers := ids("c", 3), ids("s", 3)
@@ -224,22 +226,23 @@ func TestSharedEnvelopesSurviveDuplication(t *testing.T) {
 	if w.Duplicated() == 0 {
 		t.Fatal("no duplicates scheduled")
 	}
-	total := 0
+	total, gossip := 0, 0
 	for _, r := range nodes {
 		total += len(r.retained)
-		for i, p := range r.retained {
-			if got := fmt.Sprintf("%#v", p); got != r.seenAs[i] {
-				t.Fatalf("payload arrived as %s and now reads %s", r.seenAs[i], got)
+		for i, m := range r.retained {
+			if m.Kind == kindGossip {
+				gossip++
 			}
-			// The slot envs compare a phase message with the last one
-			// sent, which would panic on a non-comparable type.
-			if env, ok := p.(slotEnvelope); ok && !reflect.TypeOf(env.payload).Comparable() {
-				t.Fatalf("phase message %T is not comparable", env.payload)
+			if got := fmt.Sprintf("%#v", m); got != r.seenAs[i] {
+				t.Fatalf("message arrived as %s and now reads %s", r.seenAs[i], got)
 			}
 		}
 	}
+	if gossip == 0 {
+		t.Fatal("no gossip delivered: no Body was shared")
+	}
 	if _, delivered, _ := w.Stats(); int64(total) != delivered {
-		t.Fatalf("retained %d payloads, network delivered %d", total, delivered)
+		t.Fatalf("retained %d messages, network delivered %d", total, delivered)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/keyed"
 	"repro/internal/lin"
+	"repro/internal/mpcons"
 	"repro/internal/msgnet"
 	"repro/internal/trace"
 )
@@ -244,7 +245,18 @@ func (sc *ShardedCluster) SubmitPaced(c msgnet.ProcID, cmds []Command, start, pe
 		sc.SubmitManyAt(c, cmds, start)
 		return
 	}
+	// Count, then fill one array: every stream is sized once.
+	counts := make([]int, len(sc.shards))
+	for _, cmd := range cmds {
+		counts[sc.shardFor(cmd)]++
+	}
+	all := make([]Command, len(cmds))
 	streams := make([][]Command, len(sc.shards))
+	off := 0
+	for k, n := range counts {
+		streams[k] = all[off : off : off+n]
+		off += n
+	}
 	for _, cmd := range cmds {
 		k := sc.shardFor(cmd)
 		streams[k] = append(streams[k], cmd)
@@ -456,9 +468,9 @@ func (r *router) Init(n *msgnet.Node) {
 	}
 }
 
-func (r *router) OnMessage(n *msgnet.Node, from msgnet.ProcID, payload any) {
-	if shard, ok := clientShard(payload); ok && shard >= 0 && shard < len(r.perShard) {
-		r.perShard[shard].handle(from, payload)
+func (r *router) OnMsg(n *msgnet.Node, from msgnet.ProcID, m msgnet.Msg) {
+	if k := int(m.Shard); k >= 0 && k < len(r.perShard) {
+		r.perShard[k].handle(from, m)
 	}
 }
 
@@ -496,16 +508,16 @@ func (m *serverMux) Init(n *msgnet.Node) {
 	}
 }
 
-func (m *serverMux) OnMessage(n *msgnet.Node, from msgnet.ProcID, payload any) {
-	switch env := payload.(type) {
-	case slotEnvelope:
-		if env.shard >= 0 && env.shard < len(m.perShard) {
-			m.perShard[env.shard].handleEnvelope(from, env)
-		}
-	case learnedEnvelope:
-		if env.shard >= 0 && env.shard < len(m.perShard) {
-			m.perShard[env.shard].handleLearned(from, env.watermark)
-		}
+func (m *serverMux) OnMsg(n *msgnet.Node, from msgnet.ProcID, msg msgnet.Msg) {
+	k := int(msg.Shard)
+	if k < 0 || k >= len(m.perShard) {
+		return
+	}
+	switch {
+	case msg.Kind < mpcons.HostKinds:
+		m.perShard[k].handlePhase(from, msg)
+	case msg.Kind == kindLearned:
+		m.perShard[k].handleLearned(from, int(msg.A))
 	}
 }
 
@@ -679,7 +691,7 @@ func (rec *shardRecorder) start(c msgnet.ProcID, cmd Command, at msgnet.Time) {
 // slotVal/learns entries are freed once every client has learned the
 // slot and it has been replayed. Under compaction the passive decision
 // gossip keeps idle clients learning other clients' no-ops (smr.go,
-// gossipEnvelope) — their gossip learns arrive through this same hook,
+// kindGossip) — their gossip learns arrive through this same hook,
 // so the entries drain even when half the feeds end early; without
 // compaction an idle client stops learning them and entries for later
 // slots persist to the end of the run.

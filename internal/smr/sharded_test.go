@@ -206,7 +206,7 @@ func TestShardedCompaction(t *testing.T) {
 // Idle clients must not pin the compaction floor. Half the clients
 // submit a short feed and go idle early. They hear of the active
 // clients' commands through their notices, but of each other's no-ops
-// only through the passive decision gossip (gossipEnvelope) riding the
+// only through the passive decision gossip (kindGossip) riding the
 // active clients' watermark reports; that keeps their frontiers — and so
 // every replica's gcFloor, the minimum watermark over ALL clients —
 // tracking the log tip instead of freezing at their first unknown no-op.

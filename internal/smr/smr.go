@@ -103,7 +103,7 @@ type Config struct {
 	// memory by the compaction window instead of the log length, at the
 	// cost of extra (tiny) watermark messages. Each report also gossips
 	// the trimmed decisions, no-ops included, to the other clients
-	// (gossipEnvelope), so clients with drained queues keep learning —
+	// (kindGossip), so clients with drained queues keep learning —
 	// and keep reporting — instead of pinning the servers' floor at their
 	// last active slot. With compaction on, Log and the retained
 	// per-client logs only cover the untrimmed suffix; ShardedCluster
@@ -156,6 +156,10 @@ type Shard struct {
 	servers []msgnet.ProcID
 	byID    map[msgnet.ProcID]*client
 	reps    map[msgnet.ProcID]*replica
+	// fresh[k] is the snapshot of a just-built phase-k server component:
+	// what a slot never persisted restores (zero for a phase that is not
+	// durable).
+	fresh [maxPhases]mpcons.State
 
 	keepResults bool
 	results     []SubmitResult
@@ -178,6 +182,11 @@ func newShard(id int, clients, servers []msgnet.ProcID, cfg Config) *Shard {
 		servers: servers,
 		byID:    map[msgnet.ProcID]*client{},
 		reps:    map[msgnet.ProcID]*replica{},
+	}
+	for k, p := range sh.protos {
+		if d, ok := p.NewServer(nil).(mpcons.Durable); ok {
+			sh.fresh[k] = d.Snapshot()
+		}
 	}
 	for i, cid := range clients {
 		c := &client{sh: sh, id: cid, index: i, log: map[int]Command{}, skipped: i, told: make([]int, len(clients)),
@@ -231,52 +240,33 @@ func (sh *Shard) checkConsistency() error {
 	return nil
 }
 
-// slotEnvelope routes a phase message of one slot instance of one shard.
-type slotEnvelope struct {
-	shard   int
-	slot    int
-	phase   int
-	payload any
-}
-
-// learnedEnvelope carries a client's learned watermark to the servers
-// (compaction only): every slot below watermark is decided and known to
-// the sender, which will therefore never propose in those slots again.
-type learnedEnvelope struct {
-	shard     int
-	watermark int
-}
-
-// gossipEnvelope carries decided commands from one client to another
-// (compaction only): cmds[i] is the decision of slot first+i, no-ops
-// included. A client piggybacks the decisions it is about to trim onto
-// every watermark report. A skip is reported only to the client whose
-// notice asked for it, so clients with no in-flight submission — who send
-// no notices — learn other clients' no-ops only here, and without it
-// would pin the servers' compaction floor at their first such slot.
-type gossipEnvelope struct {
-	shard int
-	first int
-	cmds  []Command
-}
-
-// noticeEnvelope pushes a decision from the slot's owner to its peers: the
-// owner's command won slot.
-type noticeEnvelope struct {
-	shard int
-	slot  int
-	cmd   Command
-}
-
-// skipEnvelope answers a notice with the sender's no-op slots: bit k of
-// noops set means the sender's owned slot first + k·clients holds the
-// no-op. Clear bits are the sender's command slots, reported by their own
-// notices.
-type skipEnvelope struct {
-	shard int
-	first int
-	noops uint64
-}
+// Every message of a shard carries the shard in its header. A phase
+// message of a slot instance also carries the slot and the phase there,
+// and keeps its protocol's kind; the shard's own messages take the kinds
+// below, from mpcons.HostKinds up.
+const (
+	// kindLearned carries a client's learned watermark, A, to the servers
+	// (compaction only): every slot below it is decided and known to the
+	// sender, which will therefore never propose in those slots again.
+	kindLearned = mpcons.HostKinds + iota
+	// kindGossip carries decided commands from one client to another
+	// (compaction only): Body is a []Command whose element i is the
+	// decision of slot A+i, no-ops included. A client piggybacks the
+	// decisions it is about to trim onto every watermark report. A skip is
+	// reported only to the client whose notice asked for it, so clients
+	// with no in-flight submission — who send no notices — learn other
+	// clients' no-ops only here, and without it would pin the servers'
+	// compaction floor at their first such slot.
+	kindGossip
+	// kindNotice pushes a decision from the slot's owner to its peers: the
+	// owner's command V won Slot.
+	kindNotice
+	// kindSkip answers a notice with the sender's no-op slots: bit k of B
+	// set means the sender's owned slot A + k·clients holds the no-op.
+	// Clear bits are the sender's command slots, reported by their own
+	// notices.
+	kindSkip
+)
 
 // noop is the value of a slot that carries no command: an owned slot its
 // owner passed over, or a slot a blocked client filled. It is never
@@ -406,7 +396,13 @@ func (c *client) startNext() {
 		return
 	}
 	cmd := c.queue[0]
-	c.queue = c.queue[1:]
+	if len(c.queue) == 1 {
+		// Emptied: the next enqueue reuses the array. A paced feed empties
+		// the queue at nearly every command.
+		c.queue = c.queue[:0]
+	} else {
+		c.queue = c.queue[1:]
+	}
 	c.current = submission{live: true, cmd: cmd, start: c.node.Now()}
 	c.sh.rec.start(c.id, cmd, c.node.Now())
 	c.attempt(c.ownedFrom(c.top))
@@ -691,31 +687,30 @@ func (c *client) land() {
 	c.startNext()
 }
 
-// notify pushes a slot the client's command won to every peer: one boxed
-// envelope shared by all sends.
+// notify pushes a slot the client's command won to every peer.
 func (c *client) notify(s int, v Command) {
 	if len(c.sh.clients) == 1 {
 		return
 	}
-	var env any = noticeEnvelope{shard: c.sh.id, slot: s, cmd: v}
+	m := msgnet.Msg{Shard: int32(c.sh.id), Kind: kindNotice, Slot: s, V: v}
 	for _, p := range c.sh.clients {
 		if p != c.id {
-			c.node.Send(p, env)
+			c.node.Post(p, m)
 		}
 	}
 }
 
 // handleNotice learns a peer's won slot and answers with this client's
 // no-op slots below it that the peer has not been told of yet.
-func (c *client) handleNotice(from msgnet.ProcID, env noticeEnvelope) {
-	if c.learn(env.slot, env.cmd) {
+func (c *client) handleNotice(from msgnet.ProcID, m msgnet.Msg) {
+	if c.learn(m.Slot, m.V) {
 		c.settle()
 	}
-	c.reportSkips(from, env.slot)
+	c.reportSkips(from, m.Slot)
 }
 
 // reportSkips sends peer `to` the client's no-op slots in [told, below),
-// 64 owned slots per envelope, and only envelopes that name one. Slots
+// 64 owned slots per message, and only messages that name one. Slots
 // already trimmed are not reported: the peer had them in the gossip.
 func (c *client) reportSkips(to msgnet.ProcID, below int) {
 	j, n := c.sh.byID[to].index, len(c.sh.clients)
@@ -728,7 +723,7 @@ func (c *client) reportSkips(to msgnet.ProcID, below int) {
 			}
 		}
 		if noops != 0 {
-			c.node.Send(to, skipEnvelope{shard: c.sh.id, first: first, noops: noops})
+			c.node.Post(to, msgnet.Msg{Shard: int32(c.sh.id), Kind: kindSkip, A: int64(first), B: int64(noops)})
 		}
 	}
 	if s > c.told[j] {
@@ -737,10 +732,10 @@ func (c *client) reportSkips(to msgnet.ProcID, below int) {
 }
 
 // handleSkips learns a peer's no-op slots.
-func (c *client) handleSkips(env skipEnvelope) {
-	learned := false
-	for m := env.noops; m != 0; m &= m - 1 {
-		if c.learn(env.first+bits.TrailingZeros64(m)*len(c.sh.clients), noop) {
+func (c *client) handleSkips(m msgnet.Msg) {
+	learned, first := false, int(m.A)
+	for noops := uint64(m.B); noops != 0; noops &= noops - 1 {
+		if c.learn(first+bits.TrailingZeros64(noops)*len(c.sh.clients), noop) {
 			learned = true
 		}
 	}
@@ -770,7 +765,7 @@ func (c *client) retire() {
 // floor by a full window nor broadcasts per landed command.
 //
 // Each report also gossips the decisions it is about to trim to the
-// other clients (gossipEnvelope): an idle client hears of no other
+// other clients (kindGossip): an idle client hears of no other
 // client's no-op on its own, so without the gossip its watermark — and
 // therefore every replica's compaction floor, which is the minimum over
 // all clients — would stay pinned for the rest of the run. Gossip is
@@ -790,19 +785,20 @@ func (c *client) reportWatermark(idle bool) {
 		return
 	}
 	c.reported = c.frontier
-	var report any = learnedEnvelope{shard: c.sh.id, watermark: c.frontier}
+	report := msgnet.Msg{Shard: int32(c.sh.id), Kind: kindLearned, A: int64(c.frontier)}
 	for _, srv := range c.sh.servers {
-		c.node.Send(srv, report)
+		c.node.Post(srv, report)
 	}
 	if c.frontier > c.trimmed {
 		cmds := make([]Command, 0, c.frontier-c.trimmed)
 		for s := c.trimmed; s < c.frontier; s++ {
 			cmds = append(cmds, c.log[s])
 		}
-		var env any = gossipEnvelope{shard: c.sh.id, first: c.trimmed, cmds: cmds}
+		// One Body, boxed once and shared by every peer's copy.
+		gossip := msgnet.Msg{Shard: int32(c.sh.id), Kind: kindGossip, A: int64(c.trimmed), Body: cmds}
 		for _, peer := range c.sh.clients {
 			if peer != c.id {
-				c.node.Send(peer, env)
+				c.node.Post(peer, gossip)
 			}
 		}
 	}
@@ -817,13 +813,14 @@ func (c *client) reportWatermark(idle bool) {
 // learn: known slots are skipped, the frontier advances, the learn hook
 // fires, and an idle client re-reports at the quarter window so the
 // servers' compaction floor keeps tracking the log tip.
-func (c *client) handleGossip(env gossipEnvelope) {
-	if c.sh.cfg.CompactEvery <= 0 {
+func (c *client) handleGossip(m msgnet.Msg) {
+	cmds, ok := m.Body.([]Command)
+	if !ok || c.sh.cfg.CompactEvery <= 0 {
 		return
 	}
-	learned := false
-	for i, cmd := range env.cmds {
-		if c.learn(env.first+i, cmd) {
+	learned, first := false, int(m.A)
+	for i, cmd := range cmds {
+		if c.learn(first+i, cmd) {
 			learned = true
 		}
 	}
@@ -847,13 +844,13 @@ func (c *client) switchTo(s, phase int, sv trace.Value) {
 	c.comp(inst, inst.phase).SwitchIn(inst.value, sv)
 }
 
-// handleEnvelope delivers a routed phase message to the live instance;
+// handlePhase delivers a routed phase message to the live instance;
 // messages for any other slot are late and dropped.
-func (c *client) handleEnvelope(from msgnet.ProcID, env slotEnvelope) {
-	if c.inst == nil || env.slot != c.instSlot || env.phase < 0 || env.phase >= len(c.sh.protos) {
+func (c *client) handlePhase(from msgnet.ProcID, m msgnet.Msg) {
+	if c.inst == nil || m.Slot != c.instSlot || int(m.Phase) >= len(c.sh.protos) {
 		return
 	}
-	c.comp(c.inst, env.phase).OnMessage(from, env.payload)
+	c.comp(c.inst, int(m.Phase)).OnMessage(from, m)
 }
 
 // handleTimer delivers a routed, already-parsed phase timer. The name
@@ -866,44 +863,26 @@ func (c *client) handleTimer(phase int, rest string) {
 	c.comp(c.inst, phase).OnTimer(rest)
 }
 
-// clientShard returns the shard a client-bound payload is for.
-func clientShard(payload any) (int, bool) {
-	switch env := payload.(type) {
-	case slotEnvelope:
-		return env.shard, true
-	case noticeEnvelope:
-		return env.shard, true
-	case skipEnvelope:
-		return env.shard, true
-	case gossipEnvelope:
-		return env.shard, true
-	}
-	return 0, false
-}
-
-// handle routes a client-bound payload to this shard's client engine.
-func (c *client) handle(from msgnet.ProcID, payload any) {
-	switch env := payload.(type) {
-	case slotEnvelope:
-		c.handleEnvelope(from, env)
-	case noticeEnvelope:
-		c.handleNotice(from, env)
-	case skipEnvelope:
-		c.handleSkips(env)
-	case gossipEnvelope:
-		c.handleGossip(env)
+// handle routes a client-bound message of this shard to its handler.
+func (c *client) handle(from msgnet.ProcID, m msgnet.Msg) {
+	switch {
+	case m.Kind < mpcons.HostKinds:
+		c.handlePhase(from, m)
+	case m.Kind == kindNotice:
+		c.handleNotice(from, m)
+	case m.Kind == kindSkip:
+		c.handleSkips(m)
+	case m.Kind == kindGossip:
+		c.handleGossip(m)
 	}
 }
 
-// slotClientEnv adapts a client to one slot and phase. Like
-// slotServerEnv it keeps its last broadcast payload beside the envelope
-// boxed for it, so a retransmission of one boxed proposal boxes nothing.
+// slotClientEnv adapts a client to one slot and phase: it posts the
+// phase's messages under the slot's routing header.
 type slotClientEnv struct {
-	client  *client
-	slot    int
-	phase   int
-	lastP   any
-	lastBox any
+	client *client
+	slot   int
+	phase  int
 }
 
 // slotTimer is a phase-local timer name beside the node-level name built
@@ -917,19 +896,15 @@ func (e *slotClientEnv) Servers() []msgnet.ProcID { return e.client.sh.servers }
 func (e *slotClientEnv) Now() msgnet.Time         { return e.client.node.Now() }
 func (e *slotClientEnv) Decide(v trace.Value)     { e.client.decide(e.slot, e.phase, v) }
 func (e *slotClientEnv) SwitchTo(sv trace.Value)  { e.client.switchTo(e.slot, e.phase, sv) }
-func (e *slotClientEnv) Send(to msgnet.ProcID, p any) {
-	e.client.node.Send(to, slotEnvelope{shard: e.client.sh.id, slot: e.slot, phase: e.phase, payload: p})
+func (e *slotClientEnv) Send(to msgnet.ProcID, m msgnet.Msg) {
+	m.Shard, m.Slot, m.Phase = int32(e.client.sh.id), e.slot, uint8(e.phase)
+	e.client.node.Post(to, m)
 }
 
-// Broadcast sends one boxed envelope — the same immutable value — to
-// every server (msgnet.Handler's payload rule).
-func (e *slotClientEnv) Broadcast(p any) {
-	if e.lastBox == nil || p != e.lastP {
-		e.lastP = p
-		e.lastBox = slotEnvelope{shard: e.client.sh.id, slot: e.slot, phase: e.phase, payload: p}
-	}
+func (e *slotClientEnv) Broadcast(m msgnet.Msg) {
+	m.Shard, m.Slot, m.Phase = int32(e.client.sh.id), e.slot, uint8(e.phase)
 	for _, s := range e.client.sh.servers {
-		e.client.node.Send(s, e.lastBox)
+		e.client.node.Post(s, m)
 	}
 }
 
@@ -983,17 +958,15 @@ type replica struct {
 	node  *msgnet.Node
 	slots map[int]*serverSlot
 	// durable holds per-slot phase snapshots (Recovery only), bounded by
-	// the compaction window like slots; nil for a phase never persisted.
-	durable map[int][maxPhases]any
+	// the compaction window like slots.
+	durable map[int][maxPhases]mpcons.State
 	// wm holds per-client learned watermarks; slots below their minimum
 	// are freed and refused (gcFloor). Compaction only.
 	wm      map[msgnet.ProcID]int
 	gcFloor int
 	// free holds the server slots handleLearned freed, for component to
-	// reuse; fresh[k] is the snapshot of a just-built phase-k component,
-	// which resets a reused one (taken on first need).
-	free  []*serverSlot
-	fresh [maxPhases]any
+	// reuse.
+	free []*serverSlot
 }
 
 func (r *replica) Init(n *msgnet.Node) { r.node = n }
@@ -1017,8 +990,8 @@ type serverSlot struct {
 // messages are dropped rather than resurrecting state.
 //
 // A slot comes off the free list when it has one, and a phase reuses the
-// slot's spare component, reset by Restore to the durable snapshot or
-// else to a fresh component's: Restore sets every field a component has.
+// slot's spare component. A durable component is reset by Restore, which
+// sets every field it has, to its snapshot (snapshots).
 func (r *replica) component(slot, k int) mpcons.ServerPhase {
 	if slot < r.gcFloor || k < 0 || k >= len(r.sh.protos) {
 		return nil
@@ -1036,28 +1009,26 @@ func (r *replica) component(slot, k int) mpcons.ServerPhase {
 	}
 	if sl.comps[k] == nil {
 		sl.envs[k] = slotServerEnv{replica: r, slot: slot, phase: k}
-		snap := r.durable[slot][k]
 		comp := sl.spare[k]
 		sl.spare[k] = nil
 		if comp == nil {
 			comp = r.sh.protos[k].NewServer(&sl.envs[k])
-		} else if snap == nil {
-			snap = r.freshSnapshot(k)
 		}
-		if snap != nil {
-			comp.(mpcons.Durable).Restore(snap)
+		if d, ok := comp.(mpcons.Durable); ok {
+			d.Restore(r.snapshots(slot)[k])
 		}
 		sl.comps[k] = comp
 	}
 	return sl.comps[k]
 }
 
-// freshSnapshot returns the snapshot of a just-built phase-k component.
-func (r *replica) freshSnapshot(k int) any {
-	if r.fresh[k] == nil {
-		r.fresh[k] = r.sh.protos[k].NewServer(&slotServerEnv{replica: r}).(mpcons.Durable).Snapshot()
+// snapshots returns the slot's durable snapshots: a just-built
+// component's (Shard.fresh) for a slot never persisted.
+func (r *replica) snapshots(slot int) [maxPhases]mpcons.State {
+	if snaps, ok := r.durable[slot]; ok {
+		return snaps
 	}
-	return r.fresh[k]
+	return r.sh.fresh
 }
 
 // release empties a slot freed below the compaction floor and puts it on
@@ -1080,7 +1051,7 @@ func (r *replica) release(sl *serverSlot) {
 // slot, before the event ends — write-ahead relative to any reply the
 // components sent within the event, since nothing leaves the simulator
 // mid-event. A phase not built yet has nothing to remember: its entry
-// stays as the store last had it.
+// stays as the store last had it, a just-built component's at first.
 func (r *replica) persist(slot int) {
 	if !r.sh.cfg.Recovery {
 		return
@@ -1090,9 +1061,9 @@ func (r *replica) persist(slot int) {
 		return
 	}
 	if r.durable == nil {
-		r.durable = map[int][maxPhases]any{}
+		r.durable = map[int][maxPhases]mpcons.State{}
 	}
-	snaps := r.durable[slot]
+	snaps := r.snapshots(slot)
 	for k, comp := range sl.comps {
 		if d, ok := comp.(mpcons.Durable); ok {
 			snaps[k] = d.Snapshot()
@@ -1111,13 +1082,13 @@ func (r *replica) recover() {
 	r.slots = map[int]*serverSlot{}
 }
 
-func (r *replica) handleEnvelope(from msgnet.ProcID, env slotEnvelope) {
-	comp := r.component(env.slot, env.phase)
+func (r *replica) handlePhase(from msgnet.ProcID, m msgnet.Msg) {
+	comp := r.component(m.Slot, int(m.Phase))
 	if comp == nil {
 		return
 	}
-	comp.OnMessage(from, env.payload)
-	r.persist(env.slot)
+	comp.OnMessage(from, m)
+	r.persist(m.Slot)
 }
 
 // handleLearned advances the compaction floor: once every client has
@@ -1157,29 +1128,21 @@ func (r *replica) handleTimer(slot, phase int, rest string) {
 	r.persist(slot)
 }
 
-// slotServerEnv adapts a replica to one slot and phase. It keeps the
-// last payload it sent beside the envelope boxed for it and sends that
-// same box again while the payload is equal: Quorum's accept reply is
-// one boxed value sent to every proposal. Every phase message is a
-// comparable struct, so the comparison cannot panic.
+// slotServerEnv adapts a replica to one slot and phase: it posts the
+// phase's messages under the slot's routing header.
 type slotServerEnv struct {
 	replica *replica
 	slot    int
 	phase   int
-	lastP   any
-	lastBox any
 }
 
 func (e *slotServerEnv) Self() msgnet.ProcID      { return e.replica.id }
 func (e *slotServerEnv) Clients() []msgnet.ProcID { return e.replica.sh.clients }
 func (e *slotServerEnv) Servers() []msgnet.ProcID { return e.replica.sh.servers }
 func (e *slotServerEnv) Now() msgnet.Time         { return e.replica.node.Now() }
-func (e *slotServerEnv) Send(to msgnet.ProcID, p any) {
-	if e.lastBox == nil || p != e.lastP {
-		e.lastP = p
-		e.lastBox = slotEnvelope{shard: e.replica.sh.id, slot: e.slot, phase: e.phase, payload: p}
-	}
-	e.replica.node.Send(to, e.lastBox)
+func (e *slotServerEnv) Send(to msgnet.ProcID, m msgnet.Msg) {
+	m.Shard, m.Slot, m.Phase = int32(e.replica.sh.id), e.slot, uint8(e.phase)
+	e.replica.node.Post(to, m)
 }
 
 // SetTimer builds the node-level name on every call: no server phase arms
