@@ -4,11 +4,11 @@
 //
 // An object consists of client processes and server processes. Each
 // speculation phase contributes a client-side component to every client
-// and a server-side component to every server; messages carry their phase
-// index in their header so phases never see each other's traffic, and
-// the only information that crosses a phase boundary is the switch value
-// a client carries when it aborts — the paper's black-box composition
-// rule, enforced by construction.
+// and a server-side component to every server; messages and timers carry
+// their phase index in their header so phases never see each other's
+// traffic or timers, and the only information that crosses a phase
+// boundary is the switch value a client carries when it aborts — the
+// paper's black-box composition rule, enforced by construction.
 //
 // The object records the interface-level trace (inv/res/swi actions,
 // numbered as in §5.1) for post-hoc checking by packages lin and slin.
@@ -17,7 +17,6 @@ package mpcons
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/adt"
 	"repro/internal/core"
@@ -42,10 +41,12 @@ type ClientEnv interface {
 	Send(to msgnet.ProcID, m msgnet.Msg)
 	// Broadcast sends a phase message to all servers.
 	Broadcast(m msgnet.Msg)
-	// SetTimer (re)arms a phase-local timer.
-	SetTimer(name string, d msgnet.Time)
-	// CancelTimer cancels a phase-local timer.
-	CancelTimer(name string)
+	// SetTimer (re)arms the phase's timer of the given kind, numbered
+	// from 1 up and below 64 (see HostKinds); the env fills in the
+	// routing header.
+	SetTimer(kind uint8, d msgnet.Time)
+	// CancelTimer cancels the phase's timer of the given kind.
+	CancelTimer(kind uint8)
 	// Now returns current virtual time.
 	Now() msgnet.Time
 	// Decide resolves the client's pending operation with a decision.
@@ -65,31 +66,32 @@ type ClientPhase interface {
 	SwitchIn(pending trace.Value, sv trace.Value)
 	// OnMessage delivers a phase message.
 	OnMessage(from msgnet.ProcID, m msgnet.Msg)
-	// OnTimer fires a phase-local timer.
-	OnTimer(name string)
+	// OnTimer fires the phase's timer of the given kind.
+	OnTimer(kind uint8)
 }
 
-// HostKinds splits msgnet.Msg.Kind between the phases and their host. A
-// phase protocol numbers its message kinds from 1 up to below HostKinds;
-// a host that routes phase messages beside messages of its own (smr's
-// notices, skips and watermarks) numbers its own from HostKinds up, so
-// the one field tells the two apart.
+// HostKinds splits the kinds of msgnet.Msg and msgnet.Timer alike
+// between the phases and their host. A phase protocol numbers its message
+// kinds and its timer kinds from 1 up to below HostKinds — its timer
+// kinds below 64, so that a host can keep a phase's armed timers in one
+// bit mask; a host that routes phase messages and timers beside its own
+// (smr's notices, skips and watermarks; its progress timer) numbers its
+// own from HostKinds up, so the one field tells the two apart.
 const HostKinds uint8 = 128
 
 // ServerEnv is the interface a server-side phase component uses to act.
+// A server phase only answers messages: it arms no timer.
 type ServerEnv interface {
 	Self() msgnet.ProcID
 	Clients() []msgnet.ProcID
 	Servers() []msgnet.ProcID
 	Send(to msgnet.ProcID, m msgnet.Msg)
-	SetTimer(name string, d msgnet.Time)
 	Now() msgnet.Time
 }
 
 // ServerPhase is the server-side component of one phase on one server.
 type ServerPhase interface {
 	OnMessage(from msgnet.ProcID, m msgnet.Msg)
-	OnTimer(name string)
 }
 
 // PhaseProtocol builds the per-process components of one phase.
@@ -278,12 +280,10 @@ func (d *clientDriver) OnMsg(n *msgnet.Node, from msgnet.ProcID, m msgnet.Msg) {
 	}
 }
 
-func (d *clientDriver) OnTimer(n *msgnet.Node, name string) {
-	k, rest, ok := splitTimer(name)
-	if !ok || k < 0 || k >= len(d.comps) {
-		return
+func (d *clientDriver) OnTick(n *msgnet.Node, t msgnet.Timer) {
+	if int(t.Phase) < len(d.comps) {
+		d.comps[t.Phase].OnTimer(t.Kind)
 	}
-	d.comps[k].OnTimer(rest)
 }
 
 // clientEnv adapts a driver to one phase's view.
@@ -299,7 +299,6 @@ func (e *clientEnv) Servers() []msgnet.ProcID { return e.driver.obj.servers }
 func (e *clientEnv) Now() msgnet.Time         { return e.driver.node.Now() }
 func (e *clientEnv) Decide(v trace.Value)     { e.driver.decide(e.phase, v) }
 func (e *clientEnv) SwitchTo(sv trace.Value)  { e.driver.switchTo(e.phase, sv) }
-func (e *clientEnv) CancelTimer(name string)  { e.driver.node.CancelTimer(timerName(e.phase, name)) }
 func (e *clientEnv) Send(to msgnet.ProcID, m msgnet.Msg) {
 	m.Phase = uint8(e.phase)
 	e.driver.node.Post(to, m)
@@ -310,8 +309,11 @@ func (e *clientEnv) Broadcast(m msgnet.Msg) {
 		e.driver.node.Post(s, m)
 	}
 }
-func (e *clientEnv) SetTimer(name string, d msgnet.Time) {
-	e.driver.node.SetTimer(timerName(e.phase, name), d)
+func (e *clientEnv) SetTimer(kind uint8, d msgnet.Time) {
+	e.driver.node.Arm(msgnet.Timer{Phase: uint8(e.phase), Kind: kind}, d)
+}
+func (e *clientEnv) CancelTimer(kind uint8) {
+	e.driver.node.Disarm(msgnet.Timer{Phase: uint8(e.phase), Kind: kind})
 }
 
 // serverDriver hosts a server's phase components.
@@ -336,13 +338,8 @@ func (d *serverDriver) OnMsg(n *msgnet.Node, from msgnet.ProcID, m msgnet.Msg) {
 	}
 }
 
-func (d *serverDriver) OnTimer(n *msgnet.Node, name string) {
-	k, rest, ok := splitTimer(name)
-	if !ok || k < 0 || k >= len(d.comps) {
-		return
-	}
-	d.comps[k].OnTimer(rest)
-}
+// OnTick implements msgnet.Receiver: no server phase arms a timer.
+func (d *serverDriver) OnTick(*msgnet.Node, msgnet.Timer) {}
 
 type serverEnv struct {
 	driver *serverDriver
@@ -356,23 +353,4 @@ func (e *serverEnv) Now() msgnet.Time         { return e.driver.node.Now() }
 func (e *serverEnv) Send(to msgnet.ProcID, m msgnet.Msg) {
 	m.Phase = uint8(e.phase)
 	e.driver.node.Post(to, m)
-}
-func (e *serverEnv) SetTimer(name string, d msgnet.Time) {
-	e.driver.node.SetTimer(timerName(e.phase, name), d)
-}
-
-func timerName(phase int, name string) string {
-	return strconv.Itoa(phase) + ":" + name
-}
-
-func splitTimer(full string) (phase int, name string, ok bool) {
-	i := strings.IndexByte(full, ':')
-	if i < 0 {
-		return 0, "", false
-	}
-	k, err := strconv.Atoi(full[:i])
-	if err != nil {
-		return 0, "", false
-	}
-	return k, full[i+1:], true
 }

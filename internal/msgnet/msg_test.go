@@ -9,8 +9,8 @@ import (
 // higher: a steady ping-pong of header-only messages.
 type volley struct{ got int }
 
-func (v *volley) Init(n *Node)                 {}
-func (v *volley) OnTimer(n *Node, name string) {}
+func (v *volley) Init(n *Node)            {}
+func (v *volley) OnTick(n *Node, t Timer) {}
 func (v *volley) OnMsg(n *Node, from ProcID, m Msg) {
 	v.got++
 	m.A++
@@ -28,14 +28,17 @@ type echo struct {
 	from   []ProcID
 }
 
-func (e *echo) Init(n *Node) { n.SetTimer("tick", 1) }
+// tick is echo's one timer.
+var tick = Timer{Kind: 1}
+
+func (e *echo) Init(n *Node) { n.Arm(tick, 1) }
 
 func (e *echo) OnMsg(n *Node, from ProcID, m Msg) {
 	e.got = append(e.got, m)
 	e.from = append(e.from, from)
 }
 
-func (e *echo) OnTimer(n *Node, name string) {
+func (e *echo) OnTick(n *Node, t Timer) {
 	if e.seq++; e.seq > 80 {
 		return
 	}
@@ -48,7 +51,7 @@ func (e *echo) OnTimer(n *Node, name string) {
 			n.Post(p, m)
 		}
 	}
-	n.SetTimer("tick", 2)
+	n.Arm(tick, 2)
 }
 
 // Messages travel by value inside the pooled events: once the pool is

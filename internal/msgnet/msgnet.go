@@ -52,41 +52,58 @@ type Msg struct {
 	Body any
 }
 
+// Timer is a timer's key, the counterpart of Msg's routing header: the
+// shard and speculation phase that armed it and its kind, or the Name
+// given to SetTimer. A node has one timer per key.
+type Timer struct {
+	Shard int32
+	Phase uint8
+	Kind  uint8
+	Name  string
+}
+
 // Handler implements a process's protocol logic. Handlers run in the
 // single-threaded event loop; they must not retain n across events (it is
 // stable, but must only be used from within callbacks).
 //
-// Messages travel by value. A handler receives them through one of two
-// entry points, chosen once by AddNode: OnMsg (Receiver) takes the whole
-// Msg, OnMessage (PayloadReceiver) only its Body — the edge for handlers
-// that send with Send. Every delivery, duplicates included, is a copy of
-// the Msg given to Post, which the handler owns: it may change it or keep
-// it. The Body is the exception, shared rather than copied — every copy
-// carries the very value given to Post, and a sender may give one value
-// to many messages — so a Body is an immutable value owned by nobody:
-// neither side may modify it (or anything it points to) after Post, and
-// a handler may retain it for as long as it likes. Events are the
-// simulator's: the record that carried a message or timer is reused for
-// a later one as soon as the callback returns, which a handler cannot
+// A handler takes messages and timers through one of two pairs of entry
+// points, chosen once by AddNode. A Receiver takes whole messages (OnMsg)
+// and timer keys (OnTick), and kinds split timers as they split messages
+// (see mpcons.HostKinds). A PayloadReceiver takes only a message's Body
+// (OnMessage) and a timer's Name (OnTimer): the edge for handlers that
+// send with Send and arm with SetTimer.
+//
+// Messages travel by value. Every delivery, duplicates included, is a
+// copy of the Msg given to Post, which the handler owns: it may change it
+// or keep it. The Body is the exception, shared rather than copied —
+// every copy carries the very value given to Post, and a sender may give
+// one value to many messages — so a Body is an immutable value owned by
+// nobody: neither side may modify it (or anything it points to) after
+// Post, and a handler may retain it for as long as it likes. Events are
+// the simulator's: the record that carried a message or timer is reused
+// for a later one as soon as the callback returns, which a handler cannot
 // observe — it is only ever handed a copy of the message and the timer
-// name.
+// key.
 type Handler interface {
 	// Init runs when the simulation starts (before any event).
 	Init(n *Node)
-	// OnTimer fires a timer previously set with SetTimer.
-	OnTimer(n *Node, name string)
 }
 
-// Receiver is a handler that takes messages by value.
+// Receiver is a handler that takes messages by value and timers by key.
 type Receiver interface {
 	// OnMsg delivers a message sent by from.
 	OnMsg(n *Node, from ProcID, m Msg)
+	// OnTick fires a timer armed with Arm.
+	OnTick(n *Node, t Timer)
 }
 
-// PayloadReceiver is a handler that takes only a message's Body.
+// PayloadReceiver is a handler that takes only a message's Body and a
+// timer's Name.
 type PayloadReceiver interface {
 	// OnMessage delivers the Body of a message sent by from.
 	OnMessage(n *Node, from ProcID, payload any)
+	// OnTimer fires a timer armed with SetTimer.
+	OnTimer(n *Node, name string)
 }
 
 // RecoverableHandler is implemented by handlers that support crash–
@@ -168,7 +185,7 @@ type event struct {
 	from ProcID
 	msg  Msg
 
-	timerName  string
+	timer      Timer
 	timerGen   int64
 	timerEpoch int64
 
@@ -304,29 +321,31 @@ type Node struct {
 	id          ProcID
 	net         *Network
 	handler     Handler
-	recv        func(n *Node, from ProcID, m Msg) // the entry point AddNode chose
+	recv        func(n *Node, from ProcID, m Msg) // the entry points AddNode chose
+	tick        func(n *Node, t Timer)
 	crashed     bool
 	initialized bool
-	// timerGen invalidates outstanding timers per name when reset; epoch
+	// timerGen invalidates outstanding timers per key when reset; epoch
 	// invalidates every timer armed before the node's last crash.
-	timerGen map[string]int64
+	timerGen map[Timer]int64
 	epoch    int64
 }
 
 // AddNode registers a process. It panics if the ID is duplicated or the
-// handler receives no messages (configuration bugs).
+// handler is neither a Receiver nor a PayloadReceiver (configuration bugs).
 func (w *Network) AddNode(id ProcID, h Handler) *Node {
 	if _, dup := w.nodes[id]; dup {
 		panic(fmt.Sprintf("msgnet: duplicate node %q", id))
 	}
-	n := &Node{id: id, net: w, handler: h, timerGen: map[string]int64{}}
+	n := &Node{id: id, net: w, handler: h, timerGen: map[Timer]int64{}}
 	switch r := h.(type) {
 	case Receiver:
-		n.recv = r.OnMsg
+		n.recv, n.tick = r.OnMsg, r.OnTick
 	case PayloadReceiver:
 		n.recv = func(n *Node, from ProcID, m Msg) { r.OnMessage(n, from, m.Body) }
+		n.tick = func(n *Node, t Timer) { r.OnTimer(n, t.Name) }
 	default:
-		panic(fmt.Sprintf("msgnet: handler %T of node %q has neither OnMsg nor OnMessage", h, id))
+		panic(fmt.Sprintf("msgnet: handler %T of node %q has neither OnMsg/OnTick nor OnMessage/OnTimer", h, id))
 	}
 	w.nodes[id] = n
 	w.order = append(w.order, n)
@@ -366,11 +385,9 @@ func (w *Network) Crash(id ProcID, t Time) {
 		if n := w.nodes[id]; n != nil && !n.crashed {
 			n.crashed = true
 			n.epoch++
-			// Drop, don't leak: outstanding names would otherwise pin one
+			// Drop, don't leak: outstanding keys would otherwise pin one
 			// map entry each forever on a node that can no longer fire them.
-			for name := range n.timerGen {
-				delete(n.timerGen, name)
-			}
+			clear(n.timerGen)
 		}
 	})
 }
@@ -537,7 +554,7 @@ func (w *Network) dead(e *event) bool {
 		return true
 	}
 	return e.kind == evTimer &&
-		(n.epoch != e.timerEpoch || n.timerGen[e.timerName] != e.timerGen)
+		(n.epoch != e.timerEpoch || n.timerGen[e.timer] != e.timerGen)
 }
 
 // dispatch runs a live event at w.now. The handler may send, arm timers
@@ -555,7 +572,7 @@ func (w *Network) dispatch(e *event) {
 		w.delivered++
 		e.node.recv(e.node, e.from, e.msg)
 	case evTimer:
-		e.node.handler.OnTimer(e.node, e.timerName)
+		e.node.tick(e.node, e.timer)
 	}
 }
 
@@ -630,29 +647,36 @@ func (n *Node) deliver(dst *Node, to ProcID, m *Msg, rule LinkRule, ruled bool) 
 	w.push(w.now+d, e)
 }
 
-// SetTimer (re)arms the named timer to fire after d. Re-arming replaces
-// any outstanding instance of the same name.
-func (n *Node) SetTimer(name string, d Time) {
-	gen := n.timerGen[name] + 1
-	n.timerGen[name] = gen
+// Arm (re)arms timer t to fire after d. Re-arming replaces any
+// outstanding instance of the same key.
+func (n *Node) Arm(t Timer, d Time) {
+	gen := n.timerGen[t] + 1
+	n.timerGen[t] = gen
 	e := n.net.newEvent(evTimer)
 	e.node, e.to = n, n.id
-	e.timerName, e.timerGen, e.timerEpoch = name, gen, n.epoch
+	e.timer, e.timerGen, e.timerEpoch = t, gen, n.epoch
 	n.net.push(n.net.now+d, e)
 }
 
-// CancelTimer cancels the named timer if armed. Cancelling a name the
-// node holds no bookkeeping for — never armed, or armed before the last
-// crash — is a no-op and creates none: there is nothing in the queue it
-// could fire, and an entry made here would be one nothing ever uses.
-func (n *Node) CancelTimer(name string) {
-	if gen, ok := n.timerGen[name]; ok {
-		n.timerGen[name] = gen + 1
+// Disarm cancels timer t if armed. Disarming a key the node holds no
+// bookkeeping for — never armed, or armed before the last crash — is a
+// no-op and creates none: there is nothing in the queue it could fire,
+// and an entry made here would be one nothing ever uses.
+func (n *Node) Disarm(t Timer) {
+	if gen, ok := n.timerGen[t]; ok {
+		n.timerGen[t] = gen + 1
 	}
 }
 
-// TimerNames returns the number of timer names the node currently holds
-// generation bookkeeping for: every name armed since the last crash. The
+// SetTimer arms the named timer, Timer{Name: name}, for handlers that
+// receive with OnTimer.
+func (n *Node) SetTimer(name string, d Time) { n.Arm(Timer{Name: name}, d) }
+
+// CancelTimer disarms the named timer, Timer{Name: name}.
+func (n *Node) CancelTimer(name string) { n.Disarm(Timer{Name: name}) }
+
+// TimerNames returns the number of timer keys the node currently holds
+// generation bookkeeping for: every key armed since the last crash. The
 // bookkeeping lives as long as the incarnation, so a handler must draw its
-// names from a bounded set; this is the diagnostic leak tests read.
+// keys from a bounded set; this is the diagnostic leak tests read.
 func (n *Node) TimerNames() int { return len(n.timerGen) }

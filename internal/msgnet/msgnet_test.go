@@ -1,6 +1,7 @@
 package msgnet
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -285,6 +286,76 @@ func TestStaleTimerCannotFireAcrossRestart(t *testing.T) {
 	w.Run(200)
 	if len(a.got) != 1 || a.got[0] != "timer:t" || a.gotTimes[0] != 60 {
 		t.Fatalf("timer firings: %v at %v (want one firing at 60)", a.got, a.gotTimes)
+	}
+}
+
+// ticker records every timer key it is handed and when.
+type ticker struct {
+	fired []string
+}
+
+func (k *ticker) Init(n *Node)                      {}
+func (k *ticker) OnMsg(n *Node, from ProcID, m Msg) {}
+func (k *ticker) OnTick(n *Node, t Timer) {
+	k.fired = append(k.fired, fmt.Sprintf("%d/%d/%d@%d", t.Shard, t.Phase, t.Kind, n.Now()))
+}
+
+// A timer is its whole key. Cancelling or re-arming one key leaves alone
+// every key that differs from it only in Shard, only in Phase or only in
+// Kind — a host routes its shards and phases apart through exactly these
+// fields — and the crash-epoch rule holds for typed keys: a key armed
+// before a crash never fires into the next incarnation, though that one
+// re-arms it at the same generation.
+func TestTimerKeysAreIndependent(t *testing.T) {
+	base := Timer{Shard: 1, Phase: 1, Kind: 1}
+	others := []Timer{{Shard: 2, Phase: 1, Kind: 1}, {Shard: 1, Phase: 2, Kind: 1}, {Shard: 1, Phase: 1, Kind: 2}}
+	w := New(Config{Seed: 1})
+	k := &ticker{}
+	n := w.AddNode("a", k)
+	armAll := func(d Time) {
+		n.Arm(base, d)
+		for _, o := range others {
+			n.Arm(o, d)
+		}
+	}
+	// Cancel one key: the others fire.
+	w.At(0, func() {
+		armAll(10)
+		n.Disarm(base)
+	})
+	// Re-arm one key: it fires once, at its new time, and the others at
+	// theirs.
+	w.At(20, func() {
+		armAll(10)
+		n.Arm(base, 15)
+		if got := n.TimerNames(); got != 4 {
+			t.Errorf("TimerNames() = %d, want 4", got)
+		}
+	})
+	// Arm every key and a fresh one, crash, restart and re-arm two: only
+	// those fire. The fresh key's generation is 1 in both incarnations.
+	fresh := Timer{Shard: 3, Phase: 3, Kind: 3}
+	w.At(40, func() {
+		armAll(10)
+		n.Arm(fresh, 10)
+	})
+	w.Crash("a", 42)
+	w.Restart("a", 44)
+	w.At(44, func() {
+		if got := n.TimerNames(); got != 0 {
+			t.Errorf("TimerNames() = %d after a crash, want 0", got)
+		}
+		n.Arm(fresh, 10)
+		n.Arm(others[0], 10)
+	})
+	w.Run(100)
+	want := []string{
+		"2/1/1@10", "1/2/1@10", "1/1/2@10",
+		"2/1/1@30", "1/2/1@30", "1/1/2@30", "1/1/1@35",
+		"3/3/3@54", "2/1/1@54",
+	}
+	if fmt.Sprint(k.fired) != fmt.Sprint(want) {
+		t.Fatalf("timers fired %v, want %v", k.fired, want)
 	}
 }
 

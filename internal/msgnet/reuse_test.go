@@ -64,7 +64,7 @@ type hoarder struct {
 	seenAs   []string
 }
 
-func (h *hoarder) Init(n *Node) { n.SetTimer("tick", 1) }
+func (h *hoarder) Init(n *Node) { n.Arm(tick, 1) }
 
 func (h *hoarder) OnMsg(n *Node, from ProcID, m Msg) {
 	h.retained = append(h.retained, m)
@@ -75,7 +75,7 @@ func render(m Msg) string {
 	return fmt.Sprintf("%d/%d/%d/%d %d,%d,%q %s", m.Shard, m.Slot, m.Phase, m.Kind, m.A, m.B, m.V, m.Body.(*packet))
 }
 
-func (h *hoarder) OnTimer(n *Node, name string) {
+func (h *hoarder) OnTick(n *Node, t Timer) {
 	if h.seq++; h.seq > 60 {
 		return
 	}
@@ -84,10 +84,10 @@ func (h *hoarder) OnTimer(n *Node, name string) {
 	for _, peer := range h.peers {
 		n.Post(peer, m)
 	}
-	n.SetTimer("tick", 2)
+	n.Arm(tick, 2)
 }
 
-func (h *hoarder) OnRestart(n *Node) { n.SetTimer("tick", 1) }
+func (h *hoarder) OnRestart(n *Node) { n.Arm(tick, 1) }
 
 // A message's Body is shared between deliveries — one value goes to
 // every destination and to every duplicate — and the events that carried

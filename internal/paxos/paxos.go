@@ -41,6 +41,10 @@ const (
 	kindDecided
 )
 
+// timerRetry (msgnet.Timer.Kind) starts a higher ballot when a proposer
+// stalls.
+const timerRetry uint8 = 1
+
 // promise is what a proposer keeps of a promise: the acceptor's accepted
 // pair.
 type promise struct {
@@ -121,11 +125,11 @@ func (pr *proposer) newBallot() {
 	// Deterministic, symmetry-breaking backoff.
 	backoff := retryBase * msgnet.Time(1+pr.round)
 	backoff += msgnet.Time(pr.env.ClientIndex() * 2)
-	pr.env.SetTimer("retry", backoff)
+	pr.env.SetTimer(timerRetry, backoff)
 }
 
-func (pr *proposer) OnTimer(name string) {
-	if name != "retry" || !pr.active || pr.decided {
+func (pr *proposer) OnTimer(kind uint8) {
+	if kind != timerRetry || !pr.active || pr.decided {
 		return
 	}
 	pr.newBallot()
@@ -182,7 +186,7 @@ func (pr *proposer) learn(v trace.Value) {
 	}
 	if pr.active {
 		pr.active = false
-		pr.env.CancelTimer("retry")
+		pr.env.CancelTimer(timerRetry)
 		pr.env.Decide(pr.decision)
 	}
 }
@@ -247,5 +251,3 @@ func (a *acceptor) OnMessage(from msgnet.ProcID, m msgnet.Msg) {
 		}
 	}
 }
-
-func (a *acceptor) OnTimer(string) {}

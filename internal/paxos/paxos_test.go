@@ -77,12 +77,12 @@ type fakeEnv struct {
 	clients []msgnet.ProcID
 	servers []msgnet.ProcID
 	sent    []sentMsg
-	timers  map[string]msgnet.Time
+	timers  map[uint8]msgnet.Time
 	decided *trace.Value
 }
 
 func newFakeEnv(index, nClients, nServers int) *fakeEnv {
-	e := &fakeEnv{index: index, timers: map[string]msgnet.Time{}}
+	e := &fakeEnv{index: index, timers: map[uint8]msgnet.Time{}}
 	for i := 0; i < nClients; i++ {
 		e.clients = append(e.clients, msgnet.ProcID(rune('c'+i)))
 	}
@@ -106,10 +106,10 @@ func (e *fakeEnv) Broadcast(m msgnet.Msg) {
 		e.Send(s, m)
 	}
 }
-func (e *fakeEnv) SetTimer(name string, d msgnet.Time) { e.timers[name] = d }
-func (e *fakeEnv) CancelTimer(name string)             { delete(e.timers, name) }
-func (e *fakeEnv) Decide(v trace.Value)                { e.decided = &v }
-func (e *fakeEnv) SwitchTo(sv trace.Value)             { panic("paxos never switches out") }
+func (e *fakeEnv) SetTimer(kind uint8, d msgnet.Time) { e.timers[kind] = d }
+func (e *fakeEnv) CancelTimer(kind uint8)             { delete(e.timers, kind) }
+func (e *fakeEnv) Decide(v trace.Value)               { e.decided = &v }
+func (e *fakeEnv) SwitchTo(sv trace.Value)            { panic("paxos never switches out") }
 
 var _ mpcons.ClientEnv = (*fakeEnv)(nil)
 
@@ -184,7 +184,7 @@ func TestProposerRetriesWithHigherBallot(t *testing.T) {
 	p := Protocol{}.NewClient(env)
 	p.Propose("v")
 	b1 := env.lastBallot(t)
-	p.OnTimer("retry")
+	p.OnTimer(timerRetry)
 	b2 := env.lastBallot(t)
 	if b2 <= b1 {
 		t.Fatalf("retry ballot %d not higher than %d", b2, b1)
@@ -242,7 +242,6 @@ func (e *fakeServerEnv) Now() msgnet.Time         { return 0 }
 func (e *fakeServerEnv) Send(to msgnet.ProcID, m msgnet.Msg) {
 	e.sent = append(e.sent, serverSent{to, decode(m)})
 }
-func (e *fakeServerEnv) SetTimer(string, msgnet.Time) {}
 
 var _ mpcons.ServerEnv = (*fakeServerEnv)(nil)
 

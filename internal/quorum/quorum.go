@@ -34,6 +34,14 @@ const (
 	kindAccept
 )
 
+// Timer kinds (msgnet.Timer.Kind) of the client.
+const (
+	// timerTimeout ends the wait for a unanimous quorum.
+	timerTimeout uint8 = 1 + iota
+	// timerRetransmit re-broadcasts the proposal (Retransmit only).
+	timerRetransmit
+)
+
 // Protocol is the Quorum phase protocol.
 type Protocol struct {
 	// Timeout is the client timer duration; it should exceed one round
@@ -100,9 +108,9 @@ func (c *client) Propose(v trace.Value) {
 	}
 	c.received = 0
 	c.env.Broadcast(msgnet.Msg{Kind: kindPropose, V: v})
-	c.env.SetTimer("timeout", c.proto.timeout())
+	c.env.SetTimer(timerTimeout, c.proto.timeout())
 	if c.proto.Retransmit > 0 {
-		c.env.SetTimer("retransmit", c.proto.Retransmit)
+		c.env.SetTimer(timerRetransmit, c.proto.Retransmit)
 	}
 }
 
@@ -146,15 +154,15 @@ func (c *client) OnMessage(from msgnet.ProcID, m msgnet.Msg) {
 	}
 }
 
-func (c *client) OnTimer(name string) {
+func (c *client) OnTimer(kind uint8) {
 	if !c.active {
 		return
 	}
-	switch name {
-	case "retransmit":
+	switch kind {
+	case timerRetransmit:
 		c.env.Broadcast(msgnet.Msg{Kind: kindPropose, V: c.proposal})
-		c.env.SetTimer("retransmit", c.proto.Retransmit)
-	case "timeout":
+		c.env.SetTimer(timerRetransmit, c.proto.Retransmit)
+	case timerTimeout:
 		if c.received == 0 {
 			// Wait for at least one accept, then switch with its value.
 			c.expired = true
@@ -178,8 +186,8 @@ func (c *client) OnTimer(name string) {
 // or switch) right after.
 func (c *client) finish() {
 	c.active = false
-	c.env.CancelTimer("timeout")
-	c.env.CancelTimer("retransmit")
+	c.env.CancelTimer(timerTimeout)
+	c.env.CancelTimer(timerRetransmit)
 }
 
 type server struct {
@@ -217,5 +225,3 @@ func (s *server) OnMessage(from msgnet.ProcID, m msgnet.Msg) {
 	}
 	s.env.Send(from, msgnet.Msg{Kind: kindAccept, V: s.accepted})
 }
-
-func (s *server) OnTimer(string) {}

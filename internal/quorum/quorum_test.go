@@ -19,13 +19,13 @@ type fakeClientEnv struct {
 		to msgnet.ProcID
 		m  msgnet.Msg
 	}
-	timers   map[string]msgnet.Time
+	timers   map[uint8]msgnet.Time
 	decided  *trace.Value
 	switched *trace.Value
 }
 
 func newFakeClientEnv(nServers int) *fakeClientEnv {
-	e := &fakeClientEnv{timers: map[string]msgnet.Time{}}
+	e := &fakeClientEnv{timers: map[uint8]msgnet.Time{}}
 	for i := 0; i < nServers; i++ {
 		e.servers = append(e.servers, msgnet.ProcID(rune('A'+i)))
 	}
@@ -48,10 +48,10 @@ func (e *fakeClientEnv) Broadcast(m msgnet.Msg) {
 		e.Send(s, m)
 	}
 }
-func (e *fakeClientEnv) SetTimer(name string, d msgnet.Time) { e.timers[name] = d }
-func (e *fakeClientEnv) CancelTimer(name string)             { delete(e.timers, name) }
-func (e *fakeClientEnv) Decide(v trace.Value)                { e.decided = &v }
-func (e *fakeClientEnv) SwitchTo(sv trace.Value)             { e.switched = &sv }
+func (e *fakeClientEnv) SetTimer(kind uint8, d msgnet.Time) { e.timers[kind] = d }
+func (e *fakeClientEnv) CancelTimer(kind uint8)             { delete(e.timers, kind) }
+func (e *fakeClientEnv) Decide(v trace.Value)               { e.decided = &v }
+func (e *fakeClientEnv) SwitchTo(sv trace.Value)            { e.switched = &sv }
 
 var _ mpcons.ClientEnv = (*fakeClientEnv)(nil)
 
@@ -92,7 +92,7 @@ func TestClientTimeoutSwitchesWithWitnessedValue(t *testing.T) {
 	c := Protocol{}.NewClient(env)
 	c.Propose("mine")
 	c.OnMessage("B", acceptMsg("w"))
-	c.OnTimer("timeout")
+	c.OnTimer(timerTimeout)
 	if env.switched == nil || *env.switched != "w" {
 		t.Fatalf("timeout must switch with a witnessed accept value; got %v", env.switched)
 	}
@@ -102,7 +102,7 @@ func TestClientTimeoutWaitsForFirstAccept(t *testing.T) {
 	env := newFakeClientEnv(3)
 	c := Protocol{}.NewClient(env)
 	c.Propose("mine")
-	c.OnTimer("timeout")
+	c.OnTimer(timerTimeout)
 	if env.switched != nil {
 		t.Fatal("switched with no accept witnessed")
 	}
@@ -139,7 +139,6 @@ func (e *fakeServerEnv) Send(to msgnet.ProcID, m msgnet.Msg) {
 		m  msgnet.Msg
 	}{to, m})
 }
-func (e *fakeServerEnv) SetTimer(string, msgnet.Time) {}
 
 var _ mpcons.ServerEnv = (*fakeServerEnv)(nil)
 

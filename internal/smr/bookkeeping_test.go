@@ -11,15 +11,15 @@ import (
 	"repro/internal/workload"
 )
 
-// A client names its phase timers by (shard, phase, name) — never by
-// slot — so the names it holds are bounded by its shards and phases, not
+// A client keys its phase timers by (shard, phase, kind) — never by
+// slot — so the keys it holds are bounded by its shards and phases, not
 // by how many slots it has proposed in: the count after 400 commands is
-// the count after 4 000. The Quorum phase cancels "retransmit" whether or
-// not it armed it; with Retransmit off (the paper's default, and Config's
-// zero value) that cancel must not cost a name either. The retry timeout
-// is armed on every proposal and never fires, so each shard's progress
-// timer — which a blocked landing's fill deadline reuses, rather than
-// adding a name — is held from the first command on.
+// the count after 4 000. The Quorum phase cancels its retransmit timer
+// whether or not it armed it; with Retransmit off (the paper's default,
+// and Config's zero value) that cancel must not cost a key either. The
+// retry timeout is armed on every proposal and never fires, so each
+// shard's progress timer — which a blocked landing's fill deadline
+// reuses, rather than adding a key — is held from the first command on.
 func TestTimerNamesBoundedPerClient(t *testing.T) {
 	const shards = 2
 	for _, retransmit := range []msgnet.Time{0, 6} {
@@ -89,7 +89,7 @@ type probedClient struct {
 	mpcons.ClientPhase
 	probe timerProbe
 	env   probedEnv
-	due   map[string]msgnet.Time
+	due   map[uint8]msgnet.Time
 }
 
 type probedEnv struct {
@@ -97,39 +97,39 @@ type probedEnv struct {
 	c *probedClient
 }
 
-func (e *probedEnv) SetTimer(name string, d msgnet.Time) {
-	e.c.due[name] = e.Now() + d
-	e.ClientEnv.SetTimer(name, d)
+func (e *probedEnv) SetTimer(kind uint8, d msgnet.Time) {
+	e.c.due[kind] = e.Now() + d
+	e.ClientEnv.SetTimer(kind, d)
 }
 
-func (e *probedEnv) CancelTimer(name string) {
-	delete(e.c.due, name)
-	e.ClientEnv.CancelTimer(name)
+func (e *probedEnv) CancelTimer(kind uint8) {
+	delete(e.c.due, kind)
+	e.ClientEnv.CancelTimer(kind)
 }
 
 func (c *probedClient) Propose(v trace.Value) {
-	c.due = map[string]msgnet.Time{}
+	c.due = map[uint8]msgnet.Time{}
 	c.ClientPhase.Propose(v)
 }
 
 func (c *probedClient) SwitchIn(pending, sv trace.Value) {
-	c.due = map[string]msgnet.Time{}
+	c.due = map[uint8]msgnet.Time{}
 	c.ClientPhase.SwitchIn(pending, sv)
 }
 
-func (c *probedClient) OnTimer(name string) {
-	if at, ok := c.due[name]; ok && at == c.env.Now() {
+func (c *probedClient) OnTimer(kind uint8) {
+	if at, ok := c.due[kind]; ok && at == c.env.Now() {
 		*c.probe.fired++
-		delete(c.due, name)
+		delete(c.due, kind)
 	} else {
 		*c.probe.stale++
 	}
-	c.ClientPhase.OnTimer(name)
+	c.ClientPhase.OnTimer(kind)
 }
 
 // A retry re-proposes in the retired attempt's own slot: a command stays
 // in its slot until that slot's decision is known. The replacement
-// arms the same timer names; a timer the retired attempt armed must never
+// arms the same timer keys; a timer the retired attempt armed must never
 // reach it. Here every server is down, so each attempt's long Quorum
 // timeout is still pending when the retry timer retires the attempt.
 func TestRedoAtSameSlotGetsNoStaleTimer(t *testing.T) {
@@ -154,6 +154,36 @@ func TestRedoAtSameSlotGetsNoStaleTimer(t *testing.T) {
 	}
 }
 
+// retire cancels every timer kind the retired attempt left armed, not
+// only the kinds its replacement arms again. Here two servers are down, so
+// each attempt switches to Paxos after its Quorum timeout and stalls there
+// on its retry timer; the retry timeout retires it while a Paxos retry is
+// pending, and the replacement, back at the Quorum phase, arms no Paxos
+// timer until its own switch. The retired attempt's Paxos retry must not
+// reach the replacement's proposer in that gap.
+func TestRetireCancelsKindsTheReplacementHasNotArmed(t *testing.T) {
+	w, cl := build(t, msgnet.Config{Seed: 1}, Config{FastPath: true, QuorumTimeout: 30, RetryTimeout: 50}, 1, 3)
+	var fired, stale int
+	protos := cl.shards[0].protos
+	protos[1] = timerProbe{PhaseProtocol: protos[1], fired: &fired, stale: &stale}
+	for _, s := range ids("s", 3)[1:] {
+		w.Crash(s, 0)
+		w.Restart(s, 300)
+	}
+	cl.SubmitAt("c1", "only", 0)
+	cl.Run(1 << 30)
+	rs := cl.Results()
+	if len(rs) != 1 || rs[0].Slot != 0 || rs[0].Retries < 1 || rs[0].Switches < 2 {
+		t.Fatalf("results %+v: want one command landing in slot 0 after a retry and two switches", rs)
+	}
+	if fired == 0 {
+		t.Fatal("no Paxos timer reached its proposer: the probe saw nothing")
+	}
+	if stale > 0 {
+		t.Fatalf("%d Paxos timers armed by retired attempts reached their replacement (%d reached their own)", stale, fired)
+	}
+}
+
 // retainer wraps a node handler and keeps every message it is handed,
 // beside a rendering of it on arrival.
 type retainer struct {
@@ -171,8 +201,8 @@ func (r *retainer) OnMsg(n *msgnet.Node, from msgnet.ProcID, m msgnet.Msg) {
 	r.seenAs = append(r.seenAs, fmt.Sprintf("%#v", m))
 	r.inner.OnMsg(n, from, m)
 }
-func (r *retainer) OnTimer(n *msgnet.Node, name string) { r.inner.OnTimer(n, name) }
-func (r *retainer) OnRestart(n *msgnet.Node)            { r.inner.OnRestart(n) }
+func (r *retainer) OnTick(n *msgnet.Node, t msgnet.Timer) { r.inner.OnTick(n, t) }
+func (r *retainer) OnRestart(n *msgnet.Node)              { r.inner.OnRestart(n) }
 
 // Phase messages travel by value; a watermark report's gossip shares one
 // Body — the trimmed decisions — among every peer's copy, duplicates

@@ -125,6 +125,13 @@ func registerInput(kind, arg string) (in trace.Value, ok bool) {
 	return "", false
 }
 
+// isRegisterInput reports whether in is registerInput(kind, arg), which
+// it builds on the stack: the result never leaves this frame.
+func isRegisterInput(in trace.Value, kind, arg string) bool {
+	want, ok := registerInput(kind, arg)
+	return ok && in == want
+}
+
 // ApplyKV folds log entries (in slot order) into a key-value map.
 // Unknown commands and reads are ignored, which lets mixed workloads
 // share a log.

@@ -474,18 +474,10 @@ func (r *router) OnMsg(n *msgnet.Node, from msgnet.ProcID, m msgnet.Msg) {
 	}
 }
 
-func (r *router) OnTimer(n *msgnet.Node, name string) {
-	if shard, ok := splitProgressTimer(name); ok {
-		if shard >= 0 && shard < len(r.perShard) {
-			r.perShard[shard].onProgressTimer()
-		}
-		return
+func (r *router) OnTick(n *msgnet.Node, t msgnet.Timer) {
+	if k := int(t.Shard); k >= 0 && k < len(r.perShard) {
+		r.perShard[k].tick(t)
 	}
-	shard, phase, rest, ok := splitPhaseTimer(name)
-	if !ok || shard < 0 || shard >= len(r.perShard) {
-		return
-	}
-	r.perShard[shard].handleTimer(phase, rest)
 }
 
 // OnRestart implements msgnet.RecoverableHandler: each shard-local
@@ -521,13 +513,8 @@ func (m *serverMux) OnMsg(n *msgnet.Node, from msgnet.ProcID, msg msgnet.Msg) {
 	}
 }
 
-func (m *serverMux) OnTimer(n *msgnet.Node, name string) {
-	shard, slot, phase, rest, ok := splitSlotTimer(name)
-	if !ok || shard < 0 || shard >= len(m.perShard) {
-		return
-	}
-	m.perShard[shard].handleTimer(slot, phase, rest)
-}
+// OnTick implements msgnet.Receiver: no server phase arms a timer.
+func (m *serverMux) OnTick(*msgnet.Node, msgnet.Timer) {}
 
 // OnRestart implements msgnet.RecoverableHandler: each shard-local
 // replica drops its volatile phase state and rebuilds from the durable
@@ -544,9 +531,8 @@ func (m *serverMux) OnRestart(n *msgnet.Node) {
 // (which is what permits clients to trim their logs under compaction),
 // and aggregates submission statistics.
 type shardRecorder struct {
-	sc  *ShardedCluster
-	sh  *Shard
-	reg adt.Register
+	sc *ShardedCluster
+	sh *Shard
 	// ops[i] is the handle of the shard's client i's (client.index) one
 	// submission in flight, answered at its land; the zero Op when none
 	// is open, whose empty input no register input equals.
@@ -584,19 +570,19 @@ type shardRecorder struct {
 	deferred map[int]bool
 }
 
-// slotEntry is a decided command with its KV projection, parsed once at
-// first learn.
+// slotEntry is a decided command, parsed once at first learn: kind, key
+// and arg are its KV parts, which the replay reads.
 type slotEntry struct {
-	key string
-	in  trace.Value
-	reg bool // projects onto a checkable operation (set/get)
-	// comp marks keys merged into a txn-connected component: the
-	// projection is then an adt.TxnKV input, kind/arg carry the parsed
-	// command for replay, and cmd the raw command (it names the
-	// operation's synthetic checker process, compProc).
-	comp bool
+	key  string
 	kind string
 	arg  string
+	reg  bool // a set or get: it projects onto a checkable operation
+	// comp marks keys merged into a txn-connected component: in is then
+	// the operation's adt.TxnKV input, and cmd the raw command (it names
+	// the operation's synthetic checker process, compProc). A plain key's
+	// register input was built at start, and its operation holds it.
+	comp bool
+	in   trace.Value
 	cmd  Command
 	// txn is set for transaction-protocol commands (prepare/outcome).
 	txn *txnSlot
@@ -613,10 +599,9 @@ type deferredSlot struct {
 
 // slotReplay is a replayed slot awaiting its submitter's response.
 type slotReplay struct {
-	key string
-	in  trace.Value
-	out trace.Value
-	reg bool // the response answers its submitter's open operation: a set/get on a plain key
+	key, kind, arg string
+	out            trace.Value
+	reg            bool // the response answers its submitter's open operation: a set/get on a plain key
 }
 
 func newShardRecorder(sc *ShardedCluster, sh *Shard) *shardRecorder {
@@ -723,7 +708,7 @@ func (rec *shardRecorder) learn(c msgnet.ProcID, slot int, cmd Command) {
 				entry.comp, entry.cmd = true, cmd
 				entry.in, entry.reg = txnSingleInput(kind, key, arg)
 			} else {
-				entry.in, entry.reg = registerInput(kind, arg)
+				entry.reg = kind == "set" || kind == "get"
 			}
 		} else if ts, ok := parseTxnCmd(cmd); ok {
 			if ts.shard != rec.sh.id {
@@ -742,8 +727,8 @@ func (rec *shardRecorder) learn(c msgnet.ProcID, slot int, cmd Command) {
 
 // land passes a landing to SetHooks' observer, aggregates it, replays
 // the log up to the landed slot and answers the client's open operation
-// with the replayed response. A response with no operation open, or with
-// another input than the open one's, is not well-formed; either way the
+// with the replayed response. A response with no operation open, or whose
+// register input is not the open one's, is not well-formed; either way the
 // client's slot closes, as its submission has landed.
 func (rec *shardRecorder) land(r SubmitResult) {
 	if rec.sc.onLand != nil {
@@ -844,38 +829,34 @@ func (rec *shardRecorder) land(r SubmitResult) {
 		return // del, txp/txo, or a component operation's pair (compProc)
 	}
 	o := &rec.ops[rec.sh.byID[r.Client].index]
-	if o.Input() == rp.in {
+	if isRegisterInput(o.Input(), rp.kind, rp.arg) {
 		rec.sc.respond(*o, rp.out)
 	} else {
-		rec.sc.hist.Malformed(rp.key, trace.Response(trace.ClientID(r.Client), 1, rp.in, rp.out))
+		in, _ := registerInput(rp.kind, rp.arg)
+		rec.sc.hist.Malformed(rp.key, trace.Response(trace.ClientID(r.Client), 1, in, rp.out))
 	}
 	*o = keyed.Op{}
 }
 
 // replaySingle applies one single-key operation to the shard's key
-// states and computes its output: through the register fold for
-// fast-path keys, directly on the stored value for component keys (the
-// TxnKV projection of a single-key command).
+// states and computes its output from the command's parts: a set stores
+// its value, a get reads the stored one. A plain key's set stores what
+// the register folder keeps of its input, the value up to any occurrence
+// tag (adt.Untag); a component key's, the value (the TxnKV projection of
+// a single-key command).
 func (rec *shardRecorder) replaySingle(e slotEntry) slotReplay {
-	rp := slotReplay{key: e.key, in: e.in, reg: e.reg && !e.comp}
-	if !e.reg {
-		return rp
+	rp := slotReplay{key: e.key, kind: e.kind, arg: e.arg, reg: e.reg && !e.comp}
+	switch {
+	case !e.reg:
+	case e.kind == "get":
+		rp.out = adt.ReadOutput(rec.keyVal(e.key))
+	case e.comp:
+		rec.state[e.key] = adt.State(e.arg)
+		rp.out = adt.WriteOutput()
+	default:
+		rec.state[e.key] = adt.State(adt.Untag(e.arg))
+		rp.out = adt.WriteOutput()
 	}
-	if e.comp {
-		if e.kind == "set" {
-			rec.state[e.key] = adt.State(e.arg)
-			rp.out = adt.WriteOutput()
-		} else {
-			rp.out = adt.ReadOutput(rec.keyVal(e.key))
-		}
-		return rp
-	}
-	s, seen := rec.state[e.key]
-	if !seen {
-		s = rec.reg.Empty()
-	}
-	rp.out = rec.reg.Out(s, e.in)
-	rec.state[e.key] = rec.reg.Step(s, e.in)
 	return rp
 }
 

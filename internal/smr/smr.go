@@ -36,8 +36,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/mpcons"
 	"repro/internal/msgnet"
@@ -189,8 +187,7 @@ func newShard(id int, clients, servers []msgnet.ProcID, cfg Config) *Shard {
 		}
 	}
 	for i, cid := range clients {
-		c := &client{sh: sh, id: cid, index: i, log: map[int]Command{}, skipped: i, told: make([]int, len(clients)),
-			progress: progressTimerName(id)}
+		c := &client{sh: sh, id: cid, index: i, log: map[int]Command{}, skipped: i, told: make([]int, len(clients))}
 		for j := range c.told {
 			c.told[j] = i
 		}
@@ -268,6 +265,12 @@ const (
 	kindSkip
 )
 
+// timerProgress is the kind of the one timer a shard arms of its own, per
+// (client, shard): the retry timer of the live proposal, or the fill
+// deadline of a blocked landing. A phase timer of a slot instance carries
+// the shard and the phase in its key and keeps its protocol's kind.
+const timerProgress = mpcons.HostKinds
+
 // noop is the value of a slot that carries no command: an owned slot its
 // owner passed over, or a slot a blocked client filled. It is never
 // submitted (enqueue refuses it), never projected onto a key and never
@@ -308,13 +311,10 @@ type client struct {
 
 	queue   []Command
 	current submission
-	// progress is the node-level name of the one progress timer per
-	// (client, shard): the retry timer of the live proposal, or the fill
-	// deadline of a blocked landing.
-	progress string
-	// timers[k] holds the node-level names of phase k's timers, built on
-	// first use and shared by every proposal (see slotClientEnv.SetTimer).
-	timers [maxPhases][]slotTimer
+	// armed[k] has bit t set while phase k's timer of kind t may be armed:
+	// set when a phase arms it, cleared when the phase cancels it and at
+	// retire, which cancels every kind still set.
+	armed [maxPhases]uint64
 	// retries counts timeout/restart re-proposals across all submissions
 	// (for stats).
 	retries int64
@@ -480,7 +480,7 @@ func (c *client) armRetry() {
 		h ^= h >> 33
 		d += msgnet.Time(int64(h % uint64(span)))
 	}
-	c.node.SetTimer(c.progress, d)
+	c.node.Arm(c.progressTimer(), d)
 }
 
 // fillAfter is how long a landing may wait on an unknown lower slot
@@ -521,7 +521,7 @@ func (c *client) fill() {
 // redo is the shared retry/restart path: retire the live instance
 // (carrying its Paxos round floor) and re-propose its value in the same
 // slot, which is the only slot a command is ever in flight in until that
-// slot's decision is known. The replacement arms the same timer names as
+// slot's decision is known. The replacement arms the same timer keys as
 // the retired instance, but retire cancelled them, so no timer the
 // retired instance armed can fire into it
 // (TestRedoAtSameSlotGetsNoStaleTimer). Late accept replies to the
@@ -557,7 +557,7 @@ func (c *client) onRestart() {
 	case c.inst != nil:
 		c.redo()
 	case c.current.won:
-		c.node.SetTimer(c.progress, c.fillAfter())
+		c.node.Arm(c.progressTimer(), c.fillAfter())
 	}
 }
 
@@ -639,7 +639,7 @@ func (c *client) advance() {
 		c.fill()
 	case !cur.blocked:
 		cur.blocked = true
-		c.node.SetTimer(c.progress, c.fillAfter())
+		c.node.Arm(c.progressTimer(), c.fillAfter())
 	}
 }
 
@@ -668,7 +668,7 @@ func (c *client) skip() {
 // can only win a higher slot.
 func (c *client) land() {
 	cur := c.current
-	c.node.CancelTimer(c.progress)
+	c.node.Disarm(c.progressTimer())
 	result := SubmitResult{
 		Client:   c.id,
 		Cmd:      cur.cmd,
@@ -745,15 +745,16 @@ func (c *client) handleSkips(m msgnet.Msg) {
 }
 
 // retire ends the live instance: late messages for its slot are dropped
-// from now on, and every phase timer name is cancelled — a generation
-// bump, so no timer the instance armed can fire into the next one, which
-// arms the same names. The instance is kept as the spare.
+// from now on, and every phase timer it left armed is cancelled — a
+// generation bump, so no timer the instance armed can fire into the next
+// one, which arms the same keys. The instance is kept as the spare.
 func (c *client) retire() {
-	for k := range c.timers {
-		for _, t := range c.timers[k] {
-			c.node.CancelTimer(t.full)
+	for k, armed := range c.armed {
+		for ; armed != 0; armed &= armed - 1 {
+			c.node.Disarm(c.phaseTimer(k, uint8(bits.TrailingZeros64(armed))))
 		}
 	}
+	c.armed = [maxPhases]uint64{}
 	c.spare, c.inst = c.inst, nil
 }
 
@@ -853,14 +854,29 @@ func (c *client) handlePhase(from msgnet.ProcID, m msgnet.Msg) {
 	c.comp(c.inst, int(m.Phase)).OnMessage(from, m)
 }
 
-// handleTimer delivers a routed, already-parsed phase timer. The name
-// carries no slot: it can only have been armed by the live instance,
-// since retire cancels every name.
-func (c *client) handleTimer(phase int, rest string) {
-	if c.inst == nil || phase < 0 || phase >= len(c.sh.protos) {
-		return
+// tick fires a timer of this shard: the progress timer, or a phase timer,
+// which goes to the live instance. A phase timer's key carries no slot:
+// it can only have been armed by the live instance, since retire cancels
+// every one.
+func (c *client) tick(t msgnet.Timer) {
+	switch {
+	case t.Kind == timerProgress:
+		c.onProgressTimer()
+	case c.inst != nil && int(t.Phase) < len(c.sh.protos):
+		c.comp(c.inst, int(t.Phase)).OnTimer(t.Kind)
 	}
-	c.comp(c.inst, phase).OnTimer(rest)
+}
+
+func (c *client) progressTimer() msgnet.Timer {
+	return msgnet.Timer{Shard: int32(c.sh.id), Kind: timerProgress}
+}
+
+// phaseTimer is the key of phase k's timer of the given kind. The slot is
+// not part of it: a (client, shard) has one live attempt, so a client
+// holds at most shards × phases × (kinds a phase uses) keys however long
+// it runs (TestTimerNamesBoundedPerClient).
+func (c *client) phaseTimer(k int, kind uint8) msgnet.Timer {
+	return msgnet.Timer{Shard: int32(c.sh.id), Phase: uint8(k), Kind: kind}
 }
 
 // handle routes a client-bound message of this shard to its handler.
@@ -885,10 +901,6 @@ type slotClientEnv struct {
 	phase  int
 }
 
-// slotTimer is a phase-local timer name beside the node-level name built
-// for it.
-type slotTimer struct{ local, full string }
-
 func (e *slotClientEnv) Self() msgnet.ProcID      { return e.client.id }
 func (e *slotClientEnv) ClientIndex() int         { return e.client.index }
 func (e *slotClientEnv) Clients() []msgnet.ProcID { return e.client.sh.clients }
@@ -908,37 +920,26 @@ func (e *slotClientEnv) Broadcast(m msgnet.Msg) {
 	}
 }
 
-// SetTimer arms the client's node-level name for (shard, phase, name),
-// building it the first time any attempt arms it. The slot is not part of
-// the name: a (client, shard) has one live attempt, so a client holds at
-// most shards × phases × (names a phase uses) names however long it runs
-// (TestTimerNamesBoundedPerClient).
-func (e *slotClientEnv) SetTimer(name string, d msgnet.Time) {
+// SetTimer arms the phase's timer key of the given kind (phaseTimer) and
+// marks it armed for retire.
+func (e *slotClientEnv) SetTimer(kind uint8, d msgnet.Time) {
+	if kind >= 64 {
+		panic("smr: a phase timer kind must be below 64 (mpcons.HostKinds)")
+	}
 	c := e.client
-	full, ok := c.timerName(e.phase, name)
-	if !ok {
-		full = phaseTimerName(c.sh.id, e.phase, name)
-		c.timers[e.phase] = append(c.timers[e.phase], slotTimer{local: name, full: full})
-	}
-	c.node.SetTimer(full, d)
+	c.armed[e.phase] |= 1 << kind
+	c.node.Arm(c.phaseTimer(e.phase, kind), d)
 }
 
-// CancelTimer forwards only names the client has armed: a phase may
-// cancel a timer it never set (Quorum cancels "retransmit" whether or not
-// retransmission is on), and that must not cost a name.
-func (e *slotClientEnv) CancelTimer(name string) {
-	if full, ok := e.client.timerName(e.phase, name); ok {
-		e.client.node.CancelTimer(full)
+// CancelTimer cancels only kinds marked armed: a phase may cancel a timer
+// it never set (Quorum cancels its retransmit timer whether or not
+// retransmission is on), and there is nothing to cancel then.
+func (e *slotClientEnv) CancelTimer(kind uint8) {
+	c := e.client
+	if c.armed[e.phase]&(1<<kind) != 0 {
+		c.armed[e.phase] &^= 1 << kind
+		c.node.Disarm(c.phaseTimer(e.phase, kind))
 	}
-}
-
-func (c *client) timerName(phase int, name string) (full string, ok bool) {
-	for _, t := range c.timers[phase] {
-		if t.local == name {
-			return t.full, true
-		}
-	}
-	return "", false
 }
 
 // replica is the per-shard SMR server engine: per-slot phase server
@@ -1047,8 +1048,8 @@ func (r *replica) release(sl *serverSlot) {
 }
 
 // persist snapshots the slot's phase state into the durable store
-// (Recovery only). Called after every delivered message or timer for the
-// slot, before the event ends — write-ahead relative to any reply the
+// (Recovery only). Called after every delivered message for the slot,
+// before the event ends — write-ahead relative to any reply the
 // components sent within the event, since nothing leaves the simulator
 // mid-event. A phase not built yet has nothing to remember: its entry
 // stays as the store last had it, a just-built component's at first.
@@ -1119,15 +1120,6 @@ func (r *replica) handleLearned(from msgnet.ProcID, w int) {
 	}
 }
 
-func (r *replica) handleTimer(slot, phase int, rest string) {
-	comp := r.component(slot, phase)
-	if comp == nil {
-		return
-	}
-	comp.OnTimer(rest)
-	r.persist(slot)
-}
-
 // slotServerEnv adapts a replica to one slot and phase: it posts the
 // phase's messages under the slot's routing header.
 type slotServerEnv struct {
@@ -1143,77 +1135,4 @@ func (e *slotServerEnv) Now() msgnet.Time         { return e.replica.node.Now() 
 func (e *slotServerEnv) Send(to msgnet.ProcID, m msgnet.Msg) {
 	m.Shard, m.Slot, m.Phase = int32(e.replica.sh.id), e.slot, uint8(e.phase)
 	e.replica.node.Post(to, m)
-}
-
-// SetTimer builds the node-level name on every call: no server phase arms
-// a timer today, so there is nothing to remember it for.
-func (e *slotServerEnv) SetTimer(name string, d msgnet.Time) {
-	e.replica.node.SetTimer(slotTimerName(e.replica.sh.id, e.slot, e.phase, name), d)
-}
-
-// progressTimerName is the per-(client, shard) progress timer: the live
-// proposal's retry, or a blocked landing's fill deadline.
-func progressTimerName(shard int) string { return "r" + strconv.Itoa(shard) }
-
-func splitProgressTimer(full string) (shard int, ok bool) {
-	if !strings.HasPrefix(full, "r") {
-		return 0, false
-	}
-	shard, err := strconv.Atoi(full[1:])
-	return shard, err == nil
-}
-
-// phaseTimerName builds a client's "h<shard>p<phase>:<name>".
-func phaseTimerName(shard, phase int, name string) string {
-	return "h" + strconv.Itoa(shard) + "p" + strconv.Itoa(phase) + ":" + name
-}
-
-func splitPhaseTimer(full string) (shard, phase int, name string, ok bool) {
-	rest, found := strings.CutPrefix(full, "h")
-	p := strings.IndexByte(rest, 'p')
-	colon := strings.IndexByte(rest, ':')
-	if !found || p < 0 || colon < p {
-		return 0, 0, "", false
-	}
-	shard, err0 := strconv.Atoi(rest[:p])
-	phase, err1 := strconv.Atoi(rest[p+1 : colon])
-	if err0 != nil || err1 != nil {
-		return 0, 0, "", false
-	}
-	return shard, phase, rest[colon+1:], true
-}
-
-// slotTimerName builds a replica's "h<shard>s<slot>p<phase>:<name>" with
-// one allocation.
-func slotTimerName(shard, slot, phase int, name string) string {
-	var buf [48]byte
-	b := append(buf[:0], 'h')
-	b = strconv.AppendInt(b, int64(shard), 10)
-	b = append(b, 's')
-	b = strconv.AppendInt(b, int64(slot), 10)
-	b = append(b, 'p')
-	b = strconv.AppendInt(b, int64(phase), 10)
-	b = append(b, ':')
-	b = append(b, name...)
-	return string(b)
-}
-
-func splitSlotTimer(full string) (shard, slot, phase int, name string, ok bool) {
-	if !strings.HasPrefix(full, "h") {
-		return 0, 0, 0, "", false
-	}
-	rest := full[1:]
-	s := strings.IndexByte(rest, 's')
-	p := strings.IndexByte(rest, 'p')
-	colon := strings.IndexByte(rest, ':')
-	if s < 0 || p < 0 || colon < 0 || s > p || p > colon {
-		return 0, 0, 0, "", false
-	}
-	shard, err0 := strconv.Atoi(rest[:s])
-	slot, err1 := strconv.Atoi(rest[s+1 : p])
-	phase, err2 := strconv.Atoi(rest[p+1 : colon])
-	if err0 != nil || err1 != nil || err2 != nil {
-		return 0, 0, 0, "", false
-	}
-	return shard, slot, phase, rest[colon+1:], true
 }

@@ -188,31 +188,3 @@ func TestBuildValidation(t *testing.T) {
 		t.Fatal("empty clients must be rejected")
 	}
 }
-
-func TestSlotTimerRoundTrip(t *testing.T) {
-	name := slotTimerName(3, 12, 1, "retry")
-	shard, slot, phase, rest, ok := splitSlotTimer(name)
-	if !ok || shard != 3 || slot != 12 || phase != 1 || rest != "retry" {
-		t.Fatalf("round trip: %d %d %d %q %v", shard, slot, phase, rest, ok)
-	}
-	if _, _, _, _, ok := splitSlotTimer("bogus"); ok {
-		t.Fatal("bogus timer accepted")
-	}
-	if _, _, _, _, ok := splitSlotTimer("h1p2s3:x"); ok {
-		t.Fatal("misordered timer accepted")
-	}
-	// A client's phase timers carry no slot; each parser rejects the
-	// other's names.
-	pname := phaseTimerName(3, 1, "retry")
-	if shard, phase, rest, ok := splitPhaseTimer(pname); !ok || shard != 3 || phase != 1 || rest != "retry" {
-		t.Fatalf("phase round trip: %d %d %q %v", shard, phase, rest, ok)
-	}
-	if _, _, _, _, ok := splitSlotTimer(pname); ok {
-		t.Fatalf("slot parser accepted %q", pname)
-	}
-	for _, bad := range []string{name, "bogus", "h1:p2", "hxp1:a", "h1p:a", "r3"} {
-		if _, _, _, ok := splitPhaseTimer(bad); ok {
-			t.Fatalf("phase parser accepted %q", bad)
-		}
-	}
-}
