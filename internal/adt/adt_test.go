@@ -144,6 +144,45 @@ func TestUniversalIdentity(t *testing.T) {
 	}
 }
 
+// universalSink keeps a measured Step's state on the heap, as a folded
+// state is.
+var universalSink State
+
+// splitUniversalStep is the universal folder's Step and Out by way of
+// the decoded history, the oracle of its in-place append.
+func splitUniversalStep(s State, in trace.Value) State {
+	h, _ := OutputHistory(trace.Value(s))
+	return State(HistoryOutput(h.Append(in)))
+}
+
+// TestUniversalMatchesSplit: appending in place reaches the states and
+// outputs of decoding, appending and encoding again, byte for byte, from
+// the empty history and from states that are no universal output, on
+// inputs that are empty or hold the separator; and it allocates once.
+func TestUniversalMatchesSplit(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	u := Universal{}
+	ins := []trace.Value{"a", "bc", "", universalSep, "x" + universalSep + "y", "h:", "h:a"}
+	for walk := 0; walk < 200; walk++ {
+		s := []State{u.Empty(), "", "h", "not-a-history", "h:" + universalSep}[r.Intn(5)]
+		for step := 0; step < 20; step++ {
+			in := ins[r.Intn(len(ins))]
+			want := splitUniversalStep(s, in)
+			if got := u.Out(s, in); got != trace.Value(want) {
+				t.Fatalf("Out(%q, %q) = %q, want %q", s, in, got, want)
+			}
+			if got := u.Step(s, in); got != want {
+				t.Fatalf("Step(%q, %q) = %q, want %q", s, in, got, want)
+			}
+			s = want
+		}
+	}
+	s := Fold(u, trace.History{"a", "b"})
+	if got := testing.AllocsPerRun(100, func() { universalSink = u.Step(s, "c") }); got != 1 {
+		t.Errorf("Step: %.0f allocations, want 1", got)
+	}
+}
+
 // folderADTs enumerates every Folder with a generator of random valid
 // inputs, for the coherence property below.
 var folderADTs = []struct {

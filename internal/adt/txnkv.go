@@ -1,7 +1,6 @@
 package adt
 
 import (
-	"sort"
 	"strings"
 
 	"repro/internal/trace"
@@ -74,11 +73,19 @@ func TxnOpCAS(k string, expect, v trace.Value) string {
 // TxnInput assembles a transaction input from encoded operations.
 // aborted selects the "n:" no-op form.
 func TxnInput(ops []string, aborted bool) trace.Value {
-	kind := "t:"
+	var b strings.Builder
 	if aborted {
-		kind = "n:"
+		b.WriteString("n:")
+	} else {
+		b.WriteString("t:")
 	}
-	return trace.Value(kind + strings.Join(ops, TxnOpSep))
+	for i, op := range ops {
+		if i > 0 {
+			b.WriteString(TxnOpSep)
+		}
+		b.WriteString(op)
+	}
+	return b.String()
 }
 
 // TxnCommitOutput returns the output of a committed transaction whose
@@ -97,7 +104,14 @@ func TxnCommitOutput(reads []trace.Value) trace.Value {
 // TxnAbortOutput returns the output of an aborted transaction.
 func TxnAbortOutput() trace.Value { return "a:" }
 
-// txnOp is one parsed transactional operation.
+// The state is the canonical encoding of the map: its k FS v pairs in
+// ascending key order, joined by TxnOpSep; the empty map is the empty
+// state. Step and Out read it, and a transaction's operations, where
+// they lie: Out allocates only the output it returns, and Step builds a
+// changed state in one allocation of its exact size.
+
+// txnOp is one transactional operation, its fields substrings of the
+// input.
 type txnOp struct {
 	kind   byte // 'r', 'w' or 'c'
 	key    string
@@ -105,35 +119,61 @@ type txnOp struct {
 	val    string // write/CAS only
 }
 
-// parseTxnOps parses a TxnOpSep-joined operation list; ok is false on any
-// grammar violation (including duplicate keys).
-func parseTxnOps(enc string) ([]txnOp, bool) {
+// cutTxnOp parses the first operation of a TxnOpSep-joined list and
+// returns the list after it; more is false at the last operation, ok
+// false on a grammar violation.
+func cutTxnOp(enc string) (op txnOp, rest string, more, ok bool) {
+	enc, rest, more = strings.Cut(enc, TxnOpSep)
+	var fs [4]string
+	n := 0
+	for found := true; found; n++ {
+		if n == len(fs) {
+			return op, rest, more, false
+		}
+		fs[n], enc, found = strings.Cut(enc, TxnFieldSep)
+	}
+	switch {
+	case n == 2 && fs[0] == "r":
+		op = txnOp{kind: 'r', key: fs[1]}
+	case n == 3 && fs[0] == "w":
+		op = txnOp{kind: 'w', key: fs[1], val: fs[2]}
+	case n == 4 && fs[0] == "c":
+		op = txnOp{kind: 'c', key: fs[1], expect: fs[2], val: fs[3]}
+	default:
+		return op, rest, more, false
+	}
+	return op, rest, more, true
+}
+
+// txnOpsValid reports whether enc is a TxnOpSep-joined operation list
+// with non-empty, distinct keys. Each key is checked against the ones
+// before it by a scan of the list's prefix: transactions are short.
+func txnOpsValid(enc string) bool {
 	if enc == "" {
-		return nil, false
+		return false
 	}
-	parts := strings.Split(enc, TxnOpSep)
-	ops := make([]txnOp, 0, len(parts))
-	seen := make(map[string]bool, len(parts))
-	for _, p := range parts {
-		fs := strings.Split(p, TxnFieldSep)
+	for rest, more := enc, true; more; {
+		before := enc[:len(enc)-len(rest)]
 		var op txnOp
-		switch {
-		case len(fs) == 2 && fs[0] == "r":
-			op = txnOp{kind: 'r', key: fs[1]}
-		case len(fs) == 3 && fs[0] == "w":
-			op = txnOp{kind: 'w', key: fs[1], val: fs[2]}
-		case len(fs) == 4 && fs[0] == "c":
-			op = txnOp{kind: 'c', key: fs[1], expect: fs[2], val: fs[3]}
-		default:
-			return nil, false
+		var ok bool
+		if op, rest, more, ok = cutTxnOp(rest); !ok || op.key == "" || txnOpsHaveKey(before, op.key) {
+			return false
 		}
-		if op.key == "" || seen[op.key] {
-			return nil, false
-		}
-		seen[op.key] = true
-		ops = append(ops, op)
 	}
-	return ops, true
+	return true
+}
+
+// txnOpsHaveKey reports whether a valid operation list, each operation
+// followed by TxnOpSep, touches key k.
+func txnOpsHaveKey(ops, k string) bool {
+	for ops != "" {
+		var op txnOp
+		op, ops, _, _ = cutTxnOp(ops)
+		if op.key == k {
+			return true
+		}
+	}
+	return false
 }
 
 // Name implements ADT.
@@ -147,83 +187,106 @@ func (TxnKV) ValidInput(in trace.Value) bool {
 	}
 	switch op {
 	case "w":
-		k, v, ok := splitField(arg)
+		k, v, ok := strings.Cut(arg, TxnFieldSep)
 		return ok && k != "" && v != ""
 	case "r":
 		return arg != "" && !strings.Contains(arg, TxnFieldSep)
 	case "t", "n":
-		_, ok := parseTxnOps(arg)
-		return ok
+		return txnOpsValid(arg)
 	default:
 		return false
 	}
 }
 
-// splitField splits "a" FS "b" into its two fields.
-func splitField(s string) (a, b string, ok bool) {
-	i := strings.Index(s, TxnFieldSep)
-	if i < 0 {
-		return s, "", false
-	}
-	return s[:i], s[i+1:], true
-}
-
-// kvState is the decoded map behind a TxnKV State.
-type kvState map[string]string
-
-func decodeKV(s State) kvState {
-	m := kvState{}
-	if s == "" {
-		return m
-	}
-	for _, pair := range strings.Split(string(s), TxnOpSep) {
-		k, v, ok := splitField(pair)
-		if ok {
-			m[k] = v
+// kvGet reads key k of state s, Bottom when unset.
+func kvGet(s State, k string) string {
+	for rest, more := string(s), s != ""; more; {
+		var pair string
+		pair, rest, more = strings.Cut(rest, TxnOpSep)
+		switch pk, v, _ := strings.Cut(pair, TxnFieldSep); {
+		case pk == k:
+			return v
+		case pk > k:
+			return string(Bottom)
 		}
-	}
-	return m
-}
-
-func (m kvState) encode() State {
-	if len(m) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteString(TxnOpSep)
-		}
-		b.WriteString(k)
-		b.WriteString(TxnFieldSep)
-		b.WriteString(m[k])
-	}
-	return State(b.String())
-}
-
-// get reads a key, Bottom when unset.
-func (m kvState) get(k string) string {
-	if v, ok := m[k]; ok {
-		return v
 	}
 	return string(Bottom)
 }
 
-// conditionsHold reports whether every CAS condition of ops holds on m.
-// Reads observe m directly: keys within one transaction are distinct, so
-// pre-state and sequential within-transaction semantics coincide.
-func (m kvState) conditionsHold(ops []txnOp) bool {
-	for _, op := range ops {
-		if op.kind == 'c' && m.get(op.key) != op.expect {
+// conditionsHold reports whether every CAS condition of the valid
+// operation list ops holds on s. Reads observe s directly: keys within
+// one transaction are distinct, so pre-state and sequential
+// within-transaction semantics coincide.
+func conditionsHold(s State, ops string) bool {
+	for rest, more := ops, true; more; {
+		var op txnOp
+		op, rest, more, _ = cutTxnOp(rest)
+		if op.kind == 'c' && kvGet(s, op.key) != op.expect {
 			return false
 		}
 	}
 	return true
+}
+
+// kvPair is one key and the value written to it.
+type kvPair struct{ k, v string }
+
+// kvWrite returns s with the distinct-key pairs of ws written over it:
+// the same state when no value changes, otherwise a new one built in one
+// allocation. ws is sorted by key in place.
+func kvWrite(s State, ws []kvPair) State {
+	for i := 1; i < len(ws); i++ {
+		for j := i; j > 0 && ws[j].k < ws[j-1].k; j-- {
+			ws[j], ws[j-1] = ws[j-1], ws[j]
+		}
+	}
+	size, changed := kvMerge(nil, s, ws)
+	if !changed {
+		return s
+	}
+	var b strings.Builder
+	b.Grow(size)
+	kvMerge(&b, s, ws)
+	return State(b.String())
+}
+
+// kvMerge merges the pairs of s with the sorted pairs ws, a written key's
+// value replacing its old one, into b (when not nil), and returns the
+// merged state's length and whether it differs from s.
+func kvMerge(b *strings.Builder, s State, ws []kvPair) (size int, changed bool) {
+	put := func(k, v string) {
+		if size > 0 {
+			size++
+			if b != nil {
+				b.WriteString(TxnOpSep)
+			}
+		}
+		size += len(k) + len(TxnFieldSep) + len(v)
+		if b != nil {
+			b.WriteString(k)
+			b.WriteString(TxnFieldSep)
+			b.WriteString(v)
+		}
+	}
+	for rest, more := string(s), s != ""; more; {
+		var pair string
+		pair, rest, more = strings.Cut(rest, TxnOpSep)
+		k, v, _ := strings.Cut(pair, TxnFieldSep)
+		for ; len(ws) > 0 && ws[0].k < k; ws = ws[1:] {
+			put(ws[0].k, ws[0].v)
+			changed = true
+		}
+		if len(ws) > 0 && ws[0].k == k {
+			changed = changed || ws[0].v != v
+			v, ws = ws[0].v, ws[1:]
+		}
+		put(k, v)
+	}
+	for _, w := range ws {
+		put(w.k, w.v)
+		changed = true
+	}
+	return size, changed
 }
 
 // Empty implements Folder: the empty map.
@@ -234,28 +297,25 @@ func (TxnKV) Step(s State, in trace.Value) State {
 	op, arg, _ := split2(Untag(in))
 	switch op {
 	case "w":
-		k, v, ok := splitField(arg)
+		k, v, ok := strings.Cut(arg, TxnFieldSep)
 		if !ok {
 			return s
 		}
-		m := decodeKV(s)
-		m[k] = v
-		return m.encode()
+		return kvWrite(s, []kvPair{{k, v}})
 	case "t":
-		ops, ok := parseTxnOps(arg)
-		if !ok {
+		if !txnOpsValid(arg) || !conditionsHold(s, arg) {
 			return s
 		}
-		m := decodeKV(s)
-		if !m.conditionsHold(ops) {
-			return s
-		}
-		for _, o := range ops {
+		var buf [8]kvPair
+		ws := buf[:0]
+		for rest, more := arg, true; more; {
+			var o txnOp
+			o, rest, more, _ = cutTxnOp(rest)
 			if o.kind == 'w' || o.kind == 'c' {
-				m[o.key] = o.val
+				ws = append(ws, kvPair{o.key, o.val})
 			}
 		}
-		return m.encode()
+		return kvWrite(s, ws)
 	}
 	return s // reads and "n:" no-ops
 }
@@ -267,25 +327,48 @@ func (TxnKV) Out(s State, in trace.Value) trace.Value {
 	case "w":
 		return WriteOutput()
 	case "r":
-		return ReadOutput(trace.Value(decodeKV(s).get(arg)))
+		return ReadOutput(trace.Value(kvGet(s, arg)))
 	case "t":
-		ops, ok := parseTxnOps(arg)
-		if !ok {
+		if !txnOpsValid(arg) || !conditionsHold(s, arg) {
 			return TxnAbortOutput()
 		}
-		m := decodeKV(s)
-		if !m.conditionsHold(ops) {
-			return TxnAbortOutput()
-		}
-		var reads []trace.Value
-		for _, o := range ops {
-			if o.kind == 'r' {
-				reads = append(reads, trace.Value(m.get(o.key)))
-			}
-		}
-		return TxnCommitOutput(reads)
+		return txnReads(s, arg)
 	}
 	return TxnAbortOutput() // "n:"
+}
+
+// txnReads returns the commit output of the valid operation list ops on
+// s: "c:" and the read values in operation order, built in one
+// allocation (none without reads).
+func txnReads(s State, ops string) trace.Value {
+	size, reads := len("c:"), 0
+	for rest, more := ops, true; more; {
+		var op txnOp
+		op, rest, more, _ = cutTxnOp(rest)
+		if op.kind == 'r' {
+			size += len(kvGet(s, op.key))
+			reads++
+		}
+	}
+	if reads == 0 {
+		return TxnCommitOutput(nil)
+	}
+	var b strings.Builder
+	b.Grow(size + (reads-1)*len(TxnFieldSep))
+	b.WriteString("c:")
+	reads = 0
+	for rest, more := ops, true; more; {
+		var op txnOp
+		op, rest, more, _ = cutTxnOp(rest)
+		if op.kind == 'r' {
+			if reads > 0 {
+				b.WriteString(TxnFieldSep)
+			}
+			b.WriteString(kvGet(s, op.key))
+			reads++
+		}
+	}
+	return trace.Value(b.String())
 }
 
 // Apply implements ADT.

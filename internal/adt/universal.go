@@ -31,7 +31,15 @@ func (Universal) ValidInput(in trace.Value) bool {
 
 // HistoryOutput encodes history h as a universal-ADT output.
 func HistoryOutput(h trace.History) trace.Value {
-	return "h:" + strings.Join(h, universalSep)
+	var b strings.Builder
+	b.WriteString("h:")
+	for i, v := range h {
+		if i > 0 {
+			b.WriteString(universalSep)
+		}
+		b.WriteString(v)
+	}
+	return b.String()
 }
 
 // OutputHistory decodes a universal-ADT output back into a history; ok is
@@ -51,15 +59,16 @@ func OutputHistory(out trace.Value) (trace.History, bool) {
 func (Universal) Empty() State { return State(HistoryOutput(nil)) }
 
 // Step implements Folder.
-func (Universal) Step(s State, in trace.Value) State {
-	h, _ := OutputHistory(trace.Value(s))
-	return State(HistoryOutput(h.Append(in)))
-}
+func (u Universal) Step(s State, in trace.Value) State { return State(u.Out(s, in)) }
 
-// Out implements Folder.
+// Out implements Folder: in appended to the encoded history where it
+// lies, in one allocation. A state that is no universal output reads as
+// the empty history.
 func (Universal) Out(s State, in trace.Value) trace.Value {
-	h, _ := OutputHistory(trace.Value(s))
-	return HistoryOutput(h.Append(in))
+	if rest, ok := strings.CutPrefix(string(s), "h:"); ok && rest != "" {
+		return string(s) + universalSep + in
+	}
+	return "h:" + in
 }
 
 // Apply implements ADT.

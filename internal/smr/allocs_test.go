@@ -7,8 +7,9 @@ import "testing"
 // Allocation counts do not depend on the machine or its load, so they
 // hold the line in tier-1 where a wall-clock bound could not. Each budget
 // is a measured count plus 15%: smr-kv's since the recorder builds each
-// register input once, smr-txn-faults' since protocol messages began
-// travelling by value (DESIGN.md, decision 22). Moving one up needs a
+// register input once, smr-txn-faults' since TxnKV reads its state in
+// place and 2PC log entries parse without splitting (DESIGN.md, decision
+// 18). Moving one up needs a
 // reason that is written down.
 func TestAllocationBudget(t *testing.T) {
 	if raceEnabled {
@@ -30,9 +31,10 @@ func TestAllocationBudget(t *testing.T) {
 			return sc.Stats().Landed
 		}},
 		// Retries, durable recovery, rolling coordinator crashes and 2PC:
-		// 20.7 measured; 46.6 while messages and durable snapshots were
-		// boxed (budget 53.6), 39.2 before decision 30 (76.4 before
-		// decision 27). The rise at decision 30 is this scale's: its
+		// 12.9 measured; 20.7 while TxnKV decoded its state into a map and
+		// 2PC log entries were split apart at learn (budget 23.8), 46.6
+		// while messages and durable snapshots were boxed (budget 53.6),
+		// 39.2 before decision 30 (76.4 before decision 27). The rise at decision 30 is this scale's: its
 		// rolling restarts keep one of the six clients down for most of the
 		// run, so nearly every log entry lands above a slot of the crashed
 		// client that a blocked client must fill through a consensus round
@@ -40,7 +42,7 @@ func TestAllocationBudget(t *testing.T) {
 		// builds server state on all three replicas. bench's full-scale
 		// shape, where crashes are rare, went from 70.3 to 61.4 allocations
 		// per item.
-		{"smr-txn-faults", 23.8, 1466, func(t *testing.T) int64 {
+		{"smr-txn-faults", 14.8, 1466, func(t *testing.T) int64 {
 			_, tc, _ := txnFaultsShape(t, txn)
 			return tc.Stats().Landed
 		}},

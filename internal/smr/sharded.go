@@ -582,12 +582,14 @@ type slotEntry struct {
 	// the operation's synthetic checker process, compProc). A plain key's
 	// register input was built at start, and its operation holds it.
 	comp bool
-	in   trace.Value
-	cmd  Command
-	// txn is set for transaction-protocol commands (prepare/outcome).
-	txn *txnSlot
+	// txn marks a transaction-protocol command: kind is then "txp" or
+	// "txo", key the transaction's ID, and arg a prepare's operations or
+	// an outcome's "c" or "a" (txnSlot's substrings of the command).
+	txn bool
 	// noop marks a slot that holds no command.
 	noop bool
+	in   trace.Value
+	cmd  Command
 }
 
 // deferredSlot is a replayed-but-locked single-key operation awaiting
@@ -714,7 +716,15 @@ func (rec *shardRecorder) learn(c msgnet.ProcID, slot int, cmd Command) {
 			if ts.shard != rec.sh.id {
 				rec.fail("transaction command for shard %d leaked into shard %d", ts.shard, rec.sh.id)
 			}
-			entry.txn = &ts
+			entry.txn, entry.key = true, ts.id
+			switch {
+			case ts.prep:
+				entry.kind, entry.arg = "txp", ts.ops
+			case ts.commit:
+				entry.kind, entry.arg = "txo", "c"
+			default:
+				entry.kind, entry.arg = "txo", "a"
+			}
 		}
 		rec.pending[slot] = entry
 	}
@@ -771,12 +781,12 @@ func (rec *shardRecorder) land(r SubmitResult) {
 		switch {
 		case e.noop:
 			// Nothing to apply, and nothing lands here.
-		case e.txn != nil:
+		case e.txn:
 			if tc := rec.sc.txn; tc != nil {
-				if e.txn.prep {
-					tc.prepReplayed(rec, e.txn)
+				if e.kind == "txp" {
+					tc.prepReplayed(rec, e.key, e.arg)
 				} else {
-					tc.outcomeReplayed(rec, e.txn)
+					tc.outcomeReplayed(rec, e.key, e.arg == "c")
 				}
 			} else {
 				rec.fail("transaction command in slot %d without a transaction layer", rec.applied)

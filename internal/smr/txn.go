@@ -2,6 +2,7 @@ package smr
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -119,22 +120,39 @@ const (
 	abortRecovery
 )
 
-// txnState is the cluster-side record of one transaction.
+// txnState is the cluster-side record of one transaction: its
+// participants in ascending shard order, and its read values by
+// operation index. A transaction touches few shards, so a participant is
+// found by a scan.
 type txnState struct {
-	spec     Txn
-	coord    msgnet.ProcID
-	shards   []int         // participant shards, ascending
-	shardOps map[int][]int // shard -> indices into spec.Ops
-	votes    map[int]bool
-	noReason int // first no-vote's classification
-	// locked marks shards that voted yes and hold their keys' locks
-	// until their outcome marker replays.
-	locked     map[int]bool
-	resolvedOn map[int]bool // shards whose outcome marker has replayed
-	reads      map[int]trace.Value
-	decided    bool
-	committed  bool
-	redrives   int
+	spec      Txn
+	coord     msgnet.ProcID
+	parts     []txnPart
+	reads     []trace.Value // a read's value, set when its shard votes yes
+	decided   bool
+	committed bool
+	redrives  int
+}
+
+// txnPart is one participant shard of a transaction.
+type txnPart struct {
+	shard int
+	ops   []int // indices into spec.Ops, ascending
+	voted bool
+	// locked marks a shard that voted yes and holds its keys' locks
+	// until its outcome marker replays.
+	locked   bool
+	resolved bool // its outcome marker has replayed
+}
+
+// part returns the participant record of shard k, nil if k is none.
+func (st *txnState) part(k int) *txnPart {
+	for i := range st.parts {
+		if st.parts[i].shard == k {
+			return &st.parts[i]
+		}
+	}
+	return nil
 }
 
 // TxnCluster extends a ShardedCluster with cross-shard atomic
@@ -194,40 +212,36 @@ func (tc *TxnCluster) registerTxn(c msgnet.ProcID, txn Txn, t msgnet.Time) *txnS
 		panic("smr: transaction ID " + strconv.Quote(txn.ID) + " empty or reused")
 	}
 	checkTxnField("txn id", txn.ID)
-	seen := map[string]bool{}
-	for _, op := range txn.Ops {
+	idx := make([]int, len(txn.Ops))
+	for i, op := range txn.Ops {
 		checkTxnField("key", op.Key)
 		checkTxnField("value", op.Value)
 		checkTxnField("expect", op.Expect)
-		if op.Key == "" || seen[op.Key] {
+		if op.Key == "" || slices.ContainsFunc(txn.Ops[:i], func(o TxnOp) bool { return o.Key == op.Key }) {
 			panic("smr: transaction keys must be non-empty and distinct")
 		}
 		if (op.Kind == TxnWrite || op.Kind == TxnCAS) && op.Value == "" {
 			panic("smr: transaction writes need a value")
 		}
-		seen[op.Key] = true
+		idx[i] = i
 	}
-	st := &txnState{
-		spec:       txn,
-		coord:      c,
-		shardOps:   map[int][]int{},
-		votes:      map[int]bool{},
-		locked:     map[int]bool{},
-		resolvedOn: map[int]bool{},
-		reads:      map[int]trace.Value{},
+	// The participants' operation indices are runs of one slice, sorted
+	// by shard and in operation order within a shard.
+	shard := func(i int) int { return ShardOf(txn.Ops[i].Key, len(tc.shards)) }
+	slices.SortStableFunc(idx, func(a, b int) int { return shard(a) - shard(b) })
+	st := &txnState{spec: txn, coord: c, parts: make([]txnPart, 0, len(idx)), reads: make([]trace.Value, len(idx))}
+	for lo, hi := 0, 1; lo < len(idx); lo, hi = hi, hi+1 {
+		for hi < len(idx) && shard(idx[hi]) == shard(idx[lo]) {
+			hi++
+		}
+		st.parts = append(st.parts, txnPart{shard: shard(idx[lo]), ops: idx[lo:hi:hi]})
 	}
-	for i, op := range txn.Ops {
-		k := ShardOf(op.Key, len(tc.shards))
-		st.shardOps[k] = append(st.shardOps[k], i)
+	for _, op := range txn.Ops {
 		tc.hist.Join(txn.Ops[0].Key, op.Key)
 	}
-	for k := range st.shardOps {
-		st.shards = append(st.shards, k)
-	}
-	sort.Ints(st.shards)
 	tc.txns[txn.ID] = st
 	tc.tstats.Started++
-	tc.stats.Submitted += int64(len(st.shards))
+	tc.stats.Submitted += int64(len(st.parts))
 	if tc.tcfg.RecoveryTimeout > 0 {
 		tc.net.At(t+tc.tcfg.RecoveryTimeout, func() {
 			if !st.decided {
@@ -241,10 +255,10 @@ func (tc *TxnCluster) registerTxn(c msgnet.ProcID, txn Txn, t msgnet.Time) *txnS
 // submitTxnPreps enqueues a registered transaction's prepare commands on
 // its coordinator's per-shard queues.
 func (tc *TxnCluster) submitTxnPreps(st *txnState) {
-	for _, k := range st.shards {
-		cmd := prepCmd(st.spec.ID, k, st.spec.Ops, st.shardOps[k])
-		tc.shards[k].rec.submit(cmd)
-		tc.shards[k].byID[st.coord].enqueue(cmd)
+	for _, p := range st.parts {
+		cmd := prepCmd(st.spec.ID, p.shard, st.spec.Ops, p.ops)
+		tc.shards[p.shard].rec.submit(cmd)
+		tc.shards[p.shard].byID[st.coord].enqueue(cmd)
 	}
 }
 
@@ -307,19 +321,96 @@ func (tc *TxnCluster) SubmitMixedPaced(c msgnet.ProcID, items []MixedItem, start
 // shard's slice of the transaction's operations rides along so the
 // shard's vote is computable from its own log alone.
 func prepCmd(id string, shard int, ops []TxnOp, idx []int) Command {
-	enc := make([]string, len(idx))
-	for i, j := range idx {
-		op := ops[j]
-		switch op.Kind {
-		case TxnRead:
-			enc[i] = "r" + txnCmdSep + op.Key + txnCmdSep + strconv.Itoa(j)
-		case TxnWrite:
-			enc[i] = "w" + txnCmdSep + op.Key + txnCmdSep + strconv.Itoa(j) + txnCmdSep + op.Value
-		default:
-			enc[i] = "c" + txnCmdSep + op.Key + txnCmdSep + strconv.Itoa(j) + txnCmdSep + op.Expect + txnCmdSep + op.Value
+	var w sizedWriter
+	for w.pass() {
+		w.str("txp" + cmdSep)
+		w.str(id)
+		w.str(cmdSep)
+		w.int(shard)
+		w.str(cmdSep)
+		for n, j := range idx {
+			op := ops[j]
+			if n > 0 {
+				w.str(txnOpSep)
+			}
+			w.op(op, txnCmdSep, j)
 		}
 	}
-	return Command("txp" + cmdSep + id + cmdSep + strconv.Itoa(shard) + cmdSep + strings.Join(enc, txnOpSep))
+	return Command(w.b.String())
+}
+
+// letter returns the kind's letter in the command and adt.TxnKV
+// grammars; every kind but a read or a write encodes as a CAS.
+func (k TxnOpKind) letter() string {
+	switch k {
+	case TxnRead:
+		return "r"
+	case TxnWrite:
+		return "w"
+	}
+	return "c"
+}
+
+// sizedWriter builds a string in one allocation: its loop
+//
+//	var w sizedWriter
+//	for w.pass() {
+//		... writes ...
+//	}
+//
+// makes the same writes twice, once only to sum their length, then into
+// w.b grown to exactly that length.
+type sizedWriter struct {
+	b      strings.Builder
+	n      int
+	passes int
+}
+
+// pass starts the next pass; false after the second.
+func (w *sizedWriter) pass() bool {
+	if w.passes++; w.passes == 2 {
+		w.b.Grow(w.n)
+	}
+	return w.passes <= 2
+}
+
+func (w *sizedWriter) str(s string) {
+	if w.passes == 1 {
+		w.n += len(s)
+	} else {
+		w.b.WriteString(s)
+	}
+}
+
+func (w *sizedWriter) int(i int) {
+	var d [20]byte
+	if n := strconv.AppendInt(d[:0], int64(i), 10); w.passes == 1 {
+		w.n += len(n)
+	} else {
+		w.b.Write(n)
+	}
+}
+
+// op writes one operation, its fields joined by sep: the kind's letter,
+// the key, the index j unless it is negative, then a CAS's expected value
+// and a written value.
+func (w *sizedWriter) op(op TxnOp, sep string, j int) {
+	l := op.Kind.letter()
+	w.str(l)
+	w.str(sep)
+	w.str(op.Key)
+	if j >= 0 {
+		w.str(sep)
+		w.int(j)
+	}
+	if l == "c" {
+		w.str(sep)
+		w.str(op.Expect)
+	}
+	if l != "r" {
+		w.str(sep)
+		w.str(op.Value)
+	}
 }
 
 // outcomeCmd encodes an outcome marker. The sender and attempt fields
@@ -335,13 +426,14 @@ func outcomeCmd(id string, shard int, commit bool, sender msgnet.ProcID, attempt
 		cmdSep + string(sender) + "." + strconv.Itoa(attempt))
 }
 
-// txnSlot is a parsed transaction-protocol log entry.
+// txnSlot is a parsed transaction-protocol log entry; its fields are
+// substrings of the command.
 type txnSlot struct {
 	prep   bool
 	id     string
 	shard  int
-	ops    []txnSlotOp // prepare only
-	commit bool        // outcome only
+	ops    string // prepare only: its operations, read by cutPrepOp
+	commit bool   // outcome only
 }
 
 // txnSlotOp is one operation of a prepare entry, with its index into the
@@ -354,60 +446,84 @@ type txnSlotOp struct {
 	val    string
 }
 
+// cutTxnHeader reads a transaction-protocol command's kind ("txp" or
+// "txo"), transaction ID and shard; rest is what follows the shard. ok
+// is false for every other command.
+func cutTxnHeader(cmd Command) (kind, id string, shard int, rest string, ok bool) {
+	kind, rest, _ = strings.Cut(string(cmd), cmdSep)
+	if kind != "txp" && kind != "txo" {
+		return "", "", 0, "", false
+	}
+	id, rest, ok = strings.Cut(rest, cmdSep)
+	sh, rest, ok2 := strings.Cut(rest, cmdSep)
+	if !ok || !ok2 {
+		return "", "", 0, "", false
+	}
+	shard, err := strconv.Atoi(sh)
+	return kind, id, shard, rest, err == nil
+}
+
 // parseTxnCmd parses a transaction-protocol command; ok is false outside
 // the grammar (KV commands and foreign commands alike).
 func parseTxnCmd(cmd Command) (ts txnSlot, ok bool) {
-	parts := strings.Split(string(cmd), cmdSep)
-	if len(parts) < 4 {
+	kind, id, shard, rest, ok := cutTxnHeader(cmd)
+	if !ok {
 		return ts, false
 	}
-	shard, err := strconv.Atoi(parts[2])
-	if err != nil {
-		return ts, false
-	}
-	ts.id, ts.shard = parts[1], shard
-	switch {
-	case parts[0] == "txp" && len(parts) == 4:
-		ts.prep = true
-		for _, enc := range strings.Split(parts[3], txnOpSep) {
-			fs := strings.Split(enc, txnCmdSep)
-			var op txnSlotOp
-			switch {
-			case len(fs) == 3 && fs[0] == "r":
-				op = txnSlotOp{kind: 'r', key: fs[1]}
-			case len(fs) == 4 && fs[0] == "w":
-				op = txnSlotOp{kind: 'w', key: fs[1], val: fs[3]}
-			case len(fs) == 5 && fs[0] == "c":
-				op = txnSlotOp{kind: 'c', key: fs[1], expect: fs[3], val: fs[4]}
-			default:
+	ts.id, ts.shard = id, shard
+	if kind == "txp" {
+		if strings.Contains(rest, cmdSep) {
+			return ts, false
+		}
+		ts.prep, ts.ops = true, rest
+		for more := true; more; {
+			if _, rest, more, ok = cutPrepOp(rest); !ok {
 				return ts, false
 			}
-			if op.idx, err = strconv.Atoi(fs[2]); err != nil {
-				return ts, false
-			}
-			ts.ops = append(ts.ops, op)
 		}
 		return ts, true
-	case parts[0] == "txo" && len(parts) == 5:
-		ts.commit = parts[3] == "c"
-		return ts, ts.commit || parts[3] == "a"
 	}
-	return ts, false
+	oc, sender, found := strings.Cut(rest, cmdSep)
+	if !found || strings.Contains(sender, cmdSep) {
+		return ts, false
+	}
+	ts.commit = oc == "c"
+	return ts, ts.commit || oc == "a"
+}
+
+// cutPrepOp parses the first operation of a prepare's txnOpSep-joined
+// list and returns the list after it; more is false at the last
+// operation, ok false on a grammar violation.
+func cutPrepOp(enc string) (op txnSlotOp, rest string, more, ok bool) {
+	enc, rest, more = strings.Cut(enc, txnOpSep)
+	var fs [5]string
+	n := 0
+	for found := true; found; n++ {
+		if n == len(fs) {
+			return op, rest, more, false
+		}
+		fs[n], enc, found = strings.Cut(enc, txnCmdSep)
+	}
+	switch {
+	case n == 3 && fs[0] == "r":
+		op = txnSlotOp{kind: 'r', key: fs[1]}
+	case n == 4 && fs[0] == "w":
+		op = txnSlotOp{kind: 'w', key: fs[1], val: fs[3]}
+	case n == 5 && fs[0] == "c":
+		op = txnSlotOp{kind: 'c', key: fs[1], expect: fs[3], val: fs[4]}
+	default:
+		return op, rest, more, false
+	}
+	var err error
+	op.idx, err = strconv.Atoi(fs[2])
+	return op, rest, more, err == nil
 }
 
 // txnCmdShard routes a transaction-protocol command to its explicit
 // shard; ok is false for other commands.
 func txnCmdShard(cmd Command) (int, bool) {
-	s := string(cmd)
-	if !strings.HasPrefix(s, "txp"+cmdSep) && !strings.HasPrefix(s, "txo"+cmdSep) {
-		return 0, false
-	}
-	parts := strings.SplitN(s, cmdSep, 4)
-	if len(parts) < 4 {
-		return 0, false
-	}
-	shard, err := strconv.Atoi(parts[2])
-	return shard, err == nil
+	_, _, shard, _, ok := cutTxnHeader(cmd)
+	return shard, ok
 }
 
 // prepReplayed evaluates shard rec's vote at the prepare's replay point —
@@ -416,29 +532,40 @@ func txnCmdShard(cmd Command) (int, bool) {
 // avoidance: never wait, abort instead) or a failed CAS condition;
 // otherwise the shard locks the transaction's keys (reads too — a
 // MultiGet's values must stay current until the decision) and reports
-// its read values.
-func (tc *TxnCluster) prepReplayed(rec *shardRecorder, ts *txnSlot) {
+// its read values. ops is the prepare's operation list, read in place.
+func (tc *TxnCluster) prepReplayed(rec *shardRecorder, id, ops string) {
 	tc.tstats.PrepsLanded++
-	st, ok := tc.txns[ts.id]
+	st, ok := tc.txns[id]
 	if !ok {
-		rec.fail("prepare for unknown transaction %q", ts.id)
+		rec.fail("prepare for unknown transaction %q", id)
 		return
 	}
 	if st.decided {
 		if st.committed {
 			// Commit needs every shard's yes vote, which only this replay
 			// could have produced.
-			rec.fail("transaction %q committed before shard %d prepared", ts.id, rec.sh.id)
+			rec.fail("transaction %q committed before shard %d prepared", id, rec.sh.id)
 		}
 		return // already aborted (watchdog or early-abort won): no lock
 	}
+	p := st.part(rec.sh.id)
+	if p == nil {
+		rec.fail("prepare of transaction %q on shard %d, not a participant", id, rec.sh.id)
+		return
+	}
 	conflict, condFail := false, false
-	for _, op := range ts.ops {
+	for rest, more := ops, true; more; {
+		var op txnSlotOp
+		op, rest, more, _ = cutPrepOp(rest)
 		if _, held := rec.locks[op.key]; held {
 			conflict = true
 		}
 		if op.kind == 'c' && string(rec.keyVal(op.key)) != op.expect {
 			condFail = true
+		}
+		if op.idx < 0 || op.idx >= len(st.reads) {
+			rec.fail("prepare of transaction %q names operation %d of %d", id, op.idx, len(st.reads))
+			return
 		}
 	}
 	if conflict || condFail {
@@ -446,18 +573,19 @@ func (tc *TxnCluster) prepReplayed(rec *shardRecorder, ts *txnSlot) {
 		if conflict {
 			reason = abortConflict
 		}
-		tc.voteNo(st, rec.sh.id, reason)
+		tc.voteNo(st, p, reason)
 		return
 	}
-	for _, op := range ts.ops {
+	for rest, more := ops, true; more; {
+		var op txnSlotOp
+		op, rest, more, _ = cutPrepOp(rest)
 		if op.kind == 'r' {
 			st.reads[op.idx] = rec.keyVal(op.key)
 		}
-		rec.locks[op.key] = ts.id
+		rec.locks[op.key] = id
 	}
-	st.locked[rec.sh.id] = true
-	st.votes[rec.sh.id] = true
-	if len(st.votes) == len(st.shards) {
+	p.locked, p.voted = true, true
+	if !slices.ContainsFunc(st.parts, func(p txnPart) bool { return !p.voted }) {
 		tc.decide(st, true, 0)
 	}
 }
@@ -465,8 +593,8 @@ func (tc *TxnCluster) prepReplayed(rec *shardRecorder, ts *txnSlot) {
 // voteNo records a no vote and aborts immediately (2PC early abort: a
 // single no decides the outcome, and shards that have not prepared yet
 // will see the decision and skip locking).
-func (tc *TxnCluster) voteNo(st *txnState, shard, reason int) {
-	st.votes[shard] = false
+func (tc *TxnCluster) voteNo(st *txnState, p *txnPart, reason int) {
+	p.voted = true
 	if !st.decided {
 		tc.decide(st, false, reason)
 	}
@@ -491,17 +619,7 @@ func (tc *TxnCluster) decide(st *txnState, commit bool, reason int) {
 		tc.tstats.AbortedRecovery++
 	}
 
-	in := adt.Tag(adt.TxnInput(txnKVOps(st.spec.Ops), !commit), st.spec.ID)
-	out := adt.TxnAbortOutput()
-	if commit {
-		var reads []trace.Value
-		for i, op := range st.spec.Ops {
-			if op.Kind == TxnRead {
-				reads = append(reads, st.reads[i])
-			}
-		}
-		out = adt.TxnCommitOutput(reads)
-	}
+	in, out := txnKVInput(st.spec, commit), st.kvOutput()
 	// The composite operation is fed as an instantaneous invocation/
 	// response pair at the decision point, which always lies inside the
 	// transaction's true interval: its reads were collected under locks
@@ -516,15 +634,63 @@ func (tc *TxnCluster) decide(st *txnState, commit bool, reason int) {
 		// never come; a surviving client must drive the markers.
 		sender = tc.recoveryClient(st.coord)
 	}
-	tc.stats.Submitted += int64(len(st.shards))
-	for _, k := range st.shards {
-		cmd := outcomeCmd(st.spec.ID, k, commit, sender, 0)
-		tc.shards[k].rec.submit(cmd)
-		tc.shards[k].byID[sender].enqueue(cmd)
+	tc.stats.Submitted += int64(len(st.parts))
+	for _, p := range st.parts {
+		cmd := outcomeCmd(st.spec.ID, p.shard, commit, sender, 0)
+		tc.shards[p.shard].rec.submit(cmd)
+		tc.shards[p.shard].byID[sender].enqueue(cmd)
 	}
 	if tc.tcfg.RecoveryTimeout > 0 {
 		tc.net.At(tc.net.Now()+tc.tcfg.RecoveryTimeout, func() { tc.redriveOutcomes(st) })
 	}
+}
+
+// txnKVInput returns txn's composite adt.TxnKV input, tagged with its ID,
+// in one allocation: adt.Tag(adt.TxnInput(ops, !commit), txn.ID) with
+// ops in the TxnOpRead/TxnOpWrite/TxnOpCAS encoding.
+func txnKVInput(txn Txn, commit bool) trace.Value {
+	var w sizedWriter
+	for w.pass() {
+		if commit {
+			w.str("t:")
+		} else {
+			w.str("n:")
+		}
+		for i, op := range txn.Ops {
+			if i > 0 {
+				w.str(adt.TxnOpSep)
+			}
+			w.op(op, adt.TxnFieldSep, -1)
+		}
+		w.str(adt.TagSep)
+		w.str(txn.ID)
+	}
+	return w.b.String()
+}
+
+// kvOutput returns a decided transaction's adt.TxnKV output: the abort
+// output, or adt.TxnCommitOutput of its read values in operation order,
+// built in one allocation (none without reads).
+func (st *txnState) kvOutput() trace.Value {
+	switch {
+	case !st.committed:
+		return adt.TxnAbortOutput()
+	case !slices.ContainsFunc(st.spec.Ops, func(op TxnOp) bool { return op.Kind == TxnRead }):
+		return adt.TxnCommitOutput(nil)
+	}
+	var w sizedWriter
+	for w.pass() {
+		w.str("c:")
+		sep := ""
+		for i, op := range st.spec.Ops {
+			if op.Kind == TxnRead {
+				w.str(sep)
+				w.str(st.reads[i])
+				sep = adt.TxnFieldSep
+			}
+		}
+	}
+	return w.b.String()
 }
 
 // redriveOutcomes resubmits outcome markers for shards that still have
@@ -535,9 +701,9 @@ func (tc *TxnCluster) decide(st *txnState, commit bool, reason int) {
 // until every shard has resolved.
 func (tc *TxnCluster) redriveOutcomes(st *txnState) {
 	var missing []int
-	for _, k := range st.shards {
-		if !st.resolvedOn[k] {
-			missing = append(missing, k)
+	for _, p := range st.parts {
+		if !p.resolved {
+			missing = append(missing, p.shard)
 		}
 	}
 	if len(missing) == 0 {
@@ -581,52 +747,40 @@ func (tc *TxnCluster) recoveryClient(coord msgnet.ProcID) msgnet.ProcID {
 // order), locks release, and deferred single-key operations drain.
 // Markers can replay before their shard's prepare (a recovery abort
 // does not wait for prepares) — then there is nothing to unlock.
-func (tc *TxnCluster) outcomeReplayed(rec *shardRecorder, ts *txnSlot) {
+func (tc *TxnCluster) outcomeReplayed(rec *shardRecorder, id string, commit bool) {
 	tc.tstats.OutcomesLanded++
-	st, ok := tc.txns[ts.id]
+	st, ok := tc.txns[id]
 	if !ok {
-		rec.fail("outcome marker for unknown transaction %q", ts.id)
+		rec.fail("outcome marker for unknown transaction %q", id)
 		return
 	}
-	if !st.decided || ts.commit != st.committed {
-		rec.fail("outcome marker (commit=%v) disagrees with transaction %q decision", ts.commit, ts.id)
+	if !st.decided || commit != st.committed {
+		rec.fail("outcome marker (commit=%v) disagrees with transaction %q decision", commit, id)
 		return
 	}
-	if st.resolvedOn[rec.sh.id] {
+	p := st.part(rec.sh.id)
+	if p == nil {
+		rec.fail("outcome marker of transaction %q on shard %d, not a participant", id, rec.sh.id)
+		return
+	}
+	if p.resolved {
 		return // duplicate marker from a redrive round: already resolved
 	}
-	st.resolvedOn[rec.sh.id] = true
-	if !st.locked[rec.sh.id] {
+	p.resolved = true
+	if !p.locked {
 		return // never prepared here, or voted no: no locks, no effects
 	}
 	if st.committed {
-		for _, i := range st.shardOps[rec.sh.id] {
+		for _, i := range p.ops {
 			op := st.spec.Ops[i]
 			if op.Kind == TxnWrite || op.Kind == TxnCAS {
 				rec.state[op.Key] = adt.State(op.Value)
 			}
 		}
 	}
-	for _, i := range st.shardOps[rec.sh.id] {
-		rec.unlock(st.spec.Ops[i].Key, ts.id)
+	for _, i := range p.ops {
+		rec.unlock(st.spec.Ops[i].Key, id)
 	}
-}
-
-// txnKVOps encodes a transaction's operations for the adt.TxnKV input
-// grammar.
-func txnKVOps(ops []TxnOp) []string {
-	enc := make([]string, len(ops))
-	for i, op := range ops {
-		switch op.Kind {
-		case TxnRead:
-			enc[i] = adt.TxnOpRead(op.Key)
-		case TxnWrite:
-			enc[i] = adt.TxnOpWrite(op.Key, trace.Value(op.Value))
-		default:
-			enc[i] = adt.TxnOpCAS(op.Key, trace.Value(op.Expect), trace.Value(op.Value))
-		}
-	}
-	return enc
 }
 
 // TxnStats returns the transaction outcome counters.
@@ -689,8 +843,8 @@ func (tc *TxnCluster) UnresolvedShards() int {
 		if !st.decided {
 			continue
 		}
-		for _, k := range st.shards {
-			if !st.resolvedOn[k] {
+		for _, p := range st.parts {
+			if !p.resolved {
 				n++
 			}
 		}

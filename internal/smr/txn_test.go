@@ -5,6 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/adt"
@@ -283,7 +287,7 @@ func TestTxnCoordinatorCrashSweep(t *testing.T) {
 				committed++
 			case st.AbortedRecovery == 1:
 				recovered++
-				if len(xs.locked) > 0 {
+				if slices.ContainsFunc(xs.parts, func(p txnPart) bool { return p.locked }) {
 					lockedAbort++
 				}
 			}
@@ -520,5 +524,257 @@ func TestTxnMixedCoordinatorCrashes(t *testing.T) {
 			}
 		}
 		sameShape(t, fmt.Sprintf("seed=%d", seed), sums[0], sums[1])
+	}
+}
+
+// splitTxnSlot is a transaction-protocol entry as splitParseTxnCmd reads
+// it, operations split out.
+type splitTxnSlot struct {
+	prep   bool
+	id     string
+	shard  int
+	ops    []txnSlotOp
+	commit bool
+}
+
+// splitParseTxnCmd, splitTxnCmdShard, joinPrepCmd and joinTxnKVInput are
+// the codecs that split and join strings, kept as the oracles of the
+// in-place ones.
+func splitParseTxnCmd(cmd Command) (ts splitTxnSlot, ok bool) {
+	parts := strings.Split(string(cmd), cmdSep)
+	if len(parts) < 4 {
+		return ts, false
+	}
+	shard, err := strconv.Atoi(parts[2])
+	if err != nil {
+		return ts, false
+	}
+	ts.id, ts.shard = parts[1], shard
+	switch {
+	case parts[0] == "txp" && len(parts) == 4:
+		ts.prep = true
+		for _, enc := range strings.Split(parts[3], txnOpSep) {
+			fs := strings.Split(enc, txnCmdSep)
+			var op txnSlotOp
+			switch {
+			case len(fs) == 3 && fs[0] == "r":
+				op = txnSlotOp{kind: 'r', key: fs[1]}
+			case len(fs) == 4 && fs[0] == "w":
+				op = txnSlotOp{kind: 'w', key: fs[1], val: fs[3]}
+			case len(fs) == 5 && fs[0] == "c":
+				op = txnSlotOp{kind: 'c', key: fs[1], expect: fs[3], val: fs[4]}
+			default:
+				return ts, false
+			}
+			if op.idx, err = strconv.Atoi(fs[2]); err != nil {
+				return ts, false
+			}
+			ts.ops = append(ts.ops, op)
+		}
+		return ts, true
+	case parts[0] == "txo" && len(parts) == 5:
+		ts.commit = parts[3] == "c"
+		return ts, ts.commit || parts[3] == "a"
+	}
+	return ts, false
+}
+
+func splitTxnCmdShard(cmd Command) (int, bool) {
+	s := string(cmd)
+	if !strings.HasPrefix(s, "txp"+cmdSep) && !strings.HasPrefix(s, "txo"+cmdSep) {
+		return 0, false
+	}
+	parts := strings.SplitN(s, cmdSep, 4)
+	if len(parts) < 4 {
+		return 0, false
+	}
+	shard, err := strconv.Atoi(parts[2])
+	return shard, err == nil
+}
+
+func joinPrepCmd(id string, shard int, ops []TxnOp, idx []int) Command {
+	enc := make([]string, len(idx))
+	for i, j := range idx {
+		op := ops[j]
+		switch op.Kind {
+		case TxnRead:
+			enc[i] = "r" + txnCmdSep + op.Key + txnCmdSep + strconv.Itoa(j)
+		case TxnWrite:
+			enc[i] = "w" + txnCmdSep + op.Key + txnCmdSep + strconv.Itoa(j) + txnCmdSep + op.Value
+		default:
+			enc[i] = "c" + txnCmdSep + op.Key + txnCmdSep + strconv.Itoa(j) + txnCmdSep + op.Expect + txnCmdSep + op.Value
+		}
+	}
+	return Command("txp" + cmdSep + id + cmdSep + strconv.Itoa(shard) + cmdSep + strings.Join(enc, txnOpSep))
+}
+
+func joinTxnKVInput(txn Txn, commit bool) trace.Value {
+	enc := make([]string, len(txn.Ops))
+	for i, op := range txn.Ops {
+		switch op.Kind {
+		case TxnRead:
+			enc[i] = adt.TxnOpRead(op.Key)
+		case TxnWrite:
+			enc[i] = adt.TxnOpWrite(op.Key, trace.Value(op.Value))
+		default:
+			enc[i] = adt.TxnOpCAS(op.Key, trace.Value(op.Expect), trace.Value(op.Value))
+		}
+	}
+	return adt.Tag(adt.TxnInput(enc, !commit), txn.ID)
+}
+
+// randTxn draws a transaction of one to five operations on distinct keys
+// of a small key space, with values of one to three digits.
+func randTxn(r *rand.Rand, id string) Txn {
+	txn := Txn{ID: id}
+	for _, k := range r.Perm(12)[:1+r.Intn(5)] {
+		op := TxnOp{Kind: TxnOpKind(r.Intn(3)), Key: fmt.Sprintf("k%d", k)}
+		if op.Kind != TxnRead {
+			op.Value = strconv.Itoa(r.Intn(1000))
+		}
+		if op.Kind == TxnCAS {
+			op.Expect = []string{adt.Bottom, "", "7"}[r.Intn(3)]
+		}
+		txn.Ops = append(txn.Ops, op)
+	}
+	return txn
+}
+
+// TestTxnCmdMatchesSplitCodec: the in-place transaction codecs agree
+// with the split-and-join ones on random transactions. A prepare and the
+// composite TxnKV input are built byte for byte as before; a
+// transaction's participants are the shards and operation indices the
+// maps kept; and parseTxnCmd and txnCmdShard read every command as the
+// split parser does, on well-formed prepares and outcome markers and on
+// copies mutated by deleting, doubling or swapping in separators and
+// field bytes, and foreign commands. A transaction with a duplicate key
+// is refused.
+func TestTxnCmdMatchesSplitCodec(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	tc, _, clients := buildTxnCluster(t, 1, 2, txnCfg(4), TxnConfig{})
+	bytes := []string{cmdSep, txnCmdSep, txnOpSep, "r", "w", "c", "a", "-", "9", ""}
+	var parsed, prepares int
+	check := func(cmd Command) {
+		got, ok := parseTxnCmd(cmd)
+		want, wantOK := splitParseTxnCmd(cmd)
+		if ok != wantOK {
+			t.Fatalf("parseTxnCmd(%q) ok = %v, want %v", cmd, ok, wantOK)
+		}
+		if ok {
+			parsed++
+			var ops []txnSlotOp
+			for rest, more := got.ops, got.prep; more; {
+				var op txnSlotOp
+				op, rest, more, _ = cutPrepOp(rest)
+				ops = append(ops, op)
+			}
+			if g := (splitTxnSlot{got.prep, got.id, got.shard, ops, got.commit}); !reflect.DeepEqual(g, want) {
+				t.Fatalf("parseTxnCmd(%q) = %+v, want %+v", cmd, g, want)
+			}
+		}
+		gs, gok := txnCmdShard(cmd)
+		ws, wok := splitTxnCmdShard(cmd)
+		if gok != wok || gok && gs != ws {
+			t.Fatalf("txnCmdShard(%q) = %d, %v, want %d, %v", cmd, gs, gok, ws, wok)
+		}
+	}
+	for _, cmd := range []Command{"", noop, "txp", "txo", SetCmd("k", "v"), GetCmd("k", "g"), DelCmd("k"),
+		"txp" + cmdSep + "x" + cmdSep + "1", "txo" + cmdSep + "x" + cmdSep + "+1" + cmdSep + "c" + cmdSep + "s.0"} {
+		check(cmd)
+	}
+	for i := 0; i < 2000; i++ {
+		txn := randTxn(r, fmt.Sprintf("x%d", i))
+		for commit := range 2 {
+			if got, want := txnKVInput(txn, commit == 1), joinTxnKVInput(txn, commit == 1); got != want {
+				t.Fatalf("txnKVInput(%+v) = %q, want %q", txn, got, want)
+			}
+		}
+		st := tc.registerTxn(clients[0], txn, 0)
+		shardOps := map[int][]int{}
+		for j, op := range txn.Ops {
+			k := ShardOf(op.Key, len(tc.shards))
+			shardOps[k] = append(shardOps[k], j)
+		}
+		shards := make([]int, 0, len(shardOps))
+		for k := range shardOps {
+			shards = append(shards, k)
+		}
+		sort.Ints(shards)
+		if len(st.parts) != len(shards) {
+			t.Fatalf("%+v: %d participants, want %d", txn, len(st.parts), len(shards))
+		}
+		var cmds []Command
+		for n, p := range st.parts {
+			if p.shard != shards[n] || !slices.Equal(p.ops, shardOps[p.shard]) {
+				t.Fatalf("%+v: participant %d is shard %d ops %v, want shard %d ops %v", txn, n, p.shard, p.ops, shards[n], shardOps[shards[n]])
+			}
+			cmd := prepCmd(txn.ID, p.shard, txn.Ops, p.ops)
+			if want := joinPrepCmd(txn.ID, p.shard, txn.Ops, p.ops); cmd != want {
+				t.Fatalf("prepCmd = %q, want %q", cmd, want)
+			}
+			prepares++
+			cmds = append(cmds, cmd, outcomeCmd(txn.ID, p.shard, r.Intn(2) == 0, clients[1], r.Intn(3)))
+		}
+		for _, cmd := range cmds {
+			check(cmd)
+			for m := 0; m < 4; m++ {
+				b := []byte(cmd)
+				at := r.Intn(len(b) + 1)
+				switch in := bytes[r.Intn(len(bytes))]; r.Intn(3) {
+				case 0: // delete a byte
+					if at < len(b) {
+						b = append(b[:at], b[at+1:]...)
+					}
+				case 1: // insert one
+					b = append(b[:at], append([]byte(in), b[at:]...)...)
+				default: // swap one in
+					if at < len(b) {
+						b = append(b[:at], append([]byte(in), b[at+1:]...)...)
+					}
+				}
+				check(Command(b))
+			}
+		}
+	}
+	t.Logf("%d prepares built, %d commands parsed", prepares, parsed)
+	if parsed < 6000 {
+		t.Fatalf("%d commands parsed: the mutations left too few well-formed", parsed)
+	}
+	dup := Txn{ID: "dup", Ops: []TxnOp{{Kind: TxnRead, Key: "k1"}, {Kind: TxnWrite, Key: "k2", Value: "1"}, {Kind: TxnRead, Key: "k1"}}}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a transaction with a duplicate key registered")
+		}
+	}()
+	tc.registerTxn(clients[0], dup, 0)
+}
+
+// TestTxnCmdCodecAllocs pins the transaction path's codecs: a log entry
+// parses without allocating, and a prepare, the composite TxnKV input
+// and a commit output are each built in one allocation.
+func TestTxnCmdCodecAllocs(t *testing.T) {
+	txn := Txn{ID: "x7", Ops: []TxnOp{
+		{Kind: TxnRead, Key: "k1"},
+		{Kind: TxnWrite, Key: "k2", Value: "v2"},
+		{Kind: TxnCAS, Key: "k3", Expect: adt.Bottom, Value: "v3"},
+	}}
+	prep := prepCmd(txn.ID, 1, txn.Ops, []int{0, 2})
+	outcome := outcomeCmd(txn.ID, 1, true, "c1", 2)
+	st := &txnState{spec: txn, reads: []trace.Value{"r1", "", ""}, decided: true, committed: true}
+	for _, m := range []struct {
+		name   string
+		run    func()
+		allocs float64
+	}{
+		{"parse prepare", func() { _, _ = parseTxnCmd(prep) }, 0},
+		{"parse outcome", func() { _, _ = parseTxnCmd(outcome) }, 0},
+		{"shard", func() { _, _ = txnCmdShard(prep) }, 0},
+		{"prepare", func() { _ = prepCmd(txn.ID, 1, txn.Ops, []int{0, 2}) }, 1},
+		{"input", func() { _ = txnKVInput(txn, true) }, 1},
+		{"output", func() { _ = st.kvOutput() }, 1},
+	} {
+		if got := testing.AllocsPerRun(100, m.run); got != m.allocs {
+			t.Errorf("%s: %.0f allocations, want %.0f", m.name, got, m.allocs)
+		}
 	}
 }
