@@ -179,7 +179,9 @@ func txnOpsHaveKey(ops, k string) bool {
 // Name implements ADT.
 func (TxnKV) Name() string { return "txnkv" }
 
-// ValidInput implements ADT.
+// ValidInput implements ADT. A single-key input's key and value hold no
+// TxnOpSep: the state separates its pairs with it, so a written one would
+// read back as other pairs.
 func (TxnKV) ValidInput(in trace.Value) bool {
 	op, arg, has := split2(Untag(in))
 	if !has {
@@ -188,9 +190,9 @@ func (TxnKV) ValidInput(in trace.Value) bool {
 	switch op {
 	case "w":
 		k, v, ok := strings.Cut(arg, TxnFieldSep)
-		return ok && k != "" && v != ""
+		return ok && k != "" && v != "" && !strings.Contains(arg, TxnOpSep)
 	case "r":
-		return arg != "" && !strings.Contains(arg, TxnFieldSep)
+		return arg != "" && !strings.ContainsAny(arg, TxnFieldSep+TxnOpSep)
 	case "t", "n":
 		return txnOpsValid(arg)
 	default:

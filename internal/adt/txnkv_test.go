@@ -85,6 +85,9 @@ func TestTxnKVValidInput(t *testing.T) {
 		"", "r:", "w:x", "t:", "n:", "q:x",
 		TxnInput([]string{TxnOpRead("x"), TxnOpWrite("x", "1")}, false), // duplicate key
 		TxnInput([]string{"z" + TxnFieldSep + "x"}, false),
+		"w:k" + TxnFieldSep + "a" + TxnOpSep + "b" + TxnFieldSep + "z", // would write pairs k and b
+		"w:k" + TxnOpSep + "j" + TxnFieldSep + "1",
+		"r:k" + TxnOpSep + "j",
 	} {
 		if kv.ValidInput(bad) {
 			t.Errorf("ValidInput(%q) = true", bad)
@@ -185,9 +188,9 @@ func mapTxnValid(in trace.Value) bool {
 	switch op {
 	case "w":
 		k, v, ok := strings.Cut(arg, TxnFieldSep)
-		return ok && k != "" && v != ""
+		return ok && k != "" && v != "" && !strings.Contains(arg, TxnOpSep)
 	case "r":
-		return arg != "" && !strings.Contains(arg, TxnFieldSep)
+		return arg != "" && !strings.ContainsAny(arg, TxnFieldSep+TxnOpSep)
 	case "t", "n":
 		_, ok := parseTxnOps(arg)
 		return ok
@@ -254,16 +257,27 @@ func mapTxnOut(s State, in trace.Value) trace.Value {
 
 // randTxnKVInput draws a TxnKV input, often malformed: empty and
 // duplicate keys, missing and extra fields, a trailing or doubled
-// TxnOpSep, unknown kinds and prefixes, tagged or not. Keys and values
-// hold no TxnOpSep outside the list structure: a "w:" value holding one
-// corrupts the state for both codecs alike.
-func randTxnKVInput(r *rand.Rand) trace.Value {
+// TxnOpSep, unknown kinds and prefixes, tagged or not. sep reports a
+// single-key input whose key or value holds TxnOpSep, which ValidInput
+// must refuse: stepped, it would write a state whose pairs read back
+// wrong.
+func randTxnKVInput(r *rand.Rand) (in trace.Value, sep bool) {
 	keys := []string{"a", "b", "c", "d", "ab", ""}
 	vals := []string{"1", "2", "x", string(Bottom), ""}
 	key := func() string { return keys[r.Intn(len(keys))] }
 	val := func() string { return vals[r.Intn(len(vals))] }
-	var in trace.Value
-	switch r.Intn(8) {
+	switch r.Intn(9) {
+	case 8:
+		inner := key() + TxnOpSep + key()
+		switch r.Intn(3) {
+		case 0:
+			in = TxnWriteInput(inner, trace.Value(val()))
+		case 1:
+			in = TxnWriteInput(key(), trace.Value(val()+TxnOpSep+inner+TxnFieldSep+val()))
+		default:
+			in = TxnReadInput(inner)
+		}
+		sep = true
 	case 0:
 		in = TxnWriteInput(key(), trace.Value(val()))
 		switch r.Intn(4) {
@@ -316,7 +330,7 @@ func randTxnKVInput(r *rand.Rand) trace.Value {
 	if r.Intn(2) == 0 {
 		in = Tag(in, "t7")
 	}
-	return in
+	return in, sep
 }
 
 // TestTxnKVMatchesMapCodec: on random walks from random states, the
@@ -325,7 +339,7 @@ func randTxnKVInput(r *rand.Rand) trace.Value {
 func TestTxnKVMatchesMapCodec(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	kv := TxnKV{}
-	valid, changed := 0, 0
+	valid, changed, refused := 0, 0, 0
 	for walk := 0; walk < 400; walk++ {
 		m := kvState{}
 		for i, n := 0, r.Intn(6); i < n; i++ {
@@ -333,7 +347,14 @@ func TestTxnKVMatchesMapCodec(t *testing.T) {
 		}
 		s := m.encode()
 		for step := 0; step < 40; step++ {
-			in := randTxnKVInput(r)
+			in, sep := randTxnKVInput(r)
+			if sep {
+				if kv.ValidInput(in) || mapTxnValid(in) {
+					t.Fatalf("ValidInput(%q) = true, want a TxnOpSep inside a key or value refused", in)
+				}
+				refused++
+				continue
+			}
 			if got, want := kv.ValidInput(in), mapTxnValid(in); got != want {
 				t.Fatalf("ValidInput(%q) = %v, want %v", in, got, want)
 			} else if got {
@@ -352,9 +373,9 @@ func TestTxnKVMatchesMapCodec(t *testing.T) {
 			s = want
 		}
 	}
-	t.Logf("%d valid inputs and %d state changes in 16000 steps", valid, changed)
-	if valid < 3000 || changed < 1500 {
-		t.Fatalf("walks too thin: %d valid inputs, %d state changes", valid, changed)
+	t.Logf("%d valid inputs, %d state changes and %d inner separators refused in 16000 steps", valid, changed, refused)
+	if valid < 3000 || changed < 1500 || refused < 1000 {
+		t.Fatalf("walks too thin: %d valid inputs, %d state changes, %d refused", valid, changed, refused)
 	}
 }
 

@@ -45,8 +45,8 @@ func TestTimerNamesBoundedPerClient(t *testing.T) {
 			}
 			names := func() []int {
 				var out []int
-				for _, c := range clients {
-					out = append(out, sc.nodes[c].TimerNames())
+				for i := range clients {
+					out = append(out, sc.nodes[i].TimerNames())
 				}
 				return out
 			}
@@ -297,8 +297,8 @@ func TestBackupPhaseBuiltOnFirstUse(t *testing.T) {
 		t.Fatalf("landed %d of 20", got)
 	}
 	for _, rep := range cl.shards[0].reps {
-		for slot, sl := range rep.slots {
-			if sl.comps[0] == nil || sl.comps[1] != nil {
+		for slot := rep.slots.lo; slot < rep.slots.hi; slot++ {
+			if sl := rep.slots.get(slot); sl != nil && (sl.comps[0] == nil || sl.comps[1] != nil) {
 				t.Fatalf("replica %s slot %d has phases built: %v", rep.id, slot, sl.comps)
 			}
 		}

@@ -29,8 +29,10 @@ func checkField(kind, field string) {
 }
 
 // SetCmd encodes a KV write command. Values should be unique across a
-// run (the replicated log requires distinct entries; CheckConsistency
-// flags duplicates).
+// run, so that each key's history is in the register fast path's
+// fragment (ShardedConfig.ExactCheck). The log itself does not need
+// distinct entries: the recorder tells submissions apart by their slots
+// (DESIGN.md, decision 30).
 func SetCmd(key, value string) Command {
 	checkField("key", key)
 	checkField("value", value)
@@ -44,8 +46,8 @@ func DelCmd(key string) Command {
 }
 
 // GetCmd encodes a KV read command. The tag distinguishes read
-// occurrences (reads carry no unique value of their own, and log entries
-// must be distinct).
+// occurrences in the key's history, as SetCmd's values distinguish
+// writes (reads carry no unique value of their own).
 func GetCmd(key, tag string) Command {
 	checkField("key", key)
 	checkField("tag", tag)

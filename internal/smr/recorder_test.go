@@ -1,6 +1,8 @@
 package smr
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/check"
@@ -8,11 +10,12 @@ import (
 )
 
 // recorderRig drives one shard's recorder by hand, without a network
-// run: two clients, c1 and c2, and the slots decided in order.
+// run: two clients, 0 and 1 (c1 and c2), client i owning the slots ≡ i
+// (mod 2), and the slots decided in order.
 type recorderRig struct {
 	sc   *ShardedCluster
 	rec  *shardRecorder
-	slot int
+	slot int // the lowest slot not decided yet
 }
 
 func newRecorderRig(t *testing.T) *recorderRig {
@@ -24,24 +27,36 @@ func newRecorderRig(t *testing.T) *recorderRig {
 	return &recorderRig{sc: sc, rec: sc.shards[0].rec}
 }
 
-// start submits cmd and starts it at client c.
-func (r *recorderRig) start(c msgnet.ProcID, cmd Command) {
-	r.rec.submit(cmd)
-	r.rec.start(c, cmd, 0)
-}
+// submit notes cmd as client i's latest submission, as client.enqueue
+// does; start reports client i starting cmd; open does both.
+func (r *recorderRig) submit(i int, cmd Command) { r.rec.submit(i, cmd) }
+func (r *recorderRig) start(i int, cmd Command)  { r.rec.start(i, cmd, 0) }
+func (r *recorderRig) open(i int, cmd Command)   { r.submit(i, cmd); r.start(i, cmd) }
 
-// decide has every client learn cmd in the next slot, and returns it.
-func (r *recorderRig) decide(cmd Command) int {
-	for _, c := range r.sc.clients {
-		r.rec.learn(c, r.slot, cmd)
+// decideAt has every client learn cmd in slot, and the no-op in the
+// undecided slots below it, and returns slot.
+func (r *recorderRig) decideAt(slot int, cmd Command) int {
+	for ; r.slot <= slot; r.slot++ {
+		v := noop
+		if r.slot == slot {
+			v = cmd
+		}
+		for range r.sc.clients {
+			r.rec.learn(r.slot, v)
+		}
 	}
-	r.slot++
-	return r.slot - 1
+	return slot
 }
 
-// land lands client c's submission in slot.
-func (r *recorderRig) land(c msgnet.ProcID, slot int) {
-	r.rec.land(SubmitResult{Client: c, Slot: slot})
+// decide decides cmd in client i's lowest owned slot not decided yet.
+func (r *recorderRig) decide(i int, cmd Command) int {
+	n := len(r.sc.clients)
+	return r.decideAt(r.slot+((i-r.slot)%n+n)%n, cmd)
+}
+
+// land lands client i's submission in slot.
+func (r *recorderRig) land(i, slot int) {
+	r.rec.land(i, SubmitResult{Client: r.sc.clients[i], Slot: slot})
 }
 
 // TestRecorderIllFormed: the recorder answers each response through its
@@ -52,11 +67,12 @@ func (r *recorderRig) land(c msgnet.ProcID, slot int) {
 // while the other keys stay Linearizable: client c2's write on z stays
 // open across the case and lands after it. The offending key is the last
 // one the case sees, so the report naming it (the first refused history
-// in first-seen order) clears every other key. (Mutants: the response
-// goes through the neighbouring client's handle; the input-identity check
-// skipped; a start overwrites an open slot.)
+// in first-seen order) clears every other key. Every command decides in
+// a slot its submitter owns, so the submission check passes throughout.
+// (Mutants: the response goes through the neighbouring client's handle;
+// the input-identity check skipped; a start overwrites an open slot.)
 func TestRecorderIllFormed(t *testing.T) {
-	const c1, c2 = msgnet.ProcID("c1"), msgnet.ProcID("c2")
+	const c1, c2 = 0, 1
 	a, b := SetCmd("k0", "a"), SetCmd("k0", "b")
 	c := SetCmd("k1", "c")
 	for _, tc := range []struct {
@@ -64,27 +80,27 @@ func TestRecorderIllFormed(t *testing.T) {
 		run  func(r *recorderRig)
 		key  string // "" for a well-formed case
 	}{
-		{"well-formed", func(r *recorderRig) { r.start(c1, a); r.land(c1, r.decide(a)) }, ""},
-		{"start while open", func(r *recorderRig) { r.start(c1, a); r.start(c1, b) }, "k0"},
-		{"start while open on another key", func(r *recorderRig) { r.start(c1, a); r.start(c1, c) }, "k1"},
-		{"response without start", func(r *recorderRig) { r.rec.submit(a); r.land(c1, r.decide(a)) }, "k0"},
+		{"well-formed", func(r *recorderRig) { r.open(c1, a); r.land(c1, r.decide(c1, a)) }, ""},
+		{"start while open", func(r *recorderRig) { r.open(c1, a); r.open(c1, b) }, "k0"},
+		{"start while open on another key", func(r *recorderRig) { r.open(c1, a); r.open(c1, c) }, "k1"},
+		{"response without start", func(r *recorderRig) { r.submit(c1, a); r.land(c1, r.decide(c1, a)) }, "k0"},
 		{"response with another input", func(r *recorderRig) {
 			r.start(c1, a)
-			r.rec.submit(b)
-			r.land(c1, r.decide(b))
+			r.submit(c1, b)
+			r.land(c1, r.decide(c1, b))
 		}, "k0"},
 		{"response with another key's input", func(r *recorderRig) {
 			r.start(c1, a)
-			r.rec.submit(c)
-			r.land(c1, r.decide(c))
+			r.submit(c1, c)
+			r.land(c1, r.decide(c1, c))
 		}, "k1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRecorderRig(t)
 			z := SetCmd("z", "y")
-			r.start(c2, z)
+			r.open(c2, z)
 			tc.run(r)
-			r.land(c2, r.decide(z))
+			r.land(c2, r.decide(c2, z))
 			if r.rec.err != nil {
 				t.Fatal(r.rec.err)
 			}
@@ -102,35 +118,88 @@ func TestRecorderIllFormed(t *testing.T) {
 	}
 }
 
+// TestRecorderOwnershipIdentity: the first learn of a slot that is not
+// the no-op must be of the oldest undecided submission of the slot's
+// owner (decision 30), and the recorder fails naming the slot and the
+// command otherwise. Each case breaks one part of that, with the owner's
+// queue left non-empty where an empty one would fail on its own.
+// (Mutants: an empty queue passes; any client's head may match; a
+// decided command stays at its queue's head; any queued command of the
+// owner may match.)
+func TestRecorderOwnershipIdentity(t *testing.T) {
+	const c1, c2 = 0, 1
+	a, b := SetCmd("k0", "a"), SetCmd("k0", "b")
+	for _, tc := range []struct {
+		name string
+		cmd  Command                  // the offending command
+		run  func(r *recorderRig) int // its slot
+	}{
+		{"unsubmitted", a, func(r *recorderRig) int { return r.decide(c1, a) }},
+		{"another client's slot", a, func(r *recorderRig) int {
+			r.open(c1, b)
+			r.open(c2, a)
+			return r.decide(c1, a)
+		}},
+		{"landed command decided again", a, func(r *recorderRig) int {
+			r.open(c1, a)
+			r.submit(c1, b)
+			r.land(c1, r.decide(c1, a))
+			return r.decide(c1, a)
+		}},
+		{"second submission decided first", b, func(r *recorderRig) int {
+			r.open(c1, a)
+			r.submit(c1, b)
+			return r.decide(c1, b)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRecorderRig(t)
+			slot := tc.run(r)
+			err := r.rec.err
+			if err == nil {
+				t.Fatalf("slot %d: no error", slot)
+			}
+			if msg := err.Error(); !strings.HasPrefix(msg, fmt.Sprintf("slot %d decided %q,", slot, tc.cmd)) {
+				t.Fatalf("error %q, want slot %d and command %q named", msg, slot, tc.cmd)
+			}
+		})
+	}
+}
+
 // TestRecorderFreesReplayedSlots: after a run of kvShape (compaction on,
-// so idle clients keep learning through gossip) the eight recorders keep
-// a slotVal/learns entry only for slots some client has yet to learn or
-// the recorder has yet to replay — a count that does not grow with the
-// run — and nothing in pending (freed at replay) or slotOut (freed at
-// landing). subSlot, one entry per submitted command, is not asserted:
-// it grows with the run (ROADMAP item 14).
+// so idle clients keep learning through gossip) the eight recorders' slot
+// windows together span only the slots some client has yet to learn — a
+// count that does not grow with the run — and every slot in them has
+// replayed and landed, while every client's submission queue is empty:
+// each submission was decided and claimed.
 func TestRecorderFreesReplayedSlots(t *testing.T) {
-	const slotValBound = 256
+	const spanBound = 256 // slots, across the eight windows
 	for _, n := range []int{3_000, 12_000, 48_000} {
 		_, sc, _ := kvShape(t, kvFeeds(n))
 		if err := sc.CheckConsistency(); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		var slotVal, learns, pending, slotOut, subSlot int
+		span := 0
 		for _, sh := range sc.shards {
 			rec := sh.rec
-			subSlot += len(rec.subSlot)
-			slotVal += len(rec.slotVal)
-			learns += len(rec.learns)
-			pending += len(rec.pending)
-			slotOut += len(rec.slotOut)
+			span += rec.slots.hi - rec.slots.lo
+			for i, q := range rec.subs {
+				if q.lo != q.hi {
+					t.Errorf("n=%d shard %d: client %d has %d submissions undecided", n, sh.id, i, q.hi-q.lo)
+				}
+			}
+			if rec.applied < rec.slots.hi {
+				t.Errorf("n=%d shard %d: slots %d to %d not replayed", n, sh.id, rec.applied, rec.slots.hi-1)
+			}
+			for s := rec.slots.lo; s < rec.slots.hi; s++ {
+				if st := rec.slots.get(s).stage; st != slotDone {
+					t.Errorf("n=%d shard %d: slot %d retained at stage %d, want %d (done)", n, sh.id, s, st, slotDone)
+				}
+			}
 		}
-		t.Logf("n=%d: slotVal %d, learns %d, pending %d, slotOut %d (subSlot %d)", n, slotVal, learns, pending, slotOut, subSlot)
-		if slotVal > slotValBound || learns > slotValBound {
-			t.Errorf("n=%d: %d slotVal and %d learns entries retained, bound %d", n, slotVal, learns, slotValBound)
-		}
-		if pending != 0 || slotOut != 0 {
-			t.Errorf("n=%d: %d pending and %d slotOut entries retained, want 0", n, pending, slotOut)
+		t.Logf("n=%d: the windows span %d slots (bound %d)", n, span, spanBound)
+		if span > spanBound {
+			t.Errorf("n=%d: the windows span %d slots, bound %d", n, span, spanBound)
 		}
 	}
 }

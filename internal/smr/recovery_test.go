@@ -336,7 +336,11 @@ func TestRecycledServerSlotsKeepNoState(t *testing.T) {
 		checks++
 		for _, sh := range sc.shards {
 			for _, r := range sh.reps {
-				for s, sl := range r.slots {
+				for s := r.slots.lo; s < r.slots.hi; s++ {
+					sl := r.slots.get(s)
+					if sl == nil {
+						continue
+					}
 					if prev, seen := owner[sl]; seen && prev != s {
 						recycled++
 					}
@@ -349,15 +353,15 @@ func TestRecycledServerSlotsKeepNoState(t *testing.T) {
 							t.Fatalf("t=%d %s shard %d: phase %d of slot %d is bound to slot %d phase %d (spare %v)",
 								w.Now(), r.id, sh.id, k, s, env.slot, env.phase, sl.spare[k] != nil)
 						}
-						if own, stored := comp.(mpcons.Durable).Snapshot(), r.durable[s][k]; own != stored {
+						if own, stored := comp.(mpcons.Durable).Snapshot(), sl.store.snaps[k]; own != stored {
 							t.Fatalf("t=%d %s shard %d: slot %d phase %d stores %#v, holds %#v",
 								w.Now(), r.id, sh.id, s, k, stored, own)
 						}
 					}
 				}
 				for _, sl := range r.free {
-					if sl.comps != [maxPhases]mpcons.ServerPhase{} {
-						t.Fatalf("t=%d %s shard %d: a free slot holds live phases", w.Now(), r.id, sh.id)
+					if sl.comps != [maxPhases]mpcons.ServerPhase{} || *sl.store != (slotStore{}) {
+						t.Fatalf("t=%d %s shard %d: a free slot holds live phases or snapshots", w.Now(), r.id, sh.id)
 					}
 				}
 			}

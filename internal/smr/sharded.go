@@ -46,9 +46,10 @@ type ShardedConfig struct {
 	// ExactCheck forces the exact frontier engine on the per-key sessions
 	// (OnlineCheck only). By default the sessions dispatch to the
 	// register fast path (DESIGN.md, decision 15) — per-key histories are
-	// in its fragment by construction (writes carry unique command
-	// values, reads unique tags), making each action O(1) amortized and the
-	// check budget-free; the verdicts are identical either way.
+	// in its fragment when writes carry unique values and reads unique
+	// tags (SetCmd, GetCmd), as every workload's commands do, making each
+	// action O(1) amortized and the check budget-free; the verdicts are
+	// identical either way.
 	ExactCheck bool
 	// WindowEvery, when positive, buckets landed submissions into
 	// fixed-width virtual-time windows (ShardedStats.Windows), keyed by
@@ -128,7 +129,7 @@ type ShardedCluster struct {
 	servers []msgnet.ProcID
 	shards  []*Shard
 	routers map[msgnet.ProcID]*router
-	nodes   map[msgnet.ProcID]*msgnet.Node
+	nodes   []*msgnet.Node // by client index
 	stats   ShardedStats
 	hist    *keyed.Set  // per-key histories, and txn components' (txn.go)
 	txn     *TxnCluster // the transaction layer, when built by BuildTxn
@@ -151,7 +152,6 @@ func BuildSharded(net *msgnet.Network, clients, servers []msgnet.ProcID, cfg Sha
 		clients: clients,
 		servers: servers,
 		routers: map[msgnet.ProcID]*router{},
-		nodes:   map[msgnet.ProcID]*msgnet.Node{},
 	}
 	sc.hist = keyed.New(keyed.Policy{Sessions: cfg.OnlineCheck, Retain: !cfg.OnlineCheck}, sc.openSession)
 	sc.stats.PerShardLanded = make([]int64, cfg.Shards)
@@ -167,7 +167,7 @@ func BuildSharded(net *msgnet.Network, clients, servers []msgnet.ProcID, cfg Sha
 			r.perShard[k] = sh.byID[id]
 		}
 		sc.routers[id] = r
-		sc.nodes[id] = net.AddNode(id, r)
+		sc.nodes = append(sc.nodes, net.AddNode(id, r))
 	}
 	for _, id := range servers {
 		m := &serverMux{perShard: make([]*replica, cfg.Shards)}
@@ -209,10 +209,7 @@ func (sc *ShardedCluster) shardFor(cmd Command) int {
 func (sc *ShardedCluster) SubmitAt(c msgnet.ProcID, cmd Command, t msgnet.Time) {
 	k := sc.shardFor(cmd)
 	sc.stats.Submitted++
-	sc.net.At(t, func() {
-		sc.shards[k].rec.submit(cmd)
-		sc.shards[k].byID[c].enqueue(cmd)
-	})
+	sc.net.At(t, func() { sc.shards[k].byID[c].enqueue(cmd) })
 }
 
 // SubmitManyAt schedules a batch of submissions by client c at time t
@@ -221,10 +218,9 @@ func (sc *ShardedCluster) SubmitAt(c msgnet.ProcID, cmd Command, t msgnet.Time) 
 func (sc *ShardedCluster) SubmitManyAt(c msgnet.ProcID, cmds []Command, t msgnet.Time) {
 	sc.stats.Submitted += int64(len(cmds))
 	sc.net.At(t, func() {
+		lanes := sc.routers[c].perShard
 		for _, cmd := range cmds {
-			k := sc.shardFor(cmd)
-			sc.shards[k].rec.submit(cmd)
-			sc.shards[k].byID[c].enqueue(cmd)
+			lanes[sc.shardFor(cmd)].enqueue(cmd)
 		}
 	})
 }
@@ -262,6 +258,7 @@ func (sc *ShardedCluster) SubmitPaced(c msgnet.ProcID, cmds []Command, start, pe
 		streams[k] = append(streams[k], cmd)
 	}
 	sc.stats.Submitted += int64(len(cmds))
+	lanes := sc.routers[c].perShard
 	step := 0
 	var feed func()
 	feed = func() {
@@ -270,8 +267,7 @@ func (sc *ShardedCluster) SubmitPaced(c msgnet.ProcID, cmds []Command, start, pe
 			if step >= len(s) {
 				continue
 			}
-			sc.shards[k].rec.submit(s[step])
-			sc.shards[k].byID[c].enqueue(s[step])
+			lanes[k].enqueue(s[step])
 			if step+1 < len(s) {
 				more = true
 			}
@@ -294,8 +290,8 @@ func (sc *ShardedCluster) Stats() ShardedStats {
 	s.Windows = append([]WindowStat{}, sc.stats.Windows...)
 	s.Retries = 0
 	for _, sh := range sc.shards {
-		for _, id := range sc.clients {
-			s.Retries += sh.byID[id].retries
+		for _, c := range sh.cls {
+			s.Retries += c.retries
 		}
 	}
 	return s
@@ -317,16 +313,19 @@ func (sc *ShardedCluster) Results() []SubmitResult {
 // the trimmed prefix is absent too.
 func (sc *ShardedCluster) Log(k int, c msgnet.ProcID) map[int]Command {
 	out := map[int]Command{}
-	for s, v := range sc.shards[k].byID[c].log {
-		out[s] = v
+	l := &sc.shards[k].byID[c].log
+	for s := l.lo; s < l.hi; s++ {
+		if e := l.get(s); e.known {
+			out[s] = e.v
+		}
 	}
 	return out
 }
 
 // CheckConsistency verifies per-shard log agreement: the online checks
 // accumulated over every learn (agreement with the first learned value,
-// decisions were submitted to that shard, every command in at most one
-// slot, keys routed to their hash shard) plus the cross-client pass over
+// each decided command the next undecided submission of its slot's
+// owner, keys routed to their hash shard) plus the cross-client pass over
 // the retained (untrimmed) log suffixes.
 func (sc *ShardedCluster) CheckConsistency() error {
 	for k, sh := range sc.shards {
@@ -509,7 +508,7 @@ func (m *serverMux) OnMsg(n *msgnet.Node, from msgnet.ProcID, msg msgnet.Msg) {
 	case msg.Kind < mpcons.HostKinds:
 		m.perShard[k].handlePhase(from, msg)
 	case msg.Kind == kindLearned:
-		m.perShard[k].handleLearned(from, int(msg.A))
+		m.perShard[k].handleLearned(int(msg.B), int(msg.A))
 	}
 }
 
@@ -527,9 +526,13 @@ func (m *serverMux) OnRestart(n *msgnet.Node) {
 
 // shardRecorder observes one shard (Shard.rec): it records per-key
 // register histories in the cluster's keyed histories, replays the log
-// in slot order to produce read outputs, verifies log agreement online
-// (which is what permits clients to trim their logs under compaction),
-// and aggregates submission statistics.
+// in slot order to produce read outputs, verifies log agreement and each
+// decision's submitter online (which is what permits clients to trim
+// their logs under compaction), and aggregates submission statistics.
+// What it keeps is bounded by what is in flight — the submissions not yet
+// decided, and the slots some client has yet to learn or land — and none
+// of it is looked up by command or by process: clients are indices, and
+// slots are a window (DESIGN.md decision 27).
 type shardRecorder struct {
 	sc *ShardedCluster
 	sh *Shard
@@ -538,37 +541,59 @@ type shardRecorder struct {
 	// is open, whose empty input no register input equals.
 	ops []keyed.Op
 
-	// subSlot tracks every command submitted to this shard: -1 until its
-	// decision is first learned, then the slot it landed in. It backs the
-	// online checks (decided ⇒ submitted; at most one slot per command).
-	subSlot map[Command]int
-	// slotVal and learns back the online agreement check: the first
-	// learned value per slot, compared against every later learn; entries
-	// are freed once all clients have learned the slot and it has been
-	// replayed.
-	slotVal map[int]Command
-	learns  map[int]int
-	err     error
+	// subs[i] is client i's submissions not yet decided, oldest first, a
+	// window over its submission count. Only a slot's owner proposes a
+	// command there, one submission at a time and in the order submitted
+	// (decision 30), so the first learn of a slot that is not the no-op
+	// must be of the head of its owner's queue, which it pops (claim).
+	subs []window[Command]
+	// slots holds a record per slot from its first learn until its last
+	// use ends: every client has learned it, it has replayed, and it has
+	// landed if it holds a command. The window's mark is the lowest slot
+	// still in use.
+	slots window[recSlot]
+	err   error
 
-	// Slot-order replay: pending holds decided-but-unreplayed commands
-	// (parsed once at first learn), applied is the next slot to replay,
-	// state the per-key register states, slotOut the replayed operations
-	// awaiting their response.
-	pending map[int]slotEntry
+	// Slot-order replay: applied is the next slot to replay, state the
+	// per-key register states.
 	applied int
 	state   map[string]adt.State
-	slotOut map[int]slotReplay
 
 	// Transaction-layer replay state (txn.go). locks maps a key to the
 	// transaction holding it between its prepare's replay (yes vote) and
 	// its outcome marker's replay. Single-key operations on a locked key
 	// defer — the replay cursor itself never blocks: their slots park in
-	// waiting (per key, slot order) and deferred, true once the slot has
-	// landed, and their effects and outputs materialize at unlock.
-	locks    map[string]string
-	waiting  map[string][]deferredSlot
-	deferred map[int]bool
+	// waiting (per key, slot order), and their effects and outputs
+	// materialize at unlock.
+	locks   map[string]string
+	waiting map[string][]int
 }
+
+// recSlot is the recorder's record of one slot. val is the first learned
+// decision, which every later learn must equal, and learns counts the
+// clients that have learned it; e is the decision parsed at its first
+// learn, which the replay reads, and out the replayed output its land
+// answers with.
+type recSlot struct {
+	val    Command
+	learns int
+	stage  slotStage
+	e      slotEntry
+	out    trace.Value
+}
+
+// slotStage is where a slot stands between its first learn and its last
+// use.
+type slotStage uint8
+
+const (
+	slotUnknown      slotStage = iota // not learned yet
+	slotLearned                       // awaiting its replay
+	slotReplayed                      // replayed: out awaits the land
+	slotParked                        // replayed behind a transaction's lock
+	slotParkedLanded                  // parked, and landed: the unlock ends it
+	slotDone                          // replayed, and landed if it lands
+)
 
 // slotEntry is a decided command, parsed once at first learn: kind, key
 // and arg are its KV parts, which the replay reads.
@@ -578,48 +603,26 @@ type slotEntry struct {
 	arg  string
 	reg  bool // a set or get: it projects onto a checkable operation
 	// comp marks keys merged into a txn-connected component: in is then
-	// the operation's adt.TxnKV input, and cmd the raw command (it names
-	// the operation's synthetic checker process, compProc). A plain key's
-	// register input was built at start, and its operation holds it.
+	// the operation's adt.TxnKV input (the raw command, recSlot.val, names
+	// its synthetic checker process, compProc). A plain key's register
+	// input was built at start, and its operation holds it.
 	comp bool
 	// txn marks a transaction-protocol command: kind is then "txp" or
 	// "txo", key the transaction's ID, and arg a prepare's operations or
 	// an outcome's "c" or "a" (txnSlot's substrings of the command).
 	txn bool
-	// noop marks a slot that holds no command.
-	noop bool
-	in   trace.Value
-	cmd  Command
-}
-
-// deferredSlot is a replayed-but-locked single-key operation awaiting
-// its key's unlock.
-type deferredSlot struct {
-	slot int
-	e    slotEntry
-}
-
-// slotReplay is a replayed slot awaiting its submitter's response.
-type slotReplay struct {
-	key, kind, arg string
-	out            trace.Value
-	reg            bool // the response answers its submitter's open operation: a set/get on a plain key
+	in  trace.Value
 }
 
 func newShardRecorder(sc *ShardedCluster, sh *Shard) *shardRecorder {
 	return &shardRecorder{
-		sc:       sc,
-		sh:       sh,
-		ops:      make([]keyed.Op, len(sh.clients)),
-		subSlot:  map[Command]int{},
-		slotVal:  map[int]Command{},
-		learns:   map[int]int{},
-		pending:  map[int]slotEntry{},
-		state:    map[string]adt.State{},
-		slotOut:  map[int]slotReplay{},
-		locks:    map[string]string{},
-		waiting:  map[string][]deferredSlot{},
-		deferred: map[int]bool{},
+		sc:      sc,
+		sh:      sh,
+		ops:     make([]keyed.Op, len(sh.clients)),
+		subs:    make([]window[Command], len(sh.clients)),
+		state:   map[string]adt.State{},
+		locks:   map[string]string{},
+		waiting: map[string][]int{},
 	}
 }
 
@@ -630,28 +633,37 @@ func (rec *shardRecorder) fail(format string, args ...any) {
 	}
 }
 
-func (rec *shardRecorder) submit(cmd Command) {
-	if _, dup := rec.subSlot[cmd]; dup {
-		rec.fail("command %q submitted twice (log entries must be unique)", cmd)
-		return
-	}
-	rec.subSlot[cmd] = -1
+// submit notes cmd as client i's latest submission (client.enqueue).
+func (rec *shardRecorder) submit(i int, cmd Command) {
+	q := &rec.subs[i]
+	*q.at(q.hi) = cmd
 }
 
-// submitted reports whether cmd was ever submitted to this shard.
-func (rec *shardRecorder) submitted(cmd Command) bool {
-	_, ok := rec.subSlot[cmd]
-	return ok
+// claim pops cmd, first learned in slot, off the undecided submissions of
+// the slot's owner: it must be the oldest one. That pins every decided
+// command to one submission of the client that owns its slot, decided in
+// the order the client submitted; a command that no client submitted,
+// one in another client's slot, one decided twice and one decided before
+// its client's earlier submission all fail here.
+func (rec *shardRecorder) claim(slot int, cmd Command) {
+	owner := slot % len(rec.sh.clients)
+	q := &rec.subs[owner]
+	if q.lo == q.hi || q.get(q.lo) != cmd {
+		rec.fail("slot %d decided %q, not the next undecided submission of its owner, client %d", slot, cmd, owner)
+		return
+	}
+	q.trim(q.lo + 1)
 }
 
 // start passes a submission's start to SetHooks' observer, then invokes
 // a keyed command's operation on the key's history and keeps its handle
-// in the client's slot. Keys entangled by transactions route into their
+// in client i's slot. Keys entangled by transactions route into their
 // component's merged TxnKV history instead, at their replay points
 // (txn.go, compProc — the shrunken-interval soundness argument is made
 // there), so nothing is recorded for them at submission. A start while
 // the client's slot is open is not well-formed.
-func (rec *shardRecorder) start(c msgnet.ProcID, cmd Command, at msgnet.Time) {
+func (rec *shardRecorder) start(i int, cmd Command, at msgnet.Time) {
+	c := rec.sh.clients[i]
 	if rec.sc.onStart != nil {
 		rec.sc.onStart(c, cmd, at)
 	}
@@ -663,84 +675,97 @@ func (rec *shardRecorder) start(c msgnet.ProcID, cmd Command, at msgnet.Time) {
 	if !ok {
 		return
 	}
-	if o := &rec.ops[rec.sh.byID[c].index]; o.Input() == "" {
+	if o := &rec.ops[i]; o.Input() == "" {
 		*o = rec.sc.invoke(key, trace.ClientID(c), in)
 	} else {
 		rec.sc.hist.Malformed(key, trace.Invoke(trace.ClientID(c), 1, in))
 	}
 }
 
-// learn runs the online consistency checks for one (client, slot,
-// decision) observation and queues the decision for slot-order replay.
-// The command is parsed exactly once, at first learn; the no-op is
-// checked for agreement like any decision and replays as nothing.
+// learn runs the online checks for one client's learn of slot's decision
+// and queues the decision for slot-order replay. At a slot's first learn
+// the command is claimed from its owner's submissions and parsed, once;
+// the no-op is checked for agreement like any decision and replays as
+// nothing. Every client learns a slot at most once, so a learn below the
+// window's mark is a second one.
 //
-// slotVal/learns entries are freed once every client has learned the
-// slot and it has been replayed. Under compaction the passive decision
-// gossip keeps idle clients learning other clients' no-ops (smr.go,
-// kindGossip) — their gossip learns arrive through this same hook,
-// so the entries drain even when half the feeds end early; without
-// compaction an idle client stops learning them and entries for later
-// slots persist to the end of the run.
-func (rec *shardRecorder) learn(c msgnet.ProcID, slot int, cmd Command) {
-	if prev, ok := rec.slotVal[slot]; ok {
-		if prev != cmd {
-			rec.fail("slot %d decided both %q and %q", slot, prev, cmd)
+// A slot's record is freed once every client has learned it and it has
+// replayed and landed. Under compaction the passive decision gossip keeps
+// idle clients learning other clients' no-ops (smr.go, kindGossip) —
+// their gossip learns arrive through this same hook, so records drain
+// even when half the feeds end early; without compaction an idle client
+// stops learning them and the window keeps every slot above the first
+// it missed to the end of the run.
+func (rec *shardRecorder) learn(slot int, cmd Command) {
+	r := rec.slots.at(slot)
+	switch {
+	case r == nil:
+		rec.fail("slot %d learned again after every client had learned it", slot)
+		return
+	case r.learns > 0:
+		if r.val != cmd {
+			rec.fail("slot %d decided both %q and %q", slot, r.val, cmd)
 		}
-	} else if cmd == noop {
-		rec.slotVal[slot] = cmd
-		rec.pending[slot] = slotEntry{noop: true}
-	} else {
-		rec.slotVal[slot] = cmd
-		switch s, submitted := rec.subSlot[cmd]; {
-		case !submitted:
-			rec.fail("slot %d decided unsubmitted command %q", slot, cmd)
-		case s >= 0 && s != slot:
-			rec.fail("command %q decided in slots %d and %d", cmd, s, slot)
-		default:
-			rec.subSlot[cmd] = slot
-		}
-		entry := slotEntry{}
-		if kind, key, arg, ok := cmdParts(cmd); ok {
-			if want := ShardOf(key, len(rec.sc.shards)); want != rec.sh.id {
-				rec.fail("key %q (shard %d) leaked into shard %d", key, want, rec.sh.id)
-			}
-			entry.key, entry.kind, entry.arg = key, kind, arg
-			if rec.sc.hist.Joined(key) {
-				entry.comp, entry.cmd = true, cmd
-				entry.in, entry.reg = txnSingleInput(kind, key, arg)
-			} else {
-				entry.reg = kind == "set" || kind == "get"
-			}
-		} else if ts, ok := parseTxnCmd(cmd); ok {
-			if ts.shard != rec.sh.id {
-				rec.fail("transaction command for shard %d leaked into shard %d", ts.shard, rec.sh.id)
-			}
-			entry.txn, entry.key = true, ts.id
-			switch {
-			case ts.prep:
-				entry.kind, entry.arg = "txp", ts.ops
-			case ts.commit:
-				entry.kind, entry.arg = "txo", "c"
-			default:
-				entry.kind, entry.arg = "txo", "a"
-			}
-		}
-		rec.pending[slot] = entry
+	case cmd == noop:
+		r.val, r.stage = cmd, slotLearned
+	default:
+		rec.claim(slot, cmd)
+		r.val, r.stage, r.e = cmd, slotLearned, rec.parse(cmd)
 	}
-	rec.learns[slot]++
-	if rec.learns[slot] == len(rec.sh.clients) && slot < rec.applied {
-		delete(rec.slotVal, slot)
-		delete(rec.learns, slot)
+	r.learns++
+	if r.learns == len(rec.sh.clients) {
+		rec.free()
 	}
 }
 
-// land passes a landing to SetHooks' observer, aggregates it, replays
-// the log up to the landed slot and answers the client's open operation
-// with the replayed response. A response with no operation open, or whose
-// register input is not the open one's, is not well-formed; either way the
-// client's slot closes, as its submission has landed.
-func (rec *shardRecorder) land(r SubmitResult) {
+// parse reads a decided command's parts for the replay, checking that it
+// belongs to this shard.
+func (rec *shardRecorder) parse(cmd Command) slotEntry {
+	entry := slotEntry{}
+	if kind, key, arg, ok := cmdParts(cmd); ok {
+		if want := ShardOf(key, len(rec.sc.shards)); want != rec.sh.id {
+			rec.fail("key %q (shard %d) leaked into shard %d", key, want, rec.sh.id)
+		}
+		entry.key, entry.kind, entry.arg = key, kind, arg
+		if rec.sc.hist.Joined(key) {
+			entry.comp = true
+			entry.in, entry.reg = txnSingleInput(kind, key, arg)
+		} else {
+			entry.reg = kind == "set" || kind == "get"
+		}
+	} else if ts, ok := parseTxnCmd(cmd); ok {
+		if ts.shard != rec.sh.id {
+			rec.fail("transaction command for shard %d leaked into shard %d", ts.shard, rec.sh.id)
+		}
+		entry.txn, entry.key = true, ts.id
+		switch {
+		case ts.prep:
+			entry.kind, entry.arg = "txp", ts.ops
+		case ts.commit:
+			entry.kind, entry.arg = "txo", "c"
+		default:
+			entry.kind, entry.arg = "txo", "a"
+		}
+	}
+	return entry
+}
+
+// free moves the window's mark past the slots whose last use has ended.
+func (rec *shardRecorder) free() {
+	for w := &rec.slots; w.lo < w.hi; w.trim(w.lo + 1) {
+		if r := w.at(w.lo); r.stage != slotDone || r.learns < len(rec.sh.clients) {
+			return
+		}
+	}
+}
+
+// land passes client i's landing to SetHooks' observer, aggregates it,
+// replays the log up to the landed slot and answers the client's open
+// operation with the replayed response. A response with no operation
+// open, or whose register input is not the open one's, is not
+// well-formed; either way the client's slot closes, as its submission
+// has landed.
+func (rec *shardRecorder) land(i int, r SubmitResult) {
 	if rec.sc.onLand != nil {
 		rec.sc.onLand(r)
 	}
@@ -770,17 +795,21 @@ func (rec *shardRecorder) land(r SubmitResult) {
 		}
 	}
 
-	for rec.applied <= r.Slot {
-		e, ok := rec.pending[rec.applied]
-		if !ok {
+	for ; rec.applied <= r.Slot; rec.applied++ {
+		s := rec.applied
+		sr := rec.slots.at(s)
+		if sr == nil || sr.stage != slotLearned {
 			// Unreachable: a client lands only once it knows every slot
 			// below its landing slot (decision 30), and learned them first.
-			rec.fail("hole at slot %d below landed slot %d", rec.applied, r.Slot)
+			rec.fail("hole at slot %d below landed slot %d", s, r.Slot)
 			return
 		}
+		e, stage := sr.e, slotReplayed
+		var out trace.Value
 		switch {
-		case e.noop:
+		case sr.val == noop:
 			// Nothing to apply, and nothing lands here.
+			stage = slotDone
 		case e.txn:
 			if tc := rec.sc.txn; tc != nil {
 				if e.kind == "txp" {
@@ -789,9 +818,8 @@ func (rec *shardRecorder) land(r SubmitResult) {
 					tc.outcomeReplayed(rec, e.key, e.arg == "c")
 				}
 			} else {
-				rec.fail("transaction command in slot %d without a transaction layer", rec.applied)
+				rec.fail("transaction command in slot %d without a transaction layer", s)
 			}
-			rec.slotOut[rec.applied] = slotReplay{}
 		case e.reg && e.comp && rec.locks[e.key] != "":
 			// The key is locked by an in-flight transaction: park the
 			// operation — its effect and output materialize at unlock, in
@@ -800,74 +828,68 @@ func (rec *shardRecorder) land(r SubmitResult) {
 			// drain, not here (see compProc: a lock can stay held for a
 			// whole recovery timeout, and every parked operation held open
 			// across that window multiplies the frontier).
-			rec.waiting[e.key] = append(rec.waiting[e.key], deferredSlot{slot: rec.applied, e: e})
-			rec.deferred[rec.applied] = false
+			rec.waiting[e.key] = append(rec.waiting[e.key], s)
+			stage = slotParked
 		default:
-			rp := rec.replaySingle(e)
+			out = rec.replaySingle(e)
 			if e.comp && e.reg {
 				// An unparked component operation enters the merged
 				// history as an instantaneous pair at its replay point
 				// (see compProc): its output is computed from exactly
 				// this state, so it linearizes here by construction, and
 				// delayed land events (retries) cannot hold it open.
-				rec.sc.pair(e.key, compProc(e.cmd), e.in, rp.out)
+				rec.sc.pair(e.key, compProc(sr.val), e.in, out)
 			}
-			rec.slotOut[rec.applied] = rp
 		}
-		delete(rec.pending, rec.applied)
-		if rec.learns[rec.applied] == len(rec.sh.clients) {
-			delete(rec.slotVal, rec.applied)
-			delete(rec.learns, rec.applied)
-		}
-		rec.applied++
+		sr = rec.slots.at(s) // a grown window moves its records
+		sr.stage, sr.out = stage, out
 	}
 
-	rp, ok := rec.slotOut[r.Slot]
-	if !ok {
-		if _, parked := rec.deferred[r.Slot]; parked {
-			// Landed while its slot is still parked behind a lock: its
-			// pair enters the component's history when the transaction
-			// resolves.
-			rec.deferred[r.Slot] = true
-			return
-		}
+	sr := rec.slots.at(r.Slot)
+	switch {
+	case sr != nil && sr.stage == slotParked:
+		// Landed while its slot is still parked behind a lock: its pair
+		// enters the component's history when the transaction resolves.
+		sr.stage = slotParkedLanded
+		return
+	case sr == nil || sr.stage != slotReplayed:
 		rec.fail("no replayed output for slot %d", r.Slot)
 		return
 	}
-	delete(rec.slotOut, r.Slot)
-	if !rp.reg {
+	sr.stage = slotDone
+	e, out := sr.e, sr.out
+	rec.free()
+	if !e.reg || e.comp {
 		return // del, txp/txo, or a component operation's pair (compProc)
 	}
-	o := &rec.ops[rec.sh.byID[r.Client].index]
-	if isRegisterInput(o.Input(), rp.kind, rp.arg) {
-		rec.sc.respond(*o, rp.out)
+	o := &rec.ops[i]
+	if isRegisterInput(o.Input(), e.kind, e.arg) {
+		rec.sc.respond(*o, out)
 	} else {
-		in, _ := registerInput(rp.kind, rp.arg)
-		rec.sc.hist.Malformed(rp.key, trace.Response(trace.ClientID(r.Client), 1, in, rp.out))
+		in, _ := registerInput(e.kind, e.arg)
+		rec.sc.hist.Malformed(e.key, trace.Response(trace.ClientID(r.Client), 1, in, out))
 	}
 	*o = keyed.Op{}
 }
 
 // replaySingle applies one single-key operation to the shard's key
-// states and computes its output from the command's parts: a set stores
-// its value, a get reads the stored one. A plain key's set stores what
-// the register folder keeps of its input, the value up to any occurrence
-// tag (adt.Untag); a component key's, the value (the TxnKV projection of
-// a single-key command).
-func (rec *shardRecorder) replaySingle(e slotEntry) slotReplay {
-	rp := slotReplay{key: e.key, kind: e.kind, arg: e.arg, reg: e.reg && !e.comp}
+// states and returns its output, computed from the command's parts: a
+// set stores its value, a get reads the stored one. A plain key's set
+// stores what the register folder keeps of its input, the value up to
+// any occurrence tag (adt.Untag); a component key's, the value (the
+// TxnKV projection of a single-key command).
+func (rec *shardRecorder) replaySingle(e slotEntry) trace.Value {
 	switch {
 	case !e.reg:
+		return ""
 	case e.kind == "get":
-		rp.out = adt.ReadOutput(rec.keyVal(e.key))
+		return adt.ReadOutput(rec.keyVal(e.key))
 	case e.comp:
 		rec.state[e.key] = adt.State(e.arg)
-		rp.out = adt.WriteOutput()
 	default:
 		rec.state[e.key] = adt.State(adt.Untag(e.arg))
-		rp.out = adt.WriteOutput()
 	}
-	return rp
+	return adt.WriteOutput()
 }
 
 // keyVal reads a key's current replayed value (adt.Bottom when unset).
@@ -880,25 +902,28 @@ func (rec *shardRecorder) keyVal(key string) trace.Value {
 
 // unlock releases a transaction's lock on key and drains the operations
 // parked behind it, in slot order: each applies now, and the ones whose
-// land is still to come leave their replay for it.
+// land is still to come leave their output for it.
 func (rec *shardRecorder) unlock(key, id string) {
 	if rec.locks[key] != id {
 		rec.fail("unlock of %q by transaction %q but lock held by %q", key, id, rec.locks[key])
 		return
 	}
 	delete(rec.locks, key)
-	ds := rec.waiting[key]
+	parked := rec.waiting[key]
 	delete(rec.waiting, key)
-	for _, d := range ds {
-		rp := rec.replaySingle(d.e)
+	for _, s := range parked {
+		sr := rec.slots.at(s)
+		out := rec.replaySingle(sr.e)
 		// The parked operation enters the merged history as an
 		// instantaneous pair here, at the resolving transaction's
 		// unlock — the point where its effect and output actually
 		// materialize (see compProc).
-		rec.sc.pair(d.e.key, compProc(d.e.cmd), d.e.in, rp.out)
-		if !rec.deferred[d.slot] {
-			rec.slotOut[d.slot] = rp
+		rec.sc.pair(sr.e.key, compProc(sr.val), sr.e.in, out)
+		if sr.stage == slotParked {
+			sr.stage, sr.out = slotReplayed, out
+		} else {
+			sr.stage = slotDone
 		}
-		delete(rec.deferred, d.slot)
 	}
+	rec.free()
 }

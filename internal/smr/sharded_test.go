@@ -190,14 +190,14 @@ func TestShardedCompaction(t *testing.T) {
 			if rep.gcFloor == 0 {
 				t.Fatalf("shard %d replica %s never compacted", k, rep.id)
 			}
-			if len(rep.slots) > slots/2 {
+			if held(&rep.slots) > slots/2 {
 				t.Fatalf("shard %d replica %s retains %d/%d slots after compaction",
-					k, rep.id, len(rep.slots), slots)
+					k, rep.id, held(&rep.slots), slots)
 			}
 		}
 		for _, c := range sh.byID {
-			if c.trimmed == 0 && len(c.log) > slots/2 {
-				t.Fatalf("shard %d client %s log never trimmed (%d entries)", k, c.id, len(c.log))
+			if c.trimmed == 0 && held(&c.log) > slots/2 {
+				t.Fatalf("shard %d client %s log never trimmed (%d entries)", k, c.id, held(&c.log))
 			}
 		}
 	}
@@ -273,8 +273,8 @@ func TestShardedCompactionIdleClients(t *testing.T) {
 			t.Fatalf("idle client %s's frontier moved %d → %d, log tip %d: it stopped learning", id, early[i], c.frontier, tip)
 		}
 		// Its own log stays trimmed too, at the idle quarter-window.
-		if len(c.log) > 2*window {
-			t.Fatalf("idle client %s retains %d log entries", id, len(c.log))
+		if held(&c.log) > 2*window {
+			t.Fatalf("idle client %s retains %d log entries", id, held(&c.log))
 		}
 	}
 	for _, rep := range sh.reps {
@@ -282,8 +282,8 @@ func TestShardedCompactionIdleClients(t *testing.T) {
 			t.Fatalf("replica %s compaction floor pinned at %d, log tip %d: idle clients stopped reporting",
 				rep.id, rep.gcFloor, tip)
 		}
-		if len(rep.slots) > 2*window {
-			t.Fatalf("replica %s retains %d slot states after compaction", rep.id, len(rep.slots))
+		if held(&rep.slots) > 2*window {
+			t.Fatalf("replica %s retains %d slot states after compaction", rep.id, held(&rep.slots))
 		}
 	}
 }

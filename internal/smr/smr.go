@@ -35,7 +35,7 @@ package smr
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/mpcons"
 	"repro/internal/msgnet"
@@ -81,11 +81,11 @@ type Config struct {
 	// can reach unanimity on another value and split the slot); the
 	// quorum phase's own conflict/timeout switch rules degrade the fresh
 	// attempt to the robust phase with a safe value, and the re-broadcast
-	// doubles as a retransmission. The command itself is the stable retry
-	// identity — command encodings are unique, a command is in flight in
-	// one slot at a time and moves on only once that slot's decision is
-	// known (decision 30), and the sharded recorder's duplicate-slot
-	// check verifies online that no retry ever lands twice. Successive
+	// doubles as a retransmission. The submission itself is the stable
+	// retry identity — it is in flight in one slot at a time and moves on
+	// only once that slot's decision is known (decision 30), and the
+	// sharded recorder verifies online that each submission is decided
+	// once, in its owner's slot and order (shardRecorder.claim). Successive
 	// retries of one submission back off exponentially (capped at
 	// retryBackoffCap × RetryTimeout) with a small deterministic
 	// per-client jitter.
@@ -152,8 +152,12 @@ type Shard struct {
 	protos  []mpcons.PhaseProtocol
 	clients []msgnet.ProcID
 	servers []msgnet.ProcID
-	byID    map[msgnet.ProcID]*client
-	reps    map[msgnet.ProcID]*replica
+	// cls[i] is client i's engine (client.index), the command path's
+	// handle on it; byID finds one by name at the API edge and at build
+	// time.
+	cls  []*client
+	byID map[msgnet.ProcID]*client
+	reps map[msgnet.ProcID]*replica
 	// fresh[k] is the snapshot of a just-built phase-k server component:
 	// what a slot never persisted restores (zero for a phase that is not
 	// durable).
@@ -187,52 +191,39 @@ func newShard(id int, clients, servers []msgnet.ProcID, cfg Config) *Shard {
 		}
 	}
 	for i, cid := range clients {
-		c := &client{sh: sh, id: cid, index: i, log: map[int]Command{}, skipped: i, told: make([]int, len(clients))}
+		c := &client{sh: sh, id: cid, index: i, skipped: i, told: make([]int, len(clients))}
 		for j := range c.told {
 			c.told[j] = i
 		}
+		sh.cls = append(sh.cls, c)
 		sh.byID[cid] = c
 	}
 	for _, sid := range servers {
-		sh.reps[sid] = &replica{sh: sh, id: sid, slots: map[int]*serverSlot{}, wm: map[msgnet.ProcID]int{}}
+		sh.reps[sid] = &replica{sh: sh, id: sid, wm: make([]int, len(clients))}
 	}
 	return sh
 }
 
-// checkConsistency verifies SMR safety across the shard's clients: no two
-// clients disagree on a slot's decision, every decided command other than
-// the no-op was submitted to the shard, and every such command sits in at
-// most one slot. With compaction enabled it only covers the untrimmed log
-// suffixes; the recorder performs the same checks online over every
-// learn.
+// checkConsistency verifies that no two of the shard's clients disagree
+// on a slot's decision. With compaction enabled it only covers the
+// untrimmed log suffixes; the recorder performs the same check online
+// over every learn. Which submission a decision is, and that it is
+// decided once, the recorder checks by position at the slot's first
+// learn (shardRecorder.claim): commands need not be distinct, so the
+// log's contents alone cannot tell.
 func (sh *Shard) checkConsistency() error {
 	slotVal := map[int]Command{}
-	var ids []msgnet.ProcID
-	for id := range sh.byID {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		for s, v := range sh.byID[id].log {
-			if prev, ok := slotVal[s]; ok && prev != v {
-				return fmt.Errorf("smr: shard %d slot %d decided both %q and %q", sh.id, s, prev, v)
+	for _, c := range sh.cls {
+		for s := c.log.lo; s < c.log.hi; s++ {
+			e := c.log.get(s)
+			if !e.known {
+				continue
 			}
-			slotVal[s] = v
-			if v != noop && !sh.rec.submitted(v) {
-				return fmt.Errorf("smr: shard %d slot %d decided unsubmitted command %q", sh.id, s, v)
+			if prev, ok := slotVal[s]; ok && prev != e.v {
+				return fmt.Errorf("smr: shard %d slot %d decided both %q and %q", sh.id, s, prev, e.v)
 			}
+			slotVal[s] = e.v
 		}
-	}
-	// Every landed command sits in exactly one slot.
-	bySlot := map[Command]int{}
-	for s, v := range slotVal {
-		if v == noop {
-			continue
-		}
-		if other, dup := bySlot[v]; dup {
-			return fmt.Errorf("smr: shard %d command %q decided in slots %d and %d", sh.id, v, other, s)
-		}
-		bySlot[v] = s
 	}
 	return nil
 }
@@ -244,7 +235,8 @@ func (sh *Shard) checkConsistency() error {
 const (
 	// kindLearned carries a client's learned watermark, A, to the servers
 	// (compaction only): every slot below it is decided and known to the
-	// sender, which will therefore never propose in those slots again.
+	// sender, which will therefore never propose in those slots again. B
+	// is the sender's client index (client.index).
 	kindLearned = mpcons.HostKinds + iota
 	// kindGossip carries decided commands from one client to another
 	// (compaction only): Body is a []Command whose element i is the
@@ -256,7 +248,8 @@ const (
 	// compaction floor at their first such slot.
 	kindGossip
 	// kindNotice pushes a decision from the slot's owner to its peers: the
-	// owner's command V won Slot.
+	// owner's command V won Slot. A is the owner's client index, which the
+	// peer's skip report answers.
 	kindNotice
 	// kindSkip answers a notice with the sender's no-op slots: bit k of B
 	// set means the sender's owned slot A + k·clients holds the no-op.
@@ -292,7 +285,8 @@ type client struct {
 	inst     *slotInstance
 	instSlot int
 	spare    *slotInstance
-	log      map[int]Command
+	// log holds the slots the client knows from trimmed up.
+	log window[logSlot]
 	// frontier is the first slot not known (the dense-prefix length) and
 	// top one past the highest slot known: a new command goes into the
 	// lowest owned slot at or above top.
@@ -318,6 +312,12 @@ type client struct {
 	// retries counts timeout/restart re-proposals across all submissions
 	// (for stats).
 	retries int64
+}
+
+// logSlot is one slot of a client's log: its decision, once known.
+type logSlot struct {
+	v     Command
+	known bool
 }
 
 // submission is the client's in-flight command; live is false while the
@@ -372,10 +372,13 @@ func (c *client) comp(inst *slotInstance, k int) mpcons.ClientPhase {
 
 func (c *client) Init(n *msgnet.Node) { c.node = n }
 
+// enqueue submits cmd: the recorder notes it as the client's latest
+// submission, and the client runs it once those before it have landed.
 func (c *client) enqueue(cmd Command) {
 	if cmd == noop {
 		panic("smr: the no-op command is reserved")
 	}
+	c.sh.rec.submit(c.index, cmd)
 	c.queue = append(c.queue, cmd)
 	if !c.current.live {
 		c.startNext()
@@ -404,7 +407,7 @@ func (c *client) startNext() {
 		c.queue = c.queue[1:]
 	}
 	c.current = submission{live: true, cmd: cmd, start: c.node.Now()}
-	c.sh.rec.start(c.id, cmd, c.node.Now())
+	c.sh.rec.start(c.index, cmd, c.node.Now())
 	c.attempt(c.ownedFrom(c.top))
 }
 
@@ -578,20 +581,17 @@ func (c *client) decide(s, phase int, v Command) {
 // agreement bookkeeping counts learns), and retires a live instance that
 // was still deciding the slot. Callers settle afterwards.
 func (c *client) learn(s int, v Command) bool {
-	if s < c.frontier {
+	if s < c.frontier || c.log.get(s).known {
 		return false
 	}
-	if _, known := c.log[s]; known {
-		return false
-	}
-	c.log[s] = v
+	*c.log.at(s) = logSlot{v: v, known: true}
 	if s >= c.top {
 		c.top = s + 1
 	}
 	if c.inst != nil && c.instSlot == s {
 		c.retire()
 	}
-	c.sh.rec.learn(c.id, s, v)
+	c.sh.rec.learn(s, v)
 	return true
 }
 
@@ -600,10 +600,7 @@ func (c *client) learn(s int, v Command) bool {
 // along, and then reports the watermark, which may trim the log.
 func (c *client) settle() {
 	c.skip()
-	for {
-		if _, ok := c.log[c.frontier]; !ok {
-			break
-		}
+	for c.log.get(c.frontier).known {
 		c.frontier++
 	}
 	c.advance()
@@ -619,18 +616,18 @@ func (c *client) advance() {
 		return
 	}
 	if !cur.won {
-		v, known := c.log[cur.slot]
-		if !known {
+		e := c.log.get(cur.slot)
+		if !e.known {
 			return
 		}
-		if v != cur.cmd {
+		if e.v != cur.cmd {
 			// A fill decided the no-op here: the command is in flight
 			// nowhere now, so it moves to a slot above everything known.
 			c.attempt(c.ownedFrom(c.top))
 			return
 		}
 		cur.won = true
-		c.notify(cur.slot, v)
+		c.notify(cur.slot, e.v)
 	}
 	switch {
 	case c.frontier > cur.slot:
@@ -655,11 +652,11 @@ func (c *client) skip() {
 		if s < c.frontier || (c.current.live && !c.current.won && s == c.current.slot) {
 			continue
 		}
-		if _, known := c.log[s]; known {
+		if c.log.get(s).known {
 			continue
 		}
-		c.log[s] = noop
-		c.sh.rec.learn(c.id, s, noop)
+		*c.log.at(s) = logSlot{v: noop, known: true}
+		c.sh.rec.learn(s, noop)
 	}
 }
 
@@ -683,7 +680,7 @@ func (c *client) land() {
 	if c.sh.keepResults {
 		c.sh.results = append(c.sh.results, result)
 	}
-	c.sh.rec.land(result)
+	c.sh.rec.land(c.index, result)
 	c.startNext()
 }
 
@@ -692,7 +689,7 @@ func (c *client) notify(s int, v Command) {
 	if len(c.sh.clients) == 1 {
 		return
 	}
-	m := msgnet.Msg{Shard: int32(c.sh.id), Kind: kindNotice, Slot: s, V: v}
+	m := msgnet.Msg{Shard: int32(c.sh.id), Kind: kindNotice, Slot: s, V: v, A: int64(c.index)}
 	for _, p := range c.sh.clients {
 		if p != c.id {
 			c.node.Post(p, m)
@@ -706,19 +703,20 @@ func (c *client) handleNotice(from msgnet.ProcID, m msgnet.Msg) {
 	if c.learn(m.Slot, m.V) {
 		c.settle()
 	}
-	c.reportSkips(from, m.Slot)
+	c.reportSkips(from, int(m.A), m.Slot)
 }
 
-// reportSkips sends peer `to` the client's no-op slots in [told, below),
-// 64 owned slots per message, and only messages that name one. Slots
-// already trimmed are not reported: the peer had them in the gossip.
-func (c *client) reportSkips(to msgnet.ProcID, below int) {
-	j, n := c.sh.byID[to].index, len(c.sh.clients)
+// reportSkips sends peer `to`, client j, the client's no-op slots in
+// [told, below), 64 owned slots per message, and only messages that name
+// one. Slots already trimmed are not reported: the peer had them in the
+// gossip.
+func (c *client) reportSkips(to msgnet.ProcID, j, below int) {
+	n := len(c.sh.clients)
 	s := max(c.told[j], c.ownedFrom(c.trimmed))
 	for s < below {
 		first, noops := s, uint64(0)
 		for k := 0; k < 64 && s < below; k, s = k+1, s+n {
-			if v, ok := c.log[s]; ok && v == noop {
+			if e := c.log.get(s); e.known && e.v == noop {
 				noops |= 1 << k
 			}
 		}
@@ -786,14 +784,14 @@ func (c *client) reportWatermark(idle bool) {
 		return
 	}
 	c.reported = c.frontier
-	report := msgnet.Msg{Shard: int32(c.sh.id), Kind: kindLearned, A: int64(c.frontier)}
+	report := msgnet.Msg{Shard: int32(c.sh.id), Kind: kindLearned, A: int64(c.frontier), B: int64(c.index)}
 	for _, srv := range c.sh.servers {
 		c.node.Post(srv, report)
 	}
 	if c.frontier > c.trimmed {
 		cmds := make([]Command, 0, c.frontier-c.trimmed)
 		for s := c.trimmed; s < c.frontier; s++ {
-			cmds = append(cmds, c.log[s])
+			cmds = append(cmds, c.log.get(s).v)
 		}
 		// One Body, boxed once and shared by every peer's copy.
 		gossip := msgnet.Msg{Shard: int32(c.sh.id), Kind: kindGossip, A: int64(c.trimmed), Body: cmds}
@@ -803,9 +801,7 @@ func (c *client) reportWatermark(idle bool) {
 			}
 		}
 	}
-	for s := c.trimmed; s < c.frontier; s++ {
-		delete(c.log, s)
-	}
+	c.log.trim(c.frontier)
 	c.trimmed = c.frontier
 }
 
@@ -946,24 +942,25 @@ func (e *slotClientEnv) CancelTimer(kind uint8) {
 // components, created lazily and freed below the compaction floor.
 //
 // Crash–recovery (Config.Recovery) splits the replica's state into a
-// volatile part — the live phase components in slots — and a durable
-// part: the per-slot snapshots in durable, the compaction watermarks and
-// the floor. Snapshots are written after every delivered message, inside
-// the same simulator event, so nothing a component said is ever ahead of
-// what the store remembers; a restart wipes slots and components rebuild
-// lazily from the snapshots, which makes a recovered replica
-// indistinguishable from one that merely paused.
+// volatile part — the live phase components of its slots — and a durable
+// part: each slot's snapshots (serverSlot.store), the compaction
+// watermarks and the floor. Snapshots are written after every delivered
+// message, inside the same simulator event, so nothing a component said
+// is ever ahead of what the store remembers; a restart wipes the
+// components and they rebuild lazily from the snapshots, which makes a
+// recovered replica indistinguishable from one that merely paused.
 type replica struct {
-	sh    *Shard
-	id    msgnet.ProcID
-	node  *msgnet.Node
-	slots map[int]*serverSlot
-	// durable holds per-slot phase snapshots (Recovery only), bounded by
-	// the compaction window like slots.
-	durable map[int][maxPhases]mpcons.State
-	// wm holds per-client learned watermarks; slots below their minimum
-	// are freed and refused (gcFloor). Compaction only.
-	wm      map[msgnet.ProcID]int
+	sh   *Shard
+	id   msgnet.ProcID
+	node *msgnet.Node
+	// slots holds the slots from gcFloor up that the replica was sent a
+	// phase message for.
+	slots window[*serverSlot]
+	// wm[i] is client i's learned watermark, 0 until it reports; heard
+	// counts the clients that have. Slots below their minimum are freed
+	// and refused (gcFloor). Compaction only.
+	wm      []int
+	heard   int
 	gcFloor int
 	// free holds the server slots handleLearned freed, for component to
 	// reuse.
@@ -976,11 +973,28 @@ func (r *replica) Init(n *msgnet.Node) { r.node = n }
 // environments, each phase built on first use. spare[k] is a phase-k
 // component left by the slot's previous use, bound to &envs[k] and
 // waiting to be reset and reused. It is kept out of comps so that persist
-// can never snapshot it under the new slot.
+// can never snapshot it under the new slot. store is the slot's durable
+// store under Recovery, allocated with it (durableSlot), and nil
+// otherwise.
 type serverSlot struct {
 	comps [maxPhases]mpcons.ServerPhase
 	envs  [maxPhases]slotServerEnv
 	spare [maxPhases]mpcons.ServerPhase
+	store *slotStore
+}
+
+// slotStore is a slot's durable store: its phase snapshots, once
+// persisted is set. A restart keeps it.
+type slotStore struct {
+	snaps     [maxPhases]mpcons.State
+	persisted bool
+}
+
+// durableSlot is a server slot and its store in one allocation, so a
+// replica without Recovery carries a pointer per slot, not a store.
+type durableSlot struct {
+	serverSlot
+	store slotStore
 }
 
 // component returns the slot's phase-k server component, creating the
@@ -997,17 +1011,21 @@ func (r *replica) component(slot, k int) mpcons.ServerPhase {
 	if slot < r.gcFloor || k < 0 || k >= len(r.sh.protos) {
 		return nil
 	}
-	sl := r.slots[slot]
-	if sl == nil {
+	p := r.slots.at(slot)
+	if *p == nil {
 		if n := len(r.free); n > 0 {
-			sl = r.free[n-1]
+			*p = r.free[n-1]
 			r.free[n-1] = nil
 			r.free = r.free[:n-1]
+		} else if r.sh.cfg.Recovery {
+			d := &durableSlot{}
+			d.serverSlot.store = &d.store
+			*p = &d.serverSlot
 		} else {
-			sl = &serverSlot{}
+			*p = &serverSlot{}
 		}
-		r.slots[slot] = sl
 	}
+	sl := *p
 	if sl.comps[k] == nil {
 		sl.envs[k] = slotServerEnv{replica: r, slot: slot, phase: k}
 		comp := sl.spare[k]
@@ -1016,7 +1034,7 @@ func (r *replica) component(slot, k int) mpcons.ServerPhase {
 			comp = r.sh.protos[k].NewServer(&sl.envs[k])
 		}
 		if d, ok := comp.(mpcons.Durable); ok {
-			d.Restore(r.snapshots(slot)[k])
+			d.Restore(r.snapshots(sl)[k])
 		}
 		sl.comps[k] = comp
 	}
@@ -1025,26 +1043,35 @@ func (r *replica) component(slot, k int) mpcons.ServerPhase {
 
 // snapshots returns the slot's durable snapshots: a just-built
 // component's (Shard.fresh) for a slot never persisted.
-func (r *replica) snapshots(slot int) [maxPhases]mpcons.State {
-	if snaps, ok := r.durable[slot]; ok {
-		return snaps
+func (r *replica) snapshots(sl *serverSlot) [maxPhases]mpcons.State {
+	if sl.store != nil && sl.store.persisted {
+		return sl.store.snaps
 	}
 	return r.sh.fresh
 }
 
-// release empties a slot freed below the compaction floor and puts it on
-// the free list. Every phase leaves comps — a durable component becomes
-// the spare, anything else is dropped — so the slot's next use starts
-// with no phase built, exactly like a new slot
-// (TestRecycledServerSlotsKeepNoState).
+// release empties a slot freed below the compaction floor, its durable
+// snapshots too, and puts it on the free list, so the slot's next use
+// starts with no phase built and nothing persisted, exactly like a new
+// slot (TestRecycledServerSlotsKeepNoState).
 func (r *replica) release(sl *serverSlot) {
+	sl.wipe()
+	if sl.store != nil {
+		*sl.store = slotStore{}
+	}
+	r.free = append(r.free, sl)
+}
+
+// wipe drops the slot's live phases: each leaves comps, a durable
+// component to become the spare that component resets, anything else
+// for good.
+func (sl *serverSlot) wipe() {
 	for k, comp := range sl.comps {
 		if _, ok := comp.(mpcons.Durable); ok {
 			sl.spare[k] = comp
 		}
 		sl.comps[k] = nil
 	}
-	r.free = append(r.free, sl)
 }
 
 // persist snapshots the slot's phase state into the durable store
@@ -1057,20 +1084,17 @@ func (r *replica) persist(slot int) {
 	if !r.sh.cfg.Recovery {
 		return
 	}
-	sl := r.slots[slot]
+	sl := r.slots.get(slot)
 	if sl == nil {
 		return
 	}
-	if r.durable == nil {
-		r.durable = map[int][maxPhases]mpcons.State{}
-	}
-	snaps := r.snapshots(slot)
+	snaps := r.snapshots(sl)
 	for k, comp := range sl.comps {
 		if d, ok := comp.(mpcons.Durable); ok {
 			snaps[k] = d.Snapshot()
 		}
 	}
-	r.durable[slot] = snaps
+	*sl.store = slotStore{snaps: snaps, persisted: true}
 }
 
 // recover discards the volatile phase components after a restart; they
@@ -1080,7 +1104,11 @@ func (r *replica) recover() {
 	if !r.sh.cfg.Recovery {
 		return
 	}
-	r.slots = map[int]*serverSlot{}
+	for s := r.slots.lo; s < r.slots.hi; s++ {
+		if sl := r.slots.get(s); sl != nil {
+			sl.wipe()
+		}
+	}
 }
 
 func (r *replica) handlePhase(from msgnet.ProcID, m msgnet.Msg) {
@@ -1092,32 +1120,30 @@ func (r *replica) handlePhase(from msgnet.ProcID, m msgnet.Msg) {
 	r.persist(m.Slot)
 }
 
-// handleLearned advances the compaction floor: once every client has
-// reported a watermark, slots below the minimum can never be proposed in
-// again and their phase state is freed.
-func (r *replica) handleLearned(from msgnet.ProcID, w int) {
-	if w > r.wm[from] {
-		r.wm[from] = w
+// handleLearned advances the compaction floor on client i's watermark w:
+// once every client has reported one, slots below the minimum can never
+// be proposed in again and their phase state is freed.
+func (r *replica) handleLearned(i, w int) {
+	if w > r.wm[i] {
+		if r.wm[i] == 0 {
+			r.heard++
+		}
+		r.wm[i] = w
 	}
-	if len(r.wm) < len(r.sh.clients) {
+	if r.heard < len(r.wm) {
 		return
 	}
-	min := -1
-	for _, cid := range r.sh.clients {
-		if v := r.wm[cid]; min < 0 || v < min {
-			min = v
-		}
+	floor := slices.Min(r.wm)
+	if floor <= r.gcFloor {
+		return
 	}
-	for s := r.gcFloor; s < min; s++ {
-		if sl := r.slots[s]; sl != nil {
+	for s := r.gcFloor; s < min(floor, r.slots.hi); s++ {
+		if sl := r.slots.get(s); sl != nil {
 			r.release(sl)
-			delete(r.slots, s)
 		}
-		delete(r.durable, s)
 	}
-	if min > r.gcFloor {
-		r.gcFloor = min
-	}
+	r.slots.trim(floor)
+	r.gcFloor = floor
 }
 
 // slotServerEnv adapts a replica to one slot and phase: it posts the

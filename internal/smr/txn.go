@@ -126,7 +126,7 @@ const (
 // found by a scan.
 type txnState struct {
 	spec      Txn
-	coord     msgnet.ProcID
+	coord     int // the coordinator's client index
 	parts     []txnPart
 	reads     []trace.Value // a read's value, set when its shard votes yes
 	decided   bool
@@ -229,7 +229,7 @@ func (tc *TxnCluster) registerTxn(c msgnet.ProcID, txn Txn, t msgnet.Time) *txnS
 	// by shard and in operation order within a shard.
 	shard := func(i int) int { return ShardOf(txn.Ops[i].Key, len(tc.shards)) }
 	slices.SortStableFunc(idx, func(a, b int) int { return shard(a) - shard(b) })
-	st := &txnState{spec: txn, coord: c, parts: make([]txnPart, 0, len(idx)), reads: make([]trace.Value, len(idx))}
+	st := &txnState{spec: txn, coord: tc.shards[0].byID[c].index, parts: make([]txnPart, 0, len(idx)), reads: make([]trace.Value, len(idx))}
 	for lo, hi := 0, 1; lo < len(idx); lo, hi = hi, hi+1 {
 		for hi < len(idx) && shard(idx[hi]) == shard(idx[lo]) {
 			hi++
@@ -256,9 +256,7 @@ func (tc *TxnCluster) registerTxn(c msgnet.ProcID, txn Txn, t msgnet.Time) *txnS
 // its coordinator's per-shard queues.
 func (tc *TxnCluster) submitTxnPreps(st *txnState) {
 	for _, p := range st.parts {
-		cmd := prepCmd(st.spec.ID, p.shard, st.spec.Ops, p.ops)
-		tc.shards[p.shard].rec.submit(cmd)
-		tc.shards[p.shard].byID[st.coord].enqueue(cmd)
+		tc.shards[p.shard].cls[st.coord].enqueue(prepCmd(st.spec.ID, p.shard, st.spec.Ops, p.ops))
 	}
 }
 
@@ -290,6 +288,7 @@ func (tc *TxnCluster) SubmitMixedPaced(c msgnet.ProcID, items []MixedItem, start
 		}
 	}
 	tc.stats.Submitted += int64(n)
+	lanes := tc.routers[c].perShard
 	step := 0
 	var feed func()
 	feed = func() {
@@ -298,9 +297,7 @@ func (tc *TxnCluster) SubmitMixedPaced(c msgnet.ProcID, items []MixedItem, start
 			if st := states[step]; st != nil {
 				tc.submitTxnPreps(st)
 			} else {
-				k := tc.shardFor(it.Cmd)
-				tc.shards[k].rec.submit(it.Cmd)
-				tc.shards[k].byID[c].enqueue(it.Cmd)
+				lanes[tc.shardFor(it.Cmd)].enqueue(it.Cmd)
 			}
 			step++
 			if step >= len(items) {
@@ -415,7 +412,7 @@ func (w *sizedWriter) op(op TxnOp, sep string, j int) {
 
 // outcomeCmd encodes an outcome marker. The sender and attempt fields
 // keep markers for the same (transaction, shard) distinct across redrive
-// rounds — log entries must be unique, and only the first marker to
+// rounds, so each log entry names its round; only the first marker to
 // replay resolves the shard.
 func outcomeCmd(id string, shard int, commit bool, sender msgnet.ProcID, attempt int) Command {
 	oc := "a"
@@ -626,19 +623,17 @@ func (tc *TxnCluster) decide(st *txnState, commit bool, reason int) {
 	// still held now, and its writes are invisible until the outcome
 	// markers replay later — so a correct run always linearizes here,
 	// while a leaked effect still contradicts some neighbor's output.
-	tc.pair(st.spec.Ops[0].Key, trace.ClientID(string(st.coord)+"#t"), in, out)
+	tc.pair(st.spec.Ops[0].Key, trace.ClientID(string(tc.clients[st.coord])+"#t"), in, out)
 
 	sender := st.coord
-	if n := tc.nodes[sender]; reason == abortRecovery || (n != nil && n.Crashed()) {
+	if reason == abortRecovery || tc.nodes[sender].Crashed() {
 		// A crashed sender's queue only drains after a restart that may
 		// never come; a surviving client must drive the markers.
 		sender = tc.recoveryClient(st.coord)
 	}
 	tc.stats.Submitted += int64(len(st.parts))
 	for _, p := range st.parts {
-		cmd := outcomeCmd(st.spec.ID, p.shard, commit, sender, 0)
-		tc.shards[p.shard].rec.submit(cmd)
-		tc.shards[p.shard].byID[sender].enqueue(cmd)
+		tc.shards[p.shard].cls[sender].enqueue(outcomeCmd(st.spec.ID, p.shard, commit, tc.clients[sender], 0))
 	}
 	if tc.tcfg.RecoveryTimeout > 0 {
 		tc.net.At(tc.net.Now()+tc.tcfg.RecoveryTimeout, func() { tc.redriveOutcomes(st) })
@@ -696,7 +691,7 @@ func (st *txnState) kvOutput() trace.Value {
 // redriveOutcomes resubmits outcome markers for shards that still have
 // not resolved the transaction — the sender of the first round may have
 // crashed for good with markers still queued. Redriven markers are new
-// log entries (the attempt number keeps them unique); a shard that
+// log entries (the attempt number tells them apart); a shard that
 // resolves meanwhile ignores the duplicate at replay. Re-arms itself
 // until every shard has resolved.
 func (tc *TxnCluster) redriveOutcomes(st *txnState) {
@@ -713,32 +708,23 @@ func (tc *TxnCluster) redriveOutcomes(st *txnState) {
 	sender := tc.recoveryClient(st.coord)
 	tc.stats.Submitted += int64(len(missing))
 	for _, k := range missing {
-		cmd := outcomeCmd(st.spec.ID, k, st.committed, sender, st.redrives)
-		tc.shards[k].rec.submit(cmd)
-		tc.shards[k].byID[sender].enqueue(cmd)
+		tc.shards[k].cls[sender].enqueue(outcomeCmd(st.spec.ID, k, st.committed, tc.clients[sender], st.redrives))
 	}
 	tc.net.At(tc.net.Now()+tc.tcfg.RecoveryTimeout, func() { tc.redriveOutcomes(st) })
 }
 
-// recoveryClient picks the client that drives recovery-abort markers:
-// the first non-crashed client after the coordinator in cluster order
-// (falling back to the coordinator's successor if all are down — the
-// markers then land after its restart).
-func (tc *TxnCluster) recoveryClient(coord msgnet.ProcID) msgnet.ProcID {
-	i := 0
-	for j, c := range tc.clients {
-		if c == coord {
-			i = j
-			break
-		}
-	}
-	for off := 1; off <= len(tc.clients); off++ {
-		c := tc.clients[(i+off)%len(tc.clients)]
-		if n := tc.nodes[c]; n != nil && !n.Crashed() {
+// recoveryClient picks the client that drives recovery-abort markers,
+// by index: the first non-crashed client after the coordinator, client
+// coord, in cluster order (falling back to the coordinator's successor if
+// all are down — the markers then land after its restart).
+func (tc *TxnCluster) recoveryClient(coord int) int {
+	n := len(tc.clients)
+	for off := 1; off <= n; off++ {
+		if c := (coord + off) % n; !tc.nodes[c].Crashed() {
 			return c
 		}
 	}
-	return tc.clients[(i+1)%len(tc.clients)]
+	return (coord + 1) % n
 }
 
 // outcomeReplayed resolves a transaction on shard rec at its outcome
@@ -879,8 +865,9 @@ func txnSingleInput(kind, key, arg string) (in trace.Value, ok bool) {
 }
 
 // compProc is the synthetic checker process of one single-key operation
-// in a merged component history, derived from its command (log entries
-// are unique, so the process is too). One process per operation, not per
+// in a merged component history, derived from its command (every
+// operation is fed as a whole pair, so two equal commands sharing a
+// process still alternate on it). One process per operation, not per
 // (client, shard) lane: a client's submissions pipeline across shards,
 // and a response parked behind a transaction's lock is emitted after the
 // same lane's next command has already been invoked — so operations of
