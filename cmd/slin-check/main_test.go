@@ -1,55 +1,22 @@
 package main
 
 import (
-	"bytes"
-	"compress/gzip"
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/adt"
 	"repro/internal/check"
+	"repro/internal/clitest"
 	"repro/internal/lin"
 	"repro/internal/slin"
 	"repro/internal/trace"
 )
 
-// TestMain runs the command itself when the test binary is re-executed
-// by runCLI, so the tests below see its output and exit status.
-func TestMain(m *testing.M) {
-	if os.Getenv("SLIN_CHECK_RUN_MAIN") == "1" {
-		os.Args = append([]string{"slin-check"}, os.Args[1:]...)
-		main()
-		return
-	}
-	os.Exit(m.Run())
-}
-
-// runCLI runs slin-check with args and returns its standard output and
-// exit status.
-func runCLI(t *testing.T, args ...string) (string, int) {
-	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "SLIN_CHECK_RUN_MAIN=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	var exit *exec.ExitError
-	switch {
-	case err == nil:
-		return stdout.String(), 0
-	case errors.As(err, &exit):
-		return stdout.String(), exit.ExitCode()
-	}
-	t.Fatalf("slin-check %v: %v (stderr %q)", args, err, stderr.String())
-	return "", 0
-}
+func TestMain(m *testing.M) { clitest.Main(m, "slin-check", main) }
 
 // writeTrace writes tr as a trace file in dir.
 func writeTrace(t *testing.T, dir, name string, tr trace.Trace) string {
@@ -93,16 +60,16 @@ func TestADTsReplayable(t *testing.T) {
 			bad := writeTrace(t, dir, c.adt+"-bad.json", c.bad)
 			for _, mode := range [][]string{{}, {"-stream"}, {"-mode", "slin", "-stream"}} {
 				args := append([]string{"-adt", c.adt}, mode...)
-				if out, code := runCLI(t, append(args, good)...); code != 0 {
+				if out, code := clitest.Run(t, append(args, good)...); code != 0 {
 					t.Errorf("%v on a linearizable history: exit %d, %q", mode, code, out)
 				}
-				if out, code := runCLI(t, append(args, bad)...); code != 1 || !strings.Contains(out, "NOT") {
+				if out, code := clitest.Run(t, append(args, bad)...); code != 1 || !strings.Contains(out, "NOT") {
 					t.Errorf("%v on a violating history: exit %d, %q", mode, code, out)
 				}
 			}
 		})
 	}
-	if _, code := runCLI(t, "-adt", "tree", writeTrace(t, dir, "any.json", nil)); code != 2 {
+	if _, code := clitest.Run(t, "-adt", "tree", writeTrace(t, dir, "any.json", nil)); code != 2 {
 		t.Errorf("unknown ADT: exit %d, want 2", code)
 	}
 }
@@ -126,52 +93,25 @@ func TestBudgetPerFedAction(t *testing.T) {
 	path := writeTrace(t, t.TempDir(), "writes.json", tr)
 	args := []string{"-adt", "register", "-exact", "-budget", fmt.Sprint(budget)}
 	for _, mode := range [][]string{{}, {"-stream"}, {"-mode", "slin"}, {"-mode", "slin", "-stream"}} {
-		if out, code := runCLI(t, append(append(args, mode...), path)...); code != 0 {
+		if out, code := clitest.Run(t, append(append(args, mode...), path)...); code != 0 {
 			t.Errorf("%v: exit %d, %q; want the stream decided", mode, code, out)
 		}
 	}
-	if out, code := runCLI(t, append(args, "-mode", "classical", path)...); code != 2 {
+	if out, code := clitest.Run(t, append(args, "-mode", "classical", path)...); code != 2 {
 		t.Errorf("classical: exit %d, %q; want its one budget exhausted", code, out)
 	}
 }
 
 // TestProfilesComplete: -cpuprofile and -memprofile write complete
-// profiles — gzip streams that read to their end — whether the trace
-// holds (exit 0) or not (exit 1).
+// profiles whether the trace holds (exit 0) or not (exit 1).
 func TestProfilesComplete(t *testing.T) {
 	dir := t.TempDir()
 	in := adt.Tag(adt.ProposeInput("a"), "a")
 	other := adt.Tag(adt.ProposeInput("b"), "b")
-	for _, c := range []struct {
-		name string
-		tr   trace.Trace
-		code int
-	}{
-		{"holds", trace.Trace{trace.Invoke("a", 1, in), trace.Response("a", 1, in, adt.DecideOutput("a"))}, 0},
-		{"violated", trace.Trace{
-			trace.Invoke("a", 1, in), trace.Response("a", 1, in, adt.DecideOutput("a")),
-			trace.Invoke("b", 1, other), trace.Response("b", 1, other, adt.DecideOutput("b")),
-		}, 1},
-	} {
-		cpu, mem := filepath.Join(dir, c.name+"-cpu.pb.gz"), filepath.Join(dir, c.name+"-mem.pb.gz")
-		if out, code := runCLI(t, "-cpuprofile", cpu, "-memprofile", mem, writeTrace(t, dir, c.name+".json", c.tr)); code != c.code {
-			t.Fatalf("%s: exit %d, want %d (%q)", c.name, code, c.code, out)
-		}
-		for _, p := range []string{cpu, mem} {
-			f, err := os.Open(p)
-			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-			zr, err := gzip.NewReader(f)
-			if err == nil {
-				_, err = io.Copy(io.Discard, zr)
-			}
-			f.Close()
-			if err != nil {
-				t.Errorf("%s: %s is not a complete profile: %v", c.name, filepath.Base(p), err)
-			}
-		}
-	}
+	holds := trace.Trace{trace.Invoke("a", 1, in), trace.Response("a", 1, in, adt.DecideOutput("a"))}
+	violated := append(holds, trace.Invoke("b", 1, other), trace.Response("b", 1, other, adt.DecideOutput("b")))
+	clitest.Profiles(t, 0, writeTrace(t, dir, "holds.json", holds))
+	clitest.Profiles(t, 1, writeTrace(t, dir, "violated.json", violated))
 }
 
 // TestSLinVerdictOrdersFailedInit: a failing interpretation of several

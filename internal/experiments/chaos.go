@@ -32,9 +32,6 @@ type ChaosConfig struct {
 	// 0 defaults to 400 delays — far above fault-free latencies, so
 	// retries fire only under real faults.
 	RetryTimeout msgnet.Time
-	// WindowEvery is the stats window width; 0 defaults to 1/32 of the
-	// estimated feed span.
-	WindowEvery msgnet.Time
 	// Faults injects the canonical chaos plan (ChaosPlan). Off runs the
 	// same armed harness fault-free (the baseline row).
 	Faults bool
@@ -50,13 +47,6 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	}
 	if c.DupProb == 0 {
 		c.DupProb = 0.05
-	}
-	if c.WindowEvery <= 0 {
-		if span := c.feedSpan(); span >= 32 {
-			c.WindowEvery = span / 32
-		} else {
-			c.WindowEvery = 1
-		}
 	}
 	return c
 }
@@ -129,9 +119,11 @@ func ChaosPlan(clients, servers []msgnet.ProcID, span msgnet.Time, dupProb float
 
 // RunChaos executes one chaos run and verifies it. It runs through
 // runCluster like RunSharded, adding only the protocol arming, the
-// windows and the fault plan, so a run with Faults off replays the
-// fault-free baseline schedule event for event (compare ScheduleDigest
-// against RunSharded's).
+// landing windows and the fault plan, so a run with Faults off replays
+// the fault-free baseline schedule event for event (compare
+// ScheduleDigest against RunSharded's). The windows are 1/32 of the feed
+// span wide; a run whose windows do not sum to the cluster's landed and
+// fast-path counts fails.
 func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosResult, error) {
 	cfg = cfg.withDefaults()
 	span := cfg.feedSpan()
@@ -141,15 +133,20 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosResult, error) {
 		FaultStart:     int64(faultStart),
 		HealAt:         int64(heal),
 	}
+	win := &windows{every: max(span/32, 1)}
 	run := clusterRun{
-		feed:   &keyedFeed{},
-		proto:  smr.Config{Recovery: true, RetryTimeout: cfg.RetryTimeout},
-		window: cfg.WindowEvery,
+		feed:  &keyedFeed{},
+		proto: smr.Config{Recovery: true, RetryTimeout: cfg.RetryTimeout},
+		land:  win.land,
 		landed: func(w *msgnet.Network, st smr.ShardedStats) error {
+			if landed, fast := win.sums(); landed != st.Landed || fast != st.FastPath {
+				return fmt.Errorf("windows sum to %d landed, %d fast; the cluster counts %d, %d",
+					landed, fast, st.Landed, st.FastPath)
+			}
 			res.DuplicatedMsgs = w.Duplicated()
 			res.Retries = st.Retries
 			res.FastPathBefore, res.FastPathDuring, res.FastPathAfter, res.TimeToRecover =
-				windowPhases(st.Windows, faultStart, heal)
+				win.phases(faultStart, heal)
 			if !cfg.Faults {
 				res.TimeToRecover = 0
 			}
@@ -164,24 +161,57 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (ChaosResult, error) {
 	return res, err
 }
 
-// windowPhases splits the windowed landings on the fault plan's active
-// period and computes the per-phase fast-path rates plus the time to
-// recover: the delay from the heal to the end of the first post-heal
-// window whose rate reached 90% of the pre-fault rate (-1 if none did).
-func windowPhases(ws []smr.WindowStat, faultStart, heal msgnet.Time) (before, during, after float64, ttr int64) {
+// windows buckets a run's landings by landing time into virtual-time
+// windows of width every, the i-th covering [i*every, (i+1)*every): the
+// fast-path rate per window shows degradation and recovery around the
+// faults.
+type windows struct {
+	every msgnet.Time
+	ws    []window
+}
+
+// window counts the submissions that landed in one window, and those of
+// them that never left the fast path (no switch, no retry).
+type window struct{ landed, fast int64 }
+
+// land is the cluster's landing observer (smr.ShardedCluster.SetHooks).
+func (w *windows) land(r smr.SubmitResult) {
+	i := int(r.End / w.every)
+	for len(w.ws) <= i {
+		w.ws = append(w.ws, window{})
+	}
+	w.ws[i].landed++
+	if r.Switches == 0 && r.Retries == 0 {
+		w.ws[i].fast++
+	}
+}
+
+// sums totals the windows.
+func (w *windows) sums() (landed, fast int64) {
+	for _, b := range w.ws {
+		landed += b.landed
+		fast += b.fast
+	}
+	return landed, fast
+}
+
+// phases splits the windows on the fault plan's active period and
+// computes the per-phase fast-path rates plus the time to recover: the
+// delay from the heal to the end of the first post-heal window whose
+// rate reached 90% of the pre-fault rate (-1 if none did).
+func (w *windows) phases(faultStart, heal msgnet.Time) (before, during, after float64, ttr int64) {
 	var bl, bf, dl, df, al, af int64
-	ttr = -1
-	for _, w := range ws {
-		switch {
-		case w.End <= faultStart:
-			bl += w.Landed
-			bf += w.FastPath
-		case w.Start >= heal:
-			al += w.Landed
-			af += w.FastPath
+	for i, b := range w.ws {
+		switch start := msgnet.Time(i) * w.every; {
+		case start+w.every <= faultStart:
+			bl += b.landed
+			bf += b.fast
+		case start >= heal:
+			al += b.landed
+			af += b.fast
 		default:
-			dl += w.Landed
-			df += w.FastPath
+			dl += b.landed
+			df += b.fast
 		}
 	}
 	rate := func(fast, landed int64) float64 {
@@ -191,13 +221,12 @@ func windowPhases(ws []smr.WindowStat, faultStart, heal msgnet.Time) (before, du
 		return float64(fast) / float64(landed)
 	}
 	before, during, after = rate(bf, bl), rate(df, dl), rate(af, al)
-	for _, w := range ws {
-		if w.Start >= heal && w.Landed > 0 && w.FastPathRate() >= 0.9*before {
-			ttr = int64(w.End - heal)
-			break
+	for i, b := range w.ws {
+		if start := msgnet.Time(i) * w.every; start >= heal && b.landed > 0 && rate(b.fast, b.landed) >= 0.9*before {
+			return before, during, after, int64(start + w.every - heal)
 		}
 	}
-	return before, during, after, ttr
+	return before, during, after, -1
 }
 
 // E15Base is the canonical E15 configuration: the E12 cluster knobs at

@@ -19,9 +19,9 @@ func chaosSmall() ChaosConfig {
 }
 
 // A plan-free chaos run — recovery modeled, retry timers armed on every
-// attempt, windows on — must reproduce the plain sharded baseline's
-// schedule event for event. This pins the chaos harness to the E12
-// baseline: arming the fault machinery is free.
+// attempt, landings bucketed into windows — must reproduce the plain
+// sharded baseline's schedule event for event. This pins the chaos
+// harness to the E12 baseline: arming the fault machinery is free.
 func TestChaosPlanFreeMatchesShardedBaseline(t *testing.T) {
 	ctx := context.Background()
 	cfg := chaosSmall()
@@ -89,7 +89,8 @@ func TestChaosRunDeterminism(t *testing.T) {
 // The chaos run's headline claims at test scale: linearizable and
 // consistent under the full fault plan, retries and duplicates actually
 // exercised, the fast path degraded while faults were active, and
-// recovered after the heal.
+// recovered after the heal. RunChaos fails unless its windows sum to the
+// cluster's landed and fast-path counts, retried landings included.
 func TestChaosRunRecovers(t *testing.T) {
 	cfg := chaosSmall()
 	cfg.Faults = true

@@ -83,7 +83,6 @@ func (c ShardRunConfig) withDefaults() ShardRunConfig {
 type ShardRunResult struct {
 	Shards       int    `json:"shards"`
 	Commands     int    `json:"commands"`
-	Keys         int    `json:"keys"`
 	Distribution string `json:"distribution"`
 
 	SimTime        int64   `json:"sim_time_delays"`
@@ -124,14 +123,16 @@ func RunSharded(ctx context.Context, cfg ShardRunConfig) (ShardRunResult, error)
 }
 
 // clusterRun is what a runner adds to runCluster: RunSharded only the
-// keyed feed, RunChaos its protocol arming, windows and fault plan,
-// RunTxn its transactional feed and checks.
+// keyed feed, RunChaos its protocol arming, landing windows and fault
+// plan, RunTxn its transactional feed and checks.
 type clusterRun struct {
 	feed clusterFeed
 	// proto arms the protocol beyond what every run shares (recovery,
-	// retry timeout); window is smr.ShardedConfig.WindowEvery.
-	proto  smr.Config
-	window msgnet.Time
+	// retry timeout).
+	proto smr.Config
+	// land, when set, observes every landed submission
+	// (smr.ShardedCluster.SetHooks).
+	land func(smr.SubmitResult)
 	// plan is applied between the build and the feed; the zero plan
 	// injects nothing.
 	plan faults.Plan
@@ -144,9 +145,8 @@ type clusterRun struct {
 // generates, the cluster it submits them to and the check it runs.
 // keyedFeed is E12's and E15's, txnFeed (txn.go) E19's.
 type clusterFeed interface {
-	// items generates every client's items and returns the number of
-	// distinct keys they touch.
-	items(cfg ShardRunConfig) int
+	// items generates every client's items.
+	items(cfg ShardRunConfig)
 	build(w *msgnet.Network, clients, servers []msgnet.ProcID, cfg smr.ShardedConfig) (*smr.ShardedCluster, error)
 	// submit feeds client i's items from start, one step every pace.
 	submit(i int, c msgnet.ProcID, start, pace msgnet.Time)
@@ -160,10 +160,9 @@ type keyedFeed struct {
 	perClient [][]smr.Command
 }
 
-func (f *keyedFeed) items(cfg ShardRunConfig) int {
+func (f *keyedFeed) items(cfg ShardRunConfig) {
 	ops := workload.Keyed(rand.New(rand.NewSource(cfg.Seed)), keyedOpts(cfg))
 	f.perClient = make([][]smr.Command, cfg.Clients)
-	keys := map[string]bool{}
 	for _, op := range ops {
 		var cmd smr.Command
 		if op.Read {
@@ -172,9 +171,7 @@ func (f *keyedFeed) items(cfg ShardRunConfig) int {
 			cmd = smr.SetCmd(op.Key, op.Value)
 		}
 		f.perClient[op.Client] = append(f.perClient[op.Client], cmd)
-		keys[op.Key] = true
 	}
-	return len(keys)
 }
 
 // keyedOpts is the keyed workload a run's config asks for.
@@ -211,10 +208,10 @@ func (f *keyedFeed) verify(ctx context.Context, opts ...check.Option) (smr.Histo
 // per-key traces.
 func runCluster(ctx context.Context, cfg ShardRunConfig, run clusterRun) (*smr.ShardedCluster, ShardRunResult, error) {
 	cfg = cfg.withDefaults()
+	run.feed.items(cfg)
 	res := ShardRunResult{
 		Shards:       cfg.Shards,
 		Commands:     cfg.Commands,
-		Keys:         run.feed.items(cfg),
 		Distribution: "uniform",
 		Online:       cfg.Online,
 	}
@@ -233,11 +230,11 @@ func runCluster(ctx context.Context, cfg ShardRunConfig, run clusterRun) (*smr.S
 		CheckBudget:  cfg.Budget,
 		CheckContext: ctx,
 		ExactCheck:   cfg.Exact,
-		WindowEvery:  run.window,
 	})
 	if err != nil {
 		return nil, res, err
 	}
+	sc.SetHooks(nil, run.land)
 	if err := run.plan.Apply(w); err != nil {
 		return sc, res, err
 	}

@@ -174,7 +174,7 @@ type txnFeed struct {
 	sum       smr.TxnCheck
 }
 
-func (f *txnFeed) items(cfg ShardRunConfig) int {
+func (f *txnFeed) items(cfg ShardRunConfig) {
 	ops := workload.Mixed(rand.New(rand.NewSource(cfg.Seed)), workload.MixedOpts{
 		KeyedOpts:   keyedOpts(cfg),
 		TxnFrac:     f.cfg.TxnFrac,
@@ -185,25 +185,18 @@ func (f *txnFeed) items(cfg ShardRunConfig) int {
 		CASFrac:     f.cfg.CASFrac,
 	})
 	f.perClient = make([][]smr.MixedItem, cfg.Clients)
-	keys := map[string]bool{}
 	for _, op := range ops {
-		it := smr.MixedItem{}
-		if op.Txn != nil {
+		var it smr.MixedItem
+		switch {
+		case op.Txn != nil:
 			it.Txn = txnOf(op.Txn)
-			for _, o := range op.Txn.Ops {
-				keys[o.Key] = true
-			}
-		} else {
-			if op.Read {
-				it.Cmd = smr.GetCmd(op.Key, op.Value)
-			} else {
-				it.Cmd = smr.SetCmd(op.Key, op.Value)
-			}
-			keys[op.Key] = true
+		case op.Read:
+			it.Cmd = smr.GetCmd(op.Key, op.Value)
+		default:
+			it.Cmd = smr.SetCmd(op.Key, op.Value)
 		}
 		f.perClient[op.Client] = append(f.perClient[op.Client], it)
 	}
-	return len(keys)
 }
 
 func (f *txnFeed) build(w *msgnet.Network, clients, servers []msgnet.ProcID, cfg smr.ShardedConfig) (*smr.ShardedCluster, error) {

@@ -51,11 +51,6 @@ type ShardedConfig struct {
 	// action O(1) amortized and the check budget-free; the verdicts are
 	// identical either way.
 	ExactCheck bool
-	// WindowEvery, when positive, buckets landed submissions into
-	// fixed-width virtual-time windows (ShardedStats.Windows), keyed by
-	// landing time. Fault experiments read fast-path rate per window to
-	// see degradation and recovery around injected faults.
-	WindowEvery msgnet.Time
 }
 
 // ShardedStats aggregates submission outcomes across all shards.
@@ -71,26 +66,6 @@ type ShardedStats struct {
 	// Retries counts timeout/restart re-proposals across all clients.
 	Retries        int64
 	PerShardLanded []int64
-	// Windows holds per-window landing aggregates (WindowEvery only).
-	Windows []WindowStat
-}
-
-// WindowStat aggregates the submissions that landed in one virtual-time
-// window [Start, End).
-type WindowStat struct {
-	Start, End msgnet.Time
-	Landed     int64
-	FastPath   int64 // landed with no switch and no retry
-	Retried    int64 // landed after at least one retry
-}
-
-// FastPathRate returns the fraction of the window's landings that never
-// left the fast path.
-func (w WindowStat) FastPathRate() float64 {
-	if w.Landed == 0 {
-		return 0
-	}
-	return float64(w.FastPath) / float64(w.Landed)
 }
 
 // MeanLatency returns the mean end-to-end latency in message delays.
@@ -287,7 +262,6 @@ func (sc *ShardedCluster) Run(maxTime msgnet.Time) msgnet.Time { return sc.net.R
 func (sc *ShardedCluster) Stats() ShardedStats {
 	s := sc.stats
 	s.PerShardLanded = append([]int64{}, sc.stats.PerShardLanded...)
-	s.Windows = append([]WindowStat{}, sc.stats.Windows...)
 	s.Retries = 0
 	for _, sh := range sc.shards {
 		for _, c := range sh.cls {
@@ -774,26 +748,10 @@ func (rec *shardRecorder) land(i int, r SubmitResult) {
 	st.TotalLatency += int64(r.Latency())
 	st.Switches += int64(r.Switches)
 	st.Attempts += int64(r.Attempts)
-	fast := r.Switches == 0 && r.Retries == 0
-	if fast {
+	if r.Switches == 0 && r.Retries == 0 {
 		st.FastPath++
 	}
 	st.PerShardLanded[rec.sh.id]++
-	if we := rec.sc.cfg.WindowEvery; we > 0 {
-		b := int(r.End / we)
-		for len(st.Windows) <= b {
-			s := msgnet.Time(len(st.Windows)) * we
-			st.Windows = append(st.Windows, WindowStat{Start: s, End: s + we})
-		}
-		ws := &st.Windows[b]
-		ws.Landed++
-		if fast {
-			ws.FastPath++
-		}
-		if r.Retries > 0 {
-			ws.Retried++
-		}
-	}
 
 	for ; rec.applied <= r.Slot; rec.applied++ {
 		s := rec.applied

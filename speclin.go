@@ -51,7 +51,8 @@
 // is sequential; independent traces may be checked concurrently, since
 // the package's ADT folders are stateless.
 //
-// See the examples/ directory for runnable end-to-end programs and
+// The package's Example functions are the runnable tours, each checked
+// against its printed output (go test -run Example -v .); see
 // DESIGN.md for the map from the paper's sections to packages (decision
 // 11 records the API-v2 rationale).
 package speclin
@@ -129,14 +130,21 @@ var (
 	UniversalADT = adt.Universal{}
 )
 
-// Consensus value helpers.
+// ADT value helpers.
 var (
 	// ProposeInput builds the consensus input p(v).
 	ProposeInput = adt.ProposeInput
 	// DecideOutput builds the consensus output d(v).
 	DecideOutput = adt.DecideOutput
+	// EnqInput and DeqInput build the queue inputs enq(v) and deq.
+	EnqInput, DeqInput = adt.EnqInput, adt.DeqInput
+	// IncInput and GetInput build the counter inputs inc and get.
+	IncInput, GetInput = adt.IncInput, adt.GetInput
 	// TagInput attaches an occurrence tag to an input (repeated events).
 	TagInput = adt.Tag
+	// UntagInput strips an input's occurrence tag, such as the one a
+	// ReplicatedObject adds to each invocation.
+	UntagInput = adt.Untag
 )
 
 // Checking (checker API v2; §4, §5, Appendix A — DESIGN.md, decision 11).
