@@ -3,6 +3,7 @@ package msgnet
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 )
 
 // volley returns every message it receives to its sender with A one
@@ -136,4 +137,69 @@ func TestMessagesTravelByValue(t *testing.T) {
 			t.Fatal("no message arrived twice at one destination")
 		}
 	})
+}
+
+// watchdog keeps timers armed far beyond the calendar's window, as a
+// recovery watchdog does: every firing re-arms its key 1 000–2 000 delays
+// out through the overflow heap, and re-arms the next key too, so the
+// event that one had queued pops dead. One key is named.
+type watchdog struct{ fired int }
+
+const watchdogs = 16
+
+func watchdogKey(i int) Timer {
+	if i == 0 {
+		return Timer{Name: "watchdog"}
+	}
+	return Timer{Shard: int32(i), Kind: 1}
+}
+
+func (k *watchdog) Init(n *Node) {
+	for i := 0; i < watchdogs; i++ {
+		n.Arm(watchdogKey(i), Time(1000+61*i))
+	}
+}
+
+func (k *watchdog) OnMsg(n *Node, from ProcID, m Msg) {}
+
+func (k *watchdog) OnTick(n *Node, t Timer) {
+	k.fired++
+	i := int(t.Shard)
+	n.Arm(t, Time(1000+(37*k.fired)%1001))
+	n.Arm(watchdogKey((i+1)%watchdogs), 2000)
+}
+
+// Timers re-armed beyond the calendar's window wait in the overflow heap
+// and move into their buckets as the window reaches them; once the heap
+// and the event pool are warm, that costs no allocation either, live
+// firings and dead ones alike.
+func TestOverflowTimersAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own account")
+	}
+	w := New(Config{Seed: 1})
+	k := &watchdog{}
+	w.AddNode("a", k)
+	w.Run(50_000) // warms the overflow heap and the event pool
+	before := k.fired
+	const runs = 20
+	allocs := testing.AllocsPerRun(runs, func() { w.Run(w.Now() + 20_000) })
+	perRun := float64(k.fired-before) / (runs + 1)
+	t.Logf("%.0f firings per run, %.0f allocations per run", perRun, allocs)
+	if perRun < 50 {
+		t.Fatalf("only %.0f firings per run", perRun)
+	}
+	if allocs != 0 {
+		t.Fatalf("%.0f allocations per run of %.0f firings, want 0", allocs, perRun)
+	}
+}
+
+// The event record is what every send and timer writes. It was 160 B
+// before the calendar threaded a link through it, and must not grow: 176
+// B would be the next size class, and the bytes a faulted run allocates
+// move with it.
+func TestEventRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got > 160 {
+		t.Fatalf("unsafe.Sizeof(event{}) = %d B, want at most 160", got)
+	}
 }

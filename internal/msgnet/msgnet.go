@@ -54,12 +54,19 @@ type Msg struct {
 
 // Timer is a timer's key, the counterpart of Msg's routing header: the
 // shard and speculation phase that armed it and its kind, or the Name
-// given to SetTimer. A node has one timer per key.
+// given to SetTimer. A node has one timer per key; a key with a Name is
+// told apart by its Name alone.
 type Timer struct {
 	Shard int32
 	Phase uint8
 	Kind  uint8
 	Name  string
+}
+
+// key packs a typed timer's fields into one integer, injectively: the
+// whole shard, then phase and kind.
+func (t Timer) key() uint64 {
+	return uint64(uint32(t.Shard))<<16 | uint64(t.Phase)<<8 | uint64(t.Kind)
 }
 
 // Handler implements a process's protocol logic. Handlers run in the
@@ -172,28 +179,154 @@ const (
 	evCall
 )
 
-// event is one scheduled delivery, timer, crash or call. Its ordering key
-// (at, seq) lives beside the pointer in the queue, not here.
+// event is one scheduled delivery, timer, crash or call. Its time lives
+// in the calendar (the bucket it waits in, or its overflow entry), not
+// here.
 type event struct {
 	kind eventKind
 
-	// node is the destination, resolved when the event was scheduled; nil
-	// for calls and for a destination that did not exist yet, which is
-	// looked up by to again when the event pops.
+	// next links the events of one calendar bucket in push order.
+	next *event
+
+	// node is the destination, resolved when the event was scheduled: nil
+	// for calls, and a stand-in for a destination that did not exist yet
+	// (see Network.absent), which is looked up by name again when the
+	// event pops. from is a delivery's sender, nil otherwise.
 	node *Node
-	to   ProcID
-	from ProcID
+	from *Node
 	msg  Msg
 
-	timer      Timer
-	timerGen   int64
-	timerEpoch int64
+	// timer fires while its key's generation counter, gen, still reads
+	// timerGen, the generation it was armed at.
+	timer    Timer
+	timerGen int64
+	gen      *int64
 
 	call func()
 }
 
-// queued is an event's slot in the queue. (at, seq) is a total order —
-// seq is unique — so the pop order is a function of what was pushed and
+// calendarWidth is the calendar's window W, in time units: every event
+// due in [cur, cur+W) waits in a bucket. A message takes a few delays and
+// a protocol timeout a few more, so almost every push lands in the
+// window; recovery watchdogs of a thousand delays and scripted At calls
+// wait in the overflow heap. A power of two, so a time's bucket is a
+// mask.
+const calendarWidth = 64
+
+// bucket holds the events due at one time, in push order: a FIFO list
+// threaded through the events themselves.
+type bucket struct{ head, tail *event }
+
+// calendar is the event queue, a calendar queue (Brown, CACM 1988) over
+// integer time. It pops in (at, push order), the order the schedule
+// digest rests on, and pushes and pops in constant time while events
+// land in the window:
+//
+//   - events due in [cur, cur+W) wait in ring[at mod W], oldest first;
+//   - events due at cur+W or later wait in over, a heap on (at, seq);
+//   - nothing is due before cur.
+//
+// A direct push to a bucket is younger than everything already in it.
+// An overflow event moves into its bucket as soon as the window reaches
+// its time, which is before any direct push can land there, and the heap
+// hands over a time's events oldest first, so every bucket stays in push
+// order. A push before cur rewinds the window first (see rewind).
+type calendar struct {
+	cur  Time
+	n    int // events in the ring
+	ring [calendarWidth]bucket
+	over eventQueue
+	seq  int64 // next overflow tie-break
+}
+
+func (c *calendar) push(at Time, e *event) {
+	if at < c.cur {
+		c.rewind(at)
+	}
+	if at-c.cur < calendarWidth {
+		c.append(at, e)
+		return
+	}
+	c.over.push(queued{at: at, seq: c.seq, ev: e})
+	c.seq++
+}
+
+// append adds e at the back of the bucket of time at, which must be in
+// the window.
+func (c *calendar) append(at Time, e *event) {
+	b := &c.ring[at&(calendarWidth-1)]
+	if b.tail == nil {
+		b.head = e
+	} else {
+		b.tail.next = e
+	}
+	b.tail = e
+	c.n++
+}
+
+// pop removes and returns the earliest event and its time, if that time
+// is at most limit. The cursor moves up to the event it returns, or to
+// limit+1 when none is due by then, so it may end past the network's clock
+// (after dead pops, or a stopped Run).
+func (c *calendar) pop(limit Time) (*event, Time, bool) {
+	for c.cur <= limit {
+		if c.n == 0 {
+			if len(c.over) == 0 || c.over[0].at > limit {
+				return nil, 0, false
+			}
+			c.advance(c.over[0].at)
+		}
+		b := &c.ring[c.cur&(calendarWidth-1)]
+		if e := b.head; e != nil {
+			if b.head = e.next; b.head == nil {
+				b.tail = nil
+			}
+			e.next = nil
+			c.n--
+			return e, c.cur, true
+		}
+		c.advance(c.cur + 1)
+	}
+	return nil, 0, false
+}
+
+// advance moves the window's start to t, whose buckets before t must be
+// empty, and moves the overflow events the window now covers into their
+// buckets, oldest first.
+func (c *calendar) advance(t Time) {
+	c.cur = t
+	for len(c.over) > 0 && c.over[0].at-t < calendarWidth {
+		q := c.over.pop()
+		c.append(q.at, q.ev)
+	}
+}
+
+// rewind moves the window's start back to t < cur, for a push due
+// before the cursor: At(t) with now ≤ t < cur, after a Run that stopped
+// or popped dead events past now. The times that leave the window go to
+// the overflow heap, each bucket oldest first. None of them has an
+// overflow event yet (they were in the window), and every later push
+// takes a higher seq, so their order holds when the window reaches them
+// again.
+func (c *calendar) rewind(t Time) {
+	from := max(t+calendarWidth, c.cur)
+	for at := from; at < c.cur+calendarWidth; at++ {
+		b := &c.ring[at&(calendarWidth-1)]
+		for e := b.head; e != nil; {
+			next := e.next
+			e.next = nil
+			c.over.push(queued{at: at, seq: c.seq, ev: e})
+			c.seq++
+			c.n--
+			e = next
+		}
+		*b = bucket{}
+	}
+	c.cur = t
+}
+
+// queued is an overflow event's entry. (at, seq) is a total order — seq
+// is unique — so the pop order is a function of what was pushed and
 // nothing else: no layout of the heap can reorder a schedule. The key is
 // kept beside the pointer so that sifting compares without dereferencing.
 type queued struct {
@@ -206,8 +339,9 @@ func (a queued) before(b queued) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// eventQueue is a 4-ary min-heap on (at, seq): half the depth of a binary
-// heap, and the four children of a slot share a cache line or two.
+// eventQueue is the calendar's overflow store, a 4-ary min-heap on (at,
+// seq): half the depth of a binary heap, and the four children of a slot
+// share a cache line or two.
 type eventQueue []queued
 
 func (q *eventQueue) push(x queued) {
@@ -278,13 +412,15 @@ type Network struct {
 	rng   *rand.Rand // base stream: delay, global drop/dup
 	frng  *rand.Rand // fault stream: per-link rules only
 	now   Time
-	seq   int64
-	queue eventQueue
+	queue calendar
 	// free holds dispatched and dead events for reuse, at most
 	// maxFreeEvents of them.
 	free  []*event
 	nodes map[ProcID]*Node
 	order []*Node // insertion order, for deterministic Init
+	// absentees stand in for destinations that had no node when a
+	// message was posted to them (see absent).
+	absentees map[ProcID]*Node
 	// blocked links (directed), counted so overlapping partitions nest:
 	// a link is open only when its count is zero.
 	blocked map[[2]ProcID]int
@@ -325,10 +461,14 @@ type Node struct {
 	tick        func(n *Node, t Timer)
 	crashed     bool
 	initialized bool
-	// timerGen invalidates outstanding timers per key when reset; epoch
-	// invalidates every timer armed before the node's last crash.
-	timerGen map[Timer]int64
-	epoch    int64
+	// timerGen and namedGen hold each timer key's generation counter,
+	// typed keys under Timer.key and named ones under Name. Arming or
+	// disarming a key bumps its counter, which kills the timer it had
+	// outstanding; a crash bumps every counter and forgets them.
+	timerGen map[uint64]*int64
+	namedGen map[string]*int64
+	// counters is the unused rest of the block new counters come from.
+	counters []int64
 }
 
 // AddNode registers a process. It panics if the ID is duplicated or the
@@ -337,7 +477,7 @@ func (w *Network) AddNode(id ProcID, h Handler) *Node {
 	if _, dup := w.nodes[id]; dup {
 		panic(fmt.Sprintf("msgnet: duplicate node %q", id))
 	}
-	n := &Node{id: id, net: w, handler: h, timerGen: map[Timer]int64{}}
+	n := &Node{id: id, net: w, handler: h, timerGen: map[uint64]*int64{}, namedGen: map[string]*int64{}}
 	switch r := h.(type) {
 	case Receiver:
 		n.recv, n.tick = r.OnMsg, r.OnTick
@@ -372,22 +512,20 @@ func (w *Network) At(t Time, fn func()) {
 	}
 	e := w.newEvent(evCall)
 	e.call = fn
-	w.push(t, e)
+	w.queue.push(t, e)
 }
 
 // Crash schedules process id to crash at time t: from then on it receives
 // no messages or timers and sends nothing, until (and unless) Restart
 // revives it. Crashing discards all timer bookkeeping — a crashed process
 // loses its timers, and stale in-flight timer events can never fire into
-// a post-restart incarnation (each crash advances the node's epoch).
+// a post-restart incarnation (each crash retires every timer key).
 func (w *Network) Crash(id ProcID, t Time) {
 	w.At(t, func() {
 		if n := w.nodes[id]; n != nil && !n.crashed {
 			n.crashed = true
-			n.epoch++
-			// Drop, don't leak: outstanding keys would otherwise pin one
-			// map entry each forever on a node that can no longer fire them.
-			clear(n.timerGen)
+			retire(n.timerGen)
+			retire(n.namedGen)
 		}
 	})
 }
@@ -500,9 +638,19 @@ func (w *Network) recycle(e *event) {
 	}
 }
 
-func (w *Network) push(at Time, e *event) {
-	w.queue.push(queued{at: at, seq: w.seq, ev: e})
-	w.seq++
+// absent returns the stand-in for destination id, which has no node: a
+// Node with only its name, kept per name. A delivery to it resolves the
+// name again when it pops, so a node added in the meantime receives it.
+func (w *Network) absent(id ProcID) *Node {
+	n := w.absentees[id]
+	if n == nil {
+		if w.absentees == nil {
+			w.absentees = map[ProcID]*Node{}
+		}
+		n = &Node{id: id}
+		w.absentees[id] = n
+	}
+	return n
 }
 
 // Run processes events until the queue is empty or virtual time would
@@ -518,19 +666,17 @@ func (w *Network) Run(maxTime Time) Time {
 			n.handler.Init(n)
 		}
 	}
-	for len(w.queue) > 0 {
-		if w.queue[0].at > maxTime {
-			break
+	for {
+		e, at, ok := w.queue.pop(maxTime)
+		if !ok {
+			return w.now
 		}
-		q := w.queue.pop()
-		e := q.ev
 		if !w.dead(e) {
-			w.now = q.at
+			w.now = at
 			w.dispatch(e)
 		}
 		w.recycle(e)
 	}
-	return w.now
 }
 
 // dead reports whether a popped event is queue residue with no
@@ -543,9 +689,9 @@ func (w *Network) dead(e *event) bool {
 		return false
 	}
 	n := e.node
-	if n == nil {
+	if n.net == nil {
 		// Sent before the destination existed: it may have been added since.
-		if n = w.nodes[e.to]; n == nil {
+		if n = w.nodes[n.id]; n == nil {
 			return true
 		}
 		e.node = n
@@ -553,24 +699,30 @@ func (w *Network) dead(e *event) bool {
 	if n.crashed {
 		return true
 	}
-	return e.kind == evTimer &&
-		(n.epoch != e.timerEpoch || n.timerGen[e.timer] != e.timerGen)
+	return e.kind == evTimer && *e.gen != e.timerGen
 }
 
 // dispatch runs a live event at w.now. The handler may send, arm timers
 // and schedule calls freely: those take other events, and this one is
 // recycled only after the handler has returned.
 func (w *Network) dispatch(e *event) {
+	var to, from ProcID
+	if e.node != nil {
+		to = e.node.id
+	}
+	if e.from != nil {
+		from = e.from.id
+	}
 	h := fnvUint64(w.dig, uint64(w.now))
 	h = fnvByte(h, byte(e.kind))
-	h = fnvString(h, string(e.to))
-	w.dig = fnvString(h, string(e.from))
+	h = fnvString(h, string(to))
+	w.dig = fnvString(h, string(from))
 	switch e.kind {
 	case evCall:
 		e.call()
 	case evDeliver:
 		w.delivered++
-		e.node.recv(e.node, e.from, e.msg)
+		e.node.recv(e.node, from, e.msg)
 	case evTimer:
 		e.node.tick(e.node, e.timer)
 	}
@@ -619,21 +771,24 @@ func (n *Node) Post(to ProcID, m Msg) {
 		return
 	}
 	dst := w.nodes[to]
-	n.deliver(dst, to, &m, rule, ruled)
+	if dst == nil {
+		dst = w.absent(to)
+	}
+	n.deliver(dst, &m, rule, ruled)
 	if ruled && rule.DupProb > 0 && w.frng.Float64() < rule.DupProb {
 		w.duplicated++
-		n.deliver(dst, to, &m, rule, ruled)
+		n.deliver(dst, &m, rule, ruled)
 	}
 	if w.cfg.DupProb > 0 && w.rng.Float64() < w.cfg.DupProb {
 		w.duplicated++
-		n.deliver(dst, to, &m, rule, ruled)
+		n.deliver(dst, &m, rule, ruled)
 	}
 }
 
 // deliver schedules one copy of a message: it draws the copy's delay
 // (base stream, then the link rule's extra from the fault stream) and
 // queues the delivery.
-func (n *Node) deliver(dst *Node, to ProcID, m *Msg, rule LinkRule, ruled bool) {
+func (n *Node) deliver(dst *Node, m *Msg, rule LinkRule, ruled bool) {
 	w := n.net
 	d := w.cfg.MinDelay
 	if w.cfg.MaxDelay > w.cfg.MinDelay {
@@ -643,19 +798,24 @@ func (n *Node) deliver(dst *Node, to ProcID, m *Msg, rule LinkRule, ruled bool) 
 		d += rule.extraDelay(w.frng)
 	}
 	e := w.newEvent(evDeliver)
-	e.node, e.to, e.from, e.msg = dst, to, n.id, *m
-	w.push(w.now+d, e)
+	e.node, e.from, e.msg = dst, n, *m
+	w.queue.push(w.now+d, e)
 }
 
 // Arm (re)arms timer t to fire after d. Re-arming replaces any
 // outstanding instance of the same key.
 func (n *Node) Arm(t Timer, d Time) {
-	gen := n.timerGen[t] + 1
-	n.timerGen[t] = gen
+	var g *int64
+	if t.Name == "" {
+		g = counter(n, n.timerGen, t.key())
+	} else {
+		g = counter(n, n.namedGen, t.Name)
+	}
+	*g++
 	e := n.net.newEvent(evTimer)
-	e.node, e.to = n, n.id
-	e.timer, e.timerGen, e.timerEpoch = t, gen, n.epoch
-	n.net.push(n.net.now+d, e)
+	e.node = n
+	e.timer, e.timerGen, e.gen = t, *g, g
+	n.net.queue.push(n.net.now+d, e)
 }
 
 // Disarm cancels timer t if armed. Disarming a key the node holds no
@@ -663,9 +823,45 @@ func (n *Node) Arm(t Timer, d Time) {
 // no-op and creates none: there is nothing in the queue it could fire,
 // and an entry made here would be one nothing ever uses.
 func (n *Node) Disarm(t Timer) {
-	if gen, ok := n.timerGen[t]; ok {
-		n.timerGen[t] = gen + 1
+	var g *int64
+	if t.Name == "" {
+		g = n.timerGen[t.key()]
+	} else {
+		g = n.namedGen[t.Name]
 	}
+	if g != nil {
+		*g++
+	}
+}
+
+// counterBlock is how many generation counters a node allocates at once.
+const counterBlock = 16
+
+// counter returns key k's generation counter in gens, one of n's tables,
+// giving k a fresh one if it has none. Fresh counters are cut from a
+// block, so a node's keys, and its keys again after each crash, cost an
+// allocation per block rather than per key.
+func counter[K comparable](n *Node, gens map[K]*int64, k K) *int64 {
+	g := gens[k]
+	if g == nil {
+		if len(n.counters) == 0 {
+			n.counters = make([]int64, counterBlock)
+		}
+		g, n.counters = &n.counters[0], n.counters[1:]
+		gens[k] = g
+	}
+	return g
+}
+
+// retire kills every timer armed under gens by bumping its counter, then
+// forgets the counters: a crashed node can fire none of them, and a key
+// the next incarnation arms gets a fresh counter, so nothing armed before
+// the crash fires after it, whatever the generations.
+func retire[K comparable](gens map[K]*int64) {
+	for _, g := range gens {
+		*g++
+	}
+	clear(gens)
 }
 
 // SetTimer arms the named timer, Timer{Name: name}, for handlers that
@@ -679,4 +875,4 @@ func (n *Node) CancelTimer(name string) { n.Disarm(Timer{Name: name}) }
 // generation bookkeeping for: every key armed since the last crash. The
 // bookkeeping lives as long as the incarnation, so a handler must draw its
 // keys from a bounded set; this is the diagnostic leak tests read.
-func (n *Node) TimerNames() int { return len(n.timerGen) }
+func (n *Node) TimerNames() int { return len(n.timerGen) + len(n.namedGen) }

@@ -256,19 +256,24 @@ func TestRestartOfLiveNodeIsNoop(t *testing.T) {
 }
 
 func TestCrashClearsTimerBookkeeping(t *testing.T) {
-	// Regression: Crash used to leave timerGen entries behind forever.
+	// Regression: Crash used to leave generation entries behind forever.
+	// Both tables go: the named keys' and the typed keys'.
 	w := New(Config{Seed: 1})
 	a := &pingPong{}
-	w.AddNode("a", a)
+	n := w.AddNode("a", a)
 	w.At(0, func() {
-		n := w.nodes["a"]
 		n.SetTimer("t1", 50)
 		n.SetTimer("t2", 60)
+		n.Arm(Timer{Shard: 1, Kind: 1}, 50)
+		n.Arm(Timer{Shard: 2, Kind: 1}, 60)
+		if got := n.TimerNames(); got != 4 {
+			t.Errorf("TimerNames() = %d before the crash, want 4", got)
+		}
 	})
 	w.Crash("a", 5)
 	w.Run(10)
-	if got := len(w.nodes["a"].timerGen); got != 0 {
-		t.Fatalf("crash leaked %d timerGen entries", got)
+	if got := n.TimerNames(); got != 0 {
+		t.Fatalf("crash leaked %d timer keys", got)
 	}
 }
 
@@ -279,10 +284,10 @@ func TestStaleTimerCannotFireAcrossRestart(t *testing.T) {
 	w := New(Config{Seed: 1})
 	a := &pingPong{}
 	w.AddNode("a", a)
-	w.At(0, func() { w.nodes["a"].SetTimer("t", 50) }) // gen 1, epoch 0
+	w.At(0, func() { w.nodes["a"].SetTimer("t", 50) }) // gen 1
 	w.Crash("a", 5)
 	w.Restart("a", 10)
-	w.At(10, func() { w.nodes["a"].SetTimer("t", 50) }) // gen 1 again, epoch 1
+	w.At(10, func() { w.nodes["a"].SetTimer("t", 50) }) // gen 1 again, a fresh counter
 	w.Run(200)
 	if len(a.got) != 1 || a.got[0] != "timer:t" || a.gotTimes[0] != 60 {
 		t.Fatalf("timer firings: %v at %v (want one firing at 60)", a.got, a.gotTimes)
@@ -297,18 +302,21 @@ type ticker struct {
 func (k *ticker) Init(n *Node)                      {}
 func (k *ticker) OnMsg(n *Node, from ProcID, m Msg) {}
 func (k *ticker) OnTick(n *Node, t Timer) {
-	k.fired = append(k.fired, fmt.Sprintf("%d/%d/%d@%d", t.Shard, t.Phase, t.Kind, n.Now()))
+	k.fired = append(k.fired, fmt.Sprintf("%d/%d/%d%s@%d", t.Shard, t.Phase, t.Kind, t.Name, n.Now()))
 }
 
 // A timer is its whole key. Cancelling or re-arming one key leaves alone
 // every key that differs from it only in Shard, only in Phase or only in
 // Kind — a host routes its shards and phases apart through exactly these
-// fields — and the crash-epoch rule holds for typed keys: a key armed
-// before a crash never fires into the next incarnation, though that one
-// re-arms it at the same generation.
+// fields, the shard's high bits included — and a named key beside a typed
+// one with equal fields. The crash rule holds for typed keys: a key
+// armed before a crash never fires into the next incarnation, though that
+// one re-arms it at the same generation.
 func TestTimerKeysAreIndependent(t *testing.T) {
 	base := Timer{Shard: 1, Phase: 1, Kind: 1}
-	others := []Timer{{Shard: 2, Phase: 1, Kind: 1}, {Shard: 1, Phase: 2, Kind: 1}, {Shard: 1, Phase: 1, Kind: 2}}
+	others := []Timer{{Shard: 2, Phase: 1, Kind: 1}, {Shard: 1, Phase: 2, Kind: 1}, {Shard: 1, Phase: 1, Kind: 2},
+		{Shard: 1 | 1<<17, Phase: 1, Kind: 1}, {Shard: 1 - 1<<31, Phase: 1, Kind: 1},
+		{Shard: 1, Phase: 1, Kind: 1, Name: "x"}}
 	w := New(Config{Seed: 1})
 	k := &ticker{}
 	n := w.AddNode("a", k)
@@ -328,8 +336,8 @@ func TestTimerKeysAreIndependent(t *testing.T) {
 	w.At(20, func() {
 		armAll(10)
 		n.Arm(base, 15)
-		if got := n.TimerNames(); got != 4 {
-			t.Errorf("TimerNames() = %d, want 4", got)
+		if got := n.TimerNames(); got != 7 {
+			t.Errorf("TimerNames() = %d, want 7", got)
 		}
 	})
 	// Arm every key and a fresh one, crash, restart and re-arm two: only
@@ -350,8 +358,8 @@ func TestTimerKeysAreIndependent(t *testing.T) {
 	})
 	w.Run(100)
 	want := []string{
-		"2/1/1@10", "1/2/1@10", "1/1/2@10",
-		"2/1/1@30", "1/2/1@30", "1/1/2@30", "1/1/1@35",
+		"2/1/1@10", "1/2/1@10", "1/1/2@10", "131073/1/1@10", "-2147483647/1/1@10", "1/1/1x@10",
+		"2/1/1@30", "1/2/1@30", "1/1/2@30", "131073/1/1@30", "-2147483647/1/1@30", "1/1/1x@30", "1/1/1@35",
 		"3/3/3@54", "2/1/1@54",
 	}
 	if fmt.Sprint(k.fired) != fmt.Sprint(want) {

@@ -217,35 +217,85 @@ func TestReuseWhileDispatching(t *testing.T) {
 	}
 }
 
-// The queue pops in (at, seq) order whatever was pushed in whatever
-// order: the property the schedule digest rests on.
-func TestEventQueueOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var q eventQueue
-	var want []queued
-	seq := int64(0)
-	pop := func() {
-		sort.Slice(want, func(i, j int) bool { return want[i].before(want[j]) })
-		got := q.pop()
-		if got.at != want[0].at || got.seq != want[0].seq {
-			t.Fatalf("popped (%d,%d), want (%d,%d)", got.at, got.seq, want[0].at, want[0].seq)
+// The calendar pops in (at, push order), whatever was pushed in whatever
+// order: the property the schedule digest rests on. A list sorted on
+// (at, seq) is the oracle. Pushes land inside the window, just past it,
+// and far beyond it (a recovery watchdog's 1 000–2 000 delays). Pops stop
+// at a limit the way Run(maxTime) does, and some are dead, which moves the
+// cursor but not the clock; after every stop, a push lands between the
+// clock and the cursor, which rewinds the window.
+func TestCalendarMatchesSortedOracle(t *testing.T) {
+	const W = calendarWidth
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var c calendar
+		var want []queued
+		seq := int64(0)
+		now := Time(0) // the time of the last live pop, as Network.now
+		rewinds := 0
+		push := func(at Time) {
+			if at < c.cur {
+				rewinds++
+			}
+			e := &event{timerGen: seq}
+			c.push(at, e)
+			want = append(want, queued{at: at, seq: seq, ev: e})
+			seq++
 		}
-		want = want[1:]
-	}
-	for i := 0; i < 5000; i++ {
-		if len(want) > 0 && rng.Intn(3) == 0 {
-			pop()
-			continue
+		// pop pops once with the given limit and checks the result against
+		// the oracle; it reports whether an event was due.
+		pop := func(limit Time) bool {
+			sort.Slice(want, func(i, j int) bool { return want[i].before(want[j]) })
+			e, at, ok := c.pop(limit)
+			if len(want) == 0 || want[0].at > limit {
+				if ok {
+					t.Fatalf("seed %d: popped #%d at %d with limit %d, want nothing", seed, e.timerGen, at, limit)
+				}
+				return false
+			}
+			if !ok || e != want[0].ev || at != want[0].at {
+				var got int64 = -1
+				if ok {
+					got = e.timerGen
+				}
+				t.Fatalf("seed %d: popped (#%d at %d, %v) with limit %d, want #%d at %d",
+					seed, got, at, ok, limit, want[0].seq, want[0].at)
+			}
+			want = want[1:]
+			if rng.Intn(5) > 0 { // one pop in five is dead
+				now = at
+			}
+			return true
 		}
-		x := queued{at: Time(rng.Intn(40)), seq: seq}
-		seq++
-		q.push(x)
-		want = append(want, x)
-	}
-	for len(want) > 0 {
-		pop()
-	}
-	if len(q) != 0 {
-		t.Fatalf("%d entries left in the queue", len(q))
+		for i := 0; i < 4000; i++ {
+			switch r := rng.Intn(100); {
+			case r < 45:
+				push(now + Time(rng.Intn(W)))
+			case r < 60:
+				push(now + W + Time(rng.Intn(2*W)))
+			case r < 70:
+				push(now + 1000 + Time(rng.Intn(1001)))
+			default:
+				// Run(limit) until it stops, then At(t) with now ≤ t < cur.
+				limit := now + Time(rng.Intn(3*W))
+				if rng.Intn(10) == 0 {
+					limit = now + 2000
+				}
+				for n := rng.Intn(40); n > 0 && pop(limit); n-- {
+				}
+				if c.cur > now {
+					push(now + Time(rng.Int63n(int64(c.cur-now))))
+				}
+			}
+		}
+		for pop(1 << 40) {
+		}
+		if len(want) != 0 || c.n != 0 || len(c.over) != 0 {
+			t.Fatalf("seed %d: %d events left in the oracle, %d in the ring, %d in the overflow",
+				seed, len(want), c.n, len(c.over))
+		}
+		if rewinds < 100 {
+			t.Fatalf("seed %d: only %d pushes landed before the cursor", seed, rewinds)
+		}
 	}
 }
